@@ -46,14 +46,16 @@ use vgprs_bench::experiments::{
     c5_handoff_cost, interface_usage,
 };
 use vgprs_bench::harness::{
-    heading, load_config_from, meta_json, write_file, Flags, RunDefaults, SEED,
+    capacity_json, chaos_json, heading, kernelbench_json, load_config_from, surge_json,
+    threads_and_kernels_agree, write_file, Flags, KernelRun, RunDefaults, DROP_RATE,
+    INTERVENTIONS, SEED,
 };
 use vgprs_bench::scenarios::{
     intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
 };
 use vgprs_load::{
-    capacity_knee, run_load, FaultClass, FaultPlanConfig, LoadConfig, OverloadControls,
-    ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
+    capacity_knee, run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport,
+    OverloadControls, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
 use vgprs_sim::{Kernel, LadderDiagram, SimDuration};
 use vgprs_wire::{CallId, Command, Message};
@@ -133,7 +135,7 @@ fn load_cmd(rest: &[String]) {
     }
     let per_shard = flags.has("--snapshots-per-shard");
     if let Some(path) = flags.get("--snapshots") {
-        write_file(path, &report.snapshots_json_with(per_shard));
+        write_file(path, &report.snapshots_json(per_shard));
         println!(
             "snapshot series       : {path}{}",
             if per_shard { " (with per-shard series)" } else { "" }
@@ -183,22 +185,19 @@ fn read_thresholds(flags: &Flags<'_>) -> Thresholds {
     }
 }
 
-/// The canonical small-population run the `--check` gate compares
-/// against the committed baseline: same tiny workload as the chaos and
-/// surge determinism checks, so it finishes in seconds.
-fn diff_check_config() -> LoadConfig {
-    load_config_from(
-        &Flags(&[]),
-        &RunDefaults {
-            subscribers: 96,
-            shards: 4,
-            threads: 1,
-            window_secs: 90,
-            calls_per_sub_hour: 40.0,
-            mean_hold_secs: 20.0,
-            ..RunDefaults::default()
-        },
-    )
+/// The canonical small population every `--check` gate runs (`diff`
+/// against the committed baseline, `chaos` and `surge` for
+/// determinism): tiny, so each finishes in seconds.
+fn check_defaults() -> RunDefaults {
+    RunDefaults {
+        subscribers: 96,
+        shards: 4,
+        threads: 1,
+        window_secs: 90,
+        calls_per_sub_hour: 40.0,
+        mean_hold_secs: 20.0,
+        ..RunDefaults::default()
+    }
 }
 
 /// `harness diff`: structural KPI regression gate. With two positional
@@ -212,7 +211,7 @@ fn diff_cmd(rest: &[String]) {
     let thresholds = read_thresholds(&flags);
     if flags.has("--check") || flags.has("--update-baseline") {
         let baseline_path = flags.get("--baseline").unwrap_or(DIFF_BASELINE);
-        let cfg = diff_check_config();
+        let cfg = load_config_from(&Flags(&[]), &check_defaults());
         heading(&format!(
             "KPI regression gate — {} subscribers, {} shards, seed {} vs {}",
             cfg.subscribers,
@@ -307,7 +306,6 @@ fn capacity_cmd(rest: &[String]) {
     });
     for i in rows {
         let p = &search.probes[i];
-        let setup = p.report.setup_delay();
         println!(
             "  {:>5.2}x | {:>9.1} | {:>8.1} | {:>8} | {:>6.2}% | {:>7.1}ms {:>7.1}ms | {:>5.2}",
             p.load_factor,
@@ -315,8 +313,8 @@ fn capacity_cmd(rest: &[String]) {
             p.offered_erlangs,
             p.report.attempts(),
             p.report.blocking_rate() * 100.0,
-            setup.percentile(50.0),
-            setup.percentile(99.0),
+            p.report.kpi("setup_delay_ms.p50"),
+            p.report.kpi("setup_delay_ms.p99"),
             p.report.mos()
         );
     }
@@ -331,69 +329,6 @@ fn capacity_cmd(rest: &[String]) {
     if let Some(path) = flags.get("--json") {
         write_file(path, &capacity_json(&search, &base, max_load, refine));
         println!("  json report: {path}");
-    }
-}
-
-/// Hand-rolled JSON dump of a knee search: every probe plus the knee.
-fn capacity_json(
-    search: &vgprs_load::KneeSearch,
-    base: &LoadConfig,
-    max_load: f64,
-    refine: u32,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("{},\n", meta_json(base)));
-    out.push_str(&format!("  \"subscribers\": {},\n", base.subscribers));
-    out.push_str(&format!("  \"seed\": {},\n", base.seed));
-    out.push_str(&format!("  \"max_load_factor\": {max_load},\n"));
-    out.push_str(&format!("  \"refine_steps\": {refine},\n"));
-    out.push_str("  \"probes\": [");
-    for (i, p) in search.probes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let setup = p.report.setup_delay();
-        out.push_str(&format!(
-            "\n    {{\"load_factor\": {}, \"offered_erlangs\": {}, \"attempts\": {}, \
-             \"blocking_rate\": {}, \"setup_p50_ms\": {}, \"setup_p99_ms\": {}, \
-             \"mos\": {}, \"fingerprint\": \"{:016x}\"}}",
-            p.load_factor,
-            p.offered_erlangs,
-            p.report.attempts(),
-            p.report.blocking_rate(),
-            setup.percentile(50.0),
-            setup.percentile(99.0),
-            p.report.mos(),
-            p.report.fingerprint()
-        ));
-    }
-    out.push_str("\n  ],\n");
-    match &search.knee {
-        Some(k) => out.push_str(&format!(
-            "  \"knee\": {{\"load_factor\": {}, \"good_factor\": {}, \
-             \"offered_erlangs\": {}, \"calls_per_sub_hour\": {}}}\n",
-            k.load_factor, k.good_factor, k.offered_erlangs, k.calls_per_sub_hour
-        )),
-        None => out.push_str("  \"knee\": null\n"),
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// One kernel's side of the `kernelbench` comparison.
-struct KernelRun {
-    kernel: Kernel,
-    fingerprint: u64,
-    events: u64,
-    wall_secs: Vec<f64>,
-}
-
-impl KernelRun {
-    /// Best (highest) observed throughput across the repeats.
-    fn events_per_sec(&self) -> f64 {
-        let best = self.wall_secs.iter().copied().fold(f64::MAX, f64::min);
-        self.events as f64 / best
     }
 }
 
@@ -481,141 +416,26 @@ fn kernelbench_cmd(rest: &[String]) {
     }
 }
 
-fn kernelbench_json(
-    cfg: &LoadConfig,
-    repeat: usize,
-    heap: &KernelRun,
-    wheel: &KernelRun,
-    speedup: f64,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"workload\": \"busy_hour_shard\",\n");
-    out.push_str(&format!("{},\n", meta_json(cfg)));
-    out.push_str(&format!("  \"subscribers\": {},\n", cfg.subscribers));
-    out.push_str(&format!("  \"shards\": {},\n", cfg.effective_shards()));
-    out.push_str(&format!("  \"threads\": {},\n", cfg.effective_threads()));
-    out.push_str(&format!("  \"seed\": {},\n", cfg.seed));
-    out.push_str(&format!("  \"repeats\": {repeat},\n"));
-    out.push_str(&format!(
-        "  \"fingerprint\": \"{:016x}\",\n",
-        wheel.fingerprint
-    ));
-    for r in [heap, wheel] {
-        out.push_str(&format!(
-            "  \"{}\": {{\"events\": {}, \"events_per_sec\": {:.0}, \"wall_secs\": [{}]}},\n",
-            r.kernel,
-            r.events,
-            r.events_per_sec(),
-            r.wall_secs
-                .iter()
-                .map(|w| format!("{w:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    out.push_str(&format!("  \"speedup\": {speedup:.3}\n"));
-    out.push_str("}\n");
-    out
-}
+/// One cell of the chaos matrix: a fault class (or a baseline label),
+/// its intensity, and the run it produced.
+type ChaosRun = (&'static str, f64, LoadReport);
 
-/// One cell of the chaos matrix: a fault class at an intensity (or the
-/// zero-fault baseline), with the resilience KPIs it produced.
-struct ChaosCell {
-    label: &'static str,
-    intensity: f64,
-    faults_injected: u64,
-    attempts: u64,
-    dropped_faulted: u64,
-    dropped_baseline: u64,
-    drop_rate: f64,
-    recovery_n: u64,
-    recovery_p50: f64,
-    recovery_p99: f64,
-    ras_retries: u64,
-    arq_retries: u64,
-    redials: u64,
-    unavailability_secs: f64,
-    frame_loss: f64,
-    mos: f64,
-    trunk_retransmits: u64,
-    trunk_dup_drops: u64,
-    trunk_dup_injected: u64,
-    trunk_reordered: u64,
-    trunk_expired: u64,
-    trunk_frame_drops: u64,
-    trunk_handoff_drops: u64,
-    trunk_reroutes: u64,
-    fingerprint: u64,
-}
-
-/// Folds one finished run into a [`ChaosCell`] row. Classic node-fault
-/// cells leave the trunk counters at zero and vice versa — the matrix
-/// keeps one uniform schema for both fault families.
-fn chaos_cell_from(label: &'static str, intensity: f64, cfg: &LoadConfig) -> ChaosCell {
-    let report = run_load(cfg);
-    let dropped_faulted = FaultClass::ALL
-        .into_iter()
-        .map(|c| report.dropped_by_class(c))
-        .sum::<u64>();
-    let recovery = report.recovery_time();
-    let (ras_retries, arq_retries) = report.guard_retries();
-    ChaosCell {
-        label,
-        intensity,
-        faults_injected: report.faults_injected(),
-        attempts: report.attempts(),
-        dropped_faulted,
-        dropped_baseline: report.dropped_baseline(),
-        drop_rate: if report.attempts() == 0 {
-            0.0
-        } else {
-            dropped_faulted as f64 / report.attempts() as f64
-        },
-        recovery_n: recovery.count(),
-        recovery_p50: recovery.percentile(50.0),
-        recovery_p99: recovery.percentile(99.0),
-        ras_retries,
-        arq_retries,
-        redials: report.redial_attempts(),
-        unavailability_secs: FaultClass::ALL
-            .into_iter()
-            .map(|c| report.unavailability_secs(c))
-            .sum(),
-        frame_loss: report.frame_loss(),
-        mos: report.mos(),
-        trunk_retransmits: report.trunk_retransmits(),
-        trunk_dup_drops: report.trunk_dup_drops(),
-        trunk_dup_injected: report.trunk_dup_injected(),
-        trunk_reordered: report.trunk_reordered(),
-        trunk_expired: report.trunk_expired(),
-        trunk_frame_drops: report.trunk_frame_drops(),
-        trunk_handoff_drops: report.trunk_handoff_drops(),
-        trunk_reroutes: report.trunk_reroutes(),
-        fingerprint: report.fingerprint(),
-    }
-}
-
-fn run_chaos_cell(base: &LoadConfig, class: Option<FaultClass>, intensity: f64) -> ChaosCell {
+fn run_chaos_cell(base: &LoadConfig, class: Option<FaultClass>, intensity: f64) -> ChaosRun {
     let mut cfg = base.clone();
     cfg.faults = match class {
         Some(c) => FaultPlanConfig::only(c, intensity),
         None => FaultPlanConfig::default(),
     };
-    chaos_cell_from(class.map_or("baseline", FaultClass::key), intensity, &cfg)
+    (class.map_or("baseline", FaultClass::key), intensity, run_load(&cfg))
 }
 
-fn run_trunk_cell(base: &LoadConfig, class: Option<TrunkFaultClass>, intensity: f64) -> ChaosCell {
+fn run_trunk_cell(base: &LoadConfig, class: Option<TrunkFaultClass>, intensity: f64) -> ChaosRun {
     let mut cfg = base.clone();
     cfg.trunk = match class {
         Some(c) => TrunkPlanConfig::only(c, intensity),
         None => TrunkPlanConfig::default(),
     };
-    chaos_cell_from(
-        class.map_or("trunk_baseline", TrunkFaultClass::key),
-        intensity,
-        &cfg,
-    )
+    (class.map_or("trunk_baseline", TrunkFaultClass::key), intensity, run_load(&cfg))
 }
 
 /// The chaos workload with cross-shard traffic switched on: trunk
@@ -675,19 +495,19 @@ fn chaos_cmd(rest: &[String]) {
         "  {:<15} {:>5} | {:>6} {:>7} {:>6} | {:>9} {:>9} {:>4} | {:>7} {:>5}",
         "class", "int", "faults", "drop%", "redial", "rec p50", "rec p99", "n", "loss%", "MOS"
     );
-    for c in &cells[..trunk_start] {
+    for (label, intensity, r) in &cells[..trunk_start] {
         println!(
             "  {:<15} {:>5.1} | {:>6} {:>6.2}% {:>6} | {:>7.1}ms {:>7.1}ms {:>4} | {:>6.2}% {:>5.2}",
-            c.label,
-            c.intensity,
-            c.faults_injected,
-            c.drop_rate * 100.0,
-            c.redials,
-            c.recovery_p50,
-            c.recovery_p99,
-            c.recovery_n,
-            c.frame_loss * 100.0,
-            c.mos
+            label,
+            intensity,
+            r.kpi("resilience.faults_injected"),
+            r.kpi(DROP_RATE) * 100.0,
+            r.kpi("resilience.redial_attempts"),
+            r.kpi("resilience.recovery_ms.p50"),
+            r.kpi("resilience.recovery_ms.p99"),
+            r.kpi("resilience.recovery_ms.count"),
+            r.frame_loss() * 100.0,
+            r.mos()
         );
     }
     println!(
@@ -695,84 +515,25 @@ fn chaos_cmd(rest: &[String]) {
         "trunk class", "int", "retx", "dup", "reord", "exp", "hodrop", "route", "frames", "loss%",
         "MOS"
     );
-    for c in &cells[trunk_start..] {
+    for (label, intensity, r) in &cells[trunk_start..] {
         println!(
             "  {:<15} {:>5.1} | {:>6} {:>6} {:>6} {:>6} | {:>6} {:>6} {:>7} | {:>6.2}% {:>5.2}",
-            c.label,
-            c.intensity,
-            c.trunk_retransmits,
-            c.trunk_dup_drops,
-            c.trunk_reordered,
-            c.trunk_expired,
-            c.trunk_handoff_drops,
-            c.trunk_reroutes,
-            c.trunk_frame_drops,
-            c.frame_loss * 100.0,
-            c.mos
+            label,
+            intensity,
+            r.trunk_retransmits(),
+            r.trunk_dup_drops(),
+            r.kpi("trunk.reordered"),
+            r.trunk_expired(),
+            r.kpi("trunk.handoff_drops"),
+            r.kpi("trunk.reroutes"),
+            r.kpi("trunk.frame_drops"),
+            r.frame_loss() * 100.0,
+            r.mos()
         );
     }
     let path = flags.get("--out").unwrap_or("BENCH_chaos.json");
     write_file(path, &chaos_json(&base, &cells));
     println!("  recorded: {path}");
-}
-
-fn chaos_json(base: &LoadConfig, cells: &[ChaosCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"workload\": \"busy_hour_chaos\",\n");
-    out.push_str(&format!("{},\n", meta_json(base)));
-    out.push_str(&format!("  \"subscribers\": {},\n", base.subscribers));
-    out.push_str(&format!("  \"shards\": {},\n", base.effective_shards()));
-    out.push_str(&format!("  \"seed\": {},\n", base.seed));
-    out.push_str(&format!(
-        "  \"window_secs\": {},\n",
-        base.population.window_secs
-    ));
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"class\": \"{}\", \"intensity\": {}, \"faults_injected\": {}, \
-             \"attempts\": {}, \"dropped_faulted\": {}, \"dropped_baseline\": {}, \
-             \"drop_rate\": {:.6}, \"recovery_n\": {}, \"recovery_p50_ms\": {:.1}, \
-             \"recovery_p99_ms\": {:.1}, \"ras_retries\": {}, \"arq_retries\": {}, \
-             \"redial_attempts\": {}, \"unavailability_secs\": {:.1}, \
-             \"frame_loss\": {:.6}, \"mos\": {:.3}, \"trunk_retransmits\": {}, \
-             \"trunk_dup_drops\": {}, \"trunk_dup_injected\": {}, \"trunk_reordered\": {}, \
-             \"trunk_expired\": {}, \"trunk_frame_drops\": {}, \
-             \"trunk_handoff_drops\": {}, \"trunk_reroutes\": {}, \
-             \"fingerprint\": \"{:016x}\"}}",
-            c.label,
-            c.intensity,
-            c.faults_injected,
-            c.attempts,
-            c.dropped_faulted,
-            c.dropped_baseline,
-            c.drop_rate,
-            c.recovery_n,
-            c.recovery_p50,
-            c.recovery_p99,
-            c.ras_retries,
-            c.arq_retries,
-            c.redials,
-            c.unavailability_secs,
-            c.frame_loss,
-            c.mos,
-            c.trunk_retransmits,
-            c.trunk_dup_drops,
-            c.trunk_dup_injected,
-            c.trunk_reordered,
-            c.trunk_expired,
-            c.trunk_frame_drops,
-            c.trunk_handoff_drops,
-            c.trunk_reroutes,
-            c.fingerprint
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 /// The chaos determinism gate: a fixed fault plan must fingerprint
@@ -782,18 +543,7 @@ fn chaos_json(base: &LoadConfig, cells: &[ChaosCell]) -> String {
 /// cross-shard population, plus per-class monotonicity: raising a trunk
 /// class's intensity must never reduce the damage it reports.
 fn chaos_check(flags: &Flags<'_>) {
-    let base = load_config_from(
-        flags,
-        &RunDefaults {
-            subscribers: 96,
-            shards: 4,
-            threads: 1,
-            window_secs: 90,
-            calls_per_sub_hour: 40.0,
-            mean_hold_secs: 20.0,
-            ..RunDefaults::default()
-        },
-    );
+    let base = load_config_from(flags, &check_defaults());
     heading(&format!(
         "Chaos determinism check — {} subscribers, {} shards, seed {}",
         base.subscribers,
@@ -829,35 +579,13 @@ fn chaos_check(flags: &Flags<'_>) {
     println!(
         "  faulted reference (1 thread, wheel): {:016x} ({} faults)",
         reference.fingerprint(),
-        reference.faults_injected()
+        reference.kpi("resilience.faults_injected")
     );
-    if reference.faults_injected() == 0 {
+    if reference.kpi("resilience.faults_injected") == 0.0 {
         eprintln!("  NO FAULTS INJECTED: the check is vacuous");
         failed = true;
     }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..faulted.clone()
-            });
-            if other.fingerprint() == reference.fingerprint() {
-                println!("  {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  FAULTED DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    reference.fingerprint()
-                );
-                failed = true;
-            }
-        }
-    }
+    failed |= !threads_and_kernels_agree(&faulted, reference.fingerprint(), "", "FAULTED");
 
     // --- Trunk fault family, on a population with cross-shard calls ---
     let cross = cross_shard_base(&base);
@@ -895,45 +623,28 @@ fn chaos_check(flags: &Flags<'_>) {
         eprintln!("  NO TRUNK RETRANSMITS: the trunk check is vacuous");
         failed = true;
     }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..trunk_faulted.clone()
-            });
-            if other.fingerprint() == trunk_reference.fingerprint() {
-                println!("  trunk: {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  TRUNK DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    trunk_reference.fingerprint()
-                );
-                failed = true;
-            }
-        }
-    }
+    failed |= !threads_and_kernels_agree(
+        &trunk_faulted,
+        trunk_reference.fingerprint(),
+        "trunk: ",
+        "TRUNK",
+    );
 
     // Per-class graceful degradation: each class's own damage counter
     // must not shrink when its intensity rises (prefix-superset plans
     // make this hold by construction; the gate catches regressions).
     for class in TrunkFaultClass::ALL {
-        let damage = |intensity: f64| -> u64 {
-            let report = run_load(&LoadConfig {
+        let damage = |intensity: f64| {
+            run_load(&LoadConfig {
                 trunk: TrunkPlanConfig::only(class, intensity),
                 ..trunk_faulted.clone()
-            });
-            match class {
-                TrunkFaultClass::Loss => report.trunk_loss_drops(),
-                TrunkFaultClass::Dup => report.trunk_dup_injected(),
-                TrunkFaultClass::Reorder => report.trunk_reordered(),
-                TrunkFaultClass::Partition => report.trunk_partition_drops(),
-            }
+            })
+            .kpi(match class {
+                TrunkFaultClass::Loss => "trunk.drops_loss",
+                TrunkFaultClass::Dup => "trunk.dup_injected",
+                TrunkFaultClass::Reorder => "trunk.reordered",
+                TrunkFaultClass::Partition => "trunk.drops_partition",
+            })
         };
         let (low, high) = (damage(0.3), damage(1.0));
         if high < low {
@@ -960,41 +671,6 @@ fn chaos_check(flags: &Flags<'_>) {
     println!("  chaos determinism holds (node faults and trunk faults)");
 }
 
-/// One cell of the surge sweep: a flash-crowd intensity with the
-/// overload controls on or off, and the KPIs it produced.
-struct SurgeCell {
-    intensity: f64,
-    controls: bool,
-    attempts: u64,
-    attempts_peak: u64,
-    peak_drop_rate: f64,
-    steady_drop_rate: f64,
-    pages_throttled: u64,
-    pages_shed: u64,
-    gk_shed: u64,
-    gk_deferred: u64,
-    pdp_deferred: u64,
-    pdp_rejected: u64,
-    admission_n: u64,
-    admission_p50: f64,
-    admission_p99: f64,
-    setup_p99: f64,
-    mos: f64,
-    fingerprint: u64,
-}
-
-impl SurgeCell {
-    /// Total overload-control interventions — the quantity that must
-    /// grow monotonically with shock intensity when the controls are on.
-    fn interventions(&self) -> u64 {
-        self.pages_throttled
-            + self.pages_shed
-            + self.gk_shed
-            + self.pdp_deferred
-            + self.pdp_rejected
-    }
-}
-
 /// The surge flag vocabulary shared by the sweep and the check: the
 /// base workload plus the three control knobs.
 fn surge_controls(flags: &Flags<'_>) -> OverloadControls {
@@ -1006,22 +682,15 @@ fn surge_controls(flags: &Flags<'_>) -> OverloadControls {
     }
 }
 
+/// Runs one cell of the surge sweep: a flash-crowd intensity with the
+/// overload controls on or off, returned with the run it produced.
 fn run_surge_cell(
     base: &LoadConfig,
     controls: OverloadControls,
     intensity: f64,
     on: bool,
-) -> SurgeCell {
-    run_surge_cell_verbose(base, controls, intensity, on, false)
-}
-
-fn run_surge_cell_verbose(
-    base: &LoadConfig,
-    controls: OverloadControls,
-    intensity: f64,
-    on: bool,
     verbose: bool,
-) -> SurgeCell {
+) -> (f64, bool, LoadReport) {
     let mut cfg = base.clone();
     cfg.scenario = ScenarioConfig::flash(intensity);
     cfg.controls = if on { controls } else { OverloadControls::default() };
@@ -1033,27 +702,7 @@ fn run_surge_cell_verbose(
         );
         println!("{}", report.render_deterministic());
     }
-    let admission = report.admission_delay();
-    SurgeCell {
-        intensity,
-        controls: on,
-        attempts: report.attempts(),
-        attempts_peak: report.attempts_peak(),
-        peak_drop_rate: report.peak_drop_rate(),
-        steady_drop_rate: report.steady_drop_rate(),
-        pages_throttled: report.pages_throttled(),
-        pages_shed: report.pages_shed(),
-        gk_shed: report.gk_admission_shed(),
-        gk_deferred: report.gk_shed_deferred(),
-        pdp_deferred: report.pdp_deferred(),
-        pdp_rejected: report.pdp_rejected(),
-        admission_n: admission.count(),
-        admission_p50: admission.percentile(50.0),
-        admission_p99: admission.percentile(99.0),
-        setup_p99: report.setup_delay().percentile(99.0),
-        mos: report.mos(),
-        fingerprint: report.fingerprint(),
-    }
+    (intensity, on, report)
 }
 
 /// Flash-crowd overload sweep: shock intensity x {controls off, on} on
@@ -1088,87 +737,33 @@ fn surge_cmd(rest: &[String]) {
     let mut cells = Vec::new();
     for intensity in [0.0, 4.0, 10.0, 25.0] {
         for on in [false, true] {
-            cells.push(run_surge_cell_verbose(&base, controls, intensity, on, verbose));
+            cells.push(run_surge_cell(&base, controls, intensity, on, verbose));
         }
     }
     println!(
         "  {:>5} {:<8} | {:>8} {:>7} | {:>6} {:>6} | {:>6} {:>5} {:>5} | {:>9} | {:>9} {:>5}",
         "shock", "controls", "attempts", "peak", "pk dr%", "st dr%", "thrtl", "shed", "GK", "adm p99", "setup p99", "MOS"
     );
-    for c in &cells {
+    for (intensity, on, r) in &cells {
         println!(
             "  {:>4.0}x {:<8} | {:>8} {:>7} | {:>5.1}% {:>5.1}% | {:>6} {:>5} {:>5} | {:>7.1}ms | {:>7.1}ms {:>5.2}",
-            c.intensity,
-            if c.controls { "on" } else { "off" },
-            c.attempts,
-            c.attempts_peak,
-            c.peak_drop_rate * 100.0,
-            c.steady_drop_rate * 100.0,
-            c.pages_throttled,
-            c.pages_shed,
-            c.gk_shed,
-            c.admission_p99,
-            c.setup_p99,
-            c.mos
+            intensity,
+            if *on { "on" } else { "off" },
+            r.attempts(),
+            r.kpi("overload.attempts_peak"),
+            r.kpi("overload.peak_drop_rate") * 100.0,
+            r.kpi("overload.steady_drop_rate") * 100.0,
+            r.kpi("overload.pages_throttled"),
+            r.kpi("overload.pages_shed"),
+            r.kpi("overload.gk_admission_shed"),
+            r.kpi("overload.admission_delay_ms.p99"),
+            r.kpi("setup_delay_ms.p99"),
+            r.mos()
         );
     }
     let path = flags.get("--out").unwrap_or("BENCH_surge.json");
     write_file(path, &surge_json(&base, controls, &cells));
     println!("  recorded: {path}");
-}
-
-fn surge_json(base: &LoadConfig, controls: OverloadControls, cells: &[SurgeCell]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"workload\": \"busy_hour_surge\",\n");
-    out.push_str(&format!("{},\n", meta_json(base)));
-    out.push_str(&format!("  \"subscribers\": {},\n", base.subscribers));
-    out.push_str(&format!("  \"shards\": {},\n", base.effective_shards()));
-    out.push_str(&format!("  \"seed\": {},\n", base.seed));
-    out.push_str(&format!(
-        "  \"window_secs\": {},\n",
-        base.population.window_secs
-    ));
-    out.push_str(&format!(
-        "  \"controls\": {{\"paging_rate_per_s\": {}, \"gk_shed_utilization\": {}, \
-         \"pdp_rate_per_s\": {}}},\n",
-        controls.paging_rate_per_s, controls.gk_shed_utilization, controls.pdp_rate_per_s
-    ));
-    out.push_str("  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"intensity\": {}, \"controls\": {}, \"attempts\": {}, \
-             \"attempts_peak\": {}, \"peak_drop_rate\": {:.6}, \"steady_drop_rate\": {:.6}, \
-             \"pages_throttled\": {}, \"pages_shed\": {}, \"gk_admission_shed\": {}, \
-             \"gk_shed_deferred\": {}, \"pdp_deferred\": {}, \"pdp_rejected\": {}, \
-             \"admission_delay_n\": {}, \"admission_delay_p50_ms\": {:.1}, \
-             \"admission_delay_p99_ms\": {:.1}, \"setup_p99_ms\": {:.1}, \"mos\": {:.3}, \
-             \"fingerprint\": \"{:016x}\"}}",
-            c.intensity,
-            c.controls,
-            c.attempts,
-            c.attempts_peak,
-            c.peak_drop_rate,
-            c.steady_drop_rate,
-            c.pages_throttled,
-            c.pages_shed,
-            c.gk_shed,
-            c.gk_deferred,
-            c.pdp_deferred,
-            c.pdp_rejected,
-            c.admission_n,
-            c.admission_p50,
-            c.admission_p99,
-            c.setup_p99,
-            c.mos,
-            c.fingerprint
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 /// The surge determinism + monotonicity gate:
@@ -1183,14 +778,8 @@ fn surge_check(flags: &Flags<'_>) {
     let base = load_config_from(
         flags,
         &RunDefaults {
-            subscribers: 96,
-            shards: 4,
-            threads: 1,
-            window_secs: 90,
-            calls_per_sub_hour: 40.0,
-            mean_hold_secs: 20.0,
             gk_bandwidth: 1_280,
-            ..RunDefaults::default()
+            ..check_defaults()
         },
     );
     // Aggressive knobs so the tiny check population still trips every
@@ -1231,59 +820,36 @@ fn surge_check(flags: &Flags<'_>) {
     println!(
         "  surged reference (1 thread, wheel): {:016x} ({} peak attempts)",
         reference.fingerprint(),
-        reference.attempts_peak()
+        reference.kpi("overload.attempts_peak")
     );
-    if reference.attempts_peak() == 0 {
+    if reference.kpi("overload.attempts_peak") == 0.0 {
         eprintln!("  NO PEAK ATTEMPTS: the shock never materialized");
         failed = true;
     }
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..surged.clone()
-            });
-            if other.fingerprint() == reference.fingerprint() {
-                println!("  {threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  SURGE DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {:016x} != {:016x}",
-                    other.fingerprint(),
-                    reference.fingerprint()
-                );
-                failed = true;
-            }
-        }
-    }
+    failed |= !threads_and_kernels_agree(&surged, reference.fingerprint(), "", "SURGE");
 
     let mut last = None;
     for intensity in [4.0, 10.0, 25.0] {
-        let cell = run_surge_cell(&base, controls, intensity, true);
+        let (_, _, report) = run_surge_cell(&base, controls, intensity, true, false);
+        let interventions = report.kpi(INTERVENTIONS);
         println!(
             "  controls on at {:.0}x: {} interventions, peak drop {:.1}%",
             intensity,
-            cell.interventions(),
-            cell.peak_drop_rate * 100.0
+            interventions,
+            report.kpi("overload.peak_drop_rate") * 100.0
         );
         if let Some(prev) = last {
-            if cell.interventions() < prev {
+            if interventions < prev {
                 eprintln!(
-                    "  NON-MONOTONE: {} interventions at {:.0}x after {} below it",
-                    cell.interventions(),
-                    intensity,
-                    prev
+                    "  NON-MONOTONE: {interventions} interventions at {intensity:.0}x \
+                     after {prev} below it"
                 );
                 failed = true;
             }
         }
-        last = Some(cell.interventions());
+        last = Some(interventions);
     }
-    if last == Some(0) {
+    if last == Some(0.0) {
         eprintln!("  CONTROLS NEVER ENGAGED: the monotonicity check is vacuous");
         failed = true;
     }

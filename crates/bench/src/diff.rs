@@ -13,7 +13,10 @@
 //!
 //! * Numeric leaves compare within `tol = max(abs, rel * |baseline|)`,
 //!   directionally — a KPI marked `higher_is_worse` only *regresses*
-//!   upward (a drop is an improvement), and vice versa.
+//!   upward (a drop is an improvement), and vice versa. The direction
+//!   of a path the KPI table (`vgprs_load::kpi`) covers comes from its
+//!   row; the threshold file supplies tolerances, and directions only
+//!   for paths the table does not know.
 //! * A path present in the baseline but missing from the candidate is
 //!   a **regression** (a dropped KPI field is exactly the silent
 //!   breakage the gate exists to catch); an extra candidate path is a
@@ -23,16 +26,9 @@
 
 use std::fmt::Write as _;
 
-use vgprs_sim::JsonValue;
-
-/// Which direction of movement counts as a regression.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth beyond tolerance regresses (blocking, drops, delay).
-    HigherIsWorse,
-    /// Shrinkage beyond tolerance regresses (MOS, successes).
-    LowerIsWorse,
-}
+use vgprs_load::kpi;
+pub use vgprs_load::kpi::Direction;
+use vgprs_sim::{JsonValue, JsonWriter};
 
 /// One threshold rule: tolerance plus direction.
 #[derive(Clone, Copy, Debug)]
@@ -128,22 +124,22 @@ impl Thresholds {
         Ok(out)
     }
 
-    /// The rule governing a dotted path: the longest per-KPI key that
-    /// matches it (exactly, as a `.`-delimited suffix/prefix, or as an
-    /// interior segment run), else the default. Fragment matching is
-    /// what lets one `[kpi."mos"]` entry govern `kpis.mos` and every
-    /// `snapshots.frames.N.mos` alike.
+    /// The rule governing a dotted path: tolerances from the longest
+    /// per-KPI key that matches it (exactly, as a `.`-delimited
+    /// suffix/prefix, or as an interior segment run), else the default;
+    /// direction from the KPI table row covering the path, when there
+    /// is one. Fragment matching is what lets one `[kpi."mos"]` entry
+    /// govern `kpis.mos` and every `snapshots.frames.N.mos` alike.
     pub fn rule_for(&self, path: &str) -> Rule {
-        for (key, rule) in &self.per_kpi {
-            if path == key
-                || path.ends_with(&format!(".{key}"))
-                || path.starts_with(&format!("{key}."))
-                || path.contains(&format!(".{key}."))
-            {
-                return *rule;
-            }
+        let mut rule = self
+            .per_kpi
+            .iter()
+            .find(|(key, _)| kpi::has_run(path, key))
+            .map_or(self.default, |(_, rule)| *rule);
+        if let Some(row) = kpi::for_path(path) {
+            rule.direction = row.direction;
         }
-        self.default
+        rule
     }
 }
 
@@ -248,36 +244,21 @@ impl DiffReport {
         out
     }
 
-    /// The machine-readable result (hand-rolled JSON, like every other
-    /// artifact in the workspace).
+    /// The machine-readable result: the verdict and every non-Ok row.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"passed\": ");
-        out.push_str(if self.passed() { "true" } else { "false" });
-        out.push_str(",\n  \"rows\": [");
-        let mut first = true;
-        for row in &self.rows {
-            if row.status == Status::Ok {
-                continue;
+        let mut w = JsonWriter::new();
+        w.begin_object().key("passed").bool(self.passed());
+        w.key("rows").begin_array();
+        for row in self.rows.iter().filter(|r| r.status != Status::Ok) {
+            w.begin_inline_object().key("path").string(&row.path);
+            for (name, value) in [("baseline", row.a), ("candidate", row.b)] {
+                // An absent side prints like a non-finite one: `null`.
+                w.key(name).f64(value.unwrap_or(f64::NAN));
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let v = |x: Option<f64>| {
-                x.filter(|x| x.is_finite())
-                    .map_or("null".to_owned(), |x| format!("{x:?}"))
-            };
-            let _ = write!(
-                out,
-                "\n    {{\"path\": \"{}\", \"baseline\": {}, \"candidate\": {}, \"status\": \"{:?}\"}}",
-                row.path,
-                v(row.a),
-                v(row.b),
-                row.status
-            );
+            w.key("status").string(&format!("{:?}", row.status)).end();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end().end();
+        w.finish()
     }
 }
 

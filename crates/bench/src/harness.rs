@@ -6,8 +6,11 @@
 //! run-metadata block into its `BENCH_*.json` artifact. Keeping the
 //! pieces here means a new subcommand cannot drift from the others.
 
-use vgprs_load::{CallMix, LoadConfig, TrunkFaultClass, TrunkPlanConfig};
-use vgprs_sim::Kernel;
+use vgprs_load::{
+    run_load, CallMix, KneeSearch, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass,
+    TrunkPlanConfig,
+};
+use vgprs_sim::{JsonWriter, Kernel};
 
 /// The master seed every experiment defaults to.
 pub const SEED: u64 = 42;
@@ -188,21 +191,290 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// The run-metadata block stamped into every `BENCH_*.json` artifact:
-/// enough to re-run the experiment and to trace the artifact back to
-/// the code revision. Rendered with a two-space base indent for
-/// inclusion as a top-level `"meta"` member.
-pub fn meta_json(cfg: &LoadConfig) -> String {
-    format!(
-        "  \"meta\": {{\"seed\": {}, \"subscribers\": {}, \"shards\": {}, \
-         \"threads\": {}, \"kernel\": \"{}\", \"window_secs\": {}, \
-         \"git\": \"{}\"}}",
-        cfg.seed,
-        cfg.subscribers,
-        cfg.effective_shards(),
-        cfg.effective_threads(),
-        cfg.kernel,
-        cfg.population.window_secs,
-        git_describe()
-    )
+/// Opens a `BENCH_*.json` document: the workload name (when the
+/// artifact has one), the run-metadata block — enough to re-run the
+/// experiment and to trace the artifact back to the code revision —
+/// and the population size.
+fn begin_artifact(workload: Option<&str>, cfg: &LoadConfig) -> JsonWriter {
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    if let Some(name) = workload {
+        w.key("workload").string(name);
+    }
+    w.key("meta").begin_inline_object();
+    w.key("seed").u64(cfg.seed);
+    w.key("subscribers").u64(cfg.subscribers as u64);
+    w.key("shards").u64(cfg.effective_shards() as u64);
+    w.key("threads").u64(cfg.effective_threads() as u64);
+    w.key("kernel").string(&cfg.kernel.to_string());
+    w.key("window_secs").u64(cfg.population.window_secs);
+    w.key("git").string(&git_describe());
+    w.end();
+    w.key("subscribers").u64(cfg.subscribers as u64);
+    w
+}
+
+/// How an artifact column prints its KPI.
+#[derive(Clone, Copy, Debug)]
+pub enum Fmt {
+    /// An event count.
+    Int,
+    /// A float rounded to this many decimals.
+    Fixed(usize),
+}
+
+/// One KPI column of a `BENCH_*.json` cell: the JSON member name, the
+/// KPI expression [`LoadReport::kpi`] evaluates, and the number format.
+pub type Column = (&'static str, &'static str, Fmt);
+
+/// The KPI columns of a `BENCH_chaos.json` cell, between its
+/// `class`/`intensity` labels and its `fingerprint`. Node-fault cells
+/// leave the trunk columns at zero and vice versa — the matrix keeps
+/// one schema for both fault families.
+pub const CHAOS_COLUMNS: &[Column] = &[
+    ("faults_injected", "resilience.faults_injected", Fmt::Int),
+    ("attempts", "attempts", Fmt::Int),
+    ("dropped_faulted", DROPPED_FAULTED, Fmt::Int),
+    ("dropped_baseline", "resilience.dropped_baseline", Fmt::Int),
+    ("drop_rate", DROP_RATE, Fmt::Fixed(6)),
+    ("recovery_n", "resilience.recovery_ms.count", Fmt::Int),
+    ("recovery_p50_ms", "resilience.recovery_ms.p50", Fmt::Fixed(1)),
+    ("recovery_p99_ms", "resilience.recovery_ms.p99", Fmt::Fixed(1)),
+    ("ras_retries", "resilience.ras_retries", Fmt::Int),
+    ("arq_retries", "resilience.arq_retries", Fmt::Int),
+    ("redial_attempts", "resilience.redial_attempts", Fmt::Int),
+    (
+        "unavailability_secs",
+        "resilience.unavailability_secs.link_degrade+resilience.unavailability_secs.node_crash\
+         +resilience.unavailability_secs.blackhole",
+        Fmt::Fixed(1),
+    ),
+    ("frame_loss", "frame_loss", Fmt::Fixed(6)),
+    ("mos", "mos", Fmt::Fixed(3)),
+    ("trunk_retransmits", "trunk.retransmits", Fmt::Int),
+    ("trunk_dup_drops", "trunk.dup_drops", Fmt::Int),
+    ("trunk_dup_injected", "trunk.dup_injected", Fmt::Int),
+    ("trunk_reordered", "trunk.reordered", Fmt::Int),
+    ("trunk_expired", "trunk.expired", Fmt::Int),
+    ("trunk_frame_drops", "trunk.frame_drops", Fmt::Int),
+    ("trunk_handoff_drops", "trunk.handoff_drops", Fmt::Int),
+    ("trunk_reroutes", "trunk.reroutes", Fmt::Int),
+];
+
+/// Calls probed dead inside a fault window of any class.
+const DROPPED_FAULTED: &str = "resilience.dropped_link_degrade+resilience.dropped_node_crash\
+                               +resilience.dropped_blackhole";
+/// [`DROPPED_FAULTED`] as a fraction of the attempts.
+pub const DROP_RATE: &str = "resilience.dropped_link_degrade+resilience.dropped_node_crash\
+                             +resilience.dropped_blackhole/attempts";
+
+/// The KPI columns of a `BENCH_surge.json` cell, between its
+/// `intensity`/`controls` labels and its `fingerprint`.
+pub const SURGE_COLUMNS: &[Column] = &[
+    ("attempts", "attempts", Fmt::Int),
+    ("attempts_peak", "overload.attempts_peak", Fmt::Int),
+    ("peak_drop_rate", "overload.peak_drop_rate", Fmt::Fixed(6)),
+    ("steady_drop_rate", "overload.steady_drop_rate", Fmt::Fixed(6)),
+    ("pages_throttled", "overload.pages_throttled", Fmt::Int),
+    ("pages_shed", "overload.pages_shed", Fmt::Int),
+    ("gk_admission_shed", "overload.gk_admission_shed", Fmt::Int),
+    ("gk_shed_deferred", "overload.gk_shed_deferred", Fmt::Int),
+    ("pdp_deferred", "overload.pdp_deferred", Fmt::Int),
+    ("pdp_rejected", "overload.pdp_rejected", Fmt::Int),
+    ("admission_delay_n", "overload.admission_delay_ms.count", Fmt::Int),
+    ("admission_delay_p50_ms", "overload.admission_delay_ms.p50", Fmt::Fixed(1)),
+    ("admission_delay_p99_ms", "overload.admission_delay_ms.p99", Fmt::Fixed(1)),
+    ("setup_p99_ms", "setup_delay_ms.p99", Fmt::Fixed(1)),
+    ("mos", "mos", Fmt::Fixed(3)),
+];
+
+/// Total overload-control interventions — the quantity that must grow
+/// monotonically with shock intensity when the controls are on.
+pub const INTERVENTIONS: &str = "overload.pages_throttled+overload.pages_shed\
+                                 +overload.gk_admission_shed+overload.pdp_deferred\
+                                 +overload.pdp_rejected";
+
+/// Writes `columns` of `report` into the open cell object, then the
+/// run fingerprint that closes every cell.
+fn write_columns(w: &mut JsonWriter, report: &LoadReport, columns: &[Column]) {
+    for &(name, expr, fmt) in columns {
+        let value = report.kpi(expr);
+        match fmt {
+            Fmt::Int => w.key(name).u64(value as u64),
+            Fmt::Fixed(places) => w.key(name).f64_fixed(value, places),
+        };
+    }
+    w.key("fingerprint").hex64(report.fingerprint());
+}
+
+/// `BENCH_chaos.json`: one cell per `(class, intensity, run)`.
+pub fn chaos_json(base: &LoadConfig, cells: &[(&str, f64, LoadReport)]) -> String {
+    let mut w = begin_artifact(Some("busy_hour_chaos"), base);
+    w.key("shards").u64(base.effective_shards() as u64);
+    w.key("seed").u64(base.seed);
+    w.key("window_secs").u64(base.population.window_secs);
+    w.key("cells").begin_array();
+    for (class, intensity, report) in cells {
+        w.begin_inline_object();
+        w.key("class").string(class).key("intensity").f64_short(*intensity);
+        write_columns(&mut w, report, CHAOS_COLUMNS);
+        w.end();
+    }
+    w.end().end();
+    w.finish()
+}
+
+/// `BENCH_surge.json`: one cell per `(shock intensity, controls on, run)`.
+pub fn surge_json(
+    base: &LoadConfig,
+    controls: OverloadControls,
+    cells: &[(f64, bool, LoadReport)],
+) -> String {
+    let mut w = begin_artifact(Some("busy_hour_surge"), base);
+    w.key("shards").u64(base.effective_shards() as u64);
+    w.key("seed").u64(base.seed);
+    w.key("window_secs").u64(base.population.window_secs);
+    w.key("controls").begin_inline_object();
+    w.key("paging_rate_per_s").u64(controls.paging_rate_per_s.into());
+    w.key("gk_shed_utilization").f64_short(controls.gk_shed_utilization);
+    w.key("pdp_rate_per_s").u64(controls.pdp_rate_per_s.into());
+    w.end();
+    w.key("cells").begin_array();
+    for (intensity, on, report) in cells {
+        w.begin_inline_object();
+        w.key("intensity").f64_short(*intensity).key("controls").bool(*on);
+        write_columns(&mut w, report, SURGE_COLUMNS);
+        w.end();
+    }
+    w.end().end();
+    w.finish()
+}
+
+/// The `harness capacity --json` dump of a knee search: every probe
+/// plus the knee.
+pub fn capacity_json(search: &KneeSearch, base: &LoadConfig, max_load: f64, refine: u32) -> String {
+    let mut w = begin_artifact(None, base);
+    w.key("seed").u64(base.seed);
+    w.key("max_load_factor").f64_short(max_load);
+    w.key("refine_steps").u64(refine.into());
+    w.key("probes").begin_array();
+    for p in &search.probes {
+        w.begin_inline_object();
+        w.key("load_factor").f64_short(p.load_factor);
+        w.key("offered_erlangs").f64_short(p.offered_erlangs);
+        w.key("attempts").u64(p.report.attempts());
+        for (name, expr) in [
+            ("blocking_rate", "blocking_rate"),
+            ("setup_p50_ms", "setup_delay_ms.p50"),
+            ("setup_p99_ms", "setup_delay_ms.p99"),
+            ("mos", "mos"),
+        ] {
+            w.key(name).f64_short(p.report.kpi(expr));
+        }
+        w.key("fingerprint").hex64(p.report.fingerprint());
+        w.end();
+    }
+    w.end();
+    w.key("knee");
+    match &search.knee {
+        Some(k) => {
+            w.begin_inline_object();
+            w.key("load_factor").f64_short(k.load_factor);
+            w.key("good_factor").f64_short(k.good_factor);
+            w.key("offered_erlangs").f64_short(k.offered_erlangs);
+            w.key("calls_per_sub_hour").f64_short(k.calls_per_sub_hour);
+            w.end();
+        }
+        None => {
+            w.null();
+        }
+    }
+    w.end();
+    w.finish()
+}
+
+/// One kernel's side of the `kernelbench` comparison.
+pub struct KernelRun {
+    /// Which event kernel ran.
+    pub kernel: Kernel,
+    /// The run fingerprint (identical across repeats).
+    pub fingerprint: u64,
+    /// Simulation events per run.
+    pub events: u64,
+    /// Wall-clock seconds of each repeat.
+    pub wall_secs: Vec<f64>,
+}
+
+impl KernelRun {
+    /// Best (highest) observed throughput across the repeats.
+    pub fn events_per_sec(&self) -> f64 {
+        let best = self.wall_secs.iter().copied().fold(f64::MAX, f64::min);
+        self.events as f64 / best
+    }
+}
+
+/// `BENCH_kernel.json`: both kernels' throughput on one workload.
+pub fn kernelbench_json(
+    cfg: &LoadConfig,
+    repeat: usize,
+    heap: &KernelRun,
+    wheel: &KernelRun,
+    speedup: f64,
+) -> String {
+    let mut w = begin_artifact(Some("busy_hour_shard"), cfg);
+    w.key("shards").u64(cfg.effective_shards() as u64);
+    w.key("threads").u64(cfg.effective_threads() as u64);
+    w.key("seed").u64(cfg.seed);
+    w.key("repeats").u64(repeat as u64);
+    w.key("fingerprint").hex64(wheel.fingerprint);
+    for r in [heap, wheel] {
+        w.key(&r.kernel.to_string()).begin_inline_object();
+        w.key("events").u64(r.events);
+        w.key("events_per_sec").f64_fixed(r.events_per_sec(), 0);
+        w.key("wall_secs").begin_inline_array();
+        for &secs in &r.wall_secs {
+            w.f64_fixed(secs, 6);
+        }
+        w.end().end();
+    }
+    w.key("speedup").f64_fixed(speedup, 3);
+    w.end();
+    w.finish()
+}
+
+/// The thread-count × kernel invariance every `--check` gate shares:
+/// runs `cfg` at 1, 2 and 8 threads on both kernels (the 1-thread wheel
+/// run is the caller's `reference`) and reports each comparison,
+/// prefixing passes with `pass_prefix` and naming failures `family`.
+/// Returns true when every fingerprint equals `reference`.
+pub fn threads_and_kernels_agree(
+    cfg: &LoadConfig,
+    reference: u64,
+    pass_prefix: &str,
+    family: &str,
+) -> bool {
+    let mut agree = true;
+    for threads in [1usize, 2, 8] {
+        for kernel in [Kernel::Wheel, Kernel::Heap] {
+            if threads == 1 && kernel == Kernel::Wheel {
+                continue; // that is the reference itself
+            }
+            let other = run_load(&LoadConfig {
+                threads,
+                kernel,
+                ..cfg.clone()
+            })
+            .fingerprint();
+            if other == reference {
+                println!("  {pass_prefix}{threads} thread(s) on {kernel}: identical");
+            } else {
+                eprintln!(
+                    "  {family} DIVERGENCE at {threads} thread(s) on {kernel}: \
+                     {other:016x} != {reference:016x}"
+                );
+                agree = false;
+            }
+        }
+    }
+    agree
 }

@@ -1,0 +1,80 @@
+//! Gates on the harness's artifacts: the diff direction of every KPI
+//! and the schema of the committed `BENCH_*.json` cells.
+
+use std::path::Path;
+
+use vgprs_bench::diff::Thresholds;
+use vgprs_bench::harness::{chaos_json, surge_json};
+use vgprs_load::kpi::{Snapshot, KPIS};
+use vgprs_load::{run_load, LoadConfig, OverloadControls};
+use vgprs_sim::JsonValue;
+
+fn repo_file(relative: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(relative);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+}
+
+/// For every KPI of the table, the direction `harness diff` applies to
+/// each of its paths in a real report — the summary member, its
+/// histogram statistics, and the copy in every snapshot frame — is the
+/// row's. (Before the table supplied the direction,
+/// `kpis.handoff_successes` rising read as a regression: the threshold
+/// file's `handoff_success` fragment matched the raw counter only.)
+#[test]
+fn diff_direction_of_every_kpi_path_is_its_rows() {
+    let thresholds = Thresholds::parse(&repo_file("diff-thresholds.toml")).expect("thresholds parse");
+    let golden = JsonValue::parse(&repo_file("crates/load/tests/golden/load_report.json"))
+        .expect("golden report parses");
+    let paths: Vec<String> = golden.flatten().into_iter().map(|(p, _)| p).collect();
+    for k in KPIS.iter().filter(|k| k.json) {
+        let mut roots = vec![format!("kpis.{}", k.path)];
+        if k.snapshot == Snapshot::Shown {
+            roots.push(format!("snapshots.aggregate.{}", k.path));
+            roots.push(format!("snapshots.frames.1.{}", k.path));
+        }
+        for root in roots {
+            let under: Vec<&String> = paths
+                .iter()
+                .filter(|p| **p == root || p.starts_with(&format!("{root}.")))
+                .collect();
+            assert!(!under.is_empty(), "the golden report has no {root}");
+            for path in under {
+                assert_eq!(
+                    thresholds.rule_for(path).direction,
+                    k.direction,
+                    "{path} is gated in the wrong direction"
+                );
+            }
+        }
+    }
+}
+
+fn first_cell_members(doc: &str) -> Vec<String> {
+    let doc = JsonValue::parse(doc).expect("artifact parses");
+    let cells = doc.get("cells").and_then(JsonValue::as_array).expect("cells array");
+    match &cells[0] {
+        JsonValue::Object(members) => members.iter().map(|(k, _)| k.clone()).collect(),
+        other => panic!("cell is not an object: {other:?}"),
+    }
+}
+
+/// A freshly emitted chaos / surge cell has exactly the members, in
+/// order, of the cells in the committed artifacts.
+#[test]
+fn emitted_cells_match_the_committed_bench_schema() {
+    let cfg = LoadConfig {
+        subscribers: 16,
+        shards: 1,
+        threads: 1,
+        ..LoadConfig::default()
+    };
+    let report = run_load(&cfg);
+    assert_eq!(
+        first_cell_members(&chaos_json(&cfg, &[("baseline", 0.0, report.clone())])),
+        first_cell_members(&repo_file("BENCH_chaos.json")),
+    );
+    assert_eq!(
+        first_cell_members(&surge_json(&cfg, OverloadControls::standard(), &[(0.0, false, report)])),
+        first_cell_members(&repo_file("BENCH_surge.json")),
+    );
+}

@@ -20,8 +20,9 @@
 //!   ownership moves — through a sequenced inter-shard mailbox whose
 //!   delivery order depends only on the configuration and seed, so a
 //!   run is **bit-identical regardless of thread count**.
-//! - [`report`] — streaming KPIs merged from the shards' O(buckets)
-//!   histograms: call-setup delay, paging latency, voice-PDP activation
+//! - [`kpi`] + [`report`] — streaming KPIs merged from the shards'
+//!   O(buckets) histograms, each declared once as a row of the KPI
+//!   table: call-setup delay, paging latency, voice-PDP activation
 //!   time, blocking/reject rates, RTP frame delay/loss scored through
 //!   the ITU-T G.107 E-model, and events/second.
 //!
@@ -41,6 +42,7 @@
 
 pub mod capacity;
 pub mod engine;
+pub mod kpi;
 pub mod mailbox;
 pub mod population;
 pub mod report;

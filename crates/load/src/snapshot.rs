@@ -3,7 +3,8 @@
 //! A [`SnapshotRecorder`] rides inside each shard and, every
 //! `snapshot_secs` of *simulated* time, samples a fixed schema of
 //! counters and histograms ([`SNAPSHOT_COUNTERS`],
-//! [`SNAPSHOT_HISTOGRAMS`]) into a [`SnapshotFrame`]. Frames are
+//! [`SNAPSHOT_HISTOGRAMS`] — derived from the KPI table in
+//! [`crate::kpi`]) into a [`SnapshotFrame`]. Frames are
 //! **cumulative** — each one is the run-so-far view at its boundary —
 //! so a windowed (per-interval) series falls out by subtracting
 //! adjacent frames ([`Histogram::delta_from`]) without the recorder
@@ -22,48 +23,10 @@
 //! clones — a dense histogram is ~4 KB, which would dominate at
 //! thousands of frames across hundreds of shards.
 
-use vgprs_sim::{Histogram, SparseHistogram, Stats};
+use vgprs_sim::{Fnv1a, Histogram, JsonWriter, SparseHistogram, Stats};
 
-/// Counters every snapshot frame samples, in schema order. Fixed and
-/// explicit so the frame layout (and the JSON emitted from it) never
-/// depends on which counters a particular run happened to touch.
-pub const SNAPSHOT_COUNTERS: &[&str] = &[
-    "bsc.tch_blocked",
-    "gk.admission_rejected_bandwidth",
-    "gk.admission_rejected_unknown_alias",
-    "gk.admission_shed",
-    "load.attempts",
-    "load.busy_skipped",
-    "load.dropped_baseline",
-    "load.dropped_blackhole",
-    "load.dropped_link_degrade",
-    "load.dropped_node_crash",
-    "load.faults_injected",
-    "load.handoff_attempts",
-    "load.handoff_success",
-    "load.trunk_frame_drops",
-    "load.trunk_handoff_drops",
-    "load.trunk_reroutes",
-    "ms.voice_frames_received",
-    "ms.voice_frames_sent",
-    "sgsn.pdp_admission_deferred",
-    "sgsn.pdp_admission_rejected",
-    "term.rtp_received",
-    "term.rtp_sent",
-    "vmsc.admission_rejected",
-    "vmsc.pages_shed",
-    "vmsc.pages_throttled",
-];
-
-/// Histograms every snapshot frame samples, in schema order.
-pub const SNAPSHOT_HISTOGRAMS: &[&str] = &[
-    "load.handoff_interruption_ms",
-    "load.heal_recovery_ms",
-    "ms.post_dial_delay_ms",
-    "ms.voice_e2e_ms",
-    "term.post_dial_delay_ms",
-    "term.voice_e2e_ms",
-];
+use crate::kpi::{self, KpiSource, Snapshot};
+pub use crate::kpi::{SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
 
 /// One cumulative KPI sample: the run-so-far counters and histograms
 /// at a cadence boundary, in [`SNAPSHOT_COUNTERS`] /
@@ -112,155 +75,64 @@ impl SnapshotFrame {
         }
     }
 
-    /// The sampled value of a schema counter; 0 for unknown names.
-    pub fn counter(&self, name: &str) -> u64 {
-        SNAPSHOT_COUNTERS
-            .iter()
-            .position(|n| *n == name)
-            .map_or(0, |i| self.counters[i])
-    }
-
-    /// The sampled snapshot of a schema histogram; empty for unknown
-    /// names.
-    pub fn histogram(&self, name: &str) -> SparseHistogram {
-        SNAPSHOT_HISTOGRAMS
-            .iter()
-            .position(|n| *n == name)
-            .map(|i| self.histograms[i].clone())
-            .unwrap_or_default()
-    }
-
-    fn merged(&self, names: &[&str]) -> SparseHistogram {
-        let mut out = SparseHistogram::new();
-        for n in names {
-            out.merge(&self.histogram(n));
-        }
-        out
-    }
-
-    /// Call attempts the generator issued (busy-suppressed excluded) —
-    /// the same denominator [`crate::LoadReport::attempts`] uses.
-    pub fn attempts(&self) -> u64 {
-        self.counter("load.attempts") - self.counter("load.busy_skipped")
-    }
-
-    /// Fraction of attempts refused a traffic channel at the cell.
-    pub fn blocking_rate(&self) -> f64 {
-        crate::report::ratio(self.counter("bsc.tch_blocked"), self.attempts())
-    }
-
-    /// Fraction of attempts the H.323 side refused.
-    pub fn reject_rate(&self) -> f64 {
-        let rejected = self.counter("gk.admission_rejected_bandwidth")
-            + self.counter("gk.admission_rejected_unknown_alias")
-            + self.counter("vmsc.admission_rejected");
-        crate::report::ratio(rejected, self.attempts())
-    }
-
-    /// Voice frame loss across both directions.
-    pub fn frame_loss(&self) -> f64 {
-        let sent = self.counter("ms.voice_frames_sent") + self.counter("term.rtp_sent");
-        let received =
-            self.counter("ms.voice_frames_received") + self.counter("term.rtp_received");
-        if sent == 0 {
-            0.0
-        } else {
-            1.0 - (received as f64 / sent as f64).min(1.0)
-        }
-    }
-
-    /// Merged end-to-end call-setup delay.
-    pub fn setup_delay(&self) -> SparseHistogram {
-        self.merged(&["ms.post_dial_delay_ms", "term.post_dial_delay_ms"])
-    }
-
-    /// One-way voice frame delay at both listener types.
-    pub fn voice_delay(&self) -> SparseHistogram {
-        self.merged(&["ms.voice_e2e_ms", "term.voice_e2e_ms"])
-    }
-
-    /// Voice interruption during cross-shard handoff.
-    pub fn handoff_interruption(&self) -> SparseHistogram {
-        self.histogram("load.handoff_interruption_ms")
-    }
-
-    /// E-model MOS at this boundary, scored exactly like
-    /// [`crate::LoadReport::mos`] (same codec, playout and frame
-    /// constants), so the end-of-run aggregate frame reproduces the
-    /// summary MOS bit for bit.
-    pub fn mos(&self) -> f64 {
-        let delay = self.voice_delay();
-        crate::report::score_mos(delay.count(), delay.mean(), self.frame_loss())
-    }
-
     /// Folds this frame into an FNV-1a accumulator: boundary, counter
     /// values, and every histogram's count/sum/occupied buckets.
-    pub fn fingerprint_into(&self, h: &mut u64) {
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&self.at_ms.to_le_bytes());
+    pub fn fingerprint_into(&self, h: &mut Fnv1a) {
+        h.write_u64(self.at_ms);
         for &v in &self.counters {
-            eat(&v.to_le_bytes());
+            h.write_u64(v);
         }
         for hist in &self.histograms {
-            eat(&hist.count().to_le_bytes());
-            eat(&hist.sum().to_bits().to_le_bytes());
-            for (midpoint, count) in hist.nonzero_buckets() {
-                eat(&midpoint.to_bits().to_le_bytes());
-                eat(&count.to_le_bytes());
-            }
+            fingerprint_histogram(h, hist.count(), hist.sum(), hist.nonzero_buckets());
         }
     }
 
-    /// The frame as a JSON object (derived KPIs plus the raw sampled
-    /// counters, so `harness diff` can gate both views).
-    pub fn to_json(&self, indent: &str) -> String {
-        let f = crate::report::json_f64;
-        let mut out = String::with_capacity(512);
-        out.push_str(&format!("{{\n{indent}  \"at_ms\": {},\n", self.at_ms));
-        out.push_str(&format!("{indent}  \"attempts\": {},\n", self.attempts()));
-        out.push_str(&format!(
-            "{indent}  \"blocking_rate\": {},\n",
-            f(self.blocking_rate())
-        ));
-        out.push_str(&format!(
-            "{indent}  \"reject_rate\": {},\n",
-            f(self.reject_rate())
-        ));
-        out.push_str(&format!(
-            "{indent}  \"frame_loss\": {},\n",
-            f(self.frame_loss())
-        ));
-        out.push_str(&format!("{indent}  \"mos\": {},\n", f(self.mos())));
-        for (name, hist) in [
-            ("setup_delay_ms", self.setup_delay()),
-            ("voice_delay_ms", self.voice_delay()),
-            ("handoff_interruption_ms", self.handoff_interruption()),
-        ] {
-            out.push_str(&format!(
-                "{indent}  \"{name}\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p99\": {}}},\n",
-                hist.count(),
-                f(hist.mean()),
-                f(hist.percentile(50.0)),
-                f(hist.percentile(99.0))
-            ));
+    /// Writes the frame as a JSON object: the KPI rows marked
+    /// [`Snapshot::Shown`] plus the raw sampled counters, so `harness
+    /// diff` can gate both views.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object().key("at_ms").u64(self.at_ms);
+        kpi::write_members(w, self, |k| k.snapshot == Snapshot::Shown);
+        w.key("counters").begin_inline_object();
+        for (name, &value) in SNAPSHOT_COUNTERS.iter().zip(&self.counters) {
+            w.key(name).u64(value);
         }
-        out.push_str(&format!("{indent}  \"counters\": {{"));
-        let mut first = true;
-        for (name, value) in SNAPSHOT_COUNTERS.iter().zip(&self.counters) {
-            if !first {
-                out.push_str(", ");
+        w.end().end();
+    }
+}
+
+/// A frame answers for the schema it sampled: names outside it (the
+/// sources of KPI rows not marked for snapshots) read as zero / empty.
+impl KpiSource for SnapshotFrame {
+    fn counter(&self, name: &str) -> u64 {
+        let at = SNAPSHOT_COUNTERS.iter().position(|n| n == name);
+        at.map_or(0, |i| self.counters[i])
+    }
+
+    fn histogram(&self, names: &[&str]) -> Histogram {
+        let mut out = Histogram::new();
+        for name in names {
+            if let Some(i) = SNAPSHOT_HISTOGRAMS.iter().position(|n| n == name) {
+                out.merge(&self.histograms[i].to_histogram());
             }
-            first = false;
-            out.push_str(&format!("\"{name}\": {value}"));
         }
-        out.push_str("}\n");
-        out.push_str(&format!("{indent}}}"));
         out
+    }
+}
+
+/// Folds one histogram into a fingerprint: count, sum, then every
+/// occupied bucket's midpoint and count, in value order.
+pub(crate) fn fingerprint_histogram(
+    h: &mut Fnv1a,
+    count: u64,
+    sum: f64,
+    buckets: impl Iterator<Item = (f64, u64)>,
+) {
+    h.write_u64(count);
+    h.write_f64(sum);
+    for (midpoint, n) in buckets {
+        h.write_f64(midpoint);
+        h.write_u64(n);
     }
 }
 
@@ -314,10 +186,7 @@ impl SnapshotRecorder {
 /// min/max extremes (a window's true extremes are unknowable from
 /// cumulative buckets) and merges inertly when empty.
 pub fn window_delta(later: &SnapshotFrame, earlier: &SnapshotFrame, name: &str) -> Histogram {
-    later
-        .histogram(name)
-        .to_histogram()
-        .delta_from(&earlier.histogram(name).to_histogram())
+    later.histogram(&[name]).delta_from(&earlier.histogram(&[name]))
 }
 
 #[cfg(test)]
@@ -349,8 +218,8 @@ mod tests {
         assert_eq!(frame.counter("load.attempts"), 10);
         assert_eq!(frame.counter("bsc.tch_blocked"), 2);
         assert_eq!(frame.counter("vmsc.pages_shed"), 0);
-        assert_eq!(frame.voice_delay().count(), 1);
-        assert_eq!(frame.setup_delay().count(), 0);
+        assert_eq!(kpi::value(&frame, "voice_delay_ms.count"), 1.0);
+        assert_eq!(kpi::value(&frame, "setup_delay_ms.count"), 0.0);
     }
 
     #[test]
@@ -361,7 +230,7 @@ mod tests {
         let fb = SnapshotFrame::sample(60_000, &b);
         fa.merge(&fb);
         assert_eq!(fa.counter("load.attempts"), 10);
-        let voice = fa.voice_delay();
+        let voice = kpi::find("voice_delay_ms").hist(&fa);
         assert_eq!(voice.count(), 2);
         assert_eq!(voice.sum(), 120.0);
     }
@@ -403,8 +272,9 @@ mod tests {
     fn frame_json_is_wellformed() {
         let s = stats_with(&[("load.attempts", 3)], &[("ms.voice_e2e_ms", 55.0)]);
         let frame = SnapshotFrame::sample(60_000, &s);
-        let json = frame.to_json("    ");
-        let doc = vgprs_sim::JsonValue::parse(&json).expect("frame JSON parses");
+        let mut w = JsonWriter::new();
+        frame.write_json(&mut w);
+        let doc = vgprs_sim::JsonValue::parse(&w.finish()).expect("frame JSON parses");
         assert_eq!(doc.get("at_ms").and_then(|v| v.as_f64()), Some(60_000.0));
         assert_eq!(
             doc.get("counters")

@@ -174,7 +174,7 @@ fn cross_shard_traffic_actually_flows() {
         r.render_deterministic()
     );
     assert!(
-        r.handoff_interruption().count() > 0,
+        r.kpi("handoff_interruption_ms.count") > 0.0,
         "no interruption-time samples (downlink never resumed):\n{}",
         r.render_deterministic()
     );
@@ -251,26 +251,27 @@ fn zero_intensity_faults_change_nothing() {
 fn faults_bite_and_recovery_runs() {
     let r = run_load(&chaos_cfg(2));
     assert!(
-        r.faults_injected() > 0,
+        r.kpi("resilience.faults_injected") > 0.0,
         "no impairment windows opened:\n{}",
         r.render_deterministic()
     );
-    let (ras_retries, arq_retries) = r.guard_retries();
-    let dropped = r.dropped_by_class(vgprs_load::FaultClass::LinkDegrade)
-        + r.dropped_by_class(vgprs_load::FaultClass::NodeCrash)
-        + r.dropped_by_class(vgprs_load::FaultClass::Blackhole);
+    let retries = r.kpi("resilience.ras_retries+resilience.arq_retries");
+    let dropped = r.kpi(
+        "resilience.dropped_link_degrade+resilience.dropped_node_crash\
+         +resilience.dropped_blackhole",
+    );
     assert!(
-        dropped > 0 || ras_retries + arq_retries > 0,
+        dropped > 0.0 || retries > 0.0,
         "faults were injected but nothing dropped or retried:\n{}",
         r.render_deterministic()
     );
     assert!(
-        r.redial_attempts() > 0,
+        r.kpi("resilience.redial_attempts") > 0.0,
         "no caller ever redialed:\n{}",
         r.render_deterministic()
     );
     assert!(
-        r.recovery_time().count() > 0,
+        r.kpi("resilience.recovery_ms.count") > 0.0,
         "recovery-time histogram is empty:\n{}",
         r.render_deterministic()
     );
@@ -284,9 +285,9 @@ fn kpis_are_populated() {
     assert!(r.attempts() > 0, "no call attempts generated");
     assert!(r.stats.counter("ms.calls_connected") > 0, "no calls connected");
     assert!(r.setup_delay().count() > 0, "no setup-delay samples");
-    assert!(r.paging_delay().count() > 0, "no paging samples (MT mix is 40%)");
-    assert!(r.pdp_activation().count() > 0, "no voice-PDP samples");
-    assert!(r.voice_delay().count() > 0, "no RTP samples");
+    assert!(r.kpi("paging_delay_ms.count") > 0.0, "no paging samples (MT mix is 40%)");
+    assert!(r.kpi("pdp_activation_ms.count") > 0.0, "no voice-PDP samples");
+    assert!(r.kpi("voice_delay_ms.count") > 0.0, "no RTP samples");
     let mos = r.mos();
     assert!((1.0..=4.6).contains(&mos), "implausible MOS {mos}");
     assert!(r.stats.counter("load.moves") > 0, "mobility never fired");
@@ -316,7 +317,7 @@ fn surge_cfg(threads: usize) -> LoadConfig {
 fn surged_runs_are_thread_and_kernel_invariant() {
     let base = run_load(&surge_cfg(1));
     assert!(
-        base.attempts_peak() > 0,
+        base.kpi("overload.attempts_peak") > 0.0,
         "the shock never produced peak attempts:\n{}",
         base.render_deterministic()
     );
@@ -381,11 +382,10 @@ fn overload_kpis_monotone_in_intensity() {
             scenario: ScenarioConfig::flash(intensity),
             ..surge_cfg(2)
         });
-        let interventions = r.pages_throttled()
-            + r.pages_shed()
-            + r.gk_admission_shed()
-            + r.pdp_deferred()
-            + r.pdp_rejected();
+        let interventions = r.kpi(
+            "overload.pages_throttled+overload.pages_shed+overload.gk_admission_shed\
+             +overload.pdp_deferred+overload.pdp_rejected",
+        );
         if let Some(prev) = last {
             assert!(
                 interventions >= prev,
@@ -395,7 +395,7 @@ fn overload_kpis_monotone_in_intensity() {
         last = Some(interventions);
     }
     assert!(
-        last.unwrap() > 0,
+        last.unwrap() > 0.0,
         "the strongest shock never tripped a single overload control"
     );
 }
@@ -462,7 +462,7 @@ fn trunk_chaos_bites_and_recovery_runs() {
         r.render_deterministic()
     );
     assert!(
-        r.trunk_loss_drops() + r.trunk_partition_drops() > 0,
+        r.kpi("trunk.drops_loss+trunk.drops_partition") > 0.0,
         "the fault plan never swallowed a transmission:\n{}",
         r.render_deterministic()
     );
@@ -472,7 +472,7 @@ fn trunk_chaos_bites_and_recovery_runs() {
         r.render_deterministic()
     );
     assert!(
-        r.trunk_reorder_depth().count() > 0,
+        r.kpi("trunk.reorder_depth.count") > 0.0,
         "no out-of-order arrival was ever buffered:\n{}",
         r.render_deterministic()
     );
@@ -488,24 +488,24 @@ fn healed_partition_converges() {
         ..cross_cfg(2, 4)
     });
     assert!(
-        r.trunk_partition_drops() > 0,
+        r.kpi("trunk.drops_partition") > 0.0,
         "no transmission ever hit a partition window:\n{}",
         r.render_deterministic()
     );
     assert!(
-        r.trunk_heals() > 0,
+        r.kpi("trunk.heals") > 0.0,
         "no partition window ever healed:\n{}",
         r.render_deterministic()
     );
-    if r.trunk_handoff_drops() > 0 {
+    if r.kpi("trunk.handoff_drops") > 0.0 {
         assert!(
-            r.trunk_reroutes() > 0,
+            r.kpi("trunk.reroutes") > 0.0,
             "handoffs were torn down but nobody was re-routed on heal:\n{}",
             r.render_deterministic()
         );
         assert_eq!(
-            r.trunk_heal_recovery().count(),
-            r.trunk_reroutes(),
+            r.kpi("trunk.heal_recovery_ms.count"),
+            r.kpi("trunk.reroutes"),
             "every re-route must sample one heal-to-recovery delay:\n{}",
             r.render_deterministic()
         );
@@ -522,12 +522,12 @@ fn reordered_flits_never_violate_fifo() {
         ..cross_cfg(2, 4)
     });
     assert!(
-        r.trunk_reordered() > 0,
+        r.kpi("trunk.reordered") > 0.0,
         "the reorder plan never delayed a transmission:\n{}",
         r.render_deterministic()
     );
     assert!(
-        r.trunk_reorder_depth().count() > 0,
+        r.kpi("trunk.reorder_depth.count") > 0.0,
         "reordered flits never arrived ahead of sequence:\n{}",
         r.render_deterministic()
     );
@@ -538,8 +538,8 @@ fn reordered_flits_never_violate_fifo() {
         r.render_deterministic()
     );
     assert_eq!(
-        r.trunk_handoff_drops(),
-        0,
+        r.kpi("trunk.handoff_drops"),
+        0.0,
         "pure reordering must never tear a handoff down:\n{}",
         r.render_deterministic()
     );
@@ -588,8 +588,8 @@ fn snapshot_stream_is_thread_and_kernel_invariant() {
                 assert_eq!(a.at_ms, b.at_ms);
                 assert_eq!(a.counters, b.counters);
                 assert_eq!(
-                    a.to_json(""),
-                    b.to_json(""),
+                    a,
+                    b,
                     "frame at {} ms diverged at {threads} threads on {kernel}",
                     a.at_ms
                 );
@@ -605,17 +605,25 @@ fn snapshot_stream_is_thread_and_kernel_invariant() {
 fn snapshot_aggregate_equals_summary_kpis() {
     let r = run_load(&snapshot_cfg(2));
     let agg = r.snapshot_aggregate();
-    assert_eq!(agg.attempts(), r.attempts());
-    assert_eq!(agg.blocking_rate().to_bits(), r.blocking_rate().to_bits());
-    assert_eq!(agg.frame_loss().to_bits(), r.frame_loss().to_bits());
-    assert_eq!(agg.mos().to_bits(), r.mos().to_bits(), "E-model MOS diverged");
-    let (sparse, dense) = (agg.setup_delay(), r.setup_delay());
-    assert_eq!(sparse.count(), dense.count());
-    assert_eq!(sparse.percentile(50.0).to_bits(), dense.percentile(50.0).to_bits());
-    assert_eq!(sparse.percentile(99.0).to_bits(), dense.percentile(99.0).to_bits());
-    let (sparse, dense) = (agg.handoff_interruption(), r.handoff_interruption());
-    assert_eq!(sparse.count(), dense.count());
-    assert_eq!(sparse.percentile(99.0).to_bits(), dense.percentile(99.0).to_bits());
+    for kpi in [
+        "attempts",
+        "blocking_rate",
+        "reject_rate",
+        "frame_loss",
+        "mos",
+        "setup_delay_ms.count",
+        "setup_delay_ms.p50",
+        "setup_delay_ms.p99",
+        "voice_delay_ms.mean",
+        "handoff_interruption_ms.count",
+        "handoff_interruption_ms.p99",
+    ] {
+        assert_eq!(
+            vgprs_load::kpi::value(&agg, kpi).to_bits(),
+            r.kpi(kpi).to_bits(),
+            "{kpi} diverged between the aggregate frame and the summary"
+        );
+    }
 }
 
 /// Frames are cumulative: every counter is non-decreasing along the

@@ -1,4 +1,5 @@
-//! Golden-file schema test for [`LoadReport::to_json`].
+//! Golden-file tests for [`LoadReport::to_json`] and
+//! [`LoadReport::render_deterministic`].
 //!
 //! The committed `tests/golden/load_report.json` is the dump of one
 //! small fixed-seed run. The test re-runs that configuration, parses
@@ -6,7 +7,11 @@
 //! field-by-field: every dotted path must exist on both sides and every
 //! deterministic value must match exactly. Only the two wall-clock
 //! figures (`wall_secs`, `events_per_sec`) are value-exempt — their
-//! *presence* is still required.
+//! *presence* is still required. With those two lines masked the
+//! documents must then agree byte for byte, which also pins the numeric
+//! rendering (`1` and `1.0` parse alike) and the layout.
+//! `tests/golden/load_report.txt` pins the text report of the same run
+//! the same way — that text feeds the run fingerprint.
 //!
 //! This pins the artifact contract that `harness diff`, the committed
 //! baselines and any downstream tooling parse: an accidental rename,
@@ -15,7 +20,7 @@
 //!
 //! After an *intentional* schema or KPI change, regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p vgprs-load --test golden` and commit
-//! the refreshed file alongside the change.
+//! the refreshed files alongside the change.
 
 use vgprs_load::{run_load, CallMix, LoadConfig, PopulationConfig};
 use vgprs_sim::JsonValue;
@@ -49,30 +54,50 @@ fn golden_cfg() -> LoadConfig {
     }
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// The committed golden file `name`, or `None` after rewriting it from
+/// `fresh` because `UPDATE_GOLDEN` is set.
+fn golden_or_update(name: &str, fresh: &str) -> Option<String> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("load_report.json")
+        .join(name);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
+            .expect("create tests/golden");
+        std::fs::write(&path, fresh).expect("write golden file");
+        eprintln!("golden file regenerated: {}", path.display());
+        return None;
+    }
+    Some(std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "cannot read {} ({e}); regenerate with UPDATE_GOLDEN=1",
+            path.display()
+        )
+    }))
+}
+
+/// The document without its two wall-clock lines.
+fn masked(json: &str) -> String {
+    json.lines()
+        .filter(|l| !value_exempt(l.trim_start().split('"').nth(1).unwrap_or("")))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+#[test]
+fn report_text_matches_the_committed_golden_file() {
+    let fresh = run_load(&golden_cfg()).render_deterministic();
+    if let Some(golden) = golden_or_update("load_report.txt", &fresh) {
+        assert_eq!(fresh, golden, "the deterministic text report moved");
+    }
 }
 
 #[test]
 fn report_json_matches_the_committed_golden_file() {
     let fresh_text = run_load(&golden_cfg()).to_json();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, &fresh_text).expect("write golden file");
-        eprintln!("golden file regenerated: {}", path.display());
+    let Some(golden_text) = golden_or_update("load_report.json", &fresh_text) else {
         return;
-    }
-    let golden_text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "cannot read {} ({e}); regenerate with UPDATE_GOLDEN=1",
-            path.display()
-        )
-    });
+    };
     let golden = JsonValue::parse(&golden_text).expect("golden file parses");
     let fresh = JsonValue::parse(&fresh_text).expect("fresh report parses");
 
@@ -111,6 +136,11 @@ fn report_json_matches_the_committed_golden_file() {
         problems.len(),
         problems.join("\n  ")
     );
+    assert_eq!(
+        masked(&fresh_text),
+        masked(&golden_text),
+        "same values, different bytes: number rendering or layout moved"
+    );
 }
 
 /// The golden configuration must exercise the interesting parts of the
@@ -126,5 +156,5 @@ fn golden_run_is_not_vacuous() {
          array needs at least 2",
         r.snapshots.len()
     );
-    assert!(r.voice_delay().count() > 0, "golden run carried no voice");
+    assert!(r.kpi("voice_delay_ms.count") > 0.0, "golden run carried no voice");
 }

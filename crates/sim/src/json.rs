@@ -1,16 +1,17 @@
-//! A minimal JSON reader for the workspace's hand-rolled artifacts.
+//! A minimal JSON reader and writer for the workspace's artifacts.
 //!
 //! The workspace is hermetic (no crates-io dependencies, so no serde);
-//! every `BENCH_*.json` / `LoadReport::to_json` artifact is emitted by
-//! hand and read back by this module — the `harness diff` regression
-//! gate and the golden-file schema tests both parse through here.
+//! every `BENCH_*.json` / `LoadReport::to_json` artifact is emitted
+//! through [`JsonWriter`] and read back by [`JsonValue::parse`] — the
+//! `harness diff` regression gate and the golden-file schema tests both
+//! parse through here, and emit→parse round-trips under test.
 //!
 //! Scope: the JSON the repo writes. Objects, arrays, strings with the
-//! escapes [`crate::Stats`] artifacts use, `null`, booleans, and f64
-//! numbers. Object member order is preserved (artifacts are written in
-//! a deterministic order and diffs want to report in it).
+//! escapes the writer produces, `null`, booleans, and f64 numbers.
+//! Object member order is preserved (artifacts are written in a
+//! deterministic order and diffs want to report in it).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -313,6 +314,235 @@ impl Parser<'_> {
     }
 }
 
+/// An `f64` as a JSON number: shortest round-trip digits with a
+/// fraction or exponent always present (`1.0`), `null` for NaN and
+/// infinity, which JSON cannot represent.
+#[derive(Clone, Copy, Debug)]
+pub struct JsonF64(pub f64);
+
+impl fmt::Display for JsonF64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{:?}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
+/// One open container of a [`JsonWriter`].
+struct Open {
+    close: char,
+    inline: bool,
+    empty: bool,
+}
+
+/// A streaming JSON writer with the two layouts the repo's artifacts
+/// use: **block** containers put each member on its own line, indented
+/// two spaces per open block container; **inline** containers keep
+/// their members on one line, separated by `", "`. The writer places
+/// every comma, newline and indent, so call sites only name members
+/// and values:
+///
+/// ```
+/// use vgprs_sim::JsonWriter;
+/// let mut w = JsonWriter::new();
+/// w.begin_object();
+/// w.key("n").u64(3);
+/// w.key("h").begin_inline_object().key("p99").f64(7.0).end();
+/// w.end();
+/// assert_eq!(w.finish(), "{\n  \"n\": 3,\n  \"h\": {\"p99\": 7.0}\n}\n");
+/// ```
+#[derive(Default)]
+pub struct JsonWriter {
+    out: String,
+    open: Vec<Open>,
+    /// Open block containers — the current indent level.
+    depth: usize,
+    /// A key was just written; the next value belongs on its line.
+    after_key: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> Self {
+        JsonWriter::default()
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
+    }
+
+    /// Positions the output for the next member or element.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let Some(top) = self.open.last_mut() else {
+            return;
+        };
+        let (inline, first) = (top.inline, std::mem::take(&mut top.empty));
+        if !first {
+            self.out.push(',');
+        }
+        if !inline {
+            self.newline();
+        } else if !first {
+            self.out.push(' ');
+        }
+    }
+
+    fn begin(&mut self, open: char, close: char, inline: bool) -> &mut Self {
+        self.separate();
+        self.out.push(open);
+        self.open.push(Open {
+            close,
+            inline,
+            empty: true,
+        });
+        self.depth += usize::from(!inline);
+        self
+    }
+
+    /// Opens a block object.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.begin('{', '}', false)
+    }
+
+    /// Opens a block array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.begin('[', ']', false)
+    }
+
+    /// Opens a one-line object.
+    pub fn begin_inline_object(&mut self) -> &mut Self {
+        self.begin('{', '}', true)
+    }
+
+    /// Opens a one-line array.
+    pub fn begin_inline_array(&mut self) -> &mut Self {
+        self.begin('[', ']', true)
+    }
+
+    /// Closes the innermost open container.
+    ///
+    /// # Panics
+    ///
+    /// Panics when nothing is open.
+    pub fn end(&mut self) -> &mut Self {
+        let top = self.open.pop().expect("end() without an open container");
+        if !top.inline {
+            self.depth -= 1;
+            if !top.empty {
+                self.newline();
+            }
+        }
+        self.out.push(top.close);
+        self
+    }
+
+    fn quoted(&mut self, s: &str) {
+        self.out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(self.out, "\\u{:04x}", c as u32);
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+    }
+
+    /// Writes an object member's name; the next call supplies its value.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.separate();
+        self.quoted(name);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    fn value(&mut self, v: impl fmt::Display) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.value(v)
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.value(v)
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.value("null")
+    }
+
+    /// A float in shortest round-trip form with a fraction always
+    /// present (`1.0`), the report style; non-finite becomes `null`.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        self.value(JsonF64(v))
+    }
+
+    /// A float in shortest round-trip form without a forced fraction
+    /// (`1`, `0.3`), the style of the harness's configuration echoes;
+    /// non-finite becomes `null`.
+    pub fn f64_short(&mut self, v: f64) -> &mut Self {
+        if v.is_finite() {
+            self.value(v)
+        } else {
+            self.null()
+        }
+    }
+
+    /// A float rounded to `places` decimals; non-finite becomes `null`.
+    pub fn f64_fixed(&mut self, v: f64, places: usize) -> &mut Self {
+        if v.is_finite() {
+            self.value(format_args!("{v:.places$}"))
+        } else {
+            self.null()
+        }
+    }
+
+    /// A 64-bit fingerprint as a 16-digit hex string (a JSON number
+    /// would lose everything above 2^53).
+    pub fn hex64(&mut self, v: u64) -> &mut Self {
+        self.value(format_args!("\"{v:016x}\""))
+    }
+
+    /// An escaped string.
+    pub fn string(&mut self, s: &str) -> &mut Self {
+        self.separate();
+        self.quoted(s);
+        self
+    }
+
+    /// The finished document, newline-terminated.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a container is still open.
+    pub fn finish(mut self) -> String {
+        assert!(self.open.is_empty(), "finish() with an open container");
+        self.out.push('\n');
+        self.out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,12 +601,5 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
-    }
-
-    #[test]
-    fn roundtrips_the_report_writers_escapes() {
-        // The exact escape set report.rs::json_escape produces.
-        let v = JsonValue::parse(r#""a\"b\\c\nd\re\tf""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\nd\re\tf"));
     }
 }

@@ -61,6 +61,7 @@
 mod backoff;
 mod context;
 mod event;
+mod fnv;
 mod interface;
 pub mod json;
 mod ladder;
@@ -77,13 +78,14 @@ mod wheel;
 pub use backoff::Backoff;
 pub use context::{Context, TimerToken};
 pub use event::Kernel;
+pub use fnv::Fnv1a;
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};
 pub use net::{Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};
 pub use rng::SimRng;
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
 pub use stats::{Counter, Histogram, SparseHistogram, Stats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};

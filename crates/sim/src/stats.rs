@@ -457,19 +457,15 @@ impl fmt::Debug for Histogram {
 /// SipHash on the short `&'static str` names the hot paths pass —
 /// counter bumps happen on every voice frame at population scale.
 #[derive(Default)]
-struct NameHasher(u64);
+struct NameHasher(crate::Fnv1a);
 
 impl Hasher for NameHasher {
+    #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        self.0 = h;
+        self.0.write(bytes);
     }
     fn finish(&self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 

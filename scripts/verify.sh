@@ -52,6 +52,12 @@ if grep -rn '#\[ignore' crates tests; then
     exit 1
 fi
 
+echo "==> benchmark smoke (standalone package builds against the public API)"
+# benchmark/ is its own workspace with path dependencies on crates/*; it
+# is outside `cargo test`, so build it and run its quick mode here. A
+# public-API break in vgprs-load / vgprs-sim fails this step.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
