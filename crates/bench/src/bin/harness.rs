@@ -37,6 +37,8 @@
 //! `diff-thresholds.toml` and exits nonzero on regression; `harness
 //! diff --check` is the verify-script gate, diffing a fresh canonical
 //! small run against the committed `baselines/load_small.json`.
+//! `harness load` exits 1, after printing the report, when the engine's
+//! epoch-cap backstop cut the run short (`load.drain_capped` > 0).
 
 use std::time::Instant;
 
@@ -46,8 +48,8 @@ use vgprs_bench::experiments::{
     c5_handoff_cost, interface_usage,
 };
 use vgprs_bench::harness::{
-    capacity_json, chaos_json, heading, kernelbench_json, load_config_from, surge_json,
-    threads_and_kernels_agree, write_file, Flags, KernelRun, RunDefaults, DROP_RATE,
+    capacity_json, chaos_json, drain_capped_error, heading, kernelbench_json, load_config_from,
+    surge_json, threads_and_kernels_agree, write_file, Flags, KernelRun, RunDefaults, DROP_RATE,
     INTERVENTIONS, SEED,
 };
 use vgprs_bench::scenarios::{
@@ -144,6 +146,12 @@ fn load_cmd(rest: &[String]) {
     if let Some(path) = flags.get("--snapshots-csv") {
         write_file(path, &report.snapshots_csv(per_shard));
         println!("snapshot csv          : {path}");
+    }
+    // Last, so the report and artifacts of a capped run are still there
+    // to diagnose it with.
+    if let Some(complaint) = drain_capped_error(&report) {
+        eprintln!("{complaint}");
+        std::process::exit(1);
     }
 }
 

@@ -169,6 +169,22 @@ pub fn write_file(path: &str, contents: &str) {
     }
 }
 
+/// The complaint about a run the engine's runaway backstop cut short,
+/// or `None` for a run that drained. `run_load` stops epoching at
+/// `epoch > cap` and every shard still busy then counts
+/// `load.drain_capped`; such a report describes a world frozen
+/// mid-call, so `harness load` prints this on stderr and exits
+/// non-zero instead of passing the KPIs off as results.
+pub fn drain_capped_error(report: &LoadReport) -> Option<String> {
+    let shards = report.stats.counter("load.drain_capped");
+    (shards > 0).then(|| {
+        format!(
+            "error: load.drain_capped = {shards}: the engine hit its epoch cap with \
+             {shards} shard(s) still busy; the KPIs above describe a truncated run"
+        )
+    })
+}
+
 /// Prints the section banner every subcommand uses.
 pub fn heading(title: &str) {
     println!("\n{}", "=".repeat(72));

@@ -4,7 +4,7 @@
 use std::path::Path;
 
 use vgprs_bench::diff::Thresholds;
-use vgprs_bench::harness::{chaos_json, surge_json};
+use vgprs_bench::harness::{chaos_json, drain_capped_error, surge_json};
 use vgprs_load::kpi::{Snapshot, KPIS};
 use vgprs_load::{run_load, LoadConfig, OverloadControls};
 use vgprs_sim::JsonValue;
@@ -77,4 +77,18 @@ fn emitted_cells_match_the_committed_bench_schema() {
         first_cell_members(&surge_json(&cfg, OverloadControls::standard(), &[(0.0, false, report)])),
         first_cell_members(&repo_file("BENCH_surge.json")),
     );
+}
+
+/// `harness load` exits non-zero exactly when this returns a complaint:
+/// a drained run has none, and the same report carrying the engine's
+/// `load.drain_capped` backstop counter has one naming the count.
+#[test]
+fn a_drain_capped_report_takes_the_failing_exit() {
+    let mut cfg = LoadConfig { subscribers: 16, shards: 2, threads: 1, ..LoadConfig::default() };
+    cfg.population.window_secs = 10;
+    let mut report = run_load(&cfg);
+    assert_eq!(drain_capped_error(&report), None, "a small plain run must drain");
+    report.stats.count_by("load.drain_capped", 2);
+    let complaint = drain_capped_error(&report).expect("a capped run must fail");
+    assert!(complaint.contains("load.drain_capped = 2"), "{complaint}");
 }

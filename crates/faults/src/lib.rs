@@ -413,19 +413,37 @@ pub struct TrunkWindow {
 }
 
 impl TrunkWindow {
+    /// First ms past the window. Saturating: the fields are `pub`, and a
+    /// window that "never ends" must not overflow.
+    pub fn end_ms(&self) -> u64 {
+        self.at_ms.saturating_add(self.duration_ms)
+    }
+
     /// Effective level at `t_ms`: trapezoidal interpolation inside the
     /// window, zero outside.
     pub fn level_at(&self, t_ms: u64) -> f64 {
-        if t_ms < self.at_ms || t_ms >= self.at_ms + self.duration_ms {
+        let end_ms = self.end_ms();
+        if t_ms < self.at_ms || t_ms >= end_ms {
             return 0.0;
         }
         if self.ramp_ms == 0 {
             return self.level;
         }
         let into = (t_ms - self.at_ms) as f64;
-        let left = (self.at_ms + self.duration_ms - t_ms) as f64;
+        let left = (end_ms - t_ms) as f64;
         let ramp = self.ramp_ms as f64;
         self.level * (into / ramp).min(left / ramp).min(1.0)
+    }
+
+    /// The half-open ms interval on which [`level_at`](Self::level_at)
+    /// is positive, or `None` if it never is. A square window is live
+    /// on all of `[at_ms, end_ms)`; a ramped one starts its climb *from*
+    /// zero, so `at_ms` itself is excluded. (`level` is a probability:
+    /// one so small that `level / ramp_ms` underflows is not modelled.)
+    pub fn support_ms(&self) -> Option<(u64, u64)> {
+        let start_ms = self.at_ms.saturating_add(u64::from(self.ramp_ms > 0));
+        let end_ms = self.end_ms();
+        (self.level > 0.0 && start_ms < end_ms).then_some((start_ms, end_ms))
     }
 }
 
@@ -732,6 +750,50 @@ mod tests {
         assert!((mid - 1.0).abs() < 1e-9, "plateau must be a full partition, got {mid}");
         let onset = w.level_at(w.at_ms + w.ramp_ms / 2);
         assert!(onset > 0.0 && onset < 1.0, "onset must ramp, got {onset}");
+    }
+
+    /// The fields are `pub`: a window that never ends must neither panic
+    /// (debug) nor wrap to an empty window (release).
+    #[test]
+    fn trunk_window_end_saturates() {
+        for ramp_ms in [0, 400] {
+            let w = TrunkWindow {
+                at_ms: 1_000,
+                duration_ms: u64::MAX,
+                class: TrunkFaultClass::Partition,
+                level: 1.0,
+                ramp_ms,
+            };
+            assert_eq!(w.end_ms(), u64::MAX);
+            assert_eq!(w.level_at(999), 0.0);
+            assert_eq!(w.level_at(1_000 + 400), 1.0);
+            assert_eq!(w.level_at(u64::MAX - 1), if ramp_ms == 0 { 1.0 } else { 1.0 / 400.0 });
+            assert_eq!(w.level_at(u64::MAX), 0.0);
+            assert_eq!(w.support_ms(), Some((1_000 + u64::from(ramp_ms > 0), u64::MAX)));
+        }
+    }
+
+    /// `support_ms` is exactly where `level_at` is positive, ms by ms.
+    #[test]
+    fn trunk_window_support_matches_level_at() {
+        for at_ms in [0, 1, 7] {
+            for duration_ms in [0, 1, 2, 9] {
+                for ramp_ms in [0, 1, 3, 20] {
+                    for level in [0.0, 0.25, 1.0] {
+                        let w = TrunkWindow {
+                            at_ms,
+                            duration_ms,
+                            class: TrunkFaultClass::Partition,
+                            level,
+                            ramp_ms,
+                        };
+                        let live: Vec<u64> = (0..40).filter(|&t| w.level_at(t) > 0.0).collect();
+                        let expected: Vec<u64> = w.support_ms().map_or(Vec::new(), |(s, e)| (s..e).collect());
+                        assert_eq!(live, expected, "{w:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

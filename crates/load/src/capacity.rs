@@ -22,52 +22,11 @@ pub struct CapacityPoint {
     pub report: LoadReport,
 }
 
-/// Result of [`capacity_sweep`].
-#[derive(Clone, Debug)]
-pub struct CapacitySweep {
-    /// Every measured point, in increasing load order.
-    pub points: Vec<CapacityPoint>,
-    /// Index into `points` of the first degraded point, if any point
-    /// degraded within the swept range.
-    pub knee: Option<usize>,
-}
-
 /// Setup-delay degradation threshold: p99 beyond this multiple of the
 /// lightest point's p99 marks the knee.
 const KNEE_P99_FACTOR: f64 = 2.0;
 /// Blocking floor that marks the knee regardless of latency.
 const KNEE_BLOCKING: f64 = 0.01;
-
-/// Runs `base` at each load multiplier and locates the knee.
-pub fn capacity_sweep(base: &LoadConfig, load_factors: &[f64]) -> CapacitySweep {
-    let mut points = Vec::with_capacity(load_factors.len());
-    for &factor in load_factors {
-        let mut cfg = base.clone();
-        cfg.population.calls_per_sub_hour = base.population.calls_per_sub_hour * factor;
-        let report = run_load(&cfg);
-        points.push(CapacityPoint {
-            load_factor: factor,
-            calls_per_sub_hour: cfg.population.calls_per_sub_hour,
-            offered_erlangs: cfg.population.calls_per_sub_hour / 3600.0
-                * cfg.population.mean_hold_secs
-                * cfg.subscribers as f64,
-            report,
-        });
-    }
-    let knee = find_knee(&points);
-    CapacitySweep { points, knee }
-}
-
-fn find_knee(points: &[CapacityPoint]) -> Option<usize> {
-    let base_p99 = points
-        .iter()
-        .map(|p| p.report.setup_delay().percentile(99.0))
-        .find(|&p99| p99 > 0.0)?;
-    points.iter().position(|p| {
-        let p99 = p.report.setup_delay().percentile(99.0);
-        p99 > base_p99 * KNEE_P99_FACTOR || p.report.blocking_rate() > KNEE_BLOCKING
-    })
-}
 
 /// The refined knee located by [`capacity_knee`].
 #[derive(Clone, Copy, Debug)]
@@ -121,7 +80,7 @@ pub fn capacity_knee(base: &LoadConfig, max_factor: f64, refine_steps: u32) -> K
     let mut probes = Vec::new();
 
     // The 1x probe is the reference the latency criterion is judged
-    // against, matching `capacity_sweep`'s lightest-point baseline.
+    // against.
     let baseline = probe(base, &mut probes, 1.0);
     let base_p99 = probes[baseline].report.setup_delay().percentile(99.0);
     let degraded = |p: &CapacityPoint| {

@@ -50,7 +50,7 @@ pub mod shard;
 pub mod snapshot;
 pub mod trunk;
 
-pub use capacity::{capacity_knee, capacity_sweep, CapacityPoint, CapacitySweep, KneeEstimate, KneeSearch};
+pub use capacity::{capacity_knee, CapacityPoint, KneeEstimate, KneeSearch};
 pub use engine::{partition, run_load, LoadConfig};
 pub use mailbox::{
     Envelope, ExpiredKind, Flit, HlrDirectory, Mailbox, RadioGate, TrunkGate, BORDER_CELL,

@@ -223,12 +223,13 @@ impl HlrDirectory {
         }
     }
 
-    /// Observes one envelope at the barrier. An `Arrive` moves the
-    /// record to the destination shard; a `Depart` returns it to the
-    /// sender (the subscriber went home).
-    pub fn observe(&mut self, from_shard: usize, env: &Envelope) {
-        let (global, new_owner) = match env.flit {
-            Flit::Arrive { global } => (global, env.to_shard as u32),
+    /// Observes one flit crossing the barrier from `from_shard` to
+    /// `to_shard`. An `Arrive` moves the record to the destination
+    /// shard; a `Depart` returns it to the sender (the subscriber went
+    /// home).
+    pub fn observe(&mut self, from_shard: usize, to_shard: usize, flit: &Flit) {
+        let (global, new_owner) = match *flit {
+            Flit::Arrive { global } => (global, to_shard as u32),
             Flit::Depart { global } => (global, from_shard as u32),
             _ => return,
         };
@@ -373,13 +374,6 @@ mod tests {
     use super::*;
     use vgprs_wire::Imsi;
 
-    fn arrive(to_shard: usize, global: usize) -> Envelope {
-        Envelope {
-            to_shard,
-            flit: Flit::Arrive { global },
-        }
-    }
-
     #[test]
     fn mailbox_orders_by_source_shard_then_send_order() {
         let mut mb = Mailbox::new(3);
@@ -425,28 +419,20 @@ mod tests {
     fn directory_tracks_ownership_round_trip() {
         let mut dir = HlrDirectory::new(&[(0, 4), (4, 4)]);
         assert_eq!(dir.owner_of(5), 1);
-        dir.observe(1, &arrive(0, 5));
+        dir.observe(1, 0, &Flit::Arrive { global: 5 });
         assert_eq!(dir.owner_of(5), 0);
         assert_eq!(dir.relocations(), 1);
         // The return trip: shard 1 tells shard 0 to drop the record.
-        dir.observe(
-            1,
-            &Envelope {
-                to_shard: 0,
-                flit: Flit::Depart { global: 5 },
-            },
-        );
+        dir.observe(1, 0, &Flit::Depart { global: 5 });
         assert_eq!(dir.owner_of(5), 1);
         assert_eq!(dir.relocations(), 2);
         // Non-mobility flits never touch ownership.
         dir.observe(
             0,
-            &Envelope {
-                to_shard: 1,
-                flit: Flit::Map(MapMessage::CancelLocation {
-                    imsi: Imsi::parse("466920000000001").expect("valid"),
-                }),
-            },
+            1,
+            &Flit::Map(MapMessage::CancelLocation {
+                imsi: Imsi::parse("466920000000001").expect("valid"),
+            }),
         );
         assert_eq!(dir.relocations(), 2);
     }

@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vgprs_faults::{mix_salt, TrunkFaultClass, TrunkPlan, TrunkPlanConfig, compile_trunk_plan};
 use vgprs_sim::{Backoff, SimDuration, SimRng, Stats};
 
-use crate::mailbox::{Envelope, Flit, HlrDirectory};
+use crate::mailbox::{Envelope, Flit, HlrDirectory, EPOCH_MS};
 
 /// Salt for per-transmission drop/duplicate/reorder decisions.
 const SALT_XMIT: u64 = 0x01;
@@ -100,75 +100,25 @@ struct Staged {
     delayed: bool,
 }
 
-/// The epoch-barrier trunk layer: the bare mailbox when disarmed, the
-/// reliable sequenced protocol plus chaos injection when a trunk plan is
-/// in force.
-pub struct TrunkFabric {
+/// The impaired medium between the channel ends: the compiled chaos and
+/// everything one transmission attempt writes. Its own struct so an
+/// attempt can read the flit straight out of the sender's retransmit
+/// queue (a disjoint field of the fabric) instead of a copy.
+struct Medium {
     shards: usize,
     seed: u64,
-    armed: bool,
-    backoff: Backoff,
     /// Per unordered pair, indexed `a * shards + b` (a < b); empty when
     /// disarmed.
     plans: Vec<TrunkPlan>,
-    /// Was the pair partitioned (level > 0) at the previous barrier?
-    was_partitioned: Vec<bool>,
-    inboxes: Vec<Vec<(usize, Flit)>>,
-    tx: BTreeMap<(usize, usize), TxChannel>,
-    rx: BTreeMap<(usize, usize), RxChannel>,
-    /// Transmissions staged by `post` for this barrier's `seal`.
+    /// The barrier being sealed; transmissions roll against its levels.
+    now_ms: u64,
+    /// Transmissions that survived, for this barrier's receive step.
     staged: Vec<Staged>,
-    /// Cumulative acks generated at the previous barrier, applied at the
-    /// next (the one-epoch return trip of a real trunk).
-    acks: Vec<(usize, usize, u64)>,
     /// Transport KPIs, merged into the run report only when armed.
     stats: Stats,
-    now_ms: u64,
 }
 
-impl TrunkFabric {
-    /// Builds the fabric. With a zero-intensity (or absent) trunk config
-    /// the fabric is disarmed and behaves exactly like the bare mailbox.
-    pub fn new(shards: usize, seed: u64, cfg: &TrunkPlanConfig, window_secs: u64) -> Self {
-        let armed = shards > 1 && !cfg.is_off() && window_secs > 0;
-        let plans = if armed {
-            let mut plans = vec![TrunkPlan::default(); shards * shards];
-            for a in 0..shards {
-                for b in (a + 1)..shards {
-                    plans[a * shards + b] = compile_trunk_plan(cfg, seed, a, b, window_secs);
-                }
-            }
-            plans
-        } else {
-            Vec::new()
-        };
-        TrunkFabric {
-            shards,
-            seed,
-            armed,
-            backoff: retransmit_backoff(),
-            was_partitioned: vec![false; if armed { shards * shards } else { 0 }],
-            plans,
-            inboxes: (0..shards).map(|_| Vec::new()).collect(),
-            tx: BTreeMap::new(),
-            rx: BTreeMap::new(),
-            staged: Vec::new(),
-            acks: Vec::new(),
-            stats: Stats::new(),
-            now_ms: 0,
-        }
-    }
-
-    /// True when the reliable protocol (and chaos) is in force.
-    pub fn armed(&self) -> bool {
-        self.armed
-    }
-
-    /// Transport KPIs accumulated so far (empty when disarmed).
-    pub fn stats(&self) -> &Stats {
-        &self.stats
-    }
-
+impl Medium {
     /// The pair plan governing traffic between `a` and `b`.
     fn plan(&self, a: usize, b: usize) -> &TrunkPlan {
         let (a, b) = if a < b { (a, b) } else { (b, a) };
@@ -211,11 +161,141 @@ impl TrunkFabric {
         if delayed {
             self.stats.count("trunk.reordered");
         }
-        self.staged.push(Staged { src, dst, seq, flit: clone_flit(flit), delayed });
+        self.staged.push(Staged { src, dst, seq, flit: flit.clone(), delayed });
         if self.draw(SALT_DUP, src, dst, seq, attempt) < p_dup {
             self.stats.count("trunk.dup_injected");
-            self.staged.push(Staged { src, dst, seq, flit: clone_flit(flit), delayed });
+            self.staged.push(Staged { src, dst, seq, flit: flit.clone(), delayed });
         }
+    }
+}
+
+/// Every heal edge the pair plans will ever produce, as
+/// `(barrier_ms, a, b)` in the order the barriers reach them.
+///
+/// A heal is what a scan of all pairs at every barrier would see as
+/// "partition level positive at the previous barrier, zero at this one"
+/// (nothing is partitioned before the first barrier). The level is
+/// positive exactly on the union of the windows' supports, so the scan's
+/// answer is fixed by geometry: map each support to the barriers that
+/// sample it, merge spans that overlap or abut (no zero sample falls
+/// between them), and each merged span heals at the first barrier past
+/// it. O(windows log windows) once, instead of O(pairs) per barrier.
+fn heal_agenda(shards: usize, plans: &[TrunkPlan]) -> Vec<(u64, usize, usize)> {
+    let mut agenda = Vec::new();
+    // A heal past the end of time never arrives.
+    let mut heal_at = |barrier: u64, a, b| {
+        if let Some(ms) = barrier.checked_mul(EPOCH_MS) {
+            agenda.push((ms, a, b));
+        }
+    };
+    let mut spans: Vec<(u64, u64)> = Vec::new();
+    for (idx, plan) in plans.iter().enumerate() {
+        let (a, b) = (idx / shards, idx % shards);
+        // Half-open barrier-index spans the pair samples partitioned.
+        spans.clear();
+        spans.extend(
+            plan.windows
+                .iter()
+                .filter(|w| w.class == TrunkFaultClass::Partition)
+                .filter_map(|w| w.support_ms())
+                .map(|(start_ms, end_ms)| (start_ms.div_ceil(EPOCH_MS).max(1), end_ms.div_ceil(EPOCH_MS)))
+                .filter(|(first, heal)| first < heal),
+        );
+        spans.sort_unstable();
+        let mut open: Option<u64> = None;
+        for &(first, heal) in &spans {
+            open = match open {
+                Some(h) if first <= h => Some(h.max(heal)),
+                Some(h) => {
+                    heal_at(h, a, b);
+                    Some(heal)
+                }
+                None => Some(heal),
+            };
+        }
+        if let Some(h) = open {
+            heal_at(h, a, b);
+        }
+    }
+    agenda.sort_unstable();
+    agenda
+}
+
+/// The epoch-barrier trunk layer: the bare mailbox when disarmed, the
+/// reliable sequenced protocol plus chaos injection when a trunk plan is
+/// in force.
+pub struct TrunkFabric {
+    armed: bool,
+    backoff: Backoff,
+    medium: Medium,
+    /// Heal edges still ahead, see [`heal_agenda`]; consumed from
+    /// `next_heal` as the barriers pass them.
+    heals: Vec<(u64, usize, usize)>,
+    next_heal: usize,
+    inboxes: Vec<Vec<(usize, Flit)>>,
+    tx: BTreeMap<(usize, usize), TxChannel>,
+    rx: BTreeMap<(usize, usize), RxChannel>,
+    /// The tx channels with a non-empty `unacked` map: all the
+    /// retransmit scan has to visit.
+    live: BTreeSet<(usize, usize)>,
+    /// Cumulative acks generated at the previous barrier, applied at the
+    /// next (the one-epoch return trip of a real trunk).
+    acks: Vec<(usize, usize, u64)>,
+    /// Inbox entries + unacked flits + buffered arrivals, kept in step
+    /// with every insert and remove so `in_flight` never re-sums.
+    owed: usize,
+}
+
+impl TrunkFabric {
+    /// Builds the fabric. With a zero-intensity (or absent) trunk config
+    /// the fabric is disarmed and behaves exactly like the bare mailbox.
+    pub fn new(shards: usize, seed: u64, cfg: &TrunkPlanConfig, window_secs: u64) -> Self {
+        let armed = shards > 1 && !cfg.is_off() && window_secs > 0;
+        let mut plans = Vec::new();
+        if armed {
+            plans.resize(shards * shards, TrunkPlan::default());
+            for a in 0..shards {
+                for b in (a + 1)..shards {
+                    plans[a * shards + b] = compile_trunk_plan(cfg, seed, a, b, window_secs);
+                }
+            }
+        }
+        Self::with_plans(shards, seed, plans)
+    }
+
+    /// The fabric over explicit pair plans (`a * shards + b`, a < b):
+    /// armed, or with none at all disarmed.
+    fn with_plans(shards: usize, seed: u64, plans: Vec<TrunkPlan>) -> Self {
+        TrunkFabric {
+            armed: !plans.is_empty(),
+            backoff: retransmit_backoff(),
+            heals: heal_agenda(shards, &plans),
+            next_heal: 0,
+            medium: Medium {
+                shards,
+                seed,
+                plans,
+                now_ms: 0,
+                staged: Vec::new(),
+                stats: Stats::new(),
+            },
+            inboxes: (0..shards).map(|_| Vec::new()).collect(),
+            tx: BTreeMap::new(),
+            rx: BTreeMap::new(),
+            live: BTreeSet::new(),
+            acks: Vec::new(),
+            owed: 0,
+        }
+    }
+
+    /// True when the reliable protocol (and chaos) is in force.
+    pub fn armed(&self) -> bool {
+        self.armed
+    }
+
+    /// Transport KPIs accumulated so far (empty when disarmed).
+    pub fn stats(&self) -> &Stats {
+        &self.medium.stats
     }
 
     /// Posts one shard's epoch output. **Must** be called in ascending
@@ -228,27 +308,32 @@ impl TrunkFabric {
     /// observed at *delivery* instead, so HLR ownership reflects what
     /// actually arrived.
     pub fn post(&mut self, from_shard: usize, envelopes: Vec<Envelope>, directory: &mut HlrDirectory) {
+        self.owed += envelopes.len();
         if !self.armed {
             for env in envelopes {
-                directory.observe(from_shard, &env);
+                directory.observe(from_shard, env.to_shard, &env.flit);
                 self.inboxes[env.to_shard].push((from_shard, env.flit));
             }
             return;
         }
+        let first_retry_ms = self.backoff.delay(0).expect("ladder allows a first retry").as_millis();
         for env in envelopes {
             let dst = env.to_shard;
             let chan = self.tx.entry((from_shard, dst)).or_default();
             let seq = chan.next_seq;
             chan.next_seq += 1;
-            let due_ms = self.now_ms
-                + self.backoff.delay(0).expect("ladder allows a first retry").as_millis();
-            chan.unacked.insert(seq, Pending { flit: clone_flit(&env.flit), attempt: 0, due_ms });
-            self.transmit(from_shard, dst, seq, 0, &env.flit);
+            self.medium.transmit(from_shard, dst, seq, 0, &env.flit);
+            if chan.unacked.is_empty() {
+                self.live.insert((from_shard, dst));
+            }
+            let due_ms = self.medium.now_ms + first_retry_ms;
+            chan.unacked.insert(seq, Pending { flit: env.flit, attempt: 0, due_ms });
         }
     }
 
     /// Runs the armed barrier step at `now_ms` (the boundary the epoch
-    /// just reached): applies last barrier's acks, retransmits due
+    /// just reached; barriers come [`EPOCH_MS`] apart, starting at
+    /// `EPOCH_MS`): applies last barrier's acks, retransmits due
     /// flits, resolves exhausted ones, releases arrivals in sequence
     /// order, emits heal notifications and generates this barrier's
     /// acks. A no-op when disarmed.
@@ -256,61 +341,67 @@ impl TrunkFabric {
         if !self.armed {
             return;
         }
-        self.now_ms = now_ms;
+        self.medium.now_ms = now_ms;
 
         // 1. Acks generated at the previous barrier arrive now and
         //    cancel retransmission for everything below them.
         for (src, dst, cum) in std::mem::take(&mut self.acks) {
             if let Some(chan) = self.tx.get_mut(&(src, dst)) {
+                let before = chan.unacked.len();
                 chan.unacked.retain(|&seq, _| seq >= cum);
+                self.owed -= before - chan.unacked.len();
+                if chan.unacked.is_empty() {
+                    self.live.remove(&(src, dst));
+                }
             }
         }
 
-        // 2. Retransmit scan, channels and sequences in ascending order.
-        //    A flit whose ladder is exhausted is abandoned: the receiver
-        //    resynchronizes past the hole and the sender shard is told.
-        let mut expired: Vec<(usize, usize, u64, Flit)> = Vec::new();
-        let mut retransmit: Vec<(usize, usize, u64, u32, Flit)> = Vec::new();
-        for (&(src, dst), chan) in self.tx.iter_mut() {
-            let mut dead = Vec::new();
-            for (&seq, pending) in chan.unacked.iter_mut() {
+        // 2. Retransmit scan over the channels with anything unacked,
+        //    channels and sequences in ascending order. A flit whose
+        //    ladder is exhausted is abandoned: the receiver
+        //    resynchronizes past the hole and the sender shard is told
+        //    (`owed` stays put: the casualty's unacked slot becomes its
+        //    notice's inbox slot in step 5).
+        let mut expired = Vec::new();
+        let Self { tx, live, medium, backoff, .. } = self;
+        live.retain(|&(src, dst)| {
+            let chan = tx.get_mut(&(src, dst)).expect("a live channel was posted on");
+            chan.unacked.retain(|&seq, pending| {
                 if pending.due_ms > now_ms {
-                    continue;
+                    return true;
                 }
                 pending.attempt += 1;
-                match self.backoff.delay(pending.attempt) {
+                match backoff.delay(pending.attempt) {
                     Some(d) => {
                         pending.due_ms = now_ms + d.as_millis();
-                        retransmit.push((src, dst, seq, pending.attempt, clone_flit(&pending.flit)));
+                        medium.stats.count("trunk.retransmits");
+                        medium.transmit(src, dst, seq, pending.attempt, &pending.flit);
+                        true
                     }
-                    None => dead.push(seq),
+                    None => {
+                        expired.push((src, dst, seq, pending.flit.casualty()));
+                        false
+                    }
                 }
-            }
-            for seq in dead {
-                let pending = chan.unacked.remove(&seq).expect("collected above");
-                expired.push((src, dst, seq, pending.flit));
-            }
-        }
-        for (src, dst, seq, attempt, flit) in retransmit {
-            self.stats.count("trunk.retransmits");
-            self.transmit(src, dst, seq, attempt, &flit);
-        }
+            });
+            !chan.unacked.is_empty()
+        });
         let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for (src, dst, seq, _) in &expired {
-            self.stats.count("trunk.expired");
+        for &(src, dst, seq, _) in &expired {
+            self.medium.stats.count("trunk.expired");
             // Resynchronize the receiver past the abandoned sequence so
             // buffered later flits release instead of waiting forever.
-            let chan = self.rx.entry((*src, *dst)).or_default();
-            if chan.next_expected <= *seq {
+            let chan = self.rx.entry((src, dst)).or_default();
+            if chan.next_expected <= seq {
                 chan.next_expected = seq + 1;
-                touched.insert((*src, *dst));
-                Self::release(chan, *src, *dst, &mut self.inboxes, directory);
+                touched.insert((src, dst));
+                Self::release(chan, src, dst, &mut self.inboxes, directory);
             }
         }
 
         // 3. Reorder chaos: delayed transmissions slip behind the rest
         //    of the barrier (stable, so everything else keeps its order).
-        let mut staged = std::mem::take(&mut self.staged);
+        let mut staged = std::mem::take(&mut self.medium.staged);
         staged.sort_by_key(|s| s.delayed);
 
         // 4. Receive: duplicate suppression, out-of-order buffering,
@@ -319,37 +410,35 @@ impl TrunkFabric {
             let chan = self.rx.entry((s.src, s.dst)).or_default();
             touched.insert((s.src, s.dst));
             if s.seq < chan.next_expected || chan.buffer.contains_key(&s.seq) {
-                self.stats.count("trunk.dup_drops");
+                self.medium.stats.count("trunk.dup_drops");
                 continue;
             }
             if s.seq > chan.next_expected {
-                self.stats.observe("trunk.reorder_depth", (s.seq - chan.next_expected) as f64);
+                self.medium.stats.observe("trunk.reorder_depth", (s.seq - chan.next_expected) as f64);
             }
             chan.buffer.insert(s.seq, s.flit);
+            self.owed += 1;
             Self::release(chan, s.src, s.dst, &mut self.inboxes, directory);
         }
 
         // 5. Abandonment notices to the sender shards, after any
         //    releases the resynchronization produced.
-        for (src, dst, _seq, flit) in expired {
-            let (call, global, kind) = flit.casualty();
+        for (src, dst, _seq, (call, global, kind)) in expired {
             self.inboxes[src].push((dst, Flit::TrunkExpired { peer: dst, call, global, kind }));
         }
 
-        // 6. Heal edges: the instant a pair's partition level returns to
-        //    zero, both ends learn the trunk is back.
-        for a in 0..self.shards {
-            for b in (a + 1)..self.shards {
-                let idx = a * self.shards + b;
-                let level = self.plans[idx].level_at(TrunkFaultClass::Partition, now_ms);
-                let partitioned = level > 0.0;
-                if self.was_partitioned[idx] && !partitioned {
-                    self.stats.count("trunk.heals");
-                    self.inboxes[a].push((b, Flit::TrunkHeal { peer: b }));
-                    self.inboxes[b].push((a, Flit::TrunkHeal { peer: a }));
-                }
-                self.was_partitioned[idx] = partitioned;
+        // 6. Heal edges: at the first barrier that samples a pair's
+        //    partition level back at zero, both ends learn the trunk is
+        //    back.
+        while let Some(&(at_ms, a, b)) = self.heals.get(self.next_heal) {
+            if at_ms > now_ms {
+                break;
             }
+            self.next_heal += 1;
+            self.medium.stats.count("trunk.heals");
+            self.inboxes[a].push((b, Flit::TrunkHeal { peer: b }));
+            self.inboxes[b].push((a, Flit::TrunkHeal { peer: a }));
+            self.owed += 2;
         }
 
         // 7. Cumulative acks for every channel that heard anything this
@@ -357,12 +446,12 @@ impl TrunkFabric {
         //    next barrier.
         for (src, dst) in touched {
             let cum = self.rx[&(src, dst)].next_expected;
-            let plan = self.plan(src, dst);
+            let plan = self.medium.plan(src, dst);
             let p_part = plan.level_at(TrunkFaultClass::Partition, now_ms);
             let p_loss = plan.level_at(TrunkFaultClass::Loss, now_ms);
             let p_drop = 1.0 - (1.0 - p_part) * (1.0 - p_loss);
-            if self.draw(mix_salt(SALT_ACK, now_ms), dst, src, cum, 0) < p_drop {
-                self.stats.count("trunk.acks_dropped");
+            if self.medium.draw(mix_salt(SALT_ACK, now_ms), dst, src, cum, 0) < p_drop {
+                self.medium.stats.count("trunk.acks_dropped");
                 continue;
             }
             self.acks.push((src, dst, cum));
@@ -370,7 +459,8 @@ impl TrunkFabric {
     }
 
     /// Releases every in-sequence buffered flit on `(src → dst)` into
-    /// the destination inbox, observing the HLR directory at delivery.
+    /// the destination inbox (buffer to inbox: `owed` does not move),
+    /// observing the HLR directory at delivery.
     fn release(
         chan: &mut RxChannel,
         src: usize,
@@ -380,14 +470,16 @@ impl TrunkFabric {
     ) {
         while let Some(flit) = chan.buffer.remove(&chan.next_expected) {
             chan.next_expected += 1;
-            directory.observe(src, &Envelope { to_shard: dst, flit: clone_flit(&flit) });
+            directory.observe(src, dst, &flit);
             inboxes[dst].push((src, flit));
         }
     }
 
     /// Takes everything queued for `shard`, in delivery order.
     pub fn take_inbox(&mut self, shard: usize) -> Vec<(usize, Flit)> {
-        std::mem::take(&mut self.inboxes[shard])
+        let inbox = std::mem::take(&mut self.inboxes[shard]);
+        self.owed -= inbox.len();
+        inbox
     }
 
     /// Work still owed by the fabric: undelivered inbox entries plus —
@@ -395,26 +487,17 @@ impl TrunkFabric {
     /// arrivals and in-flight acks. The engine keeps epoching while any
     /// of these remain, so retransmission ladders always resolve.
     pub fn in_flight(&self) -> usize {
-        self.inboxes.iter().map(Vec::len).sum::<usize>()
-            + self.tx.values().map(|c| c.unacked.len()).sum::<usize>()
-            + self.rx.values().map(|c| c.buffer.len()).sum::<usize>()
-            + self.acks.len()
+        self.owed + self.acks.len()
     }
-}
-
-/// `Flit` is `Clone`, but spelled out so a future non-cloneable payload
-/// shows up here instead of deep in the fabric.
-fn clone_flit(flit: &Flit) -> Flit {
-    flit.clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mailbox::{ExpiredKind, Mailbox};
-    use vgprs_faults::TrunkPlanConfig;
+    use vgprs_faults::TrunkWindow;
 
-    const EPOCH: u64 = crate::mailbox::EPOCH_MS;
+    const EPOCH: u64 = EPOCH_MS;
 
     fn arrive(to_shard: usize, global: usize) -> Envelope {
         Envelope { to_shard, flit: Flit::Arrive { global } }
@@ -422,6 +505,60 @@ mod tests {
 
     fn directory() -> HlrDirectory {
         HlrDirectory::new(&[(0, 8), (8, 8)])
+    }
+
+    fn partition_window(at_ms: u64, duration_ms: u64, ramp_ms: u64) -> TrunkWindow {
+        TrunkWindow { at_ms, duration_ms, class: TrunkFaultClass::Partition, level: 1.0, ramp_ms }
+    }
+
+    /// An armed two-shard fabric whose only pair carries `windows`.
+    fn two_shard_fabric(windows: Vec<TrunkWindow>) -> TrunkFabric {
+        let mut plans = vec![TrunkPlan::default(); 4];
+        plans[1].windows = windows;
+        TrunkFabric::with_plans(2, 42, plans)
+    }
+
+    /// The heal rule as the barrier used to evaluate it — every pair's
+    /// partition level sampled at every barrier against the previous
+    /// sample, pairs in ascending `(a, b)` — kept as the reference the
+    /// agenda is checked against. Returns the `(barrier_ms, a, b)` edges.
+    fn sampled_heals(shards: usize, plans: &[TrunkPlan], barriers: u64) -> Vec<(u64, usize, usize)> {
+        let mut was_partitioned = vec![false; shards * shards];
+        let mut edges = Vec::new();
+        for k in 1..=barriers {
+            let now_ms = k * EPOCH;
+            for a in 0..shards {
+                for b in (a + 1)..shards {
+                    let idx = a * shards + b;
+                    let level = plans[idx].level_at(TrunkFaultClass::Partition, now_ms);
+                    let partitioned = level > 0.0;
+                    if was_partitioned[idx] && !partitioned {
+                        edges.push((now_ms, a, b));
+                    }
+                    was_partitioned[idx] = partitioned;
+                }
+            }
+        }
+        edges
+    }
+
+    /// `in_flight` as it used to be computed: every inbox, every tx and
+    /// rx channel, summed.
+    fn recounted_in_flight(f: &TrunkFabric) -> usize {
+        f.inboxes.iter().map(Vec::len).sum::<usize>()
+            + f.tx.values().map(|c| c.unacked.len()).sum::<usize>()
+            + f.rx.values().map(|c| c.buffer.len()).sum::<usize>()
+            + f.acks.len()
+    }
+
+    /// The channels a walk over all of `tx` would find work on.
+    fn live_by_scan(f: &TrunkFabric) -> BTreeSet<(usize, usize)> {
+        f.tx.iter().filter(|(_, c)| !c.unacked.is_empty()).map(|(&k, _)| k).collect()
+    }
+
+    fn assert_books_balance(f: &TrunkFabric, when: &str) {
+        assert_eq!(f.in_flight(), recounted_in_flight(f), "in_flight drifted after {when}");
+        assert_eq!(f.live, live_by_scan(f), "live-channel index drifted after {when}");
     }
 
     /// Disarmed, the fabric must be byte-for-byte the bare mailbox:
@@ -436,7 +573,7 @@ mod tests {
         let posts = vec![arrive(1, 2), arrive(1, 3)];
         fabric.post(0, posts.clone(), &mut dir_f);
         for env in posts {
-            dir_m.observe(0, &env);
+            dir_m.observe(0, env.to_shard, &env.flit);
             mb.post(0, vec![env]);
         }
         fabric.seal(EPOCH, &mut dir_f);
@@ -489,17 +626,7 @@ mod tests {
     fn exhausted_retransmission_resolves_and_leaks_nothing() {
         // A plan whose partition covers the whole run: one synthetic
         // window, full drop, no ramp.
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::default(), 300);
-        fabric.armed = true;
-        fabric.plans = vec![TrunkPlan::default(); 4];
-        fabric.was_partitioned = vec![false; 4];
-        fabric.plans[1].windows.push(vgprs_faults::TrunkWindow {
-            at_ms: 0,
-            duration_ms: u64::MAX / 2,
-            class: TrunkFaultClass::Partition,
-            level: 1.0,
-            ramp_ms: 0,
-        });
+        let mut fabric = two_shard_fabric(vec![partition_window(0, u64::MAX / 2, 0)]);
         let mut dir = directory();
         fabric.post(0, vec![arrive(1, 3)], &mut dir);
         let budget_ms = retransmit_backoff().total_budget().as_millis();
@@ -620,17 +747,7 @@ mod tests {
     /// A heal edge notifies both ends exactly once per closed window.
     #[test]
     fn partition_heal_notifies_both_ends() {
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::default(), 300);
-        fabric.armed = true;
-        fabric.plans = vec![TrunkPlan::default(); 4];
-        fabric.was_partitioned = vec![false; 4];
-        fabric.plans[1].windows.push(vgprs_faults::TrunkWindow {
-            at_ms: 100,
-            duration_ms: 200,
-            class: TrunkFaultClass::Partition,
-            level: 1.0,
-            ramp_ms: 50,
-        });
+        let mut fabric = two_shard_fabric(vec![partition_window(100, 200, 50)]);
         let mut dir = directory();
         for k in 1..=10u64 {
             fabric.seal(k * EPOCH, &mut dir);
@@ -640,5 +757,152 @@ mod tests {
         let b: Vec<_> = fabric.take_inbox(1);
         assert!(matches!(a.as_slice(), [(1, Flit::TrunkHeal { peer: 1 })]));
         assert!(matches!(b.as_slice(), [(0, Flit::TrunkHeal { peer: 0 })]));
+    }
+
+    /// A window that never ends is one agenda entry that never comes
+    /// due, not a loop to the end of time and not an overflow.
+    #[test]
+    fn endless_window_builds_an_empty_agenda() {
+        for ramp_ms in [0, 400] {
+            let mut fabric = two_shard_fabric(vec![partition_window(120, u64::MAX, ramp_ms)]);
+            assert!(fabric.heals.is_empty(), "a heal at the end of time was scheduled");
+            let mut dir = directory();
+            for k in 1..=20 {
+                fabric.seal(k * EPOCH, &mut dir);
+            }
+            assert_eq!(fabric.stats().counter("trunk.heals"), 0);
+        }
+    }
+
+    /// Random partition geometry for one differential case: windows on
+    /// and off the 50 ms grid, square and ramped, empty, overlapping,
+    /// back to back, starting at 0 and outliving the last barrier, with
+    /// other classes mixed in that must not matter.
+    fn random_plans(shards: usize, rng: &mut SimRng, horizon_ms: u64) -> Vec<TrunkPlan> {
+        let mut plans = vec![TrunkPlan::default(); shards * shards];
+        for a in 0..shards {
+            for b in (a + 1)..shards {
+                let windows = &mut plans[a * shards + b].windows;
+                let mut prev_end = 0;
+                for _ in 0..rng.range(0, 5) {
+                    let at_ms = match rng.range(0, 5) {
+                        0 => prev_end,
+                        1 => rng.range(0, horizon_ms / EPOCH) * EPOCH,
+                        2 => 0,
+                        _ => rng.range(0, horizon_ms),
+                    };
+                    let duration_ms = match rng.range(0, 6) {
+                        0 => 0,
+                        1 => rng.range(1, 8) * EPOCH,
+                        2 => (rng.range(1, 8) * EPOCH).saturating_sub(at_ms % EPOCH),
+                        3 => u64::MAX - rng.range(0, 2_000),
+                        _ => rng.range(1, 700),
+                    };
+                    let ramp_ms = if rng.range(0, 2) == 0 { 0 } else { rng.range(1, 400) };
+                    let class = match rng.range(0, 4) {
+                        0 => TrunkFaultClass::Loss,
+                        _ => TrunkFaultClass::Partition,
+                    };
+                    let level = [0.0, 0.3, 1.0, 1.0][rng.range(0, 4) as usize];
+                    let w = TrunkWindow { at_ms, duration_ms, class, level, ramp_ms };
+                    prev_end = w.end_ms();
+                    windows.push(w);
+                }
+            }
+        }
+        plans
+    }
+
+    /// The agenda against the sampled all-pairs scan it replaced: same
+    /// heal edges in the same order, same inbox contents at every
+    /// barrier.
+    #[test]
+    fn heal_agenda_matches_the_sampled_scan() {
+        const BARRIERS: u64 = 80;
+        let horizon_ms = BARRIERS * EPOCH;
+        let mut edges_seen = 0;
+        for (shards, cases) in [(2, 400), (5, 100), (64, 3)] {
+            for case in 0..cases {
+                let mut rng = SimRng::derive(0xA6E7DA, (shards as u64) << 32 | case);
+                let plans = random_plans(shards, &mut rng, horizon_ms);
+                let edges = sampled_heals(shards, &plans, BARRIERS);
+                edges_seen += edges.len();
+
+                let mut fabric = TrunkFabric::with_plans(shards, 1, plans);
+                let due: Vec<_> =
+                    fabric.heals.iter().copied().filter(|&(ms, ..)| ms <= horizon_ms).collect();
+                assert_eq!(due, edges, "agenda differs: {shards} shards, case {case}");
+
+                let mut dir = HlrDirectory::new(&[(0, 1)]);
+                for k in 1..=BARRIERS {
+                    fabric.seal(k * EPOCH, &mut dir);
+                    assert_books_balance(&fabric, "seal");
+                    // Each edge of this barrier, in scan order, told `a` then `b`.
+                    let mut expected = vec![Vec::new(); shards];
+                    for &(_, a, b) in edges.iter().filter(|&&(ms, ..)| ms == k * EPOCH) {
+                        expected[a].push((b, b));
+                        expected[b].push((a, a));
+                    }
+                    for (shard, expected) in expected.iter().enumerate() {
+                        let got: Vec<(usize, usize)> = fabric
+                            .take_inbox(shard)
+                            .into_iter()
+                            .map(|(from, flit)| match flit {
+                                Flit::TrunkHeal { peer } => (from, peer),
+                                other => panic!("unexpected {other:?}"),
+                            })
+                            .collect();
+                        assert_eq!(&got, expected, "{shards} shards, case {case}, barrier {k}, inbox {shard}");
+                    }
+                }
+                assert_eq!(fabric.stats().counter("trunk.heals"), edges.len() as u64);
+            }
+        }
+        assert!(edges_seen > 1_000, "the generator barely produced heals: {edges_seen}");
+    }
+
+    /// `in_flight` is bookkeeping now, not a sum: walk a fabric through
+    /// full chaos — posts, seals, partial inbox drains — and after every
+    /// single call compare it (and the live-channel index) with the
+    /// recount over every inbox and channel.
+    #[test]
+    fn in_flight_matches_the_recount_through_a_chaos_walk() {
+        const SHARDS: usize = 5;
+        for seed in [3, 42] {
+            let mut fabric = TrunkFabric::new(SHARDS, seed, &TrunkPlanConfig::all(4.0), 30);
+            let mut dir = HlrDirectory::new(&[(0, 8), (8, 8), (16, 8), (24, 8), (32, 8)]);
+            let mut rng = SimRng::derive(seed, 0xB00C);
+            let mut peak = 0;
+            for k in 1..=900u64 {
+                if k <= 520 {
+                    for from in 0..SHARDS {
+                        let batch: Vec<Envelope> = (0..rng.range(0, 4))
+                            .map(|_| {
+                                let to = (from + 1 + rng.range(0, SHARDS as u64 - 1) as usize) % SHARDS;
+                                arrive(to, rng.range(0, 40) as usize)
+                            })
+                            .collect();
+                        fabric.post(from, batch, &mut dir);
+                        assert_books_balance(&fabric, "post");
+                    }
+                }
+                fabric.seal(k * EPOCH, &mut dir);
+                assert_books_balance(&fabric, "seal");
+                peak = peak.max(fabric.in_flight());
+                for shard in 0..SHARDS {
+                    // Past the traffic, drain everything so the walk ends empty.
+                    if k > 520 || rng.range(0, 3) > 0 {
+                        fabric.take_inbox(shard);
+                        assert_books_balance(&fabric, "take_inbox");
+                    }
+                }
+            }
+            assert!(peak > 20, "the walk never loaded the fabric (peak {peak})");
+            for name in ["trunk.retransmits", "trunk.dup_drops", "trunk.expired", "trunk.heals"] {
+                assert!(fabric.stats().counter(name) > 0, "{name} never fired at seed {seed}");
+            }
+            assert_eq!(fabric.in_flight(), 0, "the walk must end drained");
+            assert!(fabric.live.is_empty());
+        }
     }
 }

@@ -437,6 +437,30 @@ fn trunk_faulted_runs_are_thread_and_kernel_invariant() {
     }
 }
 
+/// The armed run, pinned. The invariance tests above compare a run with
+/// itself, so a change to the fabric's delivery order (heal push order,
+/// retransmit scan order, release order) would move every side at once
+/// and pass. These three values were printed by the binary of the
+/// commit before the barrier was rewritten (PR 14); they move only when
+/// the simulated world does, and then on purpose.
+#[test]
+fn armed_run_identity_is_pinned() {
+    const FINGERPRINT: u64 = 0xeac1_d054_4a02_1964;
+    const SNAPSHOT_FINGERPRINT: u64 = 0xb868_b6cc_e89f_d14e;
+    const EVENTS: u64 = 111_616;
+    let report = run_load(&trunk_cfg(1));
+    assert_eq!(
+        format!(
+            "{:016x} {:016x} {}",
+            report.fingerprint(),
+            report.snapshot_fingerprint(),
+            report.events
+        ),
+        format!("{FINGERPRINT:016x} {SNAPSHOT_FINGERPRINT:016x} {EVENTS}"),
+        "armed trunk run drifted from the pinned identity"
+    );
+}
+
 /// A zero-intensity trunk plan compiles to no windows, and the fabric
 /// must then be byte-transparent: same fingerprint as a run that never
 /// heard of trunk faults.
