@@ -12,35 +12,36 @@
 //!              [--snapshots-per-shard] [--snapshots-csv PATH]
 //! harness capacity [--subscribers N] [--threads N] [--seed N]
 //!                  [--max-load F] [--refine N] [--json PATH]
-//! harness kernelbench [--subscribers N] [--shards N] [--repeat N]
-//!                     [--out PATH] [--check]
 //! harness chaos [--subscribers N] [--shards N] [--threads N] [--seed N]
 //!               [--window-secs N] [--rate F] [--hold SECS] [--out PATH]
-//!               [--cross-shard-rate FRAC] [--check]
+//!               [--cross-shard-rate FRAC]
 //! harness surge [--subscribers N] [--shards N] [--threads N] [--seed N]
 //!               [--window-secs N] [--rate F] [--hold SECS]
 //!               [--gk-bandwidth N] [--paging-rate N] [--gk-shed F]
-//!               [--pdp-rate N] [--out PATH] [--check]
+//!               [--pdp-rate N] [--out PATH]
 //! harness diff BASELINE.json CANDIDATE.json [--thresholds PATH] [--json]
 //! harness diff --check [--update-baseline] [--baseline PATH]
 //!              [--thresholds PATH]
-//! harness bench
 //! ```
+//!
+//! `--threads` defaults to one worker: more never change a result (the
+//! contract `crates/load/tests/determinism.rs` holds) and on the measured
+//! workloads do not shorten a run, so they are opt-in.
 //!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
-//! capacity table by `harness capacity`, the event-kernel baseline
-//! in `BENCH_kernel.json` by `harness kernelbench`, the resilience
-//! matrix in `BENCH_chaos.json` by `harness chaos`, and the flash-crowd
-//! overload sweep in `BENCH_surge.json` by `harness surge`. `harness
+//! capacity table by `harness capacity`, the resilience matrix in
+//! `BENCH_chaos.json` by `harness chaos`, and the flash-crowd overload
+//! sweep in `BENCH_surge.json` by `harness surge`. Timing lives in
+//! `benchmark/`, and the determinism contract in
+//! `crates/load/tests/determinism.rs`; the harness hosts neither. `harness
 //! diff` compares two such dumps KPI-by-KPI against the thresholds in
 //! `diff-thresholds.toml` and exits nonzero on regression; `harness
 //! diff --check` is the verify-script gate, diffing a fresh canonical
 //! small run against the committed `baselines/load_small.json`.
-//! `harness load` exits 1, after printing the report, when the engine's
-//! epoch-cap backstop cut the run short (`load.drain_capped` > 0).
-
-use std::time::Instant;
+//! `harness load` exits 1, after printing the report, when one of the
+//! engine's backstops cut the run short (`load.drain_capped` or
+//! `load.event_capped` > 0).
 
 use vgprs_bench::diff::{compare, Thresholds};
 use vgprs_bench::experiments::{
@@ -48,9 +49,8 @@ use vgprs_bench::experiments::{
     c5_handoff_cost, interface_usage,
 };
 use vgprs_bench::harness::{
-    capacity_json, chaos_json, drain_capped_error, heading, kernelbench_json, load_config_from,
-    surge_json, threads_and_kernels_agree, write_file, Flags, KernelRun, RunDefaults, DROP_RATE,
-    INTERVENTIONS, SEED,
+    capacity_json, chaos_json, drain_capped_error, heading, load_config_from, surge_json,
+    write_file, Flags, RunDefaults, DROP_RATE, SEED,
 };
 use vgprs_bench::scenarios::{
     intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
@@ -59,7 +59,7 @@ use vgprs_load::{
     capacity_knee, run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport,
     OverloadControls, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
-use vgprs_sim::{Kernel, LadderDiagram, SimDuration};
+use vgprs_sim::{LadderDiagram, SimDuration};
 use vgprs_wire::{CallId, Command, Message};
 
 fn main() {
@@ -68,11 +68,18 @@ fn main() {
     match arg {
         "load" => return load_cmd(&args[1..]),
         "capacity" => return capacity_cmd(&args[1..]),
-        "kernelbench" => return kernelbench_cmd(&args[1..]),
+        "chaos" | "surge" if args.iter().any(|a| a == "--check") => {
+            // Ignoring the flag would run the sweep and overwrite the
+            // committed artifact.
+            eprintln!(
+                "harness {arg} takes no --check: the determinism contract is \
+                 crates/load/tests/determinism.rs, run by cargo test"
+            );
+            std::process::exit(2);
+        }
         "chaos" => return chaos_cmd(&args[1..]),
         "surge" => return surge_cmd(&args[1..]),
         "diff" => return diff_cmd(&args[1..]),
-        "bench" => return bench_cmd(),
         _ => {}
     }
     let all = arg == "all";
@@ -103,7 +110,7 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment {arg:?}; expected fig1..fig9, c1..c5, c2b, \
-             load, capacity, kernelbench, chaos, surge, diff, bench or all"
+             load, capacity, chaos, surge, diff or all"
         );
         std::process::exit(2);
     }
@@ -193,9 +200,8 @@ fn read_thresholds(flags: &Flags<'_>) -> Thresholds {
     }
 }
 
-/// The canonical small population every `--check` gate runs (`diff`
-/// against the committed baseline, `chaos` and `surge` for
-/// determinism): tiny, so each finishes in seconds.
+/// The canonical small population `diff --check` runs against the
+/// committed baseline: tiny, so the gate finishes in seconds.
 fn check_defaults() -> RunDefaults {
     RunDefaults {
         subscribers: 96,
@@ -340,90 +346,6 @@ fn capacity_cmd(rest: &[String]) {
     }
 }
 
-fn run_kernel_once(cfg: &LoadConfig, kernel: Kernel, into: &mut KernelRun) {
-    let mut cfg = cfg.clone();
-    cfg.kernel = kernel;
-    let report = run_load(&cfg);
-    into.fingerprint = report.fingerprint();
-    into.events = report.events;
-    into.wall_secs.push(report.wall.as_secs_f64().max(1e-9));
-}
-
-/// Event-kernel baseline: the busy-hour shard workload on the binary
-/// heap vs. the timer wheel. Fingerprints must be identical — the wheel
-/// is only allowed to be *faster*, never *different*. Throughput is
-/// reported, and recorded in `BENCH_kernel.json`, but never gated: this
-/// command fails only on fingerprint divergence.
-///
-/// The default population is a city-scale shard (40k subscribers): deep
-/// enough that the heap's `O(log n)` pointer-chasing sift path separates
-/// clearly from the wheel's `O(1)` slot drains, while the wheel's compact
-/// 24-byte routing keys still sit within the cache (past ~64k subscribers
-/// the whole simulation working set outgrows the LLC and both kernels
-/// flatten toward memory bandwidth).
-fn kernelbench_cmd(rest: &[String]) {
-    let flags = Flags(rest);
-    let check = flags.has("--check");
-    let cfg = LoadConfig {
-        subscribers: flags.parse("--subscribers", if check { 256 } else { 40_960 }),
-        shards: flags.parse("--shards", 1),
-        threads: 1,
-        seed: flags.parse("--seed", SEED),
-        ..LoadConfig::default()
-    };
-    let repeat: usize = flags.parse("--repeat", if check { 1 } else { 3 });
-    heading(&format!(
-        "Event-kernel baseline — {} subscribers, {} shard(s), {} repeat(s), seed {}",
-        cfg.subscribers,
-        cfg.effective_shards(),
-        repeat,
-        cfg.seed
-    ));
-    let mut heap = KernelRun {
-        kernel: Kernel::Heap,
-        fingerprint: 0,
-        events: 0,
-        wall_secs: Vec::with_capacity(repeat),
-    };
-    let mut wheel = KernelRun {
-        kernel: Kernel::Wheel,
-        fingerprint: 0,
-        events: 0,
-        wall_secs: Vec::with_capacity(repeat),
-    };
-    // Interleave the repeats (heap, wheel, heap, wheel, ...): shared
-    // machines drift, and running one kernel's block entirely before the
-    // other would fold that drift into the comparison.
-    for _ in 0..repeat {
-        run_kernel_once(&cfg, Kernel::Heap, &mut heap);
-        run_kernel_once(&cfg, Kernel::Wheel, &mut wheel);
-    }
-    for r in [&heap, &wheel] {
-        println!(
-            "  {:<6} {:>12.0} events/s  ({} events, fingerprint {:016x})",
-            r.kernel.to_string(),
-            r.events_per_sec(),
-            r.events,
-            r.fingerprint
-        );
-    }
-    let speedup = wheel.events_per_sec() / heap.events_per_sec();
-    println!("  speedup: {speedup:.2}x (wheel over heap)");
-    if heap.fingerprint != wheel.fingerprint || heap.events != wheel.events {
-        eprintln!(
-            "  KERNEL DIVERGENCE: heap {:016x} ({} events) != wheel {:016x} ({} events)",
-            heap.fingerprint, heap.events, wheel.fingerprint, wheel.events
-        );
-        std::process::exit(1);
-    }
-    println!("  fingerprints identical: the wheel reproduces the heap's schedule");
-    if !check {
-        let path = flags.get("--out").unwrap_or("BENCH_kernel.json");
-        write_file(path, &kernelbench_json(&cfg, repeat, &heap, &wheel, speedup));
-        println!("  recorded: {path}");
-    }
-}
-
 /// One cell of the chaos matrix: a fault class (or a baseline label),
 /// its intensity, and the run it produced.
 type ChaosRun = (&'static str, f64, LoadReport);
@@ -446,28 +368,11 @@ fn run_trunk_cell(base: &LoadConfig, class: Option<TrunkFaultClass>, intensity: 
     (class.map_or("trunk_baseline", TrunkFaultClass::key), intensity, run_load(&cfg))
 }
 
-/// The chaos workload with cross-shard traffic switched on: trunk
-/// faults only bite flits that actually cross a shard boundary, so the
-/// trunk rows and gates run a population where a third of the calls do.
-fn cross_shard_base(base: &LoadConfig) -> LoadConfig {
-    let mut cfg = base.clone();
-    if cfg.population.cross_shard_fraction == 0.0 {
-        cfg.population.cross_shard_fraction = 0.35;
-    }
-    cfg
-}
-
 /// Resilience matrix: every fault class at two intensities against the
 /// zero-fault baseline, on one fixed workload. Records drop rates,
 /// recovery percentiles and retry volumes in `BENCH_chaos.json`.
-/// `--check` instead verifies the determinism contract for faulted runs
-/// (thread count x kernel, plus zero-intensity equivalence) on a tiny
-/// population and exits nonzero on any divergence.
 fn chaos_cmd(rest: &[String]) {
     let flags = Flags(rest);
-    if flags.has("--check") {
-        return chaos_check(&flags);
-    }
     let base = load_config_from(
         &flags,
         &RunDefaults {
@@ -491,7 +396,12 @@ fn chaos_cmd(rest: &[String]) {
             cells.push(run_chaos_cell(&base, Some(class), intensity));
         }
     }
-    let xbase = cross_shard_base(&base);
+    // Trunk faults only bite flits that cross a shard boundary, so the
+    // trunk rows run a population where a third of the calls do.
+    let mut xbase = base.clone();
+    if xbase.population.cross_shard_fraction == 0.0 {
+        xbase.population.cross_shard_fraction = 0.35;
+    }
     let trunk_start = cells.len();
     cells.push(run_trunk_cell(&xbase, None, 0.0));
     for class in TrunkFaultClass::ALL {
@@ -544,152 +454,6 @@ fn chaos_cmd(rest: &[String]) {
     println!("  recorded: {path}");
 }
 
-/// The chaos determinism gate: a fixed fault plan must fingerprint
-/// identically at every thread count on both kernels, and a
-/// zero-intensity plan must reproduce the fault-free run exactly. The
-/// same two contracts are then enforced for the trunk fault family on a
-/// cross-shard population, plus per-class monotonicity: raising a trunk
-/// class's intensity must never reduce the damage it reports.
-fn chaos_check(flags: &Flags<'_>) {
-    let base = load_config_from(flags, &check_defaults());
-    heading(&format!(
-        "Chaos determinism check — {} subscribers, {} shards, seed {}",
-        base.subscribers,
-        base.effective_shards(),
-        base.seed
-    ));
-    let mut failed = false;
-
-    let plain = run_load(&base);
-    let zero = run_load(&LoadConfig {
-        faults: FaultPlanConfig::all(0.0),
-        ..base.clone()
-    });
-    if plain.fingerprint() == zero.fingerprint() {
-        println!(
-            "  zero-intensity == fault-free: {:016x}",
-            plain.fingerprint()
-        );
-    } else {
-        eprintln!(
-            "  ZERO-INTENSITY DIVERGENCE: fault-free {:016x} != zero-plan {:016x}",
-            plain.fingerprint(),
-            zero.fingerprint()
-        );
-        failed = true;
-    }
-
-    let faulted = LoadConfig {
-        faults: FaultPlanConfig::all(1.0),
-        ..base.clone()
-    };
-    let reference = run_load(&faulted);
-    println!(
-        "  faulted reference (1 thread, wheel): {:016x} ({} faults)",
-        reference.fingerprint(),
-        reference.kpi("resilience.faults_injected")
-    );
-    if reference.kpi("resilience.faults_injected") == 0.0 {
-        eprintln!("  NO FAULTS INJECTED: the check is vacuous");
-        failed = true;
-    }
-    failed |= !threads_and_kernels_agree(&faulted, reference.fingerprint(), "", "FAULTED");
-
-    // --- Trunk fault family, on a population with cross-shard calls ---
-    let cross = cross_shard_base(&base);
-    let plain_cross = run_load(&cross);
-    let zero_trunk = run_load(&LoadConfig {
-        trunk: TrunkPlanConfig::all(0.0),
-        ..cross.clone()
-    });
-    if plain_cross.fingerprint() == zero_trunk.fingerprint() {
-        println!(
-            "  zero-intensity trunk plan == trunk-free: {:016x}",
-            plain_cross.fingerprint()
-        );
-    } else {
-        eprintln!(
-            "  TRUNK ZERO-INTENSITY DIVERGENCE: trunk-free {:016x} != zero-plan {:016x}",
-            plain_cross.fingerprint(),
-            zero_trunk.fingerprint()
-        );
-        failed = true;
-    }
-
-    let trunk_faulted = LoadConfig {
-        trunk: TrunkPlanConfig::all(1.0),
-        ..cross
-    };
-    let trunk_reference = run_load(&trunk_faulted);
-    println!(
-        "  trunk-faulted reference (1 thread, wheel): {:016x} ({} retransmits, {} expired)",
-        trunk_reference.fingerprint(),
-        trunk_reference.trunk_retransmits(),
-        trunk_reference.trunk_expired()
-    );
-    if trunk_reference.trunk_retransmits() == 0 {
-        eprintln!("  NO TRUNK RETRANSMITS: the trunk check is vacuous");
-        failed = true;
-    }
-    failed |= !threads_and_kernels_agree(
-        &trunk_faulted,
-        trunk_reference.fingerprint(),
-        "trunk: ",
-        "TRUNK",
-    );
-
-    // Per-class graceful degradation: each class's own damage counter
-    // must not shrink when its intensity rises (prefix-superset plans
-    // make this hold by construction; the gate catches regressions).
-    for class in TrunkFaultClass::ALL {
-        let damage = |intensity: f64| {
-            run_load(&LoadConfig {
-                trunk: TrunkPlanConfig::only(class, intensity),
-                ..trunk_faulted.clone()
-            })
-            .kpi(match class {
-                TrunkFaultClass::Loss => "trunk.drops_loss",
-                TrunkFaultClass::Dup => "trunk.dup_injected",
-                TrunkFaultClass::Reorder => "trunk.reordered",
-                TrunkFaultClass::Partition => "trunk.drops_partition",
-            })
-        };
-        let (low, high) = (damage(0.3), damage(1.0));
-        if high < low {
-            eprintln!(
-                "  TRUNK NON-MONOTONE: {} damage fell from {} to {} as intensity rose",
-                class.key(),
-                low,
-                high
-            );
-            failed = true;
-        } else {
-            println!(
-                "  trunk {} monotone: {} damage at 0.3 -> {} at 1.0",
-                class.key(),
-                low,
-                high
-            );
-        }
-    }
-
-    if failed {
-        std::process::exit(1);
-    }
-    println!("  chaos determinism holds (node faults and trunk faults)");
-}
-
-/// The surge flag vocabulary shared by the sweep and the check: the
-/// base workload plus the three control knobs.
-fn surge_controls(flags: &Flags<'_>) -> OverloadControls {
-    let std = OverloadControls::standard();
-    OverloadControls {
-        paging_rate_per_s: flags.parse("--paging-rate", std.paging_rate_per_s),
-        gk_shed_utilization: flags.parse("--gk-shed", std.gk_shed_utilization),
-        pdp_rate_per_s: flags.parse("--pdp-rate", std.pdp_rate_per_s),
-    }
-}
-
 /// Runs one cell of the surge sweep: a flash-crowd intensity with the
 /// overload controls on or off, returned with the run it produced.
 fn run_surge_cell(
@@ -716,12 +480,8 @@ fn run_surge_cell(
 /// Flash-crowd overload sweep: shock intensity x {controls off, on} on
 /// one fixed workload, recording shed/throttle volumes, admission
 /// delay, peak-vs-steady drop rates and MOS in `BENCH_surge.json`.
-/// `--check` instead runs the surge determinism + monotonicity gate.
 fn surge_cmd(rest: &[String]) {
     let flags = Flags(rest);
-    if flags.has("--check") {
-        return surge_check(&flags);
-    }
     let base = load_config_from(
         &flags,
         &RunDefaults {
@@ -734,7 +494,12 @@ fn surge_cmd(rest: &[String]) {
             ..RunDefaults::default()
         },
     );
-    let controls = surge_controls(&flags);
+    let std = OverloadControls::standard();
+    let controls = OverloadControls {
+        paging_rate_per_s: flags.parse("--paging-rate", std.paging_rate_per_s),
+        gk_shed_utilization: flags.parse("--gk-shed", std.gk_shed_utilization),
+        pdp_rate_per_s: flags.parse("--pdp-rate", std.pdp_rate_per_s),
+    };
     heading(&format!(
         "Surge sweep — {} subscribers, {} shards, seed {}: shock intensity x overload controls",
         base.subscribers,
@@ -772,167 +537,6 @@ fn surge_cmd(rest: &[String]) {
     let path = flags.get("--out").unwrap_or("BENCH_surge.json");
     write_file(path, &surge_json(&base, controls, &cells));
     println!("  recorded: {path}");
-}
-
-/// The surge determinism + monotonicity gate:
-///
-/// 1. A zero-shock plan with the controls off must reproduce the plain
-///    flat busy-hour run bit-for-bit (fingerprint equality).
-/// 2. A surged, controlled run must fingerprint identically at every
-///    thread count on both kernels.
-/// 3. With the controls on, total interventions must grow monotonically
-///    with shock intensity, and must be nonzero at the top intensity.
-fn surge_check(flags: &Flags<'_>) {
-    let base = load_config_from(
-        flags,
-        &RunDefaults {
-            gk_bandwidth: 1_280,
-            ..check_defaults()
-        },
-    );
-    // Aggressive knobs so the tiny check population still trips every
-    // control within the 90 s window.
-    let controls = OverloadControls {
-        paging_rate_per_s: flags.parse("--paging-rate", 2),
-        gk_shed_utilization: flags.parse("--gk-shed", 0.5),
-        pdp_rate_per_s: flags.parse("--pdp-rate", 2),
-    };
-    heading(&format!(
-        "Surge determinism check — {} subscribers, {} shards, seed {}",
-        base.subscribers,
-        base.effective_shards(),
-        base.seed
-    ));
-    let mut failed = false;
-
-    let plain = run_load(&base);
-    let zero = run_load(&LoadConfig {
-        scenario: ScenarioConfig::flash(0.0),
-        ..base.clone()
-    });
-    if plain.fingerprint() == zero.fingerprint() {
-        println!("  zero-shock == flat busy hour: {:016x}", plain.fingerprint());
-    } else {
-        eprintln!(
-            "  ZERO-SHOCK DIVERGENCE: flat {:016x} != zero-shock plan {:016x}",
-            plain.fingerprint(),
-            zero.fingerprint()
-        );
-        failed = true;
-    }
-
-    let mut surged = base.clone();
-    surged.scenario = ScenarioConfig::flash(10.0);
-    surged.controls = controls;
-    let reference = run_load(&surged);
-    println!(
-        "  surged reference (1 thread, wheel): {:016x} ({} peak attempts)",
-        reference.fingerprint(),
-        reference.kpi("overload.attempts_peak")
-    );
-    if reference.kpi("overload.attempts_peak") == 0.0 {
-        eprintln!("  NO PEAK ATTEMPTS: the shock never materialized");
-        failed = true;
-    }
-    failed |= !threads_and_kernels_agree(&surged, reference.fingerprint(), "", "SURGE");
-
-    let mut last = None;
-    for intensity in [4.0, 10.0, 25.0] {
-        let (_, _, report) = run_surge_cell(&base, controls, intensity, true, false);
-        let interventions = report.kpi(INTERVENTIONS);
-        println!(
-            "  controls on at {:.0}x: {} interventions, peak drop {:.1}%",
-            intensity,
-            interventions,
-            report.kpi("overload.peak_drop_rate") * 100.0
-        );
-        if let Some(prev) = last {
-            if interventions < prev {
-                eprintln!(
-                    "  NON-MONOTONE: {interventions} interventions at {intensity:.0}x \
-                     after {prev} below it"
-                );
-                failed = true;
-            }
-        }
-        last = Some(interventions);
-    }
-    if last == Some(0.0) {
-        eprintln!("  CONTROLS NEVER ENGAGED: the monotonicity check is vacuous");
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!("  surge determinism and monotone degradation hold");
-}
-
-/// Instant-based micro-benchmarks (successor to the criterion benches,
-/// which required a crates-io dependency the workspace no longer has).
-fn bench_cmd() {
-    heading("Micro-benchmarks (median of 5 batches)");
-    bench("gtp_header_roundtrip", 100_000, || {
-        let h = std::hint::black_box(vgprs_wire::GtpHeader {
-            msg_type: vgprs_wire::GtpMsgType::TPdu,
-            length: 128,
-            seq: 7,
-            flow: 9,
-            tid: 0x0123_4567_89AB_CDEF,
-        });
-        let bytes = h.encode();
-        assert!(vgprs_wire::GtpHeader::decode(std::hint::black_box(&bytes)).is_ok());
-    });
-    bench("rtp_header_roundtrip", 100_000, || {
-        let p = std::hint::black_box(vgprs_wire::RtpPacket {
-            ssrc: 0xFEED,
-            seq: 1,
-            timestamp: 160,
-            payload_type: vgprs_wire::PAYLOAD_TYPE_GSM,
-            marker: true,
-            payload_len: 33,
-            call: CallId(1),
-            origin_us: 0,
-        });
-        let bytes = p.encode_header();
-        assert!(vgprs_wire::RtpPacket::decode_header(std::hint::black_box(&bytes)).is_ok());
-    });
-    bench("vgprs_full_registration", 20, || {
-        let s = SingleZone::build(SEED);
-        assert!(s.net.now() > vgprs_sim::SimTime::ZERO);
-    });
-    bench("vgprs_call_and_release", 20, || {
-        let mut s = SingleZone::build(SEED);
-        s.call_from_ms(CallId(1), SimDuration::from_secs(1));
-        s.hangup_from_ms();
-    });
-    bench("busy_hour_shard_64_subs", 3, || {
-        let report = run_load(&LoadConfig {
-            subscribers: 64,
-            shards: 1,
-            threads: 1,
-            ..LoadConfig::default()
-        });
-        assert!(report.events > 0);
-    });
-}
-
-fn bench(name: &str, iters: u32, mut f: impl FnMut()) {
-    let mut batches: Vec<f64> = (0..5)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() / iters as f64
-        })
-        .collect();
-    batches.sort_by(f64::total_cmp);
-    let median = batches[2];
-    if median >= 1e-3 {
-        println!("  {name:<28} {:>10.3} ms/iter", median * 1e3);
-    } else {
-        println!("  {name:<28} {:>10.0} ns/iter", median * 1e9);
-    }
 }
 
 fn fig1() {

@@ -1,13 +1,13 @@
 //! Shared plumbing for the `harness` binary's subcommands.
 //!
-//! Every population-scale subcommand (`load`, `capacity`, `kernelbench`,
-//! `chaos`, `surge`) parses the same flag vocabulary into a
+//! Every population-scale subcommand (`load`, `capacity`, `chaos`,
+//! `surge`) parses the same flag vocabulary into a
 //! [`LoadConfig`], prints the same banner style, and stamps the same
 //! run-metadata block into its `BENCH_*.json` artifact. Keeping the
 //! pieces here means a new subcommand cannot drift from the others.
 
 use vgprs_load::{
-    run_load, CallMix, KneeSearch, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass,
+    CallMix, KneeSearch, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass,
     TrunkPlanConfig,
 };
 use vgprs_sim::{JsonWriter, Kernel};
@@ -87,7 +87,8 @@ pub struct RunDefaults {
     pub subscribers: usize,
     /// `--shards` default (`0` = derive from population).
     pub shards: usize,
-    /// `--threads` default (`0` = machine parallelism).
+    /// `--threads` default (`0` = one; more never change a result and
+    /// have not yet shortened a run, so they are opt-in).
     pub threads: usize,
     /// `--window-secs` default.
     pub window_secs: u64,
@@ -169,19 +170,24 @@ pub fn write_file(path: &str, contents: &str) {
     }
 }
 
-/// The complaint about a run the engine's runaway backstop cut short,
-/// or `None` for a run that drained. `run_load` stops epoching at
+/// The complaint about a run one of the engine's runaway backstops cut
+/// short, or `None` for a run that drained. `run_load` stops epoching at
 /// `epoch > cap` and every shard still busy then counts
-/// `load.drain_capped`; such a report describes a world frozen
-/// mid-call, so `harness load` prints this on stderr and exits
-/// non-zero instead of passing the KPIs off as results.
+/// `load.drain_capped`; a shard network that hits its `max_events` cap
+/// inside a run call counts `load.event_capped`. Either report describes
+/// a world frozen mid-call, so `harness load` prints this on stderr and
+/// exits non-zero instead of passing the KPIs off as results.
 pub fn drain_capped_error(report: &LoadReport) -> Option<String> {
-    let shards = report.stats.counter("load.drain_capped");
-    (shards > 0).then(|| {
-        format!(
-            "error: load.drain_capped = {shards}: the engine hit its epoch cap with \
-             {shards} shard(s) still busy; the KPIs above describe a truncated run"
-        )
+    [
+        ("load.drain_capped", "shard(s) were still busy at the engine's epoch cap"),
+        ("load.event_capped", "run call(s) of a shard network hit its event cap"),
+    ]
+    .into_iter()
+    .find_map(|(counter, what)| {
+        let n = report.stats.counter(counter);
+        (n > 0).then(|| {
+            format!("error: {counter} = {n}: {n} {what}; the KPIs above describe a truncated run")
+        })
     })
 }
 
@@ -304,12 +310,6 @@ pub const SURGE_COLUMNS: &[Column] = &[
     ("mos", "mos", Fmt::Fixed(3)),
 ];
 
-/// Total overload-control interventions — the quantity that must grow
-/// monotonically with shock intensity when the controls are on.
-pub const INTERVENTIONS: &str = "overload.pages_throttled+overload.pages_shed\
-                                 +overload.gk_admission_shed+overload.pdp_deferred\
-                                 +overload.pdp_rejected";
-
 /// Writes `columns` of `report` into the open cell object, then the
 /// run fingerprint that closes every cell.
 fn write_columns(w: &mut JsonWriter, report: &LoadReport, columns: &[Column]) {
@@ -407,90 +407,4 @@ pub fn capacity_json(search: &KneeSearch, base: &LoadConfig, max_load: f64, refi
     }
     w.end();
     w.finish()
-}
-
-/// One kernel's side of the `kernelbench` comparison.
-pub struct KernelRun {
-    /// Which event kernel ran.
-    pub kernel: Kernel,
-    /// The run fingerprint (identical across repeats).
-    pub fingerprint: u64,
-    /// Simulation events per run.
-    pub events: u64,
-    /// Wall-clock seconds of each repeat.
-    pub wall_secs: Vec<f64>,
-}
-
-impl KernelRun {
-    /// Best (highest) observed throughput across the repeats.
-    pub fn events_per_sec(&self) -> f64 {
-        let best = self.wall_secs.iter().copied().fold(f64::MAX, f64::min);
-        self.events as f64 / best
-    }
-}
-
-/// `BENCH_kernel.json`: both kernels' throughput on one workload.
-pub fn kernelbench_json(
-    cfg: &LoadConfig,
-    repeat: usize,
-    heap: &KernelRun,
-    wheel: &KernelRun,
-    speedup: f64,
-) -> String {
-    let mut w = begin_artifact(Some("busy_hour_shard"), cfg);
-    w.key("shards").u64(cfg.effective_shards() as u64);
-    w.key("threads").u64(cfg.effective_threads() as u64);
-    w.key("seed").u64(cfg.seed);
-    w.key("repeats").u64(repeat as u64);
-    w.key("fingerprint").hex64(wheel.fingerprint);
-    for r in [heap, wheel] {
-        w.key(&r.kernel.to_string()).begin_inline_object();
-        w.key("events").u64(r.events);
-        w.key("events_per_sec").f64_fixed(r.events_per_sec(), 0);
-        w.key("wall_secs").begin_inline_array();
-        for &secs in &r.wall_secs {
-            w.f64_fixed(secs, 6);
-        }
-        w.end().end();
-    }
-    w.key("speedup").f64_fixed(speedup, 3);
-    w.end();
-    w.finish()
-}
-
-/// The thread-count × kernel invariance every `--check` gate shares:
-/// runs `cfg` at 1, 2 and 8 threads on both kernels (the 1-thread wheel
-/// run is the caller's `reference`) and reports each comparison,
-/// prefixing passes with `pass_prefix` and naming failures `family`.
-/// Returns true when every fingerprint equals `reference`.
-pub fn threads_and_kernels_agree(
-    cfg: &LoadConfig,
-    reference: u64,
-    pass_prefix: &str,
-    family: &str,
-) -> bool {
-    let mut agree = true;
-    for threads in [1usize, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            if threads == 1 && kernel == Kernel::Wheel {
-                continue; // that is the reference itself
-            }
-            let other = run_load(&LoadConfig {
-                threads,
-                kernel,
-                ..cfg.clone()
-            })
-            .fingerprint();
-            if other == reference {
-                println!("  {pass_prefix}{threads} thread(s) on {kernel}: identical");
-            } else {
-                eprintln!(
-                    "  {family} DIVERGENCE at {threads} thread(s) on {kernel}: \
-                     {other:016x} != {reference:016x}"
-                );
-                agree = false;
-            }
-        }
-    }
-    agree
 }

@@ -59,7 +59,9 @@ fn first_cell_members(doc: &str) -> Vec<String> {
 }
 
 /// A freshly emitted chaos / surge cell has exactly the members, in
-/// order, of the cells in the committed artifacts.
+/// order, of the cells in the committed artifacts — and the root holds
+/// no other `BENCH_*.json`: an artifact no emitter here produces is a
+/// stale number waiting to be quoted.
 #[test]
 fn emitted_cells_match_the_committed_bench_schema() {
     let cfg = LoadConfig {
@@ -69,26 +71,62 @@ fn emitted_cells_match_the_committed_bench_schema() {
         ..LoadConfig::default()
     };
     let report = run_load(&cfg);
-    assert_eq!(
-        first_cell_members(&chaos_json(&cfg, &[("baseline", 0.0, report.clone())])),
-        first_cell_members(&repo_file("BENCH_chaos.json")),
-    );
-    assert_eq!(
-        first_cell_members(&surge_json(&cfg, OverloadControls::standard(), &[(0.0, false, report)])),
-        first_cell_members(&repo_file("BENCH_surge.json")),
-    );
+    let emitted = [
+        ("BENCH_chaos.json", chaos_json(&cfg, &[("baseline", 0.0, report.clone())])),
+        ("BENCH_surge.json", surge_json(&cfg, OverloadControls::standard(), &[(0.0, false, report)])),
+    ];
+    for (file, doc) in &emitted {
+        assert_eq!(first_cell_members(doc), first_cell_members(&repo_file(file)), "{file}");
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut committed: Vec<String> = std::fs::read_dir(&root)
+        .expect("repo root lists")
+        .map(|entry| entry.expect("dir entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("BENCH_") && name.ends_with(".json"))
+        .collect();
+    committed.sort();
+    assert_eq!(committed, emitted.map(|(file, _)| file), "root BENCH_*.json vs emitters");
 }
 
 /// `harness load` exits non-zero exactly when this returns a complaint:
-/// a drained run has none, and the same report carrying the engine's
-/// `load.drain_capped` backstop counter has one naming the count.
+/// a drained run has none, and the same report carrying either of the
+/// engine's backstop counters — `load.event_capped`, `load.drain_capped`
+/// — has one naming the counter and its count.
 #[test]
 fn a_drain_capped_report_takes_the_failing_exit() {
     let mut cfg = LoadConfig { subscribers: 16, shards: 2, threads: 1, ..LoadConfig::default() };
     cfg.population.window_secs = 10;
     let mut report = run_load(&cfg);
     assert_eq!(drain_capped_error(&report), None, "a small plain run must drain");
+    assert_eq!(report.stats.counter("load.event_capped"), 0);
+    report.stats.count_by("load.event_capped", 3);
+    let complaint = drain_capped_error(&report).expect("an event-capped run must fail");
+    assert!(complaint.contains("load.event_capped = 3"), "{complaint}");
     report.stats.count_by("load.drain_capped", 2);
     let complaint = drain_capped_error(&report).expect("a capped run must fail");
     assert!(complaint.contains("load.drain_capped = 2"), "{complaint}");
+}
+
+/// A subcommand that moved out (`cargo test` holds the determinism
+/// contract, `benchmark/` the timings) is an unknown experiment like any
+/// other: exit 2, and the message names only commands that exist. The
+/// sweeps refuse the `--check` they used to take rather than run and
+/// overwrite their committed artifact.
+#[test]
+fn an_unknown_experiment_lists_the_commands_that_exist() {
+    let harness = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(args)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .output()
+            .expect("harness runs");
+        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (code, message) = harness(&["bench"]);
+    assert_eq!(code, Some(2), "{message}");
+    assert!(message.contains("load, capacity, chaos, surge, diff or all"), "{message}");
+    for sweep in ["chaos", "surge"] {
+        let (code, message) = harness(&[sweep, "--check"]);
+        assert_eq!(code, Some(2), "harness {sweep} --check: {message}");
+    }
 }

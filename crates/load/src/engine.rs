@@ -2,18 +2,16 @@
 //!
 //! The population is partitioned into a fixed number of shards — a pure
 //! function of the configuration, never of the machine — and every
-//! shard advances through the busy hour in **epoch lockstep**: a pool
-//! of worker threads pulls shards off a shared counter each epoch, and
-//! an epoch barrier exchanges cross-shard traffic through the
-//! [`Mailbox`](crate::mailbox::Mailbox). Barrier routing iterates
-//! shards in index order and delivery happens at epoch boundaries, so
-//! the interleaving of inter-shard messages — handoff dialogue, trunk
-//! voice, HLR ownership moves — is a function of the configuration and
-//! seed alone. Reports are merged in shard order, which makes the KPI
-//! output bit-identical for any `--threads`.
+//! shard advances through the busy hour in **epoch lockstep**: each
+//! epoch the shards are striped over the worker threads in contiguous
+//! chunks (one thread, the default, is a plain loop), and an epoch
+//! barrier exchanges cross-shard traffic through the [`TrunkFabric`].
+//! Barrier routing iterates shards in index order and delivery happens
+//! at epoch boundaries, so the interleaving of inter-shard messages —
+//! handoff dialogue, trunk voice, HLR ownership moves — is a function
+//! of the configuration and seed alone. Reports are merged in shard
+//! order, which makes the KPI output bit-identical for any `--threads`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use vgprs_faults::{FaultPlanConfig, TrunkPlanConfig};
@@ -40,7 +38,10 @@ pub struct LoadConfig {
     /// Changing this changes the simulated world (it is part of the
     /// experiment); changing `threads` never does.
     pub shards: usize,
-    /// Worker threads; `0` uses the machine's available parallelism.
+    /// Worker threads; `0` (the default) means one. More threads never
+    /// change a result, and on every workload measured so far they do
+    /// not shorten a run either (`load.engine.thread_speedup` in
+    /// `benchmark/README.md`), so nothing picks them implicitly.
     pub threads: usize,
     /// Master seed; every random stream in the run derives from it.
     pub seed: u64,
@@ -57,8 +58,9 @@ pub struct LoadConfig {
     pub voice_sample_ms: u64,
     /// Event kernel every shard network runs on. The timer wheel is the
     /// default; the binary heap is kept as the differential oracle
-    /// (`harness kernelbench --check`). Fingerprints are identical on
-    /// both, so this is a performance knob, never an experiment knob.
+    /// (`crates/load/tests/determinism.rs` runs every family on both).
+    /// Fingerprints are identical on both, so this is a performance
+    /// knob, never an experiment knob.
     pub kernel: Kernel,
     /// Deterministic fault-injection schedule. The all-off default
     /// compiles to empty plans, and the run is byte-identical to one
@@ -116,16 +118,10 @@ impl LoadConfig {
         }
     }
 
-    /// The worker-thread count this configuration resolves to.
+    /// The worker-thread count this configuration resolves to: what
+    /// was asked for, at least one and at most one per shard.
     pub fn effective_threads(&self) -> usize {
-        let t = if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        };
-        t.min(self.effective_shards()).max(1)
+        self.threads.clamp(1, self.effective_shards())
     }
 }
 
@@ -144,27 +140,37 @@ pub fn partition(subscribers: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Runs `worker` on a shared work counter across `threads` threads (or
-/// inline when one suffices).
-fn run_pool(threads: usize, worker: impl Fn(usize) + Sync) {
+/// Runs `work` on every item and returns the results in item order. The
+/// items are striped over up to `threads` scoped threads in contiguous
+/// chunks; one thread is a plain loop on the caller's.
+fn run_pool<T: Send, R: Send>(
+    threads: usize,
+    items: &mut [T],
+    work: impl Fn(&mut T) -> R + Sync,
+) -> Vec<R> {
     if threads <= 1 {
-        worker(0);
-    } else {
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let worker = &worker;
-                scope.spawn(move || worker(t));
-            }
-        });
+        return items.iter_mut().map(work).collect();
     }
+    let stripe = items.len().div_ceil(threads);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .chunks_mut(stripe)
+            .map(|chunk| {
+                let work = &work;
+                scope.spawn(move || chunk.iter_mut().map(work).collect::<Vec<R>>())
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("a shard worker panicked"))
+            .collect()
+    })
 }
 
-/// A shard plus its barrier-exchange buffers, lockable independently so
-/// any worker thread can carry any shard through the current epoch.
+/// A shard plus the flits the barrier has queued for its next epoch.
 struct EpochSlot {
     shard: Shard,
     inbox: Vec<(usize, Flit)>,
-    outbox: Vec<crate::mailbox::Envelope>,
 }
 
 /// Runs the configured busy hour and returns the merged report.
@@ -172,7 +178,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let shards = cfg.effective_shards();
     let threads = cfg.effective_threads();
     let parts = partition(cfg.subscribers, shards);
-    let shard_cfgs: Vec<ShardConfig> = parts
+    let mut shard_cfgs: Vec<ShardConfig> = parts
         .iter()
         .enumerate()
         .map(|(index, &(base, size))| ShardConfig {
@@ -198,13 +204,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
 
     // Phase 1: build every shard's world and register its population
     // (parallel; shards are independent until their busy hours start).
-    let slots: Vec<Mutex<Option<EpochSlot>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    run_pool(threads, |_t| loop {
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(shard_cfg) = shard_cfgs.get(index) else {
-            break;
-        };
+    let mut fleet: Vec<EpochSlot> = run_pool(threads, &mut shard_cfgs, |shard_cfg| {
         let demand = compile_demand(
             &cfg.scenario,
             cfg.seed,
@@ -216,11 +216,10 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
                 subscriber_plan_demand(&cfg.population, &demand, cfg.seed, shard_cfg.base_index + i)
             })
             .collect();
-        *slots[index].lock().expect("no panics while holding the lock") = Some(EpochSlot {
+        EpochSlot {
             shard: Shard::new(shard_cfg, &plans),
             inbox: Vec::new(),
-            outbox: Vec::new(),
-        });
+        }
     });
 
     // Phase 2: epoch lockstep. Each epoch every busy shard simulates the
@@ -235,38 +234,25 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     loop {
         let mut busy = fabric.in_flight() > 0;
         let mut cap = 0;
-        for (index, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().expect("no panics while holding the lock");
-            let s = s.as_mut().expect("phase 1 built every shard");
-            s.inbox = fabric.take_inbox(index);
-            busy |= s.shard.is_busy() || !s.inbox.is_empty();
-            cap = cap.max(s.shard.max_epoch_hint());
+        for (index, slot) in fleet.iter_mut().enumerate() {
+            slot.inbox = fabric.take_inbox(index);
+            busy |= slot.shard.is_busy() || !slot.inbox.is_empty();
+            cap = cap.max(slot.shard.max_epoch_hint());
         }
         if !busy || epoch > cap {
             // Done — or the runaway backstop tripped, in which case the
             // shards still busy count `load.drain_capped` on finish.
             break;
         }
-        let next = AtomicUsize::new(0);
-        run_pool(threads, |_t| loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(index) else {
-                break;
-            };
-            let mut s = slot.lock().expect("no panics while holding the lock");
-            let s = s.as_mut().expect("phase 1 built every shard");
-            let inbox = std::mem::take(&mut s.inbox);
-            s.outbox = s.shard.run_epoch(epoch, inbox);
+        let outboxes = run_pool(threads, &mut fleet, |slot| {
+            slot.shard.run_epoch(epoch, std::mem::take(&mut slot.inbox))
         });
         // Barrier: route in shard order so delivery order never depends
         // on which thread finished first. Disarmed, the fabric observes
         // the HLR directory at post time (the historical behavior);
         // armed, ownership is observed at *delivery*, when an
         // Arrive/Depart actually survives the trunk.
-        for (index, slot) in slots.iter().enumerate() {
-            let mut s = slot.lock().expect("no panics while holding the lock");
-            let s = s.as_mut().expect("phase 1 built every shard");
-            let outbox = std::mem::take(&mut s.outbox);
+        for (index, outbox) in outboxes.into_iter().enumerate() {
             fabric.post(index, outbox, &mut directory);
         }
         fabric.seal((epoch + 1) * EPOCH_MS, &mut directory);
@@ -275,16 +261,7 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let wall = started.elapsed();
 
     // Phase 3: seal shards in index order and merge.
-    let mut reports: Vec<ShardReport> = slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("all workers joined")
-                .expect("every shard ran")
-                .shard
-                .finish()
-        })
-        .collect();
+    let mut reports: Vec<ShardReport> = fleet.into_iter().map(|slot| slot.shard.finish()).collect();
     reports[0]
         .stats
         .count_by("load.hlr_relocations", directory.relocations());

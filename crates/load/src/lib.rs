@@ -53,15 +53,14 @@ pub mod trunk;
 pub use capacity::{capacity_knee, CapacityPoint, KneeEstimate, KneeSearch};
 pub use engine::{partition, run_load, LoadConfig};
 pub use mailbox::{
-    Envelope, ExpiredKind, Flit, HlrDirectory, Mailbox, RadioGate, TrunkGate, BORDER_CELL,
-    EPOCH_MS,
+    Envelope, ExpiredKind, Flit, HlrDirectory, RadioGate, TrunkGate, BORDER_CELL, EPOCH_MS,
 };
 pub use population::{
     subscriber_plan, subscriber_plan_demand, Arrival, CallKind, CallMix, Excursion,
     PopulationConfig, SubscriberPlan,
 };
 pub use report::LoadReport;
-pub use shard::{run_shard, Shard, ShardConfig, ShardReport};
+pub use shard::{Shard, ShardConfig, ShardReport};
 pub use snapshot::{
     window_delta, SnapshotFrame, SnapshotRecorder, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS,
 };

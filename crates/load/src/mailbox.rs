@@ -4,7 +4,8 @@
 //! leaves its home shard cannot simply be handed a `NodeId` in another
 //! network. Instead every shard runs in **epoch lockstep**: all shards
 //! simulate the same [`EPOCH_MS`] window of their busy hour, then a
-//! barrier exchanges [`Flit`]s through the [`Mailbox`]. A flit sent
+//! barrier exchanges [`Flit`]s through the
+//! [`TrunkFabric`](crate::trunk::TrunkFabric). A flit sent
 //! during epoch `k` is delivered at the start of epoch `k + 1`, iterated
 //! in (source-shard, send-order) order — a total order that depends only
 //! on the configuration and seed, never on how many worker threads
@@ -160,16 +161,21 @@ pub struct Envelope {
     pub flit: Flit,
 }
 
-/// Epoch-barrier message exchange between shards.
+/// The bare epoch-barrier exchange, kept as the reference a disarmed
+/// [`TrunkFabric`](crate::trunk::TrunkFabric) is compared against
+/// (`disarmed_fabric_matches_bare_mailbox`); the engine itself always
+/// goes through the fabric.
 ///
 /// Delivery order is total and machine-independent: inbox entries are
 /// appended in ascending source-shard order, and each source's envelopes
 /// keep their send order.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct Mailbox {
+pub(crate) struct Mailbox {
     inboxes: Vec<Vec<(usize, Flit)>>,
 }
 
+#[cfg(test)]
 impl Mailbox {
     /// An empty mailbox for `shards` shards.
     pub fn new(shards: usize) -> Self {

@@ -487,6 +487,9 @@ impl Shard {
 
         let outcome = net.run_until_quiescent();
         events += outcome.events;
+        if !outcome.quiescent {
+            net.stats_mut().count("load.event_capped");
+        }
         let registered = net
             .node::<Vmsc>(home.vmsc)
             .expect("home VMSC")
@@ -618,14 +621,10 @@ impl Shard {
         while self.sched.next_at_or_before(epoch_last).is_some() {
             let (at, action) = self.sched.pop().expect("peeked");
             let at_us = at.as_micros();
-            let outcome = self.net.run_until(SimTime::from_micros(self.t0_us + at_us));
-            self.events += outcome.events;
+            self.run_net_until(at_us);
             self.handle_action(at_us, action);
         }
-        let outcome = self
-            .net
-            .run_until(SimTime::from_micros(self.t0_us + end_rel_us));
-        self.events += outcome.events;
+        self.run_net_until(end_rel_us);
 
         self.drain_gates();
         // Sample after the epoch fully settles (gates drained) so a
@@ -634,6 +633,18 @@ impl Shard {
         // kernel, so the series inherits the run's determinism.
         self.recorder.observe(end_rel_us / 1000, self.net.stats());
         std::mem::take(&mut self.outbox)
+    }
+
+    /// Advances the network to `rel_us` after the busy hour's start. A
+    /// call the network's `max_events` cap cut short leaves events behind
+    /// the clock, so it is counted — the counter exists only then, and
+    /// `harness load` exits 1 on it.
+    fn run_net_until(&mut self, rel_us: u64) {
+        let outcome = self.net.run_until(SimTime::from_micros(self.t0_us + rel_us));
+        self.events += outcome.events;
+        if !outcome.quiescent {
+            self.net.stats_mut().count("load.event_capped");
+        }
     }
 
     fn handle_action(&mut self, at_us: u64, action: Action) {
@@ -1595,19 +1606,53 @@ impl Shard {
     }
 }
 
-/// Builds the shard's world, replays its population slice to completion
-/// and returns the merged evidence.
-///
-/// This is the standalone (no cross-shard exchange) path: envelopes a
-/// lone shard addresses to other shards are discarded, so use it only
-/// with `total_shards == 1` configurations; the engine drives
-/// [`Shard::run_epoch`] with a real mailbox instead.
-pub fn run_shard(cfg: &ShardConfig, plans: &[SubscriberPlan]) -> ShardReport {
-    let mut shard = Shard::new(cfg, plans);
-    let mut epoch = 0;
-    while shard.is_busy() && epoch <= shard.max_epoch_hint() {
-        shard.run_epoch(epoch, Vec::new());
-        epoch += 1;
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One subscriber that dials its terminal 10 ms into the window.
+    fn one_call_shard() -> Shard {
+        let cfg = ShardConfig {
+            shard_index: 0,
+            base_index: 0,
+            subscribers: 1,
+            total_shards: 1,
+            master_seed: 42,
+            population: PopulationConfig::default(),
+            tch_capacity: 64,
+            pdch_bps: 1_600_000,
+            gk_bandwidth: 100_000_000,
+            voice_sample_ms: 1_000,
+            kernel: Kernel::default(),
+            faults: FaultPlanConfig::default(),
+            scenario: ScenarioConfig::default(),
+            controls: OverloadControls::default(),
+            snapshot_secs: 0,
+        };
+        let plan = SubscriberPlan {
+            global_index: 0,
+            arrivals: vec![Arrival {
+                at_ms: 10,
+                kind: CallKind::MoToTerminal,
+                hold_ms: 5_000,
+                peer_draw: 0,
+            }],
+            excursion: None,
+        };
+        Shard::new(&cfg, &[plan])
     }
-    shard.finish()
+
+    /// A run call the network's event cap cuts short is counted; a run
+    /// that stays under the cap never creates the counter.
+    #[test]
+    fn an_event_capped_run_call_is_counted() {
+        let mut free = one_call_shard();
+        free.run_epoch(0, Vec::new());
+        assert_eq!(free.finish().stats.counter("load.event_capped"), 0);
+
+        let mut capped = one_call_shard();
+        capped.net.set_max_events(3);
+        capped.run_epoch(0, Vec::new());
+        assert_eq!(capped.finish().stats.counter("load.event_capped"), 1);
+    }
 }

@@ -1,6 +1,6 @@
 //! Partition-tolerant inter-shard trunks.
 //!
-//! The [`Mailbox`](crate::mailbox::Mailbox) of PR 2 assumed the
+//! The bare barrier mailbox of PR 2 assumed the
 //! inter-VMSC trunks between shards never lose, duplicate, reorder or
 //! partition traffic. [`TrunkFabric`] removes that assumption: it wraps
 //! the epoch barrier with a **reliable sequenced protocol** — per
@@ -299,14 +299,15 @@ impl TrunkFabric {
     }
 
     /// Posts one shard's epoch output. **Must** be called in ascending
-    /// `from_shard` order within a barrier, like `Mailbox::post`.
+    /// `from_shard` order within a barrier.
     ///
-    /// Disarmed, this *is* `Mailbox::post` plus the historical
-    /// post-time HLR observation. Armed, each envelope gets the next
-    /// sequence number on its directed channel, joins the retransmit
-    /// queue and rolls its first transmission's dice; the directory is
-    /// observed at *delivery* instead, so HLR ownership reflects what
-    /// actually arrived.
+    /// Disarmed, this is the bare mailbox's post (append to the
+    /// destination inbox) plus the historical post-time HLR
+    /// observation. Armed, each envelope gets the next sequence number
+    /// on its directed channel, joins the retransmit queue and rolls
+    /// its first transmission's dice; the directory is observed at
+    /// *delivery* instead, so HLR ownership reflects what actually
+    /// arrived.
     pub fn post(&mut self, from_shard: usize, envelopes: Vec<Envelope>, directory: &mut HlrDirectory) {
         self.owed += envelopes.len();
         if !self.armed {

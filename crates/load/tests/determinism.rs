@@ -3,10 +3,66 @@
 
 use vgprs_load::{
     partition, run_load, subscriber_plan, subscriber_plan_demand, CallMix, DemandPlan,
-    FaultPlanConfig, LoadConfig, OverloadControls, PopulationConfig, ScenarioConfig,
+    FaultPlanConfig, LoadConfig, LoadReport, OverloadControls, PopulationConfig, ScenarioConfig,
     TrunkFaultClass, TrunkPlanConfig,
 };
 use vgprs_sim::Kernel;
+
+/// Everything a run may be told apart by: the run fingerprint, the
+/// snapshot-stream fingerprint, the event count and the deterministic
+/// report text.
+fn identity(report: &LoadReport) -> (u64, u64, u64, String) {
+    (
+        report.fingerprint(),
+        report.snapshot_fingerprint(),
+        report.events,
+        report.render_deterministic(),
+    )
+}
+
+/// The determinism contract, stated once: a family's configuration has
+/// one [`identity`] at every worker-thread count on both event kernels.
+/// The reference is one thread on the wheel; the first round of the loop
+/// is its rerun, the other five are the remaining `{1,2,8} x {wheel,heap}`
+/// combinations.
+fn assert_invariant(family: &str, cfg: fn(usize) -> LoadConfig) {
+    let reference = identity(&run_load(&cfg(1)));
+    for threads in [1, 2, 8] {
+        for kernel in [Kernel::Wheel, Kernel::Heap] {
+            let other = identity(&run_load(&LoadConfig {
+                kernel,
+                ..cfg(threads)
+            }));
+            assert_eq!(
+                reference, other,
+                "{family} diverged at {threads} thread(s) on {kernel}"
+            );
+        }
+    }
+}
+
+/// The family table: each row is one `#[test]` holding a named
+/// configuration to [`assert_invariant`].
+macro_rules! invariant_families {
+    ($($test:ident: $family:literal => $cfg:expr;)*) => {
+        $(
+            #[test]
+            fn $test() {
+                assert_invariant($family, $cfg);
+            }
+        )*
+    };
+}
+
+invariant_families! {
+    thread_count_does_not_change_results: "plain" => small_cfg;
+    cross_shard_results_are_thread_invariant: "cross@4" => |threads| cross_cfg(threads, 4);
+    cross_shard_results_are_thread_invariant_at_16_shards: "cross@16" => |threads| cross_cfg(threads, 16);
+    faulted_runs_are_thread_and_kernel_invariant: "faults" => chaos_cfg;
+    surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
+    trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
+    snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
+}
 
 fn small_cfg(threads: usize) -> LoadConfig {
     LoadConfig {
@@ -30,33 +86,11 @@ fn small_cfg(threads: usize) -> LoadConfig {
     }
 }
 
-/// Same master seed, 1 vs 2 vs 8 worker threads: the merged KPI report
-/// and its fingerprint are bit-identical.
-#[test]
-fn thread_count_does_not_change_results() {
-    let base = run_load(&small_cfg(1));
-    for threads in [2, 8] {
-        let other = run_load(&small_cfg(threads));
-        assert_eq!(
-            base.render_deterministic(),
-            other.render_deterministic(),
-            "KPI text diverged between 1 and {threads} threads"
-        );
-        assert_eq!(
-            base.fingerprint(),
-            other.fingerprint(),
-            "fingerprint diverged between 1 and {threads} threads"
-        );
-    }
-}
-
-/// Same configuration twice: identical down to the fingerprint.
+/// Two runs on two threads each agree with each other (the helper's
+/// rerun is of its one-thread reference).
 #[test]
 fn reruns_are_identical() {
-    let a = run_load(&small_cfg(2));
-    let b = run_load(&small_cfg(2));
-    assert_eq!(a.render_deterministic(), b.render_deterministic());
-    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(identity(&run_load(&small_cfg(2))), identity(&run_load(&small_cfg(2))));
 }
 
 /// A different master seed must actually change something.
@@ -134,31 +168,7 @@ fn cross_cfg(threads: usize, shards: usize) -> LoadConfig {
     }
 }
 
-/// The tentpole property: with inter-shard traffic flowing — handoff
-/// MAP dialogues, rerouted trunk voice, HLR relocations — the merged
-/// report is still bit-identical for every worker-thread count, at
-/// more than one shard count.
-#[test]
-fn cross_shard_results_are_thread_invariant() {
-    for shards in [4, 16] {
-        let base = run_load(&cross_cfg(1, shards));
-        for threads in [2, 8] {
-            let other = run_load(&cross_cfg(threads, shards));
-            assert_eq!(
-                base.render_deterministic(),
-                other.render_deterministic(),
-                "KPI text diverged between 1 and {threads} threads at {shards} shards"
-            );
-            assert_eq!(
-                base.fingerprint(),
-                other.fingerprint(),
-                "fingerprint diverged between 1 and {threads} threads at {shards} shards"
-            );
-        }
-    }
-}
-
-/// The cross-shard machinery must actually fire: the run above is only
+/// The cross-shard machinery must actually fire: the cross families are only
 /// meaningful if the mailbox carried real handoffs and HLR moves.
 #[test]
 fn cross_shard_traffic_actually_flows() {
@@ -190,45 +200,16 @@ fn cross_shard_traffic_actually_flows() {
     );
 }
 
-/// Rerunning a cross-shard configuration reproduces it exactly.
+/// The same with flits crossing the barrier between the two workers.
 #[test]
 fn cross_shard_reruns_are_identical() {
-    let a = run_load(&cross_cfg(2, 4));
-    let b = run_load(&cross_cfg(2, 4));
-    assert_eq!(a.render_deterministic(), b.render_deterministic());
-    assert_eq!(a.fingerprint(), b.fingerprint());
+    assert_eq!(identity(&run_load(&cross_cfg(2, 4))), identity(&run_load(&cross_cfg(2, 4))));
 }
 
 fn chaos_cfg(threads: usize) -> LoadConfig {
     LoadConfig {
         faults: FaultPlanConfig::all(1.0),
         ..small_cfg(threads)
-    }
-}
-
-/// Fault injection rides the same deterministic rails as everything
-/// else: a fixed fault plan produces bit-identical reports at every
-/// worker-thread count, on both event kernels.
-#[test]
-fn faulted_runs_are_thread_and_kernel_invariant() {
-    let base = run_load(&chaos_cfg(1));
-    for threads in [2, 8] {
-        for kernel in [vgprs_sim::Kernel::Wheel, vgprs_sim::Kernel::Heap] {
-            let other = run_load(&LoadConfig {
-                kernel,
-                ..chaos_cfg(threads)
-            });
-            assert_eq!(
-                base.render_deterministic(),
-                other.render_deterministic(),
-                "faulted KPI text diverged at {threads} threads on {kernel:?}"
-            );
-            assert_eq!(
-                base.fingerprint(),
-                other.fingerprint(),
-                "faulted fingerprint diverged at {threads} threads on {kernel:?}"
-            );
-        }
     }
 }
 
@@ -241,8 +222,7 @@ fn zero_intensity_faults_change_nothing() {
         faults: FaultPlanConfig::all(0.0),
         ..small_cfg(2)
     });
-    assert_eq!(plain.render_deterministic(), zero.render_deterministic());
-    assert_eq!(plain.fingerprint(), zero.fingerprint());
+    assert_eq!(identity(&plain), identity(&zero));
 }
 
 /// The chaos configuration must actually hurt — and the recovery
@@ -310,37 +290,6 @@ fn surge_cfg(threads: usize) -> LoadConfig {
     }
 }
 
-/// A flash-crowd run with every overload control active is still a pure
-/// function of the configuration: thread count and timer kernel must
-/// not move a single bit of the report.
-#[test]
-fn surged_runs_are_thread_and_kernel_invariant() {
-    let base = run_load(&surge_cfg(1));
-    assert!(
-        base.kpi("overload.attempts_peak") > 0.0,
-        "the shock never produced peak attempts:\n{}",
-        base.render_deterministic()
-    );
-    for threads in [2, 8] {
-        for kernel in [Kernel::Heap, Kernel::Wheel] {
-            let other = run_load(&LoadConfig {
-                kernel,
-                ..surge_cfg(threads)
-            });
-            assert_eq!(
-                base.render_deterministic(),
-                other.render_deterministic(),
-                "surged KPI text diverged at {threads} threads on {kernel}"
-            );
-            assert_eq!(
-                base.fingerprint(),
-                other.fingerprint(),
-                "surged fingerprint diverged at {threads} threads on {kernel}"
-            );
-        }
-    }
-}
-
 /// A zero-shock demand plan with the controls off must reproduce the
 /// flat busy hour exactly — the scenario machinery may not spend a
 /// single RNG draw or reorder a single event when it has nothing to do.
@@ -351,8 +300,7 @@ fn zero_shock_plan_reproduces_flat_run() {
         scenario: ScenarioConfig::flash(0.0),
         ..small_cfg(2)
     });
-    assert_eq!(flat.render_deterministic(), zero.render_deterministic());
-    assert_eq!(flat.fingerprint(), zero.fingerprint());
+    assert_eq!(identity(&flat), identity(&zero));
 }
 
 /// The flat-plan fast path of `subscriber_plan_demand` is byte-for-byte
@@ -382,6 +330,11 @@ fn overload_kpis_monotone_in_intensity() {
             scenario: ScenarioConfig::flash(intensity),
             ..surge_cfg(2)
         });
+        assert!(
+            r.kpi("overload.attempts_peak") > 0.0,
+            "the {intensity}x shock never produced peak attempts:\n{}",
+            r.render_deterministic()
+        );
         let interventions = r.kpi(
             "overload.pages_throttled+overload.pages_shed+overload.gk_admission_shed\
              +overload.pdp_deferred+overload.pdp_rejected",
@@ -408,32 +361,6 @@ fn trunk_cfg(threads: usize) -> LoadConfig {
     LoadConfig {
         trunk: TrunkPlanConfig::all(1.0),
         ..cross_cfg(threads, 4)
-    }
-}
-
-/// The tentpole property: a trunk-faulted run — retransmissions, dup
-/// suppression, reorder buffering, partition teardowns and heals — is
-/// bit-identical at every worker-thread count on both event kernels.
-#[test]
-fn trunk_faulted_runs_are_thread_and_kernel_invariant() {
-    let base = run_load(&trunk_cfg(1));
-    for threads in [2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            let other = run_load(&LoadConfig {
-                kernel,
-                ..trunk_cfg(threads)
-            });
-            assert_eq!(
-                base.render_deterministic(),
-                other.render_deterministic(),
-                "trunk-faulted KPI text diverged at {threads} threads on {kernel}"
-            );
-            assert_eq!(
-                base.fingerprint(),
-                other.fingerprint(),
-                "trunk-faulted fingerprint diverged at {threads} threads on {kernel}"
-            );
-        }
     }
 }
 
@@ -471,8 +398,7 @@ fn zero_intensity_trunk_plan_changes_nothing() {
         trunk: TrunkPlanConfig::all(0.0),
         ..cross_cfg(2, 4)
     });
-    assert_eq!(plain.render_deterministic(), zero.render_deterministic());
-    assert_eq!(plain.fingerprint(), zero.fingerprint());
+    assert_eq!(identity(&plain), identity(&zero));
 }
 
 /// The trunk chaos must actually hurt — and the reliable-delivery
@@ -500,6 +426,36 @@ fn trunk_chaos_bites_and_recovery_runs() {
         "no out-of-order arrival was ever buffered:\n{}",
         r.render_deterministic()
     );
+}
+
+/// Per-class graceful degradation at run level: raising one trunk class
+/// from intensity 0.3 to 1.0 never shrinks that class's own damage
+/// counter (the plans are prefix-supersets by construction; this catches
+/// a regression of that), and at 1.0 the class does bite.
+#[test]
+fn trunk_damage_is_monotone_in_intensity() {
+    for class in TrunkFaultClass::ALL {
+        let counter = match class {
+            TrunkFaultClass::Loss => "trunk.drops_loss",
+            TrunkFaultClass::Dup => "trunk.dup_injected",
+            TrunkFaultClass::Reorder => "trunk.reordered",
+            TrunkFaultClass::Partition => "trunk.drops_partition",
+        };
+        let damage = |intensity: f64| {
+            run_load(&LoadConfig {
+                trunk: TrunkPlanConfig::only(class, intensity),
+                ..cross_cfg(2, 4)
+            })
+            .kpi(counter)
+        };
+        let (low, high) = (damage(0.3), damage(1.0));
+        assert!(
+            low <= high,
+            "{counter} fell from {low} to {high} as {} intensity rose",
+            class.key()
+        );
+        assert!(high > 0.0, "{} at full intensity never bit", class.key());
+    }
 }
 
 /// Healed-partition convergence: under partition-only chaos, every
@@ -580,48 +536,6 @@ fn snapshot_cfg(threads: usize) -> LoadConfig {
     }
 }
 
-/// The tentpole property: the snapshot stream — frame times, counters,
-/// histograms, the composite fingerprint — is bit-identical across
-/// worker-thread counts and event kernels, exactly like the end-of-run
-/// report it samples.
-#[test]
-fn snapshot_stream_is_thread_and_kernel_invariant() {
-    let base = run_load(&snapshot_cfg(1));
-    assert!(
-        base.snapshots.len() >= 3,
-        "90 s at a 30 s cadence must yield at least 3 frames, got {}",
-        base.snapshots.len()
-    );
-    for threads in [1, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            let other = run_load(&LoadConfig {
-                kernel,
-                ..snapshot_cfg(threads)
-            });
-            assert_eq!(
-                base.snapshot_fingerprint(),
-                other.snapshot_fingerprint(),
-                "snapshot fingerprint diverged at {threads} threads on {kernel}"
-            );
-            assert_eq!(
-                base.snapshots.len(),
-                other.snapshots.len(),
-                "frame count diverged at {threads} threads on {kernel}"
-            );
-            for (a, b) in base.snapshots.iter().zip(&other.snapshots) {
-                assert_eq!(a.at_ms, b.at_ms);
-                assert_eq!(a.counters, b.counters);
-                assert_eq!(
-                    a,
-                    b,
-                    "frame at {} ms diverged at {threads} threads on {kernel}",
-                    a.at_ms
-                );
-            }
-        }
-    }
-}
-
 /// The synthesized aggregate frame must agree with the end-of-run
 /// summary KPIs *exactly* — bit-equal floats, not approximately — since
 /// both are computed from the same merged stats.
@@ -656,6 +570,11 @@ fn snapshot_aggregate_equals_summary_kpis() {
 #[test]
 fn snapshot_frames_are_monotone_cumulative() {
     let r = run_load(&snapshot_cfg(2));
+    assert!(
+        r.snapshots.len() >= 3,
+        "90 s at a 30 s cadence must yield at least 3 frames, got {}",
+        r.snapshots.len()
+    );
     let mut prev: Option<&vgprs_load::SnapshotFrame> = None;
     for frame in &r.snapshots {
         assert_eq!(frame.at_ms % 30_000, 0, "off-grid frame at {} ms", frame.at_ms);

@@ -20,7 +20,8 @@ use crate::wheel::CalendarWheel;
 /// Which event-queue implementation a [`Network`](crate::Network) runs on.
 ///
 /// The wheel is the default; the heap is retained as the differential
-/// oracle the wheel is checked against (`harness kernelbench --check`)
+/// oracle the wheel is checked against (`crates/sim/tests/differential.rs`
+/// at network level, `crates/load/tests/determinism.rs` at run level)
 /// and as a fallback. Both produce bit-identical schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {

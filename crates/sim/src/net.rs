@@ -318,12 +318,6 @@ impl<M: Payload> Network<M> {
         }
     }
 
-    /// Processes events for `span` of simulated time from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) -> RunOutcome {
-        let deadline = self.now + span;
-        self.run_until(deadline)
-    }
-
     /// Processes a single event. Returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
@@ -487,11 +481,6 @@ impl<M: Payload> Network<M> {
     /// The current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Pending (not yet processed) events.

@@ -10,32 +10,15 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cross-shard determinism suite (release)"
-# The thread-invariance property is the load engine's core promise;
-# run it in release too so the optimized schedule is also covered.
+echo "==> determinism contract (release)"
+# Same config + seed => same bits at every --threads on both kernels is
+# the load engine's core promise, and crates/load/tests/determinism.rs is
+# its one statement: every family (plain, cross-shard, faults, surge,
+# trunk chaos, snapshots) at {1,2,8} threads x {wheel,heap} plus a rerun,
+# the zero-plan identities and the monotone-damage checks. `cargo test`
+# above ran it in debug; run it in release too so the optimized schedule
+# is also covered.
 cargo test --release -q -p vgprs-load --test determinism
-
-echo "==> event-kernel differential smoke (heap vs wheel fingerprints)"
-# A tiny busy-hour run on both kernels; fails only if the wheel's
-# schedule diverges from the heap oracle. Throughput is not gated here.
-cargo run --release -q -p vgprs-bench --bin harness -- kernelbench --check
-
-echo "==> chaos determinism smoke (node + trunk faults: threads x kernels + zero plan)"
-# A fixed fault plan — node faults and the four inter-shard trunk
-# classes (loss, dup, reorder, partition) — must fingerprint
-# identically at every thread count on both kernels, a zero-intensity
-# plan must reproduce the fault-free run byte for byte (trunk fabric
-# disarmed is the bare mailbox), a reference trunk run must actually
-# retransmit (non-vacuity), and per-class trunk damage must be
-# monotone in intensity.
-cargo run --release -q -p vgprs-bench --bin harness -- chaos --check
-
-echo "==> surge determinism + monotonicity smoke (flash crowds + overload controls)"
-# A surged, controlled run must fingerprint identically at every thread
-# count on both kernels, a zero-shock plan must reproduce the flat busy
-# hour byte for byte, and overload-control interventions must grow
-# monotonically with shock intensity.
-cargo run --release -q -p vgprs-bench --bin harness -- surge --check
 
 echo "==> KPI regression gate (fresh small run vs committed baseline)"
 # A fresh canonical small-population run is structurally diffed against
