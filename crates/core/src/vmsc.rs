@@ -187,8 +187,9 @@ struct VmscCall {
     /// Inter-MSC leg after handoff (anchor side), or toward the anchor
     /// (target side).
     e_leg: Option<(NodeId, Cic)>,
-    /// True if this VMSC is the handoff *target* for the call.
-    target_role: bool,
+    /// Set if this VMSC is the handoff *target* for the call: the radio
+    /// connection the MS arrived on.
+    target_conn: Option<ConnRef>,
     /// Outstanding admission guard (resilience mode).
     arq_guard: Option<ArqGuard>,
     /// Outstanding setup supervision timer (resilience mode).
@@ -247,8 +248,6 @@ pub struct Vmsc {
     by_tmsi: HashMap<Tmsi, Imsi>,
     conn_of_bsc: HashMap<ConnRef, NodeId>,
     calls: HashMap<CallId, VmscCall>,
-    /// Radio connections serving target-role handoff calls.
-    by_conn_call: HashMap<ConnRef, CallId>,
     /// Handoffs prepared as target, by handover reference.
     target_handoffs: HashMap<u32, PendingTargetHandoff>,
     /// MO calls waiting for the signaling context to come back up
@@ -291,7 +290,6 @@ impl Vmsc {
             by_tmsi: HashMap::new(),
             conn_of_bsc: HashMap::new(),
             calls: HashMap::new(),
-            by_conn_call: HashMap::new(),
             target_handoffs: HashMap::new(),
             awaiting_context: Vec::new(),
             next_crv: 0,
@@ -958,7 +956,7 @@ impl Vmsc {
                         voice_pdp_requested_at: None,
                         rtp_seq: 0,
                         e_leg: None,
-                        target_role: false,
+                        target_conn: None,
                         arq_guard: None,
                         setup_guard: None,
                     },
@@ -1125,12 +1123,11 @@ impl Vmsc {
                         voice_pdp_requested_at: None,
                         rtp_seq: 0,
                         e_leg: Some((pending.anchor, pending.cic)),
-                        target_role: true,
+                        target_conn: Some(conn),
                         arq_guard: None,
                         setup_guard: None,
                     },
                 );
-                self.by_conn_call.insert(conn, call);
                 self.conn_of_bsc.insert(conn, from);
                 ctx.count("vmsc.handover_target_completed");
                 ctx.send(
@@ -1750,7 +1747,7 @@ impl Vmsc {
                         voice_pdp_requested_at: None,
                         rtp_seq: 0,
                         e_leg: None,
-                        target_role: false,
+                        target_conn: None,
                         arq_guard: None,
                         setup_guard: None,
                     },
@@ -1810,7 +1807,7 @@ impl Vmsc {
                 return;
             };
             (
-                state.target_role,
+                state.target_conn.is_some(),
                 state.e_leg,
                 state.remote_media,
                 state.imsi,
@@ -1924,24 +1921,17 @@ impl Vmsc {
         let Some(state) = self.calls.get(&call) else {
             return;
         };
-        if state.target_role {
+        if let Some(conn) = state.target_conn {
             // Deliver to the MS on our radio network.
-            let conn = self
-                .by_conn_call
-                .iter()
-                .find(|(_, &c)| c == call)
-                .map(|(conn, _)| *conn);
-            if let Some(conn) = conn {
-                self.send_a(
-                    ctx,
-                    conn,
-                    Dtap::VoiceFrame {
-                        call,
-                        seq,
-                        origin_us,
-                    },
-                );
-            }
+            self.send_a(
+                ctx,
+                conn,
+                Dtap::VoiceFrame {
+                    call,
+                    seq,
+                    origin_us,
+                },
+            );
         } else {
             // Anchor: MS roamed away; this is uplink voice from the target
             // to be carried onward as RTP.
@@ -2014,7 +2004,6 @@ impl Node<Message> for Vmsc {
                 self.by_tmsi.clear();
                 self.conn_of_bsc.clear();
                 self.calls.clear();
-                self.by_conn_call.clear();
                 self.target_handoffs.clear();
                 self.awaiting_context.clear();
                 self.ras_guard_imsi.clear();
@@ -2078,5 +2067,11 @@ impl Node<Message> for Vmsc {
             ) => self.handle_trunk_voice(ctx, call, seq, origin_us),
             _ => ctx.count("vmsc.unexpected_message"),
         }
+    }
+
+    /// The vocoder/PCU bridge maps a frame between the radio leg and the
+    /// RTP or trunk leg from the call and MS tables alone.
+    fn pure_relay(&self) -> bool {
+        true
     }
 }

@@ -310,6 +310,11 @@ impl Node<Message> for Ggsn {
             _ => ctx.count("ggsn.unexpected_message"),
         }
     }
+
+    /// Voice frames are routed on tables only signaling changes.
+    fn pure_relay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -90,6 +90,11 @@ impl Node<Message> for IpRouter {
             _ => ctx.count("router.unexpected_message"),
         }
     }
+
+    /// Voice frames are routed on tables only signaling changes.
+    fn pure_relay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

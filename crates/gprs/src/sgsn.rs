@@ -525,6 +525,11 @@ impl Node<Message> for Sgsn {
             _ => ctx.count("sgsn.unexpected_message"),
         }
     }
+
+    /// Voice frames are routed on tables only signaling changes.
+    fn pure_relay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -170,6 +170,11 @@ impl Node<Message> for Bsc {
             _ => ctx.count("bsc.unexpected_message"),
         }
     }
+
+    /// Voice frames are routed on tables only signaling changes.
+    fn pure_relay(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! argues makes the 3G TR 22.973 baseline unable to guarantee real-time
 //! voice.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use vgprs_sim::{Context, Interface, Node, NodeId, Payload, SimDuration};
 use vgprs_wire::{CellId, ConnRef, Dtap, Imsi, Message};
@@ -54,8 +55,10 @@ impl Default for BtsConfig {
 pub struct Bts {
     config: BtsConfig,
     bsc: NodeId,
-    /// Every MS camped on this cell (registered by the testbed builder).
-    mss: Vec<NodeId>,
+    /// Every MS camped on this cell (registered by the testbed builder),
+    /// in registration order; shared with each paging broadcast in flight.
+    mss: Arc<Vec<NodeId>>,
+    camped: HashSet<NodeId>,
     conn_to_ms: HashMap<ConnRef, NodeId>,
     ms_to_conn: HashMap<NodeId, ConnRef>,
     /// MSs known to use the packet service, keyed by IMSI (learned from
@@ -77,7 +80,8 @@ impl Bts {
         Bts {
             config,
             bsc,
-            mss: Vec::new(),
+            mss: Arc::default(),
+            camped: HashSet::new(),
             conn_to_ms: HashMap::new(),
             ms_to_conn: HashMap::new(),
             packet_ms: HashMap::new(),
@@ -97,8 +101,8 @@ impl Bts {
     /// Registers an MS as camped on this cell. The testbed builder calls
     /// this when it provisions the Um link.
     pub fn register_ms(&mut self, ms: NodeId) {
-        if !self.mss.contains(&ms) {
-            self.mss.push(ms);
+        if self.camped.insert(ms) {
+            Arc::make_mut(&mut self.mss).push(ms);
         }
     }
 
@@ -225,10 +229,10 @@ impl Node<Message> for Bts {
                 if conn.is_connectionless() {
                     // Paging broadcast: every camped MS hears the PCH, and
                     // the block is charged against the common-channel budget.
+                    // One event for the cell; only the handsets it concerns
+                    // are woken.
                     self.note_page(ctx.now().as_millis());
-                    for ms in self.mss.clone() {
-                        ctx.send(ms, Message::Um(dtap.clone()));
-                    }
+                    ctx.broadcast(Arc::clone(&self.mss), Message::Um(dtap));
                     ctx.count("bts.pages_broadcast");
                     return;
                 }

@@ -153,6 +153,14 @@ impl MobileStation {
         }
     }
 
+    /// True if a page for `identity` is addressed to this subscriber.
+    fn is_paged(&self, identity: MsIdentity) -> bool {
+        match identity {
+            MsIdentity::Imsi(i) => i == self.config.imsi,
+            MsIdentity::Tmsi(t) => Some(t) == self.tmsi,
+        }
+    }
+
     fn send_um(&self, ctx: &mut Context<'_, Message>, dtap: Dtap) {
         ctx.send(self.serving_bts, Message::Um(dtap));
     }
@@ -365,11 +373,7 @@ impl MobileStation {
                 }
             }
             Dtap::Paging { identity } => {
-                let mine = match identity {
-                    MsIdentity::Imsi(i) => i == self.config.imsi,
-                    MsIdentity::Tmsi(t) => Some(t) == self.tmsi,
-                };
-                if mine && self.state == MsState::Idle {
+                if self.is_paged(identity) && self.state == MsState::Idle {
                     self.state = MsState::AnsweringPage;
                     self.send_um(ctx, Dtap::PagingResponse { identity });
                 }
@@ -477,6 +481,18 @@ impl Node<Message> for MobileStation {
                 }
             TIMER_ANSWER => self.answer(ctx),
             _ => {}
+        }
+    }
+
+    /// A page for somebody else is the one thing a handset discards
+    /// without a trace, so the cell's broadcast need not wake it — unless
+    /// it comes from a cell the MS has left, which `on_message` counts.
+    fn hears(&self, from: NodeId, msg: &Message) -> bool {
+        match msg {
+            Message::Um(Dtap::Paging { identity }) => {
+                from != self.serving_bts || self.is_paged(*identity)
+            }
+            _ => true,
         }
     }
 }

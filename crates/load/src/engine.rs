@@ -175,6 +175,15 @@ struct EpochSlot {
 
 /// Runs the configured busy hour and returns the merged report.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
+    run_load_with(cfg, |_| {})
+}
+
+/// [`run_load`] with a hook applied to every shard between its build
+/// and its first epoch. Differential tests use it to put the shards on
+/// an oracle model ([`Shard::set_media_cut_through`]); it is not a
+/// configuration surface.
+#[doc(hidden)]
+pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard) + Sync) -> LoadReport {
     let shards = cfg.effective_shards();
     let threads = cfg.effective_threads();
     let parts = partition(cfg.subscribers, shards);
@@ -216,8 +225,10 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
                 subscriber_plan_demand(&cfg.population, &demand, cfg.seed, shard_cfg.base_index + i)
             })
             .collect();
+        let mut shard = Shard::new(shard_cfg, &plans);
+        prepare(&mut shard);
         EpochSlot {
-            shard: Shard::new(shard_cfg, &plans),
+            shard,
             inbox: Vec::new(),
         }
     });

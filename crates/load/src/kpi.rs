@@ -268,6 +268,12 @@ pub const KPIS: &[Kpi] = &[
     // How far ahead of the next expected sequence number a flit landed.
     row("trunk.reorder_depth", Kind::Hist(&["trunk.reorder_depth"])),
     row("trunk.heal_recovery_ms", Kind::Hist(&["load.heal_recovery_ms"])).sampled(),
+    // The delivery census: messages a queued event handed to a node,
+    // and voice frames cut through a pure relay without one. The
+    // `sim.delivered.<iface>` / `sim.relayed.<iface>` counters split
+    // both by interface.
+    counter("sim.delivered", "sim.delivered"),
+    counter("sim.relayed", "sim.relayed"),
     counter("offered", "load.attempts").hidden(),
     counter("busy_skipped", "load.busy_skipped").hidden(),
     counter("registered", "load.registered").hidden(),

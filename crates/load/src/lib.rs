@@ -51,7 +51,7 @@ pub mod snapshot;
 pub mod trunk;
 
 pub use capacity::{capacity_knee, CapacityPoint, KneeEstimate, KneeSearch};
-pub use engine::{partition, run_load, LoadConfig};
+pub use engine::{partition, run_load, run_load_with, LoadConfig};
 pub use mailbox::{
     Envelope, ExpiredKind, Flit, HlrDirectory, RadioGate, TrunkGate, BORDER_CELL, EPOCH_MS,
 };

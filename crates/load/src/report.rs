@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use vgprs_sim::{Fnv1a, Histogram, JsonF64, JsonWriter, Stats};
+use vgprs_sim::{census_counters, Fnv1a, Histogram, Interface, JsonF64, JsonWriter, Stats};
 
 use crate::kpi;
 use crate::shard::ShardReport;
@@ -212,10 +212,38 @@ impl LoadReport {
         kpi::render_text(&mut out, &self.stats);
         let _ = writeln!(
             out,
-            "events                : {} over {:.1} simulated s",
-            self.events, self.sim_secs
+            "events                : {} queued + {} relayed over {:.1} simulated s",
+            self.events,
+            self.count("sim.relayed"),
+            self.sim_secs
         );
+        let census = self.census();
+        let total: u64 = census.iter().map(|(_, q, r)| q + r).sum();
+        let top: Vec<String> = census
+            .iter()
+            .take(5)
+            .map(|(iface, q, r)| {
+                format!("{iface} {:.1}% ({q} + {r})", 100.0 * (q + r) as f64 / total as f64)
+            })
+            .collect();
+        let _ = writeln!(out, "top interfaces        : {}", top.join(", "));
         out
+    }
+
+    /// The delivery census: `(interface, queued, relayed)` for every
+    /// interface that carried a message, busiest first (ties in
+    /// [`Interface::ALL`] order).
+    fn census(&self) -> Vec<(Interface, u64, u64)> {
+        let mut rows: Vec<(Interface, u64, u64)> = Interface::ALL
+            .iter()
+            .map(|&i| {
+                let [queued, relayed] = census_counters(i);
+                (i, self.stats.counter(queued), self.stats.counter(relayed))
+            })
+            .filter(|(_, q, r)| q + r > 0)
+            .collect();
+        rows.sort_by_key(|&(_, q, r)| std::cmp::Reverse(q + r));
+        rows
     }
 
     /// Full human-readable report, including wall-clock throughput.

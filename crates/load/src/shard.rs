@@ -566,6 +566,15 @@ impl Shard {
         shard
     }
 
+    /// Switches the shard network's media cut-through
+    /// ([`Network::set_cut_through`]); off is the hop-by-hop oracle.
+    /// Registration carries no voice, so a switch thrown right after
+    /// [`Shard::new`] governs every frame of the run.
+    #[doc(hidden)]
+    pub fn set_media_cut_through(&mut self, enabled: bool) {
+        self.net.set_cut_through(enabled);
+    }
+
     fn push(&mut self, at_ms: u64, action: Action) {
         let at_us = at_ms * 1000;
         self.max_sched_us = self.max_sched_us.max(at_us);

@@ -367,14 +367,15 @@ fn trunk_cfg(threads: usize) -> LoadConfig {
 /// The armed run, pinned. The invariance tests above compare a run with
 /// itself, so a change to the fabric's delivery order (heal push order,
 /// retransmit scan order, release order) would move every side at once
-/// and pass. These three values were printed by the binary of the
-/// commit before the barrier was rewritten (PR 14); they move only when
-/// the simulated world does, and then on purpose.
+/// and pass. These three values move only when the simulated world
+/// does, and then on purpose — last for media cut-through and the
+/// one-event page (PR 16), whose hop-by-hop oracle differed from the
+/// previous pin (`eac1d0544a021964`) only in `sim.*` counters.
 #[test]
 fn armed_run_identity_is_pinned() {
-    const FINGERPRINT: u64 = 0xeac1_d054_4a02_1964;
-    const SNAPSHOT_FINGERPRINT: u64 = 0xb868_b6cc_e89f_d14e;
-    const EVENTS: u64 = 111_616;
+    const FINGERPRINT: u64 = 0x3b9b_abfa_46aa_8256;
+    const SNAPSHOT_FINGERPRINT: u64 = 0x896b_6b25_939b_da88;
+    const EVENTS: u64 = 52_323;
     let report = run_load(&trunk_cfg(1));
     assert_eq!(
         format!(

@@ -1,7 +1,7 @@
 //! The side-effect API available to a node during a callback.
 
 use std::fmt;
-
+use std::sync::Arc;
 
 use crate::node::NodeId;
 use crate::rng::SimRng;
@@ -31,6 +31,7 @@ impl fmt::Debug for TimerToken {
 #[derive(Debug)]
 pub(crate) enum Effect<M> {
     Send { to: NodeId, msg: M },
+    Broadcast { to: Arc<Vec<NodeId>>, msg: M },
     Timer { at: SimTime, token: TimerToken, tag: u64 },
     CancelTimer { token: TimerToken },
     Note { text: String },
@@ -46,6 +47,9 @@ pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) self_id: NodeId,
     pub(crate) effects: Vec<Effect<M>>,
+    /// Whether the trace records notes; when not, [`Context::note`]
+    /// never builds its string.
+    pub(crate) notes: bool,
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stats: &'a mut Stats,
     pub(crate) timers: &'a mut TimerTable,
@@ -71,6 +75,19 @@ impl<M> Context<'_, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
+    /// Sends one copy of `msg` to every listener in `to` that
+    /// [hears](crate::Node::hears) it, as a single queued event.
+    ///
+    /// A broadcast channel is one medium: the delay is sampled once, on
+    /// the link to the first listener, and every hearing listener is
+    /// called back at that instant, in list order, exactly as if each
+    /// had been sent its own copy over an identical link. Listeners
+    /// that do not hear the message cost a `&self` check, not an event.
+    /// An empty list sends nothing.
+    pub fn broadcast(&mut self, to: Arc<Vec<NodeId>>, msg: M) {
+        self.effects.push(Effect::Broadcast { to, msg });
+    }
+
     /// Arms a one-shot timer that fires after `delay` with the given `tag`.
     /// Returns a token usable with [`cancel_timer`](Context::cancel_timer).
     pub fn set_timer(&mut self, delay: SimDuration, tag: u64) -> TimerToken {
@@ -91,8 +108,11 @@ impl<M> Context<'_, M> {
 
     /// Appends a free-text annotation to the trace, attributed to this node
     /// at the current time. Used to mark procedure steps (e.g. `"Step 1.3"`).
+    /// Free when trace capture is off: the text is never materialized.
     pub fn note(&mut self, text: impl Into<String>) {
-        self.effects.push(Effect::Note { text: text.into() });
+        if self.notes {
+            self.effects.push(Effect::Note { text: text.into() });
+        }
     }
 
     /// Increments the named counter.
@@ -135,6 +155,7 @@ mod tests {
             now: SimTime::from_micros(1_000),
             self_id: NodeId(3),
             effects: Vec::new(),
+            notes: true,
             rng,
             stats,
             timers,
@@ -159,6 +180,17 @@ mod tests {
             }
             other => panic!("unexpected effect {other:?}"),
         }
+    }
+
+    #[test]
+    fn note_is_free_when_nothing_records_it() {
+        let mut rng = SimRng::new(0);
+        let mut stats = Stats::new();
+        let mut nt = TimerTable::new();
+        let mut c = ctx(&mut rng, &mut stats, &mut nt);
+        c.notes = false;
+        c.note("dropped");
+        assert!(c.effects.is_empty());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::context::TimerToken;
 use crate::interface::Interface;
@@ -55,6 +56,13 @@ pub(crate) enum EventKind<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
+        iface: Interface,
+        msg: M,
+    },
+    /// Deliver `msg` to every listener in `to` that hears it.
+    Broadcast {
+        from: NodeId,
+        to: Arc<Vec<NodeId>>,
         iface: Interface,
         msg: M,
     },

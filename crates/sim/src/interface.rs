@@ -66,6 +66,12 @@ impl Interface {
         Interface::Internal,
     ];
 
+    /// Position in [`Interface::ALL`]: a dense index for per-interface
+    /// tables (the network's delivery census).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short name as used in architecture diagrams.
     pub fn name(self) -> &'static str {
         match self {
@@ -144,6 +150,13 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 15);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, iface) in Interface::ALL.iter().enumerate() {
+            assert_eq!(iface.index(), i);
+        }
     }
 
     #[test]

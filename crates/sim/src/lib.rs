@@ -82,7 +82,7 @@ pub use fnv::Fnv1a;
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};
-pub use net::{Network, RunOutcome};
+pub use net::{census_counters, Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};
 pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};

@@ -3,6 +3,7 @@
 use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::LazyLock;
 
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue, Kernel};
@@ -58,6 +59,32 @@ impl Hasher for LinkKeyHasher {
 
 type LinkMap = HashMap<(NodeId, NodeId), Link, BuildHasherDefault<LinkKeyHasher>>;
 
+/// Longest run of inline relay hops under one queued event. Real media
+/// paths cross five or six relays; a forwarding loop between relays
+/// would otherwise recurse until its TTL (or the stack) ran out, so past
+/// this depth the next hop is queued like any other delivery.
+const MAX_CHAIN_DEPTH: u32 = 16;
+
+const IFACES: usize = Interface::ALL.len();
+
+/// The per-interface census counter names, `[queued, relayed]` in
+/// [`Interface::ALL`] order, built once so flushing never formats.
+static CENSUS_KEYS: LazyLock<Vec<[String; 2]>> = LazyLock::new(|| {
+    Interface::ALL
+        .iter()
+        .map(|i| [format!("sim.delivered.{i}"), format!("sim.relayed.{i}")])
+        .collect()
+});
+
+/// The [`Stats`] counters holding the delivery census of `iface`:
+/// messages a queued event handed to a node (`sim.delivered.<iface>`),
+/// and express messages cut through a pure relay without one
+/// (`sim.relayed.<iface>`).
+pub fn census_counters(iface: Interface) -> [&'static str; 2] {
+    let [queued, relayed] = &CENSUS_KEYS[iface.index()];
+    [queued, relayed]
+}
+
 /// Result of an execution call such as
 /// [`Network::run_until_quiescent`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,6 +103,8 @@ pub struct RunOutcome {
 pub struct Network<M: Payload> {
     now: SimTime,
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
+    /// [`Node::pure_relay`] of every node, read when it was added.
+    relays: Vec<bool>,
     links: LinkMap,
     queue: EventQueue<M>,
     rng: SimRng,
@@ -86,12 +115,19 @@ pub struct Network<M: Payload> {
     max_events: u64,
     trace_details: bool,
     trace_capture: bool,
-    /// Scratch buffer reused across dispatches so steady-state callbacks
-    /// do not allocate an effects vector per event.
-    fx: Vec<Effect<M>>,
+    cut_through: bool,
+    /// Inline relay hops currently nested under the queued event being
+    /// processed.
+    chain_depth: u32,
+    /// Drained effect buffers, one per dispatch nesting level ever
+    /// reached, so steady-state callbacks — queued or inline — do not
+    /// allocate an effects vector.
+    fx_pool: Vec<Vec<Effect<M>>>,
     // Kernel counters, batched per run call instead of a name lookup per
-    // event; flushed into `stats` by `flush_counts`.
-    k_delivered: u64,
+    // event; flushed into `stats` by `flush_counts`. Deliveries are
+    // split by interface into queued events and inline relay hops.
+    k_delivered: [u64; IFACES],
+    k_relayed: [u64; IFACES],
     k_fired: u64,
     k_cancelled: u64,
     k_lost: u64,
@@ -114,6 +150,7 @@ impl<M: Payload> Network<M> {
         Network {
             now: SimTime::ZERO,
             nodes: Vec::new(),
+            relays: Vec::new(),
             links: LinkMap::default(),
             queue: EventQueue::new(kernel),
             rng: SimRng::new(seed),
@@ -124,8 +161,11 @@ impl<M: Payload> Network<M> {
             max_events: 50_000_000,
             trace_details: true,
             trace_capture: true,
-            fx: Vec::new(),
-            k_delivered: 0,
+            cut_through: true,
+            chain_depth: 0,
+            fx_pool: Vec::new(),
+            k_delivered: [0; IFACES],
+            k_relayed: [0; IFACES],
             k_fired: 0,
             k_cancelled: 0,
             k_lost: 0,
@@ -153,6 +193,25 @@ impl<M: Payload> Network<M> {
         self.trace_capture = enabled;
     }
 
+    /// Switches media cut-through (on by default). With it on, an
+    /// [express](Payload::express) message sent to a
+    /// [pure relay](Node::pure_relay) is not queued: the link is sampled
+    /// as usual and the relay's `on_message` runs at once with
+    /// [`Context::now`] set to the arrival time, its own effects applied
+    /// from that time base — sends leave at the arrival time, timers
+    /// count from it, cancellations take hold immediately. The frame
+    /// reaches the next real stop at exactly the time, and after exactly
+    /// the loss draws in hop order, of the hop-by-hop model; what changes
+    /// is *when* a relay's tables are read: as the frame enters the chain
+    /// rather than at each passage, so only frames in flight across a
+    /// change of their own route can fare differently.
+    ///
+    /// Off, every hop is a queued event: the hop-by-hop model, kept as
+    /// the oracle cut-through is tested against.
+    pub fn set_cut_through(&mut self, enabled: bool) {
+        self.cut_through = enabled;
+    }
+
     /// Caps the number of events a single run call may process (a runaway
     /// guard; the default is fifty million).
     ///
@@ -173,6 +232,7 @@ impl<M: Payload> Network<M> {
         N: Node<M> + Send + 'static,
     {
         let id = NodeId(self.nodes.len() as u32);
+        self.relays.push(node.pure_relay());
         self.nodes.push(Some(Box::new(node)));
         self.trace.register_node(name);
         if self.started {
@@ -347,9 +407,20 @@ impl<M: Payload> Network<M> {
     /// Moves the batched kernel counters into [`Stats`]. Called at the end
     /// of every run entry point so external readers always see totals.
     fn flush_counts(&mut self) {
-        if self.k_delivered > 0 {
-            self.stats.count_by("sim.delivered", self.k_delivered);
-            self.k_delivered = 0;
+        for (total, counts, kind) in [
+            ("sim.delivered", &mut self.k_delivered, 0),
+            ("sim.relayed", &mut self.k_relayed, 1),
+        ] {
+            let mut sum = 0;
+            for (n, keys) in counts.iter_mut().zip(CENSUS_KEYS.iter()) {
+                if *n > 0 {
+                    self.stats.count_by(&keys[kind], *n);
+                    sum += std::mem::take(n);
+                }
+            }
+            if sum > 0 {
+                self.stats.count_by(total, sum);
+            }
         }
         if self.k_fired > 0 {
             self.stats.count_by("sim.timer_fired", self.k_fired);
@@ -373,17 +444,29 @@ impl<M: Payload> Network<M> {
                 iface,
                 msg,
             } => {
-                self.k_delivered += 1;
-                if self.trace_capture && msg.traceable() {
-                    let detail = if self.trace_details {
-                        format!("{msg:?}")
-                    } else {
-                        String::new()
-                    };
-                    self.trace
-                        .record_message(self.now, from, to, iface, msg.label(), detail);
+                self.k_delivered[iface.index()] += 1;
+                self.deliver(from, to, iface, msg);
+            }
+            EventKind::Broadcast {
+                from,
+                to,
+                iface,
+                msg,
+            } => {
+                self.k_delivered[iface.index()] += 1;
+                for &listener in to.iter() {
+                    let hears = self.nodes[listener.0 as usize]
+                        .as_ref()
+                        .unwrap_or_else(|| panic!("node {listener} is missing or re-entered"))
+                        .hears(from, &msg);
+                    if hears {
+                        debug_assert!(
+                            self.links.contains_key(&Self::link_key(from, listener)),
+                            "broadcast listener {listener} has no link to {from}"
+                        );
+                        self.deliver(from, listener, iface, msg.clone());
+                    }
                 }
-                self.dispatch(to, |n, ctx| n.on_message(ctx, from, iface, msg));
             }
             EventKind::Timer { node, token, tag } => {
                 if self.timers.try_fire(token) {
@@ -402,6 +485,20 @@ impl<M: Payload> Network<M> {
         }
     }
 
+    /// Hands `msg` to `to` at the current (possibly virtual) time.
+    fn deliver(&mut self, from: NodeId, to: NodeId, iface: Interface, msg: M) {
+        if self.trace_capture && msg.traceable() {
+            let detail = if self.trace_details {
+                format!("{msg:?}")
+            } else {
+                String::new()
+            };
+            self.trace
+                .record_message(self.now, from, to, iface, msg.label(), detail);
+        }
+        self.dispatch(to, |n, ctx| n.on_message(ctx, from, iface, msg));
+    }
+
     fn dispatch<F>(&mut self, id: NodeId, f: F)
     where
         F: FnOnce(&mut dyn AnyNode<M>, &mut Context<'_, M>),
@@ -413,7 +510,8 @@ impl<M: Payload> Network<M> {
         let mut ctx = Context {
             now: self.now,
             self_id: id,
-            effects: std::mem::take(&mut self.fx),
+            effects: self.fx_pool.pop().unwrap_or_default(),
+            notes: self.trace_capture,
             rng: &mut self.rng,
             stats: &mut self.stats,
             timers: &mut self.timers,
@@ -423,44 +521,86 @@ impl<M: Payload> Network<M> {
         self.nodes[idx] = Some(node);
         self.apply_effects(id, &mut effects);
         // Hand the (now drained) buffer back for the next dispatch.
-        self.fx = effects;
+        self.fx_pool.push(effects);
+    }
+
+    /// Samples the link `from` → `to` for `msg`: the interface, and the
+    /// transfer delay unless the message is lost.
+    fn sample_link(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        msg: &M,
+    ) -> (Interface, Option<SimDuration>) {
+        // Field-level access (not `link_between`) so the link borrow
+        // stays disjoint from `self.rng` — no per-send copy of the link.
+        let link = self.links.get(&Self::link_key(from, to)).unwrap_or_else(|| {
+            panic!(
+                "node {from} ({}) sent {} to {to} ({}) but no link exists",
+                self.trace.node_name(from),
+                msg.label(),
+                self.trace.node_name(to),
+            )
+        });
+        let quality = if from == link.a {
+            &link.config.forward
+        } else {
+            &link.config.reverse
+        };
+        let delay = quality.sample(msg.wire_size(), msg.reliable(), &mut self.rng);
+        if delay.is_none() {
+            self.k_lost += 1;
+        }
+        (link.interface(), delay)
     }
 
     fn apply_effects(&mut self, from: NodeId, effects: &mut Vec<Effect<M>>) {
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
-                    // Field-level access (not `link_between`) so the link
-                    // borrow stays disjoint from `self.rng` and
-                    // `self.queue` below — no per-send copy of the link.
-                    let link = self.links.get(&Self::link_key(from, to)).unwrap_or_else(|| {
-                        panic!(
-                            "node {from} ({}) sent {} to {to} ({}) but no link exists",
-                            self.trace.node_name(from),
-                            msg.label(),
-                            self.trace.node_name(to),
-                        )
-                    });
-                    let quality = if from == link.a {
-                        &link.config.forward
-                    } else {
-                        &link.config.reverse
+                    let (iface, Some(delay)) = self.sample_link(from, to, &msg) else {
+                        continue;
                     };
-                    match quality.sample(msg.wire_size(), msg.reliable(), &mut self.rng) {
-                        Some(delay) => {
-                            self.queue.push(
-                                self.now + delay,
-                                EventKind::Deliver {
-                                    from,
-                                    to,
-                                    iface: link.interface(),
-                                    msg,
-                                },
-                            );
-                        }
-                        None => {
-                            self.k_lost += 1;
-                        }
+                    let at = self.now + delay;
+                    if self.cut_through
+                        && self.relays[to.0 as usize]
+                        && msg.express()
+                        && self.chain_depth < MAX_CHAIN_DEPTH
+                    {
+                        // Cut-through: run the relay now, on the clock of
+                        // the frame's arrival there.
+                        self.k_relayed[iface.index()] += 1;
+                        let resume = std::mem::replace(&mut self.now, at);
+                        self.chain_depth += 1;
+                        self.deliver(from, to, iface, msg);
+                        self.chain_depth -= 1;
+                        self.now = resume;
+                    } else {
+                        self.queue.push(
+                            at,
+                            EventKind::Deliver {
+                                from,
+                                to,
+                                iface,
+                                msg,
+                            },
+                        );
+                    }
+                }
+                Effect::Broadcast { to, msg } => {
+                    let Some(&first) = to.first() else {
+                        continue;
+                    };
+                    if let (iface, Some(delay)) = self.sample_link(from, first, &msg) {
+                        self.queue.push(
+                            self.now + delay,
+                            EventKind::Broadcast {
+                                from,
+                                to,
+                                iface,
+                                msg,
+                            },
+                        );
                     }
                 }
                 Effect::Timer { at, token, tag } => {

@@ -65,6 +65,17 @@ pub trait Payload: Clone + fmt::Debug + Send {
     fn reliable(&self) -> bool {
         true
     }
+
+    /// Whether this is express traffic: a periodic bearer frame whose
+    /// route was fixed by earlier signaling. Only express messages are
+    /// cut through [pure relays](Node::pure_relay) without a queued
+    /// event per hop; see [`Network::set_cut_through`](crate::Network::set_cut_through).
+    /// Bearer traffic is normally not [traceable](Payload::traceable); an
+    /// express message that is gets its trace entry when the chain runs,
+    /// stamped with — but possibly ahead of — its arrival time.
+    fn express(&self) -> bool {
+        false
+    }
 }
 
 /// Behavior of a simulated network element.
@@ -87,6 +98,29 @@ pub trait Node<M: Payload> {
     /// (unless it was cancelled). `tag` is the caller-chosen discriminator.
     fn on_timer(&mut self, ctx: &mut Context<'_, M>, token: TimerToken, tag: u64) {
         let _ = (ctx, token, tag);
+    }
+
+    /// True if this node only *relays* [express](Payload::express)
+    /// traffic: its handler for an express message looks the route up in
+    /// tables that signaling maintains and forwards (or counts a drop),
+    /// and neither the decision nor anything it stores depends on
+    /// [`Context::now`] or on what else is queued. The network may then
+    /// run that handler the moment the frame is sent, with `ctx.now()`
+    /// set to the arrival time, instead of queueing an event for the hop.
+    /// A node that owns a queue, a rate window or a clock the frame is
+    /// measured against is a stop, not a relay, and keeps the default.
+    /// Read once, when the node is added.
+    fn pure_relay(&self) -> bool {
+        false
+    }
+
+    /// Whether a [broadcast](Context::broadcast) from `from` concerns
+    /// this listener. Returning `false` must be equivalent to receiving
+    /// `msg` and doing nothing at all — no counter, no state change, no
+    /// random draw — because the network then skips the callback.
+    fn hears(&self, from: NodeId, msg: &M) -> bool {
+        let _ = (from, msg);
+        true
     }
 }
 
@@ -114,5 +148,6 @@ mod tests {
         assert_eq!(P.wire_size(), 64);
         assert!(P.traceable());
         assert!(P.reliable());
+        assert!(!P.express());
     }
 }

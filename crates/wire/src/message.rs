@@ -172,6 +172,12 @@ impl Payload for Message {
     fn reliable(&self) -> bool {
         !self.is_media()
     }
+
+    /// Bearer frames follow contexts set up before the call (paper
+    /// Figs. 2(b), 5, 6), so pure relays may cut them through.
+    fn express(&self) -> bool {
+        self.is_media()
+    }
 }
 
 #[cfg(test)]

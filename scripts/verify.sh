@@ -17,8 +17,10 @@ echo "==> determinism contract (release)"
 # trunk chaos, snapshots) at {1,2,8} threads x {wheel,heap} plus a rerun,
 # the zero-plan identities and the monotone-damage checks. `cargo test`
 # above ran it in debug; run it in release too so the optimized schedule
-# is also covered.
-cargo test --release -q -p vgprs-load --test determinism
+# is also covered — and with it the media cut-through's oracle test
+# (hop-by-hop vs cut-through on a cross-shard media world, plus the
+# queued-events-per-frame tripwire).
+cargo test --release -q -p vgprs-load --test determinism --test cut_through
 
 echo "==> KPI regression gate (fresh small run vs committed baseline)"
 # A fresh canonical small-population run is structurally diffed against
