@@ -3,19 +3,19 @@
 //!
 //! ```text
 //! harness [fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|c1|c2|c3|c4|c5|all]
-//! harness load [--subscribers N] [--threads N] [--shards N] [--seed N]
+//! harness load [--subscribers N] [--shards N] [--seed N]
 //!              [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
 //!              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
 //!              [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
 //!              [--trunk-intensity F] [--trunk-class CLASS]
 //!              [--json PATH] [--snapshots PATH] [--snapshot-secs N]
 //!              [--snapshots-per-shard] [--snapshots-csv PATH]
-//! harness capacity [--subscribers N] [--threads N] [--seed N]
+//! harness capacity [--subscribers N] [--seed N]
 //!                  [--max-load F] [--refine N] [--json PATH]
-//! harness chaos [--subscribers N] [--shards N] [--threads N] [--seed N]
+//! harness chaos [--subscribers N] [--shards N] [--seed N]
 //!               [--window-secs N] [--rate F] [--hold SECS] [--out PATH]
 //!               [--cross-shard-rate FRAC]
-//! harness surge [--subscribers N] [--shards N] [--threads N] [--seed N]
+//! harness surge [--subscribers N] [--shards N] [--seed N]
 //!               [--window-secs N] [--rate F] [--hold SECS]
 //!               [--gk-bandwidth N] [--paging-rate N] [--gk-shed F]
 //!               [--pdp-rate N] [--out PATH]
@@ -23,10 +23,6 @@
 //! harness diff --check [--update-baseline] [--baseline PATH]
 //!              [--thresholds PATH]
 //! ```
-//!
-//! `--threads` defaults to one worker: more never change a result (the
-//! contract `crates/load/tests/determinism.rs` holds) and on the measured
-//! workloads do not shorten a run, so they are opt-in.
 //!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
@@ -120,10 +116,9 @@ fn load_cmd(rest: &[String]) {
     let flags = Flags(rest);
     let cfg = load_config_from(&flags, &RunDefaults::default());
     heading(&format!(
-        "Busy hour — {} subscribers, {} shards, {} threads, seed {}, {} kernel",
+        "Busy hour — {} subscribers, {} shards, seed {}, {} kernel",
         cfg.subscribers,
         cfg.effective_shards(),
-        cfg.effective_threads(),
         cfg.seed,
         cfg.kernel
     ));
@@ -206,7 +201,6 @@ fn check_defaults() -> RunDefaults {
     RunDefaults {
         subscribers: 96,
         shards: 4,
-        threads: 1,
         window_secs: 90,
         calls_per_sub_hour: 40.0,
         mean_hold_secs: 20.0,

@@ -87,9 +87,6 @@ pub struct RunDefaults {
     pub subscribers: usize,
     /// `--shards` default (`0` = derive from population).
     pub shards: usize,
-    /// `--threads` default (`0` = one; more never change a result and
-    /// have not yet shortened a run, so they are opt-in).
-    pub threads: usize,
     /// `--window-secs` default.
     pub window_secs: u64,
     /// `--rate` default (calls per subscriber-hour).
@@ -108,7 +105,6 @@ impl Default for RunDefaults {
         RunDefaults {
             subscribers: base.subscribers,
             shards: base.shards,
-            threads: base.threads,
             window_secs: base.population.window_secs,
             calls_per_sub_hour: base.population.calls_per_sub_hour,
             mean_hold_secs: base.population.mean_hold_secs,
@@ -119,12 +115,15 @@ impl Default for RunDefaults {
 }
 
 /// Builds a [`LoadConfig`] from the shared flag vocabulary over the
-/// given per-subcommand defaults.
+/// given per-subcommand defaults. `--threads` is still accepted, for
+/// scripts that pass it, and changes nothing.
 pub fn load_config_from(flags: &Flags<'_>, defaults: &RunDefaults) -> LoadConfig {
+    if flags.has("--threads") {
+        eprintln!("note: --threads has no effect: the load engine runs on one thread");
+    }
     let mut cfg = LoadConfig {
         subscribers: flags.parse("--subscribers", defaults.subscribers),
         shards: flags.parse("--shards", defaults.shards),
-        threads: flags.parse("--threads", defaults.threads),
         seed: flags.parse("--seed", SEED),
         tch_capacity: flags.parse("--tch", 64),
         voice_sample_ms: flags.parse("--voice-sample-ms", 1_000),

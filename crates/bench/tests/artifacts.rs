@@ -4,7 +4,9 @@
 use std::path::Path;
 
 use vgprs_bench::diff::Thresholds;
-use vgprs_bench::harness::{chaos_json, drain_capped_error, surge_json};
+use vgprs_bench::harness::{
+    chaos_json, drain_capped_error, load_config_from, surge_json, Flags, RunDefaults,
+};
 use vgprs_load::kpi::{Snapshot, KPIS};
 use vgprs_load::{run_load, LoadConfig, OverloadControls};
 use vgprs_sim::JsonValue;
@@ -67,7 +69,6 @@ fn emitted_cells_match_the_committed_bench_schema() {
     let cfg = LoadConfig {
         subscribers: 16,
         shards: 1,
-        threads: 1,
         ..LoadConfig::default()
     };
     let report = run_load(&cfg);
@@ -94,7 +95,7 @@ fn emitted_cells_match_the_committed_bench_schema() {
 /// — has one naming the counter and its count.
 #[test]
 fn a_drain_capped_report_takes_the_failing_exit() {
-    let mut cfg = LoadConfig { subscribers: 16, shards: 2, threads: 1, ..LoadConfig::default() };
+    let mut cfg = LoadConfig { subscribers: 16, shards: 2, ..LoadConfig::default() };
     cfg.population.window_secs = 10;
     let mut report = run_load(&cfg);
     assert_eq!(drain_capped_error(&report), None, "a small plain run must drain");
@@ -105,6 +106,17 @@ fn a_drain_capped_report_takes_the_failing_exit() {
     report.stats.count_by("load.drain_capped", 2);
     let complaint = drain_capped_error(&report).expect("a capped run must fail");
     assert!(complaint.contains("load.drain_capped = 2"), "{complaint}");
+}
+
+/// `--threads` is accepted for old scripts and selects nothing: the
+/// configuration it yields is the one the bare command line yields.
+#[test]
+fn the_threads_flag_changes_no_configuration() {
+    let config = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        format!("{:?}", load_config_from(&Flags(&args), &RunDefaults::default()))
+    };
+    assert_eq!(config(&["--seed", "7", "--threads", "8"]), config(&["--seed", "7"]));
 }
 
 /// A subcommand that moved out (`cargo test` holds the determinism

@@ -196,6 +196,30 @@ struct VmscCall {
     setup_guard: Option<TimerToken>,
 }
 
+impl VmscCall {
+    /// A call in `phase` with nothing known about the far end yet.
+    fn new(imsi: Imsi, phase: CallPhase, crv: Crv, now: SimTime) -> VmscCall {
+        VmscCall {
+            imsi,
+            phase,
+            crv,
+            remote_signal: None,
+            remote_media: None,
+            called: None,
+            calling: None,
+            started_at: now,
+            connected_at: None,
+            paged_at: None,
+            voice_pdp_requested_at: None,
+            rtp_seq: 0,
+            e_leg: None,
+            target_conn: None,
+            arq_guard: None,
+            setup_guard: None,
+        }
+    }
+}
+
 /// The per-MS entry of the paper's "MS table" (Section 2): MM context +
 /// PDP contexts + H.323 state.
 #[derive(Debug)]
@@ -220,6 +244,24 @@ pub struct MsEntry {
     reg_started: SimTime,
     /// Outstanding RAS registration guard (resilience mode).
     ras_guard: Option<RasGuard>,
+}
+
+impl MsEntry {
+    /// An MS whose location update just started: no contexts, no call.
+    fn new(imsi: Imsi, conn: Option<ConnRef>, now: SimTime) -> MsEntry {
+        MsEntry {
+            imsi,
+            msisdn: None,
+            tmsi: None,
+            phase: RegPhase::GsmUpdating,
+            signaling_addr: None,
+            voice_addr: None,
+            conn,
+            call: None,
+            reg_started: now,
+            ras_guard: None,
+        }
+    }
 }
 
 /// A handoff prepared with this VMSC as target.
@@ -383,13 +425,34 @@ impl Vmsc {
     }
 
     /// (Re-)sends the registration RRQ for an MS from its current alias
-    /// and signaling address.
-    fn send_rrq(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi) {
+    /// and signaling address; false when it has not got both yet.
+    fn send_rrq(&self, ctx: &mut Context<'_, Message>, imsi: Imsi) -> bool {
         let alias = self.ms_table.get(&imsi).and_then(|e| e.msisdn);
         let transport = self.signal_addr_for(&imsi);
-        if let (Some(alias), Some(transport)) = (alias, transport) {
-            self.send_ras(ctx, imsi, RasMessage::Rrq { alias, transport, imsi: None });
-        }
+        let (Some(alias), Some(transport)) = (alias, transport) else {
+            return false;
+        };
+        self.send_ras(ctx, imsi, RasMessage::Rrq { alias, transport, imsi: None });
+        true
+    }
+
+    /// Asks the gatekeeper to admit one 160-unit voice call.
+    fn send_arq(
+        &self,
+        ctx: &mut Context<'_, Message>,
+        imsi: Imsi,
+        call: CallId,
+        called: Msisdn,
+        answering: bool,
+    ) {
+        self.send_ras(ctx, imsi, RasMessage::Arq { call, called, answering, bandwidth: 160 });
+    }
+
+    fn deactivate_pdp(&self, ctx: &mut Context<'_, Message>, imsi: Imsi, nsapi: Nsapi) {
+        ctx.send(
+            self.sgsn,
+            Message::Gmm(GmmMessage::DeactivatePdpContextRequest { imsi, nsapi }),
+        );
     }
 
     /// Arms (or re-arms from scratch) the RAS registration guard for an
@@ -516,11 +579,7 @@ impl Vmsc {
                     called
                 };
                 if let Some(target) = target {
-                    self.send_ras(
-                        ctx,
-                        imsi,
-                        RasMessage::Arq { call, called: target, answering, bandwidth: 160 },
-                    );
+                    self.send_arq(ctx, imsi, call, target, answering);
                 }
             }
             None => {
@@ -718,19 +777,14 @@ impl Vmsc {
             ctx.cancel_timer(token);
         }
         let imsi = state.imsi;
-        if let Some(entry) = self.ms_table.get_mut(&imsi) {
+        let had_voice = self.ms_table.get_mut(&imsi).is_some_and(|entry| {
             entry.call = None;
-            if entry.voice_addr.take().is_some() {
-                ctx.note("Step 3.4: deactivate voice PDP context");
-                ctx.count("vmsc.voice_context_deactivated");
-                ctx.send(
-                    self.sgsn,
-                    Message::Gmm(GmmMessage::DeactivatePdpContextRequest {
-                        imsi,
-                        nsapi: voice_nsapi(),
-                    }),
-                );
-            }
+            entry.voice_addr.take().is_some()
+        });
+        if had_voice {
+            ctx.note("Step 3.4: deactivate voice PDP context");
+            ctx.count("vmsc.voice_context_deactivated");
+            self.deactivate_pdp(ctx, imsi, voice_nsapi());
         }
         // Disengage from the gatekeeper (step 3.3).
         let duration_ms = state
@@ -790,23 +844,11 @@ impl Vmsc {
             self.by_addr.remove(&addr);
         }
         if entry.voice_addr.is_some() {
-            ctx.send(
-                self.sgsn,
-                Message::Gmm(GmmMessage::DeactivatePdpContextRequest {
-                    imsi,
-                    nsapi: voice_nsapi(),
-                }),
-            );
+            self.deactivate_pdp(ctx, imsi, voice_nsapi());
         }
         if entry.signaling_addr.is_some() {
             ctx.count("vmsc.signaling_context_deactivated");
-            ctx.send(
-                self.sgsn,
-                Message::Gmm(GmmMessage::DeactivatePdpContextRequest {
-                    imsi,
-                    nsapi: sig_nsapi(),
-                }),
-            );
+            self.deactivate_pdp(ctx, imsi, sig_nsapi());
         }
     }
 
@@ -825,13 +867,7 @@ impl Vmsc {
         if let Some(addr) = entry.signaling_addr.take() {
             self.by_addr.remove(&addr);
             ctx.count("vmsc.signaling_context_deactivated");
-            ctx.send(
-                self.sgsn,
-                Message::Gmm(GmmMessage::DeactivatePdpContextRequest {
-                    imsi,
-                    nsapi: sig_nsapi(),
-                }),
-            );
+            self.deactivate_pdp(ctx, imsi, sig_nsapi());
         }
     }
 
@@ -851,18 +887,10 @@ impl Vmsc {
             Dtap::LocationUpdateRequest { identity, lai } => {
                 // Step 1.1: relay into the VLR.
                 if let MsIdentity::Imsi(imsi) = identity {
-                    let entry = self.ms_table.entry(imsi).or_insert_with(|| MsEntry {
-                        imsi,
-                        msisdn: None,
-                        tmsi: None,
-                        phase: RegPhase::GsmUpdating,
-                        signaling_addr: None,
-                        voice_addr: None,
-                        conn: None,
-                        call: None,
-                        reg_started: ctx.now(),
-                        ras_guard: None,
-                    });
+                    let entry = self
+                        .ms_table
+                        .entry(imsi)
+                        .or_insert_with(|| MsEntry::new(imsi, None, ctx.now()));
                     entry.conn = Some(conn);
                     entry.reg_started = ctx.now();
                     entry.phase = RegPhase::GsmUpdating;
@@ -943,22 +971,8 @@ impl Vmsc {
                 self.calls.insert(
                     call,
                     VmscCall {
-                        imsi,
-                        phase: CallPhase::MoAuthorizing,
-                        crv: Crv(self.next_crv),
-                        remote_signal: None,
-                        remote_media: None,
                         called: Some(called),
-                        calling: None,
-                        started_at: ctx.now(),
-                        connected_at: None,
-                        paged_at: None,
-                        voice_pdp_requested_at: None,
-                        rtp_seq: 0,
-                        e_leg: None,
-                        target_conn: None,
-                        arq_guard: None,
-                        setup_guard: None,
+                        ..VmscCall::new(imsi, CallPhase::MoAuthorizing, Crv(self.next_crv), ctx.now())
                     },
                 );
                 if let Some(entry) = self.ms_table.get_mut(&imsi) {
@@ -1022,16 +1036,7 @@ impl Vmsc {
                             );
                             return;
                         }
-                        self.send_ras(
-                            ctx,
-                            imsi,
-                            RasMessage::Arq {
-                                call,
-                                called,
-                                answering: false,
-                                bandwidth: 160,
-                            },
-                        );
+                        self.send_arq(ctx, imsi, call, called, false);
                         self.arm_arq_guard(ctx, call);
                     }
                     CallPhase::MtAccess => {
@@ -1110,22 +1115,10 @@ impl Vmsc {
                 self.calls.insert(
                     call,
                     VmscCall {
-                        imsi: pending.imsi,
-                        phase: CallPhase::Active,
-                        crv: Crv(self.next_crv),
-                        remote_signal: None,
-                        remote_media: None,
-                        called: None,
-                        calling: None,
-                        started_at: ctx.now(),
                         connected_at: Some(ctx.now()),
-                        paged_at: None,
-                        voice_pdp_requested_at: None,
-                        rtp_seq: 0,
                         e_leg: Some((pending.anchor, pending.cic)),
                         target_conn: Some(conn),
-                        arq_guard: None,
-                        setup_guard: None,
+                        ..VmscCall::new(pending.imsi, CallPhase::Active, Crv(self.next_crv), ctx.now())
                     },
                 );
                 self.conn_of_bsc.insert(conn, from);
@@ -1220,21 +1213,8 @@ impl Vmsc {
                         // rebuild the entry from its answer so the
                         // cold-start re-registration can proceed.
                         ctx.count("vmsc.entries_rebuilt");
-                        self.ms_table.insert(
-                            imsi,
-                            MsEntry {
-                                imsi,
-                                msisdn: None,
-                                tmsi: None,
-                                phase: RegPhase::GsmUpdating,
-                                signaling_addr: None,
-                                voice_addr: None,
-                                conn: Some(conn),
-                                call: None,
-                                reg_started: ctx.now(),
-                                ras_guard: None,
-                            },
-                        );
+                        self.ms_table
+                            .insert(imsi, MsEntry::new(imsi, Some(conn), ctx.now()));
                         self.by_conn.insert(conn, imsi);
                     }
                     let Some(entry) = self.ms_table.get_mut(&imsi) else {
@@ -1257,17 +1237,7 @@ impl Vmsc {
                     if let Some(entry) = self.ms_table.get_mut(&imsi) {
                         entry.phase = RegPhase::RasRegistering;
                     }
-                    let transport = self.signal_addr_for(&imsi);
-                    if let (Some(alias), Some(transport)) = (msisdn, transport) {
-                        self.send_ras(
-                            ctx,
-                            imsi,
-                            RasMessage::Rrq {
-                                alias,
-                                transport,
-                                imsi: None,
-                            },
-                        );
+                    if self.send_rrq(ctx, imsi) {
                         self.arm_ras_guard(ctx, imsi);
                     }
                 } else {
@@ -1441,31 +1411,10 @@ impl Vmsc {
                     if let Some(call) = resumed_call {
                         // Re-announce the fresh address, then continue the
                         // interrupted step 2.3.
-                        let alias = self.ms_table.get(&imsi).and_then(|e| e.msisdn);
-                        if let Some(alias) = alias {
-                            let transport = TransportAddr::new(addr, H225_PORT);
-                            self.send_ras(
-                                ctx,
-                                imsi,
-                                RasMessage::Rrq {
-                                    alias,
-                                    transport,
-                                    imsi: None,
-                                },
-                            );
-                        }
+                        self.send_rrq(ctx, imsi);
                         let called = self.calls.get(&call).and_then(|c| c.called);
                         if let Some(called) = called {
-                            self.send_ras(
-                                ctx,
-                                imsi,
-                                RasMessage::Arq {
-                                    call,
-                                    called,
-                                    answering: false,
-                                    bandwidth: 160,
-                                },
-                            );
+                            self.send_arq(ctx, imsi, call, called, false);
                             self.arm_arq_guard(ctx, call);
                         }
                         return;
@@ -1475,18 +1424,7 @@ impl Vmsc {
                     }
                     // Step 1.4: RAS registration of the MS's alias.
                     ctx.note("Step 1.4: endpoint registration (RRQ) -> GK");
-                    let alias = self.ms_table.get(&imsi).and_then(|e| e.msisdn);
-                    if let Some(alias) = alias {
-                        let transport = TransportAddr::new(addr, H225_PORT);
-                        self.send_ras(
-                            ctx,
-                            imsi,
-                            RasMessage::Rrq {
-                                alias,
-                                transport,
-                                imsi: None,
-                            },
-                        );
+                    if self.send_rrq(ctx, imsi) {
                         self.arm_ras_guard(ctx, imsi);
                     } else {
                         ctx.count("vmsc.no_alias_for_rrq");
@@ -1734,22 +1672,10 @@ impl Vmsc {
                 self.calls.insert(
                     msg.call,
                     VmscCall {
-                        imsi,
-                        phase: CallPhase::MtAdmission,
-                        crv: msg.crv,
                         remote_signal: Some(signal_addr),
                         remote_media: Some(media_addr),
-                        called: None,
                         calling,
-                        started_at: ctx.now(),
-                        connected_at: None,
-                        paged_at: None,
-                        voice_pdp_requested_at: None,
-                        rtp_seq: 0,
-                        e_leg: None,
-                        target_conn: None,
-                        arq_guard: None,
-                        setup_guard: None,
+                        ..VmscCall::new(imsi, CallPhase::MtAdmission, msg.crv, ctx.now())
                     },
                 );
                 ctx.count("vmsc.mt_calls");
@@ -1758,16 +1684,7 @@ impl Vmsc {
                 // Step 4.3: admission for the answering side.
                 let called = self.ms_table.get(&imsi).and_then(|e| e.msisdn);
                 if let Some(called) = called {
-                    self.send_ras(
-                        ctx,
-                        imsi,
-                        RasMessage::Arq {
-                            call: msg.call,
-                            called,
-                            answering: true,
-                            bandwidth: 160,
-                        },
-                    );
+                    self.send_arq(ctx, imsi, msg.call, called, true);
                     self.arm_arq_guard(ctx, msg.call);
                 }
             }

@@ -148,7 +148,6 @@ mod tests {
         let mut cfg = LoadConfig {
             subscribers: 32,
             shards: 1,
-            threads: 1,
             seed: 7,
             tch_capacity: 2,
             ..LoadConfig::default()

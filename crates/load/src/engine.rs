@@ -1,16 +1,21 @@
-//! The sharded parallel driver.
+//! The sharded driver.
 //!
 //! The population is partitioned into a fixed number of shards — a pure
 //! function of the configuration, never of the machine — and every
 //! shard advances through the busy hour in **epoch lockstep**: each
-//! epoch the shards are striped over the worker threads in contiguous
-//! chunks (one thread, the default, is a plain loop), and an epoch
-//! barrier exchanges cross-shard traffic through the [`TrunkFabric`].
-//! Barrier routing iterates shards in index order and delivery happens
-//! at epoch boundaries, so the interleaving of inter-shard messages —
-//! handoff dialogue, trunk voice, HLR ownership moves — is a function
-//! of the configuration and seed alone. Reports are merged in shard
-//! order, which makes the KPI output bit-identical for any `--threads`.
+//! epoch one loop runs the shards in index order, and an epoch barrier
+//! exchanges cross-shard traffic through the [`TrunkFabric`]. Barrier
+//! routing iterates shards in index order and delivery happens at epoch
+//! boundaries, so the interleaving of inter-shard messages — handoff
+//! dialogue, trunk voice, HLR ownership moves — is a function of the
+//! configuration and seed alone. Reports are merged in shard order.
+//!
+//! The loop is single-threaded on purpose. A 50 ms epoch is ~47 µs of
+//! simulation shared by 64 shards, more than half of them idle, so any
+//! per-epoch hand-off to workers costs as much as the work it
+//! distributes (two threads ran `busy_hour` 2.3× slower; ROADMAP,
+//! "Threads pay or go"). Parallelism comes back together with a
+//! benchmark workload that can measure it.
 
 use std::time::Instant;
 
@@ -18,7 +23,7 @@ use vgprs_faults::{FaultPlanConfig, TrunkPlanConfig};
 use vgprs_scenario::{compile_demand, OverloadControls, ScenarioConfig};
 use vgprs_sim::Kernel;
 
-use crate::mailbox::{Flit, HlrDirectory, EPOCH_MS};
+use crate::mailbox::{HlrDirectory, EPOCH_MS};
 use crate::population::{subscriber_plan_demand, PopulationConfig, SubscriberPlan};
 use crate::report::LoadReport;
 use crate::shard::{Shard, ShardConfig, ShardReport};
@@ -36,12 +41,10 @@ pub struct LoadConfig {
     pub subscribers: usize,
     /// Shard count; `0` derives one shard per ~256 subscribers.
     /// Changing this changes the simulated world (it is part of the
-    /// experiment); changing `threads` never does.
+    /// experiment).
     pub shards: usize,
-    /// Worker threads; `0` (the default) means one. More threads never
-    /// change a result, and on every workload measured so far they do
-    /// not shorten a run either (`load.engine.thread_speedup` in
-    /// `benchmark/README.md`), so nothing picks them implicitly.
+    /// Accepted and ignored: the engine is one loop on the caller's
+    /// thread. The field stays because `benchmark/` constructs it.
     pub threads: usize,
     /// Master seed; every random stream in the run derives from it.
     pub seed: u64,
@@ -118,10 +121,9 @@ impl LoadConfig {
         }
     }
 
-    /// The worker-thread count this configuration resolves to: what
-    /// was asked for, at least one and at most one per shard.
+    /// The threads a run uses: one, whatever `threads` says.
     pub fn effective_threads(&self) -> usize {
-        self.threads.clamp(1, self.effective_shards())
+        1
     }
 }
 
@@ -140,39 +142,6 @@ pub fn partition(subscribers: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Runs `work` on every item and returns the results in item order. The
-/// items are striped over up to `threads` scoped threads in contiguous
-/// chunks; one thread is a plain loop on the caller's.
-fn run_pool<T: Send, R: Send>(
-    threads: usize,
-    items: &mut [T],
-    work: impl Fn(&mut T) -> R + Sync,
-) -> Vec<R> {
-    if threads <= 1 {
-        return items.iter_mut().map(work).collect();
-    }
-    let stripe = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = items
-            .chunks_mut(stripe)
-            .map(|chunk| {
-                let work = &work;
-                scope.spawn(move || chunk.iter_mut().map(work).collect::<Vec<R>>())
-            })
-            .collect();
-        workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("a shard worker panicked"))
-            .collect()
-    })
-}
-
-/// A shard plus the flits the barrier has queued for its next epoch.
-struct EpochSlot {
-    shard: Shard,
-    inbox: Vec<(usize, Flit)>,
-}
-
 /// Runs the configured busy hour and returns the merged report.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     run_load_with(cfg, |_| {})
@@ -183,57 +152,46 @@ pub fn run_load(cfg: &LoadConfig) -> LoadReport {
 /// an oracle model ([`Shard::set_media_cut_through`]); it is not a
 /// configuration surface.
 #[doc(hidden)]
-pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard) + Sync) -> LoadReport {
+pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard)) -> LoadReport {
     let shards = cfg.effective_shards();
-    let threads = cfg.effective_threads();
     let parts = partition(cfg.subscribers, shards);
-    let mut shard_cfgs: Vec<ShardConfig> = parts
+    let started = Instant::now();
+
+    // Phase 1: build every shard's world and register its population,
+    // in index order (shards are independent until their busy hours
+    // start).
+    let mut fleet: Vec<Shard> = parts
         .iter()
         .enumerate()
-        .map(|(index, &(base, size))| ShardConfig {
-            shard_index: index,
-            base_index: base,
-            subscribers: size,
-            total_shards: shards,
-            master_seed: cfg.seed,
-            population: cfg.population.clone(),
-            tch_capacity: cfg.tch_capacity,
-            pdch_bps: cfg.pdch_bps,
-            gk_bandwidth: cfg.gk_bandwidth,
-            voice_sample_ms: cfg.voice_sample_ms,
-            kernel: cfg.kernel,
-            faults: cfg.faults,
-            scenario: cfg.scenario.clone(),
-            controls: cfg.controls,
-            snapshot_secs: cfg.snapshot_secs,
+        .map(|(index, &(base, size))| {
+            let shard_cfg = ShardConfig {
+                shard_index: index,
+                base_index: base,
+                subscribers: size,
+                total_shards: shards,
+                master_seed: cfg.seed,
+                population: cfg.population.clone(),
+                tch_capacity: cfg.tch_capacity,
+                pdch_bps: cfg.pdch_bps,
+                gk_bandwidth: cfg.gk_bandwidth,
+                voice_sample_ms: cfg.voice_sample_ms,
+                kernel: cfg.kernel,
+                faults: cfg.faults,
+                scenario: cfg.scenario.clone(),
+                controls: cfg.controls,
+                snapshot_secs: cfg.snapshot_secs,
+            };
+            let demand = compile_demand(&cfg.scenario, cfg.seed, index, cfg.population.window_secs);
+            let plans: Vec<SubscriberPlan> = (0..size)
+                .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))
+                .collect();
+            let mut shard = Shard::new(&shard_cfg, &plans);
+            prepare(&mut shard);
+            shard
         })
         .collect();
 
-    let started = Instant::now();
-
-    // Phase 1: build every shard's world and register its population
-    // (parallel; shards are independent until their busy hours start).
-    let mut fleet: Vec<EpochSlot> = run_pool(threads, &mut shard_cfgs, |shard_cfg| {
-        let demand = compile_demand(
-            &cfg.scenario,
-            cfg.seed,
-            shard_cfg.shard_index,
-            cfg.population.window_secs,
-        );
-        let plans: Vec<SubscriberPlan> = (0..shard_cfg.subscribers)
-            .map(|i| {
-                subscriber_plan_demand(&cfg.population, &demand, cfg.seed, shard_cfg.base_index + i)
-            })
-            .collect();
-        let mut shard = Shard::new(shard_cfg, &plans);
-        prepare(&mut shard);
-        EpochSlot {
-            shard,
-            inbox: Vec::new(),
-        }
-    });
-
-    // Phase 2: epoch lockstep. Each epoch every busy shard simulates the
+    // Phase 2: epoch lockstep. Each epoch every shard simulates the
     // same window, then the barrier routes cross-shard flits (sent epoch
     // k, delivered epoch k+1) and the HLR directory tracks ownership.
     // The trunk fabric is the barrier's delivery layer: a bare mailbox
@@ -241,29 +199,28 @@ pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard) + Sync) -> L
     // (retransmits, dedup, in-order release) under trunk chaos.
     let mut fabric = TrunkFabric::new(shards, cfg.seed, &cfg.trunk, cfg.population.window_secs);
     let mut directory = HlrDirectory::new(&parts);
+    let mut inboxes: Vec<_> = (0..shards).map(|_| Vec::new()).collect();
     let mut epoch: u64 = 0;
     loop {
         let mut busy = fabric.in_flight() > 0;
         let mut cap = 0;
-        for (index, slot) in fleet.iter_mut().enumerate() {
-            slot.inbox = fabric.take_inbox(index);
-            busy |= slot.shard.is_busy() || !slot.inbox.is_empty();
-            cap = cap.max(slot.shard.max_epoch_hint());
+        for (index, shard) in fleet.iter().enumerate() {
+            inboxes[index] = fabric.take_inbox(index);
+            busy |= shard.is_busy() || !inboxes[index].is_empty();
+            cap = cap.max(shard.max_epoch_hint());
         }
         if !busy || epoch > cap {
             // Done — or the runaway backstop tripped, in which case the
             // shards still busy count `load.drain_capped` on finish.
             break;
         }
-        let outboxes = run_pool(threads, &mut fleet, |slot| {
-            slot.shard.run_epoch(epoch, std::mem::take(&mut slot.inbox))
-        });
-        // Barrier: route in shard order so delivery order never depends
-        // on which thread finished first. Disarmed, the fabric observes
-        // the HLR directory at post time (the historical behavior);
-        // armed, ownership is observed at *delivery*, when an
-        // Arrive/Depart actually survives the trunk.
-        for (index, outbox) in outboxes.into_iter().enumerate() {
+        // Inboxes were taken above, so a flit posted in epoch k is
+        // delivered in epoch k+1 whichever shard sent it. Disarmed, the
+        // fabric observes the HLR directory at post time (the
+        // historical behavior); armed, ownership is observed at
+        // *delivery*, when an Arrive/Depart actually survives the trunk.
+        for (index, shard) in fleet.iter_mut().enumerate() {
+            let outbox = shard.run_epoch(epoch, std::mem::take(&mut inboxes[index]));
             fabric.post(index, outbox, &mut directory);
         }
         fabric.seal((epoch + 1) * EPOCH_MS, &mut directory);
@@ -272,7 +229,7 @@ pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard) + Sync) -> L
     let wall = started.elapsed();
 
     // Phase 3: seal shards in index order and merge.
-    let mut reports: Vec<ShardReport> = fleet.into_iter().map(|slot| slot.shard.finish()).collect();
+    let mut reports: Vec<ShardReport> = fleet.into_iter().map(Shard::finish).collect();
     reports[0]
         .stats
         .count_by("load.hlr_relocations", directory.relocations());
@@ -282,7 +239,13 @@ pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard) + Sync) -> L
     if fabric.armed() {
         reports[0].stats.merge(fabric.stats());
     }
-    LoadReport::merge(cfg.subscribers, threads, cfg.snapshot_secs, &reports, wall)
+    LoadReport::merge(
+        cfg.subscribers,
+        cfg.effective_threads(),
+        cfg.snapshot_secs,
+        &reports,
+        wall,
+    )
 }
 
 #[cfg(test)]

@@ -15,11 +15,11 @@
 //! - [`shard`] + [`engine`] + [`mailbox`] — the population is split
 //!   across vGPRS serving-area pairs (built with
 //!   `vgprs_core::VgprsZone`), one `vgprs_sim::Network` per shard,
-//!   advanced in **epoch lockstep** by a thread pool. Shards exchange
+//!   advanced in **epoch lockstep** by one loop. Shards exchange
 //!   traffic — inter-VMSC handoff dialogue, trunk voice, idle-mode HLR
 //!   ownership moves — through a sequenced inter-shard mailbox whose
 //!   delivery order depends only on the configuration and seed, so a
-//!   run is **bit-identical regardless of thread count**.
+//!   run is **bit-identical on every machine and event kernel**.
 //! - [`kpi`] + [`report`] — streaming KPIs merged from the shards'
 //!   O(buckets) histograms, each declared once as a row of the KPI
 //!   table: call-setup delay, paging latency, voice-PDP activation
@@ -31,7 +31,6 @@
 //!
 //! let report = run_load(&LoadConfig {
 //!     subscribers: 100_000,
-//!     threads: 8,
 //!     ..LoadConfig::default()
 //! });
 //! print!("{}", report.render());

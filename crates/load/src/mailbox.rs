@@ -8,10 +8,9 @@
 //! [`TrunkFabric`](crate::trunk::TrunkFabric). A flit sent
 //! during epoch `k` is delivered at the start of epoch `k + 1`, iterated
 //! in (source-shard, send-order) order — a total order that depends only
-//! on the configuration and seed, never on how many worker threads
-//! carried the shards. That is what keeps `--threads 1` and
-//! `--threads 8` bit-identical even with subscribers migrating between
-//! shards mid-call.
+//! on the configuration and seed. That is what keeps reruns
+//! bit-identical even with subscribers migrating between shards
+//! mid-call.
 //!
 //! Inside a shard, two *gate* nodes terminate the cross-shard legs:
 //!
@@ -186,7 +185,7 @@ impl Mailbox {
 
     /// Posts one shard's epoch output. **Must** be called in ascending
     /// `from_shard` order within a barrier; the engine iterates shards
-    /// in index order regardless of which thread ran them.
+    /// in index order.
     pub fn post(&mut self, from_shard: usize, envelopes: Vec<Envelope>) {
         for env in envelopes {
             self.inboxes[env.to_shard].push((from_shard, env.flit));

@@ -155,38 +155,11 @@ pub fn subscriber_plan(
     master_seed: u64,
     global_index: usize,
 ) -> SubscriberPlan {
-    let g = global_index as u64;
-    let mut calls = SimRng::derive(master_seed, STREAM_CALLS.wrapping_add(g));
-    let window = cfg.window_secs as f64;
-
-    let mut arrivals = Vec::new();
-    if cfg.calls_per_sub_hour > 0.0 {
-        let mean_gap = 3600.0 / cfg.calls_per_sub_hour;
-        let extra_hold = (cfg.mean_hold_secs - cfg.min_hold_secs).max(0.1);
-        let mut t = calls.exponential(mean_gap);
-        while t < window {
-            let kind = cfg.mix.pick(calls.uniform());
-            let hold = cfg.min_hold_secs + calls.exponential(extra_hold);
-            arrivals.push(Arrival {
-                at_ms: (t * 1000.0) as u64,
-                kind,
-                hold_ms: (hold * 1000.0) as u64,
-                peer_draw: calls.next_u64(),
-            });
-            t += calls.exponential(mean_gap);
-        }
-    }
-
-    SubscriberPlan {
-        global_index,
-        arrivals,
-        excursion: mobility_excursion(cfg, master_seed, global_index),
-    }
+    subscriber_plan_demand(cfg, &DemandPlan::default(), master_seed, global_index)
 }
 
-/// The mobility half of a subscriber's plan, shared verbatim by the
-/// flat and demand-shaped generators so a demand curve can never
-/// perturb anyone's idle-mode travel.
+/// The mobility half of a subscriber's plan, on its own RNG stream so
+/// a demand curve can never perturb anyone's idle-mode travel.
 fn mobility_excursion(
     cfg: &PopulationConfig,
     master_seed: u64,
@@ -232,9 +205,9 @@ fn mobility_excursion(
 
 /// Generates one subscriber's plan under a compiled [`DemandPlan`].
 ///
-/// A flat plan delegates to [`subscriber_plan`] untouched — not even an
-/// accept draw is spent — so a zero-shock scenario is byte-identical to
-/// a run without the scenario machinery. A shaped plan drives the
+/// A flat plan is the plain Poisson stream — not even an accept draw
+/// is spent — so a zero-shock scenario is byte-identical to a run
+/// without the scenario machinery. A shaped plan drives the
 /// time-varying arrival rate by **thinning**: candidates are generated
 /// as a homogeneous Poisson stream at the plan's envelope rate, and
 /// each is kept with probability `multiplier(t) / envelope`, which
@@ -254,13 +227,11 @@ pub fn subscriber_plan_demand(
     master_seed: u64,
     global_index: usize,
 ) -> SubscriberPlan {
-    if demand.is_flat() {
-        return subscriber_plan(cfg, master_seed, global_index);
-    }
     let g = global_index as u64;
     let mut calls = SimRng::derive(master_seed, STREAM_CALLS.wrapping_add(g));
     let window = cfg.window_secs as f64;
-    let envelope = demand.envelope();
+    let shaped = !demand.is_flat();
+    let envelope = if shaped { demand.envelope() } else { 1.0 };
 
     let mut arrivals = Vec::new();
     if cfg.calls_per_sub_hour > 0.0 {
@@ -269,7 +240,7 @@ pub fn subscriber_plan_demand(
         let mut t = calls.exponential(mean_gap);
         while t < window {
             let at_ms = (t * 1000.0) as u64;
-            if calls.chance(demand.multiplier_at_ms(at_ms) / envelope) {
+            if !shaped || calls.chance(demand.multiplier_at_ms(at_ms) / envelope) {
                 let kind = cfg.mix.pick(calls.uniform());
                 let hold = cfg.min_hold_secs + calls.exponential(extra_hold);
                 arrivals.push(Arrival {

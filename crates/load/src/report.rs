@@ -1,8 +1,8 @@
 //! The merged, deterministic view of a load run.
 //!
 //! Shard reports are merged **in shard-index order**, so the combined
-//! counters, histograms and the fingerprint derived from them are
-//! independent of which thread finished first. Wall-clock figures
+//! counters, histograms and the fingerprint derived from them are a
+//! function of the configuration and seed. Wall-clock figures
 //! (events/second) are carried separately and explicitly excluded from
 //! the fingerprint.
 
@@ -22,7 +22,8 @@ pub struct LoadReport {
     pub subscribers: usize,
     /// How many independent serving-area pairs were simulated.
     pub shards: usize,
-    /// Worker threads used (does not affect any KPI).
+    /// Threads the run used: always 1 from `run_load`. Kept because
+    /// the JSON report and the `BENCH_*.json` meta blocks carry it.
     pub threads: usize,
     /// Merged counters and histograms from every shard.
     pub stats: Stats,
@@ -30,7 +31,7 @@ pub struct LoadReport {
     pub events: u64,
     /// Simulated seconds covered by the longest shard.
     pub sim_secs: f64,
-    /// Wall-clock duration of the parallel run (not deterministic).
+    /// Wall-clock duration of the run (not deterministic).
     pub wall: Duration,
     /// Snapshot cadence in simulated seconds (`0` = sampling off).
     pub snapshot_secs: u64,
@@ -200,8 +201,7 @@ impl LoadReport {
 
     /// The deterministic portion of the report: everything except
     /// wall-clock timing. Two runs with the same configuration and
-    /// master seed must render identical text here regardless of
-    /// thread count.
+    /// master seed must render identical text here.
     pub fn render_deterministic(&self) -> String {
         let mut out = String::with_capacity(2048);
         let _ = writeln!(
@@ -249,10 +249,9 @@ impl LoadReport {
     /// Full human-readable report, including wall-clock throughput.
     pub fn render(&self) -> String {
         format!(
-            "{}throughput            : {:.0} events/s on {} threads ({:.2} s wall)\n",
+            "{}throughput            : {:.0} events/s ({:.2} s wall)\n",
             self.render_deterministic(),
             self.events_per_sec(),
-            self.threads,
             self.wall.as_secs_f64()
         )
     }
@@ -395,7 +394,7 @@ impl LoadReport {
         }
         for (name, hist) in self.stats.histograms() {
             h.write(name.as_bytes());
-            fingerprint_histogram(&mut h, hist.count(), hist.sum(), hist.nonzero_buckets());
+            fingerprint_histogram(&mut h, hist);
         }
         h.finish()
     }

@@ -2,8 +2,8 @@
 //! population slice that lives there.
 //!
 //! A shard owns its own [`Network`], seeded from the master seed and the
-//! shard index, so shards can run on any thread in any order and still
-//! produce byte-identical statistics. The driver replays each
+//! shard index, so a shard's statistics do not depend on which other
+//! shards ran before it. The driver replays each
 //! subscriber's [`SubscriberPlan`] against the simulated network: call
 //! attempts become `Dial` commands, holds become scheduled `Hangup`s,
 //! and mobility excursions become idle-mode cell reselections (or
@@ -247,6 +247,11 @@ pub fn imsi_for(global: usize) -> Imsi {
     Imsi::parse(&format!("466920{global:09}")).expect("generated IMSI is valid")
 }
 
+/// The subscriber's authentication key, as provisioned in its HLR.
+fn ki_for(global: usize) -> u64 {
+    0x5000 + global as u64
+}
+
 /// The subscriber's own E.164 number.
 pub fn msisdn_for(global: usize) -> Msisdn {
     Msisdn::parse(&format!("88691{global:07}")).expect("generated MSISDN is valid")
@@ -325,7 +330,7 @@ impl Shard {
 
         // The fault schedule is compiled up front from (config, seed,
         // shard): the driver replays it like any subscriber plan, so
-        // fault timing never depends on threads or kernel choice.
+        // fault timing never depends on kernel choice.
         // Recovery guard timers only arm when the plan can actually
         // hurt — an empty plan keeps the event stream identical to a
         // fault-free run.
@@ -425,7 +430,7 @@ impl Shard {
                 &mut net,
                 &format!("ms{g}"),
                 imsi_for(g),
-                0x5000 + g as u64,
+                ki_for(g),
                 msisdn,
             );
             let terminal = home.add_terminal(&mut net, &format!("t{g}"), alias);
@@ -581,6 +586,30 @@ impl Shard {
         self.sched.push(SimTime::from_micros(at_us), action);
     }
 
+    /// Delivers a driver command to `node` at the current instant.
+    fn cmd(&mut self, node: NodeId, command: Command) {
+        self.net.inject(SimDuration::ZERO, node, Message::Cmd(command));
+    }
+
+    /// The local index of a global one, if that subscriber lives here.
+    fn local_of(&self, global: usize) -> Option<usize> {
+        global
+            .checked_sub(self.cfg.base_index)
+            .filter(|&local| local < self.subs.len())
+    }
+
+    /// (Re-)creates a subscriber's record in this shard's HLR.
+    fn provision_home(&mut self, global: usize) {
+        self.net
+            .node_mut::<Hlr>(self.home_hlr)
+            .expect("home HLR")
+            .provision(
+                imsi_for(global),
+                ki_for(global),
+                SubscriberProfile::full(msisdn_for(global)),
+            );
+    }
+
     /// More work to do: scheduled actions, queued sim events, or
     /// downlink waiting for the next epoch.
     pub fn is_busy(&self) -> bool {
@@ -617,11 +646,7 @@ impl Shard {
                 gate.queue_um(ms, dtap);
             }
             // Kick: any internal non-A message flushes the queue.
-            self.net.inject(
-                SimDuration::ZERO,
-                self.radio_gate,
-                Message::Cmd(Command::StartTalking),
-            );
+            self.cmd(self.radio_gate, Command::StartTalking);
         }
 
         // Bounded peek: the scheduler's cursor never overshoots the epoch,
@@ -638,8 +663,8 @@ impl Shard {
         self.drain_gates();
         // Sample after the epoch fully settles (gates drained) so a
         // frame reflects every event up to its boundary. Epoch ends are
-        // the same simulated instants on every shard, thread count and
-        // kernel, so the series inherits the run's determinism.
+        // the same simulated instants on every shard and kernel, so
+        // the series inherits the run's determinism.
         self.recorder.observe(end_rel_us / 1000, self.net.stats());
         std::mem::take(&mut self.outbox)
     }
@@ -693,16 +718,14 @@ impl Shard {
                     self.net.stats_mut().count("load.stale_actions");
                     return;
                 }
-                self.net
-                    .inject(SimDuration::ZERO, node, Message::Cmd(Command::Hangup));
+                self.cmd(node, Command::Hangup);
                 let crossed = self.subs[local].handed_off
                     || peer_local.is_some_and(|p| self.subs[p].handed_off);
                 if crossed {
                     // The anchor's release toward the old radio channel
                     // never reaches a handset that left the cell; drive
                     // the far end explicitly so both legs tear down.
-                    self.net
-                        .inject(SimDuration::ZERO, peer, Message::Cmd(Command::Hangup));
+                    self.cmd(peer, Command::Hangup);
                     self.net.stats_mut().count("load.handoff_teardowns");
                 }
                 for l in [Some(local), peer_local].into_iter().flatten() {
@@ -725,10 +748,8 @@ impl Shard {
                     self.net.stats_mut().count("load.stale_actions");
                     return;
                 }
-                self.net
-                    .inject(SimDuration::ZERO, a, Message::Cmd(Command::StopTalking));
-                self.net
-                    .inject(SimDuration::ZERO, b, Message::Cmd(Command::StopTalking));
+                self.cmd(a, Command::StopTalking);
+                self.cmd(b, Command::StopTalking);
             }
             Action::Move { local, cell } => {
                 if cell == BORDER_CELL {
@@ -737,11 +758,7 @@ impl Shard {
                     self.cross_back(local, at_us);
                 } else {
                     self.net.stats_mut().count("load.moves");
-                    self.net.inject(
-                        SimDuration::ZERO,
-                        self.subs[local].ms,
-                        Message::Cmd(Command::MoveToCell { cell }),
-                    );
+                    self.cmd(self.subs[local].ms, Command::MoveToCell { cell });
                 }
             }
         }
@@ -808,11 +825,7 @@ impl Shard {
         }
         let call = CallId((self.cfg.base_index as u64) << 32 | self.next_call);
         self.next_call += 1;
-        self.net.inject(
-            SimDuration::ZERO,
-            orig,
-            Message::Cmd(Command::Dial { call, called }),
-        );
+        self.cmd(orig, Command::Dial { call, called });
         let at_ms = at_us / 1000;
         let gen = self.subs[local].gen;
         let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
@@ -975,13 +988,11 @@ impl Shard {
             }
             FaultKind::Crash { node } => {
                 let id = self.fault_node(node);
-                self.net
-                    .inject(SimDuration::ZERO, id, Message::Cmd(Command::Crash));
+                self.cmd(id, Command::Crash);
             }
             FaultKind::Blackhole { node } => {
                 let id = self.fault_node(node);
-                self.net
-                    .inject(SimDuration::ZERO, id, Message::Cmd(Command::Blackhole));
+                self.cmd(id, Command::Blackhole);
             }
         }
     }
@@ -999,13 +1010,11 @@ impl Shard {
             }
             FaultKind::Blackhole { node } => {
                 let id = self.fault_node(node);
-                self.net
-                    .inject(SimDuration::ZERO, id, Message::Cmd(Command::Restore));
+                self.cmd(id, Command::Restore);
             }
             FaultKind::Crash { node } => {
                 let id = self.fault_node(node);
-                self.net
-                    .inject(SimDuration::ZERO, id, Message::Cmd(Command::Restore));
+                self.cmd(id, Command::Restore);
                 if node == NodeSel::Vmsc {
                     // The VMSC cold-started with an empty MS table;
                     // power-cycle the home population (staggered like
@@ -1063,10 +1072,8 @@ impl Shard {
             // live stream, then mute again once the gap is sampled.
             let ms = self.subs[local].ms;
             let peer = self.subs[local].current_peer.expect("mid-call peer");
-            self.net
-                .inject(SimDuration::ZERO, ms, Message::Cmd(Command::StartTalking));
-            self.net
-                .inject(SimDuration::ZERO, peer, Message::Cmd(Command::StartTalking));
+            self.cmd(ms, Command::StartTalking);
+            self.cmd(peer, Command::StartTalking);
             let mute_at_ms = at_us / 1000 + HANDOFF_VOICE_MS;
             if mute_at_ms * 1000 + 500_000 < self.subs[local].busy_until_us {
                 let gen = self.subs[local].gen;
@@ -1080,11 +1087,7 @@ impl Shard {
                     },
                 );
             }
-            self.net.inject(
-                SimDuration::ZERO,
-                ms,
-                Message::Cmd(Command::MoveToCell { cell: BORDER_CELL }),
-            );
+            self.cmd(ms, Command::MoveToCell { cell: BORDER_CELL });
         } else {
             if self.subs[local].busy_until_us > 0
                 && at_us < self.subs[local].busy_until_us + POST_CALL_SETTLE_US
@@ -1108,11 +1111,7 @@ impl Shard {
                     imsi: imsi_for(global),
                 }),
             );
-            self.net.inject(
-                SimDuration::ZERO,
-                self.subs[local].ms,
-                Message::Cmd(Command::MoveToCell { cell: BORDER_CELL }),
-            );
+            self.cmd(self.subs[local].ms, Command::MoveToCell { cell: BORDER_CELL });
         }
     }
 
@@ -1133,27 +1132,14 @@ impl Shard {
             self.subs[local].away = false;
             // Reclaim ownership before the handset's location update
             // arrives, mirroring the HLR update of a real return.
-            self.net
-                .node_mut::<Hlr>(self.home_hlr)
-                .expect("home HLR")
-                .provision(
-                    imsi_for(global),
-                    0x5000 + global as u64,
-                    SubscriberProfile::full(msisdn_for(global)),
-                );
+            self.provision_home(global);
             self.outbox.push(Envelope {
                 to_shard: target,
                 flit: Flit::Depart { global },
             });
         }
         self.net.stats_mut().count("load.cross_back");
-        self.net.inject(
-            SimDuration::ZERO,
-            self.subs[local].ms,
-            Message::Cmd(Command::MoveToCell {
-                cell: self.home_cell,
-            }),
-        );
+        self.cmd(self.subs[local].ms, Command::MoveToCell { cell: self.home_cell });
     }
 
     /// Delivers one barrier flit into the simulation.
@@ -1213,7 +1199,7 @@ impl Shard {
                 }
             },
             Flit::ADown { global, dtap } => {
-                let local = global - self.cfg.base_index;
+                let local = self.local_of(global).expect("downlink for a subscriber of this shard");
                 let dtap = self.rebase_in(dtap);
                 if matches!(dtap, Dtap::VoiceFrame { .. }) {
                     if let Some(start_us) = self.pending_interrupt.remove(&local) {
@@ -1230,14 +1216,7 @@ impl Shard {
             }
             Flit::Arrive { global } => {
                 self.net.stats_mut().count("load.visitors_hosted");
-                self.net
-                    .node_mut::<Hlr>(self.home_hlr)
-                    .expect("home HLR")
-                    .provision(
-                        imsi_for(global),
-                        0x5000 + global as u64,
-                        SubscriberProfile::full(msisdn_for(global)),
-                    );
+                self.provision_home(global);
             }
             Flit::Depart { global } => {
                 self.net.inject(
@@ -1285,11 +1264,7 @@ impl Shard {
                 // the host side only knows the visitor's global.
                 let local = call
                     .and_then(|c| self.anchored.remove(&c).map(|leg| leg.local))
-                    .or_else(|| {
-                        global
-                            .map(|g| g.wrapping_sub(self.cfg.base_index))
-                            .filter(|&l| l < self.subs.len())
-                    });
+                    .or_else(|| global.and_then(|g| self.local_of(g)));
                 if let Some(local) = local {
                     self.teardown_torn(local, peer, now_us);
                 } else if let Some(g) = global {
@@ -1316,32 +1291,15 @@ impl Shard {
                 // trunk: revert the move so exactly one shard owns the
                 // record again (re-provisioning is idempotent when the
                 // expired flit was the return-trip cancel).
-                let Some(local) = global
-                    .map(|g| g.wrapping_sub(self.cfg.base_index))
-                    .filter(|&l| l < self.subs.len())
-                else {
+                let Some(local) = global.and_then(|g| self.local_of(g)) else {
                     self.net.stats_mut().count("load.trunk_signal_drops");
                     return;
                 };
-                let g = self.cfg.base_index + local;
                 self.net.stats_mut().count("load.trunk_mobility_reverts");
                 self.subs[local].away = false;
                 self.subs[local].handed_off = false;
-                self.net
-                    .node_mut::<Hlr>(self.home_hlr)
-                    .expect("home HLR")
-                    .provision(
-                        imsi_for(g),
-                        0x5000 + g as u64,
-                        SubscriberProfile::full(msisdn_for(g)),
-                    );
-                self.net.inject(
-                    SimDuration::ZERO,
-                    self.subs[local].ms,
-                    Message::Cmd(Command::MoveToCell {
-                        cell: self.home_cell,
-                    }),
-                );
+                self.provision_home(self.cfg.base_index + local);
+                self.cmd(self.subs[local].ms, Command::MoveToCell { cell: self.home_cell });
             }
             ExpiredKind::Signal => {
                 self.net.stats_mut().count("load.trunk_signal_drops");
@@ -1366,14 +1324,12 @@ impl Shard {
         self.subs[local].current_peer = None;
         self.subs[local].pending_return = false;
         self.pending_interrupt.remove(&local);
-        self.net
-            .inject(SimDuration::ZERO, ms, Message::Cmd(Command::Hangup));
+        self.cmd(ms, Command::Hangup);
         if let Some(p) = peer_node {
             // The release toward the departed radio channel never
             // reaches the far handset; drive it down explicitly, like
             // the crossed-leg branch of a normal handoff hangup.
-            self.net
-                .inject(SimDuration::ZERO, p, Message::Cmd(Command::Hangup));
+            self.cmd(p, Command::Hangup);
         }
         // Stranded at the far cell until the partition heals (or the
         // natural return excursion brings the subscriber home first).
@@ -1400,13 +1356,7 @@ impl Shard {
             self.subs[local].away = false;
             self.subs[local].handed_off = false;
             self.subs[local].pending_return = false;
-            self.net.inject(
-                SimDuration::ZERO,
-                self.subs[local].ms,
-                Message::Cmd(Command::MoveToCell {
-                    cell: self.home_cell,
-                }),
-            );
+            self.cmd(self.subs[local].ms, Command::MoveToCell { cell: self.home_cell });
         }
     }
 
@@ -1422,10 +1372,7 @@ impl Shard {
                 Message::Map(m) => {
                     let to_shard = match &m {
                         MapMessage::PrepareHandover { call, imsi, .. } => {
-                            let Some(local) = global_of(imsi)
-                                .map(|g| g - self.cfg.base_index)
-                                .filter(|&l| l < self.subs.len())
-                            else {
+                            let Some(local) = global_of(imsi).and_then(|g| self.local_of(g)) else {
                                 self.net.stats_mut().count("load.cross_unroutable");
                                 continue;
                             };

@@ -13,17 +13,16 @@
 //! Determinism: shards advance in epoch lockstep (every shard runs
 //! every epoch while any shard is busy), so the stats a shard holds at
 //! a given epoch boundary are a function of the configuration and seed
-//! alone — never of thread count or kernel choice. Sampling happens at
+//! alone — never of kernel choice. Sampling happens at
 //! epoch ends, and a frame's `at_ms` is the *nominal* cadence boundary
 //! it covers, so frames from different shards align index-for-index
 //! and merge by simple pairwise addition.
 //!
-//! Memory: a frame stores `Vec<u64>` counters plus
-//! [`SparseHistogram`]s (occupied buckets only), not full `Stats`
-//! clones — a dense histogram is ~4 KB, which would dominate at
-//! thousands of frames across hundreds of shards.
+//! Memory: a frame stores `Vec<u64>` counters plus the schema's
+//! [`Histogram`]s (each only its occupied span of buckets), not full
+//! `Stats` clones.
 
-use vgprs_sim::{Fnv1a, Histogram, JsonWriter, SparseHistogram, Stats};
+use vgprs_sim::{Fnv1a, Histogram, JsonWriter, Stats};
 
 use crate::kpi::{self, KpiSource, Snapshot};
 pub use crate::kpi::{SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
@@ -39,8 +38,8 @@ pub struct SnapshotFrame {
     /// Sampled counter values, one per [`SNAPSHOT_COUNTERS`] entry.
     pub counters: Vec<u64>,
     /// Sampled histograms, one per [`SNAPSHOT_HISTOGRAMS`] entry
-    /// (empty snapshot when the run never touched the name).
-    pub histograms: Vec<SparseHistogram>,
+    /// (empty when the run never touched the name).
+    pub histograms: Vec<Histogram>,
 }
 
 impl SnapshotFrame {
@@ -54,12 +53,7 @@ impl SnapshotFrame {
                 .collect(),
             histograms: SNAPSHOT_HISTOGRAMS
                 .iter()
-                .map(|name| {
-                    stats
-                        .histogram(name)
-                        .map(SparseHistogram::from_histogram)
-                        .unwrap_or_default()
-                })
+                .map(|name| stats.histogram(name).cloned().unwrap_or_default())
                 .collect(),
         }
     }
@@ -83,7 +77,7 @@ impl SnapshotFrame {
             h.write_u64(v);
         }
         for hist in &self.histograms {
-            fingerprint_histogram(h, hist.count(), hist.sum(), hist.nonzero_buckets());
+            fingerprint_histogram(h, hist);
         }
     }
 
@@ -113,7 +107,7 @@ impl KpiSource for SnapshotFrame {
         let mut out = Histogram::new();
         for name in names {
             if let Some(i) = SNAPSHOT_HISTOGRAMS.iter().position(|n| n == name) {
-                out.merge(&self.histograms[i].to_histogram());
+                out.merge(&self.histograms[i]);
             }
         }
         out
@@ -122,15 +116,10 @@ impl KpiSource for SnapshotFrame {
 
 /// Folds one histogram into a fingerprint: count, sum, then every
 /// occupied bucket's midpoint and count, in value order.
-pub(crate) fn fingerprint_histogram(
-    h: &mut Fnv1a,
-    count: u64,
-    sum: f64,
-    buckets: impl Iterator<Item = (f64, u64)>,
-) {
-    h.write_u64(count);
-    h.write_f64(sum);
-    for (midpoint, n) in buckets {
+pub(crate) fn fingerprint_histogram(h: &mut Fnv1a, hist: &Histogram) {
+    h.write_u64(hist.count());
+    h.write_f64(hist.sum());
+    for (midpoint, n) in hist.nonzero_buckets() {
         h.write_f64(midpoint);
         h.write_u64(n);
     }
@@ -162,8 +151,7 @@ impl SnapshotRecorder {
     /// busy-hour t0) and samples every cadence boundary passed since
     /// the last call. The frame records the *boundary's* timestamp but
     /// samples the *current* stats — at an epoch end, which is the same
-    /// instant for every shard, so the series is thread- and
-    /// kernel-invariant.
+    /// instant for every shard, so the series is kernel-invariant.
     pub fn observe(&mut self, now_ms: u64, stats: &Stats) {
         if self.cadence_ms == 0 {
             return;

@@ -10,12 +10,12 @@
 //! compiled by [`vgprs_faults::compile_trunk_plan`].
 //!
 //! Determinism is structural, not defensive: every fabric step runs on
-//! the barrier (single-threaded, shards iterated in index order), every
+//! the barrier (shards iterated in index order), every
 //! chaos decision is a **stateless draw** from
 //! `(seed, src, dst, seq, attempt)` — no mutable RNG whose consumption
 //! order could drift — and retransmit deadlines quantize to epoch
 //! boundaries. The same configuration therefore produces bit-identical
-//! delivery streams at every `--threads` on either event kernel.
+//! delivery streams on either event kernel.
 //!
 //! When the trunk plan is empty the fabric is **disarmed**: `post` and
 //! `take_inbox` reproduce the bare mailbox byte for byte (same delivery

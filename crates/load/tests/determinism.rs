@@ -21,28 +21,20 @@ fn identity(report: &LoadReport) -> (u64, u64, u64, String) {
 }
 
 /// The determinism contract, stated once: a family's configuration has
-/// one [`identity`] at every worker-thread count on both event kernels.
-/// The reference is one thread on the wheel; the first round of the loop
-/// is its rerun, the other five are the remaining `{1,2,8} x {wheel,heap}`
-/// combinations.
-fn assert_invariant(family: &str, cfg: fn(usize) -> LoadConfig) {
-    let reference = identity(&run_load(&cfg(1)));
-    for threads in [1, 2, 8] {
-        for kernel in [Kernel::Wheel, Kernel::Heap] {
-            let other = identity(&run_load(&LoadConfig {
-                kernel,
-                ..cfg(threads)
-            }));
-            assert_eq!(
-                reference, other,
-                "{family} diverged at {threads} thread(s) on {kernel}"
-            );
-        }
+/// one [`identity`] on both event kernels and on a rerun. The reference
+/// is a run on the wheel; the first round of the loop is its rerun, the
+/// second the heap oracle.
+fn assert_invariant(family: &str, cfg: fn() -> LoadConfig) {
+    let reference = identity(&run_load(&cfg()));
+    for kernel in [Kernel::Wheel, Kernel::Heap] {
+        let other = identity(&run_load(&LoadConfig { kernel, ..cfg() }));
+        assert_eq!(reference, other, "{family} diverged on {kernel}");
     }
 }
 
 /// The family table: each row is one `#[test]` holding a named
-/// configuration to [`assert_invariant`].
+/// configuration to [`assert_invariant`]. (The rows keep the names they
+/// had when the engine also had a worker-thread axis.)
 macro_rules! invariant_families {
     ($($test:ident: $family:literal => $cfg:expr;)*) => {
         $(
@@ -56,19 +48,31 @@ macro_rules! invariant_families {
 
 invariant_families! {
     thread_count_does_not_change_results: "plain" => small_cfg;
-    cross_shard_results_are_thread_invariant: "cross@4" => |threads| cross_cfg(threads, 4);
-    cross_shard_results_are_thread_invariant_at_16_shards: "cross@16" => |threads| cross_cfg(threads, 16);
+    cross_shard_results_are_thread_invariant: "cross@4" => || cross_cfg(4);
+    cross_shard_results_are_thread_invariant_at_16_shards: "cross@16" => || cross_cfg(16);
     faulted_runs_are_thread_and_kernel_invariant: "faults" => chaos_cfg;
     surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
     snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
 }
 
-fn small_cfg(threads: usize) -> LoadConfig {
+/// `LoadConfig::threads` is accepted and ignored: the run is the same
+/// one, and the report says one thread.
+#[test]
+fn threads_field_is_inert() {
+    let plain = run_load(&small_cfg());
+    let asked = run_load(&LoadConfig {
+        threads: 8,
+        ..small_cfg()
+    });
+    assert_eq!(identity(&plain), identity(&asked));
+    assert_eq!((plain.threads, asked.threads), (1, 1));
+}
+
+fn small_cfg() -> LoadConfig {
     LoadConfig {
         subscribers: 96,
         shards: 4,
-        threads,
         seed: 0xD15EA5E,
         population: PopulationConfig {
             calls_per_sub_hour: 40.0,
@@ -86,18 +90,17 @@ fn small_cfg(threads: usize) -> LoadConfig {
     }
 }
 
-/// Two runs on two threads each agree with each other (the helper's
-/// rerun is of its one-thread reference).
+/// Two runs of one configuration agree with each other.
 #[test]
 fn reruns_are_identical() {
-    assert_eq!(identity(&run_load(&small_cfg(2))), identity(&run_load(&small_cfg(2))));
+    assert_eq!(identity(&run_load(&small_cfg())), identity(&run_load(&small_cfg())));
 }
 
 /// A different master seed must actually change something.
 #[test]
 fn seed_changes_results() {
-    let a = run_load(&small_cfg(2));
-    let mut cfg = small_cfg(2);
+    let a = run_load(&small_cfg());
+    let mut cfg = small_cfg();
     cfg.seed ^= 1;
     let b = run_load(&cfg);
     assert_ne!(a.fingerprint(), b.fingerprint(), "seed had no effect");
@@ -145,11 +148,10 @@ fn shard_count_does_not_change_subscriber_plans() {
 /// A population with cross-shard excursions enabled: subscribers leave
 /// their home shard mid-call (inter-VMSC handoff over the mailbox) and
 /// while idle (HLR ownership transfer).
-fn cross_cfg(threads: usize, shards: usize) -> LoadConfig {
+fn cross_cfg(shards: usize) -> LoadConfig {
     LoadConfig {
         subscribers: 96,
         shards,
-        threads,
         seed: 0xD15EA5E,
         population: PopulationConfig {
             calls_per_sub_hour: 40.0,
@@ -172,7 +174,7 @@ fn cross_cfg(threads: usize, shards: usize) -> LoadConfig {
 /// meaningful if the mailbox carried real handoffs and HLR moves.
 #[test]
 fn cross_shard_traffic_actually_flows() {
-    let r = run_load(&cross_cfg(2, 4));
+    let r = run_load(&cross_cfg(4));
     assert!(
         r.handoff_attempts() > 0,
         "no inter-VMSC handoffs attempted:\n{}",
@@ -200,16 +202,16 @@ fn cross_shard_traffic_actually_flows() {
     );
 }
 
-/// The same with flits crossing the barrier between the two workers.
+/// The same with flits crossing the epoch barrier.
 #[test]
 fn cross_shard_reruns_are_identical() {
-    assert_eq!(identity(&run_load(&cross_cfg(2, 4))), identity(&run_load(&cross_cfg(2, 4))));
+    assert_eq!(identity(&run_load(&cross_cfg(4))), identity(&run_load(&cross_cfg(4))));
 }
 
-fn chaos_cfg(threads: usize) -> LoadConfig {
+fn chaos_cfg() -> LoadConfig {
     LoadConfig {
         faults: FaultPlanConfig::all(1.0),
-        ..small_cfg(threads)
+        ..small_cfg()
     }
 }
 
@@ -217,10 +219,10 @@ fn chaos_cfg(threads: usize) -> LoadConfig {
 /// leave the run byte-identical to one that never heard of faults.
 #[test]
 fn zero_intensity_faults_change_nothing() {
-    let plain = run_load(&small_cfg(2));
+    let plain = run_load(&small_cfg());
     let zero = run_load(&LoadConfig {
         faults: FaultPlanConfig::all(0.0),
-        ..small_cfg(2)
+        ..small_cfg()
     });
     assert_eq!(identity(&plain), identity(&zero));
 }
@@ -229,7 +231,7 @@ fn zero_intensity_faults_change_nothing() {
 /// machinery must actually recover.
 #[test]
 fn faults_bite_and_recovery_runs() {
-    let r = run_load(&chaos_cfg(2));
+    let r = run_load(&chaos_cfg());
     assert!(
         r.kpi("resilience.faults_injected") > 0.0,
         "no impairment windows opened:\n{}",
@@ -260,7 +262,7 @@ fn faults_bite_and_recovery_runs() {
 /// The busy hour must exercise every KPI the report advertises.
 #[test]
 fn kpis_are_populated() {
-    let r = run_load(&small_cfg(2));
+    let r = run_load(&small_cfg());
     assert_eq!(r.stats.counter("load.registered"), 96);
     assert!(r.attempts() > 0, "no call attempts generated");
     assert!(r.stats.counter("ms.calls_connected") > 0, "no calls connected");
@@ -276,9 +278,8 @@ fn kpis_are_populated() {
 
 // ---- demand plans and overload controls ----
 
-fn surge_cfg(threads: usize) -> LoadConfig {
+fn surge_cfg() -> LoadConfig {
     LoadConfig {
-        threads,
         scenario: ScenarioConfig::flash(10.0),
         controls: OverloadControls {
             paging_rate_per_s: 2,
@@ -286,7 +287,7 @@ fn surge_cfg(threads: usize) -> LoadConfig {
             pdp_rate_per_s: 2,
         },
         gk_bandwidth: 1_280,
-        ..small_cfg(threads)
+        ..small_cfg()
     }
 }
 
@@ -295,10 +296,10 @@ fn surge_cfg(threads: usize) -> LoadConfig {
 /// single RNG draw or reorder a single event when it has nothing to do.
 #[test]
 fn zero_shock_plan_reproduces_flat_run() {
-    let flat = run_load(&small_cfg(2));
+    let flat = run_load(&small_cfg());
     let zero = run_load(&LoadConfig {
         scenario: ScenarioConfig::flash(0.0),
-        ..small_cfg(2)
+        ..small_cfg()
     });
     assert_eq!(identity(&flat), identity(&zero));
 }
@@ -307,7 +308,7 @@ fn zero_shock_plan_reproduces_flat_run() {
 /// the historical generator, for every subscriber.
 #[test]
 fn flat_demand_plans_delegate_exactly() {
-    let cfg = small_cfg(1).population;
+    let cfg = small_cfg().population;
     let flat = DemandPlan::default();
     for g in 0..96 {
         assert_eq!(
@@ -328,7 +329,7 @@ fn overload_kpis_monotone_in_intensity() {
     for intensity in [4.0, 10.0, 25.0] {
         let r = run_load(&LoadConfig {
             scenario: ScenarioConfig::flash(intensity),
-            ..surge_cfg(2)
+            ..surge_cfg()
         });
         assert!(
             r.kpi("overload.attempts_peak") > 0.0,
@@ -357,10 +358,10 @@ fn overload_kpis_monotone_in_intensity() {
 
 /// The cross-shard workload under the full trunk fault plan: envelope
 /// loss, duplication, reordering and partitions on every shard pair.
-fn trunk_cfg(threads: usize) -> LoadConfig {
+fn trunk_cfg() -> LoadConfig {
     LoadConfig {
         trunk: TrunkPlanConfig::all(1.0),
-        ..cross_cfg(threads, 4)
+        ..cross_cfg(4)
     }
 }
 
@@ -376,7 +377,7 @@ fn armed_run_identity_is_pinned() {
     const FINGERPRINT: u64 = 0x3b9b_abfa_46aa_8256;
     const SNAPSHOT_FINGERPRINT: u64 = 0x896b_6b25_939b_da88;
     const EVENTS: u64 = 52_323;
-    let report = run_load(&trunk_cfg(1));
+    let report = run_load(&trunk_cfg());
     assert_eq!(
         format!(
             "{:016x} {:016x} {}",
@@ -394,10 +395,10 @@ fn armed_run_identity_is_pinned() {
 /// heard of trunk faults.
 #[test]
 fn zero_intensity_trunk_plan_changes_nothing() {
-    let plain = run_load(&cross_cfg(2, 4));
+    let plain = run_load(&cross_cfg(4));
     let zero = run_load(&LoadConfig {
         trunk: TrunkPlanConfig::all(0.0),
-        ..cross_cfg(2, 4)
+        ..cross_cfg(4)
     });
     assert_eq!(identity(&plain), identity(&zero));
 }
@@ -406,7 +407,7 @@ fn zero_intensity_trunk_plan_changes_nothing() {
 /// machinery must actually absorb it.
 #[test]
 fn trunk_chaos_bites_and_recovery_runs() {
-    let r = run_load(&trunk_cfg(2));
+    let r = run_load(&trunk_cfg());
     assert!(
         r.trunk_retransmits() > 0,
         "no trunk flit was ever retransmitted:\n{}",
@@ -445,7 +446,7 @@ fn trunk_damage_is_monotone_in_intensity() {
         let damage = |intensity: f64| {
             run_load(&LoadConfig {
                 trunk: TrunkPlanConfig::only(class, intensity),
-                ..cross_cfg(2, 4)
+                ..cross_cfg(4)
             })
             .kpi(counter)
         };
@@ -466,7 +467,7 @@ fn trunk_damage_is_monotone_in_intensity() {
 fn healed_partition_converges() {
     let r = run_load(&LoadConfig {
         trunk: TrunkPlanConfig::only(TrunkFaultClass::Partition, 1.0),
-        ..cross_cfg(2, 4)
+        ..cross_cfg(4)
     });
     assert!(
         r.kpi("trunk.drops_partition") > 0.0,
@@ -500,7 +501,7 @@ fn healed_partition_converges() {
 fn reordered_flits_never_violate_fifo() {
     let r = run_load(&LoadConfig {
         trunk: TrunkPlanConfig::only(TrunkFaultClass::Reorder, 1.0),
-        ..cross_cfg(2, 4)
+        ..cross_cfg(4)
     });
     assert!(
         r.kpi("trunk.reordered") > 0.0,
@@ -530,10 +531,10 @@ fn reordered_flits_never_violate_fifo() {
 
 /// The small workload sampled every 30 simulated seconds, so the 90 s
 /// window yields several frames plus a drain-phase tail.
-fn snapshot_cfg(threads: usize) -> LoadConfig {
+fn snapshot_cfg() -> LoadConfig {
     LoadConfig {
         snapshot_secs: 30,
-        ..small_cfg(threads)
+        ..small_cfg()
     }
 }
 
@@ -542,7 +543,7 @@ fn snapshot_cfg(threads: usize) -> LoadConfig {
 /// both are computed from the same merged stats.
 #[test]
 fn snapshot_aggregate_equals_summary_kpis() {
-    let r = run_load(&snapshot_cfg(2));
+    let r = run_load(&snapshot_cfg());
     let agg = r.snapshot_aggregate();
     for kpi in [
         "attempts",
@@ -570,7 +571,7 @@ fn snapshot_aggregate_equals_summary_kpis() {
 /// last frame never exceeds the aggregate.
 #[test]
 fn snapshot_frames_are_monotone_cumulative() {
-    let r = run_load(&snapshot_cfg(2));
+    let r = run_load(&snapshot_cfg());
     assert!(
         r.snapshots.len() >= 3,
         "90 s at a 30 s cadence must yield at least 3 frames, got {}",
@@ -611,10 +612,10 @@ fn snapshot_frames_are_monotone_cumulative() {
 fn snapshot_cadence_does_not_perturb_the_run() {
     let off = run_load(&LoadConfig {
         snapshot_secs: 0,
-        ..small_cfg(2)
+        ..small_cfg()
     });
     assert!(off.snapshots.is_empty(), "cadence 0 must disable sampling");
-    let on = run_load(&snapshot_cfg(2));
+    let on = run_load(&snapshot_cfg());
     assert_eq!(off.fingerprint(), on.fingerprint());
     assert_eq!(off.render_deterministic(), on.render_deterministic());
 }

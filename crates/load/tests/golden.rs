@@ -35,7 +35,6 @@ fn golden_cfg() -> LoadConfig {
     LoadConfig {
         subscribers: 48,
         shards: 2,
-        threads: 1,
         seed: 42,
         snapshot_secs: 30,
         population: PopulationConfig {

@@ -15,8 +15,7 @@
 //! plus correlated-mobility drift windows, derived purely from
 //! `(config, master_seed, shard_index, window_secs)`. The load engine
 //! drives the curve through its existing per-subscriber Poisson streams
-//! by thinning, so runs stay **bit-identical across thread counts and
-//! event kernels**.
+//! by thinning, so runs stay **bit-identical across event kernels**.
 //!
 //! A flat configuration (the default) compiles to an **empty plan**, and
 //! the load engine then takes its original arrival path untouched — a

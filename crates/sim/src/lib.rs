@@ -86,7 +86,7 @@ pub use net::{census_counters, Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};
 pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
-pub use stats::{Counter, Histogram, SparseHistogram, Stats};
+pub use stats::{Counter, Histogram, Stats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};
 pub use wheel::CalendarWheel;

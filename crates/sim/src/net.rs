@@ -17,16 +17,12 @@ use crate::timer::TimerTable;
 use crate::trace::Trace;
 
 /// Object-safe shim adding downcast support to every [`Node`].
-///
-/// `Send` is required so a whole [`Network`] can be handed between
-/// worker threads — the load engine keeps every shard alive across
-/// epochs and runs each epoch on whichever thread picks it up.
-trait AnyNode<M: Payload>: Node<M> + Send {
+trait AnyNode<M: Payload>: Node<M> {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<M: Payload, T: Node<M> + Send + 'static> AnyNode<M> for T {
+impl<M: Payload, T: Node<M> + 'static> AnyNode<M> for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -229,7 +225,7 @@ impl<M: Payload> Network<M> {
     /// [`Node::on_start`] is invoked immediately.
     pub fn add_node<N>(&mut self, name: &str, node: N) -> NodeId
     where
-        N: Node<M> + Send + 'static,
+        N: Node<M> + 'static,
     {
         let id = NodeId(self.nodes.len() as u32);
         self.relays.push(node.pure_relay());

@@ -41,7 +41,7 @@ impl fmt::Display for NodeId {
 /// full debug dump.
 ///
 /// [`label`]: Payload::label
-pub trait Payload: Clone + fmt::Debug + Send {
+pub trait Payload: Clone + fmt::Debug {
     /// Short, stable message name for traces and assertions.
     fn label(&self) -> String;
 

@@ -56,7 +56,7 @@ impl SimRng {
     /// Streams with different `stream` ids are statistically independent,
     /// and the derivation depends only on `(master, stream)` — not on how
     /// many other streams exist — which is what makes sharded load runs
-    /// invariant to shard and thread counts.
+    /// invariant to the shard count.
     pub fn derive(master: u64, stream: u64) -> Self {
         let mut sm = master ^ stream.wrapping_mul(0xA076_1D64_78BD_642F);
         SimRng::new(splitmix64(&mut sm))

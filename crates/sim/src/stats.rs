@@ -2,7 +2,9 @@
 //!
 //! [`Histogram`] is a *streaming* fixed-bucket histogram: memory stays
 //! O(buckets) no matter how many observations arrive, so population-scale
-//! load runs (millions of calls) can record every sample. Buckets are
+//! load runs (millions of calls) can record every sample, and only the
+//! span of buckets actually touched is stored, so thousands of snapshot
+//! frames can each hold their own. Buckets are
 //! log-spaced (16 sub-buckets per power of two), giving ~3% relative
 //! resolution on percentile queries; `count`, `sum`, `mean`, `min` and
 //! `max` are exact. Two histograms bucket identically, so shard-local
@@ -31,14 +33,20 @@ const NUM_BUCKETS: usize = OCTAVES * SUB + 2;
 
 /// A streaming histogram with a fixed number of log-spaced buckets.
 ///
-/// `observe` is O(1) and allocation-free after construction; `count`,
-/// `sum`, `mean`, `min` and `max` are exact, while `percentile` is
-/// approximate to the bucket resolution (~3%) but always clamped into
-/// the observed `[min, max]` range — so a histogram holding a single
-/// repeated value reports that exact value at every percentile.
-#[derive(Clone)]
+/// `observe` is O(1) amortised (the stored window grows at most
+/// `NUM_BUCKETS` slots over a histogram's life); `count`, `sum`, `mean`,
+/// `min` and `max` are exact, while `percentile` is approximate to the
+/// bucket resolution (~3%) but always clamped into the observed
+/// `[min, max]` range — so a histogram holding a single repeated value
+/// reports that exact value at every percentile.
+#[derive(Clone, PartialEq)]
 pub struct Histogram {
-    buckets: Box<[u64; NUM_BUCKETS]>,
+    /// Bucket index of `window[0]`.
+    first: usize,
+    /// Counts of buckets `first..first + window.len()`: the span from
+    /// the lowest to the highest occupied bucket, so both ends are
+    /// non-zero and equal contents compare equal.
+    window: Vec<u64>,
     count: u64,
     sum: f64,
     min: f64,
@@ -48,7 +56,8 @@ pub struct Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram {
-            buckets: Box::new([0; NUM_BUCKETS]),
+            first: 0,
+            window: Vec::new(),
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -98,7 +107,7 @@ impl Histogram {
     /// would leave the extremes stuck at the ±infinity sentinels while
     /// `count > 0`, and every merge downstream would inherit them.
     pub fn observe(&mut self, value: f64) {
-        self.buckets[bucket_index(value)] += 1;
+        self.add(bucket_index(value), 1);
         self.count += 1;
         self.sum += value;
         if !value.is_nan() {
@@ -109,6 +118,49 @@ impl Histogram {
                 self.max = value;
             }
         }
+    }
+
+    /// Adds `n > 0` to bucket `index`, growing the window to reach it.
+    fn add(&mut self, index: usize, n: u64) {
+        // An index below the window wraps past any window's end.
+        match self.window.get_mut(index.wrapping_sub(self.first)) {
+            Some(slot) => *slot += n,
+            None => self.grow(index, n),
+        }
+    }
+
+    /// [`Histogram::add`] for a bucket outside the window: at most
+    /// `NUM_BUCKETS` slots are ever added over a histogram's life.
+    #[cold]
+    fn grow(&mut self, index: usize, n: u64) {
+        if self.window.is_empty() {
+            self.first = index;
+        } else if index < self.first {
+            let below = self.first - index;
+            self.window.splice(0..0, std::iter::repeat_n(0, below));
+            self.first = index;
+        }
+        let at = index - self.first;
+        if at >= self.window.len() {
+            self.window.resize(at + 1, 0);
+        }
+        self.window[at] += n;
+    }
+
+    /// The count in bucket `index`: zero outside the stored window.
+    fn bucket(&self, index: usize) -> u64 {
+        index
+            .checked_sub(self.first)
+            .and_then(|at| self.window.get(at))
+            .map_or(0, |&n| n)
+    }
+
+    /// Every stored bucket as `(bucket_index, count)`, in value order.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.window
+            .iter()
+            .enumerate()
+            .map(|(at, &n)| (self.first + at, n))
     }
 
     /// True when the min/max fields hold real observations. An empty
@@ -163,43 +215,42 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        if !self.has_extremes() {
-            // Non-empty but no finite extremes (all observations NaN):
-            // fall back to the raw bucket midpoints, which place every
-            // NaN in the zero bucket.
-            let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-            let mut seen = 0;
-            for (i, &n) in self.buckets.iter().enumerate() {
-                seen += n;
-                if seen >= rank {
-                    return bucket_midpoint(i);
-                }
-            }
-            return 0.0;
-        }
-        if p == 0.0 {
+        // Without finite extremes (all observations NaN, or a windowed
+        // delta) the raw bucket midpoints stand, which place every NaN
+        // in the zero bucket.
+        let clamped = self.has_extremes();
+        if clamped && p == 0.0 {
             return self.min;
         }
-        if p == 100.0 {
+        if clamped && p == 100.0 {
             return self.max;
         }
         let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
+        for (i, n) in self.buckets() {
             seen += n;
             if seen >= rank {
-                return bucket_midpoint(i).clamp(self.min, self.max);
+                let midpoint = bucket_midpoint(i);
+                return if clamped {
+                    midpoint.clamp(self.min, self.max)
+                } else {
+                    midpoint
+                };
             }
         }
-        self.max
+        if clamped {
+            self.max
+        } else {
+            0.0
+        }
     }
 
     /// Folds another histogram into this one. Bucketing is identical for
     /// all histograms, so merging loses no resolution; shard-local
     /// histograms combine into a global view this way.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+        for (i, n) in other.buckets().filter(|&(_, n)| n > 0) {
+            self.add(i, n);
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -213,11 +264,9 @@ impl Histogram {
 
     /// Occupied buckets as `(range_midpoint, count)` pairs, in value order.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_midpoint(i), n))
+        self.buckets()
+            .filter(|&(_, n)| n > 0)
+            .map(|(i, n)| (bucket_midpoint(i), n))
     }
 
     /// The observations recorded since `prev` was sampled, as a new
@@ -235,209 +284,21 @@ impl Histogram {
     /// guard the PR 2 empty-shard merge fix established.
     pub fn delta_from(&self, prev: &Histogram) -> Histogram {
         let mut out = Histogram::new();
-        for (i, (cur, old)) in self.buckets.iter().zip(prev.buckets.iter()).enumerate() {
-            debug_assert!(cur >= old, "bucket {i} shrank: {old} -> {cur}");
-            out.buckets[i] = cur.saturating_sub(*old);
+        debug_assert!(
+            prev.buckets().all(|(i, old)| old <= self.bucket(i)),
+            "a bucket shrank since `prev` was sampled"
+        );
+        for (i, cur) in self.buckets() {
+            let old = prev.bucket(i);
+            if cur > old {
+                out.add(i, cur - old);
+            }
         }
         out.count = self.count.saturating_sub(prev.count);
         out.sum = if out.count == 0 { 0.0 } else { self.sum - prev.sum };
         // min/max stay at the empty sentinels: the window's true
         // extremes are unknowable from cumulative bucket counts.
         out
-    }
-}
-
-/// A compact, mergeable snapshot of a [`Histogram`]: only the occupied
-/// buckets, plus the exact count/sum/min/max. Built for KPI time-series
-/// sampling, where thousands of per-window frames would make the dense
-/// fixed-array form (~4 KB each) the dominant memory cost.
-///
-/// Percentiles, mean and extremes reproduce the dense histogram's
-/// answers **exactly** (same bucket midpoints, same clamping, same
-/// empty/NaN sentinels), so KPIs derived from a snapshot at end-of-run
-/// equal KPIs derived from the live histogram.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SparseHistogram {
-    /// Occupied `(bucket_index, count)` pairs, ascending by index.
-    buckets: Vec<(u32, u64)>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for SparseHistogram {
-    fn default() -> Self {
-        // Not derived: the empty extremes are the ±inf sentinels, not 0.0.
-        SparseHistogram::new()
-    }
-}
-
-impl SparseHistogram {
-    /// An empty snapshot (identity for [`SparseHistogram::merge`]).
-    pub fn new() -> Self {
-        SparseHistogram {
-            buckets: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Samples a dense histogram into the compact form.
-    pub fn from_histogram(h: &Histogram) -> Self {
-        SparseHistogram {
-            buckets: h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &n)| n > 0)
-                .map(|(i, &n)| (i as u32, n))
-                .collect(),
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
-        }
-    }
-
-    /// Expands back to the dense form (for windowed deltas and merges
-    /// that want to reuse the dense histogram's arithmetic).
-    pub fn to_histogram(&self) -> Histogram {
-        let mut h = Histogram::new();
-        for &(i, n) in &self.buckets {
-            h.buckets[i as usize] = n;
-        }
-        h.count = self.count;
-        h.sum = self.sum;
-        h.min = self.min;
-        h.max = self.max;
-        h
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Arithmetic mean; 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    fn has_extremes(&self) -> bool {
-        self.min <= self.max
-    }
-
-    /// Smallest observation, or `None` when empty (or sampled from a
-    /// windowed delta, which carries no extremes).
-    pub fn min(&self) -> Option<f64> {
-        self.has_extremes().then_some(self.min)
-    }
-
-    /// Largest observation, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        self.has_extremes().then_some(self.max)
-    }
-
-    /// The `p`-th percentile (0–100), identical to
-    /// [`Histogram::percentile`] on the equivalent dense histogram.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        if !self.has_extremes() {
-            let mut seen = 0;
-            for &(i, n) in &self.buckets {
-                seen += n;
-                if seen >= rank {
-                    return bucket_midpoint(i as usize);
-                }
-            }
-            return 0.0;
-        }
-        if p == 0.0 {
-            return self.min;
-        }
-        if p == 100.0 {
-            return self.max;
-        }
-        let mut seen = 0;
-        for &(i, n) in &self.buckets {
-            seen += n;
-            if seen >= rank {
-                return bucket_midpoint(i as usize).clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Folds another snapshot into this one, with the same
-    /// empty-extremes guard as [`Histogram::merge`]: merging an empty
-    /// (or windowed, extreme-less) snapshot never drags the ±inf
-    /// sentinels into a populated accumulator.
-    pub fn merge(&mut self, other: &SparseHistogram) {
-        if other.count == 0 && other.buckets.is_empty() {
-            return;
-        }
-        let mut merged = Vec::with_capacity(self.buckets.len() + other.buckets.len());
-        let (mut a, mut b) = (self.buckets.iter().peekable(), other.buckets.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&(ia, na)), Some(&&(ib, nb))) => {
-                    if ia < ib {
-                        merged.push((ia, na));
-                        a.next();
-                    } else if ib < ia {
-                        merged.push((ib, nb));
-                        b.next();
-                    } else {
-                        merged.push((ia, na + nb));
-                        a.next();
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&x)) => {
-                    merged.push(x);
-                    b.next();
-                }
-                (None, None) => break,
-            }
-        }
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum += other.sum;
-        if other.has_extremes() {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-    }
-
-    /// Occupied buckets as `(range_midpoint, count)` pairs, in value order.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .map(|&(i, n)| (bucket_midpoint(i as usize), n))
     }
 }
 
@@ -626,13 +487,13 @@ mod tests {
     #[test]
     fn memory_is_bounded_by_buckets() {
         // A million observations cost no more memory than ten: the
-        // histogram is a fixed array, never a Vec of samples.
+        // histogram is a window of buckets, never a Vec of samples.
         let mut h = Histogram::new();
         for i in 0..1_000_000u64 {
             h.observe((i % 977) as f64 + 0.5);
         }
         assert_eq!(h.count(), 1_000_000);
-        assert_eq!(std::mem::size_of_val(&*h.buckets), NUM_BUCKETS * 8);
+        assert!(h.window.len() <= NUM_BUCKETS, "{} slots", h.window.len());
         let p99 = h.percentile(99.0);
         assert!((900.0..=977.0).contains(&p99), "p99 = {p99}");
     }
@@ -819,60 +680,164 @@ mod tests {
         assert_eq!(acc.min(), Some(7.0));
         assert_eq!(acc.max(), Some(7.0));
         assert_eq!(acc.percentile(100.0), 7.0);
+    }
 
-        // Same property on the sparse snapshot form the recorder stores.
-        let mut sacc = SparseHistogram::from_histogram(&acc);
-        sacc.merge(&SparseHistogram::from_histogram(&empty_window));
-        assert_eq!(sacc.min(), Some(7.0));
-        assert_eq!(sacc.max(), Some(7.0));
-        assert_eq!(sacc.count(), 1);
+    /// The histogram as it was before its storage went compact: all
+    /// `NUM_BUCKETS` slots, every answer computed over the whole array.
+    /// The compact form must give the same answers bit for bit.
+    #[derive(Clone)]
+    struct Dense {
+        buckets: [u64; NUM_BUCKETS],
+        sum: f64,
+        min: f64,
+        max: f64,
+    }
+
+    impl Dense {
+        fn new() -> Dense {
+            Dense {
+                buckets: [0; NUM_BUCKETS],
+                sum: 0.0,
+                min: f64::INFINITY,
+                max: f64::NEG_INFINITY,
+            }
+        }
+
+        fn of(values: impl IntoIterator<Item = f64>) -> (Histogram, Dense) {
+            let (mut h, mut d) = (Histogram::new(), Dense::new());
+            for v in values {
+                h.observe(v);
+                d.buckets[bucket_index(v)] += 1;
+                d.sum += v;
+                d.min = d.min.min(v);
+                d.max = d.max.max(v);
+            }
+            (h, d)
+        }
+
+        fn merge(&mut self, other: &Dense) {
+            for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
+            self.sum += other.sum;
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+
+        /// `self - prev`, without extremes.
+        fn delta_from(&self, prev: &Dense) -> Dense {
+            let mut out = Dense::new();
+            for (i, slot) in out.buckets.iter_mut().enumerate() {
+                *slot = self.buckets[i] - prev.buckets[i];
+            }
+            out.sum = self.sum - prev.sum;
+            out
+        }
+
+        fn count(&self) -> u64 {
+            self.buckets.iter().sum()
+        }
+
+        fn percentile(&self, p: f64) -> f64 {
+            let clamped = self.min <= self.max;
+            if clamped && p == 0.0 {
+                return self.min;
+            }
+            if clamped && p == 100.0 {
+                return self.max;
+            }
+            let rank = ((p / 100.0) * self.count() as f64).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            let at = self.buckets.iter().position(|&n| {
+                seen += n;
+                seen >= rank
+            });
+            let midpoint = bucket_midpoint(at.expect("rank <= count"));
+            if clamped {
+                midpoint.clamp(self.min, self.max)
+            } else {
+                midpoint
+            }
+        }
+
+        fn assert_matches(&self, h: &Histogram) {
+            assert_eq!(h.count(), self.count());
+            assert_eq!(h.sum().to_bits(), self.sum.to_bits());
+            let extremes = (self.min <= self.max).then_some((self.min, self.max));
+            assert_eq!(h.min().zip(h.max()), extremes);
+            for p in [0.0, 1.0, 5.0, 50.0, 95.0, 99.0, 100.0] {
+                assert_eq!(h.percentile(p), self.percentile(p), "p{p}");
+            }
+            let occupied: Vec<(f64, u64)> = (0..NUM_BUCKETS)
+                .filter(|&i| self.buckets[i] > 0)
+                .map(|i| (bucket_midpoint(i), self.buckets[i]))
+                .collect();
+            assert_eq!(h.nonzero_buckets().collect::<Vec<_>>(), occupied);
+            // The window spans exactly the occupied buckets, which is
+            // what lets equal contents compare equal.
+            assert_eq!(h.window.len(), h.window.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1));
+            assert!(h.window.first().is_none_or(|&n| n > 0));
+        }
     }
 
     #[test]
     fn sparse_histogram_reproduces_dense_answers_exactly() {
-        let mut h = Histogram::new();
-        for i in 1..=5_000 {
-            h.observe(i as f64 * 0.73);
-        }
-        let s = SparseHistogram::from_histogram(&h);
-        assert_eq!(s.count(), h.count());
-        assert_eq!(s.sum(), h.sum());
-        assert_eq!(s.mean(), h.mean());
-        assert_eq!(s.min(), h.min());
-        assert_eq!(s.max(), h.max());
-        for p in [0.0, 1.0, 50.0, 99.0, 100.0] {
-            assert_eq!(s.percentile(p), h.percentile(p), "p{p}");
-        }
-        // Round trip through the dense form is lossless.
-        let back = s.to_histogram();
-        assert_eq!(back.count(), h.count());
-        assert_eq!(back.percentile(50.0), h.percentile(50.0));
-        assert_eq!(SparseHistogram::from_histogram(&back), s);
+        let (h, dense) = Dense::of((1..=5_000).map(|i| i as f64 * 0.73));
+        dense.assert_matches(&h);
+        assert_eq!(h.mean(), dense.sum / 5_000.0);
+        assert!(h.window.len() < NUM_BUCKETS / 2, "{} slots", h.window.len());
+        // A copy observed in another order holds the same window.
+        let (back, _) = Dense::of((1..=5_000).rev().map(|i| i as f64 * 0.73));
+        assert_eq!(back.window, h.window);
+        assert_eq!(back.first, h.first);
     }
 
     #[test]
     fn sparse_merge_matches_dense_merge() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for i in 0..500 {
-            if i % 3 == 0 {
-                a.observe(i as f64 + 0.5);
-            } else {
-                b.observe((i * 7) as f64 + 0.25);
-            }
-        }
-        let mut dense = a.clone();
-        dense.merge(&b);
-        let mut sparse = SparseHistogram::from_histogram(&a);
-        sparse.merge(&SparseHistogram::from_histogram(&b));
-        assert_eq!(sparse, SparseHistogram::from_histogram(&dense));
-        for p in [5.0, 50.0, 95.0, 100.0] {
-            assert_eq!(sparse.percentile(p), dense.percentile(p), "p{p}");
-        }
+        let (mut a, mut dense_a) = Dense::of((0..500).step_by(3).map(|i| i as f64 + 0.5));
+        let (b, dense_b) = Dense::of((0..500).filter(|i| i % 3 != 0).map(|i| (i * 7) as f64 + 0.25));
+        a.merge(&b);
+        dense_a.merge(&dense_b);
+        dense_a.assert_matches(&a);
         // Merging into the empty identity is a copy.
-        let mut id = SparseHistogram::new();
-        id.merge(&sparse);
-        assert_eq!(id, sparse);
+        let mut id = Histogram::new();
+        id.merge(&a);
+        assert_eq!(id, a);
+    }
+
+    #[test]
+    fn window_growth_merge_and_delta_match_the_dense_reference() {
+        // Observations below and above the current window.
+        let (grown, dense) = Dense::of([40.0, 41.0, 0.003, 9e5, 40.5, -1.0, 1e9]);
+        dense.assert_matches(&grown);
+
+        // A merge of disjoint windows, in both directions.
+        let (low, dense_low) = Dense::of([0.5, 0.7, 0.9]);
+        let (high, dense_high) = Dense::of([3_000.0, 5_000.0]);
+        let (mut up, mut down) = (low.clone(), high.clone());
+        up.merge(&high);
+        down.merge(&low);
+        let mut dense_both = dense_low.clone();
+        dense_both.merge(&dense_high);
+        dense_both.assert_matches(&up);
+        dense_both.assert_matches(&down);
+        assert_eq!(up, down);
+
+        // A delta across different windows: the later sample has grown
+        // on both sides of the earlier one.
+        let (early, dense_early) = Dense::of([20.0, 22.0, 25.0]);
+        let mut late = early.clone();
+        let mut dense_late = dense_early.clone();
+        let (more, dense_more) = Dense::of([1.0, 22.0, 700.0, 700.0]);
+        late.merge(&more);
+        dense_late.merge(&dense_more);
+        dense_late.delta_from(&dense_early).assert_matches(&late.delta_from(&early));
+        // ... and one that leaves the edges of the window unchanged.
+        let mut inner = late.clone();
+        inner.observe(22.0);
+        let w = inner.delta_from(&late);
+        assert_eq!((w.count(), w.window.len()), (1, 1));
+        assert_eq!(late.delta_from(&late), Histogram::new());
     }
 
     #[test]

@@ -14,7 +14,6 @@ fn main() {
     let cfg = LoadConfig {
         subscribers: 96,
         shards: 1,     // one serving area, one cell
-        threads: 1,
         seed: 7,
         tch_capacity: 8, // deliberately scarce: blocking will happen
         population: PopulationConfig {

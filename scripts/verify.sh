@@ -11,11 +11,12 @@ echo "==> cargo test -q"
 cargo test -q
 
 echo "==> determinism contract (release)"
-# Same config + seed => same bits at every --threads on both kernels is
+# Same config + seed => same bits on both kernels, run after run, is
 # the load engine's core promise, and crates/load/tests/determinism.rs is
 # its one statement: every family (plain, cross-shard, faults, surge,
-# trunk chaos, snapshots) at {1,2,8} threads x {wheel,heap} plus a rerun,
-# the zero-plan identities and the monotone-damage checks. `cargo test`
+# trunk chaos, snapshots) on {wheel,heap} plus a rerun, the inert
+# `threads` field, the zero-plan identities and the monotone-damage
+# checks. `cargo test`
 # above ran it in debug; run it in release too so the optimized schedule
 # is also covered — and with it the media cut-through's oracle test
 # (hop-by-hop vs cut-through on a cross-shard media world, plus the
@@ -34,6 +35,16 @@ echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
 if grep -rn '#\[ignore' crates tests; then
     echo "error: ignored tests found (listed above)" >&2
+    exit 1
+fi
+
+echo "==> no threads in the simulator"
+# The load engine is one loop: a per-epoch thread pool ran every measured
+# workload slower (ROADMAP, "Threads pay or go") and was deleted with the
+# thread axis of the determinism contract.
+if grep -rn 'std::thread\|thread::scope' crates/*/src; then
+    echo "error: std::thread under crates/*/src (listed above): parallelism" \
+         "comes back together with a benchmark workload that can measure it" >&2
     exit 1
 fi
 
