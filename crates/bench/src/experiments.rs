@@ -97,14 +97,17 @@ fn voice_run(kind: SystemKind, n: usize, seed: u64, talk: SimDuration) -> (f64, 
                 },
             );
             for i in 0..n {
-                mss.push(zone.add_subscriber(
+                mss.push(zone.access.add_subscriber(
                     &mut net,
                     &format!("ms{i}"),
                     imsi(i),
                     0x1000 + i as u64,
                     msisdn(i),
                 ));
-                terms.push(zone.add_terminal(&mut net, &format!("t{i}"), alias(i)));
+                terms.push(
+                    zone.packet
+                        .add_terminal(&mut net, &format!("t{i}"), alias(i)),
+                );
             }
         }
         SystemKind::Tr => {
@@ -117,7 +120,10 @@ fn voice_run(kind: SystemKind, n: usize, seed: u64, talk: SimDuration) -> (f64, 
             );
             for i in 0..n {
                 mss.push(zone.add_tr_ms(&mut net, &format!("trms{i}"), imsi(i), msisdn(i)));
-                terms.push(zone.add_terminal(&mut net, &format!("t{i}"), alias(i)));
+                terms.push(
+                    zone.packet
+                        .add_terminal(&mut net, &format!("t{i}"), alias(i)),
+                );
             }
         }
     }
@@ -214,8 +220,10 @@ fn vgprs_setup(seed: u64, latency: LatencyProfile, mt: bool) -> f64 {
             ..VgprsZoneConfig::taiwan()
         },
     );
-    let ms = zone.add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
-    let term = zone.add_terminal(&mut net, "t", alias(1));
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
+    let term = zone.packet.add_terminal(&mut net, "t", alias(1));
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     let (dialer, called, stat) = if mt {
@@ -248,7 +256,7 @@ fn tr_setup(seed: u64, latency: LatencyProfile, mt: bool, deactivate_when_idle: 
         },
     );
     let ms = zone.add_tr_ms(&mut net, "trms", imsi(1), msisdn(1));
-    let term = zone.add_terminal(&mut net, "t", alias(1));
+    let term = zone.packet.add_terminal(&mut net, "t", alias(1));
     net.node_mut::<H323Ms>(ms)
         .expect("tr ms")
         .set_deactivate_when_idle(deactivate_when_idle);
@@ -309,13 +317,11 @@ fn context_count(kind: SystemKind, subs: usize, active: usize, seed: u64) -> usi
     let mut net = Network::new(seed);
     net.set_trace_details(false);
     let mut mss = Vec::new();
-    let sgsn;
-    match kind {
+    let mut packet = match kind {
         SystemKind::Vgprs => {
-            let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-            sgsn = zone.sgsn;
+            let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
             for i in 0..subs {
-                mss.push(zone.add_subscriber(
+                mss.push(zone.access.add_subscriber(
                     &mut net,
                     &format!("ms{i}"),
                     imsi(i),
@@ -323,9 +329,7 @@ fn context_count(kind: SystemKind, subs: usize, active: usize, seed: u64) -> usi
                     msisdn(i),
                 ));
             }
-            for i in 0..active {
-                zone.add_terminal(&mut net, &format!("t{i}"), alias(i));
-            }
+            zone.packet
         }
         SystemKind::Tr => {
             let mut zone = TrZone::build(
@@ -336,15 +340,18 @@ fn context_count(kind: SystemKind, subs: usize, active: usize, seed: u64) -> usi
                     ..TrZoneConfig::taiwan()
                 },
             );
-            sgsn = zone.sgsn;
             for i in 0..subs {
                 mss.push(zone.add_tr_ms(&mut net, &format!("trms{i}"), imsi(i), msisdn(i)));
             }
-            for i in 0..active {
-                zone.add_terminal(&mut net, &format!("t{i}"), alias(i));
-            }
+            zone.packet
         }
+    };
+    // Both architectures stand on the same packet half: the wireline
+    // far ends join it, and its SGSN holds the contexts counted below.
+    for i in 0..active {
+        packet.add_terminal(&mut net, &format!("t{i}"), alias(i));
     }
+    let sgsn = packet.sgsn;
     for (i, ms) in mss.iter().enumerate() {
         net.inject(
             SimDuration::from_millis(i as u64 * 7),
@@ -396,7 +403,7 @@ pub fn c4_signaling(seed: u64) -> (Vec<C4Row>, C4Confidentiality) {
     let v_reg = v.net.trace().messages().count();
     let v_gk_leaks = v
         .net
-        .node::<Gatekeeper>(v.zone.gk)
+        .node::<Gatekeeper>(v.zone.packet.gk)
         .expect("gk")
         .imsi_disclosures();
     v.net.trace_mut().clear();
@@ -409,7 +416,7 @@ pub fn c4_signaling(seed: u64) -> (Vec<C4Row>, C4Confidentiality) {
     let t_reg = t.net.trace().messages().count();
     let t_gk_leaks = t
         .net
-        .node::<Gatekeeper>(t.zone.gk)
+        .node::<Gatekeeper>(t.zone.packet.gk)
         .expect("gk")
         .imsi_disclosures();
     t.net.trace_mut().clear();
@@ -492,8 +499,10 @@ pub fn c2_idle_ablation(seed: u64) -> IdleAblationReport {
                 ..VgprsZoneConfig::taiwan()
             },
         );
-        let ms = zone.add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
-        zone.add_terminal(&mut net, "t", alias(1));
+        let ms = zone
+            .access
+            .add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
+        zone.packet.add_terminal(&mut net, "t", alias(1));
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         net.inject(

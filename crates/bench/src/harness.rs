@@ -15,29 +15,49 @@ use vgprs_sim::{JsonWriter, Kernel};
 /// The master seed every experiment defaults to.
 pub const SEED: u64 = 42;
 
+/// Ends the process with a usage error: the only exit in flag parsing,
+/// kept apart from it so the parsing is testable.
+fn usage_exit(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
 /// Tiny flag parser: `--name value` pairs plus bare `--flag` switches.
 pub struct Flags<'a>(pub &'a [String]);
 
 impl Flags<'_> {
-    /// The raw value following `--name`, if present.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .position(|a| a == name)
-            .and_then(|i| self.0.get(i + 1))
-            .map(String::as_str)
+    /// The raw value following `--name`, `None` when the flag is absent.
+    /// A flag given as the last argument, or followed by another
+    /// `--flag`, has no value: an error naming it, not a silent default.
+    pub fn value(&self, name: &str) -> Result<Option<&str>, String> {
+        let Some(i) = self.0.iter().position(|a| a == name) else {
+            return Ok(None);
+        };
+        match self.0.get(i + 1) {
+            Some(v) if !v.starts_with("--") => Ok(Some(v)),
+            _ => Err(format!("{name} needs a value")),
+        }
     }
 
-    /// Parses the value of `--name`, exiting with a usage error when the
-    /// value does not parse; `default` when the flag is absent.
-    pub fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.get(name) {
-            None => default,
-            Some(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!("invalid value {raw:?} for {name}");
-                std::process::exit(2);
-            }),
+    /// The value of `--name` parsed as `T`; `default` when the flag is
+    /// absent.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name)? {
+            None => Ok(default),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("invalid value {raw:?} for {name}")),
         }
+    }
+
+    /// [`Flags::value`], exiting with a usage error on a missing value.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        self.value(name).unwrap_or_else(|e| usage_exit(e))
+    }
+
+    /// [`Flags::parsed`], exiting with a usage error on a bad value.
+    pub fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.parsed(name, default).unwrap_or_else(|e| usage_exit(e))
     }
 
     /// Presence of a bare flag with no value (e.g. `--check`).
@@ -47,34 +67,28 @@ impl Flags<'_> {
 }
 
 /// Parses a trunk fault class name (`loss`, `dup`, `reorder`,
-/// `partition` — the `trunk_` prefix is optional), exiting with a
-/// usage error otherwise.
-pub fn parse_trunk_class(raw: &str) -> TrunkFaultClass {
-    let key = raw.strip_prefix("trunk_").unwrap_or(raw);
-    match key {
-        "loss" => TrunkFaultClass::Loss,
-        "dup" => TrunkFaultClass::Dup,
-        "reorder" => TrunkFaultClass::Reorder,
-        "partition" => TrunkFaultClass::Partition,
-        _ => {
-            eprintln!(
-                "invalid value {raw:?} for --trunk-class; expected loss, dup, \
-                 reorder, partition or all"
-            );
-            std::process::exit(2);
-        }
+/// `partition` — the `trunk_` prefix is optional).
+fn parse_trunk_class(raw: &str) -> Result<TrunkFaultClass, String> {
+    match raw.strip_prefix("trunk_").unwrap_or(raw) {
+        "loss" => Ok(TrunkFaultClass::Loss),
+        "dup" => Ok(TrunkFaultClass::Dup),
+        "reorder" => Ok(TrunkFaultClass::Reorder),
+        "partition" => Ok(TrunkFaultClass::Partition),
+        _ => Err(format!(
+            "invalid value {raw:?} for --trunk-class; expected loss, dup, \
+             reorder, partition or all"
+        )),
     }
 }
 
-/// Parses `heap`/`wheel`, exiting with a usage error otherwise.
-pub fn parse_kernel(raw: &str) -> Kernel {
+/// Parses `heap`/`wheel`.
+fn parse_kernel(raw: &str) -> Result<Kernel, String> {
     match raw {
-        "heap" => Kernel::Heap,
-        "wheel" => Kernel::Wheel,
-        _ => {
-            eprintln!("invalid value {raw:?} for --kernel; expected heap or wheel");
-            std::process::exit(2);
-        }
+        "heap" => Ok(Kernel::Heap),
+        "wheel" => Ok(Kernel::Wheel),
+        _ => Err(format!(
+            "invalid value {raw:?} for --kernel; expected heap or wheel"
+        )),
     }
 }
 
@@ -115,50 +129,58 @@ impl Default for RunDefaults {
 }
 
 /// Builds a [`LoadConfig`] from the shared flag vocabulary over the
-/// given per-subcommand defaults. `--threads` is still accepted, for
-/// scripts that pass it, and changes nothing.
+/// given per-subcommand defaults, exiting with a usage error on a flag
+/// [`parse_load_config`] refuses.
 pub fn load_config_from(flags: &Flags<'_>, defaults: &RunDefaults) -> LoadConfig {
+    parse_load_config(flags, defaults).unwrap_or_else(|e| usage_exit(e))
+}
+
+/// The parse behind [`load_config_from`]: the error names the flag whose
+/// value is missing or malformed. `--threads` is still accepted, for
+/// scripts that pass it, and changes nothing.
+pub fn parse_load_config(flags: &Flags<'_>, defaults: &RunDefaults) -> Result<LoadConfig, String> {
     if flags.has("--threads") {
         eprintln!("note: --threads has no effect: the load engine runs on one thread");
     }
     let mut cfg = LoadConfig {
-        subscribers: flags.parse("--subscribers", defaults.subscribers),
-        shards: flags.parse("--shards", defaults.shards),
-        seed: flags.parse("--seed", SEED),
-        tch_capacity: flags.parse("--tch", 64),
-        voice_sample_ms: flags.parse("--voice-sample-ms", 1_000),
-        gk_bandwidth: flags.parse("--gk-bandwidth", defaults.gk_bandwidth),
+        subscribers: flags.parsed("--subscribers", defaults.subscribers)?,
+        shards: flags.parsed("--shards", defaults.shards)?,
+        seed: flags.parsed("--seed", SEED)?,
+        tch_capacity: flags.parsed("--tch", 64)?,
+        voice_sample_ms: flags.parsed("--voice-sample-ms", 1_000)?,
+        gk_bandwidth: flags.parsed("--gk-bandwidth", defaults.gk_bandwidth)?,
         ..LoadConfig::default()
     };
-    cfg.population.window_secs = flags.parse("--window-secs", defaults.window_secs);
-    cfg.population.calls_per_sub_hour = flags.parse("--rate", defaults.calls_per_sub_hour);
-    cfg.population.mean_hold_secs = flags.parse("--hold", defaults.mean_hold_secs);
-    cfg.population.mobility_fraction = flags.parse("--mobility", defaults.mobility_fraction);
-    cfg.population.cross_shard_fraction = flags.parse("--cross-shard-rate", 0.0);
-    cfg.snapshot_secs = flags.parse("--snapshot-secs", cfg.snapshot_secs);
-    let trunk_intensity: f64 = flags.parse("--trunk-intensity", 0.0);
+    cfg.population.window_secs = flags.parsed("--window-secs", defaults.window_secs)?;
+    cfg.population.calls_per_sub_hour = flags.parsed("--rate", defaults.calls_per_sub_hour)?;
+    cfg.population.mean_hold_secs = flags.parsed("--hold", defaults.mean_hold_secs)?;
+    cfg.population.mobility_fraction = flags.parsed("--mobility", defaults.mobility_fraction)?;
+    cfg.population.cross_shard_fraction = flags.parsed("--cross-shard-rate", 0.0)?;
+    cfg.snapshot_secs = flags.parsed("--snapshot-secs", cfg.snapshot_secs)?;
+    let trunk_intensity: f64 = flags.parsed("--trunk-intensity", 0.0)?;
     if trunk_intensity > 0.0 {
-        cfg.trunk = match flags.get("--trunk-class") {
+        cfg.trunk = match flags.value("--trunk-class")? {
             None | Some("all") => TrunkPlanConfig::all(trunk_intensity),
-            Some(raw) => TrunkPlanConfig::only(parse_trunk_class(raw), trunk_intensity),
+            Some(raw) => TrunkPlanConfig::only(parse_trunk_class(raw)?, trunk_intensity),
         };
     }
-    if let Some(raw) = flags.get("--kernel") {
-        cfg.kernel = parse_kernel(raw);
+    if let Some(raw) = flags.value("--kernel")? {
+        cfg.kernel = parse_kernel(raw)?;
     }
-    if let Some(mix) = flags.get("--mix") {
-        let parts: Vec<f64> = mix.split(',').filter_map(|p| p.parse().ok()).collect();
-        if parts.len() != 3 {
-            eprintln!("--mix expects MO,MT,M2M weights, e.g. 0.45,0.45,0.10");
-            std::process::exit(2);
-        }
+    if let Some(mix) = flags.value("--mix")? {
+        let parts: Result<Vec<f64>, _> = mix.split(',').map(str::parse).collect();
+        let Ok([mo, mt, m2m]) = parts.as_deref() else {
+            return Err(format!(
+                "invalid value {mix:?} for --mix; expected MO,MT,M2M weights, e.g. 0.45,0.45,0.10"
+            ));
+        };
         cfg.population.mix = CallMix {
-            mo: parts[0],
-            mt: parts[1],
-            m2m: parts[2],
+            mo: *mo,
+            mt: *mt,
+            m2m: *m2m,
         };
     }
-    cfg
+    Ok(cfg)
 }
 
 /// Writes an artifact, exiting on I/O failure.
@@ -406,4 +428,43 @@ pub fn capacity_json(search: &KneeSearch, base: &LoadConfig, max_load: f64, refi
     }
     w.end();
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<LoadConfig, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_load_config(&Flags(&args), &RunDefaults::default())
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let cfg = parse(&["--seed", "7", "--mix", "0.4,0.3,0.3", "--rate", "-1"]).unwrap();
+        assert_eq!((cfg.seed, cfg.population.mix.mt), (7, 0.3));
+        assert_eq!(
+            cfg.population.calls_per_sub_hour, -1.0,
+            "a negative number is a value"
+        );
+    }
+
+    #[test]
+    fn malformed_flags_name_the_flag() {
+        for (args, flag) in [
+            (&["--mix", "0.4,x,0.3,0.3"][..], "--mix"),
+            (&["--mix", "0.4,0.6"], "--mix"),
+            (&["--subscribers", "64", "--seed"], "--seed"),
+            (&["--seed", "--subscribers", "64"], "--seed"),
+            (&["--seed", "forty-two"], "--seed"),
+            (&["--kernel", "calendar"], "--kernel"),
+            (
+                &["--trunk-intensity", "0.5", "--trunk-class", "flood"],
+                "--trunk-class",
+            ),
+        ] {
+            let err = parse(args).expect_err(&args.join(" "));
+            assert!(err.contains(flag), "{args:?} -> {err}");
+        }
+    }
 }

@@ -4,7 +4,10 @@
 //! functions so the integration tests, the `harness` binary and the
 //! Criterion benches all measure exactly the same systems.
 
-use vgprs_core::{GsmZone, GsmZoneConfig, LatencyProfile, VgprsZone, VgprsZoneConfig, Vmsc};
+use vgprs_core::{
+    AccessHalf, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone, VgprsZoneConfig,
+    Vmsc,
+};
 use vgprs_gsm::MobileStation;
 use vgprs_h323::H323Terminal;
 use vgprs_pstn::{PstnPhone, PstnSwitch, TrunkClass};
@@ -39,8 +42,10 @@ impl SingleZone {
         let ms_imsi = Imsi::parse("466920000000001").expect("valid");
         let ms_msisdn = Msisdn::parse("886912000001").expect("valid");
         let term_alias = Msisdn::parse("886220001111").expect("valid");
-        let ms = zone.add_subscriber(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
-        let term = zone.add_terminal(&mut net, "term1", term_alias);
+        let ms = zone
+            .access
+            .add_subscriber(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
+        let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         SingleZone {
@@ -97,12 +102,17 @@ pub struct TromboningReport {
     pub post_dial_delay_ms: Option<f64>,
 }
 
-/// Figure 7: subscriber `x` (home: UK) roams to Hong Kong under a
-/// *classic* GSM visited network; `y` in Hong Kong calls `x`'s UK number.
-///
-/// Classic GSM call delivery routes via the UK GMSC and back — two
-/// international trunks.
-pub fn tromboning_classic(seed: u64) -> TromboningReport {
+/// The world of Figures 7–8: subscriber `x` (home: UK, a classic GSM
+/// network holding its HLR and the GMSC role) roams to Hong Kong, where
+/// fixed-line `y` calls `x`'s UK number. `visited` builds Hong Kong's
+/// network on its PSTN switch and returns the access half `x` camps on
+/// and, when the network is a vGPRS one, the packet half its H.323/PSTN
+/// gateway joins.
+fn roaming_call(
+    seed: u64,
+    roamer_registered: bool,
+    visited: fn(&mut Network<Message>, NodeId) -> (AccessHalf, Option<PacketHalf>),
+) -> TromboningReport {
     let mut net = Network::new(seed);
     let lat = LatencyProfile::default();
 
@@ -111,7 +121,6 @@ pub fn tromboning_classic(seed: u64) -> TromboningReport {
     let uk_switch = net.add_node("uk.pstn", PstnSwitch::new("uk"));
     net.connect(hk_switch, uk_switch, Interface::Isup, lat.isup_international);
 
-    // Home network (UK): provides x's HLR and the GMSC role.
     let uk = GsmZone::build(
         &mut net,
         GsmZoneConfig {
@@ -126,23 +135,9 @@ pub fn tromboning_classic(seed: u64) -> TromboningReport {
             latency: lat,
         },
         uk_switch,
-    );
-    // Visited network (HK), classic GSM.
-    let hk = GsmZone::build(
-        &mut net,
-        GsmZoneConfig {
-            name: "hk".into(),
-            country_code: "852".into(),
-            home_prefix: "8529".into(),
-            msrn_prefix: "8529990".into(),
-            lai: Lai::new(454, 0, 1),
-            cell: CellId(20),
-            tch_capacity: 32,
-            auth_on_access: true,
-            latency: lat,
-        },
-        hk_switch,
-    );
+    )
+    .access;
+    let (hk, hk_packet) = visited(&mut net, hk_switch);
     // Roamer dialogue path: HK VLR ↔ UK HLR (international SS7).
     net.connect(hk.vlr, uk.hlr, Interface::D, lat.ss7_international);
     net.node_mut::<vgprs_gsm::Vlr>(hk.vlr)
@@ -162,105 +157,24 @@ pub fn tromboning_classic(seed: u64) -> TromboningReport {
     let y = net.add_node("hk.y", PstnPhone::new(y_msisdn, hk_switch));
     net.connect(y, hk_switch, Interface::Isup, lat.isup);
 
-    // Routing tables.
+    // Routing tables. A vGPRS Hong Kong hands 44-prefixed calls to its
+    // VoIP gateway first (Figure 8, step (1)), with the international
+    // route as the crankback fallback; a classic one only ever sees the
+    // roaming number come back from the UK GMSC.
+    let msrn_route = match hk_packet {
+        Some(mut packet) => {
+            packet.add_gateway(&mut net, hk_switch, "447");
+            None
+        }
+        None => Some(hk.msc),
+    };
     {
         let s = net.node_mut::<PstnSwitch>(hk_switch).expect("hk switch");
         s.add_route("44", uk_switch, TrunkClass::International);
         s.add_route("85221230001", y, TrunkClass::Local);
-        s.add_route("8529990", hk.msc, TrunkClass::Local);
-    }
-    {
-        let s = net.node_mut::<PstnSwitch>(uk_switch).expect("uk switch");
-        s.add_route("447", uk.msc, TrunkClass::National);
-        s.add_route("852", hk_switch, TrunkClass::International);
-    }
-
-    // x registers in HK; then y calls x's UK number.
-    net.inject(SimDuration::ZERO, x, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    let call = CallId(900);
-    net.inject(
-        SimDuration::ZERO,
-        y,
-        Message::Cmd(Command::Dial {
-            call,
-            called: x_msisdn,
-        }),
-    );
-    net.run_until(net.now() + SimDuration::from_secs(65));
-
-    let connected = net
-        .node::<MobileStation>(x)
-        .map(|m| m.calls_connected > 0)
-        .unwrap_or(false);
-    summarize_trunks(&net, &[hk_switch, uk_switch], call, connected)
-}
-
-/// Figure 8: the same roaming call, but the visited network runs vGPRS
-/// with a local gatekeeper and an H.323/PSTN gateway. When `x` is
-/// registered locally the call never leaves Hong Kong; when not, the
-/// gateway falls back to the international PSTN (crankback).
-pub fn tromboning_vgprs(seed: u64, roamer_registered: bool) -> TromboningReport {
-    let mut net = Network::new(seed);
-    let lat = LatencyProfile::default();
-
-    let hk_switch = net.add_node("hk.pstn", PstnSwitch::new("hk"));
-    let uk_switch = net.add_node("uk.pstn", PstnSwitch::new("uk"));
-    net.connect(hk_switch, uk_switch, Interface::Isup, lat.isup_international);
-
-    // Home network (UK) stays classic: it holds x's HLR.
-    let uk = GsmZone::build(
-        &mut net,
-        GsmZoneConfig {
-            name: "uk".into(),
-            country_code: "44".into(),
-            home_prefix: "447".into(),
-            msrn_prefix: "449990".into(),
-            lai: Lai::new(234, 15, 1),
-            cell: CellId(10),
-            tch_capacity: 32,
-            auth_on_access: true,
-            latency: lat,
-        },
-        uk_switch,
-    );
-
-    // Visited network (HK) runs vGPRS.
-    let mut hk = VgprsZone::build(
-        &mut net,
-        VgprsZoneConfig {
-            name: "hk".into(),
-            country_code: "852".into(),
-            msrn_prefix: "8529990".into(),
-            lai: Lai::new(454, 0, 1),
-            cell: CellId(20),
-            ..VgprsZoneConfig::taiwan()
-        },
-    );
-    net.connect(hk.vlr, uk.hlr, Interface::D, lat.ss7_international);
-    net.node_mut::<vgprs_gsm::Vlr>(hk.vlr)
-        .expect("hk vlr")
-        .add_hlr_route("234", uk.hlr);
-
-    let x_imsi = Imsi::parse("234150000000001").expect("valid");
-    let x_msisdn = Msisdn::parse("447700900123").expect("valid");
-    net.node_mut::<vgprs_gsm::Hlr>(uk.hlr)
-        .expect("uk hlr")
-        .provision(x_imsi, 0xCAFE, vgprs_wire::SubscriberProfile::full(x_msisdn));
-    let x = hk.add_roamer(&mut net, "x", x_imsi, 0xCAFE, x_msisdn);
-
-    let y_msisdn = Msisdn::parse("85221230001").expect("valid");
-    let y = net.add_node("hk.y", PstnPhone::new(y_msisdn, hk_switch));
-    net.connect(y, hk_switch, Interface::Isup, lat.isup);
-
-    // The HK telco hands 44-prefixed calls to its VoIP gateway first
-    // (Figure 8, step (1)); "44" also routes internationally as the
-    // crankback fallback.
-    let _gw = hk.add_gateway(&mut net, hk_switch, "447");
-    {
-        let s = net.node_mut::<PstnSwitch>(hk_switch).expect("hk switch");
-        s.add_route("44", uk_switch, TrunkClass::International);
-        s.add_route("85221230001", y, TrunkClass::Local);
+        if let Some(msc) = msrn_route {
+            s.add_route("8529990", msc, TrunkClass::Local);
+        }
     }
     {
         let s = net.node_mut::<PstnSwitch>(uk_switch).expect("uk switch");
@@ -288,6 +202,47 @@ pub fn tromboning_vgprs(seed: u64, roamer_registered: bool) -> TromboningReport 
         .map(|m| m.calls_connected > 0)
         .unwrap_or(false);
     summarize_trunks(&net, &[hk_switch, uk_switch], call, connected)
+}
+
+/// Figure 7: `x` roams to Hong Kong under a *classic* GSM visited
+/// network; `y` in Hong Kong calls `x`'s UK number.
+///
+/// Classic GSM call delivery routes via the UK GMSC and back — two
+/// international trunks.
+pub fn tromboning_classic(seed: u64) -> TromboningReport {
+    roaming_call(seed, true, |net, hk_switch| {
+        let cfg = GsmZoneConfig {
+            name: "hk".into(),
+            country_code: "852".into(),
+            home_prefix: "8529".into(),
+            msrn_prefix: "8529990".into(),
+            lai: Lai::new(454, 0, 1),
+            cell: CellId(20),
+            tch_capacity: 32,
+            auth_on_access: true,
+            latency: LatencyProfile::default(),
+        };
+        (GsmZone::build(net, cfg, hk_switch).access, None)
+    })
+}
+
+/// Figure 8: the same roaming call, but the visited network runs vGPRS
+/// with a local gatekeeper and an H.323/PSTN gateway. When `x` is
+/// registered locally the call never leaves Hong Kong; when not, the
+/// gateway falls back to the international PSTN (crankback).
+pub fn tromboning_vgprs(seed: u64, roamer_registered: bool) -> TromboningReport {
+    roaming_call(seed, roamer_registered, |net, _hk_switch| {
+        let cfg = VgprsZoneConfig {
+            name: "hk".into(),
+            country_code: "852".into(),
+            msrn_prefix: "8529990".into(),
+            lai: Lai::new(454, 0, 1),
+            cell: CellId(20),
+            ..VgprsZoneConfig::taiwan()
+        };
+        let hk = VgprsZone::build(net, cfg);
+        (hk.access, Some(hk.packet))
+    })
 }
 
 fn summarize_trunks(
@@ -342,50 +297,38 @@ pub struct HandoffReport {
     pub term_frames_after: u64,
 }
 
-/// Figure 9: an MS in a call through a VMSC moves into a cell served by a
-/// neighboring *classic* GSM MSC. The VMSC stays in the path as the
-/// anchor; voice continues over an inter-MSC trunk.
-pub fn intersystem_handoff(seed: u64) -> HandoffReport {
+/// The Figure 9 world ten seconds into a call from the MS of a vGPRS
+/// zone to a terminal on its LAN, the MS also hearing cell 2, which
+/// belongs to the zone `build_neighbor` creates. Returns the network,
+/// the MS and the terminal.
+fn handoff_world(
+    seed: u64,
+    build_neighbor: fn(&mut Network<Message>) -> AccessHalf,
+) -> (Network<Message>, NodeId, NodeId) {
     let mut net = Network::new(seed);
-    let lat = LatencyProfile::default();
-
     let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    // Neighboring classic MSC (same country) with its own BSC/BTS.
-    let pstn = net.add_node("tw.pstn", PstnSwitch::new("tw"));
-    let neighbor = GsmZone::build(
-        &mut net,
-        GsmZoneConfig {
-            name: "tw2".into(),
-            country_code: "886".into(),
-            home_prefix: "8869".into(),
-            msrn_prefix: "8869991".into(),
-            lai: Lai::new(466, 92, 2),
-            cell: CellId(2),
-            tch_capacity: 32,
-            auth_on_access: true,
-            latency: lat,
-        },
-        pstn,
-    );
+    let neighbor = build_neighbor(&mut net);
     // E interface between the two MSCs; the VMSC knows cell 2's owner.
-    net.connect(zone.vmsc, neighbor.msc, Interface::E, lat.e);
-    net.node_mut::<Vmsc>(zone.vmsc)
+    net.connect(
+        zone.access.msc,
+        neighbor.msc,
+        Interface::E,
+        neighbor.latency.e,
+    );
+    net.node_mut::<Vmsc>(zone.access.msc)
         .expect("vmsc")
-        .add_neighbor_cell(CellId(2), neighbor.msc);
+        .add_neighbor_cell(neighbor.cell, neighbor.msc);
 
-    let ms_imsi = Imsi::parse("466920000000001").expect("valid");
-    let ms_msisdn = Msisdn::parse("886912000001").expect("valid");
+    let ms = zone.access.add_subscriber(
+        &mut net,
+        "ms1",
+        Imsi::parse("466920000000001").expect("valid"),
+        0xABCD,
+        Msisdn::parse("886912000001").expect("valid"),
+    );
     let term_alias = Msisdn::parse("886220001111").expect("valid");
-    let ms = zone.add_subscriber(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
-    let term = zone.add_terminal(&mut net, "term1", term_alias);
-    // The MS can also hear the neighbor's cell.
-    net.connect(ms, neighbor.bts, Interface::Um, lat.um);
-    net.node_mut::<vgprs_gsm::Bts>(neighbor.bts)
-        .expect("neighbor bts")
-        .register_ms(ms);
-    net.node_mut::<MobileStation>(ms)
-        .expect("ms")
-        .add_neighbor(CellId(2), neighbor.bts);
+    let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
+    neighbor.cover(&mut net, ms);
 
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
@@ -399,16 +342,62 @@ pub fn intersystem_handoff(seed: u64) -> HandoffReport {
     );
     // Talk for a while before moving.
     net.run_until(SimTime::from_micros(10_000_000));
-    let frames_before = net.node::<MobileStation>(ms).expect("ms").frames_received;
-    let term_frames_before = net.node::<H323Terminal>(term).expect("term").frames_received;
+    (net, ms, term)
+}
 
+/// Cell 2 under a classic MSC (same country) with its own BSC/BTS.
+fn classic_neighbor(net: &mut Network<Message>) -> AccessHalf {
+    let pstn = net.add_node("tw.pstn", PstnSwitch::new("tw"));
+    let cfg = GsmZoneConfig {
+        name: "tw2".into(),
+        country_code: "886".into(),
+        home_prefix: "8869".into(),
+        msrn_prefix: "8869991".into(),
+        lai: Lai::new(466, 92, 2),
+        cell: CellId(2),
+        tch_capacity: 32,
+        auth_on_access: true,
+        latency: LatencyProfile::default(),
+    };
+    GsmZone::build(net, cfg, pstn).access
+}
+
+/// Cell 2 under a second VMSC with its own GPRS core and H.323 zone.
+fn vmsc_neighbor(net: &mut Network<Message>) -> AccessHalf {
+    let cfg = VgprsZoneConfig {
+        name: "tw2".into(),
+        lai: Lai::new(466, 92, 2),
+        cell: CellId(2),
+        msrn_prefix: "8869991".into(),
+        pool: (vgprs_wire::Ipv4Addr::from_octets(10, 201, 0, 0), 16),
+        gk_addr: vgprs_wire::TransportAddr::new(
+            vgprs_wire::Ipv4Addr::from_octets(10, 2, 0, 2),
+            1719,
+        ),
+        ..VgprsZoneConfig::taiwan()
+    };
+    VgprsZone::build(net, cfg).access
+}
+
+/// Moves the MS into cell 2 and talks for ten more seconds.
+fn move_to_cell_2(net: &mut Network<Message>, ms: NodeId) {
     net.inject(
         SimDuration::ZERO,
         ms,
         Message::Cmd(Command::MoveToCell { cell: CellId(2) }),
     );
     net.run_until(SimTime::from_micros(20_000_000));
+}
 
+/// Hands the call of a [`handoff_world`] over and counts the frames on
+/// both sides of the move.
+fn handoff_report((mut net, ms, term): (Network<Message>, NodeId, NodeId)) -> HandoffReport {
+    let frames_before = net.node::<MobileStation>(ms).expect("ms").frames_received;
+    let term_frames_before = net
+        .node::<H323Terminal>(term)
+        .expect("term")
+        .frames_received;
+    move_to_cell_2(&mut net, ms);
     let handset = net.node::<MobileStation>(ms).expect("ms");
     let terminal = net.node::<H323Terminal>(term).expect("term");
     HandoffReport {
@@ -419,144 +408,28 @@ pub fn intersystem_handoff(seed: u64) -> HandoffReport {
     }
 }
 
+/// Figure 9: an MS in a call through a VMSC moves into a cell served by a
+/// neighboring *classic* GSM MSC. The VMSC stays in the path as the
+/// anchor; voice continues over an inter-MSC trunk.
+pub fn intersystem_handoff(seed: u64) -> HandoffReport {
+    handoff_report(handoff_world(seed, classic_neighbor))
+}
+
 /// Section 7's closing claim: "inter-system handoff between two VMSCs
 /// follows the same procedure". Identical to [`intersystem_handoff`] but
 /// the neighboring cell belongs to a *second VMSC* (its own GPRS core and
 /// H.323 zone), not a classic MSC.
 pub fn intervmsc_handoff(seed: u64) -> HandoffReport {
-    let mut net = Network::new(seed);
-    let lat = LatencyProfile::default();
-
-    let mut zone1 = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let zone2 = VgprsZone::build(
-        &mut net,
-        VgprsZoneConfig {
-            name: "tw2".into(),
-            lai: Lai::new(466, 92, 2),
-            cell: CellId(2),
-            msrn_prefix: "8869991".into(),
-            pool: (vgprs_wire::Ipv4Addr::from_octets(10, 201, 0, 0), 16),
-            gk_addr: vgprs_wire::TransportAddr::new(
-                vgprs_wire::Ipv4Addr::from_octets(10, 2, 0, 2),
-                1719,
-            ),
-            ..VgprsZoneConfig::taiwan()
-        },
-    );
-    net.connect(zone1.vmsc, zone2.vmsc, Interface::E, lat.e);
-    net.node_mut::<Vmsc>(zone1.vmsc)
-        .expect("vmsc1")
-        .add_neighbor_cell(CellId(2), zone2.vmsc);
-
-    let ms = zone1.add_subscriber(
-        &mut net,
-        "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
-        0xABCD,
-        Msisdn::parse("886912000001").expect("valid"),
-    );
-    let term_alias = Msisdn::parse("886220001111").expect("valid");
-    let term = zone1.add_terminal(&mut net, "term1", term_alias);
-    net.connect(ms, zone2.bts, Interface::Um, lat.um);
-    net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
-        .expect("bts2")
-        .register_ms(ms);
-    net.node_mut::<MobileStation>(ms)
-        .expect("ms")
-        .add_neighbor(CellId(2), zone2.bts);
-
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    net.inject(
-        SimDuration::ZERO,
-        ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias,
-        }),
-    );
-    net.run_until(SimTime::from_micros(10_000_000));
-    let frames_before = net.node::<MobileStation>(ms).expect("ms").frames_received;
-    let term_before = net.node::<H323Terminal>(term).expect("term").frames_received;
-    net.inject(
-        SimDuration::ZERO,
-        ms,
-        Message::Cmd(Command::MoveToCell { cell: CellId(2) }),
-    );
-    net.run_until(SimTime::from_micros(20_000_000));
-    let handset = net.node::<MobileStation>(ms).expect("ms");
-    let terminal = net.node::<H323Terminal>(term).expect("term");
-    HandoffReport {
-        handoffs_completed: handset.handoffs_completed,
-        frames_before,
-        frames_after: handset.frames_received - frames_before,
-        term_frames_after: terminal.frames_received - term_before,
-    }
+    handoff_report(handoff_world(seed, vmsc_neighbor))
 }
 
 /// Figure 9 with windowed delay measurement: mean downlink frame delay
-/// at the MS before vs. after the handoff (the C5 measurement).
+/// at the MS before vs. after the handoff (the C5 measurement), from
+/// the MS's voice-delay histogram snapshotted at the handoff boundary.
 pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
-    // Identical world to `intersystem_handoff`, but we snapshot the MS's
-    // voice-delay histogram at the handoff boundary.
-    let mut net = Network::new(seed);
-    let lat = LatencyProfile::default();
-    let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let pstn = net.add_node("tw.pstn", PstnSwitch::new("tw"));
-    let neighbor = GsmZone::build(
-        &mut net,
-        GsmZoneConfig {
-            name: "tw2".into(),
-            country_code: "886".into(),
-            home_prefix: "8869".into(),
-            msrn_prefix: "8869991".into(),
-            lai: Lai::new(466, 92, 2),
-            cell: CellId(2),
-            tch_capacity: 32,
-            auth_on_access: true,
-            latency: lat,
-        },
-        pstn,
-    );
-    net.connect(zone.vmsc, neighbor.msc, Interface::E, lat.e);
-    net.node_mut::<Vmsc>(zone.vmsc)
-        .expect("vmsc")
-        .add_neighbor_cell(CellId(2), neighbor.msc);
-    let ms = zone.add_subscriber(
-        &mut net,
-        "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
-        0xABCD,
-        Msisdn::parse("886912000001").expect("valid"),
-    );
-    let term_alias = Msisdn::parse("886220001111").expect("valid");
-    let _term = zone.add_terminal(&mut net, "term1", term_alias);
-    net.connect(ms, neighbor.bts, Interface::Um, lat.um);
-    net.node_mut::<vgprs_gsm::Bts>(neighbor.bts)
-        .expect("bts")
-        .register_ms(ms);
-    net.node_mut::<MobileStation>(ms)
-        .expect("ms")
-        .add_neighbor(CellId(2), neighbor.bts);
-
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    net.inject(
-        SimDuration::ZERO,
-        ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias,
-        }),
-    );
-    net.run_until(SimTime::from_micros(10_000_000));
+    let (mut net, ms, _term) = handoff_world(seed, classic_neighbor);
     let (n1, s1) = histogram_sum(&net, "ms.voice_e2e_ms");
-    net.inject(
-        SimDuration::ZERO,
-        ms,
-        Message::Cmd(Command::MoveToCell { cell: CellId(2) }),
-    );
-    net.run_until(SimTime::from_micros(20_000_000));
+    move_to_cell_2(&mut net, ms);
     let (n2, s2) = histogram_sum(&net, "ms.voice_e2e_ms");
     let before = if n1 > 0 { s1 / n1 as f64 } else { f64::NAN };
     let after = if n2 > n1 {
@@ -607,7 +480,7 @@ impl TrSingleZone {
             Imsi::parse("466920000000001").expect("valid"),
             ms_msisdn,
         );
-        let term = zone.add_terminal(&mut net, "term1", term_alias);
+        let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         TrSingleZone {

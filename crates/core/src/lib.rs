@@ -3,11 +3,14 @@
 //! The [`Vmsc`] (VoIP Mobile Switching Center) and the [`testbed`]
 //! builders that assemble complete networks around it:
 //!
-//! * [`VgprsZone`] — one vGPRS serving network (Figure 2(b)): BTS, BSC,
-//!   VMSC, VLR, HLR, SGSN, GGSN, PSDN router, gatekeeper, plus helpers to
-//!   add subscribers, H.323 terminals and a PSTN gateway.
+//! * [`AccessHalf`] (HLR, VLR, an MSC, BSC, BTS; adds subscribers) and
+//!   [`PacketHalf`] (PSDN router, gatekeeper, GGSN, SGSN; adds H.323
+//!   terminals and a PSTN gateway) — the two halves of Figure 2(b), each
+//!   built once.
+//! * [`VgprsZone`] — one vGPRS serving network: both halves around the
+//!   VMSC.
 //! * [`GsmZone`] — the classic circuit-switched baseline network
-//!   (Figure 7) around a [`vgprs_gsm::GsmMsc`].
+//!   (Figure 7): the access half around a [`vgprs_gsm::GsmMsc`].
 //!
 //! See the crate's integration tests (workspace `tests/`) for the
 //! reproduced message flows of Figures 4–6.
@@ -19,6 +22,6 @@ pub mod testbed;
 mod vmsc;
 
 pub use testbed::{
-    GsmZone, GsmZoneConfig, LatencyProfile, VgprsZone, VgprsZoneConfig,
+    AccessHalf, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone, VgprsZoneConfig,
 };
 pub use vmsc::{MsEntry, RegPhase, Vmsc, VmscConfig};

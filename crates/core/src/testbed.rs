@@ -2,9 +2,17 @@
 //! Figure 2(b) (and the classic-GSM baseline of Figure 7) into a
 //! [`Network`] with realistic per-interface latencies.
 //!
-//! The builders here are what the examples, the integration tests and the
-//! benchmark harness all share, so every experiment runs on an
-//! identically-constructed network.
+//! Figure 2(b) is two halves with the VMSC between them, and each is
+//! built once here: [`AccessHalf`] (HLR, VLR, an MSC, BSC, BTS) and
+//! [`PacketHalf`] (PSDN router, gatekeeper, GGSN, SGSN). [`VgprsZone`]
+//! is both around a [`Vmsc`], [`GsmZone`] the access half around a
+//! [`GsmMsc`], and the TR 22.973 baseline (`vgprs-tr22973`) the packet
+//! half under a PCU-only cell — so every experiment, whichever
+//! architecture it runs, runs on identically-constructed parts.
+//!
+//! Nodes are created in a fixed order (the packet half before the access
+//! half, each in the order listed above): `NodeId`s break every tie in
+//! the event queue, so the order is part of the simulated world.
 
 use vgprs_gprs::{Ggsn, IpRouter, Sgsn};
 use vgprs_gsm::{
@@ -14,7 +22,7 @@ use vgprs_gsm::{
 use vgprs_h323::{Gatekeeper, GatekeeperConfig, GatewayConfig, H323Terminal, PstnGateway,
     TerminalConfig};
 use vgprs_pstn::{PstnSwitch, TrunkClass};
-use vgprs_sim::{Interface, Network, NodeId, SimDuration};
+use vgprs_sim::{Interface, Network, Node, NodeId, SimDuration};
 use vgprs_wire::{
     CellId, Imsi, Ipv4Addr, Lai, Message, Msisdn, PointCode, SubscriberProfile, TransportAddr,
 };
@@ -136,29 +144,82 @@ impl VgprsZoneConfig {
     }
 }
 
-/// Handles to every element of a built vGPRS zone.
+/// A zone's one cell: what its BSC and BTS are built from.
+#[derive(Clone, Copy, Debug)]
+pub struct CellConfig {
+    /// The cell's identity.
+    pub cell: CellId,
+    /// Traffic channels at the BSC.
+    pub tch_capacity: usize,
+    /// Shared packet-channel rate at the BTS.
+    pub pdch_bps: u64,
+}
+
+/// Creates a cell's BSC (reporting to `upstream`: an MSC, or the SGSN
+/// for a PCU-only cell) and then its BTS, joined over Abis.
+pub fn build_cell(
+    net: &mut Network<Message>,
+    zone: &str,
+    upstream: NodeId,
+    cfg: CellConfig,
+    abis: SimDuration,
+) -> (NodeId, NodeId) {
+    let bsc = net.add_node(
+        &format!("{zone}.bsc"),
+        Bsc::new(
+            BscConfig {
+                tch_capacity: cfg.tch_capacity,
+            },
+            upstream,
+        ),
+    );
+    let bts = net.add_node(
+        &format!("{zone}.bts"),
+        Bts::new(
+            BtsConfig {
+                cell: cfg.cell,
+                pdch_bps: cfg.pdch_bps,
+                ..BtsConfig::default()
+            },
+            bsc,
+        ),
+    );
+    net.node_mut::<Bsc>(bsc)
+        .expect("just created")
+        .register_bts(bts, cfg.cell);
+    net.connect(bts, bsc, Interface::Abis, abis);
+    (bsc, bts)
+}
+
+/// Adds `handset` to the network camped on `bts`: its Um link and its
+/// place in the cell's paging population.
+pub fn camp(
+    net: &mut Network<Message>,
+    name: &str,
+    handset: impl Node<Message> + 'static,
+    bts: NodeId,
+    um: SimDuration,
+) -> NodeId {
+    let ms = net.add_node(name, handset);
+    net.connect(ms, bts, Interface::Um, um);
+    net.node_mut::<Bts>(bts).expect("zone BTS").register_ms(ms);
+    ms
+}
+
+/// Handles to the GSM access half of a zone: the registers, the MSC in
+/// the middle (a [`Vmsc`] or a [`GsmMsc`]) and the radio side.
 #[derive(Clone, Debug)]
-pub struct VgprsZone {
+pub struct AccessHalf {
     /// Home location register (with AuC).
     pub hlr: NodeId,
     /// Visitor location register.
     pub vlr: NodeId,
-    /// The VoIP MSC.
-    pub vmsc: NodeId,
+    /// The switching center between VLR and BSC.
+    pub msc: NodeId,
     /// Base station controller.
     pub bsc: NodeId,
     /// Base transceiver station.
     pub bts: NodeId,
-    /// Serving GPRS support node.
-    pub sgsn: NodeId,
-    /// Gateway GPRS support node.
-    pub ggsn: NodeId,
-    /// The PSDN router connecting Gi with the H.323 zone.
-    pub router: NodeId,
-    /// The H.323 gatekeeper.
-    pub gk: NodeId,
-    /// The gatekeeper's address (for terminals joining the zone).
-    pub gk_addr: TransportAddr,
     /// The zone's location area.
     pub lai: Lai,
     /// The zone's cell.
@@ -166,132 +227,41 @@ pub struct VgprsZone {
     /// Latencies (reused when adding elements later).
     pub latency: LatencyProfile,
     name: String,
-    next_host: u16,
 }
 
-impl VgprsZone {
-    /// Builds the zone inside `net`.
-    pub fn build(net: &mut Network<Message>, cfg: VgprsZoneConfig) -> VgprsZone {
-        let n = |suffix: &str| format!("{}.{}", cfg.name, suffix);
-        let lat = cfg.latency;
-
-        // H.323 zone + packet core.
-        let router = net.add_node(&n("router"), IpRouter::new());
-        let gk = net.add_node(
-            &n("gk"),
-            Gatekeeper::new(
-                GatekeeperConfig {
-                    addr: cfg.gk_addr,
-                    bandwidth_budget: cfg.gk_bandwidth,
-                    shed_utilization: cfg.gk_shed_utilization,
-                },
-                router,
-            ),
-        );
-        let ggsn = net.add_node(&n("ggsn"), Ggsn::new(cfg.pool.0, cfg.pool.1));
-        let sgsn = net.add_node(
-            &n("sgsn"),
-            Sgsn::new(PointCode(50), ggsn).with_admission_rate(cfg.pdp_rate_per_s),
-        );
-
-        // GSM side.
-        let hlr = net.add_node(&n("hlr"), Hlr::new());
-        // The VMSC must exist before VLR/BSC reference it; create in order.
-        // VLR needs the VMSC id; VMSC needs the VLR id. Create the VLR
-        // first against a dummy, then the VMSC, then patch the VLR.
-        let vlr = net.add_node(
-            &n("vlr"),
-            Vlr::new(
-                VlrConfig {
-                    point_code: PointCode(10),
-                    msrn_prefix: cfg.msrn_prefix.clone(),
-                    auth_on_access: cfg.auth_on_access,
-                },
-                hlr, // patched below
-                hlr,
-            ),
-        );
-        let vmsc = net.add_node(
-            &n("vmsc"),
-            Vmsc::new(
-                VmscConfig {
-                    country_code: cfg.country_code.clone(),
-                    gk: cfg.gk_addr,
-                    deactivate_idle_contexts: cfg.deactivate_idle_contexts,
-                    resilience: cfg.resilience,
-                    paging_rate_per_s: cfg.paging_rate_per_s,
-                },
-                vlr,
-                sgsn,
-            ),
-        );
-        net.node_mut::<Vlr>(vlr)
-            .expect("just created")
-            .set_msc(vmsc);
-        let bsc = net.add_node(
-            &n("bsc"),
-            Bsc::new(
-                BscConfig {
-                    tch_capacity: cfg.tch_capacity,
-                },
-                vmsc,
-            ),
-        );
-        let bts = net.add_node(
-            &n("bts"),
-            Bts::new(
-                BtsConfig {
-                    cell: cfg.cell,
-                    pdch_bps: cfg.pdch_bps,
-                    ..BtsConfig::default()
-                },
-                bsc,
-            ),
-        );
-        net.node_mut::<Bsc>(bsc)
-            .expect("just created")
-            .register_bts(bts, cfg.cell);
-        net.node_mut::<Vmsc>(vmsc)
-            .expect("just created")
-            .register_bsc(bsc);
-
-        // Links (Figure 2(a)): A, B, C, D, Gb, Gn, Gi, LAN.
-        net.connect(bts, bsc, Interface::Abis, lat.abis);
-        net.connect(bsc, vmsc, Interface::A, lat.a);
-        net.connect(vmsc, vlr, Interface::B, lat.ss7);
-        net.connect(vmsc, hlr, Interface::C, lat.ss7);
-        net.connect(vlr, hlr, Interface::D, lat.ss7);
-        net.connect(vmsc, sgsn, Interface::Gb, lat.gb);
-        net.connect(sgsn, ggsn, Interface::Gn, lat.gn);
-        net.connect(ggsn, router, Interface::Gi, lat.lan);
-        net.connect(gk, router, Interface::Lan, lat.lan);
-
-        // IP routing: the GGSN owns its pool; the GK is a LAN host.
-        {
-            let r = net.node_mut::<IpRouter>(router).expect("just created");
-            r.add_prefix(cfg.pool.0, cfg.pool.1, ggsn);
-            r.add_host(cfg.gk_addr.ip, gk);
-        }
-        net.node_mut::<Ggsn>(ggsn)
-            .expect("just created")
-            .set_router(router);
-
-        VgprsZone {
+impl AccessHalf {
+    /// Builds HLR, VLR, the MSC that `add_msc` creates from `(vlr, hlr)`,
+    /// BSC and BTS — in that order — and the Abis/A/B/C/D links.
+    pub fn build(
+        net: &mut Network<Message>,
+        name: &str,
+        lai: Lai,
+        cell: CellConfig,
+        vlr: VlrConfig,
+        latency: LatencyProfile,
+        add_msc: impl FnOnce(&mut Network<Message>, NodeId, NodeId) -> NodeId,
+    ) -> AccessHalf {
+        let hlr = net.add_node(&format!("{name}.hlr"), Hlr::new());
+        // VLR and MSC name each other: the VLR starts out pointing at
+        // the HLR and is patched once the MSC exists.
+        let vlr = net.add_node(&format!("{name}.vlr"), Vlr::new(vlr, hlr, hlr));
+        let msc = add_msc(net, vlr, hlr);
+        net.node_mut::<Vlr>(vlr).expect("just created").set_msc(msc);
+        let (bsc, bts) = build_cell(net, name, msc, cell, latency.abis);
+        net.connect(bsc, msc, Interface::A, latency.a);
+        net.connect(msc, vlr, Interface::B, latency.ss7);
+        net.connect(msc, hlr, Interface::C, latency.ss7);
+        net.connect(vlr, hlr, Interface::D, latency.ss7);
+        AccessHalf {
             hlr,
             vlr,
-            vmsc,
+            msc,
             bsc,
             bts,
-            sgsn,
-            ggsn,
-            router,
-            gk,
-            gk_addr: cfg.gk_addr,
-            lai: cfg.lai,
-            cell: cfg.cell,
-            latency: lat,
-            name: cfg.name,
-            next_host: 10,
+            lai,
+            cell: cell.cell,
+            latency,
+            name: name.to_owned(),
         }
     }
 
@@ -322,45 +292,126 @@ impl VgprsZone {
         ki: u64,
         msisdn: Msisdn,
     ) -> NodeId {
-        let ms = net.add_node(
+        camp(
+            net,
             &format!("{}.{}", self.name, label),
             MobileStation::new(MsConfig::new(imsi, ki, msisdn, self.lai), self.bts),
-        );
+            self.bts,
+            self.latency.um,
+        )
+    }
+
+    /// Lets `ms`, camped elsewhere, also hear this zone's cell: the Um
+    /// link, a place in its paging population, and the cell on the MS's
+    /// neighbor list (what handoff and reselection choose from).
+    pub fn cover(&self, net: &mut Network<Message>, ms: NodeId) {
         net.connect(ms, self.bts, Interface::Um, self.latency.um);
         net.node_mut::<Bts>(self.bts)
             .expect("zone BTS")
             .register_ms(ms);
-        ms
+        net.node_mut::<MobileStation>(ms)
+            .expect("an MS")
+            .add_neighbor(self.cell, self.bts);
+    }
+}
+
+/// Handles to the packet/H.323 half of a zone: the GPRS core and the
+/// H.323 zone behind its Gi.
+#[derive(Clone, Debug)]
+pub struct PacketHalf {
+    /// The PSDN router connecting Gi with the H.323 zone.
+    pub router: NodeId,
+    /// The H.323 gatekeeper.
+    pub gk: NodeId,
+    /// Gateway GPRS support node.
+    pub ggsn: NodeId,
+    /// Serving GPRS support node.
+    pub sgsn: NodeId,
+    /// The gatekeeper's address (for terminals joining the zone).
+    pub gk_addr: TransportAddr,
+    /// Latencies (reused when adding elements later).
+    pub latency: LatencyProfile,
+    name: String,
+    next_host: u16,
+}
+
+impl PacketHalf {
+    /// Builds router, gatekeeper, GGSN and SGSN — in that order — with
+    /// the Gn/Gi/LAN links and the router's two routes: the PDP pool to
+    /// the GGSN, the gatekeeper as a LAN host.
+    pub fn build(
+        net: &mut Network<Message>,
+        name: &str,
+        pool: (Ipv4Addr, u8),
+        gk_cfg: GatekeeperConfig,
+        pdp_rate_per_s: u32,
+        latency: LatencyProfile,
+    ) -> PacketHalf {
+        let router = net.add_node(&format!("{name}.router"), IpRouter::new());
+        let gk = net.add_node(&format!("{name}.gk"), Gatekeeper::new(gk_cfg, router));
+        let ggsn = net.add_node(&format!("{name}.ggsn"), Ggsn::new(pool.0, pool.1));
+        let sgsn = net.add_node(
+            &format!("{name}.sgsn"),
+            Sgsn::new(ggsn).with_admission_rate(pdp_rate_per_s),
+        );
+        net.connect(sgsn, ggsn, Interface::Gn, latency.gn);
+        net.connect(ggsn, router, Interface::Gi, latency.lan);
+        net.connect(gk, router, Interface::Lan, latency.lan);
+        {
+            let r = net.node_mut::<IpRouter>(router).expect("just created");
+            r.add_prefix(pool.0, pool.1, ggsn);
+            r.add_host(gk_cfg.addr.ip, gk);
+        }
+        net.node_mut::<Ggsn>(ggsn)
+            .expect("just created")
+            .set_router(router);
+        PacketHalf {
+            router,
+            gk,
+            ggsn,
+            sgsn,
+            gk_addr: gk_cfg.addr,
+            latency,
+            name: name.to_owned(),
+            next_host: 10,
+        }
+    }
+
+    /// Puts the node `make` builds for the next free 10.1.x.y address
+    /// (spread over two octets so a zone can host tens of thousands of
+    /// endpoints) on the LAN and routes that address to it.
+    fn add_lan_host<N: Node<Message> + 'static>(
+        &mut self,
+        net: &mut Network<Message>,
+        label: &str,
+        make: impl FnOnce(TransportAddr) -> N,
+    ) -> NodeId {
+        self.next_host += 1;
+        let [hi, lo] = self.next_host.to_be_bytes();
+        let addr = TransportAddr::new(Ipv4Addr::from_octets(10, 1, hi, lo), 1720);
+        let host = net.add_node(&format!("{}.{}", self.name, label), make(addr));
+        net.connect(host, self.router, Interface::Lan, self.latency.lan);
+        net.node_mut::<IpRouter>(self.router)
+            .expect("zone router")
+            .add_host(addr.ip, host);
+        host
     }
 
     /// Adds an H.323 terminal on the zone's LAN and registers its routes.
     ///
-    /// Call this on the *original* zone handle: the method advances an
+    /// Call this on the *original* handle: the method advances an
     /// internal address counter, and a cloned handle forks that counter
-    /// (two zones handing out the same 10.x address would misroute).
+    /// (two handles handing out the same 10.x address would misroute).
     pub fn add_terminal(
         &mut self,
         net: &mut Network<Message>,
         label: &str,
         alias: Msisdn,
     ) -> NodeId {
-        self.next_host += 1;
-        let addr = TransportAddr::new(self.lan_host_addr(), 1720);
-        let term = net.add_node(
-            &format!("{}.{}", self.name, label),
-            H323Terminal::new(TerminalConfig::new(alias, addr, self.gk_addr), self.router),
-        );
-        net.connect(term, self.router, Interface::Lan, self.latency.lan);
-        net.node_mut::<IpRouter>(self.router)
-            .expect("zone router")
-            .add_host(addr.ip, term);
-        term
-    }
-
-    /// Next LAN host address, spread over 10.1.x.y so a zone can host
-    /// tens of thousands of endpoints (population-scale load runs).
-    fn lan_host_addr(&self) -> Ipv4Addr {
-        Ipv4Addr::from_octets(10, 1, (self.next_host >> 8) as u8, self.next_host as u8)
+        let (gk, router) = (self.gk_addr, self.router);
+        self.add_lan_host(net, label, |addr| {
+            H323Terminal::new(TerminalConfig::new(alias, addr, gk), router)
+        })
     }
 
     /// Adds an H.323/PSTN gateway on the zone's LAN, trunked into
@@ -372,28 +423,80 @@ impl VgprsZone {
         switch: NodeId,
         preferred_prefix: &str,
     ) -> NodeId {
-        self.next_host += 1;
-        let addr = TransportAddr::new(self.lan_host_addr(), 1720);
-        let gw = net.add_node(
-            &format!("{}.gw", self.name),
-            PstnGateway::new(
-                GatewayConfig {
-                    addr,
-                    gk: self.gk_addr,
-                },
-                self.router,
-                switch,
-            ),
-        );
-        net.connect(gw, self.router, Interface::Lan, self.latency.lan);
+        let (gk, router) = (self.gk_addr, self.router);
+        let gw = self.add_lan_host(net, "gw", |addr| {
+            PstnGateway::new(GatewayConfig { addr, gk }, router, switch)
+        });
         net.connect(gw, switch, Interface::Isup, self.latency.isup);
-        net.node_mut::<IpRouter>(self.router)
-            .expect("zone router")
-            .add_host(addr.ip, gw);
         net.node_mut::<PstnSwitch>(switch)
             .expect("switch")
             .add_route(preferred_prefix, gw, TrunkClass::Local);
         gw
+    }
+}
+
+/// A built vGPRS zone: both halves, joined by the [`Vmsc`] — which is
+/// `access.msc` — and its Gb link to `packet.sgsn`.
+#[derive(Clone, Debug)]
+pub struct VgprsZone {
+    /// HLR, VLR, the VMSC, BSC and BTS.
+    pub access: AccessHalf,
+    /// Router, gatekeeper, GGSN and SGSN.
+    pub packet: PacketHalf,
+}
+
+impl VgprsZone {
+    /// Builds the zone inside `net`.
+    pub fn build(net: &mut Network<Message>, cfg: VgprsZoneConfig) -> VgprsZone {
+        let packet = PacketHalf::build(
+            net,
+            &cfg.name,
+            cfg.pool,
+            GatekeeperConfig {
+                addr: cfg.gk_addr,
+                bandwidth_budget: cfg.gk_bandwidth,
+                shed_utilization: cfg.gk_shed_utilization,
+            },
+            cfg.pdp_rate_per_s,
+            cfg.latency,
+        );
+        let access = AccessHalf::build(
+            net,
+            &cfg.name,
+            cfg.lai,
+            CellConfig {
+                cell: cfg.cell,
+                tch_capacity: cfg.tch_capacity,
+                pdch_bps: cfg.pdch_bps,
+            },
+            VlrConfig {
+                point_code: PointCode(10),
+                msrn_prefix: cfg.msrn_prefix,
+                auth_on_access: cfg.auth_on_access,
+            },
+            cfg.latency,
+            |net, vlr, _hlr| {
+                net.add_node(
+                    &format!("{}.vmsc", cfg.name),
+                    Vmsc::new(
+                        VmscConfig {
+                            country_code: cfg.country_code,
+                            gk: cfg.gk_addr,
+                            deactivate_idle_contexts: cfg.deactivate_idle_contexts,
+                            resilience: cfg.resilience,
+                            paging_rate_per_s: cfg.paging_rate_per_s,
+                        },
+                        vlr,
+                        packet.sgsn,
+                    ),
+                )
+            },
+        );
+        net.node_mut::<Vmsc>(access.msc)
+            .expect("just created")
+            .register_bsc(access.bsc);
+        net.connect(access.msc, packet.sgsn, Interface::Gb, cfg.latency.gb);
+        VgprsZone { access, packet }
     }
 }
 
@@ -420,26 +523,11 @@ pub struct GsmZoneConfig {
     pub latency: LatencyProfile,
 }
 
-/// Handles to a built classic GSM zone.
+/// A built classic GSM zone: the access half around a [`GsmMsc`].
 #[derive(Clone, Debug)]
 pub struct GsmZone {
-    /// Home location register.
-    pub hlr: NodeId,
-    /// Visitor location register.
-    pub vlr: NodeId,
-    /// The classic circuit-switched MSC.
-    pub msc: NodeId,
-    /// Base station controller.
-    pub bsc: NodeId,
-    /// Base transceiver station.
-    pub bts: NodeId,
-    /// Location area.
-    pub lai: Lai,
-    /// Cell.
-    pub cell: CellId,
-    /// Latencies.
-    pub latency: LatencyProfile,
-    name: String,
+    /// HLR, VLR, the circuit-switched MSC, BSC and BTS.
+    pub access: AccessHalf,
 }
 
 impl GsmZone {
@@ -449,116 +537,35 @@ impl GsmZone {
         cfg: GsmZoneConfig,
         pstn_switch: NodeId,
     ) -> GsmZone {
-        let n = |suffix: &str| format!("{}.{}", cfg.name, suffix);
-        let lat = cfg.latency;
-        let hlr = net.add_node(&n("hlr"), Hlr::new());
-        let vlr = net.add_node(
-            &n("vlr"),
-            Vlr::new(
-                VlrConfig {
-                    point_code: PointCode(20),
-                    msrn_prefix: cfg.msrn_prefix.clone(),
-                    auth_on_access: cfg.auth_on_access,
-                },
-                hlr, // patched below
-                hlr,
-            ),
+        let msc_cfg = MscConfig {
+            country_code: cfg.country_code,
+            home_prefix: cfg.home_prefix,
+            msrn_prefix: cfg.msrn_prefix.clone(),
+        };
+        let access = AccessHalf::build(
+            net,
+            &cfg.name,
+            cfg.lai,
+            CellConfig {
+                cell: cfg.cell,
+                tch_capacity: cfg.tch_capacity,
+                pdch_bps: 40_000,
+            },
+            VlrConfig {
+                point_code: PointCode(20),
+                msrn_prefix: cfg.msrn_prefix,
+                auth_on_access: cfg.auth_on_access,
+            },
+            cfg.latency,
+            |net, vlr, hlr| {
+                net.add_node(&format!("{}.msc", cfg.name), GsmMsc::new(msc_cfg, vlr, hlr))
+            },
         );
-        let msc = net.add_node(
-            &n("msc"),
-            GsmMsc::new(
-                MscConfig {
-                    country_code: cfg.country_code.clone(),
-                    home_prefix: cfg.home_prefix.clone(),
-                    msrn_prefix: cfg.msrn_prefix.clone(),
-                },
-                vlr,
-                hlr,
-            ),
-        );
-        net.node_mut::<Vlr>(vlr).expect("just created").set_msc(msc);
-        let bsc = net.add_node(
-            &n("bsc"),
-            Bsc::new(
-                BscConfig {
-                    tch_capacity: cfg.tch_capacity,
-                },
-                msc,
-            ),
-        );
-        let bts = net.add_node(
-            &n("bts"),
-            Bts::new(
-                BtsConfig {
-                    cell: cfg.cell,
-                    pdch_bps: 40_000,
-                    ..BtsConfig::default()
-                },
-                bsc,
-            ),
-        );
-        net.node_mut::<Bsc>(bsc)
-            .expect("just created")
-            .register_bts(bts, cfg.cell);
-        {
-            let m = net.node_mut::<GsmMsc>(msc).expect("just created");
-            m.register_bsc(bsc);
-            m.set_pstn(pstn_switch);
-        }
-
-        net.connect(bts, bsc, Interface::Abis, lat.abis);
-        net.connect(bsc, msc, Interface::A, lat.a);
-        net.connect(msc, vlr, Interface::B, lat.ss7);
-        net.connect(msc, hlr, Interface::C, lat.ss7);
-        net.connect(vlr, hlr, Interface::D, lat.ss7);
-        net.connect(msc, pstn_switch, Interface::Isup, lat.isup);
-
-        GsmZone {
-            hlr,
-            vlr,
-            msc,
-            bsc,
-            bts,
-            lai: cfg.lai,
-            cell: cfg.cell,
-            latency: lat,
-            name: cfg.name,
-        }
-    }
-
-    /// Provisions a subscriber in this zone's HLR and creates its MS.
-    pub fn add_subscriber(
-        &self,
-        net: &mut Network<Message>,
-        label: &str,
-        imsi: Imsi,
-        ki: u64,
-        msisdn: Msisdn,
-    ) -> NodeId {
-        net.node_mut::<Hlr>(self.hlr)
-            .expect("zone HLR")
-            .provision(imsi, ki, SubscriberProfile::full(msisdn));
-        self.add_roamer(net, label, imsi, ki, msisdn)
-    }
-
-    /// Creates an MS camped on this zone whose home HLR is elsewhere.
-    pub fn add_roamer(
-        &self,
-        net: &mut Network<Message>,
-        label: &str,
-        imsi: Imsi,
-        ki: u64,
-        msisdn: Msisdn,
-    ) -> NodeId {
-        let ms = net.add_node(
-            &format!("{}.{}", self.name, label),
-            MobileStation::new(MsConfig::new(imsi, ki, msisdn, self.lai), self.bts),
-        );
-        net.connect(ms, self.bts, Interface::Um, self.latency.um);
-        net.node_mut::<Bts>(self.bts)
-            .expect("zone BTS")
-            .register_ms(ms);
-        ms
+        let m = net.node_mut::<GsmMsc>(access.msc).expect("just created");
+        m.register_bsc(access.bsc);
+        m.set_pstn(pstn_switch);
+        net.connect(access.msc, pstn_switch, Interface::Isup, cfg.latency.isup);
+        GsmZone { access }
     }
 }
 
@@ -571,16 +578,13 @@ mod tests {
         let mut net = Network::new(1);
         let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
         net.run_until_quiescent();
-        assert!(net.node::<Vmsc>(zone.vmsc).is_some());
-        assert!(net.node::<Gatekeeper>(zone.gk).is_some());
+        assert!(net.node::<Vmsc>(zone.access.msc).is_some());
+        assert!(net.node::<Gatekeeper>(zone.packet.gk).is_some());
         assert_eq!(net.trace().len(), 0, "an empty zone is silent");
     }
 
-    #[test]
-    fn gsm_zone_builds() {
-        let mut net = Network::new(1);
-        let sw = net.add_node("pstn", PstnSwitch::new("pstn"));
-        let cfg = GsmZoneConfig {
+    fn uk() -> GsmZoneConfig {
+        GsmZoneConfig {
             name: "uk".into(),
             country_code: "44".into(),
             home_prefix: "447".into(),
@@ -590,9 +594,51 @@ mod tests {
             tch_capacity: 32,
             auth_on_access: true,
             latency: LatencyProfile::default(),
-        };
-        let zone = GsmZone::build(&mut net, cfg, sw);
+        }
+    }
+
+    #[test]
+    fn gsm_zone_builds() {
+        let mut net = Network::new(1);
+        let sw = net.add_node("pstn", PstnSwitch::new("pstn"));
+        let zone = GsmZone::build(&mut net, uk(), sw);
         net.run_until_quiescent();
-        assert!(net.node::<GsmMsc>(zone.msc).is_some());
+        assert!(net.node::<GsmMsc>(zone.access.msc).is_some());
+    }
+
+    /// `NodeId`s break every tie in the event queue, so a builder that
+    /// creates its nodes in another order moves every fingerprint; this
+    /// says which node moved.
+    #[test]
+    fn zone_node_order_is_pinned() {
+        let mut net = Network::new(1);
+        let tw = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
+        let sw = net.add_node("pstn", PstnSwitch::new("pstn"));
+        let uk = GsmZone::build(&mut net, uk(), sw).access;
+        let (a, p) = (&tw.access, &tw.packet);
+        let built = [
+            p.router, p.gk, p.ggsn, p.sgsn, a.hlr, a.vlr, a.msc, a.bsc, a.bts, sw, uk.hlr, uk.vlr,
+            uk.msc, uk.bsc, uk.bts,
+        ];
+        let names = [
+            "tw.router",
+            "tw.gk",
+            "tw.ggsn",
+            "tw.sgsn",
+            "tw.hlr",
+            "tw.vlr",
+            "tw.vmsc",
+            "tw.bsc",
+            "tw.bts",
+            "pstn",
+            "uk.hlr",
+            "uk.vlr",
+            "uk.msc",
+            "uk.bsc",
+            "uk.bts",
+        ];
+        for (i, (id, name)) in built.into_iter().zip(names).enumerate() {
+            assert_eq!((id.index(), net.node_name(id)), (i as u32, name));
+        }
     }
 }

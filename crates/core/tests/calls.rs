@@ -31,12 +31,16 @@ struct Rig {
 fn rig() -> Rig {
     let mut net = Network::new(42);
     let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone.add_subscriber(&mut net, "ms1", ms_imsi(), 0xABCD, ms_msisdn());
-    let term = zone.add_terminal(&mut net, "term1", term_alias());
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms1", ms_imsi(), 0xABCD, ms_msisdn());
+    let term = zone.packet.add_terminal(&mut net, "term1", term_alias());
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     assert_eq!(
-        net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(),
+        net.node::<Vmsc>(zone.access.msc)
+            .unwrap()
+            .registered_count(),
         1,
         "precondition: MS registered"
     );
@@ -163,7 +167,7 @@ fn figure5_release_ladder() {
         vgprs_sim::LadderDiagram::new(r.net.trace()).render()
     );
     // Both DRQs (VMSC and terminal) were recorded for charging.
-    let gk = r.net.node::<Gatekeeper>(r.zone.gk).unwrap();
+    let gk = r.net.node::<Gatekeeper>(r.zone.packet.gk).unwrap();
     assert_eq!(gk.charging_records().len(), 2);
     assert_eq!(gk.bandwidth_used(), 0);
     // Everyone back to idle; voice context gone.
@@ -175,7 +179,7 @@ fn figure5_release_ladder() {
         r.net.node::<H323Terminal>(r.term).unwrap().state(),
         TerminalState::Idle
     );
-    let vmsc = r.net.node::<Vmsc>(r.zone.vmsc).unwrap();
+    let vmsc = r.net.node::<Vmsc>(r.zone.access.msc).unwrap();
     assert_eq!(vmsc.active_calls(), 0);
     assert!(vmsc.ms_entry(&ms_imsi()).unwrap().voice_addr.is_none());
 }
@@ -237,9 +241,10 @@ fn figure6_termination_ladder() {
 fn busy_ms_rejects_second_call() {
     let mut r = rig();
     let term2 = {
-        let t = r
-            .zone
-            .add_terminal(&mut r.net, "term2", Msisdn::parse("886220002222").unwrap());
+        let t =
+            r.zone
+                .packet
+                .add_terminal(&mut r.net, "term2", Msisdn::parse("886220002222").unwrap());
         r.net.run_until_quiescent();
         t
     };
@@ -293,7 +298,13 @@ fn remote_hangup_clears_ms() {
         r.net.node::<MobileStation>(r.ms).unwrap().state(),
         MsState::Idle
     );
-    assert_eq!(r.net.node::<Vmsc>(r.zone.vmsc).unwrap().active_calls(), 0);
+    assert_eq!(
+        r.net
+            .node::<Vmsc>(r.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
 }
 
 #[test]

@@ -37,41 +37,45 @@ fn two_zone_rig() -> Rig {
             ..VgprsZoneConfig::taiwan()
         },
     );
-    let lat = zone1.latency;
-    net.connect(zone1.vmsc, zone2.vmsc, Interface::E, lat.e);
-    net.node_mut::<Vmsc>(zone1.vmsc)
+    let lat = zone1.access.latency;
+    net.connect(zone1.access.msc, zone2.access.msc, Interface::E, lat.e);
+    net.node_mut::<Vmsc>(zone1.access.msc)
         .expect("vmsc1")
-        .add_neighbor_cell(CellId(2), zone2.vmsc);
+        .add_neighbor_cell(CellId(2), zone2.access.msc);
 
-    let ms = zone1.add_subscriber(
+    let ms = zone1.access.add_subscriber(
         &mut net,
         "ms1",
         Imsi::parse("466920000000001").expect("valid"),
         0xABCD,
         Msisdn::parse("886912000001").expect("valid"),
     );
-    let term = zone1.add_terminal(
+    let term = zone1.packet.add_terminal(
         &mut net,
         "term1",
         Msisdn::parse("886220001111").expect("valid"),
     );
-    net.connect(ms, zone2.bts, Interface::Um, lat.um);
-    net.node_mut::<Bts>(zone2.bts).expect("bts2").register_ms(ms);
+    net.connect(ms, zone2.access.bts, Interface::Um, lat.um);
+    net.node_mut::<Bts>(zone2.access.bts)
+        .expect("bts2")
+        .register_ms(ms);
     net.node_mut::<MobileStation>(ms)
         .expect("ms")
-        .add_neighbor(CellId(2), zone2.bts);
+        .add_neighbor(CellId(2), zone2.access.bts);
 
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     assert_eq!(
-        net.node::<Vmsc>(zone1.vmsc).expect("vmsc1").registered_count(),
+        net.node::<Vmsc>(zone1.access.msc)
+            .expect("vmsc1")
+            .registered_count(),
         1,
         "precondition: MS registered in zone 1"
     );
     Rig {
         net,
-        anchor_vmsc: zone1.vmsc,
-        target_vmsc: zone2.vmsc,
+        anchor_vmsc: zone1.access.msc,
+        target_vmsc: zone2.access.msc,
         ms,
         term,
     }

@@ -17,7 +17,9 @@ fn msisdn() -> Msisdn {
 fn registered_zone() -> (Network<Message>, VgprsZone, vgprs_sim::NodeId) {
     let mut net = Network::new(42);
     let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone.add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     (net, zone, ms)
@@ -61,7 +63,7 @@ fn registration_outcome_state() {
     assert!(handset.tmsi().is_some());
     // VMSC side: MS table entry with both identities and the signaling
     // context's PDP address.
-    let vmsc = net.node::<Vmsc>(zone.vmsc).unwrap();
+    let vmsc = net.node::<Vmsc>(zone.access.msc).unwrap();
     assert_eq!(vmsc.registered_count(), 1);
     let entry = vmsc.ms_entry(&imsi()).unwrap();
     assert_eq!(entry.phase, RegPhase::Registered);
@@ -69,7 +71,7 @@ fn registration_outcome_state() {
     assert!(entry.signaling_addr.is_some());
     assert!(entry.voice_addr.is_none(), "no call yet");
     // Gatekeeper side: the (IP address, MSISDN) entry of step 1.5.
-    let gk = net.node::<Gatekeeper>(zone.gk).unwrap();
+    let gk = net.node::<Gatekeeper>(zone.packet.gk).unwrap();
     let transport = gk.lookup(&msisdn()).expect("alias registered");
     assert_eq!(Some(transport.ip), entry.signaling_addr);
 }
@@ -91,7 +93,9 @@ fn registration_is_deterministic() {
     let run = |seed| {
         let mut net = Network::new(seed);
         let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-        let ms = zone.add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
+        let ms = zone
+            .access
+            .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         (
@@ -106,15 +110,19 @@ fn registration_is_deterministic() {
 fn wrong_key_subscriber_rejected() {
     let mut net = Network::new(42);
     let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone.add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
     // Corrupt the SIM key: re-create the MS with a different Ki.
     let impostor = Imsi::parse("466920000000002").unwrap();
-    net.node_mut::<vgprs_gsm::Hlr>(zone.hlr).unwrap().provision(
-        impostor,
-        0x1111,
-        vgprs_wire::SubscriberProfile::full(Msisdn::parse("886912000002").unwrap()),
-    );
-    let bad = zone.add_roamer(
+    net.node_mut::<vgprs_gsm::Hlr>(zone.access.hlr)
+        .unwrap()
+        .provision(
+            impostor,
+            0x1111,
+            vgprs_wire::SubscriberProfile::full(Msisdn::parse("886912000002").unwrap()),
+        );
+    let bad = zone.access.add_roamer(
         &mut net,
         "bad",
         impostor,
@@ -126,7 +134,9 @@ fn wrong_key_subscriber_rejected() {
     net.run_until_quiescent();
     assert_eq!(net.stats().counter("vlr.auth_failures"), 1);
     assert_eq!(
-        net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(),
+        net.node::<Vmsc>(zone.access.msc)
+            .unwrap()
+            .registered_count(),
         1,
         "only the genuine subscriber registers"
     );
@@ -142,7 +152,7 @@ fn unknown_subscriber_rejected() {
     let mut net = Network::new(42);
     let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
     // MS never provisioned in any HLR.
-    let ghost = zone.add_roamer(
+    let ghost = zone.access.add_roamer(
         &mut net,
         "ghost",
         Imsi::parse("466920999999999").unwrap(),
@@ -151,8 +161,15 @@ fn unknown_subscriber_rejected() {
     );
     net.inject(SimDuration::ZERO, ghost, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
-    assert_eq!(net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(), 0);
-    assert!(net.trace().contains_subsequence(&["Um_Location_Update_Reject"]));
+    assert_eq!(
+        net.node::<Vmsc>(zone.access.msc)
+            .unwrap()
+            .registered_count(),
+        0
+    );
+    assert!(net
+        .trace()
+        .contains_subsequence(&["Um_Location_Update_Reject"]));
 }
 
 #[test]
@@ -164,7 +181,8 @@ fn many_subscribers_register_concurrently() {
         .map(|i| {
             let imsi = Imsi::parse(&format!("4669200000001{i:02}")).unwrap();
             let msisdn = Msisdn::parse(&format!("8869121000{i:02}")).unwrap();
-            zone.add_subscriber(&mut net, &format!("ms{i}"), imsi, 0x1000 + i, msisdn)
+            zone.access
+                .add_subscriber(&mut net, &format!("ms{i}"), imsi, 0x1000 + i, msisdn)
         })
         .collect();
     for (i, ms) in mss.iter().enumerate() {
@@ -176,11 +194,13 @@ fn many_subscribers_register_concurrently() {
     }
     net.run_until_quiescent();
     assert_eq!(
-        net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(),
+        net.node::<Vmsc>(zone.access.msc)
+            .unwrap()
+            .registered_count(),
         count as usize
     );
     // Every MS got a distinct PDP address.
-    let vmsc = net.node::<Vmsc>(zone.vmsc).unwrap();
+    let vmsc = net.node::<Vmsc>(zone.access.msc).unwrap();
     let mut addrs: Vec<_> = (0..count)
         .map(|i| {
             let imsi = Imsi::parse(&format!("4669200000001{i:02}")).unwrap();

@@ -4,8 +4,7 @@
 //! packet-data network:
 //!
 //! * [`Sgsn`] — attach/detach, PDP session management toward the
-//!   endpoints on Gb, GTP tunneling toward the GGSN on Gn, HLR checks on
-//!   Gr,
+//!   endpoints on Gb, GTP tunneling toward the GGSN on Gn,
 //! * [`Ggsn`] — PDP context anchor: address allocation (dynamic pool +
 //!   provisioned static addresses), tunnel switching, Gi routing, and the
 //!   network-requested activation path (with packet buffering) that the

@@ -1,16 +1,17 @@
 //! Serving GPRS Support Node.
 //!
 //! The SGSN terminates Gb toward its attached endpoints (the BSC's PCU
-//! for real GPRS MSs, or the VMSC acting as an MS — paper Figure 2), runs
-//! GTP tunnels to the GGSN over Gn, and checks subscribers against the
-//! HLR over Gr.
+//! for real GPRS MSs, or the VMSC acting as an MS — paper Figure 2) and
+//! runs GTP tunnels to the GGSN over Gn. Every attach is accepted: the
+//! testbeds are closed worlds and no experiment reads an authorization
+//! over Gr, so there is no leg to the HLR.
 
 use std::collections::{HashMap, VecDeque};
 
 use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
 use vgprs_wire::{
-    Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, MapMessage, Message,
-    Nsapi, PointCode, QosProfile, Teid, Tmsi,
+    Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile,
+    Teid, Tmsi,
 };
 
 /// Timer tag of the admission-queue drain tick (the SGSN's only timer).
@@ -50,9 +51,7 @@ struct SgsnPdp {
 /// The SGSN node.
 #[derive(Debug)]
 pub struct Sgsn {
-    point_code: PointCode,
     ggsn: NodeId,
-    hlr: Option<NodeId>,
     mm: HashMap<Imsi, MmContext>,
     pdp: HashMap<(Imsi, Nsapi), SgsnPdp>,
     teid_index: HashMap<Teid, (Imsi, Nsapi)>,
@@ -76,11 +75,9 @@ pub struct Sgsn {
 
 impl Sgsn {
     /// Creates an SGSN tunneling into `ggsn`.
-    pub fn new(point_code: PointCode, ggsn: NodeId) -> Self {
+    pub fn new(ggsn: NodeId) -> Self {
         Sgsn {
-            point_code,
             ggsn,
-            hlr: None,
             mm: HashMap::new(),
             pdp: HashMap::new(),
             teid_index: HashMap::new(),
@@ -93,12 +90,6 @@ impl Sgsn {
             admission_drain: None,
             down: false,
         }
-    }
-
-    /// Connects the SGSN to an HLR; attaches are then authorized over Gr.
-    /// Without an HLR every attach is accepted (closed testbed).
-    pub fn set_hlr(&mut self, hlr: NodeId) {
-        self.hlr = Some(hlr);
     }
 
     /// Enables PDP admission control: at most `rate` activations proceed
@@ -126,39 +117,21 @@ impl Sgsn {
         Teid(0x5000_0000 | self.next_teid)
     }
 
-    fn accept_attach(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi, endpoint: NodeId) {
-        self.next_ptmsi += 1;
-        let ptmsi = Tmsi(0xB000_0000 | self.next_ptmsi);
-        self.mm.insert(imsi, MmContext { endpoint, ptmsi });
-        ctx.count("sgsn.attaches");
-        ctx.send(
-            endpoint,
-            Message::Gmm(GmmMessage::AttachAccept { imsi, ptmsi }),
-        );
-    }
-
     fn handle_gmm(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: GmmMessage) {
         match msg {
-            GmmMessage::AttachRequest { imsi } => match self.hlr {
-                Some(hlr) => {
-                    // Remember the endpoint while the HLR answers.
-                    self.mm.insert(
-                        imsi,
-                        MmContext {
-                            endpoint: from,
-                            ptmsi: Tmsi(0),
-                        },
-                    );
-                    ctx.send(
-                        hlr,
-                        Message::Map(MapMessage::UpdateGprsLocation {
-                            imsi,
-                            sgsn: self.point_code,
-                        }),
-                    );
-                }
-                None => self.accept_attach(ctx, imsi, from),
-            },
+            GmmMessage::AttachRequest { imsi } => {
+                self.next_ptmsi += 1;
+                let ptmsi = Tmsi(0xB000_0000 | self.next_ptmsi);
+                self.mm.insert(
+                    imsi,
+                    MmContext {
+                        endpoint: from,
+                        ptmsi,
+                    },
+                );
+                ctx.count("sgsn.attaches");
+                ctx.send(from, Message::Gmm(GmmMessage::AttachAccept { imsi, ptmsi }));
+            }
             GmmMessage::DetachRequest { imsi } => {
                 if let Some(mm) = self.mm.remove(&imsi) {
                     // Tear down every remaining context of the subscriber.
@@ -502,26 +475,6 @@ impl Node<Message> for Sgsn {
                 self.handle_llc_uplink(ctx, imsi, nsapi, *inner)
             }
             (Interface::Gn, Message::Gtp(m)) => self.handle_gtp(ctx, m),
-            (Interface::Gr, Message::Map(MapMessage::UpdateGprsLocationAck {
-                imsi,
-                rejection,
-            })) => {
-                let Some(mm) = self.mm.get(&imsi) else {
-                    return;
-                };
-                let endpoint = mm.endpoint;
-                match rejection {
-                    None => self.accept_attach(ctx, imsi, endpoint),
-                    Some(cause) => {
-                        self.mm.remove(&imsi);
-                        ctx.count("sgsn.attach_rejected");
-                        ctx.send(
-                            endpoint,
-                            Message::Gmm(GmmMessage::AttachReject { imsi, cause }),
-                        );
-                    }
-                }
-            }
             _ => ctx.count("sgsn.unexpected_message"),
         }
     }
@@ -610,7 +563,7 @@ mod tests {
     fn rig(send: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
         let ggsn = net.add_node("ggsn", GgsnStub { sgsn: None, next: 0 });
-        let sgsn = net.add_node("sgsn", Sgsn::new(PointCode(50), ggsn));
+        let sgsn = net.add_node("sgsn", Sgsn::new(ggsn));
         let ep = net.add_node(
             "endpoint",
             Endpoint {
@@ -625,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn attach_without_hlr_accepted() {
+    fn attach_is_accepted() {
         let (mut net, sgsn, _ggsn, ep) =
             rig(vec![Message::Gmm(GmmMessage::AttachRequest { imsi: imsi() })]);
         net.run_until_quiescent();

@@ -5,8 +5,9 @@
 //! * [`Gatekeeper`] — address translation, admission control with a
 //!   bandwidth budget, disengage/charging. Deliberately GSM-ignorant: it
 //!   never sees an IMSI (the confidentiality property of Section 6).
-//! * [`H323Terminal`] — a complete VoIP endpoint (RAS registration,
-//!   Q.931 fast-connect call control, RTP media).
+//! * [`H323Endpoint`] — a complete VoIP endpoint (RAS registration,
+//!   Q.931 fast-connect call control, RTP media) over an [`Uplink`];
+//!   [`H323Terminal`] is the endpoint on a LAN port.
 //! * [`PstnGateway`] — ISUP ↔ H.323 bridging with bearer transcoding and
 //!   PSTN fallback when the gatekeeper does not know the dialed alias
 //!   (the Figure 8 "otherwise" branch).
@@ -20,4 +21,6 @@ mod terminal;
 
 pub use gatekeeper::{ChargingRecord, Gatekeeper, GatekeeperConfig};
 pub use gateway::{GatewayConfig, PstnGateway};
-pub use terminal::{H323Terminal, TerminalConfig, TerminalState};
+pub use terminal::{
+    EndpointNames, H323Endpoint, H323Terminal, Lan, Outcome, TerminalConfig, TerminalState, Uplink,
+};

@@ -1,10 +1,20 @@
-//! An H.323 terminal: the full VoIP endpoint the paper's MSs do *not*
+//! An H.323 endpoint: the full VoIP terminal the paper's MSs do *not*
 //! need to be (but the far ends of vGPRS calls, and every MS of the TR
 //! 22.973 baseline, are).
+//!
+//! The call machine — RAS registration and admission, Q.931 call
+//! control, the 20 ms RTP tick — is [`H323Endpoint`], written once. What
+//! differs between a wireline terminal and a TR 22.973 handset is the
+//! bearer under it, and that enters in two places only: the [`Uplink`]
+//! type parameter says how an IP packet leaves (and under which counter
+//! names the endpoint reports), and the [`Outcome`] every input returns
+//! tells the owner when a dialled call wants admission and when the
+//! endpoint has gone idle. [`H323Terminal`] is the endpoint on a LAN
+//! port, where neither moment needs anything done.
 
 use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
 use vgprs_wire::{
-    CallId, Cause, Command, Crv, IpPacket, IpPayload, Message, Msisdn, Q931Kind, Q931Message,
+    CallId, Cause, Command, Crv, Imsi, IpPacket, IpPayload, Message, Msisdn, Q931Kind, Q931Message,
     RasMessage, RtpPacket, TransportAddr, PAYLOAD_TYPE_GSM,
 };
 
@@ -13,14 +23,14 @@ const TIMER_ANSWER: u64 = 1;
 /// Timer tag: next RTP frame.
 const TIMER_VOICE: u64 = 2;
 
-/// Observable state of a terminal.
+/// Observable state of an endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TerminalState {
     /// Not yet confirmed by the gatekeeper.
     Registering,
     /// Registered, no call.
     Idle,
-    /// Sent an originating ARQ, waiting for ACF.
+    /// Dialled; the originating ARQ is owed or awaiting its ACF.
     RequestingAdmission,
     /// Sent Setup, waiting for progress.
     Calling,
@@ -34,7 +44,7 @@ pub enum TerminalState {
     Active,
 }
 
-/// Configuration for an [`H323Terminal`].
+/// Configuration for an [`H323Endpoint`].
 #[derive(Clone, Copy, Debug)]
 pub struct TerminalConfig {
     /// Alias registered with the gatekeeper.
@@ -62,11 +72,87 @@ impl TerminalConfig {
     }
 }
 
-/// The terminal node.
+/// The counter and histogram names one kind of endpoint reports under,
+/// each field named after the `term.*` event it is. Whole literals
+/// rather than a prefix, so the voice path formats nothing and a `grep`
+/// for a KPI's source name finds it.
+#[allow(missing_docs)]
 #[derive(Debug)]
-pub struct H323Terminal {
-    config: TerminalConfig,
+pub struct EndpointNames {
+    pub registered: &'static str,
+    pub registration_rejected: &'static str,
+    pub dial_while_busy: &'static str,
+    pub calls_dialed: &'static str,
+    pub calls_connected: &'static str,
+    pub ringing: &'static str,
+    pub admission_rejected: &'static str,
+    pub unhandled_ras: &'static str,
+    pub call_proceeding: &'static str,
+    pub released_by_peer: &'static str,
+    pub rtp_sent: &'static str,
+    pub rtp_received: &'static str,
+    pub call_setup_ms: &'static str,
+    pub post_dial_delay_ms: &'static str,
+    pub voice_e2e_ms: &'static str,
+}
+
+/// How an endpoint's IP packets leave it.
+pub trait Uplink {
+    /// The names this kind of endpoint counts under.
+    const NAMES: &'static EndpointNames;
+
+    /// Sends one packet on its way.
+    fn send(&self, ctx: &mut Context<'_, Message>, packet: IpPacket);
+}
+
+/// A LAN port: packets go to the zone's router as they are.
+#[derive(Debug)]
+pub struct Lan {
     router: NodeId,
+}
+
+impl Uplink for Lan {
+    const NAMES: &'static EndpointNames = &EndpointNames {
+        registered: "term.registered",
+        registration_rejected: "term.registration_rejected",
+        dial_while_busy: "term.dial_while_busy",
+        calls_dialed: "term.calls_dialed",
+        calls_connected: "term.calls_connected",
+        ringing: "term.ringing",
+        admission_rejected: "term.admission_rejected",
+        unhandled_ras: "term.unhandled_ras",
+        call_proceeding: "term.call_proceeding",
+        released_by_peer: "term.released_by_peer",
+        rtp_sent: "term.rtp_sent",
+        rtp_received: "term.rtp_received",
+        call_setup_ms: "term.call_setup_ms",
+        post_dial_delay_ms: "term.post_dial_delay_ms",
+        voice_e2e_ms: "term.voice_e2e_ms",
+    };
+
+    fn send(&self, ctx: &mut Context<'_, Message>, packet: IpPacket) {
+        ctx.send(self.router, Message::Ip(packet));
+    }
+}
+
+/// What an input left for the endpoint's owner to do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// Nothing.
+    Handled,
+    /// A call was dialled; it goes on when the owner calls
+    /// [`H323Endpoint::request_admission`].
+    Dialled,
+    /// The endpoint has just become idle: registered, released or
+    /// refused admission.
+    WentIdle,
+}
+
+/// The endpoint's call machine over an [`Uplink`].
+#[derive(Debug)]
+pub struct H323Endpoint<U> {
+    config: TerminalConfig,
+    uplink: U,
     state: TerminalState,
     call: Option<CallId>,
     crv: Crv,
@@ -78,7 +164,6 @@ pub struct H323Terminal {
     dialed_at: Option<SimTime>,
     voice_timer: Option<TimerToken>,
     voice_seq: u16,
-    ssrc: u32,
     /// RTP frames received.
     pub frames_received: u64,
     /// Calls that reached Active.
@@ -87,12 +172,22 @@ pub struct H323Terminal {
     pub calls_failed: u64,
 }
 
+/// A wireline H.323 terminal: the endpoint on a LAN port.
+pub type H323Terminal = H323Endpoint<Lan>;
+
 impl H323Terminal {
     /// Creates a terminal whose packets leave via `router`.
     pub fn new(config: TerminalConfig, router: NodeId) -> Self {
-        H323Terminal {
+        H323Endpoint::with_uplink(config, Lan { router })
+    }
+}
+
+impl<U: Uplink> H323Endpoint<U> {
+    /// Creates an unregistered endpoint sending through `uplink`.
+    pub fn with_uplink(config: TerminalConfig, uplink: U) -> Self {
+        H323Endpoint {
             config,
-            router,
+            uplink,
             state: TerminalState::Registering,
             call: None,
             crv: Crv(0),
@@ -104,7 +199,6 @@ impl H323Terminal {
             dialed_at: None,
             voice_timer: None,
             voice_seq: 0,
-            ssrc: 0,
             frames_received: 0,
             calls_connected: 0,
             calls_failed: 0,
@@ -116,20 +210,13 @@ impl H323Terminal {
         self.state
     }
 
-    /// The terminal's alias.
-    pub fn alias(&self) -> Msisdn {
-        self.config.alias
-    }
-
     fn media_addr(&self) -> TransportAddr {
         TransportAddr::new(self.config.addr.ip, self.config.addr.port + 10_000)
     }
 
     fn send_ip(&self, ctx: &mut Context<'_, Message>, dst: TransportAddr, payload: IpPayload) {
-        ctx.send(
-            self.router,
-            Message::Ip(IpPacket::new(self.config.addr, dst, payload)),
-        );
+        self.uplink
+            .send(ctx, IpPacket::new(self.config.addr, dst, payload));
     }
 
     fn send_ras(&self, ctx: &mut Context<'_, Message>, ras: RasMessage) {
@@ -151,6 +238,51 @@ impl H323Terminal {
         );
     }
 
+    /// Registers with the gatekeeper. `imsi` is what a TR 22.973 handset
+    /// discloses with its alias; a plain terminal has none to give.
+    pub fn register(&self, ctx: &mut Context<'_, Message>, imsi: Option<Imsi>) {
+        self.send_ras(
+            ctx,
+            RasMessage::Rrq {
+                alias: self.config.alias,
+                transport: self.config.addr,
+                imsi,
+            },
+        );
+    }
+
+    /// Sends the originating ARQ of a dialled call. False when there is
+    /// no such call any more (hung up while the bearer came up).
+    pub fn request_admission(&mut self, ctx: &mut Context<'_, Message>) -> bool {
+        let (TerminalState::RequestingAdmission, Some(call), Some(called)) =
+            (self.state, self.call, self.pending_called)
+        else {
+            return false;
+        };
+        self.send_ras(
+            ctx,
+            RasMessage::Arq {
+                call,
+                called,
+                answering: false,
+                bandwidth: 160,
+            },
+        );
+        true
+    }
+
+    /// Drops a call the gatekeeper refused or never heard of (the bearer
+    /// under a dialled call did not come up): no DRQ is owed.
+    pub fn fail_call(&mut self, ctx: &mut Context<'_, Message>) {
+        if self.call.take().is_none() {
+            return;
+        }
+        self.calls_failed += 1;
+        self.stop_voice(ctx);
+        self.pending_called = None;
+        self.state = TerminalState::Idle;
+    }
+
     fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
         if self.voice_timer.is_none() {
             self.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
@@ -167,9 +299,9 @@ impl H323Terminal {
         self.state = TerminalState::Active;
         self.calls_connected += 1;
         self.connected_at = Some(ctx.now());
-        ctx.count("term.calls_connected");
+        ctx.count(U::NAMES.calls_connected);
         if let Some(at) = self.dialed_at.take() {
-            ctx.observe_duration("term.call_setup_ms", ctx.now().duration_since(at));
+            ctx.observe_duration(U::NAMES.call_setup_ms, ctx.now().duration_since(at));
         }
         if self.config.talk_on_connect {
             self.start_voice(ctx);
@@ -205,27 +337,31 @@ impl H323Terminal {
         }
     }
 
-    fn handle_command(&mut self, ctx: &mut Context<'_, Message>, cmd: Command) {
+    /// [`Outcome::WentIdle`] if an input that found the endpoint
+    /// `was_busy` left it idle.
+    fn settled(&self, was_busy: bool) -> Outcome {
+        if was_busy && self.state == TerminalState::Idle {
+            Outcome::WentIdle
+        } else {
+            Outcome::Handled
+        }
+    }
+
+    /// Runs an operator command.
+    pub fn command(&mut self, ctx: &mut Context<'_, Message>, cmd: Command) -> Outcome {
+        let was_busy = self.state != TerminalState::Idle;
         match cmd {
             Command::Dial { call, called } => {
-                if self.state != TerminalState::Idle {
-                    ctx.count("term.dial_while_busy");
-                    return;
+                if was_busy {
+                    ctx.count(U::NAMES.dial_while_busy);
+                    return Outcome::Handled;
                 }
                 self.state = TerminalState::RequestingAdmission;
                 self.call = Some(call);
                 self.pending_called = Some(called);
                 self.dialed_at = Some(ctx.now());
-                ctx.count("term.calls_dialed");
-                self.send_ras(
-                    ctx,
-                    RasMessage::Arq {
-                        call,
-                        called,
-                        answering: false,
-                        bandwidth: 160,
-                    },
-                );
+                ctx.count(U::NAMES.calls_dialed);
+                return Outcome::Dialled;
             }
             Command::Answer => self.answer(ctx),
             Command::Hangup
@@ -245,6 +381,55 @@ impl H323Terminal {
             Command::StopTalking => self.stop_voice(ctx),
             _ => {}
         }
+        self.settled(was_busy)
+    }
+
+    /// Takes one packet addressed to this endpoint.
+    pub fn receive(&mut self, ctx: &mut Context<'_, Message>, packet: IpPacket) -> Outcome {
+        let was_busy = self.state != TerminalState::Idle;
+        match packet.payload {
+            IpPayload::Ras(r) => self.handle_ras(ctx, r),
+            IpPayload::Q931(q) => self.handle_q931(ctx, packet.src, q),
+            IpPayload::Rtp(rtp) => {
+                if self.call == Some(rtp.call) {
+                    self.frames_received += 1;
+                    ctx.count(U::NAMES.rtp_received);
+                    let delay = ctx.now().as_micros().saturating_sub(rtp.origin_us);
+                    ctx.observe(U::NAMES.voice_e2e_ms, delay as f64 / 1000.0);
+                }
+            }
+        }
+        self.settled(was_busy)
+    }
+
+    /// Runs one of the endpoint's own timers (auto-answer, voice tick).
+    pub fn timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
+        match tag {
+            TIMER_ANSWER => self.answer(ctx),
+            TIMER_VOICE => {
+                self.voice_timer = None;
+                if self.state == TerminalState::Active {
+                    if let (Some(call), Some(media)) = (self.call, self.remote_media) {
+                        self.voice_seq = self.voice_seq.wrapping_add(1);
+                        let now_us = ctx.now().as_micros();
+                        let rtp = RtpPacket {
+                            ssrc: 0,
+                            seq: self.voice_seq,
+                            timestamp: (now_us / 125) as u32,
+                            payload_type: PAYLOAD_TYPE_GSM,
+                            marker: self.voice_seq == 1,
+                            payload_len: 33,
+                            call,
+                            origin_us: now_us,
+                        };
+                        ctx.count(U::NAMES.rtp_sent);
+                        self.send_ip(ctx, media, IpPayload::Rtp(rtp));
+                        self.start_voice(ctx);
+                    }
+                }
+            }
+            _ => {}
+        }
     }
 
     fn handle_ras(&mut self, ctx: &mut Context<'_, Message>, ras: RasMessage) {
@@ -252,10 +437,10 @@ impl H323Terminal {
             RasMessage::Rcf { .. } => {
                 if self.state == TerminalState::Registering {
                     self.state = TerminalState::Idle;
-                    ctx.count("term.registered");
+                    ctx.count(U::NAMES.registered);
                 }
             }
-            RasMessage::Rrj { .. } => ctx.count("term.registration_rejected"),
+            RasMessage::Rrj { .. } => ctx.count(U::NAMES.registration_rejected),
             RasMessage::Acf {
                 call,
                 dest_call_signal_addr,
@@ -285,7 +470,7 @@ impl H323Terminal {
                     TerminalState::AnsweringAdmission => {
                         // Paper step 2.6: ring and alert the caller.
                         self.state = TerminalState::Ringing;
-                        ctx.count("term.ringing");
+                        ctx.count(U::NAMES.ringing);
                         self.send_q931(ctx, Q931Kind::Alerting);
                         if let Some(delay) = self.config.answer_after {
                             ctx.set_timer(delay, TIMER_ANSWER);
@@ -298,19 +483,15 @@ impl H323Terminal {
                 if self.call != Some(call) {
                     return;
                 }
-                self.calls_failed += 1;
-                ctx.count("term.admission_rejected");
+                ctx.count(U::NAMES.admission_rejected);
                 if self.state == TerminalState::AnsweringAdmission {
                     // Paper step 2.5: the call is released.
                     self.send_q931(ctx, Q931Kind::ReleaseComplete { cause });
                 }
-                self.stop_voice(ctx);
-                self.call = None;
-                self.pending_called = None;
-                self.state = TerminalState::Idle;
+                self.fail_call(ctx);
             }
             RasMessage::Dcf { .. } => {}
-            _ => ctx.count("term.unhandled_ras"),
+            _ => ctx.count(U::NAMES.unhandled_ras),
         }
     }
 
@@ -360,13 +541,13 @@ impl H323Terminal {
                     },
                 );
             }
-            Q931Kind::CallProceeding => ctx.count("term.call_proceeding"),
+            Q931Kind::CallProceeding => ctx.count(U::NAMES.call_proceeding),
             Q931Kind::Alerting => {
                 if self.state == TerminalState::Calling && self.call == Some(msg.call) {
                     self.state = TerminalState::Ringback;
                     if let Some(at) = self.dialed_at {
                         ctx.observe_duration(
-                            "term.post_dial_delay_ms",
+                            U::NAMES.post_dial_delay_ms,
                             ctx.now().duration_since(at),
                         );
                     }
@@ -385,7 +566,7 @@ impl H323Terminal {
             }
             Q931Kind::ReleaseComplete { .. } => {
                 if self.call == Some(msg.call) {
-                    ctx.count("term.released_by_peer");
+                    ctx.count(U::NAMES.released_by_peer);
                     self.end_call(ctx);
                 }
             }
@@ -402,25 +583,18 @@ impl Node<Message> for H323Terminal {
         msg: Message,
     ) {
         match (iface, msg) {
-            (Interface::Internal, Message::Cmd(cmd)) => self.handle_command(ctx, cmd),
+            (Interface::Internal, Message::Cmd(cmd)) => {
+                // A LAN port is always up: admission follows the dial.
+                if self.command(ctx, cmd) == Outcome::Dialled {
+                    self.request_admission(ctx);
+                }
+            }
             (Interface::Lan | Interface::Gi, Message::Ip(packet)) => {
                 if packet.dst.ip != self.config.addr.ip {
                     ctx.count("term.misdelivered");
                     return;
                 }
-                let src = packet.src;
-                match packet.payload {
-                    IpPayload::Ras(r) => self.handle_ras(ctx, r),
-                    IpPayload::Q931(q) => self.handle_q931(ctx, src, q),
-                    IpPayload::Rtp(rtp) => {
-                        if self.call == Some(rtp.call) {
-                            self.frames_received += 1;
-                            ctx.count("term.rtp_received");
-                            let delay = ctx.now().as_micros().saturating_sub(rtp.origin_us);
-                            ctx.observe("term.voice_e2e_ms", delay as f64 / 1000.0);
-                        }
-                    }
-                }
+                self.receive(ctx, packet);
             }
             _ => ctx.count("term.unexpected_message"),
         }
@@ -428,43 +602,11 @@ impl Node<Message> for H323Terminal {
 
     fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
         // Auto-register with the gatekeeper.
-        self.send_ras(
-            ctx,
-            RasMessage::Rrq {
-                alias: self.config.alias,
-                transport: self.config.addr,
-                imsi: None,
-            },
-        );
+        self.register(ctx, None);
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, tag: u64) {
-        match tag {
-            TIMER_ANSWER => self.answer(ctx),
-            TIMER_VOICE => {
-                self.voice_timer = None;
-                if self.state == TerminalState::Active {
-                    if let (Some(call), Some(media)) = (self.call, self.remote_media) {
-                        self.voice_seq = self.voice_seq.wrapping_add(1);
-                        let now_us = ctx.now().as_micros();
-                        let rtp = RtpPacket {
-                            ssrc: self.ssrc,
-                            seq: self.voice_seq,
-                            timestamp: (now_us / 125) as u32,
-                            payload_type: PAYLOAD_TYPE_GSM,
-                            marker: self.voice_seq == 1,
-                            payload_len: 33,
-                            call,
-                            origin_us: now_us,
-                        };
-                        ctx.count("term.rtp_sent");
-                        self.send_ip(ctx, media, IpPayload::Rtp(rtp));
-                        self.start_voice(ctx);
-                    }
-                }
-            }
-            _ => {}
-        }
+        self.timer(ctx, tag);
     }
 }
 
@@ -624,7 +766,7 @@ mod tests {
         // a third terminal calls bob
         let router = {
             // reuse the zone's router by adding a new terminal
-            let r = net.node::<H323Terminal>(t1).unwrap().router;
+            let r = net.node::<H323Terminal>(t1).unwrap().uplink.router;
             r
         };
         let t3 = net.add_node(

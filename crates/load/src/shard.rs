@@ -26,7 +26,7 @@ use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_faults::{
     compile_plan, FaultClass, FaultKind, FaultPlan, FaultPlanConfig, LinkSel, NodeSel,
 };
-use vgprs_gsm::{Bts, Hlr, MobileStation, MsState, Vlr};
+use vgprs_gsm::{Hlr, MobileStation, MsState, Vlr};
 use vgprs_scenario::{compile_demand, DemandPlan, OverloadControls, ScenarioConfig};
 use vgprs_sim::{
     CalendarWheel, Interface, Kernel, LinkQuality, Network, NodeId, SimDuration, SimRng, SimTime,
@@ -392,33 +392,35 @@ impl Shard {
         );
         // One operator, one HLR: the neighbor VLR resolves home IMSIs at
         // the home HLR, and the VMSCs are handoff peers in both directions.
-        net.connect(neighbor.vlr, home.hlr, Interface::D, home.latency.ss7);
-        net.node_mut::<Vlr>(neighbor.vlr)
+        let lat = home.access.latency;
+        let (home_vmsc, neighbor_vmsc) = (home.access.msc, neighbor.access.msc);
+        net.connect(neighbor.access.vlr, home.access.hlr, Interface::D, lat.ss7);
+        net.node_mut::<Vlr>(neighbor.access.vlr)
             .expect("neighbor VLR")
-            .add_hlr_route("466", home.hlr);
-        net.connect(home.vmsc, neighbor.vmsc, Interface::E, home.latency.e);
-        net.node_mut::<Vmsc>(home.vmsc)
+            .add_hlr_route("466", home.access.hlr);
+        net.connect(home_vmsc, neighbor_vmsc, Interface::E, lat.e);
+        net.node_mut::<Vmsc>(home_vmsc)
             .expect("home VMSC")
-            .add_neighbor_cell(neighbor.cell, neighbor.vmsc);
-        net.node_mut::<Vmsc>(neighbor.vmsc)
+            .add_neighbor_cell(neighbor.access.cell, neighbor_vmsc);
+        net.node_mut::<Vmsc>(neighbor_vmsc)
             .expect("neighbor VMSC")
-            .add_neighbor_cell(home.cell, home.vmsc);
+            .add_neighbor_cell(home.access.cell, home_vmsc);
 
         // The cross-shard gates: an E-trunk "neighbor VMSC" serving the
         // border cell, and the border cell's radio infrastructure.
         let trunk_gate = net.add_node(
             &format!("s{}.xgate-e", cfg.shard_index),
-            TrunkGate::new(home.vmsc),
+            TrunkGate::new(home_vmsc),
         );
-        net.connect(trunk_gate, home.vmsc, Interface::E, home.latency.e);
-        net.node_mut::<Vmsc>(home.vmsc)
+        net.connect(trunk_gate, home_vmsc, Interface::E, lat.e);
+        net.node_mut::<Vmsc>(home_vmsc)
             .expect("home VMSC")
             .add_neighbor_cell(BORDER_CELL, trunk_gate);
         let radio_gate = net.add_node(
             &format!("s{}.xgate-a", cfg.shard_index),
-            RadioGate::new(home.vmsc),
+            RadioGate::new(home_vmsc),
         );
-        net.connect(radio_gate, home.vmsc, Interface::A, home.latency.a);
+        net.connect(radio_gate, home_vmsc, Interface::A, lat.a);
 
         let mut subs = Vec::with_capacity(cfg.subscribers);
         let mut ms_index = HashMap::new();
@@ -426,14 +428,14 @@ impl Shard {
             let g = plan.global_index;
             let msisdn = msisdn_for(g);
             let alias = alias_for(g);
-            let ms = home.add_subscriber(
+            let ms = home.access.add_subscriber(
                 &mut net,
                 &format!("ms{g}"),
                 imsi_for(g),
                 ki_for(g),
                 msisdn,
             );
-            let terminal = home.add_terminal(&mut net, &format!("t{g}"), alias);
+            let terminal = home.packet.add_terminal(&mut net, &format!("t{g}"), alias);
             let cross_target = plan
                 .excursion
                 .filter(|_| cfg.total_shards > 1)
@@ -454,19 +456,16 @@ impl Shard {
                 });
             if cross_target.is_some() {
                 // Cross-shard movers camp on the border cell while away.
-                net.connect(ms, radio_gate, Interface::Um, home.latency.um);
+                net.connect(ms, radio_gate, Interface::Um, lat.um);
                 let m = net.node_mut::<MobileStation>(ms).expect("new MS");
                 m.add_neighbor(BORDER_CELL, radio_gate);
-                m.add_neighbor(home.cell, home.bts);
+                m.add_neighbor(home.access.cell, home.access.bts);
             } else if plan.excursion.is_some() {
                 // Movers can also camp on (and hand off to) the neighbor.
-                net.connect(ms, neighbor.bts, Interface::Um, home.latency.um);
-                net.node_mut::<Bts>(neighbor.bts)
-                    .expect("neighbor BTS")
-                    .register_ms(ms);
-                let m = net.node_mut::<MobileStation>(ms).expect("new MS");
-                m.add_neighbor(neighbor.cell, neighbor.bts);
-                m.add_neighbor(home.cell, home.bts);
+                neighbor.access.cover(&mut net, ms);
+                net.node_mut::<MobileStation>(ms)
+                    .expect("new MS")
+                    .add_neighbor(home.access.cell, home.access.bts);
             }
             net.inject(
                 SimDuration::from_millis(local as u64 * 7),
@@ -496,32 +495,32 @@ impl Shard {
             net.stats_mut().count("load.event_capped");
         }
         let registered = net
-            .node::<Vmsc>(home.vmsc)
+            .node::<Vmsc>(home_vmsc)
             .expect("home VMSC")
             .registered_count();
 
         // The busy-hour window starts once registration has settled.
         let t0_us = net.now().as_micros();
         let gb_quality = net
-            .link_between(home.vmsc, home.sgsn)
+            .link_between(home_vmsc, home.packet.sgsn)
             .expect("Gb link")
-            .quality_from(home.vmsc);
+            .quality_from(home_vmsc);
         let gn_quality = net
-            .link_between(home.sgsn, home.ggsn)
+            .link_between(home.packet.sgsn, home.packet.ggsn)
             .expect("Gn link")
-            .quality_from(home.sgsn);
+            .quality_from(home.packet.sgsn);
         let mut shard = Shard {
             cfg: cfg.clone(),
             net,
             events,
             registered,
             t0_us,
-            home_hlr: home.hlr,
-            home_cell: home.cell,
-            home_vmsc: home.vmsc,
-            home_sgsn: home.sgsn,
-            home_ggsn: home.ggsn,
-            home_gk: home.gk,
+            home_hlr: home.access.hlr,
+            home_cell: home.access.cell,
+            home_vmsc,
+            home_sgsn: home.packet.sgsn,
+            home_ggsn: home.packet.ggsn,
+            home_gk: home.packet.gk,
             gb_quality,
             gn_quality,
             plan,
@@ -552,10 +551,10 @@ impl Shard {
                 let out_cell = if shard.subs[local].cross_target.is_some() {
                     BORDER_CELL
                 } else {
-                    neighbor.cell
+                    neighbor.access.cell
                 };
                 shard.push(e.out_ms, Action::Move { local, cell: out_cell });
-                shard.push(e.back_ms, Action::Move { local, cell: home.cell });
+                shard.push(e.back_ms, Action::Move { local, cell: home.access.cell });
             }
         }
         let windows: Vec<(u64, u64)> = shard

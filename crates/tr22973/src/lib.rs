@@ -21,5 +21,5 @@
 mod ms;
 mod testbed;
 
-pub use ms::{H323Ms, TrMsConfig, TrMsState};
+pub use ms::{H323Ms, Pdch, TrMsConfig};
 pub use testbed::{TrZone, TrZoneConfig};

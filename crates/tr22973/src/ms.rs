@@ -8,18 +8,17 @@
 //! **deactivated whenever the MS is idle** and re-activated per call:
 //! MS-initiated for origination, network-initiated (via the GGSN's PDU
 //! notification on the static PDP address) for termination.
+//!
+//! The H.323 stack is [`H323Endpoint`], the machine a wireline terminal
+//! runs; this file is only the GPRS bearer under it — attach, the
+//! context's life around the endpoint's calls, LLC framing.
 
+use vgprs_h323::{EndpointNames, H323Endpoint, Outcome, TerminalConfig, TerminalState, Uplink};
 use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
 use vgprs_wire::{
-    CallId, Cause, Command, Crv, GmmMessage, Imsi, IpPacket, IpPayload, Ipv4Addr, Message,
-    Msisdn, Nsapi, Q931Kind, Q931Message, QosProfile, RasMessage, RtpPacket, TransportAddr,
-    PAYLOAD_TYPE_GSM,
+    Command, GmmMessage, Imsi, IpPacket, Ipv4Addr, Message, Msisdn, Nsapi, QosProfile,
+    TransportAddr,
 };
-
-/// Timer tag: auto-answer.
-const TIMER_ANSWER: u64 = 1;
-/// Timer tag: next RTP frame.
-const TIMER_VOICE: u64 = 2;
 
 /// The TR MS's single PDP context.
 fn nsapi() -> Nsapi {
@@ -35,33 +34,6 @@ enum ActivationPurpose {
     Originate,
     /// Network-requested (incoming call pending at the GGSN).
     Terminate,
-}
-
-/// Observable state of the TR MS.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TrMsState {
-    /// Powered off.
-    Off,
-    /// GPRS attach in progress.
-    Attaching,
-    /// PDP context activating.
-    Activating,
-    /// RAS registration outstanding.
-    Registering,
-    /// Registered; per the TR the context is torn down while idle.
-    Idle,
-    /// Originating: admission requested.
-    RequestingAdmission,
-    /// Setup sent.
-    Calling,
-    /// Remote is ringing.
-    Ringback,
-    /// Incoming: answering admission requested.
-    AnsweringAdmission,
-    /// Ringing locally.
-    Ringing,
-    /// In conversation.
-    Active,
 }
 
 /// Configuration for a [`H323Ms`].
@@ -102,62 +74,95 @@ impl TrMsConfig {
     }
 }
 
+/// The packet air interface: every packet is an LLC frame to the BTS,
+/// queued on the cell's shared PDCH.
+#[derive(Debug)]
+pub struct Pdch {
+    bts: NodeId,
+    imsi: Imsi,
+}
+
+impl Uplink for Pdch {
+    const NAMES: &'static EndpointNames = &EndpointNames {
+        registered: "trms.registered",
+        registration_rejected: "trms.registration_rejected",
+        dial_while_busy: "trms.dial_while_busy",
+        calls_dialed: "trms.calls_dialed",
+        calls_connected: "trms.calls_connected",
+        ringing: "trms.ringing",
+        admission_rejected: "trms.admission_rejected",
+        unhandled_ras: "trms.unhandled_ras",
+        call_proceeding: "trms.call_proceeding",
+        released_by_peer: "trms.released_by_peer",
+        rtp_sent: "trms.rtp_sent",
+        rtp_received: "trms.rtp_received",
+        call_setup_ms: "trms.call_setup_ms",
+        post_dial_delay_ms: "trms.post_dial_delay_ms",
+        voice_e2e_ms: "trms.voice_e2e_ms",
+    };
+
+    fn send(&self, ctx: &mut Context<'_, Message>, packet: IpPacket) {
+        ctx.send(
+            self.bts,
+            Message::Llc {
+                imsi: self.imsi,
+                nsapi: nsapi(),
+                inner: Box::new(packet),
+            },
+        );
+    }
+}
+
 /// The TR 22.973 mobile station node.
 #[derive(Debug)]
 pub struct H323Ms {
     config: TrMsConfig,
     /// The serving BTS (all traffic crosses the shared PDCH).
     bts: NodeId,
-    state: TrMsState,
+    endpoint: H323Endpoint<Pdch>,
+    powered: bool,
     context_active: bool,
-    attached: bool,
+    /// The activation in flight, if any.
     purpose: Option<ActivationPurpose>,
-    call: Option<CallId>,
-    crv: Crv,
-    next_crv: u16,
-    pending_called: Option<Msisdn>,
-    remote_signal: Option<TransportAddr>,
-    remote_media: Option<TransportAddr>,
-    dialed_at: Option<SimTime>,
     reg_started: Option<SimTime>,
-    connected_at: Option<SimTime>,
-    voice_timer: Option<TimerToken>,
-    voice_seq: u16,
-    /// RTP frames received over the packet air interface.
-    pub frames_received: u64,
-    /// Calls connected.
-    pub calls_connected: u64,
 }
 
 impl H323Ms {
     /// Creates a powered-off TR MS camped on `bts`.
     pub fn new(config: TrMsConfig, bts: NodeId) -> Self {
+        let endpoint = H323Endpoint::with_uplink(
+            TerminalConfig {
+                alias: config.msisdn,
+                addr: TransportAddr::new(config.static_addr, 1720),
+                gk: config.gk,
+                answer_after: config.answer_after,
+                talk_on_connect: config.talk_on_connect,
+            },
+            Pdch {
+                bts,
+                imsi: config.imsi,
+            },
+        );
         H323Ms {
             config,
             bts,
-            state: TrMsState::Off,
+            endpoint,
+            powered: false,
             context_active: false,
-            attached: false,
             purpose: None,
-            call: None,
-            crv: Crv(0),
-            next_crv: 0,
-            pending_called: None,
-            remote_signal: None,
-            remote_media: None,
-            dialed_at: None,
             reg_started: None,
-            connected_at: None,
-            voice_timer: None,
-            voice_seq: 0,
-            frames_received: 0,
-            calls_connected: 0,
         }
     }
 
-    /// Current state.
-    pub fn state(&self) -> TrMsState {
-        self.state
+    /// The H.323 call state; per the TR the context is down while it is
+    /// [`TerminalState::Idle`].
+    pub fn state(&self) -> TerminalState {
+        self.endpoint.state()
+    }
+
+    /// The H.323 endpoint inside the handset (its call counters).
+    pub fn endpoint(&self) -> &H323Endpoint<Pdch> {
+        &self.endpoint
     }
 
     /// True while the PDP context is up.
@@ -171,56 +176,21 @@ impl H323Ms {
         self.config.deactivate_when_idle = v;
     }
 
-    fn signal_addr(&self) -> TransportAddr {
-        TransportAddr::new(self.config.static_addr, 1720)
-    }
-
-    fn media_addr(&self) -> TransportAddr {
-        TransportAddr::new(self.config.static_addr, 30_000)
-    }
-
-    fn send_ip(&self, ctx: &mut Context<'_, Message>, dst: TransportAddr, payload: IpPayload) {
-        ctx.send(
-            self.bts,
-            Message::Llc {
-                imsi: self.config.imsi,
-                nsapi: nsapi(),
-                inner: Box::new(IpPacket::new(self.signal_addr(), dst, payload)),
-            },
-        );
-    }
-
-    fn send_ras(&self, ctx: &mut Context<'_, Message>, ras: RasMessage) {
-        self.send_ip(ctx, self.config.gk, IpPayload::Ras(ras));
-    }
-
-    fn send_q931(&self, ctx: &mut Context<'_, Message>, kind: Q931Kind) {
-        let (Some(call), Some(dst)) = (self.call, self.remote_signal) else {
-            return;
-        };
-        self.send_ip(
-            ctx,
-            dst,
-            IpPayload::Q931(Q931Message {
-                crv: self.crv,
-                call,
-                kind,
-            }),
-        );
+    fn send_gmm(&self, ctx: &mut Context<'_, Message>, msg: GmmMessage) {
+        ctx.send(self.bts, Message::Gmm(msg));
     }
 
     fn activate(&mut self, ctx: &mut Context<'_, Message>, purpose: ActivationPurpose) {
         self.purpose = Some(purpose);
-        self.state = TrMsState::Activating;
         ctx.count("trms.activations");
-        ctx.send(
-            self.bts,
-            Message::Gmm(GmmMessage::ActivatePdpContextRequest {
+        self.send_gmm(
+            ctx,
+            GmmMessage::ActivatePdpContextRequest {
                 imsi: self.config.imsi,
                 nsapi: nsapi(),
                 qos: QosProfile::realtime_voice(),
                 static_addr: Some(self.config.static_addr),
-            }),
+            },
         );
     }
 
@@ -228,180 +198,97 @@ impl H323Ms {
         if self.config.deactivate_when_idle && self.context_active {
             self.context_active = false;
             ctx.count("trms.deactivations");
-            ctx.send(
-                self.bts,
-                Message::Gmm(GmmMessage::DeactivatePdpContextRequest {
+            self.send_gmm(
+                ctx,
+                GmmMessage::DeactivatePdpContextRequest {
                     imsi: self.config.imsi,
                     nsapi: nsapi(),
-                }),
+                },
             );
         }
     }
 
-    fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.voice_timer.is_none() {
-            self.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-        }
-    }
-
-    fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if let Some(t) = self.voice_timer.take() {
-            ctx.cancel_timer(t);
-        }
-    }
-
-    fn enter_active(&mut self, ctx: &mut Context<'_, Message>) {
-        self.state = TrMsState::Active;
-        self.calls_connected += 1;
-        self.connected_at = Some(ctx.now());
-        ctx.count("trms.calls_connected");
-        if let Some(at) = self.dialed_at.take() {
-            ctx.observe_duration("trms.call_setup_ms", ctx.now().duration_since(at));
-        }
-        if self.config.talk_on_connect {
-            self.start_voice(ctx);
-        }
-    }
-
-    fn end_call(&mut self, ctx: &mut Context<'_, Message>) {
-        self.stop_voice(ctx);
-        if let Some(call) = self.call.take() {
-            let duration_ms = self
-                .connected_at
-                .take()
-                .map(|at| ctx.now().duration_since(at).as_millis())
-                .unwrap_or(0);
-            self.send_ras(ctx, RasMessage::Drq { call, duration_ms });
-        }
-        self.remote_signal = None;
-        self.remote_media = None;
-        self.pending_called = None;
-        self.state = TrMsState::Idle;
-        // The TR tears the context down after every call.
-        self.deactivate_if_idle(ctx);
-    }
-
-    fn answer(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.state == TrMsState::Ringing {
-            let media_addr = self.media_addr();
-            self.send_q931(ctx, Q931Kind::Connect { media_addr });
-            self.enter_active(ctx);
+    /// Does what an endpoint input left to the bearer.
+    fn follow(&mut self, ctx: &mut Context<'_, Message>, outcome: Outcome) {
+        match outcome {
+            Outcome::Handled => {}
+            // The paper's Section 6 point: a context must first be
+            // (re)established for every call.
+            Outcome::Dialled if !self.context_active => {
+                self.activate(ctx, ActivationPurpose::Originate)
+            }
+            Outcome::Dialled => {
+                self.endpoint.request_admission(ctx);
+            }
+            Outcome::WentIdle => {
+                if let Some(at) = self.reg_started.take() {
+                    ctx.observe_duration("trms.registration_ms", ctx.now().duration_since(at));
+                }
+                // Step 6 of the TR's figure 7, and again after every
+                // call: deactivate when idle.
+                self.deactivate_if_idle(ctx);
+            }
         }
     }
 
     fn handle_command(&mut self, ctx: &mut Context<'_, Message>, cmd: Command) {
         match cmd {
             Command::PowerOn => {
-                if self.state != TrMsState::Off {
+                if self.powered {
                     return;
                 }
-                self.state = TrMsState::Attaching;
+                self.powered = true;
                 self.reg_started = Some(ctx.now());
-                ctx.send(
-                    self.bts,
-                    Message::Gmm(GmmMessage::AttachRequest {
+                self.send_gmm(
+                    ctx,
+                    GmmMessage::AttachRequest {
                         imsi: self.config.imsi,
-                    }),
+                    },
                 );
             }
-            Command::Dial { call, called } => {
-                if self.state != TrMsState::Idle {
-                    ctx.count("trms.dial_while_busy");
-                    return;
-                }
-                self.call = Some(call);
-                self.pending_called = Some(called);
-                self.dialed_at = Some(ctx.now());
-                ctx.count("trms.calls_dialed");
-                if self.context_active {
-                    self.request_admission(ctx);
-                } else {
-                    // The paper's Section 6 point: a context must first be
-                    // (re)established for every call.
-                    self.activate(ctx, ActivationPurpose::Originate);
-                }
+            // An activation is in flight under an endpoint that is idle
+            // (incoming call pending, or hung up since it was dialled):
+            // a second one would cross it.
+            Command::Dial { .. } if self.purpose.is_some() => {
+                ctx.count(Pdch::NAMES.dial_while_busy)
             }
-            Command::Answer => self.answer(ctx),
-            Command::Hangup
-                if self.call.is_some() => {
-                    self.send_q931(
-                        ctx,
-                        Q931Kind::ReleaseComplete {
-                            cause: Cause::NormalClearing,
-                        },
-                    );
-                    self.end_call(ctx);
-                }
-            Command::StartTalking
-                if self.state == TrMsState::Active => {
-                    self.start_voice(ctx);
-                }
-            Command::StopTalking => self.stop_voice(ctx),
-            _ => {}
+            cmd => {
+                let outcome = self.endpoint.command(ctx, cmd);
+                self.follow(ctx, outcome);
+            }
         }
-    }
-
-    fn request_admission(&mut self, ctx: &mut Context<'_, Message>) {
-        let (Some(call), Some(called)) = (self.call, self.pending_called) else {
-            return;
-        };
-        self.state = TrMsState::RequestingAdmission;
-        self.send_ras(
-            ctx,
-            RasMessage::Arq {
-                call,
-                called,
-                answering: false,
-                bandwidth: 160,
-            },
-        );
     }
 
     fn handle_gmm(&mut self, ctx: &mut Context<'_, Message>, msg: GmmMessage) {
         match msg {
-            GmmMessage::AttachAccept { .. } => {
-                self.attached = true;
-                // Register with the gatekeeper: context up first.
-                self.activate(ctx, ActivationPurpose::Register);
-            }
+            // Register with the gatekeeper: context up first.
+            GmmMessage::AttachAccept { .. } => self.activate(ctx, ActivationPurpose::Register),
             GmmMessage::AttachReject { .. } => {
                 ctx.count("trms.attach_rejected");
-                self.state = TrMsState::Off;
+                self.powered = false;
             }
             GmmMessage::ActivatePdpContextAccept { .. } => {
                 self.context_active = true;
                 match self.purpose.take() {
+                    // The TR integration hands the IMSI to the H.323
+                    // domain (experiment C4 counts this).
                     Some(ActivationPurpose::Register) => {
-                        self.state = TrMsState::Registering;
-                        // The TR integration hands the IMSI to the H.323
-                        // domain (experiment C4 counts this).
-                        self.send_ras(
-                            ctx,
-                            RasMessage::Rrq {
-                                alias: self.config.msisdn,
-                                transport: self.signal_addr(),
-                                imsi: Some(self.config.imsi),
-                            },
-                        );
+                        self.endpoint.register(ctx, Some(self.config.imsi))
                     }
-                    Some(ActivationPurpose::Originate) => self.request_admission(ctx),
-                    Some(ActivationPurpose::Terminate) | None => {
-                        // Incoming call: the GGSN will now flush the
-                        // buffered Setup; wait for it.
-                        self.state = TrMsState::Idle;
-                    }
+                    Some(ActivationPurpose::Originate) if self.endpoint.request_admission(ctx) => {}
+                    // Incoming call: the GGSN will now flush the
+                    // buffered Setup; wait for it.
+                    Some(ActivationPurpose::Terminate) => {}
+                    // The call was hung up while its context came up:
+                    // nothing is left for it to carry.
+                    _ => self.deactivate_if_idle(ctx),
                 }
             }
             GmmMessage::ActivatePdpContextReject { .. } => {
                 ctx.count("trms.activation_rejected");
-                self.purpose = None;
-                self.call = None;
-                self.pending_called = None;
-                self.state = if self.attached {
-                    TrMsState::Idle
-                } else {
-                    TrMsState::Off
-                };
+                if self.purpose.take() == Some(ActivationPurpose::Originate) {
+                    self.endpoint.fail_call(ctx);
+                }
             }
             GmmMessage::RequestPdpContextActivation { .. } => {
                 // Network-initiated activation for an incoming call.
@@ -412,142 +299,6 @@ impl H323Ms {
             }
             GmmMessage::DeactivatePdpContextAccept { .. } => {}
             _ => ctx.count("trms.unhandled_gmm"),
-        }
-    }
-
-    fn handle_ras(&mut self, ctx: &mut Context<'_, Message>, ras: RasMessage) {
-        match ras {
-            RasMessage::Rcf { .. } => {
-                if self.state == TrMsState::Registering {
-                    self.state = TrMsState::Idle;
-                    ctx.count("trms.registered");
-                    if let Some(at) = self.reg_started.take() {
-                        ctx.observe_duration(
-                            "trms.registration_ms",
-                            ctx.now().duration_since(at),
-                        );
-                    }
-                    // Step 6 of the TR's figure 7: deactivate when idle.
-                    self.deactivate_if_idle(ctx);
-                }
-            }
-            RasMessage::Acf {
-                call,
-                dest_call_signal_addr,
-            } => {
-                if self.call != Some(call) {
-                    return;
-                }
-                match self.state {
-                    TrMsState::RequestingAdmission => {
-                        self.next_crv += 1;
-                        self.crv = Crv(self.next_crv);
-                        self.remote_signal = Some(dest_call_signal_addr);
-                        self.state = TrMsState::Calling;
-                        let called = self.pending_called.expect("dialing");
-                        let signal_addr = self.signal_addr();
-                        let media_addr = self.media_addr();
-                        self.send_q931(
-                            ctx,
-                            Q931Kind::Setup {
-                                calling: Some(self.config.msisdn),
-                                called,
-                                signal_addr,
-                                media_addr,
-                            },
-                        );
-                    }
-                    TrMsState::AnsweringAdmission => {
-                        self.state = TrMsState::Ringing;
-                        ctx.count("trms.ringing");
-                        self.send_q931(ctx, Q931Kind::Alerting);
-                        if let Some(delay) = self.config.answer_after {
-                            ctx.set_timer(delay, TIMER_ANSWER);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            RasMessage::Arj { call, cause } => {
-                if self.call != Some(call) {
-                    return;
-                }
-                ctx.count("trms.admission_rejected");
-                if self.state == TrMsState::AnsweringAdmission {
-                    self.send_q931(ctx, Q931Kind::ReleaseComplete { cause });
-                }
-                self.call = None;
-                self.pending_called = None;
-                self.state = TrMsState::Idle;
-                self.deactivate_if_idle(ctx);
-            }
-            RasMessage::Dcf { .. } => {}
-            _ => ctx.count("trms.unhandled_ras"),
-        }
-    }
-
-    fn handle_q931(&mut self, ctx: &mut Context<'_, Message>, msg: Q931Message) {
-        match msg.kind {
-            Q931Kind::Setup {
-                called,
-                signal_addr,
-                media_addr,
-                ..
-            } => {
-                if self.call.is_some() {
-                    // Busy: refuse directly.
-                    let reply = Q931Message {
-                        crv: msg.crv,
-                        call: msg.call,
-                        kind: Q931Kind::ReleaseComplete {
-                            cause: Cause::UserBusy,
-                        },
-                    };
-                    self.send_ip(ctx, signal_addr, IpPayload::Q931(reply));
-                    return;
-                }
-                self.call = Some(msg.call);
-                self.crv = msg.crv;
-                self.remote_signal = Some(signal_addr);
-                self.remote_media = Some(media_addr);
-                self.send_q931(ctx, Q931Kind::CallProceeding);
-                self.state = TrMsState::AnsweringAdmission;
-                self.send_ras(
-                    ctx,
-                    RasMessage::Arq {
-                        call: msg.call,
-                        called,
-                        answering: true,
-                        bandwidth: 160,
-                    },
-                );
-            }
-            Q931Kind::CallProceeding => {}
-            Q931Kind::Alerting => {
-                if self.state == TrMsState::Calling && self.call == Some(msg.call) {
-                    self.state = TrMsState::Ringback;
-                    if let Some(at) = self.dialed_at {
-                        ctx.observe_duration(
-                            "trms.post_dial_delay_ms",
-                            ctx.now().duration_since(at),
-                        );
-                    }
-                }
-            }
-            Q931Kind::Connect { media_addr } => {
-                if self.call == Some(msg.call)
-                    && matches!(self.state, TrMsState::Calling | TrMsState::Ringback)
-                {
-                    self.remote_media = Some(media_addr);
-                    self.enter_active(ctx);
-                }
-            }
-            Q931Kind::ReleaseComplete { .. } => {
-                if self.call == Some(msg.call) {
-                    ctx.count("trms.released_by_peer");
-                    self.end_call(ctx);
-                }
-            }
         }
     }
 }
@@ -563,47 +314,15 @@ impl Node<Message> for H323Ms {
         match (iface, msg) {
             (Interface::Internal, Message::Cmd(cmd)) => self.handle_command(ctx, cmd),
             (Interface::Um, Message::Gmm(m)) => self.handle_gmm(ctx, m),
-            (Interface::Um, Message::Llc { inner, .. }) => match inner.payload {
-                IpPayload::Ras(r) => self.handle_ras(ctx, r),
-                IpPayload::Q931(q) => self.handle_q931(ctx, q),
-                IpPayload::Rtp(rtp) => {
-                    if self.call == Some(rtp.call) {
-                        self.frames_received += 1;
-                        ctx.count("trms.rtp_received");
-                        let delay = ctx.now().as_micros().saturating_sub(rtp.origin_us);
-                        ctx.observe("trms.voice_e2e_ms", delay as f64 / 1000.0);
-                    }
-                }
-            },
+            (Interface::Um, Message::Llc { inner, .. }) => {
+                let outcome = self.endpoint.receive(ctx, *inner);
+                self.follow(ctx, outcome);
+            }
             _ => ctx.count("trms.unexpected_message"),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, tag: u64) {
-        match tag {
-            TIMER_ANSWER => self.answer(ctx),
-            TIMER_VOICE => {
-                self.voice_timer = None;
-                if self.state == TrMsState::Active {
-                    if let (Some(call), Some(media)) = (self.call, self.remote_media) {
-                        self.voice_seq = self.voice_seq.wrapping_add(1);
-                        let now_us = ctx.now().as_micros();
-                        let rtp = RtpPacket {
-                            ssrc: 0x5452_0001, // "TR…"
-                            seq: self.voice_seq,
-                            timestamp: (now_us / 125) as u32,
-                            payload_type: PAYLOAD_TYPE_GSM,
-                            marker: self.voice_seq == 1,
-                            payload_len: 33,
-                            call,
-                            origin_us: now_us,
-                        };
-                        self.send_ip(ctx, media, IpPayload::Rtp(rtp));
-                        self.start_voice(ctx);
-                    }
-                }
-            }
-            _ => {}
-        }
+        self.endpoint.timer(ctx, tag);
     }
 }

@@ -1,12 +1,14 @@
 //! Builder for a TR 22.973-style network: the same GPRS core and H.323
-//! zone as a vGPRS deployment, but *no VMSC* — the MSs are H.323
-//! terminals themselves and everything rides the packet radio path.
+//! zone as a vGPRS deployment ([`PacketHalf`], the very builder), but
+//! *no VMSC* — the MSs are H.323 terminals themselves and everything
+//! rides the packet radio path.
 
-use vgprs_gprs::{Ggsn, IpRouter, Sgsn};
-use vgprs_gsm::{Bsc, BscConfig, Bts, BtsConfig};
-use vgprs_h323::{Gatekeeper, GatekeeperConfig, H323Terminal, TerminalConfig};
+use vgprs_core::testbed::{build_cell, camp, CellConfig, PacketHalf};
+use vgprs_gprs::Ggsn;
+use vgprs_gsm::Bsc;
+use vgprs_h323::GatekeeperConfig;
 use vgprs_sim::{Interface, Network, NodeId};
-use vgprs_wire::{CellId, Imsi, Ipv4Addr, Message, Msisdn, PointCode, TransportAddr};
+use vgprs_wire::{CellId, Imsi, Ipv4Addr, Message, Msisdn, TransportAddr};
 
 pub use vgprs_core::LatencyProfile;
 
@@ -50,99 +52,60 @@ impl TrZoneConfig {
     }
 }
 
-/// Handles to a built TR zone.
+/// A built TR zone: the packet half under a PCU-only cell.
 #[derive(Clone, Debug)]
 pub struct TrZone {
-    /// Base transceiver station (shared PDCH).
-    pub bts: NodeId,
+    /// Router, gatekeeper (receives IMSIs in this architecture), GGSN
+    /// and SGSN; wireline terminals join through its `add_terminal`.
+    pub packet: PacketHalf,
     /// Base station controller (PCU).
     pub bsc: NodeId,
-    /// Serving GPRS support node.
-    pub sgsn: NodeId,
-    /// Gateway GPRS support node.
-    pub ggsn: NodeId,
-    /// PSDN router.
-    pub router: NodeId,
-    /// Gatekeeper (receives IMSIs in this architecture).
-    pub gk: NodeId,
-    /// The gatekeeper's address.
-    pub gk_addr: TransportAddr,
-    /// Latencies.
-    pub latency: LatencyProfile,
+    /// Base transceiver station (shared PDCH).
+    pub bts: NodeId,
     pool_base: Ipv4Addr,
     name: String,
     next_static: u8,
-    next_host: u8,
 }
 
 impl TrZone {
     /// Builds the zone inside `net`.
     pub fn build(net: &mut Network<Message>, cfg: TrZoneConfig) -> TrZone {
-        let n = |suffix: &str| format!("{}.{}", cfg.name, suffix);
-        let lat = cfg.latency;
-        let router = net.add_node(&n("router"), IpRouter::new());
-        let gk = net.add_node(
-            &n("gk"),
-            Gatekeeper::new(
-                GatekeeperConfig {
-                    addr: cfg.gk_addr,
-                    bandwidth_budget: cfg.gk_bandwidth,
-                    shed_utilization: 0.0,
-                },
-                router,
-            ),
+        let packet = PacketHalf::build(
+            net,
+            &cfg.name,
+            cfg.pool,
+            GatekeeperConfig {
+                addr: cfg.gk_addr,
+                bandwidth_budget: cfg.gk_bandwidth,
+                shed_utilization: 0.0,
+            },
+            0,
+            cfg.latency,
         );
-        let ggsn = net.add_node(&n("ggsn"), Ggsn::new(cfg.pool.0, cfg.pool.1));
-        let sgsn = net.add_node(&n("sgsn"), Sgsn::new(PointCode(51), ggsn));
         // The BSC's circuit side is unused here (no MSC in the VoIP path);
         // its PCU points at the SGSN.
-        let bsc = net.add_node(
-            &n("bsc"),
-            Bsc::new(BscConfig { tch_capacity: 0 }, sgsn),
-        );
-        net.node_mut::<Bsc>(bsc).expect("just created").set_sgsn(sgsn);
-        let bts = net.add_node(
-            &n("bts"),
-            Bts::new(
-                BtsConfig {
-                    cell: cfg.cell,
-                    pdch_bps: cfg.pdch_bps,
-                    ..BtsConfig::default()
-                },
-                bsc,
-            ),
+        let (bsc, bts) = build_cell(
+            net,
+            &cfg.name,
+            packet.sgsn,
+            CellConfig {
+                cell: cfg.cell,
+                tch_capacity: 0,
+                pdch_bps: cfg.pdch_bps,
+            },
+            cfg.latency.abis,
         );
         net.node_mut::<Bsc>(bsc)
             .expect("just created")
-            .register_bts(bts, cfg.cell);
-
-        net.connect(bts, bsc, Interface::Abis, lat.abis);
-        net.connect(bsc, sgsn, Interface::Gb, lat.gb);
-        net.connect(sgsn, ggsn, Interface::Gn, lat.gn);
-        net.connect(ggsn, router, Interface::Gi, lat.lan);
-        net.connect(gk, router, Interface::Lan, lat.lan);
-        {
-            let r = net.node_mut::<IpRouter>(router).expect("just created");
-            r.add_prefix(cfg.pool.0, cfg.pool.1, ggsn);
-            r.add_host(cfg.gk_addr.ip, gk);
-        }
-        net.node_mut::<Ggsn>(ggsn)
-            .expect("just created")
-            .set_router(router);
-
+            .set_sgsn(packet.sgsn);
+        net.connect(bsc, packet.sgsn, Interface::Gb, cfg.latency.gb);
         TrZone {
-            bts,
+            packet,
             bsc,
-            sgsn,
-            ggsn,
-            router,
-            gk,
-            gk_addr: cfg.gk_addr,
-            latency: lat,
+            bts,
             pool_base: cfg.pool.0,
             name: cfg.name,
             next_static: 0,
-            next_host: 10,
         }
     }
 
@@ -157,40 +120,44 @@ impl TrZone {
     ) -> NodeId {
         self.next_static += 1;
         let static_addr = Ipv4Addr(self.pool_base.0 | 0x0000_6400 | u32::from(self.next_static));
-        net.node_mut::<Ggsn>(self.ggsn)
+        net.node_mut::<Ggsn>(self.packet.ggsn)
             .expect("zone GGSN")
-            .provision_static(imsi, static_addr, self.sgsn);
-        let ms = net.add_node(
+            .provision_static(imsi, static_addr, self.packet.sgsn);
+        camp(
+            net,
             &format!("{}.{}", self.name, label),
             H323Ms::new(
-                TrMsConfig::new(imsi, msisdn, static_addr, self.gk_addr),
+                TrMsConfig::new(imsi, msisdn, static_addr, self.packet.gk_addr),
                 self.bts,
             ),
-        );
-        net.connect(ms, self.bts, Interface::Um, self.latency.um);
-        net.node_mut::<Bts>(self.bts)
-            .expect("zone BTS")
-            .register_ms(ms);
-        ms
+            self.bts,
+            self.packet.latency.um,
+        )
     }
+}
 
-    /// Adds a wireline H.323 terminal on the zone's LAN.
-    pub fn add_terminal(
-        &mut self,
-        net: &mut Network<Message>,
-        label: &str,
-        alias: Msisdn,
-    ) -> NodeId {
-        self.next_host += 1;
-        let addr = TransportAddr::new(Ipv4Addr::from_octets(10, 1, 0, self.next_host), 1720);
-        let term = net.add_node(
-            &format!("{}.{}", self.name, label),
-            H323Terminal::new(TerminalConfig::new(alias, addr, self.gk_addr), self.router),
-        );
-        net.connect(term, self.router, Interface::Lan, self.latency.lan);
-        net.node_mut::<IpRouter>(self.router)
-            .expect("zone router")
-            .add_host(addr.ip, term);
-        term
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The twin of `vgprs-core`'s test of the same name: `NodeId`s order
+    /// every tie-break, so creation order is part of the simulated world.
+    #[test]
+    fn zone_node_order_is_pinned() {
+        let mut net = Network::new(1);
+        let z = TrZone::build(&mut net, TrZoneConfig::taiwan());
+        let p = &z.packet;
+        let built = [p.router, p.gk, p.ggsn, p.sgsn, z.bsc, z.bts];
+        let names = [
+            "tr.router",
+            "tr.gk",
+            "tr.ggsn",
+            "tr.sgsn",
+            "tr.bsc",
+            "tr.bts",
+        ];
+        for (i, (id, name)) in built.into_iter().zip(names).enumerate() {
+            assert_eq!((id.index(), net.node_name(id)), (i as u32, name));
+        }
     }
 }

@@ -22,8 +22,10 @@ fn main() {
     let imsi: Imsi = "466920000000001".parse().expect("valid IMSI");
     let msisdn: Msisdn = "886912000001".parse().expect("valid MSISDN");
     let callee: Msisdn = "886220001111".parse().expect("valid alias");
-    let ms = zone.add_subscriber(&mut net, "ms", imsi, 0xABCD, msisdn);
-    let term = zone.add_terminal(&mut net, "terminal", callee);
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms", imsi, 0xABCD, msisdn);
+    let term = zone.packet.add_terminal(&mut net, "terminal", callee);
 
     // 3. Power the handset on: GSM location update + GPRS attach +
     //    signaling PDP context + H.323 registration (paper Figure 4).
@@ -54,7 +56,7 @@ fn main() {
 
     let handset = net.node::<MobileStation>(ms).expect("ms");
     let terminal = net.node::<H323Terminal>(term).expect("terminal");
-    let vmsc = net.node::<Vmsc>(zone.vmsc).expect("vmsc");
+    let vmsc = net.node::<Vmsc>(zone.access.msc).expect("vmsc");
     println!("\n=== Outcome ===");
     println!("handset connected calls : {}", handset.calls_connected);
     println!("handset frames heard    : {}", handset.frames_received);

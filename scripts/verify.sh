@@ -48,6 +48,19 @@ if grep -rn 'std::thread\|thread::scope' crates/*/src; then
     exit 1
 fi
 
+echo "==> no uncalled public functions"
+# A `pub fn` whose name occurs exactly once as a whole word in everything
+# that could call it is only its own definition: a model nobody calls
+# (ROADMAP aim 2). Wire it or delete it.
+uncalled=$(comm -12 \
+    <(grep -rhoE 'pub fn [A-Za-z_0-9]+' crates/*/src | awk '{print $3}' | sort -u) \
+    <(grep -rhowE '[A-Za-z_][A-Za-z_0-9]*' crates benchmark/src src tests examples \
+        --include='*.rs' | sort | uniq -c | awk '$1 == 1 {print $2}' | sort))
+if [ -n "$uncalled" ]; then
+    echo "error: public functions nothing calls:" $uncalled >&2
+    exit 1
+fi
+
 echo "==> benchmark smoke (standalone package builds against the public API)"
 # benchmark/ is its own workspace with path dependencies on crates/*; it
 # is outside `cargo test`, so build it and run its quick mode here. A

@@ -33,12 +33,19 @@ fn idle_mode_frees_sgsn_contexts_between_calls() {
     let imsi: Imsi = "466920000000001".parse().unwrap();
     let msisdn: Msisdn = "886912000001".parse().unwrap();
     let alias: Msisdn = "886220001111".parse().unwrap();
-    let ms = zone.add_subscriber(&mut net, "ms", imsi, 0xABCD, msisdn);
-    zone.add_terminal(&mut net, "t", alias);
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms", imsi, 0xABCD, msisdn);
+    zone.packet.add_terminal(&mut net, "t", alias);
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     // Registered, but no resident context (unlike standard vGPRS).
-    assert_eq!(net.node::<Sgsn>(zone.sgsn).unwrap().active_pdp_count(), 0);
+    assert_eq!(
+        net.node::<Sgsn>(zone.packet.sgsn)
+            .unwrap()
+            .active_pdp_count(),
+        0
+    );
     assert_eq!(net.stats().counter("vmsc.signaling_context_deactivated"), 1);
 
     // A call still works (context reactivates transparently) …
@@ -56,6 +63,14 @@ fn idle_mode_frees_sgsn_contexts_between_calls() {
     // … and everything is torn down again afterwards.
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::Hangup));
     net.run_until_quiescent();
-    assert_eq!(net.node::<MobileStation>(ms).unwrap().state(), MsState::Idle);
-    assert_eq!(net.node::<Sgsn>(zone.sgsn).unwrap().active_pdp_count(), 0);
+    assert_eq!(
+        net.node::<MobileStation>(ms).unwrap().state(),
+        MsState::Idle
+    );
+    assert_eq!(
+        net.node::<Sgsn>(zone.packet.sgsn)
+            .unwrap()
+            .active_pdp_count(),
+        0
+    );
 }

@@ -28,12 +28,16 @@ fn tch_exhaustion_blocks_second_call() {
             ..VgprsZoneConfig::taiwan()
         },
     );
-    let ms1 = zone.add_subscriber(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
-    let ms2 = zone.add_subscriber(&mut net, "ms2", imsi(2), 0x2, msisdn(2));
+    let ms1 = zone
+        .access
+        .add_subscriber(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
+    let ms2 = zone
+        .access
+        .add_subscriber(&mut net, "ms2", imsi(2), 0x2, msisdn(2));
     let alias1 = Msisdn::parse("886220001111").unwrap();
     let alias2 = Msisdn::parse("886220002222").unwrap();
-    zone.add_terminal(&mut net, "t1", alias1);
-    zone.add_terminal(&mut net, "t2", alias2);
+    zone.packet.add_terminal(&mut net, "t1", alias1);
+    zone.packet.add_terminal(&mut net, "t2", alias2);
     for ms in [ms1, ms2] {
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     }
@@ -68,7 +72,7 @@ fn tch_exhaustion_blocks_second_call() {
     assert_eq!(net.stats().counter("bsc.tch_blocked"), 1);
     assert_eq!(net.stats().counter("vmsc.assignment_blocked"), 1);
     assert_eq!(
-        net.node::<Vmsc>(zone.vmsc).unwrap().active_calls(),
+        net.node::<Vmsc>(zone.access.msc).unwrap().active_calls(),
         1,
         "no leaked call state"
     );
@@ -87,13 +91,20 @@ fn gatekeeper_bandwidth_exhaustion_rejects_calls() {
             ..VgprsZoneConfig::taiwan()
         },
     );
-    let ms = zone.add_subscriber(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
+    let ms = zone
+        .access
+        .add_subscriber(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
     let alias = Msisdn::parse("886220001111").unwrap();
-    zone.add_terminal(&mut net, "t1", alias);
+    zone.packet.add_terminal(&mut net, "t1", alias);
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     // Registration itself needs no bandwidth, so it succeeded:
-    assert_eq!(net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(), 1);
+    assert_eq!(
+        net.node::<Vmsc>(zone.access.msc)
+            .unwrap()
+            .registered_count(),
+        1
+    );
     net.inject(
         SimDuration::ZERO,
         ms,
@@ -109,9 +120,11 @@ fn gatekeeper_bandwidth_exhaustion_rejects_calls() {
         "call rejected and cleared"
     );
     assert!(net.stats().counter("gk.admission_rejected_bandwidth") >= 1);
-    assert_eq!(net.node::<Vmsc>(zone.vmsc).unwrap().active_calls(), 0);
+    assert_eq!(net.node::<Vmsc>(zone.access.msc).unwrap().active_calls(), 0);
     assert_eq!(
-        net.node::<Gatekeeper>(zone.gk).unwrap().bandwidth_used(),
+        net.node::<Gatekeeper>(zone.packet.gk)
+            .unwrap()
+            .bandwidth_used(),
         0
     );
 }
@@ -133,7 +146,13 @@ fn ggsn_pool_exhaustion_fails_late_registrations() {
     );
     let mut mss = Vec::new();
     for i in 0..5u32 {
-        let ms = zone.add_subscriber(&mut net, &format!("ms{i}"), imsi(i), 0x10 + u64::from(i), msisdn(i));
+        let ms = zone.access.add_subscriber(
+            &mut net,
+            &format!("ms{i}"),
+            imsi(i),
+            0x10 + u64::from(i),
+            msisdn(i),
+        );
         mss.push(ms);
         net.inject(
             SimDuration::from_millis(u64::from(i) * 300),
@@ -142,7 +161,10 @@ fn ggsn_pool_exhaustion_fails_late_registrations() {
         );
     }
     net.run_until_quiescent();
-    let registered = net.node::<Vmsc>(zone.vmsc).unwrap().registered_count();
+    let registered = net
+        .node::<Vmsc>(zone.access.msc)
+        .unwrap()
+        .registered_count();
     assert_eq!(registered, 3, "exactly the pool size registers");
     assert!(net.stats().counter("ggsn.pool_exhausted") >= 2);
     let rejected = mss
@@ -159,13 +181,18 @@ fn international_call_barred_by_profile() {
     let mut net = Network::new(42);
     let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
     // Provision with a domestic-only profile.
-    net.node_mut::<vgprs_gsm::Hlr>(zone.hlr).unwrap().provision(
-        imsi(1),
-        0x1,
-        vgprs_wire::SubscriberProfile::domestic_only(msisdn(1)),
-    );
-    let ms = zone.add_roamer(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
-    zone.add_terminal(&mut net, "t1", Msisdn::parse("447220001111").unwrap());
+    net.node_mut::<vgprs_gsm::Hlr>(zone.access.hlr)
+        .unwrap()
+        .provision(
+            imsi(1),
+            0x1,
+            vgprs_wire::SubscriberProfile::domestic_only(msisdn(1)),
+        );
+    let ms = zone
+        .access
+        .add_roamer(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
+    zone.packet
+        .add_terminal(&mut net, "t1", Msisdn::parse("447220001111").unwrap());
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     net.inject(

@@ -38,7 +38,7 @@ fn build() -> World {
         switch,
     );
     let ms_msisdn = Msisdn::parse("886912000001").unwrap();
-    let ms = zone.add_subscriber(
+    let ms = zone.access.add_subscriber(
         &mut net,
         "ms1",
         Imsi::parse("466920000000001").unwrap(),
@@ -54,7 +54,7 @@ fn build() -> World {
         // MSC: the home prefix for GMSC interrogation, the MSRN prefix
         // for delivery legs.
         s.add_route("88622", phone, TrunkClass::Local);
-        s.add_route("8869", zone.msc, TrunkClass::Local);
+        s.add_route("8869", zone.access.msc, TrunkClass::Local);
     }
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
@@ -170,10 +170,25 @@ fn classic_release_from_each_side() {
     w.net.run_until(w.net.now() + SimDuration::from_secs(6));
     w.net.inject(SimDuration::ZERO, w.ms, Message::Cmd(Command::Hangup));
     w.net.run_until_quiescent();
-    assert_eq!(w.net.node::<MobileStation>(w.ms).unwrap().state(), MsState::Idle);
-    assert_eq!(w.net.node::<PstnPhone>(w.phone).unwrap().state(), PhoneState::Idle);
-    assert_eq!(w.net.node::<GsmMsc>(w.zone.msc).unwrap().active_calls(), 0);
-    assert_eq!(w.net.node::<PstnSwitch>(w.switch).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net.node::<MobileStation>(w.ms).unwrap().state(),
+        MsState::Idle
+    );
+    assert_eq!(
+        w.net.node::<PstnPhone>(w.phone).unwrap().state(),
+        PhoneState::Idle
+    );
+    assert_eq!(
+        w.net
+            .node::<GsmMsc>(w.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
+    assert_eq!(
+        w.net.node::<PstnSwitch>(w.switch).unwrap().active_calls(),
+        0
+    );
 
     // Fixed line hangs up.
     let mut w = build();
@@ -189,8 +204,17 @@ fn classic_release_from_each_side() {
     w.net
         .inject(SimDuration::ZERO, w.phone, Message::Cmd(Command::Hangup));
     w.net.run_until_quiescent();
-    assert_eq!(w.net.node::<MobileStation>(w.ms).unwrap().state(), MsState::Idle);
-    assert_eq!(w.net.node::<GsmMsc>(w.zone.msc).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net.node::<MobileStation>(w.ms).unwrap().state(),
+        MsState::Idle
+    );
+    assert_eq!(
+        w.net
+            .node::<GsmMsc>(w.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
 }
 
 #[test]
@@ -207,7 +231,13 @@ fn classic_call_to_unreachable_number_cleared() {
     w.net.run_until_quiescent();
     assert_eq!(w.net.node::<MobileStation>(w.ms).unwrap().state(), MsState::Idle);
     assert_eq!(w.net.stats().counter("pstn.unroutable"), 1);
-    assert_eq!(w.net.node::<GsmMsc>(w.zone.msc).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net
+            .node::<GsmMsc>(w.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
 }
 
 #[test]
@@ -235,6 +265,15 @@ fn classic_paging_timeout_when_ms_unreachable() {
         PhoneState::Idle,
         "the caller's trunk was released"
     );
-    assert_eq!(w.net.node::<GsmMsc>(w.zone.msc).unwrap().active_calls(), 0);
-    assert_eq!(w.net.node::<PstnSwitch>(w.switch).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net
+            .node::<GsmMsc>(w.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
+    assert_eq!(
+        w.net.node::<PstnSwitch>(w.switch).unwrap().active_calls(),
+        0
+    );
 }

@@ -35,22 +35,34 @@ fn build() -> TwoAreas {
     );
     // Zone 2's subscribers are homed in zone 1's HLR (one operator, one
     // HLR, two serving areas).
-    net.connect(zone2.vlr, zone1.hlr, Interface::D, SimDuration::from_millis(5));
-    net.node_mut::<Vlr>(zone2.vlr)
+    net.connect(
+        zone2.access.vlr,
+        zone1.access.hlr,
+        Interface::D,
+        SimDuration::from_millis(5),
+    );
+    net.node_mut::<Vlr>(zone2.access.vlr)
         .unwrap()
-        .add_hlr_route("466", zone1.hlr);
+        .add_hlr_route("466", zone1.access.hlr);
 
     let imsi = Imsi::parse("466920000000001").unwrap();
     let msisdn = Msisdn::parse("886912000001").unwrap();
-    let ms = zone1.add_subscriber(&mut net, "ms1", imsi, 0xABCD, msisdn);
+    let ms = zone1
+        .access
+        .add_subscriber(&mut net, "ms1", imsi, 0xABCD, msisdn);
     // The MS can also camp on zone 2's cell.
-    net.connect(ms, zone2.bts, Interface::Um, SimDuration::from_millis(5));
-    net.node_mut::<vgprs_gsm::Bts>(zone2.bts)
+    net.connect(
+        ms,
+        zone2.access.bts,
+        Interface::Um,
+        SimDuration::from_millis(5),
+    );
+    net.node_mut::<vgprs_gsm::Bts>(zone2.access.bts)
         .unwrap()
         .register_ms(ms);
     net.node_mut::<MobileStation>(ms)
         .unwrap()
-        .add_neighbor(CellId(2), zone2.bts);
+        .add_neighbor(CellId(2), zone2.access.bts);
 
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
@@ -68,7 +80,10 @@ fn build() -> TwoAreas {
 fn idle_movement_relocates_the_subscriber() {
     let mut w = build();
     assert_eq!(
-        w.net.node::<Vmsc>(w.zone1.vmsc).unwrap().registered_count(),
+        w.net
+            .node::<Vmsc>(w.zone1.access.msc)
+            .unwrap()
+            .registered_count(),
         1
     );
     // Walk into the second location area while idle.
@@ -85,17 +100,26 @@ fn idle_movement_relocates_the_subscriber() {
         MsState::Idle
     );
     assert_eq!(
-        w.net.node::<Vmsc>(w.zone2.vmsc).unwrap().registered_count(),
+        w.net
+            .node::<Vmsc>(w.zone2.access.msc)
+            .unwrap()
+            .registered_count(),
         1,
         "registered at the new serving area"
     );
     // The HLR relocated the subscriber and purged the old VLR.
     assert_eq!(
-        w.net.node::<Hlr>(w.zone1.hlr).unwrap().serving_vlr(&w.imsi),
-        Some(w.zone2.vlr)
+        w.net
+            .node::<Hlr>(w.zone1.access.hlr)
+            .unwrap()
+            .serving_vlr(&w.imsi),
+        Some(w.zone2.access.vlr)
     );
     assert_eq!(
-        w.net.node::<Vlr>(w.zone1.vlr).unwrap().visitor_count(),
+        w.net
+            .node::<Vlr>(w.zone1.access.vlr)
+            .unwrap()
+            .visitor_count(),
         0,
         "MAP_Cancel_Location purged the old VLR"
     );
@@ -109,7 +133,7 @@ fn idle_movement_relocates_the_subscriber() {
     // Zone 2's gatekeeper now translates the alias.
     assert!(w
         .net
-        .node::<Gatekeeper>(w.zone2.gk)
+        .node::<Gatekeeper>(w.zone2.packet.gk)
         .unwrap()
         .lookup(&w.msisdn)
         .is_some());
@@ -128,7 +152,9 @@ fn after_movement_calls_reach_the_new_area() {
     // A terminal in zone 2 calls the subscriber.
     let term = {
         let mut z2 = w.zone2.clone();
-        let t = z2.add_terminal(&mut w.net, "term2", Msisdn::parse("886220002222").unwrap());
+        let t = z2
+            .packet
+            .add_terminal(&mut w.net, "term2", Msisdn::parse("886220002222").unwrap());
         w.net.run_until_quiescent();
         t
     };
@@ -160,7 +186,7 @@ fn relocation_purges_the_old_serving_area() {
     let mut w = build();
     assert_eq!(
         w.net
-            .node::<vgprs_gprs::Sgsn>(w.zone1.sgsn)
+            .node::<vgprs_gprs::Sgsn>(w.zone1.packet.sgsn)
             .unwrap()
             .active_pdp_count(),
         1,
@@ -178,7 +204,7 @@ fn relocation_purges_the_old_serving_area() {
     assert!(w.net.trace().contains_subsequence(&["MAP_Purge_MS", "RAS_URQ", "RAS_UCF"]));
     assert_eq!(
         w.net
-            .node::<vgprs_gprs::Sgsn>(w.zone1.sgsn)
+            .node::<vgprs_gprs::Sgsn>(w.zone1.packet.sgsn)
             .unwrap()
             .active_pdp_count(),
         0,
@@ -186,7 +212,7 @@ fn relocation_purges_the_old_serving_area() {
     );
     assert!(
         w.net
-            .node::<Gatekeeper>(w.zone1.gk)
+            .node::<Gatekeeper>(w.zone1.packet.gk)
             .unwrap()
             .lookup(&w.msisdn)
             .is_none(),
@@ -196,7 +222,9 @@ fn relocation_purges_the_old_serving_area() {
     // A zone-1 caller now fails fast (unknown alias) rather than paging.
     let term1 = {
         let mut z1 = w.zone1.clone();
-        let t = z1.add_terminal(&mut w.net, "term1", Msisdn::parse("886220003333").unwrap());
+        let t = z1
+            .packet
+            .add_terminal(&mut w.net, "term1", Msisdn::parse("886220003333").unwrap());
         w.net.run_until_quiescent();
         t
     };
@@ -219,7 +247,13 @@ fn relocation_purges_the_old_serving_area() {
         "admission rejected for the departed alias"
     );
     assert_eq!(w.net.stats().counter("vmsc.paging_timeouts"), 0);
-    assert_eq!(w.net.node::<Vmsc>(w.zone1.vmsc).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net
+            .node::<Vmsc>(w.zone1.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
 }
 
 #[test]
@@ -233,7 +267,9 @@ fn unreachable_ms_paging_times_out() {
     w.net.run_until_quiescent();
     let term1 = {
         let mut z1 = w.zone1.clone();
-        let t = z1.add_terminal(&mut w.net, "term1", Msisdn::parse("886220003333").unwrap());
+        let t = z1
+            .packet
+            .add_terminal(&mut w.net, "term1", Msisdn::parse("886220003333").unwrap());
         w.net.run_until_quiescent();
         t
     };
@@ -256,5 +292,11 @@ fn unreachable_ms_paging_times_out() {
         vgprs_h323::TerminalState::Idle,
         "the caller was released"
     );
-    assert_eq!(w.net.node::<Vmsc>(w.zone1.vmsc).unwrap().active_calls(), 0);
+    assert_eq!(
+        w.net
+            .node::<Vmsc>(w.zone1.access.msc)
+            .unwrap()
+            .active_calls(),
+        0
+    );
 }

@@ -40,14 +40,15 @@ fn random_call_storm_conserves_state() {
         let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
         let mut mss = Vec::new();
         for i in 0..subs {
-            let ms = zone.add_subscriber(
+            let ms = zone.access.add_subscriber(
                 &mut net,
                 &format!("ms{i}"),
                 imsi(i),
                 0x9000 + i as u64,
                 msisdn(i),
             );
-            zone.add_terminal(&mut net, &format!("t{i}"), alias(i));
+            zone.packet
+                .add_terminal(&mut net, &format!("t{i}"), alias(i));
             mss.push(ms);
             net.inject(
                 SimDuration::from_millis(i as u64 * 11),
@@ -57,7 +58,9 @@ fn random_call_storm_conserves_state() {
         }
         net.run_until_quiescent();
         assert_eq!(
-            net.node::<Vmsc>(zone.vmsc).unwrap().registered_count(),
+            net.node::<Vmsc>(zone.access.msc)
+                .unwrap()
+                .registered_count(),
             subs,
             "case {case}: registration incomplete"
         );
@@ -81,9 +84,9 @@ fn random_call_storm_conserves_state() {
         net.run_until_quiescent();
 
         // Conservation invariants.
-        let vmsc = net.node::<Vmsc>(zone.vmsc).unwrap();
+        let vmsc = net.node::<Vmsc>(zone.access.msc).unwrap();
         assert_eq!(vmsc.active_calls(), 0, "case {case}: leaked call state");
-        let gk = net.node::<Gatekeeper>(zone.gk).unwrap();
+        let gk = net.node::<Gatekeeper>(zone.packet.gk).unwrap();
         assert_eq!(
             gk.bandwidth_used(),
             0,
@@ -111,8 +114,10 @@ fn same_seed_same_history() {
     let run = |seed: u64| {
         let mut net = Network::new(seed);
         let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-        let ms = zone.add_subscriber(&mut net, "ms", imsi(0), 0x77, msisdn(0));
-        zone.add_terminal(&mut net, "t", alias(0));
+        let ms = zone
+            .access
+            .add_subscriber(&mut net, "ms", imsi(0), 0x77, msisdn(0));
+        zone.packet.add_terminal(&mut net, "t", alias(0));
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         net.inject(

@@ -15,8 +15,10 @@ fn run_with_quality(quality: Option<LinkQuality>) -> (u64, u64, f64) {
     let mut s = SingleZone::build(42);
     if let Some(q) = quality {
         // Degrade the packet core links that carry the tunneled voice.
-        s.net.set_link_quality(s.zone.ggsn, s.zone.router, q);
-        s.net.set_link_quality(s.zone.sgsn, s.zone.ggsn, q);
+        s.net
+            .set_link_quality(s.zone.packet.ggsn, s.zone.packet.router, q);
+        s.net
+            .set_link_quality(s.zone.packet.sgsn, s.zone.packet.ggsn, q);
     }
     s.call_from_ms(CallId(1), SimDuration::from_secs(20));
     let ms_frames = s.net.node::<MobileStation>(s.ms).unwrap().frames_received;
@@ -66,14 +68,21 @@ fn jitter_inflates_tail_delay_only() {
     let jittery =
         LinkQuality::new(SimDuration::from_millis(3)).with_jitter(SimDuration::from_millis(30));
     let mut s = SingleZone::build(42);
-    s.net.set_link_quality(s.zone.ggsn, s.zone.router, jittery);
+    s.net
+        .set_link_quality(s.zone.packet.ggsn, s.zone.packet.router, jittery);
     s.call_from_ms(CallId(1), SimDuration::from_secs(20));
     // Everything still works…
     assert_eq!(
         s.net.node::<MobileStation>(s.ms).unwrap().state(),
         MsState::Active
     );
-    assert_eq!(s.net.node::<Vmsc>(s.zone.vmsc).unwrap().active_calls(), 1);
+    assert_eq!(
+        s.net
+            .node::<Vmsc>(s.zone.access.msc)
+            .unwrap()
+            .active_calls(),
+        1
+    );
     // …but the delay distribution spread out.
     let h = s.net.stats().histogram("term.voice_e2e_ms").unwrap();
     assert!(
