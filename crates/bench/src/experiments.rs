@@ -3,13 +3,15 @@
 //! The paper argues these qualitatively; each function here turns one
 //! claim into a measured table. `EXPERIMENTS.md` records the outputs.
 
-use vgprs_core::{LatencyProfile, VgprsZone, VgprsZoneConfig};
+use vgprs_core::{Architecture, LatencyProfile, VgprsZone, VgprsZoneConfig};
 use vgprs_gprs::Sgsn;
 use vgprs_h323::{Gatekeeper, H323Terminal};
 use vgprs_media::{EModel, Vocoder};
-use vgprs_sim::{Interface, Network, SimDuration};
+use vgprs_sim::{Interface, Network, NodeId, SimDuration};
 use vgprs_tr22973::{H323Ms, TrZone, TrZoneConfig};
 use vgprs_wire::{CallId, Command, Imsi, Message, Msisdn};
+
+use crate::scenarios::{histogram_mean, Single, SingleZone, TrSingleZone};
 
 /// Jitter-buffer playout delay assumed when scoring voice (ms).
 const PLAYOUT_MS: u64 = 60;
@@ -54,8 +56,16 @@ pub fn c1_voice_quality(loads: &[usize], seed: u64) -> Vec<C1Row> {
     loads
         .iter()
         .map(|&n| {
-            let (vd, vl) = voice_run(SystemKind::Vgprs, n, seed, talk);
-            let (td, tl) = voice_run(SystemKind::Tr, n, seed, talk);
+            let vgprs = VgprsZoneConfig {
+                pdch_bps: 160_000,
+                ..VgprsZoneConfig::taiwan()
+            };
+            let tr = TrZoneConfig {
+                pdch_bps: 160_000,
+                ..TrZoneConfig::taiwan()
+            };
+            let (vd, vl) = voice_run::<VgprsZone>(vgprs, n, seed, talk);
+            let (td, tl) = voice_run::<TrZone>(tr, n, seed, talk);
             let model = EModel::for_codec(&Vocoder::gsm_full_rate());
             let m2e = |d: f64| {
                 SimDuration::from_micros(((d + 20.0 + PLAYOUT_MS as f64) * 1000.0) as u64)
@@ -73,59 +83,26 @@ pub fn c1_voice_quality(loads: &[usize], seed: u64) -> Vec<C1Row> {
         .collect()
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum SystemKind {
-    Vgprs,
-    Tr,
-}
-
-/// Runs `n` concurrent MS→terminal calls on one system; returns
+/// Runs `n` concurrent MS→terminal calls on one architecture; returns
 /// (mean one-way delay ms, loss ratio) at the wireline listeners.
-fn voice_run(kind: SystemKind, n: usize, seed: u64, talk: SimDuration) -> (f64, f64) {
+fn voice_run<A: Architecture>(
+    cfg: A::Config,
+    n: usize,
+    seed: u64,
+    talk: SimDuration,
+) -> (f64, f64) {
     let mut net = Network::new(seed);
     net.set_trace_details(false); // load sweep; nothing scans contents
+    let mut zone = A::build(&mut net, cfg);
     let mut mss = Vec::new();
     let mut terms = Vec::new();
-    match kind {
-        SystemKind::Vgprs => {
-            let mut zone = VgprsZone::build(
-                &mut net,
-                VgprsZoneConfig {
-                    pdch_bps: 160_000,
-                    tch_capacity: 64,
-                    ..VgprsZoneConfig::taiwan()
-                },
-            );
-            for i in 0..n {
-                mss.push(zone.access.add_subscriber(
-                    &mut net,
-                    &format!("ms{i}"),
-                    imsi(i),
-                    0x1000 + i as u64,
-                    msisdn(i),
-                ));
-                terms.push(
-                    zone.packet
-                        .add_terminal(&mut net, &format!("t{i}"), alias(i)),
-                );
-            }
-        }
-        SystemKind::Tr => {
-            let mut zone = TrZone::build(
-                &mut net,
-                TrZoneConfig {
-                    pdch_bps: 160_000,
-                    ..TrZoneConfig::taiwan()
-                },
-            );
-            for i in 0..n {
-                mss.push(zone.add_tr_ms(&mut net, &format!("trms{i}"), imsi(i), msisdn(i)));
-                terms.push(
-                    zone.packet
-                        .add_terminal(&mut net, &format!("t{i}"), alias(i)),
-                );
-            }
-        }
+    for i in 0..n {
+        let ki = 0x1000 + i as u64;
+        mss.push(zone.add_mobile(&mut net, &format!("ms{i}"), imsi(i), ki, msisdn(i)));
+        terms.push(
+            zone.packet()
+                .add_terminal(&mut net, &format!("t{i}"), alias(i)),
+        );
     }
     for (i, ms) in mss.iter().enumerate() {
         net.inject(
@@ -154,11 +131,7 @@ fn voice_run(kind: SystemKind, n: usize, seed: u64, talk: SimDuration) -> (f64, 
                 .unwrap_or(0)
         })
         .sum();
-    let delay = net
-        .stats()
-        .histogram("term.voice_e2e_ms")
-        .map(|h| h.mean())
-        .unwrap_or(f64::NAN);
+    let delay = histogram_mean(&net, "term.voice_e2e_ms");
     let expected = (talk.as_millis() / 20) * n as u64;
     let loss = 1.0 - (received as f64 / expected as f64).min(1.0);
     (delay, loss)
@@ -189,13 +162,32 @@ pub fn c2_setup_latency(core_scales: &[u64], seed: u64) -> Vec<C2Row> {
         .iter()
         .map(|&scale| {
             let lat = scaled_latency(scale);
+            let vgprs = |mt| {
+                let cfg = VgprsZoneConfig {
+                    latency: lat,
+                    ..VgprsZoneConfig::taiwan()
+                };
+                one_call::<VgprsZone>(cfg, seed, mt, |_, _| {}).0
+            };
+            let tr = |mt, deactivate_when_idle| {
+                let cfg = TrZoneConfig {
+                    latency: lat,
+                    ..TrZoneConfig::taiwan()
+                };
+                let idle_policy = |net: &mut Network<Message>, ms| {
+                    net.node_mut::<H323Ms>(ms)
+                        .expect("tr ms")
+                        .set_deactivate_when_idle(deactivate_when_idle)
+                };
+                one_call::<TrZone>(cfg, seed, mt, idle_policy).0
+            };
             C2Row {
                 core_scale: scale,
-                vgprs_mo_ms: vgprs_setup(seed, lat, false),
-                tr_mo_ms: tr_setup(seed, lat, false, true),
-                tr_mo_always_on_ms: tr_setup(seed, lat, false, false),
-                vgprs_mt_ms: vgprs_setup(seed, lat, true),
-                tr_mt_ms: tr_setup(seed, lat, true, true),
+                vgprs_mo_ms: vgprs(false),
+                tr_mo_ms: tr(false, true),
+                tr_mo_always_on_ms: tr(false, false),
+                vgprs_mt_ms: vgprs(true),
+                tr_mt_ms: tr(true, true),
             }
         })
         .collect()
@@ -211,25 +203,27 @@ fn scaled_latency(scale: u64) -> LatencyProfile {
     }
 }
 
-fn vgprs_setup(seed: u64, latency: LatencyProfile, mt: bool) -> f64 {
+/// Registers one mobile (after `prepare` has had its way with it) and
+/// one terminal on a fresh zone, places one call — from the terminal
+/// when `mt` — and runs thirty seconds. Returns the dialler's mean
+/// post-dial delay (ms) and the network.
+fn one_call<A: Architecture>(
+    cfg: A::Config,
+    seed: u64,
+    mt: bool,
+    prepare: impl FnOnce(&mut Network<Message>, NodeId),
+) -> (f64, Network<Message>) {
     let mut net = Network::new(seed);
-    let mut zone = VgprsZone::build(
-        &mut net,
-        VgprsZoneConfig {
-            latency,
-            ..VgprsZoneConfig::taiwan()
-        },
-    );
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
-    let term = zone.packet.add_terminal(&mut net, "t", alias(1));
+    let mut zone = A::build(&mut net, cfg);
+    let ms = zone.add_mobile(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
+    let term = zone.packet().add_terminal(&mut net, "t", alias(1));
+    prepare(&mut net, ms);
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
     let (dialer, called, stat) = if mt {
         (term, msisdn(1), "term.post_dial_delay_ms")
     } else {
-        (ms, alias(1), "ms.post_dial_delay_ms")
+        (ms, alias(1), A::POST_DIAL_DELAY_MS)
     };
     net.inject(
         SimDuration::ZERO,
@@ -240,46 +234,7 @@ fn vgprs_setup(seed: u64, latency: LatencyProfile, mt: bool) -> f64 {
         }),
     );
     net.run_until(net.now() + SimDuration::from_secs(30));
-    net.stats()
-        .histogram(stat)
-        .map(|h| h.mean())
-        .unwrap_or(f64::NAN)
-}
-
-fn tr_setup(seed: u64, latency: LatencyProfile, mt: bool, deactivate_when_idle: bool) -> f64 {
-    let mut net = Network::new(seed);
-    let mut zone = TrZone::build(
-        &mut net,
-        TrZoneConfig {
-            latency,
-            ..TrZoneConfig::taiwan()
-        },
-    );
-    let ms = zone.add_tr_ms(&mut net, "trms", imsi(1), msisdn(1));
-    let term = zone.packet.add_terminal(&mut net, "t", alias(1));
-    net.node_mut::<H323Ms>(ms)
-        .expect("tr ms")
-        .set_deactivate_when_idle(deactivate_when_idle);
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    let (dialer, called, stat) = if mt {
-        (term, msisdn(1), "term.post_dial_delay_ms")
-    } else {
-        (ms, alias(1), "trms.post_dial_delay_ms")
-    };
-    net.inject(
-        SimDuration::ZERO,
-        dialer,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called,
-        }),
-    );
-    net.run_until(net.now() + SimDuration::from_secs(30));
-    net.stats()
-        .histogram(stat)
-        .map(|h| h.mean())
-        .unwrap_or(f64::NAN)
+    (histogram_mean(&net, stat), net)
 }
 
 /// One row of the C3 (context memory) table.
@@ -306,48 +261,40 @@ pub fn c3_context_memory(populations: &[(usize, usize)], seed: u64) -> Vec<C3Row
             C3Row {
                 subscribers: subs,
                 active_calls: active,
-                vgprs_contexts: context_count(SystemKind::Vgprs, subs, active, seed),
-                tr_contexts: context_count(SystemKind::Tr, subs, active, seed),
+                vgprs_contexts: context_count::<VgprsZone>(
+                    VgprsZoneConfig::taiwan(),
+                    subs,
+                    active,
+                    seed,
+                ),
+                tr_contexts: context_count::<TrZone>(
+                    TrZoneConfig {
+                        // generous air capacity so every call connects
+                        pdch_bps: 2_000_000,
+                        ..TrZoneConfig::taiwan()
+                    },
+                    subs,
+                    active,
+                    seed,
+                ),
             }
         })
         .collect()
 }
 
-fn context_count(kind: SystemKind, subs: usize, active: usize, seed: u64) -> usize {
+fn context_count<A: Architecture>(cfg: A::Config, subs: usize, active: usize, seed: u64) -> usize {
     let mut net = Network::new(seed);
     net.set_trace_details(false);
-    let mut mss = Vec::new();
-    let mut packet = match kind {
-        SystemKind::Vgprs => {
-            let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-            for i in 0..subs {
-                mss.push(zone.access.add_subscriber(
-                    &mut net,
-                    &format!("ms{i}"),
-                    imsi(i),
-                    0x2000 + i as u64,
-                    msisdn(i),
-                ));
-            }
-            zone.packet
-        }
-        SystemKind::Tr => {
-            let mut zone = TrZone::build(
-                &mut net,
-                TrZoneConfig {
-                    // generous air capacity so every call connects
-                    pdch_bps: 2_000_000,
-                    ..TrZoneConfig::taiwan()
-                },
-            );
-            for i in 0..subs {
-                mss.push(zone.add_tr_ms(&mut net, &format!("trms{i}"), imsi(i), msisdn(i)));
-            }
-            zone.packet
-        }
-    };
-    // Both architectures stand on the same packet half: the wireline
-    // far ends join it, and its SGSN holds the contexts counted below.
+    let mut zone = A::build(&mut net, cfg);
+    let mss: Vec<NodeId> = (0..subs)
+        .map(|i| {
+            let ki = 0x2000 + i as u64;
+            zone.add_mobile(&mut net, &format!("ms{i}"), imsi(i), ki, msisdn(i))
+        })
+        .collect();
+    // The wireline far ends join the packet half every architecture
+    // stands on; its SGSN holds the contexts counted below.
+    let packet = zone.packet();
     for i in 0..active {
         packet.add_terminal(&mut net, &format!("t{i}"), alias(i));
     }
@@ -398,43 +345,8 @@ pub struct C4Confidentiality {
 /// comparison of Section 6 ("IMSI is considered confidential to the GPRS
 /// network operator").
 pub fn c4_signaling(seed: u64) -> (Vec<C4Row>, C4Confidentiality) {
-    // --- vGPRS: registration, then MO call + release ---
-    let mut v = crate::scenarios::SingleZone::build(seed);
-    let v_reg = v.net.trace().messages().count();
-    let v_gk_leaks = v
-        .net
-        .node::<Gatekeeper>(v.zone.packet.gk)
-        .expect("gk")
-        .imsi_disclosures();
-    v.net.trace_mut().clear();
-    v.call_from_ms(CallId(1), SimDuration::from_secs(2));
-    v.hangup_from_ms();
-    let v_call = v.net.trace().messages().count();
-
-    // --- TR: same procedures ---
-    let mut t = crate::scenarios::TrSingleZone::build(seed);
-    let t_reg = t.net.trace().messages().count();
-    let t_gk_leaks = t
-        .net
-        .node::<Gatekeeper>(t.zone.packet.gk)
-        .expect("gk")
-        .imsi_disclosures();
-    t.net.trace_mut().clear();
-    let term_alias = t.term_alias;
-    t.net.inject(
-        SimDuration::ZERO,
-        t.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias,
-        }),
-    );
-    t.net.run_until(t.net.now() + SimDuration::from_secs(8));
-    t.net
-        .inject(SimDuration::ZERO, t.ms, Message::Cmd(Command::Hangup));
-    t.net.run_until_quiescent();
-    let t_call = t.net.trace().messages().count();
-
+    let (v_reg, v_gk_leaks, v_call) = signaling_counts(SingleZone::build(seed));
+    let (t_reg, t_gk_leaks, t_call) = signaling_counts(TrSingleZone::build(seed));
     (
         vec![
             C4Row {
@@ -453,6 +365,18 @@ pub fn c4_signaling(seed: u64) -> (Vec<C4Row>, C4Confidentiality) {
             tr_imsi_disclosures: t_gk_leaks,
         },
     )
+}
+
+/// Messages a freshly registered world has traced, the IMSIs its
+/// gatekeeper has learned, and the messages of an MO call + release.
+fn signaling_counts<A: Architecture>(mut s: Single<A>) -> (usize, usize, usize) {
+    let registration = s.net.trace().messages().count();
+    let gk = s.zone.packet().gk;
+    let leaks = s.net.node::<Gatekeeper>(gk).expect("gk").imsi_disclosures();
+    s.net.trace_mut().clear();
+    s.call_from_ms(CallId(1), SimDuration::from_secs(2));
+    s.hangup_from_ms();
+    (registration, leaks, s.net.trace().messages().count())
 }
 
 /// The C5 (handoff cost) measurements.
@@ -491,36 +415,12 @@ pub struct IdleAblationReport {
 /// Measures the paper's own rejected variant of vGPRS.
 pub fn c2_idle_ablation(seed: u64) -> IdleAblationReport {
     let run = |deactivate: bool| {
-        let mut net = Network::new(seed);
-        let mut zone = VgprsZone::build(
-            &mut net,
-            VgprsZoneConfig {
-                deactivate_idle_contexts: deactivate,
-                ..VgprsZoneConfig::taiwan()
-            },
-        );
-        let ms = zone
-            .access
-            .add_subscriber(&mut net, "ms", imsi(1), 0x1001, msisdn(1));
-        zone.packet.add_terminal(&mut net, "t", alias(1));
-        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-        net.run_until_quiescent();
-        net.inject(
-            SimDuration::ZERO,
-            ms,
-            Message::Cmd(Command::Dial {
-                call: CallId(1),
-                called: alias(1),
-            }),
-        );
-        net.run_until(net.now() + SimDuration::from_secs(30));
-        (
-            net.stats()
-                .histogram("ms.post_dial_delay_ms")
-                .map(|h| h.mean())
-                .unwrap_or(f64::NAN),
-            net.stats().counter("vmsc.context_reactivations"),
-        )
+        let cfg = VgprsZoneConfig {
+            deactivate_idle_contexts: deactivate,
+            ..VgprsZoneConfig::taiwan()
+        };
+        let (delay, net) = one_call::<VgprsZone>(cfg, seed, false, |_, _| {});
+        (delay, net.stats().counter("vmsc.context_reactivations"))
     };
     let (standard, _) = run(false);
     let (idle, reactivations) = run(true);
@@ -543,7 +443,7 @@ pub struct InterfaceRow {
 
 /// Counts per-interface traffic for one full vGPRS register + call cycle.
 pub fn interface_usage(seed: u64) -> Vec<InterfaceRow> {
-    let mut s = crate::scenarios::SingleZone::build(seed);
+    let mut s = SingleZone::build(seed);
     s.call_from_ms(CallId(1), SimDuration::from_secs(2));
     s.hangup_from_ms();
     Interface::ALL

@@ -5,23 +5,23 @@
 //! Criterion benches all measure exactly the same systems.
 
 use vgprs_core::{
-    AccessHalf, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone, VgprsZoneConfig,
-    Vmsc,
+    AccessHalf, Architecture, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone,
+    VgprsZoneConfig, Vmsc,
 };
 use vgprs_gsm::MobileStation;
 use vgprs_h323::H323Terminal;
 use vgprs_pstn::{PstnPhone, PstnSwitch, TrunkClass};
 use vgprs_sim::{Interface, Network, NodeId, SimDuration, SimTime};
-use vgprs_tr22973::{TrZone, TrZoneConfig};
+use vgprs_tr22973::TrZone;
 use vgprs_wire::{CallId, CellId, Command, Imsi, Lai, Message, Msisdn};
 
-/// A single vGPRS zone with one registered MS and one H.323 terminal —
-/// the world of Figures 1–6.
-pub struct SingleZone {
+/// One zone of architecture `A` with one registered mobile and one
+/// H.323 terminal.
+pub struct Single<A> {
     /// The network.
     pub net: Network<Message>,
     /// Zone handles.
-    pub zone: VgprsZone,
+    pub zone: A,
     /// The mobile station.
     pub ms: NodeId,
     /// The MS's identity.
@@ -34,21 +34,25 @@ pub struct SingleZone {
     pub term_alias: Msisdn,
 }
 
-impl SingleZone {
-    /// Builds the zone and registers both endpoints.
-    pub fn build(seed: u64) -> SingleZone {
+/// A single vGPRS zone — the world of Figures 1–6.
+pub type SingleZone = Single<VgprsZone>;
+
+/// A TR 22.973 zone with one TR MS and a terminal — the baseline world.
+pub type TrSingleZone = Single<TrZone>;
+
+impl<A: Architecture> Single<A> {
+    /// Builds the reference zone and registers both endpoints.
+    pub fn build(seed: u64) -> Self {
         let mut net = Network::new(seed);
-        let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
+        let mut zone = A::build(&mut net, A::taiwan());
         let ms_imsi = Imsi::parse("466920000000001").expect("valid");
         let ms_msisdn = Msisdn::parse("886912000001").expect("valid");
         let term_alias = Msisdn::parse("886220001111").expect("valid");
-        let ms = zone
-            .access
-            .add_subscriber(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
-        let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
+        let ms = zone.add_mobile(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
+        let term = zone.packet().add_terminal(&mut net, "term1", term_alias);
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
-        SingleZone {
+        Single {
             net,
             zone,
             ms,
@@ -72,11 +76,7 @@ impl SingleZone {
         );
         let deadline = self.net.now() + SimDuration::from_secs(5) + talk_for;
         self.net.run_until(deadline);
-        self.net
-            .stats()
-            .histogram("ms.post_dial_delay_ms")
-            .map(|h| h.mean())
-            .unwrap_or(f64::NAN)
+        histogram_mean(&self.net, A::POST_DIAL_DELAY_MS)
     }
 
     /// Hangs up from the MS side and drains the release.
@@ -444,52 +444,14 @@ pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
     }
 }
 
+/// Mean of the named histogram; NaN when nothing was observed.
+pub(crate) fn histogram_mean(net: &Network<Message>, name: &str) -> f64 {
+    net.stats().histogram(name).map_or(f64::NAN, |h| h.mean())
+}
+
 fn histogram_sum(net: &Network<Message>, name: &str) -> (u64, f64) {
     net.stats()
         .histogram(name)
         .map(|h| (h.count(), h.sum()))
         .unwrap_or((0, 0.0))
-}
-
-/// A TR 22.973 zone with one TR MS and a terminal — the baseline world.
-pub struct TrSingleZone {
-    /// The network.
-    pub net: Network<Message>,
-    /// Zone handles.
-    pub zone: TrZone,
-    /// The TR mobile.
-    pub ms: NodeId,
-    /// Its number.
-    pub ms_msisdn: Msisdn,
-    /// The wireline terminal.
-    pub term: NodeId,
-    /// Its alias.
-    pub term_alias: Msisdn,
-}
-
-impl TrSingleZone {
-    /// Builds and registers both endpoints.
-    pub fn build(seed: u64) -> TrSingleZone {
-        let mut net = Network::new(seed);
-        let mut zone = TrZone::build(&mut net, TrZoneConfig::taiwan());
-        let ms_msisdn = Msisdn::parse("886912000001").expect("valid");
-        let term_alias = Msisdn::parse("886220001111").expect("valid");
-        let ms = zone.add_tr_ms(
-            &mut net,
-            "trms1",
-            Imsi::parse("466920000000001").expect("valid"),
-            ms_msisdn,
-        );
-        let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
-        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-        net.run_until_quiescent();
-        TrSingleZone {
-            net,
-            zone,
-            ms,
-            ms_msisdn,
-            term,
-            term_alias,
-        }
-    }
 }

@@ -500,6 +500,67 @@ impl VgprsZone {
     }
 }
 
+/// One of the architectures Section 6 compares, as far as an experiment
+/// needs to tell them apart: what a zone is built from, how a mobile
+/// subscriber joins it (through the access half's HLR and circuit radio,
+/// or as an H.323 terminal of its own behind the packet radio), and
+/// under which name that mobile reports its post-dial delay. The far end
+/// of a call lives on the packet half in every architecture.
+pub trait Architecture: Sized {
+    /// What a zone of this architecture is built from.
+    type Config;
+    /// Histogram of the mobile's post-dial delay (dial → ringback), ms.
+    const POST_DIAL_DELAY_MS: &'static str;
+
+    /// The reference deployment every comparison starts from.
+    fn taiwan() -> Self::Config;
+
+    /// Builds the zone inside `net`.
+    fn build(net: &mut Network<Message>, cfg: Self::Config) -> Self;
+
+    /// Adds a mobile subscriber, provisioned and camped on the zone's
+    /// cell.
+    fn add_mobile(
+        &mut self,
+        net: &mut Network<Message>,
+        name: &str,
+        imsi: Imsi,
+        ki: u64,
+        msisdn: Msisdn,
+    ) -> NodeId;
+
+    /// The GPRS core and H.323 zone the architecture stands on.
+    fn packet(&mut self) -> &mut PacketHalf;
+}
+
+impl Architecture for VgprsZone {
+    type Config = VgprsZoneConfig;
+    const POST_DIAL_DELAY_MS: &'static str = "ms.post_dial_delay_ms";
+
+    fn taiwan() -> VgprsZoneConfig {
+        VgprsZoneConfig::taiwan()
+    }
+
+    fn build(net: &mut Network<Message>, cfg: VgprsZoneConfig) -> Self {
+        VgprsZone::build(net, cfg)
+    }
+
+    fn add_mobile(
+        &mut self,
+        net: &mut Network<Message>,
+        name: &str,
+        imsi: Imsi,
+        ki: u64,
+        msisdn: Msisdn,
+    ) -> NodeId {
+        self.access.add_subscriber(net, name, imsi, ki, msisdn)
+    }
+
+    fn packet(&mut self) -> &mut PacketHalf {
+        &mut self.packet
+    }
+}
+
 /// Configuration for a classic GSM network (the baseline of Figure 7).
 #[derive(Clone, Debug)]
 pub struct GsmZoneConfig {

@@ -23,11 +23,28 @@
 
 use std::collections::HashMap;
 
+use vgprs_gsm::{GsmSide, SideNames};
 use vgprs_sim::{Backoff, Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, Command, ConnRef, Crv, Dtap, GmmMessage, Imsi, IpPacket,
     IpPayload, Ipv4Addr, MapMessage, Message, MsIdentity, Msisdn, Nsapi, Q931Kind, Q931Message,
     QosProfile, RasMessage, RtpPacket, Tmsi, TransportAddr, PAYLOAD_TYPE_GSM,
+};
+
+/// The names the VMSC's GSM side counts under.
+const NAMES: SideNames = SideNames {
+    registrations_started: "vmsc.registrations_started",
+    page_response_unknown_tmsi: "vmsc.page_response_unknown_tmsi",
+    unhandled_dtap: "vmsc.unhandled_dtap",
+    unhandled_map: "vmsc.unhandled_map",
+    handover_without_imsi: "vmsc.handover_without_imsi",
+    handover_without_call: "vmsc.handover_without_call",
+    handover_unknown_cell: "vmsc.handover_unknown_cell",
+    handovers_started: "vmsc.handovers_started",
+    handover_prepared: "vmsc.handover_prepared",
+    handover_complete_unknown_ref: "vmsc.handover_complete_unknown_ref",
+    handover_target_completed: "vmsc.handover_target_completed",
+    handover_anchored: "vmsc.handover_anchored",
 };
 
 /// Well-known port for H.225 call signaling.
@@ -50,15 +67,9 @@ const NS_PAGING: u64 = 4;
 const NS_SETUP: u64 = 5;
 /// Paging-throttle drain tick (overload control; no payload).
 const NS_PAGING_DRAIN: u64 = 6;
-/// Bounded retry schedule for RAS registration (RRQ) guards.
-const RAS_BACKOFF: Backoff = Backoff {
-    base: SimDuration::from_millis(1_000),
-    factor: 2,
-    cap: SimDuration::from_millis(4_000),
-    max_attempts: 3,
-};
-/// Bounded retry schedule for admission (ARQ) guards.
-const ARQ_BACKOFF: Backoff = Backoff {
+/// Bounded retry schedule for the RAS registration (RRQ) and admission
+/// (ARQ) guards.
+const GK_BACKOFF: Backoff = Backoff {
     base: SimDuration::from_millis(1_000),
     factor: 2,
     cap: SimDuration::from_millis(4_000),
@@ -106,25 +117,41 @@ pub struct VmscConfig {
     pub paging_rate_per_s: u32,
 }
 
-/// RAS registration guard state (resilience mode).
+/// A gatekeeper-request guard (resilience mode): the retry ladder of one
+/// RRQ or ARQ.
 #[derive(Clone, Copy, Debug)]
-struct RasGuard {
-    /// Guard id carried in the timer tag (maps back to the IMSI).
+struct GkGuard {
+    /// RAS guards: the id carried in the timer tag (maps back to the
+    /// IMSI). Admission guards are tagged by call id and leave it 0.
     id: u64,
     /// Retries already sent.
     attempts: u32,
     /// The armed guard timer.
     token: TimerToken,
-    /// When the first RRQ of this ladder went out.
+    /// When the first request of this ladder went out.
     first_at: SimTime,
 }
 
-/// Admission (ARQ) guard state (resilience mode).
-#[derive(Clone, Copy, Debug)]
-struct ArqGuard {
-    attempts: u32,
-    token: TimerToken,
-    first_at: SimTime,
+impl GkGuard {
+    /// The guard of a request that just went out for the first time.
+    fn armed(id: u64, token: TimerToken, now: SimTime) -> GkGuard {
+        GkGuard {
+            id,
+            attempts: 0,
+            token,
+            first_at: now,
+        }
+    }
+
+    /// The same ladder one retry further, under a fresh timer.
+    fn retried(self, id: u64, token: TimerToken) -> GkGuard {
+        GkGuard {
+            id,
+            attempts: self.attempts + 1,
+            token,
+            ..self
+        }
+    }
 }
 
 /// Registration progress of one MS (paper Section 3).
@@ -191,7 +218,7 @@ struct VmscCall {
     /// connection the MS arrived on.
     target_conn: Option<ConnRef>,
     /// Outstanding admission guard (resilience mode).
-    arq_guard: Option<ArqGuard>,
+    arq_guard: Option<GkGuard>,
     /// Outstanding setup supervision timer (resilience mode).
     setup_guard: Option<TimerToken>,
 }
@@ -243,7 +270,7 @@ pub struct MsEntry {
     /// When registration started (for the latency histograms).
     reg_started: SimTime,
     /// Outstanding RAS registration guard (resilience mode).
-    ras_guard: Option<RasGuard>,
+    ras_guard: Option<GkGuard>,
 }
 
 impl MsEntry {
@@ -264,39 +291,21 @@ impl MsEntry {
     }
 }
 
-/// A handoff prepared with this VMSC as target.
-#[derive(Debug)]
-struct PendingTargetHandoff {
-    call: CallId,
-    imsi: Imsi,
-    anchor: NodeId,
-    cic: Cic,
-}
-
 /// The VMSC node.
 #[derive(Debug)]
 pub struct Vmsc {
     config: VmscConfig,
-    vlr: NodeId,
+    /// The MSC toward the radio network and the VLR (Figure 2(a)).
+    gsm: GsmSide,
     sgsn: NodeId,
-    bscs: Vec<NodeId>,
-    /// Neighbor MSCs (classic or VMSC) by the cells they serve.
-    neighbor_cells: HashMap<CellId, NodeId>,
     /// The MS table (paper Section 2).
     ms_table: HashMap<Imsi, MsEntry>,
-    by_conn: HashMap<ConnRef, Imsi>,
     by_addr: HashMap<Ipv4Addr, Imsi>,
-    by_alias: HashMap<Msisdn, Imsi>,
-    by_tmsi: HashMap<Tmsi, Imsi>,
-    conn_of_bsc: HashMap<ConnRef, NodeId>,
     calls: HashMap<CallId, VmscCall>,
-    /// Handoffs prepared as target, by handover reference.
-    target_handoffs: HashMap<u32, PendingTargetHandoff>,
     /// MO calls waiting for the signaling context to come back up
     /// (idle-deactivation ablation only).
     awaiting_context: Vec<(Imsi, CallId)>,
     next_crv: u16,
-    next_ho_ref: u32,
     next_cic: u16,
     /// Guard-id → IMSI lookup for RAS guard timer tags.
     ras_guard_imsi: HashMap<u64, Imsi>,
@@ -320,22 +329,14 @@ impl Vmsc {
     /// Creates a VMSC wired to its VLR and SGSN.
     pub fn new(config: VmscConfig, vlr: NodeId, sgsn: NodeId) -> Self {
         Vmsc {
+            gsm: GsmSide::new(&NAMES, vlr, &config.country_code),
             config,
-            vlr,
             sgsn,
-            bscs: Vec::new(),
-            neighbor_cells: HashMap::new(),
             ms_table: HashMap::new(),
-            by_conn: HashMap::new(),
             by_addr: HashMap::new(),
-            by_alias: HashMap::new(),
-            by_tmsi: HashMap::new(),
-            conn_of_bsc: HashMap::new(),
             calls: HashMap::new(),
-            target_handoffs: HashMap::new(),
             awaiting_context: Vec::new(),
             next_crv: 0,
-            next_ho_ref: 0,
             next_cic: 0,
             ras_guard_imsi: HashMap::new(),
             next_guard: 0,
@@ -349,15 +350,13 @@ impl Vmsc {
 
     /// Registers a subordinate BSC.
     pub fn register_bsc(&mut self, bsc: NodeId) {
-        if !self.bscs.contains(&bsc) {
-            self.bscs.push(bsc);
-        }
+        self.gsm.register_bsc(bsc);
     }
 
     /// Declares that `cell` belongs to the neighboring MSC `msc` (E
     /// interface required).
     pub fn add_neighbor_cell(&mut self, cell: CellId, msc: NodeId) {
-        self.neighbor_cells.insert(cell, msc);
+        self.gsm.add_neighbor_cell(cell, msc);
     }
 
     /// The MS table entry for a subscriber.
@@ -382,15 +381,9 @@ impl Vmsc {
     // helpers
     // ----------------------------------------------------------------
 
-    fn send_a(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, dtap: Dtap) {
-        if let Some(&bsc) = self.conn_of_bsc.get(&conn) {
-            ctx.send(bsc, Message::a(conn, dtap));
-        }
-    }
-
     fn send_a_to_ms(&self, ctx: &mut Context<'_, Message>, imsi: &Imsi, dtap: Dtap) {
         if let Some(conn) = self.ms_table.get(imsi).and_then(|e| e.conn) {
-            self.send_a(ctx, conn, dtap);
+            self.gsm.send(ctx, conn, dtap);
         }
     }
 
@@ -465,13 +458,15 @@ impl Vmsc {
             ctx.cancel_timer(old.token);
             self.ras_guard_imsi.remove(&old.id);
         }
-        let delay = RAS_BACKOFF.delay(0).expect("RAS schedule allows a first wait");
+        let delay = GK_BACKOFF
+            .delay(0)
+            .expect("RAS schedule allows a first wait");
         self.next_guard += 1;
         let id = self.next_guard;
         let token = ctx.set_timer(delay, (NS_RAS << TAG_SHIFT) | id);
         match self.ms_table.get_mut(&imsi) {
             Some(entry) => {
-                entry.ras_guard = Some(RasGuard { id, attempts: 0, token, first_at: ctx.now() });
+                entry.ras_guard = Some(GkGuard::armed(id, token, ctx.now()));
                 self.ras_guard_imsi.insert(id, imsi);
             }
             None => ctx.cancel_timer(token),
@@ -479,7 +474,7 @@ impl Vmsc {
     }
 
     /// Drops an MS's RAS guard, if any, returning it for KPI accounting.
-    fn clear_ras_guard(&mut self, ctx: &mut Context<'_, Message>, imsi: &Imsi) -> Option<RasGuard> {
+    fn clear_ras_guard(&mut self, ctx: &mut Context<'_, Message>, imsi: &Imsi) -> Option<GkGuard> {
         let guard = self.ms_table.get_mut(imsi).and_then(|e| e.ras_guard.take())?;
         ctx.cancel_timer(guard.token);
         self.ras_guard_imsi.remove(&guard.id);
@@ -492,14 +487,16 @@ impl Vmsc {
         if !self.config.resilience {
             return;
         }
-        let delay = ARQ_BACKOFF.delay(0).expect("ARQ schedule allows a first wait");
+        let delay = GK_BACKOFF
+            .delay(0)
+            .expect("ARQ schedule allows a first wait");
         let token = ctx.set_timer(delay, (NS_ARQ << TAG_SHIFT) | call.0);
         match self.calls.get_mut(&call) {
             Some(state) => {
                 if let Some(old) = state.arq_guard.take() {
                     ctx.cancel_timer(old.token);
                 }
-                state.arq_guard = Some(ArqGuard { attempts: 0, token, first_at: ctx.now() });
+                state.arq_guard = Some(GkGuard::armed(0, token, ctx.now()));
             }
             None => ctx.cancel_timer(token),
         }
@@ -526,16 +523,14 @@ impl Vmsc {
                 _ => return, // superseded by a newer ladder
             }
         };
-        let attempts = guard.attempts + 1;
-        match RAS_BACKOFF.delay(attempts) {
+        match GK_BACKOFF.delay(guard.attempts + 1) {
             Some(delay) => {
                 ctx.count("vmsc.ras_retries");
                 self.next_guard += 1;
                 let nid = self.next_guard;
                 let token = ctx.set_timer(delay, (NS_RAS << TAG_SHIFT) | nid);
                 if let Some(entry) = self.ms_table.get_mut(&imsi) {
-                    entry.ras_guard =
-                        Some(RasGuard { id: nid, attempts, token, first_at: guard.first_at });
+                    entry.ras_guard = Some(guard.retried(nid, token));
                 }
                 self.ras_guard_imsi.insert(nid, imsi);
                 self.send_rrq(ctx, imsi);
@@ -564,14 +559,12 @@ impl Vmsc {
             CallPhase::MtAdmission => true,
             _ => return, // admission already answered; stale guard
         };
-        let attempts = guard.attempts + 1;
-        match ARQ_BACKOFF.delay(attempts) {
+        match GK_BACKOFF.delay(guard.attempts + 1) {
             Some(delay) => {
                 ctx.count("vmsc.arq_retries");
                 let token = ctx.set_timer(delay, (NS_ARQ << TAG_SHIFT) | call.0);
                 if let Some(state) = self.calls.get_mut(&call) {
-                    state.arq_guard =
-                        Some(ArqGuard { attempts, token, first_at: guard.first_at });
+                    state.arq_guard = Some(guard.retried(0, token));
                 }
                 let target = if answering {
                     self.ms_table.get(&imsi).and_then(|e| e.msisdn)
@@ -638,24 +631,12 @@ impl Vmsc {
         ctx.set_timer(PAGING_TIMEOUT, (NS_PAGING << TAG_SHIFT) | call.0);
         ctx.note("Step 4.4: page the MS");
         ctx.count("vmsc.pages_sent");
-        // Page by TMSI when one is allocated: the IMSI
-        // should not hit the air interface (GSM 03.20).
-        let identity = self
-            .ms_table
-            .get(&imsi)
-            .and_then(|e| e.tmsi)
-            .map(MsIdentity::Tmsi)
-            .unwrap_or(MsIdentity::Imsi(imsi));
-        match identity {
-            MsIdentity::Tmsi(_) => ctx.count("vmsc.paged_by_tmsi"),
-            MsIdentity::Imsi(_) => ctx.count("vmsc.paged_by_imsi"),
-        }
-        for &bsc in &self.bscs.clone() {
-            ctx.send(
-                bsc,
-                Message::a(ConnRef::CONNECTIONLESS, Dtap::Paging { identity }),
-            );
-        }
+        let tmsi = self.ms_table.get(&imsi).and_then(|e| e.tmsi);
+        ctx.count(match tmsi {
+            Some(_) => "vmsc.paged_by_tmsi",
+            None => "vmsc.paged_by_imsi",
+        });
+        self.gsm.page(ctx, imsi, tmsi);
     }
 
     /// Pages immediately while the current one-second window has budget,
@@ -760,10 +741,6 @@ impl Vmsc {
             .map(|a| TransportAddr::new(a, H225_PORT))
     }
 
-    fn is_international(&self, called: &Msisdn) -> bool {
-        !called.has_country_code(&self.config.country_code)
-    }
-
     /// Clears all state of a call and deactivates its voice context
     /// (paper step 3.4).
     fn finish_call(&mut self, ctx: &mut Context<'_, Message>, call: CallId) {
@@ -828,14 +805,11 @@ impl Vmsc {
         let Some(entry) = self.ms_table.remove(&imsi) else {
             return;
         };
-        if let Some(alias) = entry.msisdn {
-            self.by_alias.remove(&alias);
-        }
         if let Some(t) = entry.tmsi {
-            self.by_tmsi.remove(&t);
+            self.gsm.forget_tmsi(t);
         }
         if let Some(conn) = entry.conn {
-            self.by_conn.remove(&conn);
+            self.gsm.unbind(conn);
         }
         for addr in [entry.signaling_addr, entry.voice_addr]
             .into_iter()
@@ -882,7 +856,7 @@ impl Vmsc {
         conn: ConnRef,
         dtap: Dtap,
     ) {
-        self.conn_of_bsc.insert(conn, from);
+        self.gsm.arrived(conn, from);
         match dtap {
             Dtap::LocationUpdateRequest { identity, lai } => {
                 // Step 1.1: relay into the VLR.
@@ -894,42 +868,21 @@ impl Vmsc {
                     entry.conn = Some(conn);
                     entry.reg_started = ctx.now();
                     entry.phase = RegPhase::GsmUpdating;
-                    self.by_conn.insert(conn, imsi);
                 }
-                ctx.count("vmsc.registrations_started");
                 ctx.note("Step 1.1: location update -> VLR");
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::UpdateLocationArea {
-                        conn,
-                        identity,
-                        lai,
-                    }),
-                );
+                self.gsm.location_update(ctx, conn, identity, lai);
             }
-            Dtap::CmServiceRequest { identity } => {
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::ProcessAccessRequest { conn, identity }),
-                );
-            }
+            Dtap::CmServiceRequest { identity } => self.gsm.request_access(ctx, conn, identity),
             Dtap::PagingResponse { identity } => {
-                let imsi = match identity {
-                    MsIdentity::Imsi(i) => i,
-                    MsIdentity::Tmsi(t) => match self.by_tmsi.get(&t) {
-                        Some(&i) => i,
-                        None => {
-                            ctx.count("vmsc.page_response_unknown_tmsi");
-                            return;
-                        }
-                    },
+                let Some(imsi) = self.gsm.paged_subscriber(ctx, identity) else {
+                    return;
                 };
                 let Some(entry) = self.ms_table.get_mut(&imsi) else {
                     return;
                 };
                 entry.conn = Some(conn);
                 let mt_call = entry.call;
-                self.by_conn.insert(conn, imsi);
+                self.gsm.bind(conn, imsi);
                 // Paging-latency KPI: page broadcast → MS answer.
                 if let Some(state) = mt_call.and_then(|c| self.calls.get_mut(&c)) {
                     if let Some(paged_at) = state.paged_at.take() {
@@ -940,30 +893,11 @@ impl Vmsc {
                     }
                 }
                 // Step 4.5: auth + ciphering via the VLR.
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::ProcessAccessRequest { conn, identity }),
-                );
-            }
-            Dtap::AuthenticationResponse { sres } => {
-                if let Some(&imsi) = self.by_conn.get(&conn) {
-                    ctx.send(
-                        self.vlr,
-                        Message::Map(MapMessage::AuthenticateAck { conn, imsi, sres }),
-                    );
-                }
-            }
-            Dtap::CipherModeComplete => {
-                if let Some(&imsi) = self.by_conn.get(&conn) {
-                    ctx.send(
-                        self.vlr,
-                        Message::Map(MapMessage::StartCipheringAck { conn, imsi }),
-                    );
-                }
+                self.gsm.request_access(ctx, conn, identity);
             }
             Dtap::Setup { call, called } => {
                 // Step 2.1 end: the dialed digits arrived.
-                let Some(&imsi) = self.by_conn.get(&conn) else {
+                let Some(imsi) = self.gsm.imsi_of(conn) else {
                     ctx.count("vmsc.setup_without_access");
                     return;
                 };
@@ -980,20 +914,10 @@ impl Vmsc {
                 }
                 ctx.count("vmsc.mo_calls");
                 ctx.note("Step 2.2: authorize outgoing call with VLR");
-                // Step 2.2: VLR authorization.
-                let international = self.is_international(&called);
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::SendInfoForOutgoingCall {
-                        conn,
-                        imsi,
-                        called,
-                        international,
-                    }),
-                );
+                self.gsm.authorize_outgoing(ctx, conn, imsi, called);
             }
             Dtap::ChannelAssignmentComplete => {
-                let Some(&imsi) = self.by_conn.get(&conn) else {
+                let Some(imsi) = self.gsm.imsi_of(conn) else {
                     return;
                 };
                 let Some(call) = self.ms_table.get(&imsi).and_then(|e| e.call) else {
@@ -1013,7 +937,7 @@ impl Vmsc {
                         }
                         ctx.note("Step 2.3: admission request (ARQ) -> GK");
                         let called = called.expect("MO call has digits");
-                        self.send_a(ctx, conn, Dtap::CallProceeding { call });
+                        self.gsm.send(ctx, conn, Dtap::CallProceeding { call });
                         let has_context = self
                             .ms_table
                             .get(&imsi)
@@ -1044,20 +968,20 @@ impl Vmsc {
                         if let Some(state) = self.calls.get_mut(&call) {
                             state.phase = CallPhase::MtRinging;
                         }
-                        self.send_a(ctx, conn, Dtap::MtSetup { call, calling });
+                        self.gsm.send(ctx, conn, Dtap::MtSetup { call, calling });
                     }
                     _ => {}
                 }
             }
             Dtap::ChannelAssignmentFailure { cause } => {
-                let Some(&imsi) = self.by_conn.get(&conn) else {
+                let Some(imsi) = self.gsm.imsi_of(conn) else {
                     return;
                 };
                 if let Some(call) = self.ms_table.get(&imsi).and_then(|e| e.call) {
                     ctx.count("vmsc.assignment_blocked");
                     self.send_q931(ctx, call, Q931Kind::ReleaseComplete { cause });
                     self.finish_call(ctx, call);
-                    self.send_a(ctx, conn, Dtap::Disconnect { call, cause });
+                    self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
                 }
             }
             Dtap::Alerting { call } => {
@@ -1074,7 +998,7 @@ impl Vmsc {
                 if let Some(media_addr) = media {
                     self.send_q931(ctx, call, Q931Kind::Connect { media_addr });
                 }
-                self.send_a(ctx, conn, Dtap::ConnectAck { call });
+                self.gsm.send(ctx, conn, Dtap::ConnectAck { call });
                 self.activate_voice_context(ctx, call);
                 ctx.count("vmsc.mt_calls_answered");
             }
@@ -1089,43 +1013,45 @@ impl Vmsc {
                 ctx.note("Step 3.2: release H.323 leg (Q.931 Release Complete)");
                 // Step 3.2: release the H.323 leg.
                 self.send_q931(ctx, call, Q931Kind::ReleaseComplete { cause });
-                self.send_a(ctx, conn, Dtap::Release { call });
+                self.gsm.send(ctx, conn, Dtap::Release { call });
                 // Steps 3.3–3.4 happen in finish_call.
                 self.finish_call(ctx, call);
             }
             Dtap::Release { call } => {
-                self.send_a(ctx, conn, Dtap::ReleaseComplete { call });
-                self.send_a(ctx, conn, Dtap::ChannelRelease);
+                self.gsm.send(ctx, conn, Dtap::ReleaseComplete { call });
+                self.gsm.send(ctx, conn, Dtap::ChannelRelease);
                 self.finish_call(ctx, call);
             }
             Dtap::ReleaseComplete { .. } => {
-                self.send_a(ctx, conn, Dtap::ChannelRelease);
+                self.gsm.send(ctx, conn, Dtap::ChannelRelease);
             }
             Dtap::MeasurementReport { cell } | Dtap::HandoverRequired { cell } => {
-                self.start_handover(ctx, conn, cell);
+                let call = self
+                    .gsm
+                    .imsi_of(conn)
+                    .and_then(|imsi| self.ms_table.get(&imsi))
+                    .and_then(|e| e.call);
+                self.gsm.start_handover(ctx, conn, cell, call);
             }
             Dtap::HandoverComplete { ho_ref } => {
                 // Target role: the MS arrived on our cell.
-                let Some(pending) = self.target_handoffs.remove(&ho_ref) else {
-                    ctx.count("vmsc.handover_complete_unknown_ref");
+                let Some(arrival) = self.gsm.handover_complete(ctx, ho_ref) else {
                     return;
                 };
-                let call = pending.call;
                 self.next_crv += 1;
                 self.calls.insert(
-                    call,
+                    arrival.call,
                     VmscCall {
                         connected_at: Some(ctx.now()),
-                        e_leg: Some((pending.anchor, pending.cic)),
+                        e_leg: Some((arrival.anchor, arrival.cic)),
                         target_conn: Some(conn),
-                        ..VmscCall::new(pending.imsi, CallPhase::Active, Crv(self.next_crv), ctx.now())
+                        ..VmscCall::new(
+                            arrival.imsi,
+                            CallPhase::Active,
+                            Crv(self.next_crv),
+                            ctx.now(),
+                        )
                     },
-                );
-                self.conn_of_bsc.insert(conn, from);
-                ctx.count("vmsc.handover_target_completed");
-                ctx.send(
-                    pending.anchor,
-                    Message::Map(MapMessage::SendEndSignal { call }),
                 );
             }
             Dtap::VoiceFrame {
@@ -1133,28 +1059,8 @@ impl Vmsc {
                 seq,
                 origin_us,
             } => self.uplink_voice(ctx, call, seq, origin_us),
-            _ => ctx.count("vmsc.unhandled_dtap"),
+            other => self.gsm.relay_up(ctx, conn, other),
         }
-    }
-
-    fn start_handover(&mut self, ctx: &mut Context<'_, Message>, conn: ConnRef, cell: CellId) {
-        let Some(&imsi) = self.by_conn.get(&conn) else {
-            ctx.count("vmsc.handover_without_imsi");
-            return;
-        };
-        let Some(call) = self.ms_table.get(&imsi).and_then(|e| e.call) else {
-            ctx.count("vmsc.handover_without_call");
-            return;
-        };
-        let Some(&target) = self.neighbor_cells.get(&cell) else {
-            ctx.count("vmsc.handover_unknown_cell");
-            return;
-        };
-        ctx.count("vmsc.handovers_started");
-        ctx.send(
-            target,
-            Message::Map(MapMessage::PrepareHandover { call, imsi, cell }),
-        );
     }
 
     /// Step 2.9 / 4.8: a second, high-priority PDP context for the voice
@@ -1190,14 +1096,6 @@ impl Vmsc {
 
     fn handle_map(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: MapMessage) {
         match msg {
-            MapMessage::Authenticate { conn, imsi, rand } => {
-                self.by_conn.insert(conn, imsi);
-                self.send_a(ctx, conn, Dtap::AuthenticationRequest { rand });
-            }
-            MapMessage::StartCiphering { conn, imsi } => {
-                self.by_conn.insert(conn, imsi);
-                self.send_a(ctx, conn, Dtap::CipherModeCommand);
-            }
             MapMessage::UpdateLocationAreaAck {
                 conn,
                 imsi,
@@ -1215,7 +1113,7 @@ impl Vmsc {
                         ctx.count("vmsc.entries_rebuilt");
                         self.ms_table
                             .insert(imsi, MsEntry::new(imsi, Some(conn), ctx.now()));
-                        self.by_conn.insert(conn, imsi);
+                        self.gsm.bind(conn, imsi);
                     }
                     let Some(entry) = self.ms_table.get_mut(&imsi) else {
                         return;
@@ -1224,13 +1122,7 @@ impl Vmsc {
                     entry.msisdn = msisdn;
                     entry.signaling_addr.is_some()
                 };
-                if let Some(t) = tmsi {
-                    self.by_tmsi.insert(t, imsi);
-                }
-                if let Some(alias) = msisdn {
-                    self.by_alias.insert(alias, imsi);
-                }
-                let _ = conn;
+                self.gsm.learn_tmsi(tmsi, imsi);
                 if has_context {
                     // Re-registration: contexts already exist; go straight
                     // to the RAS refresh.
@@ -1251,14 +1143,15 @@ impl Vmsc {
             }
             MapMessage::UpdateLocationAreaReject { conn, cause, .. } => {
                 ctx.count("vmsc.registration_rejected");
-                self.send_a(ctx, conn, Dtap::LocationUpdateReject { cause });
+                self.gsm
+                    .send(ctx, conn, Dtap::LocationUpdateReject { cause });
             }
             MapMessage::ProcessAccessRequestAck {
                 conn,
                 imsi,
                 rejection,
             } => {
-                self.by_conn.insert(conn, imsi);
+                self.gsm.bind(conn, imsi);
                 if let Some(entry) = self.ms_table.get_mut(&imsi) {
                     entry.conn = Some(conn);
                 }
@@ -1274,23 +1167,24 @@ impl Vmsc {
                             self.send_q931(ctx, call, Q931Kind::ReleaseComplete { cause });
                             self.finish_call(ctx, call);
                         }
-                        None => self.send_a(ctx, conn, Dtap::CmServiceReject { cause }),
+                        None => self.gsm.send(ctx, conn, Dtap::CmServiceReject { cause }),
                     },
                     None => match mt_call {
                         Some(call) => {
                             if let Some(state) = self.calls.get_mut(&call) {
                                 state.phase = CallPhase::MtAccess;
                             }
-                            self.send_a(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
+                            self.gsm
+                                .send(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
                         }
-                        None => self.send_a(ctx, conn, Dtap::CmServiceAccept),
+                        None => self.gsm.send(ctx, conn, Dtap::CmServiceAccept),
                     },
                 }
             }
             MapMessage::SendInfoForOutgoingCallAck {
                 conn, rejection, ..
             } => {
-                let Some(&imsi) = self.by_conn.get(&conn) else {
+                let Some(imsi) = self.gsm.imsi_of(conn) else {
                     return;
                 };
                 let Some(call) = self.ms_table.get(&imsi).and_then(|e| e.call) else {
@@ -1303,35 +1197,22 @@ impl Vmsc {
                         if let Some(e) = self.ms_table.get_mut(&imsi) {
                             e.call = None;
                         }
-                        self.send_a(ctx, conn, Dtap::Disconnect { call, cause });
+                        self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
                     }
                     None => {
                         if let Some(state) = self.calls.get_mut(&call) {
                             state.phase = CallPhase::MoAssigning;
                         }
-                        self.send_a(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
+                        self.gsm
+                            .send(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
                     }
                 }
             }
             // ---- inter-MSC handoff, target side ----
             MapMessage::PrepareHandover { call, imsi, .. } => {
-                self.next_ho_ref += 1;
                 self.next_cic += 1;
-                let (ho_ref, cic) = (self.next_ho_ref, Cic(40_000 + self.next_cic));
-                self.target_handoffs.insert(
-                    ho_ref,
-                    PendingTargetHandoff {
-                        call,
-                        imsi,
-                        anchor: from,
-                        cic,
-                    },
-                );
-                ctx.count("vmsc.handover_prepared");
-                ctx.send(
-                    from,
-                    Message::Map(MapMessage::PrepareHandoverAck { call, cic, ho_ref }),
-                );
+                let cic = Cic(40_000 + self.next_cic);
+                self.gsm.prepare_handover(ctx, from, call, imsi, cic);
             }
             // ---- anchor side ----
             MapMessage::PrepareHandoverAck { call, cic, ho_ref } => {
@@ -1339,32 +1220,23 @@ impl Vmsc {
                     return;
                 };
                 state.e_leg = Some((from, cic));
-                let imsi = state.imsi;
-                let cell = self
-                    .neighbor_cells
-                    .iter()
-                    .find(|(_, &n)| n == from)
-                    .map(|(c, _)| *c)
-                    .unwrap_or(CellId(0));
-                self.send_a_to_ms(ctx, &imsi, Dtap::HandoverCommand { cell, ho_ref });
+                if let Some(conn) = self.ms_table.get(&state.imsi).and_then(|e| e.conn) {
+                    self.gsm.command_handover(ctx, from, conn, ho_ref);
+                }
             }
             MapMessage::SendEndSignal { call } => {
                 // Anchor: the MS left for the target MSC; keep the H.323
                 // leg, bridge it onto the inter-MSC trunk (Figure 9(b)).
-                let imsi = self.calls.get(&call).map(|s| s.imsi);
-                let conn = imsi
-                    .and_then(|i| self.ms_table.get_mut(&i))
+                let conn = self
+                    .calls
+                    .get(&call)
+                    .and_then(|s| self.ms_table.get_mut(&s.imsi))
                     .and_then(|e| e.conn.take());
-                if let Some(conn) = conn {
-                    self.by_conn.remove(&conn);
-                    self.send_a(ctx, conn, Dtap::ChannelRelease);
-                }
-                ctx.count("vmsc.handover_anchored");
-                ctx.send(from, Message::Map(MapMessage::SendEndSignalAck { call }));
+                self.gsm.end_signal(ctx, from, call, conn);
             }
             MapMessage::SendEndSignalAck { .. } => {}
             MapMessage::PurgeMs { imsi } => self.purge_ms(ctx, imsi),
-            _ => ctx.count("vmsc.unhandled_map"),
+            other => self.gsm.relay_down(ctx, other),
         }
     }
 
@@ -1467,7 +1339,8 @@ impl Vmsc {
             let conn = entry.conn;
             entry.phase = RegPhase::GsmUpdating;
             if let Some(conn) = conn {
-                self.send_a(ctx, conn, Dtap::LocationUpdateReject { cause });
+                self.gsm
+                    .send(ctx, conn, Dtap::LocationUpdateReject { cause });
             }
         }
     }
@@ -1521,7 +1394,8 @@ impl Vmsc {
                         ctx.now().duration_since(reg_started),
                     );
                     if let Some(conn) = conn {
-                        self.send_a(ctx, conn, Dtap::LocationUpdateAccept { tmsi });
+                        self.gsm
+                            .send(ctx, conn, Dtap::LocationUpdateAccept { tmsi });
                     }
                     self.maybe_deactivate_signaling(ctx, imsi);
                 }
@@ -1840,7 +1714,7 @@ impl Vmsc {
         };
         if let Some(conn) = state.target_conn {
             // Deliver to the MS on our radio network.
-            self.send_a(
+            self.gsm.send(
                 ctx,
                 conn,
                 Dtap::VoiceFrame {
@@ -1915,13 +1789,9 @@ impl Node<Message> for Vmsc {
                 // keep their copies, which is what cold-start recovery
                 // rebuilds from (resilience mode).
                 self.ms_table.clear();
-                self.by_conn.clear();
+                self.gsm.reset();
                 self.by_addr.clear();
-                self.by_alias.clear();
-                self.by_tmsi.clear();
-                self.conn_of_bsc.clear();
                 self.calls.clear();
-                self.target_handoffs.clear();
                 self.awaiting_context.clear();
                 self.ras_guard_imsi.clear();
                 self.paging_queue.clear();

@@ -101,11 +101,6 @@ impl Sgsn {
         self
     }
 
-    /// Number of attached subscribers.
-    pub fn attached_count(&self) -> usize {
-        self.mm.len()
-    }
-
     /// Number of active PDP contexts — the resource the paper's Section 6
     /// context-memory comparison (experiment C3) measures.
     pub fn active_pdp_count(&self) -> usize {
@@ -582,7 +577,7 @@ mod tests {
         let (mut net, sgsn, _ggsn, ep) =
             rig(vec![Message::Gmm(GmmMessage::AttachRequest { imsi: imsi() })]);
         net.run_until_quiescent();
-        assert_eq!(net.node::<Sgsn>(sgsn).unwrap().attached_count(), 1);
+        assert_eq!(net.node::<Sgsn>(sgsn).unwrap().mm.len(), 1);
         let got = &net.node::<Endpoint>(ep).unwrap().got;
         assert!(matches!(
             got[0],
@@ -697,7 +692,7 @@ mod tests {
         ]);
         net.run_until_quiescent();
         let s = net.node::<Sgsn>(sgsn).unwrap();
-        assert_eq!(s.attached_count(), 0);
+        assert!(s.mm.is_empty());
         assert_eq!(s.active_pdp_count(), 0);
         assert_eq!(net.stats().counter("sgsn.pdp_deactivated"), 1);
     }

@@ -66,11 +66,6 @@ impl Bsc {
         }
     }
 
-    /// Traffic channels currently in use.
-    pub fn tch_in_use(&self) -> usize {
-        self.tch_held.len()
-    }
-
     fn cell_of(&self, bts: NodeId) -> CellId {
         self.btss
             .iter()
@@ -282,7 +277,7 @@ mod tests {
             4,
         );
         net.run_until_quiescent();
-        assert_eq!(net.node::<Bsc>(bsc).unwrap().tch_in_use(), 1);
+        assert_eq!(net.node::<Bsc>(bsc).unwrap().tch_held.len(), 1);
         // the downlink sender is a probe-less Sender; check the BTS received
         // the assignment with the true cell id
         let _ = bts;
@@ -324,7 +319,7 @@ mod tests {
             4,
         );
         net.run_until_quiescent();
-        assert_eq!(net.node::<Bsc>(bsc).unwrap().tch_in_use(), 0);
+        assert!(net.node::<Bsc>(bsc).unwrap().tch_held.is_empty());
         assert_eq!(net.stats().counter("bsc.tch_released"), 1);
     }
 

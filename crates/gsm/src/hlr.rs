@@ -55,11 +55,6 @@ impl Hlr {
         );
     }
 
-    /// Number of provisioned subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.records.len()
-    }
-
     /// The node currently serving a subscriber's circuit traffic, if any.
     pub fn serving_vlr(&self, imsi: &Imsi) -> Option<NodeId> {
         self.records.get(imsi).and_then(|r| r.vlr.map(|(n, _)| n))
@@ -601,7 +596,7 @@ mod tests {
             Message::Map(MapMessage::CancelLocation { imsi: imsi() }),
         );
         net.run_until_quiescent();
-        assert_eq!(net.node::<Hlr>(hlr).unwrap().subscriber_count(), 0);
+        assert!(net.node::<Hlr>(hlr).unwrap().records.is_empty());
         assert!(net.node::<Hlr>(hlr).unwrap().serving_vlr(&imsi()).is_none());
         assert!(labels(&net.node::<Driver>(vlr).unwrap().got)
             .contains(&"MAP_Cancel_Location".to_string()));

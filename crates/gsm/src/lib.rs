@@ -13,6 +13,8 @@
 //! * [`Hlr`] — home subscriber database with embedded AuC,
 //! * [`GsmMsc`] — the classic circuit-switched MSC/GMSC baseline that the
 //!   paper's VMSC replaces,
+//! * [`GsmSide`] — what both of them are toward the radio network and the
+//!   VLR: security relay, paging, GSM 03.09 handover, written once,
 //! * [`auth`] — the simulated A3/A8 algorithms.
 //!
 //! The crate's integration tests drive a complete GSM PLMN end to end:
@@ -28,6 +30,7 @@ mod bts;
 mod hlr;
 mod ms;
 mod msc;
+mod side;
 mod vlr;
 
 pub use bsc::{Bsc, BscConfig};
@@ -35,4 +38,5 @@ pub use bts::{Bts, BtsConfig};
 pub use hlr::Hlr;
 pub use ms::{MobileStation, MsConfig, MsState};
 pub use msc::{GsmMsc, MscConfig};
+pub use side::{GsmSide, SideNames, TargetArrival};
 pub use vlr::{Vlr, VlrConfig};

@@ -12,13 +12,31 @@ use std::collections::HashMap;
 use vgprs_sim::{Context, Interface, Node, NodeId};
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, ConnRef, Dtap, Imsi, IsupKind, IsupMessage, MapMessage, Message,
-    MsIdentity, Msisdn,
+    Msisdn,
 };
+
+use crate::side::{GsmSide, SideNames};
 
 /// How long to wait for a paging response before clearing the call.
 const PAGING_TIMEOUT: vgprs_sim::SimDuration = vgprs_sim::SimDuration::from_secs(10);
 /// Timer-tag namespace bit for paging supervision.
 const TAG_PAGING: u64 = 1 << 62;
+
+/// The names the classic MSC's GSM side counts under.
+const NAMES: SideNames = SideNames {
+    registrations_started: "msc.registrations_started",
+    page_response_unknown_tmsi: "msc.page_response_unknown_tmsi",
+    unhandled_dtap: "msc.unhandled_dtap",
+    unhandled_map: "msc.unhandled_map",
+    handover_without_imsi: "msc.handover_without_imsi",
+    handover_without_call: "msc.handover_without_call",
+    handover_unknown_cell: "msc.handover_unknown_cell",
+    handovers_started: "msc.handovers_started",
+    handover_prepared: "msc.handover_prepared",
+    handover_complete_unknown_ref: "msc.handover_complete_unknown_ref",
+    handover_target_completed: "msc.handover_target_completed",
+    handover_anchored: "msc.handover_anchored",
+};
 
 /// Configuration for a [`GsmMsc`].
 #[derive(Clone, Debug)]
@@ -42,7 +60,6 @@ enum Purpose {
 
 #[derive(Debug)]
 struct ConnState {
-    imsi: Option<Imsi>,
     call: Option<CallId>,
     purpose: Purpose,
 }
@@ -87,27 +104,22 @@ impl CallState {
     }
 }
 
-/// A handoff this MSC prepared as target, awaiting the MS's arrival.
-#[derive(Debug)]
-struct PendingTargetHandoff {
-    call: CallId,
-    anchor: NodeId,
-    cic: Cic,
+/// Sends one ISUP message on the circuit `leg`.
+fn send_isup(ctx: &mut Context<'_, Message>, leg: (NodeId, Cic), call: CallId, kind: IsupKind) {
+    let (peer, cic) = leg;
+    ctx.send(peer, Message::Isup(IsupMessage { cic, call, kind }));
 }
 
 /// The classic GSM MSC node.
 #[derive(Debug)]
 pub struct GsmMsc {
     config: MscConfig,
-    vlr: NodeId,
+    /// The MSC toward the radio network and the VLR.
+    gsm: GsmSide,
     hlr: NodeId,
-    bscs: Vec<NodeId>,
     /// The PSTN switch this MSC trunks into.
     pstn: Option<NodeId>,
-    /// Neighbor MSCs by the cells they serve (for inter-MSC handoff).
-    neighbor_cells: HashMap<CellId, NodeId>,
     conns: HashMap<ConnRef, ConnState>,
-    conn_of_bsc: HashMap<ConnRef, NodeId>,
     calls: HashMap<CallId, CallState>,
     /// MT calls waiting for a paging response, by subscriber.
     paging: HashMap<Imsi, CallId>,
@@ -117,10 +129,7 @@ pub struct GsmMsc {
     pending_incoming: HashMap<Msisdn, CallId>,
     /// Calls by the trunk circuit that carries them, per trunk peer.
     cic_index: HashMap<(NodeId, Cic), CallId>,
-    /// Handoffs prepared as target, by handover reference.
-    target_handoffs: HashMap<u32, PendingTargetHandoff>,
     next_cic: u16,
-    next_ho_ref: u32,
     next_leg_call: u64,
 }
 
@@ -128,31 +137,24 @@ impl GsmMsc {
     /// Creates an MSC wired to its VLR and HLR.
     pub fn new(config: MscConfig, vlr: NodeId, hlr: NodeId) -> Self {
         GsmMsc {
+            gsm: GsmSide::new(&NAMES, vlr, &config.country_code),
             config,
-            vlr,
             hlr,
-            bscs: Vec::new(),
             pstn: None,
-            neighbor_cells: HashMap::new(),
             conns: HashMap::new(),
-            conn_of_bsc: HashMap::new(),
             calls: HashMap::new(),
             paging: HashMap::new(),
             pending_sri: HashMap::new(),
             pending_incoming: HashMap::new(),
             cic_index: HashMap::new(),
-            target_handoffs: HashMap::new(),
             next_cic: 0,
-            next_ho_ref: 0,
             next_leg_call: 0,
         }
     }
 
     /// Registers a subordinate BSC.
     pub fn register_bsc(&mut self, bsc: NodeId) {
-        if !self.bscs.contains(&bsc) {
-            self.bscs.push(bsc);
-        }
+        self.gsm.register_bsc(bsc);
     }
 
     /// Attaches the PSTN trunk.
@@ -163,7 +165,7 @@ impl GsmMsc {
     /// Declares that `cell` is served by the neighboring MSC `msc`
     /// (reachable over an E-interface link).
     pub fn add_neighbor_cell(&mut self, cell: CellId, msc: NodeId) {
-        self.neighbor_cells.insert(cell, msc);
+        self.gsm.add_neighbor_cell(cell, msc);
     }
 
     /// Number of calls currently tracked.
@@ -197,50 +199,38 @@ impl GsmMsc {
         }
     }
 
-    fn send_a(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, dtap: Dtap) {
-        if let Some(&bsc) = self.conn_of_bsc.get(&conn) {
-            ctx.send(bsc, Message::a(conn, dtap));
-        }
-    }
-
-    fn page_all(&self, ctx: &mut Context<'_, Message>, identity: MsIdentity) {
-        for &bsc in &self.bscs {
-            ctx.send(
-                bsc,
-                Message::a(ConnRef::CONNECTIONLESS, Dtap::Paging { identity }),
-            );
-        }
-    }
-
-    fn is_international(&self, called: &Msisdn) -> bool {
-        !called.has_country_code(&self.config.country_code)
-    }
-
     /// Starts the radio-release handshake toward the MS.
     fn clear_radio(&mut self, ctx: &mut Context<'_, Message>, call: CallId, cause: Cause) {
         if let Some(conn) = self.calls.get(&call).and_then(|c| c.conn) {
-            self.send_a(ctx, conn, Dtap::Disconnect { call, cause });
+            self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
         }
     }
 
     /// Releases the trunk legs of a call with REL.
-    fn clear_trunks(&mut self, ctx: &mut Context<'_, Message>, call: CallId, cause: Cause) {
+    fn clear_trunks(&self, ctx: &mut Context<'_, Message>, call: CallId, cause: Cause) {
+        self.clear_trunks_except(ctx, call, cause, None);
+    }
+
+    /// REL on every trunk leg of a call but `except` (the circuit a REL
+    /// arrived on), each leg under its own call id.
+    fn clear_trunks_except(
+        &self,
+        ctx: &mut Context<'_, Message>,
+        call: CallId,
+        cause: Cause,
+        except: Option<(NodeId, Cic)>,
+    ) {
         let Some(state) = self.calls.get(&call) else {
             return;
         };
-        for leg in [state.trunk, state.trunk_out, state.e_leg]
+        let legs = [state.trunk, state.trunk_out, state.e_leg];
+        for leg in legs
             .into_iter()
             .flatten()
+            .filter(|&leg| Some(leg) != except)
         {
             let leg_call = self.leg_call_id(state, leg).unwrap_or(call);
-            ctx.send(
-                leg.0,
-                Message::Isup(IsupMessage {
-                    cic: leg.1,
-                    call: leg_call,
-                    kind: IsupKind::Rel { cause },
-                }),
-            );
+            send_isup(ctx, leg, leg_call, IsupKind::Rel { cause });
         }
     }
 
@@ -270,96 +260,36 @@ impl GsmMsc {
         conn: ConnRef,
         dtap: Dtap,
     ) {
-        self.conn_of_bsc.insert(conn, from);
+        self.gsm.arrived(conn, from);
         match dtap {
             Dtap::LocationUpdateRequest { identity, lai } => {
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        imsi: None,
-                        call: None,
-                        purpose: Purpose::Registration,
-                    },
-                );
-                ctx.count("msc.registrations_started");
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::UpdateLocationArea {
-                        conn,
-                        identity,
-                        lai,
-                    }),
-                );
+                self.open_conn(conn, None, Purpose::Registration);
+                self.gsm.location_update(ctx, conn, identity, lai);
             }
             Dtap::CmServiceRequest { identity } => {
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        imsi: None,
-                        call: None,
-                        purpose: Purpose::MoService,
-                    },
-                );
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::ProcessAccessRequest { conn, identity }),
-                );
+                self.open_conn(conn, None, Purpose::MoService);
+                self.gsm.request_access(ctx, conn, identity);
             }
             Dtap::PagingResponse { identity } => {
-                let imsi = match identity {
-                    MsIdentity::Imsi(i) => i,
-                    MsIdentity::Tmsi(_) => {
-                        ctx.count("msc.page_response_tmsi_unsupported");
-                        return;
-                    }
+                let Some(imsi) = self.gsm.paged_subscriber(ctx, identity) else {
+                    return;
                 };
                 let Some(call) = self.paging.remove(&imsi) else {
                     ctx.count("msc.page_response_unexpected");
                     return;
                 };
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        imsi: Some(imsi),
-                        call: Some(call),
-                        purpose: Purpose::MtCall(call),
-                    },
-                );
+                self.open_conn(conn, Some(call), Purpose::MtCall(call));
+                self.gsm.bind(conn, imsi);
                 if let Some(cs) = self.calls.get_mut(&call) {
                     cs.conn = Some(conn);
                 }
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::ProcessAccessRequest { conn, identity }),
-                );
-            }
-            Dtap::AuthenticationResponse { sres } => {
-                if let Some(imsi) = self.conns.get(&conn).and_then(|c| c.imsi) {
-                    ctx.send(
-                        self.vlr,
-                        Message::Map(MapMessage::AuthenticateAck { conn, imsi, sres }),
-                    );
-                } else {
-                    // identity not yet resolved: remember the response came
-                    // in; the VLR keyed the dialogue by conn, so pass a
-                    // placeholder query through the pending auth below.
-                    ctx.count("msc.auth_response_before_identity");
-                    self.forward_auth_response(ctx, conn, sres);
-                }
-            }
-            Dtap::CipherModeComplete => {
-                if let Some(imsi) = self.conns.get(&conn).and_then(|c| c.imsi) {
-                    ctx.send(
-                        self.vlr,
-                        Message::Map(MapMessage::StartCipheringAck { conn, imsi }),
-                    );
-                }
+                self.gsm.request_access(ctx, conn, identity);
             }
             Dtap::Setup { call, called } => {
                 let Some(cs) = self.conns.get_mut(&conn) else {
                     return;
                 };
-                let Some(imsi) = cs.imsi else {
+                let Some(imsi) = self.gsm.imsi_of(conn) else {
                     ctx.count("msc.setup_without_access");
                     return;
                 };
@@ -368,18 +298,9 @@ impl GsmMsc {
                 call_state.conn = Some(conn);
                 call_state.called = Some(called);
                 self.calls.insert(call, call_state);
-                let international = self.is_international(&called);
                 ctx.count("msc.mo_calls");
                 // Paper step 2.2: authorize with the VLR.
-                ctx.send(
-                    self.vlr,
-                    Message::Map(MapMessage::SendInfoForOutgoingCall {
-                        conn,
-                        imsi,
-                        called,
-                        international,
-                    }),
-                );
+                self.gsm.authorize_outgoing(ctx, conn, imsi, called);
             }
             Dtap::ChannelAssignmentComplete => {
                 let Some(call) = self.conns.get(&conn).and_then(|c| c.call) else {
@@ -390,11 +311,11 @@ impl GsmMsc {
                     Some(Purpose::MtCall(_)) => {
                         // Incoming call: deliver the setup to the MS.
                         let calling = self.calls.get(&call).and_then(|c| c.calling);
-                        self.send_a(ctx, conn, Dtap::MtSetup { call, calling });
+                        self.gsm.send(ctx, conn, Dtap::MtSetup { call, calling });
                     }
                     _ => {
                         // Outgoing call: proceed and seize the trunk.
-                        self.send_a(ctx, conn, Dtap::CallProceeding { call });
+                        self.gsm.send(ctx, conn, Dtap::CallProceeding { call });
                         self.seize_outgoing_trunk(ctx, call);
                     }
                 }
@@ -403,39 +324,23 @@ impl GsmMsc {
                 if let Some(call) = self.conns.get(&conn).and_then(|c| c.call) {
                     ctx.count("msc.assignment_blocked");
                     self.clear_trunks(ctx, call, cause);
-                    self.send_a(ctx, conn, Dtap::Disconnect { call, cause });
+                    self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
                 }
             }
             Dtap::Alerting { call } => {
                 // MT call: the MS is ringing; tell the caller.
-                if let Some(state) = self.calls.get(&call) {
-                    if let Some((peer, cic)) = state.trunk {
-                        ctx.send(
-                            peer,
-                            Message::Isup(IsupMessage {
-                                cic,
-                                call,
-                                kind: IsupKind::Acm,
-                            }),
-                        );
-                    }
+                if let Some(leg) = self.calls.get(&call).and_then(|s| s.trunk) {
+                    send_isup(ctx, leg, call, IsupKind::Acm);
                 }
             }
             Dtap::Connect { call } => {
                 if let Some(state) = self.calls.get_mut(&call) {
                     state.answered = true;
-                    if let Some((peer, cic)) = state.trunk {
-                        ctx.send(
-                            peer,
-                            Message::Isup(IsupMessage {
-                                cic,
-                                call,
-                                kind: IsupKind::Anm,
-                            }),
-                        );
+                    if let Some(leg) = state.trunk {
+                        send_isup(ctx, leg, call, IsupKind::Anm);
                     }
                     ctx.count("msc.mt_calls_answered");
-                    self.send_a(ctx, conn, Dtap::ConnectAck { call });
+                    self.gsm.send(ctx, conn, Dtap::ConnectAck { call });
                 }
             }
             Dtap::ConnectAck { .. } => {
@@ -445,47 +350,36 @@ impl GsmMsc {
                 // MS hangs up: release trunks and finish the radio handshake.
                 ctx.count("msc.ms_initiated_release");
                 self.clear_trunks(ctx, call, cause);
-                self.send_a(ctx, conn, Dtap::Release { call });
+                self.gsm.send(ctx, conn, Dtap::Release { call });
             }
             Dtap::Release { call } => {
                 // MS answered our Disconnect.
-                self.send_a(ctx, conn, Dtap::ReleaseComplete { call });
-                self.send_a(ctx, conn, Dtap::ChannelRelease);
+                self.gsm.send(ctx, conn, Dtap::ReleaseComplete { call });
+                self.gsm.send(ctx, conn, Dtap::ChannelRelease);
                 self.drop_call(call);
             }
             Dtap::ReleaseComplete { call } => {
-                self.send_a(ctx, conn, Dtap::ChannelRelease);
+                self.gsm.send(ctx, conn, Dtap::ChannelRelease);
                 self.drop_call(call);
             }
             Dtap::MeasurementReport { cell } | Dtap::HandoverRequired { cell } => {
-                self.start_handover(ctx, conn, cell);
+                let call = self.conns.get(&conn).and_then(|c| c.call);
+                self.gsm.start_handover(ctx, conn, cell, call);
             }
             Dtap::HandoverComplete { ho_ref } => {
                 // We are the TARGET: the MS arrived on our cell.
-                let Some(pending) = self.target_handoffs.remove(&ho_ref) else {
-                    ctx.count("msc.handover_complete_unknown_ref");
+                let Some(arrival) = self.gsm.handover_complete(ctx, ho_ref) else {
                     return;
                 };
-                let call = pending.call;
+                let call = arrival.call;
                 let mut state = CallState::new();
                 state.conn = Some(conn);
-                state.e_leg = Some((pending.anchor, pending.cic));
+                state.e_leg = Some((arrival.anchor, arrival.cic));
                 state.target_role = true;
                 self.calls.insert(call, state);
-                self.cic_index.insert((pending.anchor, pending.cic), call);
-                self.conns.insert(
-                    conn,
-                    ConnState {
-                        imsi: None,
-                        call: Some(call),
-                        purpose: Purpose::MtCall(call),
-                    },
-                );
-                ctx.count("msc.handover_target_completed");
-                ctx.send(
-                    pending.anchor,
-                    Message::Map(MapMessage::SendEndSignal { call }),
-                );
+                self.cic_index.insert((arrival.anchor, arrival.cic), call);
+                self.open_conn(conn, Some(call), Purpose::MtCall(call));
+                self.gsm.bind(conn, arrival.imsi);
             }
             Dtap::VoiceFrame {
                 call,
@@ -494,20 +388,13 @@ impl GsmMsc {
             } => {
                 self.relay_voice_from_radio(ctx, call, seq, origin_us);
             }
-            _ => ctx.count("msc.unhandled_dtap"),
+            other => self.gsm.relay_up(ctx, conn, other),
         }
     }
 
-    /// Uplink auth response arriving before the conn's IMSI is known: the
-    /// VLR keyed the pending auth by conn, so a conn-only ack suffices;
-    /// look up any pending registration for the conn instead of the IMSI.
-    fn forward_auth_response(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, sres: u32) {
-        // Without an IMSI the ack cannot name the subscriber; the VLR
-        // correlates by conn, so send with a placeholder IMSI. (The VLR
-        // looks the dialogue up by conn via its pending table.)
-        // In practice the IMSI is known from the initial request in every
-        // flow, so this is only a safety net.
-        let _ = (ctx, conn, sres);
+    /// Starts a radio transaction on `conn`.
+    fn open_conn(&mut self, conn: ConnRef, call: Option<CallId>, purpose: Purpose) {
+        self.conns.insert(conn, ConnState { call, purpose });
     }
 
     fn seize_outgoing_trunk(&mut self, ctx: &mut Context<'_, Message>, call: CallId) {
@@ -525,34 +412,7 @@ impl GsmMsc {
         let calling = state.calling;
         self.cic_index.insert((pstn, cic), call);
         ctx.count("msc.trunks_seized");
-        ctx.send(
-            pstn,
-            Message::Isup(IsupMessage {
-                cic,
-                call,
-                kind: IsupKind::Iam { called, calling },
-            }),
-        );
-    }
-
-    fn start_handover(&mut self, ctx: &mut Context<'_, Message>, conn: ConnRef, cell: CellId) {
-        let Some(call) = self.conns.get(&conn).and_then(|c| c.call) else {
-            ctx.count("msc.handover_without_call");
-            return;
-        };
-        let Some(imsi) = self.conns.get(&conn).and_then(|c| c.imsi) else {
-            ctx.count("msc.handover_without_imsi");
-            return;
-        };
-        let Some(&target) = self.neighbor_cells.get(&cell) else {
-            ctx.count("msc.handover_unknown_cell");
-            return;
-        };
-        ctx.count("msc.handovers_started");
-        ctx.send(
-            target,
-            Message::Map(MapMessage::PrepareHandover { call, imsi, cell }),
-        );
+        send_isup(ctx, (pstn, cic), call, IsupKind::Iam { called, calling });
     }
 
     // ----------------------------------------------------------------
@@ -579,7 +439,7 @@ impl GsmMsc {
                     self.pending_incoming.insert(called, call);
                     ctx.count("msc.mt_calls");
                     ctx.send(
-                        self.vlr,
+                        self.gsm.vlr(),
                         Message::Map(MapMessage::SendInfoForIncomingCall { msrn: called }),
                     );
                 } else if called.digits().starts_with(&self.config.home_prefix) {
@@ -597,16 +457,8 @@ impl GsmMsc {
                     );
                 } else {
                     ctx.count("msc.iam_unroutable");
-                    ctx.send(
-                        from,
-                        Message::Isup(IsupMessage {
-                            cic,
-                            call,
-                            kind: IsupKind::Rel {
-                                cause: Cause::NoRouteToDestination,
-                            },
-                        }),
-                    );
+                    let cause = Cause::NoRouteToDestination;
+                    send_isup(ctx, (from, cic), call, IsupKind::Rel { cause });
                 }
             }
             IsupKind::Acm | IsupKind::Anm => {
@@ -623,54 +475,19 @@ impl GsmMsc {
                     } else {
                         Dtap::Alerting { call }
                     };
-                    self.send_a(ctx, conn, dtap);
+                    self.gsm.send(ctx, conn, dtap);
                 } else if state.trunk_out == Some((from, cic)) {
                     // Transit: progress arrived on the forwarded leg;
                     // relay to the originating leg under its own id.
-                    if let Some((peer, in_cic)) = state.trunk {
-                        ctx.send(
-                            peer,
-                            Message::Isup(IsupMessage {
-                                cic: in_cic,
-                                call,
-                                kind,
-                            }),
-                        );
+                    if let Some(leg) = state.trunk {
+                        send_isup(ctx, leg, call, kind);
                     }
                 }
             }
             IsupKind::Rel { cause } => {
-                ctx.send(
-                    from,
-                    Message::Isup(IsupMessage {
-                        cic,
-                        call,
-                        kind: IsupKind::Rlc,
-                    }),
-                );
+                send_isup(ctx, (from, cic), call, IsupKind::Rlc);
                 // Propagate to the other legs (each under its own id).
-                if let Some(state) = self.calls.get(&call) {
-                    let other_trunks: Vec<(NodeId, Cic, CallId)> =
-                        [state.trunk, state.trunk_out, state.e_leg]
-                            .into_iter()
-                            .flatten()
-                            .filter(|(peer, c)| !(*peer == from && *c == cic))
-                            .map(|leg| {
-                                let id = self.leg_call_id(state, leg).unwrap_or(call);
-                                (leg.0, leg.1, id)
-                            })
-                            .collect();
-                    for (peer, c, leg_call) in other_trunks {
-                        ctx.send(
-                            peer,
-                            Message::Isup(IsupMessage {
-                                cic: c,
-                                call: leg_call,
-                                kind: IsupKind::Rel { cause },
-                            }),
-                        );
-                    }
-                }
+                self.clear_trunks_except(ctx, call, cause, Some((from, cic)));
                 self.clear_radio(ctx, call, cause);
                 if self
                     .calls
@@ -692,39 +509,28 @@ impl GsmMsc {
     // ----------------------------------------------------------------
     fn handle_map(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: MapMessage) {
         match msg {
-            MapMessage::Authenticate { conn, imsi, rand } => {
-                if let Some(cs) = self.conns.get_mut(&conn) {
-                    cs.imsi = Some(imsi);
-                }
-                self.send_a(ctx, conn, Dtap::AuthenticationRequest { rand });
-            }
-            MapMessage::StartCiphering { conn, imsi } => {
-                if let Some(cs) = self.conns.get_mut(&conn) {
-                    cs.imsi = Some(imsi);
-                }
-                self.send_a(ctx, conn, Dtap::CipherModeCommand);
-            }
             MapMessage::UpdateLocationAreaAck {
                 conn, imsi, tmsi, ..
             } => {
-                if let Some(cs) = self.conns.get_mut(&conn) {
-                    cs.imsi = Some(imsi);
-                }
+                self.gsm.bind(conn, imsi);
+                self.gsm.learn_tmsi(tmsi, imsi);
                 ctx.count("msc.registrations_completed");
-                self.send_a(ctx, conn, Dtap::LocationUpdateAccept { tmsi });
+                self.gsm
+                    .send(ctx, conn, Dtap::LocationUpdateAccept { tmsi });
             }
             MapMessage::UpdateLocationAreaReject { conn, cause, .. } => {
-                self.send_a(ctx, conn, Dtap::LocationUpdateReject { cause });
+                self.gsm
+                    .send(ctx, conn, Dtap::LocationUpdateReject { cause });
             }
             MapMessage::ProcessAccessRequestAck {
                 conn,
                 imsi,
                 rejection,
             } => {
-                let Some(cs) = self.conns.get_mut(&conn) else {
+                let Some(cs) = self.conns.get(&conn) else {
                     return;
                 };
-                cs.imsi = Some(imsi);
+                self.gsm.bind(conn, imsi);
                 let purpose = cs.purpose;
                 match rejection {
                     Some(cause) => match purpose {
@@ -732,14 +538,15 @@ impl GsmMsc {
                             self.clear_trunks(ctx, call, cause);
                             self.drop_call(call);
                         }
-                        _ => self.send_a(ctx, conn, Dtap::CmServiceReject { cause }),
+                        _ => self.gsm.send(ctx, conn, Dtap::CmServiceReject { cause }),
                     },
                     None => match purpose {
-                        Purpose::MoService => self.send_a(ctx, conn, Dtap::CmServiceAccept),
+                        Purpose::MoService => self.gsm.send(ctx, conn, Dtap::CmServiceAccept),
                         Purpose::MtCall(_) => {
                             // Assign the traffic channel; MtSetup follows on
                             // completion (paper step 4.5).
-                            self.send_a(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
+                            self.gsm
+                                .send(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
                         }
                         Purpose::Registration => {}
                     },
@@ -757,13 +564,14 @@ impl GsmMsc {
                 match rejection {
                     Some(cause) => {
                         ctx.count("msc.mo_calls_denied");
-                        self.send_a(ctx, conn, Dtap::Disconnect { call, cause });
+                        self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
                     }
                     None => {
                         if let Some(state) = self.calls.get_mut(&call) {
                             state.calling = msisdn;
                         }
-                        self.send_a(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
+                        self.gsm
+                            .send(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
                     }
                 }
             }
@@ -776,7 +584,7 @@ impl GsmMsc {
                         self.paging.insert(imsi, call);
                         ctx.count("msc.pages_sent");
                         ctx.set_timer(PAGING_TIMEOUT, TAG_PAGING | call.0);
-                        self.page_all(ctx, MsIdentity::Imsi(imsi));
+                        self.gsm.page(ctx, imsi, None);
                     }
                     Err(cause) => {
                         self.clear_trunks(ctx, call, cause);
@@ -807,16 +615,12 @@ impl GsmMsc {
                         }
                         self.cic_index.insert((pstn, cic), call);
                         ctx.count("msc.gmsc_forwarded");
-                        ctx.send(
-                            pstn,
-                            Message::Isup(IsupMessage {
-                                cic,
-                                call: out_call,
-                                kind: IsupKind::Iam {
-                                    called: roaming_number,
-                                    calling,
-                                },
-                            }),
+                        let called = roaming_number;
+                        send_isup(
+                            ctx,
+                            (pstn, cic),
+                            out_call,
+                            IsupKind::Iam { called, calling },
                         );
                     }
                     Err(cause) => {
@@ -827,23 +631,9 @@ impl GsmMsc {
                 }
             }
             // ---- inter-MSC handoff, target side ----
-            MapMessage::PrepareHandover { call, .. } => {
-                self.next_ho_ref += 1;
-                let ho_ref = self.next_ho_ref;
+            MapMessage::PrepareHandover { call, imsi, .. } => {
                 let cic = self.alloc_cic();
-                self.target_handoffs.insert(
-                    ho_ref,
-                    PendingTargetHandoff {
-                        call,
-                        anchor: from,
-                        cic,
-                    },
-                );
-                ctx.count("msc.handover_prepared");
-                ctx.send(
-                    from,
-                    Message::Map(MapMessage::PrepareHandoverAck { call, cic, ho_ref }),
-                );
+                self.gsm.prepare_handover(ctx, from, call, imsi, cic);
             }
             // ---- inter-MSC handoff, anchor side ----
             MapMessage::PrepareHandoverAck { call, cic, ho_ref } => {
@@ -852,37 +642,22 @@ impl GsmMsc {
                 };
                 state.e_leg = Some((from, cic));
                 self.cic_index.insert((from, cic), call);
-                // Find the target cell again from the pending conn; the
-                // HandoverCommand rides the existing radio connection.
+                // The command rides the existing radio connection.
                 if let Some(conn) = state.conn {
-                    // The cell is known to the target; command the MS over.
-                    // The target cell id travels in the command for the MS
-                    // to pick its neighbor link.
-                    let cell = self
-                        .neighbor_cells
-                        .iter()
-                        .find(|(_, &n)| n == from)
-                        .map(|(c, _)| *c)
-                        .unwrap_or(CellId(0));
-                    self.send_a(ctx, conn, Dtap::HandoverCommand { cell, ho_ref });
+                    self.gsm.command_handover(ctx, from, conn, ho_ref);
                 }
             }
             MapMessage::SendEndSignal { call } => {
                 // Anchor: the MS is now on the target; release our radio leg
                 // and keep the trunk ↔ E-leg voice path (Figure 9(b)).
-                if let Some(state) = self.calls.get_mut(&call) {
-                    if let Some(conn) = state.conn.take() {
-                        self.send_a(ctx, conn, Dtap::ChannelRelease);
-                        if let Some(cs) = self.conns.get_mut(&conn) {
-                            cs.call = None;
-                        }
-                    }
+                let conn = self.calls.get_mut(&call).and_then(|s| s.conn.take());
+                if let Some(cs) = conn.and_then(|c| self.conns.get_mut(&c)) {
+                    cs.call = None;
                 }
-                ctx.count("msc.handover_anchored");
-                ctx.send(from, Message::Map(MapMessage::SendEndSignalAck { call }));
+                self.gsm.end_signal(ctx, from, call, conn);
             }
             MapMessage::SendEndSignalAck { .. } => {}
-            _ => ctx.count("msc.unhandled_map"),
+            other => self.gsm.relay_down(ctx, other),
         }
     }
 
@@ -933,7 +708,7 @@ impl GsmMsc {
         };
         // Deliver to the radio leg if we still have one …
         if let Some(conn) = state.conn {
-            self.send_a(
+            self.gsm.send(
                 ctx,
                 conn,
                 Dtap::VoiceFrame {
@@ -1011,5 +786,103 @@ impl Node<Message> for GsmMsc {
             }
             _ => ctx.count("msc.unexpected_message"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vgprs_sim::{Network, SimDuration};
+    use vgprs_wire::{MsIdentity, Tmsi};
+
+    /// Sends its script to the MSC at start; swallows what comes back.
+    struct Peer(Option<NodeId>, Vec<Message>);
+
+    impl Node<Message> for Peer {
+        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
+            let msc = self.0.expect("wired");
+            for m in self.1.drain(..) {
+                ctx.send(msc, m);
+            }
+        }
+        fn on_message(
+            &mut self,
+            _: &mut Context<'_, Message>,
+            _: NodeId,
+            _: Interface,
+            _: Message,
+        ) {
+        }
+    }
+
+    /// A page by TMSI is answered by TMSI (GSM 03.20): the response
+    /// resolves through the TMSI the VLR allocated at registration and
+    /// the access procedure starts.
+    #[test]
+    fn tmsi_paging_response_is_accepted() {
+        let imsi = Imsi::parse("466920000000001").unwrap();
+        let msrn = Msisdn::parse("88699900001").unwrap();
+        let (tmsi, conn) = (Tmsi(7), ConnRef(0x0001_0002));
+        // Link latencies order the script: IAM at 1 ms, the VLR's two
+        // answers at 5 ms, the handset's response at 10 ms.
+        let scripts = [
+            (
+                Interface::B,
+                5,
+                vec![
+                    Message::Map(MapMessage::UpdateLocationAreaAck {
+                        conn: ConnRef(0x0001_0001),
+                        imsi,
+                        tmsi: Some(tmsi),
+                        msisdn: None,
+                    }),
+                    Message::Map(MapMessage::SendInfoForIncomingCallAck {
+                        msrn,
+                        subscriber: Ok(imsi),
+                    }),
+                ],
+            ),
+            (
+                Interface::Isup,
+                1,
+                vec![Message::Isup(IsupMessage {
+                    cic: Cic(1),
+                    call: CallId(9),
+                    kind: IsupKind::Iam {
+                        called: msrn,
+                        calling: None,
+                    },
+                })],
+            ),
+            (
+                Interface::A,
+                10,
+                vec![Message::a(
+                    conn,
+                    Dtap::PagingResponse {
+                        identity: MsIdentity::Tmsi(tmsi),
+                    },
+                )],
+            ),
+        ];
+        let mut net = Network::new(1);
+        let peers: Vec<NodeId> = scripts
+            .iter()
+            .map(|(iface, _, script)| net.add_node(&iface.to_string(), Peer(None, script.clone())))
+            .collect();
+        let config = MscConfig {
+            country_code: "886".into(),
+            home_prefix: "8869".into(),
+            msrn_prefix: "886999".into(),
+        };
+        let msc = net.add_node("msc", GsmMsc::new(config, peers[0], peers[0]));
+        for (&peer, (iface, ms, _)) in peers.iter().zip(&scripts) {
+            net.node_mut::<Peer>(peer).unwrap().0 = Some(msc);
+            net.connect(peer, msc, *iface, SimDuration::from_millis(*ms));
+        }
+        net.run_until_quiescent();
+        assert_eq!(net.stats().counter("msc.page_response_unknown_tmsi"), 0);
+        assert_eq!(net.stats().counter("msc.page_response_unexpected"), 0);
+        assert_eq!(net.trace().count_label("MAP_Process_Access_Request"), 1);
     }
 }

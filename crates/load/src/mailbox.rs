@@ -245,7 +245,8 @@ impl HlrDirectory {
     }
 
     /// Which shard's HLR owns `global`'s record right now.
-    pub fn owner_of(&self, global: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn owner_of(&self, global: usize) -> usize {
         self.owner[global] as usize
     }
 

@@ -630,7 +630,11 @@ mod tests {
         let mut fabric = two_shard_fabric(vec![partition_window(0, u64::MAX / 2, 0)]);
         let mut dir = directory();
         fabric.post(0, vec![arrive(1, 3)], &mut dir);
-        let budget_ms = retransmit_backoff().total_budget().as_millis();
+        let ladder = retransmit_backoff();
+        let budget_ms: u64 = (0..)
+            .map_while(|k| ladder.delay(k))
+            .map(|d| d.as_millis())
+            .sum();
         let mut t = 0;
         while fabric.in_flight() > 0 && t < budget_ms + 10 * EPOCH {
             t += EPOCH;

@@ -120,7 +120,12 @@ mod tests {
 
     #[test]
     fn g711_better_than_gsm_fr() {
-        let g711 = EModel::for_codec(&Vocoder::g711());
+        // G.711 PCM: no equipment impairment, Bpl 4.3 (ITU-T G.113).
+        let g711 = EModel::for_codec(&Vocoder {
+            impairment_ie: 0.0,
+            loss_robustness_bpl: 4.3,
+            ..Vocoder::gsm_full_rate()
+        });
         let d = SimDuration::from_millis(50);
         assert!(g711.mos(d, 0.0) > gsm().mos(d, 0.0));
     }

@@ -2,7 +2,7 @@
 //!
 //! Frame-level voice modeling for the reproduction's experiments:
 //!
-//! * [`Vocoder`] — GSM-FR / G.711 frame parameters (cadence, size,
+//! * [`Vocoder`] — GSM-FR frame parameters (cadence, size,
 //!   processing delay, E-model impairments),
 //! * [`JitterBuffer`] — receiver-side playout buffering with late-frame
 //!   accounting,

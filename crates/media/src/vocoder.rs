@@ -36,28 +36,6 @@ impl Vocoder {
         }
     }
 
-    /// G.711 64 kbit/s PCM (used when the far end is a plain phone).
-    pub fn g711() -> Self {
-        Vocoder {
-            frame_interval: SimDuration::from_millis(20),
-            bits_per_frame: 1280,
-            processing_delay: SimDuration::from_millis(1),
-            impairment_ie: 0.0,
-            loss_robustness_bpl: 4.3,
-        }
-    }
-
-    /// Encoded frame size in whole bytes (bits rounded up).
-    pub fn frame_bytes(&self) -> usize {
-        self.bits_per_frame.div_ceil(8) as usize
-    }
-
-    /// Net bit rate in bits per second.
-    pub fn bit_rate_bps(&self) -> u64 {
-        let frames_per_second = 1_000_000 / self.frame_interval.as_micros();
-        u64::from(self.bits_per_frame) * frames_per_second
-    }
-
     /// Delay of one tandem transcoding stage (decode + re-encode), as the
     /// VMSC performs between the circuit leg and the RTP leg.
     pub fn transcoding_delay(&self) -> SimDuration {
@@ -72,16 +50,7 @@ mod tests {
     #[test]
     fn gsm_fr_parameters() {
         let v = Vocoder::gsm_full_rate();
-        assert_eq!(v.frame_bytes(), 33);
-        assert_eq!(v.bit_rate_bps(), 13_000);
+        assert_eq!(v.bits_per_frame, 260);
         assert_eq!(v.transcoding_delay(), SimDuration::from_millis(20));
-    }
-
-    #[test]
-    fn g711_parameters() {
-        let v = Vocoder::g711();
-        assert_eq!(v.frame_bytes(), 160);
-        assert_eq!(v.bit_rate_bps(), 64_000);
-        assert_eq!(v.impairment_ie, 0.0);
     }
 }

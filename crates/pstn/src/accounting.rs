@@ -110,23 +110,6 @@ impl Ledger {
     pub fn entries(&self) -> &[TrunkUse] {
         &self.entries
     }
-
-    /// Seizures of a given class for a given call.
-    pub fn count_for(&self, call: CallId, class: TrunkClass) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.call == call && e.class == class)
-            .count()
-    }
-
-    /// Total cost of a call's trunks at time `now`.
-    pub fn call_cost(&self, call: CallId, now: SimTime) -> f64 {
-        self.entries
-            .iter()
-            .filter(|e| e.call == call)
-            .map(|e| e.cost(now))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -149,8 +132,6 @@ mod tests {
         ledger.seize(call, TrunkClass::International, SimTime::from_micros(0));
         ledger.seize(call, TrunkClass::International, SimTime::from_micros(0));
         ledger.seize(CallId(2), TrunkClass::Local, SimTime::from_micros(0));
-        assert_eq!(ledger.count_for(call, TrunkClass::International), 2);
-        assert_eq!(ledger.count_for(call, TrunkClass::Local), 0);
         ledger.release(call, SimTime::from_micros(10_000_000));
         let open: Vec<_> = ledger
             .entries()
@@ -165,8 +146,9 @@ mod tests {
         let mut ledger = Ledger::new();
         let call = CallId(1);
         ledger.seize(call, TrunkClass::International, SimTime::ZERO);
-        let early = ledger.call_cost(call, SimTime::from_micros(1_000_000));
-        let late = ledger.call_cost(call, SimTime::from_micros(60_000_000));
+        let trunk = &ledger.entries()[0];
+        let early = trunk.cost(SimTime::from_micros(1_000_000));
+        let late = trunk.cost(SimTime::from_micros(60_000_000));
         assert!(late > early);
         // 50 setup + 60 s × 1.0
         assert!((late - 110.0).abs() < 1e-9);

@@ -64,12 +64,6 @@ impl PstnPhone {
         }
     }
 
-    /// Overrides the auto-answer delay (`None` = never answer).
-    pub fn with_answer_after(mut self, delay: Option<SimDuration>) -> Self {
-        self.answer_after = delay;
-        self
-    }
-
     /// The phone's number.
     pub fn msisdn(&self) -> Msisdn {
         self.msisdn
@@ -373,7 +367,10 @@ mod tests {
         let a = net.add_node("alice", PstnPhone::new(msisdn("88620001111"), sw));
         let b = net.add_node(
             "bob",
-            PstnPhone::new(msisdn("88620002222"), sw).with_answer_after(None),
+            PstnPhone {
+                answer_after: None,
+                ..PstnPhone::new(msisdn("88620002222"), sw)
+            },
         );
         net.connect(a, sw, Interface::Isup, SimDuration::from_millis(2));
         net.connect(b, sw, Interface::Isup, SimDuration::from_millis(2));

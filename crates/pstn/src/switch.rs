@@ -423,12 +423,11 @@ mod tests {
                 ..
             })
         ));
+        let seized = net.node::<PstnSwitch>(sw).unwrap().ledger().entries();
+        assert_eq!(seized.len(), 1);
         assert_eq!(
-            net.node::<PstnSwitch>(sw)
-                .unwrap()
-                .ledger()
-                .count_for(CallId(1), TrunkClass::International),
-            1
+            (seized[0].call, seized[0].class),
+            (CallId(1), TrunkClass::International)
         );
         assert_eq!(net.stats().counter("pstn.trunk_international_seized"), 1);
     }

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 use crate::node::NodeId;
 use crate::trace::{Trace, TraceEntry};
 
-/// Renders a [`Trace`] (or a participant subset of it) as an ASCII ladder.
+/// Renders a [`Trace`] as an ASCII ladder.
 ///
 /// # Examples
 ///
@@ -23,46 +23,21 @@ use crate::trace::{Trace, TraceEntry};
 #[derive(Debug)]
 pub struct LadderDiagram<'a> {
     trace: &'a Trace,
-    participants: Option<Vec<NodeId>>,
-    show_times: bool,
-    lane_width: usize,
 }
+
+/// Lane width in characters.
+const LANE: usize = 14;
+/// Width of the time column.
+const TIME_PAD: usize = 12;
 
 impl<'a> LadderDiagram<'a> {
     /// A ladder over every node that appears in the trace, in order of
     /// first appearance.
     pub fn new(trace: &'a Trace) -> Self {
-        LadderDiagram {
-            trace,
-            participants: None,
-            show_times: true,
-            lane_width: 14,
-        }
-    }
-
-    /// Restricts lanes to the given participants, in the given order.
-    /// Messages to or from other nodes are omitted.
-    pub fn with_participants(mut self, participants: impl Into<Vec<NodeId>>) -> Self {
-        self.participants = Some(participants.into());
-        self
-    }
-
-    /// Hides the time column.
-    pub fn without_times(mut self) -> Self {
-        self.show_times = false;
-        self
-    }
-
-    /// Sets the lane width in characters (minimum 8).
-    pub fn with_lane_width(mut self, width: usize) -> Self {
-        self.lane_width = width.max(8);
-        self
+        LadderDiagram { trace }
     }
 
     fn participant_order(&self) -> Vec<NodeId> {
-        if let Some(p) = &self.participants {
-            return p.clone();
-        }
         let mut seen = Vec::new();
         for e in self.trace.entries() {
             let nodes: [Option<NodeId>; 2] = match e {
@@ -84,16 +59,18 @@ impl<'a> LadderDiagram<'a> {
         if parts.is_empty() {
             return String::from("(empty trace)\n");
         }
-        let lane = self.lane_width;
-        let time_pad = if self.show_times { 12 } else { 0 };
         let mut out = String::new();
 
         // Header with node names centered over their lanes.
-        out.push_str(&" ".repeat(time_pad));
+        out.push_str(&" ".repeat(TIME_PAD));
         for p in &parts {
             let name = self.trace.node_name(*p);
-            let name = if name.len() > lane { &name[..lane] } else { name };
-            let pad = lane.saturating_sub(name.len());
+            let name = if name.len() > LANE {
+                &name[..LANE]
+            } else {
+                name
+            };
+            let pad = LANE.saturating_sub(name.len());
             let left = pad / 2;
             let _ = write!(out, "{}{}{}", " ".repeat(left), name, " ".repeat(pad - left));
         }
@@ -103,7 +80,7 @@ impl<'a> LadderDiagram<'a> {
             parts
                 .iter()
                 .position(|x| x == p)
-                .map(|i| time_pad + i * lane + lane / 2)
+                .map(|i| TIME_PAD + i * LANE + LANE / 2)
         };
 
         for e in self.trace.entries() {
@@ -119,13 +96,11 @@ impl<'a> LadderDiagram<'a> {
                     let (Some(cf), Some(ct)) = (col(from), col(to)) else {
                         continue;
                     };
-                    let mut line = vec![b' '; time_pad + parts.len() * lane];
-                    if self.show_times {
-                        let ts = format!("{:>9}", at.to_string());
-                        line[..ts.len().min(time_pad)]
-                            .copy_from_slice(&ts.as_bytes()[..ts.len().min(time_pad)]);
-                    }
-                    // lane rails
+                    let mut line = vec![b' '; TIME_PAD + parts.len() * LANE];
+                    let ts = format!("{:>9}", at.to_string());
+                    line[..ts.len().min(TIME_PAD)]
+                        .copy_from_slice(&ts.as_bytes()[..ts.len().min(TIME_PAD)]);
+                    // LANE rails
                     for p in &parts {
                         if let Some(c) = col(p) {
                             line[c] = b'|';
@@ -151,11 +126,7 @@ impl<'a> LadderDiagram<'a> {
                 }
                 TraceEntry::Note { at, node, text } => {
                     let name = self.trace.node_name(*node);
-                    if self.show_times {
-                        let _ = writeln!(out, "{:>9}  * {name}: {text}", at.to_string());
-                    } else {
-                        let _ = writeln!(out, "  * {name}: {text}");
-                    }
+                    let _ = writeln!(out, "{:>9}  * {name}: {text}", at.to_string());
                 }
             }
         }
@@ -217,7 +188,7 @@ mod tests {
     #[test]
     fn arrow_direction() {
         let t = trace();
-        let out = LadderDiagram::new(&t).without_times().render();
+        let out = LadderDiagram::new(&t).render();
         let lines: Vec<&str> = out.lines().collect();
         // first message goes right (MS -> BTS), second right, third left
         assert!(lines[1].contains("->") || lines[1].contains('>'));
@@ -225,25 +196,8 @@ mod tests {
     }
 
     #[test]
-    fn participant_filter_drops_foreign_messages() {
-        let t = trace();
-        let out = LadderDiagram::new(&t)
-            .with_participants(vec![NodeId(0), NodeId(1)])
-            .render();
-        assert!(out.contains("Um_Setup"));
-        assert!(!out.contains("Abis_Setup"));
-    }
-
-    #[test]
     fn empty_trace_renders_placeholder() {
         let t = Trace::default();
         assert_eq!(LadderDiagram::new(&t).render(), "(empty trace)\n");
-    }
-
-    #[test]
-    fn lane_width_clamped() {
-        let t = trace();
-        let out = LadderDiagram::new(&t).with_lane_width(1).render();
-        assert!(out.contains("Um_Setup"));
     }
 }

@@ -183,23 +183,6 @@ impl Trace {
             .map(|i| i + start)
     }
 
-    /// The time of the first message with this label, if present.
-    pub fn first_time_of(&self, label: &str) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .find(|e| e.label() == Some(label))
-            .map(|e| e.at())
-    }
-
-    /// The time of the last message with this label, if present.
-    pub fn last_time_of(&self, label: &str) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.label() == Some(label))
-            .map(|e| e.at())
-    }
-
     /// Count of messages whose label equals `label`.
     pub fn count_label(&self, label: &str) -> usize {
         self.entries
@@ -300,9 +283,6 @@ mod tests {
         assert_eq!(t.find_label("A", 0), Some(0));
         assert_eq!(t.find_label("A", 1), Some(3));
         assert_eq!(t.find_label("A", 4), None);
-        assert_eq!(t.first_time_of("A"), Some(SimTime::from_micros(1)));
-        assert_eq!(t.last_time_of("A"), Some(SimTime::from_micros(4)));
-        assert_eq!(t.first_time_of("Z"), None);
     }
 
     #[test]

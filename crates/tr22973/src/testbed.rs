@@ -3,7 +3,7 @@
 //! *no VMSC* — the MSs are H.323 terminals themselves and everything
 //! rides the packet radio path.
 
-use vgprs_core::testbed::{build_cell, camp, CellConfig, PacketHalf};
+use vgprs_core::testbed::{build_cell, camp, Architecture, CellConfig, PacketHalf};
 use vgprs_gprs::Ggsn;
 use vgprs_gsm::Bsc;
 use vgprs_h323::GatekeeperConfig;
@@ -133,6 +133,36 @@ impl TrZone {
             self.bts,
             self.packet.latency.um,
         )
+    }
+}
+
+impl Architecture for TrZone {
+    type Config = TrZoneConfig;
+    const POST_DIAL_DELAY_MS: &'static str = "trms.post_dial_delay_ms";
+
+    fn taiwan() -> TrZoneConfig {
+        TrZoneConfig::taiwan()
+    }
+
+    fn build(net: &mut Network<Message>, cfg: TrZoneConfig) -> Self {
+        TrZone::build(net, cfg)
+    }
+
+    /// A TR mobile is an H.323 terminal with a static PDP address; there
+    /// is no HLR in its path to hold `ki`.
+    fn add_mobile(
+        &mut self,
+        net: &mut Network<Message>,
+        name: &str,
+        imsi: Imsi,
+        _ki: u64,
+        msisdn: Msisdn,
+    ) -> NodeId {
+        self.add_tr_ms(net, name, imsi, msisdn)
+    }
+
+    fn packet(&mut self) -> &mut PacketHalf {
+        &mut self.packet
     }
 }
 

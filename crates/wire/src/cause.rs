@@ -89,11 +89,6 @@ impl Cause {
         })
     }
 
-    /// True if this cause represents a normal, successful call lifecycle end.
-    pub fn is_normal(self) -> bool {
-        matches!(self, Cause::NormalClearing)
-    }
-
     /// All causes, for exhaustive round-trip tests.
     pub const ALL: [Cause; 15] = [
         Cause::NormalClearing,
@@ -160,12 +155,6 @@ mod tests {
     fn unknown_q850_is_none() {
         assert_eq!(Cause::from_q850(255), None);
         assert_eq!(Cause::from_q850(0), None);
-    }
-
-    #[test]
-    fn normality() {
-        assert!(Cause::NormalClearing.is_normal());
-        assert!(!Cause::UserBusy.is_normal());
     }
 
     #[test]

@@ -273,11 +273,6 @@ impl Lai {
     pub fn new(mcc: u16, mnc: u16, lac: u16) -> Self {
         Lai { mcc, mnc, lac }
     }
-
-    /// True if `other` is in the same PLMN (same MCC + MNC).
-    pub fn same_plmn(&self, other: &Lai) -> bool {
-        self.mcc == other.mcc && self.mnc == other.mnc
-    }
 }
 
 impl fmt::Debug for Lai {
@@ -596,13 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn lai_plmn_comparison() {
-        let a = Lai::new(466, 92, 1);
-        let b = Lai::new(466, 92, 2);
-        let c = Lai::new(454, 0, 1);
-        assert!(a.same_plmn(&b));
-        assert!(!a.same_plmn(&c));
-        assert_eq!(a.to_string(), "466-92-1");
+    fn lai_display() {
+        assert_eq!(Lai::new(466, 92, 1).to_string(), "466-92-1");
     }
 
     #[test]

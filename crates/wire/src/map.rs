@@ -408,31 +408,6 @@ impl MapMessage {
             other => Err(DecodeMapError::UnknownOperation(other)),
         }
     }
-
-    /// True if this operation discloses the subscriber's IMSI to its
-    /// receiver. The C4 experiment counts these per administrative domain
-    /// to quantify the paper's confidentiality argument (Section 6).
-    pub fn discloses_imsi(&self) -> bool {
-        !matches!(
-            self,
-            MapMessage::UpdateLocationArea {
-                identity: MsIdentity::Tmsi(_),
-                ..
-            } | MapMessage::UpdateLocationAreaReject {
-                identity: MsIdentity::Tmsi(_),
-                ..
-            } | MapMessage::SendRoutingInformation { .. }
-                | MapMessage::SendRoutingInformationAck { .. }
-                | MapMessage::SendEndSignal { .. }
-                | MapMessage::SendEndSignalAck { .. }
-                | MapMessage::PrepareHandoverAck { .. }
-                | MapMessage::SendInfoForIncomingCall { .. }
-                | MapMessage::SendInfoForIncomingCallAck {
-                    subscriber: Err(_),
-                    ..
-                }
-        )
-    }
 }
 
 /// GSM 09.02 operation codes for the handoff subset; results set the
@@ -507,32 +482,6 @@ mod tests {
             .label(),
             "MAP_Send_Info_For_Outgoing_Call"
         );
-    }
-
-    #[test]
-    fn imsi_disclosure_classification() {
-        assert!(MapMessage::UpdateLocation {
-            imsi: imsi(),
-            vlr: PointCode(1)
-        }
-        .discloses_imsi());
-        assert!(!MapMessage::SendRoutingInformation {
-            msisdn: Msisdn::parse("88612345678").unwrap()
-        }
-        .discloses_imsi());
-        // a TMSI-based location update hides the IMSI
-        assert!(!MapMessage::UpdateLocationArea {
-            conn: ConnRef(2),
-            identity: MsIdentity::Tmsi(Tmsi(7)),
-            lai: Lai::new(466, 92, 1),
-        }
-        .discloses_imsi());
-        assert!(MapMessage::UpdateLocationArea {
-            conn: ConnRef(2),
-            identity: MsIdentity::Imsi(imsi()),
-            lai: Lai::new(466, 92, 1),
-        }
-        .discloses_imsi());
     }
 
     #[test]

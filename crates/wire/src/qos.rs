@@ -128,19 +128,6 @@ impl QosProfile {
     pub fn outranks(&self, other: &QosProfile) -> bool {
         self.precedence < other.precedence && self.delay <= other.delay
     }
-
-    /// Negotiates the weaker of two profiles field-by-field, as the SGSN
-    /// does when it cannot honor everything the MS requested.
-    pub fn negotiate(&self, offered: &QosProfile) -> QosProfile {
-        QosProfile {
-            precedence: self.precedence.max(offered.precedence),
-            delay: self.delay.max(offered.delay),
-            reliability: ReliabilityClass(self.reliability.0.max(offered.reliability.0)),
-            peak_throughput: PeakThroughputClass(
-                self.peak_throughput.0.min(offered.peak_throughput.0),
-            ),
-        }
-    }
 }
 
 impl fmt::Display for QosProfile {
@@ -184,17 +171,6 @@ mod tests {
         assert!(!QosProfile::signaling().outranks(&QosProfile::realtime_voice()));
         let v = QosProfile::realtime_voice();
         assert!(!v.outranks(&v), "a profile does not outrank itself");
-    }
-
-    #[test]
-    fn negotiation_takes_weaker_fields() {
-        let req = QosProfile::realtime_voice();
-        let cap = QosProfile::signaling();
-        let got = cap.negotiate(&req);
-        assert_eq!(got.precedence, Precedence::Low);
-        assert_eq!(got.delay, DelayClass::BestEffort);
-        assert_eq!(got.reliability.value(), 3);
-        assert_eq!(got.peak_throughput.value(), 2);
     }
 
     #[test]
