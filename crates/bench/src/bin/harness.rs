@@ -1,28 +1,8 @@
 //! The experiment harness: regenerates every figure and Section 6 claim
 //! of the paper on stdout, and hosts the population-scale load tools.
 //!
-//! ```text
-//! harness [fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|c1|c2|c3|c4|c5|all]
-//! harness load [--subscribers N] [--shards N] [--seed N]
-//!              [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
-//!              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
-//!              [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
-//!              [--trunk-intensity F] [--trunk-class CLASS]
-//!              [--json PATH] [--snapshots PATH] [--snapshot-secs N]
-//!              [--snapshots-per-shard] [--snapshots-csv PATH]
-//! harness capacity [--subscribers N] [--seed N]
-//!                  [--max-load F] [--refine N] [--json PATH]
-//! harness chaos [--subscribers N] [--shards N] [--seed N]
-//!               [--window-secs N] [--rate F] [--hold SECS] [--out PATH]
-//!               [--cross-shard-rate FRAC]
-//! harness surge [--subscribers N] [--shards N] [--seed N]
-//!               [--window-secs N] [--rate F] [--hold SECS]
-//!               [--gk-bandwidth N] [--paging-rate N] [--gk-shed F]
-//!               [--pdp-rate N] [--out PATH]
-//! harness diff BASELINE.json CANDIDATE.json [--thresholds PATH] [--json]
-//! harness diff --check [--update-baseline] [--baseline PATH]
-//!              [--thresholds PATH]
-//! ```
+//! Usage: `vgprs_bench::harness::USAGE`, printed on a usage error; a
+//! subcommand refuses any `--flag` its entries there do not name.
 //!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
@@ -46,7 +26,7 @@ use vgprs_bench::experiments::{
 };
 use vgprs_bench::harness::{
     capacity_json, chaos_json, drain_capped_error, heading, load_config_from, surge_json,
-    write_file, Flags, RunDefaults, DROP_RATE, SEED,
+    write_file, Flags, RunDefaults, DROP_RATE, SEED, USAGE,
 };
 use vgprs_bench::scenarios::{
     intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
@@ -61,22 +41,13 @@ use vgprs_wire::{CallId, Command, Message};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let arg = args.first().map(String::as_str).unwrap_or("all");
-    match arg {
-        "load" => return load_cmd(&args[1..]),
-        "capacity" => return capacity_cmd(&args[1..]),
-        "chaos" | "surge" if args.iter().any(|a| a == "--check") => {
-            // Ignoring the flag would run the sweep and overwrite the
-            // committed artifact.
-            eprintln!(
-                "harness {arg} takes no --check: the determinism contract is \
-                 crates/load/tests/determinism.rs, run by cargo test"
-            );
+    if let Some(run) = subcommand(arg) {
+        let flags = Flags(&args[1..]);
+        if let Err(stranger) = flags.check(USAGE, arg) {
+            eprintln!("{stranger}\n{USAGE}");
             std::process::exit(2);
         }
-        "chaos" => return chaos_cmd(&args[1..]),
-        "surge" => return surge_cmd(&args[1..]),
-        "diff" => return diff_cmd(&args[1..]),
-        _ => {}
+        return run(&flags);
     }
     let all = arg == "all";
     let mut ran = false;
@@ -112,9 +83,20 @@ fn main() {
     }
 }
 
-fn load_cmd(rest: &[String]) {
-    let flags = Flags(rest);
-    let cfg = load_config_from(&flags, &RunDefaults::default());
+/// The population-scale tools, by name.
+fn subcommand(name: &str) -> Option<fn(&Flags<'_>)> {
+    Some(match name {
+        "load" => load_cmd,
+        "capacity" => capacity_cmd,
+        "chaos" => chaos_cmd,
+        "surge" => surge_cmd,
+        "diff" => diff_cmd,
+        _ => return None,
+    })
+}
+
+fn load_cmd(flags: &Flags<'_>) {
+    let cfg = load_config_from(flags, &RunDefaults::default());
     heading(&format!(
         "Busy hour — {} subscribers, {} shards, seed {}, {} kernel",
         cfg.subscribers,
@@ -214,9 +196,9 @@ fn check_defaults() -> RunDefaults {
 /// population fresh and diffs it against `baselines/load_small.json`;
 /// `--update-baseline` regenerates that file (after intentional KPI
 /// changes — see `scripts/update-baselines.sh`).
-fn diff_cmd(rest: &[String]) {
-    let flags = Flags(rest);
-    let thresholds = read_thresholds(&flags);
+fn diff_cmd(flags: &Flags<'_>) {
+    let rest = flags.0;
+    let thresholds = read_thresholds(flags);
     if flags.has("--check") || flags.has("--update-baseline") {
         let baseline_path = flags.get("--baseline").unwrap_or(DIFF_BASELINE);
         let cfg = load_config_from(&Flags(&[]), &check_defaults());
@@ -289,9 +271,8 @@ fn diff_cmd(rest: &[String]) {
     }
 }
 
-fn capacity_cmd(rest: &[String]) {
-    let flags = Flags(rest);
-    let mut base = load_config_from(&flags, &RunDefaults::default());
+fn capacity_cmd(flags: &Flags<'_>) {
+    let mut base = load_config_from(flags, &RunDefaults::default());
     if flags.get("--subscribers").is_none() {
         base.subscribers = 2048;
     }
@@ -365,10 +346,9 @@ fn run_trunk_cell(base: &LoadConfig, class: Option<TrunkFaultClass>, intensity: 
 /// Resilience matrix: every fault class at two intensities against the
 /// zero-fault baseline, on one fixed workload. Records drop rates,
 /// recovery percentiles and retry volumes in `BENCH_chaos.json`.
-fn chaos_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+fn chaos_cmd(flags: &Flags<'_>) {
     let base = load_config_from(
-        &flags,
+        flags,
         &RunDefaults {
             subscribers: 512,
             shards: 2,
@@ -474,10 +454,9 @@ fn run_surge_cell(
 /// Flash-crowd overload sweep: shock intensity x {controls off, on} on
 /// one fixed workload, recording shed/throttle volumes, admission
 /// delay, peak-vs-steady drop rates and MOS in `BENCH_surge.json`.
-fn surge_cmd(rest: &[String]) {
-    let flags = Flags(rest);
+fn surge_cmd(flags: &Flags<'_>) {
     let base = load_config_from(
-        &flags,
+        flags,
         &RunDefaults {
             subscribers: 512,
             shards: 2,

@@ -102,13 +102,15 @@ impl Thresholds {
                 Some(None) => &mut out.default,
                 Some(Some(i)) => &mut out.per_kpi[i].1,
             };
+            // A NaN or negative tolerance makes every comparison false:
+            // nothing regresses and an unchanged report "improves".
+            let tolerance = || match value.parse::<f64>() {
+                Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+                _ => Err(err("tolerance must be a finite, non-negative float")),
+            };
             match key {
-                "abs" => {
-                    rule.abs = value.parse().map_err(|_| err("bad float for abs"))?;
-                }
-                "rel" => {
-                    rule.rel = value.parse().map_err(|_| err("bad float for rel"))?;
-                }
+                "abs" => rule.abs = tolerance()?,
+                "rel" => rule.rel = tolerance()?,
                 "direction" => {
                     rule.direction = match value.trim_matches('"') {
                         "higher_is_worse" => Direction::HigherIsWorse,
@@ -494,6 +496,10 @@ rel = 0.10
             Thresholds::parse("[default]\ndirection = \"sideways\"").is_err(),
             "unknown direction"
         );
+        for bad in ["abs = nan", "rel = -1", "abs = inf", "rel = x"] {
+            let e = Thresholds::parse(&format!("[default]\n{bad}")).expect_err(bad);
+            assert!(e.contains("line 2"), "{bad}: {e}");
+        }
     }
 
     #[test]

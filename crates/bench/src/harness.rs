@@ -15,6 +15,28 @@ use vgprs_sim::{JsonWriter, Kernel};
 /// The master seed every experiment defaults to.
 pub const SEED: u64 = 42;
 
+/// What `harness` accepts. Printed on a usage error, and the vocabulary
+/// [`Flags::check`] holds each subcommand's arguments to: the shared
+/// entry is what [`parse_load_config`] reads, for all four that call it.
+pub const USAGE: &str = "\
+harness [fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|c1|c2|c3|c4|c5|all]
+harness load|capacity|chaos|surge
+             [--subscribers N] [--shards N] [--seed N]
+             [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
+             [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
+             [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
+             [--trunk-intensity F] [--trunk-class CLASS]
+             [--gk-bandwidth N] [--snapshot-secs N] [--threads N]
+harness load [--json PATH] [--snapshots PATH] [--snapshots-per-shard]
+             [--snapshots-csv PATH]
+harness capacity [--max-load F] [--refine N] [--json PATH]
+harness chaos [--out PATH]
+harness surge [--paging-rate N] [--gk-shed F] [--pdp-rate N]
+              [--out PATH] [--verbose]
+harness diff BASELINE.json CANDIDATE.json [--thresholds PATH] [--json]
+harness diff --check [--update-baseline] [--baseline PATH]
+             [--thresholds PATH]";
+
 /// Ends the process with a usage error: the only exit in flag parsing,
 /// kept apart from it so the parsing is testable.
 fn usage_exit(msg: String) -> ! {
@@ -58,6 +80,29 @@ impl Flags<'_> {
     /// [`Flags::parsed`], exiting with a usage error on a bad value.
     pub fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         self.parsed(name, default).unwrap_or_else(|e| usage_exit(e))
+    }
+
+    /// Refuses a `--flag` that the `harness <subcommand>` entries of
+    /// `usage` (and their continuation lines) do not name: a misspelt
+    /// flag is an error naming it, not a run on the defaults.
+    pub fn check(&self, usage: &str, subcommand: &str) -> Result<(), String> {
+        let mut mine = false;
+        let mut known = Vec::new();
+        for line in usage.lines() {
+            if let Some(entry) = line.strip_prefix("harness ") {
+                let names = entry.split_whitespace().next().unwrap_or_default();
+                mine = names.split('|').any(|name| name == subcommand);
+            }
+            if mine {
+                let words = line.split(|c: char| c.is_whitespace() || c == '[' || c == ']');
+                known.extend(words.filter(|w| w.starts_with("--")));
+            }
+        }
+        let stranger = |a: &&String| a.starts_with("--") && !known.contains(&a.as_str());
+        match self.0.iter().find(stranger) {
+            Some(stranger) => Err(format!("harness {subcommand} has no flag {stranger}")),
+            None => Ok(()),
+        }
     }
 
     /// Presence of a bare flag with no value (e.g. `--check`).
@@ -465,6 +510,42 @@ mod tests {
         ] {
             let err = parse(args).expect_err(&args.join(" "));
             assert!(err.contains(flag), "{args:?} -> {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_flags_name_the_stranger() {
+        let check = |sub: &str, args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            Flags(&args).check(USAGE, sub)
+        };
+        let shared = ["--subscribers", "64", "--rate", "-1", "--threads", "2"];
+        for sub in ["load", "capacity", "chaos", "surge"] {
+            assert_eq!(check(sub, &shared), Ok(()), "{sub} reads the shared flags");
+        }
+        assert_eq!(check("diff", &["a.json", "b.json", "--json"]), Ok(()));
+        assert_eq!(
+            check("diff", &["--check", "--update-baseline"]),
+            Ok(()),
+            "second usage entry"
+        );
+        assert_eq!(
+            check("surge", &["--pdp-rate", "2", "--verbose"]),
+            Ok(()),
+            "continuation line"
+        );
+        for (sub, args, stranger) in [
+            ("load", &["--subscribes", "64"][..], "--subscribes"),
+            ("chaos", &["--check"], "--check"),
+            ("capacity", &["--seed", "7", "--out", "x.json"], "--out"),
+            ("load", &["--paging-rate", "2"], "--paging-rate"),
+            ("diff", &["--seed", "7"], "--seed"),
+        ] {
+            let err = check(sub, args).expect_err(&args.join(" "));
+            assert!(
+                err.contains(stranger) && err.contains(sub),
+                "{args:?} -> {err}"
+            );
         }
     }
 }

@@ -14,6 +14,7 @@ use vgprs_wire::{CallId, CellId, Command, Imsi, Ipv4Addr, Lai, Message, Msisdn, 
 
 struct Rig {
     net: Network<Message>,
+    zone1: VgprsZone,
     anchor_vmsc: NodeId,
     target_vmsc: NodeId,
     ms: NodeId,
@@ -76,6 +77,7 @@ fn two_zone_rig() -> Rig {
         net,
         anchor_vmsc: zone1.access.msc,
         target_vmsc: zone2.access.msc,
+        zone1,
         ms,
         term,
     }
@@ -111,16 +113,16 @@ fn figure9_intervmsc_handoff_ladder() {
     // Paper Figure 9 / Section 5 step order.
     assert!(
         r.net.trace().contains_subsequence(&[
-            "Um_Measurement_Report",      // MS: target cell is stronger
-            "MAP_Prepare_Handover",       // anchor VMSC → target VMSC
-            "MAP_Prepare_Handover_ack",   // circuit + handover ref allocated
-            "A_Handover_Command",         // anchor tells the MS via old cell
+            "Um_Measurement_Report",    // MS: target cell is stronger
+            "MAP_Prepare_Handover",     // anchor VMSC → target VMSC
+            "MAP_Prepare_Handover_ack", // circuit + handover ref allocated
+            "A_Handover_Command",       // anchor tells the MS via old cell
             "Um_Handover_Command",
-            "Um_Handover_Complete",       // MS arrives on the target cell
+            "Um_Handover_Complete", // MS arrives on the target cell
             "A_Handover_Complete",
-            "MAP_Send_End_Signal",        // target VMSC → anchor VMSC
-            "A_Channel_Release",          // anchor frees the old channel…
-            "MAP_Send_End_Signal_ack",    // …and closes the MAP dialogue
+            "MAP_Send_End_Signal",     // target VMSC → anchor VMSC
+            "A_Channel_Release",       // anchor frees the old channel…
+            "MAP_Send_End_Signal_ack", // …and closes the MAP dialogue
         ]),
         "inter-VMSC handoff ladder mismatch; got:\n{}",
         vgprs_sim::LadderDiagram::new(r.net.trace()).render()
@@ -131,7 +133,11 @@ fn figure9_intervmsc_handoff_ladder() {
     assert_eq!(r.net.stats().counter("vmsc.handover_target_completed"), 1);
     let handset = r.net.node::<MobileStation>(r.ms).expect("ms");
     assert_eq!(handset.handoffs_completed, 1);
-    assert_eq!(handset.state(), MsState::Active, "call survives the handoff");
+    assert_eq!(
+        handset.state(),
+        MsState::Active,
+        "call survives the handoff"
+    );
 
     // The visitor call record at the target carries the real subscriber,
     // not a placeholder: the E-trunk leg is attributable.
@@ -140,7 +146,11 @@ fn figure9_intervmsc_handoff_ladder() {
 
     // Voice still reaches both parties after the handoff.
     let frames_at_move = handset.frames_received;
-    let term_at_move = r.net.node::<H323Terminal>(r.term).expect("term").frames_received;
+    let term_at_move = r
+        .net
+        .node::<H323Terminal>(r.term)
+        .expect("term")
+        .frames_received;
     r.net.run_until(SimTime::from_micros(16_000_000));
     let handset = r.net.node::<MobileStation>(r.ms).expect("ms");
     let terminal = r.net.node::<H323Terminal>(r.term).expect("term");
@@ -184,4 +194,70 @@ fn figure9_handoff_to_unknown_cell_is_refused() {
         MsState::Active,
         "call unaffected"
     );
+}
+
+/// Both handsets of a mobile-to-mobile call carry one call id, and the E
+/// interface names only the call: the leg that was handed over must stay
+/// the one the target's messages reach, whatever the other handset
+/// reports meanwhile.
+#[test]
+fn one_leg_of_a_mobile_to_mobile_call_hands_over() {
+    let mut r = two_zone_rig();
+    let b_number = Msisdn::parse("886912000002").expect("valid");
+    let b = r.zone1.access.add_subscriber(
+        &mut r.net,
+        "ms2",
+        Imsi::parse("466920000000002").expect("valid"),
+        0xBCDE,
+        b_number,
+    );
+    let command = |net: &mut Network<Message>, ms, command| {
+        net.inject(SimDuration::ZERO, ms, Message::Cmd(command));
+    };
+    let heard = |net: &Network<Message>, ms| {
+        let handset = net.node::<MobileStation>(ms).expect("ms");
+        assert_eq!(handset.state(), MsState::Active);
+        handset.frames_received
+    };
+    command(&mut r.net, b, Command::PowerOn);
+    r.net.run_until_quiescent();
+    let dial = Command::Dial {
+        call: CallId(1),
+        called: b_number,
+    };
+    command(&mut r.net, r.ms, dial);
+    r.net.run_until(r.net.now() + SimDuration::from_secs(8));
+
+    // A moves to zone 2; then B reports a cell nobody serves, and then
+    // zone 2's, where its call already has a leg.
+    command(&mut r.net, r.ms, Command::MoveToCell { cell: CellId(2) });
+    r.net.run_until(r.net.now() + SimDuration::from_secs(4));
+    assert_eq!(r.net.stats().counter("vmsc.handover_anchored"), 1);
+    command(&mut r.net, b, Command::MoveToCell { cell: CellId(99) });
+    r.net.run_until(r.net.now() + SimDuration::from_secs(1));
+    command(&mut r.net, b, Command::MoveToCell { cell: CellId(2) });
+    r.net.run_until(r.net.now() + SimDuration::from_secs(1));
+    assert_eq!(r.net.stats().counter("vmsc.handover_unknown_cell"), 1);
+    assert_eq!(r.net.stats().counter("vmsc.handover_refused"), 1);
+    assert_eq!(r.net.stats().counter("vmsc.handovers_started"), 1);
+
+    // A's voice still crosses the trunk into A's leg, and B's into B's.
+    let (a_heard, b_heard) = (heard(&r.net, r.ms), heard(&r.net, b));
+    r.net.run_until(r.net.now() + SimDuration::from_secs(2));
+    assert!(
+        heard(&r.net, r.ms) > a_heard + 50,
+        "A hears B after B's reports"
+    );
+    assert!(
+        heard(&r.net, b) > b_heard + 50,
+        "B hears A after B's reports"
+    );
+
+    // B hangs up: the anchor lets go of both legs.
+    command(&mut r.net, b, Command::Hangup);
+    r.net.run_until(r.net.now() + SimDuration::from_secs(2));
+    let anchor = r.net.node::<Vmsc>(r.anchor_vmsc).expect("vmsc1");
+    assert_eq!(anchor.active_calls(), 0);
+    assert_eq!(r.net.stats().counter("gk.disengages"), 2);
+    assert_eq!(r.net.stats().counter("vmsc.out_of_state"), 0);
 }

@@ -6,27 +6,22 @@
 //! testbeds are closed worlds and no experiment reads an authorization
 //! over Gr, so there is no leg to the HLR.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
+use vgprs_sim::{Context, Interface, Node, NodeId, Offer, Throttle, TimerToken};
 use vgprs_wire::{
     Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile,
     Teid, Tmsi,
 };
 
-/// Timer tag of the admission-queue drain tick (the SGSN's only timer).
-const ADMISSION_DRAIN_TAG: u64 = 1;
-
-/// A PDP activation deferred by the admission control, with everything
-/// needed to replay it and the time it entered the queue.
+/// A PDP activation request, as the admission control holds it.
 #[derive(Debug)]
-struct PendingActivation {
+struct Activation {
     endpoint: NodeId,
     imsi: Imsi,
     nsapi: Nsapi,
     qos: QosProfile,
     static_addr: Option<Ipv4Addr>,
-    queued_at: SimTime,
 }
 
 /// Mobility-management context of one attached endpoint.
@@ -58,16 +53,9 @@ pub struct Sgsn {
     next_teid: u32,
     next_ptmsi: u32,
     /// Overload control: PDP activations admitted per simulated second
-    /// (`0` = unlimited, the historical behavior).
-    admission_rate_per_s: u32,
-    /// Index of the one-second window activations were last counted in.
-    admission_window: u64,
-    /// Activations admitted in the current window.
-    admission_in_window: u32,
-    /// Activations deferred to a later window (bounded, FIFO).
-    admission_queue: VecDeque<PendingActivation>,
-    /// The armed drain tick, if any.
-    admission_drain: Option<TimerToken>,
+    /// (`0` = unlimited, the historical behavior). Its drain tick is the
+    /// SGSN's only timer.
+    admission: Throttle<Activation>,
     /// Fault injection: while true (crashed or blackholed) the node
     /// silently drops every protocol message.
     down: bool,
@@ -83,11 +71,7 @@ impl Sgsn {
             teid_index: HashMap::new(),
             next_teid: 0,
             next_ptmsi: 0,
-            admission_rate_per_s: 0,
-            admission_window: 0,
-            admission_in_window: 0,
-            admission_queue: VecDeque::new(),
-            admission_drain: None,
+            admission: Throttle::new(0),
             down: false,
         }
     }
@@ -97,7 +81,7 @@ impl Sgsn {
     /// (twice the rate) for the next window, and overflow is rejected
     /// with a network-congestion cause. `0` disables the control.
     pub fn with_admission_rate(mut self, rate: u32) -> Self {
-        self.admission_rate_per_s = rate;
+        self.admission = Throttle::new(rate);
         self
     }
 
@@ -148,7 +132,16 @@ impl Sgsn {
                 nsapi,
                 qos,
                 static_addr,
-            } => self.admit_or_defer(ctx, from, imsi, nsapi, qos, static_addr),
+            } => self.admit_or_defer(
+                ctx,
+                Activation {
+                    endpoint: from,
+                    imsi,
+                    nsapi,
+                    qos,
+                    static_addr,
+                },
+            ),
             GmmMessage::DeactivatePdpContextRequest { imsi, nsapi } => {
                 self.remove_pdp(ctx, imsi, nsapi);
                 if let Some(mm) = self.mm.get(&imsi) {
@@ -160,104 +153,54 @@ impl Sgsn {
             }
             _ => ctx.count("sgsn.unhandled_gmm"),
         }
-        let _ = from;
     }
 
     /// Runs PDP admission control in front of [`Self::activate_pdp`]:
     /// admit inside the window budget, defer behind the bounded queue,
-    /// or reject with a network-congestion cause on overflow. A rate of
-    /// `0` admits everything immediately (historical behavior).
-    fn admit_or_defer(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        from: NodeId,
-        imsi: Imsi,
-        nsapi: Nsapi,
-        qos: QosProfile,
-        static_addr: Option<Ipv4Addr>,
-    ) {
-        let rate = self.admission_rate_per_s;
+    /// or reject with a network-congestion cause on overflow.
+    fn admit_or_defer(&mut self, ctx: &mut Context<'_, Message>, request: Activation) {
         // Low-precedence signaling contexts (one per subscriber, set up
         // at registration) ride through: the control targets the
         // per-call conversational activations that spike under load.
-        if rate == 0 || qos.precedence == vgprs_wire::Precedence::Low {
-            self.activate_pdp(ctx, from, imsi, nsapi, qos, static_addr);
-            return;
+        if request.qos.precedence == vgprs_wire::Precedence::Low {
+            return self.activate_pdp(ctx, request);
         }
-        let window = ctx.now().as_millis() / 1_000;
-        if window != self.admission_window {
-            self.admission_window = window;
-            self.admission_in_window = 0;
-        }
-        if self.admission_in_window < rate && self.admission_queue.is_empty() {
-            self.admission_in_window += 1;
-            self.activate_pdp(ctx, from, imsi, nsapi, qos, static_addr);
-        } else if self.admission_queue.len() < 2 * rate as usize {
-            ctx.count("sgsn.pdp_admission_deferred");
-            self.admission_queue.push_back(PendingActivation {
-                endpoint: from,
+        match self.admission.offer(ctx, request) {
+            Offer::Admitted(request) => self.activate_pdp(ctx, request),
+            Offer::Deferred => ctx.count("sgsn.pdp_admission_deferred"),
+            Offer::Shed(Activation {
+                endpoint,
                 imsi,
                 nsapi,
-                qos,
-                static_addr,
-                queued_at: ctx.now(),
-            });
-            if self.admission_drain.is_none() {
-                let delay =
-                    SimDuration::from_micros(1_000_000 - ctx.now().as_micros() % 1_000_000);
-                self.admission_drain = Some(ctx.set_timer(delay, ADMISSION_DRAIN_TAG));
+                ..
+            }) => {
+                ctx.count("sgsn.pdp_admission_rejected");
+                ctx.send(
+                    endpoint,
+                    Message::Gmm(GmmMessage::ActivatePdpContextReject {
+                        imsi,
+                        nsapi,
+                        cause: Cause::NetworkCongestion,
+                    }),
+                );
             }
-        } else {
-            ctx.count("sgsn.pdp_admission_rejected");
-            ctx.send(
-                from,
-                Message::Gmm(GmmMessage::ActivatePdpContextReject {
-                    imsi,
-                    nsapi,
-                    cause: Cause::NetworkCongestion,
-                }),
-            );
-        }
-    }
-
-    /// Drain tick: admit up to one window's budget from the deferred
-    /// queue, oldest first, and re-arm while a backlog remains.
-    fn drain_admission_queue(&mut self, ctx: &mut Context<'_, Message>) {
-        self.admission_drain = None;
-        self.admission_window = ctx.now().as_millis() / 1_000;
-        self.admission_in_window = 0;
-        while self.admission_in_window < self.admission_rate_per_s {
-            let Some(p) = self.admission_queue.pop_front() else {
-                break;
-            };
-            ctx.observe_duration(
-                "sgsn.pdp_admission_delay_ms",
-                ctx.now().duration_since(p.queued_at),
-            );
-            self.admission_in_window += 1;
-            self.activate_pdp(ctx, p.endpoint, p.imsi, p.nsapi, p.qos, p.static_addr);
-        }
-        if !self.admission_queue.is_empty() && self.admission_drain.is_none() {
-            let delay = SimDuration::from_micros(1_000_000 - ctx.now().as_micros() % 1_000_000);
-            self.admission_drain = Some(ctx.set_timer(delay, ADMISSION_DRAIN_TAG));
         }
     }
 
     /// The activation proper: attach check, tunnel allocation, GTP
     /// create toward the GGSN.
-    fn activate_pdp(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        from: NodeId,
-        imsi: Imsi,
-        nsapi: Nsapi,
-        qos: QosProfile,
-        static_addr: Option<Ipv4Addr>,
-    ) {
+    fn activate_pdp(&mut self, ctx: &mut Context<'_, Message>, request: Activation) {
+        let Activation {
+            endpoint,
+            imsi,
+            nsapi,
+            qos,
+            static_addr,
+        } = request;
         if !self.mm.contains_key(&imsi) {
             ctx.count("sgsn.activation_not_attached");
             ctx.send(
-                from,
+                endpoint,
                 Message::Gmm(GmmMessage::ActivatePdpContextReject {
                     imsi,
                     nsapi,
@@ -421,17 +364,17 @@ impl Sgsn {
 }
 
 impl Node<Message> for Sgsn {
-    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, tag: u64) {
+    fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, _tag: u64) {
+        // The tick is consumed even while down, so the control can
+        // re-arm after a restore.
+        self.admission.tick(ctx.now());
         if self.down {
-            if tag == ADMISSION_DRAIN_TAG {
-                // The tick is consumed even while down; forget the token
-                // so the control can re-arm after a restore.
-                self.admission_drain = None;
-            }
             return;
         }
-        if tag == ADMISSION_DRAIN_TAG {
-            self.drain_admission_queue(ctx);
+        // Admit up to one window's budget from the backlog, oldest first.
+        while let Some((request, waited)) = self.admission.next(ctx, |_| true) {
+            ctx.observe_duration("sgsn.pdp_admission_delay_ms", waited);
+            self.activate_pdp(ctx, request);
         }
     }
 
@@ -449,11 +392,7 @@ impl Node<Message> for Sgsn {
                 self.mm.clear();
                 self.pdp.clear();
                 self.teid_index.clear();
-                self.admission_queue.clear();
-                self.admission_in_window = 0;
-                if let Some(token) = self.admission_drain.take() {
-                    ctx.cancel_timer(token);
-                }
+                self.admission.reset(ctx);
                 self.down = true;
                 ctx.count("sgsn.crashes");
             }
@@ -541,14 +480,21 @@ mod tests {
             m: Message,
         ) {
             self.sgsn = Some(from);
-            if let Message::Gtp(GtpMessage::CreatePdpRequest { imsi, nsapi, qos, .. }) = m {
+            if let Message::Gtp(GtpMessage::CreatePdpRequest {
+                imsi, nsapi, qos, ..
+            }) = m
+            {
                 self.next += 1;
                 ctx.send(
                     from,
                     Message::Gtp(GtpMessage::CreatePdpResponse {
                         imsi,
                         nsapi,
-                        result: Ok((Ipv4Addr::from_octets(10, 200, 0, self.next as u8), Teid(self.next), qos)),
+                        result: Ok((
+                            Ipv4Addr::from_octets(10, 200, 0, self.next as u8),
+                            Teid(self.next),
+                            qos,
+                        )),
                     }),
                 );
             }
@@ -557,7 +503,13 @@ mod tests {
 
     fn rig(send: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let ggsn = net.add_node("ggsn", GgsnStub { sgsn: None, next: 0 });
+        let ggsn = net.add_node(
+            "ggsn",
+            GgsnStub {
+                sgsn: None,
+                next: 0,
+            },
+        );
         let sgsn = net.add_node("sgsn", Sgsn::new(ggsn));
         let ep = net.add_node(
             "endpoint",
@@ -574,8 +526,9 @@ mod tests {
 
     #[test]
     fn attach_is_accepted() {
-        let (mut net, sgsn, _ggsn, ep) =
-            rig(vec![Message::Gmm(GmmMessage::AttachRequest { imsi: imsi() })]);
+        let (mut net, sgsn, _ggsn, ep) = rig(vec![Message::Gmm(GmmMessage::AttachRequest {
+            imsi: imsi(),
+        })]);
         net.run_until_quiescent();
         assert_eq!(net.node::<Sgsn>(sgsn).unwrap().mm.len(), 1);
         let got = &net.node::<Endpoint>(ep).unwrap().got;
@@ -599,10 +552,9 @@ mod tests {
         net.run_until_quiescent();
         assert_eq!(net.node::<Sgsn>(sgsn).unwrap().active_pdp_count(), 1);
         let got = &net.node::<Endpoint>(ep).unwrap().got;
-        assert!(got.iter().any(|m| matches!(
-            m,
-            Message::Gmm(GmmMessage::ActivatePdpContextAccept { .. })
-        )));
+        assert!(got
+            .iter()
+            .any(|m| matches!(m, Message::Gmm(GmmMessage::ActivatePdpContextAccept { .. }))));
         assert_eq!(net.stats().counter("sgsn.pdp_activated"), 1);
     }
 
@@ -699,8 +651,9 @@ mod tests {
 
     #[test]
     fn pdu_notification_relayed_to_endpoint() {
-        let (mut net, sgsn, _ggsn, ep) =
-            rig(vec![Message::Gmm(GmmMessage::AttachRequest { imsi: imsi() })]);
+        let (mut net, sgsn, _ggsn, ep) = rig(vec![Message::Gmm(GmmMessage::AttachRequest {
+            imsi: imsi(),
+        })]);
         net.run_until_quiescent();
         // GGSN-side feeder sends the notification over Gn
         struct Feeder {

@@ -26,6 +26,7 @@ const TAG_PAGING: u64 = 1 << 62;
 const NAMES: SideNames = SideNames {
     registrations_started: "msc.registrations_started",
     page_response_unknown_tmsi: "msc.page_response_unknown_tmsi",
+    unknown_connection: "msc.unknown_connection",
     unhandled_dtap: "msc.unhandled_dtap",
     unhandled_map: "msc.unhandled_map",
     handover_without_imsi: "msc.handover_without_imsi",

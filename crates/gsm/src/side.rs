@@ -29,6 +29,7 @@ use vgprs_wire::{
 pub struct SideNames {
     pub registrations_started: &'static str,
     pub page_response_unknown_tmsi: &'static str,
+    pub unknown_connection: &'static str,
     pub unhandled_dtap: &'static str,
     pub unhandled_map: &'static str,
     pub handover_without_imsi: &'static str,
@@ -103,6 +104,11 @@ impl GsmSide {
         self.neighbor_cells.insert(cell, msc);
     }
 
+    /// The neighboring MSC that serves `cell`, if it is not one of ours.
+    pub fn neighbor_msc(&self, cell: CellId) -> Option<NodeId> {
+        self.neighbor_cells.get(&cell).copied()
+    }
+
     /// The co-located VLR.
     pub fn vlr(&self) -> NodeId {
         self.vlr
@@ -117,8 +123,9 @@ impl GsmSide {
     /// Sends `dtap` down the connection, if its BSC is known.
     #[inline]
     pub fn send(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, dtap: Dtap) {
-        if let Some(&bsc) = self.conn_of_bsc.get(&conn) {
-            ctx.send(bsc, Message::a(conn, dtap));
+        match self.conn_of_bsc.get(&conn) {
+            Some(&bsc) => ctx.send(bsc, Message::a(conn, dtap)),
+            None => ctx.count(self.names.unknown_connection),
         }
     }
 
@@ -242,22 +249,17 @@ impl GsmSide {
 
     /// The uplink half of the security relay: an authentication or
     /// ciphering answer goes to the VLR under the subscriber the VLR
-    /// named for the connection, and is ignored before it has named one.
-    /// Anything else is a message the owner had no arm for.
+    /// named for the connection. One that arrives before the VLR named
+    /// anybody, like anything else, is a message nobody had an arm for.
     pub fn relay_up(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, dtap: Dtap) {
-        let imsi = self.imsi_of(conn);
-        let ack = match dtap {
-            Dtap::AuthenticationResponse { sres } => {
-                imsi.map(|imsi| MapMessage::AuthenticateAck { conn, imsi, sres })
+        let ack = match (self.imsi_of(conn), dtap) {
+            (Some(imsi), Dtap::AuthenticationResponse { sres }) => {
+                MapMessage::AuthenticateAck { conn, imsi, sres }
             }
-            Dtap::CipherModeComplete => {
-                imsi.map(|imsi| MapMessage::StartCipheringAck { conn, imsi })
-            }
+            (Some(imsi), Dtap::CipherModeComplete) => MapMessage::StartCipheringAck { conn, imsi },
             _ => return ctx.count(self.names.unhandled_dtap),
         };
-        if let Some(ack) = ack {
-            ctx.send(self.vlr, Message::Map(ack));
-        }
+        ctx.send(self.vlr, Message::Map(ack));
     }
 
     /// The downlink half of the security relay: the VLR's challenge or
@@ -295,7 +297,7 @@ impl GsmSide {
         let Some(call) = call else {
             return ctx.count(self.names.handover_without_call);
         };
-        let Some(&target) = self.neighbor_cells.get(&cell) else {
+        let Some(target) = self.neighbor_msc(cell) else {
             return ctx.count(self.names.handover_unknown_cell);
         };
         ctx.count(self.names.handovers_started);
@@ -360,6 +362,15 @@ impl GsmSide {
         let end = MapMessage::SendEndSignal { call: arrival.call };
         ctx.send(arrival.anchor, Message::Map(end));
         Some(arrival)
+    }
+
+    /// Target: the anchor and circuit of a call prepared but not yet
+    /// arrived. The circuit is through-connected from the moment it
+    /// exists: the first frames on the new channel may reach the owner
+    /// ahead of the MS's Handover Complete.
+    pub fn arriving(&self, call: CallId) -> Option<(NodeId, Cic)> {
+        let pending = self.target_handoffs.values().find(|a| a.call == call)?;
+        Some((pending.anchor, pending.cic))
     }
 
     /// Anchor: the MS is on `target` now. Releases `conn`, the radio

@@ -365,29 +365,34 @@ fn trunk_cfg() -> LoadConfig {
     }
 }
 
-/// The armed run, pinned. The invariance tests above compare a run with
-/// itself, so a change to the fabric's delivery order (heal push order,
-/// retransmit scan order, release order) would move every side at once
-/// and pass. These three values move only when the simulated world
-/// does, and then on purpose — last for media cut-through and the
-/// one-event page (PR 16), whose hop-by-hop oracle differed from the
-/// previous pin (`eac1d0544a021964`) only in `sim.*` counters.
+/// The armed runs, pinned. The invariance tests above compare a run with
+/// itself, so a change that moves every side at once would pass: the
+/// fabric's delivery order (heal push order, retransmit scan order,
+/// release order) under `trunk`, the recovery guards (which timers are
+/// set, cancelled or forgotten) under `faults`, the throttles' windows
+/// and queues under `surge`. These values move only when the simulated
+/// world does, and then on purpose — last when the VMSC's call leg moved
+/// into the MS row and a mobile-to-mobile call became two legs (PR 21).
 #[test]
 fn armed_run_identity_is_pinned() {
-    const FINGERPRINT: u64 = 0x3b9b_abfa_46aa_8256;
-    const SNAPSHOT_FINGERPRINT: u64 = 0x896b_6b25_939b_da88;
-    const EVENTS: u64 = 52_323;
-    let report = run_load(&trunk_cfg());
-    assert_eq!(
-        format!(
-            "{:016x} {:016x} {}",
-            report.fingerprint(),
-            report.snapshot_fingerprint(),
-            report.events
-        ),
-        format!("{FINGERPRINT:016x} {SNAPSHOT_FINGERPRINT:016x} {EVENTS}"),
-        "armed trunk run drifted from the pinned identity"
-    );
+    let rows = [
+        ("trunk", trunk_cfg as fn() -> LoadConfig, "69d2eedfeced4f85 0f35dfad414c38b0 53500"),
+        ("faults", chaos_cfg, "1b0aef13dd672637 7ad2cb63ffae047e 47267"),
+        ("surge", surge_cfg, "c80148540185d271 ffa5464f2a0ebe1e 42567"),
+    ];
+    for (family, cfg, pinned) in rows {
+        let report = run_load(&cfg());
+        assert_eq!(
+            format!(
+                "{:016x} {:016x} {}",
+                report.fingerprint(),
+                report.snapshot_fingerprint(),
+                report.events
+            ),
+            pinned,
+            "armed {family} run drifted from the pinned identity"
+        );
+    }
 }
 
 /// A zero-intensity trunk plan compiles to no windows, and the fabric

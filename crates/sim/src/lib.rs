@@ -70,6 +70,7 @@ mod net;
 mod node;
 mod rng;
 mod stats;
+mod throttle;
 mod time;
 mod timer;
 mod trace;
@@ -87,6 +88,7 @@ pub use node::{Node, NodeId, Payload};
 pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
 pub use stats::{Counter, Histogram, Stats};
+pub use throttle::{Offer, Throttle};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceEntry};
 pub use wheel::CalendarWheel;

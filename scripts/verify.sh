@@ -31,22 +31,30 @@ echo "==> KPI regression gate (fresh small run vs committed baseline)"
 # commit it with the change.
 cargo run --release -q -p vgprs-bench --bin harness -- diff --check
 
+# A tripwire fails when its pattern occurs under its paths — and when a
+# path names no file: `grep` then exits 2, which a bare `if grep` reads as
+# "clean", so a renamed file would switch its tripwire off.
+tripwire() { # tripwire MESSAGE GREP-ARGS...
+    local message=$1 status=0
+    shift
+    grep -n "$@" || status=$?
+    case $status in
+        0) echo "error: $message (listed above)" >&2; exit 1 ;;
+        1) ;;
+        *) echo "error: tripwire cannot search (grep $*)" >&2; exit 1 ;;
+    esac
+}
+
 echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
-if grep -rn '#\[ignore' crates tests; then
-    echo "error: ignored tests found (listed above)" >&2
-    exit 1
-fi
+tripwire "ignored tests found" -r '#\[ignore' crates tests
 
 echo "==> no threads in the simulator"
 # The load engine is one loop: a per-epoch thread pool ran every measured
 # workload slower (ROADMAP, "Threads pay or go") and was deleted with the
 # thread axis of the determinism contract.
-if grep -rn 'std::thread\|thread::scope' crates/*/src; then
-    echo "error: std::thread under crates/*/src (listed above): parallelism" \
-         "comes back together with a benchmark workload that can measure it" >&2
-    exit 1
-fi
+tripwire "std::thread under crates/*/src: parallelism comes back together \
+with a benchmark workload that can measure it" -r 'std::thread\|thread::scope' crates/*/src
 
 echo "==> no uncalled public functions"
 # A `pub fn` whose name occurs exactly once as a whole word in everything
@@ -77,11 +85,52 @@ echo "==> the GSM side exists once"
 # 2(a)); crates/gsm/src/side.rs is that MSC, owned by both. The security
 # relay, the page broadcast, the handover command and the registries they
 # need must not grow back into either owner.
-if grep -nE 'Dtap::(AuthenticationRequest|AuthenticationResponse|CipherModeCommand|CipherModeComplete|HandoverCommand)\b|Dtap::Paging \{|MapMessage::(Authenticate|StartCiphering)(Ack)?\b|\b(neighbor_cells|target_handoffs|next_ho_ref|conn_of_bsc)\b' \
-        crates/core/src/vmsc.rs crates/gsm/src/msc.rs; then
-    echo "error: GSM-side handling outside crates/gsm/src/side.rs (listed above)" >&2
+tripwire "GSM-side handling outside crates/gsm/src/side.rs" -E \
+    'Dtap::(AuthenticationRequest|AuthenticationResponse|CipherModeCommand|CipherModeComplete|HandoverCommand)\b|Dtap::Paging \{|MapMessage::(Authenticate|StartCiphering)(Ack)?\b|\b(neighbor_cells|target_handoffs|next_ho_ref|conn_of_bsc)\b' \
+    crates/core/src/vmsc/*.rs crates/gsm/src/msc.rs
+
+echo "==> the MS row exists once"
+# The VMSC keeps one row per MS, call leg included (paper §2); a second
+# map of calls beside it is how both legs of a mobile-to-mobile call came
+# to share one entry. Its guards are keys of one timer table, and the
+# one-second window is `vgprs_sim::Throttle`, not a copy per node.
+tripwire "a call table beside the MS table" -rE \
+    'HashMap<CallId, VmscCall>|call: Option<CallId>' crates/core/src
+tripwire "hand-packed timer tags or a private throttle" -rE \
+    'TAG_SHIFT|ras_guard_imsi|GkGuard|admission_window|paging_window' \
+    crates/*/src
+# The procedures stay readable: no file over 600 lines, no function over
+# 100 (from its `fn` line to the closing brace at the same indent).
+long=$(awk '
+    FNR == 1 && NR > 1 && lines > 600 { print file ": " lines " lines" }
+    { file = FILENAME; lines = FNR }
+    match($0, /^ *(pub(\([a-z]+\))? )?fn [a-z_0-9]+/) {
+        indent = $0; sub(/[^ ].*/, "", indent); start = FNR; name = $0; sub(/^ */, "", name)
+    }
+    start && $0 == indent "}" {
+        if (FNR - start + 1 > 100) print FILENAME ":" start ": " FNR - start + 1 " lines: " name
+        start = 0
+    }
+    END { if (lines > 600) print file ": " lines " lines" }' crates/core/src/vmsc/*.rs)
+if [ -n "$long" ]; then
+    echo "error: too long under crates/core/src/vmsc/:" >&2
+    echo "$long" >&2
     exit 1
 fi
+
+echo "==> committed sweeps are current"
+# BENCH_chaos.json and BENCH_surge.json are what a fresh sweep of this
+# tree writes: everything but the commit named in `meta.git`.
+for sweep in chaos surge; do
+    fresh=$(mktemp)
+    ./target/release/harness "$sweep" --out "$fresh" > /dev/null
+    if ! diff <(sed 's/"git": "[^"]*"//' "BENCH_$sweep.json") <(sed 's/"git": "[^"]*"//' "$fresh") > /dev/null; then
+        echo "error: BENCH_$sweep.json is stale: regenerate it with 'harness $sweep'" >&2
+        rm -f "$fresh"
+        exit 1
+    fi
+    rm -f "$fresh"
+done
 
 echo "==> benchmark smoke (standalone package builds against the public API)"
 # benchmark/ is its own workspace with path dependencies on crates/*; it
