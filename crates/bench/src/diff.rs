@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 use vgprs_load::kpi;
 pub use vgprs_load::kpi::Direction;
-use vgprs_sim::{JsonValue, JsonWriter};
+use vgprs_sim::{IdMap, IdSet, JsonValue, JsonWriter};
 
 /// One threshold rule: tolerance plus direction.
 #[derive(Clone, Copy, Debug)]
@@ -289,12 +289,12 @@ fn skipped(path: &str) -> bool {
 pub fn compare(a: &JsonValue, b: &JsonValue, thresholds: &Thresholds) -> DiffReport {
     let flat_a = a.flatten();
     let flat_b = b.flatten();
-    let lookup: std::collections::HashMap<&str, &JsonValue> = flat_b
+    let lookup: IdMap<&str, &JsonValue> = flat_b
         .iter()
         .map(|(p, v)| (p.as_str(), *v))
         .collect();
     let mut report = DiffReport::default();
-    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
+    let mut seen: IdSet<&str> = IdSet::default();
     for (path, va) in &flat_a {
         if skipped(path) {
             continue;

@@ -36,13 +36,13 @@ mod row;
 mod termination;
 mod timers;
 
-use std::collections::HashMap;
-
 use row::{CallLeg, CallPhase, TargetLeg};
 pub use row::{MsEntry, RegPhase};
 use timers::{TimerKey, Timers};
 use vgprs_gsm::{GsmSide, SideNames};
-use vgprs_sim::{Backoff, Context, Interface, Node, NodeId, SimDuration, Throttle, TimerToken};
+use vgprs_sim::{
+    Backoff, Context, IdMap, Interface, Node, NodeId, SimDuration, Throttle, TimerToken,
+};
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, Command, ConnRef, Dtap, GmmMessage, Imsi, IpPacket, IpPayload,
     Ipv4Addr, MapMessage, Message, Nsapi, Q931Kind, Q931Message, QosProfile, RasMessage,
@@ -128,13 +128,13 @@ pub struct Vmsc {
     gsm: GsmSide,
     sgsn: NodeId,
     /// The MS table (paper Section 2): one row per handset.
-    ms_table: HashMap<Imsi, MsEntry>,
-    by_addr: HashMap<Ipv4Addr, Imsi>,
+    ms_table: IdMap<Imsi, MsEntry>,
+    by_addr: IdMap<Ipv4Addr, Imsi>,
     /// Calls handed over to this VMSC (Figure 9, target side).
-    visiting: HashMap<CallId, TargetLeg>,
+    visiting: IdMap<CallId, TargetLeg>,
     /// Anchor side: whose leg a target MSC means by a call, which is all
     /// its E-interface messages name. Written when the handover starts.
-    handed_over: HashMap<(NodeId, CallId), Imsi>,
+    handed_over: IdMap<(NodeId, CallId), Imsi>,
     next_crv: u16,
     next_cic: u16,
     /// Every armed guard and supervision timer.
@@ -155,10 +155,10 @@ impl Vmsc {
             paging: Throttle::new(config.paging_rate_per_s),
             config,
             sgsn,
-            ms_table: HashMap::new(),
-            by_addr: HashMap::new(),
-            visiting: HashMap::new(),
-            handed_over: HashMap::new(),
+            ms_table: IdMap::default(),
+            by_addr: IdMap::default(),
+            visiting: IdMap::default(),
+            handed_over: IdMap::default(),
             next_crv: 0,
             next_cic: 0,
             timers: Timers::default(),

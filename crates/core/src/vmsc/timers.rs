@@ -7,9 +7,7 @@
 //! crash, which loses the table but not the kernel's events — fires into
 //! a lookup that finds nothing.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, SimDuration, SimTime, TimerToken};
+use vgprs_sim::{Context, IdMap, SimDuration, SimTime, TimerToken};
 use vgprs_wire::{CallId, Imsi, Message};
 
 /// What a timer guards.
@@ -40,8 +38,8 @@ pub(super) struct Guard {
 
 #[derive(Debug, Default)]
 pub(super) struct Timers {
-    keys: HashMap<TimerToken, TimerKey>,
-    guards: HashMap<TimerKey, Guard>,
+    keys: IdMap<TimerToken, TimerKey>,
+    guards: IdMap<TimerKey, Guard>,
 }
 
 impl Timers {

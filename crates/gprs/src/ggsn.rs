@@ -8,9 +8,9 @@
 //! network-requested activation the TR 22.973 baseline depends on,
 //! buffering the triggering packets until the context comes up.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{
     Cause, Command, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile, Teid,
 };
@@ -51,11 +51,11 @@ pub struct Ggsn {
     pool_prefix_len: u8,
     /// The Gi next hop (the PSDN router).
     router: Option<NodeId>,
-    pdp: HashMap<Teid, PdpRecord>,
-    by_addr: HashMap<Ipv4Addr, Teid>,
-    by_sub: HashMap<(Imsi, Nsapi), Teid>,
-    statics: HashMap<Ipv4Addr, StaticEntry>,
-    static_of_imsi: HashMap<Imsi, Ipv4Addr>,
+    pdp: IdMap<Teid, PdpRecord>,
+    by_addr: IdMap<Ipv4Addr, Teid>,
+    by_sub: IdMap<(Imsi, Nsapi), Teid>,
+    statics: IdMap<Ipv4Addr, StaticEntry>,
+    static_of_imsi: IdMap<Imsi, Ipv4Addr>,
     next_dynamic: u32,
     next_teid: u32,
     /// Fault injection: while true (crashed or blackholed) the node
@@ -75,11 +75,11 @@ impl Ggsn {
             pool_prefix: prefix,
             pool_prefix_len: len,
             router: None,
-            pdp: HashMap::new(),
-            by_addr: HashMap::new(),
-            by_sub: HashMap::new(),
-            statics: HashMap::new(),
-            static_of_imsi: HashMap::new(),
+            pdp: IdMap::default(),
+            by_addr: IdMap::default(),
+            by_sub: IdMap::default(),
+            statics: IdMap::default(),
+            static_of_imsi: IdMap::default(),
             next_dynamic: 0,
             next_teid: 0,
             down: false,

@@ -2,31 +2,8 @@
 //! prefix-routing IP node connecting the GGSN's Gi side with the H.323
 //! zone's LAN.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{Ipv4Addr, Message};
-
-/// Deterministic multiply-shift hasher for [`Ipv4Addr`] keys. Avoids
-/// SipHash setup per lookup; the seed is fixed so runs stay reproducible
-/// regardless of process environment.
-#[derive(Default)]
-struct HostHasher(u64);
-
-impl Hasher for HostHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
 
 /// A simple longest-prefix IP router.
 #[derive(Debug, Default)]
@@ -36,7 +13,7 @@ pub struct IpRouter {
     /// map, not a scan: population-scale runs register one host per
     /// wireline terminal, and every routed packet (every RTP frame on the
     /// LAN) pays for this lookup.
-    hosts: HashMap<Ipv4Addr, NodeId, BuildHasherDefault<HostHasher>>,
+    hosts: IdMap<Ipv4Addr, NodeId>,
 }
 
 impl IpRouter {

@@ -6,9 +6,7 @@
 //! testbeds are closed worlds and no experiment reads an authorization
 //! over Gr, so there is no leg to the HLR.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId, Offer, Throttle, TimerToken};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, Offer, Throttle, TimerToken};
 use vgprs_wire::{
     Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile,
     Teid, Tmsi,
@@ -47,9 +45,9 @@ struct SgsnPdp {
 #[derive(Debug)]
 pub struct Sgsn {
     ggsn: NodeId,
-    mm: HashMap<Imsi, MmContext>,
-    pdp: HashMap<(Imsi, Nsapi), SgsnPdp>,
-    teid_index: HashMap<Teid, (Imsi, Nsapi)>,
+    mm: IdMap<Imsi, MmContext>,
+    pdp: IdMap<(Imsi, Nsapi), SgsnPdp>,
+    teid_index: IdMap<Teid, (Imsi, Nsapi)>,
     next_teid: u32,
     next_ptmsi: u32,
     /// Overload control: PDP activations admitted per simulated second
@@ -66,9 +64,9 @@ impl Sgsn {
     pub fn new(ggsn: NodeId) -> Self {
         Sgsn {
             ggsn,
-            mm: HashMap::new(),
-            pdp: HashMap::new(),
-            teid_index: HashMap::new(),
+            mm: IdMap::default(),
+            pdp: IdMap::default(),
+            teid_index: IdMap::default(),
             next_teid: 0,
             next_ptmsi: 0,
             admission: Throttle::new(0),

@@ -6,8 +6,7 @@
 //! paper's flows depend only on the challenge–response *shape*, never on
 //! cryptographic strength (see DESIGN.md, substitution table).
 
-use std::collections::HashMap;
-
+use vgprs_sim::IdMap;
 use vgprs_wire::{AuthTriplet, Imsi};
 
 /// A subscriber's secret key, shared between SIM and AuC.
@@ -36,7 +35,7 @@ pub fn a8_kc(ki: Ki, rand: u64) -> u64 {
 /// conventional).
 #[derive(Debug, Default)]
 pub struct AuthCenter {
-    keys: HashMap<Imsi, Ki>,
+    keys: IdMap<Imsi, Ki>,
 }
 
 impl AuthCenter {

@@ -4,9 +4,7 @@
 //! connect to an SGSN, a packet control unit (PCU) is implemented in the
 //! BSC").
 
-use std::collections::{HashMap, HashSet};
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId};
 use vgprs_wire::{Cause, CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Configuration for a [`Bsc`].
@@ -32,12 +30,12 @@ pub struct Bsc {
     /// PCU uplink: where packet traffic goes, if GPRS is deployed.
     sgsn: Option<NodeId>,
     btss: Vec<(NodeId, CellId)>,
-    conn_to_bts: HashMap<ConnRef, NodeId>,
+    conn_to_bts: IdMap<ConnRef, NodeId>,
     /// Connections currently holding a TCH.
-    tch_held: HashSet<ConnRef>,
+    tch_held: IdSet<ConnRef>,
     /// Which BTS serves each packet-service subscriber (learned from
     /// uplink packet traffic).
-    packet_bts: HashMap<Imsi, NodeId>,
+    packet_bts: IdMap<Imsi, NodeId>,
 }
 
 impl Bsc {
@@ -48,9 +46,9 @@ impl Bsc {
             msc,
             sgsn: None,
             btss: Vec::new(),
-            conn_to_bts: HashMap::new(),
-            tch_held: HashSet::new(),
-            packet_bts: HashMap::new(),
+            conn_to_bts: IdMap::default(),
+            tch_held: IdSet::default(),
+            packet_bts: IdMap::default(),
         }
     }
 

@@ -8,10 +8,10 @@
 //! argues makes the 3G TR 22.973 baseline unable to guarantee real-time
 //! voice.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use vgprs_sim::{Context, Interface, Node, NodeId, Payload, SimDuration};
+use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId, Payload, SimDuration};
 use vgprs_wire::{CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Timer tag: the PDCH finished serializing the head-of-line packet.
@@ -58,12 +58,12 @@ pub struct Bts {
     /// Every MS camped on this cell (registered by the testbed builder),
     /// in registration order; shared with each paging broadcast in flight.
     mss: Arc<Vec<NodeId>>,
-    camped: HashSet<NodeId>,
-    conn_to_ms: HashMap<ConnRef, NodeId>,
-    ms_to_conn: HashMap<NodeId, ConnRef>,
+    camped: IdSet<NodeId>,
+    conn_to_ms: IdMap<ConnRef, NodeId>,
+    ms_to_conn: IdMap<NodeId, ConnRef>,
     /// MSs known to use the packet service, keyed by IMSI (learned from
     /// uplink GMM/LLC traffic).
-    packet_ms: HashMap<Imsi, NodeId>,
+    packet_ms: IdMap<Imsi, NodeId>,
     next_conn: u32,
     /// Shared PDCH queue: (destination, message) pairs awaiting air time.
     pdch_queue: VecDeque<(NodeId, Message)>,
@@ -81,10 +81,10 @@ impl Bts {
             config,
             bsc,
             mss: Arc::default(),
-            camped: HashSet::new(),
-            conn_to_ms: HashMap::new(),
-            ms_to_conn: HashMap::new(),
-            packet_ms: HashMap::new(),
+            camped: IdSet::default(),
+            conn_to_ms: IdMap::default(),
+            ms_to_conn: IdMap::default(),
+            packet_ms: IdMap::default(),
             next_conn: 0,
             pdch_queue: VecDeque::new(),
             pdch_busy: false,

@@ -5,9 +5,7 @@
 //! query used for call delivery (which is where the tromboning of the
 //! paper's Figure 7 originates — the HLR lives in the *home* country).
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{
     Cause, Imsi, MapMessage, Message, Msisdn, PointCode, SubscriberProfile,
 };
@@ -27,12 +25,12 @@ struct HlrRecord {
 #[derive(Debug, Default)]
 pub struct Hlr {
     auc: AuthCenter,
-    records: HashMap<Imsi, HlrRecord>,
-    msisdn_index: HashMap<Msisdn, Imsi>,
+    records: IdMap<Imsi, HlrRecord>,
+    msisdn_index: IdMap<Msisdn, Imsi>,
     /// VLRs waiting for `UpdateLocationAck` (sent once ISD is confirmed).
-    pending_update: HashMap<Imsi, NodeId>,
+    pending_update: IdMap<Imsi, NodeId>,
     /// GMSCs waiting for a roaming number, per subscriber.
-    pending_sri: HashMap<Imsi, Vec<(NodeId, Msisdn)>>,
+    pending_sri: IdMap<Imsi, Vec<(NodeId, Msisdn)>>,
 }
 
 impl Hlr {

@@ -7,9 +7,7 @@
 //! the E interface — the behavior needed for the tromboning baseline
 //! (Figure 7) and as the handoff peer of a VMSC (Figure 9).
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, ConnRef, Dtap, Imsi, IsupKind, IsupMessage, MapMessage, Message,
     Msisdn,
@@ -120,16 +118,16 @@ pub struct GsmMsc {
     hlr: NodeId,
     /// The PSTN switch this MSC trunks into.
     pstn: Option<NodeId>,
-    conns: HashMap<ConnRef, ConnState>,
-    calls: HashMap<CallId, CallState>,
+    conns: IdMap<ConnRef, ConnState>,
+    calls: IdMap<CallId, CallState>,
     /// MT calls waiting for a paging response, by subscriber.
-    paging: HashMap<Imsi, CallId>,
+    paging: IdMap<Imsi, CallId>,
     /// GMSC transit calls waiting for the HLR's routing info, by MSISDN.
-    pending_sri: HashMap<Msisdn, CallId>,
+    pending_sri: IdMap<Msisdn, CallId>,
     /// MT calls waiting for the VLR to resolve the MSRN.
-    pending_incoming: HashMap<Msisdn, CallId>,
+    pending_incoming: IdMap<Msisdn, CallId>,
     /// Calls by the trunk circuit that carries them, per trunk peer.
-    cic_index: HashMap<(NodeId, Cic), CallId>,
+    cic_index: IdMap<(NodeId, Cic), CallId>,
     next_cic: u16,
     next_leg_call: u64,
 }
@@ -142,12 +140,12 @@ impl GsmMsc {
             config,
             hlr,
             pstn: None,
-            conns: HashMap::new(),
-            calls: HashMap::new(),
-            paging: HashMap::new(),
-            pending_sri: HashMap::new(),
-            pending_incoming: HashMap::new(),
-            cic_index: HashMap::new(),
+            conns: IdMap::default(),
+            calls: IdMap::default(),
+            paging: IdMap::default(),
+            pending_sri: IdMap::default(),
+            pending_incoming: IdMap::default(),
+            cic_index: IdMap::default(),
             next_cic: 0,
             next_leg_call: 0,
         }

@@ -14,9 +14,7 @@
 //! What a call *is* (ISUP trunks, or Q.931/RAS over PDP contexts) stays
 //! with the owner, and so does the voice-frame path.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, NodeId};
+use vgprs_sim::{Context, IdMap, NodeId};
 use vgprs_wire::{
     CallId, CellId, Cic, ConnRef, Dtap, Imsi, Lai, MapMessage, Message, MsIdentity, Msisdn, Tmsi,
 };
@@ -64,12 +62,12 @@ pub struct GsmSide {
     country_code: String,
     bscs: Vec<NodeId>,
     /// Neighbor MSCs (classic or VMSC) by the cells they serve.
-    neighbor_cells: HashMap<CellId, NodeId>,
-    conn_of_bsc: HashMap<ConnRef, NodeId>,
-    by_conn: HashMap<ConnRef, Imsi>,
-    by_tmsi: HashMap<Tmsi, Imsi>,
+    neighbor_cells: IdMap<CellId, NodeId>,
+    conn_of_bsc: IdMap<ConnRef, NodeId>,
+    by_conn: IdMap<ConnRef, Imsi>,
+    by_tmsi: IdMap<Tmsi, Imsi>,
     /// Handoffs prepared as target, by handover reference.
-    target_handoffs: HashMap<u32, TargetArrival>,
+    target_handoffs: IdMap<u32, TargetArrival>,
     next_ho_ref: u32,
 }
 
@@ -82,11 +80,11 @@ impl GsmSide {
             vlr,
             country_code: country_code.to_owned(),
             bscs: Vec::new(),
-            neighbor_cells: HashMap::new(),
-            conn_of_bsc: HashMap::new(),
-            by_conn: HashMap::new(),
-            by_tmsi: HashMap::new(),
-            target_handoffs: HashMap::new(),
+            neighbor_cells: IdMap::default(),
+            conn_of_bsc: IdMap::default(),
+            by_conn: IdMap::default(),
+            by_tmsi: IdMap::default(),
+            target_handoffs: IdMap::default(),
             next_ho_ref: 0,
         }
     }

@@ -5,9 +5,7 @@
 //! profile copy downloaded from the HLR, outgoing-call authorization
 //! (paper step 2.2) and roaming-number allocation for call delivery.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{
     AuthTriplet, Cause, ConnRef, Imsi, Lai, MapMessage, Message, MsIdentity, Msisdn, PointCode,
     SubscriberProfile, Tmsi,
@@ -61,10 +59,10 @@ pub struct Vlr {
     /// HLR. Roamers' MAP dialogues go to their own country's HLR.
     hlr_routes: Vec<(String, NodeId)>,
     msc: NodeId,
-    records: HashMap<Imsi, VlrRecord>,
-    tmsi_index: HashMap<Tmsi, Imsi>,
-    msrn_index: HashMap<Msisdn, Imsi>,
-    pending: HashMap<Imsi, Pending>,
+    records: IdMap<Imsi, VlrRecord>,
+    tmsi_index: IdMap<Tmsi, Imsi>,
+    msrn_index: IdMap<Msisdn, Imsi>,
+    pending: IdMap<Imsi, Pending>,
     next_tmsi: u32,
     next_msrn: u32,
 }
@@ -77,10 +75,10 @@ impl Vlr {
             hlr,
             hlr_routes: Vec::new(),
             msc,
-            records: HashMap::new(),
-            tmsi_index: HashMap::new(),
-            msrn_index: HashMap::new(),
-            pending: HashMap::new(),
+            records: IdMap::default(),
+            tmsi_index: IdMap::default(),
+            msrn_index: IdMap::default(),
+            pending: IdMap::default(),
             next_tmsi: 0,
             next_msrn: 0,
         }
@@ -100,10 +98,9 @@ impl Vlr {
 
     /// The HLR responsible for `imsi`.
     fn hlr_for(&self, imsi: &Imsi) -> NodeId {
-        let digits = imsi.digits();
         self.hlr_routes
             .iter()
-            .filter(|(p, _)| digits.starts_with(p))
+            .filter(|(p, _)| imsi.has_prefix(p))
             .max_by_key(|(p, _)| p.len())
             .map(|(_, n)| *n)
             .unwrap_or(self.hlr)

@@ -7,9 +7,7 @@
 //! sees an IMSI — that is the confidentiality property Section 6 argues
 //! vGPRS preserves and the TR 22.973 baseline violates.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId, SimTime};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, SimTime};
 use vgprs_wire::{
     CallId, Cause, Command, IpPacket, IpPayload, Message, Msisdn, RasMessage, TransportAddr,
 };
@@ -49,15 +47,15 @@ pub struct Gatekeeper {
     /// Next hop for every outgoing IP packet (the zone's LAN router).
     router: NodeId,
     /// The address-translation table of paper step 1.5.
-    table: HashMap<Msisdn, TransportAddr>,
+    table: IdMap<Msisdn, TransportAddr>,
     /// Outstanding admissions: (call, requester) → bandwidth.
-    admissions: HashMap<(CallId, TransportAddr), u32>,
+    admissions: IdMap<(CallId, TransportAddr), u32>,
     bandwidth_used: u32,
     charging: Vec<ChargingRecord>,
     /// IMSIs the H.323 domain has been handed (TR 22.973 mode only). A
     /// standard vGPRS deployment keeps this empty — experiment C4's
     /// confidentiality measurement.
-    imsi_directory: HashMap<Msisdn, vgprs_wire::Imsi>,
+    imsi_directory: IdMap<Msisdn, vgprs_wire::Imsi>,
     /// Fault injection: while true (crashed or blackholed) the node
     /// silently drops every protocol message.
     down: bool,
@@ -69,11 +67,11 @@ impl Gatekeeper {
         Gatekeeper {
             config,
             router,
-            table: HashMap::new(),
-            admissions: HashMap::new(),
+            table: IdMap::default(),
+            admissions: IdMap::default(),
             bandwidth_used: 0,
             charging: Vec::new(),
-            imsi_directory: HashMap::new(),
+            imsi_directory: IdMap::default(),
             down: false,
         }
     }

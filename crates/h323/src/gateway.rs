@@ -9,9 +9,7 @@
 //! "no route", letting the originating switch fall back to the normal
 //! international PSTN path.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{
     CallId, Cause, Cic, Crv, IpPacket, IpPayload, IsupKind, IsupMessage, Message, Msisdn,
     Q931Kind, Q931Message, RasMessage, RtpPacket, TransportAddr, PAYLOAD_TYPE_GSM,
@@ -45,9 +43,9 @@ pub struct PstnGateway {
     config: GatewayConfig,
     router: NodeId,
     switch: NodeId,
-    calls: HashMap<CallId, GwCall>,
+    calls: IdMap<CallId, GwCall>,
     /// Originating IAM details held while the gatekeeper answers.
-    pending_called: HashMap<CallId, (Msisdn, Option<Msisdn>)>,
+    pending_called: IdMap<CallId, (Msisdn, Option<Msisdn>)>,
     next_crv: u16,
 }
 
@@ -59,8 +57,8 @@ impl PstnGateway {
             config,
             router,
             switch,
-            calls: HashMap::new(),
-            pending_called: HashMap::new(),
+            calls: IdMap::default(),
+            pending_called: IdMap::default(),
             next_crv: 0,
         }
     }

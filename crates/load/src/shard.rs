@@ -20,7 +20,7 @@
 //! leg while the destination VMSC takes the radio leg over the E-trunk
 //! gate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_faults::{
@@ -29,8 +29,8 @@ use vgprs_faults::{
 use vgprs_gsm::{Hlr, MobileStation, MsState, Vlr};
 use vgprs_scenario::{compile_demand, DemandPlan, OverloadControls, ScenarioConfig};
 use vgprs_sim::{
-    CalendarWheel, Interface, Kernel, LinkQuality, Network, NodeId, SimDuration, SimRng, SimTime,
-    Stats,
+    CalendarWheel, IdMap, Interface, Kernel, LinkQuality, Network, NodeId, SimDuration, SimRng,
+    SimTime, Stats,
 };
 use vgprs_wire::{
     CallId, Cause, CellId, Command, ConnRef, Dtap, Imsi, Ipv4Addr, Lai, MapMessage, Message,
@@ -263,8 +263,8 @@ pub fn alias_for(global: usize) -> Msisdn {
 }
 
 /// The subscriber's global index recovered from a generated IMSI.
-fn global_of(imsi: &Imsi) -> Option<usize> {
-    imsi.digits().get(6..)?.parse().ok()
+fn global_of(imsi: &Imsi) -> usize {
+    imsi.suffix(6) as usize
 }
 
 /// One shard mid-flight: built world, pending actions, cross-shard
@@ -292,7 +292,7 @@ pub struct Shard {
     trunk_gate: NodeId,
     radio_gate: NodeId,
     subs: Vec<Subscriber>,
-    ms_index: HashMap<NodeId, usize>,
+    ms_index: IdMap<NodeId, usize>,
     /// Driver-side replay schedule, keyed by microseconds relative to
     /// `t0_us`. The wheel pops in `(time, push order)` just like the old
     /// `BinaryHeap<Sched>`, without the per-pop `O(log n)`.
@@ -300,13 +300,13 @@ pub struct Shard {
     next_call: u64,
     max_sched_us: u64,
     // Cross-shard state.
-    anchored: HashMap<CallId, AnchoredLeg>,
-    call_src: HashMap<CallId, usize>,
-    visitor_conns: HashMap<usize, ConnRef>,
-    conn_globals: HashMap<ConnRef, (usize, usize)>,
+    anchored: IdMap<CallId, AnchoredLeg>,
+    call_src: IdMap<CallId, usize>,
+    visitor_conns: IdMap<usize, ConnRef>,
+    conn_globals: IdMap<ConnRef, (usize, usize)>,
     next_visitor_conn: u32,
     pending_um: Vec<(NodeId, Dtap)>,
-    pending_interrupt: HashMap<usize, u64>,
+    pending_interrupt: IdMap<usize, u64>,
     /// Subscribers whose handed-off call a trunk partition tore down,
     /// keyed by local index → (peer shard, torn-at ms). Ordered so the
     /// heal-time re-route runs in a deterministic sequence.
@@ -423,7 +423,7 @@ impl Shard {
         net.connect(radio_gate, home_vmsc, Interface::A, lat.a);
 
         let mut subs = Vec::with_capacity(cfg.subscribers);
-        let mut ms_index = HashMap::new();
+        let mut ms_index = IdMap::default();
         for (local, plan) in plans.iter().enumerate() {
             let g = plan.global_index;
             let msisdn = msisdn_for(g);
@@ -532,13 +532,13 @@ impl Shard {
             sched: CalendarWheel::new(),
             next_call: 1,
             max_sched_us: 0,
-            anchored: HashMap::new(),
-            call_src: HashMap::new(),
-            visitor_conns: HashMap::new(),
-            conn_globals: HashMap::new(),
+            anchored: IdMap::default(),
+            call_src: IdMap::default(),
+            visitor_conns: IdMap::default(),
+            conn_globals: IdMap::default(),
             next_visitor_conn: 0,
             pending_um: Vec::new(),
-            pending_interrupt: HashMap::new(),
+            pending_interrupt: IdMap::default(),
             trunk_torn: BTreeMap::new(),
             outbox: Vec::new(),
             recorder: SnapshotRecorder::new(cfg.snapshot_secs),
@@ -1371,7 +1371,7 @@ impl Shard {
                 Message::Map(m) => {
                     let to_shard = match &m {
                         MapMessage::PrepareHandover { call, imsi, .. } => {
-                            let Some(local) = global_of(imsi).and_then(|g| self.local_of(g)) else {
+                            let Some(local) = self.local_of(global_of(imsi)) else {
                                 self.net.stats_mut().count("load.cross_unroutable");
                                 continue;
                             };
@@ -1555,7 +1555,7 @@ impl Shard {
             registered: self.registered,
             events: self.events,
             sim_end: self.net.now(),
-            stats: self.net.stats().clone(),
+            stats: std::mem::take(self.net.stats_mut()),
             snapshots: self.recorder.into_frames(),
         }
     }

@@ -5,7 +5,7 @@
 //! both systems' frame streams through the same buffer so their MOS
 //! scores are directly comparable.
 
-use vgprs_sim::{SimDuration, SimTime};
+use vgprs_sim::{IdSet, SimDuration, SimTime};
 
 /// What happened to a frame offered to the buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub struct JitterBuffer {
     accepted: u64,
     late: u64,
     duplicates: u64,
-    seen: std::collections::HashSet<u32>,
+    seen: IdSet<u32>,
 }
 
 impl JitterBuffer {
@@ -57,7 +57,7 @@ impl JitterBuffer {
             accepted: 0,
             late: 0,
             duplicates: 0,
-            seen: std::collections::HashSet::new(),
+            seen: IdSet::default(),
         }
     }
 

@@ -1,8 +1,6 @@
 //! A PSTN switch: longest-prefix ISUP routing with trunk accounting.
 
-use std::collections::HashMap;
-
-use vgprs_sim::{Context, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
 use vgprs_wire::{CallId, Cause, Cic, IsupKind, IsupMessage, Message, Msisdn};
 
 use crate::accounting::{Ledger, TrunkClass};
@@ -54,10 +52,10 @@ impl CallLegs {
 pub struct PstnSwitch {
     name: String,
     routes: Vec<Route>,
-    calls: HashMap<CallId, CallLegs>,
+    calls: IdMap<CallId, CallLegs>,
     /// Both legs of every call, for exact (node, circuit) resolution —
     /// a call may transit this switch more than once (looping routes).
-    leg_index: HashMap<(NodeId, Cic), CallId>,
+    leg_index: IdMap<(NodeId, Cic), CallId>,
     ledger: Ledger,
     next_cic: u16,
 }
@@ -68,8 +66,8 @@ impl PstnSwitch {
         PstnSwitch {
             name: name.into(),
             routes: Vec::new(),
-            calls: HashMap::new(),
-            leg_index: HashMap::new(),
+            calls: IdMap::default(),
+            leg_index: IdMap::default(),
             ledger: Ledger::new(),
             next_cic: 1000,
         }

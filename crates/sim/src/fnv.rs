@@ -1,9 +1,8 @@
 //! The workspace's one FNV-1a loop.
 //!
-//! Run and snapshot fingerprints (`vgprs-load`) and the stat-name
-//! interning hash ([`crate::Stats`]) all fold bytes through this
+//! Run and snapshot fingerprints (`vgprs-load`) fold bytes through this
 //! accumulator, so "the same bytes in the same order" means the same
-//! value everywhere.
+//! value everywhere. (Hash *tables* use `crate::IdHasher`.)
 
 /// A 64-bit FNV-1a accumulator. Values are fed little-endian, `f64`s by
 /// their bit pattern, so a fingerprint never depends on the host.

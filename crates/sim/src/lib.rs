@@ -62,6 +62,7 @@ mod backoff;
 mod context;
 mod event;
 mod fnv;
+mod idmap;
 mod interface;
 pub mod json;
 mod ladder;
@@ -80,6 +81,7 @@ pub use backoff::Backoff;
 pub use context::{Context, TimerToken};
 pub use event::Kernel;
 pub use fnv::Fnv1a;
+pub use idmap::{set_salt, IdHasher, IdMap, IdSet};
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};

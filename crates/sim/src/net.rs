@@ -1,12 +1,11 @@
 //! The simulated network: nodes, links, and the execution loop.
 
 use std::any::Any;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::LazyLock;
 
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue, Kernel};
+use crate::idmap::IdMap;
 use crate::interface::Interface;
 use crate::link::{Link, LinkConfig, LinkQuality};
 use crate::node::{Node, NodeId, Payload};
@@ -30,30 +29,6 @@ impl<M: Payload, T: Node<M> + 'static> AnyNode<M> for T {
         self
     }
 }
-
-/// Fibonacci-multiply hasher for link keys, which are looked up once per
-/// message send. The keys are two small `NodeId`s under simulation
-/// control (no adversarial input), so the default SipHash buys nothing
-/// but latency on the hot path. Lookup-only: link iteration order never
-/// reaches traces, stats, or fingerprints.
-#[derive(Default)]
-struct LinkKeyHasher(u64);
-
-impl Hasher for LinkKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0.rotate_left(32) ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-type LinkMap = HashMap<(NodeId, NodeId), Link, BuildHasherDefault<LinkKeyHasher>>;
 
 /// Longest run of inline relay hops under one queued event. Real media
 /// paths cross five or six relays; a forwarding loop between relays
@@ -101,7 +76,9 @@ pub struct Network<M: Payload> {
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
     /// [`Node::pure_relay`] of every node, read when it was added.
     relays: Vec<bool>,
-    links: LinkMap,
+    /// Keyed by `link_key`; looked up once per message send. Lookup-only:
+    /// link iteration order never reaches traces, stats, or fingerprints.
+    links: IdMap<(NodeId, NodeId), Link>,
     queue: EventQueue<M>,
     rng: SimRng,
     stats: Stats,
@@ -127,6 +104,9 @@ pub struct Network<M: Payload> {
     k_fired: u64,
     k_cancelled: u64,
     k_lost: u64,
+    /// Something was counted since the last flush. Most `run_until` calls
+    /// of a population run find an idle shard and have nothing to flush.
+    k_dirty: bool,
 }
 
 impl<M: Payload> Network<M> {
@@ -147,7 +127,7 @@ impl<M: Payload> Network<M> {
             now: SimTime::ZERO,
             nodes: Vec::new(),
             relays: Vec::new(),
-            links: LinkMap::default(),
+            links: IdMap::default(),
             queue: EventQueue::new(kernel),
             rng: SimRng::new(seed),
             stats: Stats::new(),
@@ -165,6 +145,7 @@ impl<M: Payload> Network<M> {
             k_fired: 0,
             k_cancelled: 0,
             k_lost: 0,
+            k_dirty: false,
         }
     }
 
@@ -395,6 +376,8 @@ impl<M: Payload> Network<M> {
             return;
         }
         self.started = true;
+        // An `on_start` can send, and a send can be lost.
+        self.k_dirty = true;
         for idx in 0..self.nodes.len() {
             self.dispatch(NodeId(idx as u32), |n, ctx| n.on_start(ctx));
         }
@@ -403,6 +386,9 @@ impl<M: Payload> Network<M> {
     /// Moves the batched kernel counters into [`Stats`]. Called at the end
     /// of every run entry point so external readers always see totals.
     fn flush_counts(&mut self) {
+        if !std::mem::take(&mut self.k_dirty) {
+            return;
+        }
         for (total, counts, kind) in [
             ("sim.delivered", &mut self.k_delivered, 0),
             ("sim.relayed", &mut self.k_relayed, 1),
@@ -433,6 +419,9 @@ impl<M: Payload> Network<M> {
     }
 
     fn process_event(&mut self, kind: EventKind<M>) {
+        // Every kernel counter is bumped under an event or under
+        // `ensure_started`.
+        self.k_dirty = true;
         match kind {
             EventKind::Deliver {
                 from,
@@ -847,7 +836,7 @@ mod tests {
 
     #[test]
     fn cancel_after_fire_leaves_no_residual_state() {
-        // Regression test for the old `cancelled: HashSet<TimerToken>`
+        // Regression test for the old hash set of cancelled tokens and its
         // leak: cancelling a timer whose event had already fired (or
         // cancelling twice) inserted a token nothing would ever remove.
         struct LateCancel {
@@ -938,8 +927,8 @@ mod tests {
         assert_eq!(net.trace().labels(), vec!["Ping", "Pong"]);
     }
 
-    #[test]
-    fn lossy_link_counts_drops() {
+    /// `ping_net` over a link that loses everything.
+    fn lossy_net() -> (Network<Msg>, NodeId) {
         let mut net = Network::new(3);
         let echo = net.add_node("echo", Echo { seen: 0 });
         let caller = net.add_node(
@@ -958,9 +947,43 @@ mod tests {
                 LinkQuality::new(SimDuration::from_millis(1)).with_loss(1.0),
             ),
         );
+        (net, echo)
+    }
+
+    #[test]
+    fn lossy_link_counts_drops() {
+        let (mut net, echo) = lossy_net();
         net.run_until_quiescent();
         assert_eq!(net.stats().counter("sim.lost"), 1);
         assert_eq!(net.node::<Echo>(echo).unwrap().seen, 0);
+    }
+
+    #[test]
+    fn every_run_entry_point_leaves_stats_exact() {
+        // The kernel counters are flushed only when something was
+        // counted; a reader between run calls must never see that.
+        let [lan_queued, _] = census_counters(Interface::Lan);
+        let delivered = |net: &Network<Msg>| {
+            let s = net.stats();
+            (s.counter("sim.delivered"), s.counter(lan_queued))
+        };
+        let (mut net, _, _) = ping_net();
+        net.run_until(SimTime::from_micros(5_000));
+        assert_eq!(delivered(&net), (1, 1));
+        net.run_until(SimTime::from_micros(6_000)); // nothing due
+        assert_eq!(delivered(&net), (1, 1));
+        assert!(net.step());
+        assert_eq!(delivered(&net), (2, 2));
+        assert!(!net.step());
+        assert!(net.run_until_quiescent().quiescent);
+        assert_eq!(delivered(&net), (2, 2));
+        net.stats_mut().count("scenario.mark");
+        assert_eq!(delivered(&net), (2, 2));
+
+        // A loss counted from `on_start`, under a call that pops no event.
+        let (mut net, _) = lossy_net();
+        assert_eq!(net.run_until(SimTime::ZERO).events, 0);
+        assert_eq!(net.stats().counter("sim.lost"), 1);
     }
 
     #[test]

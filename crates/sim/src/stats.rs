@@ -10,9 +10,10 @@
 //! `max` are exact. Two histograms bucket identically, so shard-local
 //! histograms merge into a global one without losing resolution.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
+
+use crate::idmap::IdMap;
 
 /// A monotonically increasing named counter.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -313,23 +314,6 @@ impl fmt::Debug for Histogram {
     }
 }
 
-/// FNV-1a for stat-name interning. Deterministic (zero-seeded via
-/// `BuildHasherDefault`, unlike `RandomState`) and far cheaper than
-/// SipHash on the short `&'static str` names the hot paths pass —
-/// counter bumps happen on every voice frame at population scale.
-#[derive(Default)]
-struct NameHasher(crate::Fnv1a);
-
-impl Hasher for NameHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        self.0.write(bytes);
-    }
-    fn finish(&self) -> u64 {
-        self.0.finish()
-    }
-}
-
 /// Name-interned storage shared by counters and histograms: the hash
 /// index resolves a name to a slot in `entries` once, and the value
 /// lives in a flat vector from then on. Iteration is always name-sorted
@@ -337,8 +321,8 @@ impl Hasher for NameHasher {
 /// rendering, merges — can observe hash-map order.
 #[derive(Clone, Debug, Default)]
 struct Registry<V> {
-    index: HashMap<Box<str>, u32, BuildHasherDefault<NameHasher>>,
-    entries: Vec<(Box<str>, V)>,
+    index: IdMap<Arc<str>, u32>,
+    entries: Vec<(Arc<str>, V)>,
 }
 
 impl<V: Default> Registry<V> {
@@ -347,8 +331,10 @@ impl<V: Default> Registry<V> {
             return &mut self.entries[i as usize].1;
         }
         let i = self.entries.len() as u32;
-        self.index.insert(name.into(), i);
-        self.entries.push((name.into(), V::default()));
+        // One allocation per name, shared by the index and the entry.
+        let name: Arc<str> = name.into();
+        self.index.insert(Arc::clone(&name), i);
+        self.entries.push((name, V::default()));
         &mut self.entries[i as usize].1
     }
 
@@ -358,7 +344,7 @@ impl<V: Default> Registry<V> {
 
     /// Entries in name order. Sorting ~dozens of keys on each (rare)
     /// read is what buys the allocation- and compare-free hot path.
-    fn sorted(&self) -> Vec<&(Box<str>, V)> {
+    fn sorted(&self) -> Vec<&(Arc<str>, V)> {
         let mut refs: Vec<_> = self.entries.iter().collect();
         refs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         refs

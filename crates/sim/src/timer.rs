@@ -1,6 +1,6 @@
 //! Timer bookkeeping: O(1) cancellation via per-slot generation counters.
 //!
-//! The previous kernel recorded cancellations in a `HashSet<TimerToken>`
+//! The previous kernel recorded cancellations in a hash set of tokens
 //! consulted when each timer event popped. That had two defects: a hash
 //! probe on the hot path for every firing timer, and a leak — cancelling a
 //! timer whose event had already fired (or cancelling twice) inserted a

@@ -136,6 +136,18 @@ impl Imsi {
         u16::from(self.0.digit(0)) * 100 + u16::from(self.0.digit(1)) * 10 + u16::from(self.0.digit(2))
     }
 
+    /// True if the IMSI starts with the given digits (an MCC+MNC, say).
+    pub fn has_prefix(&self, prefix: &str) -> bool {
+        self.0.starts_with(prefix)
+    }
+
+    /// The decimal value of everything after the first `skip` digits —
+    /// the MSIN as a number when `skip` is the length of MCC+MNC. Zero
+    /// when nothing is left.
+    pub fn suffix(&self, skip: usize) -> u64 {
+        (skip..self.0.len as usize).fold(0, |v, i| v * 10 + u64::from(self.0.digit(i)))
+    }
+
     /// The full digit string.
     pub fn digits(&self) -> String {
         self.0.as_string()
@@ -583,6 +595,20 @@ mod tests {
         let m = Msisdn::parse("0012345").unwrap();
         assert_eq!(m.to_string(), "0012345");
         assert!(m.has_country_code("00"));
+    }
+
+    #[test]
+    fn imsi_prefix_and_suffix_without_a_string() {
+        let imsi = Imsi::parse("466920000012345").unwrap();
+        assert!(imsi.has_prefix("") && imsi.has_prefix("46692") && imsi.has_prefix("466920000012345"));
+        assert!(!imsi.has_prefix("46693"));
+        assert!(!imsi.has_prefix("4669200000123456"), "longer than the number");
+        assert!(!imsi.has_prefix("4x6"), "a non-digit matches nothing");
+        assert_eq!(imsi.suffix(6), 12_345, "leading zeros carry no value");
+        assert_eq!(imsi.suffix(0), 466_920_000_012_345);
+        assert_eq!((imsi.suffix(14), imsi.suffix(15), imsi.suffix(99)), (5, 0, 0));
+        // The same number the digit string spells.
+        assert_eq!(imsi.digits()[6..].parse(), Ok(imsi.suffix(6)));
     }
 
     #[test]

@@ -56,6 +56,17 @@ echo "==> no threads in the simulator"
 tripwire "std::thread under crates/*/src: parallelism comes back together \
 with a benchmark workload that can measure it" -r 'std::thread\|thread::scope' crates/*/src
 
+echo "==> one hasher"
+# Every key a table holds was issued by the simulator, so every table is
+# an IdMap / IdSet over the one fixed hasher in crates/sim/src/idmap.rs.
+# A std table would pay SipHash again; a private hasher would be the
+# fourth of its kind.
+grep -q 'impl Hasher for IdHasher' crates/sim/src/idmap.rs || {
+    echo "error: crates/sim/src/idmap.rs no longer holds the hasher" >&2; exit 1; }
+tripwire "a hash table or a hasher outside crates/sim/src/idmap.rs" -rE \
+    '\bHash(Map|Set)\b|RandomState|impl (std::hash::)?Hasher for' \
+    --exclude=idmap.rs crates/*/src
+
 echo "==> no uncalled public functions"
 # A `pub fn` whose name occurs exactly once as a whole word in everything
 # that could call it is only its own definition: a model nobody calls
