@@ -60,10 +60,11 @@ pub struct LoadConfig {
     /// [`ShardConfig::voice_sample_ms`].
     pub voice_sample_ms: u64,
     /// Event kernel every shard network runs on. The timer wheel is the
-    /// default; the binary heap is kept as the differential oracle
-    /// (`crates/load/tests/determinism.rs` runs every family on both).
-    /// Fingerprints are identical on both, so this is a performance
-    /// knob, never an experiment knob.
+    /// default and the faster of the two on every measured workload
+    /// (EXPERIMENTS "Compact kernel"); the binary heap is the
+    /// differential oracle and nothing else
+    /// (`crates/load/tests/determinism.rs` runs every family on both,
+    /// and fingerprints are identical on both).
     pub kernel: Kernel,
     /// Deterministic fault-injection schedule. The all-off default
     /// compiles to empty plans, and the run is byte-identical to one

@@ -579,6 +579,12 @@ impl Shard {
         self.net.set_cut_through(enabled);
     }
 
+    /// The shard's network, for tests that hold its topology to a bound.
+    #[doc(hidden)]
+    pub fn network(&self) -> &Network<Message> {
+        &self.net
+    }
+
     fn push(&mut self, at_ms: u64, action: Action) {
         let at_us = at_ms * 1000;
         self.max_sched_us = self.max_sched_us.max(at_us);

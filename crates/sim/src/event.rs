@@ -20,10 +20,12 @@ use crate::wheel::CalendarWheel;
 
 /// Which event-queue implementation a [`Network`](crate::Network) runs on.
 ///
-/// The wheel is the default; the heap is retained as the differential
-/// oracle the wheel is checked against (`crates/sim/tests/differential.rs`
-/// at network level, `crates/load/tests/determinism.rs` at run level)
-/// and as a fallback. Both produce bit-identical schedules.
+/// The wheel is the default, and since its slots became lists through
+/// one slab it leads the heap on every measured workload (EXPERIMENTS
+/// "Compact kernel"); the heap is retained as the differential oracle
+/// the wheel is checked against (`crates/sim/tests/differential.rs` at
+/// network level, `crates/load/tests/determinism.rs` at run level) and
+/// for nothing else. Both produce bit-identical schedules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
 pub enum Kernel {
     /// Binary min-heap over `(time, seq)` — `O(log n)` per operation.

@@ -5,7 +5,6 @@ use std::sync::LazyLock;
 
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue, Kernel};
-use crate::idmap::IdMap;
 use crate::interface::Interface;
 use crate::link::{Link, LinkConfig, LinkQuality};
 use crate::node::{Node, NodeId, Payload};
@@ -37,6 +36,66 @@ impl<M: Payload, T: Node<M> + 'static> AnyNode<M> for T {
 const MAX_CHAIN_DEPTH: u32 = 16;
 
 const IFACES: usize = Interface::ALL.len();
+
+/// One end of a link, as the node that owns it sees it.
+#[derive(Clone, Copy)]
+struct Port {
+    peer: u32,
+    /// Index into `Network::classes`, shifted left by one; the low bit
+    /// is set when the owner is the link's `a` end.
+    class_dir: u32,
+}
+
+impl Port {
+    const NONE: Port = Port {
+        peer: u32::MAX,
+        class_dir: 0,
+    };
+}
+
+/// A node's ports. Most nodes are leaves with one or two links and keep
+/// them inline; a hub spills the rest into one vector.
+struct Ports {
+    inline: [Port; 2],
+    spill: Vec<Port>,
+}
+
+impl Ports {
+    const EMPTY: Ports = Ports {
+        inline: [Port::NONE; 2],
+        spill: Vec::new(),
+    };
+
+    /// The port toward `peer`. A vacant inline port matches no node.
+    #[inline]
+    fn toward(&self, peer: NodeId) -> Option<&Port> {
+        self.inline
+            .iter()
+            .chain(&self.spill)
+            .find(|p| p.peer == peer.0)
+    }
+
+    fn toward_mut(&mut self, peer: NodeId) -> Option<&mut Port> {
+        self.inline
+            .iter_mut()
+            .chain(&mut self.spill)
+            .find(|p| p.peer == peer.0)
+    }
+
+    fn push(&mut self, port: Port) {
+        match self.inline.iter_mut().find(|p| p.peer == Port::NONE.peer) {
+            Some(vacant) => *vacant = port,
+            None => self.spill.push(port),
+        }
+    }
+
+    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let linked = self.inline.iter().chain(&self.spill);
+        linked
+            .filter(|p| p.peer != Port::NONE.peer)
+            .map(|p| NodeId(p.peer))
+    }
+}
 
 /// The per-interface census counter names, `[queued, relayed]` in
 /// [`Interface::ALL`] order, built once so flushing never formats.
@@ -76,9 +135,12 @@ pub struct Network<M: Payload> {
     nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
     /// [`Node::pure_relay`] of every node, read when it was added.
     relays: Vec<bool>,
-    /// Keyed by `link_key`; looked up once per message send. Lookup-only:
-    /// link iteration order never reaches traces, stats, or fingerprints.
-    links: IdMap<(NodeId, NodeId), Link>,
+    /// Every node's ports, indexed like `nodes`: a link is one port at
+    /// each end. Scanned once per message send, from the end with fewer.
+    ports: Vec<Ports>,
+    /// The distinct link configurations, interned by equality: a world of
+    /// thousands of links has about a dozen, and a send reads one.
+    classes: Vec<LinkConfig>,
     queue: EventQueue<M>,
     rng: SimRng,
     stats: Stats,
@@ -127,7 +189,8 @@ impl<M: Payload> Network<M> {
             now: SimTime::ZERO,
             nodes: Vec::new(),
             relays: Vec::new(),
-            links: IdMap::default(),
+            ports: Vec::new(),
+            classes: Vec::new(),
             queue: EventQueue::new(kernel),
             rng: SimRng::new(seed),
             stats: Stats::new(),
@@ -210,6 +273,7 @@ impl<M: Payload> Network<M> {
     {
         let id = NodeId(self.nodes.len() as u32);
         self.relays.push(node.pure_relay());
+        self.ports.push(Ports::EMPTY);
         self.nodes.push(Some(Box::new(node)));
         self.trace.register_node(name);
         if self.started {
@@ -245,45 +309,90 @@ impl<M: Payload> Network<M> {
             (a.0 as usize) < self.nodes.len() && (b.0 as usize) < self.nodes.len(),
             "link endpoints must be registered nodes"
         );
-        let key = Self::link_key(a, b);
-        let prev = self.links.insert(key, Link { a, b, config });
         assert!(
-            prev.is_none(),
+            self.port(a, b).is_none(),
             "duplicate link between {a} and {b} (interface {})",
             config.interface
         );
+        let class = self.intern(config) << 1;
+        self.ports[a.0 as usize].push(Port {
+            peer: b.0,
+            class_dir: class | 1,
+        });
+        self.ports[b.0 as usize].push(Port {
+            peer: a.0,
+            class_dir: class,
+        });
     }
 
-    fn link_key(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
-        if a.0 <= b.0 {
-            (a, b)
+    /// The index of `config` in `classes`, added if no link had it yet.
+    fn intern(&mut self, config: LinkConfig) -> u32 {
+        let at = self.classes.iter().position(|c| *c == config);
+        at.unwrap_or_else(|| {
+            self.classes.push(config);
+            self.classes.len() - 1
+        }) as u32
+    }
+
+    /// The class of the link between `from` and `to`, and whether `from`
+    /// is its `a` end. Scans the ports of whichever end has fewer: every
+    /// link of a real topology has a leaf, or a node of a handful of
+    /// ports, at one end.
+    #[inline]
+    fn port(&self, from: NodeId, to: NodeId) -> Option<(usize, bool)> {
+        let (near, far) = (&self.ports[from.0 as usize], &self.ports[to.0 as usize]);
+        let (port, owner_is_from) = if near.spill.len() <= far.spill.len() {
+            (near.toward(to)?, true)
         } else {
-            (b, a)
-        }
+            (far.toward(from)?, false)
+        };
+        let owner_is_a = port.class_dir & 1 == 1;
+        Some(((port.class_dir >> 1) as usize, owner_is_a == owner_is_from))
     }
 
     /// The link between two nodes, if provisioned.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<&Link> {
-        self.links.get(&Self::link_key(a, b))
+    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<Link> {
+        let (class, a_first) = self.port(a, b)?;
+        let (a, b) = if a_first { (a, b) } else { (b, a) };
+        Some(Link {
+            a,
+            b,
+            config: self.classes[class],
+        })
     }
 
-    /// Iterates over all provisioned links.
-    pub fn links(&self) -> impl Iterator<Item = &Link> {
-        self.links.values()
+    /// Every node, in registration order.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len() as u32).map(NodeId)
     }
 
-    /// Replaces the quality of an existing link (both directions).
+    /// The nodes `id` has a link to, in the order the links were
+    /// provisioned.
+    pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.ports[id.0 as usize].peers()
+    }
+
+    /// Replaces the quality of an existing link (both directions). The
+    /// link moves to the class of its new configuration; other links of
+    /// the class it leaves keep theirs.
     ///
     /// # Panics
     ///
     /// Panics if no link exists between the pair.
     pub fn set_link_quality(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
-        let link = self
-            .links
-            .get_mut(&Self::link_key(a, b))
+        let (class, _) = self
+            .port(a, b)
             .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-        link.config.forward = quality;
-        link.config.reverse = quality;
+        let class = self.intern(LinkConfig::symmetric(
+            self.classes[class].interface,
+            quality,
+        )) << 1;
+        for (owner, peer) in [(a, b), (b, a)] {
+            let port = self.ports[owner.0 as usize]
+                .toward_mut(peer)
+                .expect("a link has a port at each end");
+            port.class_dir = class | (port.class_dir & 1);
+        }
     }
 
     /// Schedules `msg` for delivery to `to` after `delay`, bypassing links.
@@ -446,7 +555,7 @@ impl<M: Payload> Network<M> {
                         .hears(from, &msg);
                     if hears {
                         debug_assert!(
-                            self.links.contains_key(&Self::link_key(from, listener)),
+                            self.port(from, listener).is_some(),
                             "broadcast listener {listener} has no link to {from}"
                         );
                         self.deliver(from, listener, iface, msg.clone());
@@ -517,9 +626,7 @@ impl<M: Payload> Network<M> {
         to: NodeId,
         msg: &M,
     ) -> (Interface, Option<SimDuration>) {
-        // Field-level access (not `link_between`) so the link borrow
-        // stays disjoint from `self.rng` — no per-send copy of the link.
-        let link = self.links.get(&Self::link_key(from, to)).unwrap_or_else(|| {
+        let (class, forward) = self.port(from, to).unwrap_or_else(|| {
             panic!(
                 "node {from} ({}) sent {} to {to} ({}) but no link exists",
                 self.trace.node_name(from),
@@ -527,16 +634,23 @@ impl<M: Payload> Network<M> {
                 self.trace.node_name(to),
             )
         });
-        let quality = if from == link.a {
-            &link.config.forward
+        let config = &self.classes[class];
+        let quality = if forward {
+            &config.forward
         } else {
-            &link.config.reverse
+            &config.reverse
         };
-        let delay = quality.sample(msg.wire_size(), msg.reliable(), &mut self.rng);
+        // Only a bandwidth-limited link reads the size, and for some
+        // messages the size is the cost of encoding them.
+        let size = match quality.bandwidth_bps {
+            Some(_) => msg.wire_size(),
+            None => 0,
+        };
+        let delay = quality.sample(size, msg.reliable(), &mut self.rng);
         if delay.is_none() {
             self.k_lost += 1;
         }
-        (link.interface(), delay)
+        (config.interface, delay)
     }
 
     fn apply_effects(&mut self, from: NodeId, effects: &mut Vec<Effect<M>>) {
@@ -680,7 +794,7 @@ impl<M: Payload> std::fmt::Debug for Network<M> {
         f.debug_struct("Network")
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
-            .field("links", &self.links.len())
+            .field("links", &(self.ports.iter().flat_map(Ports::peers).count() / 2))
             .field("pending", &self.queue.len())
             .finish()
     }
@@ -690,6 +804,7 @@ impl<M: Payload> std::fmt::Debug for Network<M> {
 mod tests {
     use super::*;
     use crate::context::TimerToken;
+    use std::collections::BTreeMap;
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -987,7 +1102,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no link exists")]
+    #[should_panic(expected = "node n1 (caller) sent Ping to n0 (echo) but no link exists")]
     fn sending_without_link_panics() {
         let mut net = Network::new(0);
         let echo = net.add_node("echo", Echo { seen: 0 });
@@ -1015,6 +1130,160 @@ mod tests {
         let mut net = Network::new(0);
         let echo = net.add_node("echo", Echo { seen: 0 });
         net.connect(echo, echo, Interface::Lan, SimDuration::ZERO);
+    }
+
+    /// A random topology — two hubs, leaves on one or both, a few
+    /// leaf-to-leaf links, every link with its own direction-dependent
+    /// quality out of a handful — and the map it was built from.
+    fn random_topology(seed: u64) -> (Network<Msg>, BTreeMap<(NodeId, NodeId), LinkConfig>) {
+        let mut rng = SimRng::new(seed);
+        let mut net = Network::new(seed);
+        let nodes: Vec<NodeId> = (0..40)
+            .map(|i| net.add_node(&format!("n{i}"), Echo { seen: 0 }))
+            .collect();
+        let mut model = BTreeMap::new();
+        let mut link = |net: &mut Network<Msg>, rng: &mut SimRng, a: NodeId, b: NodeId| {
+            if a == b || model.contains_key(&(a, b)) || model.contains_key(&(b, a)) {
+                return;
+            }
+            let quality =
+                |rng: &mut SimRng| LinkQuality::new(SimDuration::from_millis(rng.range(1, 4)));
+            let config = LinkConfig {
+                interface: Interface::ALL[rng.range(0, 3) as usize],
+                forward: quality(rng),
+                reverse: quality(rng),
+            };
+            net.connect_with(a, b, config);
+            model.insert((a, b), config);
+        };
+        let (hub_a, hub_b) = (nodes[3], nodes[17]);
+        link(&mut net, &mut rng, hub_b, hub_a);
+        for &leaf in &nodes {
+            // Either end may be the link's `a`.
+            match rng.range(0, 4) {
+                0 => link(&mut net, &mut rng, leaf, hub_a),
+                1 => link(&mut net, &mut rng, hub_b, leaf),
+                2 => {
+                    link(&mut net, &mut rng, hub_a, leaf);
+                    link(&mut net, &mut rng, leaf, hub_b);
+                }
+                _ => {
+                    let other = nodes[rng.range(0, nodes.len() as u64) as usize];
+                    link(&mut net, &mut rng, leaf, other);
+                }
+            }
+        }
+        (net, model)
+    }
+
+    #[test]
+    fn ports_agree_with_a_map_of_links() {
+        for seed in 0..8 {
+            let (net, model) = random_topology(seed);
+            let nodes: Vec<NodeId> = net.node_ids().collect();
+            assert!(model.len() > nodes.len() / 2, "seed {seed}: a real topology");
+            for &x in &nodes {
+                for &y in &nodes {
+                    let wanted = model
+                        .get(&(x, y))
+                        .map(|c| ((x, y), *c))
+                        .or_else(|| model.get(&(y, x)).map(|c| ((y, x), *c)));
+                    let got = net.link_between(x, y);
+                    assert_eq!(got.map(|l| (l.endpoints(), l.config)), wanted, "{x}-{y}");
+                    if let (Some(link), Some(((a, _), config))) = (got, wanted) {
+                        let toward_y = if x == a { config.forward } else { config.reverse };
+                        assert_eq!(link.quality_from(x), toward_y, "{x}->{y}");
+                    }
+                }
+                let mut linked: Vec<NodeId> = model
+                    .keys()
+                    .filter_map(|&(a, b)| (a == x).then_some(b).or((b == x).then_some(a)))
+                    .collect();
+                let mut neighbors: Vec<NodeId> = net.neighbors(x).collect();
+                linked.sort();
+                neighbors.sort();
+                assert_eq!(neighbors, linked, "{x}");
+            }
+            assert!(net.classes.len() <= 3 * 3 * 3, "classes are interned");
+        }
+    }
+
+    #[test]
+    fn a_linked_pair_cannot_be_linked_again_from_either_end() {
+        let (mut net, model) = random_topology(1);
+        for &(a, b) in model.keys() {
+            for (x, y) in [(a, b), (b, a)] {
+                let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    net.connect(x, y, Interface::Lan, SimDuration::ZERO)
+                }));
+                let message = *again.expect_err("linked twice").downcast::<String>().unwrap();
+                assert!(message.starts_with(&format!("duplicate link between {x} and {y}")));
+            }
+        }
+    }
+
+    #[test]
+    fn a_send_samples_its_own_direction_through_a_hub() {
+        // Six callers on one echoing hub, each over a link with its own
+        // latency out and back; half the links have the hub as `a`. The
+        // request is looked up from the leaf's ports, the reply from the
+        // hub's side of the same link.
+        let mut net = Network::new(0);
+        let hub = net.add_node("hub", Echo { seen: 0 });
+        let callers: Vec<NodeId> = (0..6u64)
+            .map(|i| {
+                let caller = Caller {
+                    peer: hub,
+                    reply: None,
+                    reply_at: None,
+                };
+                let id = net.add_node(&format!("caller{i}"), caller);
+                let out = LinkQuality::new(SimDuration::from_millis(1 + i));
+                let back = LinkQuality::new(SimDuration::from_millis(20 + 3 * i));
+                let (a, b, forward, reverse) = if i % 2 == 0 {
+                    (id, hub, out, back)
+                } else {
+                    (hub, id, back, out)
+                };
+                let config = LinkConfig {
+                    interface: Interface::Lan,
+                    forward,
+                    reverse,
+                };
+                net.connect_with(a, b, config);
+                id
+            })
+            .collect();
+        net.run_until_quiescent();
+        for (i, &id) in callers.iter().enumerate() {
+            let round_trip = SimTime::from_micros((21 + 4 * i as u64) * 1_000);
+            assert_eq!(net.node::<Caller>(id).unwrap().reply_at, Some(round_trip));
+        }
+    }
+
+    #[test]
+    fn degrading_one_link_leaves_its_class_mates_alone() {
+        let mut net = Network::new(0);
+        let nodes: Vec<NodeId> = (0..3)
+            .map(|i| net.add_node(&format!("n{i}"), Echo { seen: 0 }))
+            .collect();
+        let base = LinkQuality::new(SimDuration::from_millis(2));
+        net.connect(nodes[0], nodes[1], Interface::Gb, base.latency);
+        net.connect(nodes[1], nodes[2], Interface::Gb, base.latency);
+        assert_eq!(net.classes.len(), 1, "equal configurations share a class");
+        let degraded = base.with_loss(0.5).with_bandwidth_bps(64_000);
+        let quality = |net: &Network<Msg>, a: usize, b: usize| {
+            let link = net.link_between(nodes[a], nodes[b]).expect("linked");
+            (link.quality_from(nodes[a]), link.quality_from(nodes[b]))
+        };
+        for _ in 0..1_000 {
+            net.set_link_quality(nodes[1], nodes[0], degraded);
+            assert_eq!(quality(&net, 0, 1), (degraded, degraded));
+            assert_eq!(quality(&net, 1, 2), (base, base));
+            net.set_link_quality(nodes[0], nodes[1], base);
+            assert_eq!(quality(&net, 0, 1), (base, base));
+            assert_eq!(net.classes.len(), 2, "a cycle re-interns, it adds nothing");
+        }
     }
 
     #[test]

@@ -22,17 +22,32 @@
 //! Each level keeps a 256-bit occupancy bitmap so the drain path skips empty
 //! slots with a couple of `trailing_zeros` calls instead of a linear scan.
 //!
-//! ## Payloads stay parked
+//! ## One slab, and lists through it
 //!
 //! Simulation events are large (a `Message` alone is ~100 bytes), and a
 //! binary heap sifts whole events through its array on every push and pop.
-//! The wheel never does: payloads are written once into a slab (`items`)
-//! whose freed indices are recycled through a free list, and everything the
-//! wheel routes — through slots, cascades, the sorted batch, the overflow
-//! heap — is a 24-byte [`Key`] `(at, seq, slab index)`. A payload is moved
-//! exactly twice: into the slab at push, out of it at pop. Combined with
-//! slot vectors whose capacity is retained across drains, steady-state
-//! scheduling neither allocates nor copies payloads.
+//! The wheel never does: a payload is written once into a slab entry
+//! `{ at, seq, next, item }` and moved out of it at pop. A slot is not a
+//! container but the slab index of the first entry of an intrusive singly
+//! linked list threaded through `next`; a level is 256 such heads plus its
+//! bitmap, inline in the wheel. Pushing into a slot links the entry at the
+//! head, a cascade walks the list and links each entry into its slot one
+//! level down, and a popped entry joins the free list through the same
+//! `next`. Only the sorted batch and the two heaps hold 24-byte [`Key`]s
+//! `(at, seq, slab index)`.
+//!
+//! So a wheel is 3 kB of heads and one slab as long as the most events it
+//! ever held at once, however bursty its history. With a buffer per slot
+//! it was not: a registration burst sized one buffer, the drain handed that
+//! buffer on to whichever slot drained next, and every later push landed in
+//! a different cold one — 580 buffers and 156 kB parked in a 256-subscriber
+//! shard's two wheels (`DESIGN.md` §2.13 has the count).
+//!
+//! Linking at the head leaves a slot's list in reverse push order, and a
+//! cascade reverses what it moves once more. Neither can reach the pop
+//! order: nothing reads a list but the level-0 drain, which collects the
+//! whole slot into the batch and sorts it by `(at, seq)` — and `seq` was
+//! assigned at push.
 //!
 //! ## Ordering contract
 //!
@@ -71,8 +86,11 @@ const LEVELS: usize = 3;
 /// Words in a per-level occupancy bitmap.
 const WORDS: usize = SLOTS / 64;
 
-/// What the wheel actually routes: the ordering key plus the slab index
-/// of the parked payload. 24 bytes, `Copy`.
+/// End of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// What the sorted batch and the two heaps hold: the ordering key plus
+/// the slab index of the parked payload. 24 bytes, `Copy`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Key {
     at: u64,
@@ -102,18 +120,28 @@ impl Ord for MinKey {
     }
 }
 
+/// One slab entry: a parked payload with its ordering key, and the link
+/// that threads it into a slot's list — or, once popped, into the free
+/// list.
+struct Entry<T> {
+    at: u64,
+    seq: u64,
+    next: u32,
+    item: Option<T>,
+}
+
+/// A level owns no memory of its own: a slot is the slab index of the
+/// first entry of its list.
 struct Level {
-    slots: Vec<Vec<Key>>,
+    heads: [u32; SLOTS],
     occupied: [u64; WORDS],
 }
 
 impl Level {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-        }
-    }
+    const EMPTY: Level = Level {
+        heads: [NIL; SLOTS],
+        occupied: [0; WORDS],
+    };
 }
 
 fn set_bit(bits: &mut [u64; WORDS], idx: usize) {
@@ -159,10 +187,11 @@ pub struct CalendarWheel<T> {
     /// Usually empty or a handful deep; pops take the smaller of
     /// `batch.last()` and `late.peek()`.
     late: BinaryHeap<MinKey>,
-    /// Parked payloads; `Key::idx` points here.
-    items: Vec<Option<T>>,
-    /// Recycled `items` indices.
-    free: Vec<u32>,
+    /// Parked payloads and the slot lists through them; `Key::idx` and
+    /// every slot head point here.
+    slab: Vec<Entry<T>>,
+    /// Head of the list of popped entries, reused before the slab grows.
+    free: u32,
     /// Absolute level-0 slot index the wheel has drained up to.
     cursor: u64,
     next_seq: u64,
@@ -179,12 +208,12 @@ impl<T> CalendarWheel<T> {
     /// Creates an empty wheel with its cursor at time zero.
     pub fn new() -> Self {
         CalendarWheel {
-            levels: [Level::new(), Level::new(), Level::new()],
+            levels: [Level::EMPTY; LEVELS],
             overflow: BinaryHeap::new(),
             batch: Vec::new(),
             late: BinaryHeap::new(),
-            items: Vec::new(),
-            free: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
             cursor: 0,
             next_seq: 0,
             len: 0,
@@ -207,21 +236,25 @@ impl<T> CalendarWheel<T> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.items[idx as usize] = Some(item);
-                idx
-            }
-            None => {
-                self.items.push(Some(item));
-                (self.items.len() - 1) as u32
-            }
-        };
-        self.place(Key {
-            at: at.as_micros(),
-            seq,
-            idx,
-        });
+        let at = at.as_micros();
+        let idx = self.free;
+        if idx == NIL {
+            self.slab.push(Entry {
+                at,
+                seq,
+                next: NIL,
+                item: Some(item),
+            });
+            return self.place((self.slab.len() - 1) as u32);
+        }
+        // Field by field: the payload is large, and assigning a whole
+        // `Entry` copies it twice.
+        let reused = &mut self.slab[idx as usize];
+        self.free = reused.next;
+        reused.at = at;
+        reused.seq = seq;
+        reused.item = Some(item);
+        self.place(idx);
     }
 
     /// Removes and returns the earliest item, with the instant it was
@@ -300,17 +333,31 @@ impl<T> CalendarWheel<T> {
             (None, Some(_)) => self.late.pop().expect("peeked").0,
             (None, None) => unreachable!("ensure_ready guarantees a ready key"),
         };
-        let item = self.items[key.idx as usize]
-            .take()
-            .expect("key points at a parked payload");
-        self.free.push(key.idx);
+        let entry = &mut self.slab[key.idx as usize];
+        let item = entry.item.take().expect("key points at a parked payload");
+        entry.next = self.free;
+        self.free = key.idx;
         self.len -= 1;
         (SimTime::from_micros(key.at), item)
     }
 
-    /// Routes a key to the late heap, a wheel slot, or the overflow heap,
-    /// according to where its slot lies relative to the cursor.
-    fn place(&mut self, key: Key) {
+    /// The key of the entry parked at `idx`.
+    #[inline]
+    fn key(&self, idx: u32) -> Key {
+        let entry = &self.slab[idx as usize];
+        Key {
+            at: entry.at,
+            seq: entry.seq,
+            idx,
+        }
+    }
+
+    /// Routes the entry at `idx` to the late heap, a wheel slot, or the
+    /// overflow heap, according to where its slot lies relative to the
+    /// cursor. A slot takes it at the head of its list: the order inside
+    /// a slot is never read, the drain sorts.
+    fn place(&mut self, idx: u32) {
+        let key = self.key(idx);
         let s0 = key.at >> SLOT_BITS;
         if s0 <= self.cursor {
             // At or behind the cursor: ready now, ahead of every slot.
@@ -320,13 +367,19 @@ impl<T> CalendarWheel<T> {
         for (l, level) in self.levels.iter_mut().enumerate() {
             let parent_shift = LEVEL_BITS * (l as u32 + 1);
             if (s0 >> parent_shift) == (self.cursor >> parent_shift) {
-                let idx = ((s0 >> (LEVEL_BITS * l as u32)) & SLOT_MASK) as usize;
-                set_bit(&mut level.occupied, idx);
-                level.slots[idx].push(key);
+                let slot = ((s0 >> (LEVEL_BITS * l as u32)) & SLOT_MASK) as usize;
+                set_bit(&mut level.occupied, slot);
+                self.slab[idx as usize].next = std::mem::replace(&mut level.heads[slot], idx);
                 return;
             }
         }
         self.overflow.push(MinKey(key));
+    }
+
+    /// Empties slot `slot` of level `l` and returns the head of its list.
+    fn take_slot(&mut self, l: usize, slot: usize) -> u32 {
+        clear_bit(&mut self.levels[l].occupied, slot);
+        std::mem::replace(&mut self.levels[l].heads[slot], NIL)
     }
 
     /// Advances the cursor until some key is ready (returns true) or it is
@@ -360,13 +413,18 @@ impl<T> CalendarWheel<T> {
                     }
                 }
                 self.cursor = candidate;
-                clear_bit(&mut self.levels[0].occupied, idx);
-                // The batch is empty, so swap the slot's keys straight in:
-                // the batch's old capacity parks in the slot for its next
-                // fill — the slots double as the batch's free list.
-                std::mem::swap(&mut self.batch, &mut self.levels[0].slots[idx]);
-                self.batch
-                    .sort_unstable_by_key(|k| std::cmp::Reverse(k.rank()));
+                // The batch is empty: collect the slot's keys into it. The
+                // list is in reverse push order; the sort alone decides
+                // the pop order.
+                let mut at = self.take_slot(0, idx);
+                while at != NIL {
+                    self.batch.push(self.key(at));
+                    at = self.slab[at as usize].next;
+                }
+                if self.batch.len() > 1 {
+                    self.batch
+                        .sort_unstable_by_key(|k| std::cmp::Reverse(k.rank()));
+                }
                 continue;
             }
             if let Some(lim) = limit {
@@ -398,12 +456,13 @@ impl<T> CalendarWheel<T> {
                         }
                     }
                     self.cursor = candidate;
-                    clear_bit(&mut self.levels[l].occupied, idx);
-                    let mut slot = std::mem::take(&mut self.levels[l].slots[idx]);
-                    for key in slot.drain(..) {
-                        self.place(key);
+                    let mut at = self.take_slot(l, idx);
+                    while at != NIL {
+                        // `place` relinks the entry: read its link first.
+                        let next = self.slab[at as usize].next;
+                        self.place(at);
+                        at = next;
                     }
-                    self.levels[l].slots[idx] = slot;
                     cascaded = true;
                     break;
                 }
@@ -448,7 +507,7 @@ impl<T> CalendarWheel<T> {
                         break;
                     }
                     let MinKey(key) = self.overflow.pop().expect("peeked");
-                    self.place(key);
+                    self.place(key.idx);
                 }
                 continue;
             }
@@ -470,7 +529,7 @@ impl<T> std::fmt::Debug for CalendarWheel<T> {
             .field("batch", &self.batch.len())
             .field("late", &self.late.len())
             .field("overflow", &self.overflow.len())
-            .field("slab", &self.items.len())
+            .field("slab", &self.slab.len())
             .finish()
     }
 }
@@ -569,6 +628,67 @@ mod tests {
         );
     }
 
+    /// Walks the free list and holds the slab to `free + len == slab`:
+    /// every entry is either parked or reusable, and the list ends.
+    fn check_slab<T>(w: &CalendarWheel<T>) {
+        let (mut free, mut at) = (0, w.free);
+        while at != NIL {
+            free += 1;
+            assert!(free <= w.slab.len(), "the free list loops");
+            assert!(w.slab[at as usize].item.is_none(), "a parked entry is free");
+            at = w.slab[at as usize].next;
+        }
+        assert_eq!(free + w.len(), w.slab.len());
+    }
+
+    #[test]
+    fn same_instant_keys_pop_fifo_after_a_cascade() {
+        // A slot's list is in reverse push order, and a cascade re-links
+        // it reversed again: only the drain's sort by `seq` makes the pop
+        // order FIFO. Level 1 (300 ms out) and the overflow heap (6 h).
+        let six_hours = SimTime::ZERO + SimDuration::from_secs(6 * 3600);
+        for at in [ms(300), six_hours] {
+            let mut w = CalendarWheel::new();
+            for tag in 0..50u64 {
+                w.push(at, tag);
+            }
+            let popped: Vec<(SimTime, u64)> = std::iter::from_fn(|| w.pop()).collect();
+            let fifo: Vec<(SimTime, u64)> = (0..50).map(|tag| (at, tag)).collect();
+            assert_eq!(popped, fifo);
+            check_slab(&w);
+        }
+    }
+
+    #[test]
+    fn a_burst_leaves_nothing_behind_but_the_slab() {
+        // The regression the slot lists remove: a burst used to size a
+        // slot's own buffer, and the batch swap then parked that buffer
+        // in whichever slot drained next. Now a level is heads and a
+        // bitmap, inline in the wheel — its only heap objects are the
+        // slab, `batch`, `late` and `overflow` — and the slab is as long
+        // as the burst's peak however long the wheel runs afterwards.
+        assert_eq!(
+            std::mem::size_of::<[Level; LEVELS]>(),
+            LEVELS * (SLOTS * 4 + WORDS * 8)
+        );
+        let mut w = CalendarWheel::new();
+        for tag in 0..10_000u64 {
+            w.push(ms(100), tag);
+        }
+        let mut now = 0;
+        for round in 0..100_000u64 {
+            // Steady traffic: 20 ms frames and the odd supervision timer.
+            let ahead = if round % 64 == 0 { 5_000_000 } else { 20_000 };
+            w.push(SimTime::from_micros(now + ahead), round);
+            now = w.pop().expect("never empty").0.as_micros();
+        }
+        assert_eq!(w.len(), 10_000);
+        assert_eq!(w.slab.len(), 10_001, "the burst's peak plus the one in flight");
+        check_slab(&w);
+        while w.pop().is_some() {}
+        check_slab(&w);
+    }
+
     #[test]
     fn slab_recycles_freed_indices() {
         // Steady-state churn must not grow the payload slab: every pop
@@ -580,7 +700,7 @@ mod tests {
             assert_eq!(item, [round; 4]);
         }
         assert!(w.is_empty());
-        assert_eq!(w.items.len(), 1, "churn must reuse the single slab slot");
+        assert_eq!(w.slab.len(), 1, "churn must reuse the single slab slot");
     }
 
     #[test]
@@ -620,9 +740,11 @@ mod tests {
                     let delta = rng.range(0, 3_600_000_000);
                     push(&mut w, &mut expected, at.as_micros() + delta);
                 }
+                check_slab(&w);
             }
             while let Some((at, item)) = w.pop() {
                 popped.push((at.as_micros(), item));
+                check_slab(&w);
             }
             // The oracle: all keys in (at, seq) order. Interleaved pushes
             // were >= the pop time at which they were made, so the already
@@ -679,11 +801,14 @@ mod tests {
                         let dt = rng.range(0, 30_000_000_000);
                         push(&mut w, &mut oracle, &mut seq, now + dt);
                     }
+                    check_slab(&w);
                 }
+                check_slab(&w);
                 now = deadline;
             }
             while let Some((at, item)) = w.pop() {
                 popped.push((at.as_micros(), item));
+                check_slab(&w);
             }
             oracle.sort_unstable();
             assert_eq!(popped, oracle, "seed {seed}");

@@ -7,9 +7,7 @@
 
 use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 
-use vgprs_sim::{
-    census_counters, Context, IdHasher, Interface, JsonValue, Network, Node, NodeId, Payload,
-};
+use vgprs_sim::{census_counters, IdHasher, Interface, JsonValue};
 use vgprs_wire::{ConnRef, Imsi, Ipv4Addr, Msisdn, Nsapi, Teid, Tmsi};
 
 fn hash_of<K: Hash>(key: K) -> u64 {
@@ -76,18 +74,6 @@ const RUN: u32 = 1 << 16;
 /// reach 3, 9 and 518; the BCD-packed `Imsi` and `Msisdn` 7, 21 and 555.)
 const RUN_BOUNDS: (u32, f64, f64) = (8, 21.0 / 8.0, 589.0 / 512.0);
 
-#[derive(Clone, Debug)]
-struct Nothing;
-impl Payload for Nothing {
-    fn label(&self) -> String {
-        "nothing".into()
-    }
-}
-struct Idle;
-impl Node<Nothing> for Idle {
-    fn on_message(&mut self, _: &mut Context<'_, Nothing>, _: NodeId, _: Interface, _: Nothing) {}
-}
-
 #[test]
 fn consecutive_identifiers_spread_over_buckets_groups_and_tags() {
     let imsi = |g: u32| Imsi::parse(&format!("466920{g:09}")).expect("generated IMSI");
@@ -116,20 +102,6 @@ fn consecutive_identifiers_spread_over_buckets_groups_and_tags() {
         (0..RUN).map(|g| (imsi(g), nsapi)),
         RUN_BOUNDS,
     );
-
-    // Link keys: a cell's star, the hub first as `Network::link_key`
-    // orders it, then a mesh among the first few hundred nodes.
-    let mut net: Network<Nothing> = Network::new(0);
-    let ids: Vec<NodeId> = (0..=RUN).map(|_| net.add_node("n", Idle)).collect();
-    assert_spread(
-        "(NodeId, NodeId) star",
-        ids[1..].iter().map(|&ms| (ids[0], ms)),
-        RUN_BOUNDS,
-    );
-    let mesh = ids[..256]
-        .iter()
-        .flat_map(|&a| ids[..256].iter().map(move |&b| (a, b)));
-    assert_spread("(NodeId, NodeId) mesh", mesh, RUN_BOUNDS);
 }
 
 #[test]

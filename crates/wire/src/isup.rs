@@ -91,6 +91,18 @@ impl IsupMessage {
         out
     }
 
+    /// The length of [`encode`](Self::encode)'s output, without building
+    /// it.
+    pub fn encoded_len(&self) -> usize {
+        11 + match &self.kind {
+            IsupKind::Iam { called, calling } => {
+                2 + called.digits().len() + calling.as_ref().map_or(0, |c| c.digits().len())
+            }
+            IsupKind::Rel { .. } => 1,
+            IsupKind::Acm | IsupKind::Anm | IsupKind::Rlc => 0,
+        }
+    }
+
     /// Decodes from wire form.
     ///
     /// # Errors

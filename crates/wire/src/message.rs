@@ -157,7 +157,7 @@ impl Payload for Message {
             }
             Message::Llc { inner, .. } => 6 + inner.wire_size(),
             Message::Ip(p) => p.wire_size(),
-            Message::Isup(m) => m.encode().len() + 5,
+            Message::Isup(m) => m.encoded_len() + 5,
             Message::TrunkVoice { .. } => 40,
             Message::Cmd(_) => 1,
         }
@@ -184,7 +184,8 @@ impl Payload for Message {
 mod tests {
     use super::*;
     use crate::cause::Cause;
-    use crate::ids::{Ipv4Addr, Lai, MsIdentity, Msisdn, Teid, TransportAddr};
+    use crate::ids::{Cic, Ipv4Addr, Lai, MsIdentity, Msisdn, Teid, TransportAddr};
+    use crate::isup::IsupKind;
     use crate::ip::IpPayload;
     use crate::ras::RasMessage;
     use crate::rtp::RtpPacket;
@@ -340,5 +341,36 @@ mod tests {
             nsapi: Nsapi::new(5).unwrap(),
         });
         assert_eq!(gtp_sig.wire_size(), 44);
+    }
+
+    #[test]
+    fn isup_wire_size_is_the_encoded_length() {
+        // Every kind the ladders emit, IAM with and without a calling
+        // number: the size a send reads never builds the encoding.
+        let kinds = [
+            IsupKind::Iam {
+                called: msisdn(),
+                calling: Some(Msisdn::parse("886987654321").unwrap()),
+            },
+            IsupKind::Iam {
+                called: msisdn(),
+                calling: None,
+            },
+            IsupKind::Acm,
+            IsupKind::Anm,
+            IsupKind::Rel {
+                cause: Cause::NormalClearing,
+            },
+            IsupKind::Rlc,
+        ];
+        for kind in kinds {
+            let m = IsupMessage {
+                cic: Cic(7),
+                call: CallId(9),
+                kind,
+            };
+            assert_eq!(m.encoded_len(), m.encode().len(), "{}", m.label());
+            assert_eq!(Message::Isup(m.clone()).wire_size(), m.encode().len() + 5);
+        }
     }
 }

@@ -13,6 +13,12 @@
 # One run is ≈ 280 samples at the kernel's 4 ms tick, so a share below a
 # few percent needs ten runs or more before it means anything. Inlined
 # callees are charged to the function they were inlined into.
+#
+# Samples count host time, and the host is shared: the same binary has
+# given 3 438 samples per 12 runs in a slow phase and 2 512 an hour
+# later. The first line therefore also prints the per-run sample counts
+# (min / median / max); compare two profiles' sample counts only when
+# those lines say the phases matched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,7 +85,9 @@ def resolver(maps):
     return resolve
 
 leaf, inclusive, matching, total = collections.Counter(), collections.Counter(), collections.Counter(), 0
+per_run = []
 for path in files:
+    before = total
     text = open(path).read()
     samples, _, maps = text.partition("--maps--\n")
     resolve = resolver(maps.splitlines())
@@ -93,14 +101,18 @@ for path in files:
         leaf[names[0]] += 1
         inclusive.update(set(names))
         matching.update(p for p in patterns if any(re.search(p, name) for name in names))
+    per_run.append(total - before)
 
 if not total:
     sys.exit("profile.sh: no samples (did the child run?)")
-print(f"{total} samples over {len(files)} runs")
+per_run.sort()
+print(f"{total} samples over {len(files)} runs "
+      f"(per run: min {per_run[0]} / median {per_run[len(per_run) // 2]} / max {per_run[-1]})")
 for title, table in (("leaf", leaf), ("inclusive", inclusive)):
     print(f"\n-- {title} share, top 30")
     for name, n in table.most_common(30):
         print(f"{100 * n / total:6.2f} %  {name[:110]}")
 for pattern in patterns:
-    print(f"\n-- samples with /{pattern}/ anywhere on the stack: {100 * matching[pattern] / total:.2f} %")
+    print(f"\n-- samples with /{pattern}/ anywhere on the stack: "
+          f"{matching[pattern]} ({100 * matching[pattern] / total:.2f} %)")
 ' "$bin" "$(echo "$dir"/samples.*)" "$@"

@@ -129,6 +129,15 @@ if [ -n "$long" ]; then
     exit 1
 fi
 
+echo "==> the kernel stays compact"
+# A wheel slot is a list through the wheel's one slab and a link is a
+# port at each end (DESIGN §2.13, §2.1): a buffer per slot or a table
+# keyed by node pairs is a third of a shard's heap again, touched at a
+# random line by every send.
+tripwire "a vector per wheel slot" 'Vec<Vec<' crates/sim/src/wheel.rs
+tripwire "a link table keyed by node pairs" -E \
+    'IdMap<\(NodeId, NodeId\)|link_key' crates/sim/src/net.rs
+
 echo "==> committed sweeps are current"
 # BENCH_chaos.json and BENCH_surge.json are what a fresh sweep of this
 # tree writes: everything but the commit named in `meta.git`.
