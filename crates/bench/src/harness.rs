@@ -293,7 +293,7 @@ fn begin_artifact(workload: Option<&str>, cfg: &LoadConfig) -> JsonWriter {
     w.key("seed").u64(cfg.seed);
     w.key("subscribers").u64(cfg.subscribers as u64);
     w.key("shards").u64(cfg.effective_shards() as u64);
-    w.key("threads").u64(cfg.effective_threads() as u64);
+    w.key("threads").u64(1);
     w.key("kernel").string(&cfg.kernel.to_string());
     w.key("window_secs").u64(cfg.population.window_secs);
     w.key("git").string(&git_describe());

@@ -121,11 +121,6 @@ impl LoadConfig {
             self.subscribers.div_ceil(DEFAULT_SHARD_SUBSCRIBERS).max(1)
         }
     }
-
-    /// The threads a run uses: one, whatever `threads` says.
-    pub fn effective_threads(&self) -> usize {
-        1
-    }
 }
 
 /// Partitions `subscribers` into `shards` near-equal contiguous slices
@@ -240,13 +235,8 @@ pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard)) -> LoadRepo
     if fabric.armed() {
         reports[0].stats.merge(fabric.stats());
     }
-    LoadReport::merge(
-        cfg.subscribers,
-        cfg.effective_threads(),
-        cfg.snapshot_secs,
-        &reports,
-        wall,
-    )
+    // One thread, whatever `cfg.threads` says.
+    LoadReport::merge(cfg.subscribers, 1, cfg.snapshot_secs, &reports, wall)
 }
 
 #[cfg(test)]

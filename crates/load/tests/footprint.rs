@@ -14,12 +14,16 @@ use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
 use vgprs_load::{subscriber_plan, LoadConfig, PopulationConfig, Shard, ShardConfig};
 
-/// (bytes, allocations) one shard may hold once built and registered:
-/// the measured 754 364 in 1 478 plus 5 %. With a buffer per wheel slot
-/// and a hash table of links (PR 22) it held 921 932 in 1 797.
+/// (bytes, allocations) one shard may hold once built and registered.
+/// Measured: 757 936 in 1 479. The bound is PR 23's 754 364 in 1 478
+/// plus 5 %; since then the subscriber row took in the three side tables
+/// that were keyed by its index (+40 B a row, −1 table) and the home
+/// zone's handles moved into the shard. With a buffer per wheel slot and
+/// a hash table of links (PR 22) it held 921 932 in 1 797.
 const AFTER_NEW: (isize, isize) = (792_000, 1_552);
-/// The same once its busy hour has drained: 778 360 in 1 640 plus 5 %
-/// (PR 22: 976 200 in 2 219, the parked slot buffers having grown).
+/// The same once its busy hour has drained. Measured: 781 932 in 1 641,
+/// under PR 23's 778 360 in 1 640 plus 5 % (PR 22: 976 200 in 2 219, the
+/// parked slot buffers having grown).
 const AFTER_RUN: (isize, isize) = (817_000, 1_722);
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
