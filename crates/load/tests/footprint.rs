@@ -7,24 +7,32 @@
 //! so nothing else allocates meanwhile) around one shard of the
 //! benchmark's `busy_hour` world — shard 0 of 64, 256 subscribers, a
 //! tenth of the movers crossing shards, seed 42 — read after
-//! `Shard::new` and after the shard's last epoch.
+//! `Shard::new` and after the shard's last epoch; then the bytes each
+//! extra subscriber costs, from a 128- and a 256-subscriber shard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
-use vgprs_load::{subscriber_plan, LoadConfig, PopulationConfig, Shard, ShardConfig};
+use vgprs_load::{
+    subscriber_plan, LoadConfig, PopulationConfig, Shard, ShardConfig, SubscriberPlan,
+};
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 757 936 in 1 479. The bound is PR 23's 754 364 in 1 478
-/// plus 5 %; since then the subscriber row took in the three side tables
-/// that were keyed by its index (+40 B a row, −1 table) and the home
-/// zone's handles moved into the shard. With a buffer per wheel slot and
-/// a hash table of links (PR 22) it held 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (792_000, 1_552);
-/// The same once its busy hour has drained. Measured: 781 932 in 1 641,
-/// under PR 23's 778 360 in 1 640 plus 5 % (PR 22: 976 200 in 2 219, the
+/// Measured: 590 484 in 948, plus 5 %. An IMSI or MSISDN is one word
+/// (PR 25: 16 bytes before, in every row, key and message that holds
+/// one) and a started network gives back its growth slack and keeps its
+/// node names in one string; PR 24 held 757 936 in 1 479, and with a
+/// buffer per wheel slot and a hash table of links (PR 22) 921 932 in
+/// 1 797.
+const AFTER_NEW: (isize, isize) = (620_000, 996);
+/// The same once its busy hour has drained. Measured: 613 296 in 1 110,
+/// plus 5 % (PR 24: 781 932 in 1 641; PR 22: 976 200 in 2 219, the
 /// parked slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (817_000, 1_722);
+const AFTER_RUN: (isize, isize) = (644_000, 1_166);
+/// Bytes a built shard holds per subscriber beyond the 128th — the
+/// per-subscriber figure that peak RSS only estimates. Measured: 2 255
+/// (PR 24: 2 913).
+const PER_SUBSCRIBER: isize = 2_400;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);
@@ -60,17 +68,16 @@ fn live() -> (isize, isize) {
     (LIVE_BYTES.load(Relaxed), LIVE_ALLOCATIONS.load(Relaxed))
 }
 
-#[test]
-fn a_shard_stays_within_its_footprint() {
+fn shard_config(subscribers: usize) -> ShardConfig {
     let run = LoadConfig::default();
     let population = PopulationConfig {
         cross_shard_fraction: 0.1,
         ..PopulationConfig::default()
     };
-    let cfg = ShardConfig {
+    ShardConfig {
         shard_index: 0,
         base_index: 0,
-        subscribers: 256,
+        subscribers,
         total_shards: 64,
         master_seed: 42,
         population: population.clone(),
@@ -83,10 +90,19 @@ fn a_shard_stays_within_its_footprint() {
         scenario: run.scenario,
         controls: run.controls,
         snapshot_secs: run.snapshot_secs,
-    };
-    let plans: Vec<_> = (0..cfg.subscribers)
-        .map(|i| subscriber_plan(&population, cfg.master_seed, i))
-        .collect();
+    }
+}
+
+fn plans_for(cfg: &ShardConfig) -> Vec<SubscriberPlan> {
+    (0..cfg.subscribers)
+        .map(|i| subscriber_plan(&cfg.population, cfg.master_seed, i))
+        .collect()
+}
+
+#[test]
+fn a_shard_stays_within_its_footprint() {
+    let cfg = shard_config(256);
+    let plans = plans_for(&cfg);
 
     let (bytes0, allocations0) = live();
     let held = |what: &str, max_bytes: isize, max_allocations: isize| {
@@ -110,4 +126,25 @@ fn a_shard_stays_within_its_footprint() {
     }
     assert!(!shard.is_busy(), "the shard drains");
     held("after the last epoch", AFTER_RUN.0, AFTER_RUN.1);
+    drop(shard);
+
+    // Bytes per extra subscriber: two more shards, built after the first
+    // so the one-time statics it allocated (census keys, stat names) are
+    // in neither, and compared once built.
+    let built = |subscribers| {
+        let cfg = shard_config(subscribers);
+        let plans = plans_for(&cfg);
+        let before = live().0;
+        let shard = Shard::new(&cfg, &plans);
+        let bytes = live().0 - before;
+        drop(shard);
+        bytes
+    };
+    let (small, large) = (built(128), built(256));
+    let per_subscriber = (large - small) / 128;
+    println!("per extra subscriber: {per_subscriber} bytes (128: {small}, 256: {large})");
+    assert!(
+        per_subscriber <= PER_SUBSCRIBER,
+        "{per_subscriber} bytes per extra subscriber, over the bound of {PER_SUBSCRIBER}"
+    );
 }

@@ -485,6 +485,12 @@ impl<M: Payload> Network<M> {
             return;
         }
         self.started = true;
+        // The world is built before it runs: give back what doubling
+        // left spare (a 530-node shard sits in vectors of 1 024).
+        self.nodes.shrink_to_fit();
+        self.relays.shrink_to_fit();
+        self.ports.shrink_to_fit();
+        self.trace.shrink_names();
         // An `on_start` can send, and a send can be lost.
         self.k_dirty = true;
         for idx in 0..self.nodes.len() {

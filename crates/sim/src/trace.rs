@@ -67,7 +67,10 @@ impl TraceEntry {
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
-    names: Vec<String>,
+    /// Every node's display name, concatenated in registration order.
+    names: String,
+    /// Where each node's name ends in `names`, indexed by node.
+    name_ends: Vec<u32>,
 }
 
 impl Trace {
@@ -76,7 +79,15 @@ impl Trace {
     }
 
     pub(crate) fn register_node(&mut self, name: &str) {
-        self.names.push(name.to_owned());
+        self.names.push_str(name);
+        self.name_ends.push(self.names.len() as u32);
+    }
+
+    /// Gives back the spare capacity of the node names: a network calls
+    /// this once its world is built.
+    pub(crate) fn shrink_names(&mut self) {
+        self.names.shrink_to_fit();
+        self.name_ends.shrink_to_fit();
     }
 
     pub(crate) fn record_message(
@@ -108,7 +119,9 @@ impl Trace {
     ///
     /// Panics if `node` was not created by the owning network.
     pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0 as usize]
+        let i = node.0 as usize;
+        let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
+        &self.names[start as usize..self.name_ends[i] as usize]
     }
 
     /// All entries in delivery order.
@@ -299,5 +312,6 @@ mod tests {
         t.clear();
         assert!(t.is_empty());
         assert_eq!(t.node_name(NodeId(0)), "ms");
+        assert_eq!(t.node_name(NodeId(1)), "bts");
     }
 }

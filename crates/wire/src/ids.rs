@@ -5,8 +5,8 @@
 //! [`Msisdn`], a [`Tmsi`] is not a [`Teid`], and the compiler enforces it.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::str::FromStr;
-
 
 /// Error returned when parsing an identity from text fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,16 +32,17 @@ impl fmt::Display for ParseIdError {
 
 impl std::error::Error for ParseIdError {}
 
-/// Packed decimal digit string (up to 16 digits) used by IMSI and MSISDN.
+/// Packed decimal digit string used by IMSI and MSISDN, in one word:
+/// each digit occupies 4 bits, most significant digit first, above a
+/// 4-bit length. Both numbers are at most 15 digits (GSM 03.03 §2.2,
+/// E.164 §6), so the word is `packed << 4 | len` with `len ≥ 1` — never
+/// zero, which makes an `Option` of it a word too. For 15 digits or
+/// fewer this sorts exactly as `(packed, len)` does.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-struct Digits {
-    /// Each digit occupies 4 bits, most significant digit first.
-    packed: u64,
-    len: u8,
-}
+struct Digits(NonZeroU64);
 
 impl Digits {
-    const MAX_LEN: usize = 16;
+    const MAX_LEN: usize = 15;
 
     fn parse(kind: &'static str, s: &str) -> Result<Self, ParseIdError> {
         if s.is_empty() {
@@ -60,26 +61,28 @@ impl Digits {
                 .ok_or_else(|| ParseIdError::new(kind, format!("non-digit character {c:?}")))?;
             packed = (packed << 4) | u64::from(d);
         }
-        Ok(Digits {
-            packed,
-            len: s.len() as u8,
-        })
+        let word = packed << 4 | s.len() as u64;
+        Ok(Digits(NonZeroU64::new(word).expect("a digit string is not empty")))
+    }
+
+    fn len(&self) -> usize {
+        (self.0.get() & 0xF) as usize
     }
 
     fn digit(&self, i: usize) -> u8 {
-        debug_assert!(i < self.len as usize);
-        let shift = 4 * (self.len as usize - 1 - i);
-        ((self.packed >> shift) & 0xF) as u8
+        debug_assert!(i < self.len());
+        let shift = 4 * (self.len() - i);
+        ((self.0.get() >> shift) & 0xF) as u8
     }
 
     fn as_string(&self) -> String {
-        (0..self.len as usize)
+        (0..self.len())
             .map(|i| char::from(b'0' + self.digit(i)))
             .collect()
     }
 
     fn starts_with(&self, prefix: &str) -> bool {
-        if prefix.len() > self.len as usize {
+        if prefix.len() > self.len() {
             return false;
         }
         prefix
@@ -122,10 +125,10 @@ impl Imsi {
     /// Returns [`ParseIdError`] if the string is not 14–15 decimal digits.
     pub fn parse(s: &str) -> Result<Self, ParseIdError> {
         let d = Digits::parse("IMSI", s)?;
-        if !(14..=15).contains(&(d.len as usize)) {
+        if !(14..=15).contains(&d.len()) {
             return Err(ParseIdError::new(
                 "IMSI",
-                format!("expected 14-15 digits, got {}", d.len),
+                format!("expected 14-15 digits, got {}", d.len()),
             ));
         }
         Ok(Imsi(d))
@@ -145,7 +148,7 @@ impl Imsi {
     /// the MSIN as a number when `skip` is the length of MCC+MNC. Zero
     /// when nothing is left.
     pub fn suffix(&self, skip: usize) -> u64 {
-        (skip..self.0.len as usize).fold(0, |v, i| v * 10 + u64::from(self.0.digit(i)))
+        (skip..self.0.len()).fold(0, |v, i| v * 10 + u64::from(self.0.digit(i)))
     }
 
     /// The full digit string.
@@ -188,17 +191,18 @@ impl fmt::Display for Imsi {
 pub struct Msisdn(Digits);
 
 impl Msisdn {
-    /// Parses an MSISDN from 5–16 decimal digits (international format).
+    /// Parses an MSISDN from 5–15 decimal digits (international format;
+    /// E.164 §6 caps a number at 15).
     ///
     /// # Errors
     ///
-    /// Returns [`ParseIdError`] on non-digits or a length outside 5–16.
+    /// Returns [`ParseIdError`] on non-digits or a length outside 5–15.
     pub fn parse(s: &str) -> Result<Self, ParseIdError> {
         let d = Digits::parse("MSISDN", s)?;
-        if (d.len as usize) < 5 {
+        if d.len() < 5 {
             return Err(ParseIdError::new(
                 "MSISDN",
-                format!("expected at least 5 digits, got {}", d.len),
+                format!("expected at least 5 digits, got {}", d.len()),
             ));
         }
         Ok(Msisdn(d))
@@ -562,9 +566,50 @@ mod tests {
     fn imsi_length_validation() {
         assert!(Imsi::parse("12345678901234").is_ok()); // 14 digits ok
         assert!(Imsi::parse("1234567890123").is_err()); // 13 too short
-        assert!(Imsi::parse("1234567890123456").is_err()); // 16 too long
         assert!(Imsi::parse("46692012345678x").is_err());
         assert!(Imsi::parse("").is_err());
+        // 16 is too long for either number: GSM 03.03 §2.2 and E.164 §6
+        // both stop at 15.
+        for e in [
+            Imsi::parse("1234567890123456").unwrap_err(),
+            Msisdn::parse("1234567890123456").unwrap_err(),
+        ] {
+            assert!(e.to_string().ends_with("too long (16 digits, max 15)"), "{e}");
+        }
+        assert!(Msisdn::parse("123456789012345").is_ok());
+    }
+
+    #[test]
+    fn an_identity_is_one_word() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Imsi>(), 8);
+        assert_eq!(size_of::<Msisdn>(), 8);
+        assert_eq!(size_of::<Option<Imsi>>(), 8);
+        assert_eq!(size_of::<Option<Msisdn>>(), 8);
+        assert_eq!(size_of::<(Imsi, Nsapi)>(), 16);
+    }
+
+    #[test]
+    fn order_is_packed_value_then_length() {
+        // The order the two-field `Digits { packed, len }` derived, which
+        // the VMSC's resync and every sorted-IMSI walk saw before.
+        let mut rng = vgprs_sim::SimRng::new(25);
+        let numbers: Vec<String> = (0..10_000)
+            .map(|_| {
+                let len = rng.range(5, 16);
+                (0..len).map(|_| char::from(b'0' + rng.range(0, 10) as u8)).collect()
+            })
+            .collect();
+        let key = |s: &String| {
+            let packed = s.bytes().fold(0u64, |v, b| v << 4 | u64::from(b - b'0'));
+            (packed, s.len())
+        };
+        let mut by_key = numbers.clone();
+        by_key.sort_by_key(key);
+        let mut by_ord: Vec<Msisdn> = numbers.iter().map(|s| Msisdn::parse(s).unwrap()).collect();
+        by_ord.sort();
+        let by_ord: Vec<String> = by_ord.iter().map(Msisdn::digits).collect();
+        assert_eq!(by_ord, by_key);
     }
 
     #[test]

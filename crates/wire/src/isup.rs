@@ -292,6 +292,21 @@ mod tests {
     }
 
     #[test]
+    fn decode_refuses_a_sixteen_digit_number() {
+        // One digit past E.164's fifteen is a malformed parameter, not a
+        // panic.
+        let mut b = vec![0, 1, 0x01]; // CIC 1, IAM
+        b.extend_from_slice(&2u64.to_be_bytes());
+        b.push(16);
+        b.extend_from_slice(b"8529123456789012");
+        b.push(0); // no calling number
+        assert_eq!(
+            IsupMessage::decode(&b),
+            Err(DecodeIsupError::BadParameter("number digits"))
+        );
+    }
+
+    #[test]
     fn decode_rejects_unknown_type() {
         let mut b = iam().encode();
         b[2] = 0x77;

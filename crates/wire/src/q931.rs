@@ -406,6 +406,20 @@ mod tests {
     }
 
     #[test]
+    fn decode_refuses_a_sixteen_digit_number() {
+        // One digit past E.164's fifteen is a malformed element, not a
+        // panic.
+        let mut b = vec![DISCRIMINATOR, 2, 0, 1, 0x05];
+        b.extend_from_slice(&[ie::USER_USER, 8, 0, 0, 0, 0, 0, 0, 0, 9]);
+        b.extend_from_slice(&[ie::CALLED, 17, 0x81]);
+        b.extend_from_slice(b"8529123456789012");
+        assert_eq!(
+            Q931Message::decode(&b),
+            Err(DecodeQ931Error::BadIe("number digits"))
+        );
+    }
+
+    #[test]
     fn decode_rejects_unknown_ie() {
         let mut b = setup().encode();
         b.extend_from_slice(&[0x55, 1, 0]);

@@ -21,7 +21,7 @@ fn rand_digits(rng: &mut SimRng, lo: usize, hi: usize) -> String {
 }
 
 fn rand_msisdn(rng: &mut SimRng) -> Msisdn {
-    Msisdn::parse(&rand_digits(rng, 5, 16)).expect("generated digits are valid")
+    Msisdn::parse(&rand_digits(rng, 5, 15)).expect("generated digits are valid")
 }
 
 fn rand_imsi(rng: &mut SimRng) -> Imsi {

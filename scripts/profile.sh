@@ -11,8 +11,12 @@
 # inclusive share is printed as one line, e.g. 'hashbrown|HashMap'.
 #
 # One run is ≈ 280 samples at the kernel's 4 ms tick, so a share below a
-# few percent needs ten runs or more before it means anything. Inlined
-# callees are charged to the function they were inlined into.
+# few percent needs ten runs or more before it means anything. The symbol
+# table charges inlined callees to the function they were inlined into;
+# a third table charges each leaf to its innermost inlined function from
+# the debug info (`addr2line -i` or `llvm-symbolizer`; skipped with a note
+# when the host has neither). Cargo strips a release build's debug info
+# unless told otherwise, so the build keeps it (CARGO_PROFILE_RELEASE_STRIP).
 #
 # Samples count host time, and the host is shared: the same binary has
 # given 3 438 samples per 12 runs in a slow phase and 2 512 an hour
@@ -36,7 +40,7 @@ done
 dir=target/profile
 mkdir -p "$dir"
 cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -lpthread
-RUSTFLAGS="-C force-frame-pointers=yes -g" cargo build --release --quiet --offline \
+CARGO_PROFILE_RELEASE_STRIP=none RUSTFLAGS="-C force-frame-pointers=yes -g" cargo build --release --quiet --offline \
     --manifest-path benchmark/Cargo.toml --target-dir "$dir"
 bin=$dir/release/vgprs-benchmark
 
@@ -47,7 +51,7 @@ for run in $(seq "$runs"); do
 done
 
 nm -C --defined-only "$bin" | python3 -c '
-import bisect, collections, os, re, sys
+import bisect, collections, os, re, shutil, subprocess, sys
 
 binary, files, patterns = os.path.realpath(sys.argv[1]), sys.argv[2].split(), sys.argv[3:]
 symbols = sorted(
@@ -74,17 +78,35 @@ def resolver(maps):
         if ours and bias is None:
             bias = lo  # a PIE: `nm` addresses count from its first mapping
         spans.append((lo, hi, ours, "[" + os.path.basename(fields[5]) + "]"))
-    def resolve(pc):
+    def resolve(pc):  # (name, address in the binary or None)
         for lo, hi, ours, label in spans:
             if lo <= pc < hi:
                 if not ours:
-                    return label
+                    return label, None
                 at = bisect.bisect_right(starts, pc - bias) - 1
-                return pretty(symbols[at][1]) if at >= 0 else label
-        return "[unmapped]"
+                return (pretty(symbols[at][1]) if at >= 0 else label), pc - bias
+        return "[unmapped]", None
     return resolve
 
+def innermost(addresses):
+    """The innermost inlined function at each address, from the debug info."""
+    addresses = sorted(addresses)
+    if shutil.which("addr2line"):
+        # `-a` heads the frames of each address, innermost first, with it.
+        cmd, parse = ["addr2line", "-a", "-i", "-f", "-C", "-e", binary], lambda out: [
+            block.split("\n")[0] for block in re.split(r"^0x[0-9a-f]+\n", out, flags=re.M)[1:]]
+    elif shutil.which("llvm-symbolizer"):
+        # Blank lines separate addresses; each frame is a function line and a location line.
+        cmd, parse = ["llvm-symbolizer", "--inlines", "--demangle", "--obj=" + binary], lambda out: [
+            block.split("\n")[0] for block in out.strip("\n").split("\n\n")]
+    else:
+        return None
+    out = subprocess.run(cmd, input="".join(f"{a:#x}\n" for a in addresses),
+                         capture_output=True, text=True, check=True).stdout
+    return dict(zip(addresses, (pretty(name) for name in parse(out))))
+
 leaf, inclusive, matching, total = collections.Counter(), collections.Counter(), collections.Counter(), 0
+leaf_at, leaf_outside = collections.Counter(), collections.Counter()  # by address in the binary, by name
 per_run = []
 for path in files:
     before = total
@@ -96,7 +118,12 @@ for path in files:
         if not pcs:
             continue
         # A return address points after the call: step back into it.
-        names = [resolve(pcs[0])] + [resolve(pc - 1) for pc in pcs[1:]]
+        (name, at), *callers = [resolve(pcs[0])] + [resolve(pc - 1) for pc in pcs[1:]]
+        names = [name] + [caller for caller, _ in callers]
+        if at is None:
+            leaf_outside[name] += 1
+        else:
+            leaf_at[at] += 1
         total += 1
         leaf[names[0]] += 1
         inclusive.update(set(names))
@@ -108,7 +135,16 @@ if not total:
 per_run.sort()
 print(f"{total} samples over {len(files)} runs "
       f"(per run: min {per_run[0]} / median {per_run[len(per_run) // 2]} / max {per_run[-1]})")
-for title, table in (("leaf", leaf), ("inclusive", inclusive)):
+tables = [("leaf", leaf), ("inclusive", inclusive)]
+inlined = innermost(leaf_at)
+if inlined is None:
+    print("\n(no addr2line or llvm-symbolizer on this host: no table by inlined function)")
+else:
+    by_inlined = collections.Counter(leaf_outside)
+    for at, n in leaf_at.items():
+        by_inlined[inlined[at]] += n
+    tables.append(("leaf by innermost inlined function", by_inlined))
+for title, table in tables:
     print(f"\n-- {title} share, top 30")
     for name, n in table.most_common(30):
         print(f"{100 * n / total:6.2f} %  {name[:110]}")
