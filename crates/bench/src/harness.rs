@@ -26,7 +26,7 @@ harness load|capacity|chaos|surge
              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
              [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
              [--trunk-intensity F] [--trunk-class CLASS]
-             [--gk-bandwidth N] [--snapshot-secs N] [--threads N]
+             [--gk-bandwidth N] [--snapshot-secs N]
 harness load [--json PATH] [--snapshots PATH] [--snapshots-per-shard]
              [--snapshots-csv PATH]
 harness capacity [--max-load F] [--refine N] [--json PATH]
@@ -181,12 +181,8 @@ pub fn load_config_from(flags: &Flags<'_>, defaults: &RunDefaults) -> LoadConfig
 }
 
 /// The parse behind [`load_config_from`]: the error names the flag whose
-/// value is missing or malformed. `--threads` is still accepted, for
-/// scripts that pass it, and changes nothing.
+/// value is missing or malformed.
 pub fn parse_load_config(flags: &Flags<'_>, defaults: &RunDefaults) -> Result<LoadConfig, String> {
-    if flags.has("--threads") {
-        eprintln!("note: --threads has no effect: the load engine runs on one thread");
-    }
     let mut cfg = LoadConfig {
         subscribers: flags.parsed("--subscribers", defaults.subscribers)?,
         shards: flags.parsed("--shards", defaults.shards)?,
@@ -519,7 +515,7 @@ mod tests {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
             Flags(&args).check(USAGE, sub)
         };
-        let shared = ["--subscribers", "64", "--rate", "-1", "--threads", "2"];
+        let shared = ["--subscribers", "64", "--rate", "-1", "--snapshot-secs", "2"];
         for sub in ["load", "capacity", "chaos", "surge"] {
             assert_eq!(check(sub, &shared), Ok(()), "{sub} reads the shared flags");
         }

@@ -4,9 +4,7 @@
 use std::path::Path;
 
 use vgprs_bench::diff::Thresholds;
-use vgprs_bench::harness::{
-    chaos_json, drain_capped_error, load_config_from, surge_json, Flags, RunDefaults,
-};
+use vgprs_bench::harness::{chaos_json, drain_capped_error, surge_json};
 use vgprs_load::kpi::{Snapshot, KPIS};
 use vgprs_load::{run_load, LoadConfig, OverloadControls};
 use vgprs_sim::JsonValue;
@@ -108,15 +106,26 @@ fn a_drain_capped_report_takes_the_failing_exit() {
     assert!(complaint.contains("load.drain_capped = 2"), "{complaint}");
 }
 
-/// `--threads` is accepted for old scripts and selects nothing: the
-/// configuration it yields is the one the bare command line yields.
+/// The engine runs on one thread, so no configuration carries a thread
+/// count: every subcommand that reads the shared flags refuses
+/// `--threads` with a usage error naming it, rather than run.
 #[test]
 fn the_threads_flag_changes_no_configuration() {
-    let config = |args: &[&str]| {
-        let args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
-        format!("{:?}", load_config_from(&Flags(&args), &RunDefaults::default()))
-    };
-    assert_eq!(config(&["--seed", "7", "--threads", "8"]), config(&["--seed", "7"]));
+    for sub in ["load", "capacity", "chaos", "surge"] {
+        let (code, message) = harness(&[sub, "--threads", "2"]);
+        assert_eq!(code, Some(2), "harness {sub} --threads 2: {message}");
+        assert!(message.contains("has no flag --threads"), "{message}");
+    }
+}
+
+/// Runs the harness binary; its exit code and stderr.
+fn harness(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("harness runs");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 /// A subcommand that moved out (`cargo test` holds the determinism
@@ -126,14 +135,6 @@ fn the_threads_flag_changes_no_configuration() {
 /// overwrite their committed artifact.
 #[test]
 fn an_unknown_experiment_lists_the_commands_that_exist() {
-    let harness = |args: &[&str]| {
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_harness"))
-            .args(args)
-            .current_dir(env!("CARGO_TARGET_TMPDIR"))
-            .output()
-            .expect("harness runs");
-        (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
-    };
     let (code, message) = harness(&["bench"]);
     assert_eq!(code, Some(2), "{message}");
     assert!(message.contains("load, capacity, chaos, surge, diff or all"), "{message}");

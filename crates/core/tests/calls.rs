@@ -5,7 +5,7 @@
 use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_gsm::{MobileStation, MsState};
 use vgprs_h323::{Gatekeeper, H323Terminal, TerminalState};
-use vgprs_sim::{Context, Interface, Network, Node, NodeId, SimDuration, SimTime};
+use vgprs_sim::{Interface, Network, NodeId, ScriptedPeer, SimDuration, SimTime};
 use vgprs_wire::{
     CallId, Cause, Command, ConnRef, Crv, Dtap, GmmMessage, Imsi, IpPacket, IpPayload, Ipv4Addr,
     Lai, MapMessage, Message, MsIdentity, Msisdn, Nsapi, Q931Kind, Q931Message, QosProfile,
@@ -469,27 +469,6 @@ fn mobile_to_mobile_call_is_two_legs() {
 
 // ---- every ladder message, in every state ----
 
-/// Sends one message to the VMSC over a link of its own, as the BSC, the
-/// SGSN or the VLR would.
-struct Feeder {
-    vmsc: NodeId,
-    send: Option<Message>,
-}
-
-impl Node<Message> for Feeder {
-    fn on_message(
-        &mut self,
-        ctx: &mut Context<'_, Message>,
-        _: NodeId,
-        _: Interface,
-        msg: Message,
-    ) {
-        if matches!(msg, Message::Cmd(_)) {
-            ctx.send(self.vmsc, self.send.take().expect("one message per feeder"));
-        }
-    }
-}
-
 /// The row's `RegPhase/CallPhase` and its radio connection.
 fn row_state(net: &Network<Message>, vmsc: NodeId) -> (String, ConnRef) {
     let row = net.node::<Vmsc>(vmsc).unwrap().ms_entry(&ms_imsi());
@@ -747,13 +726,9 @@ fn every_ladder_message_in_every_state_is_answered_or_counted() {
                 let (iface, msg) = ladder_messages(conn, addr, call).swap_remove(index);
                 let what = format!("{msg:?} (stranger: {stranger}) in {state}");
                 let silent_by_design = closes_a_dialogue(&msg);
-                let feeder = r.net.add_node(
-                    "feeder",
-                    Feeder {
-                        vmsc,
-                        send: Some(msg),
-                    },
-                );
+                // A peer of its own sends the message, as the BSC, the
+                // SGSN or the VLR would.
+                let feeder = r.net.add_node("feeder", ScriptedPeer::sending(vmsc, [msg]));
                 r.net
                     .connect(feeder, vmsc, iface, SimDuration::from_micros(1));
                 let counted = |net: &Network<Message>| -> u64 {
@@ -763,11 +738,10 @@ fn every_ladder_message_in_every_state_is_answered_or_counted() {
                         .filter(|(n, _)| n.starts_with("vmsc."));
                     vmsc.map(|(_, v)| v).sum()
                 };
-                // The feeder sends now; the VMSC hears it a microsecond
-                // later. Whatever that microsecond adds to the event
-                // queue beyond what it takes out, the VMSC sent or armed.
-                r.net
-                    .inject(SimDuration::ZERO, feeder, Message::Cmd(Command::PowerOn));
+                // The feeder starts and sends now; the VMSC hears it a
+                // microsecond later. Whatever that microsecond adds to the
+                // event queue beyond what it takes out, the VMSC sent or
+                // armed.
                 r.net.run_until(r.net.now());
                 let before = (counted(&r.net), r.net.pending_events() as u64);
                 let heard = r.net.run_until(r.net.now() + SimDuration::from_micros(1));

@@ -320,7 +320,7 @@ impl Node<Message> for Ggsn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
     use vgprs_wire::{IpPayload, Msisdn, RasMessage, TransportAddr};
 
     fn imsi(last: char) -> Imsi {
@@ -335,43 +335,6 @@ mod tests {
         Ipv4Addr::from_octets(10, 200, 0, 0)
     }
 
-    struct Probe {
-        got: Vec<Message>,
-    }
-    impl Node<Message> for Probe {
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-    }
-
-    struct SgsnStub {
-        ggsn: NodeId,
-        send: Vec<Message>,
-        got: Vec<Message>,
-    }
-    impl Node<Message> for SgsnStub {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for m in self.send.drain(..) {
-                ctx.send(self.ggsn, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-    }
-
     fn create_req(i: Imsi, n: Nsapi, static_addr: Option<Ipv4Addr>) -> Message {
         Message::Gtp(GtpMessage::CreatePdpRequest {
             imsi: i,
@@ -382,22 +345,39 @@ mod tests {
         })
     }
 
+    /// Builds: sgsn(peer sending `send`) —Gn— ggsn —Gi— router(peer).
     fn rig(send: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
         let ggsn = net.add_node("ggsn", Ggsn::new(pool(), 16));
-        let sgsn = net.add_node(
-            "sgsn",
-            SgsnStub {
-                ggsn,
-                send,
-                got: Vec::new(),
-            },
-        );
-        let router = net.add_node("router", Probe { got: Vec::new() });
+        let sgsn = net.add_node("sgsn", ScriptedPeer::sending(ggsn, send));
+        let router = net.add_node("router", ScriptedPeer::new());
         net.connect(sgsn, ggsn, Interface::Gn, SimDuration::from_millis(2));
         net.connect(ggsn, router, Interface::Gi, SimDuration::from_millis(2));
         net.node_mut::<Ggsn>(ggsn).unwrap().set_router(router);
         (net, ggsn, sgsn, router)
+    }
+
+    /// Adds a peer sending `msg` to the GGSN over `iface`, and runs.
+    fn feed(net: &mut Network<Message>, ggsn: NodeId, iface: Interface, msg: Message) {
+        let feeder = net.add_node("feeder", ScriptedPeer::sending(ggsn, [msg]));
+        net.connect(feeder, ggsn, iface, SimDuration::from_millis(1));
+        net.run_until_quiescent();
+    }
+
+    fn got(net: &Network<Message>, peer: NodeId) -> Vec<&Message> {
+        ScriptedPeer::of(net, peer).received()
+    }
+
+    /// The addresses of the created contexts `sgsn` was told of.
+    fn created(net: &Network<Message>, sgsn: NodeId) -> Vec<Ipv4Addr> {
+        let addr = |m: &&Message| match m {
+            Message::Gtp(GtpMessage::CreatePdpResponse {
+                result: Ok((a, _, _)),
+                ..
+            }) => Some(*a),
+            _ => None,
+        };
+        got(net, sgsn).iter().filter_map(addr).collect()
     }
 
     #[test]
@@ -407,17 +387,7 @@ mod tests {
             create_req(imsi('2'), nsapi(), None),
         ]);
         net.run_until_quiescent();
-        let got = &net.node::<SgsnStub>(sgsn).unwrap().got;
-        let mut addrs = Vec::new();
-        for m in got {
-            if let Message::Gtp(GtpMessage::CreatePdpResponse {
-                result: Ok((a, _, _)),
-                ..
-            }) = m
-            {
-                addrs.push(*a);
-            }
-        }
+        let addrs = created(&net, sgsn);
         assert_eq!(addrs.len(), 2);
         assert_ne!(addrs[0], addrs[1]);
         assert_eq!(net.node::<Ggsn>(ggsn).unwrap().active_pdp_count(), 2);
@@ -449,85 +419,28 @@ mod tests {
 
     #[test]
     fn uplink_routed_to_gi() {
-        let (mut net, _ggsn, _sgsn, router) = rig(vec![create_req(imsi('1'), nsapi(), None)]);
+        let (mut net, ggsn, _sgsn, router) = rig(vec![create_req(imsi('1'), nsapi(), None)]);
         net.run_until_quiescent();
         // tunnel a packet headed outside the pool
-        struct Tunneler {
-            ggsn: NodeId,
-            teid: Teid,
-        }
-        impl Node<Message> for Tunneler {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(
-                    self.ggsn,
-                    Message::Gtp(GtpMessage::TPdu {
-                        teid: self.teid,
-                        inner: Box::new(Message::Ip(packet_to(Ipv4Addr::from_octets(
-                            10, 0, 0, 9,
-                        )))),
-                    }),
-                );
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let ggsn_id = net.node::<SgsnStub>(_sgsn).unwrap().ggsn;
-        let teid = Teid(0x6000_0001);
-        let t = net.add_node("tun", Tunneler { ggsn: ggsn_id, teid });
-        net.connect(t, ggsn_id, Interface::Gn, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<Probe>(router).unwrap().got;
+        let outside = packet_to(Ipv4Addr::from_octets(10, 0, 0, 9));
+        let tpdu = GtpMessage::TPdu {
+            teid: Teid(0x6000_0001),
+            inner: Box::new(Message::Ip(outside)),
+        };
+        feed(&mut net, ggsn, Interface::Gn, Message::Gtp(tpdu));
+        let got = got(&net, router);
         assert_eq!(got.len(), 1);
         assert!(matches!(got[0], Message::Ip(_)));
     }
 
     #[test]
     fn downlink_to_context_tunneled() {
-        let (mut net, _ggsn, sgsn, _router) = rig(vec![create_req(imsi('1'), nsapi(), None)]);
+        let (mut net, ggsn, sgsn, _router) = rig(vec![create_req(imsi('1'), nsapi(), None)]);
         net.run_until_quiescent();
-        // find allocated address
-        let addr = {
-            let got = &net.node::<SgsnStub>(sgsn).unwrap().got;
-            got.iter()
-                .find_map(|m| match m {
-                    Message::Gtp(GtpMessage::CreatePdpResponse {
-                        result: Ok((a, _, _)),
-                        ..
-                    }) => Some(*a),
-                    _ => None,
-                })
-                .expect("created")
-        };
+        let addr = *created(&net, sgsn).first().expect("created");
         // push a packet for that address in over Gi
-        struct GiFeeder {
-            ggsn: NodeId,
-            dst: Ipv4Addr,
-        }
-        impl Node<Message> for GiFeeder {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(self.ggsn, Message::Ip(packet_to(self.dst)));
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let ggsn_id = net.node::<SgsnStub>(sgsn).unwrap().ggsn;
-        let f = net.add_node("gi", GiFeeder { ggsn: ggsn_id, dst: addr });
-        net.connect(f, ggsn_id, Interface::Gi, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<SgsnStub>(sgsn).unwrap().got;
-        assert!(got
+        feed(&mut net, ggsn, Interface::Gi, Message::Ip(packet_to(addr)));
+        assert!(got(&net, sgsn)
             .iter()
             .any(|m| matches!(m, Message::Gtp(GtpMessage::TPdu { .. }))));
     }
@@ -539,76 +452,23 @@ mod tests {
         net.node_mut::<Ggsn>(ggsn)
             .unwrap()
             .provision_static(imsi('1'), static_addr, sgsn);
-        struct GiFeeder {
-            ggsn: NodeId,
-            dst: Ipv4Addr,
-        }
-        impl Node<Message> for GiFeeder {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(self.ggsn, Message::Ip(packet_to(self.dst)));
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let f = net.add_node(
-            "gi",
-            GiFeeder {
-                ggsn,
-                dst: static_addr,
-            },
-        );
-        net.connect(f, ggsn, Interface::Gi, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        feed(&mut net, ggsn, Interface::Gi, Message::Ip(packet_to(static_addr)));
         // SGSN stub got the PDU notification
-        let got = &net.node::<SgsnStub>(sgsn).unwrap().got;
-        assert!(got.iter().any(|m| matches!(
+        assert!(got(&net, sgsn).iter().any(|m| matches!(
             m,
             Message::Gtp(GtpMessage::PduNotificationRequest { .. })
         )));
         assert_eq!(net.stats().counter("ggsn.pdu_notifications"), 1);
 
         // Now activate with the static address: buffered packet flushes.
-        struct Activator {
-            ggsn: NodeId,
-            addr: Ipv4Addr,
-        }
-        impl Node<Message> for Activator {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(
-                    self.ggsn,
-                    Message::Gtp(GtpMessage::CreatePdpRequest {
-                        imsi: Imsi::parse("466920123456781").unwrap(),
-                        nsapi: Nsapi::new(6).unwrap(),
-                        qos: QosProfile::realtime_voice(),
-                        static_addr: Some(self.addr),
-                        sgsn_teid: Teid(0x5000_0009),
-                    }),
-                );
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let a = net.add_node(
-            "act",
-            Activator {
-                ggsn,
-                addr: static_addr,
-            },
-        );
-        net.connect(a, ggsn, Interface::Gn, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let activate = GtpMessage::CreatePdpRequest {
+            imsi: imsi('1'),
+            nsapi: Nsapi::new(6).unwrap(),
+            qos: QosProfile::realtime_voice(),
+            static_addr: Some(static_addr),
+            sgsn_teid: Teid(0x5000_0009),
+        };
+        feed(&mut net, ggsn, Interface::Gn, Message::Gtp(activate));
         // The flushed packet goes down the NEW tunnel — to the activator,
         // which is the SGSN that created the context.
         assert_eq!(net.node::<Ggsn>(ggsn).unwrap().active_pdp_count(), 1);
@@ -619,22 +479,11 @@ mod tests {
         let mut net = Network::new(1);
         // /30 pool: hosts .1 .2 .3 (0 skipped) → 3 usable
         let ggsn = net.add_node("ggsn", Ggsn::new(Ipv4Addr::from_octets(10, 200, 0, 0), 30));
-        let reqs: Vec<Message> = "1234"
-            .chars()
-            .map(|c| create_req(imsi(c), nsapi(), None))
-            .collect();
-        let sgsn = net.add_node(
-            "sgsn",
-            SgsnStub {
-                ggsn,
-                send: reqs,
-                got: Vec::new(),
-            },
-        );
+        let reqs = "1234".chars().map(|c| create_req(imsi(c), nsapi(), None));
+        let sgsn = net.add_node("sgsn", ScriptedPeer::sending(ggsn, reqs));
         net.connect(sgsn, ggsn, Interface::Gn, SimDuration::from_millis(1));
         net.run_until_quiescent();
-        let got = &net.node::<SgsnStub>(sgsn).unwrap().got;
-        let rejects = got
+        let rejects = got(&net, sgsn)
             .iter()
             .filter(|m| {
                 matches!(

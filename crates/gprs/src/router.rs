@@ -77,42 +77,12 @@ impl Node<Message> for IpRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
     use vgprs_wire::{IpPacket, IpPayload, Msisdn, RasMessage, TransportAddr};
 
-    struct Probe {
-        got: Vec<Message>,
-    }
-    impl Node<Message> for Probe {
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-    }
-
-    struct Feeder {
-        router: NodeId,
-        packets: Vec<IpPacket>,
-    }
-    impl Node<Message> for Feeder {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for p in self.packets.drain(..) {
-                ctx.send(self.router, Message::Ip(p));
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            _m: Message,
-        ) {
-        }
+    /// A peer sending `packet` to the router.
+    fn feeder(router: NodeId, packet: IpPacket) -> ScriptedPeer<Message> {
+        ScriptedPeer::sending(router, [Message::Ip(packet)])
     }
 
     fn packet_to(dst: Ipv4Addr) -> IpPacket {
@@ -129,16 +99,10 @@ mod tests {
     fn host_route_beats_prefix() {
         let mut net = Network::new(1);
         let router = net.add_node("router", IpRouter::new());
-        let generic = net.add_node("generic", Probe { got: Vec::new() });
-        let specific = net.add_node("specific", Probe { got: Vec::new() });
+        let generic = net.add_node("generic", ScriptedPeer::new());
+        let specific = net.add_node("specific", ScriptedPeer::new());
         let target = Ipv4Addr::from_octets(10, 0, 0, 7);
-        let f = net.add_node(
-            "f",
-            Feeder {
-                router,
-                packets: vec![packet_to(target)],
-            },
-        );
+        let f = net.add_node("f", feeder(router, packet_to(target)));
         net.connect(generic, router, Interface::Lan, SimDuration::from_millis(1));
         net.connect(specific, router, Interface::Lan, SimDuration::from_millis(1));
         net.connect(f, router, Interface::Lan, SimDuration::from_millis(1));
@@ -148,23 +112,18 @@ mod tests {
             r.add_host(target, specific);
         }
         net.run_until_quiescent();
-        assert_eq!(net.node::<Probe>(specific).unwrap().got.len(), 1);
-        assert!(net.node::<Probe>(generic).unwrap().got.is_empty());
+        assert_eq!(ScriptedPeer::of(&net, specific).log().len(), 1);
+        assert!(ScriptedPeer::of(&net, generic).log().is_empty());
     }
 
     #[test]
     fn longest_prefix_wins() {
         let mut net = Network::new(1);
         let router = net.add_node("router", IpRouter::new());
-        let wide = net.add_node("wide", Probe { got: Vec::new() });
-        let narrow = net.add_node("narrow", Probe { got: Vec::new() });
-        let f = net.add_node(
-            "f",
-            Feeder {
-                router,
-                packets: vec![packet_to(Ipv4Addr::from_octets(10, 200, 3, 4))],
-            },
-        );
+        let wide = net.add_node("wide", ScriptedPeer::new());
+        let narrow = net.add_node("narrow", ScriptedPeer::new());
+        let dst = Ipv4Addr::from_octets(10, 200, 3, 4);
+        let f = net.add_node("f", feeder(router, packet_to(dst)));
         for n in [wide, narrow, f] {
             net.connect(n, router, Interface::Lan, SimDuration::from_millis(1));
         }
@@ -174,21 +133,16 @@ mod tests {
             r.add_prefix(Ipv4Addr::from_octets(10, 200, 0, 0), 16, narrow);
         }
         net.run_until_quiescent();
-        assert_eq!(net.node::<Probe>(narrow).unwrap().got.len(), 1);
-        assert!(net.node::<Probe>(wide).unwrap().got.is_empty());
+        assert_eq!(ScriptedPeer::of(&net, narrow).log().len(), 1);
+        assert!(ScriptedPeer::of(&net, wide).log().is_empty());
     }
 
     #[test]
     fn no_route_counted() {
         let mut net = Network::new(1);
         let router = net.add_node("router", IpRouter::new());
-        let f = net.add_node(
-            "f",
-            Feeder {
-                router,
-                packets: vec![packet_to(Ipv4Addr::from_octets(9, 9, 9, 9))],
-            },
-        );
+        let dst = Ipv4Addr::from_octets(9, 9, 9, 9);
+        let f = net.add_node("f", feeder(router, packet_to(dst)));
         net.connect(f, router, Interface::Lan, SimDuration::from_millis(1));
         net.run_until_quiescent();
         assert_eq!(net.stats().counter("router.no_route"), 1);
@@ -198,16 +152,10 @@ mod tests {
     fn ttl_expiry_counted() {
         let mut net = Network::new(1);
         let router = net.add_node("router", IpRouter::new());
-        let sink = net.add_node("sink", Probe { got: Vec::new() });
+        let sink = net.add_node("sink", ScriptedPeer::new());
         let mut dead = packet_to(Ipv4Addr::from_octets(10, 0, 0, 7));
         dead.ttl = 1;
-        let f = net.add_node(
-            "f",
-            Feeder {
-                router,
-                packets: vec![dead],
-            },
-        );
+        let f = net.add_node("f", feeder(router, dead));
         net.connect(sink, router, Interface::Lan, SimDuration::from_millis(1));
         net.connect(f, router, Interface::Lan, SimDuration::from_millis(1));
         net.node_mut::<IpRouter>(router).unwrap().add_prefix(
@@ -217,6 +165,6 @@ mod tests {
         );
         net.run_until_quiescent();
         assert_eq!(net.stats().counter("router.ttl_expired"), 1);
-        assert!(net.node::<Probe>(sink).unwrap().got.is_empty());
+        assert!(ScriptedPeer::of(&net, sink).log().is_empty());
     }
 }

@@ -420,7 +420,7 @@ impl Node<Message> for Sgsn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
     use vgprs_wire::{IpPayload, RasMessage, TransportAddr};
 
     fn imsi() -> Imsi {
@@ -431,95 +431,49 @@ mod tests {
         Nsapi::new(5).unwrap()
     }
 
-    /// Sends its queued messages spaced 50 ms apart so each request's
-    /// response round-trip completes before the next request fires.
-    struct Endpoint {
-        sgsn: NodeId,
-        send: Vec<Message>,
-        got: Vec<Message>,
-    }
-    impl Node<Message> for Endpoint {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for (i, _) in self.send.iter().enumerate() {
-                ctx.set_timer(SimDuration::from_millis(50 * i as u64), i as u64);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-        fn on_timer(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            _t: vgprs_sim::TimerToken,
-            tag: u64,
-        ) {
-            let m = self.send[tag as usize].clone();
-            ctx.send(self.sgsn, m);
-        }
-    }
-
-    /// GGSN stub that accepts every tunnel.
-    struct GgsnStub {
-        sgsn: Option<NodeId>,
-        next: u32,
-    }
-    impl Node<Message> for GgsnStub {
-        fn on_message(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            from: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.sgsn = Some(from);
-            if let Message::Gtp(GtpMessage::CreatePdpRequest {
+    /// A GGSN peer that accepts every tunnel.
+    fn ggsn_stub() -> ScriptedPeer<Message> {
+        let mut next = 0;
+        ScriptedPeer::new().answering(move |m| match *m {
+            Message::Gtp(GtpMessage::CreatePdpRequest {
                 imsi, nsapi, qos, ..
-            }) = m
-            {
-                self.next += 1;
-                ctx.send(
-                    from,
-                    Message::Gtp(GtpMessage::CreatePdpResponse {
-                        imsi,
-                        nsapi,
-                        result: Ok((
-                            Ipv4Addr::from_octets(10, 200, 0, self.next as u8),
-                            Teid(self.next),
-                            qos,
-                        )),
-                    }),
-                );
+            }) => {
+                next += 1;
+                let result = Ok((
+                    Ipv4Addr::from_octets(10, 200, 0, next),
+                    Teid(next.into()),
+                    qos,
+                ));
+                vec![Message::Gtp(GtpMessage::CreatePdpResponse {
+                    imsi,
+                    nsapi,
+                    result,
+                })]
             }
-        }
+            _ => vec![],
+        })
     }
 
+    /// The endpoint sends `send` spaced 50 ms apart so each request's
+    /// response round-trip completes before the next request fires.
     fn rig(send: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let ggsn = net.add_node(
-            "ggsn",
-            GgsnStub {
-                sgsn: None,
-                next: 0,
-            },
-        );
+        let ggsn = net.add_node("ggsn", ggsn_stub());
         let sgsn = net.add_node("sgsn", Sgsn::new(ggsn));
-        let ep = net.add_node(
-            "endpoint",
-            Endpoint {
-                sgsn,
-                send,
-                got: Vec::new(),
-            },
-        );
+        let endpoint = send
+            .into_iter()
+            .zip(0..)
+            .fold(ScriptedPeer::sending(sgsn, []), |endpoint, (m, i)| {
+                endpoint.at(SimDuration::from_millis(50 * i), m)
+            });
+        let ep = net.add_node("endpoint", endpoint);
         net.connect(sgsn, ggsn, Interface::Gn, SimDuration::from_millis(2));
         net.connect(ep, sgsn, Interface::Gb, SimDuration::from_millis(2));
         (net, sgsn, ggsn, ep)
+    }
+
+    fn got(net: &Network<Message>, ep: NodeId) -> Vec<&Message> {
+        ScriptedPeer::of(net, ep).received()
     }
 
     #[test]
@@ -529,7 +483,7 @@ mod tests {
         })]);
         net.run_until_quiescent();
         assert_eq!(net.node::<Sgsn>(sgsn).unwrap().mm.len(), 1);
-        let got = &net.node::<Endpoint>(ep).unwrap().got;
+        let got = got(&net, ep);
         assert!(matches!(
             got[0],
             Message::Gmm(GmmMessage::AttachAccept { .. })
@@ -549,7 +503,7 @@ mod tests {
         ]);
         net.run_until_quiescent();
         assert_eq!(net.node::<Sgsn>(sgsn).unwrap().active_pdp_count(), 1);
-        let got = &net.node::<Endpoint>(ep).unwrap().got;
+        let got = got(&net, ep);
         assert!(got
             .iter()
             .any(|m| matches!(m, Message::Gmm(GmmMessage::ActivatePdpContextAccept { .. }))));
@@ -567,7 +521,7 @@ mod tests {
             })]);
         net.run_until_quiescent();
         assert_eq!(net.node::<Sgsn>(sgsn).unwrap().active_pdp_count(), 0);
-        let got = &net.node::<Endpoint>(ep).unwrap().got;
+        let got = got(&net, ep);
         assert!(matches!(
             got[0],
             Message::Gmm(GmmMessage::ActivatePdpContextReject {
@@ -654,32 +608,14 @@ mod tests {
         })]);
         net.run_until_quiescent();
         // GGSN-side feeder sends the notification over Gn
-        struct Feeder {
-            sgsn: NodeId,
-        }
-        impl Node<Message> for Feeder {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(
-                    self.sgsn,
-                    Message::Gtp(GtpMessage::PduNotificationRequest {
-                        imsi: Imsi::parse("466920123456789").unwrap(),
-                        addr: Ipv4Addr::from_octets(10, 200, 100, 1),
-                    }),
-                );
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let f = net.add_node("f", Feeder { sgsn });
+        let notify = GtpMessage::PduNotificationRequest {
+            imsi: imsi(),
+            addr: Ipv4Addr::from_octets(10, 200, 100, 1),
+        };
+        let f = net.add_node("f", ScriptedPeer::sending(sgsn, [Message::Gtp(notify)]));
         net.connect(f, sgsn, Interface::Gn, SimDuration::from_millis(1));
         net.run_until_quiescent();
-        let got = &net.node::<Endpoint>(ep).unwrap().got;
+        let got = got(&net, ep);
         assert!(got.iter().any(|m| matches!(
             m,
             Message::Gmm(GmmMessage::RequestPdpContextActivation { .. })

@@ -173,54 +173,20 @@ impl Node<Message> for Bsc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
     use vgprs_wire::CallId;
-
-    struct Probe {
-        got: Vec<(Interface, Message)>,
-    }
-    impl Node<Message> for Probe {
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            i: Interface,
-            m: Message,
-        ) {
-            self.got.push((i, m));
-        }
-    }
-
-    struct Sender {
-        peer: NodeId,
-        to_send: Vec<Message>,
-    }
-    impl Node<Message> for Sender {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for m in self.to_send.drain(..) {
-                ctx.send(self.peer, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            _m: Message,
-        ) {
-        }
-    }
 
     const CONN: ConnRef = ConnRef(0x0001_0001);
 
-    /// Builds: msc(probe) —A— bsc —Abis— bts(probe/sender)
+    /// Builds: msc(peer) —A— bsc —Abis— bts(peer), the BTS sending
+    /// `uplink`; a second peer on the A side sends `downlink`.
     fn rig(
         uplink: Vec<Message>,
         downlink: Vec<Message>,
         capacity: usize,
     ) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let msc_probe = net.add_node("msc", Probe { got: Vec::new() });
+        let msc_probe = net.add_node("msc", ScriptedPeer::new());
         let bsc = net.add_node(
             "bsc",
             Bsc::new(
@@ -230,24 +196,12 @@ mod tests {
                 msc_probe,
             ),
         );
-        let bts = net.add_node(
-            "bts",
-            Sender {
-                peer: bsc,
-                to_send: uplink,
-            },
-        );
+        let bts = net.add_node("bts", ScriptedPeer::sending(bsc, uplink));
         net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
         net.connect(bsc, msc_probe, Interface::A, SimDuration::from_millis(1));
         net.node_mut::<Bsc>(bsc).unwrap().register_bts(bts, CellId(3));
         if !downlink.is_empty() {
-            let dl = net.add_node(
-                "dl",
-                Sender {
-                    peer: bsc,
-                    to_send: downlink,
-                },
-            );
+            let dl = net.add_node("dl", ScriptedPeer::sending(bsc, downlink));
             net.connect(dl, bsc, Interface::A, SimDuration::from_millis(5));
         }
         (net, bsc, msc_probe, bts)
@@ -261,10 +215,10 @@ mod tests {
             4,
         );
         net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
+        let got = ScriptedPeer::of(&net, msc).log();
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].0, Interface::A);
-        assert_eq!(got[0].1.label_str(), "A_CM_Service_Accept");
+        assert_eq!(got[0].1, Interface::A);
+        assert_eq!(got[0].2.label_str(), "A_CM_Service_Accept");
     }
 
     #[test]
@@ -276,9 +230,15 @@ mod tests {
         );
         net.run_until_quiescent();
         assert_eq!(net.node::<Bsc>(bsc).unwrap().tch_held.len(), 1);
-        // the downlink sender is a probe-less Sender; check the BTS received
-        // the assignment with the true cell id
-        let _ = bts;
+        // the BTS received the assignment with the true cell id
+        let got = ScriptedPeer::of(&net, bts).received();
+        assert!(matches!(
+            got[..],
+            [Message::Abis {
+                dtap: Dtap::ChannelAssignment { cell: CellId(3) },
+                ..
+            }]
+        ));
         assert_eq!(net.stats().counter("bsc.tch_allocated"), 1);
     }
 
@@ -297,12 +257,9 @@ mod tests {
             1,
         );
         net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
-        let failures: Vec<_> = got
-            .iter()
-            .filter(|(_, m)| m.label_str() == "A_Channel_Assignment_Failure")
-            .collect();
-        assert_eq!(failures.len(), 1);
+        let got = ScriptedPeer::of(&net, msc).labels();
+        let failures = got.iter().filter(|l| *l == "A_Channel_Assignment_Failure");
+        assert_eq!(failures.count(), 1);
         assert_eq!(net.stats().counter("bsc.tch_blocked"), 1);
     }
 
@@ -326,22 +283,15 @@ mod tests {
         use vgprs_wire::{Lai, MsIdentity, Tmsi};
         let _ = Lai::new(1, 1, 1);
         let mut net = Network::new(1);
-        let msc_probe = net.add_node("msc", Probe { got: Vec::new() });
+        let msc_probe = net.add_node("msc", ScriptedPeer::new());
         let bsc = net.add_node("bsc", Bsc::new(BscConfig::default(), msc_probe));
-        let bts1 = net.add_node("bts1", Probe { got: Vec::new() });
-        let bts2 = net.add_node("bts2", Probe { got: Vec::new() });
-        let pager = net.add_node(
-            "pager",
-            Sender {
-                peer: bsc,
-                to_send: vec![Message::a(
-                    ConnRef::CONNECTIONLESS,
-                    Dtap::Paging {
-                        identity: MsIdentity::Tmsi(Tmsi(1)),
-                    },
-                )],
-            },
-        );
+        let bts1 = net.add_node("bts1", ScriptedPeer::new());
+        let bts2 = net.add_node("bts2", ScriptedPeer::new());
+        let page = Dtap::Paging {
+            identity: MsIdentity::Tmsi(Tmsi(1)),
+        };
+        let page = Message::a(ConnRef::CONNECTIONLESS, page);
+        let pager = net.add_node("pager", ScriptedPeer::sending(bsc, [page]));
         net.connect(bts1, bsc, Interface::Abis, SimDuration::from_millis(1));
         net.connect(bts2, bsc, Interface::Abis, SimDuration::from_millis(1));
         net.connect(bsc, msc_probe, Interface::A, SimDuration::from_millis(1));
@@ -352,8 +302,8 @@ mod tests {
             b.register_bts(bts2, CellId(2));
         }
         net.run_until_quiescent();
-        assert_eq!(net.node::<Probe>(bts1).unwrap().got.len(), 1);
-        assert_eq!(net.node::<Probe>(bts2).unwrap().got.len(), 1);
+        assert_eq!(ScriptedPeer::of(&net, bts1).log().len(), 1);
+        assert_eq!(ScriptedPeer::of(&net, bts2).log().len(), 1);
     }
 
     #[test]

@@ -282,29 +282,8 @@ impl Node<Message> for Bts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::Network;
+    use vgprs_sim::{Network, ScriptedPeer};
     use vgprs_wire::{CallId, Lai, MsIdentity, Msisdn, Tmsi};
-
-    /// Test double that records everything it receives.
-    struct Probe {
-        got: Vec<(Interface, Message)>,
-    }
-    impl Probe {
-        fn new() -> Self {
-            Probe { got: Vec::new() }
-        }
-    }
-    impl Node<Message> for Probe {
-        fn on_message(
-            &mut self,
-            _ctx: &mut Context<'_, Message>,
-            _from: NodeId,
-            iface: Interface,
-            msg: Message,
-        ) {
-            self.got.push((iface, msg));
-        }
-    }
 
     fn lur() -> Dtap {
         Dtap::LocationUpdateRequest {
@@ -314,55 +293,54 @@ mod tests {
     }
 
     /// Drives the BTS directly by placing a sender node behind the Um link.
-    struct Sender {
-        peer: NodeId,
-        to_send: Vec<Message>,
-    }
-    impl Node<Message> for Sender {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for m in self.to_send.drain(..) {
-                ctx.send(self.peer, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            _m: Message,
-        ) {
-        }
-    }
-
     fn rig_with_sender(msgs: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let bsc = net.add_node("bsc", Probe::new());
+        let bsc = net.add_node("bsc", ScriptedPeer::new());
         let bts = net.add_node("bts", Bts::new(BtsConfig::default(), bsc));
-        let ms = net.add_node(
-            "ms",
-            Sender {
-                peer: bts,
-                to_send: msgs,
-            },
-        );
+        let ms = net.add_node("ms", ScriptedPeer::sending(bts, msgs));
         net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
         net.node_mut::<Bts>(bts).unwrap().register_ms(ms);
         (net, bts, bsc, ms)
     }
 
+    /// What the BSC side heard.
+    fn uplink(net: &Network<Message>, bsc: NodeId) -> Vec<&Message> {
+        ScriptedPeer::of(net, bsc).received()
+    }
+
+    /// Adds a peer sending `msgs` to the BTS over `iface` after
+    /// `latency_ms`, and runs.
+    fn send(
+        net: &mut Network<Message>,
+        bts: NodeId,
+        (iface, latency_ms): (Interface, u64),
+        msgs: Vec<Message>,
+    ) {
+        let peer = net.add_node("peer", ScriptedPeer::sending(bts, msgs));
+        net.connect(peer, bts, iface, SimDuration::from_millis(latency_ms));
+        net.run_until_quiescent();
+    }
+
+    fn page(imsi: Imsi) -> Message {
+        Message::Abis {
+            conn: ConnRef::CONNECTIONLESS,
+            dtap: Dtap::Paging {
+                identity: MsIdentity::Imsi(imsi),
+            },
+        }
+    }
+
     #[test]
     fn transaction_start_gets_fresh_conn() {
         let (mut net, _bts, bsc, _ms) = rig_with_sender(vec![Message::Um(lur())]);
         net.run_until_quiescent();
-        let probe = net.node::<Probe>(bsc).unwrap();
-        assert_eq!(probe.got.len(), 1);
-        match &probe.got[0].1 {
-            Message::Abis { conn, dtap } => {
+        match uplink(&net, bsc)[..] {
+            [Message::Abis { conn, dtap }] => {
                 assert!(!conn.is_connectionless());
                 assert_eq!(dtap.name(false), "Location_Update");
             }
-            other => panic!("unexpected {other:?}"),
+            ref other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -373,10 +351,10 @@ mod tests {
             Message::Um(Dtap::AuthenticationResponse { sres: 9 }),
         ]);
         net.run_until_quiescent();
-        let probe = net.node::<Probe>(bsc).unwrap();
-        assert_eq!(probe.got.len(), 2);
-        let c0 = probe.got[0].1.conn().unwrap();
-        let c1 = probe.got[1].1.conn().unwrap();
+        let got = uplink(&net, bsc);
+        assert_eq!(got.len(), 2);
+        let c0 = got[0].conn().unwrap();
+        let c1 = got[1].conn().unwrap();
         assert_eq!(c0, c1);
     }
 
@@ -385,36 +363,32 @@ mod tests {
         let (mut net, _bts, bsc, _ms) =
             rig_with_sender(vec![Message::Um(Dtap::AuthenticationResponse { sres: 9 })]);
         net.run_until_quiescent();
-        assert!(net.node::<Probe>(bsc).unwrap().got.is_empty());
+        assert!(uplink(&net, bsc).is_empty());
         assert_eq!(net.stats().counter("bts.uplink_without_conn"), 1);
     }
 
-    #[test]
-    fn paging_broadcast_reaches_all_camped_ms() {
+    /// A BTS with two camped handsets and a BSC peer.
+    fn camped_cell() -> (Network<Message>, NodeId, [NodeId; 2]) {
         let mut net = Network::new(1);
-        let bsc = net.add_node("bsc", Probe::new());
+        let bsc = net.add_node("bsc", ScriptedPeer::new());
         let bts = net.add_node("bts", Bts::new(BtsConfig::default(), bsc));
-        let ms1 = net.add_node("ms1", Probe::new());
-        let ms2 = net.add_node("ms2", Probe::new());
+        let ms1 = net.add_node("ms1", ScriptedPeer::new());
+        let ms2 = net.add_node("ms2", ScriptedPeer::new());
         net.connect(ms1, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(ms2, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
         {
             let b = net.node_mut::<Bts>(bts).unwrap();
             b.register_ms(ms1);
             b.register_ms(ms2);
         }
+        (net, bts, [ms1, ms2])
+    }
+
+    #[test]
+    fn paging_broadcast_reaches_all_camped_ms() {
         let imsi = Imsi::parse("466920123456789").unwrap();
-        net.inject(
-            SimDuration::ZERO,
-            bts,
-            Message::Abis {
-                conn: ConnRef::CONNECTIONLESS,
-                dtap: Dtap::Paging {
-                    identity: MsIdentity::Imsi(imsi),
-                },
-            },
-        );
+        let (mut net, bts, _) = camped_cell();
+        net.inject(SimDuration::ZERO, bts, page(imsi));
         // injected messages arrive on Interface::Internal; emulate Abis by a
         // sender behind the Abis link instead
         net.run_until_quiescent();
@@ -422,39 +396,12 @@ mod tests {
         assert_eq!(net.stats().counter("bts.unexpected_message"), 1);
 
         // Now deliver properly via a sender on the Abis side.
-        let mut net = Network::new(1);
-        let sender_slot = net.add_node("bsc", Probe::new()); // placeholder BSC target
-        let bts = net.add_node("bts", Bts::new(BtsConfig::default(), sender_slot));
-        let ms1 = net.add_node("ms1", Probe::new());
-        let ms2 = net.add_node("ms2", Probe::new());
-        let pager = net.add_node(
-            "pager",
-            Sender {
-                peer: bts,
-                to_send: vec![Message::Abis {
-                    conn: ConnRef::CONNECTIONLESS,
-                    dtap: Dtap::Paging {
-                        identity: MsIdentity::Imsi(imsi),
-                    },
-                }],
-            },
-        );
-        net.connect(ms1, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(ms2, bts, Interface::Um, SimDuration::from_millis(1));
-        net.connect(pager, bts, Interface::Abis, SimDuration::from_millis(1));
-        {
-            let b = net.node_mut::<Bts>(bts).unwrap();
-            b.register_ms(ms1);
-            b.register_ms(ms2);
-        }
-        net.run_until_quiescent();
-        for ms in [ms1, ms2] {
-            let got = &net.node::<Probe>(ms).unwrap().got;
+        let (mut net, bts, camped) = camped_cell();
+        send(&mut net, bts, (Interface::Abis, 1), vec![page(imsi)]);
+        for ms in camped {
+            let got = ScriptedPeer::of(&net, ms).received();
             assert_eq!(got.len(), 1, "each camped MS hears the page");
-            assert!(matches!(
-                got[0].1,
-                Message::Um(Dtap::Paging { .. })
-            ));
+            assert!(matches!(got[0], Message::Um(Dtap::Paging { .. })));
         }
         assert_eq!(net.stats().counter("bts.pages_broadcast"), 1);
     }
@@ -468,8 +415,7 @@ mod tests {
         let m = Message::Gmm(GmmMessage::AttachRequest { imsi });
         let (mut net, _bts, bsc, _ms) = rig_with_sender(vec![m.clone(), m]);
         net.run_until_quiescent();
-        let probe = net.node::<Probe>(bsc).unwrap();
-        assert_eq!(probe.got.len(), 2);
+        assert_eq!(uplink(&net, bsc).len(), 2);
         // At 40 kbit/s a 32-byte GMM message takes 6.4 ms of air time; the
         // second message is queued behind the first.
         assert!(net.now() >= vgprs_sim::SimTime::from_micros(12_800));
@@ -479,27 +425,21 @@ mod tests {
     fn downlink_after_channel_release_has_no_conn() {
         let (mut net, bts, bsc, _ms) = rig_with_sender(vec![Message::Um(lur())]);
         net.run_until_quiescent();
-        let conn = net.node::<Probe>(bsc).unwrap().got[0].1.conn().unwrap();
-        // Sender behind the Abis link releases, then tries to send again.
-        let releaser = net.add_node(
-            "rel",
-            Sender {
-                peer: bts,
-                to_send: vec![
-                    Message::Abis {
-                        conn,
-                        dtap: Dtap::ChannelRelease,
-                    },
-                    Message::Abis {
-                        conn,
-                        dtap: Dtap::Alerting { call: CallId(1) },
-                    },
-                ],
-            },
-        );
-        net.connect(releaser, bts, Interface::Abis, SimDuration::from_millis(2));
-        net.run_until_quiescent();
+        let conn = uplink(&net, bsc)[0].conn().unwrap();
+        // A peer behind the Abis link releases, then tries to send again.
+        let release = Dtap::ChannelRelease;
+        let alert = Dtap::Alerting { call: CallId(1) };
+        let msgs = [release, alert].map(|dtap| Message::Abis { conn, dtap });
+        send(&mut net, bts, (Interface::Abis, 2), msgs.into());
         assert_eq!(net.stats().counter("bts.downlink_unknown_conn"), 1);
+    }
+
+    fn voice() -> Message {
+        Message::Um(Dtap::VoiceFrame {
+            call: CallId(9),
+            seq: 0,
+            origin_us: 0,
+        })
     }
 
     #[test]
@@ -509,20 +449,14 @@ mod tests {
         // A 1 bit/s PDCH never drains: each queued GMM packet deepens
         // the backlog past the clip threshold before voice arrives.
         let gmm = Message::Gmm(GmmMessage::AttachRequest { imsi });
-        let voice = Message::Um(Dtap::VoiceFrame {
-            call: CallId(9),
-            seq: 0,
-            origin_us: 0,
-        });
         let mut to_send = vec![Message::Um(lur())];
         to_send.extend(std::iter::repeat_n(gmm, 8));
-        to_send.push(voice);
+        to_send.push(voice());
         let (mut net, _bts, bsc, _ms) = rig_with_sender(to_send);
         net.run_until_quiescent();
         assert_eq!(net.stats().counter("bts.pdch_voice_clipped"), 1);
         // The voice frame never reached the BSC; the LUR did.
-        let probe = net.node::<Probe>(bsc).unwrap();
-        assert!(probe.got.iter().all(|(_, m)| !matches!(
+        assert!(uplink(&net, bsc).iter().all(|m| !matches!(
             m,
             Message::Abis {
                 dtap: Dtap::VoiceFrame { .. },
@@ -538,36 +472,10 @@ mod tests {
         net.run_until_quiescent();
         // A pager floods the common channel one page past its per-second
         // budget, all inside the first second of the run.
-        let page = Message::Abis {
-            conn: ConnRef::CONNECTIONLESS,
-            dtap: Dtap::Paging {
-                identity: MsIdentity::Imsi(imsi),
-            },
-        };
-        let pager = net.add_node(
-            "pager",
-            Sender {
-                peer: bts,
-                to_send: vec![page; 9],
-            },
-        );
-        net.connect(pager, bts, Interface::Abis, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        send(&mut net, bts, (Interface::Abis, 1), vec![page(imsi); 9]);
         assert_eq!(net.stats().counter("bts.pages_broadcast"), 9);
         // The next voice frame inside the flooded second is clipped.
-        let talker = net.add_node(
-            "talker",
-            Sender {
-                peer: bts,
-                to_send: vec![Message::Um(Dtap::VoiceFrame {
-                    call: CallId(9),
-                    seq: 0,
-                    origin_us: 0,
-                })],
-            },
-        );
-        net.connect(talker, bts, Interface::Um, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        send(&mut net, bts, (Interface::Um, 1), vec![voice()]);
         assert_eq!(net.stats().counter("bts.pdch_voice_clipped"), 1);
         assert!(net.now() < vgprs_sim::SimTime::from_micros(1_000_000));
     }
@@ -575,7 +483,7 @@ mod tests {
     #[test]
     fn cell_accessor() {
         let mut net = Network::new(0);
-        let bsc = net.add_node("bsc", Probe::new());
+        let bsc = net.add_node("bsc", ScriptedPeer::new());
         let bts_id = net.add_node(
             "bts",
             Bts::new(

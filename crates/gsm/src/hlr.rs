@@ -240,7 +240,7 @@ impl Node<Message> for Hlr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
 
     fn imsi() -> Imsi {
         Imsi::parse("466920123456789").unwrap()
@@ -256,86 +256,67 @@ mod tests {
         hlr
     }
 
-    /// Sends one message at start and records every reply.
-    struct Driver {
-        hlr: NodeId,
-        send: Vec<Message>,
-        got: Vec<Message>,
-        ack_isd: bool,
-        answer_prn: bool,
+    /// A peer that sends `msg` to the HLR at start and records every reply.
+    fn asking(hlr: NodeId, msg: MapMessage) -> ScriptedPeer<Message> {
+        ScriptedPeer::sending(hlr, [Message::Map(msg)])
     }
-    impl Driver {
-        fn new(hlr: NodeId, send: Vec<Message>) -> Self {
-            Driver {
-                hlr,
-                send,
-                got: Vec::new(),
-                ack_isd: false,
-                answer_prn: false,
+
+    /// As [`asking`], and a VLR besides: it acks the profile download and
+    /// answers a roaming-number request.
+    fn vlr_asking(hlr: NodeId, msg: MapMessage) -> ScriptedPeer<Message> {
+        asking(hlr, msg).answering(|m| match m {
+            Message::Map(MapMessage::InsertSubsData { imsi, .. }) => {
+                vec![Message::Map(MapMessage::InsertSubsDataAck { imsi: *imsi })]
             }
-        }
+            Message::Map(MapMessage::ProvideRoamingNumber { imsi }) => {
+                vec![Message::Map(MapMessage::ProvideRoamingNumberAck {
+                    imsi: *imsi,
+                    msrn: Msisdn::parse("8869990001").unwrap(),
+                })]
+            }
+            _ => vec![],
+        })
     }
-    impl Node<Message> for Driver {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for m in self.send.drain(..) {
-                ctx.send(self.hlr, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            match &m {
-                Message::Map(MapMessage::InsertSubsData { imsi, .. }) if self.ack_isd => {
-                    let imsi = *imsi;
-                    ctx.send(self.hlr, Message::Map(MapMessage::InsertSubsDataAck { imsi }));
-                }
-                Message::Map(MapMessage::ProvideRoamingNumber { imsi }) if self.answer_prn => {
-                    let imsi = *imsi;
-                    ctx.send(
-                        self.hlr,
-                        Message::Map(MapMessage::ProvideRoamingNumberAck {
-                            imsi,
-                            msrn: Msisdn::parse("8869990001").unwrap(),
-                        }),
-                    );
-                }
-                _ => {}
-            }
-            self.got.push(m);
+
+    fn update_location(vlr: u16) -> MapMessage {
+        MapMessage::UpdateLocation {
+            imsi: imsi(),
+            vlr: PointCode(vlr),
         }
     }
 
-    fn labels(msgs: &[Message]) -> Vec<String> {
-        msgs.iter().map(|m| m.label_str()).collect()
+    /// Adds `peer` as `name` over `iface` and runs until quiet.
+    fn run_with(
+        net: &mut Network<Message>,
+        hlr: NodeId,
+        name: &str,
+        iface: Interface,
+        peer: ScriptedPeer<Message>,
+    ) -> NodeId {
+        let id = net.add_node(name, peer);
+        net.connect(id, hlr, iface, SimDuration::from_millis(1));
+        net.run_until_quiescent();
+        id
+    }
+
+    fn first(net: &Network<Message>, peer: NodeId) -> &Message {
+        ScriptedPeer::of(net, peer).received()[0]
     }
 
     #[test]
     fn sai_returns_three_verifiable_triplets() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let vlr = net.add_node(
-            "vlr",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::SendAuthenticationInfo { imsi: imsi() })],
-            ),
-        );
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<Driver>(vlr).unwrap().got;
-        assert_eq!(got.len(), 1);
-        match &got[0] {
-            Message::Map(MapMessage::SendAuthenticationInfoAck { triplets, .. }) => {
+        let sai = MapMessage::SendAuthenticationInfo { imsi: imsi() };
+        let vlr = run_with(&mut net, hlr, "vlr", Interface::D, asking(hlr, sai));
+        match ScriptedPeer::of(&net, vlr).received()[..] {
+            [Message::Map(MapMessage::SendAuthenticationInfoAck { triplets, .. })] => {
                 assert_eq!(triplets.len(), 3);
                 for t in triplets {
                     assert_eq!(t.sres, a3_sres(0xABC, t.rand), "SIM-side check passes");
                 }
             }
-            other => panic!("unexpected {other:?}"),
+            ref other => panic!("unexpected {other:?}"),
         }
     }
 
@@ -343,16 +324,9 @@ mod tests {
     fn sai_unknown_subscriber_returns_empty() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", Hlr::new());
-        let vlr = net.add_node(
-            "vlr",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::SendAuthenticationInfo { imsi: imsi() })],
-            ),
-        );
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        match &net.node::<Driver>(vlr).unwrap().got[0] {
+        let sai = MapMessage::SendAuthenticationInfo { imsi: imsi() };
+        let vlr = run_with(&mut net, hlr, "vlr", Interface::D, asking(hlr, sai));
+        match first(&net, vlr) {
             Message::Map(MapMessage::SendAuthenticationInfoAck { triplets, .. }) => {
                 assert!(triplets.is_empty());
             }
@@ -365,20 +339,11 @@ mod tests {
     fn update_location_downloads_profile_then_acks() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let mut d = Driver::new(
-            hlr,
-            vec![Message::Map(MapMessage::UpdateLocation {
-                imsi: imsi(),
-                vlr: PointCode(10),
-            })],
-        );
-        d.ack_isd = true;
-        let vlr = net.add_node("vlr", d);
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let d = vlr_asking(hlr, update_location(10));
+        let vlr = run_with(&mut net, hlr, "vlr", Interface::D, d);
         assert_eq!(
-            labels(&net.node::<Driver>(vlr).unwrap().got),
-            vec!["MAP_Insert_Subs_Data", "MAP_Update_Location_ack"]
+            ScriptedPeer::of(&net, vlr).labels(),
+            ["MAP_Insert_Subs_Data", "MAP_Update_Location_ack"]
         );
         assert_eq!(net.node::<Hlr>(hlr).unwrap().serving_vlr(&imsi()), Some(vlr));
         assert_eq!(net.stats().counter("hlr.locations_updated"), 1);
@@ -388,29 +353,12 @@ mod tests {
     fn moving_vlr_cancels_old_location() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let mut d1 = Driver::new(
-            hlr,
-            vec![Message::Map(MapMessage::UpdateLocation {
-                imsi: imsi(),
-                vlr: PointCode(10),
-            })],
-        );
-        d1.ack_isd = true;
-        let vlr1 = net.add_node("vlr1", d1);
-        net.connect(vlr1, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let mut d2 = Driver::new(
-            hlr,
-            vec![Message::Map(MapMessage::UpdateLocation {
-                imsi: imsi(),
-                vlr: PointCode(20),
-            })],
-        );
-        d2.ack_isd = true;
-        let vlr2 = net.add_node("vlr2", d2);
-        net.connect(vlr2, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        assert!(labels(&net.node::<Driver>(vlr1).unwrap().got)
+        let d1 = vlr_asking(hlr, update_location(10));
+        let vlr1 = run_with(&mut net, hlr, "vlr1", Interface::D, d1);
+        let d2 = vlr_asking(hlr, update_location(20));
+        let vlr2 = run_with(&mut net, hlr, "vlr2", Interface::D, d2);
+        assert!(ScriptedPeer::of(&net, vlr1)
+            .labels()
             .contains(&"MAP_Cancel_Location".to_owned()));
         assert_eq!(net.node::<Hlr>(hlr).unwrap().serving_vlr(&imsi()), Some(vlr2));
     }
@@ -419,52 +367,26 @@ mod tests {
     fn unknown_subscriber_update_location_rejected() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", Hlr::new());
-        let vlr = net.add_node(
-            "vlr",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::UpdateLocation {
-                    imsi: imsi(),
-                    vlr: PointCode(10),
-                })],
-            ),
-        );
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let d = asking(hlr, update_location(10));
+        let vlr = run_with(&mut net, hlr, "vlr", Interface::D, d);
         assert_eq!(
-            labels(&net.node::<Driver>(vlr).unwrap().got),
-            vec!["MAP_Update_Location_reject"]
+            ScriptedPeer::of(&net, vlr).labels(),
+            ["MAP_Update_Location_reject"]
         );
+    }
+
+    fn sri() -> MapMessage {
+        MapMessage::SendRoutingInformation { msisdn: msisdn() }
     }
 
     #[test]
     fn sri_resolves_msrn_through_serving_vlr() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let mut v = Driver::new(
-            hlr,
-            vec![Message::Map(MapMessage::UpdateLocation {
-                imsi: imsi(),
-                vlr: PointCode(10),
-            })],
-        );
-        v.ack_isd = true;
-        v.answer_prn = true;
-        let vlr = net.add_node("vlr", v);
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let gmsc = net.add_node(
-            "gmsc",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::SendRoutingInformation {
-                    msisdn: msisdn(),
-                })],
-            ),
-        );
-        net.connect(gmsc, hlr, Interface::C, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        match &net.node::<Driver>(gmsc).unwrap().got[0] {
+        let v = vlr_asking(hlr, update_location(10));
+        run_with(&mut net, hlr, "vlr", Interface::D, v);
+        let gmsc = run_with(&mut net, hlr, "gmsc", Interface::C, asking(hlr, sri()));
+        match first(&net, gmsc) {
             Message::Map(MapMessage::SendRoutingInformationAck { msrn: Ok(m), .. }) => {
                 assert_eq!(m.digits(), "8869990001");
             }
@@ -477,18 +399,8 @@ mod tests {
     fn sri_unknown_number_fails_fast() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", Hlr::new());
-        let gmsc = net.add_node(
-            "gmsc",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::SendRoutingInformation {
-                    msisdn: msisdn(),
-                })],
-            ),
-        );
-        net.connect(gmsc, hlr, Interface::C, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        match &net.node::<Driver>(gmsc).unwrap().got[0] {
+        let gmsc = run_with(&mut net, hlr, "gmsc", Interface::C, asking(hlr, sri()));
+        match first(&net, gmsc) {
             Message::Map(MapMessage::SendRoutingInformationAck {
                 msrn: Err(Cause::UnallocatedNumber),
                 ..
@@ -501,23 +413,20 @@ mod tests {
     fn sri_for_unregistered_subscriber_is_absent() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let gmsc = net.add_node(
-            "gmsc",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::SendRoutingInformation {
-                    msisdn: msisdn(),
-                })],
-            ),
-        );
-        net.connect(gmsc, hlr, Interface::C, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        match &net.node::<Driver>(gmsc).unwrap().got[0] {
+        let gmsc = run_with(&mut net, hlr, "gmsc", Interface::C, asking(hlr, sri()));
+        match first(&net, gmsc) {
             Message::Map(MapMessage::SendRoutingInformationAck {
                 msrn: Err(Cause::SubscriberAbsent),
                 ..
             }) => {}
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn update_gprs_location() -> MapMessage {
+        MapMessage::UpdateGprsLocation {
+            imsi: imsi(),
+            sgsn: PointCode(77),
         }
     }
 
@@ -529,19 +438,9 @@ mod tests {
         profile.gprs_allowed = false;
         hlr.provision(imsi(), 0xABC, profile);
         let hlr_node = net.add_node("hlr", hlr);
-        let sgsn = net.add_node(
-            "sgsn",
-            Driver::new(
-                hlr_node,
-                vec![Message::Map(MapMessage::UpdateGprsLocation {
-                    imsi: imsi(),
-                    sgsn: PointCode(77),
-                })],
-            ),
-        );
-        net.connect(sgsn, hlr_node, Interface::Gr, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        match &net.node::<Driver>(sgsn).unwrap().got[0] {
+        let d = asking(hlr_node, update_gprs_location());
+        let sgsn = run_with(&mut net, hlr_node, "sgsn", Interface::Gr, d);
+        match first(&net, sgsn) {
             Message::Map(MapMessage::UpdateGprsLocationAck {
                 rejection: Some(Cause::ServiceNotAllowed),
                 ..
@@ -555,18 +454,8 @@ mod tests {
     fn gprs_location_accepted_when_allowed() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let sgsn = net.add_node(
-            "sgsn",
-            Driver::new(
-                hlr,
-                vec![Message::Map(MapMessage::UpdateGprsLocation {
-                    imsi: imsi(),
-                    sgsn: PointCode(77),
-                })],
-            ),
-        );
-        net.connect(sgsn, hlr, Interface::Gr, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let d = asking(hlr, update_gprs_location());
+        let sgsn = run_with(&mut net, hlr, "sgsn", Interface::Gr, d);
         assert_eq!(net.node::<Hlr>(hlr).unwrap().serving_sgsn(&imsi()), Some(sgsn));
     }
 
@@ -574,17 +463,8 @@ mod tests {
     fn internal_cancel_location_transfers_ownership() {
         let mut net = Network::new(9);
         let hlr = net.add_node("hlr", provisioned());
-        let mut d = Driver::new(
-            hlr,
-            vec![Message::Map(MapMessage::UpdateLocation {
-                imsi: imsi(),
-                vlr: PointCode(10),
-            })],
-        );
-        d.ack_isd = true;
-        let vlr = net.add_node("vlr", d);
-        net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let d = vlr_asking(hlr, update_location(10));
+        let vlr = run_with(&mut net, hlr, "vlr", Interface::D, d);
         assert_eq!(net.node::<Hlr>(hlr).unwrap().serving_vlr(&imsi()), Some(vlr));
 
         // Administrative transfer: record leaves, the serving VLR is told.
@@ -596,7 +476,8 @@ mod tests {
         net.run_until_quiescent();
         assert!(net.node::<Hlr>(hlr).unwrap().records.is_empty());
         assert!(net.node::<Hlr>(hlr).unwrap().serving_vlr(&imsi()).is_none());
-        assert!(labels(&net.node::<Driver>(vlr).unwrap().got)
+        assert!(ScriptedPeer::of(&net, vlr)
+            .labels()
             .contains(&"MAP_Cancel_Location".to_string()));
         assert_eq!(net.stats().counter("hlr.ownership_transferred"), 1);
 

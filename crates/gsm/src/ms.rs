@@ -500,7 +500,7 @@ impl Node<Message> for MobileStation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::Network;
+    use vgprs_sim::{Network, ScriptedPeer};
 
     fn config() -> MsConfig {
         MsConfig::new(
@@ -511,58 +511,28 @@ mod tests {
         )
     }
 
-    /// Builds: fake serving BTS ←Um→ MS. The BTS needs the MS id to play
-    /// its feed, so the rig patches it in after creating both.
-    struct ScriptedBts {
-        ms: Option<NodeId>,
-        feed: Vec<Message>,
-        got: Vec<Message>,
-    }
-    impl Node<Message> for ScriptedBts {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for (i, _) in self.feed.iter().enumerate() {
-                ctx.set_timer(SimDuration::from_millis(10 * (i as u64 + 1)), i as u64);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _t: TimerToken, tag: u64) {
-            if let (Some(ms), Some(m)) = (self.ms, self.feed.get(tag as usize)) {
-                ctx.send(ms, m.clone());
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-    }
-
+    /// Builds: fake serving BTS ←Um→ MS. The BTS plays `feed` 10 ms
+    /// apart from 10 ms on; it needs the MS id, so the rig patches it in
+    /// after creating both.
     fn rig(feed: Vec<Message>) -> (Network<Message>, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let bts = net.add_node(
-            "bts",
-            ScriptedBts {
-                ms: None,
-                feed,
-                got: Vec::new(),
-            },
-        );
+        let bts = net.add_node("bts", scripted_bts(feed));
         let ms = net.add_node("ms", MobileStation::new(config(), bts));
         net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
-        net.node_mut::<ScriptedBts>(bts).unwrap().ms = Some(ms);
+        net.node_mut::<ScriptedPeer<Message>>(bts)
+            .unwrap()
+            .set_target(ms);
         (net, ms, bts)
     }
 
-    fn uplink_labels(net: &Network<Message>, bts: NodeId) -> Vec<String> {
-        net.node::<ScriptedBts>(bts)
-            .unwrap()
-            .got
-            .iter()
-            .map(|m| m.label_str())
-            .collect()
+    fn scripted_bts(feed: Vec<Message>) -> ScriptedPeer<Message> {
+        feed.into_iter().zip(1..).fold(ScriptedPeer::new(), |bts, (m, i)| {
+            bts.at(SimDuration::from_millis(10 * i), m)
+        })
+    }
+
+    fn uplink(net: &Network<Message>, bts: NodeId) -> Vec<&Message> {
+        ScriptedPeer::of(net, bts).received()
     }
 
     #[test]
@@ -571,7 +541,7 @@ mod tests {
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
         net.run_until_quiescent();
         assert_eq!(
-            uplink_labels(&net, bts),
+            ScriptedPeer::of(&net, bts).labels(),
             vec!["Um_Location_Update_Request"]
         );
         assert_eq!(
@@ -586,7 +556,7 @@ mod tests {
             rand: 777,
         })]);
         net.run_until_quiescent();
-        let got = &net.node::<ScriptedBts>(bts).unwrap().got;
+        let got = uplink(&net, bts);
         assert_eq!(got.len(), 1);
         match got[0].dtap() {
             Some(Dtap::AuthenticationResponse { sres }) => {
@@ -617,7 +587,7 @@ mod tests {
         })]);
         net.node_mut::<MobileStation>(ms).unwrap().tmsi = Some(Tmsi(9));
         net.run_until_quiescent();
-        let got = &net.node::<ScriptedBts>(bts).unwrap().got;
+        let got = uplink(&net, bts);
         assert_eq!(got.len(), 1);
         match got[0].dtap() {
             Some(Dtap::LocationUpdateRequest {
@@ -642,7 +612,7 @@ mod tests {
         );
         net.run_until_quiescent();
         assert_eq!(
-            uplink_labels(&net, bts),
+            ScriptedPeer::of(&net, bts).labels(),
             vec!["Um_CM_Service_Request", "Um_Setup"]
         );
         assert_eq!(
@@ -666,7 +636,7 @@ mod tests {
         net.node_mut::<MobileStation>(ms).unwrap().state = MsState::Idle;
         net.run_until_quiescent();
         assert_eq!(
-            uplink_labels(&net, bts),
+            ScriptedPeer::of(&net, bts).labels(),
             vec!["Um_Paging_Response", "Um_Alerting", "Um_Connect"]
         );
         assert_eq!(
@@ -683,7 +653,7 @@ mod tests {
         })]);
         net.node_mut::<MobileStation>(ms).unwrap().state = MsState::Idle;
         net.run_until_quiescent();
-        assert!(net.node::<ScriptedBts>(bts).unwrap().got.is_empty());
+        assert!(uplink(&net, bts).is_empty());
     }
 
     #[test]
@@ -697,7 +667,7 @@ mod tests {
         net.run_until(SimTime::from_micros(111_000));
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::Hangup));
         net.run_until_quiescent();
-        let got = &net.node::<ScriptedBts>(bts).unwrap().got;
+        let got = uplink(&net, bts);
         let frames = got
             .iter()
             .filter(|m| matches!(m.dtap(), Some(Dtap::VoiceFrame { .. })))
@@ -718,14 +688,7 @@ mod tests {
             cell: CellId(2),
             ho_ref: 55,
         })]);
-        let new_bts = net.add_node(
-            "bts2",
-            ScriptedBts {
-                ms: Some(ms),
-                feed: vec![],
-                got: Vec::new(),
-            },
-        );
+        let new_bts = net.add_node("bts2", ScriptedPeer::new());
         net.connect(ms, new_bts, Interface::Um, SimDuration::from_millis(1));
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();
@@ -734,13 +697,13 @@ mod tests {
             m.call = Some(CallId(1));
         }
         net.run_until_quiescent();
-        let new_got = &net.node::<ScriptedBts>(new_bts).unwrap().got;
+        let new_got = uplink(&net, new_bts);
         assert_eq!(new_got.len(), 1);
         assert!(matches!(
             new_got[0].dtap(),
             Some(Dtap::HandoverComplete { ho_ref: 55 })
         ));
-        assert!(net.node::<ScriptedBts>(old_bts).unwrap().got.is_empty());
+        assert!(uplink(&net, old_bts).is_empty());
         assert_eq!(net.node::<MobileStation>(ms).unwrap().handoffs_completed, 1);
     }
 
@@ -748,14 +711,9 @@ mod tests {
     fn stale_cell_downlink_ignored() {
         let (mut net, ms, _bts) = rig(vec![]);
         // a second BTS the MS is NOT served by
-        let stale = net.add_node(
-            "stale",
-            ScriptedBts {
-                ms: Some(ms),
-                feed: vec![Message::Um(Dtap::ChannelRelease)],
-                got: Vec::new(),
-            },
-        );
+        let mut stale = scripted_bts(vec![Message::Um(Dtap::ChannelRelease)]);
+        stale.set_target(ms);
+        let stale = net.add_node("stale", stale);
         net.connect(ms, stale, Interface::Um, SimDuration::from_millis(1));
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();

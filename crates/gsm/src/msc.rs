@@ -791,28 +791,8 @@ impl Node<Message> for GsmMsc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
     use vgprs_wire::{MsIdentity, Tmsi};
-
-    /// Sends its script to the MSC at start; swallows what comes back.
-    struct Peer(Option<NodeId>, Vec<Message>);
-
-    impl Node<Message> for Peer {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            let msc = self.0.expect("wired");
-            for m in self.1.drain(..) {
-                ctx.send(msc, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _: &mut Context<'_, Message>,
-            _: NodeId,
-            _: Interface,
-            _: Message,
-        ) {
-        }
-    }
 
     /// A page by TMSI is answered by TMSI (GSM 03.20): the response
     /// resolves through the TMSI the VLR allocated at registration and
@@ -867,7 +847,12 @@ mod tests {
         let mut net = Network::new(1);
         let peers: Vec<NodeId> = scripts
             .iter()
-            .map(|(iface, _, script)| net.add_node(&iface.to_string(), Peer(None, script.clone())))
+            .map(|(iface, _, script)| {
+                let peer = script.iter().fold(ScriptedPeer::new(), |peer, m| {
+                    peer.at(SimDuration::ZERO, m.clone())
+                });
+                net.add_node(&iface.to_string(), peer)
+            })
             .collect();
         let config = MscConfig {
             country_code: "886".into(),
@@ -876,7 +861,8 @@ mod tests {
         };
         let msc = net.add_node("msc", GsmMsc::new(config, peers[0], peers[0]));
         for (&peer, (iface, ms, _)) in peers.iter().zip(&scripts) {
-            net.node_mut::<Peer>(peer).unwrap().0 = Some(msc);
+            let script = net.node_mut::<ScriptedPeer<Message>>(peer).unwrap();
+            script.set_target(msc);
             net.connect(peer, msc, *iface, SimDuration::from_millis(*ms));
         }
         net.run_until_quiescent();

@@ -517,45 +517,10 @@ impl Node<Message> for Vlr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
 
     fn imsi() -> Imsi {
         Imsi::parse("466920123456789").unwrap()
-    }
-
-    struct Probe {
-        got: Vec<Message>,
-    }
-    impl Node<Message> for Probe {
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            self.got.push(m);
-        }
-    }
-
-    struct Feeder {
-        peer: NodeId,
-        feed: Vec<Message>,
-    }
-    impl Node<Message> for Feeder {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for m in self.feed.drain(..) {
-                ctx.send(self.peer, m);
-            }
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            _m: Message,
-        ) {
-        }
     }
 
     fn config() -> VlrConfig {
@@ -566,142 +531,103 @@ mod tests {
         }
     }
 
-    fn rig(feed_from_msc: Vec<Message>) -> (Network<Message>, NodeId, NodeId, NodeId) {
+    /// Builds: msc(peer) —B— vlr —D— hlr(peer).
+    fn rig() -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let msc = net.add_node("msc", Probe { got: Vec::new() });
-        let hlr = net.add_node("hlr", Probe { got: Vec::new() });
+        let msc = net.add_node("msc", ScriptedPeer::new());
+        let hlr = net.add_node("hlr", ScriptedPeer::new());
         let vlr = net.add_node("vlr", Vlr::new(config(), msc, hlr));
         net.connect(msc, vlr, Interface::B, SimDuration::from_millis(1));
         net.connect(vlr, hlr, Interface::D, SimDuration::from_millis(1));
-        if !feed_from_msc.is_empty() {
-            // feed via the MSC probe is impossible; use a dedicated feeder
-            // wired with the B interface
-            let feeder = net.add_node(
-                "feeder",
-                Feeder {
-                    peer: vlr,
-                    feed: feed_from_msc,
-                },
-            );
-            net.connect(feeder, vlr, Interface::B, SimDuration::from_millis(1));
-        }
         (net, vlr, msc, hlr)
+    }
+
+    /// Sends `msgs` to the VLR over `iface` from a peer of their own, as
+    /// the MSC (B) or the HLR (D) would, and runs until quiet.
+    fn feed(
+        net: &mut Network<Message>,
+        vlr: NodeId,
+        iface: Interface,
+        msgs: impl IntoIterator<Item = Message>,
+    ) {
+        let feeder = net.add_node("feeder", ScriptedPeer::sending(vlr, msgs));
+        net.connect(feeder, vlr, iface, SimDuration::from_millis(1));
+        net.run_until_quiescent();
+    }
+
+    fn ula(identity: MsIdentity) -> Message {
+        Message::Map(MapMessage::UpdateLocationArea {
+            conn: ConnRef(7),
+            identity,
+            lai: Lai::new(466, 92, 1),
+        })
     }
 
     #[test]
     fn registration_requests_vectors_then_challenges() {
-        let conn = ConnRef(7);
-        let (mut net, _vlr, msc, hlr) = rig(vec![Message::Map(MapMessage::UpdateLocationArea {
-            conn,
-            identity: MsIdentity::Imsi(imsi()),
-            lai: Lai::new(466, 92, 1),
-        })]);
-        net.run_until_quiescent();
-        let hlr_got = &net.node::<Probe>(hlr).unwrap().got;
-        assert_eq!(hlr_got.len(), 1);
-        assert_eq!(hlr_got[0].label_str(), "MAP_Send_Authentication_Info");
-        assert!(net.node::<Probe>(msc).unwrap().got.is_empty());
+        let (mut net, vlr, msc, hlr) = rig();
+        feed(&mut net, vlr, Interface::B, [ula(MsIdentity::Imsi(imsi()))]);
+        assert_eq!(
+            ScriptedPeer::of(&net, hlr).labels(),
+            ["MAP_Send_Authentication_Info"]
+        );
+        assert!(ScriptedPeer::of(&net, msc).log().is_empty());
     }
 
     #[test]
     fn unknown_tmsi_rejected_toward_msc() {
-        let (mut net, _vlr, msc, _hlr) =
-            rig(vec![Message::Map(MapMessage::UpdateLocationArea {
-                conn: ConnRef(7),
-                identity: MsIdentity::Tmsi(Tmsi(99)),
-                lai: Lai::new(466, 92, 1),
-            })]);
-        net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].label_str(), "MAP_Update_Location_Area_reject");
+        let (mut net, vlr, msc, _hlr) = rig();
+        feed(&mut net, vlr, Interface::B, [ula(MsIdentity::Tmsi(Tmsi(99)))]);
+        assert_eq!(
+            ScriptedPeer::of(&net, msc).labels(),
+            ["MAP_Update_Location_Area_reject"]
+        );
+    }
+
+    /// Runs a registration up to the MSC's answer to the challenge.
+    fn challenge(net: &mut Network<Message>, vlr: NodeId, sres: u32) {
+        let (conn, imsi) = (ConnRef(7), imsi());
+        feed(net, vlr, Interface::B, [ula(MsIdentity::Imsi(imsi))]);
+        let triplets = vec![AuthTriplet {
+            rand: 5,
+            sres: 55,
+            kc: 555,
+        }];
+        let vectors = MapMessage::SendAuthenticationInfoAck { imsi, triplets };
+        feed(net, vlr, Interface::D, [Message::Map(vectors)]);
+        let answer = MapMessage::AuthenticateAck { conn, imsi, sres };
+        feed(net, vlr, Interface::B, [Message::Map(answer)]);
     }
 
     #[test]
     fn full_registration_dialogue() {
         // Drive the VLR through the whole ladder by feeding each answer.
-        let conn = ConnRef(7);
-        let t = AuthTriplet {
-            rand: 5,
-            sres: 55,
-            kc: 555,
-        };
-        let profile = SubscriberProfile::full(Msisdn::parse("88691234567").unwrap());
-        let (mut net, vlr, msc, _hlr) = rig(vec![
-            Message::Map(MapMessage::UpdateLocationArea {
-                conn,
-                identity: MsIdentity::Imsi(imsi()),
-                lai: Lai::new(466, 92, 1),
-            }),
-        ]);
-        net.run_until_quiescent();
-        // HLR answers with vectors
-        let f1 = net.add_node(
-            "f1",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::SendAuthenticationInfoAck {
-                    imsi: imsi(),
-                    triplets: vec![t],
-                })],
-            },
-        );
-        net.connect(f1, vlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        // MSC answers the challenge correctly
-        let f2 = net.add_node(
-            "f2",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::AuthenticateAck {
-                    conn,
-                    imsi: imsi(),
-                    sres: 55,
-                })],
-            },
-        );
-        net.connect(f2, vlr, Interface::B, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let (mut net, vlr, msc, _hlr) = rig();
+        challenge(&mut net, vlr, 55);
         // HLR inserts data + acks UL
-        let f3 = net.add_node(
-            "f3",
-            Feeder {
-                peer: vlr,
-                feed: vec![
-                    Message::Map(MapMessage::InsertSubsData {
-                        imsi: imsi(),
-                        profile,
-                    }),
-                    Message::Map(MapMessage::UpdateLocationAck { imsi: imsi() }),
-                ],
-            },
-        );
-        net.connect(f3, vlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        // MSC confirms ciphering
-        let f4 = net.add_node(
-            "f4",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::StartCipheringAck {
-                    conn,
+        let profile = SubscriberProfile::full(Msisdn::parse("88691234567").unwrap());
+        feed(
+            &mut net,
+            vlr,
+            Interface::D,
+            [
+                Message::Map(MapMessage::InsertSubsData {
                     imsi: imsi(),
-                })],
-            },
+                    profile,
+                }),
+                Message::Map(MapMessage::UpdateLocationAck { imsi: imsi() }),
+            ],
         );
-        net.connect(f4, vlr, Interface::B, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        // MSC confirms ciphering
+        let confirm = MapMessage::StartCipheringAck {
+            conn: ConnRef(7),
+            imsi: imsi(),
+        };
+        feed(&mut net, vlr, Interface::B, [Message::Map(confirm)]);
 
-        let labels: Vec<String> = net
-            .node::<Probe>(msc)
-            .unwrap()
-            .got
-            .iter()
-            .map(|m| m.label_str())
-            .collect();
         assert_eq!(
-            labels,
-            vec![
+            ScriptedPeer::of(&net, msc).labels(),
+            [
                 "MAP_Authenticate",
                 "MAP_Start_Ciphering",
                 "MAP_Update_Location_Area_ack"
@@ -715,118 +641,59 @@ mod tests {
 
     #[test]
     fn wrong_sres_rejects_registration() {
-        let conn = ConnRef(7);
-        let t = AuthTriplet {
-            rand: 5,
-            sres: 55,
-            kc: 555,
-        };
-        let (mut net, vlr, msc, _hlr) = rig(vec![Message::Map(MapMessage::UpdateLocationArea {
-            conn,
-            identity: MsIdentity::Imsi(imsi()),
-            lai: Lai::new(466, 92, 1),
-        })]);
-        net.run_until_quiescent();
-        let f1 = net.add_node(
-            "f1",
-            Feeder {
-                peer: vlr,
-                feed: vec![
-                    Message::Map(MapMessage::SendAuthenticationInfoAck {
-                        imsi: imsi(),
-                        triplets: vec![t],
-                    }),
-                ],
-            },
-        );
-        net.connect(f1, vlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let f2 = net.add_node(
-            "f2",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::AuthenticateAck {
-                    conn,
-                    imsi: imsi(),
-                    sres: 999, // wrong
-                })],
-            },
-        );
-        net.connect(f2, vlr, Interface::B, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
-        assert_eq!(got.last().unwrap().label_str(), "MAP_Update_Location_Area_reject");
+        let (mut net, vlr, msc, _hlr) = rig();
+        challenge(&mut net, vlr, 999); // wrong
+        let labels = ScriptedPeer::of(&net, msc).labels();
+        assert_eq!(labels.last().unwrap(), "MAP_Update_Location_Area_reject");
         assert_eq!(net.stats().counter("vlr.auth_failures"), 1);
     }
 
     #[test]
     fn outgoing_call_authorization_respects_profile() {
         let intl_denied = SubscriberProfile::domestic_only(Msisdn::parse("88691234567").unwrap());
-        let (mut net, vlr, msc, _hlr) = rig(vec![]);
+        let (mut net, vlr, msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
             v.records.entry(imsi()).or_default().profile = Some(intl_denied);
         }
-        let feeder = net.add_node(
-            "f",
-            Feeder {
-                peer: vlr,
-                feed: vec![
-                    Message::Map(MapMessage::SendInfoForOutgoingCall {
-                        conn: ConnRef(1),
-                        imsi: imsi(),
-                        called: Msisdn::parse("85291234567").unwrap(),
-                        international: true,
-                    }),
-                    Message::Map(MapMessage::SendInfoForOutgoingCall {
-                        conn: ConnRef(1),
-                        imsi: imsi(),
-                        called: Msisdn::parse("88612345678").unwrap(),
-                        international: false,
-                    }),
-                ],
-            },
+        let ask = |called: &str, international| {
+            Message::Map(MapMessage::SendInfoForOutgoingCall {
+                conn: ConnRef(1),
+                imsi: imsi(),
+                called: Msisdn::parse(called).unwrap(),
+                international,
+            })
+        };
+        feed(
+            &mut net,
+            vlr,
+            Interface::B,
+            [ask("85291234567", true), ask("88612345678", false)],
         );
-        net.connect(feeder, vlr, Interface::B, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
-        assert_eq!(got.len(), 2);
-        match (&got[0], &got[1]) {
-            (
-                Message::Map(MapMessage::SendInfoForOutgoingCallAck {
-                    rejection: Some(Cause::ServiceNotAllowed),
-                    ..
-                }),
-                Message::Map(MapMessage::SendInfoForOutgoingCallAck {
-                    rejection: None,
-                    msisdn: Some(_),
-                    ..
-                }),
-            ) => {}
-            other => panic!("unexpected {other:?}"),
+        match ScriptedPeer::of(&net, msc).received()[..] {
+            [Message::Map(MapMessage::SendInfoForOutgoingCallAck {
+                rejection: Some(Cause::ServiceNotAllowed),
+                ..
+            }), Message::Map(MapMessage::SendInfoForOutgoingCallAck {
+                rejection: None,
+                msisdn: Some(_),
+                ..
+            })] => {}
+            ref other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn msrn_allocate_and_resolve_once() {
-        let (mut net, vlr, msc, _hlr) = rig(vec![]);
+        let (mut net, vlr, msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
             v.records.entry(imsi()).or_default();
         }
-        let hlr_side = net.add_node(
-            "hlr2",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::ProvideRoamingNumber {
-                    imsi: imsi(),
-                })],
-            },
-        );
-        net.connect(hlr_side, vlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        // capture allocated msrn from the feeder probe? the ack went to the
-        // feeder (from); read it from the vlr's index instead
+        let prn = MapMessage::ProvideRoamingNumber { imsi: imsi() };
+        feed(&mut net, vlr, Interface::D, [Message::Map(prn)]);
+        // the ack went to the HLR-side feeder; read the MSRN from the
+        // VLR's index instead
         let msrn = *net
             .node::<Vlr>(vlr)
             .unwrap()
@@ -834,52 +701,30 @@ mod tests {
             .keys()
             .next()
             .expect("allocated");
-        let f = net.add_node(
-            "f2",
-            Feeder {
-                peer: vlr,
-                feed: vec![
-                    Message::Map(MapMessage::SendInfoForIncomingCall { msrn }),
-                    Message::Map(MapMessage::SendInfoForIncomingCall { msrn }),
-                ],
-            },
-        );
-        net.connect(f, vlr, Interface::B, SimDuration::from_millis(1));
-        net.run_until_quiescent();
-        let got = &net.node::<Probe>(msc).unwrap().got;
-        assert_eq!(got.len(), 2);
-        match (&got[0], &got[1]) {
-            (
-                Message::Map(MapMessage::SendInfoForIncomingCallAck {
-                    subscriber: Ok(i), ..
-                }),
-                Message::Map(MapMessage::SendInfoForIncomingCallAck {
-                    subscriber: Err(Cause::UnallocatedNumber),
-                    ..
-                }),
-            ) => assert_eq!(*i, imsi()),
-            other => panic!("unexpected {other:?}"),
+        let sific = Message::Map(MapMessage::SendInfoForIncomingCall { msrn });
+        feed(&mut net, vlr, Interface::B, [sific.clone(), sific]);
+        match ScriptedPeer::of(&net, msc).received()[..] {
+            [Message::Map(MapMessage::SendInfoForIncomingCallAck {
+                subscriber: Ok(i), ..
+            }), Message::Map(MapMessage::SendInfoForIncomingCallAck {
+                subscriber: Err(Cause::UnallocatedNumber),
+                ..
+            })] => assert_eq!(*i, imsi()),
+            ref other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn cancel_location_purges() {
-        let (mut net, vlr, _msc, _hlr) = rig(vec![]);
+        let (mut net, vlr, _msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
             v.records.entry(imsi()).or_default();
             let t = v.alloc_tmsi(imsi());
             assert!(v.tmsi_index.contains_key(&t));
         }
-        let f = net.add_node(
-            "f",
-            Feeder {
-                peer: vlr,
-                feed: vec![Message::Map(MapMessage::CancelLocation { imsi: imsi() })],
-            },
-        );
-        net.connect(f, vlr, Interface::D, SimDuration::from_millis(1));
-        net.run_until_quiescent();
+        let cancel = MapMessage::CancelLocation { imsi: imsi() };
+        feed(&mut net, vlr, Interface::D, [Message::Map(cancel)]);
         let v = net.node::<Vlr>(vlr).unwrap();
         assert_eq!(v.visitor_count(), 0);
         assert!(v.tmsi_index.is_empty());

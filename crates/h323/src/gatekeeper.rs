@@ -266,7 +266,8 @@ impl Node<Message> for Gatekeeper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
+    use vgprs_gprs::IpRouter;
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
 
     fn alias(n: &str) -> Msisdn {
         Msisdn::parse(n).unwrap()
@@ -280,85 +281,11 @@ mod tests {
         addr(2, 1719)
     }
 
-    /// An IP host that sends RAS messages to the GK and records replies.
-    struct Host {
-        router: NodeId,
-        own: TransportAddr,
-        send: Vec<RasMessage>,
-        got: Vec<RasMessage>,
-    }
-    impl Node<Message> for Host {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            for (i, _) in self.send.iter().enumerate() {
-                ctx.set_timer(SimDuration::from_millis(20 * i as u64), i as u64);
-            }
-        }
-        fn on_timer(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            _t: vgprs_sim::TimerToken,
-            tag: u64,
-        ) {
-            let ras = self.send[tag as usize].clone();
-            ctx.send(
-                self.router,
-                Message::Ip(IpPacket::new(self.own, gk_addr(), IpPayload::Ras(ras))),
-            );
-        }
-        fn on_message(
-            &mut self,
-            _c: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            if let Message::Ip(IpPacket {
-                payload: IpPayload::Ras(r),
-                ..
-            }) = m
-            {
-                self.got.push(r);
-            }
-        }
-    }
-
-    /// A two-port "router" that knows the GK and one host.
-    struct MiniRouter {
-        gk_node: Option<NodeId>,
-        host_node: Option<NodeId>,
-        gk_ip: vgprs_wire::Ipv4Addr,
-    }
-    impl Node<Message> for MiniRouter {
-        fn on_message(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            _f: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            if let Message::Ip(ref p) = m {
-                let hop = if p.dst.ip == self.gk_ip {
-                    self.gk_node
-                } else {
-                    self.host_node
-                };
-                if let Some(h) = hop {
-                    ctx.send(h, m);
-                }
-            }
-        }
-    }
-
+    /// Builds: host(peer) —LAN— router —LAN— gk. The host sends `send`
+    /// to the GK 20 ms apart and records the replies.
     fn rig(send: Vec<RasMessage>) -> (Network<Message>, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let router = net.add_node(
-            "router",
-            MiniRouter {
-                gk_node: None,
-                host_node: None,
-                gk_ip: gk_addr().ip,
-            },
-        );
+        let router = net.add_node("router", IpRouter::new());
         let gk = net.add_node(
             "gk",
             Gatekeeper::new(
@@ -370,23 +297,34 @@ mod tests {
                 router,
             ),
         );
-        let host = net.add_node(
-            "host",
-            Host {
-                router,
-                own: addr(9, 1720),
-                send,
-                got: Vec::new(),
-            },
+        let ras = |ras| Message::Ip(IpPacket::new(addr(9, 1720), gk_addr(), IpPayload::Ras(ras)));
+        let host = send.into_iter().zip(0..).fold(
+            ScriptedPeer::sending(router, []),
+            |host, (m, i)| host.at(SimDuration::from_millis(20 * i), ras(m)),
         );
+        let host = net.add_node("host", host);
         net.connect(gk, router, Interface::Lan, SimDuration::from_millis(1));
         net.connect(host, router, Interface::Lan, SimDuration::from_millis(1));
         {
-            let r = net.node_mut::<MiniRouter>(router).unwrap();
-            r.gk_node = Some(gk);
-            r.host_node = Some(host);
+            let r = net.node_mut::<IpRouter>(router).unwrap();
+            r.add_host(gk_addr().ip, gk);
+            r.add_host(addr(9, 1720).ip, host);
         }
         (net, gk, host)
+    }
+
+    /// The RAS replies the host heard.
+    fn got(net: &Network<Message>, host: NodeId) -> Vec<&RasMessage> {
+        let heard = ScriptedPeer::of(net, host).received().into_iter();
+        heard
+            .filter_map(|m| match m {
+                Message::Ip(IpPacket {
+                    payload: IpPayload::Ras(r),
+                    ..
+                }) => Some(r),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -401,7 +339,7 @@ mod tests {
         assert_eq!(g.registered_count(), 1);
         assert_eq!(g.lookup(&alias("88691234567")), Some(addr(9, 1720)));
         assert!(matches!(
-            net.node::<Host>(host).unwrap().got[0],
+            *got(&net, host)[0],
             RasMessage::Rcf { .. }
         ));
     }
@@ -438,8 +376,7 @@ mod tests {
             },
         ]);
         net.run_until_quiescent();
-        let got = &net.node::<Host>(host).unwrap().got;
-        match got[1] {
+        match *got(&net, host)[1] {
             RasMessage::Acf {
                 call,
                 dest_call_signal_addr,
@@ -461,7 +398,7 @@ mod tests {
         }]);
         net.run_until_quiescent();
         assert!(matches!(
-            net.node::<Host>(host).unwrap().got[0],
+            *got(&net, host)[0],
             RasMessage::Arj {
                 cause: Cause::UnallocatedNumber,
                 ..
@@ -494,7 +431,7 @@ mod tests {
             mk_arq(5), // fits again
         ]);
         net.run_until_quiescent();
-        let got = &net.node::<Host>(host).unwrap().got;
+        let got = got(&net, host);
         let labels: Vec<&str> = got.iter().map(|r| r.label()).collect();
         assert_eq!(
             labels,
@@ -518,7 +455,7 @@ mod tests {
         }]);
         net.run_until_quiescent();
         assert!(matches!(
-            net.node::<Host>(host).unwrap().got[0],
+            *got(&net, host)[0],
             RasMessage::Acf { .. }
         ));
     }

@@ -308,89 +308,61 @@ impl Node<Message> for PstnSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, SimDuration};
-
-    struct Endpoint {
-        switch: NodeId,
-        originate: Option<(CallId, Msisdn)>,
-        got: Vec<Message>,
-        answer: bool,
-    }
-    impl Node<Message> for Endpoint {
-        fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-            if let Some((call, called)) = self.originate.take() {
-                ctx.send(
-                    self.switch,
-                    Message::Isup(IsupMessage {
-                        cic: Cic(1),
-                        call,
-                        kind: IsupKind::Iam {
-                            called,
-                            calling: None,
-                        },
-                    }),
-                );
-            }
-        }
-        fn on_message(
-            &mut self,
-            ctx: &mut Context<'_, Message>,
-            from: NodeId,
-            _i: Interface,
-            m: Message,
-        ) {
-            if let Message::Isup(ref isup) = m {
-                if self.answer {
-                    if let IsupKind::Iam { .. } = isup.kind {
-                        ctx.send(
-                            from,
-                            Message::Isup(IsupMessage {
-                                cic: isup.cic,
-                                call: isup.call,
-                                kind: IsupKind::Anm,
-                            }),
-                        );
-                        ctx.send(
-                            from,
-                            Message::TrunkVoice {
-                                cic: isup.cic,
-                                call: isup.call,
-                                seq: 1,
-                                origin_us: 0,
-                            },
-                        );
-                    }
-                }
-            }
-            self.got.push(m);
-        }
-    }
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
 
     fn msisdn(s: &str) -> Msisdn {
         Msisdn::parse(s).unwrap()
     }
 
-    fn rig() -> (Network<Message>, NodeId, NodeId, NodeId) {
+    fn iam(called: &str) -> Message {
+        Message::Isup(IsupMessage {
+            cic: Cic(1),
+            call: CallId(1),
+            kind: IsupKind::Iam {
+                called: msisdn(called),
+                calling: None,
+            },
+        })
+    }
+
+    /// A callee that answers an IAM with ANM and one voice frame.
+    fn answering_callee() -> ScriptedPeer<Message> {
+        ScriptedPeer::new().answering(|m| match *m {
+            Message::Isup(IsupMessage {
+                cic,
+                call,
+                kind: IsupKind::Iam { .. },
+            }) => vec![
+                Message::Isup(IsupMessage {
+                    cic,
+                    call,
+                    kind: IsupKind::Anm,
+                }),
+                Message::TrunkVoice {
+                    cic,
+                    call,
+                    seq: 1,
+                    origin_us: 0,
+                },
+            ],
+            _ => vec![],
+        })
+    }
+
+    fn got(net: &Network<Message>, peer: NodeId) -> Vec<&Message> {
+        ScriptedPeer::of(net, peer).received()
+    }
+
+    /// Builds: caller —2 ms— switch —8 ms— answering callee, with an IAM
+    /// for `852…` on its way; `caller` may add to the caller's script.
+    fn rig_with(
+        caller: impl FnOnce(ScriptedPeer<Message>) -> ScriptedPeer<Message>,
+    ) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(1);
         let sw = net.add_node("switch", PstnSwitch::new("test"));
-        let caller = net.add_node(
-            "caller",
-            Endpoint {
-                switch: sw,
-                originate: Some((CallId(1), msisdn("85291234567"))),
-                got: Vec::new(),
-                answer: false,
-            },
-        );
-        let callee = net.add_node(
-            "callee",
-            Endpoint {
-                switch: sw,
-                originate: None,
-                got: Vec::new(),
-                answer: true,
-            },
-        );
+        let caller = caller(ScriptedPeer::sending(sw, [iam("85291234567")]));
+        let caller = net.add_node("caller", caller);
+        let callee = net.add_node("callee", answering_callee());
         net.connect(caller, sw, Interface::Isup, SimDuration::from_millis(2));
         net.connect(callee, sw, Interface::Isup, SimDuration::from_millis(8));
         net.node_mut::<PstnSwitch>(sw).unwrap().add_route(
@@ -401,21 +373,23 @@ mod tests {
         (net, sw, caller, callee)
     }
 
+    fn rig() -> (Network<Message>, NodeId, NodeId, NodeId) {
+        rig_with(|caller| caller)
+    }
+
     #[test]
     fn routes_iam_and_relays_answer() {
         let (mut net, sw, caller, callee) = rig();
         net.run_until_quiescent();
-        let callee_got = &net.node::<Endpoint>(callee).unwrap().got;
         assert!(matches!(
-            callee_got[0],
+            got(&net, callee)[0],
             Message::Isup(IsupMessage {
                 kind: IsupKind::Iam { .. },
                 ..
             })
         ));
-        let caller_got = &net.node::<Endpoint>(caller).unwrap().got;
         assert!(matches!(
-            caller_got[0],
+            got(&net, caller)[0],
             Message::Isup(IsupMessage {
                 kind: IsupKind::Anm,
                 ..
@@ -434,34 +408,10 @@ mod tests {
     fn longest_prefix_wins() {
         let mut net = Network::new(1);
         let sw = net.add_node("switch", PstnSwitch::new("test"));
-        let generic = net.add_node(
-            "generic",
-            Endpoint {
-                switch: sw,
-                originate: None,
-                got: Vec::new(),
-                answer: false,
-            },
-        );
-        let specific = net.add_node(
-            "specific",
-            Endpoint {
-                switch: sw,
-                originate: None,
-                got: Vec::new(),
-                answer: false,
-            },
-        );
-        let caller = net.add_node(
-            "caller",
-            Endpoint {
-                switch: sw,
-                originate: Some((CallId(1), msisdn("85291234567"))),
-                got: Vec::new(),
-                answer: false,
-            },
-        );
-        for (n, _) in [(generic, 0), (specific, 0), (caller, 0)] {
+        let generic = net.add_node("generic", ScriptedPeer::new());
+        let specific = net.add_node("specific", ScriptedPeer::new());
+        let caller = net.add_node("caller", ScriptedPeer::sending(sw, [iam("85291234567")]));
+        for n in [generic, specific, caller] {
             net.connect(n, sw, Interface::Isup, SimDuration::from_millis(1));
         }
         {
@@ -470,26 +420,18 @@ mod tests {
             s.add_route("8529", specific, TrunkClass::Local);
         }
         net.run_until_quiescent();
-        assert_eq!(net.node::<Endpoint>(specific).unwrap().got.len(), 1);
-        assert!(net.node::<Endpoint>(generic).unwrap().got.is_empty());
+        assert_eq!(got(&net, specific).len(), 1);
+        assert!(got(&net, generic).is_empty());
     }
 
     #[test]
     fn unroutable_released_with_cause() {
         let mut net = Network::new(1);
         let sw = net.add_node("switch", PstnSwitch::new("test"));
-        let caller = net.add_node(
-            "caller",
-            Endpoint {
-                switch: sw,
-                originate: Some((CallId(1), msisdn("99999999999"))),
-                got: Vec::new(),
-                answer: false,
-            },
-        );
+        let caller = net.add_node("caller", ScriptedPeer::sending(sw, [iam("99999999999")]));
         net.connect(caller, sw, Interface::Isup, SimDuration::from_millis(1));
         net.run_until_quiescent();
-        match &net.node::<Endpoint>(caller).unwrap().got[0] {
+        match got(&net, caller)[0] {
             Message::Isup(IsupMessage {
                 kind:
                     IsupKind::Rel {
@@ -503,79 +445,27 @@ mod tests {
 
     #[test]
     fn release_clears_call_and_ledger() {
-        // The caller endpoint hangs up on its own leg (circuits identify
-        // legs, so a release must come from a real leg holder).
-        struct HangingCaller {
-            switch: NodeId,
-            answered: bool,
-        }
-        impl Node<Message> for HangingCaller {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(
-                    self.switch,
-                    Message::Isup(IsupMessage {
-                        cic: Cic(1),
-                        call: CallId(1),
-                        kind: IsupKind::Iam {
-                            called: Msisdn::parse("85291234567").unwrap(),
-                            calling: None,
-                        },
-                    }),
-                );
-            }
-            fn on_message(
-                &mut self,
-                ctx: &mut Context<'_, Message>,
-                from: NodeId,
-                _i: Interface,
-                m: Message,
-            ) {
-                if let Message::Isup(IsupMessage {
+        // The caller hangs up on its own leg once answered (circuits
+        // identify legs, so a release must come from a real leg holder).
+        let (mut net, sw, caller, _callee) = rig_with(|caller| {
+            caller.answering(|m| match m {
+                Message::Isup(IsupMessage {
                     kind: IsupKind::Anm,
                     ..
-                }) = m
-                {
-                    self.answered = true;
-                    ctx.send(
-                        from,
-                        Message::Isup(IsupMessage {
-                            cic: Cic(1),
-                            call: CallId(1),
-                            kind: IsupKind::Rel {
-                                cause: Cause::NormalClearing,
-                            },
-                        }),
-                    );
-                }
-            }
-        }
-        let mut net = Network::new(1);
-        let sw = net.add_node("switch", PstnSwitch::new("test"));
-        let caller = net.add_node(
-            "caller",
-            HangingCaller {
-                switch: sw,
-                answered: false,
-            },
-        );
-        let callee = net.add_node(
-            "callee",
-            Endpoint {
-                switch: sw,
-                originate: None,
-                got: Vec::new(),
-                answer: true,
-            },
-        );
-        net.connect(caller, sw, Interface::Isup, SimDuration::from_millis(2));
-        net.connect(callee, sw, Interface::Isup, SimDuration::from_millis(8));
-        net.node_mut::<PstnSwitch>(sw).unwrap().add_route(
-            "852",
-            callee,
-            TrunkClass::International,
-        );
+                }) => vec![Message::Isup(IsupMessage {
+                    cic: Cic(1),
+                    call: CallId(1),
+                    kind: IsupKind::Rel {
+                        cause: Cause::NormalClearing,
+                    },
+                })],
+                _ => vec![],
+            })
+        });
         net.run_until_quiescent();
-        assert!(net.node::<HangingCaller>(caller).unwrap().answered);
+        assert!(ScriptedPeer::of(&net, caller)
+            .labels()
+            .contains(&"ISUP_ANM".to_owned()));
         let s = net.node::<PstnSwitch>(sw).unwrap();
         assert_eq!(s.active_calls(), 0);
         assert!(s.ledger().entries()[0].released_at.is_some());
@@ -587,8 +477,7 @@ mod tests {
         // switch must relay it to the originating leg.
         let (mut net, _sw, caller, _callee) = rig();
         net.run_until_quiescent();
-        let caller_got = &net.node::<Endpoint>(caller).unwrap().got;
-        assert!(caller_got
+        assert!(got(&net, caller)
             .iter()
             .any(|m| matches!(m, Message::TrunkVoice { .. })));
     }
@@ -597,36 +486,18 @@ mod tests {
     fn voice_from_stranger_not_relayed() {
         let (mut net, sw, caller, callee) = rig();
         net.run_until_quiescent();
-        struct Stranger {
-            sw: NodeId,
-        }
-        impl Node<Message> for Stranger {
-            fn on_start(&mut self, ctx: &mut Context<'_, Message>) {
-                ctx.send(
-                    self.sw,
-                    Message::TrunkVoice {
-                        cic: Cic(9999),
-                        call: CallId(1),
-                        seq: 99,
-                        origin_us: 0,
-                    },
-                );
-            }
-            fn on_message(
-                &mut self,
-                _c: &mut Context<'_, Message>,
-                _f: NodeId,
-                _i: Interface,
-                _m: Message,
-            ) {
-            }
-        }
-        let before_caller = net.node::<Endpoint>(caller).unwrap().got.len();
-        let before_callee = net.node::<Endpoint>(callee).unwrap().got.len();
-        let s = net.add_node("stranger", Stranger { sw });
+        let before_caller = got(&net, caller).len();
+        let before_callee = got(&net, callee).len();
+        let voice = Message::TrunkVoice {
+            cic: Cic(9999),
+            call: CallId(1),
+            seq: 99,
+            origin_us: 0,
+        };
+        let s = net.add_node("stranger", ScriptedPeer::sending(sw, [voice]));
         net.connect(s, sw, Interface::Isup, SimDuration::from_millis(1));
         net.run_until_quiescent();
-        assert_eq!(net.node::<Endpoint>(caller).unwrap().got.len(), before_caller);
-        assert_eq!(net.node::<Endpoint>(callee).unwrap().got.len(), before_callee);
+        assert_eq!(got(&net, caller).len(), before_caller);
+        assert_eq!(got(&net, callee).len(), before_callee);
     }
 }

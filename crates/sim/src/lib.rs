@@ -11,7 +11,8 @@
 //! * a message [`Trace`] that records every delivery so protocol message
 //!   flows (the paper's Figures 4–6) can be rendered as ladder diagrams and
 //!   asserted in tests,
-//! * seeded, reproducible randomness via [`SimRng`].
+//! * seeded, reproducible randomness via [`SimRng`],
+//! * [`ScriptedPeer`], the one test double for the far end of a link.
 //!
 //! The kernel is generic over the message type `M: Payload`, so protocol
 //! crates define their own PDU unions (see `vgprs-wire`) without this crate
@@ -69,6 +70,7 @@ mod ladder;
 mod link;
 mod net;
 mod node;
+mod peer;
 mod rng;
 mod stats;
 mod throttle;
@@ -87,6 +89,7 @@ pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};
 pub use net::{census_counters, Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};
+pub use peer::ScriptedPeer;
 pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
 pub use stats::{Counter, Histogram, Stats};

@@ -140,6 +140,14 @@ tripwire "a side table beside the subscriber row" -rE \
     'pending_interrupt|trunk_torn|call_src|conn_globals|visitor_conns|ms_index|AnchoredLeg|Action::Redial|too_many_arguments' \
     crates/load/src
 
+echo "==> the scripted peer exists once"
+# A node's unit test plays its ladder step against vgprs_sim::ScriptedPeer
+# (crates/sim/src/peer.rs): a script, a reply rule and a log. A
+# hand-written test node is the twenty-seventh copy of it.
+tripwire "a hand-written test node: use vgprs_sim::ScriptedPeer" -rE \
+    'struct (Probe|Feeder|Sender|Driver|ScriptedBts|SgsnStub|GgsnStub|Tunneler|GiFeeder|Activator|Host|MiniRouter|HangingCaller|Stranger|Endpoint|Peer)\b' \
+    crates/gsm/src crates/gprs/src crates/h323/src crates/pstn/src crates/core/tests
+
 echo "==> the kernel stays compact"
 # A wheel slot is a list through the wheel's one slab and a link is a
 # port at each end (DESIGN §2.13, §2.1): a buffer per slot or a table
