@@ -196,7 +196,7 @@ pub fn build_cell(
 pub fn camp(
     net: &mut Network<Message>,
     name: &str,
-    handset: impl Node<Message> + 'static,
+    handset: impl Node<Message> + Send + 'static,
     bts: NodeId,
     um: SimDuration,
 ) -> NodeId {
@@ -380,7 +380,7 @@ impl PacketHalf {
     /// Puts the node `make` builds for the next free 10.1.x.y address
     /// (spread over two octets so a zone can host tens of thousands of
     /// endpoints) on the LAN and routes that address to it.
-    fn add_lan_host<N: Node<Message> + 'static>(
+    fn add_lan_host<N: Node<Message> + Send + 'static>(
         &mut self,
         net: &mut Network<Message>,
         label: &str,

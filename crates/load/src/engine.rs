@@ -10,13 +10,23 @@
 //! dialogue, trunk voice, HLR ownership moves — is a function of the
 //! configuration and seed alone. Reports are merged in shard order.
 //!
-//! The loop is single-threaded on purpose. A 50 ms epoch is ~47 µs of
-//! simulation shared by 64 shards, more than half of them idle, so any
-//! per-epoch hand-off to workers costs as much as the work it
-//! distributes (two threads ran `busy_hour` 2.3× slower; ROADMAP,
-//! "Threads pay or go"). Parallelism comes back together with a
-//! benchmark workload that can measure it.
+//! The build is parallel and the loop is not. Before epoch 0 no shard
+//! can send another anything, so building the worlds and registering
+//! their populations — a third of a `busy_hour` run — needs no barrier:
+//! workers take shard indices from one counter and the fleet is put
+//! back in index order, so which core built a shard cannot reach it.
+//! The epoch loop stays on one thread on purpose. A 50 ms epoch is
+//! ~47 µs of simulation shared by 64 shards, more than half of them
+//! idle, so any per-epoch hand-off to workers costs as much as the work
+//! it distributes (two threads ran `busy_hour` 2.3× slower; ROADMAP,
+//! "Threads pay or go"). Parallelism comes back to it only as
+//! conservative lookahead, with a benchmark workload that can measure
+//! it.
 
+use std::num::NonZeroUsize;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 use std::time::Instant;
 
 use vgprs_faults::{FaultPlanConfig, TrunkPlanConfig};
@@ -43,8 +53,9 @@ pub struct LoadConfig {
     /// Changing this changes the simulated world (it is part of the
     /// experiment).
     pub shards: usize,
-    /// Accepted and ignored: the engine is one loop on the caller's
-    /// thread. The field stays because `benchmark/` constructs it.
+    /// Accepted and ignored: the build runs on every core the host
+    /// offers and the epoch loop on the caller's thread, whatever this
+    /// says. The field stays because `benchmark/` constructs it.
     pub threads: usize,
     /// Master seed; every random stream in the run derives from it.
     pub seed: u64,
@@ -140,52 +151,31 @@ pub fn partition(subscribers: usize, shards: usize) -> Vec<(usize, usize)> {
 
 /// Runs the configured busy hour and returns the merged report.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
-    run_load_with(cfg, |_| {})
+    let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    run_load_with(cfg, cores, |_| {})
 }
 
-/// [`run_load`] with a hook applied to every shard between its build
-/// and its first epoch. Differential tests use it to put the shards on
-/// an oracle model ([`Shard::set_media_cut_through`]); it is not a
-/// configuration surface.
+/// [`run_load`] with the build on `workers` threads (the caller's
+/// included; capped at the shard count) and a hook applied to every
+/// shard between its build and its first epoch. Tests use the first to
+/// hold results to any worker count whatever the host has, and the
+/// second to put the shards on an oracle model
+/// ([`Shard::set_media_cut_through`]); neither is a configuration
+/// surface.
 #[doc(hidden)]
-pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard)) -> LoadReport {
+pub fn run_load_with(
+    cfg: &LoadConfig,
+    workers: usize,
+    prepare: impl Fn(&mut Shard) + Sync,
+) -> LoadReport {
     let shards = cfg.effective_shards();
     let parts = partition(cfg.subscribers, shards);
     let started = Instant::now();
 
-    // Phase 1: build every shard's world and register its population,
-    // in index order (shards are independent until their busy hours
-    // start).
-    let mut fleet: Vec<Shard> = parts
-        .iter()
-        .enumerate()
-        .map(|(index, &(base, size))| {
-            let shard_cfg = ShardConfig {
-                shard_index: index,
-                base_index: base,
-                subscribers: size,
-                total_shards: shards,
-                master_seed: cfg.seed,
-                population: cfg.population.clone(),
-                tch_capacity: cfg.tch_capacity,
-                pdch_bps: cfg.pdch_bps,
-                gk_bandwidth: cfg.gk_bandwidth,
-                voice_sample_ms: cfg.voice_sample_ms,
-                kernel: cfg.kernel,
-                faults: cfg.faults,
-                scenario: cfg.scenario.clone(),
-                controls: cfg.controls,
-                snapshot_secs: cfg.snapshot_secs,
-            };
-            let demand = compile_demand(&cfg.scenario, cfg.seed, index, cfg.population.window_secs);
-            let plans: Vec<SubscriberPlan> = (0..size)
-                .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))
-                .collect();
-            let mut shard = Shard::new(&shard_cfg, &plans);
-            prepare(&mut shard);
-            shard
-        })
-        .collect();
+    // Phase 1: build every shard's world and register its population.
+    // Shards are independent until their busy hours start, so this is
+    // the one parallel phase.
+    let mut fleet = build_fleet(cfg, &parts, workers, &prepare);
 
     // Phase 2: epoch lockstep. Each epoch every shard simulates the
     // same window, then the barrier routes cross-shard flits (sent epoch
@@ -237,6 +227,85 @@ pub fn run_load_with(cfg: &LoadConfig, prepare: impl Fn(&mut Shard)) -> LoadRepo
     }
     // One thread, whatever `cfg.threads` says.
     LoadReport::merge(cfg.subscribers, 1, cfg.snapshot_secs, &reports, wall)
+}
+
+/// Builds shard `index` of `parts` and applies `prepare` to it.
+fn build_shard(
+    cfg: &LoadConfig,
+    parts: &[(usize, usize)],
+    index: usize,
+    prepare: &impl Fn(&mut Shard),
+) -> Shard {
+    let (base, size) = parts[index];
+    let shard_cfg = ShardConfig {
+        shard_index: index,
+        base_index: base,
+        subscribers: size,
+        total_shards: parts.len(),
+        master_seed: cfg.seed,
+        population: cfg.population.clone(),
+        tch_capacity: cfg.tch_capacity,
+        pdch_bps: cfg.pdch_bps,
+        gk_bandwidth: cfg.gk_bandwidth,
+        voice_sample_ms: cfg.voice_sample_ms,
+        kernel: cfg.kernel,
+        faults: cfg.faults,
+        scenario: cfg.scenario.clone(),
+        controls: cfg.controls,
+        snapshot_secs: cfg.snapshot_secs,
+    };
+    let demand = compile_demand(&cfg.scenario, cfg.seed, index, cfg.population.window_secs);
+    let plans: Vec<SubscriberPlan> = (0..size)
+        .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))
+        .collect();
+    let mut shard = Shard::new(&shard_cfg, &plans);
+    prepare(&mut shard);
+    shard
+}
+
+/// Builds every shard of `parts` on `workers` threads, the caller's
+/// among them, and returns the fleet in index order. A shard is a pure
+/// function of its index, so which worker built it cannot reach it.
+/// Helpers inherit the caller's table salt: a table built under one
+/// hash and probed under another would lose its keys. A panic in a
+/// helper's build resumes on the caller with its own payload.
+fn build_fleet(
+    cfg: &LoadConfig,
+    parts: &[(usize, usize)],
+    workers: usize,
+    prepare: &(impl Fn(&mut Shard) + Sync),
+) -> Vec<Shard> {
+    // Relaxed: the counter only hands out indices, and each shard
+    // reaches the caller through its worker's join.
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut built = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= parts.len() {
+                return built;
+            }
+            built.push((index, build_shard(cfg, parts, index, prepare)));
+        }
+    };
+    let salt = vgprs_sim::salt();
+    let mut built = thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(parts.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    vgprs_sim::set_salt(salt);
+                    work()
+                })
+            })
+            .collect();
+        let mut built = work();
+        for helper in helpers {
+            built.extend(helper.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        }
+        built
+    });
+    built.sort_unstable_by_key(|&(index, _)| index);
+    built.into_iter().map(|(_, shard)| shard).collect()
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ fn frames_sent(report: &LoadReport) -> u64 {
 #[test]
 fn media_cut_through_stays_within_its_bound() {
     let cfg = media_cfg(2_400);
-    let oracle = run_load_with(&cfg, |shard| shard.set_media_cut_through(false));
+    let oracle = run_load_with(&cfg, 1, |shard| shard.set_media_cut_through(false));
     let fast = run_load(&cfg);
 
     // The world is the one meant: voice dominates, shards trade

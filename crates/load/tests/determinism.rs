@@ -1,8 +1,10 @@
 //! The load engine's central promise: results are a function of the
 //! configuration and the master seed, never of the machine.
 
+use std::sync::{Barrier, Once};
+
 use vgprs_load::{
-    partition, run_load, subscriber_plan, subscriber_plan_demand, CallMix, DemandPlan,
+    partition, run_load, run_load_with, subscriber_plan, subscriber_plan_demand, CallMix, DemandPlan,
     FaultPlanConfig, LoadConfig, LoadReport, OverloadControls, PopulationConfig, ScenarioConfig,
     TrunkFaultClass, TrunkPlanConfig,
 };
@@ -20,21 +22,30 @@ fn identity(report: &LoadReport) -> (u64, u64, u64, String) {
     )
 }
 
+/// Worker counts the build is held to, whatever the host has: one (the
+/// caller alone), three (an uneven split of 4 or 16 shards) and more
+/// workers than shards.
+const WORKERS: [usize; 3] = [1, 3, 64];
+
 /// The determinism contract, stated once: a family's configuration has
-/// one [`identity`] on both event kernels and on a rerun. The reference
-/// is a run on the wheel; the first round of the loop is its rerun, the
-/// second the heap oracle.
+/// one [`identity`] on both event kernels, on a rerun and on any number
+/// of build workers. The reference is a run on the wheel with the
+/// host's workers; the wheel rounds are its reruns, the heap round the
+/// oracle.
 fn assert_invariant(family: &str, cfg: fn() -> LoadConfig) {
     let reference = identity(&run_load(&cfg()));
     for kernel in [Kernel::Wheel, Kernel::Heap] {
         let other = identity(&run_load(&LoadConfig { kernel, ..cfg() }));
         assert_eq!(reference, other, "{family} diverged on {kernel}");
     }
+    for workers in WORKERS {
+        let other = identity(&run_load_with(&cfg(), workers, |_| {}));
+        assert_eq!(reference, other, "{family} diverged on {workers} build workers");
+    }
 }
 
 /// The family table: each row is one `#[test]` holding a named
-/// configuration to [`assert_invariant`]. (The rows keep the names they
-/// had when the engine also had a worker-thread axis.)
+/// configuration to [`assert_invariant`].
 macro_rules! invariant_families {
     ($($test:ident: $family:literal => $cfg:expr;)*) => {
         $(
@@ -54,6 +65,26 @@ invariant_families! {
     surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
     snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
+}
+
+/// A panic in a helper's build reaches the caller with its own message,
+/// not as a bare join error. The caller's first build waits at a barrier
+/// for the helper's, so the helper surely builds a shard and panics.
+#[test]
+#[should_panic(expected = "a helper's build failed")]
+fn a_build_workers_panic_keeps_its_message() {
+    let caller = std::thread::current().id();
+    let (met, first) = (Barrier::new(2), Once::new());
+    run_load_with(&small_cfg(), 2, |_| {
+        if std::thread::current().id() == caller {
+            first.call_once(|| {
+                met.wait();
+            });
+        } else {
+            met.wait();
+            panic!("a helper's build failed");
+        }
+    });
 }
 
 /// `LoadConfig::threads` is accepted and ignored: the run is the same
@@ -398,7 +429,9 @@ fn armed_run_identity_is_pinned() {
 /// Table order is a function of the hash; outputs may not be. The
 /// default hasher used to reshuffle every table on every run and so held
 /// this for free. With one fixed hasher the salt does it on purpose:
-/// three salts, four worlds, one identity each.
+/// three salts, four worlds, one identity each. The salted worlds are
+/// built on three workers, so the helpers' tables must take the
+/// caller's salt too.
 #[test]
 fn table_order_never_reaches_the_outputs() {
     let rows = [
@@ -411,7 +444,7 @@ fn table_order_never_reaches_the_outputs() {
         let reference = identity(&run_load(&cfg()));
         for salt in [0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
             vgprs_sim::set_salt(salt);
-            let salted = identity(&run_load(&cfg()));
+            let salted = identity(&run_load_with(&cfg(), 3, |_| {}));
             vgprs_sim::set_salt(0);
             assert_eq!(reference, salted, "{family} depends on table order (salt {salt:#x})");
         }

@@ -18,21 +18,23 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 590 484 in 948, plus 5 %. An IMSI or MSISDN is one word
-/// (PR 25: 16 bytes before, in every row, key and message that holds
-/// one) and a started network gives back its growth slack and keeps its
-/// node names in one string; PR 24 held 757 936 in 1 479, and with a
-/// buffer per wheel slot and a hash table of links (PR 22) 921 932 in
-/// 1 797.
-const AFTER_NEW: (isize, isize) = (620_000, 996);
-/// The same once its busy hour has drained. Measured: 613 296 in 1 110,
-/// plus 5 % (PR 24: 781 932 in 1 641; PR 22: 976 200 in 2 219, the
-/// parked slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (644_000, 1_166);
+/// Measured: 510 612 in 945, plus 5 %. A drained event queue gives back
+/// the slab its registration burst sized (590 484 in 948 before). An
+/// IMSI or MSISDN is one word (16 bytes before, in every row, key and
+/// message that holds one) and a started network gives back its growth
+/// slack and keeps its node names in one string: 757 936 in 1 479
+/// before those, and with a buffer per wheel slot and a hash table of
+/// links 921 932 in 1 797.
+const AFTER_NEW: (isize, isize) = (536_000, 992);
+/// The same once its busy hour has drained. Measured: 537 552 in 1 110,
+/// plus 5 % (613 296 in 1 110 with the registration slab kept; 781 932
+/// in 1 641 and 976 200 in 2 219 before that, the parked slot buffers
+/// having grown).
+const AFTER_RUN: (isize, isize) = (564_000, 1_165);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 2 255
-/// (PR 24: 2 913).
-const PER_SUBSCRIBER: isize = 2_400;
+/// per-subscriber figure that peak RSS only estimates. Measured: 1 943
+/// (2 255 with the registration slab kept; 2 913 before one-word IDs).
+const PER_SUBSCRIBER: isize = 2_040;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);

@@ -21,7 +21,7 @@ fn every_link_has_an_end_of_few_ports() {
         },
         ..LoadConfig::default()
     };
-    run_load_with(&cfg, |shard| {
+    run_load_with(&cfg, 1, |shard| {
         let net = shard.network();
         let degree = |id| net.neighbors(id).count();
         let mut links = 0;

@@ -149,6 +149,10 @@ impl<M> HeapQueue<M> {
     pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
+
+    pub(crate) fn release(&mut self) {
+        self.heap.shrink_to_fit();
+    }
 }
 
 /// The per-network event queue: one of the two [`Kernel`]s.
@@ -212,6 +216,15 @@ impl<M> EventQueue<M> {
         match self {
             EventQueue::Heap(q) => q.len(),
             EventQueue::Wheel(w) => w.len(),
+        }
+    }
+
+    /// Gives back the storage a drained queue still holds for its
+    /// largest burst; the next push numbers on from the last.
+    pub(crate) fn release(&mut self) {
+        match self {
+            EventQueue::Heap(q) => q.release(),
+            EventQueue::Wheel(w) => w.release(),
         }
     }
 }
@@ -285,6 +298,31 @@ mod tests {
             assert!(q.pop_at_or_before(SimTime::from_micros(20)).is_none());
             assert_eq!(q.len(), 1);
         }
+    }
+
+    #[test]
+    fn released_kernels_agree_with_each_other() {
+        // Drain, release, push again: the heap oracle and the wheel pop
+        // the second burst in the same `(time, seq)` order.
+        let pops = |mut q: EventQueue<()>| {
+            for tag in 0..200 {
+                q.push(SimTime::from_micros(tag * 7_919 % 90_000_000), timer_event(0, tag));
+            }
+            let last = std::iter::from_fn(|| q.pop()).last().expect("pushed").0;
+            q.release();
+            for tag in 0..200 {
+                let at = last + crate::time::SimDuration::from_micros(tag % 5 * 300_000);
+                q.push(at, timer_event(0, tag));
+            }
+            std::iter::from_fn(|| q.pop())
+                .map(|(at, kind)| match kind {
+                    EventKind::Timer { tag, .. } => (at, tag),
+                    _ => unreachable!(),
+                })
+                .collect::<Vec<_>>()
+        };
+        let [heap, wheel] = both_kernels();
+        assert_eq!(pops(heap), pops(wheel));
     }
 
     #[test]

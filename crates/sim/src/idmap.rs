@@ -33,10 +33,19 @@ thread_local! {
 }
 
 /// Reshuffles every table this thread builds from now on. Tables that
-/// already hold keys must be dropped first. Test-only: no binary calls it.
+/// already hold keys must be dropped first. Test-only: no binary sets a
+/// salt of its own, and the load engine's build workers only copy the
+/// caller's.
 #[doc(hidden)]
 pub fn set_salt(salt: u64) {
     SALT.set(salt);
+}
+
+/// The salt this thread's new tables fold in. A thread that builds
+/// tables on another's behalf calls [`set_salt`] with it first.
+#[doc(hidden)]
+pub fn salt() -> u64 {
+    SALT.get()
 }
 
 /// Rotate-xor-multiply over 8-byte words: one round per integer field,

@@ -15,12 +15,12 @@ use crate::timer::TimerTable;
 use crate::trace::Trace;
 
 /// Object-safe shim adding downcast support to every [`Node`].
-trait AnyNode<M: Payload>: Node<M> {
+trait AnyNode<M: Payload>: Node<M> + Send {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-impl<M: Payload, T: Node<M> + 'static> AnyNode<M> for T {
+impl<M: Payload, T: Node<M> + Send + 'static> AnyNode<M> for T {
     fn as_any(&self) -> &dyn Any {
         self
     }
@@ -269,7 +269,7 @@ impl<M: Payload> Network<M> {
     /// [`Node::on_start`] is invoked immediately.
     pub fn add_node<N>(&mut self, name: &str, node: N) -> NodeId
     where
-        N: Node<M> + 'static,
+        N: Node<M> + Send + 'static,
     {
         let id = NodeId(self.nodes.len() as u32);
         self.relays.push(node.pure_relay());
@@ -422,6 +422,9 @@ impl<M: Payload> Network<M> {
         let mut quiescent = false;
         while events < self.max_events {
             let Some((at, kind)) = self.queue.pop() else {
+                // Drained: the storage sized for the largest burst (a
+                // registration ladder) would otherwise stay for good.
+                self.queue.release();
                 quiescent = true;
                 break;
             };

@@ -11,7 +11,7 @@ use crate::node::{Node, NodeId, Payload};
 use crate::time::SimDuration;
 
 /// What a peer answers to a message it hears.
-type Rule<M> = Box<dyn FnMut(&M) -> Vec<M>>;
+type Rule<M> = Box<dyn FnMut(&M) -> Vec<M> + Send>;
 
 /// A [`Node`] that plays a script, answers by a rule and logs what it hears.
 ///
@@ -81,7 +81,7 @@ impl<M: Payload + 'static> ScriptedPeer<M> {
     }
 
     /// Answers every message heard with what `rule` returns for it.
-    pub fn answering(mut self, rule: impl FnMut(&M) -> Vec<M> + 'static) -> Self {
+    pub fn answering(mut self, rule: impl FnMut(&M) -> Vec<M> + Send + 'static) -> Self {
         self.rule = Some(Box::new(rule));
         self
     }

@@ -230,6 +230,22 @@ impl<T> CalendarWheel<T> {
         self.len == 0
     }
 
+    /// Gives back the storage of an empty wheel: the slab, the batch and
+    /// the two heaps, all sized by the largest burst so far (a shard's
+    /// registration ladder). The cursor and the sequence counter stay,
+    /// so later pushes order exactly as they would have. Does nothing
+    /// while an item is buffered.
+    pub fn release(&mut self) {
+        if self.len > 0 {
+            return;
+        }
+        self.slab = Vec::new();
+        self.batch = Vec::new();
+        self.late = BinaryHeap::new();
+        self.overflow = BinaryHeap::new();
+        self.free = NIL;
+    }
+
     /// Buffers `item` to pop at `at`. Items pushed for the same instant pop
     /// in push order.
     pub fn push(&mut self, at: SimTime, item: T) {
@@ -814,6 +830,48 @@ mod tests {
             assert_eq!(popped, oracle, "seed {seed}");
             assert!(w.is_empty());
         }
+    }
+
+    #[test]
+    fn a_released_wheel_orders_on_from_where_it_stopped() {
+        // Drain a burst that spans every level and the overflow, release,
+        // then push again: the slab starts over, `seq` does not, and the
+        // pops keep `(time, seq)` order against a sorted oracle.
+        let six_hours = 6 * 3_600_000_000;
+        let mut w = CalendarWheel::new();
+        for tag in 0..1_000u64 {
+            w.push(SimTime::from_micros(tag * 37_129 % six_hours), tag);
+        }
+        let mut now = 0;
+        while let Some((at, _)) = w.pop() {
+            now = at.as_micros();
+        }
+        let (cursor, seq) = (w.cursor, w.next_seq);
+        w.release();
+        assert_eq!((w.slab.capacity(), w.batch.capacity()), (0, 0));
+        assert_eq!((w.late.capacity(), w.overflow.capacity()), (0, 0));
+        assert_eq!((w.cursor, w.next_seq), (cursor, seq));
+        check_slab(&w);
+
+        let mut oracle = Vec::new();
+        let ahead = [0, 0, 900, 250_000, 70_000_000, 0, 20 * 3_600_000_000];
+        for (tag, dt) in (1_000u64..).zip(ahead) {
+            w.push(SimTime::from_micros(now + dt), tag);
+            oracle.push((now + dt, seq + tag - 1_000, tag));
+        }
+        assert_eq!(w.next_seq, seq + ahead.len() as u64, "seq runs on");
+        oracle.sort_unstable();
+        let popped: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop())
+            .map(|(at, tag)| (at.as_micros(), tag))
+            .collect();
+        let expected: Vec<(u64, u64)> = oracle.iter().map(|&(at, _, tag)| (at, tag)).collect();
+        assert_eq!(popped, expected);
+        check_slab(&w);
+
+        w.push(ms(1), 99);
+        w.release();
+        assert_eq!(w.len(), 1, "a wheel holding an item keeps it");
+        assert_eq!(w.pop().map(|(_, i)| i), Some(99));
     }
 
     #[test]

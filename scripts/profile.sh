@@ -8,7 +8,9 @@
 # times under the SIGPROF sampler in scripts/sigprof.c, and prints the
 # share of samples per function: leaf (the function was running) and
 # inclusive (it was on the stack). Each extra argument is a regex whose
-# inclusive share is printed as one line, e.g. 'hashbrown|HashMap'.
+# inclusive share is printed as one line, e.g. 'hashbrown|HashMap', with
+# its samples split by thread (0 is the main thread, then the load
+# engine's build workers in creation order).
 #
 # One run is ≈ 280 samples at the kernel's 4 ms tick, so a share below a
 # few percent needs ten runs or more before it means anything. The symbol
@@ -39,7 +41,7 @@ done
 
 dir=target/profile
 mkdir -p "$dir"
-cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -lpthread
+cc -O2 -shared -fPIC -o "$dir/sigprof.so" scripts/sigprof.c -lpthread -ldl
 CARGO_PROFILE_RELEASE_STRIP=none RUSTFLAGS="-C force-frame-pointers=yes -g" cargo build --release --quiet --offline \
     --manifest-path benchmark/Cargo.toml --target-dir "$dir"
 bin=$dir/release/vgprs-benchmark
@@ -106,6 +108,7 @@ def innermost(addresses):
     return dict(zip(addresses, (pretty(name) for name in parse(out))))
 
 leaf, inclusive, matching, total = collections.Counter(), collections.Counter(), collections.Counter(), 0
+by_thread = collections.defaultdict(collections.Counter)  # pattern -> thread -> samples
 leaf_at, leaf_outside = collections.Counter(), collections.Counter()  # by address in the binary, by name
 per_run = []
 for path in files:
@@ -114,7 +117,8 @@ for path in files:
     samples, _, maps = text.partition("--maps--\n")
     resolve = resolver(maps.splitlines())
     for line in samples.splitlines():
-        pcs = [int(word, 16) for word in line.split()]
+        thread, *pcs = line.split() or ["@-"]
+        pcs = [int(word, 16) for word in pcs]
         if not pcs:
             continue
         # A return address points after the call: step back into it.
@@ -127,7 +131,10 @@ for path in files:
         total += 1
         leaf[names[0]] += 1
         inclusive.update(set(names))
-        matching.update(p for p in patterns if any(re.search(p, name) for name in names))
+        for p in patterns:
+            if any(re.search(p, name) for name in names):
+                matching[p] += 1
+                by_thread[p][thread] += 1
     per_run.append(total - before)
 
 if not total:
@@ -149,6 +156,7 @@ for title, table in tables:
     for name, n in table.most_common(30):
         print(f"{100 * n / total:6.2f} %  {name[:110]}")
 for pattern in patterns:
+    threads = ", ".join(f"{t[1:]}: {n}" for t, n in sorted(by_thread[pattern].items())) or "-"
     print(f"\n-- samples with /{pattern}/ anywhere on the stack: "
-          f"{matching[pattern]} ({100 * matching[pattern] / total:.2f} %)")
+          f"{matching[pattern]} ({100 * matching[pattern] / total:.2f} %; by thread {threads})")
 ' "$bin" "$(echo "$dir"/samples.*)" "$@"

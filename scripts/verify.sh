@@ -49,12 +49,21 @@ echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
 tripwire "ignored tests found" -r '#\[ignore' crates tests
 
-echo "==> no threads in the simulator"
-# The load engine is one loop: a per-epoch thread pool ran every measured
-# workload slower (ROADMAP, "Threads pay or go") and was deleted with the
-# thread axis of the determinism contract.
-tripwire "std::thread under crates/*/src: parallelism comes back together \
-with a benchmark workload that can measure it" -r 'std::thread\|thread::scope' crates/*/src
+echo "==> threads only in the build"
+# Before epoch 0 no shard can send another anything, so run_load builds
+# the shards on every core — one thread::scope, in the load engine. The
+# epoch loop stays one thread: a per-epoch pool ran every measured
+# workload slower (ROADMAP, "Threads pay or go") and was deleted.
+scopes=$(grep -rn 'thread::scope' crates/*/src || true)
+if [ "$(printf '%s' "$scopes" | grep -c .)" -ne 1 ] \
+    || [ "${scopes#crates/load/src/engine.rs:}" = "$scopes" ]; then
+    printf '%s\n' "$scopes"
+    echo "error: want exactly one thread::scope under crates/*/src, in \
+crates/load/src/engine.rs (listed above)" >&2
+    exit 1
+fi
+tripwire "thread::spawn under crates/*/src: the build's scoped workers are \
+the one place threads run" -r 'thread::spawn' crates/*/src
 
 echo "==> one hasher"
 # Every key a table holds was issued by the simulator, so every table is
