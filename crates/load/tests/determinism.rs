@@ -22,16 +22,16 @@ fn identity(report: &LoadReport) -> (u64, u64, u64, String) {
     )
 }
 
-/// Worker counts the build is held to, whatever the host has: one (the
-/// caller alone), three (an uneven split of 4 or 16 shards) and more
-/// workers than shards.
+/// Worker counts a run is held to, whatever the host has: one (the
+/// caller alone), three (an uneven split of 4, 16 or 64 shards) and
+/// more workers than shards. The same workers build the shards and run
+/// every epoch's blocks.
 const WORKERS: [usize; 3] = [1, 3, 64];
 
 /// The determinism contract, stated once: a family's configuration has
 /// one [`identity`] on both event kernels, on a rerun and on any number
-/// of build workers. The reference is a run on the wheel with the
-/// host's workers; the wheel rounds are its reruns, the heap round the
-/// oracle.
+/// of workers. The reference is a run on the wheel with the host's
+/// workers; the wheel rounds are its reruns, the heap round the oracle.
 fn assert_invariant(family: &str, cfg: fn() -> LoadConfig) {
     let reference = identity(&run_load(&cfg()));
     for kernel in [Kernel::Wheel, Kernel::Heap] {
@@ -40,7 +40,7 @@ fn assert_invariant(family: &str, cfg: fn() -> LoadConfig) {
     }
     for workers in WORKERS {
         let other = identity(&run_load_with(&cfg(), workers, |_| {}));
-        assert_eq!(reference, other, "{family} diverged on {workers} build workers");
+        assert_eq!(reference, other, "{family} diverged on {workers} workers");
     }
 }
 
@@ -61,6 +61,13 @@ invariant_families! {
     thread_count_does_not_change_results: "plain" => small_cfg;
     cross_shard_results_are_thread_invariant: "cross@4" => || cross_cfg(4);
     cross_shard_results_are_thread_invariant_at_16_shards: "cross@16" => || cross_cfg(16);
+    // Eight subscribers a shard: flits cross about half of the busy
+    // window's barriers, most of those between the blocks of an uneven
+    // 3-worker split (22, 21, 21 shards).
+    cross_shard_results_are_thread_invariant_at_64_shards: "cross@64" => || LoadConfig {
+        subscribers: 512,
+        ..cross_cfg(64)
+    };
     faulted_runs_are_thread_and_kernel_invariant: "faults" => chaos_cfg;
     surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;

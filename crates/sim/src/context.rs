@@ -146,6 +146,15 @@ impl<M> Context<'_, M> {
 mod tests {
     use super::*;
 
+    /// Every side effect of a node callback is an `Effect` over the
+    /// wire's `Message`, pushed onto the callback's list. Pinned at
+    /// today's size on 64-bit targets: a change that moves it is measured
+    /// before it lands.
+    #[test]
+    fn effect_of_a_message_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<Effect<vgprs_wire::Message>>(), 96);
+    }
+
     fn ctx<'a>(
         rng: &'a mut SimRng,
         stats: &'a mut Stats,

@@ -233,6 +233,15 @@ impl<M> EventQueue<M> {
 mod tests {
     use super::*;
 
+    /// Every queued event of a world is an `EventKind` over the wire's
+    /// `Message` (80 B, pinned in `crates/wire/tests/message_sizes.rs`).
+    /// Pinned at today's size on 64-bit targets: a change that moves it
+    /// moves every shard's queue, and is measured before it lands.
+    #[test]
+    fn event_kind_of_a_message_is_96_bytes() {
+        assert_eq!(std::mem::size_of::<EventKind<vgprs_wire::Message>>(), 96);
+    }
+
     fn timer_event(node: u32, tag: u64) -> EventKind<()> {
         EventKind::Timer {
             node: NodeId(node),

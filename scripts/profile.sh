@@ -10,7 +10,7 @@
 # inclusive (it was on the stack). Each extra argument is a regex whose
 # inclusive share is printed as one line, e.g. 'hashbrown|HashMap', with
 # its samples split by thread (0 is the main thread, then the load
-# engine's build workers in creation order).
+# engine's crew helpers in creation order).
 #
 # One run is ≈ 280 samples at the kernel's 4 ms tick, so a share below a
 # few percent needs ten runs or more before it means anything. The symbol

@@ -49,11 +49,13 @@ echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
 tripwire "ignored tests found" -r '#\[ignore' crates tests
 
-echo "==> threads only in the build"
-# Before epoch 0 no shard can send another anything, so run_load builds
-# the shards on every core — one thread::scope, in the load engine. The
-# epoch loop stays one thread: a per-epoch pool ran every measured
-# workload slower (ROADMAP, "Threads pay or go") and was deleted.
+echo "==> one crew"
+# run_load starts one crew of scoped workers per run, in the load engine:
+# they build the shards, then run each epoch's blocks between barriers
+# (a flit posted in epoch k lands in epoch k+1, so one epoch is exact
+# lookahead). A pool started at every barrier ran every measured
+# workload slower (ROADMAP, "Threads pay or go") and must not return:
+# one thread::scope, no thread::spawn, and safe Rust only.
 scopes=$(grep -rn 'thread::scope' crates/*/src || true)
 if [ "$(printf '%s' "$scopes" | grep -c .)" -ne 1 ] \
     || [ "${scopes#crates/load/src/engine.rs:}" = "$scopes" ]; then
@@ -62,8 +64,11 @@ if [ "$(printf '%s' "$scopes" | grep -c .)" -ne 1 ] \
 crates/load/src/engine.rs (listed above)" >&2
     exit 1
 fi
-tripwire "thread::spawn under crates/*/src: the build's scoped workers are \
-the one place threads run" -r 'thread::spawn' crates/*/src
+tripwire "thread::spawn under crates/*/src: the engine's crew is the one \
+place threads run" -r 'thread::spawn' crates/*/src
+tripwire "unsafe under crates/load/src: the crew is safe Rust" -rw 'unsafe' crates/load/src
+grep -q '^#!\[forbid(unsafe_code)\]' crates/load/src/lib.rs || {
+    echo "error: crates/load/src/lib.rs no longer forbids unsafe code" >&2; exit 1; }
 
 echo "==> one hasher"
 # Every key a table holds was issued by the simulator, so every table is
