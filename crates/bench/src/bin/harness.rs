@@ -11,15 +11,13 @@
 //! sweep in `BENCH_surge.json` by `harness surge`. Timing lives in
 //! `benchmark/`, and the determinism contract in
 //! `crates/load/tests/determinism.rs`; the harness hosts neither. `harness
-//! diff` compares two such dumps KPI-by-KPI against the thresholds in
-//! `diff-thresholds.toml` and exits nonzero on regression; `harness
-//! diff --check` is the verify-script gate, diffing a fresh canonical
-//! small run against the committed `baselines/load_small.json`.
+//! diff` compares two such dumps KPI-by-KPI under the tolerances of
+//! `vgprs_bench::diff::RULES` and exits nonzero on regression.
 //! `harness load` exits 1, after printing the report, when one of the
 //! engine's backstops cut the run short (`load.drain_capped` or
 //! `load.event_capped` > 0).
 
-use vgprs_bench::diff::{compare, Thresholds};
+use vgprs_bench::diff::compare;
 use vgprs_bench::experiments::{
     c1_voice_quality, c2_idle_ablation, c2_setup_latency, c3_context_memory, c4_signaling,
     c5_handoff_cost, interface_usage,
@@ -139,10 +137,6 @@ fn load_cmd(flags: &Flags<'_>) {
     }
 }
 
-/// Default threshold file and committed baseline for `harness diff`.
-const DIFF_THRESHOLDS: &str = "diff-thresholds.toml";
-const DIFF_BASELINE: &str = "baselines/load_small.json";
-
 /// Reads and parses one JSON report, exiting with a diagnostic on
 /// failure (a malformed dump is an input error, not a panic).
 fn read_report(path: &str) -> vgprs_sim::JsonValue {
@@ -156,108 +150,17 @@ fn read_report(path: &str) -> vgprs_sim::JsonValue {
     })
 }
 
-/// Loads the threshold file named by `--thresholds` (default
-/// `diff-thresholds.toml`), falling back to built-in defaults when the
-/// default file does not exist.
-fn read_thresholds(flags: &Flags<'_>) -> Thresholds {
-    let (path, required) = match flags.get("--thresholds") {
-        Some(p) => (p, true),
-        None => (DIFF_THRESHOLDS, false),
-    };
-    match std::fs::read_to_string(path) {
-        Ok(text) => Thresholds::parse(&text).unwrap_or_else(|e| {
-            eprintln!("bad thresholds in {path}: {e}");
-            std::process::exit(2);
-        }),
-        Err(e) if required => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-        Err(_) => Thresholds::default(),
-    }
-}
-
-/// The canonical small population `diff --check` runs against the
-/// committed baseline: tiny, so the gate finishes in seconds.
-fn check_defaults() -> RunDefaults {
-    RunDefaults {
-        subscribers: 96,
-        shards: 4,
-        window_secs: 90,
-        calls_per_sub_hour: 40.0,
-        mean_hold_secs: 20.0,
-        ..RunDefaults::default()
-    }
-}
-
-/// `harness diff`: structural KPI regression gate. With two positional
-/// paths it compares candidate against baseline and exits nonzero on any
-/// regressed or missing KPI. `--check` instead runs the canonical small
-/// population fresh and diffs it against `baselines/load_small.json`;
-/// `--update-baseline` regenerates that file (after intentional KPI
-/// changes — see `scripts/update-baselines.sh`).
+/// `harness diff`: structural KPI comparison of two dumps. Compares
+/// candidate against baseline and exits nonzero on any regressed or
+/// missing KPI.
 fn diff_cmd(flags: &Flags<'_>) {
-    let rest = flags.0;
-    let thresholds = read_thresholds(flags);
-    if flags.has("--check") || flags.has("--update-baseline") {
-        let baseline_path = flags.get("--baseline").unwrap_or(DIFF_BASELINE);
-        let cfg = load_config_from(&Flags(&[]), &check_defaults());
-        heading(&format!(
-            "KPI regression gate — {} subscribers, {} shards, seed {} vs {}",
-            cfg.subscribers,
-            cfg.effective_shards(),
-            cfg.seed,
-            baseline_path
-        ));
-        let report = run_load(&cfg);
-        println!(
-            "  fresh run: fingerprint {:016x}, snapshot fingerprint {:016x}",
-            report.fingerprint(),
-            report.snapshot_fingerprint()
-        );
-        if flags.has("--update-baseline") {
-            write_file(baseline_path, &report.to_json());
-            println!("  baseline updated: {baseline_path}");
-            return;
-        }
-        let baseline = read_report(baseline_path);
-        let candidate = vgprs_sim::JsonValue::parse(&report.to_json())
-            .expect("a freshly rendered report always parses");
-        let diff = compare(&baseline, &candidate, &thresholds);
-        print!("{}", diff.render());
-        if !diff.passed() {
-            eprintln!("  KPI REGRESSION against {baseline_path}");
-            std::process::exit(1);
-        }
-        println!("  no KPI regressions against the committed baseline");
-        return;
-    }
-    let positional: Vec<&String> = {
-        // Positional operands: everything not consumed as a flag value.
-        let mut skip = false;
-        rest.iter()
-            .filter(|a| {
-                if skip {
-                    skip = false;
-                    return false;
-                }
-                if a.as_str() == "--thresholds" || a.as_str() == "--baseline" {
-                    skip = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect()
-    };
-    let [a_path, b_path] = positional.as_slice() else {
-        eprintln!(
-            "usage: harness diff BASELINE.json CANDIDATE.json [--thresholds PATH] [--json]\n\
-             \x20      harness diff --check [--update-baseline] [--baseline PATH]"
-        );
+    let operands: Vec<&String> = flags.0.iter().filter(|a| !a.starts_with("--")).collect();
+    let [a_path, b_path] = operands.as_slice() else {
+        eprintln!("usage: harness diff BASELINE.json CANDIDATE.json [--json]");
         std::process::exit(2);
     };
     heading(&format!("KPI diff — {a_path} (baseline) vs {b_path} (candidate)"));
-    let diff = compare(&read_report(a_path), &read_report(b_path), &thresholds);
+    let diff = compare(&read_report(a_path), &read_report(b_path));
     if flags.has("--json") {
         print!("{}", diff.to_json());
     } else {

@@ -2,12 +2,10 @@
 //!
 //! Compares two `LoadReport::to_json` / `BENCH_*.json` documents
 //! path-by-path (dotted JSON paths, [`vgprs_sim::JsonValue::flatten`])
-//! against per-KPI absolute/relative thresholds loaded from a
-//! TOML-subset file (`diff-thresholds.toml`). The comparison is the
-//! enforceable half of the observability layer: `scripts/verify.sh`
-//! runs a fresh small-population load and diffs it against the
-//! committed baseline, turning the BENCH trajectory into a gate
-//! instead of a pile of snapshots.
+//! against the per-KPI absolute/relative tolerances of [`RULES`]. Runs
+//! are bit-identical for a configuration and seed, so the tolerances
+//! matter only when two different worlds are compared: two commits, two
+//! seeds, two workloads.
 //!
 //! Semantics:
 //!
@@ -15,11 +13,11 @@
 //!   directionally — a KPI marked `higher_is_worse` only *regresses*
 //!   upward (a drop is an improvement), and vice versa. The direction
 //!   of a path the KPI table (`vgprs_load::kpi`) covers comes from its
-//!   row; the threshold file supplies tolerances, and directions only
-//!   for paths the table does not know.
+//!   row; [`RULES`] supplies tolerances, and directions only for paths
+//!   the table does not know.
 //! * A path present in the baseline but missing from the candidate is
 //!   a **regression** (a dropped KPI field is exactly the silent
-//!   breakage the gate exists to catch); an extra candidate path is a
+//!   breakage a comparison must not pass); an extra candidate path is a
 //!   warning.
 //! * Known-nondeterministic paths (wall clock, throughput,
 //!   fingerprints, `meta`, raw counter/histogram dumps) are skipped.
@@ -31,7 +29,7 @@ pub use vgprs_load::kpi::Direction;
 use vgprs_sim::{IdMap, IdSet, JsonValue, JsonWriter};
 
 /// One threshold rule: tolerance plus direction.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Rule {
     /// Absolute tolerance.
     pub abs: f64,
@@ -41,108 +39,72 @@ pub struct Rule {
     pub direction: Direction,
 }
 
-impl Default for Rule {
-    fn default() -> Self {
-        Rule {
-            abs: 1e-9,
-            rel: 0.20,
-            direction: Direction::HigherIsWorse,
-        }
+/// The rule of a path no [`RULES`] key matches.
+pub const DEFAULT: Rule = Rule {
+    abs: 1e-9,
+    rel: 0.20,
+    direction: Direction::HigherIsWorse,
+};
+
+/// [`DEFAULT`] with other tolerances.
+const fn tol(abs: f64, rel: f64) -> Rule {
+    Rule { abs, rel, ..DEFAULT }
+}
+
+/// A rule for a delivered volume that shrinks when things get worse.
+const fn volume(abs: f64, rel: f64) -> Rule {
+    Rule {
+        direction: Direction::LowerIsWorse,
+        ..tol(abs, rel)
     }
 }
 
-/// The parsed `diff-thresholds.toml`: a default rule plus per-KPI
-/// overrides keyed by path fragments.
-#[derive(Clone, Debug, Default)]
-pub struct Thresholds {
-    /// Applied when no per-KPI key matches.
-    pub default: Rule,
-    /// `(key, rule)` overrides, most specific (longest key) first.
-    pub per_kpi: Vec<(String, Rule)>,
-}
+/// Per-KPI tolerances, keyed by a path fragment: a key matches a dotted
+/// path as a run of whole segments ([`kpi::has_run`]), so one `mos`
+/// entry governs `kpis.mos` and every `snapshots.frames.N.mos` alike.
+/// The first match wins, so the table is in precedence order: longest
+/// key first.
+///
+/// Same-seed reruns are bit-identical, so these exist for comparisons
+/// across commits, seeds and workloads: keep them tight.
+pub const RULES: &[(&str, Rule)] = &[
+    // Raw frame counters with no KPI row of their own.
+    ("voice_frames_received", volume(16.0, 0.05)),
+    // The raw frame counter `load.handoff_success`; the KPI
+    // `handoff_successes` rides the default.
+    ("handoff_success", tol(2.0, 0.05)),
+    // Rates over small denominators, per frame and in aggregate, are
+    // noisier than the end-of-run KPI: absolute slack.
+    ("blocking_rate", tol(0.01, 0.25)),
+    ("rtp_received", volume(16.0, 0.05)),
+    ("reject_rate", tol(0.01, 0.25)),
+    ("frame_loss", tol(0.005, 0.25)),
+    // Offered load moving either way is a workload change, not a
+    // quality regression; still bound it.
+    ("attempts", tol(4.0, 0.10)),
+    // Integer counters in snapshot frames: a few events of slack, so
+    // one boundary-straddling call does not read as a regression.
+    ("counters", tol(4.0, 0.25)),
+    ("count", tol(4.0, 0.20)),
+    // Delay statistics: histogram buckets quantize to ~4 % steps.
+    ("mean", tol(2.0, 0.15)),
+    ("mos", tol(0.05, 0.0)),
+    ("p50", tol(2.0, 0.15)),
+    ("p99", tol(2.0, 0.25)),
+];
 
-impl Thresholds {
-    /// Parses the TOML subset the repo uses (the workspace is hermetic,
-    /// so no toml crate): `[default]` and `[kpi."KEY"]` sections with
-    /// `abs = <float>`, `rel = <float>` and
-    /// `direction = "higher_is_worse" | "lower_is_worse"` assignments,
-    /// `#` comments, blank lines.
-    pub fn parse(text: &str) -> Result<Thresholds, String> {
-        let mut out = Thresholds::default();
-        // None = before any section; Some(None) = [default];
-        // Some(Some(i)) = the i-th per-KPI rule.
-        let mut section: Option<Option<usize>> = None;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: &str| format!("{msg} at line {}: {raw:?}", lineno + 1);
-            if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-                if header == "default" {
-                    section = Some(None);
-                } else if let Some(key) = header
-                    .strip_prefix("kpi.\"")
-                    .and_then(|h| h.strip_suffix('"'))
-                {
-                    // Per-KPI rules inherit the default as parsed so far.
-                    out.per_kpi.push((key.to_owned(), out.default));
-                    section = Some(Some(out.per_kpi.len() - 1));
-                } else {
-                    return Err(err("unknown section"));
-                }
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(err("expected `key = value`"));
-            };
-            let (key, value) = (key.trim(), value.trim());
-            let rule = match section {
-                None => return Err(err("assignment before any section")),
-                Some(None) => &mut out.default,
-                Some(Some(i)) => &mut out.per_kpi[i].1,
-            };
-            // A NaN or negative tolerance makes every comparison false:
-            // nothing regresses and an unchanged report "improves".
-            let tolerance = || match value.parse::<f64>() {
-                Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
-                _ => Err(err("tolerance must be a finite, non-negative float")),
-            };
-            match key {
-                "abs" => rule.abs = tolerance()?,
-                "rel" => rule.rel = tolerance()?,
-                "direction" => {
-                    rule.direction = match value.trim_matches('"') {
-                        "higher_is_worse" => Direction::HigherIsWorse,
-                        "lower_is_worse" => Direction::LowerIsWorse,
-                        _ => return Err(err("unknown direction")),
-                    };
-                }
-                _ => return Err(err("unknown key")),
-            }
-        }
-        // Longest key first, so the most specific override wins.
-        out.per_kpi.sort_by_key(|k| std::cmp::Reverse(k.0.len()));
-        Ok(out)
+/// The rule governing a dotted path: tolerances from the first
+/// [`RULES`] key that matches it, else [`DEFAULT`]; direction from the
+/// KPI table row covering the path, when there is one.
+pub fn rule_for(path: &str) -> Rule {
+    let mut rule = RULES
+        .iter()
+        .find(|(key, _)| kpi::has_run(path, key))
+        .map_or(DEFAULT, |&(_, rule)| rule);
+    if let Some(row) = kpi::for_path(path) {
+        rule.direction = row.direction;
     }
-
-    /// The rule governing a dotted path: tolerances from the longest
-    /// per-KPI key that matches it (exactly, as a `.`-delimited
-    /// suffix/prefix, or as an interior segment run), else the default;
-    /// direction from the KPI table row covering the path, when there
-    /// is one. Fragment matching is what lets one `[kpi."mos"]` entry
-    /// govern `kpis.mos` and every `snapshots.frames.N.mos` alike.
-    pub fn rule_for(&self, path: &str) -> Rule {
-        let mut rule = self
-            .per_kpi
-            .iter()
-            .find(|(key, _)| kpi::has_run(path, key))
-            .map_or(self.default, |(_, rule)| *rule);
-        if let Some(row) = kpi::for_path(path) {
-            rule.direction = row.direction;
-        }
-        rule
-    }
+    rule
 }
 
 /// The outcome of one compared path.
@@ -183,7 +145,7 @@ pub struct DiffReport {
 }
 
 impl DiffReport {
-    /// Paths that regressed or went missing — the gate's failures.
+    /// Paths that regressed or went missing — the comparison's failures.
     pub fn failures(&self) -> impl Iterator<Item = &DiffRow> {
         self.rows
             .iter()
@@ -268,7 +230,7 @@ impl DiffReport {
 /// that legitimately differ between runs, fingerprints (they change
 /// whenever anything does and carry no thresholdable magnitude), and
 /// the raw counter/histogram dumps (run-shape specific — the KPI
-/// surface above them is the gated contract).
+/// surface above them is the compared contract).
 fn skipped(path: &str) -> bool {
     if path.starts_with("meta.")
         || path.starts_with("counters.")
@@ -285,8 +247,8 @@ fn skipped(path: &str) -> bool {
     })
 }
 
-/// Compares candidate `b` against baseline `a` under `thresholds`.
-pub fn compare(a: &JsonValue, b: &JsonValue, thresholds: &Thresholds) -> DiffReport {
+/// Compares candidate `b` against baseline `a` under [`rule_for`].
+pub fn compare(a: &JsonValue, b: &JsonValue) -> DiffReport {
     let flat_a = a.flatten();
     let flat_b = b.flatten();
     let lookup: IdMap<&str, &JsonValue> = flat_b
@@ -311,7 +273,7 @@ pub fn compare(a: &JsonValue, b: &JsonValue, thresholds: &Thresholds) -> DiffRep
         };
         let status = match (va.as_f64(), vb.as_f64()) {
             (Some(x), Some(y)) => {
-                let rule = thresholds.rule_for(path);
+                let rule = rule_for(path);
                 let tol = rule.abs.max(rule.rel * x.abs());
                 if (y - x).abs() <= tol {
                     Status::Ok
@@ -361,23 +323,6 @@ pub fn compare(a: &JsonValue, b: &JsonValue, thresholds: &Thresholds) -> DiffRep
 mod tests {
     use super::*;
 
-    const THRESHOLDS: &str = r#"
-# test thresholds
-[default]
-abs = 1e-9
-rel = 0.20
-direction = "higher_is_worse"
-
-[kpi."mos"]
-direction = "lower_is_worse"
-abs = 0.05
-rel = 0.0
-
-[kpi."attempts"]
-abs = 5
-rel = 0.10
-"#;
-
     fn report(blocking: f64, mos: f64, p99: f64) -> JsonValue {
         JsonValue::parse(&format!(
             r#"{{"kpis": {{"attempts": 100, "blocking_rate": {blocking}, "mos": {mos},
@@ -387,22 +332,18 @@ rel = 0.10
         .expect("synthetic report parses")
     }
 
-    fn thresholds() -> Thresholds {
-        Thresholds::parse(THRESHOLDS).expect("test thresholds parse")
-    }
-
     #[test]
     fn identical_reports_pass() {
         let a = report(0.02, 4.1, 180.0);
-        let d = compare(&a, &a, &thresholds());
+        let d = compare(&a, &a);
         assert!(d.passed(), "{}", d.render());
         assert!(d.rows.iter().all(|r| r.status == Status::Ok));
     }
 
     #[test]
     fn blocking_regression_flags() {
-        // +50% blocking: well past the 20% relative default.
-        let d = compare(&report(0.02, 4.1, 180.0), &report(0.03, 4.1, 180.0), &thresholds());
+        // Doubled blocking: past the rule's 0.01 absolute slack.
+        let d = compare(&report(0.02, 4.1, 180.0), &report(0.04, 4.1, 180.0));
         assert!(!d.passed());
         let failing: Vec<&str> = d.failures().map(|r| r.path.as_str()).collect();
         assert_eq!(failing, vec!["kpis.blocking_rate"]);
@@ -410,17 +351,16 @@ rel = 0.10
 
     #[test]
     fn mos_drop_flags_and_mos_gain_passes() {
-        let t = thresholds();
-        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 3.6, 180.0), &t);
+        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 3.6, 180.0));
         assert!(!d.passed(), "MOS -0.5 must regress");
-        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 4.4, 180.0), &t);
+        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 4.4, 180.0));
         assert!(d.passed(), "a MOS gain is an improvement, not a failure");
         assert!(d.rows.iter().any(|r| r.status == Status::Improved));
     }
 
     #[test]
     fn p99_doubling_flags() {
-        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 4.1, 360.0), &thresholds());
+        let d = compare(&report(0.02, 4.1, 180.0), &report(0.02, 4.1, 360.0));
         assert!(!d.passed());
         assert!(d
             .failures()
@@ -430,11 +370,7 @@ rel = 0.10
     #[test]
     fn jitter_within_thresholds_passes() {
         // +5% blocking, -0.03 MOS, +10% p99: all inside tolerance.
-        let d = compare(
-            &report(0.0200, 4.10, 180.0),
-            &report(0.0210, 4.07, 198.0),
-            &thresholds(),
-        );
+        let d = compare(&report(0.0200, 4.10, 180.0), &report(0.0210, 4.07, 198.0));
         assert!(d.passed(), "{}", d.render());
     }
 
@@ -442,8 +378,8 @@ rel = 0.10
     fn missing_fields_fail_and_extra_fields_warn() {
         let a = JsonValue::parse(r#"{"kpis": {"mos": 4.1, "blocking_rate": 0.02}}"#).unwrap();
         let b = JsonValue::parse(r#"{"kpis": {"mos": 4.1, "new_kpi": 1.0}}"#).unwrap();
-        let d = compare(&a, &b, &thresholds());
-        assert!(!d.passed(), "a dropped KPI field must fail the gate");
+        let d = compare(&a, &b);
+        assert!(!d.passed(), "a dropped KPI field must fail the comparison");
         assert!(d
             .rows
             .iter()
@@ -466,45 +402,58 @@ rel = 0.10
                 "fingerprint": "bb", "meta": {"git": "y"}, "kpis": {"mos": 4.0}}"#,
         )
         .unwrap();
-        let d = compare(&a, &b, &thresholds());
+        let d = compare(&a, &b);
         assert!(d.passed(), "{}", d.render());
         assert_eq!(d.rows.len(), 1, "only kpis.mos is compared");
     }
 
     #[test]
     fn threshold_fragments_cover_snapshot_frames() {
-        let t = thresholds();
-        assert_eq!(t.rule_for("kpis.mos").direction, Direction::LowerIsWorse);
+        let tolerances = |path| {
+            let r = rule_for(path);
+            (r.abs, r.rel)
+        };
         assert_eq!(
-            t.rule_for("snapshots.frames.3.mos").direction,
-            Direction::LowerIsWorse
-        );
-        assert_eq!(
-            t.rule_for("snapshots.aggregate.attempts").abs,
-            5.0,
+            tolerances("snapshots.aggregate.attempts"),
+            (4.0, 0.10),
             "fragment keys reach nested rows"
         );
-        assert_eq!(t.rule_for("kpis.frame_loss").rel, 0.20, "default otherwise");
+        assert_eq!(tolerances("snapshots.frames.2.frame_loss"), (0.005, 0.25));
+        assert_eq!(
+            tolerances("kpis.handoff_successes"),
+            (DEFAULT.abs, DEFAULT.rel),
+            "whole segments only"
+        );
     }
 
+    /// The first matching key wins, so a longer key must come first: the
+    /// raw counter under a frame's `counters` takes `rtp_received`'s
+    /// rule, not the shorter `counters` one.
     #[test]
-    fn threshold_parser_rejects_garbage() {
-        assert!(Thresholds::parse("abs = 1.0").is_err(), "no section");
-        assert!(Thresholds::parse("[bogus]").is_err(), "unknown section");
-        assert!(Thresholds::parse("[default]\nnope = 3").is_err(), "unknown key");
+    fn rules_are_in_precedence_order() {
         assert!(
-            Thresholds::parse("[default]\ndirection = \"sideways\"").is_err(),
-            "unknown direction"
+            RULES.windows(2).all(|w| w[0].0.len() >= w[1].0.len()),
+            "RULES must list longer keys first"
         );
-        for bad in ["abs = nan", "rel = -1", "abs = inf", "rel = x"] {
-            let e = Thresholds::parse(&format!("[default]\n{bad}")).expect_err(bad);
-            assert!(e.contains("line 2"), "{bad}: {e}");
+        use Direction::{HigherIsWorse as Higher, LowerIsWorse as Lower};
+        let rule = |abs, rel, direction| Rule { abs, rel, direction };
+        for (path, want) in [
+            ("kpis.mos", rule(0.05, 0.0, Lower)),
+            ("snapshots.frames.3.mos", rule(0.05, 0.0, Lower)),
+            ("kpis.setup_delay_ms.p99", rule(2.0, 0.25, Higher)),
+            (
+                "snapshots.frames.1.counters.term.rtp_received",
+                rule(16.0, 0.05, Lower),
+            ),
+            ("subscribers", rule(1e-9, 0.20, Higher)),
+        ] {
+            assert_eq!(rule_for(path), want, "{path}");
         }
     }
 
     #[test]
     fn diff_json_is_wellformed() {
-        let d = compare(&report(0.02, 4.1, 180.0), &report(0.03, 4.1, 180.0), &thresholds());
+        let d = compare(&report(0.02, 4.1, 180.0), &report(0.04, 4.1, 180.0));
         let doc = JsonValue::parse(&d.to_json()).expect("diff JSON parses");
         assert_eq!(
             doc.get("passed"),

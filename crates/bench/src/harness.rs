@@ -10,7 +10,7 @@ use vgprs_load::{
     CallMix, KneeSearch, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass,
     TrunkPlanConfig,
 };
-use vgprs_sim::{JsonWriter, Kernel};
+use vgprs_sim::JsonWriter;
 
 /// The master seed every experiment defaults to.
 pub const SEED: u64 = 42;
@@ -24,7 +24,7 @@ harness load|capacity|chaos|surge
              [--subscribers N] [--shards N] [--seed N]
              [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
-             [--tch N] [--voice-sample-ms N] [--kernel heap|wheel]
+             [--tch N] [--voice-sample-ms N]
              [--trunk-intensity F] [--trunk-class CLASS]
              [--gk-bandwidth N] [--snapshot-secs N]
 harness load [--json PATH] [--snapshots PATH] [--snapshots-per-shard]
@@ -33,9 +33,7 @@ harness capacity [--max-load F] [--refine N] [--json PATH]
 harness chaos [--out PATH]
 harness surge [--paging-rate N] [--gk-shed F] [--pdp-rate N]
               [--out PATH] [--verbose]
-harness diff BASELINE.json CANDIDATE.json [--thresholds PATH] [--json]
-harness diff --check [--update-baseline] [--baseline PATH]
-             [--thresholds PATH]";
+harness diff BASELINE.json CANDIDATE.json [--json]";
 
 /// Ends the process with a usage error: the only exit in flag parsing,
 /// kept apart from it so the parsing is testable.
@@ -105,7 +103,7 @@ impl Flags<'_> {
         }
     }
 
-    /// Presence of a bare flag with no value (e.g. `--check`).
+    /// Presence of a bare flag with no value (e.g. `--json`).
     pub fn has(&self, name: &str) -> bool {
         self.0.iter().any(|a| a == name)
     }
@@ -122,17 +120,6 @@ fn parse_trunk_class(raw: &str) -> Result<TrunkFaultClass, String> {
         _ => Err(format!(
             "invalid value {raw:?} for --trunk-class; expected loss, dup, \
              reorder, partition or all"
-        )),
-    }
-}
-
-/// Parses `heap`/`wheel`.
-fn parse_kernel(raw: &str) -> Result<Kernel, String> {
-    match raw {
-        "heap" => Ok(Kernel::Heap),
-        "wheel" => Ok(Kernel::Wheel),
-        _ => Err(format!(
-            "invalid value {raw:?} for --kernel; expected heap or wheel"
         )),
     }
 }
@@ -204,9 +191,6 @@ pub fn parse_load_config(flags: &Flags<'_>, defaults: &RunDefaults) -> Result<Lo
             None | Some("all") => TrunkPlanConfig::all(trunk_intensity),
             Some(raw) => TrunkPlanConfig::only(parse_trunk_class(raw)?, trunk_intensity),
         };
-    }
-    if let Some(raw) = flags.value("--kernel")? {
-        cfg.kernel = parse_kernel(raw)?;
     }
     if let Some(mix) = flags.value("--mix")? {
         let parts: Result<Vec<f64>, _> = mix.split(',').map(str::parse).collect();
@@ -498,7 +482,6 @@ mod tests {
             (&["--subscribers", "64", "--seed"], "--seed"),
             (&["--seed", "--subscribers", "64"], "--seed"),
             (&["--seed", "forty-two"], "--seed"),
-            (&["--kernel", "calendar"], "--kernel"),
             (
                 &["--trunk-intensity", "0.5", "--trunk-class", "flood"],
                 "--trunk-class",
@@ -521,11 +504,6 @@ mod tests {
         }
         assert_eq!(check("diff", &["a.json", "b.json", "--json"]), Ok(()));
         assert_eq!(
-            check("diff", &["--check", "--update-baseline"]),
-            Ok(()),
-            "second usage entry"
-        );
-        assert_eq!(
             check("surge", &["--pdp-rate", "2", "--verbose"]),
             Ok(()),
             "continuation line"
@@ -536,6 +514,8 @@ mod tests {
             ("capacity", &["--seed", "7", "--out", "x.json"], "--out"),
             ("load", &["--paging-rate", "2"], "--paging-rate"),
             ("diff", &["--seed", "7"], "--seed"),
+            ("diff", &["--check"], "--check"),
+            ("load", &["--kernel", "heap"], "--kernel"),
         ] {
             let err = check(sub, args).expect_err(&args.join(" "));
             assert!(

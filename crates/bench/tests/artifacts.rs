@@ -1,9 +1,10 @@
-//! Gates on the harness's artifacts: the diff direction of every KPI
-//! and the schema of the committed `BENCH_*.json` cells.
+//! Gates on the harness's artifacts: the diff direction of every KPI,
+//! the schema of the committed `BENCH_*.json` cells, and the flags the
+//! binary refuses.
 
 use std::path::Path;
 
-use vgprs_bench::diff::Thresholds;
+use vgprs_bench::diff::rule_for;
 use vgprs_bench::harness::{chaos_json, drain_capped_error, surge_json};
 use vgprs_load::kpi::{Snapshot, KPIS};
 use vgprs_load::{run_load, LoadConfig, OverloadControls};
@@ -14,17 +15,18 @@ fn repo_file(relative: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
 }
 
+/// A real report dump: the golden file of `crates/load/tests/golden.rs`.
+const GOLDEN: &str = "crates/load/tests/golden/load_report.json";
+
 /// For every KPI of the table, the direction `harness diff` applies to
 /// each of its paths in a real report — the summary member, its
 /// histogram statistics, and the copy in every snapshot frame — is the
 /// row's. (Before the table supplied the direction,
-/// `kpis.handoff_successes` rising read as a regression: the threshold
-/// file's `handoff_success` fragment matched the raw counter only.)
+/// `kpis.handoff_successes` rising read as a regression: the
+/// `handoff_success` fragment matched the raw counter only.)
 #[test]
 fn diff_direction_of_every_kpi_path_is_its_rows() {
-    let thresholds = Thresholds::parse(&repo_file("diff-thresholds.toml")).expect("thresholds parse");
-    let golden = JsonValue::parse(&repo_file("crates/load/tests/golden/load_report.json"))
-        .expect("golden report parses");
+    let golden = JsonValue::parse(&repo_file(GOLDEN)).expect("golden report parses");
     let paths: Vec<String> = golden.flatten().into_iter().map(|(p, _)| p).collect();
     for k in KPIS.iter().filter(|k| k.json) {
         let mut roots = vec![format!("kpis.{}", k.path)];
@@ -40,7 +42,7 @@ fn diff_direction_of_every_kpi_path_is_its_rows() {
             assert!(!under.is_empty(), "the golden report has no {root}");
             for path in under {
                 assert_eq!(
-                    thresholds.rule_for(path).direction,
+                    rule_for(path).direction,
                     k.direction,
                     "{path} is gated in the wrong direction"
                 );
@@ -106,9 +108,10 @@ fn a_drain_capped_report_takes_the_failing_exit() {
     assert!(complaint.contains("load.drain_capped = 2"), "{complaint}");
 }
 
-/// The engine runs on one thread, so no configuration carries a thread
-/// count: every subcommand that reads the shared flags refuses
-/// `--threads` with a usage error naming it, rather than run.
+/// The engine takes every core itself (one crew per run), so no
+/// configuration carries a thread count: every subcommand that reads
+/// the shared flags refuses `--threads` with a usage error naming it,
+/// rather than run.
 #[test]
 fn the_threads_flag_changes_no_configuration() {
     for sub in ["load", "capacity", "chaos", "surge"] {
@@ -142,4 +145,20 @@ fn an_unknown_experiment_lists_the_commands_that_exist() {
         let (code, message) = harness(&[sweep, "--check"]);
         assert_eq!(code, Some(2), "harness {sweep} --check: {message}");
     }
+}
+
+/// `harness diff` compares two dumps and takes one flag: a report
+/// against itself passes, one operand is a usage error, and `--check`
+/// is refused like any flag its usage entry does not name.
+#[test]
+fn harness_diff_takes_two_dumps_and_no_check() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(GOLDEN);
+    let golden = golden.to_str().expect("a UTF-8 path");
+    let (code, message) = harness(&["diff", golden, golden]);
+    assert_eq!(code, Some(0), "{message}");
+    let (code, message) = harness(&["diff", golden]);
+    assert_eq!(code, Some(2), "{message}");
+    let (code, message) = harness(&["diff", "--check"]);
+    assert_eq!(code, Some(2), "{message}");
+    assert!(message.contains("has no flag --check"), "{message}");
 }

@@ -106,11 +106,6 @@ impl Bts {
         }
     }
 
-    /// Number of packets currently waiting for the shared PDCH.
-    pub fn pdch_backlog(&self) -> usize {
-        self.pdch_queue.len()
-    }
-
     fn alloc_conn(&mut self, ctx: &Context<'_, Message>, ms: NodeId) -> ConnRef {
         self.next_conn += 1;
         // Upper half = BTS node index, lower half = local counter: globally

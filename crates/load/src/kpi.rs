@@ -135,7 +135,7 @@ impl Kpi {
 
 /// Every KPI, in the order the report's `"kpis"` object lists them.
 /// Adding a KPI is adding a row here (plus, optionally, a tolerance in
-/// `diff-thresholds.toml` and a mention in [`TEXT`]).
+/// `vgprs_bench::diff::RULES` and a mention in [`TEXT`]).
 pub const KPIS: &[Kpi] = &[
     row("attempts", Kind::Diff("offered", "busy_skipped")).shown(),
     row("blocking_rate", Kind::Ratio(&["bsc.tch_blocked"], "attempts")).shown(),

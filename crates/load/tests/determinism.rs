@@ -403,6 +403,22 @@ fn trunk_cfg() -> LoadConfig {
     }
 }
 
+/// The small world at the harness's defaults: 96 subscribers in 4 shards
+/// over a 90 s window, seed 42, the default call mix and mobility.
+fn defaults_cfg() -> LoadConfig {
+    LoadConfig {
+        subscribers: 96,
+        shards: 4,
+        population: PopulationConfig {
+            calls_per_sub_hour: 40.0,
+            mean_hold_secs: 20.0,
+            window_secs: 90,
+            ..PopulationConfig::default()
+        },
+        ..LoadConfig::default()
+    }
+}
+
 /// The armed runs, pinned. The invariance tests above compare a run with
 /// itself, so a change that moves every side at once would pass: the
 /// fabric's delivery order (heal push order, retransmit scan order,
@@ -411,12 +427,16 @@ fn trunk_cfg() -> LoadConfig {
 /// and queues under `surge`. These values move only when the simulated
 /// world does, and then on purpose — last when the VMSC's call leg moved
 /// into the MS row and a mobile-to-mobile call became two legs (PR 21).
+/// The `defaults` row is unarmed: the small world at the harness's
+/// defaults, which a refactor of the driver, the KPI table or the merge
+/// must leave exactly as it is.
 #[test]
 fn armed_run_identity_is_pinned() {
     let rows = [
         ("trunk", trunk_cfg as fn() -> LoadConfig, "69d2eedfeced4f85 0f35dfad414c38b0 53500"),
         ("faults", chaos_cfg, "1b0aef13dd672637 7ad2cb63ffae047e 47267"),
         ("surge", surge_cfg, "c80148540185d271 ffa5464f2a0ebe1e 42567"),
+        ("defaults", defaults_cfg, "ebd785012876121b de1864e97accfea5 43934"),
     ];
     for (family, cfg, pinned) in rows {
         let report = run_load(&cfg());

@@ -13,8 +13,8 @@
 //! `tests/golden/load_report.txt` pins the text report of the same run
 //! the same way — that text feeds the run fingerprint.
 //!
-//! This pins the artifact contract that `harness diff`, the committed
-//! baselines and any downstream tooling parse: an accidental rename,
+//! This pins the artifact contract that `harness diff` and any
+//! downstream tooling parse: an accidental rename,
 //! dropped field or changed numeric rendering fails here first, with
 //! the offending path in the message.
 //!

@@ -9,7 +9,8 @@ use vgprs_load::{run_load_with, LoadConfig, PopulationConfig};
 
 #[test]
 fn every_link_has_an_end_of_few_ports() {
-    // The world `harness diff --check` runs (`baselines/load_small.json`).
+    // The small world at the harness's defaults (`defaults` in
+    // `armed_run_identity_is_pinned`).
     let cfg = LoadConfig {
         subscribers: 96,
         shards: 4,

@@ -125,11 +125,6 @@ impl JitterBuffer {
         }
         (self.late + self.missing()) as f64 / expected
     }
-
-    /// The buffering delay added to every on-time frame.
-    pub fn playout_delay(&self) -> SimDuration {
-        self.playout_delay
-    }
 }
 
 #[cfg(test)]

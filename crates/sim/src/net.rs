@@ -467,22 +467,6 @@ impl<M: Payload> Network<M> {
         }
     }
 
-    /// Processes a single event. Returns false if the queue is empty.
-    pub fn step(&mut self) -> bool {
-        self.ensure_started();
-        let stepped = match self.queue.pop() {
-            Some((at, kind)) => {
-                debug_assert!(at >= self.now, "time went backwards");
-                self.now = at;
-                self.process_event(kind);
-                true
-            }
-            None => false,
-        };
-        self.flush_counts();
-        stepped
-    }
-
     fn ensure_started(&mut self) {
         if self.started {
             return;
@@ -1096,9 +1080,6 @@ mod tests {
         assert_eq!(delivered(&net), (1, 1));
         net.run_until(SimTime::from_micros(6_000)); // nothing due
         assert_eq!(delivered(&net), (1, 1));
-        assert!(net.step());
-        assert_eq!(delivered(&net), (2, 2));
-        assert!(!net.step());
         assert!(net.run_until_quiescent().quiescent);
         assert_eq!(delivered(&net), (2, 2));
         net.stats_mut().count("scenario.mark");

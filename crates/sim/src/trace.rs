@@ -53,14 +53,6 @@ impl TraceEntry {
             TraceEntry::Note { .. } => None,
         }
     }
-
-    /// The message's full debug rendering, if this entry is a message.
-    pub fn detail(&self) -> Option<&str> {
-        match self {
-            TraceEntry::Message { detail, .. } => Some(detail),
-            TraceEntry::Note { .. } => None,
-        }
-    }
 }
 
 /// The ordered record of everything delivered during a run.

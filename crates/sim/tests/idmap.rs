@@ -106,19 +106,19 @@ fn consecutive_identifiers_spread_over_buckets_groups_and_tags() {
 
 #[test]
 fn stat_names_and_report_paths_spread() {
-    // The committed small canonical run names every counter, histogram
-    // and report path a population run creates: what `Stats` interns and
+    // The golden report's small run names the counters, histograms and
+    // report paths a population run creates: what `Stats` interns and
     // what `harness diff` looks up.
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
-        "/../../baselines/load_small.json"
+        "/../load/tests/golden/load_report.json"
     );
-    let text = std::fs::read_to_string(path).expect("committed baseline");
-    let report = JsonValue::parse(&text).expect("baseline parses");
+    let text = std::fs::read_to_string(path).expect("committed golden report");
+    let report = JsonValue::parse(&text).expect("golden report parses");
     let mut names: Vec<String> = report.flatten().into_iter().map(|(p, _)| p).collect();
     for section in ["counters", "histograms"] {
         let Some(JsonValue::Object(members)) = report.get(section) else {
-            panic!("baseline has no {section} object");
+            panic!("golden report has no {section} object");
         };
         names.extend(members.iter().map(|(k, _)| k.clone()));
     }

@@ -245,21 +245,6 @@ impl GtpMessage {
             GtpMessage::TPdu { inner, .. } => format!("GTP:{}", inner.label_str()),
         }
     }
-
-    /// The wire message type this variant maps to.
-    pub fn msg_type(&self) -> GtpMsgType {
-        match self {
-            GtpMessage::CreatePdpRequest { .. } => GtpMsgType::CreatePdpContextRequest,
-            GtpMessage::CreatePdpResponse { .. } => GtpMsgType::CreatePdpContextResponse,
-            GtpMessage::UpdatePdpRequest { .. } => GtpMsgType::UpdatePdpContextRequest,
-            GtpMessage::UpdatePdpResponse { .. } => GtpMsgType::UpdatePdpContextResponse,
-            GtpMessage::DeletePdpRequest { .. } => GtpMsgType::DeletePdpContextRequest,
-            GtpMessage::DeletePdpResponse { .. } => GtpMsgType::DeletePdpContextResponse,
-            GtpMessage::PduNotificationRequest { .. } => GtpMsgType::PduNotificationRequest,
-            GtpMessage::PduNotificationResponse { .. } => GtpMsgType::PduNotificationResponse,
-            GtpMessage::TPdu { .. } => GtpMsgType::TPdu,
-        }
-    }
 }
 
 #[cfg(test)]
