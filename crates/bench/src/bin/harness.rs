@@ -6,10 +6,9 @@
 //!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
-//! capacity table by `harness capacity`, the resilience matrix in
-//! `BENCH_chaos.json` by `harness chaos`, and the flash-crowd overload
-//! sweep in `BENCH_surge.json` by `harness surge`. Timing lives in
-//! `benchmark/`, and the determinism contract in
+//! resilience matrix in `BENCH_chaos.json` by `harness chaos`, and the
+//! flash-crowd overload sweep in `BENCH_surge.json` by `harness surge`.
+//! Timing lives in `benchmark/`, and the determinism contract in
 //! `crates/load/tests/determinism.rs`; the harness hosts neither. `harness
 //! diff` compares two such dumps KPI-by-KPI under the tolerances of
 //! `vgprs_bench::diff::RULES` and exits nonzero on regression.
@@ -23,15 +22,15 @@ use vgprs_bench::experiments::{
     c5_handoff_cost, interface_usage,
 };
 use vgprs_bench::harness::{
-    capacity_json, chaos_json, drain_capped_error, heading, load_config_from, surge_json,
-    write_file, Flags, RunDefaults, DROP_RATE, SEED, USAGE,
+    chaos_json, drain_capped_error, heading, load_config_from, surge_json, write_file, Flags,
+    RunDefaults, DROP_RATE, SEED, USAGE,
 };
 use vgprs_bench::scenarios::{
     intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
 };
 use vgprs_load::{
-    capacity_knee, run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport,
-    OverloadControls, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
+    run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport, OverloadControls,
+    ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
 use vgprs_sim::{LadderDiagram, SimDuration};
 use vgprs_wire::{CallId, Command, Message};
@@ -75,7 +74,7 @@ fn main() {
     if !ran {
         eprintln!(
             "unknown experiment {arg:?}; expected fig1..fig9, c1..c5, c2b, \
-             load, capacity, chaos, surge, diff or all"
+             load, chaos, surge, diff or all"
         );
         std::process::exit(2);
     }
@@ -85,7 +84,6 @@ fn main() {
 fn subcommand(name: &str) -> Option<fn(&Flags<'_>)> {
     Some(match name {
         "load" => load_cmd,
-        "capacity" => capacity_cmd,
         "chaos" => chaos_cmd,
         "surge" => surge_cmd,
         "diff" => diff_cmd,
@@ -171,56 +169,6 @@ fn diff_cmd(flags: &Flags<'_>) {
             eprintln!("  KPI REGRESSION: {b_path} regressed against {a_path}");
         }
         std::process::exit(1);
-    }
-}
-
-fn capacity_cmd(flags: &Flags<'_>) {
-    let mut base = load_config_from(flags, &RunDefaults::default());
-    if flags.get("--subscribers").is_none() {
-        base.subscribers = 2048;
-    }
-    let max_load: f64 = flags.parse("--max-load", 32.0);
-    let refine: u32 = flags.parse("--refine", 3);
-    heading(&format!(
-        "Capacity knee — {} subscribers, seed {}: bisecting offered load to the knee",
-        base.subscribers, base.seed
-    ));
-    let search = capacity_knee(&base, max_load, refine);
-    println!(
-        "  {:>6} | {:>9} | {:>8} | {:>8} | {:>7} | {:>9} {:>9} | {:>5}",
-        "load", "calls/s/h", "erlangs", "attempts", "block%", "setup p50", "setup p99", "MOS"
-    );
-    let mut rows: Vec<usize> = (0..search.probes.len()).collect();
-    rows.sort_by(|&a, &b| {
-        search.probes[a]
-            .load_factor
-            .total_cmp(&search.probes[b].load_factor)
-    });
-    for i in rows {
-        let p = &search.probes[i];
-        println!(
-            "  {:>5.2}x | {:>9.1} | {:>8.1} | {:>8} | {:>6.2}% | {:>7.1}ms {:>7.1}ms | {:>5.2}",
-            p.load_factor,
-            p.calls_per_sub_hour,
-            p.offered_erlangs,
-            p.report.attempts(),
-            p.report.blocking_rate() * 100.0,
-            p.report.kpi("setup_delay_ms.p50"),
-            p.report.kpi("setup_delay_ms.p99"),
-            p.report.mos()
-        );
-    }
-    match &search.knee {
-        Some(k) => println!(
-            "  knee bracketed in ({:.2}x, {:.2}x]: degrades at {:.1} Erlangs \
-             ({:.1} calls/sub-hour)",
-            k.good_factor, k.load_factor, k.offered_erlangs, k.calls_per_sub_hour
-        ),
-        None => println!("  no knee up to {max_load}x offered load"),
-    }
-    if let Some(path) = flags.get("--json") {
-        write_file(path, &capacity_json(&search, &base, max_load, refine));
-        println!("  json report: {path}");
     }
 }
 

@@ -13,9 +13,6 @@ use vgprs_wire::{CallId, Command, Imsi, Message, Msisdn};
 
 use crate::scenarios::{histogram_mean, Single, SingleZone, TrSingleZone};
 
-/// Jitter-buffer playout delay assumed when scoring voice (ms).
-const PLAYOUT_MS: u64 = 60;
-
 fn imsi(i: usize) -> Imsi {
     Imsi::parse(&format!("4669200000{i:05}")).expect("valid generated IMSI")
 }
@@ -67,17 +64,14 @@ pub fn c1_voice_quality(loads: &[usize], seed: u64) -> Vec<C1Row> {
             let (vd, vl) = voice_run::<VgprsZone>(vgprs, n, seed, talk);
             let (td, tl) = voice_run::<TrZone>(tr, n, seed, talk);
             let model = EModel::for_codec(&Vocoder::gsm_full_rate());
-            let m2e = |d: f64| {
-                SimDuration::from_micros(((d + 20.0 + PLAYOUT_MS as f64) * 1000.0) as u64)
-            };
             C1Row {
                 calls: n,
                 vgprs_delay_ms: vd,
                 vgprs_loss: vl,
-                vgprs_mos: model.mos(m2e(vd), vl),
+                vgprs_mos: model.mos(model.mouth_to_ear(vd), vl),
                 tr_delay_ms: td,
                 tr_loss: tl,
-                tr_mos: model.mos(m2e(td), tl),
+                tr_mos: model.mos(model.mouth_to_ear(td), tl),
             }
         })
         .collect()

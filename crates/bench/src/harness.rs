@@ -1,14 +1,13 @@
 //! Shared plumbing for the `harness` binary's subcommands.
 //!
-//! Every population-scale subcommand (`load`, `capacity`, `chaos`,
-//! `surge`) parses the same flag vocabulary into a
-//! [`LoadConfig`], prints the same banner style, and stamps the same
-//! run-metadata block into its `BENCH_*.json` artifact. Keeping the
-//! pieces here means a new subcommand cannot drift from the others.
+//! Every population-scale subcommand (`load`, `chaos`, `surge`) parses
+//! the same flag vocabulary into a [`LoadConfig`], prints the same
+//! banner style, and stamps the same run-metadata block into its
+//! `BENCH_*.json` artifact. Keeping the pieces here means a new
+//! subcommand cannot drift from the others.
 
 use vgprs_load::{
-    CallMix, KneeSearch, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass,
-    TrunkPlanConfig,
+    CallMix, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass, TrunkPlanConfig,
 };
 use vgprs_sim::JsonWriter;
 
@@ -17,10 +16,10 @@ pub const SEED: u64 = 42;
 
 /// What `harness` accepts. Printed on a usage error, and the vocabulary
 /// [`Flags::check`] holds each subcommand's arguments to: the shared
-/// entry is what [`parse_load_config`] reads, for all four that call it.
+/// entry is what [`parse_load_config`] reads, for all three that call it.
 pub const USAGE: &str = "\
 harness [fig1|fig2|fig3|fig4|fig5|fig6|fig7|fig8|fig9|c1|c2|c3|c4|c5|all]
-harness load|capacity|chaos|surge
+harness load|chaos|surge
              [--subscribers N] [--shards N] [--seed N]
              [--window-secs N] [--rate CALLS_PER_SUB_HOUR] [--hold SECS]
              [--mix MO,MT,M2M] [--mobility FRAC] [--cross-shard-rate FRAC]
@@ -29,7 +28,6 @@ harness load|capacity|chaos|surge
              [--gk-bandwidth N] [--snapshot-secs N]
 harness load [--json PATH] [--snapshots PATH] [--snapshots-per-shard]
              [--snapshots-csv PATH]
-harness capacity [--max-load F] [--refine N] [--json PATH]
 harness chaos [--out PATH]
 harness surge [--paging-rate N] [--gk-shed F] [--pdp-rate N]
               [--out PATH] [--verbose]
@@ -186,10 +184,15 @@ pub fn parse_load_config(flags: &Flags<'_>, defaults: &RunDefaults) -> Result<Lo
     cfg.population.cross_shard_fraction = flags.parsed("--cross-shard-rate", 0.0)?;
     cfg.snapshot_secs = flags.parsed("--snapshot-secs", cfg.snapshot_secs)?;
     let trunk_intensity: f64 = flags.parsed("--trunk-intensity", 0.0)?;
+    // A bad class name is a usage error even when no intensity arms it.
+    let trunk_class = match flags.value("--trunk-class")? {
+        None | Some("all") => None,
+        Some(raw) => Some(parse_trunk_class(raw)?),
+    };
     if trunk_intensity > 0.0 {
-        cfg.trunk = match flags.value("--trunk-class")? {
-            None | Some("all") => TrunkPlanConfig::all(trunk_intensity),
-            Some(raw) => TrunkPlanConfig::only(parse_trunk_class(raw)?, trunk_intensity),
+        cfg.trunk = match trunk_class {
+            None => TrunkPlanConfig::all(trunk_intensity),
+            Some(class) => TrunkPlanConfig::only(class, trunk_intensity),
         };
     }
     if let Some(mix) = flags.value("--mix")? {
@@ -259,16 +262,13 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_owned())
 }
 
-/// Opens a `BENCH_*.json` document: the workload name (when the
-/// artifact has one), the run-metadata block — enough to re-run the
-/// experiment and to trace the artifact back to the code revision —
-/// and the population size.
-fn begin_artifact(workload: Option<&str>, cfg: &LoadConfig) -> JsonWriter {
+/// Opens a `BENCH_*.json` document: the workload name, the run-metadata
+/// block — enough to re-run the experiment and to trace the artifact
+/// back to the code revision — and the population size.
+fn begin_artifact(workload: &str, cfg: &LoadConfig) -> JsonWriter {
     let mut w = JsonWriter::new();
     w.begin_object();
-    if let Some(name) = workload {
-        w.key("workload").string(name);
-    }
+    w.key("workload").string(workload);
     w.key("meta").begin_inline_object();
     w.key("seed").u64(cfg.seed);
     w.key("subscribers").u64(cfg.subscribers as u64);
@@ -371,7 +371,7 @@ fn write_columns(w: &mut JsonWriter, report: &LoadReport, columns: &[Column]) {
 
 /// `BENCH_chaos.json`: one cell per `(class, intensity, run)`.
 pub fn chaos_json(base: &LoadConfig, cells: &[(&str, f64, LoadReport)]) -> String {
-    let mut w = begin_artifact(Some("busy_hour_chaos"), base);
+    let mut w = begin_artifact("busy_hour_chaos", base);
     w.key("shards").u64(base.effective_shards() as u64);
     w.key("seed").u64(base.seed);
     w.key("window_secs").u64(base.population.window_secs);
@@ -392,7 +392,7 @@ pub fn surge_json(
     controls: OverloadControls,
     cells: &[(f64, bool, LoadReport)],
 ) -> String {
-    let mut w = begin_artifact(Some("busy_hour_surge"), base);
+    let mut w = begin_artifact("busy_hour_surge", base);
     w.key("shards").u64(base.effective_shards() as u64);
     w.key("seed").u64(base.seed);
     w.key("window_secs").u64(base.population.window_secs);
@@ -409,49 +409,6 @@ pub fn surge_json(
         w.end();
     }
     w.end().end();
-    w.finish()
-}
-
-/// The `harness capacity --json` dump of a knee search: every probe
-/// plus the knee.
-pub fn capacity_json(search: &KneeSearch, base: &LoadConfig, max_load: f64, refine: u32) -> String {
-    let mut w = begin_artifact(None, base);
-    w.key("seed").u64(base.seed);
-    w.key("max_load_factor").f64_short(max_load);
-    w.key("refine_steps").u64(refine.into());
-    w.key("probes").begin_array();
-    for p in &search.probes {
-        w.begin_inline_object();
-        w.key("load_factor").f64_short(p.load_factor);
-        w.key("offered_erlangs").f64_short(p.offered_erlangs);
-        w.key("attempts").u64(p.report.attempts());
-        for (name, expr) in [
-            ("blocking_rate", "blocking_rate"),
-            ("setup_p50_ms", "setup_delay_ms.p50"),
-            ("setup_p99_ms", "setup_delay_ms.p99"),
-            ("mos", "mos"),
-        ] {
-            w.key(name).f64_short(p.report.kpi(expr));
-        }
-        w.key("fingerprint").hex64(p.report.fingerprint());
-        w.end();
-    }
-    w.end();
-    w.key("knee");
-    match &search.knee {
-        Some(k) => {
-            w.begin_inline_object();
-            w.key("load_factor").f64_short(k.load_factor);
-            w.key("good_factor").f64_short(k.good_factor);
-            w.key("offered_erlangs").f64_short(k.offered_erlangs);
-            w.key("calls_per_sub_hour").f64_short(k.calls_per_sub_hour);
-            w.end();
-        }
-        None => {
-            w.null();
-        }
-    }
-    w.end();
     w.finish()
 }
 
@@ -486,6 +443,7 @@ mod tests {
                 &["--trunk-intensity", "0.5", "--trunk-class", "flood"],
                 "--trunk-class",
             ),
+            (&["--trunk-class", "flood"], "--trunk-class"),
         ] {
             let err = parse(args).expect_err(&args.join(" "));
             assert!(err.contains(flag), "{args:?} -> {err}");
@@ -499,7 +457,7 @@ mod tests {
             Flags(&args).check(USAGE, sub)
         };
         let shared = ["--subscribers", "64", "--rate", "-1", "--snapshot-secs", "2"];
-        for sub in ["load", "capacity", "chaos", "surge"] {
+        for sub in ["load", "chaos", "surge"] {
             assert_eq!(check(sub, &shared), Ok(()), "{sub} reads the shared flags");
         }
         assert_eq!(check("diff", &["a.json", "b.json", "--json"]), Ok(()));
@@ -511,7 +469,6 @@ mod tests {
         for (sub, args, stranger) in [
             ("load", &["--subscribes", "64"][..], "--subscribes"),
             ("chaos", &["--check"], "--check"),
-            ("capacity", &["--seed", "7", "--out", "x.json"], "--out"),
             ("load", &["--paging-rate", "2"], "--paging-rate"),
             ("diff", &["--seed", "7"], "--seed"),
             ("diff", &["--check"], "--check"),

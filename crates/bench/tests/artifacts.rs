@@ -114,7 +114,7 @@ fn a_drain_capped_report_takes_the_failing_exit() {
 /// rather than run.
 #[test]
 fn the_threads_flag_changes_no_configuration() {
-    for sub in ["load", "capacity", "chaos", "surge"] {
+    for sub in ["load", "chaos", "surge"] {
         let (code, message) = harness(&[sub, "--threads", "2"]);
         assert_eq!(code, Some(2), "harness {sub} --threads 2: {message}");
         assert!(message.contains("has no flag --threads"), "{message}");
@@ -132,15 +132,18 @@ fn harness(args: &[&str]) -> (Option<i32>, String) {
 }
 
 /// A subcommand that moved out (`cargo test` holds the determinism
-/// contract, `benchmark/` the timings) is an unknown experiment like any
-/// other: exit 2, and the message names only commands that exist. The
+/// contract, `benchmark/` the timings) or went (the capacity knee search)
+/// is an unknown experiment like any other: exit 2, and the message
+/// names only commands that exist. The
 /// sweeps refuse the `--check` they used to take rather than run and
 /// overwrite their committed artifact.
 #[test]
 fn an_unknown_experiment_lists_the_commands_that_exist() {
-    let (code, message) = harness(&["bench"]);
-    assert_eq!(code, Some(2), "{message}");
-    assert!(message.contains("load, capacity, chaos, surge, diff or all"), "{message}");
+    for gone in ["bench", "capacity"] {
+        let (code, message) = harness(&[gone]);
+        assert_eq!(code, Some(2), "harness {gone}: {message}");
+        assert!(message.contains("load, chaos, surge, diff or all"), "{message}");
+    }
     for sweep in ["chaos", "surge"] {
         let (code, message) = harness(&[sweep, "--check"]);
         assert_eq!(code, Some(2), "harness {sweep} --check: {message}");

@@ -95,8 +95,8 @@ pub struct LoadConfig {
     /// fabric disarmed — a bare mailbox — so the run is byte-identical
     /// to one without the reliable-delivery machinery.
     pub trunk: TrunkPlanConfig,
-    /// Demand scenario: a daily-profile rate curve plus flash-crowd
-    /// shocks, compiled per shard into time-varying arrival plans. The
+    /// Demand scenario: at most one flash-crowd shock, compiled per
+    /// shard into time-varying arrival plans. The
     /// flat default compiles to empty plans and the run is
     /// byte-identical to one without the scenario machinery.
     pub scenario: ScenarioConfig,

@@ -22,12 +22,6 @@ use std::sync::LazyLock;
 use vgprs_media::{EModel, Vocoder};
 use vgprs_sim::{Histogram, JsonWriter, Stats};
 
-/// Jitter-buffer playout depth added to the measured network delay when
-/// scoring MOS (same constant the C1 experiment uses).
-const PLAYOUT_MS: f64 = 60.0;
-/// Codec packetization interval.
-const FRAME_MS: f64 = 20.0;
-
 /// Which direction of movement `harness diff` counts as a regression.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Direction {
@@ -460,18 +454,15 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// E-model MOS (GSM full-rate codec) for a mean one-way voice delay
-/// plus packetization and playout, and a frame-loss fraction. Returns
-/// 0.0 when no voice was sampled.
+/// E-model MOS (GSM full-rate codec) for a mean one-way voice delay,
+/// taken mouth to ear, and a frame-loss fraction. Returns 0.0 when no
+/// voice was sampled.
 fn score_mos(delay_count: u64, mean_delay_ms: f64, loss: f64) -> f64 {
     if delay_count == 0 {
         return 0.0;
     }
-    let one_way_ms = mean_delay_ms + FRAME_MS + PLAYOUT_MS;
-    EModel::for_codec(&Vocoder::gsm_full_rate()).mos(
-        vgprs_sim::SimDuration::from_micros((one_way_ms * 1000.0) as u64),
-        loss,
-    )
+    let model = EModel::for_codec(&Vocoder::gsm_full_rate());
+    model.mos(model.mouth_to_ear(mean_delay_ms), loss)
 }
 
 /// A source that answers zero and records what it was asked for.

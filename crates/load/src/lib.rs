@@ -39,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod capacity;
 pub mod engine;
 pub mod kpi;
 pub mod mailbox;
@@ -49,7 +48,6 @@ pub mod shard;
 pub mod snapshot;
 pub mod trunk;
 
-pub use capacity::{capacity_knee, CapacityPoint, KneeEstimate, KneeSearch};
 pub use engine::{partition, run_load, run_load_with, LoadConfig};
 pub use mailbox::{
     Envelope, ExpiredKind, Flit, HlrDirectory, RadioGate, TrunkGate, BORDER_CELL, EPOCH_MS,
@@ -60,9 +58,7 @@ pub use population::{
 };
 pub use report::LoadReport;
 pub use shard::{Shard, ShardConfig, ShardReport};
-pub use snapshot::{
-    window_delta, SnapshotFrame, SnapshotRecorder, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS,
-};
+pub use snapshot::{SnapshotFrame, SnapshotRecorder, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
 pub use trunk::{retransmit_backoff, TrunkFabric};
 // Re-exported so load-engine callers can configure fault plans and
 // demand scenarios without naming those crates themselves.

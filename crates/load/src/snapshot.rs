@@ -6,9 +6,7 @@
 //! [`SNAPSHOT_HISTOGRAMS`] — derived from the KPI table in
 //! [`crate::kpi`]) into a [`SnapshotFrame`]. Frames are
 //! **cumulative** — each one is the run-so-far view at its boundary —
-//! so a windowed (per-interval) series falls out by subtracting
-//! adjacent frames ([`Histogram::delta_from`]) without the recorder
-//! ever storing window state.
+//! so the recorder never stores window state.
 //!
 //! Determinism: shards advance in epoch lockstep (every shard runs
 //! every epoch while any shard is busy), so the stats a shard holds at
@@ -168,15 +166,6 @@ impl SnapshotRecorder {
     }
 }
 
-/// The windowed (per-interval) delta between two cumulative frames'
-/// histograms, by schema name: `later - earlier` via
-/// [`Histogram::delta_from`]. The returned histogram carries no
-/// min/max extremes (a window's true extremes are unknowable from
-/// cumulative buckets) and merges inertly when empty.
-pub fn window_delta(later: &SnapshotFrame, earlier: &SnapshotFrame, name: &str) -> Histogram {
-    later.histogram(&[name]).delta_from(&earlier.histogram(&[name]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,19 +230,6 @@ mod tests {
         let mut rec = SnapshotRecorder::new(0);
         rec.observe(1_000_000, &s);
         assert!(rec.into_frames().is_empty());
-    }
-
-    #[test]
-    fn window_delta_subtracts_cumulative_frames() {
-        let early = stats_with(&[], &[("ms.voice_e2e_ms", 50.0)]);
-        let mut s2 = early.clone();
-        s2.observe("ms.voice_e2e_ms", 80.0);
-        let f1 = SnapshotFrame::sample(60_000, &early);
-        let f2 = SnapshotFrame::sample(120_000, &s2);
-        let w = window_delta(&f2, &f1, "ms.voice_e2e_ms");
-        assert_eq!(w.count(), 1);
-        assert_eq!(w.sum(), 80.0);
-        assert_eq!(w.min(), None, "windows carry no extremes");
     }
 
     #[test]

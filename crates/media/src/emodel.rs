@@ -13,20 +13,36 @@ use crate::vocoder::Vocoder;
 /// Default transmission rating with no impairments (G.107).
 const R0: f64 = 93.2;
 
+/// Receiver jitter-buffer playout depth every scored voice path assumes.
+const PLAYOUT_MS: f64 = 60.0;
+
 /// The E-model calculator for one codec.
 #[derive(Clone, Copy, Debug)]
 pub struct EModel {
     ie: f64,
     bpl: f64,
+    packetization_ms: f64,
 }
 
 impl EModel {
-    /// Builds the model from a codec's impairment parameters.
+    /// Builds the model from a codec's frame cadence and impairment
+    /// parameters.
     pub fn for_codec(codec: &Vocoder) -> Self {
         EModel {
             ie: codec.impairment_ie,
             bpl: codec.loss_robustness_bpl,
+            packetization_ms: codec.frame_interval.as_micros() as f64 / 1000.0,
         }
+    }
+
+    /// The one-way mouth-to-ear delay of a path whose frames cross the
+    /// network in `network_ms` (a mean, in milliseconds): the network
+    /// delay, plus one frame interval of packetization (the codec fills
+    /// a whole frame before it sends one), plus 60 ms of receiver
+    /// playout. Summed in that order, so every scorer rounds alike.
+    pub fn mouth_to_ear(&self, network_ms: f64) -> SimDuration {
+        let one_way_ms = network_ms + self.packetization_ms + PLAYOUT_MS;
+        SimDuration::from_micros((one_way_ms * 1000.0) as u64)
     }
 
     /// Delay impairment Id (G.107 simplified form, G.114 alignment):
@@ -128,6 +144,12 @@ mod tests {
         });
         let d = SimDuration::from_millis(50);
         assert!(g711.mos(d, 0.0) > gsm().mos(d, 0.0));
+    }
+
+    #[test]
+    fn mouth_to_ear_adds_packetization_and_playout() {
+        assert_eq!(gsm().mouth_to_ear(0.0), SimDuration::from_millis(80));
+        assert_eq!(gsm().mouth_to_ear(12.5), SimDuration::from_micros(92_500));
     }
 
     #[test]

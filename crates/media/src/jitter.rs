@@ -1,9 +1,9 @@
 //! Receiver-side jitter buffer.
 //!
 //! Frames arriving over a packet network are re-timed before playout: the
-//! buffer trades extra delay for fewer late losses. The C1 experiment runs
-//! both systems' frame streams through the same buffer so their MOS
-//! scores are directly comparable.
+//! buffer trades extra delay for fewer late losses. No experiment replays
+//! its frames through the buffer; C1 and the load engine score a fixed
+//! 60 ms playout depth through [`crate::EModel::mouth_to_ear`].
 
 use vgprs_sim::{IdSet, SimDuration, SimTime};
 
@@ -39,7 +39,6 @@ pub struct JitterBuffer {
     playout_delay: SimDuration,
     frame_interval: SimDuration,
     first: Option<(u32, SimTime)>,
-    highest_seq: u32,
     accepted: u64,
     late: u64,
     duplicates: u64,
@@ -53,7 +52,6 @@ impl JitterBuffer {
             playout_delay,
             frame_interval,
             first: None,
-            highest_seq: 0,
             accepted: 0,
             late: 0,
             duplicates: 0,
@@ -78,7 +76,6 @@ impl JitterBuffer {
             self.duplicates += 1;
             return PlayoutOutcome::Duplicate;
         }
-        self.highest_seq = self.highest_seq.max(seq);
         let deadline = self.playout_time(seq).expect("clock started above");
         if arrival > deadline {
             self.late += 1;
@@ -102,28 +99,6 @@ impl JitterBuffer {
     /// Duplicate frames discarded.
     pub fn duplicates(&self) -> u64 {
         self.duplicates
-    }
-
-    /// Frames that never arrived, inferred from sequence gaps.
-    pub fn missing(&self) -> u64 {
-        let Some((first_seq, _)) = self.first else {
-            return 0;
-        };
-        let expected = u64::from(self.highest_seq - first_seq) + 1;
-        expected.saturating_sub(self.accepted + self.late)
-    }
-
-    /// Effective loss ratio experienced by the listener: late frames and
-    /// never-arrived frames both play as gaps.
-    pub fn effective_loss(&self) -> f64 {
-        let Some((first_seq, _)) = self.first else {
-            return 0.0;
-        };
-        let expected = (u64::from(self.highest_seq - first_seq) + 1) as f64;
-        if expected == 0.0 {
-            return 0.0;
-        }
-        (self.late + self.missing()) as f64 / expected
     }
 }
 
@@ -149,7 +124,7 @@ mod tests {
             PlayoutOutcome::OnTime
         );
         assert_eq!(b.accepted(), 3);
-        assert_eq!(b.effective_loss(), 0.0);
+        assert_eq!(b.late(), 0);
     }
 
     #[test]
@@ -161,7 +136,6 @@ mod tests {
             PlayoutOutcome::Late
         );
         assert_eq!(b.late(), 1);
-        assert!(b.effective_loss() > 0.0);
     }
 
     #[test]
@@ -177,20 +151,9 @@ mod tests {
     }
 
     #[test]
-    fn gaps_counted_as_missing() {
-        let mut b = jb();
-        b.offer(1, SimTime::from_micros(0));
-        b.offer(5, SimTime::from_micros(80_000)); // plays at 60+4*20=140ms, on time
-        assert_eq!(b.accepted(), 2);
-        assert_eq!(b.missing(), 3); // frames 2,3,4
-        assert!((b.effective_loss() - 0.6).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_buffer_is_lossless() {
         let b = jb();
-        assert_eq!(b.missing(), 0);
-        assert_eq!(b.effective_loss(), 0.0);
+        assert_eq!((b.accepted(), b.late(), b.duplicates()), (0, 0, 0));
         assert_eq!(b.playout_time(1), None);
     }
 }

@@ -2,23 +2,22 @@
 //!
 //! Frame-level voice modeling for the reproduction's experiments:
 //!
-//! * [`Vocoder`] — GSM-FR frame parameters (cadence, size,
-//!   processing delay, E-model impairments),
-//! * [`JitterBuffer`] — receiver-side playout buffering with late-frame
-//!   accounting,
-//! * [`EModel`] — ITU-T G.107 transmission rating and MOS,
-//! * [`StreamAnalyzer`] — the one instrument every voice experiment
-//!   scores through.
+//! * [`Vocoder`] — GSM-FR frame parameters (cadence, size, E-model
+//!   impairments),
+//! * [`EModel`] — ITU-T G.107 transmission rating and MOS, and the one
+//!   mouth-to-ear rule ([`EModel::mouth_to_ear`]) that C1 and the load
+//!   engine's MOS both score through,
+//! * [`JitterBuffer`] — a receiver-side playout buffer with late-frame
+//!   accounting. No experiment scores through it: the scored paths
+//!   assume its fixed 60 ms playout depth instead.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod analyzer;
 mod emodel;
 mod jitter;
 mod vocoder;
 
-pub use analyzer::{FrameRecord, StreamAnalyzer, VoiceScore};
 pub use emodel::EModel;
 pub use jitter::{JitterBuffer, PlayoutOutcome};
 pub use vocoder::Vocoder;

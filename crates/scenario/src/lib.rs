@@ -9,13 +9,13 @@
 //!
 //! It follows the same compiled-plan discipline as `vgprs-faults`: demand
 //! is never sampled by a stochastic process racing the simulation.
-//! [`compile_demand`] turns a [`ScenarioConfig`] — a daily-profile rate
-//! curve plus superimposed [`FlashCrowd`] specs — into a per-shard
-//! [`DemandPlan`]: a piecewise-constant arrival-rate multiplier curve
-//! plus correlated-mobility drift windows, derived purely from
-//! `(config, master_seed, shard_index, window_secs)`. The load engine
-//! drives the curve through its existing per-subscriber Poisson streams
-//! by thinning, so runs stay **bit-identical across event kernels**.
+//! [`compile_demand`] turns a [`ScenarioConfig`] — at most one
+//! [`FlashCrowd`] — into a per-shard [`DemandPlan`]: a piecewise-constant
+//! arrival-rate multiplier curve plus correlated-mobility drift windows,
+//! derived purely from `(config, master_seed, shard_index, window_secs)`.
+//! The load engine drives the curve through its existing per-subscriber
+//! Poisson streams by thinning, so runs stay **bit-identical across event
+//! kernels**.
 //!
 //! A flat configuration (the default) compiles to an **empty plan**, and
 //! the load engine then takes its original arrival path untouched — a
@@ -44,63 +44,6 @@ pub const PEAK_ATTRIBUTION_THRESHOLD: f64 = 1.05;
 /// Hard ceiling on the compiled multiplier; keeps thinning envelopes
 /// finite even for absurd crowd specs.
 const MAX_MULTIPLIER: f64 = 64.0;
-
-/// A 24-hour arrival-rate profile, as hourly multipliers of the nominal
-/// busy-hour rate.
-///
-/// The observation window is mapped onto the slice of the day starting
-/// at `start_hour` and spanning `span_hours`, with linear interpolation
-/// between hourly points (wrapping at midnight). The default profile is
-/// flat (every hour at 1.0), which [`ScenarioConfig::is_flat`] treats as
-/// "no profile at all".
-#[derive(Clone, Debug, PartialEq)]
-pub struct DailyProfile {
-    /// Rate multiplier for each hour of the day, `hourly[h]` applying at
-    /// `h:00` exactly.
-    pub hourly: [f64; 24],
-    /// Hour of day (fractional) the window starts at.
-    pub start_hour: f64,
-    /// Hours of profile time the window spans; `0.0` holds the profile
-    /// at `start_hour` for the whole window.
-    pub span_hours: f64,
-}
-
-impl Default for DailyProfile {
-    fn default() -> Self {
-        DailyProfile { hourly: [1.0; 24], start_hour: 11.0, span_hours: 0.0 }
-    }
-}
-
-impl DailyProfile {
-    /// A stylized metropolitan diurnal curve: night trough, morning
-    /// ramp, lunchtime shoulder and an early-evening peak.
-    pub fn diurnal() -> Self {
-        DailyProfile {
-            hourly: [
-                0.20, 0.12, 0.08, 0.06, 0.06, 0.10, // 00–05: night trough
-                0.25, 0.55, 0.85, 1.00, 1.05, 1.10, // 06–11: morning ramp
-                1.15, 1.05, 1.00, 1.00, 1.05, 1.20, // 12–17: working day
-                1.30, 1.25, 1.10, 0.90, 0.60, 0.35, // 18–23: evening peak, wind-down
-            ],
-            start_hour: 17.0,
-            span_hours: 2.0,
-        }
-    }
-
-    /// True if the profile is the flat 1.0 curve.
-    pub fn is_flat(&self) -> bool {
-        self.hourly.iter().all(|&m| (m - 1.0).abs() < 1e-12)
-    }
-
-    /// Profile multiplier at `frac` of the way through the window.
-    pub fn multiplier_at(&self, frac: f64) -> f64 {
-        let h = (self.start_hour + frac.clamp(0.0, 1.0) * self.span_hours).rem_euclid(24.0);
-        let lo = h.floor() as usize % 24;
-        let hi = (lo + 1) % 24;
-        let t = h - h.floor();
-        (self.hourly[lo] * (1.0 - t) + self.hourly[hi] * t).max(0.0)
-    }
-}
 
 /// One flash-crowd shock: a trapezoidal arrival-rate spike over a set of
 /// epicenter shards, with correlated mobility drift from the rest of the
@@ -159,13 +102,12 @@ impl FlashCrowd {
     }
 }
 
-/// A complete demand scenario. `Default` is flat/no-shock.
+/// A complete demand scenario: the flat busy hour, or one flash crowd
+/// on top of it. `Default` is flat/no-shock.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ScenarioConfig {
-    /// The daily-profile rate curve the window is cut from.
-    pub profile: DailyProfile,
-    /// Flash crowds superimposed on the profile.
-    pub crowds: Vec<FlashCrowd>,
+    /// The flash crowd, if any.
+    pub crowd: Option<FlashCrowd>,
 }
 
 impl ScenarioConfig {
@@ -174,8 +116,7 @@ impl ScenarioConfig {
     /// below 1.0 yields a flat scenario.
     pub fn flash(intensity: f64) -> Self {
         ScenarioConfig {
-            profile: DailyProfile::default(),
-            crowds: vec![FlashCrowd {
+            crowd: Some(FlashCrowd {
                 start_frac: 0.20,
                 ramp_frac: 0.10,
                 peak_frac: 0.30,
@@ -183,13 +124,8 @@ impl ScenarioConfig {
                 multiplier: intensity,
                 epicenter_shards: 1,
                 drift_fraction: 0.30,
-            }],
+            }),
         }
-    }
-
-    /// True if compiling this scenario can only ever yield flat plans.
-    pub fn is_flat(&self) -> bool {
-        self.profile.is_flat() && !self.crowds.iter().any(|c| c.is_active())
     }
 }
 
@@ -289,86 +225,64 @@ pub fn compile_demand(
     window_secs: u64,
 ) -> DemandPlan {
     let mut plan = DemandPlan::default();
-    if cfg.is_flat() || window_secs == 0 {
+    let Some(crowd) = cfg.crowd.filter(FlashCrowd::is_active) else {
+        return plan;
+    };
+    if window_secs == 0 {
         return plan;
     }
-    let mut rng = SimRng::derive(master_seed, STREAM_DRIFT ^ shard_index as u64);
     let window_ms = window_secs * 1_000;
 
-    // Per-crowd onset jitter (up to 2% of the window), drawn
-    // unconditionally for every crowd — active or not, epicenter or not —
-    // so adding a crowd or moving the epicenter never perturbs another
-    // crowd's stagger.
-    let onsets: Vec<(u64, bool)> = cfg
-        .crowds
-        .iter()
-        .map(|c| {
-            let jitter = rng.range(0, (window_ms / 50).max(1));
-            let onset =
-                ((c.start_frac.clamp(0.0, 1.0) * window_ms as f64) as u64 + jitter).min(window_ms);
-            let epicenter = shard_index < c.epicenter_shards;
-            (onset, epicenter)
-        })
-        .collect();
+    // Onset jitter (up to 2% of the window), drawn on every shard —
+    // epicenter or not.
+    let jitter = SimRng::derive(master_seed, STREAM_DRIFT ^ shard_index as u64)
+        .range(0, (window_ms / 50).max(1));
+    let onset_ms =
+        ((crowd.start_frac.clamp(0.0, 1.0) * window_ms as f64) as u64 + jitter).min(window_ms);
 
-    // Sample the curve at 1 s resolution and coalesce equal neighbors.
-    for s in 0..window_secs {
-        let from_ms = s * SEGMENT_MS;
-        let mid_ms = from_ms + SEGMENT_MS / 2;
-        let mut m = cfg.profile.multiplier_at(mid_ms as f64 / window_ms as f64);
-        for (crowd, &(onset_ms, epicenter)) in cfg.crowds.iter().zip(&onsets) {
-            if crowd.is_active() && epicenter {
-                m *= crowd.envelope(mid_ms, onset_ms, window_ms);
+    if shard_index < crowd.epicenter_shards {
+        // Sample the curve at 1 s resolution and coalesce equal neighbors.
+        for s in 0..window_secs {
+            let from_ms = s * SEGMENT_MS;
+            let mid_ms = from_ms + SEGMENT_MS / 2;
+            let m = crowd.envelope(mid_ms, onset_ms, window_ms).clamp(0.0, MAX_MULTIPLIER);
+            match plan.segments.last_mut() {
+                Some(last) if last.multiplier == m => last.to_ms = from_ms + SEGMENT_MS,
+                _ => plan.segments.push(DemandSegment {
+                    from_ms,
+                    to_ms: from_ms + SEGMENT_MS,
+                    multiplier: m,
+                }),
             }
         }
-        let m = m.clamp(0.0, MAX_MULTIPLIER);
-        match plan.segments.last_mut() {
-            Some(last) if last.multiplier == m => last.to_ms = from_ms + SEGMENT_MS,
-            _ => plan.segments.push(DemandSegment {
-                from_ms,
-                to_ms: from_ms + SEGMENT_MS,
-                multiplier: m,
-            }),
+        plan.peak = plan
+            .segments
+            .iter()
+            .map(|s| s.multiplier)
+            .fold(0.0, f64::max);
+        // An all-ones curve is no curve.
+        if plan
+            .segments
+            .iter()
+            .all(|s| (s.multiplier - 1.0).abs() < 1e-12)
+        {
+            return DemandPlan::default();
         }
-    }
-    plan.peak = plan
-        .segments
-        .iter()
-        .map(|s| s.multiplier)
-        .fold(0.0, f64::max);
-
-    // Drift recruitment: non-epicenter shards send a slice of their
-    // population toward the epicenter for the crowd's duration.
-    for (crowd, &(onset_ms, epicenter)) in cfg.crowds.iter().zip(&onsets) {
-        if crowd.is_active() && !epicenter && crowd.drift_fraction > 0.0 {
-            let span = ((crowd.ramp_frac + crowd.peak_frac + crowd.decay_frac)
-                * window_ms as f64) as u64;
-            let back_ms = (onset_ms + span.max(SEGMENT_MS)).min(window_ms);
-            if back_ms > onset_ms {
-                plan.drift.push(DriftWindow {
-                    out_ms: onset_ms,
-                    back_ms,
-                    fraction: crowd.drift_fraction.clamp(0.0, 1.0),
-                    epicenter_shards: crowd.epicenter_shards as u64,
-                });
-            }
+    } else if crowd.drift_fraction > 0.0 {
+        // Drift recruitment: a non-epicenter shard keeps its flat rate
+        // and sends a slice of its population toward the epicenter for
+        // the crowd's duration.
+        let span =
+            ((crowd.ramp_frac + crowd.peak_frac + crowd.decay_frac) * window_ms as f64) as u64;
+        let back_ms = (onset_ms + span.max(SEGMENT_MS)).min(window_ms);
+        if back_ms > onset_ms {
+            plan.drift.push(DriftWindow {
+                out_ms: onset_ms,
+                back_ms,
+                fraction: crowd.drift_fraction.clamp(0.0, 1.0),
+                epicenter_shards: crowd.epicenter_shards as u64,
+            });
         }
-    }
-
-    // Normalize: an all-ones curve is no curve (non-epicenter shards
-    // keep their flat rate and only drift), and a plan with neither
-    // curve nor drift is the flat plan — the engine then takes the
-    // exact original arrival path.
-    if plan
-        .segments
-        .iter()
-        .all(|s| (s.multiplier - 1.0).abs() < 1e-12)
-    {
-        plan.segments.clear();
-        plan.peak = 0.0;
-    }
-    if plan.segments.is_empty() && plan.drift.is_empty() {
-        return DemandPlan::default();
     }
     plan
 }
@@ -454,7 +368,7 @@ mod tests {
         assert_ne!(a, c, "seed must vary the plan");
         // Two epicenter shards: same spec, independently jittered onsets.
         let mut wide = ScenarioConfig::flash(10.0);
-        wide.crowds[0].epicenter_shards = 2;
+        wide.crowd.as_mut().expect("a crowd").epicenter_shards = 2;
         let s0 = compile_demand(&wide, 42, 0, 300);
         let s1 = compile_demand(&wide, 42, 1, 300);
         assert_ne!(s0, s1, "shard index must vary the stagger");
@@ -519,30 +433,6 @@ mod tests {
         assert!(plan.in_peak(mid));
         // Past the end of every segment the curve is flat again.
         assert_eq!(plan.multiplier_at_ms(10_000_000), 1.0);
-    }
-
-    #[test]
-    fn diurnal_profile_shapes_the_curve() {
-        let cfg = ScenarioConfig { profile: DailyProfile::diurnal(), crowds: Vec::new() };
-        assert!(!cfg.is_flat());
-        let plan = compile_demand(&cfg, 42, 3, 600);
-        assert!(!plan.is_flat());
-        assert!(plan.drift.is_empty(), "a profile alone never drifts");
-        // The 17:00→19:00 slice rises into the evening peak.
-        let early = plan.multiplier_at_ms(30_000);
-        let late = plan.multiplier_at_ms(450_000);
-        assert!(late > early, "evening ramp missing: {early} → {late}");
-    }
-
-    #[test]
-    fn profile_interpolates_and_wraps() {
-        let p = DailyProfile::diurnal();
-        let m = DailyProfile { start_hour: 23.5, span_hours: 1.0, ..p.clone() };
-        // 23.5h → halfway between hour 23 and hour 0 (wrap).
-        let expect = (p.hourly[23] + p.hourly[0]) / 2.0;
-        assert!((m.multiplier_at(0.0) - expect).abs() < 1e-9);
-        assert!(DailyProfile::default().is_flat());
-        assert!(!p.is_flat());
     }
 
     #[test]

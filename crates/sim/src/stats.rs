@@ -148,14 +148,6 @@ impl Histogram {
         self.window[at] += n;
     }
 
-    /// The count in bucket `index`: zero outside the stored window.
-    fn bucket(&self, index: usize) -> u64 {
-        index
-            .checked_sub(self.first)
-            .and_then(|at| self.window.get(at))
-            .map_or(0, |&n| n)
-    }
-
     /// Every stored bucket as `(bucket_index, count)`, in value order.
     fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.window
@@ -216,9 +208,8 @@ impl Histogram {
         if self.count == 0 {
             return 0.0;
         }
-        // Without finite extremes (all observations NaN, or a windowed
-        // delta) the raw bucket midpoints stand, which place every NaN
-        // in the zero bucket.
+        // Without finite extremes (all observations NaN) the raw bucket
+        // midpoints stand, which place every NaN in the zero bucket.
         let clamped = self.has_extremes();
         if clamped && p == 0.0 {
             return self.min;
@@ -268,38 +259,6 @@ impl Histogram {
         self.buckets()
             .filter(|&(_, n)| n > 0)
             .map(|(i, n)| (bucket_midpoint(i), n))
-    }
-
-    /// The observations recorded since `prev` was sampled, as a new
-    /// histogram: the **windowed** view of a cumulative series. `prev`
-    /// must be an earlier sample of the same stream (every bucket of
-    /// `prev` is ≤ the corresponding bucket here); counts and sums
-    /// subtract exactly.
-    ///
-    /// A window cannot recover which exact values arrived inside it, so
-    /// the result carries **no min/max extremes** — `min()`/`max()`
-    /// return `None` and percentiles fall back to bucket midpoints
-    /// (~3% resolution). Critically, an *empty* window (no new samples)
-    /// keeps the `+inf/-inf` sentinels, so merging it into an
-    /// accumulator never poisons the accumulator's extremes — the same
-    /// guard the PR 2 empty-shard merge fix established.
-    pub fn delta_from(&self, prev: &Histogram) -> Histogram {
-        let mut out = Histogram::new();
-        debug_assert!(
-            prev.buckets().all(|(i, old)| old <= self.bucket(i)),
-            "a bucket shrank since `prev` was sampled"
-        );
-        for (i, cur) in self.buckets() {
-            let old = prev.bucket(i);
-            if cur > old {
-                out.add(i, cur - old);
-            }
-        }
-        out.count = self.count.saturating_sub(prev.count);
-        out.sum = if out.count == 0 { 0.0 } else { self.sum - prev.sum };
-        // min/max stay at the empty sentinels: the window's true
-        // extremes are unknowable from cumulative bucket counts.
-        out
     }
 }
 
@@ -621,53 +580,6 @@ mod tests {
         assert_eq!(merged.max(), Some(9.0));
     }
 
-    #[test]
-    fn windowed_delta_subtracts_exactly() {
-        let mut prev = Histogram::new();
-        for v in [1.0, 5.0, 9.0] {
-            prev.observe(v);
-        }
-        let mut cur = prev.clone();
-        for v in [2.0, 40.0] {
-            cur.observe(v);
-        }
-        let w = cur.delta_from(&prev);
-        assert_eq!(w.count(), 2);
-        assert!((w.sum() - 42.0).abs() < 1e-9);
-        assert!((w.mean() - 21.0).abs() < 1e-9);
-        // Window extremes are unknowable: percentiles fall back to
-        // bucket midpoints (~3%) instead of clamping to fake extremes.
-        assert_eq!(w.min(), None);
-        assert_eq!(w.max(), None);
-        let p100 = w.percentile(100.0);
-        assert!((p100 - 40.0).abs() / 40.0 < 0.05, "p100 = {p100}");
-        let buckets: Vec<(f64, u64)> = w.nonzero_buckets().collect();
-        assert_eq!(buckets.iter().map(|b| b.1).sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn merge_of_empty_window_delta_does_not_poison_extremes() {
-        // The PR 2 regression (merging an empty shard histogram) extended
-        // to windowed sampling: a snapshot window in which a KPI saw no
-        // new samples produces an empty delta, and folding that window
-        // into an accumulator must leave min/max untouched.
-        let mut cum = Histogram::new();
-        cum.observe(3.0);
-        cum.observe(30.0);
-        let empty_window = cum.delta_from(&cum.clone());
-        assert_eq!(empty_window.count(), 0);
-        assert_eq!(empty_window.min(), None);
-        assert_eq!(empty_window.max(), None);
-        assert_eq!(empty_window.sum(), 0.0);
-
-        let mut acc = Histogram::new();
-        acc.observe(7.0);
-        acc.merge(&empty_window);
-        assert_eq!(acc.min(), Some(7.0));
-        assert_eq!(acc.max(), Some(7.0));
-        assert_eq!(acc.percentile(100.0), 7.0);
-    }
-
     /// The histogram as it was before its storage went compact: all
     /// `NUM_BUCKETS` slots, every answer computed over the whole array.
     /// The compact form must give the same answers bit for bit.
@@ -708,16 +620,6 @@ mod tests {
             self.sum += other.sum;
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
-        }
-
-        /// `self - prev`, without extremes.
-        fn delta_from(&self, prev: &Dense) -> Dense {
-            let mut out = Dense::new();
-            for (i, slot) in out.buckets.iter_mut().enumerate() {
-                *slot = self.buckets[i] - prev.buckets[i];
-            }
-            out.sum = self.sum - prev.sum;
-            out
         }
 
         fn count(&self) -> u64 {
@@ -808,22 +710,6 @@ mod tests {
         dense_both.assert_matches(&up);
         dense_both.assert_matches(&down);
         assert_eq!(up, down);
-
-        // A delta across different windows: the later sample has grown
-        // on both sides of the earlier one.
-        let (early, dense_early) = Dense::of([20.0, 22.0, 25.0]);
-        let mut late = early.clone();
-        let mut dense_late = dense_early.clone();
-        let (more, dense_more) = Dense::of([1.0, 22.0, 700.0, 700.0]);
-        late.merge(&more);
-        dense_late.merge(&dense_more);
-        dense_late.delta_from(&dense_early).assert_matches(&late.delta_from(&early));
-        // ... and one that leaves the edges of the window unchanged.
-        let mut inner = late.clone();
-        inner.observe(22.0);
-        let w = inner.delta_from(&late);
-        assert_eq!((w.count(), w.window.len()), (1, 1));
-        assert_eq!(late.delta_from(&late), Histogram::new());
     }
 
     #[test]

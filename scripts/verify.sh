@@ -78,14 +78,17 @@ echo "==> no uncalled public functions"
 # that could call it is only its own definition: a model nobody calls
 # (ROADMAP aim 2). Wire it or delete it. A file's own `#[cfg(test)] mod
 # tests` is not a caller — a function only its unit tests use is still a
-# model nobody calls — so those modules are cut before counting;
-# integration tests, benchmark/src, examples and doc-tests stay callers.
+# model nobody calls — so those modules are cut before counting. Nor is a
+# `pub use` re-export: it names a function without calling it, so those
+# statements are cut too. Integration tests, benchmark/src, examples and
+# doc-tests stay callers.
 production() {
     find crates/*/src src -name '*.rs' -print0 | xargs -0 awk '
-        FNR == 1 { held = ""; skip = 0 }
+        FNR == 1 { held = ""; skip = 0; reexport = 0 }
         skip { next }
         /^#\[cfg\(test\)\]$/ { held = $0; next }
         held != "" { if ($0 ~ /^mod tests/) { skip = 1; held = ""; next } print held; held = "" }
+        reexport || /^[[:space:]]*pub(\([a-z]+\))? use / { reexport = ($0 !~ /;/); next }
         { print }'
 }
 uncalled=$(comm -12 \

@@ -53,9 +53,8 @@ fn packet_loss_degrades_mos_proportionally() {
     );
     // Score both with the E-model: loss must cost well over a MOS point.
     let model = EModel::for_codec(&Vocoder::gsm_full_rate());
-    let m2e = |d: f64| SimDuration::from_micros(((d + 80.0) * 1000.0) as u64);
-    let clean_mos = model.mos(m2e(clean_delay), 0.0);
-    let lossy_mos = model.mos(m2e(lossy_delay), 1.0 - ratio);
+    let clean_mos = model.mos(model.mouth_to_ear(clean_delay), 0.0);
+    let lossy_mos = model.mos(model.mouth_to_ear(lossy_delay), 1.0 - ratio);
     assert!(
         clean_mos - lossy_mos > 0.5,
         "loss must show up in MOS: {clean_mos} vs {lossy_mos}"
