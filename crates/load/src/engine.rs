@@ -3,18 +3,23 @@
 //! The population is partitioned into a fixed number of shards — a pure
 //! function of the configuration, never of the machine — and every
 //! shard advances through the busy hour in **epoch lockstep**: each
-//! epoch every shard simulates the same window, and an epoch barrier
-//! exchanges cross-shard traffic through the [`TrunkFabric`]. Barrier
-//! routing iterates shards in index order and delivery happens at epoch
-//! boundaries, so the interleaving of inter-shard messages — handoff
-//! dialogue, trunk voice, HLR ownership moves — is a function of the
-//! configuration and seed alone. Reports are merged in shard order.
+//! epoch that runs, every shard simulates the same window, and an epoch
+//! barrier exchanges cross-shard traffic through the [`TrunkFabric`].
+//! An epoch in which no shard has work and nothing is in flight is not
+//! run at all: the engine jumps to the next one that has work (see
+//! `lockstep`), and each shard catches its clock up when it next runs,
+//! so the jump reaches no output. Barrier routing iterates shards in
+//! index order and delivery happens at epoch boundaries, so the
+//! interleaving of inter-shard messages — handoff dialogue, trunk voice,
+//! HLR ownership moves — is a function of the configuration and seed
+//! alone. Reports are merged in shard order.
 //!
 //! One crew of workers runs the whole run, started once per run and
 //! stepped in rounds. Round 0 is the build: before epoch 0 no shard can
 //! send another anything, so the workers take shard indices from one
 //! counter and the fleet is put back in index order, so which core
-//! built a shard cannot reach it. Round `k + 1` is epoch `k`. Within an
+//! built a shard cannot reach it. Round `k + 1` is epoch `k`, and rounds
+//! jump as the epochs do. Within an
 //! epoch no shard can reach another either, because the barrier
 //! delivers a flit posted in epoch `k` at the start of epoch `k + 1`:
 //! the barrier is conservative lookahead with a horizon of exactly one
@@ -235,12 +240,20 @@ pub fn run_load_with(
 }
 
 /// Epoch lockstep on the crew, from the lanes round 0 dealt until no
-/// shard is busy. Each epoch every shard simulates the same window, then
-/// the barrier routes cross-shard flits (sent epoch k, delivered epoch
-/// k+1) and the HLR directory tracks ownership. The trunk fabric is the
-/// barrier's delivery layer: a bare mailbox when the trunk plan is
-/// empty, the reliable sequenced protocol (retransmits, dedup, in-order
-/// release) under trunk chaos. Returns the fleet in index order.
+/// shard is busy. Every epoch that runs, every shard simulates the same
+/// window, then the barrier routes cross-shard flits (sent epoch k,
+/// delivered epoch k+1) and the HLR directory tracks ownership. The
+/// trunk fabric is the barrier's delivery layer: a bare mailbox when the
+/// trunk plan is empty, the reliable sequenced protocol (retransmits,
+/// dedup, in-order release) under trunk chaos. Returns the fleet in
+/// index order.
+///
+/// After a barrier that leaves nothing in flight, the epochs before the
+/// first one a shard has work in would run no event, carry no flit and
+/// seal nothing: they are skipped, up to the epoch cap and never past
+/// the next trunk heal, and their last barrier is sealed once, so the
+/// fabric's clock reads what it would have. A shard catches its own
+/// clock up on its next epoch, and after the last.
 fn lockstep<'a, W: Fn(&mut Lane, u64)>(
     crew: &Crew<'a, '_, Lane, W>,
     mut lanes: Vec<MutexGuard<'a, Block<Lane>>>,
@@ -249,10 +262,20 @@ fn lockstep<'a, W: Fn(&mut Lane, u64)>(
 ) -> Vec<Shard> {
     let mut epoch: u64 = 0;
     loop {
-        let busy = fabric.in_flight() > 0 || lanes.iter().any(|lane| lane.busy);
-        if !busy || lanes.iter().all(|lane| epoch > lane.cap) {
-            // Done — or the runaway backstop tripped, in which case the
-            // shards still busy count `load.drain_capped` on finish.
+        let cap = lanes.iter().map(|lane| lane.cap).max().unwrap_or(0);
+        if fabric.in_flight() == 0 {
+            let Some(work) = lanes.iter().filter_map(|lane| lane.due).min() else {
+                break; // Done.
+            };
+            let next = work.min(cap + 1).min(fabric.next_heal_ms() / EPOCH_MS);
+            if next > epoch {
+                fabric.seal(next * EPOCH_MS, directory);
+                epoch = next;
+            }
+        }
+        if epoch > cap {
+            // The runaway backstop tripped: the shards still busy count
+            // `load.drain_capped` on finish.
             break;
         }
         for lane in &mut lanes {
@@ -273,10 +296,14 @@ fn lockstep<'a, W: Fn(&mut Lane, u64)>(
         fabric.seal((epoch + 1) * EPOCH_MS, directory);
         epoch += 1;
     }
-    lanes
+    let mut fleet: Vec<Shard> = lanes
         .iter_mut()
         .flat_map(|lane| lane.shards.drain(..))
-        .collect()
+        .collect();
+    for shard in &mut fleet {
+        shard.catch_up(epoch);
+    }
+    fleet
 }
 
 /// Builds shard `index` of `parts` and applies `prepare` to it.
@@ -323,9 +350,9 @@ struct Lane {
     inboxes: Vec<Vec<(usize, Flit)>>,
     /// The last epoch's non-empty outboxes, by fleet index, ascending.
     outboxes: Vec<(usize, Vec<Envelope>)>,
-    /// Whether any shard is busy, and the largest epoch hint, after
-    /// the last round.
-    busy: bool,
+    /// After the last round: the first epoch a shard of the lane has
+    /// work in (`None` when none is busy), and the largest epoch hint.
+    due: Option<u64>,
     cap: u64,
 }
 
@@ -336,7 +363,7 @@ impl Lane {
             shards: Vec::with_capacity(len),
             inboxes: (0..len).map(|_| Vec::new()).collect(),
             outboxes: Vec::new(),
-            busy: false,
+            due: None,
             cap: 0,
         }
     }
@@ -365,17 +392,27 @@ impl Lane {
                 self.outboxes.push((index, outbox));
             }
         }
-        self.tally();
+        self.tally(epoch + 1);
     }
 
-    fn tally(&mut self) {
-        self.busy = self.shards.iter().any(Shard::is_busy);
+    /// Reads the lane's next busy epoch from `from` on and its cap. A
+    /// shard with work in `from` ends the search: nothing comes sooner.
+    fn tally(&mut self, from: u64) {
         self.cap = self
             .shards
             .iter()
             .map(Shard::max_epoch_hint)
             .max()
             .unwrap_or(0);
+        self.due = None;
+        for shard in &mut self.shards {
+            if let Some(at) = shard.next_busy_epoch(from) {
+                self.due = Some(self.due.map_or(at, |due| due.min(at)));
+                if at == from {
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -388,7 +425,7 @@ fn deal(lanes: &mut [MutexGuard<'_, Block<Lane>>], mut built: Vec<(usize, Shard)
     for lane in lanes {
         let len = lane.span.len();
         lane.shards.extend(fleet.by_ref().take(len));
-        lane.tally();
+        lane.tally(0);
     }
 }
 
@@ -406,9 +443,10 @@ struct Block<T> {
 }
 
 impl<T> Block<T> {
-    /// Runs round `round` unless the block has run it already.
+    /// Runs round `round` unless the block has run it already. Rounds
+    /// may jump ahead, never back.
     fn run(&mut self, round: u64, work: &impl Fn(&mut T, u64)) {
-        if self.next == round {
+        if round >= self.next {
             work(&mut self.item, round);
             self.next = round + 1;
         }
@@ -583,8 +621,10 @@ impl<T, W> Drop for Crew<'_, '_, T, W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::population::PopulationConfig;
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::Barrier;
+    use std::time::Duration;
 
     #[test]
     fn partition_covers_everything_contiguously() {
@@ -688,6 +728,75 @@ mod tests {
                 .last()
         });
         assert_eq!(rounds, Some(50));
+    }
+
+    /// Rounds may jump: each block runs each published round once, in
+    /// order. The helper is held in its start-up through the jump to 9,
+    /// so the caller runs its block there.
+    #[test]
+    fn rounds_may_jump() {
+        const ROUNDS: [u64; 6] = [0, 1, 2, 9, 10, 57];
+        let gate = Barrier::new(2);
+        let caller = thread::current().id();
+        let init = || {
+            gate.wait();
+        };
+        let logs = with_crew(toys(2), init, record, |crew| {
+            for &round in &ROUNDS[..4] {
+                crew.round(round);
+            }
+            gate.wait();
+            crew.round(ROUNDS[4]);
+            crew.round(ROUNDS[5])
+                .iter()
+                .map(|item| (item.rounds.clone(), item.threads.clone()))
+                .collect::<Vec<_>>()
+        });
+        for (rounds, _) in &logs {
+            assert_eq!(rounds[..], ROUNDS);
+        }
+        assert_eq!(logs[1].1[..4], [caller; 4]);
+    }
+
+    /// A run the epoch cap cuts short while its shard idles skips to
+    /// the cap, and the shard still ends there: clock, snapshot frames
+    /// and report are those of running every epoch by hand.
+    #[test]
+    fn a_run_cut_at_the_cap_ends_on_the_cap() {
+        let cfg = LoadConfig {
+            subscribers: 16,
+            shards: 1,
+            snapshot_secs: 7,
+            population: PopulationConfig {
+                window_secs: 30,
+                ..PopulationConfig::default()
+            },
+            ..LoadConfig::default()
+        };
+        let park = |shard: &mut Shard| shard.park_beyond_the_cap();
+        let skipped = run_load_with(&cfg, 1, park);
+
+        let parts = partition(cfg.subscribers, 1);
+        let mut shard = build_shard(&cfg, &parts, 0, &park);
+        let mut epoch = 0;
+        while shard.is_busy() && epoch <= shard.max_epoch_hint() {
+            shard.run_epoch(epoch, Vec::new());
+            epoch += 1;
+        }
+        let mut report = shard.finish();
+        report.stats.count_by("load.hlr_relocations", 0);
+        let every = LoadReport::merge(
+            cfg.subscribers,
+            1,
+            cfg.snapshot_secs,
+            &[report],
+            Duration::ZERO,
+        );
+
+        assert_eq!(skipped.stats.counter("load.drain_capped"), 1);
+        assert_eq!(skipped.render_deterministic(), every.render_deterministic());
+        assert_eq!(skipped.fingerprint(), every.fingerprint());
+        assert_eq!(skipped.snapshots, every.snapshots);
     }
 
     /// In round 3 the caller's item waits for the helper's, so the helper

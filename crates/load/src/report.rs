@@ -55,9 +55,10 @@ impl LoadReport {
         let mut stats = Stats::new();
         let mut events = 0;
         let mut sim_secs = 0f64;
-        // Frame i of every shard covers the same nominal boundary (the
-        // lockstep engine runs every shard through every epoch), so the
-        // merged series is the index-wise sum, folded in shard order.
+        // Frame i of every shard covers the same nominal boundary (every
+        // shard runs or catches up through every epoch the engine
+        // reaches), so the merged series is the index-wise sum, folded
+        // in shard order.
         let mut snapshots: Vec<SnapshotFrame> = Vec::new();
         for r in reports {
             stats.merge(&r.stats);

@@ -11,7 +11,9 @@
 //!
 //! Shards run in lockstep: [`Shard::run_epoch`] advances one epoch, and
 //! the engine exchanges cross-shard traffic through the
-//! [`crate::mailbox`] at each barrier.
+//! [`crate::mailbox`] at each barrier. The engine skips the epochs in
+//! which no shard has work and nothing is in flight; a shard's next
+//! `run_epoch` catches its clock and snapshot recorder up across them.
 //!
 //! This file owns the configuration, the report, the [`Shard`] with its
 //! one row per subscriber, the epoch loop and [`Shard::finish`]. The
@@ -292,10 +294,50 @@ impl Shard {
         self.max_sched_us / (EPOCH_MS * 1000) + DRAIN_EPOCHS
     }
 
+    /// The first epoch from `from` on that this shard has work in, or
+    /// `None` when it is not busy: downlink waiting for the next epoch
+    /// means `from` itself, a scheduled action at t epoch ⌊t / EPOCH_MS⌋
+    /// and a network event at t the first epoch whose end is at or after
+    /// t. The queues are peeked, not drained, and the network's queue
+    /// no further than the shard's next action.
+    pub(crate) fn next_busy_epoch(&mut self, from: u64) -> Option<u64> {
+        const EPOCH_US: u64 = EPOCH_MS * 1000;
+        if !self.pending_um.is_empty() {
+            return Some(from);
+        }
+        let action_us = self.sched.peek_time().map(SimTime::as_micros);
+        if action_us.is_some_and(|at| at / EPOCH_US <= from) {
+            return Some(from);
+        }
+        let horizon = action_us.map_or(SimTime::MAX, |at| SimTime::from_micros(self.t0_us + at));
+        let event = self.net.next_event_at_or_before(horizon).map(|at| {
+            let rel_us = at.as_micros().saturating_sub(self.t0_us);
+            rel_us.div_ceil(EPOCH_US).saturating_sub(1)
+        });
+        // An event no later than the action is in its epoch or before.
+        event
+            .or(action_us.map(|at| at / EPOCH_US))
+            .map(|epoch| epoch.max(from))
+    }
+
+    /// Brings the clock and the snapshot recorder to the start of
+    /// `epoch` across the epochs the engine skipped, which had nothing
+    /// for this shard to do: the clock reads, and the recorder holds,
+    /// what running each of them would have left.
+    pub(crate) fn catch_up(&mut self, epoch: u64) {
+        let start_us = epoch * EPOCH_MS * 1000;
+        if self.net.now().as_micros() < self.t0_us + start_us {
+            self.run_net_until(start_us);
+            self.recorder.observe(start_us / 1000, self.net.stats());
+        }
+    }
+
     /// Runs one lockstep epoch: delivers the barrier's inbox, replays
     /// the window's scheduled actions that fall inside the epoch, and
-    /// returns the envelopes to exchange at the next barrier.
+    /// returns the envelopes to exchange at the next barrier. Epochs
+    /// before `epoch` that the shard did not run are caught up first.
     pub fn run_epoch(&mut self, epoch: u64, inbox: Vec<(usize, Flit)>) -> Vec<Envelope> {
+        self.catch_up(epoch);
         let end_rel_us = (epoch + 1) * EPOCH_MS * 1000;
 
         // Downlink queued for local handsets — synthesized LU answers
@@ -425,6 +467,16 @@ mod tests {
         assert_eq!(out.len(), 1, "one envelope: {out:?}");
         let env = out.remove(0);
         (env.to_shard, env.flit)
+    }
+
+    impl Shard {
+        /// Parks a kick to the border cell an hour out: the shard stays
+        /// busy past any epoch cap, with nothing to do until then.
+        pub(crate) fn park_beyond_the_cap(&mut self) {
+            let kick = Message::Cmd(Command::StartTalking);
+            self.net
+                .inject(SimDuration::from_secs(3_600), self.radio_gate, kick);
+        }
     }
 
     /// One subscriber that dials its terminal 10 ms into the window.

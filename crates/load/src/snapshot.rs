@@ -9,12 +9,14 @@
 //! so the recorder never stores window state.
 //!
 //! Determinism: shards advance in epoch lockstep (every shard runs
-//! every epoch while any shard is busy), so the stats a shard holds at
-//! a given epoch boundary are a function of the configuration and seed
-//! alone — never of kernel choice. Sampling happens at
-//! epoch ends, and a frame's `at_ms` is the *nominal* cadence boundary
-//! it covers, so frames from different shards align index-for-index
-//! and merge by simple pairwise addition.
+//! every epoch the engine runs, and the engine skips only epochs in
+//! which no shard has work), so the stats a shard holds at a given
+//! epoch boundary are a function of the configuration and seed alone —
+//! never of kernel choice. Sampling happens at epoch ends, and a shard
+//! catching up across skipped epochs samples the boundaries it passed,
+//! with the stats it held all along. A frame's `at_ms` is the *nominal*
+//! cadence boundary it covers, so frames from different shards align
+//! index-for-index and merge by simple pairwise addition.
 //!
 //! Memory: a frame stores `Vec<u64>` counters plus the schema's
 //! [`Histogram`]s (each only its occupied span of buckets), not full
@@ -124,8 +126,9 @@ pub(crate) fn fingerprint_histogram(h: &mut Fnv1a, hist: &Histogram) {
 }
 
 /// Samples [`SnapshotFrame`]s on a fixed sim-time cadence. The shard
-/// calls [`SnapshotRecorder::observe`] at every epoch end; the recorder
-/// emits one frame per elapsed cadence boundary.
+/// calls [`SnapshotRecorder::observe`] at every epoch end it runs, and
+/// once at the end of a stretch of epochs the engine skipped; the
+/// recorder emits one frame per elapsed cadence boundary.
 #[derive(Clone, Debug)]
 pub struct SnapshotRecorder {
     cadence_ms: u64,

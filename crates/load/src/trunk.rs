@@ -63,6 +63,11 @@ pub fn retransmit_backoff() -> Backoff {
 }
 
 /// Sender half of one directed `(src, dst)` trunk channel.
+///
+/// A drained channel keeps only its counter: an emptied `BTreeMap`
+/// still holds its root leaf (808 B for the retransmit queue's), so the
+/// fabric swaps in a fresh map whenever `unacked` or `buffer` empties
+/// (`crates/load/tests/fabric_footprint.rs`).
 #[derive(Debug, Default)]
 struct TxChannel {
     /// Next sequence number to assign.
@@ -353,6 +358,7 @@ impl TrunkFabric {
                 self.owed -= before - chan.unacked.len();
                 if chan.unacked.is_empty() {
                     self.live.remove(&(src, dst));
+                    chan.unacked = BTreeMap::new();
                 }
             }
         }
@@ -385,7 +391,11 @@ impl TrunkFabric {
                     }
                 }
             });
-            !chan.unacked.is_empty()
+            if chan.unacked.is_empty() {
+                chan.unacked = BTreeMap::new();
+                return false;
+            }
+            true
         });
         let mut touched: BTreeSet<(usize, usize)> = BTreeSet::new();
         for &(src, dst, seq, _) in &expired {
@@ -461,7 +471,8 @@ impl TrunkFabric {
 
     /// Releases every in-sequence buffered flit on `(src → dst)` into
     /// the destination inbox (buffer to inbox: `owed` does not move),
-    /// observing the HLR directory at delivery.
+    /// observing the HLR directory at delivery. A buffer this empties
+    /// gives back its tree.
     fn release(
         chan: &mut RxChannel,
         src: usize,
@@ -474,6 +485,16 @@ impl TrunkFabric {
             directory.observe(src, dst, &flit);
             inboxes[dst].push((src, flit));
         }
+        if chan.buffer.is_empty() {
+            chan.buffer = BTreeMap::new();
+        }
+    }
+
+    /// The barrier, in ms, at which the next heal edge falls due;
+    /// `u64::MAX` when none is left (always, disarmed). The engine never
+    /// skips past it: the heal's notices go out at that seal.
+    pub(crate) fn next_heal_ms(&self) -> u64 {
+        self.heals.get(self.next_heal).map_or(u64::MAX, |&(ms, ..)| ms)
     }
 
     /// Takes everything queued for `shard`, in delivery order.

@@ -2,11 +2,13 @@
 //! configuration and the master seed, never of the machine.
 
 use std::sync::{Barrier, Once};
+use std::time::Duration;
 
 use vgprs_load::{
-    partition, run_load, run_load_with, subscriber_plan, subscriber_plan_demand, CallMix, DemandPlan,
-    FaultPlanConfig, LoadConfig, LoadReport, OverloadControls, PopulationConfig, ScenarioConfig,
-    TrunkFaultClass, TrunkPlanConfig,
+    compile_demand, partition, run_load, run_load_with, subscriber_plan, subscriber_plan_demand,
+    CallMix, DemandPlan, FaultPlanConfig, HlrDirectory, LoadConfig, LoadReport, OverloadControls,
+    PopulationConfig, ScenarioConfig, Shard, ShardConfig, ShardReport, TrunkFabric,
+    TrunkFaultClass, TrunkPlanConfig, EPOCH_MS,
 };
 use vgprs_sim::Kernel;
 
@@ -72,6 +74,104 @@ invariant_families! {
     surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
     snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
+}
+
+/// The engine's loop before it skipped idle epochs, over the public API
+/// and on one thread: every shard runs every epoch until no shard is
+/// busy and nothing is in flight, or the epoch cap. It is the oracle for
+/// the skip (`run_load` jumps over epochs in which no shard has work and
+/// the fabric is empty), kept here rather than behind a switch.
+fn every_epoch(cfg: &LoadConfig) -> LoadReport {
+    let parts = partition(cfg.subscribers, cfg.effective_shards());
+    let mut fleet: Vec<Shard> = parts
+        .iter()
+        .enumerate()
+        .map(|(index, &(base, size))| {
+            let shard_cfg = ShardConfig {
+                shard_index: index,
+                base_index: base,
+                subscribers: size,
+                total_shards: parts.len(),
+                master_seed: cfg.seed,
+                population: cfg.population.clone(),
+                tch_capacity: cfg.tch_capacity,
+                pdch_bps: cfg.pdch_bps,
+                gk_bandwidth: cfg.gk_bandwidth,
+                voice_sample_ms: cfg.voice_sample_ms,
+                kernel: cfg.kernel,
+                faults: cfg.faults,
+                scenario: cfg.scenario.clone(),
+                controls: cfg.controls,
+                snapshot_secs: cfg.snapshot_secs,
+            };
+            let window = cfg.population.window_secs;
+            let demand = compile_demand(&cfg.scenario, cfg.seed, index, window);
+            let plans: Vec<_> = (0..size)
+                .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))
+                .collect();
+            Shard::new(&shard_cfg, &plans)
+        })
+        .collect();
+    let window = cfg.population.window_secs;
+    let mut fabric = TrunkFabric::new(parts.len(), cfg.seed, &cfg.trunk, window);
+    let mut directory = HlrDirectory::new(&parts);
+    let mut epoch = 0;
+    loop {
+        let busy = fabric.in_flight() > 0 || fleet.iter().any(Shard::is_busy);
+        let cap = fleet.iter().map(Shard::max_epoch_hint).max().unwrap_or(0);
+        if !busy || epoch > cap {
+            break;
+        }
+        let inboxes: Vec<_> = (0..fleet.len()).map(|index| fabric.take_inbox(index)).collect();
+        let outboxes: Vec<_> = fleet
+            .iter_mut()
+            .zip(inboxes)
+            .map(|(shard, inbox)| shard.run_epoch(epoch, inbox))
+            .collect();
+        for (index, outbox) in outboxes.into_iter().enumerate() {
+            fabric.post(index, outbox, &mut directory);
+        }
+        fabric.seal((epoch + 1) * EPOCH_MS, &mut directory);
+        epoch += 1;
+    }
+    let mut reports: Vec<ShardReport> = fleet.into_iter().map(Shard::finish).collect();
+    reports[0]
+        .stats
+        .count_by("load.hlr_relocations", directory.relocations());
+    if fabric.armed() {
+        reports[0].stats.merge(fabric.stats());
+    }
+    LoadReport::merge(cfg.subscribers, 1, cfg.snapshot_secs, &reports, Duration::ZERO)
+}
+
+/// Skipping idle epochs moves nothing: `run_load` has the identity of
+/// the every-epoch loop on the plain, the 64-shard cross, the armed
+/// trunk and the snapshot families. In the `heal` row a partition heals
+/// while no shard has work, so a skip that ran past the heal's barrier
+/// would deliver its notices late.
+#[test]
+fn skipping_idle_epochs_matches_the_every_epoch_loop() {
+    let rows = [
+        ("plain", small_cfg as fn() -> LoadConfig),
+        ("cross@64", || LoadConfig {
+            subscribers: 512,
+            ..cross_cfg(64)
+        }),
+        ("trunk", trunk_cfg),
+        ("snapshot", snapshot_cfg),
+        ("heal", || LoadConfig {
+            seed: 11,
+            trunk: TrunkPlanConfig::only(TrunkFaultClass::Partition, 1.0),
+            ..cross_cfg(4)
+        }),
+    ];
+    for (family, cfg) in rows {
+        assert_eq!(
+            identity(&run_load(&cfg())),
+            identity(&every_epoch(&cfg())),
+            "{family}: the skipping engine left the every-epoch loop"
+        );
+    }
 }
 
 /// A panic in a helper's build reaches the caller with its own message,

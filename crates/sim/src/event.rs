@@ -141,7 +141,6 @@ impl<M> HeapQueue<M> {
         }
     }
 
-    #[cfg(test)]
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.at)
     }
@@ -209,6 +208,16 @@ impl<M> EventQueue<M> {
         match self {
             EventQueue::Heap(q) => q.peek_time(),
             EventQueue::Wheel(w) => w.peek_time(),
+        }
+    }
+
+    /// The instant of the earliest event, if it is due at or before
+    /// `deadline`. Removes nothing; the wheel's cursor goes no further
+    /// than the deadline's slot.
+    pub(crate) fn next_at_or_before(&mut self, deadline: SimTime) -> Option<SimTime> {
+        match self {
+            EventQueue::Heap(q) => q.peek_time().filter(|&at| at <= deadline),
+            EventQueue::Wheel(w) => w.next_at_or_before(deadline),
         }
     }
 
@@ -293,6 +302,8 @@ mod tests {
             assert_eq!(q.peek_time(), None);
             q.push(SimTime::from_micros(5), timer_event(0, 0));
             assert_eq!(q.len(), 1);
+            assert_eq!(q.next_at_or_before(SimTime::from_micros(4)), None);
+            assert_eq!(q.next_at_or_before(SimTime::MAX), Some(SimTime::from_micros(5)));
             assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
         }
     }

@@ -720,6 +720,13 @@ impl<M: Payload> Network<M> {
         self.queue.len()
     }
 
+    /// The instant of the earliest pending event, if it is due at or
+    /// before `deadline`. Processes and removes nothing; on the wheel
+    /// the cursor goes no further than the deadline's slot.
+    pub fn next_event_at_or_before(&mut self, deadline: SimTime) -> Option<SimTime> {
+        self.queue.next_at_or_before(deadline)
+    }
+
     /// The message trace recorded so far.
     pub fn trace(&self) -> &Trace {
         &self.trace

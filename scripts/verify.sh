@@ -198,9 +198,10 @@ echo "==> benchmark smoke (standalone package builds against the public API)"
 # public-API break in vgprs-load / vgprs-sim fails this step.
 cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --quick
 # Its own tests replay every workload through the traced driver and
-# through `run_load` and require one identity from both, so a change to
-# engine.rs / trunk.rs that the driver's mirror of the loop no longer
-# matches fails here, not in the next benchmark run.
+# through `run_load` and require one identity from both. The driver runs
+# every epoch, the ones the engine skips included, so it is the engine's
+# every-epoch oracle: a change to engine.rs / trunk.rs that leaves the
+# every-epoch loop fails here, not in the next benchmark run.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
