@@ -22,7 +22,7 @@ pub mod testbed;
 mod vmsc;
 
 pub use testbed::{
-    AccessHalf, Architecture, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone,
-    VgprsZoneConfig,
+    AccessHalf, Architecture, GsmZone, GsmZoneConfig, HomeNumbers, LatencyProfile, PacketHalf,
+    VgprsZone, VgprsZoneConfig,
 };
 pub use vmsc::{MsEntry, RegPhase, Vmsc, VmscConfig};

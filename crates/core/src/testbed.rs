@@ -445,7 +445,49 @@ pub struct VgprsZone {
     pub packet: PacketHalf,
 }
 
+/// The contiguous number series a zone's home population is provisioned
+/// from: subscriber `i` of `count` holds IMSI `imsi + i` and MSISDN
+/// `msisdn + i`, and its paired terminal registers alias `alias + i`.
+#[derive(Clone, Copy, Debug)]
+pub struct HomeNumbers {
+    /// The first subscriber's IMSI.
+    pub imsi: Imsi,
+    /// The first subscriber's MSISDN.
+    pub msisdn: Msisdn,
+    /// The first terminal's alias.
+    pub alias: Msisdn,
+    /// How many subscribers the series hold.
+    pub count: usize,
+}
+
 impl VgprsZone {
+    /// Declares the home population's number series to every register
+    /// that keeps a row per subscriber — HLR (with its AuC and MSISDN
+    /// index), VLR, the VMSC's MS table, the SGSN's MM contexts and the
+    /// gatekeeper's alias table — so those rows are dense slots instead
+    /// of hashed entries. Call before the first subscriber is added; a
+    /// zone with no series declared hashes every key.
+    pub fn declare_home(&self, net: &mut Network<Message>, numbers: HomeNumbers) {
+        let HomeNumbers {
+            imsi,
+            msisdn,
+            alias,
+            count,
+        } = numbers;
+        let (access, packet) = (&self.access, &self.packet);
+        let hlr = net.node_mut::<Hlr>(access.hlr).expect("zone HLR");
+        hlr.declare_block(imsi, msisdn, count);
+        let vlr = net.node_mut::<Vlr>(access.vlr).expect("zone VLR");
+        vlr.declare_block(imsi, count);
+        let vmsc = net.node_mut::<Vmsc>(access.msc).expect("zone VMSC");
+        vmsc.declare_block(imsi, count);
+        let sgsn = net.node_mut::<Sgsn>(packet.sgsn).expect("zone SGSN");
+        sgsn.declare_block(imsi, count);
+        let gk = net.node_mut::<Gatekeeper>(packet.gk).expect("zone gatekeeper");
+        gk.declare_block(msisdn, count);
+        gk.declare_block(alias, count);
+    }
+
     /// Builds the zone inside `net`.
     pub fn build(net: &mut Network<Message>, cfg: VgprsZoneConfig) -> VgprsZone {
         let packet = PacketHalf::build(

@@ -41,7 +41,8 @@ pub use row::{MsEntry, RegPhase};
 use timers::{TimerKey, Timers};
 use vgprs_gsm::{GsmSide, SideNames};
 use vgprs_sim::{
-    Backoff, Context, IdMap, Interface, Node, NodeId, SimDuration, Throttle, TimerToken,
+    Backoff, Context, IdMap, Interface, Node, NodeId, NumberBlock, SimDuration, Throttle,
+    TimerToken,
 };
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, Command, ConnRef, Dtap, GmmMessage, Imsi, IpPacket, IpPayload,
@@ -128,7 +129,7 @@ pub struct Vmsc {
     gsm: GsmSide,
     sgsn: NodeId,
     /// The MS table (paper Section 2): one row per handset.
-    ms_table: IdMap<Imsi, MsEntry>,
+    ms_table: NumberBlock<Imsi, MsEntry>,
     by_addr: IdMap<Ipv4Addr, Imsi>,
     /// Calls handed over to this VMSC (Figure 9, target side).
     visiting: IdMap<CallId, TargetLeg>,
@@ -155,7 +156,7 @@ impl Vmsc {
             paging: Throttle::new(config.paging_rate_per_s),
             config,
             sgsn,
-            ms_table: IdMap::default(),
+            ms_table: NumberBlock::default(),
             by_addr: IdMap::default(),
             visiting: IdMap::default(),
             handed_over: IdMap::default(),
@@ -164,6 +165,13 @@ impl Vmsc {
             timers: Timers::default(),
             down: false,
         }
+    }
+
+    /// Declares the home population's IMSI series: the `count` IMSIs
+    /// from `first` get a dense MS-table row each instead of a hashed
+    /// one. Declare before the first location update.
+    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+        self.ms_table.declare(first, count);
     }
 
     /// Registers a subordinate BSC.

@@ -22,8 +22,7 @@ impl Vmsc {
         if let MsIdentity::Imsi(imsi) = identity {
             let entry = self
                 .ms_table
-                .entry(imsi)
-                .or_insert_with(|| MsEntry::new(imsi, None, ctx.now()));
+                .get_or_insert_with(imsi, || MsEntry::new(imsi, None, ctx.now()));
             entry.conn = Some(conn);
             entry.reg_started = ctx.now();
             entry.phase = RegPhase::GsmUpdating;
@@ -290,7 +289,7 @@ impl Vmsc {
     /// addresses are dropped — the restarted peer no longer knows them.
     pub(super) fn resync(&mut self, ctx: &mut Context<'_, Message>) {
         ctx.count("vmsc.resyncs");
-        let mut imsis: Vec<Imsi> = self.ms_table.keys().copied().collect();
+        let mut imsis: Vec<Imsi> = self.ms_table.keys().collect();
         imsis.sort();
         for imsi in imsis {
             self.timers.cancel(ctx, &TimerKey::Ras(imsi));

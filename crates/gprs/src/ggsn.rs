@@ -11,22 +11,14 @@
 use std::collections::VecDeque;
 
 use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
-use vgprs_wire::{
-    Cause, Command, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile, Teid,
-};
+use vgprs_wire::{Cause, Command, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, Teid};
 
 /// One PDP context record (paper step 1.3: "IMSI, IP address, QoS profile
-/// negotiated, SGSN address, and so on"). The identity fields are kept
-/// for report/debug output even where routing only needs the tunnel pair.
+/// negotiated, SGSN address, and so on"): what routing reads of it. The
+/// subscriber is the key of `by_sub`, and nothing reads the QoS back.
 #[derive(Debug)]
 struct PdpRecord {
-    #[allow(dead_code)]
-    imsi: Imsi,
-    #[allow(dead_code)]
-    nsapi: Nsapi,
     addr: Ipv4Addr,
-    #[allow(dead_code)]
-    qos: QosProfile,
     sgsn: NodeId,
     sgsn_teid: Teid,
 }
@@ -224,10 +216,7 @@ impl Ggsn {
                 self.pdp.insert(
                     teid,
                     PdpRecord {
-                        imsi,
-                        nsapi,
                         addr,
-                        qos,
                         sgsn: from,
                         sgsn_teid,
                     },
@@ -321,7 +310,7 @@ impl Node<Message> for Ggsn {
 mod tests {
     use super::*;
     use vgprs_sim::{Network, ScriptedPeer, SimDuration};
-    use vgprs_wire::{IpPayload, Msisdn, RasMessage, TransportAddr};
+    use vgprs_wire::{IpPayload, Msisdn, QosProfile, RasMessage, TransportAddr};
 
     fn imsi(last: char) -> Imsi {
         Imsi::parse(&format!("46692012345678{last}")).unwrap()

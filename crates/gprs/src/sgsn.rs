@@ -6,7 +6,9 @@
 //! testbeds are closed worlds and no experiment reads an authorization
 //! over Gr, so there is no leg to the HLR.
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, Offer, Throttle, TimerToken};
+use vgprs_sim::{
+    Context, IdMap, Interface, Node, NodeId, NumberBlock, Offer, Throttle, TimerToken,
+};
 use vgprs_wire::{
     Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile,
     Teid, Tmsi,
@@ -27,9 +29,6 @@ struct Activation {
 struct MmContext {
     /// The node speaking Gb for this subscriber (BSC or VMSC).
     endpoint: NodeId,
-    /// Kept for report output (GSM 03.60 MM context).
-    #[allow(dead_code)]
-    ptmsi: Tmsi,
 }
 
 /// One PDP context as the SGSN sees it.
@@ -45,7 +44,7 @@ struct SgsnPdp {
 #[derive(Debug)]
 pub struct Sgsn {
     ggsn: NodeId,
-    mm: IdMap<Imsi, MmContext>,
+    mm: NumberBlock<Imsi, MmContext>,
     pdp: IdMap<(Imsi, Nsapi), SgsnPdp>,
     teid_index: IdMap<Teid, (Imsi, Nsapi)>,
     next_teid: u32,
@@ -64,7 +63,7 @@ impl Sgsn {
     pub fn new(ggsn: NodeId) -> Self {
         Sgsn {
             ggsn,
-            mm: IdMap::default(),
+            mm: NumberBlock::default(),
             pdp: IdMap::default(),
             teid_index: IdMap::default(),
             next_teid: 0,
@@ -83,6 +82,13 @@ impl Sgsn {
         self
     }
 
+    /// Declares the home population's IMSI series: the `count` IMSIs
+    /// from `first` get a dense MM context each instead of a hashed one.
+    /// Declare before the first attach.
+    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+        self.mm.declare(first, count);
+    }
+
     /// Number of active PDP contexts — the resource the paper's Section 6
     /// context-memory comparison (experiment C3) measures.
     pub fn active_pdp_count(&self) -> usize {
@@ -99,13 +105,7 @@ impl Sgsn {
             GmmMessage::AttachRequest { imsi } => {
                 self.next_ptmsi += 1;
                 let ptmsi = Tmsi(0xB000_0000 | self.next_ptmsi);
-                self.mm.insert(
-                    imsi,
-                    MmContext {
-                        endpoint: from,
-                        ptmsi,
-                    },
-                );
+                self.mm.insert(imsi, MmContext { endpoint: from });
                 ctx.count("sgsn.attaches");
                 ctx.send(from, Message::Gmm(GmmMessage::AttachAccept { imsi, ptmsi }));
             }

@@ -6,7 +6,7 @@
 //! paper's flows depend only on the challenge–response *shape*, never on
 //! cryptographic strength (see DESIGN.md, substitution table).
 
-use vgprs_sim::IdMap;
+use vgprs_sim::NumberBlock;
 use vgprs_wire::{AuthTriplet, Imsi};
 
 /// A subscriber's secret key, shared between SIM and AuC.
@@ -35,13 +35,19 @@ pub fn a8_kc(ki: Ki, rand: u64) -> u64 {
 /// conventional).
 #[derive(Debug, Default)]
 pub struct AuthCenter {
-    keys: IdMap<Imsi, Ki>,
+    keys: NumberBlock<Imsi, Ki>,
 }
 
 impl AuthCenter {
     /// Creates an empty AuC.
     pub fn new() -> Self {
         AuthCenter::default()
+    }
+
+    /// Gives the `count` IMSIs from `first` on a dense key slot each
+    /// (see [`Hlr::declare_block`](crate::Hlr::declare_block)).
+    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+        self.keys.declare(first, count);
     }
 
     /// Provisions a subscriber key. Re-provisioning replaces the old key.

@@ -5,7 +5,7 @@
 //! query used for call delivery (which is where the tromboning of the
 //! paper's Figure 7 originates — the HLR lives in the *home* country).
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{
     Cause, Imsi, MapMessage, Message, Msisdn, PointCode, SubscriberProfile,
 };
@@ -25,8 +25,8 @@ struct HlrRecord {
 #[derive(Debug, Default)]
 pub struct Hlr {
     auc: AuthCenter,
-    records: IdMap<Imsi, HlrRecord>,
-    msisdn_index: IdMap<Msisdn, Imsi>,
+    records: NumberBlock<Imsi, HlrRecord>,
+    msisdn_index: NumberBlock<Msisdn, Imsi>,
     /// VLRs waiting for `UpdateLocationAck` (sent once ISD is confirmed).
     pending_update: IdMap<Imsi, NodeId>,
     /// GMSCs waiting for a roaming number, per subscriber.
@@ -37,6 +37,16 @@ impl Hlr {
     /// Creates an empty HLR.
     pub fn new() -> Self {
         Hlr::default()
+    }
+
+    /// Declares the home population's number series: the subscribers
+    /// with IMSIs `imsi..` and MSISDNs `msisdn..`, `count` of each, get a
+    /// dense row each instead of a hashed one. Declare before the first
+    /// [`provision`](Hlr::provision).
+    pub fn declare_block(&mut self, imsi: Imsi, msisdn: Msisdn, count: usize) {
+        self.auc.declare_block(imsi, count);
+        self.records.declare(imsi, count);
+        self.msisdn_index.declare(msisdn, count);
     }
 
     /// Provisions a subscriber: SIM key + service profile.

@@ -5,7 +5,7 @@
 //! profile copy downloaded from the HLR, outgoing-call authorization
 //! (paper step 2.2) and roaming-number allocation for call delivery.
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{
     AuthTriplet, Cause, ConnRef, Imsi, Lai, MapMessage, Message, MsIdentity, Msisdn, PointCode,
     SubscriberProfile, Tmsi,
@@ -59,7 +59,7 @@ pub struct Vlr {
     /// HLR. Roamers' MAP dialogues go to their own country's HLR.
     hlr_routes: Vec<(String, NodeId)>,
     msc: NodeId,
-    records: IdMap<Imsi, VlrRecord>,
+    records: NumberBlock<Imsi, VlrRecord>,
     tmsi_index: IdMap<Tmsi, Imsi>,
     msrn_index: IdMap<Msisdn, Imsi>,
     pending: IdMap<Imsi, Pending>,
@@ -75,13 +75,20 @@ impl Vlr {
             hlr,
             hlr_routes: Vec::new(),
             msc,
-            records: IdMap::default(),
+            records: NumberBlock::default(),
             tmsi_index: IdMap::default(),
             msrn_index: IdMap::default(),
             pending: IdMap::default(),
             next_tmsi: 0,
             next_msrn: 0,
         }
+    }
+
+    /// Declares the home population's IMSI series: the `count` IMSIs
+    /// from `first` get a dense record each instead of a hashed one.
+    /// Declare before the first registration.
+    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+        self.records.declare(first, count);
     }
 
     /// Re-targets the VLR at a different MSC (used by network builders
@@ -147,7 +154,7 @@ impl Vlr {
     /// Returns `true` if an Authenticate was issued, `false` if no triplet
     /// was available and vectors were requested from the HLR.
     fn begin_auth(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi, conn: ConnRef) -> bool {
-        let rec = self.records.entry(imsi).or_default();
+        let rec = self.records.get_or_insert_with(imsi, VlrRecord::default);
         match rec.triplets.pop() {
             Some(t) => {
                 rec.current = Some(t);
@@ -222,7 +229,7 @@ impl Vlr {
                     );
                     return;
                 };
-                self.records.entry(imsi).or_default();
+                self.records.get_or_insert_with(imsi, VlrRecord::default);
                 let issued = self.begin_auth(ctx, imsi, conn);
                 self.pending.insert(
                     imsi,
@@ -361,7 +368,7 @@ impl Vlr {
 
             // ---- from the HLR: profile download (paper step 1.2) ----
             MapMessage::InsertSubsData { imsi, profile } => {
-                self.records.entry(imsi).or_default().profile = Some(profile);
+                self.records.get_or_insert_with(imsi, VlrRecord::default).profile = Some(profile);
                 ctx.send(from, Message::Map(MapMessage::InsertSubsDataAck { imsi }));
             }
 
@@ -654,7 +661,7 @@ mod tests {
         let (mut net, vlr, msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
-            v.records.entry(imsi()).or_default().profile = Some(intl_denied);
+            v.records.get_or_insert_with(imsi(), VlrRecord::default).profile = Some(intl_denied);
         }
         let ask = |called: &str, international| {
             Message::Map(MapMessage::SendInfoForOutgoingCall {
@@ -688,7 +695,7 @@ mod tests {
         let (mut net, vlr, msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
-            v.records.entry(imsi()).or_default();
+            v.records.get_or_insert_with(imsi(), VlrRecord::default);
         }
         let prn = MapMessage::ProvideRoamingNumber { imsi: imsi() };
         feed(&mut net, vlr, Interface::D, [Message::Map(prn)]);
@@ -719,7 +726,7 @@ mod tests {
         let (mut net, vlr, _msc, _hlr) = rig();
         {
             let v = net.node_mut::<Vlr>(vlr).unwrap();
-            v.records.entry(imsi()).or_default();
+            v.records.get_or_insert_with(imsi(), VlrRecord::default);
             let t = v.alloc_tmsi(imsi());
             assert!(v.tmsi_index.contains_key(&t));
         }

@@ -7,7 +7,7 @@
 //! sees an IMSI — that is the confidentiality property Section 6 argues
 //! vGPRS preserves and the TR 22.973 baseline violates.
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, SimTime};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock, SimTime};
 use vgprs_wire::{
     CallId, Cause, Command, IpPacket, IpPayload, Message, Msisdn, RasMessage, TransportAddr,
 };
@@ -47,7 +47,7 @@ pub struct Gatekeeper {
     /// Next hop for every outgoing IP packet (the zone's LAN router).
     router: NodeId,
     /// The address-translation table of paper step 1.5.
-    table: IdMap<Msisdn, TransportAddr>,
+    table: NumberBlock<Msisdn, TransportAddr>,
     /// Outstanding admissions: (call, requester) → bandwidth.
     admissions: IdMap<(CallId, TransportAddr), u32>,
     bandwidth_used: u32,
@@ -67,13 +67,22 @@ impl Gatekeeper {
         Gatekeeper {
             config,
             router,
-            table: IdMap::default(),
+            table: NumberBlock::default(),
             admissions: IdMap::default(),
             bandwidth_used: 0,
             charging: Vec::new(),
             imsi_directory: IdMap::default(),
             down: false,
         }
+    }
+
+    /// Declares one number series of the zone's own aliases: the `count`
+    /// numbers from `first` get a dense row each in the address
+    /// translation table instead of a hashed one. One call per series
+    /// (the handsets' MSISDNs, the terminals' aliases), all before the
+    /// first registration.
+    pub fn declare_block(&mut self, first: Msisdn, count: usize) {
+        self.table.declare(first, count);
     }
 
     /// Registered aliases.

@@ -152,7 +152,7 @@ struct Subscriber {
 }
 
 fn imsi_for(global: usize) -> Imsi {
-    Imsi::parse(&format!("466920{global:09}")).expect("generated IMSI is valid")
+    Imsi::from_prefix("466920", global as u64, 9).expect("generated IMSI is valid")
 }
 
 /// The subscriber's authentication key, as provisioned in its HLR.
@@ -162,7 +162,7 @@ fn ki_for(global: usize) -> u64 {
 
 /// The subscriber's own E.164 number.
 fn msisdn_for(global: usize) -> Msisdn {
-    Msisdn::parse(&format!("88691{global:07}")).expect("generated MSISDN is valid")
+    Msisdn::from_prefix("88691", global as u64, 7).expect("generated MSISDN is valid")
 }
 
 /// One shard mid-flight: built world, pending actions, cross-shard

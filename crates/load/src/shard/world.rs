@@ -3,7 +3,7 @@
 //! serving areas, the cross-shard gates, the subscribers — then
 //! registration runs to quiescence and the plans become the schedule.
 
-use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
+use vgprs_core::{HomeNumbers, VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_faults::compile_plan;
 use vgprs_gsm::{MobileStation, Vlr};
 use vgprs_scenario::compile_demand;
@@ -21,11 +21,13 @@ const STREAM_SHARD: u64 = 0x1656_67B1_9E37_79F9;
 
 /// The alias of the subscriber's paired wireline terminal.
 fn alias_for(global: usize) -> Msisdn {
-    Msisdn::parse(&format!("88622{global:07}")).expect("generated alias is valid")
+    Msisdn::from_prefix("88622", global as u64, 7).expect("generated alias is valid")
 }
 
 /// Home serving area plus a neighbor for mobility. Shards are separate
-/// networks, so every shard can reuse the same addressing.
+/// networks, so every shard can reuse the same addressing. The home zone's
+/// registers are told the shard's number series; the neighbor's are not,
+/// and hash every key.
 fn build_zones(
     net: &mut Network<Message>,
     cfg: &ShardConfig,
@@ -43,6 +45,14 @@ fn build_zones(
         ..VgprsZoneConfig::taiwan()
     };
     let home = VgprsZone::build(net, zone(format!("s{}", cfg.shard_index)));
+    let base = cfg.base_index;
+    let numbers = HomeNumbers {
+        imsi: imsi_for(base),
+        msisdn: msisdn_for(base),
+        alias: alias_for(base),
+        count: cfg.subscribers,
+    };
+    home.declare_home(net, numbers);
     let neighbor = VgprsZone::build(
         net,
         VgprsZoneConfig {

@@ -18,23 +18,27 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 510 612 in 945, plus 5 %. A drained event queue gives back
-/// the slab its registration burst sized (590 484 in 948 before). An
+/// Measured: 404 772 in 953, plus 5 %. The home registers are number
+/// blocks, a dense row per subscriber, and a GGSN PDP record holds only
+/// what routing reads (510 612 in 945 with half-empty hash tables and
+/// the dead record fields). A drained event queue gives back the slab
+/// its registration burst sized (590 484 in 948 before). An
 /// IMSI or MSISDN is one word (16 bytes before, in every row, key and
 /// message that holds one) and a started network gives back its growth
 /// slack and keeps its node names in one string: 757 936 in 1 479
 /// before those, and with a buffer per wheel slot and a hash table of
 /// links 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (536_000, 992);
-/// The same once its busy hour has drained. Measured: 537 552 in 1 110,
-/// plus 5 % (613 296 in 1 110 with the registration slab kept; 781 932
-/// in 1 641 and 976 200 in 2 219 before that, the parked slot buffers
-/// having grown).
-const AFTER_RUN: (isize, isize) = (564_000, 1_165);
+const AFTER_NEW: (isize, isize) = (425_000, 1_000);
+/// The same once its busy hour has drained. Measured: 431 616 in 1 118,
+/// plus 5 % (537 552 in 1 110 before number blocks; 613 296 in 1 110
+/// with the registration slab kept; 781 932 in 1 641 and 976 200 in
+/// 2 219 before that, the parked slot buffers having grown).
+const AFTER_RUN: (isize, isize) = (453_000, 1_173);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 1 943
-/// (2 255 with the registration slab kept; 2 913 before one-word IDs).
-const PER_SUBSCRIBER: isize = 2_040;
+/// per-subscriber figure that peak RSS only estimates. Measured: 1 527
+/// (1 943 before number blocks; 2 255 with the registration slab kept;
+/// 2 913 before one-word IDs).
+const PER_SUBSCRIBER: isize = 1_603;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);

@@ -1,4 +1,4 @@
-//! The workspace's one hasher and the two table types built on it.
+//! The workspace's one hasher and the three table types built on it.
 //!
 //! Every hash table in the simulator is keyed by something the simulator
 //! itself issued — an IMSI, a TMSI, a TEID, a connection reference, a
@@ -11,10 +11,15 @@
 //! never reach a trace, a counter or a fingerprint: walks that feed the
 //! event stream sort first. `set_salt` exists so a test can reshuffle
 //! every table and show that nothing moves.
+//!
+//! The third type, [`NumberBlock`], is for the registers that keep a row
+//! per subscriber. A home population is provisioned from contiguous
+//! number series, so a key inside a declared series is its own index into
+//! a dense vector; everything else falls through to an [`IdMap`].
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// A `HashMap` over [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
@@ -118,6 +123,210 @@ impl Hasher for IdHasher {
     #[inline]
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
+    }
+}
+
+/// A key that is a decimal number: an IMSI or an MSISDN.
+pub trait NumberKey: Copy + Eq + Hash {
+    /// The key's decimal value and its digit count. Leading zeros carry
+    /// no value but count as digits, so `0012345` is `(12_345, 7)`.
+    fn number(&self) -> (u64, usize);
+    /// The key whose [`number`](NumberKey::number) is `(value, digits)`:
+    /// `value` zero-padded to `digits`. `None` when `value` needs more
+    /// digits or the key kind does not allow that many.
+    fn from_number(value: u64, digits: usize) -> Option<Self>;
+}
+
+/// A map keyed by numbers, with a dense row for every number in a
+/// declared series.
+///
+/// A key whose digit count matches a declared series and whose value lies
+/// in `[first, first + count)` lives in that series' `Vec<Option<V>>` at
+/// index `value − first`; a key with another digit count never aliases a
+/// slot, leading zeros included. Every other key — a roamer, a visitor, a
+/// subscriber relocated in — is hashed in an [`IdMap`], and a table with
+/// no series declared hashes every key, exactly as an [`IdMap`] would.
+///
+/// Iteration walks the series in declaration order and number order, then
+/// the hashed keys in hash order: like an [`IdMap`]'s, that order must
+/// never reach an output.
+#[derive(Debug)]
+pub struct NumberBlock<K, V> {
+    series: Vec<Series<V>>,
+    /// Occupied slots, over every series.
+    filled: usize,
+    rest: IdMap<K, V>,
+}
+
+#[derive(Debug)]
+struct Series<V> {
+    first: u64,
+    digits: usize,
+    slots: Vec<Option<V>>,
+}
+
+impl<K, V> Default for NumberBlock<K, V> {
+    fn default() -> Self {
+        NumberBlock {
+            series: Vec::new(),
+            filled: 0,
+            rest: IdMap::default(),
+        }
+    }
+}
+
+impl<K: NumberKey, V> NumberBlock<K, V> {
+    /// Gives the `count` numbers from `first` on a dense row each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table already holds a key, or if the series overlaps
+    /// one declared before.
+    pub fn declare(&mut self, first: K, count: usize) {
+        assert!(
+            self.is_empty(),
+            "declare a number series before the first insert"
+        );
+        let (first, digits) = first.number();
+        let end = first + count as u64;
+        assert!(
+            self.series.iter().all(|s| s.digits != digits
+                || end <= s.first
+                || s.first + s.slots.len() as u64 <= first),
+            "number series overlap"
+        );
+        let mut slots = Vec::with_capacity(count);
+        slots.resize_with(count, || None);
+        self.series.reserve_exact(1);
+        self.series.push(Series {
+            first,
+            digits,
+            slots,
+        });
+    }
+
+    /// `(series, index)` of the slot `key` owns, if it owns one.
+    #[inline]
+    fn slot(&self, key: &K) -> Option<(usize, usize)> {
+        if self.series.is_empty() {
+            return None;
+        }
+        let (value, digits) = key.number();
+        self.series.iter().enumerate().find_map(|(s, series)| {
+            let at = value.wrapping_sub(series.first);
+            (series.digits == digits && at < series.slots.len() as u64).then_some((s, at as usize))
+        })
+    }
+
+    /// Number of keys held.
+    pub fn len(&self) -> usize {
+        self.filled + self.rest.len()
+    }
+
+    /// True if no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The value held for `key`.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        match self.slot(key) {
+            Some((s, at)) => self.series[s].slots[at].as_ref(),
+            None => self.rest.get(key),
+        }
+    }
+
+    /// The value held for `key`, mutably.
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        match self.slot(key) {
+            Some((s, at)) => self.series[s].slots[at].as_mut(),
+            None => self.rest.get_mut(key),
+        }
+    }
+
+    /// True if a value is held for `key`.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// Holds `value` for `key`, returning the value it replaces.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.slot(&key) {
+            Some((s, at)) => {
+                let old = self.series[s].slots[at].replace(value);
+                self.filled += usize::from(old.is_none());
+                old
+            }
+            None => self.rest.insert(key, value),
+        }
+    }
+
+    /// The value held for `key`, first inserting `make()` if there is none.
+    pub fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
+        match self.slot(&key) {
+            Some((s, at)) => {
+                let slot = &mut self.series[s].slots[at];
+                self.filled += usize::from(slot.is_none());
+                slot.get_or_insert_with(make)
+            }
+            None => self.rest.entry(key).or_insert_with(make),
+        }
+    }
+
+    /// Drops the value held for `key` and returns it. Its slot, if it has
+    /// one, stays reserved for it.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        match self.slot(key) {
+            Some((s, at)) => {
+                let old = self.series[s].slots[at].take();
+                self.filled -= usize::from(old.is_some());
+                old
+            }
+            None => self.rest.remove(key),
+        }
+    }
+
+    /// Drops every value; the declared series stay.
+    pub fn clear(&mut self) {
+        for series in &mut self.series {
+            series.slots.fill_with(|| None);
+        }
+        self.filled = 0;
+        self.rest.clear();
+    }
+
+    /// Every `(key, value)`: the series in number order, then the hashed
+    /// keys in hash order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        let dense = self.series.iter().flat_map(|series| {
+            series
+                .slots
+                .iter()
+                .zip(series.first..)
+                .filter_map(|(slot, value)| {
+                    let v = slot.as_ref()?;
+                    let key = K::from_number(value, series.digits)
+                        .expect("a filled slot's number is a key");
+                    Some((key, v))
+                })
+        });
+        dense.chain(self.rest.iter().map(|(k, v)| (*k, v)))
+    }
+
+    /// Every key, in [`iter`](NumberBlock::iter) order.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
+        self.iter().map(|(k, _)| k)
+    }
+
+    /// Every value, in [`iter`](NumberBlock::iter) order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        let dense = self
+            .series
+            .iter()
+            .flat_map(|series| series.slots.iter().flatten());
+        dense.chain(self.rest.values())
     }
 }
 

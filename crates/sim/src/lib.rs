@@ -83,7 +83,7 @@ pub use backoff::Backoff;
 pub use context::{Context, TimerToken};
 pub use event::Kernel;
 pub use fnv::Fnv1a;
-pub use idmap::{salt, set_salt, IdHasher, IdMap, IdSet};
+pub use idmap::{salt, set_salt, IdHasher, IdMap, IdSet, NumberBlock, NumberKey};
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};

@@ -8,6 +8,8 @@ use std::fmt;
 use std::num::NonZeroU64;
 use std::str::FromStr;
 
+use vgprs_sim::NumberKey;
+
 /// Error returned when parsing an identity from text fails.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseIdError {
@@ -65,8 +67,62 @@ impl Digits {
         Ok(Digits(NonZeroU64::new(word).expect("a digit string is not empty")))
     }
 
+    /// `value` zero-padded to `len` digits.
+    fn from_number(kind: &'static str, value: u64, len: usize) -> Result<Self, ParseIdError> {
+        if !(1..=Self::MAX_LEN).contains(&len) {
+            return Err(ParseIdError::new(
+                kind,
+                format!("{len} digits, want 1 to {}", Self::MAX_LEN),
+            ));
+        }
+        if value >= 10u64.pow(len as u32) {
+            return Err(ParseIdError::new(kind, format!("{value} needs more than {len} digits")));
+        }
+        let (mut packed, mut rest) = (0u64, value);
+        for at in 0..len {
+            packed |= (rest % 10) << (4 * at);
+            rest /= 10;
+        }
+        let word = packed << 4 | len as u64;
+        Ok(Digits(NonZeroU64::new(word).expect("the length is not zero")))
+    }
+
+    /// The digits `prefix` (one or more) then `n` zero-padded to `width`
+    /// — the string `format!("{prefix}{n:0width$}")` spells, without the
+    /// string.
+    fn from_prefix(
+        kind: &'static str,
+        prefix: &str,
+        n: u64,
+        width: usize,
+    ) -> Result<Self, ParseIdError> {
+        let prefix = Digits::parse(kind, prefix)?;
+        let width = width.max(n.checked_ilog10().map_or(1, |log| log as usize + 1));
+        let len = prefix.len() + width;
+        if len > Self::MAX_LEN {
+            return Err(ParseIdError::new(
+                kind,
+                format!("too long ({len} digits, max {})", Self::MAX_LEN),
+            ));
+        }
+        Self::from_number(kind, prefix.value() * 10u64.pow(width as u32) + n, len)
+    }
+
     fn len(&self) -> usize {
         (self.0.get() & 0xF) as usize
+    }
+
+    /// The digits as a number, with no loop over them: each step folds
+    /// pairs of neighbouring lanes into one lane of twice the width —
+    /// nibbles into bytes of 0..=99, bytes into 16-bit lanes of
+    /// 0..=9 999, those into 32-bit lanes of 0..=99 999 999, and those
+    /// into the value. No lane overflows into the next.
+    fn value(&self) -> u64 {
+        let bcd = self.0.get() >> 4;
+        let x = ((bcd >> 4) & 0x0F0F_0F0F_0F0F_0F0F) * 10 + (bcd & 0x0F0F_0F0F_0F0F_0F0F);
+        let x = ((x >> 8) & 0x00FF_00FF_00FF_00FF) * 100 + (x & 0x00FF_00FF_00FF_00FF);
+        let x = ((x >> 16) & 0x0000_FFFF_0000_FFFF) * 10_000 + (x & 0x0000_FFFF_0000_FFFF);
+        (x >> 32) * 100_000_000 + (x & 0xFFFF_FFFF)
     }
 
     fn digit(&self, i: usize) -> u8 {
@@ -124,7 +180,21 @@ impl Imsi {
     ///
     /// Returns [`ParseIdError`] if the string is not 14–15 decimal digits.
     pub fn parse(s: &str) -> Result<Self, ParseIdError> {
-        let d = Digits::parse("IMSI", s)?;
+        Imsi::checked(Digits::parse("IMSI", s)?)
+    }
+
+    /// The IMSI `prefix` (one or more digits) followed by `n` zero-padded
+    /// to `width` digits: what `Imsi::parse(&format!("{prefix}{n:0width$}"))`
+    /// returns, without the string.
+    ///
+    /// # Errors
+    ///
+    /// As [`Imsi::parse`] on that string, and for an empty prefix.
+    pub fn from_prefix(prefix: &str, n: u64, width: usize) -> Result<Self, ParseIdError> {
+        Imsi::checked(Digits::from_prefix("IMSI", prefix, n, width)?)
+    }
+
+    fn checked(d: Digits) -> Result<Self, ParseIdError> {
         if !(14..=15).contains(&d.len()) {
             return Err(ParseIdError::new(
                 "IMSI",
@@ -154,6 +224,15 @@ impl Imsi {
     /// The full digit string.
     pub fn digits(&self) -> String {
         self.0.as_string()
+    }
+}
+
+impl NumberKey for Imsi {
+    fn number(&self) -> (u64, usize) {
+        (self.0.value(), self.0.len())
+    }
+    fn from_number(value: u64, digits: usize) -> Option<Self> {
+        Digits::from_number("IMSI", value, digits).and_then(Imsi::checked).ok()
     }
 }
 
@@ -198,7 +277,22 @@ impl Msisdn {
     ///
     /// Returns [`ParseIdError`] on non-digits or a length outside 5–15.
     pub fn parse(s: &str) -> Result<Self, ParseIdError> {
-        let d = Digits::parse("MSISDN", s)?;
+        Msisdn::checked(Digits::parse("MSISDN", s)?)
+    }
+
+    /// The number `prefix` (one or more digits) followed by `n`
+    /// zero-padded to `width` digits: what
+    /// `Msisdn::parse(&format!("{prefix}{n:0width$}"))` returns, without
+    /// the string.
+    ///
+    /// # Errors
+    ///
+    /// As [`Msisdn::parse`] on that string, and for an empty prefix.
+    pub fn from_prefix(prefix: &str, n: u64, width: usize) -> Result<Self, ParseIdError> {
+        Msisdn::checked(Digits::from_prefix("MSISDN", prefix, n, width)?)
+    }
+
+    fn checked(d: Digits) -> Result<Self, ParseIdError> {
         if d.len() < 5 {
             return Err(ParseIdError::new(
                 "MSISDN",
@@ -216,6 +310,15 @@ impl Msisdn {
     /// The full digit string.
     pub fn digits(&self) -> String {
         self.0.as_string()
+    }
+}
+
+impl NumberKey for Msisdn {
+    fn number(&self) -> (u64, usize) {
+        (self.0.value(), self.0.len())
+    }
+    fn from_number(value: u64, digits: usize) -> Option<Self> {
+        Digits::from_number("MSISDN", value, digits).and_then(Msisdn::checked).ok()
     }
 }
 
@@ -654,6 +757,64 @@ mod tests {
         assert_eq!((imsi.suffix(14), imsi.suffix(15), imsi.suffix(99)), (5, 0, 0));
         // The same number the digit string spells.
         assert_eq!(imsi.digits()[6..].parse(), Ok(imsi.suffix(6)));
+    }
+
+    #[test]
+    fn number_is_the_value_and_the_digit_count() {
+        // Random 14- and 15-digit IMSIs and 5- to 15-digit MSISDNs, then
+        // the runs no random draw reaches: all zeros and all nines.
+        let mut rng = vgprs_sim::SimRng::new(35);
+        let mut numbers: Vec<String> = (0..4_000)
+            .map(|_| {
+                let len = rng.range(5, 16);
+                (0..len).map(|_| char::from(b'0' + rng.range(0, 10) as u8)).collect()
+            })
+            .collect();
+        for len in 5..=15 {
+            numbers.push("0".repeat(len));
+            numbers.push("9".repeat(len));
+        }
+        for digits in &numbers {
+            let value: u64 = digits.parse().expect("decimal digits");
+            let msisdn = Msisdn::parse(digits).expect("5 to 15 digits");
+            assert_eq!(msisdn.number(), (value, digits.len()), "{digits}");
+            assert_eq!(Msisdn::from_number(value, digits.len()), Some(msisdn), "{digits}");
+            if let Ok(imsi) = Imsi::parse(digits) {
+                assert_eq!(imsi.number(), (value, digits.len()), "{digits}");
+                assert_eq!(imsi.number().0, imsi.suffix(0), "{digits}");
+                assert_eq!(Imsi::from_number(value, digits.len()), Some(imsi), "{digits}");
+            }
+        }
+        let imsis = numbers.iter().filter(|d| d.len() >= 14).count();
+        assert!(imsis > 500, "only {imsis} IMSIs drawn");
+        // The inverse refuses what no identity spells.
+        assert_eq!(Msisdn::from_number(100_000, 5), None, "six digits");
+        assert_eq!(Msisdn::from_number(1, 4), None, "too short for an MSISDN");
+        assert_eq!(Msisdn::from_number(1, 16), None, "too long for either");
+        assert_eq!(Imsi::from_number(123, 13), None, "too short for an IMSI");
+    }
+
+    #[test]
+    fn from_prefix_is_the_format_string_without_the_string() {
+        for n in [0, 1, 9, 10, 12_345, 9_999_999, 10_000_000, 123_456_789] {
+            for width in [0, 1, 7] {
+                let text = format!("88691{n:0width$}");
+                assert_eq!(Msisdn::from_prefix("88691", n, width), Msisdn::parse(&text), "{text}");
+                let back = Msisdn::from_prefix("88691", n, width).expect("valid");
+                assert_eq!(Msisdn::from_number(back.number().0, back.number().1), Some(back));
+            }
+            let text = format!("466920{n:09}");
+            assert_eq!(Imsi::from_prefix("466920", n, 9), Imsi::parse(&text), "{text}");
+            assert_eq!(Imsi::from_prefix("466920", n, 9).expect("valid").suffix(6), n);
+        }
+        // Leading zeros of the prefix are digits too.
+        assert_eq!(Msisdn::from_prefix("00", 123, 4).unwrap().digits(), "000123");
+        // Whatever parsing rejects, the arithmetic rejects.
+        assert!(Imsi::from_prefix("466920", 1_000_000_000, 9).is_err(), "16 digits");
+        assert!(Imsi::from_prefix("4669", 1, 9).is_err(), "13 digits");
+        assert!(Msisdn::from_prefix("8x", 1, 7).is_err());
+        assert!(Msisdn::from_prefix("886", 1, 0).is_err(), "4 digits");
+        assert!(Msisdn::from_prefix("", 1, 7).is_err(), "no prefix");
     }
 
     #[test]

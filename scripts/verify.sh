@@ -64,14 +64,30 @@ grep -q '^#!\[forbid(unsafe_code)\]' crates/load/src/lib.rs || {
 
 echo "==> one hasher"
 # Every key a table holds was issued by the simulator, so every table is
-# an IdMap / IdSet over the one fixed hasher in crates/sim/src/idmap.rs.
-# A std table would pay SipHash again; a private hasher would be the
-# fourth of its kind.
+# one of the three types in crates/sim/src/idmap.rs: an IdMap / IdSet
+# over its one fixed hasher, or a NumberBlock, whose keys outside their
+# declared number series fall through to an IdMap. A std table would pay
+# SipHash again; a private hasher would be the fourth of its kind.
 grep -q 'impl Hasher for IdHasher' crates/sim/src/idmap.rs || {
     echo "error: crates/sim/src/idmap.rs no longer holds the hasher" >&2; exit 1; }
 tripwire "a hash table or a hasher outside crates/sim/src/idmap.rs" -rE \
     '\bHash(Map|Set)\b|RandomState|impl (std::hash::)?Hasher for' \
     --exclude=idmap.rs crates/*/src
+
+echo "==> home registers are number blocks"
+# A home population is provisioned from contiguous number series, so the
+# registers that keep a row per subscriber (HLR with its AuC and MSISDN
+# index, VLR, the VMSC's MS table, the SGSN's MM contexts, the
+# gatekeeper's alias table) are NumberBlocks: a dense slot per home
+# number instead of a half-empty hash table. Tables keyed by what a node
+# issues itself (TMSI, MSRN, TEID, address, connection reference) stay
+# IdMaps.
+tripwire "a home register hashed again: use vgprs_sim::NumberBlock" -E \
+    'IdMap<Imsi, (HlrRecord|VlrRecord|MsEntry|MmContext|Ki)>' \
+    crates/gsm/src/hlr.rs crates/gsm/src/auth.rs crates/gsm/src/vlr.rs \
+    crates/core/src/vmsc/mod.rs crates/gprs/src/sgsn.rs
+tripwire "a home number index hashed again: use vgprs_sim::NumberBlock" -E \
+    'IdMap<Msisdn, (Imsi|TransportAddr)>' crates/gsm/src/hlr.rs crates/h323/src/gatekeeper.rs
 
 echo "==> no uncalled public functions"
 # A `pub fn` whose name occurs exactly once as a whole word in everything
