@@ -18,9 +18,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod provision;
 pub mod testbed;
 mod vmsc;
 
+pub use provision::FIGURE_4;
 pub use testbed::{
     AccessHalf, Architecture, GsmZone, GsmZoneConfig, HomeNumbers, LatencyProfile, PacketHalf,
     VgprsZone, VgprsZoneConfig,

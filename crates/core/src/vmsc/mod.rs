@@ -36,6 +36,7 @@ mod row;
 mod termination;
 mod timers;
 
+pub(crate) use registration::Registration;
 use row::{CallLeg, CallPhase, TargetLeg};
 pub use row::{MsEntry, RegPhase};
 use timers::{TimerKey, Timers};
@@ -68,7 +69,7 @@ const NAMES: SideNames = SideNames {
 };
 
 /// Well-known port for H.225 call signaling.
-const H225_PORT: u16 = 1720;
+pub(crate) const H225_PORT: u16 = 1720;
 /// Port the VMSC terminates RTP on, per MS.
 const MEDIA_PORT: u16 = 30_000;
 /// How long to wait for a paging response before clearing the call.
@@ -86,7 +87,7 @@ const GK_BACKOFF: Backoff = Backoff {
 const SETUP_SUPERVISION: SimDuration = SimDuration::from_secs(12);
 
 /// Signaling PDP context NSAPI (paper step 1.3).
-fn sig_nsapi() -> Nsapi {
+pub(crate) fn sig_nsapi() -> Nsapi {
     Nsapi::new(5).expect("5 is a valid NSAPI")
 }
 

@@ -1,16 +1,77 @@
 //! Registration (paper §3, Figure 4, steps 1.1–1.6), and how an MS
 //! leaves the table again: a failed step, a purge, a backbone resync.
 
-use vgprs_sim::Context;
+use vgprs_sim::{Context, NodeId, SimDuration, SimTime};
 use vgprs_wire::{
     Cause, ConnRef, Dtap, GmmMessage, Imsi, Ipv4Addr, Lai, Message, MsIdentity, Msisdn, QosProfile,
     RasMessage, Tmsi,
 };
 
 use super::timers::{Guard, TimerKey};
-use super::{sig_nsapi, voice_nsapi, CallPhase, MsEntry, RegPhase, Vmsc, GK_BACKOFF, H225_PORT};
+use super::{
+    sig_nsapi, voice_nsapi, CallPhase, MsEntry, RegPhase, Vmsc, GK_BACKOFF, H225_PORT, NAMES,
+};
+
+/// One handset whose registration ran to completion, as
+/// [`Vmsc::provision_registered`] writes it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Registration {
+    pub(crate) imsi: Imsi,
+    pub(crate) msisdn: Msisdn,
+    pub(crate) tmsi: Tmsi,
+    /// The radio connection, and the BSC it runs through.
+    pub(crate) conn: (ConnRef, NodeId),
+    /// The signaling context's PDP address.
+    pub(crate) addr: Ipv4Addr,
+    /// When the location update reached the VMSC.
+    pub(crate) started: SimTime,
+}
 
 impl Vmsc {
+    /// Writes what a whole registration (steps 1.1–1.6) leaves in the
+    /// MS table and the GSM side. Call it at the instant the RCF
+    /// arrives. The idle-deactivation ablation is not provisioned.
+    pub(crate) fn provision_registered(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        reg: Registration,
+    ) {
+        assert!(
+            !self.config.deactivate_idle_contexts,
+            "a provisioned registration keeps its signaling context"
+        );
+        let (conn, bsc) = reg.conn;
+        self.gsm.arrived(conn, bsc);
+        self.gsm.bind(conn, reg.imsi);
+        ctx.count(NAMES.registrations_started);
+        self.gsm.learn_tmsi(Some(reg.tmsi), reg.imsi);
+        let mut entry = MsEntry::new(reg.imsi, Some(conn), reg.started);
+        entry.msisdn = Some(reg.msisdn);
+        entry.tmsi = Some(reg.tmsi);
+        entry.signaling_addr = Some(reg.addr);
+        entry.phase = RegPhase::Registered;
+        self.ms_table.insert(reg.imsi, entry);
+        self.by_addr.insert(reg.addr, reg.imsi);
+        Self::count_registered(ctx, reg.started);
+    }
+
+    /// How long after a registration's RRQ its guard fires, when the
+    /// VMSC arms one (resilience mode). An answered guard is cancelled,
+    /// but its event still drains at that instant.
+    pub(crate) fn ras_guard(&self) -> Option<SimDuration> {
+        self.config.resilience.then(|| {
+            GK_BACKOFF
+                .delay(0)
+                .expect("RAS schedule allows a first wait")
+        })
+    }
+
+    /// Step 1.6 reached, for the registration KPIs.
+    fn count_registered(ctx: &mut Context<'_, Message>, started: SimTime) {
+        ctx.count("vmsc.registrations_completed");
+        ctx.observe_duration("vmsc.registration_ms", ctx.now().duration_since(started));
+    }
+
     /// Step 1.1: relay the location update into the VLR.
     pub(super) fn location_update(
         &mut self,
@@ -143,10 +204,7 @@ impl Vmsc {
     /// Starts the RAS registration guard's ladder for an MS whose RRQ
     /// just went out. Resilience mode only.
     fn arm_ras_guard(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi) {
-        if self.config.resilience {
-            let delay = GK_BACKOFF
-                .delay(0)
-                .expect("RAS schedule allows a first wait");
+        if let Some(delay) = self.ras_guard() {
             self.timers.arm(ctx, TimerKey::Ras(imsi), delay, None);
         }
     }
@@ -189,11 +247,7 @@ impl Vmsc {
         self.timers
             .answered(ctx, &TimerKey::Ras(imsi), "vmsc.ras_recovery_ms");
         ctx.note("Step 1.6: registration complete; accept -> MS");
-        ctx.count("vmsc.registrations_completed");
-        ctx.observe_duration(
-            "vmsc.registration_ms",
-            ctx.now().duration_since(reg_started),
-        );
+        Self::count_registered(ctx, reg_started);
         if let Some(conn) = conn {
             self.gsm
                 .send(ctx, conn, Dtap::LocationUpdateAccept { tmsi });

@@ -1,6 +1,6 @@
 //! End-to-end reproduction of the paper's Figure 4: vGPRS registration.
 
-use vgprs_core::{RegPhase, VgprsZone, VgprsZoneConfig, Vmsc};
+use vgprs_core::{RegPhase, VgprsZone, VgprsZoneConfig, Vmsc, FIGURE_4};
 use vgprs_gsm::{MobileStation, MsState};
 use vgprs_h323::Gatekeeper;
 use vgprs_sim::{Network, SimDuration};
@@ -30,25 +30,7 @@ fn figure4_registration_ladder() {
     let (net, _zone, _ms) = registered_zone();
     // The paper's Figure 4, steps 1.1 – 1.6, as a label subsequence:
     assert!(
-        net.trace().contains_subsequence(&[
-            "Um_Location_Update_Request",  // step 1.1
-            "Abis_Location_Update",        //   "
-            "A_Location_Update",           //   "
-            "MAP_Update_Location_Area",    //   "
-            "MAP_Update_Location",         // step 1.2
-            "MAP_Insert_Subs_Data",        //   "
-            "MAP_Update_Location_Area_ack",//   "
-            "GPRS_Attach_Request",         // step 1.3
-            "GPRS_Attach_Accept",          //   "
-            "Activate_PDP_Context_Request",//   "
-            "Activate_PDP_Context_Accept", //   "
-            "LLC:RAS_RRQ",                 // step 1.4
-            "GTP:RAS_RRQ",                 //   " (tunneled, Fig. 3)
-            "RAS_RRQ",                     //   " (on the LAN)
-            "RAS_RCF",                     // step 1.5
-            "A_Location_Update_Accept",    // step 1.6
-            "Um_Location_Update_Accept",   //   "
-        ]),
+        net.trace().contains_subsequence(&FIGURE_4),
         "registration ladder mismatch; got:\n{}",
         vgprs_sim::LadderDiagram::new(net.trace()).render()
     );

@@ -137,6 +137,43 @@ impl Ggsn {
         Teid(0x6000_0000 | self.next_teid)
     }
 
+    /// Creates the context record of `(imsi, nsapi)` for `sgsn`, which
+    /// tunnels it under `sgsn_teid` (Figure 4, step 1.3): the address is
+    /// `static_addr` if given, else the subscriber's provisioned static
+    /// address, else a dynamic one. Returns the address and the GGSN's
+    /// tunnel end; `None` when the address is outside the pool or the
+    /// pool is exhausted.
+    pub fn create_pdp(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        (imsi, nsapi): (Imsi, Nsapi),
+        static_addr: Option<Ipv4Addr>,
+        (sgsn, sgsn_teid): (NodeId, Teid),
+    ) -> Option<(Ipv4Addr, Teid)> {
+        let addr = match static_addr.or_else(|| self.static_of_imsi.get(&imsi).copied()) {
+            Some(a) if self.owns(a) => Some(a),
+            Some(_) => None,
+            None => self.alloc_dynamic(),
+        };
+        let Some(addr) = addr else {
+            ctx.count("ggsn.pool_exhausted");
+            return None;
+        };
+        let teid = self.alloc_teid();
+        self.pdp.insert(
+            teid,
+            PdpRecord {
+                addr,
+                sgsn,
+                sgsn_teid,
+            },
+        );
+        self.by_addr.insert(addr, teid);
+        self.by_sub.insert((imsi, nsapi), teid);
+        ctx.count("ggsn.pdp_created");
+        Some((addr, teid))
+    }
+
     fn route_ip(&mut self, ctx: &mut Context<'_, Message>, packet: IpPacket) {
         let dst = packet.dst.ip;
         if self.owns(dst) {
@@ -192,16 +229,8 @@ impl Ggsn {
                 static_addr,
                 sgsn_teid,
             } => {
-                // Pick the address: an explicitly requested static address,
-                // the subscriber's provisioned static address, or a
-                // dynamic one.
-                let addr = match static_addr.or_else(|| self.static_of_imsi.get(&imsi).copied()) {
-                    Some(a) if self.owns(a) => Some(a),
-                    Some(_) => None,
-                    None => self.alloc_dynamic(),
-                };
-                let Some(addr) = addr else {
-                    ctx.count("ggsn.pool_exhausted");
+                let created = self.create_pdp(ctx, (imsi, nsapi), static_addr, (from, sgsn_teid));
+                let Some((addr, teid)) = created else {
                     ctx.send(
                         from,
                         Message::Gtp(GtpMessage::CreatePdpResponse {
@@ -212,18 +241,6 @@ impl Ggsn {
                     );
                     return;
                 };
-                let teid = self.alloc_teid();
-                self.pdp.insert(
-                    teid,
-                    PdpRecord {
-                        addr,
-                        sgsn: from,
-                        sgsn_teid,
-                    },
-                );
-                self.by_addr.insert(addr, teid);
-                self.by_sub.insert((imsi, nsapi), teid);
-                ctx.count("ggsn.pdp_created");
                 ctx.send(
                     from,
                     Message::Gtp(GtpMessage::CreatePdpResponse {

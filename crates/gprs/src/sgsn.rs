@@ -100,13 +100,53 @@ impl Sgsn {
         Teid(0x5000_0000 | self.next_teid)
     }
 
+    /// Attaches `imsi` on behalf of `endpoint` (Figure 4, step 1.3): a
+    /// P-TMSI, which it returns, and the MM context.
+    pub fn attach(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi, endpoint: NodeId) -> Tmsi {
+        self.next_ptmsi += 1;
+        self.mm.insert(imsi, MmContext { endpoint });
+        ctx.count("sgsn.attaches");
+        Tmsi(0xB000_0000 | self.next_ptmsi)
+    }
+
+    /// Opens the context `(imsi, nsapi)` to wait for the GGSN, under a
+    /// fresh tunnel end, which it returns for the GGSN to be told of.
+    pub fn open_pdp(&mut self, imsi: Imsi, nsapi: Nsapi, qos: QosProfile) -> Teid {
+        let sgsn_teid = self.alloc_teid();
+        self.pdp.insert(
+            (imsi, nsapi),
+            SgsnPdp {
+                sgsn_teid,
+                ggsn_teid: None,
+                addr: None,
+                qos,
+            },
+        );
+        self.teid_index.insert(sgsn_teid, (imsi, nsapi));
+        sgsn_teid
+    }
+
+    /// The GGSN created the context: it is up at `addr`, tunnelled to
+    /// `ggsn_teid`.
+    pub fn pdp_up(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        imsi: Imsi,
+        nsapi: Nsapi,
+        (addr, ggsn_teid, qos): (Ipv4Addr, Teid, QosProfile),
+    ) {
+        if let Some(pdp) = self.pdp.get_mut(&(imsi, nsapi)) {
+            pdp.ggsn_teid = Some(ggsn_teid);
+            pdp.addr = Some(addr);
+            pdp.qos = qos;
+        }
+        ctx.count("sgsn.pdp_activated");
+    }
+
     fn handle_gmm(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: GmmMessage) {
         match msg {
             GmmMessage::AttachRequest { imsi } => {
-                self.next_ptmsi += 1;
-                let ptmsi = Tmsi(0xB000_0000 | self.next_ptmsi);
-                self.mm.insert(imsi, MmContext { endpoint: from });
-                ctx.count("sgsn.attaches");
+                let ptmsi = self.attach(ctx, imsi, from);
                 ctx.send(from, Message::Gmm(GmmMessage::AttachAccept { imsi, ptmsi }));
             }
             GmmMessage::DetachRequest { imsi } => {
@@ -207,17 +247,7 @@ impl Sgsn {
             );
             return;
         }
-        let sgsn_teid = self.alloc_teid();
-        self.pdp.insert(
-            (imsi, nsapi),
-            SgsnPdp {
-                sgsn_teid,
-                ggsn_teid: None,
-                addr: None,
-                qos,
-            },
-        );
-        self.teid_index.insert(sgsn_teid, (imsi, nsapi));
+        let sgsn_teid = self.open_pdp(imsi, nsapi, qos);
         ctx.send(
             self.ggsn,
             Message::Gtp(GtpMessage::CreatePdpRequest {
@@ -253,12 +283,7 @@ impl Sgsn {
                 };
                 match result {
                     Ok((addr, ggsn_teid, qos)) => {
-                        if let Some(pdp) = self.pdp.get_mut(&(imsi, nsapi)) {
-                            pdp.ggsn_teid = Some(ggsn_teid);
-                            pdp.addr = Some(addr);
-                            pdp.qos = qos;
-                        }
-                        ctx.count("sgsn.pdp_activated");
+                        self.pdp_up(ctx, imsi, nsapi, (addr, ggsn_teid, qos));
                         ctx.send(
                             mm_endpoint,
                             Message::Gmm(GmmMessage::ActivatePdpContextAccept {

@@ -64,6 +64,12 @@ impl Bsc {
         }
     }
 
+    /// Records that `conn` runs through `bts`, as its first uplink
+    /// message would have.
+    pub fn provision_connection(&mut self, conn: ConnRef, bts: NodeId) {
+        self.conn_to_bts.insert(conn, bts);
+    }
+
     fn cell_of(&self, bts: NodeId) -> CellId {
         self.btss
             .iter()

@@ -106,7 +106,10 @@ impl Bts {
         }
     }
 
-    fn alloc_conn(&mut self, ctx: &Context<'_, Message>, ms: NodeId) -> ConnRef {
+    /// Opens a radio connection for `ms`, as a transaction it starts
+    /// does (a location update, Figure 4 step 1.1, among them), and
+    /// returns its reference.
+    pub fn open_connection(&mut self, ctx: &Context<'_, Message>, ms: NodeId) -> ConnRef {
         self.next_conn += 1;
         // Upper half = BTS node index, lower half = local counter: globally
         // unique without coordination, and never 0 (the connectionless ref).
@@ -195,7 +198,7 @@ impl Node<Message> for Bts {
                     return;
                 }
                 let conn = if Self::starts_transaction(&dtap) {
-                    self.alloc_conn(ctx, from)
+                    self.open_connection(ctx, from)
                 } else {
                     match self.ms_to_conn.get(&from) {
                         Some(c) => *c,

@@ -7,7 +7,7 @@
 
 use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{
-    Cause, Imsi, MapMessage, Message, Msisdn, PointCode, SubscriberProfile,
+    AuthTriplet, Cause, Imsi, MapMessage, Message, Msisdn, PointCode, SubscriberProfile,
 };
 
 use crate::auth::{AuthCenter, Ki};
@@ -73,6 +73,41 @@ impl Hlr {
         self.records.get(imsi).and_then(|r| r.sgsn)
     }
 
+    /// Three authentication vectors for `imsi`, as real HLRs batch
+    /// them: one RAND each from the network's random stream (none for
+    /// an unknown subscriber).
+    fn vectors(&self, ctx: &mut Context<'_, Message>, imsi: &Imsi) -> Vec<AuthTriplet> {
+        (0..3)
+            .filter_map(|_| {
+                let rand = ctx.rng().next_u64();
+                self.auc.generate(imsi, rand)
+            })
+            .collect()
+    }
+
+    /// Writes what a first registration of `imsi` through the VLR `vlr`
+    /// (Figure 4, steps 1.1–1.2) leaves here, and returns what the HLR
+    /// handed that VLR: the profile and the three vectors, drawn from
+    /// the network's stream exactly as the ladder draws them. `None` for
+    /// a subscriber this HLR does not hold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the subscriber is already registered somewhere: the
+    /// ladder would then have cancelled the old location.
+    pub fn provision_location(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        imsi: Imsi,
+        vlr: (NodeId, PointCode),
+    ) -> Option<(SubscriberProfile, Vec<AuthTriplet>)> {
+        let triplets = self.vectors(ctx, &imsi);
+        let rec = self.records.get_mut(&imsi)?;
+        assert!(rec.vlr.replace(vlr).is_none(), "{imsi} is already located");
+        ctx.count("hlr.locations_updated");
+        Some((rec.profile, triplets))
+    }
+
     /// Hands subscriber ownership to another HLR: drops the local record
     /// and cancels any serving VLR so stale registrations can't answer
     /// routing queries here. Driven administratively (an `Internal`
@@ -97,13 +132,7 @@ impl Hlr {
     fn handle_map(&mut self, ctx: &mut Context<'_, Message>, from: NodeId, msg: MapMessage) {
         match msg {
             MapMessage::SendAuthenticationInfo { imsi } => {
-                // Three vectors per request, as real HLRs batch them.
-                let triplets: Vec<_> = (0..3)
-                    .filter_map(|_| {
-                        let rand = ctx.rng().next_u64();
-                        self.auc.generate(&imsi, rand)
-                    })
-                    .collect();
+                let triplets = self.vectors(ctx, &imsi);
                 if triplets.is_empty() {
                     ctx.count("hlr.sai_unknown_subscriber");
                 }

@@ -198,15 +198,46 @@ impl MobileStation {
         self.state = MsState::Idle;
     }
 
+    /// Switched on at `at`: registration starts.
+    fn power_on(&mut self, ctx: &mut Context<'_, Message>, at: SimTime) {
+        self.state = MsState::Registering;
+        self.registered_at = Some(at);
+        ctx.count("ms.power_on");
+    }
+
+    /// The network accepted the location update.
+    fn registered(&mut self, ctx: &mut Context<'_, Message>, tmsi: Option<Tmsi>) {
+        if let Some(t) = tmsi {
+            self.tmsi = Some(t);
+        }
+        self.state = MsState::Idle;
+        ctx.count("ms.registered");
+        if let Some(at) = self.registered_at.take() {
+            ctx.observe_duration("ms.registration_ms", ctx.now().duration_since(at));
+        }
+    }
+
+    /// Writes what switching on at `powered_on` and the accepted
+    /// location update (Figure 4, steps 1.1 and 1.6) leave here: idle
+    /// under `tmsi`. Call it at the instant the accept arrives.
+    pub fn provision_registered(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        powered_on: SimTime,
+        tmsi: Tmsi,
+    ) {
+        assert_eq!(self.state, MsState::Off, "a provisioned MS starts switched off");
+        self.power_on(ctx, powered_on);
+        self.registered(ctx, Some(tmsi));
+    }
+
     fn handle_command(&mut self, ctx: &mut Context<'_, Message>, cmd: Command) {
         match cmd {
             Command::PowerOn => {
                 if self.state != MsState::Off {
                     return;
                 }
-                self.state = MsState::Registering;
-                self.registered_at = Some(ctx.now());
-                ctx.count("ms.power_on");
+                self.power_on(ctx, ctx.now());
                 self.send_um(
                     ctx,
                     Dtap::LocationUpdateRequest {
@@ -308,16 +339,7 @@ impl MobileStation {
             Dtap::ChannelAssignment { .. } => {
                 self.send_um(ctx, Dtap::ChannelAssignmentComplete)
             }
-            Dtap::LocationUpdateAccept { tmsi } => {
-                if let Some(t) = tmsi {
-                    self.tmsi = Some(t);
-                }
-                self.state = MsState::Idle;
-                ctx.count("ms.registered");
-                if let Some(at) = self.registered_at.take() {
-                    ctx.observe_duration("ms.registration_ms", ctx.now().duration_since(at));
-                }
-            }
+            Dtap::LocationUpdateAccept { tmsi } => self.registered(ctx, tmsi),
             Dtap::LocationUpdateReject { .. } => {
                 if self.tmsi.take().is_some() {
                     // Retry with the permanent identity, as GSM prescribes

@@ -91,6 +91,39 @@ impl Vlr {
         self.records.declare(first, count);
     }
 
+    /// This VLR's SS7 address, as it names itself to an HLR.
+    pub fn point_code(&self) -> PointCode {
+        self.config.point_code
+    }
+
+    /// Writes what a first registration of `imsi` in `lai` (Figure 4,
+    /// steps 1.1–1.2) leaves here: the record with the profile and the
+    /// vectors the HLR sent — the last one spent on the challenge, the
+    /// other two kept — and a fresh TMSI, which it returns.
+    pub fn provision_registered(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        imsi: Imsi,
+        lai: Lai,
+        profile: SubscriberProfile,
+        mut triplets: Vec<AuthTriplet>,
+    ) -> Tmsi {
+        let current = triplets.pop();
+        self.records.insert(
+            imsi,
+            VlrRecord {
+                lai: Some(lai),
+                tmsi: None,
+                profile: Some(profile),
+                triplets,
+                current,
+            },
+        );
+        ctx.count("vlr.auth_success");
+        ctx.count("vlr.registrations");
+        self.alloc_tmsi(imsi)
+    }
+
     /// Re-targets the VLR at a different MSC (used by network builders
     /// that must create the VLR before its MSC exists).
     pub fn set_msc(&mut self, msc: NodeId) {

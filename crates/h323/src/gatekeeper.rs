@@ -112,6 +112,18 @@ impl Gatekeeper {
         self.imsi_directory.len()
     }
 
+    /// Registers `alias` at `transport`, as an RRQ does: paper step 1.5
+    /// creates the (IP address, MSISDN) entry.
+    pub fn register(
+        &mut self,
+        ctx: &mut Context<'_, Message>,
+        alias: Msisdn,
+        transport: TransportAddr,
+    ) {
+        self.table.insert(alias, transport);
+        ctx.count("gk.registrations");
+    }
+
     fn reply(&self, ctx: &mut Context<'_, Message>, to: TransportAddr, ras: RasMessage) {
         let packet = IpPacket::new(self.config.addr, to, IpPayload::Ras(ras));
         ctx.send(self.router, Message::Ip(packet));
@@ -124,15 +136,13 @@ impl Gatekeeper {
                 transport,
                 imsi,
             } => {
-                // Paper step 1.5: create the (IP address, MSISDN) entry.
-                self.table.insert(alias, transport);
+                self.register(ctx, alias, transport);
                 if let Some(imsi) = imsi {
                     // TR 22.973 mode: the gatekeeper is handed the
                     // confidential IMSI (paper Section 6's objection).
                     self.imsi_directory.insert(alias, imsi);
                     ctx.count("gk.imsi_disclosures");
                 }
-                ctx.count("gk.registrations");
                 self.reply(ctx, src, RasMessage::Rcf { alias });
             }
             RasMessage::Urq { alias } => {

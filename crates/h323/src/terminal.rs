@@ -210,6 +210,11 @@ impl<U: Uplink> H323Endpoint<U> {
         self.state
     }
 
+    /// The endpoint's configuration: its alias and addresses.
+    pub fn config(&self) -> &TerminalConfig {
+        &self.config
+    }
+
     fn media_addr(&self) -> TransportAddr {
         TransportAddr::new(self.config.addr.ip, self.config.addr.port + 10_000)
     }
@@ -249,6 +254,15 @@ impl<U: Uplink> H323Endpoint<U> {
                 imsi,
             },
         );
+    }
+
+    /// The gatekeeper confirmed the registration that
+    /// [`register`](Self::register) sent: the endpoint is idle.
+    pub fn confirm_registration(&mut self, ctx: &mut Context<'_, Message>) {
+        if self.state == TerminalState::Registering {
+            self.state = TerminalState::Idle;
+            ctx.count(U::NAMES.registered);
+        }
     }
 
     /// Sends the originating ARQ of a dialled call. False when there is
@@ -434,12 +448,7 @@ impl<U: Uplink> H323Endpoint<U> {
 
     fn handle_ras(&mut self, ctx: &mut Context<'_, Message>, ras: RasMessage) {
         match ras {
-            RasMessage::Rcf { .. } => {
-                if self.state == TerminalState::Registering {
-                    self.state = TerminalState::Idle;
-                    ctx.count(U::NAMES.registered);
-                }
-            }
+            RasMessage::Rcf { .. } => self.confirm_registration(ctx),
             RasMessage::Rrj { .. } => ctx.count(U::NAMES.registration_rejected),
             RasMessage::Acf {
                 call,

@@ -50,7 +50,7 @@ use vgprs_sim::Kernel;
 use crate::mailbox::{Envelope, Flit, HlrDirectory, EPOCH_MS};
 use crate::population::{subscriber_plan_demand, PopulationConfig, SubscriberPlan};
 use crate::report::LoadReport;
-use crate::shard::{Shard, ShardConfig, ShardReport};
+use crate::shard::{Registration, Shard, ShardConfig, ShardReport};
 use crate::trunk::TrunkFabric;
 
 /// Target shard size when the caller lets the engine pick: small enough
@@ -166,19 +166,21 @@ pub fn partition(subscribers: usize, shards: usize) -> Vec<(usize, usize)> {
 /// Runs the configured busy hour and returns the merged report.
 pub fn run_load(cfg: &LoadConfig) -> LoadReport {
     let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    run_load_with(cfg, cores, |_| {})
+    run_load_with(cfg, cores, Registration::Provision, |_| {})
 }
 
 /// [`run_load`] on `workers` threads (the caller's included; capped at
-/// the shard count) with a hook applied to every shard between its
-/// build and its first epoch. Tests use the first to hold results to
-/// any worker count whatever the host has, and the second to put the
-/// shards on an oracle model ([`Shard::set_media_cut_through`]);
-/// neither is a configuration surface.
+/// the shard count), every shard registered as `registration` says and
+/// then handed to a hook before its first epoch. Tests use the first to
+/// hold results to any worker count whatever the host has, and the
+/// other two to put the shards on an oracle model (the registration
+/// ladder, [`Shard::set_media_cut_through`]); none is a configuration
+/// surface.
 #[doc(hidden)]
 pub fn run_load_with(
     cfg: &LoadConfig,
     workers: usize,
+    registration: Registration,
     prepare: impl Fn(&mut Shard) + Sync,
 ) -> LoadReport {
     let shards = cfg.effective_shards();
@@ -207,7 +209,7 @@ pub fn run_load_with(
             if index >= shards {
                 break;
             }
-            let shard = build_shard(cfg, &parts, index, &prepare);
+            let shard = build_shard(cfg, &parts, index, registration, &prepare);
             pool.lock()
                 .expect("a builder panicked")
                 .push((index, shard));
@@ -306,11 +308,13 @@ fn lockstep<'a, W: Fn(&mut Lane, u64)>(
     fleet
 }
 
-/// Builds shard `index` of `parts` and applies `prepare` to it.
+/// Builds shard `index` of `parts`, registered as `registration` says,
+/// and applies `prepare` to it.
 fn build_shard(
     cfg: &LoadConfig,
     parts: &[(usize, usize)],
     index: usize,
+    registration: Registration,
     prepare: &impl Fn(&mut Shard),
 ) -> Shard {
     let (base, size) = parts[index];
@@ -335,7 +339,7 @@ fn build_shard(
     let plans: Vec<SubscriberPlan> = (0..size)
         .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))
         .collect();
-    let mut shard = Shard::new(&shard_cfg, &plans);
+    let mut shard = Shard::build(&shard_cfg, &plans, registration);
     prepare(&mut shard);
     shard
 }
@@ -774,10 +778,10 @@ mod tests {
             ..LoadConfig::default()
         };
         let park = |shard: &mut Shard| shard.park_beyond_the_cap();
-        let skipped = run_load_with(&cfg, 1, park);
+        let skipped = run_load_with(&cfg, 1, Registration::Provision, park);
 
         let parts = partition(cfg.subscribers, 1);
-        let mut shard = build_shard(&cfg, &parts, 0, &park);
+        let mut shard = build_shard(&cfg, &parts, 0, Registration::Provision, &park);
         let mut epoch = 0;
         while shard.is_busy() && epoch <= shard.max_epoch_hint() {
             shard.run_epoch(epoch, Vec::new());

@@ -19,7 +19,8 @@
 //! one row per subscriber, the epoch loop and [`Shard::finish`]. The
 //! rest of the driver is split by concern:
 //!
-//! * `world` — [`Shard::new`]: zones → gates → subscribers → schedule;
+//! * `world` — [`Shard::new`]: zones → gates → subscribers → their
+//!   registration, provisioned → schedule;
 //! * `driver` — the scheduled actions: attempt, probe, hangup, mute;
 //! * `faults` — opening and closing the fault plan's windows;
 //! * `cross` — everything that crosses a shard boundary: moves, barrier
@@ -29,6 +30,8 @@ mod cross;
 mod driver;
 mod faults;
 mod world;
+
+pub use world::Registration;
 
 use vgprs_core::VgprsZone;
 use vgprs_faults::{FaultPlan, FaultPlanConfig};

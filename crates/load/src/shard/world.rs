@@ -1,13 +1,20 @@
 //! Building a shard's world, in the order its nodes are created (node
 //! ids break event ties, so the order is part of the world): the two
-//! serving areas, the cross-shard gates, the subscribers — then
-//! registration runs to quiescence and the plans become the schedule.
+//! serving areas, the cross-shard gates, the subscribers — then the
+//! population starts registered and the plans become the schedule.
+//!
+//! Registration is written, not run: every handset powers on 7 ms after
+//! the previous one, and [`VgprsZone::provision_registered`] writes what
+//! its Figure 4 ladder, and each terminal's RRQ, would leave, so the
+//! busy hour starts at the instant those ladders would have gone quiet.
+//! [`Registration::Replay`] runs the ladders instead: the oracle the
+//! provisioned build is held to.
 
 use vgprs_core::{HomeNumbers, VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_faults::compile_plan;
 use vgprs_gsm::{MobileStation, Vlr};
 use vgprs_scenario::compile_demand;
-use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimDuration, SimRng};
+use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTime};
 use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, Msisdn, TransportAddr};
 
 use super::driver::{Action, Dial};
@@ -18,6 +25,21 @@ use crate::snapshot::SnapshotRecorder;
 
 /// Stream-class salt for per-shard network seeds.
 const STREAM_SHARD: u64 = 0x1656_67B1_9E37_79F9;
+
+/// How a shard's population gets registered before its busy hour.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Registration {
+    /// Write what the ladders leave: what [`Shard::new`] does.
+    Provision,
+    /// Power the handsets on and run every ladder to quiescence: the
+    /// oracle.
+    Replay {
+        /// Keep the message trace, details included, as a shard
+        /// otherwise does not.
+        trace: bool,
+    },
+}
 
 /// The alias of the subscriber's paired wireline terminal.
 fn alias_for(global: usize) -> Msisdn {
@@ -114,7 +136,7 @@ fn cross_target(cfg: &ShardConfig, plan: &SubscriberPlan) -> Option<usize> {
 }
 
 /// One handset and one wireline terminal per plan, the handset wired to
-/// wherever its excursion takes it and powered on 7 ms after the last.
+/// wherever its excursion takes it.
 fn add_subscribers(
     net: &mut Network<Message>,
     cfg: &ShardConfig,
@@ -124,7 +146,7 @@ fn add_subscribers(
     radio_gate: NodeId,
 ) -> Vec<Subscriber> {
     let mut subs = Vec::with_capacity(plans.len());
-    for (local, plan) in plans.iter().enumerate() {
+    for plan in plans {
         let g = plan.global_index;
         let (msisdn, alias) = (msisdn_for(g), alias_for(g));
         let ms = home
@@ -145,8 +167,6 @@ fn add_subscribers(
                 .expect("new MS")
                 .add_neighbor(home.access.cell, home.access.bts);
         }
-        let power_on = SimDuration::from_millis(local as u64 * 7);
-        net.inject(power_on, ms, Message::Cmd(Command::PowerOn));
         subs.push(Subscriber {
             ms,
             terminal,
@@ -167,16 +187,58 @@ fn add_subscribers(
     subs
 }
 
+/// Registers the population as `registration` says, handsets powering
+/// on 7 ms apart, and returns how many events that took. The clock then
+/// reads the busy hour's t0: the instant registration settled.
+fn register(
+    net: &mut Network<Message>,
+    home: &VgprsZone,
+    subs: &[Subscriber],
+    registration: Registration,
+) -> u64 {
+    let handsets: Vec<(NodeId, SimTime)> = (subs.iter().enumerate())
+        .map(|(local, sub)| (sub.ms, SimTime::from_micros(local as u64 * 7_000)))
+        .collect();
+    match registration {
+        Registration::Provision => {
+            let terminals: Vec<NodeId> = subs.iter().map(|sub| sub.terminal).collect();
+            let quiet = home.provision_registered(net, &terminals, &handsets);
+            net.start_at(quiet);
+            0
+        }
+        Registration::Replay { .. } => {
+            for &(ms, at) in &handsets {
+                let power_on = Message::Cmd(Command::PowerOn);
+                net.inject(at.duration_since(SimTime::ZERO), ms, power_on);
+            }
+            let outcome = net.run_until_quiescent();
+            if !outcome.quiescent {
+                net.stats_mut().count("load.event_capped");
+            }
+            outcome.events
+        }
+    }
+}
+
 impl Shard {
-    /// Builds the shard's world and registers its population. The
+    /// Builds the shard's world with its population registered. The
     /// returned shard sits at its busy-hour t0, ready for epoch 0.
     pub fn new(cfg: &ShardConfig, plans: &[SubscriberPlan]) -> Shard {
+        Shard::build(cfg, plans, Registration::Provision)
+    }
+
+    /// [`Shard::new`], with the population registered as `registration`
+    /// says: [`Registration::Replay`] is the oracle for the provisioned
+    /// start, and the one way to see a shard's Figure 4 ladders.
+    #[doc(hidden)]
+    pub fn build(cfg: &ShardConfig, plans: &[SubscriberPlan], registration: Registration) -> Shard {
         assert_eq!(plans.len(), cfg.subscribers, "one plan per subscriber");
         let stream = STREAM_SHARD.wrapping_add(cfg.shard_index as u64);
         let seed = SimRng::derive(cfg.master_seed, stream).next_u64();
         let mut net = Network::with_kernel(seed, cfg.kernel);
-        net.set_trace_details(false);
-        net.set_trace_capture(false);
+        let trace = registration == Registration::Replay { trace: true };
+        net.set_trace_details(trace);
+        net.set_trace_capture(trace);
 
         // The fault schedule and the demand curve are compiled up front
         // from (config, seed, shard) — pure and cheap; the engine compiled
@@ -194,10 +256,7 @@ impl Shard {
         let (trunk_gate, radio_gate) = add_gates(&mut net, cfg.shard_index, &home);
         let subs = add_subscribers(&mut net, cfg, plans, &mut home, &neighbor, radio_gate);
 
-        let outcome = net.run_until_quiescent();
-        if !outcome.quiescent {
-            net.stats_mut().count("load.event_capped");
-        }
+        let events = register(&mut net, &home, &subs, registration);
         let (vmsc, sgsn, ggsn) = (home.access.msc, home.packet.sgsn, home.packet.ggsn);
         let registered = net
             .node::<Vmsc>(vmsc)
@@ -216,7 +275,7 @@ impl Shard {
         let mut shard = Shard {
             cfg: cfg.clone(),
             net,
-            events: outcome.events,
+            events,
             registered,
             t0_us,
             home,

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use vgprs_load::{run_load, run_load_with, LoadConfig, LoadReport, PopulationConfig};
+use vgprs_load::{run_load, run_load_with, LoadConfig, LoadReport, PopulationConfig, Registration};
 
 /// A small cousin of the benchmark's `voice_media` world: four shards,
 /// a third of the movers crossing between them, 16 calls an hour.
@@ -78,7 +78,9 @@ fn frames_sent(report: &LoadReport) -> u64 {
 #[test]
 fn media_cut_through_stays_within_its_bound() {
     let cfg = media_cfg(2_400);
-    let oracle = run_load_with(&cfg, 1, |shard| shard.set_media_cut_through(false));
+    let oracle = run_load_with(&cfg, 1, Registration::Provision, |shard| {
+        shard.set_media_cut_through(false)
+    });
     let fast = run_load(&cfg);
 
     // The world is the one meant: voice dominates, shards trade

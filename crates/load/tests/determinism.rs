@@ -7,7 +7,7 @@ use std::time::Duration;
 use vgprs_load::{
     compile_demand, partition, run_load, run_load_with, subscriber_plan, subscriber_plan_demand,
     CallMix, DemandPlan, FaultPlanConfig, HlrDirectory, LoadConfig, LoadReport, OverloadControls,
-    PopulationConfig, ScenarioConfig, Shard, ShardConfig, ShardReport, TrunkFabric,
+    PopulationConfig, Registration, ScenarioConfig, Shard, ShardConfig, ShardReport, TrunkFabric,
     TrunkFaultClass, TrunkPlanConfig, EPOCH_MS,
 };
 use vgprs_sim::Kernel;
@@ -41,7 +41,8 @@ fn assert_invariant(family: &str, cfg: fn() -> LoadConfig) {
         assert_eq!(reference, other, "{family} diverged on {kernel}");
     }
     for workers in WORKERS {
-        let other = identity(&run_load_with(&cfg(), workers, |_| {}));
+        let registered = Registration::Provision;
+        let other = identity(&run_load_with(&cfg(), workers, registered, |_| {}));
         assert_eq!(reference, other, "{family} diverged on {workers} workers");
     }
 }
@@ -174,6 +175,48 @@ fn skipping_idle_epochs_matches_the_every_epoch_loop() {
     }
 }
 
+/// A report outside the kernel's `sim.*` census and the event count:
+/// every other counter and histogram, and the simulated span.
+fn outside_the_kernel(report: &LoadReport) -> String {
+    let counters: Vec<(&str, u64)> = (report.stats.counters())
+        .filter(|(name, _)| !name.starts_with("sim."))
+        .collect();
+    let histograms: Vec<String> = (report.stats.histograms())
+        .filter(|(name, _)| !name.starts_with("sim."))
+        .map(|(name, h)| {
+            let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
+            format!("{name} {} {} {buckets:?}", h.count(), h.sum())
+        })
+        .collect();
+    format!("{counters:?}\n{histograms:?}\n{}", report.sim_secs)
+}
+
+/// Rule (iv) for the provisioned start: the pinned families built on
+/// the registration ladder (`Registration::Replay`, the oracle) — every
+/// shard, their flits, HLR moves and armed guards included — report
+/// what the provisioned build reports, outside what only the ladder's
+/// own events can move: the kernel's census and the event count. Shard
+/// by shard, node by node, the contract is `tests/provision.rs`.
+#[test]
+fn families_on_the_registration_ladder_match_the_provisioned_start() {
+    let rows = [
+        ("trunk", trunk_cfg as fn() -> LoadConfig),
+        ("faults", chaos_cfg),
+        ("surge", surge_cfg),
+        ("defaults", defaults_cfg),
+    ];
+    for (family, cfg) in rows {
+        let provisioned = run_load(&cfg());
+        let ladder = run_load_with(&cfg(), 3, Registration::Replay { trace: false }, |_| {});
+        assert!(ladder.events > provisioned.events, "{family}: the ladder ran");
+        assert_eq!(
+            outside_the_kernel(&provisioned),
+            outside_the_kernel(&ladder),
+            "{family}: the provisioned start left the ladder's world"
+        );
+    }
+}
+
 /// A panic in a helper's build reaches the caller with its own message,
 /// not as a bare join error. The caller's first build waits at a barrier
 /// for the helper's, so the helper surely builds a shard and panics.
@@ -182,7 +225,7 @@ fn skipping_idle_epochs_matches_the_every_epoch_loop() {
 fn a_build_workers_panic_keeps_its_message() {
     let caller = std::thread::current().id();
     let (met, first) = (Barrier::new(2), Once::new());
-    run_load_with(&small_cfg(), 2, |_| {
+    run_load_with(&small_cfg(), 2, Registration::Provision, |_| {
         if std::thread::current().id() == caller {
             first.call_once(|| {
                 met.wait();
@@ -525,18 +568,21 @@ fn defaults_cfg() -> LoadConfig {
 /// release order) under `trunk`, the recovery guards (which timers are
 /// set, cancelled or forgotten) under `faults`, the throttles' windows
 /// and queues under `surge`. These values move only when the simulated
-/// world does, and then on purpose — last when the VMSC's call leg moved
-/// into the MS row and a mobile-to-mobile call became two legs (PR 21).
-/// The `defaults` row is unarmed: the small world at the harness's
+/// world does, and then on purpose — last when shards started with
+/// their population registered instead of running its ladders, which
+/// moved only the kernel's census and the event count (the registration
+/// oracle still reproduces the identities pinned before, and
+/// `families_on_the_registration_ladder_match_the_provisioned_start`
+/// holds the rest of every row to it). The `defaults` row is unarmed: the small world at the harness's
 /// defaults, which a refactor of the driver, the KPI table or the merge
 /// must leave exactly as it is.
 #[test]
 fn armed_run_identity_is_pinned() {
     let rows = [
-        ("trunk", trunk_cfg as fn() -> LoadConfig, "69d2eedfeced4f85 0f35dfad414c38b0 53500"),
-        ("faults", chaos_cfg, "1b0aef13dd672637 7ad2cb63ffae047e 47267"),
-        ("surge", surge_cfg, "c80148540185d271 ffa5464f2a0ebe1e 42567"),
-        ("defaults", defaults_cfg, "ebd785012876121b de1864e97accfea5 43934"),
+        ("trunk", trunk_cfg as fn() -> LoadConfig, "39a2b89736a893a3 0f35dfad414c38b0 48796"),
+        ("faults", chaos_cfg, "b1e9cef9569e6e6c 7ad2cb63ffae047e 42467"),
+        ("surge", surge_cfg, "920e12c77205d9dd ffa5464f2a0ebe1e 37767"),
+        ("defaults", defaults_cfg, "c2747d582c03392b de1864e97accfea5 39230"),
     ];
     for (family, cfg, pinned) in rows {
         let report = run_load(&cfg());
@@ -571,7 +617,7 @@ fn table_order_never_reaches_the_outputs() {
         let reference = identity(&run_load(&cfg()));
         for salt in [0x9E37_79B9_7F4A_7C15, 0xDEAD_BEEF] {
             vgprs_sim::set_salt(salt);
-            let salted = identity(&run_load_with(&cfg(), 3, |_| {}));
+            let salted = identity(&run_load_with(&cfg(), 3, Registration::Provision, |_| {}));
             vgprs_sim::set_salt(0);
             assert_eq!(reference, salted, "{family} depends on table order (salt {salt:#x})");
         }

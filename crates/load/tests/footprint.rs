@@ -18,7 +18,9 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 404 772 in 953, plus 5 %. The home registers are number
+/// Measured: 401 132 in 907, plus 5 %, with the registration written
+/// rather than run (404 772 in 953 when the ladder ran, its dialogue
+/// tables left grown and empty). The home registers are number
 /// blocks, a dense row per subscriber, and a GGSN PDP record holds only
 /// what routing reads (510 612 in 945 with half-empty hash tables and
 /// the dead record fields). A drained event queue gives back the slab
@@ -28,16 +30,18 @@ use vgprs_load::{
 /// slack and keeps its node names in one string: 757 936 in 1 479
 /// before those, and with a buffer per wheel slot and a hash table of
 /// links 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (425_000, 1_000);
-/// The same once its busy hour has drained. Measured: 431 616 in 1 118,
-/// plus 5 % (537 552 in 1 110 before number blocks; 613 296 in 1 110
-/// with the registration slab kept; 781 932 in 1 641 and 976 200 in
-/// 2 219 before that, the parked slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (453_000, 1_173);
+const AFTER_NEW: (isize, isize) = (421_000, 952);
+/// The same once its busy hour has drained. Measured: 431 316 in 1 118,
+/// plus 5 % (431 616 in 1 118 when the ladder ran; 537 552 in 1 110
+/// before number blocks; 613 296 in 1 110 with the registration slab
+/// kept; 781 932 in 1 641 and 976 200 in 2 219 before that, the parked
+/// slot buffers having grown).
+const AFTER_RUN: (isize, isize) = (452_000, 1_173);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 1 527
-/// (1 943 before number blocks; 2 255 with the registration slab kept;
-/// 2 913 before one-word IDs).
+/// per-subscriber figure that peak RSS only estimates. Measured: 1 527,
+/// whether the registration is written or run (1 943 before number
+/// blocks; 2 255 with the registration slab kept; 2 913 before one-word
+/// IDs).
 const PER_SUBSCRIBER: isize = 1_603;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);

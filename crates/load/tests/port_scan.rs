@@ -5,7 +5,7 @@
 //! work, and would quietly scan a long list on every send; it fails
 //! here instead.
 
-use vgprs_load::{run_load_with, LoadConfig, PopulationConfig};
+use vgprs_load::{run_load_with, LoadConfig, PopulationConfig, Registration};
 
 #[test]
 fn every_link_has_an_end_of_few_ports() {
@@ -22,7 +22,7 @@ fn every_link_has_an_end_of_few_ports() {
         },
         ..LoadConfig::default()
     };
-    run_load_with(&cfg, 1, |shard| {
+    run_load_with(&cfg, 1, Registration::Provision, |shard| {
         let net = shard.network();
         let degree = |id| net.neighbors(id).count();
         let mut links = 0;

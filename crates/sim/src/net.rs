@@ -471,18 +471,77 @@ impl<M: Payload> Network<M> {
         if self.started {
             return;
         }
-        self.started = true;
-        // The world is built before it runs: give back what doubling
-        // left spare (a 530-node shard sits in vectors of 1 024).
-        self.nodes.shrink_to_fit();
-        self.relays.shrink_to_fit();
-        self.ports.shrink_to_fit();
-        self.trace.shrink_names();
+        self.seal_world();
         // An `on_start` can send, and a send can be lost.
         self.k_dirty = true;
         for idx in 0..self.nodes.len() {
             self.dispatch(NodeId(idx as u32), |n, ctx| n.on_start(ctx));
         }
+    }
+
+    /// Marks the world built: give back what doubling left spare (a
+    /// 530-node shard sits in vectors of 1 024).
+    fn seal_world(&mut self) {
+        self.started = true;
+        self.nodes.shrink_to_fit();
+        self.relays.shrink_to_fit();
+        self.ports.shrink_to_fit();
+        self.trace.shrink_names();
+    }
+
+    /// Starts the network at `at` as if a run had just gone quiet there:
+    /// the clock reads `at`, the queue is empty, and no node's
+    /// [`on_start`](Node::on_start) runs. What those callbacks and the
+    /// procedures they begin would have left must already be written
+    /// with [`provision`](Network::provision).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has already started or has events queued.
+    pub fn start_at(&mut self, at: SimTime) {
+        assert!(!self.started, "the network has already started");
+        assert_eq!(self.queue.len(), 0, "a provisioned start has nothing queued");
+        self.seal_world();
+        self.now = at;
+    }
+
+    /// Calls `f` on node `id` with a context that reads `at`, outside
+    /// the event loop: how a builder writes the state a procedure would
+    /// have left — its counters, histograms, timestamps and random draws
+    /// included — without running the procedure. `f` must leave no
+    /// effect (no send, timer or cancel); a note is dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not an `N`, or if `f` sends or arms a timer.
+    pub fn provision<N: 'static, R>(
+        &mut self,
+        id: NodeId,
+        at: SimTime,
+        f: impl FnOnce(&mut N, &mut Context<'_, M>) -> R,
+    ) -> R {
+        let node = self.nodes[id.0 as usize]
+            .as_mut()
+            .expect("node is missing")
+            .as_any_mut()
+            .downcast_mut::<N>()
+            .unwrap_or_else(|| panic!("node {id} is not the type provisioned"));
+        let mut ctx = Context {
+            now: at,
+            self_id: id,
+            effects: Vec::new(),
+            notes: false,
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+            timers: &mut self.timers,
+        };
+        let out = f(node, &mut ctx);
+        assert!(
+            ctx.effects.is_empty(),
+            "provisioning {id} at {at:?} left {} effects",
+            ctx.effects.len()
+        );
+        out
     }
 
     /// Moves the batched kernel counters into [`Stats`]. Called at the end
@@ -727,6 +786,11 @@ impl<M: Payload> Network<M> {
         self.queue.next_at_or_before(deadline)
     }
 
+    /// The network's random stream, as far as it has been drawn.
+    pub fn rng(&self) -> &SimRng {
+        &self.rng
+    }
+
     /// The message trace recorded so far.
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -884,6 +948,45 @@ mod tests {
         assert_eq!(c.reply, Some(11));
         assert_eq!(c.reply_at, Some(SimTime::from_micros(8_000)));
         assert_eq!(net.node::<Echo>(echo).unwrap().seen, 1);
+    }
+
+    /// A provisioned round trip: the caller's reply and the echo's count
+    /// written at the instants the run would reach them, the random
+    /// stream drawn, and a start at the quiet instant that queues
+    /// nothing and runs no `on_start`.
+    #[test]
+    fn a_provisioned_start_is_where_the_run_goes_quiet() {
+        let (mut ran, _, _) = ping_net();
+        ran.run_until_quiescent();
+        let (mut net, echo, caller) = ping_net();
+        let at = SimTime::from_micros(4_000);
+        net.provision(echo, at, |e: &mut Echo, ctx| {
+            e.seen += 1;
+            ctx.count("pings");
+            ctx.rng().next_u64()
+        });
+        let quiet = SimTime::from_micros(8_000);
+        net.provision(caller, quiet, |c: &mut Caller, ctx| {
+            c.reply = Some(11);
+            c.reply_at = Some(ctx.now());
+        });
+        net.start_at(quiet);
+        assert_eq!(net.now(), ran.now());
+        assert_eq!(net.node::<Caller>(caller).unwrap().reply_at, Some(quiet));
+        assert_eq!(net.node::<Echo>(echo).unwrap().seen, 1);
+        assert_eq!(net.stats().counter("pings"), 1);
+        assert_ne!(format!("{:?}", net.rng()), format!("{:?}", ran.rng()));
+        let outcome = net.run_until_quiescent();
+        assert_eq!((outcome.events, outcome.at), (0, quiet), "no on_start ran");
+    }
+
+    #[test]
+    #[should_panic(expected = "left 1 effects")]
+    fn provisioning_may_not_send() {
+        let (mut net, echo, caller) = ping_net();
+        net.provision(echo, SimTime::ZERO, |_: &mut Echo, ctx| {
+            ctx.send(caller, Msg::Pong(1));
+        });
     }
 
     #[test]

@@ -18,10 +18,13 @@ echo "==> determinism contract (release)"
 # `threads` field, the zero-plan identities and the monotone-damage
 # checks. `cargo test`
 # above ran it in debug; run it in release too so the optimized schedule
-# is also covered — and with it the media cut-through's oracle test
-# (hop-by-hop vs cut-through on a cross-shard media world, plus the
-# queued-events-per-frame tripwire).
-cargo test --release -q -p vgprs-load --test determinism --test cut_through
+# is also covered — and with it the two oracle tests beside it: the
+# media cut-through's (hop-by-hop vs cut-through on a cross-shard media
+# world, plus the queued-events-per-frame tripwire) and the provisioned
+# start's (every node of shard 0 of each benchmark world and three
+# armed ones, written vs registered by the Figure 4 ladder, then one
+# busy hour each; and Figure 4 on the ladder at scale).
+cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision
 
 # A tripwire fails when its pattern occurs under its paths — and when a
 # path names no file: `grep` then exits 2, which a bare `if grep` reads as
