@@ -27,7 +27,7 @@ use vgprs_wire::{
     CellId, Imsi, Ipv4Addr, Lai, Message, Msisdn, PointCode, SubscriberProfile, TransportAddr,
 };
 
-use crate::vmsc::{Vmsc, VmscConfig};
+use crate::vmsc::{sig_nsapi, Vmsc, VmscConfig};
 
 /// Per-interface one-way latencies used when wiring links.
 #[derive(Clone, Copy, Debug)]
@@ -377,6 +377,12 @@ impl PacketHalf {
         }
     }
 
+    /// The `n`th LAN address the zone hands out.
+    fn lan_addr(n: u16) -> Ipv4Addr {
+        let [hi, lo] = n.to_be_bytes();
+        Ipv4Addr::from_octets(10, 1, hi, lo)
+    }
+
     /// Puts the node `make` builds for the next free 10.1.x.y address
     /// (spread over two octets so a zone can host tens of thousands of
     /// endpoints) on the LAN and routes that address to it.
@@ -387,8 +393,7 @@ impl PacketHalf {
         make: impl FnOnce(TransportAddr) -> N,
     ) -> NodeId {
         self.next_host += 1;
-        let [hi, lo] = self.next_host.to_be_bytes();
-        let addr = TransportAddr::new(Ipv4Addr::from_octets(10, 1, hi, lo), 1720);
+        let addr = TransportAddr::new(Self::lan_addr(self.next_host), 1720);
         let host = net.add_node(&format!("{}.{}", self.name, label), make(addr));
         net.connect(host, self.router, Interface::Lan, self.latency.lan);
         net.node_mut::<IpRouter>(self.router)
@@ -464,9 +469,14 @@ impl VgprsZone {
     /// Declares the home population's number series to every register
     /// that keeps a row per subscriber — HLR (with its AuC and MSISDN
     /// index), VLR, the VMSC's MS table, the SGSN's MM contexts and the
-    /// gatekeeper's alias table — so those rows are dense slots instead
-    /// of hashed entries. Call before the first subscriber is added; a
-    /// zone with no series declared hashes every key.
+    /// gatekeeper's alias table — and what its registrations will issue
+    /// (connection references, TMSIs, tunnel ends, signalling PDP
+    /// addresses, the terminals' LAN addresses) to every table keyed by
+    /// one, so those rows are dense slots instead of hashed entries.
+    /// Each issuer hands its `count` IDs out in handset order, whether
+    /// the ladders run or are provisioned. Call before the first
+    /// subscriber or terminal is added; a zone with no series declared
+    /// hashes every key.
     pub fn declare_home(&self, net: &mut Network<Message>, numbers: HomeNumbers) {
         let HomeNumbers {
             imsi,
@@ -478,14 +488,24 @@ impl VgprsZone {
         let hlr = net.node_mut::<Hlr>(access.hlr).expect("zone HLR");
         hlr.declare_block(imsi, msisdn, count);
         let vlr = net.node_mut::<Vlr>(access.vlr).expect("zone VLR");
-        vlr.declare_block(imsi, count);
+        let tmsi = vlr.declare_block(imsi, count);
+        let bts = net.node_mut::<Bts>(access.bts).expect("zone BTS");
+        let conn = bts.declare_block(access.bts, count);
+        let bsc = net.node_mut::<Bsc>(access.bsc).expect("zone BSC");
+        bsc.declare_block(conn, count);
+        let ggsn = net.node_mut::<Ggsn>(packet.ggsn).expect("zone GGSN");
+        let addr = ggsn.declare_block(imsi, sig_nsapi(), count);
         let vmsc = net.node_mut::<Vmsc>(access.msc).expect("zone VMSC");
-        vmsc.declare_block(imsi, count);
+        vmsc.declare_block(imsi, (conn, tmsi, addr), count);
         let sgsn = net.node_mut::<Sgsn>(packet.sgsn).expect("zone SGSN");
-        sgsn.declare_block(imsi, count);
+        sgsn.declare_block(imsi, sig_nsapi(), count);
         let gk = net.node_mut::<Gatekeeper>(packet.gk).expect("zone gatekeeper");
         gk.declare_block(msisdn, count);
         gk.declare_block(alias, count);
+        let first_host = PacketHalf::lan_addr(packet.next_host + 1);
+        net.node_mut::<IpRouter>(packet.router)
+            .expect("zone router")
+            .declare_hosts(first_host, count);
     }
 
     /// Builds the zone inside `net`.

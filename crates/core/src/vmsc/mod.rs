@@ -47,7 +47,7 @@ use vgprs_sim::{
 };
 use vgprs_wire::{
     CallId, Cause, CellId, Cic, Command, ConnRef, Dtap, GmmMessage, Imsi, IpPacket, IpPayload,
-    Ipv4Addr, MapMessage, Message, Nsapi, Q931Kind, Q931Message, QosProfile, RasMessage,
+    Ipv4Addr, MapMessage, Message, Nsapi, Q931Kind, Q931Message, QosProfile, RasMessage, Tmsi,
     TransportAddr,
 };
 
@@ -131,7 +131,7 @@ pub struct Vmsc {
     sgsn: NodeId,
     /// The MS table (paper Section 2): one row per handset.
     ms_table: NumberBlock<Imsi, MsEntry>,
-    by_addr: IdMap<Ipv4Addr, Imsi>,
+    by_addr: NumberBlock<Ipv4Addr, Imsi>,
     /// Calls handed over to this VMSC (Figure 9, target side).
     visiting: IdMap<CallId, TargetLeg>,
     /// Anchor side: whose leg a target MSC means by a call, which is all
@@ -158,7 +158,7 @@ impl Vmsc {
             config,
             sgsn,
             ms_table: NumberBlock::default(),
-            by_addr: IdMap::default(),
+            by_addr: NumberBlock::default(),
             visiting: IdMap::default(),
             handed_over: IdMap::default(),
             next_crv: 0,
@@ -170,9 +170,15 @@ impl Vmsc {
 
     /// Declares the home population's IMSI series: the `count` IMSIs
     /// from `first` get a dense MS-table row each instead of a hashed
-    /// one. Declare before the first location update.
-    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+    /// one, and what their registrations will be issued — connection
+    /// references, TMSIs, signalling PDP addresses, `count` of each from
+    /// `issued` — a dense binding each. Declare before the first
+    /// location update.
+    pub fn declare_block(&mut self, first: Imsi, issued: (ConnRef, Tmsi, Ipv4Addr), count: usize) {
+        let (conn, tmsi, addr) = issued;
         self.ms_table.declare(first, count);
+        self.gsm.declare_block(conn, tmsi, count);
+        self.by_addr.declare(addr, count);
     }
 
     /// Registers a subordinate BSC.

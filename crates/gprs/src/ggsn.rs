@@ -10,8 +10,10 @@
 
 use std::collections::VecDeque;
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{Cause, Command, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, Teid};
+
+use crate::contexts::Contexts;
 
 /// One PDP context record (paper step 1.3: "IMSI, IP address, QoS profile
 /// negotiated, SGSN address, and so on"): what routing reads of it. The
@@ -43,9 +45,9 @@ pub struct Ggsn {
     pool_prefix_len: u8,
     /// The Gi next hop (the PSDN router).
     router: Option<NodeId>,
-    pdp: IdMap<Teid, PdpRecord>,
-    by_addr: IdMap<Ipv4Addr, Teid>,
-    by_sub: IdMap<(Imsi, Nsapi), Teid>,
+    pdp: NumberBlock<Teid, PdpRecord>,
+    by_addr: NumberBlock<Ipv4Addr, Teid>,
+    by_sub: Contexts<Teid>,
     statics: IdMap<Ipv4Addr, StaticEntry>,
     static_of_imsi: IdMap<Imsi, Ipv4Addr>,
     next_dynamic: u32,
@@ -67,15 +69,28 @@ impl Ggsn {
             pool_prefix: prefix,
             pool_prefix_len: len,
             router: None,
-            pdp: IdMap::default(),
-            by_addr: IdMap::default(),
-            by_sub: IdMap::default(),
+            pdp: NumberBlock::default(),
+            by_addr: NumberBlock::default(),
+            by_sub: Contexts::default(),
             statics: IdMap::default(),
             static_of_imsi: IdMap::default(),
             next_dynamic: 0,
             next_teid: 0,
             down: false,
         }
+    }
+
+    /// Declares the home population: the `count` IMSIs from `first` get
+    /// a dense `nsapi` context row each instead of a hashed one, and the
+    /// `count` tunnel ends and dynamic addresses their activations will
+    /// be issued a dense record and a dense address row each. Returns
+    /// the first of those addresses. Declare before the first activation.
+    pub fn declare_block(&mut self, first: Imsi, nsapi: Nsapi, count: usize) -> Ipv4Addr {
+        self.by_sub.declare(nsapi, first, count);
+        self.pdp.declare(Self::teid(self.next_teid + 1), count);
+        let addr = Ipv4Addr(self.pool_prefix.0 | (self.next_dynamic + 1));
+        self.by_addr.declare(addr, count);
+        addr
     }
 
     /// Sets the Gi next hop toward the external packet network.
@@ -132,9 +147,14 @@ impl Ggsn {
         None
     }
 
+    /// The `n`th tunnel end this GGSN issues.
+    fn teid(n: u32) -> Teid {
+        Teid(0x6000_0000 | n)
+    }
+
     fn alloc_teid(&mut self) -> Teid {
         self.next_teid += 1;
-        Teid(0x6000_0000 | self.next_teid)
+        Self::teid(self.next_teid)
     }
 
     /// Creates the context record of `(imsi, nsapi)` for `sgsn`, which
@@ -179,7 +199,7 @@ impl Ggsn {
         if self.owns(dst) {
             // Downlink into the GPRS core.
             if let Some(&teid) = self.by_addr.get(&dst) {
-                let pdp = &self.pdp[&teid];
+                let pdp = self.pdp.get(&teid).expect("an address names a live record");
                 ctx.send(
                     pdp.sgsn,
                     Message::Gtp(GtpMessage::TPdu {

@@ -14,6 +14,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod contexts;
 mod ggsn;
 mod router;
 mod sgsn;

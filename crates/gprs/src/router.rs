@@ -2,18 +2,18 @@
 //! prefix-routing IP node connecting the GGSN's Gi side with the H.323
 //! zone's LAN.
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId};
+use vgprs_sim::{Context, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{Ipv4Addr, Message};
 
 /// A simple longest-prefix IP router.
 #[derive(Debug, Default)]
 pub struct IpRouter {
     routes: Vec<(Ipv4Addr, u8, NodeId)>,
-    /// Host routes (exact address match), checked before prefixes. A hash
-    /// map, not a scan: population-scale runs register one host per
+    /// Host routes (exact address match), checked before prefixes. A
+    /// table, not a scan: population-scale runs register one host per
     /// wireline terminal, and every routed packet (every RTP frame on the
     /// LAN) pays for this lookup.
-    hosts: IdMap<Ipv4Addr, NodeId>,
+    hosts: NumberBlock<Ipv4Addr, NodeId>,
 }
 
 impl IpRouter {
@@ -27,10 +27,23 @@ impl IpRouter {
         self.routes.push((prefix, len, next_hop));
     }
 
+    /// Declares the `count` addresses from `first` — what the LAN hands
+    /// the home population's terminals — a dense host route each instead
+    /// of a hashed one.
+    pub fn declare_hosts(&mut self, first: Ipv4Addr, count: usize) {
+        // A series is declared on an empty table: the routes added so
+        // far (the gatekeeper's) step aside and are put back after it.
+        let held = std::mem::take(&mut self.hosts);
+        self.hosts.declare(first, count);
+        for (addr, &hop) in held.iter() {
+            self.hosts.insert(addr, hop);
+        }
+    }
+
     /// Adds a host route for a single address. The first route added for
     /// an address wins, matching the old scan-in-insertion-order lookup.
     pub fn add_host(&mut self, addr: Ipv4Addr, next_hop: NodeId) {
-        self.hosts.entry(addr).or_insert(next_hop);
+        self.hosts.get_or_insert_with(addr, || next_hop);
     }
 
     /// The next hop for `dst`, if any.

@@ -6,13 +6,13 @@
 //! testbeds are closed worlds and no experiment reads an authorization
 //! over Gr, so there is no leg to the HLR.
 
-use vgprs_sim::{
-    Context, IdMap, Interface, Node, NodeId, NumberBlock, Offer, Throttle, TimerToken,
-};
+use vgprs_sim::{Context, Interface, Node, NodeId, NumberBlock, Offer, Throttle, TimerToken};
 use vgprs_wire::{
     Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, Ipv4Addr, Message, Nsapi, QosProfile,
     Teid, Tmsi,
 };
+
+use crate::contexts::Contexts;
 
 /// A PDP activation request, as the admission control holds it.
 #[derive(Debug)]
@@ -45,8 +45,8 @@ struct SgsnPdp {
 pub struct Sgsn {
     ggsn: NodeId,
     mm: NumberBlock<Imsi, MmContext>,
-    pdp: IdMap<(Imsi, Nsapi), SgsnPdp>,
-    teid_index: IdMap<Teid, (Imsi, Nsapi)>,
+    pdp: Contexts<SgsnPdp>,
+    teid_index: NumberBlock<Teid, (Imsi, Nsapi)>,
     next_teid: u32,
     next_ptmsi: u32,
     /// Overload control: PDP activations admitted per simulated second
@@ -64,8 +64,8 @@ impl Sgsn {
         Sgsn {
             ggsn,
             mm: NumberBlock::default(),
-            pdp: IdMap::default(),
-            teid_index: IdMap::default(),
+            pdp: Contexts::default(),
+            teid_index: NumberBlock::default(),
             next_teid: 0,
             next_ptmsi: 0,
             admission: Throttle::new(0),
@@ -83,10 +83,15 @@ impl Sgsn {
     }
 
     /// Declares the home population's IMSI series: the `count` IMSIs
-    /// from `first` get a dense MM context each instead of a hashed one.
-    /// Declare before the first attach.
-    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+    /// from `first` get a dense MM context and a dense `nsapi` context
+    /// each instead of hashed ones, and the `count` tunnel ends their
+    /// activations will be issued a dense index row each. Declare before
+    /// the first attach.
+    pub fn declare_block(&mut self, first: Imsi, nsapi: Nsapi, count: usize) {
         self.mm.declare(first, count);
+        self.pdp.declare(nsapi, first, count);
+        self.teid_index
+            .declare(Self::teid(self.next_teid + 1), count);
     }
 
     /// Number of active PDP contexts — the resource the paper's Section 6
@@ -95,9 +100,14 @@ impl Sgsn {
         self.pdp.len()
     }
 
+    /// The `n`th tunnel end this SGSN issues.
+    fn teid(n: u32) -> Teid {
+        Teid(0x5000_0000 | n)
+    }
+
     fn alloc_teid(&mut self) -> Teid {
         self.next_teid += 1;
-        Teid(0x5000_0000 | self.next_teid)
+        Self::teid(self.next_teid)
     }
 
     /// Attaches `imsi` on behalf of `endpoint` (Figure 4, step 1.3): a
@@ -152,13 +162,7 @@ impl Sgsn {
             GmmMessage::DetachRequest { imsi } => {
                 if let Some(mm) = self.mm.remove(&imsi) {
                     // Tear down every remaining context of the subscriber.
-                    let nsapis: Vec<Nsapi> = self
-                        .pdp
-                        .keys()
-                        .filter(|(i, _)| *i == imsi)
-                        .map(|(_, n)| *n)
-                        .collect();
-                    for nsapi in nsapis {
+                    for nsapi in self.pdp.nsapis_of(imsi) {
                         self.remove_pdp(ctx, imsi, nsapi);
                     }
                     ctx.count("sgsn.detaches");

@@ -4,7 +4,7 @@
 //! connect to an SGSN, a packet control unit (PCU) is implemented in the
 //! BSC").
 
-use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId};
+use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{Cause, CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Configuration for a [`Bsc`].
@@ -30,7 +30,7 @@ pub struct Bsc {
     /// PCU uplink: where packet traffic goes, if GPRS is deployed.
     sgsn: Option<NodeId>,
     btss: Vec<(NodeId, CellId)>,
-    conn_to_bts: IdMap<ConnRef, NodeId>,
+    conn_to_bts: NumberBlock<ConnRef, NodeId>,
     /// Connections currently holding a TCH.
     tch_held: IdSet<ConnRef>,
     /// Which BTS serves each packet-service subscriber (learned from
@@ -46,7 +46,7 @@ impl Bsc {
             msc,
             sgsn: None,
             btss: Vec::new(),
-            conn_to_bts: IdMap::default(),
+            conn_to_bts: NumberBlock::default(),
             tch_held: IdSet::default(),
             packet_bts: IdMap::default(),
         }
@@ -62,6 +62,14 @@ impl Bsc {
         if !self.btss.iter().any(|(n, _)| *n == bts) {
             self.btss.push((bts, cell));
         }
+    }
+
+    /// Declares the `count` connection references from `first` — what a
+    /// BTS issues the home population's registrations (see
+    /// [`Bts::declare_block`](crate::Bts::declare_block)) — a dense row
+    /// each instead of a hashed one. Declare before the first connection.
+    pub fn declare_block(&mut self, first: ConnRef, count: usize) {
+        self.conn_to_bts.declare(first, count);
     }
 
     /// Records that `conn` runs through `bts`, as its first uplink

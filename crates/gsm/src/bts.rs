@@ -11,11 +11,15 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId, Payload, SimDuration};
+use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId, NumberBlock, Payload, SimDuration};
 use vgprs_wire::{CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Timer tag: the PDCH finished serializing the head-of-line packet.
 const TIMER_PDCH_DONE: u64 = 1;
+
+/// The connections a cell can open: a reference's lower half counts
+/// them, and 0 would be the connectionless reference.
+const MAX_CONNECTIONS: u32 = 0xFFFF;
 
 /// Configuration for a [`Bts`].
 #[derive(Clone, Copy, Debug)]
@@ -59,7 +63,7 @@ pub struct Bts {
     /// in registration order; shared with each paging broadcast in flight.
     mss: Arc<Vec<NodeId>>,
     camped: IdSet<NodeId>,
-    conn_to_ms: IdMap<ConnRef, NodeId>,
+    conn_to_ms: NumberBlock<ConnRef, NodeId>,
     ms_to_conn: IdMap<NodeId, ConnRef>,
     /// MSs known to use the packet service, keyed by IMSI (learned from
     /// uplink GMM/LLC traffic).
@@ -82,7 +86,7 @@ impl Bts {
             bsc,
             mss: Arc::default(),
             camped: IdSet::default(),
-            conn_to_ms: IdMap::default(),
+            conn_to_ms: NumberBlock::default(),
             ms_to_conn: IdMap::default(),
             packet_ms: IdMap::default(),
             next_conn: 0,
@@ -106,14 +110,40 @@ impl Bts {
         }
     }
 
+    /// The `n`th reference the BTS `id` issues. Upper half = BTS node
+    /// index, lower half = local counter: globally unique without
+    /// coordination, and never 0 (the connectionless ref).
+    fn conn_ref(id: NodeId, n: u32) -> ConnRef {
+        ConnRef((u32::from(id.index() as u16) << 16) | n)
+    }
+
+    /// Declares that the next `count` connections this BTS (node `id`)
+    /// opens — one per registration of the home population — get a
+    /// dense row each instead of a hashed one, and returns the first of
+    /// their references. Declare before the first connection.
+    pub fn declare_block(&mut self, id: NodeId, count: usize) -> ConnRef {
+        let first = Self::conn_ref(id, self.next_conn + 1);
+        self.conn_to_ms.declare(first, count);
+        first
+    }
+
     /// Opens a radio connection for `ms`, as a transaction it starts
     /// does (a location update, Figure 4 step 1.1, among them), and
     /// returns its reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the cell has opened all 65 535 connections its
+    /// references can count: the next would alias a live one, or another
+    /// cell's.
     pub fn open_connection(&mut self, ctx: &Context<'_, Message>, ms: NodeId) -> ConnRef {
+        assert!(
+            self.next_conn < MAX_CONNECTIONS,
+            "{} has opened all {MAX_CONNECTIONS} connections its references can count",
+            self.config.cell
+        );
         self.next_conn += 1;
-        // Upper half = BTS node index, lower half = local counter: globally
-        // unique without coordination, and never 0 (the connectionless ref).
-        let conn = ConnRef((u32::from(ctx.id().index() as u16) << 16) | self.next_conn);
+        let conn = Self::conn_ref(ctx.id(), self.next_conn);
         if let Some(old) = self.ms_to_conn.insert(ms, conn) {
             self.conn_to_ms.remove(&old);
         }
@@ -476,6 +506,23 @@ mod tests {
         send(&mut net, bts, (Interface::Um, 1), vec![voice()]);
         assert_eq!(net.stats().counter("bts.pdch_voice_clipped"), 1);
         assert!(net.now() < vgprs_sim::SimTime::from_micros(1_000_000));
+    }
+
+    #[test]
+    #[should_panic(expected = "cell1 has opened all 65535 connections")]
+    fn a_cell_out_of_connection_references_says_so() {
+        let (mut net, bts, _bsc, ms) = rig_with_sender(Vec::new());
+        let mut open = || {
+            net.provision(bts, vgprs_sim::SimTime::ZERO, |b: &mut Bts, ctx| {
+                b.open_connection(ctx, ms)
+            })
+        };
+        let issued: Vec<ConnRef> = (0..MAX_CONNECTIONS).map(|_| open()).collect();
+        // Every reference is the cell's own, and none is issued twice.
+        assert!(issued.iter().all(|c| c.0 >> 16 == bts.index()));
+        assert!(issued.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(issued.last().map(|c| c.0 & 0xFFFF), Some(MAX_CONNECTIONS));
+        open();
     }
 
     #[test]

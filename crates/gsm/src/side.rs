@@ -14,7 +14,7 @@
 //! What a call *is* (ISUP trunks, or Q.931/RAS over PDP contexts) stays
 //! with the owner, and so does the voice-frame path.
 
-use vgprs_sim::{Context, IdMap, NodeId};
+use vgprs_sim::{Context, IdMap, NodeId, NumberBlock};
 use vgprs_wire::{
     CallId, CellId, Cic, ConnRef, Dtap, Imsi, Lai, MapMessage, Message, MsIdentity, Msisdn, Tmsi,
 };
@@ -63,9 +63,9 @@ pub struct GsmSide {
     bscs: Vec<NodeId>,
     /// Neighbor MSCs (classic or VMSC) by the cells they serve.
     neighbor_cells: IdMap<CellId, NodeId>,
-    conn_of_bsc: IdMap<ConnRef, NodeId>,
-    by_conn: IdMap<ConnRef, Imsi>,
-    by_tmsi: IdMap<Tmsi, Imsi>,
+    conn_of_bsc: NumberBlock<ConnRef, NodeId>,
+    by_conn: NumberBlock<ConnRef, Imsi>,
+    by_tmsi: NumberBlock<Tmsi, Imsi>,
     /// Handoffs prepared as target, by handover reference.
     target_handoffs: IdMap<u32, TargetArrival>,
     next_ho_ref: u32,
@@ -81,12 +81,22 @@ impl GsmSide {
             country_code: country_code.to_owned(),
             bscs: Vec::new(),
             neighbor_cells: IdMap::default(),
-            conn_of_bsc: IdMap::default(),
-            by_conn: IdMap::default(),
-            by_tmsi: IdMap::default(),
+            conn_of_bsc: NumberBlock::default(),
+            by_conn: NumberBlock::default(),
+            by_tmsi: NumberBlock::default(),
             target_handoffs: IdMap::default(),
             next_ho_ref: 0,
         }
+    }
+
+    /// Declares what the home population's registrations will issue —
+    /// `count` connection references from `conn` and as many TMSIs from
+    /// `tmsi` — a dense binding each instead of a hashed one. Declare
+    /// before the first location update.
+    pub fn declare_block(&mut self, conn: ConnRef, tmsi: Tmsi, count: usize) {
+        self.conn_of_bsc.declare(conn, count);
+        self.by_conn.declare(conn, count);
+        self.by_tmsi.declare(tmsi, count);
     }
 
     /// Registers a subordinate BSC.

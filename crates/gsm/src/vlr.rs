@@ -5,6 +5,8 @@
 //! profile copy downloaded from the HLR, outgoing-call authorization
 //! (paper step 2.2) and roaming-number allocation for call delivery.
 
+use std::fmt;
+
 use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock};
 use vgprs_wire::{
     AuthTriplet, Cause, ConnRef, Imsi, Lai, MapMessage, Message, MsIdentity, Msisdn, PointCode,
@@ -29,9 +31,46 @@ struct VlrRecord {
     lai: Option<Lai>,
     tmsi: Option<Tmsi>,
     profile: Option<SubscriberProfile>,
-    triplets: Vec<AuthTriplet>,
+    triplets: Vectors,
     /// The triplet currently being verified.
     current: Option<AuthTriplet>,
+}
+
+/// The vectors a record keeps for later challenges: what one
+/// `MAP_Send_Authentication_Info` answer carries, at most three, held
+/// inline rather than in an allocation of their own. Spent from the
+/// back, as the answer lists them.
+#[derive(Clone, Copy, Default)]
+struct Vectors {
+    held: [AuthTriplet; Vectors::CAP],
+    len: usize,
+}
+
+impl Vectors {
+    /// What the AuC hands out per request.
+    const CAP: usize = 3;
+
+    /// The last [`CAP`](Self::CAP) of `triplets`: the ones spent first.
+    fn keep(triplets: &[AuthTriplet]) -> Self {
+        let kept = &triplets[triplets.len().saturating_sub(Self::CAP)..];
+        let mut vectors = Vectors::default();
+        vectors.held[..kept.len()].copy_from_slice(kept);
+        vectors.len = kept.len();
+        vectors
+    }
+
+    fn pop(&mut self) -> Option<AuthTriplet> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.held[self.len])
+    }
+}
+
+/// Lists only the vectors still held: a spent one's slot keeps a stale
+/// copy, which a provisioned and a replayed start need not agree on.
+impl fmt::Debug for Vectors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.held[..self.len]).finish()
+    }
 }
 
 /// What a pending dialogue is for.
@@ -60,7 +99,7 @@ pub struct Vlr {
     hlr_routes: Vec<(String, NodeId)>,
     msc: NodeId,
     records: NumberBlock<Imsi, VlrRecord>,
-    tmsi_index: IdMap<Tmsi, Imsi>,
+    tmsi_index: NumberBlock<Tmsi, Imsi>,
     msrn_index: IdMap<Msisdn, Imsi>,
     pending: IdMap<Imsi, Pending>,
     next_tmsi: u32,
@@ -76,7 +115,7 @@ impl Vlr {
             hlr_routes: Vec::new(),
             msc,
             records: NumberBlock::default(),
-            tmsi_index: IdMap::default(),
+            tmsi_index: NumberBlock::default(),
             msrn_index: IdMap::default(),
             pending: IdMap::default(),
             next_tmsi: 0,
@@ -85,10 +124,20 @@ impl Vlr {
     }
 
     /// Declares the home population's IMSI series: the `count` IMSIs
-    /// from `first` get a dense record each instead of a hashed one.
-    /// Declare before the first registration.
-    pub fn declare_block(&mut self, first: Imsi, count: usize) {
+    /// from `first` get a dense record each instead of a hashed one, and
+    /// the `count` TMSIs their registrations will be issued get a dense
+    /// index row each. Returns the first of those TMSIs. Declare before
+    /// the first registration.
+    pub fn declare_block(&mut self, first: Imsi, count: usize) -> Tmsi {
         self.records.declare(first, count);
+        let tmsi = Self::tmsi(self.next_tmsi + 1);
+        self.tmsi_index.declare(tmsi, count);
+        tmsi
+    }
+
+    /// The `n`th TMSI this VLR issues.
+    fn tmsi(n: u32) -> Tmsi {
+        Tmsi(0xA000_0000 | n)
     }
 
     /// This VLR's SS7 address, as it names itself to an HLR.
@@ -106,8 +155,9 @@ impl Vlr {
         imsi: Imsi,
         lai: Lai,
         profile: SubscriberProfile,
-        mut triplets: Vec<AuthTriplet>,
+        triplets: Vec<AuthTriplet>,
     ) -> Tmsi {
+        let mut triplets = Vectors::keep(&triplets);
         let current = triplets.pop();
         self.records.insert(
             imsi,
@@ -165,7 +215,7 @@ impl Vlr {
 
     fn alloc_tmsi(&mut self, imsi: Imsi) -> Tmsi {
         self.next_tmsi += 1;
-        let tmsi = Tmsi(0xA000_0000 | self.next_tmsi);
+        let tmsi = Self::tmsi(self.next_tmsi);
         if let Some(rec) = self.records.get_mut(&imsi) {
             if let Some(old) = rec.tmsi.replace(tmsi) {
                 self.tmsi_index.remove(&old);
@@ -339,7 +389,7 @@ impl Vlr {
                     return;
                 }
                 if let Some(rec) = self.records.get_mut(&imsi) {
-                    rec.triplets = triplets;
+                    rec.triplets = Vectors::keep(&triplets);
                 }
                 let conn = match self.pending.get(&imsi) {
                     Some(Pending::Register { conn, phase, .. })
@@ -752,6 +802,18 @@ mod tests {
             })] => assert_eq!(*i, imsi()),
             ref other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_record_keeps_the_three_vectors_spent_first() {
+        let t = |rand| AuthTriplet {
+            rand,
+            ..AuthTriplet::default()
+        };
+        let mut v = Vectors::keep(&[t(1), t(2), t(3), t(4)]);
+        assert_eq!(format!("{v:?}"), format!("{:?}", vec![t(2), t(3), t(4)]));
+        let spent = [v.pop(), v.pop(), v.pop(), v.pop()];
+        assert_eq!(spent, [Some(t(4)), Some(t(3)), Some(t(2)), None]);
     }
 
     #[test]

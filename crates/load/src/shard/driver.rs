@@ -10,7 +10,7 @@ use vgprs_gsm::{MobileStation, MsState};
 use vgprs_sim::{NodeId, SimRng};
 use vgprs_wire::{CallId, CellId, Command, Msisdn};
 
-use super::Shard;
+use super::{alias_for, msisdn_for, Shard};
 use crate::population::{Arrival, CallKind};
 
 /// Answer delay plus setup slack: voice is up by this long after a
@@ -132,10 +132,10 @@ impl Shard {
         local: usize,
         arrival: Arrival,
     ) -> Option<(NodeId, Msisdn, NodeId, Option<usize>)> {
-        let sub = &self.subs[local];
+        let (sub, global) = (&self.subs[local], self.cfg.base_index + local);
         match arrival.kind {
-            CallKind::MoToTerminal => Some((sub.ms, sub.alias, sub.terminal, None)),
-            CallKind::MtFromTerminal => Some((sub.terminal, sub.msisdn, sub.ms, None)),
+            CallKind::MoToTerminal => Some((sub.ms, alias_for(global), sub.terminal, None)),
+            CallKind::MtFromTerminal => Some((sub.terminal, msisdn_for(global), sub.ms, None)),
             CallKind::MsToMs => {
                 if self.cfg.subscribers < 2 {
                     self.count("load.no_peer_available");
@@ -150,7 +150,8 @@ impl Shard {
                 }
                 let ms = self.subs[local].ms;
                 self.occupy(p, at_us, arrival.hold_ms, ms);
-                Some((ms, self.subs[p].msisdn, self.subs[p].ms, Some(p)))
+                let callee = msisdn_for(self.cfg.base_index + p);
+                Some((ms, callee, self.subs[p].ms, Some(p)))
             }
         }
     }

@@ -117,12 +117,11 @@ pub struct ShardReport {
 }
 
 /// Everything the driver knows about one subscriber, in the order the
-/// handsets were created (so `ms` ascends with the local index).
+/// handsets were created (so `ms` ascends with the local index). Its
+/// numbers are not here: they follow from the global index.
 struct Subscriber {
     ms: NodeId,
     terminal: NodeId,
-    msisdn: Msisdn,
-    alias: Msisdn,
     /// Driver-side busy window: suppress attempts that land inside an
     /// earlier call (the generator models a handset, not a trunk).
     busy_until_us: u64,
@@ -166,6 +165,11 @@ fn ki_for(global: usize) -> u64 {
 /// The subscriber's own E.164 number.
 fn msisdn_for(global: usize) -> Msisdn {
     Msisdn::from_prefix("88691", global as u64, 7).expect("generated MSISDN is valid")
+}
+
+/// The alias of the subscriber's paired wireline terminal.
+fn alias_for(global: usize) -> Msisdn {
+    Msisdn::from_prefix("88622", global as u64, 7).expect("generated alias is valid")
 }
 
 /// One shard mid-flight: built world, pending actions, cross-shard

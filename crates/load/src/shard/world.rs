@@ -15,10 +15,10 @@ use vgprs_faults::compile_plan;
 use vgprs_gsm::{MobileStation, Vlr};
 use vgprs_scenario::compile_demand;
 use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTime};
-use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, Msisdn, TransportAddr};
+use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, TransportAddr};
 
 use super::driver::{Action, Dial};
-use super::{imsi_for, ki_for, msisdn_for, Shard, ShardConfig, Subscriber};
+use super::{alias_for, imsi_for, ki_for, msisdn_for, Shard, ShardConfig, Subscriber};
 use crate::mailbox::{RadioGate, TrunkGate, BORDER_CELL};
 use crate::population::SubscriberPlan;
 use crate::snapshot::SnapshotRecorder;
@@ -39,11 +39,6 @@ pub enum Registration {
         /// otherwise does not.
         trace: bool,
     },
-}
-
-/// The alias of the subscriber's paired wireline terminal.
-fn alias_for(global: usize) -> Msisdn {
-    Msisdn::from_prefix("88622", global as u64, 7).expect("generated alias is valid")
 }
 
 /// Home serving area plus a neighbor for mobility. Shards are separate
@@ -148,11 +143,10 @@ fn add_subscribers(
     let mut subs = Vec::with_capacity(plans.len());
     for plan in plans {
         let g = plan.global_index;
-        let (msisdn, alias) = (msisdn_for(g), alias_for(g));
         let ms = home
             .access
-            .add_subscriber(net, &format!("ms{g}"), imsi_for(g), ki_for(g), msisdn);
-        let terminal = home.packet.add_terminal(net, &format!("t{g}"), alias);
+            .add_subscriber(net, &format!("ms{g}"), imsi_for(g), ki_for(g), msisdn_for(g));
+        let terminal = home.packet.add_terminal(net, &format!("t{g}"), alias_for(g));
         let cross_target = cross_target(cfg, plan);
         if cross_target.is_some() {
             // Cross-shard movers camp on the border cell while away.
@@ -170,8 +164,6 @@ fn add_subscribers(
         subs.push(Subscriber {
             ms,
             terminal,
-            msisdn,
-            alias,
             busy_until_us: 0,
             call_started_us: 0,
             current_peer: None,

@@ -14,8 +14,11 @@
 //!
 //! The third type, [`NumberBlock`], is for the registers that keep a row
 //! per subscriber. A home population is provisioned from contiguous
-//! number series, so a key inside a declared series is its own index into
-//! a dense vector; everything else falls through to an [`IdMap`].
+//! number series, and registering it issues each node's identifiers
+//! (TMSI, TEID, PDP address, connection reference) from a counter, one
+//! per handset in handset order, so a key inside a declared series is its
+//! own index into a dense vector; everything else falls through to an
+//! [`IdMap`].
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
@@ -126,10 +129,13 @@ impl Hasher for IdHasher {
     }
 }
 
-/// A key that is a decimal number: an IMSI or an MSISDN.
+/// A key that is a number: a decimal one (an IMSI, an MSISDN), or an
+/// identifier a node issues from a counter (a TMSI, a TEID, ...).
 pub trait NumberKey: Copy + Eq + Hash {
-    /// The key's decimal value and its digit count. Leading zeros carry
-    /// no value but count as digits, so `0012345` is `(12_345, 7)`.
+    /// The key's value and its digit count. Leading zeros carry no value
+    /// but count as digits, so `0012345` is `(12_345, 7)`. An issued
+    /// identifier has no digits: it gives a width tag of its own kind
+    /// instead, which no decimal number and no other kind uses.
     fn number(&self) -> (u64, usize);
     /// The key whose [`number`](NumberKey::number) is `(value, digits)`:
     /// `value` zero-padded to `digits`. `None` when `value` needs more

@@ -1,11 +1,13 @@
 //! `NumberBlock` against an `IdMap` model: the same seeded operations on
 //! both, with keys inside a declared series, just outside it, and with the
-//! same value at another digit count, which must never share a slot.
+//! same value at another digit count, which must never share a slot — for
+//! the decimal numbers (IMSI, MSISDN) and for the IDs a node issues from a
+//! counter (TMSI, TEID, connection reference, address).
 
 use std::fmt::Debug;
 
 use vgprs_sim::{IdMap, NumberBlock, NumberKey, SimRng};
-use vgprs_wire::{Imsi, Msisdn};
+use vgprs_wire::{ConnRef, Imsi, Ipv4Addr, Msisdn, Teid, Tmsi};
 
 /// Keys `lo..hi` at `digits` digits (the ones that fit).
 fn run<K: NumberKey>(lo: u64, hi: u64, digits: usize) -> impl Iterator<Item = K> {
@@ -149,4 +151,64 @@ fn a_series_is_declared_on_an_empty_table() {
     let first = Msisdn::parse("886910000000").expect("12 digits");
     block.insert(first, 1);
     block.declare(first, 100);
+}
+
+/// A series of `count` issued IDs from raw value `first`, as a register
+/// declares it, against the model; the pool runs a few IDs either side of
+/// it and takes in both ends of the 32-bit space.
+fn issued_series<K: NumberKey + Ord + Debug>(make: fn(u32) -> K, first: u32, seed: u64) {
+    let count = 64;
+    let mut pool: Vec<K> = (first - 3..first + count + 3).map(make).collect();
+    pool.extend([make(0), make(1), make(u32::MAX)]);
+    against_the_model(&[(make(first), count as usize)], &pool, seed);
+}
+
+#[test]
+fn issued_id_blocks_match_the_model() {
+    // As the home zone declares them: a VLR's TMSIs, an SGSN's tunnel
+    // ends, a BTS's connection references (its node index in the upper
+    // half) and a GGSN's first pool addresses.
+    issued_series(Tmsi, 0xA000_0001, 5);
+    issued_series(Teid, 0x5000_0001, 6);
+    issued_series(ConnRef, 7 << 16 | 1, 7);
+    issued_series(Ipv4Addr, Ipv4Addr::from_octets(10, 200, 0, 1).0, 8);
+}
+
+#[test]
+fn the_ids_either_side_of_a_series_are_hashed() {
+    let mut block: NumberBlock<Teid, u32> = NumberBlock::default();
+    block.declare(Teid(0x5000_0001), 4);
+    for raw in 0x5000_0000..=0x5000_0005 {
+        assert_eq!(block.insert(Teid(raw), raw), None);
+    }
+    // A walk is the series in number order, then the hashed keys: the
+    // one before the series and the one past it.
+    let walk: Vec<u32> = block.keys().map(|t| t.0).collect();
+    assert_eq!(walk[..4], [0x5000_0001, 0x5000_0002, 0x5000_0003, 0x5000_0004]);
+    let mut rest = walk[4..].to_vec();
+    rest.sort();
+    assert_eq!(rest, [0x5000_0000, 0x5000_0005]);
+    assert!(block.iter().all(|(k, &v)| k.0 == v));
+}
+
+#[test]
+fn issued_ids_of_one_value_are_different_numbers() {
+    let raw = 0x5000_0001;
+    let numbers = [
+        Tmsi(raw).number(),
+        Teid(raw).number(),
+        ConnRef(raw).number(),
+        Ipv4Addr(raw).number(),
+    ];
+    // One value, four width tags, none of them a digit count.
+    assert!(numbers.iter().all(|&(value, _)| value == u64::from(raw)));
+    for (i, a) in numbers.iter().enumerate() {
+        assert!(a.1 > 15, "{a:?} could be a decimal number's");
+        assert!(numbers[i + 1..].iter().all(|b| b.1 != a.1), "{a:?} shared");
+    }
+    // Each kind reads back only its own numbers.
+    let (value, tmsi_tag) = numbers[0];
+    assert_eq!(Tmsi::from_number(value, tmsi_tag), Some(Tmsi(raw)));
+    assert_eq!(Teid::from_number(value, tmsi_tag), None);
+    assert_eq!(Tmsi::from_number(1 << 32, tmsi_tag), None, "past 32 bits");
 }

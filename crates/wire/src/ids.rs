@@ -616,6 +616,30 @@ impl fmt::Display for ConnRef {
     }
 }
 
+/// The identifiers a node issues from a counter are [`NumberKey`]s too:
+/// the raw value, and in place of a digit count a width tag of their own
+/// kind, above any decimal number's 15 digits. A [`Tmsi`] and a [`Teid`]
+/// of the same value are two numbers, so a series of one never takes a
+/// key of the other.
+macro_rules! issued_number_key {
+    ($($kind:ident => $tag:literal),* $(,)?) => {$(
+        impl NumberKey for $kind {
+            #[inline]
+            fn number(&self) -> (u64, usize) {
+                (u64::from(self.0), $tag)
+            }
+            fn from_number(value: u64, digits: usize) -> Option<Self> {
+                if digits != $tag {
+                    return None;
+                }
+                u32::try_from(value).ok().map($kind)
+            }
+        }
+    )*};
+}
+
+issued_number_key!(Tmsi => 32, Teid => 33, ConnRef => 34, Ipv4Addr => 35);
+
 /// Q.931 call reference value, scoped to one signaling interface.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Crv(pub u16);
@@ -632,7 +656,7 @@ impl fmt::Display for Crv {
 /// reproduction substitutes a keyed mixing function with the same interface
 /// (see `vgprs_gsm::auth`). Only the challenge/response protocol shape
 /// matters to the paper's flows.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, Default, PartialEq, Eq, Hash, Debug)]
 pub struct AuthTriplet {
     /// Random challenge sent to the MS.
     pub rand: u64,

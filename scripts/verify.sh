@@ -82,15 +82,30 @@ echo "==> home registers are number blocks"
 # registers that keep a row per subscriber (HLR with its AuC and MSISDN
 # index, VLR, the VMSC's MS table, the SGSN's MM contexts, the
 # gatekeeper's alias table) are NumberBlocks: a dense slot per home
-# number instead of a half-empty hash table. Tables keyed by what a node
-# issues itself (TMSI, MSRN, TEID, address, connection reference) stay
-# IdMaps.
+# number instead of a half-empty hash table.
 tripwire "a home register hashed again: use vgprs_sim::NumberBlock" -E \
     'IdMap<Imsi, (HlrRecord|VlrRecord|MsEntry|MmContext|Ki)>' \
     crates/gsm/src/hlr.rs crates/gsm/src/auth.rs crates/gsm/src/vlr.rs \
     crates/core/src/vmsc/mod.rs crates/gprs/src/sgsn.rs
 tripwire "a home number index hashed again: use vgprs_sim::NumberBlock" -E \
     'IdMap<Msisdn, (Imsi|TransportAddr)>' crates/gsm/src/hlr.rs crates/h323/src/gatekeeper.rs
+
+echo "==> what registration issues is a number block"
+# Registering the home population issues each node's IDs from a counter,
+# one per handset in handset order, so the tables keyed by one (the VLR's
+# and the GSM side's TMSI index, the connection maps of BTS, BSC and GSM
+# side, the SGSN's and GGSN's TEID tables, the GGSN's and VMSC's address
+# indexes, the router's host routes) and the signalling PDP context rows
+# are NumberBlocks declared with the series the counter will issue.
+issuers="crates/gsm/src/vlr.rs crates/gsm/src/bts.rs crates/gsm/src/bsc.rs \
+    crates/gsm/src/side.rs crates/gprs/src/sgsn.rs crates/gprs/src/ggsn.rs \
+    crates/gprs/src/router.rs crates/core/src/vmsc/mod.rs"
+# shellcheck disable=SC2086 # the list is meant to split
+tripwire "a table keyed by an issued ID hashed again: use vgprs_sim::NumberBlock" -E \
+    'IdMap<(Tmsi, Imsi|Teid, |ConnRef, |Ipv4Addr, (Teid|Imsi|NodeId)>)' $issuers
+# shellcheck disable=SC2086
+tripwire "the PDP contexts hashed again: use the gprs crate's Contexts" -E \
+    'IdMap<\(Imsi, Nsapi\), (SgsnPdp|Teid)>' $issuers
 
 echo "==> no uncalled public functions"
 # A `pub fn` whose name occurs exactly once as a whole word in everything
