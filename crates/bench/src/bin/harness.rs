@@ -4,6 +4,9 @@
 //! Usage: `vgprs_bench::harness::USAGE`, printed on a usage error; a
 //! subcommand refuses any `--flag` its entries there do not name.
 //!
+//! `fig4`, `fig5`, `fig6` and `fig9` check their ladders against the
+//! tables of `vgprs_core::figures` and exit 1 on a missing rung.
+//!
 //! With no argument it runs every paper experiment (`all`). The outputs
 //! recorded in `EXPERIMENTS.md` are produced by `harness all`, the
 //! resilience matrix in `BENCH_chaos.json` by `harness chaos`, and the
@@ -25,14 +28,15 @@ use vgprs_bench::harness::{
     chaos_json, drain_capped_error, heading, load_config_from, surge_json, write_file, Flags,
     RunDefaults, DROP_RATE, SEED, USAGE,
 };
-use vgprs_bench::scenarios::{
-    intersystem_handoff, tromboning_classic, tromboning_vgprs, SingleZone,
+use vgprs_bench::scenarios::{handed_over, tromboning_classic, tromboning_vgprs, SingleZone};
+use vgprs_core::figures::{
+    classic_neighbor, Figure, FIGURE_4, FIGURE_5_ORIGINATION, FIGURE_5_RELEASE, FIGURE_6, FIGURE_9,
 };
 use vgprs_load::{
     run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport, OverloadControls,
     ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
-use vgprs_sim::{LadderDiagram, SimDuration};
+use vgprs_sim::{LadderDiagram, SimDuration, Trace};
 use vgprs_wire::{CallId, Command, Message};
 
 fn main() {
@@ -404,16 +408,25 @@ fn fig3() {
     println!("  (LLC: on Gb, GTP: on Gn — H.323 rides the tunnel exactly as Figure 3 draws)");
 }
 
-fn registration_ladder() -> (SingleZone, String) {
-    let s = SingleZone::build(SEED);
-    let ladder = LadderDiagram::new(s.net.trace()).render();
-    (s, ladder)
+/// Prints `trace`'s ladder and, under it, how far the trace follows each
+/// of `figures`. Exits 1 when it misses a rung of one.
+fn ladder(trace: &Trace, figures: &[&Figure]) {
+    print!("{}", LadderDiagram::new(trace).render());
+    let mut missed = false;
+    for figure in figures {
+        let conformance = figure.follow(trace.labels());
+        println!("  {conformance}");
+        missed |= !conformance.holds();
+    }
+    if missed {
+        eprintln!("error: the ladder misses a rung of the paper's figure");
+        std::process::exit(1);
+    }
 }
 
 fn fig4() {
     heading("Figure 4 — message flow for vGPRS registration (steps 1.1–1.6)");
-    let (_s, ladder) = registration_ladder();
-    print!("{ladder}");
+    ladder(SingleZone::build(SEED).net.trace(), &[&FIGURE_4]);
 }
 
 fn fig5() {
@@ -422,7 +435,7 @@ fn fig5() {
     s.net.trace_mut().clear();
     s.call_from_ms(CallId(1), SimDuration::from_secs(1));
     s.hangup_from_ms();
-    print!("{}", LadderDiagram::new(s.net.trace()).render());
+    ladder(s.net.trace(), &[&FIGURE_5_ORIGINATION, &FIGURE_5_RELEASE]);
 }
 
 fn fig6() {
@@ -440,7 +453,7 @@ fn fig6() {
     );
     let deadline = s.net.now() + SimDuration::from_secs(8);
     s.net.run_until(deadline);
-    print!("{}", LadderDiagram::new(s.net.trace()).render());
+    ladder(s.net.trace(), &[&FIGURE_6]);
 }
 
 fn fig7() {
@@ -473,7 +486,8 @@ fn fig8() {
 
 fn fig9() {
     heading("Figure 9 — inter-system handoff with the VMSC as anchor");
-    let r = intersystem_handoff(SEED);
+    let (world, r) = handed_over(SEED, classic_neighbor);
+    ladder(world.home.net.trace(), &[&FIGURE_9]);
     println!("  handoffs completed:   {}", r.handoffs_completed);
     println!("  MS frames before:     {}", r.frames_before);
     println!("  MS frames after:      {}", r.frames_after);

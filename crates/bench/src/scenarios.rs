@@ -1,12 +1,14 @@
 //! Reusable experiment scenarios.
 //!
-//! Every figure/claim reproduction builds its network through these
-//! functions so the integration tests, the `harness` binary and the
-//! Criterion benches all measure exactly the same systems.
+//! The `harness` binary, the workspace integration tests and the
+//! benchmark's micro timings run these. The worlds of the paper's ladder
+//! figures are `vgprs_core::figures`; the scenarios here drive them and
+//! build the roaming worlds of Figures 7–8.
 
+use vgprs_core::figures::{classic_neighbor, HandoffWorld};
+pub use vgprs_core::figures::{Single, SingleZone};
 use vgprs_core::{
-    AccessHalf, Architecture, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone,
-    VgprsZoneConfig, Vmsc,
+    AccessHalf, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone, VgprsZoneConfig,
 };
 use vgprs_gsm::MobileStation;
 use vgprs_h323::H323Terminal;
@@ -15,77 +17,8 @@ use vgprs_sim::{Interface, Network, NodeId, SimDuration, SimTime};
 use vgprs_tr22973::TrZone;
 use vgprs_wire::{CallId, CellId, Command, Imsi, Lai, Message, Msisdn};
 
-/// One zone of architecture `A` with one registered mobile and one
-/// H.323 terminal.
-pub struct Single<A> {
-    /// The network.
-    pub net: Network<Message>,
-    /// Zone handles.
-    pub zone: A,
-    /// The mobile station.
-    pub ms: NodeId,
-    /// The MS's identity.
-    pub ms_imsi: Imsi,
-    /// The MS's number.
-    pub ms_msisdn: Msisdn,
-    /// The wireline H.323 terminal.
-    pub term: NodeId,
-    /// The terminal's alias.
-    pub term_alias: Msisdn,
-}
-
-/// A single vGPRS zone — the world of Figures 1–6.
-pub type SingleZone = Single<VgprsZone>;
-
 /// A TR 22.973 zone with one TR MS and a terminal — the baseline world.
 pub type TrSingleZone = Single<TrZone>;
-
-impl<A: Architecture> Single<A> {
-    /// Builds the reference zone and registers both endpoints.
-    pub fn build(seed: u64) -> Self {
-        let mut net = Network::new(seed);
-        let mut zone = A::build(&mut net, A::taiwan());
-        let ms_imsi = Imsi::parse("466920000000001").expect("valid");
-        let ms_msisdn = Msisdn::parse("886912000001").expect("valid");
-        let term_alias = Msisdn::parse("886220001111").expect("valid");
-        let ms = zone.add_mobile(&mut net, "ms1", ms_imsi, 0xABCD, ms_msisdn);
-        let term = zone.packet().add_terminal(&mut net, "term1", term_alias);
-        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-        net.run_until_quiescent();
-        Single {
-            net,
-            zone,
-            ms,
-            ms_imsi,
-            ms_msisdn,
-            term,
-            term_alias,
-        }
-    }
-
-    /// Places an MS→terminal call and runs until both talk, returning the
-    /// post-dial delay (dial → ringback) in milliseconds.
-    pub fn call_from_ms(&mut self, call: CallId, talk_for: SimDuration) -> f64 {
-        self.net.inject(
-            SimDuration::ZERO,
-            self.ms,
-            Message::Cmd(Command::Dial {
-                call,
-                called: self.term_alias,
-            }),
-        );
-        let deadline = self.net.now() + SimDuration::from_secs(5) + talk_for;
-        self.net.run_until(deadline);
-        histogram_mean(&self.net, A::POST_DIAL_DELAY_MS)
-    }
-
-    /// Hangs up from the MS side and drains the release.
-    pub fn hangup_from_ms(&mut self) {
-        self.net
-            .inject(SimDuration::ZERO, self.ms, Message::Cmd(Command::Hangup));
-        self.net.run_until_quiescent();
-    }
-}
 
 /// The measured outcome of one roaming-call scenario (Figures 7–8).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -297,86 +230,20 @@ pub struct HandoffReport {
     pub term_frames_after: u64,
 }
 
-/// The Figure 9 world ten seconds into a call from the MS of a vGPRS
-/// zone to a terminal on its LAN, the MS also hearing cell 2, which
-/// belongs to the zone `build_neighbor` creates. Returns the network,
-/// the MS and the terminal.
-fn handoff_world(
-    seed: u64,
-    build_neighbor: fn(&mut Network<Message>) -> AccessHalf,
-) -> (Network<Message>, NodeId, NodeId) {
-    let mut net = Network::new(seed);
-    let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let neighbor = build_neighbor(&mut net);
-    // E interface between the two MSCs; the VMSC knows cell 2's owner.
-    net.connect(
-        zone.access.msc,
-        neighbor.msc,
-        Interface::E,
-        neighbor.latency.e,
-    );
-    net.node_mut::<Vmsc>(zone.access.msc)
-        .expect("vmsc")
-        .add_neighbor_cell(neighbor.cell, neighbor.msc);
-
-    let ms = zone.access.add_subscriber(
-        &mut net,
-        "ms1",
-        Imsi::parse("466920000000001").expect("valid"),
-        0xABCD,
-        Msisdn::parse("886912000001").expect("valid"),
-    );
-    let term_alias = Msisdn::parse("886220001111").expect("valid");
-    let term = zone.packet.add_terminal(&mut net, "term1", term_alias);
-    neighbor.cover(&mut net, ms);
-
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    net.inject(
-        SimDuration::ZERO,
-        ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias,
-        }),
-    );
+/// The Figure 9 world around the neighbour `neighbor` builds, ten
+/// seconds into a call from the MS to the terminal.
+fn talking(seed: u64, neighbor: fn(&mut Network<Message>) -> AccessHalf) -> HandoffWorld {
+    let mut world = HandoffWorld::build(seed, neighbor);
+    let home = &mut world.home;
+    let dial = Command::Dial {
+        call: CallId(1),
+        called: home.term_alias,
+    };
+    home.net
+        .inject(SimDuration::ZERO, home.ms, Message::Cmd(dial));
     // Talk for a while before moving.
-    net.run_until(SimTime::from_micros(10_000_000));
-    (net, ms, term)
-}
-
-/// Cell 2 under a classic MSC (same country) with its own BSC/BTS.
-fn classic_neighbor(net: &mut Network<Message>) -> AccessHalf {
-    let pstn = net.add_node("tw.pstn", PstnSwitch::new("tw"));
-    let cfg = GsmZoneConfig {
-        name: "tw2".into(),
-        country_code: "886".into(),
-        home_prefix: "8869".into(),
-        msrn_prefix: "8869991".into(),
-        lai: Lai::new(466, 92, 2),
-        cell: CellId(2),
-        tch_capacity: 32,
-        auth_on_access: true,
-        latency: LatencyProfile::default(),
-    };
-    GsmZone::build(net, cfg, pstn).access
-}
-
-/// Cell 2 under a second VMSC with its own GPRS core and H.323 zone.
-fn vmsc_neighbor(net: &mut Network<Message>) -> AccessHalf {
-    let cfg = VgprsZoneConfig {
-        name: "tw2".into(),
-        lai: Lai::new(466, 92, 2),
-        cell: CellId(2),
-        msrn_prefix: "8869991".into(),
-        pool: (vgprs_wire::Ipv4Addr::from_octets(10, 201, 0, 0), 16),
-        gk_addr: vgprs_wire::TransportAddr::new(
-            vgprs_wire::Ipv4Addr::from_octets(10, 2, 0, 2),
-            1719,
-        ),
-        ..VgprsZoneConfig::taiwan()
-    };
-    VgprsZone::build(net, cfg).access
+    home.net.run_until(SimTime::from_micros(10_000_000));
+    world
 }
 
 /// Moves the MS into cell 2 and talks for ten more seconds.
@@ -389,48 +256,50 @@ fn move_to_cell_2(net: &mut Network<Message>, ms: NodeId) {
     net.run_until(SimTime::from_micros(20_000_000));
 }
 
-/// Hands the call of a [`handoff_world`] over and counts the frames on
-/// both sides of the move.
-fn handoff_report((mut net, ms, term): (Network<Message>, NodeId, NodeId)) -> HandoffReport {
+/// Figure 9 around the neighbour `neighbor` builds: ten seconds into a
+/// call, the MS moves into the neighbour's cell 2 and talks for ten more.
+/// Returns the world, its trace holding the move alone, and the frames
+/// counted on both sides of the move.
+pub fn handed_over(
+    seed: u64,
+    neighbor: fn(&mut Network<Message>) -> AccessHalf,
+) -> (HandoffWorld, HandoffReport) {
+    let mut world = talking(seed, neighbor);
+    let (net, ms, term) = (&mut world.home.net, world.home.ms, world.home.term);
+    net.trace_mut().clear();
     let frames_before = net.node::<MobileStation>(ms).expect("ms").frames_received;
     let term_frames_before = net
         .node::<H323Terminal>(term)
         .expect("term")
         .frames_received;
-    move_to_cell_2(&mut net, ms);
+    move_to_cell_2(net, ms);
     let handset = net.node::<MobileStation>(ms).expect("ms");
     let terminal = net.node::<H323Terminal>(term).expect("term");
-    HandoffReport {
+    let report = HandoffReport {
         handoffs_completed: handset.handoffs_completed,
         frames_before,
         frames_after: handset.frames_received - frames_before,
         term_frames_after: terminal.frames_received - term_frames_before,
-    }
+    };
+    (world, report)
 }
 
 /// Figure 9: an MS in a call through a VMSC moves into a cell served by a
 /// neighboring *classic* GSM MSC. The VMSC stays in the path as the
 /// anchor; voice continues over an inter-MSC trunk.
 pub fn intersystem_handoff(seed: u64) -> HandoffReport {
-    handoff_report(handoff_world(seed, classic_neighbor))
-}
-
-/// Section 7's closing claim: "inter-system handoff between two VMSCs
-/// follows the same procedure". Identical to [`intersystem_handoff`] but
-/// the neighboring cell belongs to a *second VMSC* (its own GPRS core and
-/// H.323 zone), not a classic MSC.
-pub fn intervmsc_handoff(seed: u64) -> HandoffReport {
-    handoff_report(handoff_world(seed, vmsc_neighbor))
+    handed_over(seed, classic_neighbor).1
 }
 
 /// Figure 9 with windowed delay measurement: mean downlink frame delay
 /// at the MS before vs. after the handoff (the C5 measurement), from
 /// the MS's voice-delay histogram snapshotted at the handoff boundary.
 pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
-    let (mut net, ms, _term) = handoff_world(seed, classic_neighbor);
-    let (n1, s1) = histogram_sum(&net, "ms.voice_e2e_ms");
-    move_to_cell_2(&mut net, ms);
-    let (n2, s2) = histogram_sum(&net, "ms.voice_e2e_ms");
+    let world = &mut talking(seed, classic_neighbor).home;
+    let (net, ms) = (&mut world.net, world.ms);
+    let (n1, s1) = histogram_sum(net, "ms.voice_e2e_ms");
+    move_to_cell_2(net, ms);
+    let (n2, s2) = histogram_sum(net, "ms.voice_e2e_ms");
     let before = if n1 > 0 { s1 / n1 as f64 } else { f64::NAN };
     let after = if n2 > n1 {
         (s2 - s1) / (n2 - n1) as f64

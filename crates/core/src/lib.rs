@@ -12,17 +12,19 @@
 //! * [`GsmZone`] — the classic circuit-switched baseline network
 //!   (Figure 7): the access half around a [`vgprs_gsm::GsmMsc`].
 //!
-//! See the crate's integration tests (workspace `tests/`) for the
-//! reproduced message flows of Figures 4–6.
+//! The paper's ladder figures (4, 5, 6 and 9) and the worlds they run in
+//! are stated once, in [`figures`]; the crate's integration tests
+//! (`crates/core/tests`) check them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
 mod provision;
 pub mod testbed;
 mod vmsc;
 
-pub use provision::FIGURE_4;
+pub use figures::FIGURE_4;
 pub use testbed::{
     AccessHalf, Architecture, GsmZone, GsmZoneConfig, HomeNumbers, LatencyProfile, PacketHalf,
     VgprsZone, VgprsZoneConfig,

@@ -31,30 +31,6 @@ use vgprs_wire::{Message, QosProfile, TransportAddr};
 use crate::testbed::VgprsZone;
 use crate::vmsc::{sig_nsapi, Registration, Vmsc, H225_PORT};
 
-/// The paper's Figure 4, steps 1.1–1.6, as the labels of the messages
-/// its ladder delivers, in order: what a registration trace must hold
-/// as a subsequence. The RRQ is tunnelled (Figure 3) before it reaches
-/// the gatekeeper's LAN.
-pub const FIGURE_4: [&str; 17] = [
-    "Um_Location_Update_Request",   // step 1.1
-    "Abis_Location_Update",         //   "
-    "A_Location_Update",            //   "
-    "MAP_Update_Location_Area",     //   "
-    "MAP_Update_Location",          // step 1.2
-    "MAP_Insert_Subs_Data",         //   "
-    "MAP_Update_Location_Area_ack", //   "
-    "GPRS_Attach_Request",          // step 1.3
-    "GPRS_Attach_Accept",           //   "
-    "Activate_PDP_Context_Request", //   "
-    "Activate_PDP_Context_Accept",  //   "
-    "LLC:RAS_RRQ",                  // step 1.4
-    "GTP:RAS_RRQ",                  //   "
-    "RAS_RRQ",                      //   "
-    "RAS_RCF",                      // step 1.5
-    "A_Location_Update_Accept",     // step 1.6
-    "Um_Location_Update_Accept",    //   "
-];
-
 /// The one-way delay from `from` to `to`.
 ///
 /// # Panics

@@ -2,7 +2,8 @@
 //! origination + release, and call termination, between a standard GSM
 //! MS and an H.323 terminal.
 
-use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
+use vgprs_core::figures::{SingleZone, FIGURE_5_ORIGINATION, FIGURE_5_RELEASE, FIGURE_6};
+use vgprs_core::Vmsc;
 use vgprs_gsm::{MobileStation, MsState};
 use vgprs_h323::{Gatekeeper, H323Terminal, TerminalState};
 use vgprs_sim::{Interface, Network, NodeId, ScriptedPeer, SimDuration, SimTime};
@@ -12,93 +13,13 @@ use vgprs_wire::{
     RasMessage, Tmsi, TransportAddr,
 };
 
-fn ms_imsi() -> Imsi {
-    Imsi::parse("466920000000001").unwrap()
-}
-
-fn ms_msisdn() -> Msisdn {
-    Msisdn::parse("886912000001").unwrap()
-}
-
-fn term_alias() -> Msisdn {
-    Msisdn::parse("886220001111").unwrap()
-}
-
-struct Rig {
-    net: Network<Message>,
-    zone: VgprsZone,
-    ms: NodeId,
-    term: NodeId,
-}
-
-/// One vGPRS zone with a registered MS and a registered H.323 terminal.
-fn rig() -> Rig {
-    let mut net = Network::new(42);
-    let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms1", ms_imsi(), 0xABCD, ms_msisdn());
-    let term = zone.packet.add_terminal(&mut net, "term1", term_alias());
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    assert_eq!(
-        net.node::<Vmsc>(zone.access.msc)
-            .unwrap()
-            .registered_count(),
-        1,
-        "precondition: MS registered"
-    );
-    assert_eq!(
-        net.node::<H323Terminal>(term).unwrap().state(),
-        TerminalState::Idle,
-        "precondition: terminal registered"
-    );
-    net.trace_mut().clear();
-    Rig {
-        net,
-        zone,
-        ms,
-        term,
-    }
-}
-
 #[test]
 fn figure5_origination_ladder() {
-    let mut r = rig();
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias(),
-        }),
-    );
+    let mut r = SingleZone::build(42);
+    r.net.trace_mut().clear();
+    dial(&mut r.net, r.ms, 1, r.term_alias);
     r.net.run_until(SimTime::from_micros(8_000_000));
-    // Paper Figure 5, steps 2.1 – 2.9:
-    assert!(
-        r.net.trace().contains_subsequence(&[
-            "Um_CM_Service_Request",           // step 2.1 box
-            "Um_Setup",                        // step 2.1
-            "MAP_Send_Info_For_Outgoing_Call", // step 2.2
-            "MAP_Send_Info_For_Outgoing_Call_ack",
-            "RAS_ARQ", // step 2.3 (VMSC → GK)
-            "RAS_ACF",
-            "Q931_Setup", // step 2.4
-            "Q931_Call_Proceeding",
-            "RAS_ARQ", // step 2.5 (terminal → GK)
-            "RAS_ACF",
-            "Q931_Alerting", // step 2.6
-            "A_Alerting",    // step 2.7
-            "Um_Alerting",
-            "Q931_Connect", // step 2.8
-            "A_Connect",
-            "Um_Connect",
-            "Activate_PDP_Context_Request", // step 2.9 (voice context)
-            "Activate_PDP_Context_Accept",
-        ]),
-        "origination ladder mismatch; got:\n{}",
-        vgprs_sim::LadderDiagram::new(r.net.trace()).render()
-    );
+    FIGURE_5_ORIGINATION.assert_holds(r.net.trace());
     // Both ends connected.
     assert_eq!(
         r.net.node::<MobileStation>(r.ms).unwrap().state(),
@@ -112,15 +33,8 @@ fn figure5_origination_ladder() {
 
 #[test]
 fn voice_flows_both_ways() {
-    let mut r = rig();
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias(),
-        }),
-    );
+    let mut r = SingleZone::build(42);
+    dial(&mut r.net, r.ms, 1, r.term_alias);
     // ~8 s: connect around 4.3 s (auto-answer 2 s), then talking.
     r.net.run_until(SimTime::from_micros(10_000_000));
     let handset = r.net.node::<MobileStation>(r.ms).unwrap();
@@ -143,33 +57,15 @@ fn voice_flows_both_ways() {
 
 #[test]
 fn figure5_release_ladder() {
-    let mut r = rig();
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias(),
-        }),
-    );
+    let mut r = SingleZone::build(42);
+    dial(&mut r.net, r.ms, 1, r.term_alias);
     r.net.run_until(SimTime::from_micros(6_000_000));
     r.net.trace_mut().clear();
     // Step 3.1: the calling party (the GSM user) hangs up first.
     r.net
         .inject(SimDuration::ZERO, r.ms, Message::Cmd(Command::Hangup));
     r.net.run_until_quiescent();
-    assert!(
-        r.net.trace().contains_subsequence(&[
-            "Um_Disconnect",                  // step 3.1
-            "LLC:Q931_Release_Complete",      // step 3.2 (leaves the VMSC)
-            "Deactivate_PDP_Context_Request", // step 3.4
-            "Q931_Release_Complete",          // step 3.2 (reaches the LAN)
-            "RAS_DRQ",                        // step 3.3
-            "RAS_DCF",
-        ]),
-        "release ladder mismatch; got:\n{}",
-        vgprs_sim::LadderDiagram::new(r.net.trace()).render()
-    );
+    FIGURE_5_RELEASE.assert_holds(r.net.trace());
     // Both DRQs (VMSC and terminal) were recorded for charging.
     let gk = r.net.node::<Gatekeeper>(r.zone.packet.gk).unwrap();
     assert_eq!(gk.charging_records().len(), 2);
@@ -185,49 +81,17 @@ fn figure5_release_ladder() {
     );
     let vmsc = r.net.node::<Vmsc>(r.zone.access.msc).unwrap();
     assert_eq!(vmsc.active_calls(), 0);
-    assert!(vmsc.ms_entry(&ms_imsi()).unwrap().voice_addr.is_none());
+    assert!(vmsc.ms_entry(&r.ms_imsi).unwrap().voice_addr.is_none());
 }
 
 #[test]
 fn figure6_termination_ladder() {
-    let mut r = rig();
+    let mut r = SingleZone::build(42);
+    r.net.trace_mut().clear();
     // The H.323 terminal calls the MS.
-    r.net.inject(
-        SimDuration::ZERO,
-        r.term,
-        Message::Cmd(Command::Dial {
-            call: CallId(2),
-            called: ms_msisdn(),
-        }),
-    );
+    dial(&mut r.net, r.term, 2, r.ms_msisdn);
     r.net.run_until(SimTime::from_micros(10_000_000));
-    // Paper Figure 6, steps 4.1 – 4.8:
-    assert!(
-        r.net.trace().contains_subsequence(&[
-            "RAS_ARQ", // step 4.1 (calling party)
-            "RAS_ACF",
-            "Q931_Setup",               // step 4.2 (through the GGSN)
-            "GTP:Q931_Setup",           //   " (tunneled)
-            "LLC:Q931_Setup",           //   " (Gb)
-            "LLC:Q931_Call_Proceeding", //   " (VMSC answers)
-            "RAS_ARQ",                  // step 4.3 (VMSC)
-            "RAS_ACF",
-            "A_Paging", // step 4.4
-            "Abis_Paging",
-            "Um_Paging",
-            "Um_Paging_Response", // step 4.5
-            "A_Setup",            //   " (MtSetup toward the MS)
-            "Um_Setup",
-            "Um_Alerting", // step 4.6
-            "Q931_Alerting",
-            "Um_Connect", // step 4.7
-            "LLC:Q931_Connect",
-            "Activate_PDP_Context_Request", // step 4.8
-            "Q931_Connect",                 // step 4.7 reaches the caller
-        ]),
-        "termination ladder mismatch; got:\n{}",
-        vgprs_sim::LadderDiagram::new(r.net.trace()).render()
-    );
+    FIGURE_6.assert_holds(r.net.trace());
     assert_eq!(
         r.net.node::<MobileStation>(r.ms).unwrap().state(),
         MsState::Active
@@ -243,7 +107,7 @@ fn figure6_termination_ladder() {
 
 #[test]
 fn busy_ms_rejects_second_call() {
-    let mut r = rig();
+    let mut r = SingleZone::build(42);
     let term2 = {
         let t =
             r.zone
@@ -252,24 +116,10 @@ fn busy_ms_rejects_second_call() {
         r.net.run_until_quiescent();
         t
     };
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias(),
-        }),
-    );
+    dial(&mut r.net, r.ms, 1, r.term_alias);
     r.net.run_until(SimTime::from_micros(6_000_000));
     // terminal 2 now calls the busy MS
-    r.net.inject(
-        SimDuration::ZERO,
-        term2,
-        Message::Cmd(Command::Dial {
-            call: CallId(2),
-            called: ms_msisdn(),
-        }),
-    );
+    dial(&mut r.net, term2, 2, r.ms_msisdn);
     r.net.run_until(SimTime::from_micros(12_000_000));
     assert_eq!(
         r.net.node::<H323Terminal>(term2).unwrap().state(),
@@ -285,15 +135,8 @@ fn busy_ms_rejects_second_call() {
 
 #[test]
 fn remote_hangup_clears_ms() {
-    let mut r = rig();
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: term_alias(),
-        }),
-    );
+    let mut r = SingleZone::build(42);
+    dial(&mut r.net, r.ms, 1, r.term_alias);
     r.net.run_until(SimTime::from_micros(6_000_000));
     r.net
         .inject(SimDuration::ZERO, r.term, Message::Cmd(Command::Hangup));
@@ -313,15 +156,8 @@ fn remote_hangup_clears_ms() {
 
 #[test]
 fn call_to_unknown_number_denied() {
-    let mut r = rig();
-    r.net.inject(
-        SimDuration::ZERO,
-        r.ms,
-        Message::Cmd(Command::Dial {
-            call: CallId(1),
-            called: Msisdn::parse("886299999999").unwrap(),
-        }),
-    );
+    let mut r = SingleZone::build(42);
+    dial(&mut r.net, r.ms, 1, Msisdn::parse("886299999999").unwrap());
     r.net.run_until_quiescent();
     assert_eq!(
         r.net.node::<MobileStation>(r.ms).unwrap().state(),
@@ -333,16 +169,9 @@ fn call_to_unknown_number_denied() {
 
 #[test]
 fn consecutive_calls_reuse_signaling_context() {
-    let mut r = rig();
+    let mut r = SingleZone::build(42);
     for call_id in 1..=3u64 {
-        r.net.inject(
-            SimDuration::ZERO,
-            r.ms,
-            Message::Cmd(Command::Dial {
-                call: CallId(call_id),
-                called: term_alias(),
-            }),
-        );
+        dial(&mut r.net, r.ms, call_id, r.term_alias);
         r.net.run_until(r.net.now() + SimDuration::from_secs(6));
         assert_eq!(
             r.net.node::<MobileStation>(r.ms).unwrap().state(),
@@ -371,14 +200,6 @@ fn consecutive_calls_reuse_signaling_context() {
 
 // ---- two handsets under one VMSC ----
 
-fn ms2_imsi() -> Imsi {
-    Imsi::parse("466920000000002").unwrap()
-}
-
-fn ms2_msisdn() -> Msisdn {
-    Msisdn::parse("886912000002").unwrap()
-}
-
 fn dial(net: &mut Network<Message>, node: NodeId, call: u64, called: Msisdn) {
     let dial = Command::Dial {
         call: CallId(call),
@@ -396,12 +217,14 @@ fn ms_state(net: &Network<Message>, ms: NodeId) -> MsState {
 /// side hangs up — leaving rows the next call can use.
 #[test]
 fn mobile_to_mobile_call_is_two_legs() {
-    let mut r = rig();
+    let mut r = SingleZone::build(42);
     let (a, vmsc) = (r.ms, r.zone.access.msc);
+    let b_imsi = Imsi::parse("466920000000002").unwrap();
+    let b_number = Msisdn::parse("886912000002").unwrap();
     let b = r
         .zone
         .access
-        .add_subscriber(&mut r.net, "ms2", ms2_imsi(), 0xBCDE, ms2_msisdn());
+        .add_subscriber(&mut r.net, "ms2", b_imsi, 0xBCDE, b_number);
     r.net
         .inject(SimDuration::ZERO, b, Message::Cmd(Command::PowerOn));
     r.net.run_until_quiescent();
@@ -412,7 +235,7 @@ fn mobile_to_mobile_call_is_two_legs() {
     );
 
     // A dials B.
-    dial(&mut r.net, a, 1, ms2_msisdn());
+    dial(&mut r.net, a, 1, b_number);
     r.net.run_until(r.net.now() + SimDuration::from_secs(8));
     assert_eq!(
         (ms_state(&r.net, a), ms_state(&r.net, b)),
@@ -439,7 +262,7 @@ fn mobile_to_mobile_call_is_two_legs() {
     assert_eq!(counter(&r.net, "vmsc.voice_context_deactivated"), 2);
 
     // A's row is free again: a terminal reaches it.
-    dial(&mut r.net, r.term, 2, ms_msisdn());
+    dial(&mut r.net, r.term, 2, r.ms_msisdn);
     r.net.run_until(r.net.now() + SimDuration::from_secs(8));
     assert_eq!(ms_state(&r.net, a), MsState::Active);
     assert_eq!(
@@ -449,7 +272,7 @@ fn mobile_to_mobile_call_is_two_legs() {
 
     // B dials A, who is busy: B hears so, and A's call is not disturbed.
     r.net.trace_mut().clear();
-    dial(&mut r.net, b, 3, ms_msisdn());
+    dial(&mut r.net, b, 3, r.ms_msisdn);
     r.net.run_until(r.net.now() + SimDuration::from_secs(4));
     assert!(r
         .net
@@ -470,8 +293,8 @@ fn mobile_to_mobile_call_is_two_legs() {
 // ---- every ladder message, in every state ----
 
 /// The row's `RegPhase/CallPhase` and its radio connection.
-fn row_state(net: &Network<Message>, vmsc: NodeId) -> (String, ConnRef) {
-    let row = net.node::<Vmsc>(vmsc).unwrap().ms_entry(&ms_imsi());
+fn row_state(net: &Network<Message>, vmsc: NodeId, imsi: Imsi) -> (String, ConnRef) {
+    let row = net.node::<Vmsc>(vmsc).unwrap().ms_entry(&imsi);
     let Some((reg, call, conn)) = row.map(|row| row.state()) else {
         return ("/".into(), ConnRef(1));
     };
@@ -480,9 +303,14 @@ fn row_state(net: &Network<Message>, vmsc: NodeId) -> (String, ConnRef) {
 }
 
 /// Every message the Figure 4–6 ladders deliver to a VMSC, built for the
-/// MS on `conn` with PDP address `addr`, about call `call`.
-fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interface, Message)> {
-    let imsi = ms_imsi();
+/// MS of `r` on `conn` with PDP address `addr`, about call `call`.
+fn ladder_messages(
+    r: &SingleZone,
+    conn: ConnRef,
+    addr: Ipv4Addr,
+    call: CallId,
+) -> Vec<(Interface, Message)> {
+    let imsi = r.ms_imsi;
     let identity = MsIdentity::Imsi(imsi);
     let cause = Cause::TemporaryFailure;
     let peer = TransportAddr::new(Ipv4Addr::from_octets(10, 1, 0, 9), 1720);
@@ -519,7 +347,7 @@ fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interfac
         a(Dtap::CmServiceRequest { identity }),
         a(Dtap::Setup {
             call,
-            called: term_alias(),
+            called: r.term_alias,
         }),
         a(Dtap::ChannelAssignmentComplete),
         a(Dtap::ChannelAssignmentFailure { cause }),
@@ -534,7 +362,7 @@ fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interfac
             conn,
             imsi,
             tmsi: None,
-            msisdn: Some(ms_msisdn()),
+            msisdn: Some(r.ms_msisdn),
         }),
         map(MapMessage::UpdateLocationAreaReject {
             conn,
@@ -595,9 +423,9 @@ fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interfac
             imsi,
             nsapi: nsapi(6),
         }),
-        ras(RasMessage::Rcf { alias: ms_msisdn() }),
+        ras(RasMessage::Rcf { alias: r.ms_msisdn }),
         ras(RasMessage::Rrj {
-            alias: ms_msisdn(),
+            alias: r.ms_msisdn,
             cause,
         }),
         ras(RasMessage::Acf {
@@ -608,7 +436,7 @@ fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interfac
         ras(RasMessage::Dcf { call }),
         q931(Q931Kind::Setup {
             calling: None,
-            called: ms_msisdn(),
+            called: r.ms_msisdn,
             signal_addr: peer,
             media_addr: peer,
         }),
@@ -622,36 +450,22 @@ fn ladder_messages(conn: ConnRef, addr: Ipv4Addr, call: CallId) -> Vec<(Interfac
 /// The scenario the states are taken from: registration, a mobile-
 /// originated call and its release, then a mobile-terminated one. Runs
 /// `until_ms`, calling `each_ms` after every millisecond.
-fn drive(r: &mut Rig, until_ms: u64, mut each_ms: impl FnMut(u64, &Network<Message>)) {
+fn drive(r: &mut SingleZone, until_ms: u64, mut each_ms: impl FnMut(u64, &Network<Message>)) {
+    // The grid reads counters and queues, not the trace.
+    r.net.set_trace_capture(false);
     r.net
         .inject(SimDuration::ZERO, r.ms, Message::Cmd(Command::PowerOn));
     for ms in 0..=until_ms {
         match ms {
-            1_000 => dial(&mut r.net, r.ms, 1, term_alias()),
+            1_000 => dial(&mut r.net, r.ms, 1, r.term_alias),
             5_000 => r
                 .net
                 .inject(SimDuration::ZERO, r.ms, Message::Cmd(Command::Hangup)),
-            6_000 => dial(&mut r.net, r.term, 2, ms_msisdn()),
+            6_000 => dial(&mut r.net, r.term, 2, r.ms_msisdn),
             _ => {}
         }
         r.net.run_until(SimTime::from_micros(ms * 1_000));
         each_ms(ms, &r.net);
-    }
-}
-
-fn unregistered_rig() -> Rig {
-    let mut net = Network::new(42);
-    let mut zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms1", ms_imsi(), 0xABCD, ms_msisdn());
-    let term = zone.packet.add_terminal(&mut net, "term1", term_alias());
-    net.set_trace_capture(false);
-    Rig {
-        net,
-        zone,
-        ms,
-        term,
     }
 }
 
@@ -662,10 +476,10 @@ fn unregistered_rig() -> Rig {
 fn every_ladder_message_in_every_state_is_answered_or_counted() {
     // The states the scenario passes through, with when each first shows.
     let mut states: Vec<(String, u64)> = Vec::new();
-    let mut r = unregistered_rig();
-    let vmsc = r.zone.access.msc;
+    let mut r = SingleZone::new(42);
+    let (vmsc, imsi) = (r.zone.access.msc, r.ms_imsi);
     drive(&mut r, 10_000, |ms, net| {
-        let (state, _) = row_state(net, vmsc);
+        let (state, _) = row_state(net, vmsc, imsi);
         if !states.iter().any(|(seen, _)| *seen == state) {
             states.push((state, ms));
         }
@@ -705,15 +519,16 @@ fn every_ladder_message_in_every_state_is_answered_or_counted() {
             || format!("{m:?}").contains("DeactivatePdpContextAccept")
             || format!("{m:?}").contains("ReleaseComplete")
     };
-    let count = ladder_messages(ConnRef(1), Ipv4Addr::from_octets(10, 200, 0, 1), CallId(1)).len();
+    let addr = Ipv4Addr::from_octets(10, 200, 0, 1);
+    let count = ladder_messages(&r, ConnRef(1), addr, CallId(1)).len();
     for (state, at_ms) in &states {
         for stranger in [false, true] {
             for index in 0..count {
-                let mut r = unregistered_rig();
+                let mut r = SingleZone::new(42);
                 drive(&mut r, *at_ms, |_, _| {});
-                let (reached, conn) = row_state(&r.net, vmsc);
+                let (reached, conn) = row_state(&r.net, vmsc, imsi);
                 assert_eq!(reached, *state);
-                let row = r.net.node::<Vmsc>(vmsc).unwrap().ms_entry(&ms_imsi());
+                let row = r.net.node::<Vmsc>(vmsc).unwrap().ms_entry(&r.ms_imsi);
                 let addr = row.and_then(|row| row.signaling_addr);
                 let addr = addr.unwrap_or(Ipv4Addr::from_octets(10, 200, 9, 9));
                 let call = if stranger {
@@ -723,7 +538,7 @@ fn every_ladder_message_in_every_state_is_answered_or_counted() {
                 } else {
                     CallId(1)
                 };
-                let (iface, msg) = ladder_messages(conn, addr, call).swap_remove(index);
+                let (iface, msg) = ladder_messages(&r, conn, addr, call).swap_remove(index);
                 let what = format!("{msg:?} (stranger: {stranger}) in {state}");
                 let silent_by_design = closes_a_dialogue(&msg);
                 // A peer of its own sends the message, as the BSC, the

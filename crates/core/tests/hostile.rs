@@ -8,60 +8,38 @@
 //! A further node kind joins with a table of the messages it hears; the
 //! peer that delivers them is `vgprs_sim::ScriptedPeer`.
 
-use vgprs_core::{VgprsZone, VgprsZoneConfig, Vmsc};
+use vgprs_core::figures::SingleZone;
+use vgprs_core::Vmsc;
 use vgprs_gprs::{Ggsn, Sgsn};
 use vgprs_sim::{Interface, Network, NodeId, ScriptedPeer, SimDuration, TraceEntry};
 use vgprs_wire::{
-    Cause, Command, GmmMessage, GtpMessage, Imsi, IpPacket, IpPayload, Ipv4Addr, Message, Msisdn,
-    Nsapi, QosProfile, RasMessage, Teid, Tmsi, TransportAddr,
+    Cause, GmmMessage, GtpMessage, IpPacket, IpPayload, Ipv4Addr, Message, Nsapi, QosProfile,
+    RasMessage, Teid, Tmsi, TransportAddr,
 };
-
-fn ms_imsi() -> Imsi {
-    Imsi::parse("466920000000001").unwrap()
-}
-
-fn ms_msisdn() -> Msisdn {
-    Msisdn::parse("886912000001").unwrap()
-}
 
 /// The first tunnel endpoint each node allocates: the handset's signaling
 /// context once it is registered, nobody's before.
 const SGSN_TEID: Teid = Teid(0x5000_0001);
 const GGSN_TEID: Teid = Teid(0x6000_0001);
 
-/// One zone with one handset, registered or not, and the handset's PDP
-/// address (a made-up one in the pool when it has none).
-fn zone(registered: bool) -> (Network<Message>, VgprsZone, Ipv4Addr) {
-    let mut net = Network::new(42);
-    let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms1", ms_imsi(), 0xABCD, ms_msisdn());
-    if registered {
-        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    }
-    assert!(net.run_until_quiescent().quiescent);
+/// The handset's PDP address in the one-zone world (a made-up one in
+/// the pool when it has none), checking the contexts it holds.
+fn pdp_addr(s: &SingleZone, registered: bool) -> Ipv4Addr {
     let contexts = usize::from(registered);
-    let sgsn = net.node::<Sgsn>(zone.packet.sgsn).unwrap();
+    let sgsn = s.net.node::<Sgsn>(s.zone.packet.sgsn).unwrap();
     assert_eq!(sgsn.active_pdp_count(), contexts, "contexts at the SGSN");
-    let ggsn = net.node::<Ggsn>(zone.packet.ggsn).unwrap();
+    let ggsn = s.net.node::<Ggsn>(s.zone.packet.ggsn).unwrap();
     assert_eq!(ggsn.active_pdp_count(), contexts, "contexts at the GGSN");
-    let row = net
-        .node::<Vmsc>(zone.access.msc)
-        .unwrap()
-        .ms_entry(&ms_imsi());
+    let vmsc = s.net.node::<Vmsc>(s.zone.access.msc).unwrap();
+    let row = vmsc.ms_entry(&s.ms_imsi);
     let addr = row.and_then(|row| row.signaling_addr);
-    (
-        net,
-        zone,
-        addr.unwrap_or(Ipv4Addr::from_octets(10, 200, 9, 9)),
-    )
+    addr.unwrap_or(Ipv4Addr::from_octets(10, 200, 9, 9))
 }
 
 /// An RAS message from the handset's address to a LAN host.
-fn packet(addr: Ipv4Addr) -> IpPacket {
+fn packet(s: &SingleZone, addr: Ipv4Addr) -> IpPacket {
     let lan_host = TransportAddr::new(Ipv4Addr::from_octets(10, 1, 0, 9), 1719);
-    let rcf = RasMessage::Rcf { alias: ms_msisdn() };
+    let rcf = RasMessage::Rcf { alias: s.ms_msisdn };
     IpPacket::new(
         TransportAddr::new(addr, 1719),
         lan_host,
@@ -69,15 +47,15 @@ fn packet(addr: Ipv4Addr) -> IpPacket {
     )
 }
 
-fn tpdu(teid: Teid, addr: Ipv4Addr) -> GtpMessage {
-    let inner = Box::new(Message::Ip(packet(addr)));
+fn tpdu(s: &SingleZone, teid: Teid, addr: Ipv4Addr) -> GtpMessage {
+    let inner = Box::new(Message::Ip(packet(s, addr)));
     GtpMessage::TPdu { teid, inner }
 }
 
 /// Every GTP message, about the handset's signaling context, for the node
 /// whose tunnel endpoint is `teid`.
-fn gtp(teid: Teid, addr: Ipv4Addr) -> Vec<GtpMessage> {
-    let (imsi, nsapi) = (ms_imsi(), Nsapi::new(5).unwrap());
+fn gtp(s: &SingleZone, teid: Teid, addr: Ipv4Addr) -> Vec<GtpMessage> {
+    let (imsi, nsapi) = (s.ms_imsi, Nsapi::new(5).unwrap());
     let qos = QosProfile::signaling();
     vec![
         GtpMessage::CreatePdpRequest {
@@ -106,13 +84,13 @@ fn gtp(teid: Teid, addr: Ipv4Addr) -> Vec<GtpMessage> {
         GtpMessage::DeletePdpResponse { imsi, nsapi },
         GtpMessage::PduNotificationRequest { imsi, addr },
         GtpMessage::PduNotificationResponse { imsi },
-        tpdu(teid, addr),
+        tpdu(s, teid, addr),
     ]
 }
 
 /// Every GMM message, about the handset's signaling context.
-fn gmm(addr: Ipv4Addr) -> Vec<GmmMessage> {
-    let (imsi, nsapi) = (ms_imsi(), Nsapi::new(5).unwrap());
+fn gmm(s: &SingleZone, addr: Ipv4Addr) -> Vec<GmmMessage> {
+    let (imsi, nsapi) = (s.ms_imsi, Nsapi::new(5).unwrap());
     let (qos, cause) = (QosProfile::signaling(), Cause::TemporaryFailure);
     vec![
         GmmMessage::AttachRequest { imsi },
@@ -178,31 +156,31 @@ fn gmm_variant(m: &GmmMessage) -> usize {
 
 #[test]
 fn the_tables_hold_every_variant_once() {
-    let addr = Ipv4Addr::from_octets(10, 200, 9, 9);
-    let gtp: Vec<usize> = gtp(SGSN_TEID, addr).iter().map(gtp_variant).collect();
+    let (s, addr) = (SingleZone::new(42), Ipv4Addr::from_octets(10, 200, 9, 9));
+    let gtp: Vec<usize> = gtp(&s, SGSN_TEID, addr).iter().map(gtp_variant).collect();
     assert_eq!(gtp, (0..9).collect::<Vec<_>>());
-    let gmm: Vec<usize> = gmm(addr).iter().map(gmm_variant).collect();
+    let gmm: Vec<usize> = gmm(&s, addr).iter().map(gmm_variant).collect();
     assert_eq!(gmm, (0..11).collect::<Vec<_>>());
 }
 
 /// Every case: the node it goes to, the interface it arrives on there,
 /// and the message.
-fn cases(zone: &VgprsZone, addr: Ipv4Addr) -> Vec<(NodeId, Interface, Message)> {
-    let (sgsn, ggsn) = (zone.packet.sgsn, zone.packet.ggsn);
+fn cases(s: &SingleZone, addr: Ipv4Addr) -> Vec<(NodeId, Interface, Message)> {
+    let (sgsn, ggsn) = (s.zone.packet.sgsn, s.zone.packet.ggsn);
     let mut cases = Vec::new();
     for (node, teid) in [(sgsn, SGSN_TEID), (ggsn, GGSN_TEID)] {
-        let unknown = tpdu(Teid(0x0BAD_0001), addr);
-        for m in gtp(teid, addr).into_iter().chain([unknown]) {
+        let unknown = tpdu(s, Teid(0x0BAD_0001), addr);
+        for m in gtp(s, teid, addr).into_iter().chain([unknown]) {
             cases.push((node, Interface::Gn, Message::Gtp(m)));
         }
     }
-    for m in gmm(addr) {
+    for m in gmm(s, addr) {
         cases.push((sgsn, Interface::Gb, Message::Gmm(m)));
     }
     let llc = Message::Llc {
-        imsi: ms_imsi(),
+        imsi: s.ms_imsi,
         nsapi: Nsapi::new(5).unwrap(),
-        inner: Box::new(packet(addr)),
+        inner: Box::new(packet(s, addr)),
     };
     cases.push((sgsn, Interface::Gb, llc));
     cases
@@ -228,12 +206,18 @@ const SILENT: [&str; 7] = [
 fn every_packet_core_message_with_and_without_a_context_leaves_a_mark() {
     let mut silent = Vec::new();
     for (registered, state) in [(false, "no context"), (true, "one context")] {
-        let (_, zone, addr) = zone(registered);
-        let count = cases(&zone, addr).len();
+        let world: fn(u64) -> SingleZone = if registered {
+            SingleZone::build
+        } else {
+            SingleZone::new
+        };
+        let s = world(42);
+        let count = cases(&s, pdp_addr(&s, registered)).len();
         for index in 0..count {
-            let (mut net, zone, addr) = self::zone(registered);
-            let (node, iface, msg) = cases(&zone, addr).swap_remove(index);
-            let kind = if node == zone.packet.sgsn {
+            let s = world(42);
+            let (node, iface, msg) = cases(&s, pdp_addr(&s, registered)).swap_remove(index);
+            let mut net = s.net;
+            let kind = if node == s.zone.packet.sgsn {
                 "sgsn"
             } else {
                 "ggsn"

@@ -1,44 +1,27 @@
 //! End-to-end reproduction of the paper's Figure 4: vGPRS registration.
 
+use vgprs_core::figures::SingleZone;
 use vgprs_core::{RegPhase, VgprsZone, VgprsZoneConfig, Vmsc, FIGURE_4};
 use vgprs_gsm::{MobileStation, MsState};
 use vgprs_h323::Gatekeeper;
 use vgprs_sim::{Network, SimDuration};
 use vgprs_wire::{Command, Imsi, Message, Msisdn};
 
-fn imsi() -> Imsi {
-    Imsi::parse("466920000000001").unwrap()
-}
-
-fn msisdn() -> Msisdn {
-    Msisdn::parse("886912000001").unwrap()
-}
-
-fn registered_zone() -> (Network<Message>, VgprsZone, vgprs_sim::NodeId) {
-    let mut net = Network::new(42);
-    let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
-    net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-    net.run_until_quiescent();
-    (net, zone, ms)
-}
-
 #[test]
 fn figure4_registration_ladder() {
-    let (net, _zone, _ms) = registered_zone();
-    // The paper's Figure 4, steps 1.1 – 1.6, as a label subsequence:
-    assert!(
-        net.trace().contains_subsequence(&FIGURE_4),
-        "registration ladder mismatch; got:\n{}",
-        vgprs_sim::LadderDiagram::new(net.trace()).render()
-    );
+    FIGURE_4.assert_holds(SingleZone::build(42).net.trace());
 }
 
 #[test]
 fn registration_outcome_state() {
-    let (net, zone, ms) = registered_zone();
+    let SingleZone {
+        net,
+        zone,
+        ms,
+        ms_imsi,
+        ms_msisdn,
+        ..
+    } = SingleZone::build(42);
     // MS side: registered, has a TMSI.
     let handset = net.node::<MobileStation>(ms).unwrap();
     assert_eq!(handset.state(), MsState::Idle);
@@ -47,20 +30,20 @@ fn registration_outcome_state() {
     // context's PDP address.
     let vmsc = net.node::<Vmsc>(zone.access.msc).unwrap();
     assert_eq!(vmsc.registered_count(), 1);
-    let entry = vmsc.ms_entry(&imsi()).unwrap();
+    let entry = vmsc.ms_entry(&ms_imsi).unwrap();
     assert_eq!(entry.phase, RegPhase::Registered);
-    assert_eq!(entry.msisdn, Some(msisdn()));
+    assert_eq!(entry.msisdn, Some(ms_msisdn));
     assert!(entry.signaling_addr.is_some());
     assert!(entry.voice_addr.is_none(), "no call yet");
     // Gatekeeper side: the (IP address, MSISDN) entry of step 1.5.
     let gk = net.node::<Gatekeeper>(zone.packet.gk).unwrap();
-    let transport = gk.lookup(&msisdn()).expect("alias registered");
+    let transport = gk.lookup(&ms_msisdn).expect("alias registered");
     assert_eq!(Some(transport.ip), entry.signaling_addr);
 }
 
 #[test]
 fn registration_authenticates_and_ciphers() {
-    let (net, _zone, _ms) = registered_zone();
+    let net = SingleZone::build(42).net;
     assert!(net.trace().contains_subsequence(&[
         "Um_Authentication_Request",
         "Um_Authentication_Response",
@@ -73,28 +56,17 @@ fn registration_authenticates_and_ciphers() {
 #[test]
 fn registration_is_deterministic() {
     let run = |seed| {
-        let mut net = Network::new(seed);
-        let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-        let ms = zone
-            .access
-            .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
-        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
-        net.run_until_quiescent();
-        (
-            net.trace().labels().join(","),
-            net.now(),
-        )
+        let net = SingleZone::build(seed).net;
+        (net.trace().labels().join(","), net.now())
     };
     assert_eq!(run(7), run(7));
 }
 
 #[test]
 fn wrong_key_subscriber_rejected() {
-    let mut net = Network::new(42);
-    let zone = VgprsZone::build(&mut net, VgprsZoneConfig::taiwan());
-    let ms = zone
-        .access
-        .add_subscriber(&mut net, "ms1", imsi(), 0xABCD, msisdn());
+    let SingleZone {
+        mut net, zone, ms, ..
+    } = SingleZone::new(42);
     // Corrupt the SIM key: re-create the MS with a different Ki.
     let impostor = Imsi::parse("466920000000002").unwrap();
     net.node_mut::<vgprs_gsm::Hlr>(zone.access.hlr)

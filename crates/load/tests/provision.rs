@@ -317,13 +317,11 @@ fn figure_4_holds_for_the_first_and_the_last_handset() {
                 _ => None,
             })
             .collect();
-        let mut rest = labels.iter();
-        for step in FIGURE_4 {
-            assert!(
-                rest.any(|label| *label == step),
-                "{} misses {step} in order; its messages: {labels:?}",
-                net.node_name(ms)
-            );
-        }
+        let conformance = FIGURE_4.follow(labels.iter().copied());
+        assert!(
+            conformance.holds(),
+            "{}: {conformance}; its messages: {labels:?}",
+            net.node_name(ms)
+        );
     }
 }

@@ -95,5 +95,5 @@ pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
 pub use stats::{Counter, Histogram, Stats};
 pub use throttle::{Offer, Throttle};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Trace, TraceEntry};
+pub use trace::{held_in_order, Trace, TraceEntry};
 pub use wheel::CalendarWheel;

@@ -158,25 +158,14 @@ impl Trace {
             .collect()
     }
 
-    /// True if the trace contains `wanted` as a (not necessarily
-    /// contiguous) subsequence of message labels. This is the primary
-    /// figure-reproduction assertion: the paper's ladder lists the key
-    /// messages; the simulation may interleave others (auth, ciphering)
-    /// between them.
+    /// True if the trace's message labels hold `wanted` as a (not
+    /// necessarily contiguous) subsequence: [`held_in_order`] holds all
+    /// of it. A paper ladder lists the key messages and the simulation
+    /// may interleave others (auth, ciphering) between them; the
+    /// figures themselves are checked through `vgprs_core::figures`.
     pub fn contains_subsequence(&self, wanted: &[&str]) -> bool {
-        let mut it = wanted.iter();
-        let mut next = it.next();
-        for e in &self.entries {
-            if let (Some(w), Some(l)) = (next, e.label()) {
-                if *w == l {
-                    next = it.next();
-                }
-            }
-            if next.is_none() {
-                return true;
-            }
-        }
-        next.is_none()
+        let labels = self.entries.iter().filter_map(TraceEntry::label);
+        held_in_order(labels, wanted.iter().copied()) == wanted.len()
     }
 
     /// Index of the first message with the given label at or after `start`,
@@ -220,6 +209,26 @@ impl Trace {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
+}
+
+/// How many of `wanted` occur in `labels` in order, each taken at its
+/// first chance: the longest prefix of `wanted` that `labels` holds as a
+/// (not necessarily contiguous) subsequence. `wanted[held]`, when there
+/// is one, is the first label the sequence lacks.
+pub fn held_in_order<'a, 'b>(
+    labels: impl IntoIterator<Item = &'a str>,
+    wanted: impl IntoIterator<Item = &'b str>,
+) -> usize {
+    let mut wanted = wanted.into_iter().peekable();
+    let mut held = 0;
+    for label in labels {
+        let Some(&next) = wanted.peek() else { break };
+        if next == label {
+            wanted.next();
+            held += 1;
+        }
+    }
+    held
 }
 
 #[cfg(test)]
@@ -271,6 +280,7 @@ mod tests {
         assert!(t.contains_subsequence(&["B", "A"]));
         assert!(!t.contains_subsequence(&["B", "B"]));
         assert!(t.contains_subsequence(&[]));
+        assert_eq!(held_in_order(t.labels(), ["B", "B", "A"]), 1);
     }
 
     #[test]

@@ -7,6 +7,33 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# A tripwire fails when its pattern occurs under its paths — and when a
+# path names no file: `grep` then exits 2, which a bare `if grep` reads as
+# "clean", so a renamed file would switch its tripwire off.
+tripwire() { # tripwire MESSAGE GREP-ARGS...
+    local message=$1 status=0
+    shift
+    grep -n "$@" || status=$?
+    case $status in
+        0) echo "error: $message (listed above)" >&2; exit 1 ;;
+        1) ;;
+        *) echo "error: tripwire cannot search (grep $*)" >&2; exit 1 ;;
+    esac
+}
+
+echo "==> the paper's ladders"
+# Figures 4, 5, 6 and 9 are stated once, as rungs and worlds in
+# crates/core/src/figures.rs. Each figure's harness run checks its own
+# trace against its table and exits nonzero on a missing rung. Each label
+# below occurs on one of those ladders only, so finding it in a test or
+# in the bench crate means a second copy of a ladder.
+for fig in fig4 fig5 fig6 fig9; do
+    ./target/release/harness "$fig" | grep 'rungs in order'
+done
+tripwire "a paper ladder stated outside crates/core/src/figures.rs" -rE \
+    '(MAP_Prepare_Handover_ack|LLC:Q931_Call_Proceeding|MAP_Send_Info_For_Outgoing_Call_ack|GTP:Q931_Setup|MAP_Send_End_Signal_ack)' \
+    crates/*/tests tests crates/bench/src
+
 echo "==> cargo test -q"
 cargo test -q
 
@@ -25,20 +52,6 @@ echo "==> determinism contract (release)"
 # armed ones, written vs registered by the Figure 4 ladder, then one
 # busy hour each; and Figure 4 on the ladder at scale).
 cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision
-
-# A tripwire fails when its pattern occurs under its paths — and when a
-# path names no file: `grep` then exits 2, which a bare `if grep` reads as
-# "clean", so a renamed file would switch its tripwire off.
-tripwire() { # tripwire MESSAGE GREP-ARGS...
-    local message=$1 status=0
-    shift
-    grep -n "$@" || status=$?
-    case $status in
-        0) echo "error: $message (listed above)" >&2; exit 1 ;;
-        1) ;;
-        *) echo "error: tripwire cannot search (grep $*)" >&2; exit 1 ;;
-    esac
-}
 
 echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.

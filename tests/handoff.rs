@@ -1,7 +1,8 @@
 //! Reproduction of the paper's Figure 9: inter-system handoff with the
 //! VMSC as the anchor.
 
-use vgprs_bench::scenarios::{intersystem_handoff, intervmsc_handoff};
+use vgprs_bench::scenarios::handed_over;
+use vgprs_core::figures::{classic_neighbor, vmsc_neighbor, FIGURE_9};
 use vgprs_core::{GsmZone, GsmZoneConfig, LatencyProfile, VgprsZone, VgprsZoneConfig};
 use vgprs_gsm::{GsmMsc, MobileStation};
 use vgprs_pstn::{PstnPhone, PstnSwitch, TrunkClass};
@@ -10,7 +11,8 @@ use vgprs_wire::{CallId, CellId, Command, Imsi, Lai, Message, Msisdn};
 
 #[test]
 fn figure9_anchor_vmsc_keeps_voice_flowing() {
-    let report = intersystem_handoff(42);
+    let (world, report) = handed_over(42, classic_neighbor);
+    FIGURE_9.assert_holds(world.home.net.trace());
     assert_eq!(report.handoffs_completed, 1, "{report:?}");
     assert!(
         report.frames_before > 100,
@@ -28,7 +30,8 @@ fn figure9_anchor_vmsc_keeps_voice_flowing() {
 
 #[test]
 fn section7_vmsc_to_vmsc_handoff_follows_the_same_procedure() {
-    let report = intervmsc_handoff(42);
+    let (world, report) = handed_over(42, vmsc_neighbor);
+    FIGURE_9.assert_holds(world.home.net.trace());
     assert_eq!(report.handoffs_completed, 1, "{report:?}");
     assert!(report.frames_before > 100, "{report:?}");
     assert!(
@@ -123,14 +126,7 @@ fn section7_classic_anchor_hands_over_to_a_vmsc() {
     net.inject(SimDuration::ZERO, ms, Message::Cmd(moved));
     net.run_until(SimTime::from_micros(20_000_000));
 
-    assert!(
-        net.trace().contains_subsequence(&[
-            "MAP_Prepare_Handover", // classic anchor → target VMSC
-            "Um_Handover_Command",  // down the old cell
-            "MAP_Send_End_Signal",  // target VMSC → anchor, MS arrived
-        ]),
-        "GSM 03.09 ladder mismatch"
-    );
+    FIGURE_9.assert_holds(net.trace());
     assert_eq!(net.stats().counter("msc.handover_anchored"), 1);
     assert_eq!(net.stats().counter("vmsc.handover_target_completed"), 1);
     let handset = net.node::<MobileStation>(ms).expect("ms");
