@@ -191,8 +191,8 @@ pub fn build_cell(
     (bsc, bts)
 }
 
-/// Adds `handset` to the network camped on `bts`: its Um link and its
-/// place in the cell's paging population.
+/// Adds `handset` to the network camped on `bts`: its Um link, over
+/// which it hears the cell's pages.
 pub fn camp(
     net: &mut Network<Message>,
     name: &str,
@@ -202,7 +202,6 @@ pub fn camp(
 ) -> NodeId {
     let ms = net.add_node(name, handset);
     net.connect(ms, bts, Interface::Um, um);
-    net.node_mut::<Bts>(bts).expect("zone BTS").register_ms(ms);
     ms
 }
 
@@ -302,13 +301,10 @@ impl AccessHalf {
     }
 
     /// Lets `ms`, camped elsewhere, also hear this zone's cell: the Um
-    /// link, a place in its paging population, and the cell on the MS's
-    /// neighbor list (what handoff and reselection choose from).
+    /// link, over which it hears the cell's pages, and the cell on the
+    /// MS's neighbor list (what handoff and reselection choose from).
     pub fn cover(&self, net: &mut Network<Message>, ms: NodeId) {
         net.connect(ms, self.bts, Interface::Um, self.latency.um);
-        net.node_mut::<Bts>(self.bts)
-            .expect("zone BTS")
-            .register_ms(ms);
         net.node_mut::<MobileStation>(ms)
             .expect("an MS")
             .add_neighbor(self.cell, self.bts);

@@ -9,9 +9,8 @@
 //! voice.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use vgprs_sim::{Context, IdMap, IdSet, Interface, Node, NodeId, NumberBlock, Payload, SimDuration};
+use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock, Payload, SimDuration};
 use vgprs_wire::{CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Timer tag: the PDCH finished serializing the head-of-line packet.
@@ -59,10 +58,6 @@ impl Default for BtsConfig {
 pub struct Bts {
     config: BtsConfig,
     bsc: NodeId,
-    /// Every MS camped on this cell (registered by the testbed builder),
-    /// in registration order; shared with each paging broadcast in flight.
-    mss: Arc<Vec<NodeId>>,
-    camped: IdSet<NodeId>,
     conn_to_ms: NumberBlock<ConnRef, NodeId>,
     ms_to_conn: IdMap<NodeId, ConnRef>,
     /// MSs known to use the packet service, keyed by IMSI (learned from
@@ -84,8 +79,6 @@ impl Bts {
         Bts {
             config,
             bsc,
-            mss: Arc::default(),
-            camped: IdSet::default(),
             conn_to_ms: NumberBlock::default(),
             ms_to_conn: IdMap::default(),
             packet_ms: IdMap::default(),
@@ -100,14 +93,6 @@ impl Bts {
     /// The cell this BTS serves.
     pub fn cell(&self) -> CellId {
         self.config.cell
-    }
-
-    /// Registers an MS as camped on this cell. The testbed builder calls
-    /// this when it provisions the Um link.
-    pub fn register_ms(&mut self, ms: NodeId) {
-        if self.camped.insert(ms) {
-            Arc::make_mut(&mut self.mss).push(ms);
-        }
     }
 
     /// The `n`th reference the BTS `id` issues. Upper half = BTS node
@@ -255,12 +240,12 @@ impl Node<Message> for Bts {
             // ---- downlink: from the BSC over Abis ----
             (Interface::Abis, Message::Abis { conn, dtap }) => {
                 if conn.is_connectionless() {
-                    // Paging broadcast: every camped MS hears the PCH, and
-                    // the block is charged against the common-channel budget.
-                    // One event for the cell; only the handsets it concerns
-                    // are woken.
+                    // Paging broadcast: every handset with a Um link to the
+                    // cell hears the PCH, and the block is charged against
+                    // the common-channel budget. One event for the cell;
+                    // only the handsets it concerns are woken.
                     self.note_page(ctx.now().as_millis());
-                    ctx.broadcast(Arc::clone(&self.mss), Message::Um(dtap));
+                    ctx.broadcast(Interface::Um, Message::Um(dtap));
                     ctx.count("bts.pages_broadcast");
                     return;
                 }
@@ -310,6 +295,7 @@ impl Node<Message> for Bts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MobileStation, MsConfig};
     use vgprs_sim::{Network, ScriptedPeer};
     use vgprs_wire::{CallId, Lai, MsIdentity, Msisdn, Tmsi};
 
@@ -328,7 +314,6 @@ mod tests {
         let ms = net.add_node("ms", ScriptedPeer::sending(bts, msgs));
         net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
-        net.node_mut::<Bts>(bts).unwrap().register_ms(ms);
         (net, bts, bsc, ms)
     }
 
@@ -351,11 +336,13 @@ mod tests {
     }
 
     fn page(imsi: Imsi) -> Message {
+        page_for(MsIdentity::Imsi(imsi))
+    }
+
+    fn page_for(identity: MsIdentity) -> Message {
         Message::Abis {
             conn: ConnRef::CONNECTIONLESS,
-            dtap: Dtap::Paging {
-                identity: MsIdentity::Imsi(imsi),
-            },
+            dtap: Dtap::Paging { identity },
         }
     }
 
@@ -404,11 +391,6 @@ mod tests {
         let ms2 = net.add_node("ms2", ScriptedPeer::new());
         net.connect(ms1, bts, Interface::Um, SimDuration::from_millis(1));
         net.connect(ms2, bts, Interface::Um, SimDuration::from_millis(1));
-        {
-            let b = net.node_mut::<Bts>(bts).unwrap();
-            b.register_ms(ms1);
-            b.register_ms(ms2);
-        }
         (net, bts, [ms1, ms2])
     }
 
@@ -432,6 +414,127 @@ mod tests {
             assert!(matches!(got[0], Message::Um(Dtap::Paging { .. })));
         }
         assert_eq!(net.stats().counter("bts.pages_broadcast"), 1);
+    }
+
+    /// A BSC peer that accepts every location update with the next
+    /// TMSI (1, 2, …) and plays `pages` to the BTS built after it, and a
+    /// cell on it with `n` handsets camped, switched off, IMSIs
+    /// 466920000000001 on.
+    fn handsets_on_a_cell(
+        pages: Vec<(u64, Message)>,
+        n: u64,
+    ) -> (Network<Message>, [NodeId; 2], Vec<NodeId>) {
+        let mut net = Network::new(1);
+        let mut issued = 0;
+        let accept = move |m: &Message| match m {
+            Message::Abis {
+                conn,
+                dtap: Dtap::LocationUpdateRequest { .. },
+            } => {
+                issued += 1;
+                let tmsi = Some(Tmsi(issued));
+                vec![Message::abis(*conn, Dtap::LocationUpdateAccept { tmsi })]
+            }
+            _ => Vec::new(),
+        };
+        let script = pages
+            .into_iter()
+            .fold(ScriptedPeer::new(), |peer, (ms, page)| {
+                peer.at(SimDuration::from_millis(ms), page)
+            });
+        let bsc = net.add_node("bsc", script.answering(accept));
+        let bts = net.add_node("bts", Bts::new(BtsConfig::default(), bsc));
+        net.connect(bts, bsc, Interface::Abis, SimDuration::from_millis(1));
+        net.node_mut::<ScriptedPeer<Message>>(bsc)
+            .unwrap()
+            .set_target(bts);
+        let handsets = (1..=n)
+            .map(|i| {
+                let imsi = Imsi::parse(&format!("46692{i:010}")).unwrap();
+                let msisdn = Msisdn::parse(&format!("88691{i:07}")).unwrap();
+                let config = MsConfig::new(imsi, 0xABCD, msisdn, Lai::new(466, 92, 1));
+                let ms = net.add_node(&format!("ms{i}"), MobileStation::new(config, bts));
+                net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
+                ms
+            })
+            .collect();
+        (net, [bsc, bts], handsets)
+    }
+
+    #[test]
+    fn a_handset_that_reselected_still_hears_its_old_cells_page() {
+        let nobody = Imsi::parse("466920999999999").unwrap();
+        let (mut net, _, handsets) =
+            handsets_on_a_cell(vec![(100, page_for(MsIdentity::Imsi(nobody)))], 2);
+        let bsc = net.add_node("bsc2", ScriptedPeer::new());
+        let new = net.add_node(
+            "bts2",
+            Bts::new(
+                BtsConfig {
+                    cell: CellId(2),
+                    ..BtsConfig::default()
+                },
+                bsc,
+            ),
+        );
+        let moved = handsets[1];
+        net.connect(moved, new, Interface::Um, SimDuration::from_millis(1));
+        net.node_mut::<MobileStation>(moved)
+            .unwrap()
+            .add_neighbor(CellId(2), new);
+        net.inject(
+            SimDuration::ZERO,
+            moved,
+            Message::Cmd(vgprs_wire::Command::MoveToCell { cell: CellId(2) }),
+        );
+        net.run_until_quiescent();
+        // The handset still on the cell is not asked; the one tuned to
+        // the new cell is, hears the page, and drops it as stale.
+        let fan = net.fan_out();
+        assert_eq!((fan.listeners, fan.asked, fan.heard), (2, 1, 1));
+        assert_eq!(net.stats().counter("ms.ignored_stale_cell"), 1);
+        assert_eq!(net.stats().counter("bts.pages_broadcast"), 1);
+        assert!(ScriptedPeer::of(&net, bsc).received().is_empty());
+    }
+
+    #[test]
+    fn after_tmsi_reallocation_only_the_new_tmsi_is_heard() {
+        let pages = [1, 2].map(|t| (100 + 100 * t, page_for(MsIdentity::Tmsi(Tmsi(t as u32)))));
+        let (mut net, [bsc, bts], handsets) = handsets_on_a_cell(pages.into(), 3);
+        let ms = handsets[0];
+        // Registers as TMSI 1 and, re-registering in its own cell at
+        // 50 ms, is given TMSI 2.
+        net.node_mut::<MobileStation>(ms)
+            .unwrap()
+            .add_neighbor(CellId(1), bts);
+        net.inject(
+            SimDuration::ZERO,
+            ms,
+            Message::Cmd(vgprs_wire::Command::PowerOn),
+        );
+        let reselect = vgprs_wire::Command::MoveToCell { cell: CellId(1) };
+        net.inject(SimDuration::from_millis(50), ms, Message::Cmd(reselect));
+        net.run_until_quiescent();
+        assert_eq!(net.node::<MobileStation>(ms).unwrap().tmsi(), Some(Tmsi(2)));
+        // The page by the old TMSI wakes nobody; the new one wakes the
+        // handset, which answers it.
+        let fan = net.fan_out();
+        assert_eq!(
+            (fan.broadcasts, fan.listeners, fan.asked, fan.heard),
+            (2, 6, 1, 1)
+        );
+        let responses: Vec<&Message> = ScriptedPeer::of(&net, bsc)
+            .received()
+            .into_iter()
+            .filter(|m| matches!(m.dtap(), Some(Dtap::PagingResponse { .. })))
+            .collect();
+        assert_eq!(responses.len(), 1);
+        assert!(matches!(
+            responses[0].dtap(),
+            Some(Dtap::PagingResponse {
+                identity: MsIdentity::Tmsi(Tmsi(2))
+            })
+        ));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The same node works against a classic [`GsmMsc`](crate::GsmMsc) and
 //! against a `Vmsc`, which is exactly the paper's claim.
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken, Tuning};
 use vgprs_wire::{
     CallId, Cause, CellId, Command, Dtap, Imsi, Lai, Message, MsIdentity, Msisdn, Tmsi,
 };
@@ -516,6 +516,16 @@ impl Node<Message> for MobileStation {
             }
             _ => true,
         }
+    }
+
+    /// The serving cell's pages concern the MS by its IMSI or its TMSI.
+    fn tuning(&self) -> Option<Tuning> {
+        let imsi = MsIdentity::Imsi(self.config.imsi).key();
+        let tmsi = self.tmsi.map_or(imsi, |t| MsIdentity::Tmsi(t).key());
+        Some(Tuning {
+            to: self.serving_bts,
+            keys: [imsi, tmsi],
+        })
     }
 }
 

@@ -1,0 +1,48 @@
+//! One big cell, pinned. Every other pinned world camps about 256
+//! handsets on a cell; the benchmark's `dense_paging` world puts its
+//! whole population on one, so each page fans out to all of them. This
+//! is that world at the benchmark's `--quick` size: 1 024 subscribers in
+//! one shard at seed 42, its other fields the benchmark's (a 60 s
+//! window, a tenth of the movers crossing shards, 4 calls an hour, 1 s
+//! of voice per call, the wheel kernel on one thread).
+//!
+//! A change to how a cell's page reaches its handsets is correct iff
+//! nothing here moves: the fingerprints, the event count, the pages the
+//! cell broadcast and the stale-cell pages its handsets ignored.
+
+use vgprs_load::{run_load, LoadConfig};
+use vgprs_sim::Kernel;
+
+fn dense_paging_quick() -> LoadConfig {
+    let mut cfg = LoadConfig {
+        subscribers: 1_024,
+        shards: 1,
+        threads: 1,
+        seed: 42,
+        voice_sample_ms: 1_000,
+        kernel: Kernel::Wheel,
+        ..LoadConfig::default()
+    };
+    cfg.population.window_secs = 60;
+    cfg.population.cross_shard_fraction = 0.1;
+    cfg.population.calls_per_sub_hour = 4.0;
+    cfg
+}
+
+#[test]
+fn one_big_cell_is_pinned() {
+    let report = run_load(&dense_paging_quick());
+    let stats = &report.stats;
+    assert_eq!(
+        format!(
+            "{:016x} {:016x} {} pages={} stale={}",
+            report.fingerprint(),
+            report.snapshot_fingerprint(),
+            report.events,
+            stats.counter("bts.pages_broadcast"),
+            stats.counter("ms.ignored_stale_cell"),
+        ),
+        "5e43159cd3186851 f04fdfaa760608a9 55966 pages=32 stale=1013",
+        "the dense-paging world drifted from its pinned identity"
+    );
+}

@@ -18,10 +18,13 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 309 816 in 665, plus 5 %, with the tables keyed by what
-/// registration issues (TMSI, TEID, PDP address, connection reference,
-/// LAN address) number blocks too and the VLR's vectors inline (401 132
-/// in 907 with those hashed). The registration is written rather than
+/// Measured: 301 712 in 661, plus 5 %, with a node's ports row 24 bytes
+/// (its spilled ports a list in a side table only hubs use) beside its
+/// 8-byte tuning word, and the cell's paging list gone (309 816 in 665
+/// with a spill vector in every row and the list). The tables keyed by
+/// what registration issues (TMSI, TEID, PDP address, connection
+/// reference, LAN address) are number blocks too and the VLR's vectors
+/// inline (401 132 in 907 with those hashed). The registration is written rather than
 /// run (404 772 in 953 when the ladder ran, its dialogue tables left
 /// grown and empty, before issued IDs were dense). The home registers
 /// are number blocks, a dense row per subscriber, and a GGSN PDP record
@@ -33,21 +36,22 @@ use vgprs_load::{
 /// slack and keeps its node names in one string: 757 936 in 1 479
 /// before those, and with a buffer per wheel slot and a hash table of
 /// links 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (325_000, 698);
-/// The same once its busy hour has drained. Measured: 351 968 in 888,
-/// plus 5 % (431 316 in 1 118 with issued IDs hashed; 431 616 in 1 118
-/// when the ladder ran; 537 552 in 1 110 before number blocks for home
-/// numbers; 613 296 in 1 110 with the registration slab
-/// kept; 781 932 in 1 641 and 976 200 in 2 219 before that, the parked
-/// slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (370_000, 932);
+const AFTER_NEW: (isize, isize) = (316_000, 694);
+/// The same once its busy hour has drained. Measured: 343 608 in 884,
+/// plus 5 % (351 968 in 888 with a spill vector per row; 431 316 in
+/// 1 118 with issued IDs hashed; 431 616 in 1 118 when the ladder ran;
+/// 537 552 in 1 110 before number blocks for home numbers; 613 296 in
+/// 1 110 with the registration slab kept; 781 932 in 1 641 and 976 200
+/// in 2 219 before that, the parked slot buffers having grown).
+const AFTER_RUN: (isize, isize) = (360_000, 928);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 1 165,
+/// per-subscriber figure that peak RSS only estimates. Measured: 1 135
+/// (1 165 with a spill vector per row and the cell's paging list),
 /// whether the registration is written or run (1 527 with issued IDs
 /// hashed, the VLR's vectors in a `Vec` and the driver's row holding
 /// both numbers; 1 943 before number blocks; 2 255 with the
 /// registration slab kept; 2 913 before one-word IDs).
-const PER_SUBSCRIBER: isize = 1_223;
+const PER_SUBSCRIBER: isize = 1_191;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);

@@ -1,8 +1,8 @@
 //! The side-effect API available to a node during a callback.
 
 use std::fmt;
-use std::sync::Arc;
 
+use crate::interface::Interface;
 use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::stats::Stats;
@@ -31,7 +31,7 @@ impl fmt::Debug for TimerToken {
 #[derive(Debug)]
 pub(crate) enum Effect<M> {
     Send { to: NodeId, msg: M },
-    Broadcast { to: Arc<Vec<NodeId>>, msg: M },
+    Broadcast { iface: Interface, msg: M },
     Timer { at: SimTime, token: TimerToken, tag: u64 },
     CancelTimer { token: TimerToken },
     Note { text: String },
@@ -75,17 +75,22 @@ impl<M> Context<'_, M> {
         self.effects.push(Effect::Send { to, msg });
     }
 
-    /// Sends one copy of `msg` to every listener in `to` that
-    /// [hears](crate::Node::hears) it, as a single queued event.
+    /// Sends one copy of `msg` over each of this node's links on
+    /// `iface` whose listener [hears](crate::Node::hears) it, as a single
+    /// queued event.
     ///
     /// A broadcast channel is one medium: the delay is sampled once, on
-    /// the link to the first listener, and every hearing listener is
-    /// called back at that instant, in list order, exactly as if each
-    /// had been sent its own copy over an identical link. Listeners
-    /// that do not hear the message cost a `&self` check, not an event.
-    /// An empty list sends nothing.
-    pub fn broadcast(&mut self, to: Arc<Vec<NodeId>>, msg: M) {
-        self.effects.push(Effect::Broadcast { to, msg });
+    /// the first such link, and every hearing listener is called back at
+    /// that instant, in link order, exactly as if each had been sent its
+    /// own copy over an identical link. The listeners are the links the
+    /// sender has when the event is delivered. A listener that does not
+    /// hear the message costs no event: one read of its
+    /// [tuning](crate::Node::tuning) word when that proves it would not
+    /// hear a message with this [key](crate::Payload::broadcast_key), a
+    /// call to `hears` otherwise. A node with no link on `iface` sends
+    /// nothing.
+    pub fn broadcast(&mut self, iface: Interface, msg: M) {
+        self.effects.push(Effect::Broadcast { iface, msg });
     }
 
     /// Arms a one-shot timer that fires after `delay` with the given `tag`.
@@ -149,10 +154,11 @@ mod tests {
     /// Every side effect of a node callback is an `Effect` over the
     /// wire's `Message`, pushed onto the callback's list. Pinned at
     /// today's size on 64-bit targets: a change that moves it is measured
-    /// before it lands.
+    /// before it lands. It was 96 bytes while a broadcast carried its
+    /// listener list; it names an interface of the sender's links now.
     #[test]
-    fn effect_of_a_message_is_96_bytes() {
-        assert_eq!(std::mem::size_of::<Effect<vgprs_wire::Message>>(), 96);
+    fn effect_of_a_message_is_88_bytes() {
+        assert_eq!(std::mem::size_of::<Effect<vgprs_wire::Message>>(), 88);
     }
 
     fn ctx<'a>(

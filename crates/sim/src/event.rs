@@ -10,7 +10,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 use crate::context::TimerToken;
 use crate::interface::Interface;
@@ -61,10 +60,10 @@ pub(crate) enum EventKind<M> {
         iface: Interface,
         msg: M,
     },
-    /// Deliver `msg` to every listener in `to` that hears it.
+    /// Deliver `msg` to every listener on `from`'s `iface` links that
+    /// hears it.
     Broadcast {
         from: NodeId,
-        to: Arc<Vec<NodeId>>,
         iface: Interface,
         msg: M,
     },

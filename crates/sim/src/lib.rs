@@ -68,6 +68,7 @@ mod interface;
 pub mod json;
 mod ladder;
 mod link;
+mod listen;
 mod net;
 mod node;
 mod peer;
@@ -87,6 +88,7 @@ pub use idmap::{salt, set_salt, IdHasher, IdMap, IdSet, NumberBlock, NumberKey};
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
 pub use link::{Link, LinkConfig, LinkQuality};
+pub use listen::{FanOut, Tuning};
 pub use net::{census_counters, Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};
 pub use peer::ScriptedPeer;

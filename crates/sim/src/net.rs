@@ -7,6 +7,7 @@ use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue, Kernel};
 use crate::interface::Interface;
 use crate::link::{Link, LinkConfig, LinkQuality};
+use crate::listen::{key_hash, FanOut, Word};
 use crate::node::{Node, NodeId, Payload};
 use crate::rng::SimRng;
 use crate::stats::Stats;
@@ -54,47 +55,23 @@ impl Port {
 }
 
 /// A node's ports. Most nodes are leaves with one or two links and keep
-/// them inline; a hub spills the rest into one vector.
+/// them inline; a hub spills the rest into a list of its own in
+/// `Network::spills`. The row counts its spilled ports, so a send
+/// compares two rows without reading a spill list.
 struct Ports {
     inline: [Port; 2],
-    spill: Vec<Port>,
+    /// The index of the node's spill list, once it has one.
+    spill: u32,
+    /// How many ports the spill list holds.
+    spilled: u32,
 }
 
 impl Ports {
     const EMPTY: Ports = Ports {
         inline: [Port::NONE; 2],
-        spill: Vec::new(),
+        spill: 0,
+        spilled: 0,
     };
-
-    /// The port toward `peer`. A vacant inline port matches no node.
-    #[inline]
-    fn toward(&self, peer: NodeId) -> Option<&Port> {
-        self.inline
-            .iter()
-            .chain(&self.spill)
-            .find(|p| p.peer == peer.0)
-    }
-
-    fn toward_mut(&mut self, peer: NodeId) -> Option<&mut Port> {
-        self.inline
-            .iter_mut()
-            .chain(&mut self.spill)
-            .find(|p| p.peer == peer.0)
-    }
-
-    fn push(&mut self, port: Port) {
-        match self.inline.iter_mut().find(|p| p.peer == Port::NONE.peer) {
-            Some(vacant) => *vacant = port,
-            None => self.spill.push(port),
-        }
-    }
-
-    fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
-        let linked = self.inline.iter().chain(&self.spill);
-        linked
-            .filter(|p| p.peer != Port::NONE.peer)
-            .map(|p| NodeId(p.peer))
-    }
 }
 
 /// The per-interface census counter names, `[queued, relayed]` in
@@ -138,6 +115,13 @@ pub struct Network<M: Payload> {
     /// Every node's ports, indexed like `nodes`: a link is one port at
     /// each end. Scanned once per message send, from the end with fewer.
     ports: Vec<Ports>,
+    /// The hubs' ports past their two inline ones, a list per hub.
+    spills: Vec<Vec<Port>>,
+    /// Every node's [`Node::tuning`] as one word, indexed like `nodes`:
+    /// what a broadcast reads of a listener it can skip.
+    words: Vec<Word>,
+    /// How broadcasts fanned out so far.
+    fan: FanOut,
     /// The distinct link configurations, interned by equality: a world of
     /// thousands of links has about a dozen, and a send reads one.
     classes: Vec<LinkConfig>,
@@ -190,6 +174,9 @@ impl<M: Payload> Network<M> {
             nodes: Vec::new(),
             relays: Vec::new(),
             ports: Vec::new(),
+            spills: Vec::new(),
+            words: Vec::new(),
+            fan: FanOut::default(),
             classes: Vec::new(),
             queue: EventQueue::new(kernel),
             rng: SimRng::new(seed),
@@ -274,6 +261,7 @@ impl<M: Payload> Network<M> {
         let id = NodeId(self.nodes.len() as u32);
         self.relays.push(node.pure_relay());
         self.ports.push(Ports::EMPTY);
+        self.words.push(Word::added(node.tuning()));
         self.nodes.push(Some(Box::new(node)));
         self.trace.register_node(name);
         if self.started {
@@ -315,14 +303,60 @@ impl<M: Payload> Network<M> {
             config.interface
         );
         let class = self.intern(config) << 1;
-        self.ports[a.0 as usize].push(Port {
-            peer: b.0,
-            class_dir: class | 1,
-        });
-        self.ports[b.0 as usize].push(Port {
-            peer: a.0,
-            class_dir: class,
-        });
+        self.push_port(
+            a,
+            Port {
+                peer: b.0,
+                class_dir: class | 1,
+            },
+        );
+        self.push_port(
+            b,
+            Port {
+                peer: a.0,
+                class_dir: class,
+            },
+        );
+    }
+
+    /// Adds `port` to `owner`'s ports: inline while one is vacant, then
+    /// to its spill list, which the first spilled port opens.
+    fn push_port(&mut self, owner: NodeId, port: Port) {
+        let row = &mut self.ports[owner.0 as usize];
+        if let Some(vacant) = row.inline.iter_mut().find(|p| p.peer == Port::NONE.peer) {
+            *vacant = port;
+            return;
+        }
+        if row.spilled == 0 {
+            row.spill = self.spills.len() as u32;
+            self.spills.push(Vec::new());
+        }
+        row.spilled += 1;
+        self.spills[row.spill as usize].push(port);
+    }
+
+    /// `id`'s ports in link order, the vacant inline ones included (they
+    /// match no peer).
+    #[inline]
+    fn ports_of(&self, id: NodeId) -> impl Iterator<Item = &Port> {
+        let row = &self.ports[id.0 as usize];
+        row.inline.iter().chain(self.spilled(row))
+    }
+
+    /// The ports `row` holds past its inline two.
+    #[inline]
+    fn spilled(&self, row: &Ports) -> &[Port] {
+        match row.spilled {
+            0 => &[],
+            _ => &self.spills[row.spill as usize],
+        }
+    }
+
+    /// Whether `port` is a link, and one over `iface`.
+    #[inline]
+    fn carries(&self, port: &Port, iface: Interface) -> bool {
+        let class = (port.class_dir >> 1) as usize;
+        port.peer != Port::NONE.peer && self.classes[class].interface == iface
     }
 
     /// The index of `config` in `classes`, added if no link had it yet.
@@ -341,11 +375,12 @@ impl<M: Payload> Network<M> {
     #[inline]
     fn port(&self, from: NodeId, to: NodeId) -> Option<(usize, bool)> {
         let (near, far) = (&self.ports[from.0 as usize], &self.ports[to.0 as usize]);
-        let (port, owner_is_from) = if near.spill.len() <= far.spill.len() {
-            (near.toward(to)?, true)
+        let (owner, peer, owner_is_from) = if near.spilled <= far.spilled {
+            (from, to, true)
         } else {
-            (far.toward(from)?, false)
+            (to, from, false)
         };
+        let port = self.ports_of(owner).find(|p| p.peer == peer.0)?;
         let owner_is_a = port.class_dir & 1 == 1;
         Some(((port.class_dir >> 1) as usize, owner_is_a == owner_is_from))
     }
@@ -369,7 +404,9 @@ impl<M: Payload> Network<M> {
     /// The nodes `id` has a link to, in the order the links were
     /// provisioned.
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.ports[id.0 as usize].peers()
+        self.ports_of(id)
+            .filter(|p| p.peer != Port::NONE.peer)
+            .map(|p| NodeId(p.peer))
     }
 
     /// Replaces the quality of an existing link (both directions). The
@@ -388,8 +425,13 @@ impl<M: Payload> Network<M> {
             quality,
         )) << 1;
         for (owner, peer) in [(a, b), (b, a)] {
-            let port = self.ports[owner.0 as usize]
-                .toward_mut(peer)
+            let row = &mut self.ports[owner.0 as usize];
+            let spilled = match row.spilled {
+                0 => &mut [][..],
+                _ => &mut self.spills[row.spill as usize][..],
+            };
+            let port = (row.inline.iter_mut().chain(spilled))
+                .find(|p| p.peer == peer.0)
                 .expect("a link has a port at each end");
             port.class_dir = class | (port.class_dir & 1);
         }
@@ -486,6 +528,9 @@ impl<M: Payload> Network<M> {
         self.nodes.shrink_to_fit();
         self.relays.shrink_to_fit();
         self.ports.shrink_to_fit();
+        self.spills.shrink_to_fit();
+        self.spills.iter_mut().for_each(Vec::shrink_to_fit);
+        self.words.shrink_to_fit();
         self.trace.shrink_names();
     }
 
@@ -520,7 +565,8 @@ impl<M: Payload> Network<M> {
         at: SimTime,
         f: impl FnOnce(&mut N, &mut Context<'_, M>) -> R,
     ) -> R {
-        let node = self.nodes[id.0 as usize]
+        let idx = id.0 as usize;
+        let node = self.nodes[idx]
             .as_mut()
             .expect("node is missing")
             .as_any_mut()
@@ -541,6 +587,8 @@ impl<M: Payload> Network<M> {
             "provisioning {id} at {at:?} left {} effects",
             ctx.effects.len()
         );
+        let node = self.nodes[idx].as_deref().expect("provisioned");
+        self.words[idx].refresh(|| node.tuning());
         out
     }
 
@@ -593,26 +641,9 @@ impl<M: Payload> Network<M> {
                 self.k_delivered[iface.index()] += 1;
                 self.deliver(from, to, iface, msg);
             }
-            EventKind::Broadcast {
-                from,
-                to,
-                iface,
-                msg,
-            } => {
+            EventKind::Broadcast { from, iface, msg } => {
                 self.k_delivered[iface.index()] += 1;
-                for &listener in to.iter() {
-                    let hears = self.nodes[listener.0 as usize]
-                        .as_ref()
-                        .unwrap_or_else(|| panic!("node {listener} is missing or re-entered"))
-                        .hears(from, &msg);
-                    if hears {
-                        debug_assert!(
-                            self.port(from, listener).is_some(),
-                            "broadcast listener {listener} has no link to {from}"
-                        );
-                        self.deliver(from, listener, iface, msg.clone());
-                    }
-                }
+                self.fan_out_from(from, iface, msg);
             }
             EventKind::Timer { node, token, tag } => {
                 if self.timers.try_fire(token) {
@@ -629,6 +660,73 @@ impl<M: Payload> Network<M> {
                 self.dispatch(node, |n, ctx| n.on_start(ctx));
             }
         }
+    }
+
+    /// Hands a broadcast to each listener on `from`'s `iface` links that
+    /// hears it, in link order. A listener whose word rules the message
+    /// out is passed over; every other one is asked.
+    fn fan_out_from(&mut self, from: NodeId, iface: Interface, msg: M) {
+        let hash = msg.broadcast_key().map(key_hash);
+        self.fan.broadcasts += 1;
+        let mut next = 0;
+        loop {
+            let (found, passed) = self.next_to_ask(from, iface, hash, &msg, next);
+            self.fan.listeners += passed;
+            let Some((at, listener)) = found else {
+                return;
+            };
+            next = at + 1;
+            self.fan.asked += 1;
+            if self.listener(listener).hears(from, &msg) {
+                self.fan.heard += 1;
+                self.deliver(from, listener, iface, msg.clone());
+            }
+        }
+    }
+
+    /// The first of `from`'s ports from index `start` on that leads over
+    /// `iface` to a listener whose word cannot rule out a message keyed
+    /// `hash`: its index and listener, and how many listeners the scan
+    /// reached, that one included.
+    #[inline]
+    fn next_to_ask(
+        &self,
+        from: NodeId,
+        iface: Interface,
+        hash: Option<u16>,
+        msg: &M,
+        start: usize,
+    ) -> (Option<(usize, NodeId)>, u64) {
+        let row = &self.ports[from.0 as usize];
+        let mut passed = 0;
+        // Two slices rather than `ports_of`'s chain: this is a page's
+        // loop over every handset of the cell, and the chain's is slower.
+        for (offset, ports) in [(0, &row.inline[..]), (2, self.spilled(row))] {
+            let skip = start.saturating_sub(offset).min(ports.len());
+            for (i, port) in ports[skip..].iter().enumerate() {
+                if !self.carries(port, iface) {
+                    continue;
+                }
+                passed += 1;
+                let listener = NodeId(port.peer);
+                match hash {
+                    Some(hash) if self.words[port.peer as usize].rules_out(from, hash) => {
+                        debug_assert!(
+                            !self.listener(listener).hears(from, msg),
+                            "the tuning of {listener} rules out a broadcast it hears"
+                        );
+                    }
+                    _ => return (Some((offset + skip + i, listener)), passed),
+                }
+            }
+        }
+        (None, passed)
+    }
+
+    fn listener(&self, id: NodeId) -> &dyn AnyNode<M> {
+        self.nodes[id.0 as usize]
+            .as_deref()
+            .unwrap_or_else(|| panic!("node {id} is missing or re-entered"))
     }
 
     /// Hands `msg` to `to` at the current (possibly virtual) time.
@@ -664,6 +762,7 @@ impl<M: Payload> Network<M> {
         };
         f(&mut *node, &mut ctx);
         let mut effects = std::mem::take(&mut ctx.effects);
+        self.words[idx].refresh(|| node.tuning());
         self.nodes[idx] = Some(node);
         self.apply_effects(id, &mut effects);
         // Hand the (now drained) buffer back for the next dispatch.
@@ -738,20 +837,14 @@ impl<M: Payload> Network<M> {
                         );
                     }
                 }
-                Effect::Broadcast { to, msg } => {
-                    let Some(&first) = to.first() else {
+                Effect::Broadcast { iface, msg } => {
+                    let first = self.ports_of(from).find(|p| self.carries(p, iface));
+                    let Some(first) = first.map(|p| NodeId(p.peer)) else {
                         continue;
                     };
-                    if let (iface, Some(delay)) = self.sample_link(from, first, &msg) {
-                        self.queue.push(
-                            self.now + delay,
-                            EventKind::Broadcast {
-                                from,
-                                to,
-                                iface,
-                                msg,
-                            },
-                        );
+                    if let (_, Some(delay)) = self.sample_link(from, first, &msg) {
+                        let at = self.now + delay;
+                        self.queue.push(at, EventKind::Broadcast { from, iface, msg });
                     }
                 }
                 Effect::Timer { at, token, tag } => {
@@ -839,7 +932,10 @@ impl<M: Payload> Network<M> {
 
     /// Mutable access to a node's concrete state (for scenario setup only;
     /// mutating nodes mid-run bypasses the deterministic event order).
+    /// The node's [tuning](Node::tuning) is forgotten until its next
+    /// callback: until then every broadcast asks it.
     pub fn node_mut<N: 'static>(&mut self, id: NodeId) -> Option<&mut N> {
+        self.words[id.0 as usize].forget();
         self.nodes[id.0 as usize]
             .as_mut()
             .expect("node is missing")
@@ -851,6 +947,12 @@ impl<M: Payload> Network<M> {
     pub fn node_name(&self, id: NodeId) -> &str {
         self.trace.node_name(id)
     }
+
+    /// How the broadcasts delivered so far fanned out: listeners
+    /// reached, asked and called back.
+    pub fn fan_out(&self) -> FanOut {
+        self.fan
+    }
 }
 
 impl<M: Payload> std::fmt::Debug for Network<M> {
@@ -858,7 +960,7 @@ impl<M: Payload> std::fmt::Debug for Network<M> {
         f.debug_struct("Network")
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
-            .field("links", &(self.ports.iter().flat_map(Ports::peers).count() / 2))
+            .field("links", &(self.node_ids().flat_map(|id| self.neighbors(id)).count() / 2))
             .field("pending", &self.queue.len())
             .finish()
     }

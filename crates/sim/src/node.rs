@@ -2,9 +2,9 @@
 
 use std::fmt;
 
-
 use crate::context::{Context, TimerToken};
 use crate::interface::Interface;
+use crate::listen::Tuning;
 
 /// Identifies a node registered in a [`Network`](crate::Network).
 ///
@@ -76,6 +76,14 @@ pub trait Payload: Clone + fmt::Debug {
     fn express(&self) -> bool {
         false
     }
+
+    /// The key a [broadcast](Context::broadcast) of this message is
+    /// addressed to — the identity a page names — or `None` for a
+    /// message to all. A listener whose [`Node::tuning`] answers to
+    /// other keys is skipped without being asked; see there.
+    fn broadcast_key(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Behavior of a simulated network element.
@@ -117,10 +125,31 @@ pub trait Node<M: Payload> {
     /// Whether a [broadcast](Context::broadcast) from `from` concerns
     /// this listener. Returning `false` must be equivalent to receiving
     /// `msg` and doing nothing at all — no counter, no state change, no
-    /// random draw — because the network then skips the callback.
+    /// random draw — because the network then skips the callback. This
+    /// is the only rule: [`tuning`](Node::tuning) lets the network skip
+    /// the call, never the answer.
     fn hears(&self, from: NodeId, msg: &M) -> bool {
         let _ = (from, msg);
         true
+    }
+
+    /// What this listener answers to, so that a broadcast can skip it
+    /// without calling [`hears`](Node::hears). `Some(t)` promises that
+    /// `hears(t.to, msg)` is `false` for every `msg` whose
+    /// [`broadcast_key`](Payload::broadcast_key) is `Some(k)` with `k`
+    /// not in `t.keys`. A skip must prove exactly that: the network
+    /// skips a listener only when the broadcast comes from `t.to`, has a
+    /// key, and the key's hash matches neither key's hash; every other
+    /// listener is asked. Debug builds check each skip against `hears`.
+    ///
+    /// Read when the node is added. A node that reports `None` then (the
+    /// default) is a plain node: it is never read again, and every
+    /// broadcast asks it. A listener's is read again after every
+    /// callback and after [`Network::provision`](crate::Network::provision);
+    /// [`Network::node_mut`](crate::Network::node_mut) forgets it until
+    /// the next of those, and a later `None` has every broadcast ask.
+    fn tuning(&self) -> Option<Tuning> {
+        None
     }
 }
 

@@ -3,11 +3,9 @@
 //! agree on what arrives where and when. Also covers the broadcast
 //! event, the other way this kernel avoids one queued event per hop.
 
-use std::sync::Arc;
-
 use vgprs_sim::{
-    Context, Interface, LinkConfig, LinkQuality, Network, Node, NodeId, Payload, SimDuration,
-    SimTime, TimerToken,
+    Context, FanOut, Interface, LinkConfig, LinkQuality, Network, Node, NodeId, Payload,
+    SimDuration, SimTime, TimerToken,
 };
 
 #[derive(Clone, Debug, PartialEq)]
@@ -305,15 +303,15 @@ impl Node<Msg> for Listener {
     }
 }
 
+/// Pages its listeners over its Um links at start.
 struct Tower {
-    cell: Arc<Vec<NodeId>>,
     pages: Vec<u32>,
 }
 
 impl Node<Msg> for Tower {
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
         for &p in &self.pages {
-            ctx.broadcast(Arc::clone(&self.cell), Msg::Signal(p));
+            ctx.broadcast(Interface::Um, Msg::Signal(p));
         }
     }
     fn on_message(&mut self, _c: &mut Context<'_, Msg>, _f: NodeId, _i: Interface, _m: Msg) {}
@@ -336,7 +334,6 @@ fn a_broadcast_is_one_event_and_wakes_only_those_who_hear_it() {
     let tower = net.add_node(
         "tower",
         Tower {
-            cell: Arc::new(listeners.clone()),
             pages: vec![42, 7, 1_000],
         },
     );
@@ -357,17 +354,33 @@ fn a_broadcast_is_one_event_and_wakes_only_those_who_hear_it() {
     }
     // The hearing listeners appear in the trace like any other delivery.
     assert_eq!(net.trace().labels(), vec!["Signal(42)", "Signal(7)"]);
+    // A listener that reports no tuning is asked every time.
+    let census = FanOut {
+        broadcasts: 3,
+        listeners: 300,
+        asked: 300,
+        heard: 2,
+    };
+    assert_eq!(net.fan_out(), census);
 }
 
 #[test]
 fn a_broadcast_to_nobody_sends_nothing() {
     let mut net = Network::new(1);
-    net.add_node(
-        "tower",
-        Tower {
-            cell: Arc::new(Vec::new()),
-            pages: vec![1],
+    let tower = net.add_node("tower", Tower { pages: vec![1] });
+    // A link on another interface carries no broadcast.
+    let listener = net.add_node(
+        "ms",
+        Listener {
+            id: 1,
+            heard: Vec::new(),
         },
+    );
+    net.connect(
+        tower,
+        listener,
+        Interface::Abis,
+        SimDuration::from_millis(1),
     );
     assert_eq!(net.run_until_quiescent().events, 0);
 }

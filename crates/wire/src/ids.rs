@@ -367,6 +367,19 @@ pub enum MsIdentity {
     Tmsi(Tmsi),
 }
 
+impl MsIdentity {
+    /// The identity as one broadcast key: an IMSI is its packed digits,
+    /// a TMSI its value. An IMSI's key is at least 2^32 unless its first
+    /// seven digits are zeros, which no country code allows; and two
+    /// identities sharing a key would only cost the listener a question.
+    pub fn key(self) -> u64 {
+        match self {
+            MsIdentity::Imsi(i) => i.0 .0.get(),
+            MsIdentity::Tmsi(t) => u64::from(t.0),
+        }
+    }
+}
+
 impl fmt::Display for MsIdentity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -781,6 +794,16 @@ mod tests {
         assert_eq!((imsi.suffix(14), imsi.suffix(15), imsi.suffix(99)), (5, 0, 0));
         // The same number the digit string spells.
         assert_eq!(imsi.digits()[6..].parse(), Ok(imsi.suffix(6)));
+    }
+
+    #[test]
+    fn an_imsi_and_a_tmsi_never_share_a_broadcast_key() {
+        let lowest = Imsi::parse("00100000000000").unwrap();
+        let tmsi = MsIdentity::Tmsi(Tmsi(u32::MAX)).key();
+        assert!(MsIdentity::Imsi(lowest).key() > tmsi);
+        let key = |s: &str| MsIdentity::Imsi(Imsi::parse(s).unwrap()).key();
+        assert_ne!(key("466920123456789"), key("466920123456788"));
+        assert_ne!(key("46692012345678"), key("466920123456780"));
     }
 
     #[test]

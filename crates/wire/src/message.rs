@@ -178,6 +178,14 @@ impl Payload for Message {
     fn express(&self) -> bool {
         self.is_media()
     }
+
+    /// A page is addressed to the identity it names.
+    fn broadcast_key(&self) -> Option<u64> {
+        match self {
+            Message::Um(Dtap::Paging { identity }) => Some(identity.key()),
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

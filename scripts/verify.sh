@@ -50,8 +50,11 @@ echo "==> determinism contract (release)"
 # world, plus the queued-events-per-frame tripwire) and the provisioned
 # start's (every node of shard 0 of each benchmark world and three
 # armed ones, written vs registered by the Figure 4 ladder, then one
-# busy hour each; and Figure 4 on the ladder at scale).
-cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision
+# busy hour each; and Figure 4 on the ladder at scale). And one big
+# cell: the dense-paging world at the benchmark's quick size, pinned, the
+# one pinned world whose pages fan out to a thousand handsets.
+cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision \
+    --test dense_paging
 
 echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
@@ -224,6 +227,18 @@ tripwire "a vector per wheel slot" 'Vec<Vec<' crates/sim/src/wheel.rs
 tripwire "a link table keyed by node pairs" -E \
     'IdMap<\(NodeId, NodeId\)|link_key' crates/sim/src/net.rs
 tripwire "a string per node name" 'Vec<String>' crates/sim/src/trace.rs
+# A hub's ports past its inline two are a list in a side table only hubs
+# use, and a leaf's row keeps the spill list's index and length: a
+# vector in every row is 16 bytes per node that only hubs fill.
+tripwire "a spill vector in every node's row" 'spill: Vec<Port>' crates/sim/src/net.rs
+
+echo "==> a page goes over the cell's links"
+# A broadcast goes to the sender's links on one interface
+# (Context::broadcast), and the cell's handsets are its Um links. A
+# list of them beside the links is a second copy the builder must keep
+# in step, and an event that carries one is 8 bytes per Effect.
+tripwire "a paging list beside the cell's links" -rE \
+    'Arc<Vec<NodeId>>|register_ms' crates/*/src crates/*/tests tests
 
 echo "==> committed sweeps are current"
 # BENCH_chaos.json and BENCH_surge.json are what a fresh sweep of this

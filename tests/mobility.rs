@@ -51,18 +51,7 @@ fn build() -> TwoAreas {
         .access
         .add_subscriber(&mut net, "ms1", imsi, 0xABCD, msisdn);
     // The MS can also camp on zone 2's cell.
-    net.connect(
-        ms,
-        zone2.access.bts,
-        Interface::Um,
-        SimDuration::from_millis(5),
-    );
-    net.node_mut::<vgprs_gsm::Bts>(zone2.access.bts)
-        .unwrap()
-        .register_ms(ms);
-    net.node_mut::<MobileStation>(ms)
-        .unwrap()
-        .add_neighbor(CellId(2), zone2.access.bts);
+    zone2.access.cover(&mut net, ms);
 
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();
