@@ -95,7 +95,7 @@ fn voice_run<A: Architecture>(
         mss.push(zone.add_mobile(&mut net, &format!("ms{i}"), imsi(i), ki, msisdn(i)));
         terms.push(
             zone.packet()
-                .add_terminal(&mut net, &format!("t{i}"), alias(i)),
+                .add_terminal(&mut net, format_args!("t{i}"), alias(i)),
         );
     }
     for (i, ms) in mss.iter().enumerate() {
@@ -290,7 +290,7 @@ fn context_count<A: Architecture>(cfg: A::Config, subs: usize, active: usize, se
     // stands on; its SGSN holds the contexts counted below.
     let packet = zone.packet();
     for i in 0..active {
-        packet.add_terminal(&mut net, &format!("t{i}"), alias(i));
+        packet.add_terminal(&mut net, format_args!("t{i}"), alias(i));
     }
     let sgsn = packet.sgsn;
     for (i, ms) in mss.iter().enumerate() {

@@ -14,6 +14,8 @@
 //! half, each in the order listed above): `NodeId`s break every tie in
 //! the event queue, so the order is part of the simulated world.
 
+use std::fmt;
+
 use vgprs_gprs::{Ggsn, IpRouter, Sgsn};
 use vgprs_gsm::{
     Bsc, BscConfig, Bts, BtsConfig, GsmMsc, Hlr, MobileStation, MsConfig, MscConfig, Vlr,
@@ -165,7 +167,7 @@ pub fn build_cell(
     abis: SimDuration,
 ) -> (NodeId, NodeId) {
     let bsc = net.add_node(
-        &format!("{zone}.bsc"),
+        format_args!("{zone}.bsc"),
         Bsc::new(
             BscConfig {
                 tch_capacity: cfg.tch_capacity,
@@ -174,7 +176,7 @@ pub fn build_cell(
         ),
     );
     let bts = net.add_node(
-        &format!("{zone}.bts"),
+        format_args!("{zone}.bts"),
         Bts::new(
             BtsConfig {
                 cell: cfg.cell,
@@ -195,7 +197,7 @@ pub fn build_cell(
 /// which it hears the cell's pages.
 pub fn camp(
     net: &mut Network<Message>,
-    name: &str,
+    name: impl fmt::Display,
     handset: impl Node<Message> + Send + 'static,
     bts: NodeId,
     um: SimDuration,
@@ -240,10 +242,10 @@ impl AccessHalf {
         latency: LatencyProfile,
         add_msc: impl FnOnce(&mut Network<Message>, NodeId, NodeId) -> NodeId,
     ) -> AccessHalf {
-        let hlr = net.add_node(&format!("{name}.hlr"), Hlr::new());
+        let hlr = net.add_node(format_args!("{name}.hlr"), Hlr::new());
         // VLR and MSC name each other: the VLR starts out pointing at
         // the HLR and is patched once the MSC exists.
-        let vlr = net.add_node(&format!("{name}.vlr"), Vlr::new(vlr, hlr, hlr));
+        let vlr = net.add_node(format_args!("{name}.vlr"), Vlr::new(vlr, hlr, hlr));
         let msc = add_msc(net, vlr, hlr);
         net.node_mut::<Vlr>(vlr).expect("just created").set_msc(msc);
         let (bsc, bts) = build_cell(net, name, msc, cell, latency.abis);
@@ -269,7 +271,7 @@ impl AccessHalf {
     pub fn add_subscriber(
         &self,
         net: &mut Network<Message>,
-        label: &str,
+        label: impl fmt::Display,
         imsi: Imsi,
         ki: u64,
         msisdn: Msisdn,
@@ -286,14 +288,14 @@ impl AccessHalf {
     pub fn add_roamer(
         &self,
         net: &mut Network<Message>,
-        label: &str,
+        label: impl fmt::Display,
         imsi: Imsi,
         ki: u64,
         msisdn: Msisdn,
     ) -> NodeId {
         camp(
             net,
-            &format!("{}.{}", self.name, label),
+            format_args!("{}.{label}", self.name),
             MobileStation::new(MsConfig::new(imsi, ki, msisdn, self.lai), self.bts),
             self.bts,
             self.latency.um,
@@ -343,11 +345,11 @@ impl PacketHalf {
         pdp_rate_per_s: u32,
         latency: LatencyProfile,
     ) -> PacketHalf {
-        let router = net.add_node(&format!("{name}.router"), IpRouter::new());
-        let gk = net.add_node(&format!("{name}.gk"), Gatekeeper::new(gk_cfg, router));
-        let ggsn = net.add_node(&format!("{name}.ggsn"), Ggsn::new(pool.0, pool.1));
+        let router = net.add_node(format_args!("{name}.router"), IpRouter::new());
+        let gk = net.add_node(format_args!("{name}.gk"), Gatekeeper::new(gk_cfg, router));
+        let ggsn = net.add_node(format_args!("{name}.ggsn"), Ggsn::new(pool.0, pool.1));
         let sgsn = net.add_node(
-            &format!("{name}.sgsn"),
+            format_args!("{name}.sgsn"),
             Sgsn::new(ggsn).with_admission_rate(pdp_rate_per_s),
         );
         net.connect(sgsn, ggsn, Interface::Gn, latency.gn);
@@ -385,12 +387,12 @@ impl PacketHalf {
     fn add_lan_host<N: Node<Message> + Send + 'static>(
         &mut self,
         net: &mut Network<Message>,
-        label: &str,
+        label: impl fmt::Display,
         make: impl FnOnce(TransportAddr) -> N,
     ) -> NodeId {
         self.next_host += 1;
         let addr = TransportAddr::new(Self::lan_addr(self.next_host), 1720);
-        let host = net.add_node(&format!("{}.{}", self.name, label), make(addr));
+        let host = net.add_node(format_args!("{}.{label}", self.name), make(addr));
         net.connect(host, self.router, Interface::Lan, self.latency.lan);
         net.node_mut::<IpRouter>(self.router)
             .expect("zone router")
@@ -406,7 +408,7 @@ impl PacketHalf {
     pub fn add_terminal(
         &mut self,
         net: &mut Network<Message>,
-        label: &str,
+        label: impl fmt::Display,
         alias: Msisdn,
     ) -> NodeId {
         let (gk, router) = (self.gk_addr, self.router);
@@ -535,7 +537,7 @@ impl VgprsZone {
             cfg.latency,
             |net, vlr, _hlr| {
                 net.add_node(
-                    &format!("{}.vmsc", cfg.name),
+                    format_args!("{}.vmsc", cfg.name),
                     Vmsc::new(
                         VmscConfig {
                             country_code: cfg.country_code,
@@ -677,7 +679,7 @@ impl GsmZone {
             },
             cfg.latency,
             |net, vlr, hlr| {
-                net.add_node(&format!("{}.msc", cfg.name), GsmMsc::new(msc_cfg, vlr, hlr))
+                net.add_node(format_args!("{}.msc", cfg.name), GsmMsc::new(msc_cfg, vlr, hlr))
             },
         );
         let m = net.node_mut::<GsmMsc>(access.msc).expect("just created");

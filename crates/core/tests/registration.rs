@@ -136,7 +136,7 @@ fn many_subscribers_register_concurrently() {
             let imsi = Imsi::parse(&format!("4669200000001{i:02}")).unwrap();
             let msisdn = Msisdn::parse(&format!("8869121000{i:02}")).unwrap();
             zone.access
-                .add_subscriber(&mut net, &format!("ms{i}"), imsi, 0x1000 + i, msisdn)
+                .add_subscriber(&mut net, format_args!("ms{i}"), imsi, 0x1000 + i, msisdn)
         })
         .collect();
     for (i, ms) in mss.iter().enumerate() {

@@ -453,7 +453,7 @@ mod tests {
                 let imsi = Imsi::parse(&format!("46692{i:010}")).unwrap();
                 let msisdn = Msisdn::parse(&format!("88691{i:07}")).unwrap();
                 let config = MsConfig::new(imsi, 0xABCD, msisdn, Lai::new(466, 92, 1));
-                let ms = net.add_node(&format!("ms{i}"), MobileStation::new(config, bts));
+                let ms = net.add_node(format_args!("ms{i}"), MobileStation::new(config, bts));
                 net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
                 ms
             })

@@ -6,7 +6,11 @@
 //! The same node works against a classic [`GsmMsc`](crate::GsmMsc) and
 //! against a `Vmsc`, which is exactly the paper's claim.
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken, Tuning};
+use std::fmt;
+
+use vgprs_sim::{
+    Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken, Tuning,
+};
 use vgprs_wire::{
     CallId, Cause, CellId, Command, Dtap, Imsi, Lai, Message, MsIdentity, Msisdn, Tmsi,
 };
@@ -25,7 +29,8 @@ pub struct MsConfig {
     pub imsi: Imsi,
     /// Secret key (on the SIM).
     pub ki: Ki,
-    /// Own number, for display/diagnostics only.
+    /// Own number, for display/diagnostics only: the handset does not
+    /// keep it.
     pub msisdn: Msisdn,
     /// Location area broadcast by the serving cell.
     pub lai: Lai,
@@ -78,22 +83,115 @@ pub enum MsState {
     Clearing,
 }
 
-/// The mobile station node.
-#[derive(Debug)]
-pub struct MobileStation {
-    config: MsConfig,
-    serving_bts: NodeId,
-    /// Neighbor cells the MS can be handed off to (cell → BTS node).
-    neighbors: Vec<(CellId, NodeId)>,
-    state: MsState,
-    tmsi: Option<Tmsi>,
+/// [`MsConfig::auto_answer_after`] and [`MsConfig::talk_on_connect`] in
+/// one word: the delay's microseconds below the top bit (all ones:
+/// wait for [`Command::Answer`]), talk-on-connect in the top bit.
+#[derive(Clone, Copy)]
+struct Habits(u64);
+
+impl Habits {
+    const TALK: u64 = 1 << 63;
+    const WAIT: u64 = Self::TALK - 1;
+
+    fn new(config: &MsConfig) -> Self {
+        let after = config.auto_answer_after.map_or(Self::WAIT, |d| {
+            assert!(d.as_micros() < Self::WAIT, "auto-answer delay {d} never ends");
+            d.as_micros()
+        });
+        Habits(after | if config.talk_on_connect { Self::TALK } else { 0 })
+    }
+
+    fn auto_answer_after(self) -> Option<SimDuration> {
+        let micros = self.0 & Self::WAIT;
+        (micros != Self::WAIT).then_some(SimDuration::from_micros(micros))
+    }
+
+    fn talk_on_connect(self) -> bool {
+        self.0 & Self::TALK != 0
+    }
+}
+
+impl fmt::Debug for Habits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Habits")
+            .field("auto_answer_after", &self.auto_answer_after())
+            .field("talk_on_connect", &self.talk_on_connect())
+            .finish()
+    }
+}
+
+/// The cells an MS can be handed off or reselect to (cell → BTS node),
+/// held inline: every world gives a handset at most two.
+#[derive(Clone, Copy)]
+struct Neighbors {
+    cells: [(CellId, NodeId); Neighbors::CAP],
+    len: u8,
+}
+
+impl Neighbors {
+    const CAP: usize = 2;
+
+    /// No neighbors; `filler` only fills the unused slots.
+    fn new(filler: NodeId) -> Self {
+        Neighbors {
+            cells: [(CellId(0), filler); Self::CAP],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, cell: CellId, bts: NodeId) {
+        let slot = self.cells.get_mut(usize::from(self.len));
+        let slot = slot.unwrap_or_else(|| panic!("an MS holds at most {} neighbor cells", Self::CAP));
+        *slot = (cell, bts);
+        self.len += 1;
+    }
+
+    /// The BTS serving `cell`, the first declared if several do.
+    fn find(&self, cell: CellId) -> Option<NodeId> {
+        let held = &self.cells[..usize::from(self.len)];
+        held.iter().find(|(c, _)| *c == cell).map(|&(_, bts)| bts)
+    }
+}
+
+impl fmt::Debug for Neighbors {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(&self.cells[..usize::from(self.len)])
+            .finish()
+    }
+}
+
+/// What an MS holds only while it has a call, boxed so that a handset
+/// at rest pays one pointer for it. The box goes once nothing in it can
+/// be read again: no call and no voice (an unread called number or a
+/// fired voice timer's token is not worth keeping).
+#[derive(Debug, Default)]
+struct MsCall {
     call: Option<CallId>,
     pending_called: Option<Msisdn>,
     talking: bool,
-    voice_seq: u32,
     voice_timer: Option<TimerToken>,
-    registered_at: Option<SimTime>,
-    dialed_at: Option<SimTime>,
+}
+
+/// The mobile station node.
+#[derive(Debug)]
+pub struct MobileStation {
+    imsi: Imsi,
+    ki: Ki,
+    lai: Lai,
+    habits: Habits,
+    serving_bts: NodeId,
+    neighbors: Neighbors,
+    state: MsState,
+    tmsi: Option<Tmsi>,
+    /// Runs across calls: a call's first frame continues the last one's
+    /// numbering.
+    voice_seq: u32,
+    registered_at: Stamp,
+    /// Outlives a dial that never connects: the next call the MS
+    /// answers reads it as its dial time.
+    dialed_at: Stamp,
+    leg: Option<Box<MsCall>>,
     /// Frames received on the downlink (media experiments read this).
     pub frames_received: u64,
     /// Calls that reached the Active state.
@@ -106,18 +204,18 @@ impl MobileStation {
     /// Creates a powered-off MS camped on `serving_bts`.
     pub fn new(config: MsConfig, serving_bts: NodeId) -> Self {
         MobileStation {
-            config,
+            imsi: config.imsi,
+            ki: config.ki,
+            lai: config.lai,
+            habits: Habits::new(&config),
             serving_bts,
-            neighbors: Vec::new(),
+            neighbors: Neighbors::new(serving_bts),
             state: MsState::Off,
             tmsi: None,
-            call: None,
-            pending_called: None,
-            talking: false,
             voice_seq: 0,
-            voice_timer: None,
-            registered_at: None,
-            dialed_at: None,
+            registered_at: Stamp::default(),
+            dialed_at: Stamp::default(),
+            leg: None,
             frames_received: 0,
             calls_connected: 0,
             handoffs_completed: 0,
@@ -126,8 +224,12 @@ impl MobileStation {
 
     /// Declares a neighbor cell the MS could be handed off to. The testbed
     /// must also provision the Um link to that BTS.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a third neighbor: an MS holds two inline.
     pub fn add_neighbor(&mut self, cell: CellId, bts: NodeId) {
-        self.neighbors.push((cell, bts));
+        self.neighbors.push(cell, bts);
     }
 
     /// Current state.
@@ -142,22 +244,39 @@ impl MobileStation {
 
     /// The subscriber's IMSI.
     pub fn imsi(&self) -> Imsi {
-        self.config.imsi
+        self.imsi
     }
 
     /// The identity the MS presents: TMSI when it has one, IMSI otherwise.
     fn identity(&self) -> MsIdentity {
         match self.tmsi {
             Some(t) => MsIdentity::Tmsi(t),
-            None => MsIdentity::Imsi(self.config.imsi),
+            None => MsIdentity::Imsi(self.imsi),
         }
     }
 
     /// True if a page for `identity` is addressed to this subscriber.
     fn is_paged(&self, identity: MsIdentity) -> bool {
         match identity {
-            MsIdentity::Imsi(i) => i == self.config.imsi,
+            MsIdentity::Imsi(i) => i == self.imsi,
             MsIdentity::Tmsi(t) => Some(t) == self.tmsi,
+        }
+    }
+
+    /// The current call, if any.
+    fn call(&self) -> Option<CallId> {
+        self.leg.as_ref().and_then(|leg| leg.call)
+    }
+
+    /// The call state, boxed on first use.
+    fn leg(&mut self) -> &mut MsCall {
+        self.leg.get_or_insert_with(Box::default)
+    }
+
+    /// Drops the call state once nothing in it can be read again.
+    fn settle(&mut self) {
+        if self.leg.as_ref().is_some_and(|leg| leg.call.is_none() && !leg.talking) {
+            self.leg = None;
         }
     }
 
@@ -166,18 +285,22 @@ impl MobileStation {
     }
 
     fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.talking {
+        let leg = self.leg();
+        if leg.talking {
             return;
         }
-        self.talking = true;
-        self.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
+        leg.talking = true;
+        leg.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
     }
 
     fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        self.talking = false;
-        if let Some(t) = self.voice_timer.take() {
-            ctx.cancel_timer(t);
+        if let Some(leg) = &mut self.leg {
+            leg.talking = false;
+            if let Some(t) = leg.voice_timer.take() {
+                ctx.cancel_timer(t);
+            }
         }
+        self.settle();
     }
 
     fn enter_active(&mut self, ctx: &mut Context<'_, Message>) {
@@ -187,21 +310,21 @@ impl MobileStation {
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration("ms.call_setup_ms", ctx.now().duration_since(at));
         }
-        if self.config.talk_on_connect {
+        if self.habits.talk_on_connect() {
             self.start_voice(ctx);
         }
     }
 
     fn clear_call(&mut self, ctx: &mut Context<'_, Message>) {
         self.stop_voice(ctx);
-        self.call = None;
+        self.leg = None;
         self.state = MsState::Idle;
     }
 
     /// Switched on at `at`: registration starts.
     fn power_on(&mut self, ctx: &mut Context<'_, Message>, at: SimTime) {
         self.state = MsState::Registering;
-        self.registered_at = Some(at);
+        self.registered_at.set(at);
         ctx.count("ms.power_on");
     }
 
@@ -242,7 +365,7 @@ impl MobileStation {
                     ctx,
                     Dtap::LocationUpdateRequest {
                         identity: self.identity(),
-                        lai: self.config.lai,
+                        lai: self.lai,
                     },
                 );
             }
@@ -256,9 +379,10 @@ impl MobileStation {
                     return;
                 }
                 self.state = MsState::RequestingService;
-                self.call = Some(call);
-                self.dialed_at = Some(ctx.now());
-                self.pending_called = Some(called);
+                let leg = self.leg();
+                leg.call = Some(call);
+                leg.pending_called = Some(called);
+                self.dialed_at.set(ctx.now());
                 self.send_um(
                     ctx,
                     Dtap::CmServiceRequest {
@@ -268,7 +392,7 @@ impl MobileStation {
             }
             Command::Answer => self.answer(ctx),
             Command::Hangup => {
-                if let (MsState::Active | MsState::Ringback, Some(call)) = (self.state, self.call)
+                if let (MsState::Active | MsState::Ringback, Some(call)) = (self.state, self.call())
                 {
                     self.stop_voice(ctx);
                     self.state = MsState::Clearing;
@@ -292,19 +416,17 @@ impl MobileStation {
                     // In-call movement: report the better cell; the network
                     // decides the handoff (paper §7).
                     self.send_um(ctx, Dtap::MeasurementReport { cell });
-                } else if let Some(&(_, bts)) =
-                    self.neighbors.iter().find(|(c, _)| *c == cell)
-                {
+                } else if let Some(bts) = self.neighbors.find(cell) {
                     // Idle movement: re-camp and re-register.
                     self.serving_bts = bts;
                     if self.state == MsState::Idle {
                         self.state = MsState::Registering;
-                        self.registered_at = Some(ctx.now());
+                        self.registered_at.set(ctx.now());
                         self.send_um(
                             ctx,
                             Dtap::LocationUpdateRequest {
                                 identity: self.identity(),
-                                lai: self.config.lai,
+                                lai: self.lai,
                             },
                         );
                     }
@@ -319,7 +441,7 @@ impl MobileStation {
     }
 
     fn answer(&mut self, ctx: &mut Context<'_, Message>) {
-        if let (MsState::Ringing, Some(call)) = (self.state, self.call) {
+        if let (MsState::Ringing, Some(call)) = (self.state, self.call()) {
             self.state = MsState::AwaitingConnectAck;
             self.send_um(ctx, Dtap::Connect { call });
         }
@@ -331,7 +453,7 @@ impl MobileStation {
                 self.send_um(
                     ctx,
                     Dtap::AuthenticationResponse {
-                        sres: a3_sres(self.config.ki, rand),
+                        sres: a3_sres(self.ki, rand),
                     },
                 );
             }
@@ -348,8 +470,8 @@ impl MobileStation {
                     self.send_um(
                         ctx,
                         Dtap::LocationUpdateRequest {
-                            identity: MsIdentity::Imsi(self.config.imsi),
-                            lai: self.config.lai,
+                            identity: MsIdentity::Imsi(self.imsi),
+                            lai: self.lai,
                         },
                     );
                 } else {
@@ -358,8 +480,9 @@ impl MobileStation {
                 }
             }
             Dtap::CmServiceAccept => {
+                let called = self.leg.as_mut().and_then(|leg| leg.pending_called.take());
                 if let (MsState::RequestingService, Some(call), Some(called)) =
-                    (self.state, self.call, self.pending_called.take())
+                    (self.state, self.call(), called)
                 {
                     self.state = MsState::AwaitingProgress;
                     self.send_um(ctx, Dtap::Setup { call, called });
@@ -367,15 +490,17 @@ impl MobileStation {
             }
             Dtap::CmServiceReject { .. } => {
                 ctx.count("ms.service_rejected");
-                self.call = None;
-                self.pending_called = None;
+                if let Some(leg) = &mut self.leg {
+                    (leg.call, leg.pending_called) = (None, None);
+                }
+                self.settle();
                 self.state = MsState::Idle;
             }
             Dtap::CallProceeding { .. } => ctx.count("ms.call_proceeding"),
             Dtap::Alerting { call } => {
-                if self.state == MsState::AwaitingProgress && self.call == Some(call) {
+                if self.state == MsState::AwaitingProgress && self.call() == Some(call) {
                     self.state = MsState::Ringback;
-                    if let Some(at) = self.dialed_at {
+                    if let Some(at) = self.dialed_at.get() {
                         ctx.observe_duration(
                             "ms.post_dial_delay_ms",
                             ctx.now().duration_since(at),
@@ -384,13 +509,13 @@ impl MobileStation {
                 }
             }
             Dtap::Connect { call } => {
-                if self.state == MsState::Ringback && self.call == Some(call) {
+                if self.state == MsState::Ringback && self.call() == Some(call) {
                     self.send_um(ctx, Dtap::ConnectAck { call });
                     self.enter_active(ctx);
                 }
             }
             Dtap::ConnectAck { call } => {
-                if self.state == MsState::AwaitingConnectAck && self.call == Some(call) {
+                if self.state == MsState::AwaitingConnectAck && self.call() == Some(call) {
                     self.enter_active(ctx);
                 }
             }
@@ -403,30 +528,30 @@ impl MobileStation {
             Dtap::MtSetup { call, .. } => {
                 if self.state == MsState::AnsweringPage {
                     self.state = MsState::Ringing;
-                    self.call = Some(call);
+                    self.leg().call = Some(call);
                     ctx.count("ms.ringing");
                     self.send_um(ctx, Dtap::Alerting { call });
-                    if let Some(delay) = self.config.auto_answer_after {
+                    if let Some(delay) = self.habits.auto_answer_after() {
                         ctx.set_timer(delay, TIMER_ANSWER);
                     }
                 }
             }
             Dtap::Disconnect { call, .. } => {
-                if self.call == Some(call) {
+                if self.call() == Some(call) {
                     self.stop_voice(ctx);
                     self.state = MsState::Clearing;
                     self.send_um(ctx, Dtap::Release { call });
                 }
             }
             Dtap::Release { call } => {
-                if self.call == Some(call) {
+                if self.call() == Some(call) {
                     self.send_um(ctx, Dtap::ReleaseComplete { call });
                 }
             }
             Dtap::ReleaseComplete { .. } => {}
             Dtap::ChannelRelease => self.clear_call(ctx),
             Dtap::HandoverCommand { cell, ho_ref } => {
-                if let Some(&(_, bts)) = self.neighbors.iter().find(|(c, _)| *c == cell) {
+                if let Some(bts) = self.neighbors.find(cell) {
                     self.serving_bts = bts;
                     self.handoffs_completed += 1;
                     ctx.count("ms.handoffs");
@@ -483,24 +608,27 @@ impl Node<Message> for MobileStation {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, tag: u64) {
         match tag {
-            TIMER_VOICE
-                if self.talking && self.state == MsState::Active => {
-                    if let Some(call) = self.call {
-                        self.voice_seq += 1;
-                        ctx.count("ms.voice_frames_sent");
-                        let origin_us = ctx.now().as_micros();
-                        self.send_um(
-                            ctx,
-                            Dtap::VoiceFrame {
-                                call,
-                                seq: self.voice_seq,
-                                origin_us,
-                            },
-                        );
-                        self.voice_timer =
-                            Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-                    }
+            TIMER_VOICE => {
+                let talking = self.leg.as_ref().is_some_and(|leg| leg.talking);
+                if !(talking && self.state == MsState::Active) {
+                    return;
                 }
+                if let Some(call) = self.call() {
+                    self.voice_seq += 1;
+                    ctx.count("ms.voice_frames_sent");
+                    let origin_us = ctx.now().as_micros();
+                    self.send_um(
+                        ctx,
+                        Dtap::VoiceFrame {
+                            call,
+                            seq: self.voice_seq,
+                            origin_us,
+                        },
+                    );
+                    let next = ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE);
+                    self.leg().voice_timer = Some(next);
+                }
+            }
             TIMER_ANSWER => self.answer(ctx),
             _ => {}
         }
@@ -520,7 +648,7 @@ impl Node<Message> for MobileStation {
 
     /// The serving cell's pages concern the MS by its IMSI or its TMSI.
     fn tuning(&self) -> Option<Tuning> {
-        let imsi = MsIdentity::Imsi(self.config.imsi).key();
+        let imsi = MsIdentity::Imsi(self.imsi).key();
         let tmsi = self.tmsi.map_or(imsi, |t| MsIdentity::Tmsi(t).key());
         Some(Tuning {
             to: self.serving_bts,
@@ -565,6 +693,16 @@ mod tests {
 
     fn uplink(net: &Network<Message>, bts: NodeId) -> Vec<&Message> {
         ScriptedPeer::of(net, bts).received()
+    }
+
+    /// A handset at rest holds no call: the call's state is a box that
+    /// exists only while the call does (192 bytes when the row carried
+    /// a call's fields, the far number, a neighbor vector and the whole
+    /// configuration).
+    #[test]
+    fn a_handset_is_120_bytes_and_its_call_48() {
+        assert_eq!(std::mem::size_of::<MobileStation>(), 120);
+        assert_eq!(std::mem::size_of::<MsCall>(), 48);
     }
 
     #[test]
@@ -694,7 +832,7 @@ mod tests {
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();
             m.state = MsState::Ringback;
-            m.call = Some(CallId(1));
+            m.leg().call = Some(CallId(1));
         }
         net.run_until(SimTime::from_micros(111_000));
         net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::Hangup));
@@ -726,7 +864,7 @@ mod tests {
             let m = net.node_mut::<MobileStation>(ms).unwrap();
             m.add_neighbor(CellId(2), new_bts);
             m.state = MsState::Active;
-            m.call = Some(CallId(1));
+            m.leg().call = Some(CallId(1));
         }
         net.run_until_quiescent();
         let new_got = uplink(&net, new_bts);
@@ -737,6 +875,91 @@ mod tests {
         ));
         assert!(uplink(&net, old_bts).is_empty());
         assert_eq!(net.node::<MobileStation>(ms).unwrap().handoffs_completed, 1);
+    }
+
+    /// Dials `call` from an idle MS at time zero.
+    fn dial_from_idle(net: &mut Network<Message>, ms: NodeId, call: CallId) {
+        net.node_mut::<MobileStation>(ms).unwrap().state = MsState::Idle;
+        let called = Msisdn::parse("85291234567").unwrap();
+        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::Dial { call, called }));
+    }
+
+    #[test]
+    fn a_released_call_leaves_no_call_behind() {
+        let call = CallId(7);
+        let (mut net, ms, _bts) = rig(vec![
+            Message::Um(Dtap::CmServiceAccept),
+            Message::Um(Dtap::Alerting { call }),
+            Message::Um(Dtap::Connect { call }),
+            Message::Um(Dtap::Disconnect {
+                call,
+                cause: Cause::NormalClearing,
+            }),
+            Message::Um(Dtap::ChannelRelease),
+        ]);
+        dial_from_idle(&mut net, ms, call);
+        net.run_until(SimTime::from_micros(35_000));
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!((m.state(), m.call()), (MsState::Active, Some(call)));
+        net.run_until_quiescent();
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!((m.state(), m.calls_connected), (MsState::Idle, 1));
+        assert!(m.leg.is_none(), "{:?}", m.leg);
+        assert!(m.dialed_at.get().is_none(), "the connect read the dial time");
+    }
+
+    #[test]
+    fn a_refused_dial_leaves_no_call_behind() {
+        let (mut net, ms, _bts) = rig(vec![Message::Um(Dtap::CmServiceReject {
+            cause: Cause::ProtocolError,
+        })]);
+        dial_from_idle(&mut net, ms, CallId(7));
+        net.run_until_quiescent();
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!(m.state(), MsState::Idle);
+        assert!(m.leg.is_none(), "{:?}", m.leg);
+        assert!(m.dialed_at.get().is_some(), "a dial time outlives its call");
+        assert_eq!(net.stats().counter("ms.service_rejected"), 1);
+    }
+
+    /// The call moves to the new cell with the MS and ends there; the
+    /// old cell's late release is not heard.
+    #[test]
+    fn a_handed_over_call_leaves_no_call_behind() {
+        let call = CallId(1);
+        let (mut net, ms, old_bts) = rig(vec![
+            Message::Um(Dtap::HandoverCommand {
+                cell: CellId(2),
+                ho_ref: 55,
+            }),
+            Message::Um(Dtap::ChannelRelease),
+        ]);
+        let mut new_bts = ScriptedPeer::new().at(
+            SimDuration::from_millis(30),
+            Message::Um(Dtap::Disconnect {
+                call,
+                cause: Cause::NormalClearing,
+            }),
+        );
+        new_bts = new_bts.at(SimDuration::from_millis(40), Message::Um(Dtap::ChannelRelease));
+        new_bts.set_target(ms);
+        let new_bts = net.add_node("bts2", new_bts);
+        net.connect(ms, new_bts, Interface::Um, SimDuration::from_millis(1));
+        {
+            let m = net.node_mut::<MobileStation>(ms).unwrap();
+            m.add_neighbor(CellId(2), new_bts);
+            m.state = MsState::Active;
+            m.leg().call = Some(call);
+        }
+        net.run_until(SimTime::from_micros(25_000));
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!((m.handoffs_completed, m.call()), (1, Some(call)));
+        net.run_until_quiescent();
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!(m.state(), MsState::Idle);
+        assert!(m.leg.is_none(), "{:?}", m.leg);
+        assert_eq!(net.stats().counter("ms.ignored_stale_cell"), 1);
+        assert!(uplink(&net, old_bts).is_empty());
     }
 
     #[test]
@@ -750,7 +973,7 @@ mod tests {
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();
             m.state = MsState::Active;
-            m.call = Some(CallId(1));
+            m.leg().call = Some(CallId(1));
         }
         net.run_until_quiescent();
         // the stale ChannelRelease did NOT clear the call
@@ -771,7 +994,7 @@ mod tests {
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();
             m.state = MsState::Active;
-            m.call = Some(CallId(1));
+            m.leg().call = Some(CallId(1));
         }
         net.run_until_quiescent();
         assert_eq!(net.node::<MobileStation>(ms).unwrap().frames_received, 1);

@@ -851,7 +851,7 @@ mod tests {
                 let peer = script.iter().fold(ScriptedPeer::new(), |peer, m| {
                     peer.at(SimDuration::ZERO, m.clone())
                 });
-                net.add_node(&iface.to_string(), peer)
+                net.add_node(iface, peer)
             })
             .collect();
         let config = MscConfig {

@@ -32,18 +32,19 @@ struct VlrRecord {
     tmsi: Option<Tmsi>,
     profile: Option<SubscriberProfile>,
     triplets: Vectors,
-    /// The triplet currently being verified.
-    current: Option<AuthTriplet>,
 }
 
 /// The vectors a record keeps for later challenges: what one
 /// `MAP_Send_Authentication_Info` answer carries, at most three, held
 /// inline rather than in an allocation of their own. Spent from the
-/// back, as the answer lists them.
+/// back, as the answer lists them; a spent one stays in its slot, so
+/// the triplet being verified is named by slot rather than copied.
 #[derive(Clone, Copy, Default)]
 struct Vectors {
     held: [AuthTriplet; Vectors::CAP],
-    len: usize,
+    len: u8,
+    /// The slot of the triplet last spent: the one being verified.
+    current: Option<u8>,
 }
 
 impl Vectors {
@@ -55,21 +56,32 @@ impl Vectors {
         let kept = &triplets[triplets.len().saturating_sub(Self::CAP)..];
         let mut vectors = Vectors::default();
         vectors.held[..kept.len()].copy_from_slice(kept);
-        vectors.len = kept.len();
+        vectors.len = kept.len() as u8;
         vectors
     }
 
+    /// Spends the next vector: it becomes the current one.
     fn pop(&mut self) -> Option<AuthTriplet> {
         self.len = self.len.checked_sub(1)?;
-        Some(self.held[self.len])
+        self.current = Some(self.len);
+        Some(self.held[usize::from(self.len)])
+    }
+
+    /// The triplet being verified, if one was ever spent.
+    fn current(&self) -> Option<AuthTriplet> {
+        self.current.map(|slot| self.held[usize::from(slot)])
     }
 }
 
-/// Lists only the vectors still held: a spent one's slot keeps a stale
-/// copy, which a provisioned and a replayed start need not agree on.
+/// Lists the vectors still held and the one being verified: a spent
+/// one's slot keeps a stale copy, which a provisioned and a replayed
+/// start need not agree on.
 impl fmt::Debug for Vectors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.held[..self.len]).finish()
+        f.debug_struct("Vectors")
+            .field("held", &&self.held[..usize::from(self.len)])
+            .field("current", &self.current())
+            .finish()
     }
 }
 
@@ -99,6 +111,12 @@ pub struct Vlr {
     hlr_routes: Vec<(String, NodeId)>,
     msc: NodeId,
     records: NumberBlock<Imsi, VlrRecord>,
+    /// The triplet a challenge is still out on, for a subscriber whose
+    /// vectors a later answer replaced before a new one was spent. A
+    /// record names its current triplet by slot, and the new vectors
+    /// took the slots. Empty unless two vector requests for one
+    /// subscriber overlap.
+    displaced: IdMap<Imsi, AuthTriplet>,
     tmsi_index: NumberBlock<Tmsi, Imsi>,
     msrn_index: IdMap<Msisdn, Imsi>,
     pending: IdMap<Imsi, Pending>,
@@ -115,6 +133,7 @@ impl Vlr {
             hlr_routes: Vec::new(),
             msc,
             records: NumberBlock::default(),
+            displaced: IdMap::default(),
             tmsi_index: NumberBlock::default(),
             msrn_index: IdMap::default(),
             pending: IdMap::default(),
@@ -158,7 +177,8 @@ impl Vlr {
         triplets: Vec<AuthTriplet>,
     ) -> Tmsi {
         let mut triplets = Vectors::keep(&triplets);
-        let current = triplets.pop();
+        triplets.pop();
+        self.displaced.remove(&imsi);
         self.records.insert(
             imsi,
             VlrRecord {
@@ -166,7 +186,6 @@ impl Vlr {
                 tmsi: None,
                 profile: Some(profile),
                 triplets,
-                current,
             },
         );
         ctx.count("vlr.auth_success");
@@ -240,7 +259,7 @@ impl Vlr {
         let rec = self.records.get_or_insert_with(imsi, VlrRecord::default);
         match rec.triplets.pop() {
             Some(t) => {
-                rec.current = Some(t);
+                self.displaced.remove(&imsi);
                 ctx.send(
                     self.msc,
                     Message::Map(MapMessage::Authenticate {
@@ -388,18 +407,23 @@ impl Vlr {
                     self.reject(ctx, imsi, Cause::AuthenticationFailure);
                     return;
                 }
-                if let Some(rec) = self.records.get_mut(&imsi) {
-                    rec.triplets = Vectors::keep(&triplets);
-                }
                 let conn = match self.pending.get(&imsi) {
                     Some(Pending::Register { conn, phase, .. })
                     | Some(Pending::Access { conn, phase, .. }) => {
-                        if *phase != Phase::Triplets {
-                            return;
-                        }
-                        *conn
+                        (*phase == Phase::Triplets).then_some(*conn)
                     }
-                    None => return,
+                    None => None,
+                };
+                if let Some(rec) = self.records.get_mut(&imsi) {
+                    // Unless one is spent right away, the current
+                    // triplet must outlive the slots it is named by.
+                    if let (None, Some(current)) = (conn, rec.triplets.current()) {
+                        self.displaced.insert(imsi, current);
+                    }
+                    rec.triplets = Vectors::keep(&triplets);
+                }
+                let Some(conn) = conn else {
+                    return;
                 };
                 self.begin_auth(ctx, imsi, conn);
                 match self.pending.get_mut(&imsi) {
@@ -412,7 +436,9 @@ impl Vlr {
 
             // ---- from the MSC: the MS's signed response ----
             MapMessage::AuthenticateAck { imsi, sres, .. } => {
-                let expected = self.records.get(&imsi).and_then(|r| r.current);
+                let expected = self.records.get(&imsi).and_then(|r| {
+                    (self.displaced.get(&imsi).copied()).or(r.triplets.current())
+                });
                 let Some(triplet) = expected else {
                     ctx.count("vlr.unsolicited_auth_ack");
                     return;
@@ -470,6 +496,7 @@ impl Vlr {
 
             MapMessage::UpdateLocationReject { imsi, cause } => {
                 self.records.remove(&imsi);
+                self.displaced.remove(&imsi);
                 self.reject(ctx, imsi, cause);
             }
 
@@ -570,6 +597,7 @@ impl Vlr {
 
             // ---- subscriber moved away ----
             MapMessage::CancelLocation { imsi } => {
+                self.displaced.remove(&imsi);
                 if let Some(rec) = self.records.remove(&imsi) {
                     if let Some(t) = rec.tmsi {
                         self.tmsi_index.remove(&t);
@@ -689,6 +717,30 @@ mod tests {
         feed(net, vlr, Interface::B, [Message::Map(answer)]);
     }
 
+    /// Two registrations of one subscriber overlap: the second answer's
+    /// vectors take the slots while the first answer's challenge is
+    /// still out, and the handset's response to that challenge is still
+    /// checked against the triplet it was challenged with.
+    #[test]
+    fn an_outstanding_challenge_outlives_the_vectors_it_came_from() {
+        let (mut net, vlr, _msc, hlr) = rig();
+        let imsi = imsi();
+        let twice = [ula(MsIdentity::Imsi(imsi)), ula(MsIdentity::Imsi(imsi))];
+        feed(&mut net, vlr, Interface::B, twice);
+        let vectors = |sres| {
+            let triplets = vec![AuthTriplet { rand: 5, sres, kc: 555 }];
+            Message::Map(MapMessage::SendAuthenticationInfoAck { imsi, triplets })
+        };
+        feed(&mut net, vlr, Interface::D, [vectors(55), vectors(66)]);
+        let (conn, sres) = (ConnRef(7), 55);
+        let answer = MapMessage::AuthenticateAck { conn, imsi, sres };
+        feed(&mut net, vlr, Interface::B, [Message::Map(answer)]);
+        assert_eq!(net.stats().counter("vlr.auth_success"), 1);
+        assert_eq!(net.stats().counter("vlr.auth_failures"), 0);
+        let asked = ScriptedPeer::of(&net, hlr).labels();
+        assert_eq!(asked.last().map(String::as_str), Some("MAP_Update_Location"), "{asked:?}");
+    }
+
     #[test]
     fn full_registration_dialogue() {
         // Drive the VLR through the whole ladder by feeding each answer.
@@ -804,6 +856,13 @@ mod tests {
         }
     }
 
+    /// A record names the triplet being verified by its slot among the
+    /// held vectors (144 bytes when it kept a copy beside them).
+    #[test]
+    fn a_record_is_112_bytes() {
+        assert_eq!(std::mem::size_of::<VlrRecord>(), 112);
+    }
+
     #[test]
     fn a_record_keeps_the_three_vectors_spent_first() {
         let t = |rand| AuthTriplet {
@@ -811,9 +870,13 @@ mod tests {
             ..AuthTriplet::default()
         };
         let mut v = Vectors::keep(&[t(1), t(2), t(3), t(4)]);
-        assert_eq!(format!("{v:?}"), format!("{:?}", vec![t(2), t(3), t(4)]));
+        let held = |v: &Vectors| format!("{:?}", &v.held[..usize::from(v.len)]);
+        assert_eq!(held(&v), format!("{:?}", [t(2), t(3), t(4)]));
+        assert_eq!(v.current(), None);
         let spent = [v.pop(), v.pop(), v.pop(), v.pop()];
         assert_eq!(spent, [Some(t(4)), Some(t(3)), Some(t(2)), None]);
+        // An empty record still names the triplet it spent last.
+        assert_eq!((held(&v), v.current()), ("[]".to_owned(), Some(t(2))));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! endpoint has gone idle. [`H323Terminal`] is the endpoint on a LAN
 //! port, where neither moment needs anything done.
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken};
 use vgprs_wire::{
     CallId, Cause, Command, Crv, Imsi, IpPacket, IpPayload, Message, Msisdn, Q931Kind, Q931Message,
     RasMessage, RtpPacket, TransportAddr, PAYLOAD_TYPE_GSM,
@@ -148,22 +148,56 @@ pub enum Outcome {
     WentIdle,
 }
 
+/// What an endpoint holds only while it has a call, boxed so that an
+/// endpoint at rest pays one pointer for it. The box goes once nothing
+/// in it can be read again: no call, no far signalling address (a
+/// refused answer leaves one, and hanging up the next dial before its
+/// ACF sends a release there), no connect time and no voice timer. An
+/// unread called number or far media address is not worth keeping.
+#[derive(Debug)]
+struct EndpointCall {
+    call: Option<CallId>,
+    crv: Crv,
+    pending_called: Option<Msisdn>,
+    remote_signal: Option<TransportAddr>,
+    remote_media: Option<TransportAddr>,
+    connected_at: Option<SimTime>,
+    voice_timer: Option<TimerToken>,
+}
+
+impl EndpointCall {
+    const REST: EndpointCall = EndpointCall {
+        call: None,
+        crv: Crv(0),
+        pending_called: None,
+        remote_signal: None,
+        remote_media: None,
+        connected_at: None,
+        voice_timer: None,
+    };
+
+    fn at_rest(&self) -> bool {
+        self.call.is_none()
+            && self.remote_signal.is_none()
+            && self.connected_at.is_none()
+            && self.voice_timer.is_none()
+    }
+}
+
 /// The endpoint's call machine over an [`Uplink`].
 #[derive(Debug)]
 pub struct H323Endpoint<U> {
     config: TerminalConfig,
     uplink: U,
     state: TerminalState,
-    call: Option<CallId>,
-    crv: Crv,
     next_crv: u16,
-    pending_called: Option<Msisdn>,
-    remote_signal: Option<TransportAddr>,
-    remote_media: Option<TransportAddr>,
-    connected_at: Option<SimTime>,
-    dialed_at: Option<SimTime>,
-    voice_timer: Option<TimerToken>,
+    /// Runs across calls: only the first frame the endpoint ever sends
+    /// (or the first after the counter wraps) carries the RTP marker.
     voice_seq: u16,
+    /// Outlives a dial that never connects: the next call the endpoint
+    /// answers reads it as its dial time.
+    dialed_at: Stamp,
+    leg: Option<Box<EndpointCall>>,
     /// RTP frames received.
     pub frames_received: u64,
     /// Calls that reached Active.
@@ -189,16 +223,10 @@ impl<U: Uplink> H323Endpoint<U> {
             config,
             uplink,
             state: TerminalState::Registering,
-            call: None,
-            crv: Crv(0),
             next_crv: 0,
-            pending_called: None,
-            remote_signal: None,
-            remote_media: None,
-            connected_at: None,
-            dialed_at: None,
-            voice_timer: None,
             voice_seq: 0,
+            dialed_at: Stamp::default(),
+            leg: None,
             frames_received: 0,
             calls_connected: 0,
             calls_failed: 0,
@@ -215,6 +243,23 @@ impl<U: Uplink> H323Endpoint<U> {
         &self.config
     }
 
+    /// The current call, if any.
+    fn call(&self) -> Option<CallId> {
+        self.leg.as_ref().and_then(|leg| leg.call)
+    }
+
+    /// The call state, boxed on first use.
+    fn leg(&mut self) -> &mut EndpointCall {
+        self.leg.get_or_insert_with(|| Box::new(EndpointCall::REST))
+    }
+
+    /// Drops the call state once nothing in it can be read again.
+    fn settle(&mut self) {
+        if self.leg.as_ref().is_some_and(|leg| leg.at_rest()) {
+            self.leg = None;
+        }
+    }
+
     fn media_addr(&self) -> TransportAddr {
         TransportAddr::new(self.config.addr.ip, self.config.addr.port + 10_000)
     }
@@ -229,18 +274,14 @@ impl<U: Uplink> H323Endpoint<U> {
     }
 
     fn send_q931(&self, ctx: &mut Context<'_, Message>, kind: Q931Kind) {
-        let (Some(call), Some(dst)) = (self.call, self.remote_signal) else {
+        let Some(leg) = self.leg.as_deref() else {
             return;
         };
-        self.send_ip(
-            ctx,
-            dst,
-            IpPayload::Q931(Q931Message {
-                crv: self.crv,
-                call,
-                kind,
-            }),
-        );
+        let (Some(call), Some(dst)) = (leg.call, leg.remote_signal) else {
+            return;
+        };
+        let crv = leg.crv;
+        self.send_ip(ctx, dst, IpPayload::Q931(Q931Message { crv, call, kind }));
     }
 
     /// Registers with the gatekeeper. `imsi` is what a TR 22.973 handset
@@ -268,8 +309,9 @@ impl<U: Uplink> H323Endpoint<U> {
     /// Sends the originating ARQ of a dialled call. False when there is
     /// no such call any more (hung up while the bearer came up).
     pub fn request_admission(&mut self, ctx: &mut Context<'_, Message>) -> bool {
+        let called = self.leg.as_ref().and_then(|leg| leg.pending_called);
         let (TerminalState::RequestingAdmission, Some(call), Some(called)) =
-            (self.state, self.call, self.pending_called)
+            (self.state, self.call(), called)
         else {
             return false;
         };
@@ -288,31 +330,33 @@ impl<U: Uplink> H323Endpoint<U> {
     /// Drops a call the gatekeeper refused or never heard of (the bearer
     /// under a dialled call did not come up): no DRQ is owed.
     pub fn fail_call(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.call.take().is_none() {
+        let Some(leg) = self.leg.as_deref_mut().filter(|leg| leg.call.is_some()) else {
             return;
-        }
+        };
+        (leg.call, leg.pending_called) = (None, None);
         self.calls_failed += 1;
         self.stop_voice(ctx);
-        self.pending_called = None;
         self.state = TerminalState::Idle;
     }
 
     fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.voice_timer.is_none() {
-            self.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
+        let leg = self.leg();
+        if leg.voice_timer.is_none() {
+            leg.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
         }
     }
 
     fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if let Some(t) = self.voice_timer.take() {
+        if let Some(t) = self.leg.as_mut().and_then(|leg| leg.voice_timer.take()) {
             ctx.cancel_timer(t);
         }
+        self.settle();
     }
 
     fn enter_active(&mut self, ctx: &mut Context<'_, Message>) {
         self.state = TerminalState::Active;
         self.calls_connected += 1;
-        self.connected_at = Some(ctx.now());
+        self.leg().connected_at = Some(ctx.now());
         ctx.count(U::NAMES.calls_connected);
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration(U::NAMES.call_setup_ms, ctx.now().duration_since(at));
@@ -324,18 +368,19 @@ impl<U: Uplink> H323Endpoint<U> {
 
     fn end_call(&mut self, ctx: &mut Context<'_, Message>) {
         self.stop_voice(ctx);
-        if let Some(call) = self.call.take() {
-            let duration_ms = self
-                .connected_at
-                .take()
-                .map(|at| ctx.now().duration_since(at).as_millis())
-                .unwrap_or(0);
-            // Paper step 3.3: both sides disengage.
-            self.send_ras(ctx, RasMessage::Drq { call, duration_ms });
+        if let Some(mut leg) = self.leg.take() {
+            if let Some(call) = leg.call.take() {
+                let duration_ms = (leg.connected_at.take())
+                    .map(|at| ctx.now().duration_since(at).as_millis())
+                    .unwrap_or(0);
+                // Paper step 3.3: both sides disengage.
+                self.send_ras(ctx, RasMessage::Drq { call, duration_ms });
+            }
+            (leg.remote_signal, leg.remote_media, leg.pending_called) = (None, None, None);
+            if !leg.at_rest() {
+                self.leg = Some(leg);
+            }
         }
-        self.remote_signal = None;
-        self.remote_media = None;
-        self.pending_called = None;
         self.state = TerminalState::Idle;
     }
 
@@ -371,15 +416,15 @@ impl<U: Uplink> H323Endpoint<U> {
                     return Outcome::Handled;
                 }
                 self.state = TerminalState::RequestingAdmission;
-                self.call = Some(call);
-                self.pending_called = Some(called);
-                self.dialed_at = Some(ctx.now());
+                let leg = self.leg();
+                (leg.call, leg.pending_called) = (Some(call), Some(called));
+                self.dialed_at.set(ctx.now());
                 ctx.count(U::NAMES.calls_dialed);
                 return Outcome::Dialled;
             }
             Command::Answer => self.answer(ctx),
             Command::Hangup
-                if self.call.is_some() => {
+                if self.call().is_some() => {
                     self.send_q931(
                         ctx,
                         Q931Kind::ReleaseComplete {
@@ -405,7 +450,7 @@ impl<U: Uplink> H323Endpoint<U> {
             IpPayload::Ras(r) => self.handle_ras(ctx, r),
             IpPayload::Q931(q) => self.handle_q931(ctx, packet.src, q),
             IpPayload::Rtp(rtp) => {
-                if self.call == Some(rtp.call) {
+                if self.call() == Some(rtp.call) {
                     self.frames_received += 1;
                     ctx.count(U::NAMES.rtp_received);
                     let delay = ctx.now().as_micros().saturating_sub(rtp.origin_us);
@@ -421,9 +466,12 @@ impl<U: Uplink> H323Endpoint<U> {
         match tag {
             TIMER_ANSWER => self.answer(ctx),
             TIMER_VOICE => {
-                self.voice_timer = None;
+                let Some(leg) = self.leg.as_deref_mut() else {
+                    return;
+                };
+                leg.voice_timer = None;
                 if self.state == TerminalState::Active {
-                    if let (Some(call), Some(media)) = (self.call, self.remote_media) {
+                    if let (Some(call), Some(media)) = (leg.call, leg.remote_media) {
                         self.voice_seq = self.voice_seq.wrapping_add(1);
                         let now_us = ctx.now().as_micros();
                         let rtp = RtpPacket {
@@ -454,17 +502,17 @@ impl<U: Uplink> H323Endpoint<U> {
                 call,
                 dest_call_signal_addr,
             } => {
-                if self.call != Some(call) {
+                let Some(leg) = self.leg.as_deref_mut().filter(|leg| leg.call == Some(call)) else {
                     return;
-                }
+                };
                 match self.state {
                     TerminalState::RequestingAdmission => {
-                        let Some(called) = self.pending_called else {
+                        let Some(called) = leg.pending_called else {
                             return;
                         };
                         self.next_crv += 1;
-                        self.crv = Crv(self.next_crv);
-                        self.remote_signal = Some(dest_call_signal_addr);
+                        leg.crv = Crv(self.next_crv);
+                        leg.remote_signal = Some(dest_call_signal_addr);
                         self.state = TerminalState::Calling;
                         self.send_q931(
                             ctx,
@@ -489,7 +537,7 @@ impl<U: Uplink> H323Endpoint<U> {
                 }
             }
             RasMessage::Arj { call, cause } => {
-                if self.call != Some(call) {
+                if self.call() != Some(call) {
                     return;
                 }
                 ctx.count(U::NAMES.admission_rejected);
@@ -532,10 +580,10 @@ impl<U: Uplink> H323Endpoint<U> {
                     );
                     return;
                 }
-                self.call = Some(msg.call);
-                self.crv = msg.crv;
-                self.remote_signal = Some(signal_addr);
-                self.remote_media = Some(media_addr);
+                let leg = self.leg();
+                (leg.call, leg.crv) = (Some(msg.call), msg.crv);
+                leg.remote_signal = Some(signal_addr);
+                leg.remote_media = Some(media_addr);
                 // Paper step 2.4: Call Proceeding back to the caller.
                 self.send_q931(ctx, Q931Kind::CallProceeding);
                 // Paper step 2.5: the terminal asks its gatekeeper.
@@ -552,9 +600,9 @@ impl<U: Uplink> H323Endpoint<U> {
             }
             Q931Kind::CallProceeding => ctx.count(U::NAMES.call_proceeding),
             Q931Kind::Alerting => {
-                if self.state == TerminalState::Calling && self.call == Some(msg.call) {
+                if self.state == TerminalState::Calling && self.call() == Some(msg.call) {
                     self.state = TerminalState::Ringback;
-                    if let Some(at) = self.dialed_at {
+                    if let Some(at) = self.dialed_at.get() {
                         ctx.observe_duration(
                             U::NAMES.post_dial_delay_ms,
                             ctx.now().duration_since(at),
@@ -563,18 +611,18 @@ impl<U: Uplink> H323Endpoint<U> {
                 }
             }
             Q931Kind::Connect { media_addr } => {
-                if self.call == Some(msg.call)
+                if self.call() == Some(msg.call)
                     && matches!(
                         self.state,
                         TerminalState::Calling | TerminalState::Ringback
                     )
                 {
-                    self.remote_media = Some(media_addr);
+                    self.leg().remote_media = Some(media_addr);
                     self.enter_active(ctx);
                 }
             }
             Q931Kind::ReleaseComplete { .. } => {
-                if self.call == Some(msg.call) {
+                if self.call() == Some(msg.call) {
                     ctx.count(U::NAMES.released_by_peer);
                     self.end_call(ctx);
                 }
@@ -637,6 +685,11 @@ mod tests {
 
     /// Two terminals + gatekeeper + router: a complete H.323 zone.
     fn zone() -> (Network<Message>, NodeId, NodeId, NodeId) {
+        zone_with_budget(10_000)
+    }
+
+    /// [`zone`] with the gatekeeper admitting `budget` units at once.
+    fn zone_with_budget(budget: u32) -> (Network<Message>, NodeId, NodeId, NodeId) {
         let mut net = Network::new(7);
         let router = net.add_node("router", IpRouter::new());
         let gk = net.add_node(
@@ -644,7 +697,7 @@ mod tests {
             Gatekeeper::new(
                 GatekeeperConfig {
                     addr: addr(2, 1719),
-                    bandwidth_budget: 10_000,
+                    bandwidth_budget: budget,
                     shed_utilization: 0.0,
                 },
                 router,
@@ -674,6 +727,15 @@ mod tests {
             r.add_host(addr(12, 0).ip, t2);
         }
         (net, gk, t1, t2)
+    }
+
+    /// A terminal at rest holds no call: the call's state is a box that
+    /// exists only while the call does (184 bytes when the row carried
+    /// a call's fields and the far party's addresses).
+    #[test]
+    fn a_terminal_is_104_bytes_and_its_call_88() {
+        assert_eq!(std::mem::size_of::<H323Terminal>(), 104);
+        assert_eq!(std::mem::size_of::<EndpointCall>(), 88);
     }
 
     #[test]
@@ -739,6 +801,64 @@ mod tests {
         assert!(net
             .trace()
             .contains_subsequence(&["Q931_Release_Complete", "RAS_DRQ", "RAS_DCF"]));
+    }
+
+    fn idle_and_at_rest(net: &Network<Message>, t: NodeId) -> bool {
+        let t = net.node::<H323Terminal>(t).unwrap();
+        t.state() == TerminalState::Idle && t.leg.is_none()
+    }
+
+    #[test]
+    fn a_released_call_leaves_no_call_behind() {
+        let (mut net, _gk, t1, t2) = zone();
+        net.run_until_quiescent();
+        let dial = Command::Dial {
+            call: CallId(1),
+            called: alias("88620002222"),
+        };
+        net.inject(SimDuration::ZERO, t1, Message::Cmd(dial));
+        net.run_until(vgprs_sim::SimTime::from_micros(5_000_000));
+        let b = net.node::<H323Terminal>(t2).unwrap();
+        assert_eq!((b.state(), b.call()), (TerminalState::Active, Some(CallId(1))));
+        net.inject(SimDuration::ZERO, t2, Message::Cmd(Command::Hangup));
+        net.run_until_quiescent();
+        assert!(idle_and_at_rest(&net, t1) && idle_and_at_rest(&net, t2));
+    }
+
+    #[test]
+    fn a_rejected_dial_leaves_no_call_behind() {
+        let (mut net, _gk, t1, _t2) = zone();
+        net.run_until_quiescent();
+        let dial = Command::Dial {
+            call: CallId(1),
+            called: alias("99999999999"),
+        };
+        net.inject(SimDuration::ZERO, t1, Message::Cmd(dial));
+        net.run_until_quiescent();
+        assert!(idle_and_at_rest(&net, t1));
+        let a = net.node::<H323Terminal>(t1).unwrap();
+        assert_eq!(a.calls_failed, 1);
+        assert!(a.dialed_at.get().is_some(), "a dial time outlives its call");
+    }
+
+    /// A refused answer keeps the far signalling address, which the
+    /// next dial's hangup before its ACF still releases toward, and
+    /// nothing else; the caller, released, keeps nothing.
+    #[test]
+    fn a_refused_answer_keeps_only_the_far_address() {
+        let (mut net, _gk, t1, t2) = zone_with_budget(160);
+        net.run_until_quiescent();
+        let dial = Command::Dial {
+            call: CallId(1),
+            called: alias("88620002222"),
+        };
+        net.inject(SimDuration::ZERO, t1, Message::Cmd(dial));
+        net.run_until_quiescent();
+        assert!(idle_and_at_rest(&net, t1));
+        let b = net.node::<H323Terminal>(t2).unwrap();
+        assert_eq!((b.state(), b.calls_failed), (TerminalState::Idle, 1));
+        let leg = b.leg.as_deref().expect("the far address is kept");
+        assert_eq!((leg.call, leg.remote_signal), (None, Some(addr(11, 1720))));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! global index. Also here: what the anchor's supervision does when the
 //! trunk fabric gives up on a flit, and the re-route when it heals.
 
-use vgprs_sim::NodeId;
+use vgprs_sim::{NodeId, SimTime};
 use vgprs_wire::{CallId, Cause, CellId, Command, ConnRef, Dtap, Imsi, MapMessage, Message};
 
 use super::driver::{Action, Call, CONNECT_GRACE_MS};
@@ -70,7 +70,7 @@ impl Shard {
     /// inter-VMSC handoff; idle it transfers HLR ownership.
     fn cross_out(&mut self, local: usize, at_us: u64) {
         let sub = &self.subs[local];
-        let Some(target) = sub.cross_target else {
+        let Some(target) = sub.cross_target() else {
             return;
         };
         let (ms, gen, busy_until_us) = (sub.ms, sub.gen, sub.busy_until_us);
@@ -125,7 +125,7 @@ impl Shard {
                 return;
             }
         } else {
-            let target = sub.cross_target.expect("cross mover");
+            let target = sub.cross_target().expect("cross mover");
             // Reclaim ownership before the handset's location update
             // arrives, mirroring the HLR update of a real return.
             let global = self.cfg.base_index + local;
@@ -185,10 +185,12 @@ impl Shard {
                 };
                 self.rebase_in(&mut dtap);
                 let voice = matches!(dtap, Dtap::VoiceFrame { .. });
-                if let Some(start_us) = self.subs[local].silent_since_us.take_if(|_| voice) {
+                let silent_since = &mut self.subs[local].silent_since;
+                if let Some(start) = silent_since.get().filter(|_| voice) {
+                    silent_since.take();
                     // First downlink voice since the handset left its
                     // old channel: the handoff interruption gap.
-                    let gap_us = self.net.now().as_micros().saturating_sub(start_us);
+                    let gap_us = self.net.now().as_micros().saturating_sub(start.as_micros());
                     self.observe("load.handoff_interruption_ms", gap_us as f64 / 1000.0);
                 }
                 um_batch.push((self.subs[local].ms, dtap));
@@ -289,10 +291,10 @@ impl Shard {
         let far = self.abandon(local, now_us);
         let sub = &mut self.subs[local];
         sub.pending_return = false;
-        sub.silent_since_us = None;
+        sub.silent_since.take();
         // Stranded at the far cell until the partition heals (or the
         // natural return excursion brings the subscriber home first).
-        sub.torn = Some((peer, now_us / 1000));
+        sub.tear(peer, now_us / 1000);
         let ms = sub.ms;
         self.cmd(ms, Command::Hangup);
         if let Some(far) = far {
@@ -310,7 +312,7 @@ impl Shard {
         let now_ms = self.net.now().as_micros().saturating_sub(self.t0_us) / 1000;
         for local in 0..self.subs.len() {
             let sub = &mut self.subs[local];
-            let Some((_, torn_ms)) = sub.torn.take_if(|&mut (p, _)| p == peer) else {
+            let Some(torn_ms) = sub.heal(peer) else {
                 continue;
             };
             sub.pending_return = false;
@@ -328,7 +330,7 @@ impl Shard {
         match m {
             MapMessage::PrepareHandover { call, imsi, .. } => {
                 let local = self.local_of(global_of(imsi))?;
-                let target = self.subs[local].cross_target?;
+                let target = self.subs[local].cross_target()?;
                 self.routes.insert(*call, Route::Anchored { target, local });
                 self.count("load.handoff_attempts");
                 Some(target)
@@ -417,9 +419,9 @@ impl Shard {
             if matches!(dtap, Dtap::HandoverComplete { .. }) {
                 // Radio silence starts when the handset reaches the
                 // border cell.
-                self.subs[local].silent_since_us = Some(at_us);
+                self.subs[local].silent_since.set(SimTime::from_micros(at_us));
             }
-            let Some(target) = self.subs[local].cross_target else {
+            let Some(target) = self.subs[local].cross_target() else {
                 self.count("load.cross_dropped");
                 continue;
             };
@@ -563,7 +565,8 @@ mod tests {
         shard.net.set_trace_capture(true);
         for (local, peer) in [(0, 5), (1, 7), (2, 5)] {
             let sub = &mut shard.subs[local];
-            (sub.away, sub.handed_off, sub.torn) = (true, true, Some((peer, 0)));
+            (sub.away, sub.handed_off) = (true, true);
+            sub.tear(peer, 0);
         }
         shard.run_epoch(0, vec![(5, Flit::TrunkHeal { peer: 5 })]);
 
@@ -578,7 +581,10 @@ mod tests {
             })
             .collect();
         assert_eq!(commanded, [shard.subs[0].ms, shard.subs[2].ms]);
-        let state = |l: usize| (shard.subs[l].away, shard.subs[l].torn);
+        let state = |l: usize| {
+            let sub = &shard.subs[l];
+            (sub.away, sub.torn_by.map(|by| (by.get(), sub.torn_ms)))
+        };
         assert_eq!(state(0), (false, None));
         assert_eq!(state(1), (true, Some((7, 0))));
         assert_eq!(state(2), (false, None));

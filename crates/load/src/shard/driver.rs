@@ -293,7 +293,7 @@ impl Shard {
         for local in parties.into_iter().flatten() {
             let sub = &mut self.subs[local];
             sub.current_peer = None;
-            sub.silent_since_us = None;
+            sub.silent_since.take();
             if std::mem::take(&mut sub.pending_return) {
                 let cell = self.home.access.cell;
                 let back_ms = at_us / 1000 + RETURN_DELAY_MS;

@@ -33,12 +33,15 @@ mod world;
 
 pub use world::Registration;
 
+use std::num::NonZeroU32;
+
 use vgprs_core::VgprsZone;
 use vgprs_faults::{FaultPlan, FaultPlanConfig};
 use vgprs_gsm::Hlr;
 use vgprs_scenario::{DemandPlan, OverloadControls, ScenarioConfig};
 use vgprs_sim::{
-    CalendarWheel, IdMap, Kernel, LinkQuality, Network, NodeId, SimDuration, SimTime, Stats,
+    CalendarWheel, IdMap, Kernel, LinkQuality, Network, NodeId, SimDuration, SimTime, Stamp,
+    Stats,
 };
 use vgprs_wire::{CallId, Command, Dtap, Imsi, MapMessage, Message, Msisdn, SubscriberProfile};
 
@@ -116,9 +119,26 @@ pub struct ShardReport {
     pub snapshots: Vec<SnapshotFrame>,
 }
 
+/// A shard index in four bytes, with `None` in its niche: an optional
+/// shard in the driver's row costs four bytes rather than sixteen.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ShardIx(NonZeroU32);
+
+impl ShardIx {
+    fn new(index: usize) -> Self {
+        let above = u32::try_from(index + 1).ok().and_then(NonZeroU32::new);
+        ShardIx(above.expect("a shard index fits in 32 bits"))
+    }
+
+    fn get(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
+
 /// Everything the driver knows about one subscriber, in the order the
 /// handsets were created (so `ms` ascends with the local index). Its
-/// numbers are not here: they follow from the global index.
+/// numbers are not here: they follow from the global index. Every
+/// optional field sits in a niche, so the row is 64 bytes.
 struct Subscriber {
     ms: NodeId,
     terminal: NodeId,
@@ -131,7 +151,7 @@ struct Subscriber {
     /// handed-off call's teardown.
     current_peer: Option<NodeId>,
     /// Destination shard of this subscriber's cross-shard trip, if any.
-    cross_target: Option<usize>,
+    cross_target: Option<ShardIx>,
     /// Currently outside the home shard (attempts are suppressed).
     away: bool,
     /// Away *mid-call*: radio leg lives at the destination VMSC, the
@@ -147,10 +167,31 @@ struct Subscriber {
     /// When the handset reached the border cell mid-call; cleared by
     /// the first downlink voice frame relayed back from the target (the
     /// handoff interruption gap) or by the call's end.
-    silent_since_us: Option<u64>,
-    /// A trunk partition tore this subscriber's handed-off call down:
-    /// (peer shard, torn-at ms), until that trunk heals.
-    torn: Option<(usize, u64)>,
+    silent_since: Stamp,
+    /// A trunk partition toward this shard tore the subscriber's
+    /// handed-off call down, until that trunk heals ...
+    torn_by: Option<ShardIx>,
+    /// ... at this ms (read only while `torn_by` is set).
+    torn_ms: u64,
+}
+
+impl Subscriber {
+    /// The shard this subscriber's cross-shard trip goes to, if any.
+    fn cross_target(&self) -> Option<usize> {
+        self.cross_target.map(ShardIx::get)
+    }
+
+    /// Strands the subscriber until the trunk toward `peer` heals.
+    fn tear(&mut self, peer: usize, at_ms: u64) {
+        (self.torn_by, self.torn_ms) = (Some(ShardIx::new(peer)), at_ms);
+    }
+
+    /// The ms the trunk toward `peer` tore the subscriber's call down
+    /// at, if it did; the tear is cleared.
+    fn heal(&mut self, peer: usize) -> Option<u64> {
+        self.torn_by.take_if(|&mut by| by.get() == peer)?;
+        Some(self.torn_ms)
+    }
 }
 
 fn imsi_for(global: usize) -> Imsi {
@@ -493,6 +534,17 @@ mod tests {
             arrivals: vec![call_at(10)],
             excursion: None,
         }])
+    }
+
+    /// The driver's row keeps its optional fields in niches: a shard
+    /// index in four bytes, an instant in eight (96 bytes with a
+    /// `usize` shard and a tag beside every option).
+    #[test]
+    fn a_subscriber_row_is_64_bytes() {
+        assert_eq!(std::mem::size_of::<Subscriber>(), 64);
+        assert_eq!(std::mem::size_of::<Option<ShardIx>>(), 4);
+        let ix = ShardIx::new(4_095);
+        assert_eq!((ix.get(), ShardIx::new(0).get()), (4_095, 0));
     }
 
     /// A run call the network's event cap cuts short is counted; a run

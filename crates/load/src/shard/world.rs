@@ -14,11 +14,11 @@ use vgprs_core::{HomeNumbers, VgprsZone, VgprsZoneConfig, Vmsc};
 use vgprs_faults::compile_plan;
 use vgprs_gsm::{MobileStation, Vlr};
 use vgprs_scenario::compile_demand;
-use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTime};
+use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTime, Stamp};
 use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, TransportAddr};
 
 use super::driver::{Action, Dial};
-use super::{alias_for, imsi_for, ki_for, msisdn_for, Shard, ShardConfig, Subscriber};
+use super::{alias_for, imsi_for, ki_for, msisdn_for, Shard, ShardConfig, ShardIx, Subscriber};
 use crate::mailbox::{RadioGate, TrunkGate, BORDER_CELL};
 use crate::population::SubscriberPlan;
 use crate::snapshot::SnapshotRecorder;
@@ -103,12 +103,12 @@ fn build_zones(
 /// cell, and the border cell's radio infrastructure.
 fn add_gates(net: &mut Network<Message>, shard: usize, home: &VgprsZone) -> (NodeId, NodeId) {
     let (vmsc, lat) = (home.access.msc, home.access.latency);
-    let trunk_gate = net.add_node(&format!("s{shard}.xgate-e"), TrunkGate::new(vmsc));
+    let trunk_gate = net.add_node(format_args!("s{shard}.xgate-e"), TrunkGate::new(vmsc));
     net.connect(trunk_gate, vmsc, Interface::E, lat.e);
     net.node_mut::<Vmsc>(vmsc)
         .expect("home VMSC")
         .add_neighbor_cell(BORDER_CELL, trunk_gate);
-    let radio_gate = net.add_node(&format!("s{shard}.xgate-a"), RadioGate::new(vmsc));
+    let radio_gate = net.add_node(format_args!("s{shard}.xgate-a"), RadioGate::new(vmsc));
     net.connect(radio_gate, vmsc, Interface::A, lat.a);
     (trunk_gate, radio_gate)
 }
@@ -145,8 +145,8 @@ fn add_subscribers(
         let g = plan.global_index;
         let ms = home
             .access
-            .add_subscriber(net, &format!("ms{g}"), imsi_for(g), ki_for(g), msisdn_for(g));
-        let terminal = home.packet.add_terminal(net, &format!("t{g}"), alias_for(g));
+            .add_subscriber(net, format_args!("ms{g}"), imsi_for(g), ki_for(g), msisdn_for(g));
+        let terminal = home.packet.add_terminal(net, format_args!("t{g}"), alias_for(g));
         let cross_target = cross_target(cfg, plan);
         if cross_target.is_some() {
             // Cross-shard movers camp on the border cell while away.
@@ -167,13 +167,14 @@ fn add_subscribers(
             busy_until_us: 0,
             call_started_us: 0,
             current_peer: None,
-            cross_target,
+            cross_target: cross_target.map(ShardIx::new),
             away: false,
             handed_off: false,
             pending_return: false,
             gen: 0,
-            silent_since_us: None,
-            torn: None,
+            silent_since: Stamp::default(),
+            torn_by: None,
+            torn_ms: 0,
         });
     }
     subs

@@ -3,14 +3,19 @@
 //! Peak RSS is the end-to-end memory figure, but it moves with the
 //! allocator, the page size and the order shards were visited in. This
 //! is the same question in the form that cannot be noisy: a counting
-//! `#[global_allocator]` (hence a test binary of its own, with one test,
-//! so nothing else allocates meanwhile) around one shard of the
+//! `#[global_allocator]` (hence a test binary of its own, with one test)
+//! around one shard of the
 //! benchmark's `busy_hour` world — shard 0 of 64, 256 subscribers, a
 //! tenth of the movers crossing shards, seed 42 — read after
 //! `Shard::new` and after the shard's last epoch; then the bytes each
 //! extra subscriber costs, from a 128- and a 256-subscriber shard.
+//!
+//! It counts only what the test's own thread allocates inside
+//! `measured`: the harness's main thread still allocates while a test
+//! runs, and neither it nor the test's own printing is the shard.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
 
 use vgprs_load::{
@@ -18,9 +23,13 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 301 712 in 661, plus 5 %, with a node's ports row 24 bytes
-/// (its spilled ports a list in a side table only hubs use) beside its
-/// 8-byte tuning word, and the cell's paging list gone (309 816 in 665
+/// Measured: 245 552 in 632, plus 5 %, with a handset, a terminal, a
+/// VLR record and the driver's row holding only what outlives a call
+/// (301 712 in 661 with a call's fields in every row, the same whether
+/// every thread is counted or only this one). That one had a node's
+/// ports row 24 bytes (its spilled ports a list in a side table only
+/// hubs use) beside its 8-byte tuning word, and the cell's paging list
+/// gone (309 816 in 665
 /// with a spill vector in every row and the list). The tables keyed by
 /// what registration issues (TMSI, TEID, PDP address, connection
 /// reference, LAN address) are number blocks too and the VLR's vectors
@@ -36,25 +45,48 @@ use vgprs_load::{
 /// slack and keeps its node names in one string: 757 936 in 1 479
 /// before those, and with a buffer per wheel slot and a hash table of
 /// links 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (316_000, 694);
-/// The same once its busy hour has drained. Measured: 343 608 in 884,
-/// plus 5 % (351 968 in 888 with a spill vector per row; 431 316 in
+const AFTER_NEW: (isize, isize) = (257_000, 663);
+/// The same once its busy hour has drained. Measured: 287 320 in 855,
+/// plus 5 % (343 608 in 884 with a call's fields in every row; 351 968
+/// in 888 with a spill vector per row; 431 316 in
 /// 1 118 with issued IDs hashed; 431 616 in 1 118 when the ladder ran;
 /// 537 552 in 1 110 before number blocks for home numbers; 613 296 in
 /// 1 110 with the registration slab kept; 781 932 in 1 641 and 976 200
 /// in 2 219 before that, the parked slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (360_000, 928);
+const AFTER_RUN: (isize, isize) = (301_000, 897);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 1 135
-/// (1 165 with a spill vector per row and the cell's paging list),
+/// per-subscriber figure that peak RSS only estimates. Measured: 915
+/// (1 135 with a call's fields in every row; 1 165 with a spill vector
+/// per row and the cell's paging list),
 /// whether the registration is written or run (1 527 with issued IDs
 /// hashed, the VLR's vectors in a `Vec` and the driver's row holding
 /// both numbers; 1 943 before number blocks; 2 255 with the
 /// registration slab kept; 2 913 before one-word IDs).
-const PER_SUBSCRIBER: isize = 1_191;
+const PER_SUBSCRIBER: isize = 960;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);
+
+thread_local! {
+    /// Set on the measuring thread while it measures.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts `bytes` in `allocations` if this thread is measuring.
+fn count(bytes: isize, allocations: isize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        LIVE_BYTES.fetch_add(bytes, Relaxed);
+        LIVE_ALLOCATIONS.fetch_add(allocations, Relaxed);
+    }
+}
+
+/// Runs `f` with this thread's allocations counted.
+fn measured<T>(f: impl FnOnce() -> T) -> T {
+    MEASURING.set(true);
+    let out = f();
+    MEASURING.set(false);
+    out
+}
 
 struct Counting;
 
@@ -62,19 +94,17 @@ struct Counting;
 // statistics that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as isize, Relaxed);
-        LIVE_ALLOCATIONS.fetch_add(1, Relaxed);
+        count(layout.size() as isize, 1);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as isize, Relaxed);
-        LIVE_ALLOCATIONS.fetch_sub(1, Relaxed);
+        count(-(layout.size() as isize), -1);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as isize - layout.size() as isize, Relaxed);
+        count(new_size as isize - layout.size() as isize, 0);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -135,17 +165,19 @@ fn a_shard_stays_within_its_footprint() {
         );
     };
 
-    let mut shard = Shard::new(&cfg, &plans);
+    let mut shard = measured(|| Shard::new(&cfg, &plans));
     held("after Shard::new", AFTER_NEW.0, AFTER_NEW.1);
-    let mut epoch = 0;
-    while shard.is_busy() && epoch <= shard.max_epoch_hint() {
-        // The other 63 shards are not there: what leaves is dropped.
-        drop(shard.run_epoch(epoch, Vec::new()));
-        epoch += 1;
-    }
+    measured(|| {
+        let mut epoch = 0;
+        while shard.is_busy() && epoch <= shard.max_epoch_hint() {
+            // The other 63 shards are not there: what leaves is dropped.
+            drop(shard.run_epoch(epoch, Vec::new()));
+            epoch += 1;
+        }
+    });
     assert!(!shard.is_busy(), "the shard drains");
     held("after the last epoch", AFTER_RUN.0, AFTER_RUN.1);
-    drop(shard);
+    measured(|| drop(shard));
 
     // Bytes per extra subscriber: two more shards, built after the first
     // so the one-time statics it allocated (census keys, stat names) are
@@ -154,9 +186,9 @@ fn a_shard_stays_within_its_footprint() {
         let cfg = shard_config(subscribers);
         let plans = plans_for(&cfg);
         let before = live().0;
-        let shard = Shard::new(&cfg, &plans);
+        let shard = measured(|| Shard::new(&cfg, &plans));
         let bytes = live().0 - before;
-        drop(shard);
+        measured(|| drop(shard));
         bytes
     };
     let (small, large) = (built(128), built(256));

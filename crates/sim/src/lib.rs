@@ -96,6 +96,6 @@ pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
 pub use stats::{Counter, Histogram, Stats};
 pub use throttle::{Offer, Throttle};
-pub use time::{SimDuration, SimTime};
+pub use time::{SimDuration, SimTime, Stamp};
 pub use trace::{held_in_order, Trace, TraceEntry};
 pub use wheel::CalendarWheel;

@@ -193,7 +193,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &key)| {
-                let ms = net.add_node(&format!("ms{i}"), handset(tower, key));
+                let ms = net.add_node(format_args!("ms{i}"), handset(tower, key));
                 net.connect(tower, ms, Interface::Um, SimDuration::from_millis(1));
                 ms
             })
@@ -310,7 +310,7 @@ mod tests {
             },
         );
         let handsets: Vec<NodeId> = (0..6)
-            .map(|i| net.add_node(&format!("ms{i}"), handset(tower, i)))
+            .map(|i| net.add_node(format_args!("ms{i}"), handset(tower, i)))
             .collect();
         // Linked out of node order; ms1 and ms4 over Abis. The first Um
         // link takes 3 ms and the others 9, and half the links have the

@@ -1,6 +1,7 @@
 //! The simulated network: nodes, links, and the execution loop.
 
 use std::any::Any;
+use std::fmt;
 use std::sync::LazyLock;
 
 use crate::context::{Context, Effect};
@@ -250,11 +251,14 @@ impl<M: Payload> Network<M> {
         self.max_events = cap;
     }
 
-    /// Registers a node under a display name and returns its id.
+    /// Registers a node under a display name and returns its id. The
+    /// name is written straight into the trace's one name buffer, so a
+    /// caller that builds it from parts passes `format_args!` rather
+    /// than a `String` of its own.
     ///
     /// If the network has already started running, the node's
     /// [`Node::on_start`] is invoked immediately.
-    pub fn add_node<N>(&mut self, name: &str, node: N) -> NodeId
+    pub fn add_node<N>(&mut self, name: impl fmt::Display, node: N) -> NodeId
     where
         N: Node<M> + Send + 'static,
     {
@@ -1341,7 +1345,7 @@ mod tests {
         let mut rng = SimRng::new(seed);
         let mut net = Network::new(seed);
         let nodes: Vec<NodeId> = (0..40)
-            .map(|i| net.add_node(&format!("n{i}"), Echo { seen: 0 }))
+            .map(|i| net.add_node(format_args!("n{i}"), Echo { seen: 0 }))
             .collect();
         let mut model = BTreeMap::new();
         let mut link = |net: &mut Network<Msg>, rng: &mut SimRng, a: NodeId, b: NodeId| {
@@ -1439,7 +1443,7 @@ mod tests {
                     reply: None,
                     reply_at: None,
                 };
-                let id = net.add_node(&format!("caller{i}"), caller);
+                let id = net.add_node(format_args!("caller{i}"), caller);
                 let out = LinkQuality::new(SimDuration::from_millis(1 + i));
                 let back = LinkQuality::new(SimDuration::from_millis(20 + 3 * i));
                 let (a, b, forward, reverse) = if i % 2 == 0 {
@@ -1467,7 +1471,7 @@ mod tests {
     fn degrading_one_link_leaves_its_class_mates_alone() {
         let mut net = Network::new(0);
         let nodes: Vec<NodeId> = (0..3)
-            .map(|i| net.add_node(&format!("n{i}"), Echo { seen: 0 }))
+            .map(|i| net.add_node(format_args!("n{i}"), Echo { seen: 0 }))
             .collect();
         let base = LinkQuality::new(SimDuration::from_millis(2));
         net.connect(nodes[0], nodes[1], Interface::Gb, base.latency);

@@ -1,6 +1,7 @@
 //! Simulated time: instants and durations with microsecond resolution.
 
 use std::fmt;
+use std::num::NonZeroU64;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 
@@ -104,6 +105,41 @@ impl fmt::Display for SimTime {
         } else {
             write!(f, "{ms}.{frac:03}ms")
         }
+    }
+}
+
+/// An `Option<SimTime>` in one word instead of two, for a row that
+/// keeps an instant for later (when a handset powered on, when it
+/// dialled). The instant is stored inverted, so [`SimTime::MAX`] is the
+/// one instant it cannot hold and `None` costs no tag.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+pub struct Stamp(Option<NonZeroU64>);
+
+impl Stamp {
+    /// Keeps `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is [`SimTime::MAX`].
+    pub fn set(&mut self, at: SimTime) {
+        self.0 = Some(NonZeroU64::new(!at.0).expect("SimTime::MAX is no stamp"));
+    }
+
+    /// The instant kept, if any.
+    pub fn get(self) -> Option<SimTime> {
+        self.0.map(|inverted| SimTime(!inverted.get()))
+    }
+
+    /// The instant kept, if any, leaving none.
+    pub fn take(&mut self) -> Option<SimTime> {
+        self.0.take().map(|inverted| SimTime(!inverted.get()))
+    }
+}
+
+/// Reads as the `Option<SimTime>` it holds.
+impl fmt::Debug for Stamp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
     }
 }
 
@@ -288,6 +324,19 @@ mod tests {
     #[test]
     fn time_display_whole_ms() {
         assert_eq!(SimTime::from_micros(3_000).to_string(), "3ms");
+    }
+
+    #[test]
+    fn a_stamp_is_an_optional_instant_in_one_word() {
+        assert_eq!(std::mem::size_of::<Stamp>(), 8);
+        let mut stamp = Stamp::default();
+        assert_eq!((stamp.get(), format!("{stamp:?}")), (None, "None".to_owned()));
+        for at in [SimTime::ZERO, SimTime::from_micros(7_000), SimTime::from_micros(u64::MAX - 1)] {
+            stamp.set(at);
+            assert_eq!((stamp.get(), format!("{stamp:?}")), (Some(at), format!("Some({at:?})")));
+            assert_eq!(stamp.take(), Some(at));
+            assert_eq!(stamp, Stamp::default());
+        }
     }
 
     #[test]

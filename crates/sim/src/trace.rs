@@ -4,6 +4,8 @@
 //! is appended to the network's [`Trace`]. Tests assert exact sequences
 //! against the paper's figures and the ladder renderer prints them.
 
+use std::fmt::{self, Write as _};
+
 use crate::interface::Interface;
 use crate::node::NodeId;
 use crate::time::SimTime;
@@ -70,8 +72,8 @@ impl Trace {
         Trace::default()
     }
 
-    pub(crate) fn register_node(&mut self, name: &str) {
-        self.names.push_str(name);
+    pub(crate) fn register_node(&mut self, name: impl fmt::Display) {
+        write!(self.names, "{name}").expect("a String takes any text");
         self.name_ends.push(self.names.len() as u32);
     }
 

@@ -323,7 +323,7 @@ fn a_broadcast_is_one_event_and_wakes_only_those_who_hear_it() {
     let listeners: Vec<NodeId> = (0..100)
         .map(|id| {
             net.add_node(
-                &format!("ms{id}"),
+                format_args!("ms{id}"),
                 Listener {
                     id,
                     heard: Vec::new(),

@@ -66,7 +66,7 @@ fn replies_go_back_to_the_sender() {
     net.connect(echo, bystander, Interface::Lan, ms(1));
     let callers: Vec<NodeId> = (1..=2)
         .map(|n| {
-            let caller = net.add_node(&format!("caller{n}"), ScriptedPeer::sending(echo, [Toy(n)]));
+            let caller = net.add_node(format_args!("caller{n}"), ScriptedPeer::sending(echo, [Toy(n)]));
             net.connect(caller, echo, Interface::Lan, ms(n as u64));
             caller
         })

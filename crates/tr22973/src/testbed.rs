@@ -125,7 +125,7 @@ impl TrZone {
             .provision_static(imsi, static_addr, self.packet.sgsn);
         camp(
             net,
-            &format!("{}.{}", self.name, label),
+            format_args!("{}.{label}", self.name),
             H323Ms::new(
                 TrMsConfig::new(imsi, msisdn, static_addr, self.packet.gk_addr),
                 self.bts,

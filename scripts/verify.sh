@@ -232,6 +232,16 @@ tripwire "a string per node name" 'Vec<String>' crates/sim/src/trace.rs
 # vector in every row is 16 bytes per node that only hubs fill.
 tripwire "a spill vector in every node's row" 'spill: Vec<Port>' crates/sim/src/net.rs
 
+echo "==> a subscriber at rest holds no call"
+# A row keeps what outlives a call (DESIGN §2.3): a handset's neighbor
+# cells inline, and the VLR record's triplet under verification by its
+# slot among the held vectors. A vector in every handset is 24 bytes
+# and a heap chunk for every mover; a spare triplet is 32 bytes in
+# every record.
+tripwire "a neighbour vector in every handset" 'neighbors: Vec<' crates/gsm/src/ms.rs
+tripwire "a spare triplet in every VLR record" 'current: Option<AuthTriplet>' \
+    crates/gsm/src/vlr.rs
+
 echo "==> a page goes over the cell's links"
 # A broadcast goes to the sender's links on one interface
 # (Context::broadcast), and the cell's handsets are its Um links. A

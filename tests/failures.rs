@@ -148,7 +148,7 @@ fn ggsn_pool_exhaustion_fails_late_registrations() {
     for i in 0..5u32 {
         let ms = zone.access.add_subscriber(
             &mut net,
-            &format!("ms{i}"),
+            format_args!("ms{i}"),
             imsi(i),
             0x10 + u64::from(i),
             msisdn(i),

@@ -42,13 +42,13 @@ fn random_call_storm_conserves_state() {
         for i in 0..subs {
             let ms = zone.access.add_subscriber(
                 &mut net,
-                &format!("ms{i}"),
+                format_args!("ms{i}"),
                 imsi(i),
                 0x9000 + i as u64,
                 msisdn(i),
             );
             zone.packet
-                .add_terminal(&mut net, &format!("t{i}"), alias(i));
+                .add_terminal(&mut net, format_args!("t{i}"), alias(i));
             mss.push(ms);
             net.inject(
                 SimDuration::from_millis(i as u64 * 11),
