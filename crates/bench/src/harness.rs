@@ -303,7 +303,6 @@ pub const CHAOS_COLUMNS: &[Column] = &[
     ("faults_injected", "resilience.faults_injected", Fmt::Int),
     ("attempts", "attempts", Fmt::Int),
     ("dropped_faulted", DROPPED_FAULTED, Fmt::Int),
-    ("dropped_baseline", "resilience.dropped_baseline", Fmt::Int),
     ("drop_rate", DROP_RATE, Fmt::Fixed(6)),
     ("recovery_n", "resilience.recovery_ms.count", Fmt::Int),
     ("recovery_p50_ms", "resilience.recovery_ms.p50", Fmt::Fixed(1)),
@@ -329,7 +328,7 @@ pub const CHAOS_COLUMNS: &[Column] = &[
     ("trunk_reroutes", "trunk.reroutes", Fmt::Int),
 ];
 
-/// Calls probed dead inside a fault window of any class.
+/// Dials that failed inside a fault window of any class.
 const DROPPED_FAULTED: &str = "resilience.dropped_link_degrade+resilience.dropped_node_crash\
                                +resilience.dropped_blackhole";
 /// [`DROPPED_FAULTED`] as a fraction of the attempts.

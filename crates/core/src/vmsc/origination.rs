@@ -68,7 +68,7 @@ impl Vmsc {
             (Some((imsi, leg)), Some(cause)) if leg.phase == CallPhase::MoAuthorizing => {
                 ctx.count("vmsc.mo_calls_denied");
                 let call = leg.id;
-                self.drop_leg(ctx, imsi, false);
+                self.drop_leg(ctx, imsi);
                 self.gsm.send(ctx, conn, Dtap::Disconnect { call, cause });
             }
             _ => Self::out_of_state(ctx),
@@ -147,8 +147,12 @@ impl Vmsc {
         dest: TransportAddr,
     ) {
         let Some(leg) = self.leg_of(&imsi, call) else {
-            return Self::out_of_state(ctx);
+            // The call was released while its ARQ was out: give the
+            // admission straight back.
+            let duration_ms = 0;
+            return self.send_ras(ctx, imsi, RasMessage::Drq { call, duration_ms });
         };
+        leg.admitted = true;
         match leg.phase {
             CallPhase::MoAdmission => {
                 leg.phase = CallPhase::MoProgress;

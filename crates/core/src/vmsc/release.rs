@@ -41,7 +41,7 @@ impl Vmsc {
             }
         }
         match leg {
-            Some(imsi) => self.drop_leg(ctx, imsi, true),
+            Some(imsi) => self.drop_leg(ctx, imsi),
             None => self
                 .visiting
                 .retain(|id, leg| (*id, leg.conn) != (call, conn)),
@@ -58,7 +58,7 @@ impl Vmsc {
     ) {
         if self.leg_of(&imsi, call).is_some() {
             self.send_a_to_ms(ctx, &imsi, Dtap::Disconnect { call, cause });
-            self.drop_leg(ctx, imsi, true);
+            self.drop_leg(ctx, imsi);
         }
     }
 
@@ -108,7 +108,7 @@ impl Vmsc {
             ctx.count("vmsc.admission_shed_deferred");
             return;
         }
-        self.release_both(ctx, imsi, call, cause, false);
+        self.release_both(ctx, imsi, call, cause);
     }
 
     /// Releases an admitted call toward its far end and drops the leg;
@@ -120,40 +120,38 @@ impl Vmsc {
         cause: Cause,
     ) {
         self.send_q931(ctx, imsi, Q931Kind::ReleaseComplete { cause });
-        self.drop_leg(ctx, imsi, true);
+        self.drop_leg(ctx, imsi);
     }
 
     /// Releases the call toward whichever far end already exists and
-    /// toward the MS, and drops the leg — with `disengage` false when
-    /// admission never came, so the gatekeeper holds nothing for it.
+    /// toward the MS, and drops the leg.
     fn release_both(
         &mut self,
         ctx: &mut Context<'_, Message>,
         imsi: Imsi,
         call: CallId,
         cause: Cause,
-        disengage: bool,
     ) {
         self.send_q931(ctx, imsi, Q931Kind::ReleaseComplete { cause });
         self.send_a_to_ms(ctx, &imsi, Dtap::Disconnect { call, cause });
-        self.drop_leg(ctx, imsi, disengage);
+        self.drop_leg(ctx, imsi);
     }
 
     /// Drops the MS's leg: its state, its guards, and — when the
-    /// gatekeeper admitted it (`disengage`) — the voice PDP context
-    /// (step 3.4) and the admission (DRQ, step 3.3).
-    pub(super) fn drop_leg(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi, disengage: bool) {
+    /// gatekeeper admitted it — the voice PDP context (step 3.4) and
+    /// the admission (DRQ, step 3.3).
+    pub(super) fn drop_leg(&mut self, ctx: &mut Context<'_, Message>, imsi: Imsi) {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return;
         };
         let Some(leg) = entry.leg.take() else {
             return;
         };
-        let had_voice = disengage && entry.voice_addr.take().is_some();
+        let had_voice = leg.admitted && entry.voice_addr.take().is_some();
         self.timers.cancel(ctx, &TimerKey::Leg(imsi));
         // Whatever handovers the leg had started end with it.
         self.handed_over.retain(|_, who| *who != imsi);
-        if !disengage {
+        if !leg.admitted {
             return;
         }
         if had_voice {
@@ -215,7 +213,7 @@ impl Vmsc {
             CallPhase::MtAdmission => (true, entry.msisdn),
             CallPhase::MoProgress => {
                 ctx.count("vmsc.setup_supervision_expired");
-                return self.release_both(ctx, imsi, call, Cause::RecoveryOnTimerExpiry, true);
+                return self.release_both(ctx, imsi, call, Cause::RecoveryOnTimerExpiry);
             }
             _ => return, // already answered; stale guard
         };
@@ -226,7 +224,7 @@ impl Vmsc {
             }
             None => {
                 ctx.count("vmsc.arq_recovery_failed");
-                self.release_both(ctx, imsi, call, Cause::TemporaryFailure, false);
+                self.release_both(ctx, imsi, call, Cause::TemporaryFailure);
             }
         }
     }

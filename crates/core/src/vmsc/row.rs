@@ -52,6 +52,8 @@ pub(super) struct CallLeg {
     pub(super) id: CallId,
     pub(super) phase: CallPhase,
     pub(super) crv: Crv,
+    /// The gatekeeper confirmed the call (ACF): a DRQ is owed.
+    pub(super) admitted: bool,
     pub(super) remote_signal: Option<TransportAddr>,
     pub(super) remote_media: Option<TransportAddr>,
     /// The other party's number: dialed (MO) or calling (MT).
@@ -74,6 +76,7 @@ impl CallLeg {
             id,
             phase,
             crv,
+            admitted: false,
             remote_signal: None,
             remote_media: None,
             party: None,

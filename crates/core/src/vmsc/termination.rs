@@ -147,7 +147,11 @@ impl Vmsc {
                 self.gsm
                     .send(ctx, conn, Dtap::ChannelAssignment { cell: CellId(0) });
             }
-            (Some(_), Some(cause)) => self.release_far_end(ctx, imsi, cause),
+            (Some(_), Some(cause)) => {
+                // The paged handset is told nothing else: free its channel.
+                self.release_far_end(ctx, imsi, cause);
+                self.gsm.send(ctx, conn, Dtap::ChannelRelease);
+            }
             (None, Some(cause)) => self.gsm.send(ctx, conn, Dtap::CmServiceReject { cause }),
             (None, None) => self.gsm.send(ctx, conn, Dtap::CmServiceAccept),
         }

@@ -160,14 +160,15 @@ impl Sgsn {
                 ctx.send(from, Message::Gmm(GmmMessage::AttachAccept { imsi, ptmsi }));
             }
             GmmMessage::DetachRequest { imsi } => {
-                if let Some(mm) = self.mm.remove(&imsi) {
-                    // Tear down every remaining context of the subscriber.
-                    for nsapi in self.pdp.nsapis_of(imsi) {
-                        self.remove_pdp(ctx, imsi, nsapi);
-                    }
-                    ctx.count("sgsn.detaches");
-                    ctx.send(mm.endpoint, Message::Gmm(GmmMessage::DetachAccept { imsi }));
+                let Some(mm) = self.mm.remove(&imsi) else {
+                    return ctx.count("sgsn.no_mm_context");
+                };
+                // Tear down every remaining context of the subscriber.
+                for nsapi in self.pdp.nsapis_of(imsi) {
+                    self.remove_pdp(ctx, imsi, nsapi);
                 }
+                ctx.count("sgsn.detaches");
+                ctx.send(mm.endpoint, Message::Gmm(GmmMessage::DetachAccept { imsi }));
             }
             GmmMessage::ActivatePdpContextRequest {
                 imsi,
@@ -186,12 +187,13 @@ impl Sgsn {
             ),
             GmmMessage::DeactivatePdpContextRequest { imsi, nsapi } => {
                 self.remove_pdp(ctx, imsi, nsapi);
-                if let Some(mm) = self.mm.get(&imsi) {
-                    ctx.send(
-                        mm.endpoint,
-                        Message::Gmm(GmmMessage::DeactivatePdpContextAccept { imsi, nsapi }),
-                    );
-                }
+                let Some(mm) = self.mm.get(&imsi) else {
+                    return ctx.count("sgsn.no_mm_context");
+                };
+                ctx.send(
+                    mm.endpoint,
+                    Message::Gmm(GmmMessage::DeactivatePdpContextAccept { imsi, nsapi }),
+                );
             }
             _ => ctx.count("sgsn.unhandled_gmm"),
         }
@@ -283,7 +285,7 @@ impl Sgsn {
                 result,
             } => {
                 let Some(mm_endpoint) = self.mm.get(&imsi).map(|m| m.endpoint) else {
-                    return;
+                    return ctx.count("sgsn.no_mm_context");
                 };
                 match result {
                     Ok((addr, ggsn_teid, qos)) => {

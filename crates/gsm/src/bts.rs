@@ -500,20 +500,14 @@ mod tests {
     #[test]
     fn after_tmsi_reallocation_only_the_new_tmsi_is_heard() {
         let pages = [1, 2].map(|t| (100 + 100 * t, page_for(MsIdentity::Tmsi(Tmsi(t as u32)))));
-        let (mut net, [bsc, bts], handsets) = handsets_on_a_cell(pages.into(), 3);
+        let (mut net, [bsc, _], handsets) = handsets_on_a_cell(pages.into(), 3);
         let ms = handsets[0];
-        // Registers as TMSI 1 and, re-registering in its own cell at
-        // 50 ms, is given TMSI 2.
-        net.node_mut::<MobileStation>(ms)
-            .unwrap()
-            .add_neighbor(CellId(1), bts);
-        net.inject(
-            SimDuration::ZERO,
-            ms,
-            Message::Cmd(vgprs_wire::Command::PowerOn),
-        );
-        let reselect = vgprs_wire::Command::MoveToCell { cell: CellId(1) };
-        net.inject(SimDuration::from_millis(50), ms, Message::Cmd(reselect));
+        // Registers as TMSI 1 and, switched off and on again at 50 ms,
+        // re-registers and is given TMSI 2.
+        use vgprs_wire::Command::{PowerOff, PowerOn};
+        for (at_ms, cmd) in [(0, PowerOn), (50, PowerOff), (51, PowerOn)] {
+            net.inject(SimDuration::from_millis(at_ms), ms, Message::Cmd(cmd));
+        }
         net.run_until_quiescent();
         assert_eq!(net.node::<MobileStation>(ms).unwrap().tmsi(), Some(Tmsi(2)));
         // The page by the old TMSI wakes nobody; the new one wakes the

@@ -170,6 +170,8 @@ struct MsCall {
     call: Option<CallId>,
     pending_called: Option<Msisdn>,
     talking: bool,
+    /// The call followed the handset to another cell.
+    handed_over: bool,
     voice_timer: Option<TimerToken>,
 }
 
@@ -188,9 +190,10 @@ pub struct MobileStation {
     /// numbering.
     voice_seq: u32,
     registered_at: Stamp,
-    /// Outlives a dial that never connects: the next call the MS
-    /// answers reads it as its dial time.
+    /// The current dial's instant, until it connects or ends.
     dialed_at: Stamp,
+    /// Why the last call ended before it connected; cleared by a dial.
+    failure: Option<Cause>,
     leg: Option<Box<MsCall>>,
     /// Frames received on the downlink (media experiments read this).
     pub frames_received: u64,
@@ -215,6 +218,7 @@ impl MobileStation {
             voice_seq: 0,
             registered_at: Stamp::default(),
             dialed_at: Stamp::default(),
+            failure: None,
             leg: None,
             frames_received: 0,
             calls_connected: 0,
@@ -235,6 +239,22 @@ impl MobileStation {
     /// Current state.
     pub fn state(&self) -> MsState {
         self.state
+    }
+
+    /// The cause the handset's last call was released with before it
+    /// connected, if it was; a dial clears it. Read with [`state`]
+    /// (`Active` means the dial connected), it says how a dial ended.
+    ///
+    /// [`state`]: MobileStation::state
+    pub fn dial_failure(&self) -> Option<Cause> {
+        self.failure
+    }
+
+    /// Whether the current call followed the handset to another cell.
+    /// Its release then reaches only the MSC the handset is on now, not
+    /// the one that anchors the far end (that is left to its owner).
+    pub fn call_handed_over(&self) -> bool {
+        self.leg.as_ref().is_some_and(|leg| leg.handed_over)
     }
 
     /// The TMSI allocated by the serving VLR, if registered.
@@ -318,7 +338,23 @@ impl MobileStation {
     fn clear_call(&mut self, ctx: &mut Context<'_, Message>) {
         self.stop_voice(ctx);
         self.leg = None;
+        // A dial that connected has read its instant; one that did not
+        // leaves none for the next call to read.
+        self.dialed_at.take();
         self.state = MsState::Idle;
+    }
+
+    /// Whether a call in this state has not connected yet.
+    fn setting_up(&self) -> bool {
+        matches!(
+            self.state,
+            MsState::RequestingService
+                | MsState::AwaitingProgress
+                | MsState::Ringback
+                | MsState::AnsweringPage
+                | MsState::Ringing
+                | MsState::AwaitingConnectAck
+        )
     }
 
     /// Switched on at `at`: registration starts.
@@ -383,6 +419,7 @@ impl MobileStation {
                 leg.call = Some(call);
                 leg.pending_called = Some(called);
                 self.dialed_at.set(ctx.now());
+                self.failure = None;
                 self.send_um(
                     ctx,
                     Dtap::CmServiceRequest {
@@ -392,8 +429,10 @@ impl MobileStation {
             }
             Command::Answer => self.answer(ctx),
             Command::Hangup => {
-                if let (MsState::Active | MsState::Ringback, Some(call)) = (self.state, self.call())
-                {
+                // A call is hung up in any state that knows its id: a
+                // dial still setting up, a ringing handset, a call up.
+                let live = self.setting_up() || self.state == MsState::Active;
+                if let (true, Some(call)) = (live, self.call()) {
                     self.stop_voice(ctx);
                     self.state = MsState::Clearing;
                     self.send_um(
@@ -416,8 +455,16 @@ impl MobileStation {
                     // In-call movement: report the better cell; the network
                     // decides the handoff (paper §7).
                     self.send_um(ctx, Dtap::MeasurementReport { cell });
-                } else if let Some(bts) = self.neighbors.find(cell) {
-                    // Idle movement: re-camp and re-register.
+                } else if !matches!(self.state, MsState::Idle | MsState::Off) {
+                    // A handset on a dedicated channel (a location update
+                    // or a call) does not reselect: the procedure would go
+                    // on in the old cell while it listened to the new one.
+                    ctx.count("ms.reselection_while_dedicated");
+                } else if let Some(bts) = (self.neighbors.find(cell))
+                    .filter(|&bts| bts != self.serving_bts)
+                {
+                    // Idle movement: re-camp and re-register (not on the
+                    // cell it is camped on already).
                     self.serving_bts = bts;
                     if self.state == MsState::Idle {
                         self.state = MsState::Registering;
@@ -488,8 +535,10 @@ impl MobileStation {
                     self.send_um(ctx, Dtap::Setup { call, called });
                 }
             }
-            Dtap::CmServiceReject { .. } => {
+            Dtap::CmServiceReject { cause } => {
                 ctx.count("ms.service_rejected");
+                self.failure = Some(cause);
+                self.dialed_at.take();
                 if let Some(leg) = &mut self.leg {
                     (leg.call, leg.pending_called) = (None, None);
                 }
@@ -536,8 +585,14 @@ impl MobileStation {
                     }
                 }
             }
-            Dtap::Disconnect { call, .. } => {
-                if self.call() == Some(call) {
+            Dtap::Disconnect { call, cause } => {
+                // A handset answering a page learns the call's id only
+                // with its setup; a release before then is for it too.
+                let paged = self.state == MsState::AnsweringPage;
+                if self.call() == Some(call) || paged {
+                    if self.setting_up() {
+                        self.failure = Some(cause);
+                    }
                     self.stop_voice(ctx);
                     self.state = MsState::Clearing;
                     self.send_um(ctx, Dtap::Release { call });
@@ -553,6 +608,7 @@ impl MobileStation {
             Dtap::HandoverCommand { cell, ho_ref } => {
                 if let Some(bts) = self.neighbors.find(cell) {
                     self.serving_bts = bts;
+                    self.leg().handed_over = true;
                     self.handoffs_completed += 1;
                     ctx.count("ms.handoffs");
                     // HandoverComplete travels via the NEW cell.
@@ -918,8 +974,69 @@ mod tests {
         let m = net.node::<MobileStation>(ms).unwrap();
         assert_eq!(m.state(), MsState::Idle);
         assert!(m.leg.is_none(), "{:?}", m.leg);
-        assert!(m.dialed_at.get().is_some(), "a dial time outlives its call");
+        assert!(m.dialed_at.get().is_none(), "a dial time ends with its call");
+        assert_eq!(m.dial_failure(), Some(Cause::ProtocolError));
         assert_eq!(net.stats().counter("ms.service_rejected"), 1);
+    }
+
+    /// A dial released before it connects leaves its cause and no dial
+    /// time: the call the handset answers next records no setup delay.
+    #[test]
+    fn a_failed_dial_then_an_answered_call_records_no_setup_sample() {
+        let (dialed, answered) = (CallId(7), CallId(8));
+        let imsi = config().imsi;
+        let (mut net, ms, _bts) = rig(vec![
+            Message::Um(Dtap::Disconnect {
+                call: dialed,
+                cause: Cause::UserBusy,
+            }),
+            Message::Um(Dtap::ChannelRelease),
+            Message::Um(Dtap::Paging {
+                identity: MsIdentity::Imsi(imsi),
+            }),
+            Message::Um(Dtap::MtSetup {
+                call: answered,
+                calling: None,
+            }),
+            Message::Um(Dtap::ConnectAck { call: answered }),
+        ]);
+        dial_from_idle(&mut net, ms, dialed);
+        let answer = Message::Cmd(Command::Answer);
+        net.inject(SimDuration::from_millis(45), ms, answer);
+        net.run_until(SimTime::from_micros(30_000));
+        let m = net.node::<MobileStation>(ms).unwrap();
+        assert_eq!((m.state(), m.dial_failure()), (MsState::Idle, Some(Cause::UserBusy)));
+        net.run_until(SimTime::from_micros(100_000));
+        assert_eq!(net.node::<MobileStation>(ms).unwrap().state(), MsState::Active);
+        assert!(net.stats().histogram("ms.call_setup_ms").is_none());
+    }
+
+    /// A handset setting up a call stays on its cell when told to move
+    /// (the call's signalling is there), and a move to the cell it is
+    /// camped on does not re-register it.
+    #[test]
+    fn a_handset_reselects_only_when_idle_and_to_another_cell() {
+        let (mut net, ms, bts) = rig(vec![]);
+        let other = net.add_node("bts2", ScriptedPeer::new());
+        net.connect(ms, other, Interface::Um, SimDuration::from_millis(1));
+        {
+            let m = net.node_mut::<MobileStation>(ms).unwrap();
+            m.add_neighbor(CellId(1), bts);
+            m.add_neighbor(CellId(2), other);
+        }
+        dial_from_idle(&mut net, ms, CallId(7));
+        let away = Command::MoveToCell { cell: CellId(2) };
+        net.inject(SimDuration::from_millis(5), ms, Message::Cmd(away));
+        net.run_until_quiescent();
+        let m = net.node_mut::<MobileStation>(ms).unwrap();
+        assert_eq!((m.state(), m.serving_bts), (MsState::RequestingService, bts));
+        m.state = MsState::Idle;
+        let home = Command::MoveToCell { cell: CellId(1) };
+        net.inject(SimDuration::ZERO, ms, Message::Cmd(home));
+        net.run_until_quiescent();
+        assert_eq!(net.node::<MobileStation>(ms).unwrap().state(), MsState::Idle);
+        assert_eq!(ScriptedPeer::of(&net, bts).labels(), vec!["Um_CM_Service_Request"]);
+        assert_eq!(net.stats().counter("ms.reselection_while_dedicated"), 1);
     }
 
     /// The call moves to the new cell with the MS and ends there; the

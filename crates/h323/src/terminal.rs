@@ -150,10 +150,9 @@ pub enum Outcome {
 
 /// What an endpoint holds only while it has a call, boxed so that an
 /// endpoint at rest pays one pointer for it. The box goes once nothing
-/// in it can be read again: no call, no far signalling address (a
-/// refused answer leaves one, and hanging up the next dial before its
-/// ACF sends a release there), no connect time and no voice timer. An
-/// unread called number or far media address is not worth keeping.
+/// in it can be read again: no call, no far signalling address, no
+/// connect time and no voice timer. An unread called number or far
+/// media address is not worth keeping.
 #[derive(Debug)]
 struct EndpointCall {
     call: Option<CallId>,
@@ -194,9 +193,10 @@ pub struct H323Endpoint<U> {
     /// Runs across calls: only the first frame the endpoint ever sends
     /// (or the first after the counter wraps) carries the RTP marker.
     voice_seq: u16,
-    /// Outlives a dial that never connects: the next call the endpoint
-    /// answers reads it as its dial time.
+    /// The current dial's instant, until it connects or ends.
     dialed_at: Stamp,
+    /// Why the last call ended before it connected; cleared by a dial.
+    failure: Option<Cause>,
     leg: Option<Box<EndpointCall>>,
     /// RTP frames received.
     pub frames_received: u64,
@@ -226,6 +226,7 @@ impl<U: Uplink> H323Endpoint<U> {
             next_crv: 0,
             voice_seq: 0,
             dialed_at: Stamp::default(),
+            failure: None,
             leg: None,
             frames_received: 0,
             calls_connected: 0,
@@ -236,6 +237,14 @@ impl<U: Uplink> H323Endpoint<U> {
     /// Current state.
     pub fn state(&self) -> TerminalState {
         self.state
+    }
+
+    /// The cause the endpoint's last call was released or refused with
+    /// before it connected, if it was; a dial clears it. Read with
+    /// [`state`](Self::state) (`Active` means the dial connected), it
+    /// says how a dial ended.
+    pub fn dial_failure(&self) -> Option<Cause> {
+        self.failure
     }
 
     /// The endpoint's configuration: its alias and addresses.
@@ -328,15 +337,29 @@ impl<U: Uplink> H323Endpoint<U> {
     }
 
     /// Drops a call the gatekeeper refused or never heard of (the bearer
-    /// under a dialled call did not come up): no DRQ is owed.
+    /// under a dialled call did not come up): no DRQ is owed, and the
+    /// endpoint keeps nothing of the call.
     pub fn fail_call(&mut self, ctx: &mut Context<'_, Message>) {
-        let Some(leg) = self.leg.as_deref_mut().filter(|leg| leg.call.is_some()) else {
+        if self.call().is_none() {
             return;
-        };
-        (leg.call, leg.pending_called) = (None, None);
+        }
         self.calls_failed += 1;
         self.stop_voice(ctx);
+        self.leg = None;
+        self.dialed_at.take();
         self.state = TerminalState::Idle;
+    }
+
+    /// Whether the gatekeeper has admitted the current call: the ACF
+    /// came, and a DRQ is owed when the call ends.
+    fn admitted(&self) -> bool {
+        matches!(
+            self.state,
+            TerminalState::Calling
+                | TerminalState::Ringback
+                | TerminalState::Ringing
+                | TerminalState::Active
+        )
     }
 
     fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
@@ -368,8 +391,9 @@ impl<U: Uplink> H323Endpoint<U> {
 
     fn end_call(&mut self, ctx: &mut Context<'_, Message>) {
         self.stop_voice(ctx);
+        let admitted = self.admitted();
         if let Some(mut leg) = self.leg.take() {
-            if let Some(call) = leg.call.take() {
+            if let (Some(call), true) = (leg.call.take(), admitted) {
                 let duration_ms = (leg.connected_at.take())
                     .map(|at| ctx.now().duration_since(at).as_millis())
                     .unwrap_or(0);
@@ -381,6 +405,7 @@ impl<U: Uplink> H323Endpoint<U> {
                 self.leg = Some(leg);
             }
         }
+        self.dialed_at.take();
         self.state = TerminalState::Idle;
     }
 
@@ -419,6 +444,7 @@ impl<U: Uplink> H323Endpoint<U> {
                 let leg = self.leg();
                 (leg.call, leg.pending_called) = (Some(call), Some(called));
                 self.dialed_at.set(ctx.now());
+                self.failure = None;
                 ctx.count(U::NAMES.calls_dialed);
                 return Outcome::Dialled;
             }
@@ -503,7 +529,10 @@ impl<U: Uplink> H323Endpoint<U> {
                 dest_call_signal_addr,
             } => {
                 let Some(leg) = self.leg.as_deref_mut().filter(|leg| leg.call == Some(call)) else {
-                    return;
+                    // Admitted for a call the endpoint has since given
+                    // up: the admission goes straight back.
+                    let duration_ms = 0;
+                    return self.send_ras(ctx, RasMessage::Drq { call, duration_ms });
                 };
                 match self.state {
                     TerminalState::RequestingAdmission => {
@@ -541,6 +570,7 @@ impl<U: Uplink> H323Endpoint<U> {
                     return;
                 }
                 ctx.count(U::NAMES.admission_rejected);
+                self.failure = Some(cause);
                 if self.state == TerminalState::AnsweringAdmission {
                     // Paper step 2.5: the call is released.
                     self.send_q931(ctx, Q931Kind::ReleaseComplete { cause });
@@ -621,9 +651,12 @@ impl<U: Uplink> H323Endpoint<U> {
                     self.enter_active(ctx);
                 }
             }
-            Q931Kind::ReleaseComplete { .. } => {
+            Q931Kind::ReleaseComplete { cause } => {
                 if self.call() == Some(msg.call) {
                     ctx.count(U::NAMES.released_by_peer);
+                    if self.state != TerminalState::Active {
+                        self.failure = Some(cause);
+                    }
                     self.end_call(ctx);
                 }
             }
@@ -838,15 +871,69 @@ mod tests {
         assert!(idle_and_at_rest(&net, t1));
         let a = net.node::<H323Terminal>(t1).unwrap();
         assert_eq!(a.calls_failed, 1);
-        assert!(a.dialed_at.get().is_some(), "a dial time outlives its call");
+        assert!(a.dialed_at.get().is_none(), "a dial time ends with its call");
+        assert_eq!(a.dial_failure(), Some(Cause::UnallocatedNumber));
     }
 
-    /// A refused answer keeps the far signalling address, which the
-    /// next dial's hangup before its ACF still releases toward, and
-    /// nothing else; the caller, released, keeps nothing.
+    /// A dial the gatekeeper refused leaves no dial time: the call the
+    /// terminal answers next records no setup delay (the one sample is
+    /// its caller's).
     #[test]
-    fn a_refused_answer_keeps_only_the_far_address() {
-        let (mut net, _gk, t1, t2) = zone_with_budget(160);
+    fn a_failed_dial_then_an_answered_call_records_no_setup_sample() {
+        let (mut net, _gk, t1, t2) = zone();
+        net.run_until_quiescent();
+        let refused = Command::Dial {
+            call: CallId(1),
+            called: alias("99999999999"),
+        };
+        net.inject(SimDuration::ZERO, t1, Message::Cmd(refused));
+        net.run_until_quiescent();
+        let answered = Command::Dial {
+            call: CallId(2),
+            called: alias("88620001111"),
+        };
+        net.inject(SimDuration::ZERO, t2, Message::Cmd(answered));
+        net.run_until(vgprs_sim::SimTime::from_micros(5_000_000));
+        let a = net.node::<H323Terminal>(t1).unwrap();
+        assert_eq!(a.state(), TerminalState::Active);
+        let setup = net.stats().histogram("term.call_setup_ms").unwrap();
+        assert_eq!(setup.count(), 1, "only the caller dialed this call");
+    }
+
+    /// An answer the gatekeeper refuses leaves nothing of the call at
+    /// either end.
+    #[test]
+    fn a_refused_answer_leaves_no_call_behind() {
+        let (net, _gk, t1, t2) = refused_answer();
+        assert!(idle_and_at_rest(&net, t1) && idle_and_at_rest(&net, t2));
+        let b = net.node::<H323Terminal>(t2).unwrap();
+        assert_eq!(b.calls_failed, 1);
+    }
+
+    /// After a refused answer, the terminal's next dial hung up before
+    /// its ACF releases toward nobody (the old caller hears nothing),
+    /// and the admission that arrives late goes straight back.
+    #[test]
+    fn a_dial_hung_up_before_its_acf_releases_toward_nobody() {
+        let (mut net, gk, _t1, t2) = refused_answer();
+        let releases = net.trace().count_label("Q931_Release_Complete");
+        let dial = Command::Dial {
+            call: CallId(2),
+            called: alias("88620001111"),
+        };
+        net.inject(SimDuration::ZERO, t2, Message::Cmd(dial));
+        net.inject(SimDuration::ZERO, t2, Message::Cmd(Command::Hangup));
+        net.run_until_quiescent();
+        assert_eq!(net.trace().count_label("Q931_Release_Complete"), releases);
+        assert!(idle_and_at_rest(&net, t2));
+        assert_eq!(net.node::<Gatekeeper>(gk).unwrap().bandwidth_used(), 0);
+        assert_eq!(net.stats().counter("gk.admissions"), net.stats().counter("gk.disengages"));
+    }
+
+    /// Alice calls Bob through a gatekeeper with room for one call, so
+    /// Bob's answering ARQ is refused; both end idle.
+    fn refused_answer() -> (Network<Message>, NodeId, NodeId, NodeId) {
+        let (mut net, gk, t1, t2) = zone_with_budget(160);
         net.run_until_quiescent();
         let dial = Command::Dial {
             call: CallId(1),
@@ -854,11 +941,7 @@ mod tests {
         };
         net.inject(SimDuration::ZERO, t1, Message::Cmd(dial));
         net.run_until_quiescent();
-        assert!(idle_and_at_rest(&net, t1));
-        let b = net.node::<H323Terminal>(t2).unwrap();
-        assert_eq!((b.state(), b.calls_failed), (TerminalState::Idle, 1));
-        let leg = b.leg.as_deref().expect("the far address is kept");
-        assert_eq!((leg.call, leg.remote_signal), (None, Some(addr(11, 1720))));
+        (net, gk, t1, t2)
     }
 
     #[test]

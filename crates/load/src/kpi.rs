@@ -133,13 +133,14 @@ impl Kpi {
 pub const KPIS: &[Kpi] = &[
     row("attempts", Kind::Diff("offered", "busy_skipped")).shown(),
     row("blocking_rate", Kind::Ratio(&["bsc.tch_blocked"], "attempts")).shown(),
+    // An ARJ is counted once, where the gatekeeper sends it (the VMSC's
+    // `vmsc.admission_rejected` is the same ARJ received).
     row(
         "reject_rate",
         Kind::Ratio(
             &[
                 "gk.admission_rejected_bandwidth",
                 "gk.admission_rejected_unknown_alias",
-                "vmsc.admission_rejected",
             ],
             "attempts",
         ),
@@ -180,19 +181,29 @@ pub const KPIS: &[Kpi] = &[
     // Downlink frames that chased the subscriber to a cell it had left.
     counter("handoff_frame_loss", "ms.ignored_stale_cell"),
     counter("hlr_relocations", "load.hlr_relocations"),
+    // How each dial the driver placed ended: it connected, or it failed
+    // for the cause its originating endpoint was released with.
+    counter("outcome.connected", "load.connected").higher_is_better(),
+    counter("outcome.blocked_tch", "load.failed_blocked_tch"),
+    counter("outcome.rejected_gk", "load.failed_rejected_gk"),
+    counter("outcome.callee_busy", "load.failed_callee_busy"),
+    counter("outcome.page_timeout", "load.failed_page_timeout"),
+    counter("outcome.shed", "load.failed_shed"),
+    counter("outcome.setup_timeout", "load.failed_setup_timeout"),
+    counter("outcome.refused", "load.failed_refused"),
     counter("resilience.faults_injected", "load.faults_injected").sampled(),
-    // Probed calls found dead inside a fault window of each class
-    // (`vgprs_faults::FaultClass::key`), then outside any window.
+    // Dials that failed inside a fault window of each class
+    // (`vgprs_faults::FaultClass::key`), whatever the release cause.
     counter("resilience.dropped_link_degrade", "load.dropped_link_degrade").sampled(),
     counter("resilience.dropped_node_crash", "load.dropped_node_crash").sampled(),
     counter("resilience.dropped_blackhole", "load.dropped_blackhole").sampled(),
-    counter("resilience.dropped_baseline", "load.dropped_baseline").sampled(),
     counter("resilience.ras_retries", "vmsc.ras_retries"),
     counter("resilience.arq_retries", "vmsc.arq_retries"),
     counter("resilience.redial_attempts", "load.redial_attempts"),
     counter("resilience.redials_exhausted", "load.redials_exhausted"),
     // First failure to verified recovery, across all three recovery
-    // ladders (RAS re-registration, ARQ re-admission, caller redial).
+    // ladders (RAS re-registration, ARQ re-admission, and a caller's
+    // redial after a dial a fault window overlapped).
     row(
         "resilience.recovery_ms",
         Kind::Hist(&[
@@ -228,7 +239,7 @@ pub const KPIS: &[Kpi] = &[
     ),
     // Attempts issued in peak / steady-state demand segments (both zero
     // on a flat-demand run, where attribution is off), and the fraction
-    // of each later probed dead.
+    // of each that failed.
     counter("overload.attempts_peak", "load.attempts_peak"),
     counter("overload.attempts_steady", "load.attempts_steady"),
     row(
@@ -290,6 +301,13 @@ const TEXT: &[(&str, &str)] = &[
     ("call attempts", "{attempts} (+{busy_skipped} suppressed: caller busy)"),
     ("connected", "{mobile_legs} mobile legs, {wireline_legs} wireline legs"),
     ("blocking rate", "{blocking_rate:%}% (TCH), reject rate {reject_rate:%}% (H.323)"),
+    (
+        "dial outcomes",
+        "{outcome.connected} connected; failed: {outcome.blocked_tch} blocked (TCH), \
+         {outcome.rejected_gk} rejected (GK), {outcome.callee_busy} callee busy, \
+         {outcome.page_timeout} page timeout, {outcome.shed} shed, \
+         {outcome.setup_timeout} setup timeout, {outcome.refused} refused",
+    ),
     ("call-setup delay", "{setup_delay_ms:summary}"),
     ("paging latency", "{paging_delay_ms:summary}"),
     ("voice-PDP activation", "{pdp_activation_ms:summary}"),
@@ -337,7 +355,7 @@ const TEXT: &[(&str, &str)] = &[
     (
         "calls dropped",
         "{resilience.dropped_link_degrade} link-degrade, {resilience.dropped_node_crash} node-crash, \
-         {resilience.dropped_blackhole} blackhole (+{resilience.dropped_baseline} baseline)",
+         {resilience.dropped_blackhole} blackhole",
     ),
     ("recovery time", "{resilience.recovery_ms:summary}"),
     (

@@ -77,7 +77,10 @@ impl Shard {
         if at_us < busy_until_us {
             let settled_us =
                 sub.call_started_us + (CONNECT_GRACE_MS + self.cfg.voice_sample_ms + 500) * 1000;
-            if at_us <= settled_us || at_us + HANDOFF_TAIL_US >= busy_until_us {
+            // Only a talking handset hands over: a dial that failed
+            // before its probe judged it holds the busy window too.
+            if at_us <= settled_us || at_us + HANDOFF_TAIL_US >= busy_until_us || !self.talking(ms)
+            {
                 return self.count("load.cross_skipped");
             }
             let peer = sub.current_peer.expect("mid-call peer");
@@ -96,6 +99,7 @@ impl Shard {
                     orig: ms,
                     peer,
                     gen,
+                    probed: false,
                 };
                 self.push(mute_at_ms, Action::Mute(call));
             }

@@ -4,11 +4,17 @@
 //! follow-ups as one [`Call`] record; abandoning it bumps the
 //! subscriber's `gen`, which is how those follow-ups learn they are
 //! stale.
+//!
+//! Every dial that gets past the busy and away checks is judged once,
+//! by its probe or, when it is too short to probe, by its hangup: it
+//! connected, or it failed for one [`Failure`], read from the endpoint
+//! that dialed. A call that failed is torn down at both ends.
 
 use vgprs_faults::FaultClass;
 use vgprs_gsm::{MobileStation, MsState};
+use vgprs_h323::{H323Terminal, TerminalState};
 use vgprs_sim::{NodeId, SimRng};
-use vgprs_wire::{CallId, CellId, Command, Msisdn};
+use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn};
 
 use super::{alias_for, msisdn_for, Shard};
 use crate::population::{Arrival, CallKind};
@@ -38,6 +44,76 @@ const REDIAL_JITTER_MS: u64 = 500;
 /// A caller whose call died retries at most this many times.
 const MAX_REDIALS: u32 = 2;
 
+/// Why a dial did not connect: the fault window that overlapped the
+/// attempt, or else the cause its originating endpoint was released
+/// with. Each is one `load.*` counter and one KPI row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Failure {
+    /// A cell had no traffic channel.
+    BlockedTch,
+    /// The gatekeeper refused admission: budget spent or alias unknown.
+    RejectedGk,
+    /// The called party was in a call.
+    CalleeBusy,
+    /// The called handset could not be reached: its page went
+    /// unanswered.
+    PageTimeout,
+    /// An overload control shed the call (network congestion).
+    Shed,
+    /// Not connected when the caller gave up (the probe, or the hangup
+    /// of a call too short to probe), or released by a supervision
+    /// timer.
+    SetupTimeout,
+    /// Refused for any other reason: no route, authentication, service
+    /// or PDP resources refused, a protocol error, the far end cleared.
+    Refused,
+    /// A fault window of this class overlapped the attempt.
+    Fault(FaultClass),
+}
+
+impl Failure {
+    /// What a release `cause` before the connect means to the caller.
+    fn of(cause: Cause) -> Failure {
+        match cause {
+            Cause::RadioResourceUnavailable => Failure::BlockedTch,
+            Cause::AdmissionRejected | Cause::UnallocatedNumber => Failure::RejectedGk,
+            Cause::UserBusy => Failure::CalleeBusy,
+            Cause::SubscriberAbsent | Cause::NoAnswer => Failure::PageTimeout,
+            Cause::NetworkCongestion => Failure::Shed,
+            Cause::TemporaryFailure | Cause::RecoveryOnTimerExpiry => Failure::SetupTimeout,
+            Cause::NormalClearing
+            | Cause::NoRouteToDestination
+            | Cause::AuthenticationFailure
+            | Cause::ServiceNotAllowed
+            | Cause::PdpResourceUnavailable
+            | Cause::ProtocolError => Failure::Refused,
+        }
+    }
+
+    /// The counter the failure is filed under.
+    fn counter(self) -> &'static str {
+        match self {
+            Failure::BlockedTch => "load.failed_blocked_tch",
+            Failure::RejectedGk => "load.failed_rejected_gk",
+            Failure::CalleeBusy => "load.failed_callee_busy",
+            Failure::PageTimeout => "load.failed_page_timeout",
+            Failure::Shed => "load.failed_shed",
+            Failure::SetupTimeout => "load.failed_setup_timeout",
+            Failure::Refused => "load.failed_refused",
+            Failure::Fault(FaultClass::LinkDegrade) => "load.dropped_link_degrade",
+            Failure::Fault(FaultClass::NodeCrash) => "load.dropped_node_crash",
+            Failure::Fault(FaultClass::Blackhole) => "load.dropped_blackhole",
+        }
+    }
+
+    /// Whether the caller dials again: after a fault, or a setup that
+    /// never answered. A call the network refused is cleared, as
+    /// teletraffic counts a blocked call.
+    fn redials(self) -> bool {
+        matches!(self, Failure::SetupTimeout | Failure::Fault(_))
+    }
+}
+
 /// One planned call and which try at it this is.
 #[derive(Clone, Copy)]
 pub(super) struct Dial {
@@ -60,14 +136,16 @@ pub(super) struct Call {
     pub peer: NodeId,
     /// The subscriber's `gen` when the call was dialed.
     pub gen: u32,
+    /// Whether a probe judges the call; its hangup judges it otherwise.
+    pub probed: bool,
 }
 
 /// Driver-scheduled actions, totally ordered by `(time, sequence)`.
 pub(super) enum Action {
     Attempt(Dial),
-    /// Checks whether a dialed call actually survived to the talking
-    /// phase; failures are attributed to the overlapping fault window
-    /// (or the baseline) and trigger a backed-off redial.
+    /// Judges whether a dialed call reached the talking phase; a
+    /// failure is torn down and, if the caller would, redialed with
+    /// back-off.
     Probe(Call, Dial),
     Hangup(Call),
     Mute(Call),
@@ -183,24 +261,24 @@ impl Shard {
         let id = CallId((self.cfg.base_index as u64) << 32 | self.next_call);
         self.next_call += 1;
         self.cmd(orig, Command::Dial { call: id, called });
-        let gen = self.subs[local].gen;
+        // Probe the call once it should be in the talking phase. Calls
+        // shorter than the probe point are judged by their hangup (a
+        // probe would race their teardown).
+        let probe_ms = CONNECT_GRACE_MS + PROBE_DELAY_MS;
         let call = Call {
             local,
             peer_local,
             orig,
             peer,
-            gen,
+            gen: self.subs[local].gen,
+            probed: probe_ms + 500 < arrival.hold_ms,
         };
         let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
         if mute_ms < arrival.hold_ms {
             self.push(at_ms + mute_ms, Action::Mute(call));
         }
         self.push(at_ms + arrival.hold_ms, Action::Hangup(call));
-        // Probe the call once it should be in the talking phase. Calls
-        // shorter than the probe point are never probed (their teardown
-        // would race the check).
-        let probe_ms = CONNECT_GRACE_MS + PROBE_DELAY_MS;
-        if probe_ms + 500 < arrival.hold_ms {
+        if call.probed {
             self.push(at_ms + probe_ms, Action::Probe(call, dial));
         }
     }
@@ -226,41 +304,79 @@ impl Shard {
         current
     }
 
-    /// Verifies that a dialed call reached the talking phase. A dead
-    /// call is attributed to whichever fault window overlapped its
-    /// setup (or the baseline), both parties are freed, and the caller
-    /// redials with exponential back-off and seeded jitter.
+    /// How `call`'s dial ended, read from the endpoint that dialed:
+    /// `None` while it talks; otherwise the fault window that
+    /// overlapped the attempt, the cause the endpoint was released
+    /// with, or a setup timeout while it is still setting up.
+    fn verdict(&self, call: Call, now_ms: u64) -> Option<Failure> {
+        let sub = &self.subs[call.local];
+        let (active, cause) = if call.orig == sub.ms {
+            let ms = self.net.node::<MobileStation>(call.orig);
+            let ms = ms.expect("subscriber MS");
+            (ms.state() == MsState::Active, ms.dial_failure())
+        } else {
+            let term = self.net.node::<H323Terminal>(call.orig);
+            let term = term.expect("subscriber terminal");
+            (term.state() == TerminalState::Active, term.dial_failure())
+        };
+        if active {
+            return None;
+        }
+        let dialed_ms = sub.call_started_us / 1000;
+        let overlaps = |&c: &FaultClass| self.plan.overlaps(c, dialed_ms, now_ms);
+        let failure = match (FaultClass::ALL.into_iter().find(overlaps), cause) {
+            (Some(class), _) => Failure::Fault(class),
+            (None, Some(cause)) => Failure::of(cause),
+            (None, None) => Failure::SetupTimeout,
+        };
+        Some(failure)
+    }
+
+    /// Judges `call` at `at_us`: a connected call is counted as such,
+    /// a failed one under its [`Failure`] and torn down — both ends
+    /// hang up, so its channel, voice context and admission go back.
+    fn judge(&mut self, at_us: u64, call: Call) -> Option<Failure> {
+        let Some(failure) = self.verdict(call, at_us / 1000) else {
+            self.count("load.connected");
+            return None;
+        };
+        self.count(failure.counter());
+        self.count_regime("dropped", self.subs[call.local].call_started_us / 1000);
+        self.cmd(call.orig, Command::Hangup);
+        self.cmd(call.peer, Command::Hangup);
+        Some(failure)
+    }
+
+    /// Judges a dialed call once it should be talking. A failed one is
+    /// torn down, both parties are freed, and a caller who would try
+    /// again redials with exponential back-off and seeded jitter.
     fn probe(&mut self, at_us: u64, call: Call, dial: Dial) {
         let (local, attempt_no) = (call.local, dial.attempt_no);
         if self.subs[local].gen != call.gen || self.subs[local].away {
-            return;
+            // Handed off, which a handset is only while talking (and
+            // perhaps torn by a trunk partition since).
+            return self.count("load.connected");
         }
-        let state = self
-            .net
-            .node::<MobileStation>(self.subs[local].ms)
-            .expect("subscriber MS")
-            .state();
         let now_ms = at_us / 1000;
-        if state == MsState::Active {
-            if attempt_no > 0 {
+        let Some(failure) = self.judge(at_us, call) else {
+            let faulted = FaultClass::ALL
+                .into_iter()
+                .any(|c| self.plan.overlaps(c, dial.arrival.at_ms, now_ms));
+            if attempt_no > 0 && faulted {
                 // Time from the original (failed) dial to a verified
                 // live call on a later attempt.
                 let recovery_ms = (now_ms - dial.arrival.at_ms) as f64;
                 self.observe("load.redial_recovery_ms", recovery_ms);
             }
             return;
-        }
-        let dialed_ms = now_ms - (CONNECT_GRACE_MS + PROBE_DELAY_MS);
-        let class = FaultClass::ALL
-            .into_iter()
-            .find(|&c| self.plan.overlaps(c, dialed_ms, now_ms));
-        let key = class.map_or("baseline", FaultClass::key);
-        self.count(&format!("load.dropped_{key}"));
-        self.count_regime("dropped", dialed_ms);
+        };
         self.abandon(local, at_us);
         if let Some(p) = call.peer_local {
             self.subs[p].busy_until_us = at_us;
             self.subs[p].current_peer = None;
+        }
+        if !failure.redials() {
+            return;
         }
         if attempt_no >= MAX_REDIALS {
             self.count("load.redials_exhausted");
@@ -281,14 +397,21 @@ impl Shard {
         if !self.is_current(call) {
             return;
         }
-        self.cmd(call.orig, Command::Hangup);
+        // A call too short to probe is judged now; a failed one is
+        // already torn down at both ends.
+        let torn = !call.probed && self.judge(at_us, call).is_some();
         let parties = [Some(call.local), call.peer_local];
-        if parties.iter().flatten().any(|&l| self.subs[l].handed_off) {
-            // The anchor's release toward the old radio channel never
-            // reaches a handset that left the cell; drive the far end
-            // explicitly so both legs tear down.
-            self.cmd(call.peer, Command::Hangup);
-            self.count("load.handoff_teardowns");
+        if !torn {
+            self.cmd(call.orig, Command::Hangup);
+            let away = parties.iter().flatten().any(|&l| self.subs[l].handed_off);
+            if away || self.moved(call.orig) || self.moved(call.peer) {
+                // A release never crosses the inter-MSC leg of a call
+                // handed over to another MSC, here or across the
+                // border; drive the far end explicitly so both legs
+                // tear down.
+                self.cmd(call.peer, Command::Hangup);
+                self.count("load.handoff_teardowns");
+            }
         }
         for local in parties.into_iter().flatten() {
             let sub = &mut self.subs[local];
@@ -302,6 +425,18 @@ impl Shard {
         }
     }
 
+    /// Whether the handset `ms` is in a call that connected.
+    pub(super) fn talking(&self, ms: NodeId) -> bool {
+        let ms = self.net.node::<MobileStation>(ms).expect("subscriber MS");
+        ms.state() == MsState::Active
+    }
+
+    /// Whether `node` is a handset whose call was handed over.
+    fn moved(&self, node: NodeId) -> bool {
+        let ms = self.net.node::<MobileStation>(node);
+        ms.is_some_and(MobileStation::call_handed_over)
+    }
+
     fn mute(&mut self, call: Call) {
         if self.is_current(call) {
             self.cmd(call.orig, Command::StopTalking);
@@ -312,8 +447,24 @@ impl Shard {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{call_at, counter, idle_shard};
+    use super::super::tests::{call_at, config, counter, idle_shard};
     use super::*;
+    use crate::mailbox::EPOCH_MS;
+    use crate::population::SubscriberPlan;
+
+    /// Every cause a dial can fail for.
+    const ALL_FAILURES: [Failure; 10] = [
+        Failure::BlockedTch,
+        Failure::RejectedGk,
+        Failure::CalleeBusy,
+        Failure::PageTimeout,
+        Failure::Shed,
+        Failure::SetupTimeout,
+        Failure::Refused,
+        Failure::Fault(FaultClass::LinkDegrade),
+        Failure::Fault(FaultClass::NodeCrash),
+        Failure::Fault(FaultClass::Blackhole),
+    ];
 
     /// Subscriber 0's try number `attempt_no` at a call planned for 10 ms.
     fn dial(attempt_no: u32) -> Dial {
@@ -336,9 +487,10 @@ mod tests {
         assert_eq!(counter(&shard, "load.redial_attempts"), 1);
     }
 
-    /// Nobody dialed, so every probe finds its handset idle: two
-    /// failures schedule a redial each, the third gives up, and what
-    /// the abandoned calls had scheduled does nothing.
+    /// Nobody dialed, so every probe finds its handset idle and no
+    /// cause: a setup that never answered, which the caller redials.
+    /// Two failures schedule a redial each, the third gives up, and
+    /// what the abandoned calls had scheduled does nothing.
     #[test]
     fn the_third_failed_probe_gives_up() {
         let mut shard = idle_shard(1);
@@ -348,19 +500,69 @@ mod tests {
             orig: shard.subs[0].ms,
             peer: shard.subs[0].terminal,
             gen,
+            probed: true,
         };
         let calls = [call(0), call(1), call(2)];
         for (attempt_no, call) in (0..).zip(calls) {
             let at_us = 6_000_000 + u64::from(attempt_no);
             shard.handle_action(at_us, Action::Probe(call, dial(attempt_no)));
         }
-        assert_eq!(counter(&shard, "load.dropped_baseline"), 3);
+        assert_eq!(counter(&shard, Failure::SetupTimeout.counter()), 3);
         assert_eq!(counter(&shard, "load.redials_exhausted"), 1);
         assert_eq!(shard.sched.len(), 2, "the third probe schedules nothing");
 
         shard.handle_action(7_000_000, Action::Hangup(calls[2]));
         shard.handle_action(7_000_000, Action::Mute(calls[2]));
         assert_eq!(counter(&shard, "load.stale_actions"), 2);
-        assert_eq!(shard.net.pending_events(), 0, "and commands nobody");
+    }
+
+    /// A refusal lands in its own cause, once, and is not redialed: a
+    /// cell with no traffic channel, a gatekeeper with no budget, and a
+    /// terminal already in a call when its subscriber's handset dials
+    /// it. Every attempt is judged exactly once.
+    #[test]
+    fn each_refusal_is_filed_under_its_own_cause_and_cleared() {
+        let plans = || {
+            let plan = |global_index, arrivals| SubscriberPlan {
+                global_index,
+                arrivals,
+                excursion: None,
+            };
+            vec![plan(0, vec![call_at(1_000)]), plan(1, Vec::new())]
+        };
+        for cause in [
+            Failure::BlockedTch,
+            Failure::RejectedGk,
+            Failure::CalleeBusy,
+        ] {
+            let mut cfg = config(2);
+            match cause {
+                Failure::BlockedTch => cfg.tch_capacity = 0,
+                Failure::RejectedGk => cfg.gk_bandwidth = 0,
+                _ => {}
+            }
+            let mut shard = Shard::new(&cfg, &plans());
+            if cause == Failure::CalleeBusy {
+                // Subscriber 0's terminal calls subscriber 1's handset
+                // behind the driver's back, so it is busy at 1 s.
+                let dial = Command::Dial {
+                    call: CallId(999),
+                    called: msisdn_for(1),
+                };
+                shard.cmd(shard.subs[0].terminal, dial);
+            }
+            for epoch in 0..10_000 / EPOCH_MS {
+                shard.run_epoch(epoch, Vec::new());
+            }
+            let failures = ALL_FAILURES.map(|f| counter(&shard, f.counter()));
+            let expected = ALL_FAILURES.map(|f| u64::from(f == cause));
+            assert_eq!(failures, expected, "{cause:?}");
+            assert_eq!(counter(&shard, "load.connected"), 0, "{cause:?}");
+            assert_eq!(
+                counter(&shard, "load.attempts"),
+                1,
+                "{cause:?} is not redialed"
+            );
+        }
     }
 }

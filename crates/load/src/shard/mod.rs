@@ -466,10 +466,15 @@ mod tests {
 
     /// A `subscribers`-strong shard 0 of eight with the given plans.
     pub(super) fn shard_with(plans: Vec<SubscriberPlan>) -> Shard {
-        let cfg = ShardConfig {
+        Shard::new(&config(plans.len()), &plans)
+    }
+
+    /// The configuration of shard 0 of eight, `subscribers` strong.
+    pub(super) fn config(subscribers: usize) -> ShardConfig {
+        ShardConfig {
             shard_index: 0,
             base_index: 0,
-            subscribers: plans.len(),
+            subscribers,
             total_shards: 8,
             master_seed: 42,
             population: PopulationConfig::default(),
@@ -482,8 +487,7 @@ mod tests {
             scenario: ScenarioConfig::default(),
             controls: OverloadControls::default(),
             snapshot_secs: 0,
-        };
-        Shard::new(&cfg, &plans)
+        }
     }
 
     /// `n` subscribers that neither call nor move.

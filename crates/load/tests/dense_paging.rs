@@ -42,7 +42,7 @@ fn one_big_cell_is_pinned() {
             stats.counter("bts.pages_broadcast"),
             stats.counter("ms.ignored_stale_cell"),
         ),
-        "5e43159cd3186851 f04fdfaa760608a9 55966 pages=32 stale=1013",
+        "4fae271aff4bcfe7 ab92ef4ed7b6fbd7 54669 pages=30 stale=945",
         "the dense-paging world drifted from its pinned identity"
     );
 }

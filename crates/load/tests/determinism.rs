@@ -579,10 +579,10 @@ fn defaults_cfg() -> LoadConfig {
 #[test]
 fn armed_run_identity_is_pinned() {
     let rows = [
-        ("trunk", trunk_cfg as fn() -> LoadConfig, "39a2b89736a893a3 0f35dfad414c38b0 48796"),
-        ("faults", chaos_cfg, "b1e9cef9569e6e6c 7ad2cb63ffae047e 42467"),
-        ("surge", surge_cfg, "920e12c77205d9dd ffa5464f2a0ebe1e 37767"),
-        ("defaults", defaults_cfg, "c2747d582c03392b de1864e97accfea5 39230"),
+        ("trunk", trunk_cfg as fn() -> LoadConfig, "727416fecdf0a751 52cbbf24b40522f6 51328"),
+        ("faults", chaos_cfg, "2d9df63a108c1f25 ebce64574029ed89 49099"),
+        ("surge", surge_cfg, "a528a72c11416bb7 d2122262e2d8c030 35218"),
+        ("defaults", defaults_cfg, "3b31082dbe7220ab 5cc032a318e3e95e 38572"),
     ];
     for (family, cfg, pinned) in rows {
         let report = run_load(&cfg());

@@ -199,6 +199,19 @@ tripwire "a side table beside the subscriber row" -rE \
     'pending_interrupt|trunk_torn|call_src|conn_globals|visitor_conns|ms_index|AnchoredLeg|Action::Redial|too_many_arguments' \
     crates/load/src
 
+echo "==> the driver judges every dial"
+# Each dial is judged once, from the endpoint that dialed: it connected,
+# or it failed for one named cause (`Failure` in
+# crates/load/src/shard/driver.rs). A drop filed under no cause, or a
+# drop counter whose name is built from a key, is the guesswork that
+# list replaced.
+tripwire "a dial filed under no cause" -rE 'dropped_baseline|format!\("load\.dropped_' \
+    crates/*/src crates/*/tests tests
+# A call the driver gives up on is torn down at both ends, so voice
+# sampled past the probe point drains: this run used to leave abandoned
+# calls talking until the engine's epoch cap, and exit 1.
+./target/release/harness load --subscribers 6144 --rate 16 --voice-sample-ms 3000 > /dev/null
+
 echo "==> the scripted peer exists once"
 # A node's unit test plays its ladder step against vgprs_sim::ScriptedPeer
 # (crates/sim/src/peer.rs): a script, a reply rule and a log. A
