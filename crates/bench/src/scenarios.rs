@@ -10,8 +10,6 @@ pub use vgprs_core::figures::{Single, SingleZone};
 use vgprs_core::{
     AccessHalf, GsmZone, GsmZoneConfig, LatencyProfile, PacketHalf, VgprsZone, VgprsZoneConfig,
 };
-use vgprs_gsm::MobileStation;
-use vgprs_h323::H323Terminal;
 use vgprs_pstn::{PstnPhone, PstnSwitch, TrunkClass};
 use vgprs_sim::{Interface, Network, NodeId, SimDuration, SimTime};
 use vgprs_tr22973::TrZone;
@@ -130,10 +128,8 @@ fn roaming_call(
     );
     net.run_until(net.now() + SimDuration::from_secs(65));
 
-    let connected = net
-        .node::<MobileStation>(x)
-        .map(|m| m.calls_connected > 0)
-        .unwrap_or(false);
+    // `x` is the world's one handset.
+    let connected = net.stats().counter("ms.calls_connected") > 0;
     summarize_trunks(&net, &[hk_switch, uk_switch], call, connected)
 }
 
@@ -265,21 +261,24 @@ pub fn handed_over(
     neighbor: fn(&mut Network<Message>) -> AccessHalf,
 ) -> (HandoffWorld, HandoffReport) {
     let mut world = talking(seed, neighbor);
-    let (net, ms, term) = (&mut world.home.net, world.home.ms, world.home.term);
+    let (net, ms) = (&mut world.home.net, world.home.ms);
     net.trace_mut().clear();
-    let frames_before = net.node::<MobileStation>(ms).expect("ms").frames_received;
-    let term_frames_before = net
-        .node::<H323Terminal>(term)
-        .expect("term")
-        .frames_received;
+    // The world's one handset and one terminal.
+    let frames = |net: &Network<Message>| {
+        let stats = net.stats();
+        (
+            stats.counter("ms.voice_frames_received"),
+            stats.counter("term.rtp_received"),
+        )
+    };
+    let (frames_before, term_frames_before) = frames(net);
     move_to_cell_2(net, ms);
-    let handset = net.node::<MobileStation>(ms).expect("ms");
-    let terminal = net.node::<H323Terminal>(term).expect("term");
+    let (ms_frames, term_frames) = frames(net);
     let report = HandoffReport {
-        handoffs_completed: handset.handoffs_completed,
+        handoffs_completed: net.stats().counter("ms.handoffs"),
         frames_before,
-        frames_after: handset.frames_received - frames_before,
-        term_frames_after: terminal.frames_received - term_frames_before,
+        frames_after: ms_frames - frames_before,
+        term_frames_after: term_frames - term_frames_before,
     };
     (world, report)
 }
@@ -307,7 +306,7 @@ pub fn intersystem_handoff_windowed(seed: u64) -> crate::experiments::C5Report {
         f64::NAN
     };
     crate::experiments::C5Report {
-        handoffs: net.node::<MobileStation>(ms).expect("ms").handoffs_completed,
+        handoffs: net.stats().counter("ms.handoffs"),
         delay_before_ms: before,
         delay_after_ms: after,
     }

@@ -75,7 +75,7 @@ impl VgprsZone {
 
         // A terminal's RRQ goes out from its `on_start`, at time zero.
         for &terminal in terminals {
-            let config = *net
+            let config = net
                 .node::<H323Terminal>(terminal)
                 .expect("a terminal")
                 .config();

@@ -54,7 +54,7 @@ impl Vmsc {
         ho_ref: u32,
     ) {
         let entry = self.handed_over_to(target, call);
-        match entry.and_then(|e| Some((e.conn, e.leg_mut(call)?))) {
+        match entry.and_then(|e| Some((e.conn.get(), e.leg_mut(call)?))) {
             Some((conn, leg)) => {
                 leg.e_leg = Some((target, cic));
                 if let Some(conn) = conn {
@@ -138,9 +138,9 @@ impl Vmsc {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return;
         };
-        let (nsapi, src_ip) = match entry.voice_addr {
+        let (nsapi, src_ip) = match entry.voice_addr.get() {
             Some(a) => (voice_nsapi(), Some(a)),
-            None => (sig_nsapi(), entry.signaling_addr),
+            None => (sig_nsapi(), entry.signaling_addr.get()),
         };
         let Some(leg) = entry.leg_mut(call) else {
             return;
@@ -179,7 +179,7 @@ impl Vmsc {
             return;
         };
         let (call, seq, origin_us) = (leg.id, u32::from(rtp.seq), rtp.origin_us);
-        match (entry.conn, leg.e_leg) {
+        match (entry.conn.get(), leg.e_leg) {
             (Some(conn), _) => self.gsm.send(
                 ctx,
                 conn,

@@ -240,7 +240,7 @@ impl Vmsc {
     }
 
     fn send_a_to_ms(&self, ctx: &mut Context<'_, Message>, imsi: &Imsi, dtap: Dtap) {
-        if let Some(conn) = self.ms_table.get(imsi).and_then(|e| e.conn) {
+        if let Some(conn) = self.ms_table.get(imsi).and_then(|e| e.conn.get()) {
             self.gsm.send(ctx, conn, dtap);
         }
     }
@@ -318,7 +318,7 @@ impl Vmsc {
 
     /// The MS's signaling address on `port`.
     fn addr_for(&self, imsi: &Imsi, port: u16) -> Option<TransportAddr> {
-        let addr = self.ms_table.get(imsi)?.signaling_addr?;
+        let addr = self.ms_table.get(imsi)?.signaling_addr.get()?;
         Some(TransportAddr::new(addr, port))
     }
 

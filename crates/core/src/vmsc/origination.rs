@@ -258,7 +258,7 @@ impl Vmsc {
         addr: Ipv4Addr,
     ) {
         if let Some(entry) = self.ms_table.get_mut(&imsi) {
-            entry.voice_addr = Some(addr);
+            entry.voice_addr = addr.into();
             self.by_addr.insert(addr, imsi);
             // Voice-PDP activation-time KPI: request → accept.
             let requested_at = entry

@@ -3,8 +3,8 @@
 
 use vgprs_sim::{Context, NodeId, SimDuration, SimTime};
 use vgprs_wire::{
-    Cause, ConnRef, Dtap, GmmMessage, Imsi, Ipv4Addr, Lai, Message, MsIdentity, Msisdn, QosProfile,
-    RasMessage, Tmsi,
+    Cause, ConnRef, Dtap, GmmMessage, Imsi, Ipv4Addr, Issued, Lai, Message, MsIdentity, Msisdn,
+    QosProfile, RasMessage, Tmsi,
 };
 
 use super::timers::{Guard, TimerKey};
@@ -47,8 +47,8 @@ impl Vmsc {
         self.gsm.learn_tmsi(Some(reg.tmsi), reg.imsi);
         let mut entry = MsEntry::new(reg.imsi, Some(conn), reg.started);
         entry.msisdn = Some(reg.msisdn);
-        entry.tmsi = Some(reg.tmsi);
-        entry.signaling_addr = Some(reg.addr);
+        entry.tmsi = reg.tmsi.into();
+        entry.signaling_addr = reg.addr.into();
         entry.phase = RegPhase::Registered;
         self.ms_table.insert(reg.imsi, entry);
         self.by_addr.insert(reg.addr, reg.imsi);
@@ -84,7 +84,7 @@ impl Vmsc {
             let entry = self
                 .ms_table
                 .get_or_insert_with(imsi, || MsEntry::new(imsi, None, ctx.now()));
-            entry.conn = Some(conn);
+            entry.conn = conn.into();
             entry.reg_started = ctx.now();
             entry.phase = RegPhase::GsmUpdating;
         }
@@ -114,7 +114,7 @@ impl Vmsc {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return Self::out_of_state(ctx);
         };
-        entry.tmsi = tmsi;
+        entry.tmsi = Issued::new(tmsi);
         entry.msisdn = msisdn;
         self.gsm.learn_tmsi(tmsi, imsi);
         if entry.signaling_addr.is_some() {
@@ -155,7 +155,7 @@ impl Vmsc {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return Self::out_of_state(ctx);
         };
-        entry.signaling_addr = Some(addr);
+        entry.signaling_addr = addr.into();
         self.by_addr.insert(addr, imsi);
         let waiting = entry
             .leg
@@ -243,7 +243,7 @@ impl Vmsc {
             return Self::out_of_state(ctx);
         }
         entry.phase = RegPhase::Registered;
-        let (tmsi, conn, reg_started) = (entry.tmsi, entry.conn, entry.reg_started);
+        let (tmsi, conn, reg_started) = (entry.tmsi.get(), entry.conn.get(), entry.reg_started);
         self.timers
             .answered(ctx, &TimerKey::Ras(imsi), "vmsc.ras_recovery_ms");
         ctx.note("Step 1.6: registration complete; accept -> MS");
@@ -266,7 +266,7 @@ impl Vmsc {
         self.timers.cancel(ctx, &TimerKey::Ras(imsi));
         if let Some(entry) = self.ms_table.get_mut(&imsi) {
             entry.phase = RegPhase::GsmUpdating;
-            if let Some(conn) = entry.conn {
+            if let Some(conn) = entry.conn.get() {
                 self.gsm
                     .send(ctx, conn, Dtap::LocationUpdateReject { cause });
             }
@@ -316,13 +316,13 @@ impl Vmsc {
         let Some(entry) = self.ms_table.remove(&imsi) else {
             return;
         };
-        if let Some(t) = entry.tmsi {
+        if let Some(t) = entry.tmsi.get() {
             self.gsm.forget_tmsi(t);
         }
-        if let Some(conn) = entry.conn {
+        if let Some(conn) = entry.conn.get() {
             self.gsm.unbind(conn);
         }
-        for addr in [entry.signaling_addr, entry.voice_addr]
+        for addr in [entry.signaling_addr.get(), entry.voice_addr.get()]
             .into_iter()
             .flatten()
         {

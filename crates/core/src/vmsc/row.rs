@@ -4,7 +4,7 @@
 //! MS has no row here.
 
 use vgprs_sim::{NodeId, SimTime};
-use vgprs_wire::{CallId, Cic, ConnRef, Crv, Imsi, Ipv4Addr, Msisdn, Tmsi, TransportAddr};
+use vgprs_wire::{CallId, Cic, ConnRef, Crv, Imsi, Ipv4Addr, Issued, Msisdn, Tmsi, TransportAddr};
 
 /// Registration progress of one MS (paper Section 3).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,7 +100,9 @@ pub(super) struct TargetLeg {
 }
 
 /// The per-MS row of the paper's "MS table" (Section 2): MM context +
-/// PDP contexts + H.323 state, the call leg included.
+/// PDP contexts + H.323 state, the call leg included. The IDs that
+/// registration and calls issue are held in their niches, four bytes
+/// each.
 #[derive(Debug)]
 pub struct MsEntry {
     /// Subscriber identity.
@@ -108,16 +110,16 @@ pub struct MsEntry {
     /// Dialable number; the H.323 alias (known after the VLR answers).
     pub msisdn: Option<Msisdn>,
     /// TMSI allocated by the VLR.
-    pub tmsi: Option<Tmsi>,
+    pub tmsi: Issued<Tmsi>,
     /// Registration progress.
     pub phase: RegPhase,
     /// PDP address of the signaling context (step 1.3).
-    pub signaling_addr: Option<Ipv4Addr>,
+    pub signaling_addr: Issued<Ipv4Addr>,
     /// PDP address of the per-call voice context (steps 2.9/4.8).
-    pub voice_addr: Option<Ipv4Addr>,
+    pub voice_addr: Issued<Ipv4Addr>,
     /// Current radio connection; `None` while a handoff has taken the
     /// MS to another MSC and this VMSC anchors its call.
-    pub(super) conn: Option<ConnRef>,
+    pub(super) conn: Issued<ConnRef>,
     /// Current call. Boxed: few rows are in a call at any time, and an
     /// idle one should not carry a leg's worth of memory.
     pub(super) leg: Option<Box<CallLeg>>,
@@ -131,11 +133,11 @@ impl MsEntry {
         MsEntry {
             imsi,
             msisdn: None,
-            tmsi: None,
+            tmsi: Issued::NONE,
             phase: RegPhase::GsmUpdating,
-            signaling_addr: None,
-            voice_addr: None,
-            conn,
+            signaling_addr: Issued::NONE,
+            voice_addr: Issued::NONE,
+            conn: Issued::new(conn),
             leg: None,
             reg_started: now,
         }
@@ -147,11 +149,26 @@ impl MsEntry {
     #[doc(hidden)]
     pub fn state(&self) -> (RegPhase, Option<String>, Option<ConnRef>) {
         let call = self.leg.as_deref().map(|leg| format!("{:?}", leg.phase));
-        (self.phase, call, self.conn)
+        (self.phase, call, self.conn.get())
     }
 
     /// The leg, if it is the call `id` names.
     pub(super) fn leg_mut(&mut self, id: CallId) -> Option<&mut CallLeg> {
         self.leg.as_deref_mut().filter(|leg| leg.id == id)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A row holds the IDs that registration and calls issue in their
+    /// niches (72 bytes with an `Option` tag beside each), and keeps a
+    /// niche of its own for the number block's empty slot.
+    #[test]
+    fn an_ms_row_is_56_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<MsEntry>(), 56);
+        assert_eq!(size_of::<Option<MsEntry>>(), 56);
     }
 }

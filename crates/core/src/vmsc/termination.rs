@@ -87,7 +87,7 @@ impl Vmsc {
             leg.phase = CallPhase::MtPaging;
             leg.paged_at = Some(ctx.now());
         }
-        let tmsi = entry.tmsi;
+        let tmsi = entry.tmsi.get();
         self.timers
             .arm(ctx, TimerKey::Paging(imsi, call), PAGING_TIMEOUT, None);
         ctx.note("Step 4.4: page the MS");
@@ -113,7 +113,7 @@ impl Vmsc {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return Self::out_of_state(ctx);
         };
-        entry.conn = Some(conn);
+        entry.conn = conn.into();
         self.gsm.bind(conn, imsi);
         // Paging-latency KPI: page broadcast → MS answer.
         if let Some(paged_at) = entry.leg.as_deref_mut().and_then(|leg| leg.paged_at.take()) {
@@ -136,7 +136,7 @@ impl Vmsc {
     ) {
         self.gsm.bind(conn, imsi);
         let paged = self.ms_table.get_mut(&imsi).and_then(|entry| {
-            entry.conn = Some(conn);
+            entry.conn = conn.into();
             let paged =
                 |leg: &&mut CallLeg| matches!(leg.phase, CallPhase::MtPaging | CallPhase::MtAccess);
             entry.leg.as_deref_mut().filter(paged)

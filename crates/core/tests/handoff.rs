@@ -9,7 +9,6 @@
 use vgprs_core::figures::{vmsc_neighbor, HandoffWorld, FIGURE_9};
 use vgprs_core::Vmsc;
 use vgprs_gsm::{MobileStation, MsState};
-use vgprs_h323::H323Terminal;
 use vgprs_sim::{Network, SimDuration, SimTime};
 use vgprs_wire::{CallId, CellId, Command, Imsi, Message, Msisdn};
 
@@ -49,7 +48,7 @@ fn figure9_intervmsc_handoff_ladder() {
     assert_eq!(r.net.stats().counter("vmsc.handover_anchored"), 1);
     assert_eq!(r.net.stats().counter("vmsc.handover_target_completed"), 1);
     let handset = r.net.node::<MobileStation>(r.ms).expect("ms");
-    assert_eq!(handset.handoffs_completed, 1);
+    assert_eq!(r.net.stats().counter("ms.handoffs"), 1);
     assert_eq!(
         handset.state(),
         MsState::Active,
@@ -61,22 +60,22 @@ fn figure9_intervmsc_handoff_ladder() {
     let target = r.net.node::<Vmsc>(neighbor.msc).expect("vmsc2");
     assert_eq!(target.active_calls(), 1);
 
-    // Voice still reaches both parties after the handoff.
-    let frames_at_move = handset.frames_received;
-    let term_at_move = r
-        .net
-        .node::<H323Terminal>(r.term)
-        .expect("term")
-        .frames_received;
+    // Voice still reaches both parties after the handoff: the world's
+    // one handset and one terminal.
+    let heard = |net: &Network<Message>| {
+        let stats = net.stats();
+        let ms = stats.counter("ms.voice_frames_received");
+        (ms, stats.counter("term.rtp_received"))
+    };
+    let (frames_at_move, term_at_move) = heard(&r.net);
     r.net.run_until(SimTime::from_micros(16_000_000));
-    let handset = r.net.node::<MobileStation>(r.ms).expect("ms");
-    let terminal = r.net.node::<H323Terminal>(r.term).expect("term");
+    let (handset, terminal) = heard(&r.net);
     assert!(
-        handset.frames_received > frames_at_move + 50,
+        handset > frames_at_move + 50,
         "downlink voice continues through anchor → E-trunk → target"
     );
     assert!(
-        terminal.frames_received > term_at_move + 50,
+        terminal > term_at_move + 50,
         "uplink voice continues through target → E-trunk → anchor"
     );
     let anchor = r.net.node::<Vmsc>(r.zone.access.msc).expect("vmsc1");
@@ -131,11 +130,15 @@ fn one_leg_of_a_mobile_to_mobile_call_hands_over() {
     let command = |net: &mut Network<Message>, ms, command| {
         net.inject(SimDuration::ZERO, ms, Message::Cmd(command));
     };
-    let heard = |net: &Network<Message>, ms| {
+    // Each handset hears only the other: what it has heard is at most
+    // what the other sent, and at least what both heard less what it
+    // sent itself.
+    let sent = |net: &Network<Message>, ms| {
         let handset = net.node::<MobileStation>(ms).expect("ms");
         assert_eq!(handset.state(), MsState::Active);
-        handset.frames_received
+        u64::from(handset.frames_sent())
     };
+    let heard = |net: &Network<Message>| net.stats().counter("ms.voice_frames_received");
     command(&mut r.net, b, Command::PowerOn);
     r.net.run_until_quiescent();
     let dial = Command::Dial {
@@ -159,15 +162,17 @@ fn one_leg_of_a_mobile_to_mobile_call_hands_over() {
     assert_eq!(r.net.stats().counter("vmsc.handovers_started"), 1);
 
     // A's voice still crosses the trunk into A's leg, and B's into B's.
-    let (a_heard, b_heard) = (heard(&r.net, r.ms), heard(&r.net, b));
+    let (a_heard, b_heard) = (sent(&r.net, b), sent(&r.net, r.ms));
     r.net.run_until(r.net.now() + SimDuration::from_secs(2));
+    let a_now = heard(&r.net) - sent(&r.net, r.ms);
+    let b_now = heard(&r.net) - sent(&r.net, b);
     assert!(
-        heard(&r.net, r.ms) > a_heard + 50,
-        "A hears B after B's reports"
+        a_now > a_heard + 50,
+        "A hears B after B's reports: {a_heard} → at least {a_now}"
     );
     assert!(
-        heard(&r.net, b) > b_heard + 50,
-        "B hears A after B's reports"
+        b_now > b_heard + 50,
+        "B hears A after B's reports: {b_heard} → at least {b_now}"
     );
 
     // B hangs up: the anchor lets go of both legs.

@@ -32,7 +32,7 @@ fn pdp_addr(s: &SingleZone, registered: bool) -> Ipv4Addr {
     assert_eq!(ggsn.active_pdp_count(), contexts, "contexts at the GGSN");
     let vmsc = s.net.node::<Vmsc>(s.zone.access.msc).unwrap();
     let row = vmsc.ms_entry(&s.ms_imsi);
-    let addr = row.and_then(|row| row.signaling_addr);
+    let addr = row.and_then(|row| row.signaling_addr.get());
     addr.unwrap_or(Ipv4Addr::from_octets(10, 200, 9, 9))
 }
 

@@ -38,7 +38,7 @@ fn registration_outcome_state() {
     // Gatekeeper side: the (IP address, MSISDN) entry of step 1.5.
     let gk = net.node::<Gatekeeper>(zone.packet.gk).unwrap();
     let transport = gk.lookup(&ms_msisdn).expect("alias registered");
-    assert_eq!(Some(transport.ip), entry.signaling_addr);
+    assert_eq!(Some(transport.ip), entry.signaling_addr.get());
 }
 
 #[test]
@@ -158,7 +158,7 @@ fn many_subscribers_register_concurrently() {
     let mut addrs: Vec<_> = (0..count)
         .map(|i| {
             let imsi = Imsi::parse(&format!("4669200000001{i:02}")).unwrap();
-            vmsc.ms_entry(&imsi).unwrap().signaling_addr.unwrap()
+            vmsc.ms_entry(&imsi).unwrap().signaling_addr.get().unwrap()
         })
         .collect();
     addrs.sort_unstable();

@@ -406,6 +406,21 @@ mod tests {
         got(net, sgsn).iter().filter_map(addr).collect()
     }
 
+    /// A dynamic address skips its pool's network address, so none is
+    /// 0 even in a pool at 0.0.0.0: the niche where the VMSC's MS table
+    /// holds no address.
+    #[test]
+    fn no_dynamic_address_is_the_niche() {
+        let mut g = Ggsn::new(Ipv4Addr(0), 30);
+        let issued: Vec<Ipv4Addr> = std::iter::from_fn(|| {
+            let addr = g.alloc_dynamic()?;
+            g.by_addr.insert(addr, Teid(1));
+            Some(addr)
+        })
+        .collect();
+        assert_eq!(issued, [Ipv4Addr(1), Ipv4Addr(2), Ipv4Addr(3)]);
+    }
+
     #[test]
     fn dynamic_allocation_unique_addresses() {
         let (mut net, ggsn, sgsn, _router) = rig(vec![

@@ -346,6 +346,18 @@ mod tests {
         }
     }
 
+    /// A reference counts from 1 in its cell's low half, so none is 0,
+    /// the connectionless reference: the niche where the VMSC's MS
+    /// table holds no connection.
+    #[test]
+    fn no_connection_reference_is_the_niche() {
+        let mut net = Network::<Message>::new(1);
+        let first = net.add_node("bts", ScriptedPeer::new());
+        for n in [1, 2, MAX_CONNECTIONS] {
+            assert!(!Bts::conn_ref(first, n).is_connectionless(), "reference {n}");
+        }
+    }
+
     #[test]
     fn transaction_start_gets_fresh_conn() {
         let (mut net, _bts, bsc, _ms) = rig_with_sender(vec![Message::Um(lur())]);

@@ -12,7 +12,8 @@ use vgprs_sim::{
     Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken, Tuning,
 };
 use vgprs_wire::{
-    CallId, Cause, CellId, Command, Dtap, Imsi, Lai, Message, MsIdentity, Msisdn, Tmsi,
+    CallId, Cause, CellId, Command, Dtap, Habits, Imsi, Issued, Lai, Message, MsIdentity, Msisdn,
+    Tmsi,
 };
 
 use crate::auth::{a3_sres, Ki};
@@ -83,43 +84,6 @@ pub enum MsState {
     Clearing,
 }
 
-/// [`MsConfig::auto_answer_after`] and [`MsConfig::talk_on_connect`] in
-/// one word: the delay's microseconds below the top bit (all ones:
-/// wait for [`Command::Answer`]), talk-on-connect in the top bit.
-#[derive(Clone, Copy)]
-struct Habits(u64);
-
-impl Habits {
-    const TALK: u64 = 1 << 63;
-    const WAIT: u64 = Self::TALK - 1;
-
-    fn new(config: &MsConfig) -> Self {
-        let after = config.auto_answer_after.map_or(Self::WAIT, |d| {
-            assert!(d.as_micros() < Self::WAIT, "auto-answer delay {d} never ends");
-            d.as_micros()
-        });
-        Habits(after | if config.talk_on_connect { Self::TALK } else { 0 })
-    }
-
-    fn auto_answer_after(self) -> Option<SimDuration> {
-        let micros = self.0 & Self::WAIT;
-        (micros != Self::WAIT).then_some(SimDuration::from_micros(micros))
-    }
-
-    fn talk_on_connect(self) -> bool {
-        self.0 & Self::TALK != 0
-    }
-}
-
-impl fmt::Debug for Habits {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Habits")
-            .field("auto_answer_after", &self.auto_answer_after())
-            .field("talk_on_connect", &self.talk_on_connect())
-            .finish()
-    }
-}
-
 /// The cells an MS can be handed off or reselect to (cell → BTS node),
 /// held inline: every world gives a handset at most two.
 #[derive(Clone, Copy)]
@@ -175,7 +139,10 @@ struct MsCall {
     voice_timer: Option<TimerToken>,
 }
 
-/// The mobile station node.
+/// The mobile station node. It keeps what outlives a call and nothing
+/// that `Stats` counts already: its frames, connected calls and handoffs
+/// are `ms.voice_frames_received`, `ms.calls_connected` and
+/// `ms.handoffs`.
 #[derive(Debug)]
 pub struct MobileStation {
     imsi: Imsi,
@@ -185,9 +152,9 @@ pub struct MobileStation {
     serving_bts: NodeId,
     neighbors: Neighbors,
     state: MsState,
-    tmsi: Option<Tmsi>,
-    /// Runs across calls: a call's first frame continues the last one's
-    /// numbering.
+    tmsi: Issued<Tmsi>,
+    /// The frames sent, over every call: a call's first frame continues
+    /// the last one's numbering.
     voice_seq: u32,
     registered_at: Stamp,
     /// The current dial's instant, until it connects or ends.
@@ -195,12 +162,6 @@ pub struct MobileStation {
     /// Why the last call ended before it connected; cleared by a dial.
     failure: Option<Cause>,
     leg: Option<Box<MsCall>>,
-    /// Frames received on the downlink (media experiments read this).
-    pub frames_received: u64,
-    /// Calls that reached the Active state.
-    pub calls_connected: u64,
-    /// Handoffs completed.
-    pub handoffs_completed: u64,
 }
 
 impl MobileStation {
@@ -210,19 +171,16 @@ impl MobileStation {
             imsi: config.imsi,
             ki: config.ki,
             lai: config.lai,
-            habits: Habits::new(&config),
+            habits: Habits::new(config.auto_answer_after, config.talk_on_connect),
             serving_bts,
             neighbors: Neighbors::new(serving_bts),
             state: MsState::Off,
-            tmsi: None,
+            tmsi: Issued::NONE,
             voice_seq: 0,
             registered_at: Stamp::default(),
             dialed_at: Stamp::default(),
             failure: None,
             leg: None,
-            frames_received: 0,
-            calls_connected: 0,
-            handoffs_completed: 0,
         }
     }
 
@@ -257,9 +215,14 @@ impl MobileStation {
         self.leg.as_ref().is_some_and(|leg| leg.handed_over)
     }
 
+    /// The voice frames the handset has sent, over every call.
+    pub fn frames_sent(&self) -> u32 {
+        self.voice_seq
+    }
+
     /// The TMSI allocated by the serving VLR, if registered.
     pub fn tmsi(&self) -> Option<Tmsi> {
-        self.tmsi
+        self.tmsi.get()
     }
 
     /// The subscriber's IMSI.
@@ -269,7 +232,7 @@ impl MobileStation {
 
     /// The identity the MS presents: TMSI when it has one, IMSI otherwise.
     fn identity(&self) -> MsIdentity {
-        match self.tmsi {
+        match self.tmsi.get() {
             Some(t) => MsIdentity::Tmsi(t),
             None => MsIdentity::Imsi(self.imsi),
         }
@@ -279,7 +242,7 @@ impl MobileStation {
     fn is_paged(&self, identity: MsIdentity) -> bool {
         match identity {
             MsIdentity::Imsi(i) => i == self.imsi,
-            MsIdentity::Tmsi(t) => Some(t) == self.tmsi,
+            MsIdentity::Tmsi(t) => Some(t) == self.tmsi.get(),
         }
     }
 
@@ -325,7 +288,6 @@ impl MobileStation {
 
     fn enter_active(&mut self, ctx: &mut Context<'_, Message>) {
         self.state = MsState::Active;
-        self.calls_connected += 1;
         ctx.count("ms.calls_connected");
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration("ms.call_setup_ms", ctx.now().duration_since(at));
@@ -367,7 +329,7 @@ impl MobileStation {
     /// The network accepted the location update.
     fn registered(&mut self, ctx: &mut Context<'_, Message>, tmsi: Option<Tmsi>) {
         if let Some(t) = tmsi {
-            self.tmsi = Some(t);
+            self.tmsi = t.into();
         }
         self.state = MsState::Idle;
         ctx.count("ms.registered");
@@ -609,7 +571,6 @@ impl MobileStation {
                 if let Some(bts) = self.neighbors.find(cell) {
                     self.serving_bts = bts;
                     self.leg().handed_over = true;
-                    self.handoffs_completed += 1;
                     ctx.count("ms.handoffs");
                     // HandoverComplete travels via the NEW cell.
                     self.send_um(ctx, Dtap::HandoverComplete { ho_ref });
@@ -618,7 +579,6 @@ impl MobileStation {
                 }
             }
             Dtap::VoiceFrame { origin_us, .. } => {
-                self.frames_received += 1;
                 ctx.count("ms.voice_frames_received");
                 let delay_us = ctx.now().as_micros().saturating_sub(origin_us);
                 ctx.observe("ms.voice_e2e_ms", delay_us as f64 / 1000.0);
@@ -705,7 +665,7 @@ impl Node<Message> for MobileStation {
     /// The serving cell's pages concern the MS by its IMSI or its TMSI.
     fn tuning(&self) -> Option<Tuning> {
         let imsi = MsIdentity::Imsi(self.imsi).key();
-        let tmsi = self.tmsi.map_or(imsi, |t| MsIdentity::Tmsi(t).key());
+        let tmsi = self.tmsi.get().map_or(imsi, |t| MsIdentity::Tmsi(t).key());
         Some(Tuning {
             to: self.serving_bts,
             keys: [imsi, tmsi],
@@ -754,11 +714,15 @@ mod tests {
     /// A handset at rest holds no call: the call's state is a box that
     /// exists only while the call does (192 bytes when the row carried
     /// a call's fields, the far number, a neighbor vector and the whole
-    /// configuration).
+    /// configuration; 120 while it kept three tallies of `Stats` counters
+    /// and an `Option` TMSI). At 88 bytes its box is a 96-byte malloc
+    /// chunk.
     #[test]
-    fn a_handset_is_120_bytes_and_its_call_48() {
-        assert_eq!(std::mem::size_of::<MobileStation>(), 120);
-        assert_eq!(std::mem::size_of::<MsCall>(), 48);
+    fn a_handset_is_88_bytes_and_its_call_48() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<MobileStation>(), 88);
+        assert_eq!(size_of::<Option<MobileStation>>(), 88);
+        assert_eq!(size_of::<MsCall>(), 48);
     }
 
     #[test]
@@ -811,7 +775,7 @@ mod tests {
         let (mut net, ms, bts) = rig(vec![Message::Um(Dtap::LocationUpdateReject {
             cause: Cause::ProtocolError,
         })]);
-        net.node_mut::<MobileStation>(ms).unwrap().tmsi = Some(Tmsi(9));
+        net.node_mut::<MobileStation>(ms).unwrap().tmsi = Tmsi(9).into();
         net.run_until_quiescent();
         let got = uplink(&net, bts);
         assert_eq!(got.len(), 1);
@@ -930,7 +894,7 @@ mod tests {
             Some(Dtap::HandoverComplete { ho_ref: 55 })
         ));
         assert!(uplink(&net, old_bts).is_empty());
-        assert_eq!(net.node::<MobileStation>(ms).unwrap().handoffs_completed, 1);
+        assert_eq!(net.stats().counter("ms.handoffs"), 1);
     }
 
     /// Dials `call` from an idle MS at time zero.
@@ -959,7 +923,8 @@ mod tests {
         assert_eq!((m.state(), m.call()), (MsState::Active, Some(call)));
         net.run_until_quiescent();
         let m = net.node::<MobileStation>(ms).unwrap();
-        assert_eq!((m.state(), m.calls_connected), (MsState::Idle, 1));
+        assert_eq!(m.state(), MsState::Idle);
+        assert_eq!(net.stats().counter("ms.calls_connected"), 1);
         assert!(m.leg.is_none(), "{:?}", m.leg);
         assert!(m.dialed_at.get().is_none(), "the connect read the dial time");
     }
@@ -1070,7 +1035,8 @@ mod tests {
         }
         net.run_until(SimTime::from_micros(25_000));
         let m = net.node::<MobileStation>(ms).unwrap();
-        assert_eq!((m.handoffs_completed, m.call()), (1, Some(call)));
+        assert_eq!(m.call(), Some(call));
+        assert_eq!(net.stats().counter("ms.handoffs"), 1);
         net.run_until_quiescent();
         let m = net.node::<MobileStation>(ms).unwrap();
         assert_eq!(m.state(), MsState::Idle);
@@ -1114,7 +1080,7 @@ mod tests {
             m.leg().call = Some(CallId(1));
         }
         net.run_until_quiescent();
-        assert_eq!(net.node::<MobileStation>(ms).unwrap().frames_received, 1);
+        assert_eq!(net.stats().counter("ms.voice_frames_received"), 1);
         // fed at t=10ms with origin 0 and 1 ms link latency → ~11 ms delay
         let h = net.stats().histogram("ms.voice_e2e_ms").unwrap();
         assert!((h.mean() - 11.0).abs() < 0.01, "mean {}", h.mean());

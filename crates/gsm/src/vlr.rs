@@ -41,10 +41,34 @@ struct VlrRecord {
 /// the triplet being verified is named by slot rather than copied.
 #[derive(Clone, Copy, Default)]
 struct Vectors {
-    held: [AuthTriplet; Vectors::CAP],
+    held: [Packed; Vectors::CAP],
     len: u8,
     /// The slot of the triplet last spent: the one being verified.
     current: Option<u8>,
+}
+
+/// An [`AuthTriplet`] in 20 bytes rather than 24: its 64-bit challenge
+/// and key as 32-bit halves, so the vectors align to four and pad
+/// nothing.
+#[derive(Clone, Copy, Default)]
+struct Packed([u32; 5]);
+
+impl Packed {
+    fn new(t: AuthTriplet) -> Self {
+        let halves = |w: u64| [w as u32, (w >> 32) as u32];
+        let ([rand_lo, rand_hi], [kc_lo, kc_hi]) = (halves(t.rand), halves(t.kc));
+        Packed([rand_lo, rand_hi, t.sres, kc_lo, kc_hi])
+    }
+
+    fn get(self) -> AuthTriplet {
+        let [rand_lo, rand_hi, sres, kc_lo, kc_hi] = self.0;
+        let whole = |lo: u32, hi: u32| u64::from(lo) | u64::from(hi) << 32;
+        AuthTriplet {
+            rand: whole(rand_lo, rand_hi),
+            sres,
+            kc: whole(kc_lo, kc_hi),
+        }
+    }
 }
 
 impl Vectors {
@@ -55,7 +79,9 @@ impl Vectors {
     fn keep(triplets: &[AuthTriplet]) -> Self {
         let kept = &triplets[triplets.len().saturating_sub(Self::CAP)..];
         let mut vectors = Vectors::default();
-        vectors.held[..kept.len()].copy_from_slice(kept);
+        for (slot, &t) in vectors.held.iter_mut().zip(kept) {
+            *slot = Packed::new(t);
+        }
         vectors.len = kept.len() as u8;
         vectors
     }
@@ -64,12 +90,18 @@ impl Vectors {
     fn pop(&mut self) -> Option<AuthTriplet> {
         self.len = self.len.checked_sub(1)?;
         self.current = Some(self.len);
-        Some(self.held[usize::from(self.len)])
+        Some(self.held[usize::from(self.len)].get())
     }
 
     /// The triplet being verified, if one was ever spent.
     fn current(&self) -> Option<AuthTriplet> {
-        self.current.map(|slot| self.held[usize::from(slot)])
+        self.current.map(|slot| self.held[usize::from(slot)].get())
+    }
+
+    /// The vectors not spent yet.
+    fn unspent(&self) -> Vec<AuthTriplet> {
+        let held = &self.held[..usize::from(self.len)];
+        held.iter().map(|p| p.get()).collect()
     }
 }
 
@@ -79,7 +111,7 @@ impl Vectors {
 impl fmt::Debug for Vectors {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Vectors")
-            .field("held", &&self.held[..usize::from(self.len)])
+            .field("held", &self.unspent())
             .field("current", &self.current())
             .finish()
     }
@@ -636,6 +668,7 @@ impl Node<Message> for Vlr {
 mod tests {
     use super::*;
     use vgprs_sim::{Network, ScriptedPeer, SimDuration};
+    use vgprs_wire::Issued;
 
     fn imsi() -> Imsi {
         Imsi::parse("466920123456789").unwrap()
@@ -857,10 +890,36 @@ mod tests {
     }
 
     /// A record names the triplet being verified by its slot among the
-    /// held vectors (144 bytes when it kept a copy beside them).
+    /// held vectors (144 bytes when it kept a copy beside them, 112
+    /// while a vector took 24).
     #[test]
-    fn a_record_is_112_bytes() {
-        assert_eq!(std::mem::size_of::<VlrRecord>(), 112);
+    fn a_record_is_96_bytes() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<VlrRecord>(), 96);
+        assert_eq!(size_of::<Option<VlrRecord>>(), 96);
+    }
+
+    #[test]
+    fn a_packed_vector_is_the_triplet() {
+        let t = AuthTriplet {
+            rand: 0x0123_4567_89AB_CDEF,
+            sres: 0xFEDC_BA98,
+            kc: u64::MAX - 5,
+        };
+        assert_eq!(Packed::new(t).get(), t);
+    }
+
+    /// A TMSI carries the VLR's top bits, so none is 0: the niche where
+    /// a handset and the VMSC's MS table hold no TMSI.
+    #[test]
+    fn no_tmsi_is_the_niche() {
+        for n in [0, 1, 0x0FFF_FFFF, 0x5FFF_FFFF, u32::MAX] {
+            assert_ne!(Vlr::tmsi(n).0, 0, "the {n}th TMSI");
+        }
+        let (mut net, vlr, _msc, _hlr) = rig();
+        let v = net.node_mut::<Vlr>(vlr).unwrap();
+        v.next_tmsi = u32::MAX - 1;
+        assert!(Issued::from(v.alloc_tmsi(imsi())).is_some());
     }
 
     #[test]
@@ -870,13 +929,12 @@ mod tests {
             ..AuthTriplet::default()
         };
         let mut v = Vectors::keep(&[t(1), t(2), t(3), t(4)]);
-        let held = |v: &Vectors| format!("{:?}", &v.held[..usize::from(v.len)]);
-        assert_eq!(held(&v), format!("{:?}", [t(2), t(3), t(4)]));
+        assert_eq!(v.unspent(), [t(2), t(3), t(4)]);
         assert_eq!(v.current(), None);
         let spent = [v.pop(), v.pop(), v.pop(), v.pop()];
         assert_eq!(spent, [Some(t(4)), Some(t(3)), Some(t(2)), None]);
         // An empty record still names the triplet it spent last.
-        assert_eq!((held(&v), v.current()), ("[]".to_owned(), Some(t(2))));
+        assert_eq!((v.unspent(), v.current()), (Vec::new(), Some(t(2))));
     }
 
     #[test]

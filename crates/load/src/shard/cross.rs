@@ -12,7 +12,7 @@ use vgprs_sim::{NodeId, SimTime};
 use vgprs_wire::{CallId, Cause, CellId, Command, ConnRef, Dtap, Imsi, MapMessage, Message};
 
 use super::driver::{Action, Call, CONNECT_GRACE_MS};
-use super::Shard;
+use super::{Ix, Shard};
 use crate::mailbox::{ExpiredKind, Flit, TrunkGate, BORDER_CELL};
 
 /// A cross-shard trip landing mid-call only hands off when the call is
@@ -94,7 +94,7 @@ impl Shard {
             let mute_at_ms = at_us / 1000 + HANDOFF_VOICE_MS;
             if mute_at_ms * 1000 + 500_000 < busy_until_us {
                 let call = Call {
-                    local,
+                    local: Ix::new(local),
                     peer_local: None,
                     orig: ms,
                     peer,

@@ -16,8 +16,8 @@ use vgprs_h323::{H323Terminal, TerminalState};
 use vgprs_sim::{NodeId, SimRng};
 use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn};
 
-use super::{alias_for, msisdn_for, Shard};
-use crate::population::{Arrival, CallKind};
+use super::{alias_for, msisdn_for, Ix, Shard};
+use crate::population::CallKind;
 
 /// Answer delay plus setup slack: voice is up by this long after a
 /// dial that connects (both endpoint types auto-answer after 2 s).
@@ -42,7 +42,7 @@ const REDIAL_BASE_MS: u64 = 2_000;
 const REDIAL_JITTER_MS: u64 = 500;
 
 /// A caller whose call died retries at most this many times.
-const MAX_REDIALS: u32 = 2;
+const MAX_REDIALS: u8 = 2;
 
 /// Why a dial did not connect: the fault window that overlapped the
 /// attempt, or else the cause its originating endpoint was released
@@ -114,23 +114,30 @@ impl Failure {
     }
 }
 
-/// One planned call and which try at it this is.
+/// One planned call and which try at it this is: the plan's
+/// [`Arrival`](crate::population::Arrival) with the callee of a
+/// mobile-to-mobile call drawn already, so the schedule holds a
+/// subscriber index rather than the raw draw.
 #[derive(Clone, Copy)]
 pub(super) struct Dial {
-    pub local: usize,
-    pub arrival: Arrival,
-    /// `0` for the plan's own attempt, dialed at `arrival.at_ms`; a
-    /// backed-off re-attempt of a call the probe found dead counts up
-    /// from 1.
-    pub attempt_no: u32,
+    /// The plan's instant, kept by every re-attempt.
+    pub at_ms: u64,
+    pub hold_ms: u64,
+    pub kind: CallKind,
+    /// The called subscriber of a mobile-to-mobile call; `None` for the
+    /// other kinds, and in a shard of one, where there is nobody to call.
+    pub callee: Option<Ix>,
+    /// `0` for the plan's own attempt, dialed at `at_ms`; a backed-off
+    /// re-attempt of a call the probe found dead counts up from 1.
+    pub attempt_no: u8,
 }
 
 /// One dialed call as its scheduled follow-ups remember it.
 #[derive(Clone, Copy)]
 pub(super) struct Call {
-    pub local: usize,
+    pub local: Ix,
     /// The called subscriber of a mobile-to-mobile call.
-    pub peer_local: Option<usize>,
+    pub peer_local: Option<Ix>,
     /// The endpoint that dialed, and the far one.
     pub orig: NodeId,
     pub peer: NodeId,
@@ -141,8 +148,9 @@ pub(super) struct Call {
 }
 
 /// Driver-scheduled actions, totally ordered by `(time, sequence)`.
+/// A subscriber is named once per action, by its index in four bytes.
 pub(super) enum Action {
-    Attempt(Dial),
+    Attempt(Ix, Dial),
     /// Judges whether a dialed call reached the talking phase; a
     /// failure is torn down and, if the caller would, redialed with
     /// back-off.
@@ -150,7 +158,7 @@ pub(super) enum Action {
     Hangup(Call),
     Mute(Call),
     Move {
-        local: usize,
+        local: Ix,
         cell: CellId,
     },
     /// Impairment window `i` of the fault plan opens.
@@ -162,11 +170,11 @@ pub(super) enum Action {
 impl Shard {
     pub(super) fn handle_action(&mut self, at_us: u64, action: Action) {
         match action {
-            Action::Attempt(dial) => self.attempt(at_us, dial),
+            Action::Attempt(local, dial) => self.attempt(at_us, local.get(), dial),
             Action::Probe(call, dial) => self.probe(at_us, call, dial),
             Action::Hangup(call) => self.hangup(at_us, call),
             Action::Mute(call) => self.mute(call),
-            Action::Move { local, cell } => self.relocate(local, at_us, cell),
+            Action::Move { local, cell } => self.relocate(local.get(), at_us, cell),
             Action::FaultStart(i) => self.fault_start(i),
             Action::FaultEnd(i) => self.fault_end(i),
         }
@@ -208,34 +216,30 @@ impl Shard {
         &mut self,
         at_us: u64,
         local: usize,
-        arrival: Arrival,
-    ) -> Option<(NodeId, Msisdn, NodeId, Option<usize>)> {
+        dial: Dial,
+    ) -> Option<(NodeId, Msisdn, NodeId, Option<Ix>)> {
         let (sub, global) = (&self.subs[local], self.cfg.base_index + local);
-        match arrival.kind {
+        match dial.kind {
             CallKind::MoToTerminal => Some((sub.ms, alias_for(global), sub.terminal, None)),
             CallKind::MtFromTerminal => Some((sub.terminal, msisdn_for(global), sub.ms, None)),
             CallKind::MsToMs => {
-                if self.cfg.subscribers < 2 {
+                let Some(callee) = dial.callee else {
                     self.count("load.no_peer_available");
                     return None;
-                }
-                let mut p = (arrival.peer_draw % (self.cfg.subscribers as u64 - 1)) as usize;
-                if p >= local {
-                    p += 1;
-                }
+                };
+                let p = callee.get();
                 if !self.is_free(p, at_us) {
                     return None;
                 }
                 let ms = self.subs[local].ms;
-                self.occupy(p, at_us, arrival.hold_ms, ms);
-                let callee = msisdn_for(self.cfg.base_index + p);
-                Some((ms, callee, self.subs[p].ms, Some(p)))
+                self.occupy(p, at_us, dial.hold_ms, ms);
+                let number = msisdn_for(self.cfg.base_index + p);
+                Some((ms, number, self.subs[p].ms, Some(callee)))
             }
         }
     }
 
-    fn attempt(&mut self, at_us: u64, dial: Dial) {
-        let Dial { local, arrival, .. } = dial;
+    fn attempt(&mut self, at_us: u64, local: usize, dial: Dial) {
         if dial.attempt_no > 0 {
             self.count("load.redial_attempts");
         }
@@ -243,7 +247,7 @@ impl Shard {
         if !self.is_free(local, at_us) {
             return;
         }
-        let Some((orig, called, peer, peer_local)) = self.parties(at_us, local, arrival) else {
+        let Some((orig, called, peer, peer_local)) = self.parties(at_us, local, dial) else {
             return;
         };
         // The far party as seen from the subscriber's handset (for MT
@@ -253,7 +257,7 @@ impl Shard {
         } else {
             orig
         };
-        self.occupy(local, at_us, arrival.hold_ms, far);
+        self.occupy(local, at_us, dial.hold_ms, far);
         // Counted here, past the away/busy skips, so the regime
         // denominators cover exactly the calls the drop probe sees.
         let at_ms = at_us / 1000;
@@ -266,18 +270,18 @@ impl Shard {
         // probe would race their teardown).
         let probe_ms = CONNECT_GRACE_MS + PROBE_DELAY_MS;
         let call = Call {
-            local,
+            local: Ix::new(local),
             peer_local,
             orig,
             peer,
             gen: self.subs[local].gen,
-            probed: probe_ms + 500 < arrival.hold_ms,
+            probed: probe_ms + 500 < dial.hold_ms,
         };
         let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
-        if mute_ms < arrival.hold_ms {
+        if mute_ms < dial.hold_ms {
             self.push(at_ms + mute_ms, Action::Mute(call));
         }
-        self.push(at_ms + arrival.hold_ms, Action::Hangup(call));
+        self.push(at_ms + dial.hold_ms, Action::Hangup(call));
         if call.probed {
             self.push(at_ms + probe_ms, Action::Probe(call, dial));
         }
@@ -297,7 +301,7 @@ impl Shard {
     /// of a call the driver abandoned is counted and must do nothing (a
     /// stale hangup would tear down the redialed successor).
     fn is_current(&mut self, call: Call) -> bool {
-        let current = self.subs[call.local].gen == call.gen;
+        let current = self.subs[call.local.get()].gen == call.gen;
         if !current {
             self.count("load.stale_actions");
         }
@@ -309,7 +313,7 @@ impl Shard {
     /// overlapped the attempt, the cause the endpoint was released
     /// with, or a setup timeout while it is still setting up.
     fn verdict(&self, call: Call, now_ms: u64) -> Option<Failure> {
-        let sub = &self.subs[call.local];
+        let sub = &self.subs[call.local.get()];
         let (active, cause) = if call.orig == sub.ms {
             let ms = self.net.node::<MobileStation>(call.orig);
             let ms = ms.expect("subscriber MS");
@@ -341,7 +345,10 @@ impl Shard {
             return None;
         };
         self.count(failure.counter());
-        self.count_regime("dropped", self.subs[call.local].call_started_us / 1000);
+        self.count_regime(
+            "dropped",
+            self.subs[call.local.get()].call_started_us / 1000,
+        );
         self.cmd(call.orig, Command::Hangup);
         self.cmd(call.peer, Command::Hangup);
         Some(failure)
@@ -351,7 +358,7 @@ impl Shard {
     /// torn down, both parties are freed, and a caller who would try
     /// again redials with exponential back-off and seeded jitter.
     fn probe(&mut self, at_us: u64, call: Call, dial: Dial) {
-        let (local, attempt_no) = (call.local, dial.attempt_no);
+        let (local, attempt_no) = (call.local.get(), dial.attempt_no);
         if self.subs[local].gen != call.gen || self.subs[local].away {
             // Handed off, which a handset is only while talking (and
             // perhaps torn by a trunk partition since).
@@ -361,17 +368,17 @@ impl Shard {
         let Some(failure) = self.judge(at_us, call) else {
             let faulted = FaultClass::ALL
                 .into_iter()
-                .any(|c| self.plan.overlaps(c, dial.arrival.at_ms, now_ms));
+                .any(|c| self.plan.overlaps(c, dial.at_ms, now_ms));
             if attempt_no > 0 && faulted {
                 // Time from the original (failed) dial to a verified
                 // live call on a later attempt.
-                let recovery_ms = (now_ms - dial.arrival.at_ms) as f64;
+                let recovery_ms = (now_ms - dial.at_ms) as f64;
                 self.observe("load.redial_recovery_ms", recovery_ms);
             }
             return;
         };
         self.abandon(local, at_us);
-        if let Some(p) = call.peer_local {
+        if let Some(p) = call.peer_local.map(Ix::get) {
             self.subs[p].busy_until_us = at_us;
             self.subs[p].current_peer = None;
         }
@@ -390,7 +397,7 @@ impl Shard {
             attempt_no: attempt_no + 1,
             ..dial
         };
-        self.push(now_ms + back_ms, Action::Attempt(redial));
+        self.push(now_ms + back_ms, Action::Attempt(call.local, redial));
     }
 
     fn hangup(&mut self, at_us: u64, call: Call) {
@@ -403,7 +410,10 @@ impl Shard {
         let parties = [Some(call.local), call.peer_local];
         if !torn {
             self.cmd(call.orig, Command::Hangup);
-            let away = parties.iter().flatten().any(|&l| self.subs[l].handed_off);
+            let away = parties
+                .iter()
+                .flatten()
+                .any(|l| self.subs[l.get()].handed_off);
             if away || self.moved(call.orig) || self.moved(call.peer) {
                 // A release never crosses the inter-MSC leg of a call
                 // handed over to another MSC, here or across the
@@ -414,7 +424,7 @@ impl Shard {
             }
         }
         for local in parties.into_iter().flatten() {
-            let sub = &mut self.subs[local];
+            let sub = &mut self.subs[local.get()];
             sub.current_peer = None;
             sub.silent_since.take();
             if std::mem::take(&mut sub.pending_return) {
@@ -467,10 +477,12 @@ mod tests {
     ];
 
     /// Subscriber 0's try number `attempt_no` at a call planned for 10 ms.
-    fn dial(attempt_no: u32) -> Dial {
+    fn dial(attempt_no: u8) -> Dial {
         Dial {
-            local: 0,
-            arrival: call_at(10),
+            at_ms: 10,
+            hold_ms: call_at(10).hold_ms,
+            kind: CallKind::MoToTerminal,
+            callee: None,
             attempt_no,
         }
     }
@@ -478,11 +490,11 @@ mod tests {
     #[test]
     fn only_a_redial_counts_as_one() {
         let mut shard = idle_shard(1);
-        shard.handle_action(10_000, Action::Attempt(dial(0)));
+        shard.handle_action(10_000, Action::Attempt(Ix::new(0), dial(0)));
         assert_eq!(counter(&shard, "load.attempts"), 1);
         assert_eq!(counter(&shard, "load.redial_attempts"), 0);
 
-        shard.handle_action(20_000_000, Action::Attempt(dial(1)));
+        shard.handle_action(20_000_000, Action::Attempt(Ix::new(0), dial(1)));
         assert_eq!(counter(&shard, "load.attempts"), 2);
         assert_eq!(counter(&shard, "load.redial_attempts"), 1);
     }
@@ -495,7 +507,7 @@ mod tests {
     fn the_third_failed_probe_gives_up() {
         let mut shard = idle_shard(1);
         let call = |gen| Call {
-            local: 0,
+            local: Ix::new(0),
             peer_local: None,
             orig: shard.subs[0].ms,
             peer: shard.subs[0].terminal,

@@ -119,15 +119,16 @@ pub struct ShardReport {
     pub snapshots: Vec<SnapshotFrame>,
 }
 
-/// A shard index in four bytes, with `None` in its niche: an optional
-/// shard in the driver's row costs four bytes rather than sixteen.
+/// A shard's or a subscriber's index in four bytes, with `None` in its
+/// niche: an optional one in the driver's row or schedule costs four
+/// bytes rather than sixteen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct ShardIx(NonZeroU32);
+struct Ix(NonZeroU32);
 
-impl ShardIx {
+impl Ix {
     fn new(index: usize) -> Self {
         let above = u32::try_from(index + 1).ok().and_then(NonZeroU32::new);
-        ShardIx(above.expect("a shard index fits in 32 bits"))
+        Ix(above.expect("an index fits in 32 bits"))
     }
 
     fn get(self) -> usize {
@@ -151,7 +152,7 @@ struct Subscriber {
     /// handed-off call's teardown.
     current_peer: Option<NodeId>,
     /// Destination shard of this subscriber's cross-shard trip, if any.
-    cross_target: Option<ShardIx>,
+    cross_target: Option<Ix>,
     /// Currently outside the home shard (attempts are suppressed).
     away: bool,
     /// Away *mid-call*: radio leg lives at the destination VMSC, the
@@ -170,7 +171,7 @@ struct Subscriber {
     silent_since: Stamp,
     /// A trunk partition toward this shard tore the subscriber's
     /// handed-off call down, until that trunk heals ...
-    torn_by: Option<ShardIx>,
+    torn_by: Option<Ix>,
     /// ... at this ms (read only while `torn_by` is set).
     torn_ms: u64,
 }
@@ -178,12 +179,12 @@ struct Subscriber {
 impl Subscriber {
     /// The shard this subscriber's cross-shard trip goes to, if any.
     fn cross_target(&self) -> Option<usize> {
-        self.cross_target.map(ShardIx::get)
+        self.cross_target.map(Ix::get)
     }
 
     /// Strands the subscriber until the trunk toward `peer` heals.
     fn tear(&mut self, peer: usize, at_ms: u64) {
-        (self.torn_by, self.torn_ms) = (Some(ShardIx::new(peer)), at_ms);
+        (self.torn_by, self.torn_ms) = (Some(Ix::new(peer)), at_ms);
     }
 
     /// The ms the trunk toward `peer` tore the subscriber's call down
@@ -546,9 +547,22 @@ mod tests {
     #[test]
     fn a_subscriber_row_is_64_bytes() {
         assert_eq!(std::mem::size_of::<Subscriber>(), 64);
-        assert_eq!(std::mem::size_of::<Option<ShardIx>>(), 4);
-        let ix = ShardIx::new(4_095);
-        assert_eq!((ix.get(), ShardIx::new(0).get()), (4_095, 0));
+        assert_eq!(std::mem::size_of::<Option<Ix>>(), 4);
+        let ix = Ix::new(4_095);
+        assert_eq!((ix.get(), Ix::new(0).get()), (4_095, 0));
+    }
+
+    /// A schedule entry names its subscriber once, in four bytes, and
+    /// a probe carries one dial (an 88-byte action and a 112-byte entry
+    /// when a probe held two `usize` copies of the subscriber and the
+    /// plan's whole arrival).
+    #[test]
+    fn a_scheduled_action_is_48_bytes_and_its_entry_72() {
+        use super::driver::{Call, Dial};
+        use std::mem::size_of;
+        assert_eq!((size_of::<Dial>(), size_of::<Call>()), (24, 24));
+        assert_eq!(size_of::<Action>(), 48);
+        assert_eq!(CalendarWheel::<Action>::ENTRY_BYTES, 72);
     }
 
     /// A run call the network's event cap cuts short is counted; a run

@@ -18,9 +18,9 @@ use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTim
 use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, TransportAddr};
 
 use super::driver::{Action, Dial};
-use super::{alias_for, imsi_for, ki_for, msisdn_for, Shard, ShardConfig, ShardIx, Subscriber};
+use super::{alias_for, imsi_for, ki_for, msisdn_for, Ix, Shard, ShardConfig, Subscriber};
 use crate::mailbox::{RadioGate, TrunkGate, BORDER_CELL};
-use crate::population::SubscriberPlan;
+use crate::population::{Arrival, CallKind, SubscriberPlan};
 use crate::snapshot::SnapshotRecorder;
 
 /// Stream-class salt for per-shard network seeds.
@@ -167,7 +167,7 @@ fn add_subscribers(
             busy_until_us: 0,
             call_started_us: 0,
             current_peer: None,
-            cross_target: cross_target.map(ShardIx::new),
+            cross_target: cross_target.map(Ix::new),
             away: false,
             handed_off: false,
             pending_return: false,
@@ -296,19 +296,16 @@ impl Shard {
     fn schedule(&mut self, plans: &[SubscriberPlan], neighbor_cell: CellId) {
         let home = self.home.access.cell;
         for (local, plan) in plans.iter().enumerate() {
+            let ix = Ix::new(local);
             for &arrival in &plan.arrivals {
-                let dial = Dial {
-                    local,
-                    arrival,
-                    attempt_no: 0,
-                };
-                self.push(arrival.at_ms, Action::Attempt(dial));
+                let dial = planned_dial(arrival, local, self.cfg.subscribers);
+                self.push(arrival.at_ms, Action::Attempt(ix, dial));
             }
             if let Some(e) = plan.excursion {
                 let crosses = self.subs[local].cross_target.is_some();
                 let out = if crosses { BORDER_CELL } else { neighbor_cell };
-                self.push(e.out_ms, Action::Move { local, cell: out });
-                self.push(e.back_ms, Action::Move { local, cell: home });
+                self.push(e.out_ms, Action::Move { local: ix, cell: out });
+                self.push(e.back_ms, Action::Move { local: ix, cell: home });
             }
         }
         for i in 0..self.plan.events.len() {
@@ -316,5 +313,47 @@ impl Shard {
             self.push(window.at_ms, Action::FaultStart(i));
             self.push(window.at_ms + window.duration_ms, Action::FaultEnd(i));
         }
+    }
+}
+
+/// The plan's own attempt at `arrival` by subscriber `local` of a shard
+/// of `subscribers`: the draw picks a callee among the others.
+fn planned_dial(arrival: Arrival, local: usize, subscribers: usize) -> Dial {
+    let others = subscribers.saturating_sub(1) as u64;
+    let callee = (arrival.kind == CallKind::MsToMs && others > 0).then(|| {
+        let p = (arrival.peer_draw % others) as usize;
+        Ix::new(if p >= local { p + 1 } else { p })
+    });
+    Dial {
+        at_ms: arrival.at_ms,
+        hold_ms: arrival.hold_ms,
+        kind: arrival.kind,
+        callee,
+        attempt_no: 0,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::call_at;
+    use super::*;
+
+    /// The draw picks a callee among the other subscribers, and a shard
+    /// of one has nobody to call.
+    #[test]
+    fn a_planned_dial_draws_its_callee_among_the_others() {
+        let draw = |peer_draw, local, subscribers| {
+            let arrival = Arrival {
+                kind: CallKind::MsToMs,
+                peer_draw,
+                ..call_at(10)
+            };
+            planned_dial(arrival, local, subscribers).callee.map(Ix::get)
+        };
+        assert_eq!(draw(0, 0, 4), Some(1));
+        assert_eq!(draw(0, 2, 4), Some(0));
+        assert_eq!(draw(5, 2, 4), Some(3));
+        assert_eq!(draw(5, 0, 1), None);
+        assert_eq!(planned_dial(call_at(10), 0, 4).callee, None);
     }
 }

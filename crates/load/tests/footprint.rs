@@ -13,6 +13,12 @@
 //! It counts only what the test's own thread allocates inside
 //! `measured`: the harness's main thread still allocates while a test
 //! runs, and neither it nor the test's own printing is the shard.
+//!
+//! Beside the bytes asked for, it prints what those allocations take in
+//! glibc malloc chunks (the request plus an 8-byte header, rounded up
+//! to 16, at least 32): a row trimmed inside its chunk saves no memory,
+//! and only that figure shows it. The chunk figure is printed, not
+//! gated.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +29,10 @@ use vgprs_load::{
 };
 
 /// (bytes, allocations) one shard may hold once built and registered.
-/// Measured: 245 552 in 632, plus 5 %, with a handset, a terminal, a
+/// Measured: 203 552 in 632, plus 5 %, with no handset or terminal
+/// keeping a tally of a `Stats` counter, the IDs a row holds in niches,
+/// the VLR's vectors packed and a schedule entry 72 bytes (245 552 in
+/// 632 before). That one had a handset, a terminal, a
 /// VLR record and the driver's row holding only what outlives a call
 /// (301 712 in 661 with a call's fields in every row, the same whether
 /// every thread is counted or only this one). That one had a node's
@@ -45,26 +54,29 @@ use vgprs_load::{
 /// slack and keeps its node names in one string: 757 936 in 1 479
 /// before those, and with a buffer per wheel slot and a hash table of
 /// links 921 932 in 1 797.
-const AFTER_NEW: (isize, isize) = (257_000, 663);
-/// The same once its busy hour has drained. Measured: 287 320 in 855,
-/// plus 5 % (343 608 in 884 with a call's fields in every row; 351 968
+const AFTER_NEW: (isize, isize) = (213_000, 663);
+/// The same once its busy hour has drained. Measured: 244 364 in 854,
+/// plus 5 % (287 320 in 855 with the tallies, `Option` IDs and 24-byte
+/// vectors; 343 608 in 884 with a call's fields in every row; 351 968
 /// in 888 with a spill vector per row; 431 316 in
 /// 1 118 with issued IDs hashed; 431 616 in 1 118 when the ladder ran;
 /// 537 552 in 1 110 before number blocks for home numbers; 613 296 in
 /// 1 110 with the registration slab kept; 781 932 in 1 641 and 976 200
 /// in 2 219 before that, the parked slot buffers having grown).
-const AFTER_RUN: (isize, isize) = (301_000, 897);
+const AFTER_RUN: (isize, isize) = (256_000, 896);
 /// Bytes a built shard holds per subscriber beyond the 128th — the
-/// per-subscriber figure that peak RSS only estimates. Measured: 915
-/// (1 135 with a call's fields in every row; 1 165 with a spill vector
+/// per-subscriber figure that peak RSS only estimates. Measured: 751,
+/// 767 in malloc chunks (915, 931 in chunks, with the tallies, `Option`
+/// IDs and 24-byte vectors; 1 135 with a call's fields in every row; 1 165 with a spill vector
 /// per row and the cell's paging list),
 /// whether the registration is written or run (1 527 with issued IDs
 /// hashed, the VLR's vectors in a `Vec` and the driver's row holding
 /// both numbers; 1 943 before number blocks; 2 255 with the
 /// registration slab kept; 2 913 before one-word IDs).
-const PER_SUBSCRIBER: isize = 960;
+const PER_SUBSCRIBER: isize = 788;
 
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
+static LIVE_CHUNK_BYTES: AtomicIsize = AtomicIsize::new(0);
 static LIVE_ALLOCATIONS: AtomicIsize = AtomicIsize::new(0);
 
 thread_local! {
@@ -72,10 +84,17 @@ thread_local! {
     static MEASURING: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Counts `bytes` in `allocations` if this thread is measuring.
-fn count(bytes: isize, allocations: isize) {
+/// The glibc malloc chunk a request of `size` bytes takes.
+fn chunk(size: usize) -> isize {
+    ((size + 8).next_multiple_of(16)).max(32) as isize
+}
+
+/// Counts `bytes` (`chunks` in malloc chunks) in `allocations` if this
+/// thread is measuring.
+fn count(bytes: isize, chunks: isize, allocations: isize) {
     if MEASURING.try_with(Cell::get).unwrap_or(false) {
         LIVE_BYTES.fetch_add(bytes, Relaxed);
+        LIVE_CHUNK_BYTES.fetch_add(chunks, Relaxed);
         LIVE_ALLOCATIONS.fetch_add(allocations, Relaxed);
     }
 }
@@ -94,17 +113,18 @@ struct Counting;
 // statistics that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size() as isize, 1);
+        count(layout.size() as isize, chunk(layout.size()), 1);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(-(layout.size() as isize), -1);
+        count(-(layout.size() as isize), -chunk(layout.size()), -1);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size as isize - layout.size() as isize, 0);
+        let chunks = chunk(new_size) - chunk(layout.size());
+        count(new_size as isize - layout.size() as isize, chunks, 0);
         // SAFETY: the caller's contract, passed on.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -115,6 +135,10 @@ static ALLOCATOR: Counting = Counting;
 
 fn live() -> (isize, isize) {
     (LIVE_BYTES.load(Relaxed), LIVE_ALLOCATIONS.load(Relaxed))
+}
+
+fn live_chunks() -> isize {
+    LIVE_CHUNK_BYTES.load(Relaxed)
 }
 
 fn shard_config(subscribers: usize) -> ShardConfig {
@@ -153,11 +177,12 @@ fn a_shard_stays_within_its_footprint() {
     let cfg = shard_config(256);
     let plans = plans_for(&cfg);
 
-    let (bytes0, allocations0) = live();
+    let ((bytes0, allocations0), chunks0) = (live(), live_chunks());
     let held = |what: &str, max_bytes: isize, max_allocations: isize| {
         let (bytes, allocations) = live();
         let (bytes, allocations) = (bytes - bytes0, allocations - allocations0);
-        println!("{what}: {bytes} bytes live in {allocations} allocations");
+        let chunks = live_chunks() - chunks0;
+        println!("{what}: {bytes} bytes live in {allocations} allocations ({chunks} in chunks)");
         assert!(
             bytes <= max_bytes && allocations <= max_allocations,
             "{what}: {bytes} bytes in {allocations} allocations, \
@@ -185,15 +210,19 @@ fn a_shard_stays_within_its_footprint() {
     let built = |subscribers| {
         let cfg = shard_config(subscribers);
         let plans = plans_for(&cfg);
-        let before = live().0;
+        let before = (live().0, live_chunks());
         let shard = measured(|| Shard::new(&cfg, &plans));
-        let bytes = live().0 - before;
+        let bytes = (live().0 - before.0, live_chunks() - before.1);
         measured(|| drop(shard));
         bytes
     };
-    let (small, large) = (built(128), built(256));
+    let ((small, small_chunks), (large, large_chunks)) = (built(128), built(256));
     let per_subscriber = (large - small) / 128;
-    println!("per extra subscriber: {per_subscriber} bytes (128: {small}, 256: {large})");
+    let chunks_per_subscriber = (large_chunks - small_chunks) / 128;
+    println!(
+        "per extra subscriber: {per_subscriber} bytes, {chunks_per_subscriber} in chunks \
+         (128: {small}, 256: {large})"
+    );
     assert!(
         per_subscriber <= PER_SUBSCRIBER,
         "{per_subscriber} bytes per extra subscriber, over the bound of {PER_SUBSCRIBER}"

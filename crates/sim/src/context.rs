@@ -168,7 +168,7 @@ mod tests {
     ) -> Context<'a, u32> {
         Context {
             now: SimTime::from_micros(1_000),
-            self_id: NodeId(3),
+            self_id: NodeId::new(3),
             effects: Vec::new(),
             notes: true,
             rng,
@@ -183,7 +183,7 @@ mod tests {
         let mut stats = Stats::new();
         let mut nt = TimerTable::new();
         let mut c = ctx(&mut rng, &mut stats, &mut nt);
-        c.send(NodeId(1), 42);
+        c.send(NodeId::new(1), 42);
         let t = c.set_timer(SimDuration::from_millis(5), 9);
         c.cancel_timer(t);
         c.note("hello");
@@ -243,7 +243,7 @@ mod tests {
         let mut stats = Stats::new();
         let mut nt = TimerTable::new();
         let c = ctx(&mut rng, &mut stats, &mut nt);
-        assert_eq!(c.id(), NodeId(3));
+        assert_eq!(c.id(), NodeId::new(3));
         assert_eq!(c.now(), SimTime::from_micros(1_000));
     }
 }

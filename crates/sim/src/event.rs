@@ -252,7 +252,7 @@ mod tests {
 
     fn timer_event(node: u32, tag: u64) -> EventKind<()> {
         EventKind::Timer {
-            node: NodeId(node),
+            node: NodeId::new(node),
             token: TimerToken(tag),
             tag,
         }

@@ -147,29 +147,29 @@ mod tests {
         t.register_node("BSC");
         t.record_message(
             SimTime::from_micros(1_000),
-            NodeId(0),
-            NodeId(1),
+            NodeId::new(0),
+            NodeId::new(1),
             Interface::Um,
             "Um_Setup".into(),
             String::new(),
         );
         t.record_message(
             SimTime::from_micros(2_000),
-            NodeId(1),
-            NodeId(2),
+            NodeId::new(1),
+            NodeId::new(2),
             Interface::Abis,
             "Abis_Setup".into(),
             String::new(),
         );
         t.record_message(
             SimTime::from_micros(3_000),
-            NodeId(2),
-            NodeId(0),
+            NodeId::new(2),
+            NodeId::new(0),
             Interface::A,
             "Back".into(),
             String::new(),
         );
-        t.record_note(SimTime::from_micros(4_000), NodeId(2), "Step 2.1 done".into());
+        t.record_note(SimTime::from_micros(4_000), NodeId::new(2), "Step 2.1 done".into());
         t
     }
 

@@ -219,16 +219,16 @@ mod tests {
         let fast = LinkQuality::new(SimDuration::from_millis(1));
         let slow = LinkQuality::new(SimDuration::from_millis(9));
         let link = Link {
-            a: NodeId(0),
-            b: NodeId(1),
+            a: NodeId::new(0),
+            b: NodeId::new(1),
             config: LinkConfig {
                 interface: Interface::Gn,
                 forward: fast,
                 reverse: slow,
             },
         };
-        assert_eq!(link.quality_from(NodeId(0)), fast);
-        assert_eq!(link.quality_from(NodeId(1)), slow);
+        assert_eq!(link.quality_from(NodeId::new(0)), fast);
+        assert_eq!(link.quality_from(NodeId::new(1)), slow);
         assert_eq!(link.interface(), Interface::Gn);
     }
 
@@ -236,10 +236,10 @@ mod tests {
     #[should_panic(expected = "not an endpoint")]
     fn quality_from_foreign_node_panics() {
         let link = Link {
-            a: NodeId(0),
-            b: NodeId(1),
+            a: NodeId::new(0),
+            b: NodeId::new(1),
             config: LinkConfig::symmetric(Interface::Lan, LinkQuality::default()),
         };
-        let _ = link.quality_from(NodeId(7));
+        let _ = link.quality_from(NodeId::new(7));
     }
 }

@@ -77,7 +77,7 @@ impl Word {
     }
 
     fn of(Tuning { to, keys: [a, b] }: Tuning) -> Word {
-        Word(u64::from(to.0) | u64::from(key_hash(a)) << 32 | u64::from(key_hash(b)) << 48)
+        Word(u64::from(to.index()) | u64::from(key_hash(a)) << 32 | u64::from(key_hash(b)) << 48)
     }
 
     /// True when the word proves the listener does not hear a broadcast
@@ -86,7 +86,7 @@ impl Word {
     #[inline]
     pub(crate) fn rules_out(self, from: NodeId, hash: u16) -> bool {
         let hash = u64::from(hash);
-        self.0 as u32 == from.0 && (self.0 >> 32) & 0xFFFF != hash && self.0 >> 48 != hash
+        self.0 as u32 == from.index() && (self.0 >> 32) & 0xFFFF != hash && self.0 >> 48 != hash
     }
 }
 
@@ -203,7 +203,7 @@ mod tests {
 
     #[test]
     fn a_word_rules_out_only_its_own_cell_and_other_keys() {
-        let (cell, elsewhere) = (NodeId(5), NodeId(6));
+        let (cell, elsewhere) = (NodeId::new(5), NodeId::new(6));
         let mut word = Word::added(Some(Tuning {
             to: cell,
             keys: [11, 12],

@@ -262,7 +262,7 @@ impl<M: Payload> Network<M> {
     where
         N: Node<M> + Send + 'static,
     {
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId::new(u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes"));
         self.relays.push(node.pure_relay());
         self.ports.push(Ports::EMPTY);
         self.words.push(Word::added(node.tuning()));
@@ -298,7 +298,7 @@ impl<M: Payload> Network<M> {
     pub fn connect_with(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         assert_ne!(a, b, "cannot link a node to itself");
         assert!(
-            (a.0 as usize) < self.nodes.len() && (b.0 as usize) < self.nodes.len(),
+            a.slot() < self.nodes.len() && b.slot() < self.nodes.len(),
             "link endpoints must be registered nodes"
         );
         assert!(
@@ -310,14 +310,14 @@ impl<M: Payload> Network<M> {
         self.push_port(
             a,
             Port {
-                peer: b.0,
+                peer: b.index(),
                 class_dir: class | 1,
             },
         );
         self.push_port(
             b,
             Port {
-                peer: a.0,
+                peer: a.index(),
                 class_dir: class,
             },
         );
@@ -326,7 +326,7 @@ impl<M: Payload> Network<M> {
     /// Adds `port` to `owner`'s ports: inline while one is vacant, then
     /// to its spill list, which the first spilled port opens.
     fn push_port(&mut self, owner: NodeId, port: Port) {
-        let row = &mut self.ports[owner.0 as usize];
+        let row = &mut self.ports[owner.slot()];
         if let Some(vacant) = row.inline.iter_mut().find(|p| p.peer == Port::NONE.peer) {
             *vacant = port;
             return;
@@ -343,7 +343,7 @@ impl<M: Payload> Network<M> {
     /// match no peer).
     #[inline]
     fn ports_of(&self, id: NodeId) -> impl Iterator<Item = &Port> {
-        let row = &self.ports[id.0 as usize];
+        let row = &self.ports[id.slot()];
         row.inline.iter().chain(self.spilled(row))
     }
 
@@ -378,13 +378,13 @@ impl<M: Payload> Network<M> {
     /// ports, at one end.
     #[inline]
     fn port(&self, from: NodeId, to: NodeId) -> Option<(usize, bool)> {
-        let (near, far) = (&self.ports[from.0 as usize], &self.ports[to.0 as usize]);
+        let (near, far) = (&self.ports[from.slot()], &self.ports[to.slot()]);
         let (owner, peer, owner_is_from) = if near.spilled <= far.spilled {
             (from, to, true)
         } else {
             (to, from, false)
         };
-        let port = self.ports_of(owner).find(|p| p.peer == peer.0)?;
+        let port = self.ports_of(owner).find(|p| p.peer == peer.index())?;
         let owner_is_a = port.class_dir & 1 == 1;
         Some(((port.class_dir >> 1) as usize, owner_is_a == owner_is_from))
     }
@@ -402,7 +402,7 @@ impl<M: Payload> Network<M> {
 
     /// Every node, in registration order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.nodes.len() as u32).map(NodeId::new)
     }
 
     /// The nodes `id` has a link to, in the order the links were
@@ -410,7 +410,7 @@ impl<M: Payload> Network<M> {
     pub fn neighbors(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.ports_of(id)
             .filter(|p| p.peer != Port::NONE.peer)
-            .map(|p| NodeId(p.peer))
+            .map(|p| NodeId::new(p.peer))
     }
 
     /// Replaces the quality of an existing link (both directions). The
@@ -429,13 +429,13 @@ impl<M: Payload> Network<M> {
             quality,
         )) << 1;
         for (owner, peer) in [(a, b), (b, a)] {
-            let row = &mut self.ports[owner.0 as usize];
+            let row = &mut self.ports[owner.slot()];
             let spilled = match row.spilled {
                 0 => &mut [][..],
                 _ => &mut self.spills[row.spill as usize][..],
             };
             let port = (row.inline.iter_mut().chain(spilled))
-                .find(|p| p.peer == peer.0)
+                .find(|p| p.peer == peer.index())
                 .expect("a link has a port at each end");
             port.class_dir = class | (port.class_dir & 1);
         }
@@ -521,7 +521,7 @@ impl<M: Payload> Network<M> {
         // An `on_start` can send, and a send can be lost.
         self.k_dirty = true;
         for idx in 0..self.nodes.len() {
-            self.dispatch(NodeId(idx as u32), |n, ctx| n.on_start(ctx));
+            self.dispatch(NodeId::new(idx as u32), |n, ctx| n.on_start(ctx));
         }
     }
 
@@ -569,7 +569,7 @@ impl<M: Payload> Network<M> {
         at: SimTime,
         f: impl FnOnce(&mut N, &mut Context<'_, M>) -> R,
     ) -> R {
-        let idx = id.0 as usize;
+        let idx = id.slot();
         let node = self.nodes[idx]
             .as_mut()
             .expect("node is missing")
@@ -701,7 +701,7 @@ impl<M: Payload> Network<M> {
         msg: &M,
         start: usize,
     ) -> (Option<(usize, NodeId)>, u64) {
-        let row = &self.ports[from.0 as usize];
+        let row = &self.ports[from.slot()];
         let mut passed = 0;
         // Two slices rather than `ports_of`'s chain: this is a page's
         // loop over every handset of the cell, and the chain's is slower.
@@ -712,7 +712,7 @@ impl<M: Payload> Network<M> {
                     continue;
                 }
                 passed += 1;
-                let listener = NodeId(port.peer);
+                let listener = NodeId::new(port.peer);
                 match hash {
                     Some(hash) if self.words[port.peer as usize].rules_out(from, hash) => {
                         debug_assert!(
@@ -728,7 +728,7 @@ impl<M: Payload> Network<M> {
     }
 
     fn listener(&self, id: NodeId) -> &dyn AnyNode<M> {
-        self.nodes[id.0 as usize]
+        self.nodes[id.slot()]
             .as_deref()
             .unwrap_or_else(|| panic!("node {id} is missing or re-entered"))
     }
@@ -751,7 +751,7 @@ impl<M: Payload> Network<M> {
     where
         F: FnOnce(&mut dyn AnyNode<M>, &mut Context<'_, M>),
     {
-        let idx = id.0 as usize;
+        let idx = id.slot();
         let mut node = self.nodes[idx]
             .take()
             .unwrap_or_else(|| panic!("node {id} is missing or re-entered"));
@@ -817,7 +817,7 @@ impl<M: Payload> Network<M> {
                     };
                     let at = self.now + delay;
                     if self.cut_through
-                        && self.relays[to.0 as usize]
+                        && self.relays[to.slot()]
                         && msg.express()
                         && self.chain_depth < MAX_CHAIN_DEPTH
                     {
@@ -843,7 +843,7 @@ impl<M: Payload> Network<M> {
                 }
                 Effect::Broadcast { iface, msg } => {
                     let first = self.ports_of(from).find(|p| self.carries(p, iface));
-                    let Some(first) = first.map(|p| NodeId(p.peer)) else {
+                    let Some(first) = first.map(|p| NodeId::new(p.peer)) else {
                         continue;
                     };
                     if let (_, Some(delay)) = self.sample_link(from, first, &msg) {
@@ -927,7 +927,7 @@ impl<M: Payload> Network<M> {
     ///
     /// Panics if `id` was not issued by this network.
     pub fn node<N: 'static>(&self, id: NodeId) -> Option<&N> {
-        self.nodes[id.0 as usize]
+        self.nodes[id.slot()]
             .as_ref()
             .expect("node is missing")
             .as_any()
@@ -939,8 +939,8 @@ impl<M: Payload> Network<M> {
     /// The node's [tuning](Node::tuning) is forgotten until its next
     /// callback: until then every broadcast asks it.
     pub fn node_mut<N: 'static>(&mut self, id: NodeId) -> Option<&mut N> {
-        self.words[id.0 as usize].forget();
-        self.nodes[id.0 as usize]
+        self.words[id.slot()].forget();
+        self.nodes[id.slot()]
             .as_mut()
             .expect("node is missing")
             .as_any_mut()

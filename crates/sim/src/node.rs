@@ -1,6 +1,8 @@
 //! Node identity and behavior traits.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU32;
 
 use crate::context::{Context, TimerToken};
 use crate::interface::Interface;
@@ -10,26 +12,55 @@ use crate::listen::Tuning;
 ///
 /// Ids are dense indices handed out by
 /// [`Network::add_node`](crate::Network::add_node); they are only meaningful
-/// within the network that produced them.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NodeId(pub(crate) u32);
+/// within the network that produced them. The index is held plus one, so
+/// `Option<NodeId>` is four bytes: index `u32::MAX`, which would wrap to
+/// the niche, is the one `add_node` refuses to issue.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct NodeId(NonZeroU32);
 
 impl NodeId {
+    /// The id of the node at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `u32::MAX`, the index the niche takes.
+    #[inline]
+    pub(crate) fn new(index: u32) -> Self {
+        let above = index.checked_add(1).and_then(NonZeroU32::new);
+        NodeId(above.expect("a node index below u32::MAX"))
+    }
+
     /// The raw index, for use as a map key or report label.
+    #[inline]
     pub fn index(self) -> u32 {
-        self.0
+        self.0.get() - 1
+    }
+
+    /// The index as a position in the network's per-node vectors.
+    #[inline]
+    pub(crate) fn slot(self) -> usize {
+        self.index() as usize
+    }
+}
+
+/// Hashes the index, as the id did before it had a niche: a table keyed
+/// by node keeps its layout.
+impl Hash for NodeId {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.index().hash(state);
     }
 }
 
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
+        write!(f, "n{}", self.index())
     }
 }
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "n{}", self.0)
+        write!(f, "n{}", self.index())
     }
 }
 
@@ -159,9 +190,32 @@ mod tests {
 
     #[test]
     fn node_id_display() {
-        assert_eq!(NodeId(4).to_string(), "n4");
-        assert_eq!(format!("{:?}", NodeId(4)), "n4");
-        assert_eq!(NodeId(4).index(), 4);
+        assert_eq!(NodeId::new(4).to_string(), "n4");
+        assert_eq!(format!("{:?}", NodeId::new(4)), "n4");
+        assert_eq!(NodeId::new(4).index(), 4);
+    }
+
+    #[test]
+    fn an_optional_node_id_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<NodeId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<NodeId>>(), 4);
+    }
+
+    /// Index 0 is a node like any other, and the last index below the
+    /// niche is one too; the id of `u32::MAX` is never made.
+    #[test]
+    fn the_niche_is_no_node() {
+        assert_eq!(NodeId::new(0).index(), 0);
+        assert_eq!(NodeId::new(u32::MAX - 1).index(), u32::MAX - 1);
+        assert!(std::panic::catch_unwind(|| NodeId::new(u32::MAX)).is_err());
+    }
+
+    /// A table keyed by node sees the bare index, as before the niche.
+    #[test]
+    fn a_node_id_hashes_as_its_index() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let tables = BuildHasherDefault::<crate::IdHasher>::default();
+        assert_eq!(tables.hash_one(NodeId::new(7)), tables.hash_one(7u32));
     }
 
     #[derive(Clone, Debug)]

@@ -113,7 +113,7 @@ impl Trace {
     ///
     /// Panics if `node` was not created by the owning network.
     pub fn node_name(&self, node: NodeId) -> &str {
-        let i = node.0 as usize;
+        let i = node.slot();
         let start = if i == 0 { 0 } else { self.name_ends[i - 1] };
         &self.names[start as usize..self.name_ends[i] as usize]
     }
@@ -243,25 +243,25 @@ mod tests {
         t.register_node("bts");
         t.record_message(
             SimTime::from_micros(1),
-            NodeId(0),
-            NodeId(1),
+            NodeId::new(0),
+            NodeId::new(1),
             Interface::Um,
             "A".into(),
             "A-detail".into(),
         );
-        t.record_note(SimTime::from_micros(2), NodeId(1), "step".into());
+        t.record_note(SimTime::from_micros(2), NodeId::new(1), "step".into());
         t.record_message(
             SimTime::from_micros(3),
-            NodeId(1),
-            NodeId(0),
+            NodeId::new(1),
+            NodeId::new(0),
             Interface::Um,
             "B".into(),
             "B-detail".into(),
         );
         t.record_message(
             SimTime::from_micros(4),
-            NodeId(0),
-            NodeId(1),
+            NodeId::new(0),
+            NodeId::new(1),
             Interface::Um,
             "A".into(),
             "A-detail imsi=123".into(),
@@ -315,7 +315,7 @@ mod tests {
         let mut t = sample();
         t.clear();
         assert!(t.is_empty());
-        assert_eq!(t.node_name(NodeId(0)), "ms");
-        assert_eq!(t.node_name(NodeId(1)), "bts");
+        assert_eq!(t.node_name(NodeId::new(0)), "ms");
+        assert_eq!(t.node_name(NodeId::new(1)), "bts");
     }
 }

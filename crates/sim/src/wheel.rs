@@ -205,6 +205,10 @@ impl<T> Default for CalendarWheel<T> {
 }
 
 impl<T> CalendarWheel<T> {
+    /// The bytes one parked item takes in the slab: the item with its
+    /// ordering key and its list link.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Entry<T>>();
+
     /// Creates an empty wheel with its cursor at time zero.
     pub fn new() -> Self {
         CalendarWheel {

@@ -6,7 +6,7 @@ use vgprs_gprs::Sgsn;
 use vgprs_h323::{Gatekeeper, H323Terminal, TerminalState};
 use vgprs_sim::{Network, NodeId, SimDuration, SimTime};
 use vgprs_tr22973::{H323Ms, TrZone, TrZoneConfig};
-use vgprs_wire::{CallId, Command, Imsi, Message, Msisdn};
+use vgprs_wire::{CallId, Cause, Command, Imsi, Message, Msisdn};
 
 fn imsi() -> Imsi {
     Imsi::parse("466920000000010").unwrap()
@@ -107,13 +107,9 @@ fn origination_reactivates_context_per_call() {
         "LLC:RAS_ARQ",
         "LLC:Q931_Setup",
     ]));
-    // and voice flows over the packet air interface
-    let ms = r.net.node::<H323Ms>(r.ms).unwrap();
-    assert!(
-        ms.endpoint().frames_received > 50,
-        "{}",
-        ms.endpoint().frames_received
-    );
+    // and voice flows over the packet air interface to the one TR MS
+    let heard = r.net.stats().counter("trms.rtp_received");
+    assert!(heard > 50, "{heard}");
 }
 
 #[test]
@@ -251,14 +247,26 @@ fn two_tr_ms_call_each_other_over_shared_pdch() {
     );
     // Both streams cross the same 40 kbit/s PDCH: two 13 kbit/s GSM
     // streams + overhead saturate it, so frames arrive but queue.
-    assert!(net.node::<H323Ms>(a).unwrap().endpoint().frames_received > 20);
-    assert!(net.node::<H323Ms>(b).unwrap().endpoint().frames_received > 20);
     let h = net.stats().histogram("trms.voice_e2e_ms").unwrap();
     assert!(
         h.percentile(95.0) > 20.0,
         "shared-PDCH queueing should inflate the tail: p95 = {}",
         h.percentile(95.0)
     );
+    // Most frames sent so far are still queued, so what each MS heard
+    // is read once both stop talking and the PDCH drains. Each hears
+    // only the other, which heard no more than this one sent: this one
+    // heard at least the rest.
+    for ms in [a, b] {
+        net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::StopTalking));
+    }
+    net.run_until(SimTime::from_micros(60_000_000));
+    let heard = net.stats().counter("trms.rtp_received");
+    for ms in [a, b] {
+        let sent = net.node::<H323Ms>(ms).unwrap().endpoint().frames_sent();
+        let at_least = heard.saturating_sub(u64::from(sent));
+        assert!(at_least > 20, "an MS heard at least {at_least} frames");
+    }
 }
 
 #[test]
@@ -362,12 +370,19 @@ fn wire_sequence(tr_ms: bool) -> Vec<String> {
         let deadline = net.now() + SimDuration::from_secs(6);
         net.run_until(deadline);
     }
-    let failed = if tr_ms {
-        net.node::<H323Ms>(subject).unwrap().endpoint().calls_failed
+    // The subject is the one endpoint of its kind that is refused.
+    let (rejected, failure) = if tr_ms {
+        let endpoint = net.node::<H323Ms>(subject).unwrap().endpoint();
+        ("trms.admission_rejected", endpoint.dial_failure())
     } else {
-        net.node::<H323Terminal>(subject).unwrap().calls_failed
+        let endpoint = net.node::<H323Terminal>(subject).unwrap();
+        ("term.admission_rejected", endpoint.dial_failure())
     };
-    assert_eq!(failed, 1, "the ARJ failed exactly one call");
+    assert_eq!(
+        (net.stats().counter(rejected), failure),
+        (1, Some(Cause::UnallocatedNumber)),
+        "the ARJ failed exactly one call"
+    );
     net.trace()
         .messages()
         .filter_map(|e| match e {

@@ -6,8 +6,57 @@
 //! human side of the system — pressing the power button, dialing, picking
 //! up, hanging up, walking across a cell boundary.
 
+use std::fmt;
+
+use vgprs_sim::SimDuration;
 
 use crate::ids::{CallId, CellId, Msisdn};
+
+/// How a subscriber's endpoint acts without a [`Command`], in one word:
+/// the auto-answer delay's microseconds below the top bit (all ones:
+/// wait for [`Command::Answer`]), talk-on-connect in the top bit.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Habits(u64);
+
+impl Habits {
+    const TALK: u64 = 1 << 63;
+    const WAIT: u64 = Self::TALK - 1;
+
+    /// Answers `auto_answer_after` ringing starts (`None`: on
+    /// [`Command::Answer`]), and talks as soon as a call connects if
+    /// `talk_on_connect`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a delay of 2^63 - 1 µs or more, which would never end.
+    pub fn new(auto_answer_after: Option<SimDuration>, talk_on_connect: bool) -> Self {
+        let after = auto_answer_after.map_or(Self::WAIT, |d| {
+            assert!(d.as_micros() < Self::WAIT, "auto-answer delay {d} never ends");
+            d.as_micros()
+        });
+        Habits(after | if talk_on_connect { Self::TALK } else { 0 })
+    }
+
+    /// How long after ringing starts the endpoint answers by itself.
+    pub fn auto_answer_after(self) -> Option<SimDuration> {
+        let micros = self.0 & Self::WAIT;
+        (micros != Self::WAIT).then_some(SimDuration::from_micros(micros))
+    }
+
+    /// Whether the endpoint talks as soon as a call connects.
+    pub fn talk_on_connect(self) -> bool {
+        self.0 & Self::TALK != 0
+    }
+}
+
+impl fmt::Debug for Habits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Habits")
+            .field("auto_answer_after", &self.auto_answer_after())
+            .field("talk_on_connect", &self.talk_on_connect())
+            .finish()
+    }
+}
 
 /// A local stimulus delivered to a node by the scenario driver.
 #[derive(Clone, Debug, PartialEq)]

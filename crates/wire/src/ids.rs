@@ -5,7 +5,8 @@
 //! [`Msisdn`], a [`Tmsi`] is not a [`Teid`], and the compiler enforces it.
 
 use std::fmt;
-use std::num::NonZeroU64;
+use std::marker::PhantomData;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::str::FromStr;
 
 use vgprs_sim::NumberKey;
@@ -653,6 +654,97 @@ macro_rules! issued_number_key {
 
 issued_number_key!(Tmsi => 32, Teid => 33, ConnRef => 34, Ipv4Addr => 35);
 
+/// An ID whose issuers never hand out 0, so that [`Issued`] can hold it
+/// with `None` in that value: a TMSI carries its VLR's top bits, a
+/// connection reference counts from 1 (0 is
+/// [`ConnRef::CONNECTIONLESS`], which no connection is), and a dynamic
+/// PDP address skips its pool's network address.
+pub trait NonZeroId: Copy {
+    /// The ID's 32 bits.
+    fn raw(self) -> u32;
+    /// The ID of `raw`.
+    fn from_raw(raw: u32) -> Self;
+}
+
+macro_rules! non_zero_id {
+    ($($kind:ident),*) => {$(
+        impl NonZeroId for $kind {
+            #[inline]
+            fn raw(self) -> u32 {
+                self.0
+            }
+            #[inline]
+            fn from_raw(raw: u32) -> Self {
+                $kind(raw)
+            }
+        }
+    )*};
+}
+
+non_zero_id!(Tmsi, ConnRef, Ipv4Addr);
+
+/// An optional issued ID in the ID's own four bytes, where an
+/// `Option` would take eight: `None` is 0, which no issuer hands out
+/// (see [`NonZeroId`]). A 0 that a peer sends anyway is held as no ID,
+/// which is what each of those values means: the connectionless
+/// reference, the unspecified address, a TMSI no VLR gave.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Issued<T> {
+    raw: Option<NonZeroU32>,
+    id: PhantomData<T>,
+}
+
+impl<T: NonZeroId> Issued<T> {
+    /// No ID.
+    pub const NONE: Self = Issued {
+        raw: None,
+        id: PhantomData,
+    };
+
+    /// Holds `id`; an ID of 0 is held as none.
+    pub fn new(id: Option<T>) -> Self {
+        let raw = id.and_then(|id| NonZeroU32::new(id.raw()));
+        Issued {
+            raw,
+            id: PhantomData,
+        }
+    }
+
+    /// The ID, if one is held.
+    #[inline]
+    pub fn get(self) -> Option<T> {
+        self.raw.map(|raw| T::from_raw(raw.get()))
+    }
+
+    /// Takes the ID out, leaving none.
+    pub fn take(&mut self) -> Option<T> {
+        std::mem::replace(self, Self::NONE).get()
+    }
+
+    /// Whether an ID is held.
+    pub fn is_some(self) -> bool {
+        self.raw.is_some()
+    }
+
+    /// Whether no ID is held.
+    pub fn is_none(self) -> bool {
+        self.raw.is_none()
+    }
+}
+
+impl<T: NonZeroId> From<T> for Issued<T> {
+    fn from(id: T) -> Self {
+        Issued::new(Some(id))
+    }
+}
+
+/// Reads as the `Option` it stands for.
+impl<T: NonZeroId + fmt::Debug> fmt::Debug for Issued<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
 /// Q.931 call reference value, scoped to one signaling interface.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Crv(pub u16);
@@ -695,6 +787,18 @@ mod tests {
     use super::*;
 
     #[test]
+    fn an_issued_id_reads_as_its_option() {
+        let mut held = Issued::from(Tmsi(0xA000_0001));
+        assert_eq!(held.get(), Some(Tmsi(0xA000_0001)));
+        assert_eq!(format!("{held:?}"), "Some(Tmsi(a0000001))");
+        assert_eq!(held.take(), Some(Tmsi(0xA000_0001)));
+        assert!(held.is_none() && held == Issued::NONE);
+        assert_eq!(format!("{held:?}"), "None");
+        assert_eq!(Issued::new(Some(ConnRef(u32::MAX))).get(), Some(ConnRef(u32::MAX)));
+        assert!(Issued::from(ConnRef::CONNECTIONLESS).is_none(), "0 is the niche");
+    }
+
+    #[test]
     fn imsi_roundtrip() {
         let i = Imsi::parse("466920123456789").unwrap();
         assert_eq!(i.to_string(), "466920123456789");
@@ -727,6 +831,9 @@ mod tests {
         assert_eq!(size_of::<Option<Imsi>>(), 8);
         assert_eq!(size_of::<Option<Msisdn>>(), 8);
         assert_eq!(size_of::<(Imsi, Nsapi)>(), 16);
+        assert_eq!(size_of::<Issued<Tmsi>>(), 4);
+        assert_eq!(size_of::<Issued<ConnRef>>(), 4);
+        assert_eq!(size_of::<Issued<Ipv4Addr>>(), 4);
     }
 
     #[test]

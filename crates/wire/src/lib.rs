@@ -50,13 +50,13 @@ mod rtp;
 mod subscriber;
 
 pub use cause::Cause;
-pub use command::Command;
+pub use command::{Command, Habits};
 pub use dtap::Dtap;
 pub use gmm::GmmMessage;
 pub use gtp::{DecodeGtpError, GtpHeader, GtpMessage, GtpMsgType};
 pub use ids::{
-    AuthTriplet, CallId, CellId, Cic, ConnRef, Crv, Imsi, Ipv4Addr, Lai, MsIdentity, Msisdn, Nsapi,
-    ParseIdError, PointCode, Teid, Tmsi, TransportAddr,
+    AuthTriplet, CallId, CellId, Cic, ConnRef, Crv, Imsi, Ipv4Addr, Issued, Lai, MsIdentity, Msisdn,
+    NonZeroId, Nsapi, ParseIdError, PointCode, Teid, Tmsi, TransportAddr,
 };
 pub use ip::{IpPacket, IpPayload};
 pub use isup::{DecodeIsupError, IsupKind, IsupMessage};

@@ -57,10 +57,25 @@ fn main() {
     let handset = net.node::<MobileStation>(ms).expect("ms");
     let terminal = net.node::<H323Terminal>(term).expect("terminal");
     let vmsc = net.node::<Vmsc>(zone.access.msc).expect("vmsc");
+    let stats = net.stats();
     println!("\n=== Outcome ===");
-    println!("handset connected calls : {}", handset.calls_connected);
-    println!("handset frames heard    : {}", handset.frames_received);
-    println!("terminal frames heard   : {}", terminal.frames_received);
+    println!(
+        "handset / terminal      : {:?} / {:?}",
+        handset.state(),
+        terminal.state()
+    );
+    println!(
+        "handset connected calls : {}",
+        stats.counter("ms.calls_connected")
+    );
+    println!(
+        "handset frames heard    : {}",
+        stats.counter("ms.voice_frames_received")
+    );
+    println!(
+        "terminal frames heard   : {}",
+        stats.counter("term.rtp_received")
+    );
     println!("VMSC registered MSs     : {}", vmsc.registered_count());
     println!(
         "voice one-way delay     : {:.1} ms (mean at terminal)",

@@ -254,6 +254,14 @@ echo "==> a subscriber at rest holds no call"
 tripwire "a neighbour vector in every handset" 'neighbors: Vec<' crates/gsm/src/ms.rs
 tripwire "a spare triplet in every VLR record" 'current: Option<AuthTriplet>' \
     crates/gsm/src/vlr.rs
+# Nor does a row keep a count that Stats keeps already: a handset's
+# frames, connected calls and handoffs are `ms.voice_frames_received`,
+# `ms.calls_connected` and `ms.handoffs`, an endpoint's its
+# `rtp_received` and `calls_connected` names. Six such tallies were 48
+# bytes per subscriber and moved both node boxes up a malloc chunk.
+tripwire "a tally in a subscriber's node" -E \
+    'pub (frames_received|calls_connected|calls_failed|handoffs_completed): u64' \
+    crates/gsm/src/ms.rs crates/h323/src/terminal.rs
 
 echo "==> a page goes over the cell's links"
 # A broadcast goes to the sender's links on one interface

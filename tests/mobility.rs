@@ -162,7 +162,7 @@ fn after_movement_calls_reach_the_new_area() {
         MsState::Active,
         "the incoming call found the subscriber in the new area"
     );
-    assert!(w.net.node::<MobileStation>(w.ms).unwrap().frames_received > 50);
+    assert!(w.net.stats().counter("ms.voice_frames_received") > 50);
 }
 
 #[test]
@@ -227,11 +227,9 @@ fn relocation_purges_the_old_serving_area() {
         }),
     );
     w.net.run_until(w.net.now() + SimDuration::from_secs(5));
+    // `term1` is the world's one terminal.
     assert_eq!(
-        w.net
-            .node::<vgprs_h323::H323Terminal>(term1)
-            .unwrap()
-            .calls_failed,
+        w.net.stats().counter("term.admission_rejected"),
         1,
         "admission rejected for the departed alias"
     );

@@ -21,12 +21,9 @@ fn run_with_quality(quality: Option<LinkQuality>) -> (u64, u64, f64) {
             .set_link_quality(s.zone.packet.sgsn, s.zone.packet.ggsn, q);
     }
     s.call_from_ms(CallId(1), SimDuration::from_secs(20));
-    let ms_frames = s.net.node::<MobileStation>(s.ms).unwrap().frames_received;
-    let term_frames = s
-        .net
-        .node::<vgprs_h323::H323Terminal>(s.term)
-        .unwrap()
-        .frames_received;
+    // The world's one handset and one terminal.
+    let ms_frames = s.net.stats().counter("ms.voice_frames_received");
+    let term_frames = s.net.stats().counter("term.rtp_received");
     let delay = s
         .net
         .stats()
