@@ -103,6 +103,25 @@ fn seeded_documents_survive_emit_then_parse() {
         let doc = w.finish();
         let parsed = JsonValue::parse(&doc).unwrap_or_else(|e| panic!("case {case}: {e}\n{doc}"));
         assert_eq!(parsed, expected, "case {case}:\n{doc}");
+        // A cut document is refused, except where a number's prefix is
+        // still a number.
+        let doc = doc.trim_end();
+        if !matches!(expected, JsonValue::Number(_)) {
+            for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+                let cut_doc = &doc[..cut];
+                assert!(JsonValue::parse(cut_doc).is_err(), "case {case} cut at {cut}:\n{doc}");
+            }
+        }
+    }
+}
+
+#[test]
+fn nesting_stops_at_64_levels() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(JsonValue::parse(&nested(64)).is_ok());
+    for depth in [65, 1_000_000] {
+        let err = JsonValue::parse(&nested(depth)).expect_err("too deep");
+        assert_eq!(err.offset, 64, "the offending bracket");
     }
 }
 

@@ -216,45 +216,6 @@ mod tests {
     }
 
     #[test]
-    fn iam_roundtrip() {
-        let m = iam();
-        assert_eq!(IsupMessage::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn iam_without_calling_roundtrip() {
-        let mut m = iam();
-        if let IsupKind::Iam { calling, .. } = &mut m.kind {
-            *calling = None;
-        }
-        assert_eq!(IsupMessage::decode(&m.encode()).unwrap(), m);
-    }
-
-    #[test]
-    fn parameterless_kinds_roundtrip() {
-        for kind in [IsupKind::Acm, IsupKind::Anm, IsupKind::Rlc] {
-            let m = IsupMessage {
-                cic: Cic(1),
-                call: CallId(2),
-                kind,
-            };
-            assert_eq!(IsupMessage::decode(&m.encode()).unwrap(), m);
-        }
-    }
-
-    #[test]
-    fn rel_roundtrip_all_causes() {
-        for cause in Cause::ALL {
-            let m = IsupMessage {
-                cic: Cic(1),
-                call: CallId(2),
-                kind: IsupKind::Rel { cause },
-            };
-            assert_eq!(IsupMessage::decode(&m.encode()).unwrap(), m);
-        }
-    }
-
-    #[test]
     fn labels() {
         assert_eq!(iam().label(), "ISUP_IAM");
         assert_eq!(
@@ -266,14 +227,6 @@ mod tests {
             .label(),
             "ISUP_RLC"
         );
-    }
-
-    #[test]
-    fn decode_rejects_truncation() {
-        let b = iam().encode();
-        for cut in 0..b.len() {
-            assert!(IsupMessage::decode(&b[..cut]).is_err(), "prefix {cut}");
-        }
     }
 
     #[test]

@@ -353,32 +353,15 @@ mod tests {
 
     #[test]
     fn isup_wire_size_is_the_encoded_length() {
-        // Every kind the ladders emit, IAM with and without a calling
-        // number: the size a send reads never builds the encoding.
-        let kinds = [
-            IsupKind::Iam {
-                called: msisdn(),
-                calling: Some(Msisdn::parse("886987654321").unwrap()),
-            },
-            IsupKind::Iam {
-                called: msisdn(),
-                calling: None,
-            },
-            IsupKind::Acm,
-            IsupKind::Anm,
-            IsupKind::Rel {
+        // The codec contract holds `encoded_len` to the encoding; a send
+        // adds the 5-byte wrapper.
+        let m = IsupMessage {
+            cic: Cic(7),
+            call: CallId(9),
+            kind: IsupKind::Rel {
                 cause: Cause::NormalClearing,
             },
-            IsupKind::Rlc,
-        ];
-        for kind in kinds {
-            let m = IsupMessage {
-                cic: Cic(7),
-                call: CallId(9),
-                kind,
-            };
-            assert_eq!(m.encoded_len(), m.encode().len(), "{}", m.label());
-            assert_eq!(Message::Isup(m.clone()).wire_size(), m.encode().len() + 5);
-        }
+        };
+        assert_eq!(Message::Isup(m.clone()).wire_size(), m.encode().len() + 5);
     }
 }

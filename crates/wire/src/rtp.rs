@@ -121,17 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn header_roundtrip() {
-        let p = pkt();
-        let decoded = RtpPacket::decode_header(&p.encode_header()).unwrap();
-        assert_eq!(decoded.ssrc, p.ssrc);
-        assert_eq!(decoded.seq, p.seq);
-        assert_eq!(decoded.timestamp, p.timestamp);
-        assert_eq!(decoded.payload_type, p.payload_type);
-        assert_eq!(decoded.marker, p.marker);
-    }
-
-    #[test]
     fn marker_bit_independent_of_payload_type() {
         let mut p = pkt();
         p.marker = false;

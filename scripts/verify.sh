@@ -56,6 +56,35 @@ echo "==> determinism contract (release)"
 cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision \
     --test dense_paging
 
+echo "==> one codec contract"
+# Every byte decoder in vgprs-wire is held to the properties of
+# crates/wire/tests/codec_roundtrip.rs (round trip, refused prefixes,
+# seeded mutants that never panic and decode the same after a
+# re-encode). A decoder whose type has no `Codec` impl there is checked
+# by nothing; the per-codec never-panics loops the contract replaced
+# must not grow back beside it.
+decoders=$(awk 'FNR == 1 { ty = "" }
+    /^impl [A-Za-z0-9_]+ \{/ { ty = $2 }
+    /^impl .* for / { ty = "" }
+    /pub fn decode[A-Za-z0-9_]*\(/ {
+        if (ty == "") {
+            print "error: " FILENAME ":" FNR ": a decoder outside an inherent impl" > "/dev/stderr"
+            exit 1
+        }
+        print ty
+    }' \
+    crates/wire/src/*.rs | sort -u)
+[ -n "$decoders" ] || { echo "error: no pub fn decode* under crates/wire/src" >&2; exit 1; }
+unheld=$(for ty in $decoders; do
+    grep -q "^impl Codec for $ty {" crates/wire/tests/codec_roundtrip.rs || echo "$ty"
+done)
+if [ -n "$unheld" ]; then
+    echo "error: decoders with no Codec impl in crates/wire/tests/codec_roundtrip.rs:" $unheld >&2
+    exit 1
+fi
+tripwire "a per-codec never-panics loop: the codec contract fuzzes every decoder" \
+    -r '_decode_never_panics' crates
+
 echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
 tripwire "ignored tests found" -r '#\[ignore' crates tests
