@@ -61,8 +61,6 @@ fn roaming_call(
             msrn_prefix: "449990".into(),
             lai: Lai::new(234, 15, 1),
             cell: CellId(10),
-            tch_capacity: 32,
-            auth_on_access: true,
             latency: lat,
         },
         uk_switch,
@@ -81,7 +79,7 @@ fn roaming_call(
     net.node_mut::<vgprs_gsm::Hlr>(uk.hlr)
         .expect("uk hlr")
         .provision(x_imsi, 0xCAFE, vgprs_wire::SubscriberProfile::full(x_msisdn));
-    let x = hk.add_roamer(&mut net, "x", x_imsi, 0xCAFE, x_msisdn);
+    let x = hk.add_roamer(&mut net, "x", x_imsi, 0xCAFE);
 
     // y: a fixed-line phone in HK.
     let y_msisdn = Msisdn::parse("85221230001").expect("valid");
@@ -147,8 +145,6 @@ pub fn tromboning_classic(seed: u64) -> TromboningReport {
             msrn_prefix: "8529990".into(),
             lai: Lai::new(454, 0, 1),
             cell: CellId(20),
-            tch_capacity: 32,
-            auth_on_access: true,
             latency: LatencyProfile::default(),
         };
         (GsmZone::build(net, cfg, hk_switch).access, None)

@@ -343,8 +343,6 @@ pub fn classic_neighbor(net: &mut Network<Message>) -> AccessHalf {
         msrn_prefix: "8869991".into(),
         lai: Lai::new(466, 92, 2),
         cell: CellId(2),
-        tch_capacity: 32,
-        auth_on_access: true,
         latency: LatencyProfile::default(),
     };
     GsmZone::build(net, cfg, pstn).access

@@ -100,8 +100,6 @@ pub struct VgprsZoneConfig {
     pub tch_capacity: usize,
     /// Shared packet-channel rate at the BTS.
     pub pdch_bps: u64,
-    /// Authenticate on every access, not just registration.
-    pub auth_on_access: bool,
     /// Run the VMSC in the paper's idle-deactivation ablation mode.
     pub deactivate_idle_contexts: bool,
     /// Arm VMSC recovery guard timers (RAS/ARQ retry, setup supervision).
@@ -135,7 +133,6 @@ impl VgprsZoneConfig {
             gk_bandwidth: 1_000_000,
             tch_capacity: 64,
             pdch_bps: 40_000,
-            auth_on_access: true,
             deactivate_idle_contexts: false,
             resilience: false,
             paging_rate_per_s: 0,
@@ -181,7 +178,6 @@ pub fn build_cell(
             BtsConfig {
                 cell: cfg.cell,
                 pdch_bps: cfg.pdch_bps,
-                ..BtsConfig::default()
             },
             bsc,
         ),
@@ -279,7 +275,7 @@ impl AccessHalf {
         net.node_mut::<Hlr>(self.hlr)
             .expect("zone HLR")
             .provision(imsi, ki, SubscriberProfile::full(msisdn));
-        self.add_roamer(net, label, imsi, ki, msisdn)
+        self.add_roamer(net, label, imsi, ki)
     }
 
     /// Creates an MS camped on this zone *without* provisioning the local
@@ -291,12 +287,12 @@ impl AccessHalf {
         label: impl fmt::Display,
         imsi: Imsi,
         ki: u64,
-        msisdn: Msisdn,
     ) -> NodeId {
+        let lai = self.lai;
         camp(
             net,
             format_args!("{}.{label}", self.name),
-            MobileStation::new(MsConfig::new(imsi, ki, msisdn, self.lai), self.bts),
+            MobileStation::new(MsConfig { imsi, ki, lai }, self.bts),
             self.bts,
             self.latency.um,
         )
@@ -413,7 +409,7 @@ impl PacketHalf {
     ) -> NodeId {
         let (gk, router) = (self.gk_addr, self.router);
         self.add_lan_host(net, label, |addr| {
-            H323Terminal::new(TerminalConfig::new(alias, addr, gk), router)
+            H323Terminal::new(TerminalConfig { alias, addr, gk }, router)
         })
     }
 
@@ -532,7 +528,6 @@ impl VgprsZone {
             VlrConfig {
                 point_code: PointCode(10),
                 msrn_prefix: cfg.msrn_prefix,
-                auth_on_access: cfg.auth_on_access,
             },
             cfg.latency,
             |net, vlr, _hlr| {
@@ -621,6 +616,9 @@ impl Architecture for VgprsZone {
     }
 }
 
+/// Traffic channels at a classic GSM zone's BSC.
+const GSM_TCH_CAPACITY: usize = 32;
+
 /// Configuration for a classic GSM network (the baseline of Figure 7).
 #[derive(Clone, Debug)]
 pub struct GsmZoneConfig {
@@ -636,10 +634,6 @@ pub struct GsmZoneConfig {
     pub lai: Lai,
     /// Serving cell.
     pub cell: CellId,
-    /// Traffic channels.
-    pub tch_capacity: usize,
-    /// Authenticate on every access.
-    pub auth_on_access: bool,
     /// Latencies.
     pub latency: LatencyProfile,
 }
@@ -669,13 +663,12 @@ impl GsmZone {
             cfg.lai,
             CellConfig {
                 cell: cfg.cell,
-                tch_capacity: cfg.tch_capacity,
+                tch_capacity: GSM_TCH_CAPACITY,
                 pdch_bps: 40_000,
             },
             VlrConfig {
                 point_code: PointCode(20),
                 msrn_prefix: cfg.msrn_prefix,
-                auth_on_access: cfg.auth_on_access,
             },
             cfg.latency,
             |net, vlr, hlr| {
@@ -712,8 +705,6 @@ mod tests {
             msrn_prefix: "449990".into(),
             lai: Lai::new(234, 15, 1),
             cell: CellId(10),
-            tch_capacity: 32,
-            auth_on_access: true,
             latency: LatencyProfile::default(),
         }
     }

@@ -81,7 +81,6 @@ fn wrong_key_subscriber_rejected() {
         "bad",
         impostor,
         0x2222, // ≠ HLR's 0x1111
-        Msisdn::parse("886912000002").unwrap(),
     );
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));
     net.inject(SimDuration::ZERO, bad, Message::Cmd(Command::PowerOn));
@@ -111,7 +110,6 @@ fn unknown_subscriber_rejected() {
         "ghost",
         Imsi::parse("466920999999999").unwrap(),
         0xAA,
-        Msisdn::parse("886912999999").unwrap(),
     );
     net.inject(SimDuration::ZERO, ghost, Message::Cmd(Command::PowerOn));
     net.run_until_quiescent();

@@ -20,6 +20,19 @@ const TIMER_PDCH_DONE: u64 = 1;
 /// them, and 0 would be the connectionless reference.
 const MAX_CONNECTIONS: u32 = 0xFFFF;
 
+/// Voice frames are clipped while the shared PDCH backlog is at or
+/// beyond this many queued packets. vGPRS speech shares the cell with the
+/// packet service, so a saturated PDCH pool bleeds into in-call quality
+/// instead of staying invisible to voice — the Section 6 contention
+/// argument, made measurable.
+const VOICE_CLIP_BACKLOG: usize = 8;
+
+/// Paging blocks per second the cell's common channel can carry. A
+/// paging flood beyond this budget steals the shared timeslots from the
+/// speech path for the rest of that second, clipping in-call voice
+/// frames — the media-plane cost of an unthrottled MT storm.
+const PCH_PAGES_PER_S: u32 = 8;
+
 /// Configuration for a [`Bts`].
 #[derive(Clone, Copy, Debug)]
 pub struct BtsConfig {
@@ -28,18 +41,6 @@ pub struct BtsConfig {
     /// Shared packet-channel capacity in bits per second (all packet MSs
     /// in the cell contend for this). GPRS CS-2 with 3 PDCHs ≈ 40 kbit/s.
     pub pdch_bps: u64,
-    /// Clip voice frames while the shared PDCH backlog is at or beyond
-    /// this many queued packets (`0` disables clipping). vGPRS speech
-    /// shares the cell with the packet service, so a saturated PDCH
-    /// pool bleeds into in-call quality instead of staying invisible
-    /// to voice — the Section 6 contention argument, made measurable.
-    pub voice_clip_backlog: usize,
-    /// Paging blocks per second the cell's common channel can carry
-    /// (`0` disables the limit). A paging flood beyond this budget
-    /// steals the shared timeslots from the speech path for the rest
-    /// of that second, clipping in-call voice frames — the media-plane
-    /// cost of an unthrottled MT storm.
-    pub pch_capacity_per_s: u32,
 }
 
 impl Default for BtsConfig {
@@ -47,8 +48,6 @@ impl Default for BtsConfig {
         BtsConfig {
             cell: CellId(1),
             pdch_bps: 40_000,
-            voice_clip_backlog: 8,
-            pch_capacity_per_s: 8,
         }
     }
 }
@@ -177,11 +176,9 @@ impl Bts {
         if !matches!(dtap, Dtap::VoiceFrame { .. }) {
             return false;
         }
-        let pdch_backlogged = self.config.voice_clip_backlog > 0
-            && self.pdch_queue.len() >= self.config.voice_clip_backlog;
-        let paging_flood = self.config.pch_capacity_per_s > 0
-            && now_ms / 1_000 == self.page_window
-            && self.pages_in_window > self.config.pch_capacity_per_s;
+        let pdch_backlogged = self.pdch_queue.len() >= VOICE_CLIP_BACKLOG;
+        let paging_flood =
+            now_ms / 1_000 == self.page_window && self.pages_in_window > PCH_PAGES_PER_S;
         pdch_backlogged || paging_flood
     }
 
@@ -297,7 +294,7 @@ mod tests {
     use super::*;
     use crate::{MobileStation, MsConfig};
     use vgprs_sim::{Network, ScriptedPeer};
-    use vgprs_wire::{CallId, Lai, MsIdentity, Msisdn, Tmsi};
+    use vgprs_wire::{CallId, Lai, MsIdentity, Tmsi};
 
     fn lur() -> Dtap {
         Dtap::LocationUpdateRequest {
@@ -463,8 +460,8 @@ mod tests {
         let handsets = (1..=n)
             .map(|i| {
                 let imsi = Imsi::parse(&format!("46692{i:010}")).unwrap();
-                let msisdn = Msisdn::parse(&format!("88691{i:07}")).unwrap();
-                let config = MsConfig::new(imsi, 0xABCD, msisdn, Lai::new(466, 92, 1));
+                let lai = Lai::new(466, 92, 1);
+                let config = MsConfig { imsi, ki: 0xABCD, lai };
                 let ms = net.add_node(format_args!("ms{i}"), MobileStation::new(config, bts));
                 net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
                 ms
@@ -644,12 +641,10 @@ mod tests {
                 BtsConfig {
                     cell: CellId(7),
                     pdch_bps: 1,
-                    ..BtsConfig::default()
                 },
                 bsc,
             ),
         );
         assert_eq!(net.node::<Bts>(bts_id).unwrap().cell(), CellId(7));
-        let _ = Msisdn::parse("12345").unwrap();
     }
 }

@@ -12,8 +12,8 @@ use vgprs_sim::{
     Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken, Tuning,
 };
 use vgprs_wire::{
-    CallId, Cause, CellId, Command, Dtap, Habits, Imsi, Issued, Lai, Message, MsIdentity, Msisdn,
-    Tmsi,
+    CallId, Cause, CellId, Command, Dtap, Imsi, Issued, Lai, Message, MsIdentity, Msisdn, Tmsi,
+    ANSWER_DELAY,
 };
 
 use crate::auth::{a3_sres, Ki};
@@ -30,31 +30,8 @@ pub struct MsConfig {
     pub imsi: Imsi,
     /// Secret key (on the SIM).
     pub ki: Ki,
-    /// Own number, for display/diagnostics only: the handset does not
-    /// keep it.
-    pub msisdn: Msisdn,
     /// Location area broadcast by the serving cell.
     pub lai: Lai,
-    /// Answer automatically this long after ringing starts.
-    /// `None` waits for an explicit [`Command::Answer`].
-    pub auto_answer_after: Option<SimDuration>,
-    /// Start sending voice frames as soon as a call connects.
-    pub talk_on_connect: bool,
-}
-
-impl MsConfig {
-    /// A sensible default subscriber: auto-answers after two seconds and
-    /// talks when connected.
-    pub fn new(imsi: Imsi, ki: Ki, msisdn: Msisdn, lai: Lai) -> Self {
-        MsConfig {
-            imsi,
-            ki,
-            msisdn,
-            lai,
-            auto_answer_after: Some(SimDuration::from_secs(2)),
-            talk_on_connect: true,
-        }
-    }
 }
 
 /// Observable call/registration state of an MS.
@@ -148,7 +125,6 @@ pub struct MobileStation {
     imsi: Imsi,
     ki: Ki,
     lai: Lai,
-    habits: Habits,
     serving_bts: NodeId,
     neighbors: Neighbors,
     state: MsState,
@@ -171,7 +147,6 @@ impl MobileStation {
             imsi: config.imsi,
             ki: config.ki,
             lai: config.lai,
-            habits: Habits::new(config.auto_answer_after, config.talk_on_connect),
             serving_bts,
             neighbors: Neighbors::new(serving_bts),
             state: MsState::Off,
@@ -292,9 +267,7 @@ impl MobileStation {
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration("ms.call_setup_ms", ctx.now().duration_since(at));
         }
-        if self.habits.talk_on_connect() {
-            self.start_voice(ctx);
-        }
+        self.start_voice(ctx);
     }
 
     fn clear_call(&mut self, ctx: &mut Context<'_, Message>) {
@@ -389,7 +362,6 @@ impl MobileStation {
                     },
                 );
             }
-            Command::Answer => self.answer(ctx),
             Command::Hangup => {
                 // A call is hung up in any state that knows its id: a
                 // dial still setting up, a ringing handset, a call up.
@@ -542,9 +514,7 @@ impl MobileStation {
                     self.leg().call = Some(call);
                     ctx.count("ms.ringing");
                     self.send_um(ctx, Dtap::Alerting { call });
-                    if let Some(delay) = self.habits.auto_answer_after() {
-                        ctx.set_timer(delay, TIMER_ANSWER);
-                    }
+                    ctx.set_timer(ANSWER_DELAY, TIMER_ANSWER);
                 }
             }
             Dtap::Disconnect { call, cause } => {
@@ -679,20 +649,24 @@ mod tests {
     use vgprs_sim::{Network, ScriptedPeer};
 
     fn config() -> MsConfig {
-        MsConfig::new(
-            Imsi::parse("466920123456789").unwrap(),
-            0xABCD,
-            Msisdn::parse("88691234567").unwrap(),
-            Lai::new(466, 92, 1),
-        )
+        MsConfig {
+            imsi: Imsi::parse("466920123456789").unwrap(),
+            ki: 0xABCD,
+            lai: Lai::new(466, 92, 1),
+        }
     }
 
     /// Builds: fake serving BTS ←Um→ MS. The BTS plays `feed` 10 ms
-    /// apart from 10 ms on; it needs the MS id, so the rig patches it in
-    /// after creating both.
+    /// apart from 10 ms on.
     fn rig(feed: Vec<Message>) -> (Network<Message>, NodeId, NodeId) {
+        rig_with(scripted_bts(feed))
+    }
+
+    /// The rig around a BTS of the test's own script; it needs the MS
+    /// id, so the rig patches it in after creating both.
+    fn rig_with(bts: ScriptedPeer<Message>) -> (Network<Message>, NodeId, NodeId) {
         let mut net = Network::new(1);
-        let bts = net.add_node("bts", scripted_bts(feed));
+        let bts = net.add_node("bts", bts);
         let ms = net.add_node("ms", MobileStation::new(config(), bts));
         net.connect(ms, bts, Interface::Um, SimDuration::from_millis(1));
         net.node_mut::<ScriptedPeer<Message>>(bts)
@@ -715,13 +689,13 @@ mod tests {
     /// exists only while the call does (192 bytes when the row carried
     /// a call's fields, the far number, a neighbor vector and the whole
     /// configuration; 120 while it kept three tallies of `Stats` counters
-    /// and an `Option` TMSI). At 88 bytes its box is a 96-byte malloc
-    /// chunk.
+    /// and an `Option` TMSI; 88 while it kept an answering habit every
+    /// handset shared). At 80 bytes its box is a 96-byte malloc chunk.
     #[test]
-    fn a_handset_is_88_bytes_and_its_call_48() {
+    fn a_handset_is_80_bytes_and_its_call_48() {
         use std::mem::size_of;
-        assert_eq!(size_of::<MobileStation>(), 88);
-        assert_eq!(size_of::<Option<MobileStation>>(), 88);
+        assert_eq!(size_of::<MobileStation>(), 80);
+        assert_eq!(size_of::<Option<MobileStation>>(), 80);
         assert_eq!(size_of::<MsCall>(), 48);
     }
 
@@ -946,11 +920,13 @@ mod tests {
 
     /// A dial released before it connects leaves its cause and no dial
     /// time: the call the handset answers next records no setup delay.
+    /// It rings at 41 ms and answers by itself `ANSWER_DELAY` later.
     #[test]
     fn a_failed_dial_then_an_answered_call_records_no_setup_sample() {
         let (dialed, answered) = (CallId(7), CallId(8));
         let imsi = config().imsi;
-        let (mut net, ms, _bts) = rig(vec![
+        let acked = ANSWER_DELAY + SimDuration::from_millis(50);
+        let (mut net, ms, _bts) = rig_with(scripted_bts(vec![
             Message::Um(Dtap::Disconnect {
                 call: dialed,
                 cause: Cause::UserBusy,
@@ -963,15 +939,15 @@ mod tests {
                 call: answered,
                 calling: None,
             }),
-            Message::Um(Dtap::ConnectAck { call: answered }),
-        ]);
+        ])
+        .at(acked, Message::Um(Dtap::ConnectAck { call: answered })));
         dial_from_idle(&mut net, ms, dialed);
-        let answer = Message::Cmd(Command::Answer);
-        net.inject(SimDuration::from_millis(45), ms, answer);
         net.run_until(SimTime::from_micros(30_000));
         let m = net.node::<MobileStation>(ms).unwrap();
         assert_eq!((m.state(), m.dial_failure()), (MsState::Idle, Some(Cause::UserBusy)));
-        net.run_until(SimTime::from_micros(100_000));
+        net.run_until(SimTime::from_micros(1_000_000));
+        assert_eq!(net.node::<MobileStation>(ms).unwrap().state(), MsState::Ringing);
+        net.run_until(SimTime::ZERO + acked + SimDuration::from_millis(1));
         assert_eq!(net.node::<MobileStation>(ms).unwrap().state(), MsState::Active);
         assert!(net.stats().histogram("ms.call_setup_ms").is_none());
     }

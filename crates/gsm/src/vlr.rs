@@ -21,9 +21,6 @@ pub struct VlrConfig {
     /// Digit prefix of the roaming numbers this VLR mints; the PSTN must
     /// route this prefix to the co-located MSC.
     pub msrn_prefix: String,
-    /// Authenticate + re-cipher on every access (call setup), not only at
-    /// registration. Matches the paper's step 2.1/4.5 boxes.
-    pub auth_on_access: bool,
 }
 
 #[derive(Debug, Default)]
@@ -408,17 +405,8 @@ impl Vlr {
                     );
                     return;
                 }
-                if !self.config.auth_on_access {
-                    ctx.send(
-                        self.msc,
-                        Message::Map(MapMessage::ProcessAccessRequestAck {
-                            conn,
-                            imsi,
-                            rejection: None,
-                        }),
-                    );
-                    return;
-                }
+                // Every access authenticates and re-ciphers, not only
+                // registration: the paper's steps 2.1 and 4.5.
                 let issued = self.begin_auth(ctx, imsi, conn);
                 self.pending.insert(
                     imsi,
@@ -678,7 +666,6 @@ mod tests {
         VlrConfig {
             point_code: PointCode(10),
             msrn_prefix: "8869990".to_owned(),
-            auth_on_access: true,
         }
     }
 

@@ -14,8 +14,8 @@
 
 use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken};
 use vgprs_wire::{
-    CallId, Cause, Command, Crv, Habits, Imsi, IpPacket, IpPayload, Ipv4Addr, Message, Msisdn,
-    Q931Kind, Q931Message, RasMessage, RtpPacket, TransportAddr, PAYLOAD_TYPE_GSM,
+    CallId, Cause, Command, Crv, Imsi, IpPacket, IpPayload, Ipv4Addr, Message, Msisdn, Q931Kind,
+    Q931Message, RasMessage, RtpPacket, TransportAddr, ANSWER_DELAY, PAYLOAD_TYPE_GSM,
 };
 
 /// Timer tag: auto-answer.
@@ -53,23 +53,6 @@ pub struct TerminalConfig {
     pub addr: TransportAddr,
     /// The gatekeeper's RAS address.
     pub gk: TransportAddr,
-    /// Auto-answer delay; `None` waits for [`Command::Answer`].
-    pub answer_after: Option<SimDuration>,
-    /// Send RTP as soon as the call connects.
-    pub talk_on_connect: bool,
-}
-
-impl TerminalConfig {
-    /// A terminal that auto-answers after two seconds and talks.
-    pub fn new(alias: Msisdn, addr: TransportAddr, gk: TransportAddr) -> Self {
-        TerminalConfig {
-            alias,
-            addr,
-            gk,
-            answer_after: Some(SimDuration::from_secs(2)),
-            talk_on_connect: true,
-        }
-    }
 }
 
 /// The counter and histogram names one kind of endpoint reports under,
@@ -216,7 +199,6 @@ impl Addresses {
 pub struct H323Endpoint<U> {
     alias: Msisdn,
     addrs: Addresses,
-    habits: Habits,
     uplink: U,
     state: TerminalState,
     next_crv: u16,
@@ -247,7 +229,6 @@ impl<U: Uplink> H323Endpoint<U> {
         H323Endpoint {
             alias: config.alias,
             addrs: Addresses::new(config.addr, config.gk),
-            habits: Habits::new(config.answer_after, config.talk_on_connect),
             uplink,
             state: TerminalState::Registering,
             next_crv: 0,
@@ -282,8 +263,6 @@ impl<U: Uplink> H323Endpoint<U> {
             alias: self.alias,
             addr: self.addrs.own(),
             gk: self.addrs.gk(),
-            answer_after: self.habits.auto_answer_after(),
-            talk_on_connect: self.habits.talk_on_connect(),
         }
     }
 
@@ -418,9 +397,7 @@ impl<U: Uplink> H323Endpoint<U> {
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration(U::NAMES.call_setup_ms, ctx.now().duration_since(at));
         }
-        if self.habits.talk_on_connect() {
-            self.start_voice(ctx);
-        }
+        self.start_voice(ctx);
     }
 
     fn end_call(&mut self, ctx: &mut Context<'_, Message>) {
@@ -482,7 +459,6 @@ impl<U: Uplink> H323Endpoint<U> {
                 ctx.count(U::NAMES.calls_dialed);
                 return Outcome::Dialled;
             }
-            Command::Answer => self.answer(ctx),
             Command::Hangup
                 if self.call().is_some() => {
                     self.send_q931(
@@ -592,9 +568,7 @@ impl<U: Uplink> H323Endpoint<U> {
                         self.state = TerminalState::Ringing;
                         ctx.count(U::NAMES.ringing);
                         self.send_q931(ctx, Q931Kind::Alerting);
-                        if let Some(delay) = self.habits.auto_answer_after() {
-                            ctx.set_timer(delay, TIMER_ANSWER);
-                        }
+                        ctx.set_timer(ANSWER_DELAY, TIMER_ANSWER);
                     }
                     _ => {}
                 }
@@ -773,14 +747,22 @@ mod tests {
         let t1 = net.add_node(
             "alice",
             H323Terminal::new(
-                TerminalConfig::new(alias("88620001111"), addr(11, 1720), addr(2, 1719)),
+                TerminalConfig {
+                    alias: alias("88620001111"),
+                    addr: addr(11, 1720),
+                    gk: addr(2, 1719),
+                },
                 router,
             ),
         );
         let t2 = net.add_node(
             "bob",
             H323Terminal::new(
-                TerminalConfig::new(alias("88620002222"), addr(12, 1720), addr(2, 1719)),
+                TerminalConfig {
+                    alias: alias("88620002222"),
+                    addr: addr(12, 1720),
+                    gk: addr(2, 1719),
+                },
                 router,
             ),
         );
@@ -800,12 +782,13 @@ mod tests {
     /// exists only while the call does (184 bytes when the row carried
     /// a call's fields and the far party's addresses; 104 while it kept
     /// three tallies of `Stats` counters, its whole configuration and an
-    /// `Option` delay). At 56 bytes its box is a 64-byte malloc chunk.
+    /// `Option` delay; 56 while it kept an answering habit every endpoint
+    /// shared). At 48 bytes its box is a 64-byte malloc chunk.
     #[test]
-    fn a_terminal_is_56_bytes_and_its_call_88() {
+    fn a_terminal_is_48_bytes_and_its_call_88() {
         use std::mem::size_of;
-        assert_eq!(size_of::<H323Terminal>(), 56);
-        assert_eq!(size_of::<Option<H323Terminal>>(), 56);
+        assert_eq!(size_of::<H323Terminal>(), 48);
+        assert_eq!(size_of::<Option<H323Terminal>>(), 48);
         assert_eq!(size_of::<EndpointCall>(), 88);
     }
 
@@ -1030,7 +1013,11 @@ mod tests {
         let t3 = net.add_node(
             "carol",
             H323Terminal::new(
-                TerminalConfig::new(alias("88620003333"), addr(13, 1720), addr(2, 1719)),
+                TerminalConfig {
+                    alias: alias("88620003333"),
+                    addr: addr(13, 1720),
+                    gk: addr(2, 1719),
+                },
                 router,
             ),
         );

@@ -65,6 +65,10 @@ impl CallMix {
     }
 }
 
+/// Holding-time floor, seconds, so connected calls outlive ringing and
+/// answer.
+const MIN_HOLD_SECS: f64 = 8.0;
+
 /// Statistical description of the population's busy-hour behavior.
 #[derive(Clone, Debug)]
 pub struct PopulationConfig {
@@ -72,8 +76,6 @@ pub struct PopulationConfig {
     pub calls_per_sub_hour: f64,
     /// Mean call holding time (exponential), seconds.
     pub mean_hold_secs: f64,
-    /// Holding-time floor so connected calls outlive ringing and answer.
-    pub min_hold_secs: f64,
     /// Observation window, seconds of simulated time.
     pub window_secs: u64,
     /// Relative mix of MO / MT / mobile-to-mobile attempts.
@@ -94,7 +96,6 @@ impl Default for PopulationConfig {
         PopulationConfig {
             calls_per_sub_hour: 4.0,
             mean_hold_secs: 90.0,
-            min_hold_secs: 8.0,
             window_secs: 60,
             mix: CallMix::default(),
             mobility_fraction: 0.05,
@@ -236,13 +237,13 @@ pub fn subscriber_plan_demand(
     let mut arrivals = Vec::new();
     if cfg.calls_per_sub_hour > 0.0 {
         let mean_gap = 3600.0 / (cfg.calls_per_sub_hour * envelope);
-        let extra_hold = (cfg.mean_hold_secs - cfg.min_hold_secs).max(0.1);
+        let extra_hold = (cfg.mean_hold_secs - MIN_HOLD_SECS).max(0.1);
         let mut t = calls.exponential(mean_gap);
         while t < window {
             let at_ms = (t * 1000.0) as u64;
             if !shaped || calls.chance(demand.multiplier_at_ms(at_ms) / envelope) {
                 let kind = cfg.mix.pick(calls.uniform());
-                let hold = cfg.min_hold_secs + calls.exponential(extra_hold);
+                let hold = MIN_HOLD_SECS + calls.exponential(extra_hold);
                 arrivals.push(Arrival {
                     at_ms,
                     kind,
@@ -345,7 +346,7 @@ mod tests {
         };
         for g in 0..20 {
             for a in subscriber_plan(&cfg, 3, g).arrivals {
-                assert!(a.hold_ms >= (cfg.min_hold_secs * 1000.0) as u64);
+                assert!(a.hold_ms >= (MIN_HOLD_SECS * 1000.0) as u64);
             }
         }
     }

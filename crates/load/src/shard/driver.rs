@@ -14,14 +14,17 @@ use vgprs_faults::FaultClass;
 use vgprs_gsm::{MobileStation, MsState};
 use vgprs_h323::{H323Terminal, TerminalState};
 use vgprs_sim::{NodeId, SimRng};
-use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn};
+use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn, ANSWER_DELAY};
 
 use super::{alias_for, msisdn_for, Ix, Shard};
 use crate::population::CallKind;
 
 /// Answer delay plus setup slack: voice is up by this long after a
-/// dial that connects (both endpoint types auto-answer after 2 s).
-pub(super) const CONNECT_GRACE_MS: u64 = 3_000;
+/// dial that connects.
+pub(super) const CONNECT_GRACE_MS: u64 = ANSWER_DELAY.as_millis() + SETUP_SLACK_MS;
+
+/// What a connecting dial takes beyond the callee's ringing.
+const SETUP_SLACK_MS: u64 = 1_000;
 
 /// A mover still on a handed-off call when its return is due goes home
 /// this long after the hangup instead.

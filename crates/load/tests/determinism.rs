@@ -345,7 +345,6 @@ fn cross_cfg(shards: usize) -> LoadConfig {
             },
             mobility_fraction: 0.15,
             cross_shard_fraction: 0.35,
-            ..PopulationConfig::default()
         },
         ..LoadConfig::default()
     }

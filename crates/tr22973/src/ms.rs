@@ -14,7 +14,7 @@
 //! context's life around the endpoint's calls, LLC framing.
 
 use vgprs_h323::{EndpointNames, H323Endpoint, Outcome, TerminalConfig, TerminalState, Uplink};
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimTime, TimerToken};
 use vgprs_wire::{
     Command, GmmMessage, Imsi, IpPacket, Ipv4Addr, Message, Msisdn, Nsapi, QosProfile,
     TransportAddr,
@@ -49,10 +49,6 @@ pub struct TrMsConfig {
     pub static_addr: Ipv4Addr,
     /// The gatekeeper's RAS address.
     pub gk: TransportAddr,
-    /// Auto-answer delay.
-    pub answer_after: Option<SimDuration>,
-    /// Send RTP on connect.
-    pub talk_on_connect: bool,
     /// Tear the PDP context down when idle (the TR behavior). `false`
     /// keeps it always-on — the ablation that isolates the paper's C2
     /// claim.
@@ -67,8 +63,6 @@ impl TrMsConfig {
             msisdn,
             static_addr,
             gk,
-            answer_after: Some(SimDuration::from_secs(2)),
-            talk_on_connect: true,
             deactivate_when_idle: true,
         }
     }
@@ -135,8 +129,6 @@ impl H323Ms {
                 alias: config.msisdn,
                 addr: TransportAddr::new(config.static_addr, 1720),
                 gk: config.gk,
-                answer_after: config.answer_after,
-                talk_on_connect: config.talk_on_connect,
             },
             Pdch {
                 bts,

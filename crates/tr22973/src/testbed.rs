@@ -14,20 +14,24 @@ pub use vgprs_core::LatencyProfile;
 
 use crate::ms::{H323Ms, TrMsConfig};
 
+/// The gatekeeper's bandwidth budget: `VgprsZoneConfig::taiwan`'s, so
+/// the C1 and C2 comparisons differ only in the architecture.
+const GK_BANDWIDTH: u32 = 1_000_000;
+
+/// Node-name prefix: every experiment builds one TR zone.
+const ZONE_NAME: &str = "tr";
+
+/// The zone's one serving cell.
+const ZONE_CELL: CellId = CellId(1);
+
 /// Configuration for one TR 22.973 zone.
 #[derive(Clone, Debug)]
 pub struct TrZoneConfig {
-    /// Node-name prefix.
-    pub name: String,
-    /// Serving cell.
-    pub cell: CellId,
     /// GGSN PDP address pool; static addresses are carved from
     /// `pool.0 | 0x0000_64xx`.
     pub pool: (Ipv4Addr, u8),
     /// Gatekeeper address.
     pub gk_addr: TransportAddr,
-    /// Gatekeeper bandwidth budget.
-    pub gk_bandwidth: u32,
     /// Shared packet channel rate at the BTS — the contended resource
     /// behind the paper's real-time argument.
     pub pdch_bps: u64,
@@ -41,11 +45,8 @@ impl TrZoneConfig {
     /// everything but the architecture constant.
     pub fn taiwan() -> Self {
         TrZoneConfig {
-            name: "tr".into(),
-            cell: CellId(1),
             pool: (Ipv4Addr::from_octets(10, 200, 0, 0), 16),
             gk_addr: TransportAddr::new(Ipv4Addr::from_octets(10, 1, 0, 2), 1719),
-            gk_bandwidth: 1_000_000,
             pdch_bps: 40_000,
             latency: LatencyProfile::default(),
         }
@@ -63,7 +64,6 @@ pub struct TrZone {
     /// Base transceiver station (shared PDCH).
     pub bts: NodeId,
     pool_base: Ipv4Addr,
-    name: String,
     next_static: u8,
 }
 
@@ -72,11 +72,11 @@ impl TrZone {
     pub fn build(net: &mut Network<Message>, cfg: TrZoneConfig) -> TrZone {
         let packet = PacketHalf::build(
             net,
-            &cfg.name,
+            ZONE_NAME,
             cfg.pool,
             GatekeeperConfig {
                 addr: cfg.gk_addr,
-                bandwidth_budget: cfg.gk_bandwidth,
+                bandwidth_budget: GK_BANDWIDTH,
                 shed_utilization: 0.0,
             },
             0,
@@ -86,10 +86,10 @@ impl TrZone {
         // its PCU points at the SGSN.
         let (bsc, bts) = build_cell(
             net,
-            &cfg.name,
+            ZONE_NAME,
             packet.sgsn,
             CellConfig {
-                cell: cfg.cell,
+                cell: ZONE_CELL,
                 tch_capacity: 0,
                 pdch_bps: cfg.pdch_bps,
             },
@@ -104,7 +104,6 @@ impl TrZone {
             bsc,
             bts,
             pool_base: cfg.pool.0,
-            name: cfg.name,
             next_static: 0,
         }
     }
@@ -125,7 +124,7 @@ impl TrZone {
             .provision_static(imsi, static_addr, self.packet.sgsn);
         camp(
             net,
-            format_args!("{}.{label}", self.name),
+            format_args!("{ZONE_NAME}.{label}"),
             H323Ms::new(
                 TrMsConfig::new(imsi, msisdn, static_addr, self.packet.gk_addr),
                 self.bts,

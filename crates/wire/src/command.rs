@@ -3,60 +3,18 @@
 //! Commands are injected through
 //! [`Network::inject`](vgprs_sim::Network::inject) and arrive over
 //! [`Interface::Internal`](vgprs_sim::Interface::Internal); they model the
-//! human side of the system — pressing the power button, dialing, picking
-//! up, hanging up, walking across a cell boundary.
-
-use std::fmt;
+//! human side of the system — pressing the power button, dialing,
+//! hanging up, walking across a cell boundary. Answering is not a
+//! command: a ringing phone picks up after [`ANSWER_DELAY`].
 
 use vgprs_sim::SimDuration;
 
 use crate::ids::{CallId, CellId, Msisdn};
 
-/// How a subscriber's endpoint acts without a [`Command`], in one word:
-/// the auto-answer delay's microseconds below the top bit (all ones:
-/// wait for [`Command::Answer`]), talk-on-connect in the top bit.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Habits(u64);
-
-impl Habits {
-    const TALK: u64 = 1 << 63;
-    const WAIT: u64 = Self::TALK - 1;
-
-    /// Answers `auto_answer_after` ringing starts (`None`: on
-    /// [`Command::Answer`]), and talks as soon as a call connects if
-    /// `talk_on_connect`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a delay of 2^63 - 1 µs or more, which would never end.
-    pub fn new(auto_answer_after: Option<SimDuration>, talk_on_connect: bool) -> Self {
-        let after = auto_answer_after.map_or(Self::WAIT, |d| {
-            assert!(d.as_micros() < Self::WAIT, "auto-answer delay {d} never ends");
-            d.as_micros()
-        });
-        Habits(after | if talk_on_connect { Self::TALK } else { 0 })
-    }
-
-    /// How long after ringing starts the endpoint answers by itself.
-    pub fn auto_answer_after(self) -> Option<SimDuration> {
-        let micros = self.0 & Self::WAIT;
-        (micros != Self::WAIT).then_some(SimDuration::from_micros(micros))
-    }
-
-    /// Whether the endpoint talks as soon as a call connects.
-    pub fn talk_on_connect(self) -> bool {
-        self.0 & Self::TALK != 0
-    }
-}
-
-impl fmt::Debug for Habits {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Habits")
-            .field("auto_answer_after", &self.auto_answer_after())
-            .field("talk_on_connect", &self.talk_on_connect())
-            .finish()
-    }
-}
+/// How long a subscriber's phone rings before its user answers: every
+/// handset, terminal and fixed-line phone picks up this long after it
+/// starts ringing, and talks as soon as the call connects.
+pub const ANSWER_DELAY: SimDuration = SimDuration::from_secs(2);
 
 /// A local stimulus delivered to a node by the scenario driver.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,8 +31,6 @@ pub enum Command {
         /// Number to dial.
         called: Msisdn,
     },
-    /// Answer the currently alerting call.
-    Answer,
     /// Hang up the active call (paper Section 4, release flow).
     Hangup,
     /// Start sending voice frames on the active call (media experiments).
@@ -109,7 +65,6 @@ impl Command {
             Command::PowerOn => "Cmd_Power_On",
             Command::PowerOff => "Cmd_Power_Off",
             Command::Dial { .. } => "Cmd_Dial",
-            Command::Answer => "Cmd_Answer",
             Command::Hangup => "Cmd_Hangup",
             Command::StartTalking => "Cmd_Start_Talking",
             Command::StopTalking => "Cmd_Stop_Talking",

@@ -489,6 +489,12 @@ impl FromStr for Ipv4Addr {
             octets[i] = p
                 .parse::<u8>()
                 .map_err(|e| ParseIdError::new("IPv4 address", e.to_string()))?;
+            // Canonical decimal only (no sign, no leading zero), so that
+            // `Display` prints back what was read.
+            if octets[i].to_string() != *p {
+                let reason = format!("octet {p:?} is not canonical");
+                return Err(ParseIdError::new("IPv4 address", reason));
+            }
         }
         Ok(Ipv4Addr::from_octets(
             octets[0], octets[1], octets[2], octets[3],
@@ -995,6 +1001,18 @@ mod tests {
         assert!("1.2.3".parse::<Ipv4Addr>().is_err());
         assert!("1.2.3.400".parse::<Ipv4Addr>().is_err());
         assert!("a.b.c.d".parse::<Ipv4Addr>().is_err());
+    }
+
+    /// An address reads only as `Display` prints it: a sign or a
+    /// leading zero would parse to an address that prints differently.
+    #[test]
+    fn ipv4_parse_takes_only_canonical_octets() {
+        for s in ["+10.0.0.1", "010.000.0.01", "10.0.0.01"] {
+            assert!(s.parse::<Ipv4Addr>().is_err(), "{s} parsed");
+        }
+        for s in ["0.0.0.0", "255.255.255.255"] {
+            assert_eq!(s.parse::<Ipv4Addr>().unwrap().to_string(), s);
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ mod rtp;
 mod subscriber;
 
 pub use cause::Cause;
-pub use command::{Command, Habits};
+pub use command::{Command, ANSWER_DELAY};
 pub use dtap::Dtap;
 pub use gmm::GmmMessage;
 pub use gtp::{DecodeGtpError, GtpHeader, GtpMessage, GtpMsgType};

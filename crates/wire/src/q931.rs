@@ -131,7 +131,10 @@ impl Q931Message {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeQ931Error`] on malformed input.
+    /// Returns [`DecodeQ931Error`] on malformed input, and
+    /// [`DecodeQ931Error::NonCanonical`] on bytes that
+    /// [`encode`](Self::encode) would not write: a repeated element, one
+    /// its message type does not carry, or one out of order.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeQ931Error> {
         if bytes.len() < 5 {
             return Err(DecodeQ931Error::Truncated);
@@ -219,7 +222,11 @@ impl Q931Message {
             },
             other => return Err(DecodeQ931Error::UnknownMessageType(other)),
         };
-        Ok(Q931Message { crv, call, kind })
+        let m = Q931Message { crv, call, kind };
+        if m.encode() != bytes {
+            return Err(DecodeQ931Error::NonCanonical);
+        }
+        Ok(m)
     }
 }
 
@@ -270,6 +277,9 @@ pub enum DecodeQ931Error {
     MissingIe(&'static str),
     /// An information element was present but malformed.
     BadIe(&'static str),
+    /// Well-formed elements that [`Q931Message::encode`] would not write
+    /// as they stand.
+    NonCanonical,
 }
 
 impl std::fmt::Display for DecodeQ931Error {
@@ -286,6 +296,7 @@ impl std::fmt::Display for DecodeQ931Error {
             DecodeQ931Error::UnknownIe(id) => write!(f, "unknown information element {id:#04x}"),
             DecodeQ931Error::MissingIe(name) => write!(f, "missing information element: {name}"),
             DecodeQ931Error::BadIe(name) => write!(f, "malformed information element: {name}"),
+            DecodeQ931Error::NonCanonical => write!(f, "Q.931 message not in canonical form"),
         }
     }
 }
@@ -378,6 +389,28 @@ mod tests {
         assert_eq!(Q931Message::decode(&b), Err(DecodeQ931Error::UnknownIe(0x55)));
     }
 
+    /// A second user-user element would rebind the message to another
+    /// call, and a calling number or a cause is not a Connect's to carry:
+    /// each is refused, not decoded as a plain Connect.
+    #[test]
+    fn decode_refuses_repeated_and_foreign_ies() {
+        let connect = Q931Message {
+            crv: Crv(1),
+            call: CallId(2),
+            kind: Q931Kind::Connect {
+                media_addr: addr(5, 30_000),
+            },
+        }
+        .encode();
+        let with = |ie: &[u8]| Q931Message::decode(&[&connect[..], ie].concat());
+        let second_call = [ie::USER_USER, 8, 0, 0, 0, 0, 0, 0, 0, 9];
+        let calling = [&[ie::CALLING, 12, 0x81][..], b"88620001111"].concat();
+        let cause = [ie::CAUSE, 2, 0x80, 0x90];
+        for extra in [&second_call[..], &calling, &cause] {
+            assert_eq!(with(extra), Err(DecodeQ931Error::NonCanonical), "{extra:02x?}");
+        }
+    }
+
     #[test]
     fn type_codes_match_q931() {
         assert_eq!(Q931Kind::Alerting.type_code(), 0x01);
@@ -401,6 +434,7 @@ mod tests {
             DecodeQ931Error::UnknownIe(9),
             DecodeQ931Error::MissingIe("x"),
             DecodeQ931Error::BadIe("x"),
+            DecodeQ931Error::NonCanonical,
         ] {
             assert!(!e.to_string().is_empty());
         }

@@ -286,11 +286,25 @@ tripwire "a spare triplet in every VLR record" 'current: Option<AuthTriplet>' \
 # Nor does a row keep a count that Stats keeps already: a handset's
 # frames, connected calls and handoffs are `ms.voice_frames_received`,
 # `ms.calls_connected` and `ms.handoffs`, an endpoint's its
-# `rtp_received` and `calls_connected` names. Six such tallies were 48
-# bytes per subscriber and moved both node boxes up a malloc chunk.
+# `rtp_received` and `calls_connected` names, a fixed-line phone's
+# `phone.voice_frames_received` and `phone.calls_connected`. Six such
+# tallies were 48 bytes per subscriber and moved both node boxes up a
+# malloc chunk.
 tripwire "a tally in a subscriber's node" -E \
     'pub (frames_received|calls_connected|calls_failed|handoffs_completed): u64' \
-    crates/gsm/src/ms.rs crates/h323/src/terminal.rs
+    crates/gsm/src/ms.rs crates/h323/src/terminal.rs crates/pstn/src/phone.rs
+
+echo "==> an option has two callers"
+# A setting every caller gives one value is a constant: the VLR
+# authenticates every access, a cell clips voice past 8 queued packets
+# or 8 pages a second, every phone answers vgprs_wire::ANSWER_DELAY
+# after it rings and talks once connected, and a held call lasts at
+# least 8 s. These names were such settings (with the packed word and
+# the answer command that carried two of them); one coming back is a
+# knob that no two callers set apart.
+tripwire "a one-value setting: make it a constant" -rE \
+    'auth_on_access|voice_clip_backlog|pch_capacity_per_s|answer_after|talk_on_connect|Habits|min_hold_secs|Command::Answer' \
+    crates/*/src crates/*/tests tests examples
 
 echo "==> a page goes over the cell's links"
 # A broadcast goes to the sender's links on one interface

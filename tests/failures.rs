@@ -190,7 +190,7 @@ fn international_call_barred_by_profile() {
         );
     let ms = zone
         .access
-        .add_roamer(&mut net, "ms1", imsi(1), 0x1, msisdn(1));
+        .add_roamer(&mut net, "ms1", imsi(1), 0x1);
     zone.packet
         .add_terminal(&mut net, "t1", Msisdn::parse("447220001111").unwrap());
     net.inject(SimDuration::ZERO, ms, Message::Cmd(Command::PowerOn));

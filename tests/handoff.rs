@@ -63,8 +63,6 @@ fn section7_classic_anchor_hands_over_to_a_vmsc() {
             msrn_prefix: "8869990".into(),
             lai: Lai::new(466, 92, 1),
             cell: CellId(1),
-            tch_capacity: 16,
-            auth_on_access: true,
             latency: lat,
         },
         switch,
@@ -112,7 +110,7 @@ fn section7_classic_anchor_hands_over_to_a_vmsc() {
     let heard = |net: &Network<Message>| {
         (
             net.stats().counter("ms.voice_frames_received"),
-            net.node::<PstnPhone>(phone).expect("phone").frames_received,
+            net.stats().counter("phone.voice_frames_received"),
         )
     };
     let (ms_before, phone_before) = heard(&net);
