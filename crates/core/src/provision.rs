@@ -40,7 +40,7 @@ fn hop(net: &Network<Message>, from: NodeId, to: NodeId) -> SimDuration {
     let quality = net
         .link_between(from, to)
         .unwrap_or_else(|| panic!("no link {from} -> {to} on the ladder"))
-        .quality_from(from);
+        .quality;
     assert!(
         quality.jitter.is_zero() && quality.loss == 0.0 && quality.bandwidth_bps.is_none(),
         "{from} -> {to} delays by more than its latency: {quality:?}"

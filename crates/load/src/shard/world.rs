@@ -255,14 +255,8 @@ impl Shard {
             .node::<Vmsc>(vmsc)
             .expect("home VMSC")
             .registered_count();
-        let gb_quality = net
-            .link_between(vmsc, sgsn)
-            .expect("Gb link")
-            .quality_from(vmsc);
-        let gn_quality = net
-            .link_between(sgsn, ggsn)
-            .expect("Gn link")
-            .quality_from(sgsn);
+        let gb_quality = net.link_between(vmsc, sgsn).expect("Gb link").quality;
+        let gn_quality = net.link_between(sgsn, ggsn).expect("Gn link").quality;
         // The busy-hour window starts once registration has settled.
         let t0_us = net.now().as_micros();
         let mut shard = Shard {

@@ -87,7 +87,7 @@ pub use fnv::Fnv1a;
 pub use idmap::{salt, set_salt, IdHasher, IdMap, IdSet, NumberBlock, NumberKey};
 pub use interface::Interface;
 pub use ladder::LadderDiagram;
-pub use link::{Link, LinkConfig, LinkQuality};
+pub use link::{Link, LinkQuality};
 pub use listen::{FanOut, Tuning};
 pub use net::{census_counters, Network, RunOutcome};
 pub use node::{Node, NodeId, Payload};

@@ -2,7 +2,6 @@
 
 
 use crate::interface::Interface;
-use crate::node::NodeId;
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 
@@ -96,61 +95,15 @@ impl Default for LinkQuality {
     }
 }
 
-/// Configuration handed to [`Network::connect_with`](crate::Network::connect_with).
+/// A provisioned link: the reference point it models and its quality,
+/// the same both ways. [`Network::link_between`](crate::Network::link_between)
+/// returns one by value.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkConfig {
+pub struct Link {
     /// Reference point this link models.
     pub interface: Interface,
-    /// Quality in the a→b direction.
-    pub forward: LinkQuality,
-    /// Quality in the b→a direction.
-    pub reverse: LinkQuality,
-}
-
-impl LinkConfig {
-    /// Symmetric link with identical quality both ways.
-    pub fn symmetric(interface: Interface, quality: LinkQuality) -> Self {
-        LinkConfig {
-            interface,
-            forward: quality,
-            reverse: quality,
-        }
-    }
-}
-
-/// A provisioned link between two nodes.
-#[derive(Clone, Copy, Debug)]
-pub struct Link {
-    pub(crate) a: NodeId,
-    pub(crate) b: NodeId,
-    pub(crate) config: LinkConfig,
-}
-
-impl Link {
-    /// The two endpoints, in registration order.
-    pub fn endpoints(&self) -> (NodeId, NodeId) {
-        (self.a, self.b)
-    }
-
-    /// The interface this link models.
-    pub fn interface(&self) -> Interface {
-        self.config.interface
-    }
-
-    /// Quality from `from` toward the other endpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` is not an endpoint of this link.
-    pub fn quality_from(&self, from: NodeId) -> LinkQuality {
-        if from == self.a {
-            self.config.forward
-        } else if from == self.b {
-            self.config.reverse
-        } else {
-            panic!("{from} is not an endpoint of link {:?}-{:?}", self.a, self.b)
-        }
-    }
+    /// Transmission quality, in either direction.
+    pub quality: LinkQuality,
 }
 
 #[cfg(test)]
@@ -212,34 +165,5 @@ mod tests {
     #[should_panic(expected = "bandwidth must be positive")]
     fn zero_bandwidth_rejected() {
         let _ = LinkQuality::new(SimDuration::ZERO).with_bandwidth_bps(0);
-    }
-
-    #[test]
-    fn asymmetric_link_directionality() {
-        let fast = LinkQuality::new(SimDuration::from_millis(1));
-        let slow = LinkQuality::new(SimDuration::from_millis(9));
-        let link = Link {
-            a: NodeId::new(0),
-            b: NodeId::new(1),
-            config: LinkConfig {
-                interface: Interface::Gn,
-                forward: fast,
-                reverse: slow,
-            },
-        };
-        assert_eq!(link.quality_from(NodeId::new(0)), fast);
-        assert_eq!(link.quality_from(NodeId::new(1)), slow);
-        assert_eq!(link.interface(), Interface::Gn);
-    }
-
-    #[test]
-    #[should_panic(expected = "not an endpoint")]
-    fn quality_from_foreign_node_panics() {
-        let link = Link {
-            a: NodeId::new(0),
-            b: NodeId::new(1),
-            config: LinkConfig::symmetric(Interface::Lan, LinkQuality::default()),
-        };
-        let _ = link.quality_from(NodeId::new(7));
     }
 }

@@ -7,7 +7,7 @@ use std::sync::LazyLock;
 use crate::context::{Context, Effect};
 use crate::event::{EventKind, EventQueue, Kernel};
 use crate::interface::Interface;
-use crate::link::{Link, LinkConfig, LinkQuality};
+use crate::link::{Link, LinkQuality};
 use crate::listen::{key_hash, FanOut, Word};
 use crate::node::{Node, NodeId, Payload};
 use crate::rng::SimRng;
@@ -43,15 +43,14 @@ const IFACES: usize = Interface::ALL.len();
 #[derive(Clone, Copy)]
 struct Port {
     peer: u32,
-    /// Index into `Network::classes`, shifted left by one; the low bit
-    /// is set when the owner is the link's `a` end.
-    class_dir: u32,
+    /// Index into `Network::classes`.
+    class: u32,
 }
 
 impl Port {
     const NONE: Port = Port {
         peer: u32::MAX,
-        class_dir: 0,
+        class: 0,
     };
 }
 
@@ -123,9 +122,9 @@ pub struct Network<M: Payload> {
     words: Vec<Word>,
     /// How broadcasts fanned out so far.
     fan: FanOut,
-    /// The distinct link configurations, interned by equality: a world of
-    /// thousands of links has about a dozen, and a send reads one.
-    classes: Vec<LinkConfig>,
+    /// The distinct links, interned by equality: a world of thousands of
+    /// links has about a dozen, and a send reads one.
+    classes: Vec<Link>,
     queue: EventQueue<M>,
     rng: SimRng,
     stats: Stats,
@@ -276,26 +275,16 @@ impl<M: Payload> Network<M> {
         id
     }
 
-    /// Provisions a symmetric link between `a` and `b` with fixed `latency`,
-    /// tagged with the given interface.
+    /// Provisions a link between `a` and `b` with fixed `latency` both
+    /// ways, tagged with the given interface.
+    /// [`set_link_quality`](Self::set_link_quality) adds jitter, loss or
+    /// a bandwidth limit.
     ///
     /// # Panics
     ///
-    /// Panics if a link between the pair already exists, or if `a == b`.
+    /// Panics if a link between the pair already exists, or if `a == b`:
+    /// both indicate topology bugs.
     pub fn connect(&mut self, a: NodeId, b: NodeId, iface: Interface, latency: SimDuration) {
-        self.connect_with(
-            a,
-            b,
-            LinkConfig::symmetric(iface, LinkQuality::new(latency)),
-        );
-    }
-
-    /// Provisions a link with full [`LinkConfig`] control.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate links or self-links; both indicate topology bugs.
-    pub fn connect_with(&mut self, a: NodeId, b: NodeId, config: LinkConfig) {
         assert_ne!(a, b, "cannot link a node to itself");
         assert!(
             a.slot() < self.nodes.len() && b.slot() < self.nodes.len(),
@@ -303,24 +292,14 @@ impl<M: Payload> Network<M> {
         );
         assert!(
             self.port(a, b).is_none(),
-            "duplicate link between {a} and {b} (interface {})",
-            config.interface
+            "duplicate link between {a} and {b} (interface {iface})"
         );
-        let class = self.intern(config) << 1;
-        self.push_port(
-            a,
-            Port {
-                peer: b.index(),
-                class_dir: class | 1,
-            },
-        );
-        self.push_port(
-            b,
-            Port {
-                peer: a.index(),
-                class_dir: class,
-            },
-        );
+        let class = self.intern(Link {
+            interface: iface,
+            quality: LinkQuality::new(latency),
+        });
+        self.push_port(a, Port { peer: b.index(), class });
+        self.push_port(b, Port { peer: a.index(), class });
     }
 
     /// Adds `port` to `owner`'s ports: inline while one is vacant, then
@@ -359,45 +338,36 @@ impl<M: Payload> Network<M> {
     /// Whether `port` is a link, and one over `iface`.
     #[inline]
     fn carries(&self, port: &Port, iface: Interface) -> bool {
-        let class = (port.class_dir >> 1) as usize;
-        port.peer != Port::NONE.peer && self.classes[class].interface == iface
+        port.peer != Port::NONE.peer && self.classes[port.class as usize].interface == iface
     }
 
-    /// The index of `config` in `classes`, added if no link had it yet.
-    fn intern(&mut self, config: LinkConfig) -> u32 {
-        let at = self.classes.iter().position(|c| *c == config);
+    /// The index of `link` in `classes`, added if no link had it yet.
+    fn intern(&mut self, link: Link) -> u32 {
+        let at = self.classes.iter().position(|c| *c == link);
         at.unwrap_or_else(|| {
-            self.classes.push(config);
+            self.classes.push(link);
             self.classes.len() - 1
         }) as u32
     }
 
-    /// The class of the link between `from` and `to`, and whether `from`
-    /// is its `a` end. Scans the ports of whichever end has fewer: every
-    /// link of a real topology has a leaf, or a node of a handful of
-    /// ports, at one end.
+    /// The class of the link between `a` and `b`. Scans the ports of
+    /// whichever end has fewer: every link of a real topology has a leaf,
+    /// or a node of a handful of ports, at one end.
     #[inline]
-    fn port(&self, from: NodeId, to: NodeId) -> Option<(usize, bool)> {
-        let (near, far) = (&self.ports[from.slot()], &self.ports[to.slot()]);
-        let (owner, peer, owner_is_from) = if near.spilled <= far.spilled {
-            (from, to, true)
+    fn port(&self, a: NodeId, b: NodeId) -> Option<usize> {
+        let (owner, peer) = if self.ports[a.slot()].spilled <= self.ports[b.slot()].spilled {
+            (a, b)
         } else {
-            (to, from, false)
+            (b, a)
         };
         let port = self.ports_of(owner).find(|p| p.peer == peer.index())?;
-        let owner_is_a = port.class_dir & 1 == 1;
-        Some(((port.class_dir >> 1) as usize, owner_is_a == owner_is_from))
+        Some(port.class as usize)
     }
 
-    /// The link between two nodes, if provisioned.
+    /// The link between two nodes, if provisioned, whichever end is named
+    /// first.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<Link> {
-        let (class, a_first) = self.port(a, b)?;
-        let (a, b) = if a_first { (a, b) } else { (b, a) };
-        Some(Link {
-            a,
-            b,
-            config: self.classes[class],
-        })
+        self.port(a, b).map(|class| self.classes[class])
     }
 
     /// Every node, in registration order.
@@ -413,21 +383,18 @@ impl<M: Payload> Network<M> {
             .map(|p| NodeId::new(p.peer))
     }
 
-    /// Replaces the quality of an existing link (both directions). The
-    /// link moves to the class of its new configuration; other links of
-    /// the class it leaves keep theirs.
+    /// Replaces the quality of an existing link. The link moves to the
+    /// class of its new quality; other links of the class it leaves keep
+    /// theirs.
     ///
     /// # Panics
     ///
     /// Panics if no link exists between the pair.
     pub fn set_link_quality(&mut self, a: NodeId, b: NodeId, quality: LinkQuality) {
-        let (class, _) = self
-            .port(a, b)
+        let link = self
+            .link_between(a, b)
             .unwrap_or_else(|| panic!("no link between {a} and {b}"));
-        let class = self.intern(LinkConfig::symmetric(
-            self.classes[class].interface,
-            quality,
-        )) << 1;
+        let class = self.intern(Link { quality, ..link });
         for (owner, peer) in [(a, b), (b, a)] {
             let row = &mut self.ports[owner.slot()];
             let spilled = match row.spilled {
@@ -437,7 +404,7 @@ impl<M: Payload> Network<M> {
             let port = (row.inline.iter_mut().chain(spilled))
                 .find(|p| p.peer == peer.index())
                 .expect("a link has a port at each end");
-            port.class_dir = class | (port.class_dir & 1);
+            port.class = class;
         }
     }
 
@@ -781,7 +748,7 @@ impl<M: Payload> Network<M> {
         to: NodeId,
         msg: &M,
     ) -> (Interface, Option<SimDuration>) {
-        let (class, forward) = self.port(from, to).unwrap_or_else(|| {
+        let class = self.port(from, to).unwrap_or_else(|| {
             panic!(
                 "node {from} ({}) sent {} to {to} ({}) but no link exists",
                 self.trace.node_name(from),
@@ -789,23 +756,18 @@ impl<M: Payload> Network<M> {
                 self.trace.node_name(to),
             )
         });
-        let config = &self.classes[class];
-        let quality = if forward {
-            &config.forward
-        } else {
-            &config.reverse
-        };
+        let link = &self.classes[class];
         // Only a bandwidth-limited link reads the size, and for some
         // messages the size is the cost of encoding them.
-        let size = match quality.bandwidth_bps {
+        let size = match link.quality.bandwidth_bps {
             Some(_) => msg.wire_size(),
             None => 0,
         };
-        let delay = quality.sample(size, msg.reliable(), &mut self.rng);
+        let delay = link.quality.sample(size, msg.reliable(), &mut self.rng);
         if delay.is_none() {
             self.k_lost += 1;
         }
-        (config.interface, delay)
+        (link.interface, delay)
     }
 
     fn apply_effects(&mut self, from: NodeId, effects: &mut Vec<Effect<M>>) {
@@ -1263,14 +1225,9 @@ mod tests {
                 reply_at: None,
             },
         );
-        net.connect_with(
-            caller,
-            echo,
-            LinkConfig::symmetric(
-                Interface::Lan,
-                LinkQuality::new(SimDuration::from_millis(1)).with_loss(1.0),
-            ),
-        );
+        let latency = SimDuration::from_millis(1);
+        net.connect(caller, echo, Interface::Lan, latency);
+        net.set_link_quality(caller, echo, LinkQuality::new(latency).with_loss(1.0));
         (net, echo)
     }
 
@@ -1339,9 +1296,9 @@ mod tests {
     }
 
     /// A random topology — two hubs, leaves on one or both, a few
-    /// leaf-to-leaf links, every link with its own direction-dependent
-    /// quality out of a handful — and the map it was built from.
-    fn random_topology(seed: u64) -> (Network<Msg>, BTreeMap<(NodeId, NodeId), LinkConfig>) {
+    /// leaf-to-leaf links, every link with its own interface and latency
+    /// out of a handful — and the map it was built from.
+    fn random_topology(seed: u64) -> (Network<Msg>, BTreeMap<(NodeId, NodeId), Link>) {
         let mut rng = SimRng::new(seed);
         let mut net = Network::new(seed);
         let nodes: Vec<NodeId> = (0..40)
@@ -1352,20 +1309,15 @@ mod tests {
             if a == b || model.contains_key(&(a, b)) || model.contains_key(&(b, a)) {
                 return;
             }
-            let quality =
-                |rng: &mut SimRng| LinkQuality::new(SimDuration::from_millis(rng.range(1, 4)));
-            let config = LinkConfig {
-                interface: Interface::ALL[rng.range(0, 3) as usize],
-                forward: quality(rng),
-                reverse: quality(rng),
-            };
-            net.connect_with(a, b, config);
-            model.insert((a, b), config);
+            let interface = Interface::ALL[rng.range(0, 3) as usize];
+            let latency = SimDuration::from_millis(rng.range(1, 4));
+            net.connect(a, b, interface, latency);
+            model.insert((a, b), Link { interface, quality: LinkQuality::new(latency) });
         };
         let (hub_a, hub_b) = (nodes[3], nodes[17]);
         link(&mut net, &mut rng, hub_b, hub_a);
         for &leaf in &nodes {
-            // Either end may be the link's `a`.
+            // Either end may be named first.
             match rng.range(0, 4) {
                 0 => link(&mut net, &mut rng, leaf, hub_a),
                 1 => link(&mut net, &mut rng, hub_b, leaf),
@@ -1390,16 +1342,9 @@ mod tests {
             assert!(model.len() > nodes.len() / 2, "seed {seed}: a real topology");
             for &x in &nodes {
                 for &y in &nodes {
-                    let wanted = model
-                        .get(&(x, y))
-                        .map(|c| ((x, y), *c))
-                        .or_else(|| model.get(&(y, x)).map(|c| ((y, x), *c)));
-                    let got = net.link_between(x, y);
-                    assert_eq!(got.map(|l| (l.endpoints(), l.config)), wanted, "{x}-{y}");
-                    if let (Some(link), Some(((a, _), config))) = (got, wanted) {
-                        let toward_y = if x == a { config.forward } else { config.reverse };
-                        assert_eq!(link.quality_from(x), toward_y, "{x}->{y}");
-                    }
+                    let wanted = model.get(&(x, y)).or_else(|| model.get(&(y, x)));
+                    assert_eq!(net.link_between(x, y).as_ref(), wanted, "{x}-{y}");
+                    assert_eq!(net.link_between(x, y), net.link_between(y, x), "{x}-{y}");
                 }
                 let mut linked: Vec<NodeId> = model
                     .keys()
@@ -1410,7 +1355,7 @@ mod tests {
                 neighbors.sort();
                 assert_eq!(neighbors, linked, "{x}");
             }
-            assert!(net.classes.len() <= 3 * 3 * 3, "classes are interned");
+            assert!(net.classes.len() <= 3 * 3, "classes are interned");
         }
     }
 
@@ -1431,9 +1376,9 @@ mod tests {
     #[test]
     fn a_send_samples_its_own_direction_through_a_hub() {
         // Six callers on one echoing hub, each over a link with its own
-        // latency out and back; half the links have the hub as `a`. The
-        // request is looked up from the leaf's ports, the reply from the
-        // hub's side of the same link.
+        // latency; half the links name the hub first. The request is
+        // looked up from the leaf's ports, the reply from the hub's side
+        // of the same link.
         let mut net = Network::new(0);
         let hub = net.add_node("hub", Echo { seen: 0 });
         let callers: Vec<NodeId> = (0..6u64)
@@ -1444,25 +1389,14 @@ mod tests {
                     reply_at: None,
                 };
                 let id = net.add_node(format_args!("caller{i}"), caller);
-                let out = LinkQuality::new(SimDuration::from_millis(1 + i));
-                let back = LinkQuality::new(SimDuration::from_millis(20 + 3 * i));
-                let (a, b, forward, reverse) = if i % 2 == 0 {
-                    (id, hub, out, back)
-                } else {
-                    (hub, id, back, out)
-                };
-                let config = LinkConfig {
-                    interface: Interface::Lan,
-                    forward,
-                    reverse,
-                };
-                net.connect_with(a, b, config);
+                let (a, b) = if i % 2 == 0 { (id, hub) } else { (hub, id) };
+                net.connect(a, b, Interface::Lan, SimDuration::from_millis(1 + i));
                 id
             })
             .collect();
         net.run_until_quiescent();
         for (i, &id) in callers.iter().enumerate() {
-            let round_trip = SimTime::from_micros((21 + 4 * i as u64) * 1_000);
+            let round_trip = SimTime::from_micros(2 * (1 + i as u64) * 1_000);
             assert_eq!(net.node::<Caller>(id).unwrap().reply_at, Some(round_trip));
         }
     }
@@ -1476,18 +1410,19 @@ mod tests {
         let base = LinkQuality::new(SimDuration::from_millis(2));
         net.connect(nodes[0], nodes[1], Interface::Gb, base.latency);
         net.connect(nodes[1], nodes[2], Interface::Gb, base.latency);
-        assert_eq!(net.classes.len(), 1, "equal configurations share a class");
+        assert_eq!(net.classes.len(), 1, "equal links share a class");
         let degraded = base.with_loss(0.5).with_bandwidth_bps(64_000);
         let quality = |net: &Network<Msg>, a: usize, b: usize| {
             let link = net.link_between(nodes[a], nodes[b]).expect("linked");
-            (link.quality_from(nodes[a]), link.quality_from(nodes[b]))
+            assert_eq!(net.link_between(nodes[b], nodes[a]), Some(link));
+            link.quality
         };
         for _ in 0..1_000 {
             net.set_link_quality(nodes[1], nodes[0], degraded);
-            assert_eq!(quality(&net, 0, 1), (degraded, degraded));
-            assert_eq!(quality(&net, 1, 2), (base, base));
+            assert_eq!(quality(&net, 0, 1), degraded);
+            assert_eq!(quality(&net, 1, 2), base);
             net.set_link_quality(nodes[0], nodes[1], base);
-            assert_eq!(quality(&net, 0, 1), (base, base));
+            assert_eq!(quality(&net, 0, 1), base);
             assert_eq!(net.classes.len(), 2, "a cycle re-interns, it adds nothing");
         }
     }
@@ -1505,15 +1440,10 @@ mod tests {
                     reply_at: None,
                 },
             );
-            net.connect_with(
-                caller,
-                echo,
-                LinkConfig::symmetric(
-                    Interface::Lan,
-                    LinkQuality::new(SimDuration::from_millis(2))
-                        .with_jitter(SimDuration::from_millis(3)),
-                ),
-            );
+            let latency = SimDuration::from_millis(2);
+            net.connect(caller, echo, Interface::Lan, latency);
+            let jittery = LinkQuality::new(latency).with_jitter(SimDuration::from_millis(3));
+            net.set_link_quality(caller, echo, jittery);
             net.run_until_quiescent();
             net.node::<Caller>(caller).unwrap().reply_at
         };

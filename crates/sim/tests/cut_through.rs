@@ -4,8 +4,8 @@
 //! event, the other way this kernel avoids one queued event per hop.
 
 use vgprs_sim::{
-    Context, FanOut, Interface, LinkConfig, LinkQuality, Network, Node, NodeId, Payload,
-    SimDuration, SimTime, TimerToken,
+    Context, FanOut, Interface, LinkQuality, Network, Node, NodeId, Payload, SimDuration,
+    SimTime, TimerToken,
 };
 
 #[derive(Clone, Debug, PartialEq)]
@@ -145,7 +145,8 @@ fn chain(cut_through: bool, quality: LinkQuality, source: impl FnOnce(NodeId) ->
         (r1, r2, Interface::A),
         (r2, sink, Interface::Gb),
     ] {
-        net.connect_with(a, b, LinkConfig::symmetric(iface, quality));
+        net.connect(a, b, iface, quality.latency);
+        net.set_link_quality(a, b, quality);
     }
     Chain {
         net,

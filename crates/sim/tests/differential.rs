@@ -7,8 +7,8 @@
 //! divergence means the wheel broke the `(time, seq)` ordering contract.
 
 use vgprs_sim::{
-    Context, Interface, Kernel, Network, Node, NodeId, Payload, SimDuration, SimTime, TimerToken,
-    LinkConfig, LinkQuality,
+    Context, Interface, Kernel, LinkQuality, Network, Node, NodeId, Payload, SimDuration, SimTime,
+    TimerToken,
 };
 
 #[derive(Clone, Debug)]
@@ -106,16 +106,12 @@ fn run_scenario(seed: u64, kernel: Kernel, epoch_stepped: bool) -> (String, Stri
     let b = net.add_node("b", Churn { peer: None, budget: 400, pending: Vec::new() });
     net.node_mut::<Churn>(a).unwrap().peer = Some(b);
     net.node_mut::<Churn>(b).unwrap().peer = Some(a);
-    net.connect_with(
-        a,
-        b,
-        LinkConfig::symmetric(
-            Interface::Lan,
-            LinkQuality::new(SimDuration::from_millis(3))
-                .with_jitter(SimDuration::from_millis(7))
-                .with_loss(0.05),
-        ),
-    );
+    let latency = SimDuration::from_millis(3);
+    net.connect(a, b, Interface::Lan, latency);
+    let quality = LinkQuality::new(latency)
+        .with_jitter(SimDuration::from_millis(7))
+        .with_loss(0.05);
+    net.set_link_quality(a, b, quality);
     let mut events = 0;
     if epoch_stepped {
         // Epoch-lockstep style: fixed 50 ms deadlines, like the load engine.

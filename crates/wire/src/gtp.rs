@@ -71,6 +71,9 @@ pub enum DecodeGtpError {
     BadVersion(u8),
     /// Unknown message type byte.
     UnknownType(u8),
+    /// A header that [`GtpHeader::encode`] would not write: a bit it
+    /// fixes (a flag, a spare, the N-PDU number) holds another value.
+    NonCanonical,
 }
 
 impl std::fmt::Display for DecodeGtpError {
@@ -81,6 +84,7 @@ impl std::fmt::Display for DecodeGtpError {
             }
             DecodeGtpError::BadVersion(v) => write!(f, "unsupported GTP version {v}"),
             DecodeGtpError::UnknownType(t) => write!(f, "unknown GTP message type {t}"),
+            DecodeGtpError::NonCanonical => write!(f, "GTP header not in canonical form"),
         }
     }
 }
@@ -128,7 +132,8 @@ impl GtpHeader {
     /// # Errors
     ///
     /// Returns [`DecodeGtpError`] on truncated input, a non-zero version,
-    /// or an unknown message type.
+    /// an unknown message type, or a header that [`encode`](Self::encode)
+    /// would not write back.
     pub fn decode(bytes: &[u8]) -> Result<Self, DecodeGtpError> {
         if bytes.len() < Self::SIZE {
             return Err(DecodeGtpError::Truncated { got: bytes.len() });
@@ -139,13 +144,17 @@ impl GtpHeader {
         }
         let msg_type =
             GtpMsgType::from_u8(bytes[1]).ok_or(DecodeGtpError::UnknownType(bytes[1]))?;
-        Ok(GtpHeader {
+        let h = GtpHeader {
             msg_type,
             length: u16::from_be_bytes([bytes[2], bytes[3]]),
             seq: u16::from_be_bytes([bytes[4], bytes[5]]),
             flow: u16::from_be_bytes([bytes[6], bytes[7]]),
             tid: u64::from_be_bytes(bytes[12..20].try_into().expect("length checked")),
-        })
+        };
+        if h.encode() != bytes[..Self::SIZE] {
+            return Err(DecodeGtpError::NonCanonical);
+        }
+        Ok(h)
     }
 }
 
@@ -301,6 +310,26 @@ mod tests {
         .encode();
         b[1] = 99;
         assert_eq!(GtpHeader::decode(&b), Err(DecodeGtpError::UnknownType(99)));
+    }
+
+    #[test]
+    fn decode_rejects_what_encode_would_not_write() {
+        let b = GtpHeader {
+            msg_type: GtpMsgType::TPdu,
+            length: 12,
+            seq: 3,
+            flow: 4,
+            tid: 5,
+        }
+        .encode();
+        let with = |at: usize, byte: u8| {
+            let mut b = b;
+            b[at] = byte;
+            GtpHeader::decode(&b)
+        };
+        assert_eq!(with(0, b[0] ^ 0b10), Err(DecodeGtpError::NonCanonical), "a spare bit");
+        assert_eq!(with(8, 7), Err(DecodeGtpError::NonCanonical), "an N-PDU number");
+        assert!(GtpHeader::decode(&b).is_ok());
     }
 
     #[test]

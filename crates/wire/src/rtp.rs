@@ -51,7 +51,9 @@ impl RtpPacket {
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeRtpError`] on truncated input or a wrong version.
+    /// Returns [`DecodeRtpError`] on truncated input, a wrong version, or
+    /// a header that [`encode_header`](Self::encode_header) would not
+    /// write back.
     pub fn decode_header(bytes: &[u8]) -> Result<Self, DecodeRtpError> {
         if bytes.len() < Self::HEADER_SIZE {
             return Err(DecodeRtpError::Truncated { got: bytes.len() });
@@ -60,7 +62,7 @@ impl RtpPacket {
         if version != 2 {
             return Err(DecodeRtpError::BadVersion(version));
         }
-        Ok(RtpPacket {
+        let p = RtpPacket {
             marker: bytes[1] & 0x80 != 0,
             payload_type: bytes[1] & 0x7F,
             seq: u16::from_be_bytes([bytes[2], bytes[3]]),
@@ -69,7 +71,11 @@ impl RtpPacket {
             payload_len: 0,
             call: CallId(0),
             origin_us: 0,
-        })
+        };
+        if p.encode_header() != bytes[..Self::HEADER_SIZE] {
+            return Err(DecodeRtpError::NonCanonical);
+        }
+        Ok(p)
     }
 
     /// Total on-the-wire size (header + payload).
@@ -88,6 +94,9 @@ pub enum DecodeRtpError {
     },
     /// Version field was not 2.
     BadVersion(u8),
+    /// A header that [`RtpPacket::encode_header`] would not write: the
+    /// padding, extension or CSRC count bits are set.
+    NonCanonical,
 }
 
 impl std::fmt::Display for DecodeRtpError {
@@ -97,6 +106,7 @@ impl std::fmt::Display for DecodeRtpError {
                 write!(f, "RTP header truncated: {got} of 12 bytes")
             }
             DecodeRtpError::BadVersion(v) => write!(f, "unsupported RTP version {v}"),
+            DecodeRtpError::NonCanonical => write!(f, "RTP header not in canonical form"),
         }
     }
 }
@@ -148,6 +158,22 @@ mod tests {
             RtpPacket::decode_header(&b),
             Err(DecodeRtpError::BadVersion(1))
         );
+    }
+
+    #[test]
+    fn decode_rejects_what_encode_would_not_write() {
+        let b = pkt().encode_header();
+        // Padding, extension, a CSRC count of 1, and one of 8 (mutant 46
+        // of the codec contract's RTP seed): the encoder writes none.
+        for byte0 in [0xA0, 0x90, 0x81, 0x88] {
+            let mut b = b;
+            b[0] = byte0;
+            assert_eq!(
+                RtpPacket::decode_header(&b),
+                Err(DecodeRtpError::NonCanonical),
+                "{byte0:#04x}"
+            );
+        }
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! 4. seeded mutants of every corpus encoding (truncate, flip a bit,
 //!    splice with another encoding, lie in a length byte, insert or
 //!    delete a byte; one or two of these) never panic the decoder, and
-//!    whatever it accepts decodes the same after a re-encode:
-//!    decode(encode(decode(b))) == decode(b). A canonical codec (Q.931
-//!    and the identities' strings) also re-encodes to the very bytes it
-//!    accepted: encode(decode(b)) == b. The GTP and RTP decoders ignore
-//!    bits their encoders fix, and ISUP and MAP are not yet held to it;
+//!    whatever it accepts re-encodes to the very bytes it read:
+//!    encode(decode(b)) == b[..n], where n is the header's size for a
+//!    fixed header and b.len() otherwise. Every decoder refuses what its
+//!    encoder would not write, so no two inputs decode to one value;
 //! 5. `encoded_len()` == `encode().len()`, where a codec has one (ISUP).
 //!
 //! Every input comes from a fixed `SimRng` seed, so a failure names a
@@ -57,8 +56,6 @@ trait Codec: Sized + PartialEq + Debug {
     const FRAME: Frame;
     /// How many variants [`Codec::variant`] numbers.
     const VARIANTS: usize = 1;
-    /// Whether every accepted input is the encoding of what it decodes to.
-    const CANONICAL: bool = false;
     fn encode(&self) -> Vec<u8>;
     fn decode(bytes: &[u8]) -> Result<Self, Self::Error>;
     /// Messages of every variant, their fields drawn from `rng`.
@@ -116,14 +113,11 @@ fn contract<C: Codec>(seed: u64) {
         };
         if let Ok(d) = decoded {
             accepted += 1;
-            if C::CANONICAL {
-                assert_eq!(d.encode(), b, "mutant {i} of seed {seed:#x} decodes to {d:?}");
-            }
-            match C::decode(&d.encode()) {
-                Ok(again) => assert_eq!(again, d, "mutant {i} of seed {seed:#x}: {b:02x?}"),
-                Err(e) => panic!("mutant {i} of seed {seed:#x} ({b:02x?}) decodes to {d:?}, \
-                                  whose encoding does not decode: {e:?}"),
-            }
+            let read = match C::FRAME {
+                Frame::Header(size) => &b[..size],
+                Frame::Exact | Frame::Text => &b[..],
+            };
+            assert_eq!(d.encode(), read, "mutant {i} of seed {seed:#x} decodes to {d:?}");
         }
     }
     // Uniform random bytes rarely pass a decoder's first check; mutants
@@ -254,7 +248,6 @@ impl Codec for Q931Message {
     type Error = vgprs_wire::DecodeQ931Error;
     const FRAME: Frame = Frame::Exact;
     const VARIANTS: usize = 4 + Cause::ALL.len();
-    const CANONICAL: bool = true;
     fn encode(&self) -> Vec<u8> {
         Q931Message::encode(self)
     }
@@ -405,8 +398,7 @@ macro_rules! text_codec {
         impl Codec for $id {
             type Error = String;
             const FRAME: Frame = Frame::Text;
-            const CANONICAL: bool = true;
-            fn encode(&self) -> Vec<u8> {
+                    fn encode(&self) -> Vec<u8> {
                 self.to_string().into_bytes()
             }
             fn decode(bytes: &[u8]) -> Result<Self, String> {

@@ -84,6 +84,14 @@ if [ -n "$unheld" ]; then
 fi
 tripwire "a per-codec never-panics loop: the codec contract fuzzes every decoder" \
     -r '_decode_never_panics' crates
+# The contract wants every accepted mutant to re-encode to the bytes it
+# was read from, with no per-codec flag. The fixed headers meet it by
+# re-encoding what they decoded and refusing a difference as
+# `NonCanonical`, as Q.931 does; without it a spare bit is read as zero.
+for codec in gtp rtp; do
+    grep -q 'NonCanonical' "crates/wire/src/$codec.rs" || {
+        echo "error: a decoder that skips its re-encode: crates/wire/src/$codec.rs" >&2; exit 1; }
+done
 
 echo "==> no ignored tests"
 # An #[ignore]d test is a silently skipped promise. Fail loudly instead.
@@ -273,6 +281,12 @@ tripwire "a string per node name" 'Vec<String>' crates/sim/src/trace.rs
 # use, and a leaf's row keeps the spill list's index and length: a
 # vector in every row is 16 bytes per node that only hubs fill.
 tripwire "a spill vector in every node's row" 'spill: Vec<Port>' crates/sim/src/net.rs
+# A link is an interface and one quality (DESIGN §2.1): the paper's
+# reference points have none per direction, and every world built both
+# ways alike. A configuration per direction, the constructor that took
+# one, and the port bit that chose between them must not come back.
+tripwire "a link quality per direction" -rE 'LinkConfig|connect_with|quality_from|class_dir' \
+    crates tests examples
 
 echo "==> a subscriber at rest holds no call"
 # A row keeps what outlives a call (DESIGN §2.3): a handset's neighbor
