@@ -331,7 +331,8 @@ pub const CHAOS_COLUMNS: &[Column] = &[
 /// Dials that failed inside a fault window of any class.
 const DROPPED_FAULTED: &str = "resilience.dropped_link_degrade+resilience.dropped_node_crash\
                                +resilience.dropped_blackhole";
-/// [`DROPPED_FAULTED`] as a fraction of the attempts.
+/// Dials that failed inside a fault window of any class
+/// (`DROPPED_FAULTED`), as a fraction of the attempts.
 pub const DROP_RATE: &str = "resilience.dropped_link_degrade+resilience.dropped_node_crash\
                              +resilience.dropped_blackhole/attempts";
 

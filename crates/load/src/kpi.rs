@@ -129,7 +129,7 @@ impl Kpi {
 
 /// Every KPI, in the order the report's `"kpis"` object lists them.
 /// Adding a KPI is adding a row here (plus, optionally, a tolerance in
-/// `vgprs_bench::diff::RULES` and a mention in [`TEXT`]).
+/// `vgprs_bench::diff::RULES` and a mention in the text report's `TEXT`).
 pub const KPIS: &[Kpi] = &[
     row("attempts", Kind::Diff("offered", "busy_skipped")).shown(),
     row("blocking_rate", Kind::Ratio(&["bsc.tch_blocked"], "attempts")).shown(),
@@ -615,7 +615,7 @@ pub(crate) fn shown_scalars() -> impl Iterator<Item = &'static Kpi> {
         .filter(|k| k.snapshot == Snapshot::Shown && !matches!(k.kind, Kind::Hist(_)))
 }
 
-/// The [`TEXT`] lines of the deterministic text report.
+/// The lines of the deterministic text report, one per `TEXT` template.
 pub fn render_text(out: &mut String, src: &impl KpiSource) {
     for (label, template) in TEXT {
         let _ = write!(out, "{label:<22}: ");

@@ -57,7 +57,7 @@ pub use population::{
     PopulationConfig, SubscriberPlan,
 };
 pub use report::LoadReport;
-pub use shard::{Registration, Shard, ShardConfig, ShardReport};
+pub use shard::{unavailability_counter, Outcome, Registration, Shard, ShardConfig, ShardReport};
 pub use snapshot::{SnapshotFrame, SnapshotRecorder, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
 pub use trunk::{retransmit_backoff, TrunkFabric};
 // Re-exported so load-engine callers can configure fault plans and

@@ -65,9 +65,9 @@ impl CallMix {
     }
 }
 
-/// Holding-time floor, seconds, so connected calls outlive ringing and
-/// answer.
-const MIN_HOLD_SECS: f64 = 8.0;
+/// Holding-time floor, seconds, so connected calls outlive ringing,
+/// answer and the driver's probe.
+pub(crate) const MIN_HOLD_SECS: f64 = 8.0;
 
 /// Statistical description of the population's busy-hour behavior.
 #[derive(Clone, Debug)]

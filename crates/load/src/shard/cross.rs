@@ -9,7 +9,7 @@
 //! trunk fabric gives up on a flit, and the re-route when it heals.
 
 use vgprs_sim::{NodeId, SimTime};
-use vgprs_wire::{CallId, Cause, CellId, Command, ConnRef, Dtap, Imsi, MapMessage, Message};
+use vgprs_wire::{CallId, CellId, Command, ConnRef, Dtap, Imsi, MapMessage, Message};
 
 use super::driver::{Action, Call, CONNECT_GRACE_MS};
 use super::{Ix, Shard};
@@ -99,7 +99,6 @@ impl Shard {
                     orig: ms,
                     peer,
                     gen,
-                    probed: false,
                 };
                 self.push(mute_at_ms, Action::Mute(call));
             }
@@ -290,8 +289,8 @@ impl Shard {
     /// remembered so the heal can re-route it to its home anchor.
     fn teardown_torn(&mut self, local: usize, peer: usize, now_us: u64) {
         self.count("load.trunk_handoff_drops");
-        let cause = Cause::RecoveryOnTimerExpiry;
-        self.count(&format!("load.trunk_q850_{}", cause.q850_value()));
+        // Q.850 cause 102, recovery on timer expiry.
+        self.count("load.trunk_q850_102");
         let far = self.abandon(local, now_us);
         let sub = &mut self.subs[local];
         sub.pending_return = false;

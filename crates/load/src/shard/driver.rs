@@ -6,9 +6,9 @@
 //! stale.
 //!
 //! Every dial that gets past the busy and away checks is judged once,
-//! by its probe or, when it is too short to probe, by its hangup: it
-//! connected, or it failed for one [`Failure`], read from the endpoint
-//! that dialed. A call that failed is torn down at both ends.
+//! by its probe, into one [`Outcome`] read from the endpoint that
+//! dialed: it connected, or it failed for a named cause. A call that
+//! failed is torn down at both ends.
 
 use vgprs_faults::FaultClass;
 use vgprs_gsm::{MobileStation, MsState};
@@ -17,7 +17,7 @@ use vgprs_sim::{NodeId, SimRng};
 use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn, ANSWER_DELAY};
 
 use super::{alias_for, msisdn_for, Ix, Shard};
-use crate::population::CallKind;
+use crate::population::{CallKind, MIN_HOLD_SECS};
 
 /// Answer delay plus setup slack: voice is up by this long after a
 /// dial that connects.
@@ -37,6 +37,13 @@ const STREAM_REDIAL: u64 = 0x52ED_1A1B_ACC0_FFEE;
 /// by then voice is up (or the attempt is dead) on every call kind.
 const PROBE_DELAY_MS: u64 = 2_500;
 
+/// How long after its dial a call is probed.
+const PROBE_MS: u64 = CONNECT_GRACE_MS + PROBE_DELAY_MS;
+
+// Every planned hold, and so every redial's, outlasts the probe by half
+// a second: a probe never races its call's hangup, so it alone judges.
+const _: () = assert!(PROBE_MS + 500 < (MIN_HOLD_SECS * 1000.0) as u64);
+
 /// Redial back-off base: attempt `n` waits `REDIAL_BASE_MS << n` plus
 /// seeded jitter before trying again.
 const REDIAL_BASE_MS: u64 = 2_000;
@@ -47,11 +54,13 @@ const REDIAL_JITTER_MS: u64 = 500;
 /// A caller whose call died retries at most this many times.
 const MAX_REDIALS: u8 = 2;
 
-/// Why a dial did not connect: the fault window that overlapped the
-/// attempt, or else the cause its originating endpoint was released
-/// with. Each is one `load.*` counter and one KPI row.
+/// How a dial ended: it connected, or the fault window that overlapped
+/// the attempt, or else the cause its originating endpoint was released
+/// with, says why not. Each is one `load.*` counter and one KPI row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Failure {
+pub enum Outcome {
+    /// The conversation began.
+    Connected,
     /// A cell had no traffic channel.
     BlockedTch,
     /// The gatekeeper refused admission: budget spent or alias unknown.
@@ -63,9 +72,8 @@ enum Failure {
     PageTimeout,
     /// An overload control shed the call (network congestion).
     Shed,
-    /// Not connected when the caller gave up (the probe, or the hangup
-    /// of a call too short to probe), or released by a supervision
-    /// timer.
+    /// Not connected when its probe looked, or released by a
+    /// supervision timer.
     SetupTimeout,
     /// Refused for any other reason: no route, authentication, service
     /// or PDP resources refused, a protocol error, the far end cleared.
@@ -74,38 +82,54 @@ enum Failure {
     Fault(FaultClass),
 }
 
-impl Failure {
+impl Outcome {
+    /// Every way a dial ends, each once.
+    pub const ALL: [Outcome; 11] = [
+        Outcome::Connected,
+        Outcome::BlockedTch,
+        Outcome::RejectedGk,
+        Outcome::CalleeBusy,
+        Outcome::PageTimeout,
+        Outcome::Shed,
+        Outcome::SetupTimeout,
+        Outcome::Refused,
+        Outcome::Fault(FaultClass::LinkDegrade),
+        Outcome::Fault(FaultClass::NodeCrash),
+        Outcome::Fault(FaultClass::Blackhole),
+    ];
+
     /// What a release `cause` before the connect means to the caller.
-    fn of(cause: Cause) -> Failure {
+    fn of(cause: Cause) -> Outcome {
         match cause {
-            Cause::RadioResourceUnavailable => Failure::BlockedTch,
-            Cause::AdmissionRejected | Cause::UnallocatedNumber => Failure::RejectedGk,
-            Cause::UserBusy => Failure::CalleeBusy,
-            Cause::SubscriberAbsent | Cause::NoAnswer => Failure::PageTimeout,
-            Cause::NetworkCongestion => Failure::Shed,
-            Cause::TemporaryFailure | Cause::RecoveryOnTimerExpiry => Failure::SetupTimeout,
+            Cause::RadioResourceUnavailable => Outcome::BlockedTch,
+            Cause::AdmissionRejected | Cause::UnallocatedNumber => Outcome::RejectedGk,
+            Cause::UserBusy => Outcome::CalleeBusy,
+            Cause::SubscriberAbsent | Cause::NoAnswer => Outcome::PageTimeout,
+            Cause::NetworkCongestion => Outcome::Shed,
+            Cause::TemporaryFailure | Cause::RecoveryOnTimerExpiry => Outcome::SetupTimeout,
             Cause::NormalClearing
             | Cause::NoRouteToDestination
             | Cause::AuthenticationFailure
             | Cause::ServiceNotAllowed
             | Cause::PdpResourceUnavailable
-            | Cause::ProtocolError => Failure::Refused,
+            | Cause::ProtocolError => Outcome::Refused,
         }
     }
 
-    /// The counter the failure is filed under.
-    fn counter(self) -> &'static str {
+    /// The counter the outcome is filed under.
+    pub fn counter(self) -> &'static str {
         match self {
-            Failure::BlockedTch => "load.failed_blocked_tch",
-            Failure::RejectedGk => "load.failed_rejected_gk",
-            Failure::CalleeBusy => "load.failed_callee_busy",
-            Failure::PageTimeout => "load.failed_page_timeout",
-            Failure::Shed => "load.failed_shed",
-            Failure::SetupTimeout => "load.failed_setup_timeout",
-            Failure::Refused => "load.failed_refused",
-            Failure::Fault(FaultClass::LinkDegrade) => "load.dropped_link_degrade",
-            Failure::Fault(FaultClass::NodeCrash) => "load.dropped_node_crash",
-            Failure::Fault(FaultClass::Blackhole) => "load.dropped_blackhole",
+            Outcome::Connected => "load.connected",
+            Outcome::BlockedTch => "load.failed_blocked_tch",
+            Outcome::RejectedGk => "load.failed_rejected_gk",
+            Outcome::CalleeBusy => "load.failed_callee_busy",
+            Outcome::PageTimeout => "load.failed_page_timeout",
+            Outcome::Shed => "load.failed_shed",
+            Outcome::SetupTimeout => "load.failed_setup_timeout",
+            Outcome::Refused => "load.failed_refused",
+            Outcome::Fault(FaultClass::LinkDegrade) => "load.dropped_link_degrade",
+            Outcome::Fault(FaultClass::NodeCrash) => "load.dropped_node_crash",
+            Outcome::Fault(FaultClass::Blackhole) => "load.dropped_blackhole",
         }
     }
 
@@ -113,7 +137,7 @@ impl Failure {
     /// never answered. A call the network refused is cleared, as
     /// teletraffic counts a blocked call.
     fn redials(self) -> bool {
-        matches!(self, Failure::SetupTimeout | Failure::Fault(_))
+        matches!(self, Outcome::SetupTimeout | Outcome::Fault(_))
     }
 }
 
@@ -146,8 +170,6 @@ pub(super) struct Call {
     pub peer: NodeId,
     /// The subscriber's `gen` when the call was dialed.
     pub gen: u32,
-    /// Whether a probe judges the call; its hangup judges it otherwise.
-    pub probed: bool,
 }
 
 /// Driver-scheduled actions, totally ordered by `(time, sequence)`.
@@ -184,12 +206,11 @@ impl Shard {
     }
 
     /// Attributes an attempt or a drop to the shock's peak or the steady
-    /// state, so blocking can be reported for each regime.
-    fn count_regime(&mut self, what: &str, at_ms: u64) {
+    /// state, so blocking can be reported for each regime: counts `peak`
+    /// or `steady`.
+    fn count_regime(&mut self, (peak, steady): (&'static str, &'static str), at_ms: u64) {
         if !self.demand.is_flat() {
-            let peak = self.demand.in_peak(at_ms);
-            let regime = if peak { "peak" } else { "steady" };
-            self.count(&format!("load.{what}_{regime}"));
+            self.count(if self.demand.in_peak(at_ms) { peak } else { steady });
         }
     }
 
@@ -264,30 +285,24 @@ impl Shard {
         // Counted here, past the away/busy skips, so the regime
         // denominators cover exactly the calls the drop probe sees.
         let at_ms = at_us / 1000;
-        self.count_regime("attempts", at_ms);
+        self.count_regime(("load.attempts_peak", "load.attempts_steady"), at_ms);
         let id = CallId((self.cfg.base_index as u64) << 32 | self.next_call);
         self.next_call += 1;
         self.cmd(orig, Command::Dial { call: id, called });
-        // Probe the call once it should be in the talking phase. Calls
-        // shorter than the probe point are judged by their hangup (a
-        // probe would race their teardown).
-        let probe_ms = CONNECT_GRACE_MS + PROBE_DELAY_MS;
         let call = Call {
             local: Ix::new(local),
             peer_local,
             orig,
             peer,
             gen: self.subs[local].gen,
-            probed: probe_ms + 500 < dial.hold_ms,
         };
         let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
         if mute_ms < dial.hold_ms {
             self.push(at_ms + mute_ms, Action::Mute(call));
         }
         self.push(at_ms + dial.hold_ms, Action::Hangup(call));
-        if call.probed {
-            self.push(at_ms + probe_ms, Action::Probe(call, dial));
-        }
+        // Judge the call once it should be in the talking phase.
+        self.push(at_ms + PROBE_MS, Action::Probe(call, dial));
     }
 
     /// Gives up on subscriber `local`'s current call: closes the busy
@@ -312,10 +327,10 @@ impl Shard {
     }
 
     /// How `call`'s dial ended, read from the endpoint that dialed:
-    /// `None` while it talks; otherwise the fault window that
+    /// connected while it talks; otherwise the fault window that
     /// overlapped the attempt, the cause the endpoint was released
     /// with, or a setup timeout while it is still setting up.
-    fn verdict(&self, call: Call, now_ms: u64) -> Option<Failure> {
+    fn verdict(&self, call: Call, now_ms: u64) -> Outcome {
         let sub = &self.subs[call.local.get()];
         let (active, cause) = if call.orig == sub.ms {
             let ms = self.net.node::<MobileStation>(call.orig);
@@ -327,48 +342,33 @@ impl Shard {
             (term.state() == TerminalState::Active, term.dial_failure())
         };
         if active {
-            return None;
+            return Outcome::Connected;
         }
         let dialed_ms = sub.call_started_us / 1000;
         let overlaps = |&c: &FaultClass| self.plan.overlaps(c, dialed_ms, now_ms);
-        let failure = match (FaultClass::ALL.into_iter().find(overlaps), cause) {
-            (Some(class), _) => Failure::Fault(class),
-            (None, Some(cause)) => Failure::of(cause),
-            (None, None) => Failure::SetupTimeout,
-        };
-        Some(failure)
+        match (FaultClass::ALL.into_iter().find(overlaps), cause) {
+            (Some(class), _) => Outcome::Fault(class),
+            (None, Some(cause)) => Outcome::of(cause),
+            (None, None) => Outcome::SetupTimeout,
+        }
     }
 
-    /// Judges `call` at `at_us`: a connected call is counted as such,
-    /// a failed one under its [`Failure`] and torn down — both ends
-    /// hang up, so its channel, voice context and admission go back.
-    fn judge(&mut self, at_us: u64, call: Call) -> Option<Failure> {
-        let Some(failure) = self.verdict(call, at_us / 1000) else {
-            self.count("load.connected");
-            return None;
-        };
-        self.count(failure.counter());
-        self.count_regime(
-            "dropped",
-            self.subs[call.local.get()].call_started_us / 1000,
-        );
-        self.cmd(call.orig, Command::Hangup);
-        self.cmd(call.peer, Command::Hangup);
-        Some(failure)
-    }
-
-    /// Judges a dialed call once it should be talking. A failed one is
-    /// torn down, both parties are freed, and a caller who would try
-    /// again redials with exponential back-off and seeded jitter.
+    /// Judges a dialed call once it should be talking, under its
+    /// [`Outcome`]. A failed one is torn down — both ends hang up, so
+    /// its channel, voice context and admission go back — both parties
+    /// are freed, and a caller who would try again redials with
+    /// exponential back-off and seeded jitter.
     fn probe(&mut self, at_us: u64, call: Call, dial: Dial) {
         let (local, attempt_no) = (call.local.get(), dial.attempt_no);
         if self.subs[local].gen != call.gen || self.subs[local].away {
             // Handed off, which a handset is only while talking (and
             // perhaps torn by a trunk partition since).
-            return self.count("load.connected");
+            return self.count(Outcome::Connected.counter());
         }
         let now_ms = at_us / 1000;
-        let Some(failure) = self.judge(at_us, call) else {
+        let outcome = self.verdict(call, now_ms);
+        self.count(outcome.counter());
+        if outcome == Outcome::Connected {
             let faulted = FaultClass::ALL
                 .into_iter()
                 .any(|c| self.plan.overlaps(c, dial.at_ms, now_ms));
@@ -379,13 +379,17 @@ impl Shard {
                 self.observe("load.redial_recovery_ms", recovery_ms);
             }
             return;
-        };
+        }
+        let dialed_ms = self.subs[local].call_started_us / 1000;
+        self.count_regime(("load.dropped_peak", "load.dropped_steady"), dialed_ms);
+        self.cmd(call.orig, Command::Hangup);
+        self.cmd(call.peer, Command::Hangup);
         self.abandon(local, at_us);
         if let Some(p) = call.peer_local.map(Ix::get) {
             self.subs[p].busy_until_us = at_us;
             self.subs[p].current_peer = None;
         }
-        if !failure.redials() {
+        if !outcome.redials() {
             return;
         }
         if attempt_no >= MAX_REDIALS {
@@ -407,24 +411,18 @@ impl Shard {
         if !self.is_current(call) {
             return;
         }
-        // A call too short to probe is judged now; a failed one is
-        // already torn down at both ends.
-        let torn = !call.probed && self.judge(at_us, call).is_some();
+        self.cmd(call.orig, Command::Hangup);
         let parties = [Some(call.local), call.peer_local];
-        if !torn {
-            self.cmd(call.orig, Command::Hangup);
-            let away = parties
-                .iter()
-                .flatten()
-                .any(|l| self.subs[l.get()].handed_off);
-            if away || self.moved(call.orig) || self.moved(call.peer) {
-                // A release never crosses the inter-MSC leg of a call
-                // handed over to another MSC, here or across the
-                // border; drive the far end explicitly so both legs
-                // tear down.
-                self.cmd(call.peer, Command::Hangup);
-                self.count("load.handoff_teardowns");
-            }
+        let away = parties
+            .iter()
+            .flatten()
+            .any(|l| self.subs[l.get()].handed_off);
+        if away || self.moved(call.orig) || self.moved(call.peer) {
+            // A release never crosses the inter-MSC leg of a call
+            // handed over to another MSC, here or across the border;
+            // drive the far end explicitly so both legs tear down.
+            self.cmd(call.peer, Command::Hangup);
+            self.count("load.handoff_teardowns");
         }
         for local in parties.into_iter().flatten() {
             let sub = &mut self.subs[local.get()];
@@ -465,20 +463,6 @@ mod tests {
     use crate::mailbox::EPOCH_MS;
     use crate::population::SubscriberPlan;
 
-    /// Every cause a dial can fail for.
-    const ALL_FAILURES: [Failure; 10] = [
-        Failure::BlockedTch,
-        Failure::RejectedGk,
-        Failure::CalleeBusy,
-        Failure::PageTimeout,
-        Failure::Shed,
-        Failure::SetupTimeout,
-        Failure::Refused,
-        Failure::Fault(FaultClass::LinkDegrade),
-        Failure::Fault(FaultClass::NodeCrash),
-        Failure::Fault(FaultClass::Blackhole),
-    ];
-
     /// Subscriber 0's try number `attempt_no` at a call planned for 10 ms.
     fn dial(attempt_no: u8) -> Dial {
         Dial {
@@ -515,14 +499,13 @@ mod tests {
             orig: shard.subs[0].ms,
             peer: shard.subs[0].terminal,
             gen,
-            probed: true,
         };
         let calls = [call(0), call(1), call(2)];
         for (attempt_no, call) in (0..).zip(calls) {
             let at_us = 6_000_000 + u64::from(attempt_no);
             shard.handle_action(at_us, Action::Probe(call, dial(attempt_no)));
         }
-        assert_eq!(counter(&shard, Failure::SetupTimeout.counter()), 3);
+        assert_eq!(counter(&shard, Outcome::SetupTimeout.counter()), 3);
         assert_eq!(counter(&shard, "load.redials_exhausted"), 1);
         assert_eq!(shard.sched.len(), 2, "the third probe schedules nothing");
 
@@ -546,18 +529,18 @@ mod tests {
             vec![plan(0, vec![call_at(1_000)]), plan(1, Vec::new())]
         };
         for cause in [
-            Failure::BlockedTch,
-            Failure::RejectedGk,
-            Failure::CalleeBusy,
+            Outcome::BlockedTch,
+            Outcome::RejectedGk,
+            Outcome::CalleeBusy,
         ] {
             let mut cfg = config(2);
             match cause {
-                Failure::BlockedTch => cfg.tch_capacity = 0,
-                Failure::RejectedGk => cfg.gk_bandwidth = 0,
+                Outcome::BlockedTch => cfg.tch_capacity = 0,
+                Outcome::RejectedGk => cfg.gk_bandwidth = 0,
                 _ => {}
             }
             let mut shard = Shard::new(&cfg, &plans());
-            if cause == Failure::CalleeBusy {
+            if cause == Outcome::CalleeBusy {
                 // Subscriber 0's terminal calls subscriber 1's handset
                 // behind the driver's back, so it is busy at 1 s.
                 let dial = Command::Dial {
@@ -569,10 +552,9 @@ mod tests {
             for epoch in 0..10_000 / EPOCH_MS {
                 shard.run_epoch(epoch, Vec::new());
             }
-            let failures = ALL_FAILURES.map(|f| counter(&shard, f.counter()));
-            let expected = ALL_FAILURES.map(|f| u64::from(f == cause));
-            assert_eq!(failures, expected, "{cause:?}");
-            assert_eq!(counter(&shard, "load.connected"), 0, "{cause:?}");
+            let outcomes = Outcome::ALL.map(|o| counter(&shard, o.counter()));
+            let expected = Outcome::ALL.map(|o| u64::from(o == cause));
+            assert_eq!(outcomes, expected, "{cause:?}");
             assert_eq!(
                 counter(&shard, "load.attempts"),
                 1,

@@ -2,7 +2,7 @@
 //! shard's compiled [`FaultPlan`](vgprs_faults::FaultPlan) on the home
 //! zone's links and nodes, and driving the recovery each kind needs.
 
-use vgprs_faults::{FaultKind, LinkSel, NodeSel};
+use vgprs_faults::{FaultClass, FaultKind, LinkSel, NodeSel};
 use vgprs_sim::{LinkQuality, NodeId, SimDuration};
 use vgprs_wire::{Command, Message};
 
@@ -11,6 +11,15 @@ use super::Shard;
 /// How long after a crashed backbone peer comes back the VMSC is told
 /// to rebuild its subscribers' contexts.
 const RESYNC_DELAY_MS: u64 = 100;
+
+/// The counter a fault window of `class` adds its length to, in ms.
+pub fn unavailability_counter(class: FaultClass) -> &'static str {
+    match class {
+        FaultClass::LinkDegrade => "load.unavailability_ms_link_degrade",
+        FaultClass::NodeCrash => "load.unavailability_ms_node_crash",
+        FaultClass::Blackhole => "load.unavailability_ms_blackhole",
+    }
+}
 
 impl Shard {
     /// The home-zone endpoints and healthy quality of a fault-plan link.
@@ -35,11 +44,9 @@ impl Shard {
     /// Opens impairment window `i` of the fault plan.
     pub(super) fn fault_start(&mut self, i: usize) {
         let ev = self.plan.events[i];
-        let key = ev.kind.class().key();
         self.count("load.faults_injected");
-        self.net
-            .stats_mut()
-            .count_by(&format!("load.unavailability_ms_{key}"), ev.duration_ms);
+        let unavailability = unavailability_counter(ev.kind.class());
+        self.net.stats_mut().count_by(unavailability, ev.duration_ms);
         match ev.kind {
             FaultKind::DegradeLink {
                 link,

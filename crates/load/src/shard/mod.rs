@@ -31,6 +31,8 @@ mod driver;
 mod faults;
 mod world;
 
+pub use driver::Outcome;
+pub use faults::unavailability_counter;
 pub use world::Registration;
 
 use std::num::NonZeroU32;
@@ -103,10 +105,6 @@ pub struct ShardConfig {
 /// What one shard hands back for merging.
 #[derive(Clone, Debug)]
 pub struct ShardReport {
-    /// Which shard produced this.
-    pub shard_index: usize,
-    /// Subscribers registered through the home VMSC after power-on.
-    pub registered: usize,
     /// Simulation events the shard processed.
     pub events: u64,
     /// Simulated time when the shard drained.
@@ -450,8 +448,6 @@ impl Shard {
             .stats_mut()
             .count_by("load.registered", self.registered as u64);
         ShardReport {
-            shard_index: self.cfg.shard_index,
-            registered: self.registered,
             events: self.events,
             sim_end: self.net.now(),
             stats: std::mem::take(self.net.stats_mut()),
@@ -560,7 +556,7 @@ mod tests {
     fn a_scheduled_action_is_48_bytes_and_its_entry_72() {
         use super::driver::{Call, Dial};
         use std::mem::size_of;
-        assert_eq!((size_of::<Dial>(), size_of::<Call>()), (24, 24));
+        assert_eq!((size_of::<Dial>(), size_of::<Call>()), (24, 20));
         assert_eq!(size_of::<Action>(), 48);
         assert_eq!(CalendarWheel::<Action>::ENTRY_BYTES, 72);
     }

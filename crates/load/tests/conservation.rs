@@ -13,7 +13,7 @@
 //! partition, drained trunk sequence spaces — belong to an end-of-run
 //! audit inside the engine, which alone holds the shards.
 
-use vgprs_load::{run_load, LoadConfig, LoadReport, PopulationConfig};
+use vgprs_load::{run_load, LoadConfig, LoadReport, Outcome, PopulationConfig};
 
 /// Resources a call takes and must give back, as (taken, returned).
 const BALANCES: [(&str, &str); 3] = [
@@ -25,22 +25,6 @@ const BALANCES: [(&str, &str); 3] = [
     ("gk.admissions", "gk.disengages"),
 ];
 
-/// The KPI rows a dial ends in: it connected, or it failed for one
-/// cause (a fault class's row among them, zero in these worlds).
-const OUTCOMES: [&str; 11] = [
-    "outcome.connected",
-    "outcome.blocked_tch",
-    "outcome.rejected_gk",
-    "outcome.callee_busy",
-    "outcome.page_timeout",
-    "outcome.shed",
-    "outcome.setup_timeout",
-    "outcome.refused",
-    "resilience.dropped_link_degrade",
-    "resilience.dropped_node_crash",
-    "resilience.dropped_blackhole",
-];
-
 /// Every identity `report` breaks, one line each, in a fixed order.
 fn violations(report: &LoadReport) -> Vec<String> {
     let count = |name: &str| report.stats.counter(name);
@@ -48,10 +32,11 @@ fn violations(report: &LoadReport) -> Vec<String> {
     let mut out = Vec::new();
 
     // Each dial decision, a redial included, ends in exactly one way:
-    // one of the outcomes, or a party is busy, away or missing and
-    // nothing is dialed.
+    // one of the outcomes (a fault class's among them, zero in these
+    // worlds), or a party is busy, away or missing and nothing is
+    // dialed.
     let attempts = count("load.attempts");
-    let outcomes = OUTCOMES.map(|row| report.kpi(row) as u64);
+    let outcomes = Outcome::ALL.map(|o| count(o.counter()));
     let skipped = sum(&[
         "load.busy_skipped",
         "load.away_skipped",

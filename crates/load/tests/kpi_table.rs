@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 
 use vgprs_load::kpi::{self, Kind, KPIS, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
-use vgprs_load::FaultClass;
+use vgprs_load::{unavailability_counter, FaultClass, Outcome};
 use vgprs_sim::Stats;
 
 /// The snapshot schema is derived (sources of the rows marked for
@@ -79,25 +79,40 @@ fn rows_are_unique_and_resolve() {
     }
 }
 
-/// The per-class rows are literals; they must cover the fault classes
-/// the shards count under (a dial failed in a window of each class,
-/// `load.unavailability_ms_<key>`).
+/// The per-class rows are literals; they must cover the counters the
+/// shards file each fault class under (a dial failed in a window of the
+/// class, and the window's length).
 #[test]
 fn fault_class_rows_cover_every_class() {
     let mut stats = Stats::new();
-    let drops = [
-        "load.dropped_link_degrade",
-        "load.dropped_node_crash",
-        "load.dropped_blackhole",
-    ];
-    for (i, (class, drop)) in FaultClass::ALL.into_iter().zip(drops).enumerate() {
-        stats.count_by(drop, i as u64 + 1);
-        stats.count_by(&format!("load.unavailability_ms_{}", class.key()), 1500);
+    for (i, class) in FaultClass::ALL.into_iter().enumerate() {
+        stats.count_by(Outcome::Fault(class).counter(), i as u64 + 1);
+        stats.count_by(unavailability_counter(class), 1500);
     }
     for (i, class) in FaultClass::ALL.into_iter().enumerate() {
         let key = class.key();
         assert_eq!(kpi::value(&stats, &format!("resilience.dropped_{key}")), i as f64 + 1.0);
         assert_eq!(kpi::value(&stats, &format!("resilience.unavailability_secs.{key}")), 1.5);
+    }
+}
+
+/// The outcome rows are literals; each counter a dial's outcome is
+/// filed under is the source of exactly one row, which reads it.
+#[test]
+fn outcome_rows_cover_every_outcome() {
+    for (i, outcome) in Outcome::ALL.into_iter().enumerate() {
+        let counter = outcome.counter();
+        let rows: Vec<&str> = KPIS
+            .iter()
+            .filter(|k| matches!(k.kind, Kind::Count(n) if n == counter))
+            .map(|k| k.path)
+            .collect();
+        let [row] = rows[..] else {
+            panic!("{outcome:?} ({counter}) is the source of rows {rows:?}");
+        };
+        let mut stats = Stats::new();
+        stats.count_by(counter, i as u64 + 1);
+        assert_eq!(kpi::value(&stats, row), i as f64 + 1.0, "{row}");
     }
 }
 

@@ -219,7 +219,7 @@ fn outcome(report: &ShardReport) -> String {
         .collect();
     format!(
         "registered {} until {:?}\n{:#?}\n{frames:?}",
-        report.registered,
+        report.stats.counter("load.registered"),
         report.sim_end,
         settled(&report.stats)
     )
@@ -240,7 +240,8 @@ fn provisioned_start_matches_the_ladder(name: &str) {
         assert_eq!(state, ladder_state, "{name}: {node} starts elsewhere");
     }
     let (report, ladder_report) = (run(provisioned), run(replayed));
-    assert!(report.registered > 0, "{name}: nobody registered");
+    let registered = report.stats.counter("load.registered");
+    assert!(registered > 0, "{name}: nobody registered");
     assert!(
         ladder_report.events > report.events,
         "{name}: the ladder's events"

@@ -94,7 +94,7 @@ pub use node::{Node, NodeId, Payload};
 pub use peer::ScriptedPeer;
 pub use rng::SimRng;
 pub use json::{JsonError, JsonF64, JsonValue, JsonWriter};
-pub use stats::{Counter, Histogram, Stats};
+pub use stats::{Histogram, Stats};
 pub use throttle::{Offer, Throttle};
 pub use time::{SimDuration, SimTime, Stamp};
 pub use trace::{held_in_order, Trace, TraceEntry};

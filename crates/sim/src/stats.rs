@@ -15,10 +15,6 @@ use std::sync::Arc;
 
 use crate::idmap::IdMap;
 
-/// A monotonically increasing named counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
 /// Sub-bucket resolution: 2^4 = 16 linear sub-buckets per octave.
 const SUB_BITS: u32 = 4;
 const SUB: usize = 1 << SUB_BITS;

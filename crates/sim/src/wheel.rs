@@ -175,8 +175,8 @@ fn find_set(bits: &[u64; WORDS], from: usize) -> Option<usize> {
 /// Drop-in priority-queue replacement for a `BinaryHeap` keyed on
 /// `(SimTime, push order)`: [`push`](CalendarWheel::push) buffers an item
 /// for a given instant, [`pop`](CalendarWheel::pop) returns items in
-/// non-decreasing time order with FIFO tie-breaking for equal times. See the
-/// [module docs](self) for the layout and the ordering argument.
+/// non-decreasing time order with FIFO tie-breaking for equal times. The
+/// docs of the `wheel` module give the layout and the ordering argument.
 pub struct CalendarWheel<T> {
     levels: [Level; LEVELS],
     overflow: BinaryHeap<MinKey>,

@@ -237,13 +237,21 @@ tripwire "a side table beside the subscriber row" -rE \
     crates/load/src
 
 echo "==> the driver judges every dial"
-# Each dial is judged once, from the endpoint that dialed: it connected,
-# or it failed for one named cause (`Failure` in
+# Each dial is judged once, by its probe, from the endpoint that dialed:
+# it connected, or it failed for one named cause (`Outcome` in
 # crates/load/src/shard/driver.rs). A drop filed under no cause, or a
 # drop counter whose name is built from a key, is the guesswork that
 # list replaced.
 tripwire "a dial filed under no cause" -rE 'dropped_baseline|format!\("load\.dropped_' \
     crates/*/src crates/*/tests tests
+# Every planned hold outlasts the probe (a const assertion in driver.rs),
+# so a hangup only hangs up: a call the probe skips, or one judged at its
+# hangup, is a second judging path no run reaches.
+tripwire "a second judging path" -rE '\bprobed:|\.probed\b|too short to probe' crates/load/src
+# A counter is named by a literal, so every name a run can count is in
+# the source; a name built at run time is also a string built per count.
+tripwire "a counter name built at run time" -rE '(count|count_by|observe)\(&format!' \
+    crates/*/src
 # A call the driver gives up on is torn down at both ends, so voice
 # sampled past the probe point drains: this run used to leave abandoned
 # calls talking until the engine's epoch cap, and exit 1.
@@ -353,6 +361,10 @@ cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- --
 # every-epoch oracle: a change to engine.rs / trunk.rs that leaves the
 # every-epoch loop fails here, not in the next benchmark run.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> cargo doc --no-deps --workspace (warnings are errors)"
+# A public doc that links to a private item, or to nothing, fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
