@@ -25,8 +25,8 @@ use vgprs_bench::experiments::{
     c5_handoff_cost, interface_usage,
 };
 use vgprs_bench::harness::{
-    chaos_json, drain_capped_error, heading, load_config_from, surge_json, write_file, Flags,
-    RunDefaults, DROP_RATE, SEED, USAGE,
+    chaos_json, drain_capped_error, heading, parse_load_config, surge_json, write_file, Failure,
+    Flags, DROP_RATE, SEED, USAGE,
 };
 use vgprs_bench::scenarios::{handed_over, tromboning_classic, tromboning_vgprs, SingleZone};
 use vgprs_core::figures::{
@@ -34,7 +34,7 @@ use vgprs_core::figures::{
 };
 use vgprs_load::{
     run_load, FaultClass, FaultPlanConfig, LoadConfig, LoadReport, OverloadControls,
-    ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
+    PopulationConfig, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
 use vgprs_sim::{LadderDiagram, SimDuration, Trace};
 use vgprs_wire::{CallId, Command, Message};
@@ -44,11 +44,14 @@ fn main() {
     let arg = args.first().map(String::as_str).unwrap_or("all");
     if let Some(run) = subcommand(arg) {
         let flags = Flags(&args[1..]);
-        if let Err(stranger) = flags.check(USAGE, arg) {
-            eprintln!("{stranger}\n{USAGE}");
-            std::process::exit(2);
-        }
-        return run(&flags);
+        let checked = flags.check(USAGE, arg).map_err(|e| Failure::Usage(format!("{e}\n{USAGE}")));
+        let (code, message) = match checked.and_then(|()| run(&flags)) {
+            Ok(()) => return,
+            Err(Failure::Usage(message)) => (2, message),
+            Err(Failure::Run(message)) => (1, message),
+        };
+        eprintln!("{message}");
+        std::process::exit(code);
     }
     let all = arg == "all";
     let mut ran = false;
@@ -84,8 +87,11 @@ fn main() {
     }
 }
 
+/// A population-scale tool: its run, or why it failed.
+type Subcommand = fn(&Flags<'_>) -> Result<(), Failure>;
+
 /// The population-scale tools, by name.
-fn subcommand(name: &str) -> Option<fn(&Flags<'_>)> {
+fn subcommand(name: &str) -> Option<Subcommand> {
     Some(match name {
         "load" => load_cmd,
         "chaos" => chaos_cmd,
@@ -95,8 +101,11 @@ fn subcommand(name: &str) -> Option<fn(&Flags<'_>)> {
     })
 }
 
-fn load_cmd(flags: &Flags<'_>) {
-    let cfg = load_config_from(flags, &RunDefaults::default());
+fn load_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
+    let cfg = parse_load_config(flags, &LoadConfig::default())?;
+    let json = flags.value("--json")?;
+    let snapshots = flags.value("--snapshots")?;
+    let snapshots_csv = flags.value("--snapshots-csv")?;
     heading(&format!(
         "Busy hour — {} subscribers, {} shards, seed {}, {} kernel",
         cfg.subscribers,
@@ -115,64 +124,69 @@ fn load_cmd(flags: &Flags<'_>) {
             cfg.snapshot_secs
         );
     }
-    if let Some(path) = flags.get("--json") {
-        write_file(path, &report.to_json());
+    if let Some(path) = json {
+        write_file(path, &report.to_json())?;
         println!("json report           : {path}");
     }
     let per_shard = flags.has("--snapshots-per-shard");
-    if let Some(path) = flags.get("--snapshots") {
-        write_file(path, &report.snapshots_json(per_shard));
+    if let Some(path) = snapshots {
+        write_file(path, &report.snapshots_json(per_shard))?;
         println!(
             "snapshot series       : {path}{}",
             if per_shard { " (with per-shard series)" } else { "" }
         );
     }
-    if let Some(path) = flags.get("--snapshots-csv") {
-        write_file(path, &report.snapshots_csv(per_shard));
+    if let Some(path) = snapshots_csv {
+        write_file(path, &report.snapshots_csv(per_shard))?;
         println!("snapshot csv          : {path}");
     }
     // Last, so the report and artifacts of a capped run are still there
     // to diagnose it with.
-    if let Some(complaint) = drain_capped_error(&report) {
-        eprintln!("{complaint}");
-        std::process::exit(1);
-    }
+    drain_capped_error(&report).map_or(Ok(()), |complaint| Err(Failure::Run(complaint)))
 }
 
-/// Reads and parses one JSON report, exiting with a diagnostic on
-/// failure (a malformed dump is an input error, not a panic).
-fn read_report(path: &str) -> vgprs_sim::JsonValue {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    vgprs_sim::JsonValue::parse(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse {path}: {e}");
-        std::process::exit(2);
-    })
+/// Reads and parses one JSON report (a malformed dump is an input
+/// error, not a panic).
+fn read_report(path: &str) -> Result<vgprs_sim::JsonValue, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    vgprs_sim::JsonValue::parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
 /// `harness diff`: structural KPI comparison of two dumps. Compares
-/// candidate against baseline and exits nonzero on any regressed or
-/// missing KPI.
-fn diff_cmd(flags: &Flags<'_>) {
+/// candidate against baseline and fails on any regressed or missing
+/// KPI.
+fn diff_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
     let operands: Vec<&String> = flags.0.iter().filter(|a| !a.starts_with("--")).collect();
     let [a_path, b_path] = operands.as_slice() else {
-        eprintln!("usage: harness diff BASELINE.json CANDIDATE.json [--json]");
-        std::process::exit(2);
+        return Err("usage: harness diff BASELINE.json CANDIDATE.json [--json]".to_string().into());
     };
     heading(&format!("KPI diff — {a_path} (baseline) vs {b_path} (candidate)"));
-    let diff = compare(&read_report(a_path), &read_report(b_path));
+    let diff = compare(&read_report(a_path)?, &read_report(b_path)?);
     if flags.has("--json") {
         print!("{}", diff.to_json());
     } else {
         print!("{}", diff.render());
     }
-    if !diff.passed() {
-        if !flags.has("--json") {
-            eprintln!("  KPI REGRESSION: {b_path} regressed against {a_path}");
-        }
-        std::process::exit(1);
+    if diff.passed() {
+        Ok(())
+    } else {
+        Err(Failure::Run(format!("  KPI REGRESSION: {b_path} regressed against {a_path}")))
+    }
+}
+
+/// The workload both sweeps run: 512 subscribers in 2 shards for a
+/// 120 s window of 20 s calls, at `rate` calls per subscriber-hour.
+fn sweep_base(rate: f64) -> LoadConfig {
+    LoadConfig {
+        subscribers: 512,
+        shards: 2,
+        population: PopulationConfig {
+            window_secs: 120,
+            calls_per_sub_hour: rate,
+            mean_hold_secs: 20.0,
+            ..PopulationConfig::default()
+        },
+        ..LoadConfig::default()
     }
 }
 
@@ -201,18 +215,9 @@ fn run_trunk_cell(base: &LoadConfig, class: Option<TrunkFaultClass>, intensity: 
 /// Resilience matrix: every fault class at two intensities against the
 /// zero-fault baseline, on one fixed workload. Records drop rates,
 /// recovery percentiles and retry volumes in `BENCH_chaos.json`.
-fn chaos_cmd(flags: &Flags<'_>) {
-    let base = load_config_from(
-        flags,
-        &RunDefaults {
-            subscribers: 512,
-            shards: 2,
-            window_secs: 120,
-            calls_per_sub_hour: 60.0,
-            mean_hold_secs: 20.0,
-            ..RunDefaults::default()
-        },
-    );
+fn chaos_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
+    let base = parse_load_config(flags, &sweep_base(60.0))?;
+    let path = flags.value("--out")?.unwrap_or("BENCH_chaos.json");
     heading(&format!(
         "Chaos matrix — {} subscribers, {} shards, seed {}: fault classes x intensity",
         base.subscribers,
@@ -278,9 +283,9 @@ fn chaos_cmd(flags: &Flags<'_>) {
             r.mos()
         );
     }
-    let path = flags.get("--out").unwrap_or("BENCH_chaos.json");
-    write_file(path, &chaos_json(&base, &cells));
+    write_file(path, &chaos_json(&base, &cells))?;
     println!("  recorded: {path}");
+    Ok(())
 }
 
 /// Runs one cell of the surge sweep: a flash-crowd intensity with the
@@ -309,25 +314,16 @@ fn run_surge_cell(
 /// Flash-crowd overload sweep: shock intensity x {controls off, on} on
 /// one fixed workload, recording shed/throttle volumes, admission
 /// delay, peak-vs-steady drop rates and MOS in `BENCH_surge.json`.
-fn surge_cmd(flags: &Flags<'_>) {
-    let base = load_config_from(
-        flags,
-        &RunDefaults {
-            subscribers: 512,
-            shards: 2,
-            window_secs: 120,
-            calls_per_sub_hour: 30.0,
-            mean_hold_secs: 20.0,
-            gk_bandwidth: 25_600,
-            ..RunDefaults::default()
-        },
-    );
+fn surge_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
+    let base = LoadConfig { gk_bandwidth: 25_600, ..sweep_base(30.0) };
+    let base = parse_load_config(flags, &base)?;
     let std = OverloadControls::standard();
     let controls = OverloadControls {
-        paging_rate_per_s: flags.parse("--paging-rate", std.paging_rate_per_s),
-        gk_shed_utilization: flags.parse("--gk-shed", std.gk_shed_utilization),
-        pdp_rate_per_s: flags.parse("--pdp-rate", std.pdp_rate_per_s),
+        paging_rate_per_s: flags.parsed("--paging-rate", std.paging_rate_per_s)?,
+        gk_shed_utilization: flags.non_negative("--gk-shed", std.gk_shed_utilization)?,
+        pdp_rate_per_s: flags.parsed("--pdp-rate", std.pdp_rate_per_s)?,
     };
+    let path = flags.value("--out")?.unwrap_or("BENCH_surge.json");
     heading(&format!(
         "Surge sweep — {} subscribers, {} shards, seed {}: shock intensity x overload controls",
         base.subscribers,
@@ -362,9 +358,9 @@ fn surge_cmd(flags: &Flags<'_>) {
             r.mos()
         );
     }
-    let path = flags.get("--out").unwrap_or("BENCH_surge.json");
-    write_file(path, &surge_json(&base, controls, &cells));
+    write_file(path, &surge_json(&base, controls, &cells))?;
     println!("  recorded: {path}");
+    Ok(())
 }
 
 fn fig1() {

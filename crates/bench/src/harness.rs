@@ -6,9 +6,10 @@
 //! `BENCH_*.json` artifact. Keeping the pieces here means a new
 //! subcommand cannot drift from the others.
 
-use vgprs_load::{
-    CallMix, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass, TrunkPlanConfig,
-};
+use std::fmt::Display;
+use std::str::FromStr;
+
+use vgprs_load::{CallMix, LoadConfig, LoadReport, OverloadControls, TrunkFaultClass};
 use vgprs_sim::JsonWriter;
 
 /// The master seed every experiment defaults to.
@@ -33,11 +34,21 @@ harness surge [--paging-rate N] [--gk-shed F] [--pdp-rate N]
               [--out PATH] [--verbose]
 harness diff BASELINE.json CANDIDATE.json [--json]";
 
-/// Ends the process with a usage error: the only exit in flag parsing,
-/// kept apart from it so the parsing is testable.
-fn usage_exit(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
+/// Why a `load`, `chaos`, `surge` or `diff` run failed: `main` prints
+/// the message on stderr and exits with the variant's code.
+pub enum Failure {
+    /// Input the subcommand cannot use: a flag, an operand or a file to
+    /// compare. Exit code 2.
+    Usage(String),
+    /// A run that went wrong: an artifact it could not write, a run cut
+    /// short, a regression. Exit code 1.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Usage(message)
+    }
 }
 
 /// Tiny flag parser: `--name value` pairs plus bare `--flag` switches.
@@ -59,7 +70,7 @@ impl Flags<'_> {
 
     /// The value of `--name` parsed as `T`; `default` when the flag is
     /// absent.
-    pub fn parsed<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+    pub fn parsed<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
         match self.value(name)? {
             None => Ok(default),
             Some(raw) => raw
@@ -68,14 +79,33 @@ impl Flags<'_> {
         }
     }
 
-    /// [`Flags::value`], exiting with a usage error on a missing value.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.value(name).unwrap_or_else(|e| usage_exit(e))
+    /// [`Flags::parsed`], refused unless `ok` holds of the value: a
+    /// value the model cannot run is an error naming the flag and what
+    /// it `expected`.
+    fn parsed_where<T: FromStr + Display + Copy>(
+        &self,
+        name: &str,
+        default: T,
+        expected: &str,
+        ok: impl Fn(T) -> bool,
+    ) -> Result<T, String> {
+        let value = self.parsed(name, default)?;
+        if ok(value) {
+            Ok(value)
+        } else {
+            Err(format!("invalid value {value} for {name}; expected {expected}"))
+        }
     }
 
-    /// [`Flags::parsed`], exiting with a usage error on a bad value.
-    pub fn parse<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.parsed(name, default).unwrap_or_else(|e| usage_exit(e))
+    /// The value of `--name` as a finite number ≥ 0: a rate, a time or
+    /// an intensity.
+    pub fn non_negative(&self, name: &str, default: f64) -> Result<f64, String> {
+        self.parsed_where(name, default, "a finite number >= 0", |x| x.is_finite() && x >= 0.0)
+    }
+
+    /// The value of `--name` as a fraction of the population, in [0, 1].
+    fn fraction(&self, name: &str, default: f64) -> Result<f64, String> {
+        self.parsed_where(name, default, "a fraction in [0, 1]", |x| (0.0..=1.0).contains(&x))
     }
 
     /// Refuses a `--flag` that the `harness <subcommand>` entries of
@@ -107,116 +137,77 @@ impl Flags<'_> {
     }
 }
 
-/// Parses a trunk fault class name (`loss`, `dup`, `reorder`,
-/// `partition` — the `trunk_` prefix is optional).
+/// The longest window whose microseconds fit in a `u64`, the width of
+/// simulated time.
+const MAX_WINDOW_SECS: u64 = u64::MAX / 1_000_000;
+
+/// Parses a trunk fault class name: a [`TrunkFaultClass::key`], the
+/// `trunk_` prefix optional.
 fn parse_trunk_class(raw: &str) -> Result<TrunkFaultClass, String> {
-    match raw.strip_prefix("trunk_").unwrap_or(raw) {
-        "loss" => Ok(TrunkFaultClass::Loss),
-        "dup" => Ok(TrunkFaultClass::Dup),
-        "reorder" => Ok(TrunkFaultClass::Reorder),
-        "partition" => Ok(TrunkFaultClass::Partition),
+    let short = |class: TrunkFaultClass| &class.key()["trunk_".len()..];
+    let name = raw.strip_prefix("trunk_").unwrap_or(raw);
+    TrunkFaultClass::ALL.into_iter().find(|&c| short(c) == name).ok_or_else(|| {
+        let names: String = TrunkFaultClass::ALL.map(|c| format!("{}, ", short(c))).concat();
+        format!("invalid value {raw:?} for --trunk-class; expected {names}or all")
+    })
+}
+
+/// Parses the `--mix` weights: three, each finite and ≥ 0, not all zero.
+fn parse_mix(raw: &str) -> Result<CallMix, String> {
+    let parts: Result<Vec<f64>, _> = raw.split(',').map(str::parse).collect();
+    match parts.as_deref() {
+        Ok(&[mo, mt, m2m])
+            if [mo, mt, m2m].iter().all(|w| w.is_finite() && *w >= 0.0) && mo + mt + m2m > 0.0 =>
+        {
+            Ok(CallMix { mo, mt, m2m })
+        }
         _ => Err(format!(
-            "invalid value {raw:?} for --trunk-class; expected loss, dup, \
-             reorder, partition or all"
+            "invalid value {raw:?} for --mix; expected MO,MT,M2M weights, finite, >= 0 and \
+             not all zero, e.g. 0.45,0.45,0.10"
         )),
     }
 }
 
-/// Per-subcommand defaults for the shared flag vocabulary. Start from
-/// [`RunDefaults::default`] and override the fields the experiment
-/// needs; every field is overridable on the command line.
-#[derive(Clone, Debug)]
-pub struct RunDefaults {
-    /// `--subscribers` default.
-    pub subscribers: usize,
-    /// `--shards` default (`0` = derive from population).
-    pub shards: usize,
-    /// `--window-secs` default.
-    pub window_secs: u64,
-    /// `--rate` default (calls per subscriber-hour).
-    pub calls_per_sub_hour: f64,
-    /// `--hold` default (mean seconds).
-    pub mean_hold_secs: f64,
-    /// `--mobility` default.
-    pub mobility_fraction: f64,
-    /// `--gk-bandwidth` default (admission budget per serving area).
-    pub gk_bandwidth: u32,
-}
-
-impl Default for RunDefaults {
-    fn default() -> Self {
-        let base = LoadConfig::default();
-        RunDefaults {
-            subscribers: base.subscribers,
-            shards: base.shards,
-            window_secs: base.population.window_secs,
-            calls_per_sub_hour: base.population.calls_per_sub_hour,
-            mean_hold_secs: base.population.mean_hold_secs,
-            mobility_fraction: base.population.mobility_fraction,
-            gk_bandwidth: base.gk_bandwidth,
-        }
+/// Builds a subcommand's [`LoadConfig`]: `base` with each field the
+/// shared flag vocabulary names overridden by its flag. The error names
+/// the flag whose value is missing, malformed or one the model cannot
+/// run.
+pub fn parse_load_config(flags: &Flags<'_>, base: &LoadConfig) -> Result<LoadConfig, String> {
+    let mut cfg = base.clone();
+    cfg.subscribers = flags.parsed("--subscribers", base.subscribers)?;
+    cfg.shards = flags.parsed("--shards", base.shards)?;
+    cfg.seed = flags.parsed("--seed", base.seed)?;
+    cfg.tch_capacity = flags.parsed("--tch", base.tch_capacity)?;
+    cfg.voice_sample_ms = flags.parsed("--voice-sample-ms", base.voice_sample_ms)?;
+    cfg.gk_bandwidth = flags.parsed("--gk-bandwidth", base.gk_bandwidth)?;
+    cfg.snapshot_secs = flags.parsed("--snapshot-secs", base.snapshot_secs)?;
+    let (pop, base_pop) = (&mut cfg.population, &base.population);
+    pop.window_secs = flags.parsed_where(
+        "--window-secs",
+        base_pop.window_secs,
+        &format!("at most {MAX_WINDOW_SECS}, whose microseconds fit in a u64"),
+        |secs| secs <= MAX_WINDOW_SECS,
+    )?;
+    pop.calls_per_sub_hour = flags.non_negative("--rate", base_pop.calls_per_sub_hour)?;
+    pop.mean_hold_secs = flags.non_negative("--hold", base_pop.mean_hold_secs)?;
+    pop.mobility_fraction = flags.fraction("--mobility", base_pop.mobility_fraction)?;
+    pop.cross_shard_fraction = flags.fraction("--cross-shard-rate", base_pop.cross_shard_fraction)?;
+    if let Some(raw) = flags.value("--mix")? {
+        pop.mix = parse_mix(raw)?;
     }
-}
-
-/// Builds a [`LoadConfig`] from the shared flag vocabulary over the
-/// given per-subcommand defaults, exiting with a usage error on a flag
-/// [`parse_load_config`] refuses.
-pub fn load_config_from(flags: &Flags<'_>, defaults: &RunDefaults) -> LoadConfig {
-    parse_load_config(flags, defaults).unwrap_or_else(|e| usage_exit(e))
-}
-
-/// The parse behind [`load_config_from`]: the error names the flag whose
-/// value is missing or malformed.
-pub fn parse_load_config(flags: &Flags<'_>, defaults: &RunDefaults) -> Result<LoadConfig, String> {
-    let mut cfg = LoadConfig {
-        subscribers: flags.parsed("--subscribers", defaults.subscribers)?,
-        shards: flags.parsed("--shards", defaults.shards)?,
-        seed: flags.parsed("--seed", SEED)?,
-        tch_capacity: flags.parsed("--tch", 64)?,
-        voice_sample_ms: flags.parsed("--voice-sample-ms", 1_000)?,
-        gk_bandwidth: flags.parsed("--gk-bandwidth", defaults.gk_bandwidth)?,
-        ..LoadConfig::default()
-    };
-    cfg.population.window_secs = flags.parsed("--window-secs", defaults.window_secs)?;
-    cfg.population.calls_per_sub_hour = flags.parsed("--rate", defaults.calls_per_sub_hour)?;
-    cfg.population.mean_hold_secs = flags.parsed("--hold", defaults.mean_hold_secs)?;
-    cfg.population.mobility_fraction = flags.parsed("--mobility", defaults.mobility_fraction)?;
-    cfg.population.cross_shard_fraction = flags.parsed("--cross-shard-rate", 0.0)?;
-    cfg.snapshot_secs = flags.parsed("--snapshot-secs", cfg.snapshot_secs)?;
-    let trunk_intensity: f64 = flags.parsed("--trunk-intensity", 0.0)?;
+    cfg.trunk.intensity = flags.non_negative("--trunk-intensity", base.trunk.intensity)?;
     // A bad class name is a usage error even when no intensity arms it.
-    let trunk_class = match flags.value("--trunk-class")? {
-        None | Some("all") => None,
-        Some(raw) => Some(parse_trunk_class(raw)?),
-    };
-    if trunk_intensity > 0.0 {
-        cfg.trunk = match trunk_class {
-            None => TrunkPlanConfig::all(trunk_intensity),
-            Some(class) => TrunkPlanConfig::only(class, trunk_intensity),
-        };
-    }
-    if let Some(mix) = flags.value("--mix")? {
-        let parts: Result<Vec<f64>, _> = mix.split(',').map(str::parse).collect();
-        let Ok([mo, mt, m2m]) = parts.as_deref() else {
-            return Err(format!(
-                "invalid value {mix:?} for --mix; expected MO,MT,M2M weights, e.g. 0.45,0.45,0.10"
-            ));
-        };
-        cfg.population.mix = CallMix {
-            mo: *mo,
-            mt: *mt,
-            m2m: *m2m,
-        };
+    match flags.value("--trunk-class")? {
+        None => {}
+        Some("all") => cfg.trunk.class = None,
+        Some(raw) => cfg.trunk.class = Some(parse_trunk_class(raw)?),
     }
     Ok(cfg)
 }
 
-/// Writes an artifact, exiting on I/O failure.
-pub fn write_file(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
+/// Writes an artifact; a failed run when it cannot.
+pub fn write_file(path: &str, contents: &str) -> Result<(), Failure> {
+    std::fs::write(path, contents).map_err(|e| Failure::Run(format!("cannot write {path}: {e}")))
 }
 
 /// The complaint about a run one of the engine's runaway backstops cut
@@ -264,7 +255,8 @@ pub fn git_describe() -> String {
 
 /// Opens a `BENCH_*.json` document: the workload name, the run-metadata
 /// block — enough to re-run the experiment and to trace the artifact
-/// back to the code revision — and the population size.
+/// back to the code revision — and the population's size, shards, seed
+/// and window.
 fn begin_artifact(workload: &str, cfg: &LoadConfig) -> JsonWriter {
     let mut w = JsonWriter::new();
     w.begin_object();
@@ -279,6 +271,9 @@ fn begin_artifact(workload: &str, cfg: &LoadConfig) -> JsonWriter {
     w.key("git").string(&git_describe());
     w.end();
     w.key("subscribers").u64(cfg.subscribers as u64);
+    w.key("shards").u64(cfg.effective_shards() as u64);
+    w.key("seed").u64(cfg.seed);
+    w.key("window_secs").u64(cfg.population.window_secs);
     w
 }
 
@@ -372,9 +367,6 @@ fn write_columns(w: &mut JsonWriter, report: &LoadReport, columns: &[Column]) {
 /// `BENCH_chaos.json`: one cell per `(class, intensity, run)`.
 pub fn chaos_json(base: &LoadConfig, cells: &[(&str, f64, LoadReport)]) -> String {
     let mut w = begin_artifact("busy_hour_chaos", base);
-    w.key("shards").u64(base.effective_shards() as u64);
-    w.key("seed").u64(base.seed);
-    w.key("window_secs").u64(base.population.window_secs);
     w.key("cells").begin_array();
     for (class, intensity, report) in cells {
         w.begin_inline_object();
@@ -393,9 +385,6 @@ pub fn surge_json(
     cells: &[(f64, bool, LoadReport)],
 ) -> String {
     let mut w = begin_artifact("busy_hour_surge", base);
-    w.key("shards").u64(base.effective_shards() as u64);
-    w.key("seed").u64(base.seed);
-    w.key("window_secs").u64(base.population.window_secs);
     w.key("controls").begin_inline_object();
     w.key("paging_rate_per_s").u64(controls.paging_rate_per_s.into());
     w.key("gk_shed_utilization").f64_short(controls.gk_shed_utilization);
@@ -415,20 +404,45 @@ pub fn surge_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vgprs_load::TrunkPlanConfig;
 
     fn parse(args: &[&str]) -> Result<LoadConfig, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_load_config(&Flags(&args), &RunDefaults::default())
+        parse_load_config(&Flags(&args), &LoadConfig::default())
     }
 
     #[test]
     fn well_formed_flags_parse() {
-        let cfg = parse(&["--seed", "7", "--mix", "0.4,0.3,0.3", "--rate", "-1"]).unwrap();
+        let cfg = parse(&["--seed", "7", "--mix", "0.4,0.3,0.3", "--rate", "0"]).unwrap();
         assert_eq!((cfg.seed, cfg.population.mix.mt), (7, 0.3));
-        assert_eq!(
-            cfg.population.calls_per_sub_hour, -1.0,
-            "a negative number is a value"
-        );
+        assert_eq!(cfg.population.calls_per_sub_hour, 0.0);
+        let edges = ["--window-secs", "18446744073709", "--mobility", "1", "--hold", "0"];
+        let cfg = parse(&edges).unwrap();
+        assert_eq!(cfg.population.window_secs, MAX_WINDOW_SECS);
+        // A value that starts with `-` is read as a value, and refused by
+        // its range rather than taken for a missing one.
+        let err = parse(&["--rate", "-1"]).unwrap_err();
+        assert!(err.contains("--rate") && err.contains(">= 0"), "{err}");
+        for class in TrunkFaultClass::ALL {
+            for name in [&class.key()["trunk_".len()..], class.key()] {
+                let cfg = parse(&["--trunk-intensity", "0.5", "--trunk-class", name]).unwrap();
+                assert_eq!(cfg.trunk, TrunkPlanConfig::only(class, 0.5), "{name}");
+            }
+        }
+        let cfg = parse(&["--trunk-intensity", "0.5", "--trunk-class", "all"]).unwrap();
+        assert_eq!(cfg.trunk, TrunkPlanConfig::all(0.5));
+    }
+
+    #[test]
+    fn absent_flags_keep_the_base() {
+        let mut base = LoadConfig { subscribers: 512, shards: 2, ..LoadConfig::default() };
+        base.population.calls_per_sub_hour = 60.0;
+        base.trunk = TrunkPlanConfig::only(TrunkFaultClass::Dup, 0.5);
+        let args = ["--seed".to_string(), "7".to_string()];
+        let cfg = parse_load_config(&Flags(&args), &base).unwrap();
+        assert_eq!((cfg.subscribers, cfg.shards, cfg.seed), (512, 2, 7));
+        assert_eq!(cfg.population.calls_per_sub_hour, 60.0);
+        assert_eq!(cfg.trunk, base.trunk);
     }
 
     #[test]
@@ -444,6 +458,23 @@ mod tests {
                 "--trunk-class",
             ),
             (&["--trunk-class", "flood"], "--trunk-class"),
+            (&["--trunk-class", "trunk_trunk_loss"], "--trunk-class"),
+            (&["--rate", "inf"], "--rate"),
+            (&["--rate", "-1"], "--rate"),
+            (&["--hold", "nan"], "--hold"),
+            (&["--hold", "-0.5"], "--hold"),
+            (&["--trunk-intensity", "nan"], "--trunk-intensity"),
+            (&["--trunk-intensity", "-1"], "--trunk-intensity"),
+            (&["--mobility", "nan"], "--mobility"),
+            (&["--mobility", "1.5"], "--mobility"),
+            (&["--cross-shard-rate", "nan"], "--cross-shard-rate"),
+            (&["--cross-shard-rate", "-0.1"], "--cross-shard-rate"),
+            (&["--mix", "nan,0,0"], "--mix"),
+            (&["--mix", "-1,1,1"], "--mix"),
+            (&["--mix", "inf,1,1"], "--mix"),
+            (&["--mix", "0,0,0"], "--mix"),
+            (&["--window-secs", "18446744073709551615"], "--window-secs"),
+            (&["--window-secs", "18446744073710"], "--window-secs"),
         ] {
             let err = parse(args).expect_err(&args.join(" "));
             assert!(err.contains(flag), "{args:?} -> {err}");

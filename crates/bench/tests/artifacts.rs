@@ -1,6 +1,6 @@
 //! Gates on the harness's artifacts: the diff direction of every KPI,
-//! the schema of the committed `BENCH_*.json` cells, and the flags the
-//! binary refuses.
+//! the schema of the committed `BENCH_*.json` cells, and the flags and
+//! values the binary refuses.
 
 use std::path::Path;
 
@@ -129,6 +129,46 @@ fn harness(args: &[&str]) -> (Option<i32>, String) {
         .output()
         .expect("harness runs");
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+/// A flag value the model cannot run is refused before anything runs:
+/// `--rate inf` used to leave no gap between a subscriber's arrivals,
+/// and the run never ended. Exit 2, naming the flag; the child is killed
+/// at the deadline, so a lost refusal fails this test rather than hangs
+/// it.
+#[test]
+fn a_value_the_model_cannot_run_exits_2_naming_its_flag() {
+    use std::process::{Command, Stdio};
+    use std::time::{Duration, Instant};
+    for (args, flag) in [
+        (&["load", "--subscribers", "4", "--rate", "inf"][..], "--rate"),
+        (&["surge", "--subscribers", "4", "--gk-shed", "nan"], "--gk-shed"),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))
+            .args(args)
+            .current_dir(env!("CARGO_TARGET_TMPDIR"))
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("harness starts");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("harness waits") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                child.kill().expect("harness is killed");
+                child.wait().expect("harness is reaped");
+                panic!("harness {} still ran after 10 s", args.join(" "));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().expect("piped"), &mut stderr)
+            .expect("stderr reads");
+        assert_eq!(status.code(), Some(2), "harness {}: {stderr}", args.join(" "));
+        assert!(stderr.contains(flag), "{stderr}");
+    }
 }
 
 /// A subcommand that moved out (`cargo test` holds the determinism

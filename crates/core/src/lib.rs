@@ -26,7 +26,7 @@ mod vmsc;
 
 pub use figures::FIGURE_4;
 pub use testbed::{
-    AccessHalf, Architecture, GsmZone, GsmZoneConfig, HomeNumbers, LatencyProfile, PacketHalf,
-    VgprsZone, VgprsZoneConfig,
+    AccessHalf, Architecture, GsmZone, GsmZoneConfig, HomeNumbers, LatencyProfile,
+    OverloadControls, PacketHalf, VgprsZone, VgprsZoneConfig,
 };
 pub use vmsc::{MsEntry, RegPhase, Vmsc, VmscConfig};

@@ -77,6 +77,48 @@ impl Default for LatencyProfile {
     }
 }
 
+/// The overload-control knob block: the three mechanisms a real core
+/// raises against a demand shock. `Default` is everything off, which
+/// leaves every node on its historical code path (byte-identical runs).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct OverloadControls {
+    /// VMSC paging-request throttle: at most this many pages per
+    /// simulated second; excess pages queue (bounded) and then shed.
+    /// `0` disables the throttle.
+    pub paging_rate_per_s: u32,
+    /// Gatekeeper ARJ load shedding: new admissions that would push
+    /// bandwidth utilization above this fraction are rejected with
+    /// network-congestion, feeding the VMSC's bounded ARQ retry ladder.
+    /// `0.0` disables shedding.
+    pub gk_shed_utilization: f64,
+    /// SGSN PDP admission control: at most this many PDP-context
+    /// activations admitted per simulated second; excess queues
+    /// (bounded) and then rejects with a q850 congestion cause.
+    /// `0` disables admission control.
+    pub pdp_rate_per_s: u32,
+}
+
+impl OverloadControls {
+    /// The surge harness's canonical "controls on" setting, sized for
+    /// its per-shard population. The shed threshold sits at the
+    /// admission-budget boundary: every admission the budget would
+    /// hard-reject is shed with a retryable congestion cause instead,
+    /// so overload degrades to deferred setups rather than failures
+    /// while the budget itself is unchanged.
+    pub fn standard() -> Self {
+        OverloadControls {
+            paging_rate_per_s: 5,
+            gk_shed_utilization: 1.0,
+            pdp_rate_per_s: 8,
+        }
+    }
+
+    /// True if any control is active.
+    pub fn enabled(&self) -> bool {
+        self.paging_rate_per_s > 0 || self.gk_shed_utilization > 0.0 || self.pdp_rate_per_s > 0
+    }
+}
+
 /// Configuration for one vGPRS serving network (Figure 2(b)).
 #[derive(Clone, Debug)]
 pub struct VgprsZoneConfig {
@@ -106,15 +148,9 @@ pub struct VgprsZoneConfig {
     /// Off by default so fault-free runs keep their historical event
     /// streams bit-identical.
     pub resilience: bool,
-    /// Overload control: VMSC paging-request throttle, pages per
-    /// simulated second (`0` = unlimited, the historical behavior).
-    pub paging_rate_per_s: u32,
-    /// Overload control: gatekeeper ARJ load-shed threshold as a
-    /// fraction of the admission budget (`0.0` = disabled).
-    pub gk_shed_utilization: f64,
-    /// Overload control: SGSN PDP-activation admission rate per
-    /// simulated second (`0` = unlimited).
-    pub pdp_rate_per_s: u32,
+    /// The VMSC's, gatekeeper's and SGSN's overload controls (all off
+    /// by default, the historical behavior).
+    pub controls: OverloadControls,
     /// Link latencies.
     pub latency: LatencyProfile,
 }
@@ -135,9 +171,7 @@ impl VgprsZoneConfig {
             pdch_bps: 40_000,
             deactivate_idle_contexts: false,
             resilience: false,
-            paging_rate_per_s: 0,
-            gk_shed_utilization: 0.0,
-            pdp_rate_per_s: 0,
+            controls: OverloadControls::default(),
             latency: LatencyProfile::default(),
         }
     }
@@ -511,9 +545,9 @@ impl VgprsZone {
             GatekeeperConfig {
                 addr: cfg.gk_addr,
                 bandwidth_budget: cfg.gk_bandwidth,
-                shed_utilization: cfg.gk_shed_utilization,
+                shed_utilization: cfg.controls.gk_shed_utilization,
             },
-            cfg.pdp_rate_per_s,
+            cfg.controls.pdp_rate_per_s,
             cfg.latency,
         );
         let access = AccessHalf::build(
@@ -539,7 +573,7 @@ impl VgprsZone {
                             gk: cfg.gk_addr,
                             deactivate_idle_contexts: cfg.deactivate_idle_contexts,
                             resilience: cfg.resilience,
-                            paging_rate_per_s: cfg.paging_rate_per_s,
+                            paging_rate_per_s: cfg.controls.paging_rate_per_s,
                         },
                         vlr,
                         packet.sgsn,
@@ -695,6 +729,16 @@ mod tests {
         assert!(net.node::<Vmsc>(zone.access.msc).is_some());
         assert!(net.node::<Gatekeeper>(zone.packet.gk).is_some());
         assert_eq!(net.trace().len(), 0, "an empty zone is silent");
+    }
+
+    #[test]
+    fn controls_default_off() {
+        let off = OverloadControls::default();
+        assert!(!off.enabled());
+        assert!(OverloadControls::standard().enabled());
+        assert!(OverloadControls { paging_rate_per_s: 1, ..off }.enabled());
+        assert!(OverloadControls { gk_shed_utilization: 0.5, ..off }.enabled());
+        assert!(OverloadControls { pdp_rate_per_s: 9, ..off }.enabled());
     }
 
     fn uk() -> GsmZoneConfig {

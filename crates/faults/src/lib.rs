@@ -53,7 +53,9 @@ impl FaultClass {
     pub const ALL: [FaultClass; 3] =
         [FaultClass::LinkDegrade, FaultClass::NodeCrash, FaultClass::Blackhole];
 
-    /// Stable lowercase identifier used in stats keys and JSON.
+    /// Stable lowercase name: a chaos cell's label in `harness chaos`
+    /// and `BENCH_chaos.json`, and the suffix of the class's
+    /// `resilience.dropped_*` KPI row.
     pub fn key(self) -> &'static str {
         match self {
             FaultClass::LinkDegrade => "link_degrade",
@@ -139,46 +141,33 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Knobs for [`compile_plan`]. `Default` is all-off (zero intensity).
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Knobs for [`compile_plan`]: an intensity and a class filter.
+/// `Default` is all-off (zero intensity).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultPlanConfig {
     /// Scales both the number of windows and their severity. `0.0`
-    /// compiles to an empty plan; `1.0` is the nominal chaos level.
+    /// (or NaN) compiles to an empty plan; `1.0` is the nominal chaos
+    /// level.
     pub intensity: f64,
-    /// Enable [`FaultClass::LinkDegrade`] windows.
-    pub link_degrade: bool,
-    /// Enable [`FaultClass::NodeCrash`] windows.
-    pub node_crash: bool,
-    /// Enable [`FaultClass::Blackhole`] windows.
-    pub blackhole: bool,
-}
-
-impl Default for FaultPlanConfig {
-    fn default() -> Self {
-        FaultPlanConfig { intensity: 0.0, link_degrade: false, node_crash: false, blackhole: false }
-    }
+    /// The one class whose windows the plan keeps; `None` keeps every
+    /// class.
+    pub class: Option<FaultClass>,
 }
 
 impl FaultPlanConfig {
     /// Convenience: all three classes enabled at the given intensity.
     pub fn all(intensity: f64) -> Self {
-        FaultPlanConfig { intensity, link_degrade: true, node_crash: true, blackhole: true }
+        FaultPlanConfig { intensity, class: None }
     }
 
     /// Convenience: a single class enabled at the given intensity.
     pub fn only(class: FaultClass, intensity: f64) -> Self {
-        let mut cfg = FaultPlanConfig { intensity, ..FaultPlanConfig::default() };
-        match class {
-            FaultClass::LinkDegrade => cfg.link_degrade = true,
-            FaultClass::NodeCrash => cfg.node_crash = true,
-            FaultClass::Blackhole => cfg.blackhole = true,
-        }
-        cfg
+        FaultPlanConfig { intensity, class: Some(class) }
     }
 
     /// True if no window can ever be compiled from this config.
     pub fn is_off(&self) -> bool {
-        self.intensity <= 0.0 || !(self.link_degrade || self.node_crash || self.blackhole)
+        self.intensity.is_nan() || self.intensity <= 0.0
     }
 }
 
@@ -247,11 +236,7 @@ pub fn compile_plan(
     let count = windows_per_class(intensity, window_secs);
 
     for class in FaultClass::ALL {
-        let enabled = match class {
-            FaultClass::LinkDegrade => cfg.link_degrade,
-            FaultClass::NodeCrash => cfg.node_crash,
-            FaultClass::Blackhole => cfg.blackhole,
-        };
+        let enabled = cfg.class.is_none_or(|c| c == class);
         // Draw the class's randomness unconditionally so enabling one
         // class never perturbs another class's schedule.
         for _ in 0..count {
@@ -337,7 +322,9 @@ impl TrunkFaultClass {
         TrunkFaultClass::Partition,
     ];
 
-    /// Stable lowercase identifier used in stats keys and JSON.
+    /// Stable lowercase name: a chaos cell's label in `harness chaos`
+    /// and `BENCH_chaos.json`, and what `--trunk-class` accepts (the
+    /// `trunk_` prefix optional).
     pub fn key(self) -> &'static str {
         match self {
             TrunkFaultClass::Loss => "trunk_loss",
@@ -348,49 +335,33 @@ impl TrunkFaultClass {
     }
 }
 
-/// Knobs for [`compile_trunk_plan`]. `Default` is all-off.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// Knobs for [`compile_trunk_plan`]: an intensity and a class filter.
+/// `Default` is all-off.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TrunkPlanConfig {
     /// Scales window count, window length and impairment level. `0.0`
-    /// compiles to an empty plan; `1.0` is the nominal chaos level.
+    /// (or NaN) compiles to an empty plan; `1.0` is the nominal chaos
+    /// level.
     pub intensity: f64,
-    /// Enable [`TrunkFaultClass::Loss`] windows.
-    pub loss: bool,
-    /// Enable [`TrunkFaultClass::Dup`] windows.
-    pub dup: bool,
-    /// Enable [`TrunkFaultClass::Reorder`] windows.
-    pub reorder: bool,
-    /// Enable [`TrunkFaultClass::Partition`] windows.
-    pub partition: bool,
-}
-
-impl Default for TrunkPlanConfig {
-    fn default() -> Self {
-        TrunkPlanConfig { intensity: 0.0, loss: false, dup: false, reorder: false, partition: false }
-    }
+    /// The one class whose windows the plan keeps; `None` keeps every
+    /// class.
+    pub class: Option<TrunkFaultClass>,
 }
 
 impl TrunkPlanConfig {
     /// Convenience: all four classes enabled at the given intensity.
     pub fn all(intensity: f64) -> Self {
-        TrunkPlanConfig { intensity, loss: true, dup: true, reorder: true, partition: true }
+        TrunkPlanConfig { intensity, class: None }
     }
 
     /// Convenience: a single class enabled at the given intensity.
     pub fn only(class: TrunkFaultClass, intensity: f64) -> Self {
-        let mut cfg = TrunkPlanConfig { intensity, ..TrunkPlanConfig::default() };
-        match class {
-            TrunkFaultClass::Loss => cfg.loss = true,
-            TrunkFaultClass::Dup => cfg.dup = true,
-            TrunkFaultClass::Reorder => cfg.reorder = true,
-            TrunkFaultClass::Partition => cfg.partition = true,
-        }
-        cfg
+        TrunkPlanConfig { intensity, class: Some(class) }
     }
 
     /// True if no window can ever be compiled from this config.
     pub fn is_off(&self) -> bool {
-        self.intensity <= 0.0 || !(self.loss || self.dup || self.reorder || self.partition)
+        self.intensity.is_nan() || self.intensity <= 0.0
     }
 }
 
@@ -518,12 +489,7 @@ pub fn compile_trunk_plan(
     let pair_salt = mix_salt(mix_salt(STREAM_TRUNK, a as u64), b as u64);
 
     for (ci, class) in TrunkFaultClass::ALL.into_iter().enumerate() {
-        let enabled = match class {
-            TrunkFaultClass::Loss => cfg.loss,
-            TrunkFaultClass::Dup => cfg.dup,
-            TrunkFaultClass::Reorder => cfg.reorder,
-            TrunkFaultClass::Partition => cfg.partition,
-        };
+        let enabled = cfg.class.is_none_or(|c| c == class);
         for w in 0..count {
             let mut rng = SimRng::derive(
                 master_seed,
@@ -573,8 +539,10 @@ mod tests {
 
     #[test]
     fn zero_intensity_compiles_to_empty_plan() {
-        let plan = compile_plan(&FaultPlanConfig::all(0.0), 42, 0, 300);
-        assert!(plan.is_empty());
+        for intensity in [0.0, f64::NAN] {
+            assert!(FaultPlanConfig::all(intensity).is_off(), "{intensity}");
+            assert!(compile_plan(&FaultPlanConfig::all(intensity), 42, 0, 300).is_empty());
+        }
         let off = compile_plan(&FaultPlanConfig::default(), 42, 3, 300);
         assert!(off.is_empty());
     }
@@ -668,7 +636,10 @@ mod tests {
 
     #[test]
     fn trunk_zero_intensity_compiles_to_empty_plan() {
-        assert!(compile_trunk_plan(&TrunkPlanConfig::all(0.0), 42, 0, 1, 300).is_empty());
+        for intensity in [0.0, f64::NAN] {
+            assert!(TrunkPlanConfig::all(intensity).is_off(), "{intensity}");
+            assert!(compile_trunk_plan(&TrunkPlanConfig::all(intensity), 42, 0, 1, 300).is_empty());
+        }
         assert!(compile_trunk_plan(&TrunkPlanConfig::default(), 42, 0, 1, 300).is_empty());
         // A degenerate pair (a shard with itself) never gets a plan.
         assert!(compile_trunk_plan(&TrunkPlanConfig::all(1.0), 42, 2, 2, 300).is_empty());

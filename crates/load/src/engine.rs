@@ -43,8 +43,9 @@ use std::sync::{Mutex, MutexGuard, TryLockError};
 use std::thread::{self, ScopedJoinHandle};
 use std::time::Instant;
 
+use vgprs_core::OverloadControls;
 use vgprs_faults::{FaultPlanConfig, TrunkPlanConfig};
-use vgprs_scenario::{compile_demand, OverloadControls, ScenarioConfig};
+use vgprs_scenario::{compile_demand, ScenarioConfig};
 use vgprs_sim::Kernel;
 
 use crate::mailbox::{Envelope, Flit, HlrDirectory, EPOCH_MS};

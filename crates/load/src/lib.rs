@@ -60,9 +60,9 @@ pub use report::LoadReport;
 pub use shard::{unavailability_counter, Outcome, Registration, Shard, ShardConfig, ShardReport};
 pub use snapshot::{SnapshotFrame, SnapshotRecorder, SNAPSHOT_COUNTERS, SNAPSHOT_HISTOGRAMS};
 pub use trunk::{retransmit_backoff, TrunkFabric};
-// Re-exported so load-engine callers can configure fault plans and
-// demand scenarios without naming those crates themselves.
+// Re-exported so load-engine callers can configure fault plans, demand
+// scenarios and overload controls without naming those crates
+// themselves.
+pub use vgprs_core::OverloadControls;
 pub use vgprs_faults::{FaultClass, FaultPlanConfig, TrunkFaultClass, TrunkPlanConfig};
-pub use vgprs_scenario::{
-    compile_demand, DemandPlan, FlashCrowd, OverloadControls, ScenarioConfig,
-};
+pub use vgprs_scenario::{compile_demand, DemandPlan, FlashCrowd, ScenarioConfig};

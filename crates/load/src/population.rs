@@ -221,6 +221,9 @@ fn mobility_excursion(
 /// draws happen unconditionally per window so one window's outcome
 /// never perturbs another's.
 ///
+/// Panics on a rate that leaves no finite positive gap between arrivals
+/// (an infinite one), where the arrival loop would never end.
+///
 /// [`DriftWindow`]: vgprs_scenario::DriftWindow
 pub fn subscriber_plan_demand(
     cfg: &PopulationConfig,
@@ -237,6 +240,8 @@ pub fn subscriber_plan_demand(
     let mut arrivals = Vec::new();
     if cfg.calls_per_sub_hour > 0.0 {
         let mean_gap = 3600.0 / (cfg.calls_per_sub_hour * envelope);
+        let rate = cfg.calls_per_sub_hour;
+        assert!(mean_gap.is_finite() && mean_gap > 0.0, "rate {rate} leaves no finite positive gap");
         let extra_hold = (cfg.mean_hold_secs - MIN_HOLD_SECS).max(0.1);
         let mut t = calls.exponential(mean_gap);
         while t < window {
@@ -413,5 +418,12 @@ mod tests {
             m2m: 1.0,
         };
         assert_eq!(all_m2m.pick(0.5), CallKind::MsToMs);
+    }
+
+    #[test]
+    #[should_panic(expected = "no finite positive gap")]
+    fn an_infinite_rate_panics_rather_than_loops() {
+        let cfg = PopulationConfig { calls_per_sub_hour: f64::INFINITY, ..Default::default() };
+        subscriber_plan(&cfg, 42, 0);
     }
 }

@@ -37,10 +37,10 @@ pub use world::Registration;
 
 use std::num::NonZeroU32;
 
-use vgprs_core::VgprsZone;
+use vgprs_core::{OverloadControls, VgprsZone};
 use vgprs_faults::{FaultPlan, FaultPlanConfig};
 use vgprs_gsm::Hlr;
-use vgprs_scenario::{DemandPlan, OverloadControls, ScenarioConfig};
+use vgprs_scenario::{DemandPlan, ScenarioConfig};
 use vgprs_sim::{
     CalendarWheel, IdMap, Kernel, LinkQuality, Network, NodeId, SimDuration, SimTime, Stamp,
     Stats,

@@ -56,9 +56,7 @@ fn build_zones(
         pdch_bps: cfg.pdch_bps,
         gk_bandwidth: cfg.gk_bandwidth,
         resilience,
-        paging_rate_per_s: cfg.controls.paging_rate_per_s,
-        gk_shed_utilization: cfg.controls.gk_shed_utilization,
-        pdp_rate_per_s: cfg.controls.pdp_rate_per_s,
+        controls: cfg.controls,
         ..VgprsZoneConfig::taiwan()
     };
     let home = VgprsZone::build(net, zone(format!("s{}", cfg.shard_index)));

@@ -21,11 +21,6 @@
 //! the load engine then takes its original arrival path untouched — a
 //! zero-shock run is byte-for-byte identical to one that never linked
 //! this crate.
-//!
-//! [`OverloadControls`] lives here too: the knob block for the three
-//! controls a real core raises against a crowd (paging throttling at the
-//! VMSC, gatekeeper ARJ load shedding, SGSN PDP admission control), kept
-//! beside the demand model that trips them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -287,54 +282,6 @@ pub fn compile_demand(
     plan
 }
 
-/// The overload-control knob block: the three mechanisms a real core
-/// raises against a demand shock. `Default` is everything off, which
-/// leaves every node on its historical code path (byte-identical runs).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct OverloadControls {
-    /// VMSC paging-request throttle: at most this many pages per
-    /// simulated second; excess pages queue (bounded) and then shed.
-    /// `0` disables the throttle.
-    pub paging_rate_per_s: u32,
-    /// Gatekeeper ARJ load shedding: new admissions that would push
-    /// bandwidth utilization above this fraction are rejected with
-    /// network-congestion, feeding the VMSC's bounded ARQ retry ladder.
-    /// `0.0` disables shedding.
-    pub gk_shed_utilization: f64,
-    /// SGSN PDP admission control: at most this many PDP-context
-    /// activations admitted per simulated second; excess queues
-    /// (bounded) and then rejects with a q850 congestion cause.
-    /// `0` disables admission control.
-    pub pdp_rate_per_s: u32,
-}
-
-impl Default for OverloadControls {
-    fn default() -> Self {
-        OverloadControls { paging_rate_per_s: 0, gk_shed_utilization: 0.0, pdp_rate_per_s: 0 }
-    }
-}
-
-impl OverloadControls {
-    /// The surge harness's canonical "controls on" setting, sized for
-    /// its per-shard population. The shed threshold sits at the
-    /// admission-budget boundary: every admission the budget would
-    /// hard-reject is shed with a retryable congestion cause instead,
-    /// so overload degrades to deferred setups rather than failures
-    /// while the budget itself is unchanged.
-    pub fn standard() -> Self {
-        OverloadControls {
-            paging_rate_per_s: 5,
-            gk_shed_utilization: 1.0,
-            pdp_rate_per_s: 8,
-        }
-    }
-
-    /// True if any control is active.
-    pub fn enabled(&self) -> bool {
-        self.paging_rate_per_s > 0 || self.gk_shed_utilization > 0.0 || self.pdp_rate_per_s > 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,15 +380,5 @@ mod tests {
         assert!(plan.in_peak(mid));
         // Past the end of every segment the curve is flat again.
         assert_eq!(plan.multiplier_at_ms(10_000_000), 1.0);
-    }
-
-    #[test]
-    fn controls_default_off() {
-        let off = OverloadControls::default();
-        assert!(!off.enabled());
-        assert!(OverloadControls::standard().enabled());
-        assert!(OverloadControls { paging_rate_per_s: 1, ..off }.enabled());
-        assert!(OverloadControls { gk_shed_utilization: 0.5, ..off }.enabled());
-        assert!(OverloadControls { pdp_rate_per_s: 9, ..off }.enabled());
     }
 }

@@ -327,6 +327,14 @@ echo "==> an option has two callers"
 tripwire "a one-value setting: make it a constant" -rE \
     'auth_on_access|voice_clip_backlog|pch_capacity_per_s|answer_after|talk_on_connect|Habits|min_hold_secs|Command::Answer' \
     crates/*/src crates/*/tests tests examples
+# A setting is also stated once between a flag and the node that reads
+# it: a sweep's defaults are a LoadConfig that the flags override, a plan
+# config is an intensity and a class filter (no bool per class), a zone
+# holds its OverloadControls whole, and only main exits. These names were
+# the second statements.
+tripwire "a setting stated twice between a flag and its node" -rE \
+    'RunDefaults|load_config_from|usage_exit|flags\.(get|parse)\(|pub (link_degrade|node_crash|blackhole|loss|dup|reorder|partition): bool|cfg\.(paging_rate_per_s|gk_shed_utilization|pdp_rate_per_s)\b' \
+    crates/*/src crates/*/tests tests examples
 
 echo "==> a page goes over the cell's links"
 # A broadcast goes to the sender's links on one interface
