@@ -101,6 +101,18 @@ fn subcommand(name: &str) -> Option<Subcommand> {
     })
 }
 
+/// How the run's voice travelled, from the kernel's `sim.voice.*`
+/// census: the trains, the frames they carried, and the frames sent
+/// one by one — every frame, in a world with no train horizon (a fault
+/// plan, an overload control, an armed trunk).
+fn voice_trains(report: &LoadReport) -> String {
+    let count = |name| report.stats.counter(name);
+    let (trains, carried) = (count("sim.voice.trains"), count("sim.voice.train_frames"));
+    let sent = count("ms.voice_frames_sent") + count("term.rtp_sent");
+    let alone = sent - carried;
+    format!("{trains} carried {carried} frames; {alone} frames sent one by one")
+}
+
 fn load_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
     let cfg = parse_load_config(flags, &LoadConfig::default())?;
     let json = flags.value("--json")?;
@@ -115,6 +127,7 @@ fn load_cmd(flags: &Flags<'_>) -> Result<(), Failure> {
     ));
     let report = run_load(&cfg);
     print!("{}", report.render());
+    println!("voice trains          : {}", voice_trains(&report));
     println!("fingerprint           : {:016x}", report.fingerprint());
     if cfg.snapshot_secs > 0 {
         println!(

@@ -141,6 +141,13 @@ impl Flags<'_> {
 /// simulated time.
 const MAX_WINDOW_SECS: u64 = u64::MAX / 1_000_000;
 
+/// The most calls a subscriber may be expected to place over the window
+/// (`--rate` × `--window-secs` / 3600). Every call is planned, and held,
+/// before the run starts, and a handset places one at a time: ten
+/// thousand is a call every 0.36 s of a busy hour, past any population
+/// the model stands for.
+const MAX_CALLS_PER_SUBSCRIBER: f64 = 10_000.0;
+
 /// Parses a trunk fault class name: a [`TrunkFaultClass::key`], the
 /// `trunk_` prefix optional.
 fn parse_trunk_class(raw: &str) -> Result<TrunkFaultClass, String> {
@@ -189,6 +196,13 @@ pub fn parse_load_config(flags: &Flags<'_>, base: &LoadConfig) -> Result<LoadCon
         |secs| secs <= MAX_WINDOW_SECS,
     )?;
     pop.calls_per_sub_hour = flags.non_negative("--rate", base_pop.calls_per_sub_hour)?;
+    let calls = pop.calls_per_sub_hour * pop.window_secs as f64 / 3_600.0;
+    if calls > MAX_CALLS_PER_SUBSCRIBER {
+        return Err(format!(
+            "--rate over --window-secs plans {calls:.3e} calls per subscriber; \
+             at most {MAX_CALLS_PER_SUBSCRIBER} can be planned"
+        ));
+    }
     pop.mean_hold_secs = flags.non_negative("--hold", base_pop.mean_hold_secs)?;
     pop.mobility_fraction = flags.fraction("--mobility", base_pop.mobility_fraction)?;
     pop.cross_shard_fraction = flags.fraction("--cross-shard-rate", base_pop.cross_shard_fraction)?;
@@ -417,8 +431,11 @@ mod tests {
         assert_eq!((cfg.seed, cfg.population.mix.mt), (7, 0.3));
         assert_eq!(cfg.population.calls_per_sub_hour, 0.0);
         let edges = ["--window-secs", "18446744073709", "--mobility", "1", "--hold", "0"];
-        let cfg = parse(&edges).unwrap();
+        let cfg = parse(&[&edges[..], &["--rate", "0"]].concat()).unwrap();
         assert_eq!(cfg.population.window_secs, MAX_WINDOW_SECS);
+        // Ten thousand calls per subscriber are the most a run plans.
+        let cfg = parse(&["--rate", "10000", "--window-secs", "3600"]).unwrap();
+        assert_eq!(cfg.population.calls_per_sub_hour, 10_000.0);
         // A value that starts with `-` is read as a value, and refused by
         // its range rather than taken for a missing one.
         let err = parse(&["--rate", "-1"]).unwrap_err();
@@ -475,6 +492,9 @@ mod tests {
             (&["--mix", "0,0,0"], "--mix"),
             (&["--window-secs", "18446744073709551615"], "--window-secs"),
             (&["--window-secs", "18446744073710"], "--window-secs"),
+            (&["--rate", "1e300"], "--rate"),
+            (&["--rate", "10001", "--window-secs", "3600"], "--rate"),
+            (&["--window-secs", "18446744073709"], "--window-secs"),
         ] {
             let err = parse(args).expect_err(&args.join(" "));
             assert!(err.contains(flag), "{args:?} -> {err}");

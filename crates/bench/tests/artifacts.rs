@@ -133,7 +133,8 @@ fn harness(args: &[&str]) -> (Option<i32>, String) {
 
 /// A flag value the model cannot run is refused before anything runs:
 /// `--rate inf` used to leave no gap between a subscriber's arrivals,
-/// and the run never ended. Exit 2, naming the flag; the child is killed
+/// and the run never ended; `--rate 1e300` planned arrivals until the
+/// host's memory ran out. Exit 2, naming the flag; the child is killed
 /// at the deadline, so a lost refusal fails this test rather than hangs
 /// it.
 #[test]
@@ -142,6 +143,7 @@ fn a_value_the_model_cannot_run_exits_2_naming_its_flag() {
     use std::time::{Duration, Instant};
     for (args, flag) in [
         (&["load", "--subscribers", "4", "--rate", "inf"][..], "--rate"),
+        (&["load", "--subscribers", "4", "--rate", "1e300"], "--rate"),
         (&["surge", "--subscribers", "4", "--gk-shed", "nan"], "--gk-shed"),
     ] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_harness"))

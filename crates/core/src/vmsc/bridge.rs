@@ -3,12 +3,15 @@
 //! inter-MSC handover adds to it on the E interface.
 //!
 //! A frame that finds no leg was in flight when its call ended; it is
-//! dropped uncounted.
+//! dropped uncounted. A voice train is bridged as its first frame
+//! would be; it never reaches the E interface, whose trunk voice is
+//! one frame per message.
 
+use vgprs_media::Frames;
 use vgprs_sim::{Context, NodeId};
 use vgprs_wire::{
     CallId, CellId, Cic, ConnRef, Dtap, Imsi, IpPacket, IpPayload, Message, RtpPacket,
-    TransportAddr, PAYLOAD_TYPE_GSM,
+    TransportAddr, GSM_FRAME_BYTES, PAYLOAD_TYPE_GSM,
 };
 
 use super::{sig_nsapi, voice_nsapi, MsEntry, TargetLeg, Vmsc, MEDIA_PORT};
@@ -96,44 +99,35 @@ impl Vmsc {
         }
     }
 
-    /// A TCH frame from the MS on `conn`: out as RTP on its row's leg,
+    /// TCH frames from the MS on `conn`: out as RTP on its row's leg,
     /// or — for a call handed over to us — onto the trunk to its anchor.
     pub(super) fn uplink_voice(
         &mut self,
         ctx: &mut Context<'_, Message>,
         conn: ConnRef,
         call: CallId,
-        seq: u32,
-        origin_us: u64,
+        frames: Frames,
     ) {
         match self.gsm.imsi_of(conn) {
-            Some(imsi) => self.voice_to_rtp(ctx, imsi, call, seq, origin_us),
+            Some(imsi) => self.voice_to_rtp(ctx, imsi, call, frames),
             None => {
                 let leg = self.visiting.get(&call).map(|leg| (leg.anchor, leg.cic));
                 if let Some((anchor, cic)) = leg.or_else(|| self.gsm.arriving(call)) {
-                    ctx.send(
-                        anchor,
-                        Message::TrunkVoice {
-                            cic,
-                            call,
-                            seq,
-                            origin_us,
-                        },
-                    );
+                    ctx.send(anchor, trunk_voice(cic, call, frames));
                 }
             }
         }
     }
 
-    /// The vocoder, uplink: one TCH frame of `imsi`'s leg becomes one RTP
-    /// packet on its voice context (the signaling one until that is up).
+    /// The vocoder, uplink: each TCH frame of `imsi`'s leg becomes an RTP
+    /// frame on its voice context (the signaling one until that is up),
+    /// a train's frames bundled in one packet.
     fn voice_to_rtp(
         &mut self,
         ctx: &mut Context<'_, Message>,
         imsi: Imsi,
         call: CallId,
-        seq: u32,
-        origin_us: u64,
+        frames: Frames,
     ) {
         let Some(entry) = self.ms_table.get_mut(&imsi) else {
             return;
@@ -148,16 +142,17 @@ impl Vmsc {
         let (Some(remote), Some(src_ip)) = (leg.remote_media, src_ip) else {
             return;
         };
-        leg.rtp_seq = leg.rtp_seq.wrapping_add(1);
+        let seq = leg.rtp_seq.wrapping_add(1);
+        leg.rtp_seq = leg.rtp_seq.wrapping_add(frames.count);
         let rtp = RtpPacket {
-            ssrc: u32::from(leg.rtp_seq) | 0x564D_0000, // "VM…"
-            seq: leg.rtp_seq,
-            timestamp: (origin_us / 125) as u32,
+            ssrc: u32::from(seq) | 0x564D_0000, // "VM…"
+            seq,
+            timestamp: (frames.origin_us / 125) as u32,
             payload_type: PAYLOAD_TYPE_GSM,
-            marker: seq == 1,
-            payload_len: 33,
+            marker: frames.seq == 1,
+            payload_len: GSM_FRAME_BYTES * frames.count,
             call,
-            origin_us,
+            origin_us: frames.origin_us,
         };
         let src = TransportAddr::new(src_ip, MEDIA_PORT);
         let inner = Box::new(IpPacket::new(src, remote, IpPayload::Rtp(rtp)));
@@ -178,26 +173,15 @@ impl Vmsc {
         let Some(leg) = entry.leg.as_deref() else {
             return;
         };
-        let (call, seq, origin_us) = (leg.id, u32::from(rtp.seq), rtp.origin_us);
+        let call = leg.id;
+        let frames = Frames {
+            seq: u32::from(rtp.seq),
+            count: rtp.frames(),
+            origin_us: rtp.origin_us,
+        };
         match (entry.conn.get(), leg.e_leg) {
-            (Some(conn), _) => self.gsm.send(
-                ctx,
-                conn,
-                Dtap::VoiceFrame {
-                    call,
-                    seq,
-                    origin_us,
-                },
-            ),
-            (None, Some((target, cic))) => ctx.send(
-                target,
-                Message::TrunkVoice {
-                    cic,
-                    call,
-                    seq,
-                    origin_us,
-                },
-            ),
+            (Some(conn), _) => self.gsm.send(ctx, conn, voice_frame(call, frames)),
+            (None, Some((target, cic))) => ctx.send(target, trunk_voice(cic, call, frames)),
             (None, None) => {}
         }
     }
@@ -213,21 +197,45 @@ impl Vmsc {
         seq: u32,
         origin_us: u64,
     ) {
+        let frames = Frames {
+            seq,
+            count: 1,
+            origin_us,
+        };
         match self.visiting.get(&call) {
-            Some(leg) if leg.anchor == from => self.gsm.send(
-                ctx,
-                leg.conn,
-                Dtap::VoiceFrame {
-                    call,
-                    seq,
-                    origin_us,
-                },
-            ),
+            Some(leg) if leg.anchor == from => {
+                self.gsm.send(ctx, leg.conn, voice_frame(call, frames))
+            }
             _ => {
                 if let Some(&imsi) = self.handed_over.get(&(from, call)) {
-                    self.voice_to_rtp(ctx, imsi, call, seq, origin_us);
+                    self.voice_to_rtp(ctx, imsi, call, frames);
                 }
             }
         }
+    }
+}
+
+/// `frames` of `call` as a TCH voice frame (or train) on the A interface.
+fn voice_frame(call: CallId, frames: Frames) -> Dtap {
+    Dtap::VoiceFrame {
+        call,
+        seq: frames.seq,
+        origin_us: frames.origin_us,
+        frames: frames.count,
+    }
+}
+
+/// One frame of `call` as trunk voice on the E interface.
+///
+/// # Panics
+///
+/// Panics on a train: no horizon reaches past a handover.
+fn trunk_voice(cic: Cic, call: CallId, frames: Frames) -> Message {
+    assert_eq!(frames.count, 1, "a voice train reached the E interface");
+    Message::TrunkVoice {
+        cic,
+        call,
+        seq: frames.seq,
+        origin_us: frames.origin_us,
     }
 }

@@ -41,6 +41,7 @@ use row::{CallLeg, CallPhase, TargetLeg};
 pub use row::{MsEntry, RegPhase};
 use timers::{TimerKey, Timers};
 use vgprs_gsm::{GsmSide, SideNames};
+use vgprs_media::Frames;
 use vgprs_sim::{
     Backoff, Context, IdMap, Interface, Node, NodeId, NumberBlock, SimDuration, Throttle,
     TimerToken,
@@ -339,7 +340,15 @@ impl Vmsc {
                 call,
                 seq,
                 origin_us,
-            } => self.uplink_voice(ctx, conn, call, seq, origin_us),
+                frames: count,
+            } => {
+                let frames = Frames {
+                    seq,
+                    count,
+                    origin_us,
+                };
+                self.uplink_voice(ctx, conn, call, frames)
+            }
             Dtap::LocationUpdateRequest { identity, lai } => {
                 self.location_update(ctx, conn, identity, lai)
             }
@@ -431,7 +440,7 @@ impl Vmsc {
     /// address it names.
     fn handle_downlink_ip(&mut self, ctx: &mut Context<'_, Message>, packet: IpPacket) {
         let Some(&imsi) = self.by_addr.get(&packet.dst.ip) else {
-            ctx.count("vmsc.downlink_unknown_addr");
+            ctx.count_by("vmsc.downlink_unknown_addr", packet.payload.frames().into());
             return;
         };
         match packet.payload {

@@ -225,18 +225,19 @@ impl Ggsn {
                 );
                 return;
             }
-            ctx.count("ggsn.downlink_no_context");
+            ctx.count_by("ggsn.downlink_no_context", packet.payload.frames().into());
             return;
         }
         // Uplink toward the external network.
+        let frames = packet.payload.frames().into();
         match self.router {
             Some(router) => {
                 match packet.forwarded() {
                     Some(p) => ctx.send(router, Message::Ip(p)),
-                    None => ctx.count("ggsn.ttl_expired"),
+                    None => ctx.count_by("ggsn.ttl_expired", frames),
                 }
             }
-            None => ctx.count("ggsn.no_gi_route"),
+            None => ctx.count_by("ggsn.no_gi_route", frames),
         }
     }
 
@@ -291,7 +292,7 @@ impl Ggsn {
             }
             GtpMessage::TPdu { teid, inner } => {
                 if !self.pdp.contains_key(&teid) {
-                    ctx.count("ggsn.tpdu_unknown_teid");
+                    ctx.count_by("ggsn.tpdu_unknown_teid", inner.frames().into());
                     return;
                 }
                 match *inner {

@@ -69,12 +69,13 @@ impl Node<Message> for IpRouter {
     ) {
         match (iface, msg) {
             (Interface::Lan | Interface::Gi, Message::Ip(packet)) => {
+                let frames = packet.payload.frames().into();
                 match self.lookup(packet.dst.ip) {
                     Some(hop) => match packet.forwarded() {
                         Some(p) => ctx.send(hop, Message::Ip(p)),
-                        None => ctx.count("router.ttl_expired"),
+                        None => ctx.count_by("router.ttl_expired", frames),
                     },
-                    None => ctx.count("router.no_route"),
+                    None => ctx.count_by("router.no_route", frames),
                 }
             }
             _ => ctx.count("router.unexpected_message"),

@@ -320,7 +320,7 @@ impl Sgsn {
             GtpMessage::TPdu { teid, inner } => {
                 // Downlink: unwrap and deliver over Gb as an LLC frame.
                 let Some(&(imsi, nsapi)) = self.teid_index.get(&teid) else {
-                    ctx.count("sgsn.tpdu_unknown_teid");
+                    ctx.count_by("sgsn.tpdu_unknown_teid", inner.frames().into());
                     return;
                 };
                 let Some(mm) = self.mm.get(&imsi) else {
@@ -374,12 +374,13 @@ impl Sgsn {
         nsapi: Nsapi,
         inner: IpPacket,
     ) {
+        let frames = inner.payload.frames().into();
         let Some(pdp) = self.pdp.get(&(imsi, nsapi)) else {
-            ctx.count("sgsn.llc_no_context");
+            ctx.count_by("sgsn.llc_no_context", frames);
             return;
         };
         let Some(ggsn_teid) = pdp.ggsn_teid else {
-            ctx.count("sgsn.llc_context_pending");
+            ctx.count_by("sgsn.llc_context_pending", frames);
             return;
         };
         ctx.send(

@@ -123,7 +123,7 @@ impl Node<Message> for Bsc {
                     return;
                 }
                 let Some(&bts) = self.conn_to_bts.get(&conn) else {
-                    ctx.count("bsc.downlink_unknown_conn");
+                    ctx.count_by("bsc.downlink_unknown_conn", dtap.frames().into());
                     return;
                 };
                 match dtap {

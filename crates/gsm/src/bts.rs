@@ -10,7 +10,10 @@
 
 use std::collections::VecDeque;
 
-use vgprs_sim::{Context, IdMap, Interface, Node, NodeId, NumberBlock, Payload, SimDuration};
+use vgprs_media::VoiceSource;
+use vgprs_sim::{
+    Context, IdMap, Interface, Node, NodeId, NumberBlock, Payload, SimDuration, SimTime,
+};
 use vgprs_wire::{CellId, ConnRef, Dtap, Imsi, Message};
 
 /// Timer tag: the PDCH finished serializing the head-of-line packet.
@@ -29,9 +32,10 @@ const VOICE_CLIP_BACKLOG: usize = 8;
 
 /// Paging blocks per second the cell's common channel can carry. A
 /// paging flood beyond this budget steals the shared timeslots from the
-/// speech path for the rest of that second, clipping in-call voice
-/// frames — the media-plane cost of an unthrottled MT storm.
-const PCH_PAGES_PER_S: u32 = 8;
+/// speech path for the rest of that second (a second of simulated time,
+/// counted from zero), clipping in-call voice frames — the media-plane
+/// cost of an unthrottled MT storm.
+pub const PCH_PAGES_PER_S: u32 = 8;
 
 /// Configuration for a [`Bts`].
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +74,9 @@ pub struct Bts {
     /// many pages this cell carried inside it.
     page_window: u64,
     pages_in_window: u32,
+    /// When the last frame of a voice train that crossed the cell
+    /// passes it: the cell must not start clipping before then.
+    trains_until: SimTime,
 }
 
 impl Bts {
@@ -86,6 +93,7 @@ impl Bts {
             pdch_busy: false,
             page_window: 0,
             pages_in_window: 0,
+            trains_until: SimTime::ZERO,
         }
     }
 
@@ -150,6 +158,9 @@ impl Bts {
     /// the serializer if idle.
     fn enqueue_pdch(&mut self, ctx: &mut Context<'_, Message>, dest: NodeId, msg: Message) {
         self.pdch_queue.push_back((dest, msg));
+        if self.pdch_queue.len() == VOICE_CLIP_BACKLOG {
+            self.clipping_starts(ctx.now());
+        }
         ctx.observe("bts.pdch_backlog", self.pdch_queue.len() as f64);
         if !self.pdch_busy {
             self.serve_pdch(ctx);
@@ -184,13 +195,54 @@ impl Bts {
 
     /// Accounts one paging broadcast against the cell's per-second
     /// common-channel budget.
-    fn note_page(&mut self, now_ms: u64) {
-        let window = now_ms / 1_000;
+    fn note_page(&mut self, now: SimTime) {
+        let window = now.as_millis() / 1_000;
         if window != self.page_window {
             self.page_window = window;
             self.pages_in_window = 0;
         }
         self.pages_in_window += 1;
+        if self.pages_in_window == PCH_PAGES_PER_S + 1 {
+            self.clipping_starts(now);
+        }
+    }
+
+    /// Passes `dtap` on the voice path: a clipped frame is counted and
+    /// `false` returned; a train that crosses is remembered until its
+    /// last frame has passed.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a train meets a clipping cell: whoever promised its
+    /// horizon did not foresee the clip.
+    fn voice_passes(&mut self, ctx: &mut Context<'_, Message>, dtap: &Dtap) -> bool {
+        if self.clips_voice(ctx.now().as_millis(), dtap) {
+            assert_eq!(dtap.frames(), 1, "a voice train met a clipping cell");
+            ctx.count("bts.pdch_voice_clipped");
+            return false;
+        }
+        if let Dtap::VoiceFrame { frames, .. } = *dtap {
+            if frames > 1 {
+                let last = ctx.now() + VoiceSource::FRAME_INTERVAL * u64::from(frames - 1);
+                self.trains_until = self.trains_until.max(last);
+            }
+        }
+        true
+    }
+
+    /// The cell starts clipping voice at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a train that crossed the cell still has frames to
+    /// pass: they would have been clipped.
+    fn clipping_starts(&self, now: SimTime) {
+        assert!(
+            self.trains_until < now,
+            "{} starts clipping at {now:?} under a voice train passing until {:?}",
+            self.config.cell,
+            self.trains_until
+        );
     }
 }
 
@@ -205,8 +257,7 @@ impl Node<Message> for Bts {
         match (iface, msg) {
             // ---- uplink: from an MS over its dedicated radio link ----
             (Interface::Um, Message::Um(dtap)) => {
-                if self.clips_voice(ctx.now().as_millis(), &dtap) {
-                    ctx.count("bts.pdch_voice_clipped");
+                if !self.voice_passes(ctx, &dtap) {
                     return;
                 }
                 let conn = if Self::starts_transaction(&dtap) {
@@ -215,7 +266,7 @@ impl Node<Message> for Bts {
                     match self.ms_to_conn.get(&from) {
                         Some(c) => *c,
                         None => {
-                            ctx.count("bts.uplink_without_conn");
+                            ctx.count_by("bts.uplink_without_conn", dtap.frames().into());
                             return;
                         }
                     }
@@ -241,17 +292,16 @@ impl Node<Message> for Bts {
                     // cell hears the PCH, and the block is charged against
                     // the common-channel budget. One event for the cell;
                     // only the handsets it concerns are woken.
-                    self.note_page(ctx.now().as_millis());
+                    self.note_page(ctx.now());
                     ctx.broadcast(Interface::Um, Message::Um(dtap));
                     ctx.count("bts.pages_broadcast");
                     return;
                 }
                 let Some(&ms) = self.conn_to_ms.get(&conn) else {
-                    ctx.count("bts.downlink_unknown_conn");
+                    ctx.count_by("bts.downlink_unknown_conn", dtap.frames().into());
                     return;
                 };
-                if self.clips_voice(ctx.now().as_millis(), &dtap) {
-                    ctx.count("bts.pdch_voice_clipped");
+                if !self.voice_passes(ctx, &dtap) {
                     return;
                 }
                 let ends = matches!(dtap, Dtap::ChannelRelease);
@@ -573,6 +623,7 @@ mod tests {
             call: CallId(9),
             seq: 0,
             origin_us: 0,
+            frames: 1,
         })
     }
 

@@ -34,7 +34,7 @@ mod side;
 mod vlr;
 
 pub use bsc::{Bsc, BscConfig};
-pub use bts::{Bts, BtsConfig};
+pub use bts::{Bts, BtsConfig, PCH_PAGES_PER_S};
 pub use hlr::Hlr;
 pub use ms::{MobileStation, MsConfig, MsState};
 pub use msc::{GsmMsc, MscConfig};

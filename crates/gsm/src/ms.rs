@@ -8,9 +8,8 @@
 
 use std::fmt;
 
-use vgprs_sim::{
-    Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken, Tuning,
-};
+use vgprs_media::{Talk, VoiceSink, VoiceSource};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimTime, Stamp, TimerToken, Tuning};
 use vgprs_wire::{
     CallId, Cause, CellId, Command, Dtap, Imsi, Issued, Lai, Message, MsIdentity, Msisdn, Tmsi,
     ANSWER_DELAY,
@@ -18,10 +17,15 @@ use vgprs_wire::{
 
 use crate::auth::{a3_sres, Ki};
 
-/// Timer tag: emit the next 20 ms voice frame.
-const TIMER_VOICE: u64 = 1;
-/// Timer tag: auto-answer an alerting call.
+/// Timer tag: auto-answer an alerting call (the voice tick is
+/// [`VoiceSource::TICK`]).
 const TIMER_ANSWER: u64 = 2;
+
+/// Where a handset tallies the frames it hears.
+const SINK: VoiceSink = VoiceSink {
+    frames: "ms.voice_frames_received",
+    delay_ms: "ms.voice_e2e_ms",
+};
 
 /// Static configuration of a mobile station.
 #[derive(Clone, Debug)]
@@ -104,16 +108,15 @@ impl fmt::Debug for Neighbors {
 
 /// What an MS holds only while it has a call, boxed so that a handset
 /// at rest pays one pointer for it. The box goes once nothing in it can
-/// be read again: no call and no voice (an unread called number or a
-/// fired voice timer's token is not worth keeping).
+/// be read again: no call and no voice (an unread called number is not
+/// worth keeping).
 #[derive(Debug, Default)]
 struct MsCall {
     call: Option<CallId>,
     pending_called: Option<Msisdn>,
-    talking: bool,
     /// The call followed the handset to another cell.
     handed_over: bool,
-    voice_timer: Option<TimerToken>,
+    talk: Talk,
 }
 
 /// The mobile station node. It keeps what outlives a call and nothing
@@ -129,9 +132,7 @@ pub struct MobileStation {
     neighbors: Neighbors,
     state: MsState,
     tmsi: Issued<Tmsi>,
-    /// The frames sent, over every call: a call's first frame continues
-    /// the last one's numbering.
-    voice_seq: u32,
+    voice: VoiceSource,
     registered_at: Stamp,
     /// The current dial's instant, until it connects or ends.
     dialed_at: Stamp,
@@ -151,7 +152,7 @@ impl MobileStation {
             neighbors: Neighbors::new(serving_bts),
             state: MsState::Off,
             tmsi: Issued::NONE,
-            voice_seq: 0,
+            voice: VoiceSource::default(),
             registered_at: Stamp::default(),
             dialed_at: Stamp::default(),
             failure: None,
@@ -192,7 +193,13 @@ impl MobileStation {
 
     /// The voice frames the handset has sent, over every call.
     pub fn frames_sent(&self) -> u32 {
-        self.voice_seq
+        self.voice.frames_sent()
+    }
+
+    /// Promises the handset's voice source that nothing changes its
+    /// call's frames before `until`; see [`VoiceSource::set_horizon`].
+    pub fn set_voice_horizon(&mut self, until: SimTime) {
+        self.voice.set_horizon(until);
     }
 
     /// The TMSI allocated by the serving VLR, if registered.
@@ -233,7 +240,7 @@ impl MobileStation {
 
     /// Drops the call state once nothing in it can be read again.
     fn settle(&mut self) {
-        if self.leg.as_ref().is_some_and(|leg| leg.call.is_none() && !leg.talking) {
+        if self.leg.as_ref().is_some_and(|leg| leg.call.is_none() && !leg.talk.talking()) {
             self.leg = None;
         }
     }
@@ -242,21 +249,9 @@ impl MobileStation {
         ctx.send(self.serving_bts, Message::Um(dtap));
     }
 
-    fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        let leg = self.leg();
-        if leg.talking {
-            return;
-        }
-        leg.talking = true;
-        leg.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-    }
-
     fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
         if let Some(leg) = &mut self.leg {
-            leg.talking = false;
-            if let Some(t) = leg.voice_timer.take() {
-                ctx.cancel_timer(t);
-            }
+            leg.talk.stop(ctx);
         }
         self.settle();
     }
@@ -267,7 +262,7 @@ impl MobileStation {
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration("ms.call_setup_ms", ctx.now().duration_since(at));
         }
-        self.start_voice(ctx);
+        self.leg().talk.start(ctx);
     }
 
     fn clear_call(&mut self, ctx: &mut Context<'_, Message>) {
@@ -380,7 +375,7 @@ impl MobileStation {
             }
             Command::StartTalking => {
                 if self.state == MsState::Active {
-                    self.start_voice(ctx);
+                    self.leg().talk.start(ctx);
                 }
             }
             Command::StopTalking => self.stop_voice(ctx),
@@ -548,11 +543,9 @@ impl MobileStation {
                     ctx.count("ms.handover_unknown_cell");
                 }
             }
-            Dtap::VoiceFrame { origin_us, .. } => {
-                ctx.count("ms.voice_frames_received");
-                let delay_us = ctx.now().as_micros().saturating_sub(origin_us);
-                ctx.observe("ms.voice_e2e_ms", delay_us as f64 / 1000.0);
-            }
+            Dtap::VoiceFrame {
+                origin_us, frames, ..
+            } => SINK.receive(ctx, origin_us, frames),
             Dtap::LocationUpdateRequest { .. }
             | Dtap::AuthenticationResponse { .. }
             | Dtap::CipherModeComplete
@@ -583,7 +576,7 @@ impl Node<Message> for MobileStation {
                 // (e.g. the anchor's channel release); a real MS has left
                 // that channel and never hears them.
                 if from != self.serving_bts {
-                    ctx.count("ms.ignored_stale_cell");
+                    ctx.count_by("ms.ignored_stale_cell", dtap.frames().into());
                     return;
                 }
                 self.handle_dtap(ctx, dtap)
@@ -594,26 +587,23 @@ impl Node<Message> for MobileStation {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Message>, _token: TimerToken, tag: u64) {
         match tag {
-            TIMER_VOICE => {
-                let talking = self.leg.as_ref().is_some_and(|leg| leg.talking);
-                if !(talking && self.state == MsState::Active) {
+            VoiceSource::TICK => {
+                let call = self.call().filter(|_| self.state == MsState::Active);
+                let Some(leg) = self.leg.as_deref_mut() else {
                     return;
-                }
-                if let Some(call) = self.call() {
-                    self.voice_seq += 1;
-                    ctx.count("ms.voice_frames_sent");
-                    let origin_us = ctx.now().as_micros();
-                    self.send_um(
-                        ctx,
-                        Dtap::VoiceFrame {
-                            call,
-                            seq: self.voice_seq,
-                            origin_us,
-                        },
-                    );
-                    let next = ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE);
-                    self.leg().voice_timer = Some(next);
-                }
+                };
+                let Some(sent) = self.voice.fire(ctx, &mut leg.talk, call.is_some()) else {
+                    return;
+                };
+                ctx.count_by("ms.voice_frames_sent", sent.count.into());
+                let voice = Dtap::VoiceFrame {
+                    call: call.expect("a live source has a call"),
+                    seq: sent.seq,
+                    origin_us: sent.origin_us,
+                    frames: sent.count,
+                };
+                self.send_um(ctx, voice);
+                self.leg().talk.rearm(ctx, sent);
             }
             TIMER_ANSWER => self.answer(ctx),
             _ => {}
@@ -646,7 +636,7 @@ impl Node<Message> for MobileStation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vgprs_sim::{Network, ScriptedPeer};
+    use vgprs_sim::{Network, ScriptedPeer, SimDuration};
 
     fn config() -> MsConfig {
         MsConfig {
@@ -690,12 +680,13 @@ mod tests {
     /// a call's fields, the far number, a neighbor vector and the whole
     /// configuration; 120 while it kept three tallies of `Stats` counters
     /// and an `Option` TMSI; 88 while it kept an answering habit every
-    /// handset shared). At 80 bytes its box is a 96-byte malloc chunk.
+    /// handset shared, 80 before its voice source kept a train horizon).
+    /// At 88 bytes its box is a 96-byte malloc chunk, as at 80.
     #[test]
-    fn a_handset_is_80_bytes_and_its_call_48() {
+    fn a_handset_is_88_bytes_and_its_call_48() {
         use std::mem::size_of;
-        assert_eq!(size_of::<MobileStation>(), 80);
-        assert_eq!(size_of::<Option<MobileStation>>(), 80);
+        assert_eq!(size_of::<MobileStation>(), 88);
+        assert_eq!(size_of::<Option<MobileStation>>(), 88);
         assert_eq!(size_of::<MsCall>(), 48);
     }
 
@@ -1049,6 +1040,7 @@ mod tests {
             call: CallId(1),
             seq: 1,
             origin_us: 0,
+            frames: 1,
         })]);
         {
             let m = net.node_mut::<MobileStation>(ms).unwrap();

@@ -384,6 +384,7 @@ impl GsmMsc {
                 call,
                 seq,
                 origin_us,
+                ..
             } => {
                 self.relay_voice_from_radio(ctx, call, seq, origin_us);
             }
@@ -714,6 +715,7 @@ impl GsmMsc {
                     call,
                     seq,
                     origin_us,
+                    frames: 1,
                 },
             );
             return;

@@ -133,7 +133,7 @@ impl GsmSide {
     pub fn send(&self, ctx: &mut Context<'_, Message>, conn: ConnRef, dtap: Dtap) {
         match self.conn_of_bsc.get(&conn) {
             Some(&bsc) => ctx.send(bsc, Message::a(conn, dtap)),
-            None => ctx.count(self.names.unknown_connection),
+            None => ctx.count_by(self.names.unknown_connection, dtap.frames().into()),
         }
     }
 

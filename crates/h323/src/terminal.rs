@@ -12,16 +12,16 @@
 //! endpoint has gone idle. [`H323Terminal`] is the endpoint on a LAN
 //! port, where neither moment needs anything done.
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, Stamp, TimerToken};
+use vgprs_media::{Talk, VoiceSink, VoiceSource};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimTime, Stamp, TimerToken};
 use vgprs_wire::{
     CallId, Cause, Command, Crv, Imsi, IpPacket, IpPayload, Ipv4Addr, Message, Msisdn, Q931Kind,
-    Q931Message, RasMessage, RtpPacket, TransportAddr, ANSWER_DELAY, PAYLOAD_TYPE_GSM,
+    Q931Message, RasMessage, RtpPacket, TransportAddr, ANSWER_DELAY, GSM_FRAME_BYTES,
+    PAYLOAD_TYPE_GSM,
 };
 
-/// Timer tag: auto-answer.
-const TIMER_ANSWER: u64 = 1;
-/// Timer tag: next RTP frame.
-const TIMER_VOICE: u64 = 2;
+/// Timer tag: auto-answer (the voice tick is [`VoiceSource::TICK`]).
+const TIMER_ANSWER: u64 = 2;
 
 /// Observable state of an endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -134,7 +134,7 @@ pub enum Outcome {
 /// What an endpoint holds only while it has a call, boxed so that an
 /// endpoint at rest pays one pointer for it. The box goes once nothing
 /// in it can be read again: no call, no far signalling address, no
-/// connect time and no voice timer. An unread called number or far
+/// connect time and no voice tick. An unread called number or far
 /// media address is not worth keeping.
 #[derive(Debug)]
 struct EndpointCall {
@@ -144,7 +144,7 @@ struct EndpointCall {
     remote_signal: Option<TransportAddr>,
     remote_media: Option<TransportAddr>,
     connected_at: Option<SimTime>,
-    voice_timer: Option<TimerToken>,
+    talk: Talk,
 }
 
 impl EndpointCall {
@@ -155,14 +155,14 @@ impl EndpointCall {
         remote_signal: None,
         remote_media: None,
         connected_at: None,
-        voice_timer: None,
+        talk: Talk::IDLE,
     };
 
     fn at_rest(&self) -> bool {
         self.call.is_none()
             && self.remote_signal.is_none()
             && self.connected_at.is_none()
-            && self.voice_timer.is_none()
+            && !self.talk.talking()
     }
 }
 
@@ -203,9 +203,10 @@ pub struct H323Endpoint<U> {
     state: TerminalState,
     next_crv: u16,
     /// The frames sent, over every call. Their RTP sequence number is
-    /// its low 16 bits, and only the first frame the endpoint ever sends
-    /// (or the first after those bits wrap) carries the RTP marker.
-    voice_seq: u32,
+    /// the low 16 bits of the source's, and only the first frame the
+    /// endpoint ever sends (or the first after those bits wrap) carries
+    /// the RTP marker.
+    voice: VoiceSource,
     /// The current dial's instant, until it connects or ends.
     dialed_at: Stamp,
     /// Why the last call ended before it connected; cleared by a dial.
@@ -232,7 +233,7 @@ impl<U: Uplink> H323Endpoint<U> {
             uplink,
             state: TerminalState::Registering,
             next_crv: 0,
-            voice_seq: 0,
+            voice: VoiceSource::default(),
             dialed_at: Stamp::default(),
             failure: None,
             leg: None,
@@ -254,7 +255,13 @@ impl<U: Uplink> H323Endpoint<U> {
 
     /// The RTP frames the endpoint has sent, over every call.
     pub fn frames_sent(&self) -> u32 {
-        self.voice_seq
+        self.voice.frames_sent()
+    }
+
+    /// Promises the endpoint's voice source that nothing changes its
+    /// call's frames before `until`; see [`VoiceSource::set_horizon`].
+    pub fn set_voice_horizon(&mut self, until: SimTime) {
+        self.voice.set_horizon(until);
     }
 
     /// The endpoint's configuration: its alias and addresses.
@@ -376,16 +383,9 @@ impl<U: Uplink> H323Endpoint<U> {
         )
     }
 
-    fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        let leg = self.leg();
-        if leg.voice_timer.is_none() {
-            leg.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-        }
-    }
-
     fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if let Some(t) = self.leg.as_mut().and_then(|leg| leg.voice_timer.take()) {
-            ctx.cancel_timer(t);
+        if let Some(leg) = &mut self.leg {
+            leg.talk.stop(ctx);
         }
         self.settle();
     }
@@ -397,7 +397,7 @@ impl<U: Uplink> H323Endpoint<U> {
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration(U::NAMES.call_setup_ms, ctx.now().duration_since(at));
         }
-        self.start_voice(ctx);
+        self.leg().talk.start(ctx);
     }
 
     fn end_call(&mut self, ctx: &mut Context<'_, Message>) {
@@ -471,7 +471,7 @@ impl<U: Uplink> H323Endpoint<U> {
                 }
             Command::StartTalking
                 if self.state == TerminalState::Active => {
-                    self.start_voice(ctx);
+                    self.leg().talk.start(ctx);
                 }
             Command::StopTalking => self.stop_voice(ctx),
             _ => {}
@@ -487,9 +487,11 @@ impl<U: Uplink> H323Endpoint<U> {
             IpPayload::Q931(q) => self.handle_q931(ctx, packet.src, q),
             IpPayload::Rtp(rtp) => {
                 if self.call() == Some(rtp.call) {
-                    ctx.count(U::NAMES.rtp_received);
-                    let delay = ctx.now().as_micros().saturating_sub(rtp.origin_us);
-                    ctx.observe(U::NAMES.voice_e2e_ms, delay as f64 / 1000.0);
+                    let sink = VoiceSink {
+                        frames: U::NAMES.rtp_received,
+                        delay_ms: U::NAMES.voice_e2e_ms,
+                    };
+                    sink.receive(ctx, rtp.origin_us, rtp.frames());
                 }
             }
         }
@@ -500,31 +502,33 @@ impl<U: Uplink> H323Endpoint<U> {
     pub fn timer(&mut self, ctx: &mut Context<'_, Message>, tag: u64) {
         match tag {
             TIMER_ANSWER => self.answer(ctx),
-            TIMER_VOICE => {
+            VoiceSource::TICK => {
+                let active = self.state == TerminalState::Active;
                 let Some(leg) = self.leg.as_deref_mut() else {
                     return;
                 };
-                leg.voice_timer = None;
-                if self.state == TerminalState::Active {
-                    if let (Some(call), Some(media)) = (leg.call, leg.remote_media) {
-                        self.voice_seq = self.voice_seq.wrapping_add(1);
-                        let seq = self.voice_seq as u16;
-                        let now_us = ctx.now().as_micros();
-                        let rtp = RtpPacket {
-                            ssrc: 0,
-                            seq,
-                            timestamp: (now_us / 125) as u32,
-                            payload_type: PAYLOAD_TYPE_GSM,
-                            marker: seq == 1,
-                            payload_len: 33,
-                            call,
-                            origin_us: now_us,
-                        };
-                        ctx.count(U::NAMES.rtp_sent);
-                        self.send_ip(ctx, media, IpPayload::Rtp(rtp));
-                        self.start_voice(ctx);
-                    }
-                }
+                let far = match (active, leg.call, leg.remote_media) {
+                    (true, Some(call), Some(media)) => Some((call, media)),
+                    _ => None,
+                };
+                let Some(sent) = self.voice.fire(ctx, &mut leg.talk, far.is_some()) else {
+                    return;
+                };
+                let (call, media) = far.expect("a live source has a far end");
+                let seq = sent.seq as u16;
+                let rtp = RtpPacket {
+                    ssrc: 0,
+                    seq,
+                    timestamp: (sent.origin_us / 125) as u32,
+                    payload_type: PAYLOAD_TYPE_GSM,
+                    marker: seq == 1,
+                    payload_len: GSM_FRAME_BYTES * sent.count,
+                    call,
+                    origin_us: sent.origin_us,
+                };
+                ctx.count_by(U::NAMES.rtp_sent, sent.count.into());
+                self.send_ip(ctx, media, IpPayload::Rtp(rtp));
+                self.leg().talk.rearm(ctx, sent);
             }
             _ => {}
         }
@@ -713,7 +717,7 @@ mod tests {
     use super::*;
     use crate::gatekeeper::{Gatekeeper, GatekeeperConfig};
     use vgprs_gprs::IpRouter;
-    use vgprs_sim::Network;
+    use vgprs_sim::{Network, SimDuration};
     use vgprs_wire::Ipv4Addr;
 
     fn alias(n: &str) -> Msisdn {
@@ -783,12 +787,13 @@ mod tests {
     /// a call's fields and the far party's addresses; 104 while it kept
     /// three tallies of `Stats` counters, its whole configuration and an
     /// `Option` delay; 56 while it kept an answering habit every endpoint
-    /// shared). At 48 bytes its box is a 64-byte malloc chunk.
+    /// shared, 48 before its voice source kept a train horizon). At 56
+    /// bytes its box is a 64-byte malloc chunk, as at 48.
     #[test]
-    fn a_terminal_is_48_bytes_and_its_call_88() {
+    fn a_terminal_is_56_bytes_and_its_call_88() {
         use std::mem::size_of;
-        assert_eq!(size_of::<H323Terminal>(), 48);
-        assert_eq!(size_of::<Option<H323Terminal>>(), 48);
+        assert_eq!(size_of::<H323Terminal>(), 56);
+        assert_eq!(size_of::<Option<H323Terminal>>(), 56);
         assert_eq!(size_of::<EndpointCall>(), 88);
     }
 
@@ -822,7 +827,7 @@ mod tests {
         // this one sent: this one heard at least the rest.
         let heard = net.stats().counter("term.rtp_received");
         for t in [a, b] {
-            let at_least = heard.saturating_sub(u64::from(t.voice_seq));
+            let at_least = heard.saturating_sub(u64::from(t.frames_sent()));
             assert!(at_least > 100, "got at least {at_least}");
         }
         // the signaling ladder matches the paper's step order

@@ -109,6 +109,9 @@ pub enum Flit {
         /// The shard at the other end of the healed trunk.
         peer: usize,
     },
+    /// Transport notification, in every shard's first inbox from an
+    /// armed fabric: the trunk may lose, hold back or reorder flits.
+    TrunkArmed,
 }
 
 /// What kind of traffic an abandoned (retransmission-exhausted) flit
@@ -146,7 +149,7 @@ impl Flit {
                 (None, Some(*global), ExpiredKind::Mobility)
             }
             Flit::TrunkExpired { call, global, kind, .. } => (*call, *global, *kind),
-            Flit::TrunkHeal { .. } => (None, None, ExpiredKind::Signal),
+            Flit::TrunkHeal { .. } | Flit::TrunkArmed => (None, None, ExpiredKind::Signal),
         }
     }
 }

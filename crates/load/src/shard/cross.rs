@@ -210,6 +210,8 @@ impl Shard {
                 kind,
             } => self.trunk_expired(peer, call, global, kind),
             Flit::TrunkHeal { peer } => self.trunk_heal(peer),
+            // An armed trunk can hold a page back past any lead.
+            Flit::TrunkArmed => self.set_voice_trains(false),
         }
     }
 

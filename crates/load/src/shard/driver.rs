@@ -16,6 +16,7 @@ use vgprs_h323::{H323Terminal, TerminalState};
 use vgprs_sim::{NodeId, SimRng};
 use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn, ANSWER_DELAY};
 
+use super::voice::ms32;
 use super::{alias_for, msisdn_for, Ix, Shard};
 use crate::population::{CallKind, MIN_HOLD_SECS};
 
@@ -38,7 +39,7 @@ const STREAM_REDIAL: u64 = 0x52ED_1A1B_ACC0_FFEE;
 const PROBE_DELAY_MS: u64 = 2_500;
 
 /// How long after its dial a call is probed.
-const PROBE_MS: u64 = CONNECT_GRACE_MS + PROBE_DELAY_MS;
+pub(super) const PROBE_MS: u64 = CONNECT_GRACE_MS + PROBE_DELAY_MS;
 
 // Every planned hold, and so every redial's, outlasts the probe by half
 // a second: a probe never races its call's hangup, so it alone judges.
@@ -185,6 +186,9 @@ pub(super) enum Action {
     Move {
         local: Ix,
         cell: CellId,
+        /// When the subscriber's move after this one is due, in ms from
+        /// t0 (`u32::MAX`: none).
+        next_ms: u32,
     },
     /// Impairment window `i` of the fault plan opens.
     FaultStart(usize),
@@ -199,7 +203,14 @@ impl Shard {
             Action::Probe(call, dial) => self.probe(at_us, call, dial),
             Action::Hangup(call) => self.hangup(at_us, call),
             Action::Mute(call) => self.mute(call),
-            Action::Move { local, cell } => self.relocate(local.get(), at_us, cell),
+            Action::Move {
+                local,
+                cell,
+                next_ms,
+            } => {
+                self.subs[local.get()].next_move_ms = next_ms;
+                self.relocate(local.get(), at_us, cell)
+            }
             Action::FaultStart(i) => self.fault_start(i),
             Action::FaultEnd(i) => self.fault_end(i),
         }
@@ -289,6 +300,8 @@ impl Shard {
         let id = CallId((self.cfg.base_index as u64) << 32 | self.next_call);
         self.next_call += 1;
         self.cmd(orig, Command::Dial { call: id, called });
+        let parties = (local, peer_local.map(Ix::get));
+        self.promise_voice(at_ms, &dial, parties, [orig, peer]);
         let call = Call {
             local: Ix::new(local),
             peer_local,
@@ -404,6 +417,7 @@ impl Shard {
             attempt_no: attempt_no + 1,
             ..dial
         };
+        self.note_redial(now_ms + back_ms, dial.kind);
         self.push(now_ms + back_ms, Action::Attempt(call.local, redial));
     }
 
@@ -424,14 +438,15 @@ impl Shard {
             self.cmd(call.peer, Command::Hangup);
             self.count("load.handoff_teardowns");
         }
+        let cell = self.home.access.cell;
         for local in parties.into_iter().flatten() {
             let sub = &mut self.subs[local.get()];
             sub.current_peer = None;
             sub.silent_since.take();
             if std::mem::take(&mut sub.pending_return) {
-                let cell = self.home.access.cell;
                 let back_ms = at_us / 1000 + RETURN_DELAY_MS;
-                self.push(back_ms, Action::Move { local, cell });
+                let next_ms = std::mem::replace(&mut sub.next_move_ms, ms32(back_ms));
+                self.push(back_ms, Action::Move { local, cell, next_ms });
             }
         }
     }

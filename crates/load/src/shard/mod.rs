@@ -24,11 +24,13 @@
 //! * `driver` — the scheduled actions: attempt, probe, hangup, mute;
 //! * `faults` — opening and closing the fault plan's windows;
 //! * `cross` — everything that crosses a shard boundary: moves, barrier
-//!   flits, the gate harvests, trunk expiry, teardown and heal.
+//!   flits, the gate harvests, trunk expiry, teardown and heal;
+//! * `voice` — how far ahead a talking source may send a train.
 
 mod cross;
 mod driver;
 mod faults;
+mod voice;
 mod world;
 
 pub use driver::Outcome;
@@ -53,6 +55,7 @@ use crate::snapshot::{SnapshotFrame, SnapshotRecorder};
 
 use cross::Route;
 use driver::Action;
+use voice::Trains;
 
 /// Everything a shard needs to build and drive its world.
 #[derive(Clone, Debug)]
@@ -163,6 +166,9 @@ struct Subscriber {
     /// call (probe failure); stale `Hangup`/`Mute`/`Probe` actions from
     /// the abandoned call carry the old value and are skipped.
     gen: u32,
+    /// When the subscriber's next scheduled move is due, in ms from t0
+    /// (`u32::MAX`: none): a call's frames must land before it.
+    next_move_ms: u32,
     /// When the handset reached the border cell mid-call; cleared by
     /// the first downlink voice frame relayed back from the target (the
     /// handoff interruption gap) or by the call's end.
@@ -245,6 +251,10 @@ pub struct Shard {
     pending_um: Vec<(NodeId, Dtap)>,
     outbox: Vec<Envelope>,
     recorder: SnapshotRecorder,
+    /// What sending voice in trains needs, while the world allows them
+    /// and neither [`Shard::set_voice_trains`] nor an armed trunk
+    /// switched them off.
+    trains: Option<Trains>,
 }
 
 impl Shard {
@@ -393,6 +403,7 @@ impl Shard {
         for (from_shard, flit) in inbox {
             self.deliver_flit(from_shard, flit, &mut um_batch);
         }
+        self.refresh_train_horizon(epoch);
         if !um_batch.is_empty() {
             let gate = self.radio();
             for (ms, dtap) in um_batch {

@@ -18,6 +18,7 @@ use vgprs_sim::{CalendarWheel, IdMap, Interface, Network, NodeId, SimRng, SimTim
 use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, TransportAddr};
 
 use super::driver::{Action, Dial};
+use super::voice::{ms32, Trains};
 use super::{alias_for, imsi_for, ki_for, msisdn_for, Ix, Shard, ShardConfig, Subscriber};
 use crate::mailbox::{RadioGate, TrunkGate, BORDER_CELL};
 use crate::population::{Arrival, CallKind, SubscriberPlan};
@@ -170,6 +171,7 @@ fn add_subscribers(
             handed_off: false,
             pending_return: false,
             gen: 0,
+            next_move_ms: u32::MAX,
             silent_since: Stamp::default(),
             torn_by: None,
             torn_ms: 0,
@@ -279,6 +281,8 @@ impl Shard {
             pending_um: Vec::new(),
             outbox: Vec::new(),
             recorder: SnapshotRecorder::new(cfg.snapshot_secs),
+            // A world whose recovery guards arm changes unforeseen.
+            trains: (!resilience).then(|| Trains::plan(plans)),
         };
         shard.schedule(plans, neighbor.access.cell);
         shard
@@ -296,8 +300,12 @@ impl Shard {
             if let Some(e) = plan.excursion {
                 let crosses = self.subs[local].cross_target.is_some();
                 let out = if crosses { BORDER_CELL } else { neighbor_cell };
-                self.push(e.out_ms, Action::Move { local: ix, cell: out });
-                self.push(e.back_ms, Action::Move { local: ix, cell: home });
+                let (out_ms, back_ms) = (e.out_ms, e.back_ms);
+                self.subs[local].next_move_ms = ms32(out_ms);
+                let next_ms = ms32(back_ms);
+                self.push(out_ms, Action::Move { local: ix, cell: out, next_ms });
+                let next_ms = u32::MAX;
+                self.push(back_ms, Action::Move { local: ix, cell: home, next_ms });
             }
         }
         for i in 0..self.plan.events.len() {

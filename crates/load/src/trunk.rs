@@ -269,10 +269,13 @@ impl TrunkFabric {
     }
 
     /// The fabric over explicit pair plans (`a * shards + b`, a < b):
-    /// armed, or with none at all disarmed.
+    /// armed, or with none at all disarmed. An armed fabric's first
+    /// delivery to each shard is [`Flit::TrunkArmed`].
     fn with_plans(shards: usize, seed: u64, plans: Vec<TrunkPlan>) -> Self {
+        let armed = !plans.is_empty();
+        let told = |shard| Vec::from_iter(armed.then_some((shard, Flit::TrunkArmed)));
         TrunkFabric {
-            armed: !plans.is_empty(),
+            armed,
             backoff: retransmit_backoff(),
             heals: heal_agenda(shards, &plans),
             next_heal: 0,
@@ -284,12 +287,12 @@ impl TrunkFabric {
                 staged: Vec::new(),
                 stats: Stats::new(),
             },
-            inboxes: (0..shards).map(|_| Vec::new()).collect(),
+            inboxes: (0..shards).map(told).collect(),
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
             live: BTreeSet::new(),
             acks: Vec::new(),
-            owed: 0,
+            owed: if armed { shards } else { 0 },
         }
     }
 
@@ -537,7 +540,18 @@ mod tests {
     fn two_shard_fabric(windows: Vec<TrunkWindow>) -> TrunkFabric {
         let mut plans = vec![TrunkPlan::default(); 4];
         plans[1].windows = windows;
-        TrunkFabric::with_plans(2, 42, plans)
+        told(TrunkFabric::with_plans(2, 42, plans))
+    }
+
+    /// An armed `fabric` after every shard took its first inbox: the
+    /// notice that the trunk is armed, and nothing else.
+    fn told(mut fabric: TrunkFabric) -> TrunkFabric {
+        for shard in 0..fabric.inboxes.len() {
+            let first = fabric.take_inbox(shard);
+            assert!(matches!(first.as_slice(), [(s, Flit::TrunkArmed)] if *s == shard));
+        }
+        assert_eq!(fabric.in_flight(), 0);
+        fabric
     }
 
     /// The heal rule as the barrier used to evaluate it — every pair's
@@ -615,7 +629,7 @@ mod tests {
     /// in order, exactly like the bare mailbox.
     #[test]
     fn armed_fabric_delivers_in_order_when_quiet() {
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::all(1.0), 300);
+        let mut fabric = told(TrunkFabric::new(2, 42, &TrunkPlanConfig::all(1.0), 300));
         assert!(fabric.armed());
         let mut dir = directory();
         // t = 0 is before every chaos window (they start at >= 5% of
@@ -687,7 +701,7 @@ mod tests {
     /// the pending entry: no further retransmits, no leaked state.
     #[test]
     fn ack_cancels_outstanding_retransmission() {
-        let mut fabric = TrunkFabric::new(2, 42, &TrunkPlanConfig::all(1.0), 300);
+        let mut fabric = told(TrunkFabric::new(2, 42, &TrunkPlanConfig::all(1.0), 300));
         let mut dir = directory();
         fabric.post(0, vec![arrive(1, 5)], &mut dir);
         fabric.seal(EPOCH, &mut dir); // delivered, ack generated
@@ -710,7 +724,7 @@ mod tests {
     /// order they were posted.
     #[test]
     fn reordered_flits_release_in_posted_order() {
-        let mut fabric = TrunkFabric::new(2, 7, &TrunkPlanConfig::only(TrunkFaultClass::Reorder, 4.0), 300);
+        let mut fabric = told(TrunkFabric::new(2, 7, &TrunkPlanConfig::only(TrunkFaultClass::Reorder, 4.0), 300));
         let mut dir = HlrDirectory::new(&[(0, 64), (64, 64)]);
         let mut released = Vec::new();
         let mut posted = Vec::new();
@@ -751,7 +765,7 @@ mod tests {
     /// number is released exactly once.
     #[test]
     fn duplicates_are_suppressed() {
-        let mut fabric = TrunkFabric::new(2, 7, &TrunkPlanConfig::only(TrunkFaultClass::Dup, 4.0), 300);
+        let mut fabric = told(TrunkFabric::new(2, 7, &TrunkPlanConfig::only(TrunkFaultClass::Dup, 4.0), 300));
         let mut dir = HlrDirectory::new(&[(0, 64), (64, 64)]);
         let mut released = 0u64;
         let mut posted = 0u64;
@@ -854,7 +868,7 @@ mod tests {
                 let edges = sampled_heals(shards, &plans, BARRIERS);
                 edges_seen += edges.len();
 
-                let mut fabric = TrunkFabric::with_plans(shards, 1, plans);
+                let mut fabric = told(TrunkFabric::with_plans(shards, 1, plans));
                 let due: Vec<_> =
                     fabric.heals.iter().copied().filter(|&(ms, ..)| ms <= horizon_ms).collect();
                 assert_eq!(due, edges, "agenda differs: {shards} shards, case {case}");

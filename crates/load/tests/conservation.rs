@@ -13,7 +13,9 @@
 //! partition, drained trunk sequence spaces — belong to an end-of-run
 //! audit inside the engine, which alone holds the shards.
 
-use vgprs_load::{run_load, LoadConfig, LoadReport, Outcome, PopulationConfig};
+use vgprs_load::{
+    run_load, run_load_with, LoadConfig, LoadReport, Outcome, PopulationConfig, Registration,
+};
 
 /// Resources a call takes and must give back, as (taken, returned).
 const BALANCES: [(&str, &str); 3] = [
@@ -76,18 +78,27 @@ fn violations(report: &LoadReport) -> Vec<String> {
     out
 }
 
+/// `cfg`'s run, its fingerprint held to `pinned`; sent frame by frame
+/// (voice trains off) the same world has `per_frame`, its identity
+/// before voice rode trains.
+fn pinned_run(cfg: &LoadConfig, pinned: u64, per_frame: u64) -> LoadReport {
+    let oracle = run_load_with(cfg, 1, Registration::Provision, |shard| {
+        shard.set_voice_trains(false)
+    });
+    assert_eq!(oracle.fingerprint(), per_frame, "the harness's world, frame by frame");
+    let report = run_load(cfg);
+    assert_eq!(report.fingerprint(), pinned, "the harness's world");
+    report
+}
+
 /// `harness load --subscribers 2048`: the canonical world, scaled down.
 #[test]
 fn canonical_world_gives_back_what_it_takes() {
-    let report = run_load(&LoadConfig {
+    let cfg = LoadConfig {
         subscribers: 2048,
         ..LoadConfig::default()
-    });
-    assert_eq!(
-        report.fingerprint(),
-        0xefad_ec73_4efa_5ada,
-        "the harness's world"
-    );
+    };
+    let report = pinned_run(&cfg, 0x474c_a990_3d36_fdf0, 0xefad_ec73_4efa_5ada);
     assert_eq!(violations(&report), Vec::<String>::new());
 }
 
@@ -95,7 +106,7 @@ fn canonical_world_gives_back_what_it_takes() {
 /// the `voice_media` benchmark workload's shape, scaled down.
 #[test]
 fn voice_world_gives_back_what_it_takes() {
-    let report = run_load(&LoadConfig {
+    let cfg = LoadConfig {
         subscribers: 1024,
         voice_sample_ms: 2_400,
         population: PopulationConfig {
@@ -103,12 +114,8 @@ fn voice_world_gives_back_what_it_takes() {
             ..PopulationConfig::default()
         },
         ..LoadConfig::default()
-    });
-    assert_eq!(
-        report.fingerprint(),
-        0x24bf_6870_d005_bac2,
-        "the harness's world"
-    );
+    };
+    let report = pinned_run(&cfg, 0x710d_701e_8544_38e2, 0x24bf_6870_d005_bac2);
     assert_eq!(violations(&report), Vec::<String>::new());
 }
 

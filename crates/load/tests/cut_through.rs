@@ -4,11 +4,13 @@
 //! enters the chain instead of at each passage, so the two models may
 //! disagree only about frames in flight while their own call's state
 //! changes. This file states that bound, and pins the saving so a later
-//! change cannot silently queue the hops again.
+//! change cannot silently queue the hops again. Both run frame by frame
+//! (voice trains off): a train is held to the per-frame path by
+//! `voice_trains.rs`, and its own saving is pinned here too.
 
 use std::collections::BTreeMap;
 
-use vgprs_load::{run_load, run_load_with, LoadConfig, LoadReport, PopulationConfig, Registration};
+use vgprs_load::{run_load_with, LoadConfig, LoadReport, PopulationConfig, Registration};
 
 /// A small cousin of the benchmark's `voice_media` world: four shards,
 /// a third of the movers crossing between them, 16 calls an hour.
@@ -75,13 +77,21 @@ fn frames_sent(report: &LoadReport) -> u64 {
     report.stats.counter("ms.voice_frames_sent") + report.stats.counter("term.rtp_sent")
 }
 
+/// `cfg` run on one worker, voice trains on or off.
+fn run(cfg: &LoadConfig, trains: bool) -> LoadReport {
+    run_load_with(cfg, 1, Registration::Provision, |shard| {
+        shard.set_voice_trains(trains)
+    })
+}
+
 #[test]
 fn media_cut_through_stays_within_its_bound() {
     let cfg = media_cfg(2_400);
     let oracle = run_load_with(&cfg, 1, Registration::Provision, |shard| {
-        shard.set_media_cut_through(false)
+        shard.set_media_cut_through(false);
+        shard.set_voice_trains(false);
     });
-    let fast = run_load(&cfg);
+    let fast = run(&cfg, false);
 
     // The world is the one meant: voice dominates, shards trade
     // handoffs, and the oracle really does walk every hop.
@@ -118,21 +128,40 @@ fn media_cut_through_stays_within_its_bound() {
     assert!((deliveries(&oracle) - deliveries(&fast)).abs() < 0.001 * deliveries(&oracle));
 }
 
-/// The tripwire: what one more voice frame costs in queued events. A
-/// frame is its sender's timer, the BTS and the far end — three — plus
-/// a second cell for mobile-to-mobile calls and the cross-shard gates
-/// for handed-off ones. Hop by hop the same figure is above eight.
-#[test]
-fn a_voice_frame_costs_at_most_three_and_a_half_queued_events() {
-    let (short, long) = (run_load(&media_cfg(400)), run_load(&media_cfg(2_400)));
+/// Queued events per voice frame the longer sample adds, trains on or
+/// off.
+fn events_per_frame(trains: bool) -> f64 {
+    let (short, long) = (run(&media_cfg(400), trains), run(&media_cfg(2_400), trains));
     let frames = (frames_sent(&long) - frames_sent(&short)) as f64;
     assert!(
         frames > 10_000.0,
         "the longer sample must add frames: {frames}"
     );
-    let per_frame = (long.events - short.events) as f64 / frames;
+    (long.events - short.events) as f64 / frames
+}
+
+/// The tripwire: what one more voice frame costs in queued events,
+/// frame by frame. A frame is its sender's timer, the BTS and the far
+/// end — three — plus a second cell for mobile-to-mobile calls and the
+/// cross-shard gates for handed-off ones. Hop by hop the same figure is
+/// above eight.
+#[test]
+fn a_voice_frame_costs_at_most_three_and_a_half_queued_events() {
+    let per_frame = events_per_frame(false);
     assert!(
         (2.9..=3.5).contains(&per_frame),
+        "{per_frame:.2} queued events per voice frame"
+    );
+}
+
+/// The same tripwire with voice in trains (0.30 when pinned): a train
+/// costs what a frame did, and the frames a call sends near a change of
+/// its own, or of the window's second, still go one by one.
+#[test]
+fn a_voice_frame_in_a_train_costs_at_most_half_a_queued_event() {
+    let per_frame = events_per_frame(true);
+    assert!(
+        (0.2..=0.5).contains(&per_frame),
         "{per_frame:.2} queued events per voice frame"
     );
 }

@@ -8,9 +8,11 @@
 //!
 //! A change to how a cell's page reaches its handsets is correct iff
 //! nothing here moves: the fingerprints, the event count, the pages the
-//! cell broadcast and the stale-cell pages its handsets ignored.
+//! cell broadcast and the stale-cell pages its handsets ignored — with
+//! voice in trains, and frame by frame (the identity it had before
+//! voice rode trains).
 
-use vgprs_load::{run_load, LoadConfig};
+use vgprs_load::{run_load, run_load_with, LoadConfig, LoadReport, Registration};
 use vgprs_sim::Kernel;
 
 fn dense_paging_quick() -> LoadConfig {
@@ -29,20 +31,32 @@ fn dense_paging_quick() -> LoadConfig {
     cfg
 }
 
+fn identity(report: &LoadReport) -> String {
+    let stats = &report.stats;
+    format!(
+        "{:016x} {:016x} {} pages={} stale={}",
+        report.fingerprint(),
+        report.snapshot_fingerprint(),
+        report.events,
+        stats.counter("bts.pages_broadcast"),
+        stats.counter("ms.ignored_stale_cell"),
+    )
+}
+
 #[test]
 fn one_big_cell_is_pinned() {
-    let report = run_load(&dense_paging_quick());
-    let stats = &report.stats;
+    let cfg = dense_paging_quick();
     assert_eq!(
-        format!(
-            "{:016x} {:016x} {} pages={} stale={}",
-            report.fingerprint(),
-            report.snapshot_fingerprint(),
-            report.events,
-            stats.counter("bts.pages_broadcast"),
-            stats.counter("ms.ignored_stale_cell"),
-        ),
-        "4fae271aff4bcfe7 ab92ef4ed7b6fbd7 54669 pages=30 stale=945",
+        identity(&run_load(&cfg)),
+        "0e8f795a34f9e12a ab92ef4ed7b6fbd7 28228 pages=30 stale=945",
         "the dense-paging world drifted from its pinned identity"
+    );
+    let per_frame = run_load_with(&cfg, 1, Registration::Provision, |shard| {
+        shard.set_voice_trains(false)
+    });
+    assert_eq!(
+        identity(&per_frame),
+        "4fae271aff4bcfe7 ab92ef4ed7b6fbd7 54669 pages=30 stale=945",
+        "the dense-paging world, frame by frame, drifted from its pinned identity"
     );
 }

@@ -75,6 +75,7 @@ invariant_families! {
     surged_runs_are_thread_and_kernel_invariant: "surge" => surge_cfg;
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
     snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
+    voice_trains_are_thread_and_kernel_invariant: "trains" => trains_cfg;
 }
 
 /// The engine's loop before it skipped idle epochs, over the public API
@@ -147,7 +148,7 @@ fn every_epoch(cfg: &LoadConfig) -> LoadReport {
 
 /// Skipping idle epochs moves nothing: `run_load` has the identity of
 /// the every-epoch loop on the plain, the 64-shard cross, the armed
-/// trunk and the snapshot families. In the `heal` row a partition heals
+/// trunk, the snapshot and the voice-train families. In the `heal` row a partition heals
 /// while no shard has work, so a skip that ran past the heal's barrier
 /// would deliver its notices late.
 #[test]
@@ -160,6 +161,7 @@ fn skipping_idle_epochs_matches_the_every_epoch_loop() {
         }),
         ("trunk", trunk_cfg),
         ("snapshot", snapshot_cfg),
+        ("trains", trains_cfg),
         ("heal", || LoadConfig {
             seed: 11,
             trunk: TrunkPlanConfig::only(TrunkFaultClass::Partition, 1.0),
@@ -269,6 +271,34 @@ fn small_cfg() -> LoadConfig {
         },
         ..LoadConfig::default()
     }
+}
+
+/// Voice in trains: the `voice_media` shape (16 calls an hour, 2.4 s of
+/// voice each, a tenth of the movers crossing shards) in four shards.
+/// Every family sends its voice in trains where its world allows; this
+/// one is mostly voice.
+fn trains_cfg() -> LoadConfig {
+    LoadConfig {
+        subscribers: 384,
+        shards: 4,
+        voice_sample_ms: 2_400,
+        population: PopulationConfig {
+            calls_per_sub_hour: 16.0,
+            cross_shard_fraction: 0.1,
+            ..PopulationConfig::default()
+        },
+        ..LoadConfig::default()
+    }
+}
+
+/// The `trains` family is the world it is meant to be: most of its
+/// frames ride trains.
+#[test]
+fn the_trains_family_sends_trains() {
+    let stats = run_load(&trains_cfg()).stats;
+    let sent = stats.counter("ms.voice_frames_sent") + stats.counter("term.rtp_sent");
+    let carried = stats.counter("sim.voice.train_frames");
+    assert!(carried > 4 * (sent - carried), "{carried} of {sent} frames in trains");
 }
 
 /// Two runs of one configuration agree with each other.
@@ -574,28 +604,42 @@ fn defaults_cfg() -> LoadConfig {
 /// `families_on_the_registration_ladder_match_the_provisioned_start`
 /// holds the rest of every row to it). The `defaults` row is unarmed: the small world at the harness's
 /// defaults, which a refactor of the driver, the KPI table or the merge
-/// must leave exactly as it is.
+/// must leave exactly as it is. It is the one row whose voice rides
+/// trains (the armed worlds send every frame on its own), so it moved
+/// when voice began to, in the kernel's census and the event count
+/// alone; frame by frame it keeps the identity pinned before.
 #[test]
 fn armed_run_identity_is_pinned() {
     let rows = [
         ("trunk", trunk_cfg as fn() -> LoadConfig, "727416fecdf0a751 52cbbf24b40522f6 51328"),
         ("faults", chaos_cfg, "2d9df63a108c1f25 ebce64574029ed89 49099"),
         ("surge", surge_cfg, "a528a72c11416bb7 d2122262e2d8c030 35218"),
-        ("defaults", defaults_cfg, "3b31082dbe7220ab 5cc032a318e3e95e 38572"),
+        ("defaults", defaults_cfg, "ba9db7c05ddf056e 5cc032a318e3e95e 10021"),
     ];
+    let pinned_identity = |report: &LoadReport| {
+        format!(
+            "{:016x} {:016x} {}",
+            report.fingerprint(),
+            report.snapshot_fingerprint(),
+            report.events
+        )
+    };
     for (family, cfg, pinned) in rows {
         let report = run_load(&cfg());
         assert_eq!(
-            format!(
-                "{:016x} {:016x} {}",
-                report.fingerprint(),
-                report.snapshot_fingerprint(),
-                report.events
-            ),
+            pinned_identity(&report),
             pinned,
             "armed {family} run drifted from the pinned identity"
         );
     }
+    let per_frame = run_load_with(&defaults_cfg(), 1, Registration::Provision, |shard| {
+        shard.set_voice_trains(false)
+    });
+    assert_eq!(
+        pinned_identity(&per_frame),
+        "3b31082dbe7220ab 5cc032a318e3e95e 38572",
+        "the defaults run, frame by frame, drifted from its pinned identity"
+    );
 }
 
 /// Table order is a function of the hash; outputs may not be. The

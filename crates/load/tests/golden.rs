@@ -22,7 +22,7 @@
 //! `UPDATE_GOLDEN=1 cargo test -p vgprs-load --test golden` and commit
 //! the refreshed files alongside the change.
 
-use vgprs_load::{run_load, CallMix, LoadConfig, PopulationConfig};
+use vgprs_load::{run_load, run_load_with, CallMix, LoadConfig, PopulationConfig, Registration};
 use vgprs_sim::JsonValue;
 
 /// Paths whose values legitimately differ between runs. Everything else
@@ -140,6 +140,17 @@ fn report_json_matches_the_committed_golden_file() {
         masked(&golden_text),
         "same values, different bytes: number rendering or layout moved"
     );
+}
+
+/// Voice in trains moved the golden files' kernel census and event
+/// count alone: frame by frame (the oracle), the run keeps the identity
+/// the files had before, `11e1470b64b8f206` over 12 921 events.
+#[test]
+fn frame_by_frame_the_golden_run_keeps_its_identity() {
+    let oracle = run_load_with(&golden_cfg(), 1, Registration::Provision, |shard| {
+        shard.set_voice_trains(false)
+    });
+    assert_eq!((oracle.fingerprint(), oracle.events), (0x11e1_470b_64b8_f206, 12_921));
 }
 
 /// The golden configuration must exercise the interesting parts of the

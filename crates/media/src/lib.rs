@@ -9,7 +9,10 @@
 //!   engine's MOS both score through,
 //! * [`JitterBuffer`] — a receiver-side playout buffer with late-frame
 //!   accounting. No experiment scores through it: the scored paths
-//!   assume its fixed 60 ms playout depth instead.
+//!   assume its fixed 60 ms playout depth instead,
+//! * [`VoiceSource`] and [`VoiceSink`] — the 20 ms voice source and the
+//!   receive tally every endpoint (handset, H.323 endpoint, phone)
+//!   talks and listens through, voice trains included.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,7 +20,9 @@
 mod emodel;
 mod jitter;
 mod vocoder;
+mod voice;
 
 pub use emodel::EModel;
 pub use jitter::{JitterBuffer, PlayoutOutcome};
 pub use vocoder::Vocoder;
+pub use voice::{Frames, Talk, VoiceSink, VoiceSource, PATH_BOUND};

@@ -1,14 +1,20 @@
 //! Fixed-line telephone endpoints.
 
-use vgprs_sim::{Context, Interface, Node, NodeId, SimDuration, SimTime, TimerToken};
+use vgprs_media::{Talk, VoiceSink, VoiceSource};
+use vgprs_sim::{Context, Interface, Node, NodeId, SimTime, TimerToken};
 use vgprs_wire::{
     CallId, Cause, Cic, Command, IsupKind, IsupMessage, Message, Msisdn, ANSWER_DELAY,
 };
 
-/// Timer tag: answer the ringing call.
-const TIMER_ANSWER: u64 = 1;
-/// Timer tag: emit the next voice frame.
-const TIMER_VOICE: u64 = 2;
+/// Timer tag: answer the ringing call (the voice tick is
+/// [`VoiceSource::TICK`]).
+const TIMER_ANSWER: u64 = 2;
+
+/// Where a phone tallies the frames it hears.
+const SINK: VoiceSink = VoiceSink {
+    frames: "phone.voice_frames_received",
+    delay_ms: "phone.voice_e2e_ms",
+};
 
 /// Observable state of a phone.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +44,8 @@ pub struct PstnPhone {
     state: PhoneState,
     call: Option<CallId>,
     cic: Option<Cic>,
-    voice_seq: u32,
-    voice_timer: Option<TimerToken>,
+    voice: VoiceSource,
+    talk: Talk,
     dialed_at: Option<SimTime>,
 }
 
@@ -52,8 +58,8 @@ impl PstnPhone {
             state: PhoneState::Idle,
             call: None,
             cic: None,
-            voice_seq: 0,
-            voice_timer: None,
+            voice: VoiceSource::default(),
+            talk: Talk::default(),
             dialed_at: None,
         }
     }
@@ -77,29 +83,17 @@ impl PstnPhone {
         }
     }
 
-    fn start_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if self.voice_timer.is_none() {
-            self.voice_timer = Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-        }
-    }
-
-    fn stop_voice(&mut self, ctx: &mut Context<'_, Message>) {
-        if let Some(t) = self.voice_timer.take() {
-            ctx.cancel_timer(t);
-        }
-    }
-
     fn enter_active(&mut self, ctx: &mut Context<'_, Message>) {
         self.state = PhoneState::Active;
         ctx.count("phone.calls_connected");
         if let Some(at) = self.dialed_at.take() {
             ctx.observe_duration("phone.call_setup_ms", ctx.now().duration_since(at));
         }
-        self.start_voice(ctx);
+        self.talk.start(ctx);
     }
 
     fn clear(&mut self, ctx: &mut Context<'_, Message>) {
-        self.stop_voice(ctx);
+        self.talk.stop(ctx);
         self.state = PhoneState::Idle;
         self.call = None;
         self.cic = None;
@@ -141,13 +135,13 @@ impl Node<Message> for PstnPhone {
                                 cause: Cause::NormalClearing,
                             },
                         );
-                        self.stop_voice(ctx);
+                        self.talk.stop(ctx);
                     }
                 Command::StartTalking
                     if self.state == PhoneState::Active => {
-                        self.start_voice(ctx);
+                        self.talk.start(ctx);
                     }
-                Command::StopTalking => self.stop_voice(ctx),
+                Command::StopTalking => self.talk.stop(ctx),
                 _ => {}
             },
             (Interface::Isup, Message::Isup(IsupMessage { cic, call, kind })) => match kind {
@@ -203,9 +197,7 @@ impl Node<Message> for PstnPhone {
                 },
             ) => {
                 if self.call == Some(call) {
-                    ctx.count("phone.voice_frames_received");
-                    let delay_us = ctx.now().as_micros().saturating_sub(origin_us);
-                    ctx.observe("phone.voice_e2e_ms", delay_us as f64 / 1000.0);
+                    SINK.receive(ctx, origin_us, 1);
                 }
             }
             _ => ctx.count("phone.unexpected_message"),
@@ -219,27 +211,21 @@ impl Node<Message> for PstnPhone {
                     self.send_isup(ctx, IsupKind::Anm);
                     self.enter_active(ctx);
                 }
-            TIMER_VOICE => {
-                if self.state == PhoneState::Active {
-                    if let Some(call) = self.call {
-                        self.voice_seq += 1;
-                        let origin_us = ctx.now().as_micros();
-                        let cic = self.cic.unwrap_or(Cic(0));
-                        ctx.send(
-                            self.switch,
-                            Message::TrunkVoice {
-                                cic,
-                                call,
-                                seq: self.voice_seq,
-                                origin_us,
-                            },
-                        );
-                        self.voice_timer =
-                            Some(ctx.set_timer(SimDuration::from_millis(20), TIMER_VOICE));
-                    }
-                } else {
-                    self.voice_timer = None;
-                }
+            VoiceSource::TICK => {
+                // A phone is never promised a horizon: trunk voice is
+                // one frame per message.
+                let call = self.call.filter(|_| self.state == PhoneState::Active);
+                let Some(sent) = self.voice.fire(ctx, &mut self.talk, call.is_some()) else {
+                    return;
+                };
+                let voice = Message::TrunkVoice {
+                    cic: self.cic.unwrap_or(Cic(0)),
+                    call: call.expect("a live source has a call"),
+                    seq: sent.seq,
+                    origin_us: sent.origin_us,
+                };
+                ctx.send(self.switch, voice);
+                self.talk.rearm(ctx, sent);
             }
             _ => {}
         }
@@ -251,7 +237,7 @@ mod tests {
     use super::*;
     use crate::accounting::TrunkClass;
     use crate::switch::PstnSwitch;
-    use vgprs_sim::Network;
+    use vgprs_sim::{Network, SimDuration};
 
     fn msisdn(s: &str) -> Msisdn {
         Msisdn::parse(s).unwrap()
@@ -293,7 +279,7 @@ mod tests {
         // One phone hears no more than the other sends, so each heard at
         // least the total less what it sent itself.
         let heard = net.stats().counter("phone.voice_frames_received");
-        for (who, sent) in [("alice", alice.voice_seq), ("bob", bob.voice_seq)] {
+        for (who, sent) in [("alice", alice.voice.frames_sent()), ("bob", bob.voice.frames_sent())] {
             let own = heard.saturating_sub(u64::from(sent));
             assert!(own > 50, "{who} heard {own} of {heard}");
         }

@@ -53,6 +53,8 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut SimRng,
     pub(crate) stats: &'a mut Stats,
     pub(crate) timers: &'a mut TimerTable,
+    /// See [`Context::train_horizon`].
+    pub(crate) train_horizon: Option<SimTime>,
 }
 
 impl<M> Context<'_, M> {
@@ -135,6 +137,20 @@ impl<M> Context<'_, M> {
         self.stats.observe(name, value);
     }
 
+    /// Records `n` observations of one `value` in the named histogram
+    /// (see [`Histogram::observe_n`](crate::Histogram::observe_n)).
+    pub fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        self.stats.observe_n(name, value, n);
+    }
+
+    /// The instant before which the world promises no change that a
+    /// train of express frames would have to see, or `None` when every
+    /// frame is to be sent on its own. Set with
+    /// [`Network::set_train_horizon`](crate::Network::set_train_horizon).
+    pub fn train_horizon(&self) -> Option<SimTime> {
+        self.train_horizon
+    }
+
     /// Records a duration observation (in milliseconds) in the named
     /// histogram.
     pub fn observe_duration(&mut self, name: &str, value: SimDuration) {
@@ -174,6 +190,7 @@ mod tests {
             rng,
             stats,
             timers,
+            train_horizon: None,
         }
     }
 

@@ -135,6 +135,8 @@ pub struct Network<M: Payload> {
     trace_details: bool,
     trace_capture: bool,
     cut_through: bool,
+    /// See [`Network::set_train_horizon`].
+    train_horizon: Option<SimTime>,
     /// Inline relay hops currently nested under the queued event being
     /// processed.
     chain_depth: u32,
@@ -188,6 +190,7 @@ impl<M: Payload> Network<M> {
             trace_details: true,
             trace_capture: true,
             cut_through: true,
+            train_horizon: None,
             chain_depth: 0,
             fx_pool: Vec::new(),
             k_delivered: [0; IFACES],
@@ -237,6 +240,17 @@ impl<M: Payload> Network<M> {
     /// the oracle cut-through is tested against.
     pub fn set_cut_through(&mut self, enabled: bool) {
         self.cut_through = enabled;
+    }
+
+    /// Sets the horizon every callback reads as
+    /// [`Context::train_horizon`]: the instant before which whoever
+    /// drives the world promises that nothing will change the fate of an
+    /// express frame already sent. A source may then send the frames it
+    /// would send before the horizon as one message, a train; `None` (the
+    /// default) asks for one message per frame. The network itself reads
+    /// nothing of it.
+    pub fn set_train_horizon(&mut self, horizon: Option<SimTime>) {
+        self.train_horizon = horizon;
     }
 
     /// Caps the number of events a single run call may process (a runaway
@@ -551,6 +565,7 @@ impl<M: Payload> Network<M> {
             rng: &mut self.rng,
             stats: &mut self.stats,
             timers: &mut self.timers,
+            train_horizon: self.train_horizon,
         };
         let out = f(node, &mut ctx);
         assert!(
@@ -730,6 +745,7 @@ impl<M: Payload> Network<M> {
             rng: &mut self.rng,
             stats: &mut self.stats,
             timers: &mut self.timers,
+            train_horizon: self.train_horizon,
         };
         f(&mut *node, &mut ctx);
         let mut effects = std::mem::take(&mut ctx.effects);

@@ -117,6 +117,24 @@ impl Histogram {
         }
     }
 
+    /// Records `n` observations of one `value` at once: the same
+    /// buckets, count, min and max as `n` calls of
+    /// [`observe`](Self::observe). The sum adds `value * n`, which
+    /// equals `n` additions whenever the terms are whole numbers below
+    /// 2^53 (a delay in whole milliseconds), as no partial sum rounds.
+    pub fn observe_n(&mut self, value: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.add(bucket_index(value), n);
+        self.count += n;
+        self.sum += value * n as f64;
+        if !value.is_nan() {
+            self.min = self.min.min(value);
+            self.max = self.max.max(value);
+        }
+    }
+
     /// Adds `n > 0` to bucket `index`, growing the window to reach it.
     fn add(&mut self, index: usize, n: u64) {
         // An index below the window wraps past any window's end.
@@ -337,6 +355,12 @@ impl Stats {
     /// Records an observation under `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
         self.histograms.slot(name).observe(value);
+    }
+
+    /// Records `n` observations of one `value` under `name`; see
+    /// [`Histogram::observe_n`].
+    pub fn observe_n(&mut self, name: &str, value: f64, n: u64) {
+        self.histograms.slot(name).observe_n(value, n);
     }
 
     /// The named histogram, if any observation was recorded.

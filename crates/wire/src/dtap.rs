@@ -157,17 +157,24 @@ pub enum Dtap {
         /// Echoed handover reference.
         ho_ref: u32,
     },
-    /// One 20 ms vocoder frame on the circuit-switched path.
+    /// One 20 ms vocoder frame on the circuit-switched path, or a train
+    /// of `frames` of them: consecutive frames of one call, each 20 ms
+    /// after the one before, sent as one message because nothing can
+    /// change their fate between them.
     ///
     /// Not traced (media, not signaling); carries its origination time so
     /// the media experiments can measure mouth-to-ear delay.
     VoiceFrame {
         /// Call correlation id.
         call: CallId,
-        /// Frame sequence number.
+        /// Sequence number of the (first) frame.
         seq: u32,
-        /// Origination timestamp (simulated microseconds).
+        /// Origination timestamp of the (first) frame (simulated
+        /// microseconds).
         origin_us: u64,
+        /// How many frames the message stands for: 1, or a train's
+        /// length.
+        frames: u16,
     },
 }
 
@@ -226,11 +233,21 @@ impl Dtap {
     /// Approximate encoded size in bytes on the A interface.
     pub fn wire_size(&self) -> usize {
         match self {
-            // 260-bit GSM FR frame + RLP/TRAU overhead
-            Dtap::VoiceFrame { .. } => 40,
+            // 260-bit GSM FR frame + RLP/TRAU overhead, per frame
+            Dtap::VoiceFrame { frames, .. } => 40 * usize::from(*frames),
             Dtap::LocationUpdateRequest { .. } => 19,
             Dtap::Setup { .. } | Dtap::MtSetup { .. } => 24,
             _ => 12,
+        }
+    }
+
+    /// How many voice frames the message stands for: a voice frame's
+    /// or train's `frames`, and 1 for any other message, so a counter
+    /// of dropped messages counts each frame of a train.
+    pub fn frames(&self) -> u16 {
+        match self {
+            Dtap::VoiceFrame { frames, .. } => *frames,
+            _ => 1,
         }
     }
 
@@ -282,7 +299,8 @@ mod tests {
         assert!(Dtap::VoiceFrame {
             call: CallId(1),
             seq: 0,
-            origin_us: 0
+            origin_us: 0,
+            frames: 1,
         }
         .is_media());
         assert!(!Dtap::CipherModeCommand.is_media());
@@ -303,6 +321,7 @@ mod tests {
             call: CallId(1),
             seq: 0,
             origin_us: 0,
+            frames: 1,
         };
         assert!(vf.wire_size() > Dtap::Alerting { call: CallId(1) }.wire_size());
     }

@@ -41,6 +41,15 @@ impl IpPayload {
     pub fn is_media(&self) -> bool {
         matches!(self, IpPayload::Rtp(_))
     }
+
+    /// How many voice frames the payload stands for: an RTP packet's
+    /// [`frames`](RtpPacket::frames), 1 for signaling.
+    pub fn frames(&self) -> u16 {
+        match self {
+            IpPayload::Rtp(p) => p.frames(),
+            _ => 1,
+        }
+    }
 }
 
 /// A routable IP packet between two transport addresses.

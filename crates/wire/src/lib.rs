@@ -65,5 +65,5 @@ pub use message::Message;
 pub use q931::{DecodeQ931Error, Q931Kind, Q931Message};
 pub use qos::{DelayClass, PeakThroughputClass, Precedence, QosProfile, ReliabilityClass};
 pub use ras::RasMessage;
-pub use rtp::{DecodeRtpError, RtpPacket, PAYLOAD_TYPE_GSM};
+pub use rtp::{DecodeRtpError, RtpPacket, GSM_FRAME_BYTES, PAYLOAD_TYPE_GSM};
 pub use subscriber::SubscriberProfile;

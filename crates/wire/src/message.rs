@@ -105,6 +105,21 @@ impl Message {
         }
     }
 
+    /// How many voice frames the message stands for: a voice train's
+    /// length wherever it travels, and 1 for anything else, so a counter
+    /// of dropped messages counts each frame of a train.
+    pub fn frames(&self) -> u16 {
+        match self {
+            Message::Um(d) | Message::Abis { dtap: d, .. } | Message::A { dtap: d, .. } => {
+                d.frames()
+            }
+            Message::Gtp(GtpMessage::TPdu { inner, .. }) => inner.frames(),
+            Message::Llc { inner, .. } => inner.payload.frames(),
+            Message::Ip(p) => p.payload.frames(),
+            _ => 1,
+        }
+    }
+
     /// Convenience constructor for air-interface signaling.
     pub fn um(d: Dtap) -> Self {
         Message::Um(d)
@@ -254,6 +269,7 @@ mod tests {
             call: CallId(1),
             seq: 0,
             origin_us: 0,
+            frames: 1,
         });
         assert!(!vf.traceable());
         let ip = Message::Ip(rtp_ip());
@@ -342,6 +358,7 @@ mod tests {
             call: CallId(1),
             seq: 0,
             origin_us: 0,
+            frames: 1,
         });
         assert!(voice.wire_size() >= 40);
         let gtp_sig = Message::Gtp(GtpMessage::DeletePdpRequest {

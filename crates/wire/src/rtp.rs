@@ -7,6 +7,9 @@ use crate::ids::CallId;
 /// RTP payload type for GSM full-rate audio (RFC 1890 static assignment).
 pub const PAYLOAD_TYPE_GSM: u8 = 3;
 
+/// Payload bytes of one 20 ms GSM full-rate frame.
+pub const GSM_FRAME_BYTES: u16 = 33;
+
 /// One RTP packet carrying a vocoder frame.
 ///
 /// The audio samples themselves are not simulated; `origin_us` carries the
@@ -76,6 +79,14 @@ impl RtpPacket {
             return Err(DecodeRtpError::NonCanonical);
         }
         Ok(p)
+    }
+
+    /// How many 20 ms GSM frames the packet carries, at least one. RTP
+    /// may bundle consecutive frames of a stream in one packet (RFC 3551
+    /// §4.5.8); a voice train crosses the packet core as one such
+    /// packet, [`GSM_FRAME_BYTES`] of payload per frame.
+    pub fn frames(&self) -> u16 {
+        (self.payload_len / GSM_FRAME_BYTES).max(1)
     }
 
     /// Total on-the-wire size (header + payload).

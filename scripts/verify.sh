@@ -52,9 +52,11 @@ echo "==> determinism contract (release)"
 # armed ones, written vs registered by the Figure 4 ladder, then one
 # busy hour each; and Figure 4 on the ladder at scale). And one big
 # cell: the dense-paging world at the benchmark's quick size, pinned, the
-# one pinned world whose pages fan out to a thousand handsets.
+# one pinned world whose pages fan out to a thousand handsets. And voice
+# trains against frame-by-frame voice, their oracle, on the benchmark's
+# four shapes and a world whose cells clip.
 cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision \
-    --test dense_paging
+    --test dense_paging --test voice_trains
 
 echo "==> one codec contract"
 # Every byte decoder in vgprs-wire is held to the properties of
@@ -315,6 +317,15 @@ tripwire "a spare triplet in every VLR record" 'current: Option<AuthTriplet>' \
 tripwire "a tally in a subscriber's node" -E \
     'pub (frames_received|calls_connected|calls_failed|handoffs_completed): u64' \
     crates/gsm/src/ms.rs crates/h323/src/terminal.rs crates/pstn/src/phone.rs
+
+echo "==> one voice source"
+# The 20 ms tick, the frame numbering, talking, start and stop, and the
+# receive tally are written once, as vgprs_media's VoiceSource, Talk and
+# VoiceSink (crates/media/src/voice.rs, which names neither below): a
+# handset, an H.323 endpoint and a phone keep only their framing. These
+# names were each endpoint's own copy.
+tripwire "a voice source outside crates/media/src/voice.rs" -rE 'TIMER_VOICE|voice_seq' \
+    crates/*/src crates/*/tests tests examples
 
 echo "==> an option has two callers"
 # A setting every caller gives one value is a constant: the VLR
