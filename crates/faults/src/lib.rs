@@ -141,28 +141,40 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Knobs for [`compile_plan`]: an intensity and a class filter.
-/// `Default` is all-off (zero intensity).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct FaultPlanConfig {
-    /// Scales both the number of windows and their severity. `0.0`
-    /// (or NaN) compiles to an empty plan; `1.0` is the nominal chaos
-    /// level.
+/// Knobs for a plan of windows of class `C`: an intensity and a class
+/// filter. `Default` is all-off (zero intensity).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PlanConfig<C> {
+    /// Scales the number of windows, their length and their severity.
+    /// `0.0` (or NaN) compiles to an empty plan; `1.0` is the nominal
+    /// chaos level.
     pub intensity: f64,
     /// The one class whose windows the plan keeps; `None` keeps every
     /// class.
-    pub class: Option<FaultClass>,
+    pub class: Option<C>,
 }
 
-impl FaultPlanConfig {
-    /// Convenience: all three classes enabled at the given intensity.
+/// Knobs for [`compile_plan`].
+pub type FaultPlanConfig = PlanConfig<FaultClass>;
+
+/// Knobs for [`compile_trunk_plan`].
+pub type TrunkPlanConfig = PlanConfig<TrunkFaultClass>;
+
+impl<C> Default for PlanConfig<C> {
+    fn default() -> Self {
+        PlanConfig::all(0.0)
+    }
+}
+
+impl<C> PlanConfig<C> {
+    /// Convenience: every class enabled at the given intensity.
     pub fn all(intensity: f64) -> Self {
-        FaultPlanConfig { intensity, class: None }
+        PlanConfig { intensity, class: None }
     }
 
     /// Convenience: a single class enabled at the given intensity.
-    pub fn only(class: FaultClass, intensity: f64) -> Self {
-        FaultPlanConfig { intensity, class: Some(class) }
+    pub fn only(class: C, intensity: f64) -> Self {
+        PlanConfig { intensity, class: Some(class) }
     }
 
     /// True if no window can ever be compiled from this config.
@@ -185,17 +197,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// Total scheduled impairment time for a class, in ms. Overlapping
-    /// windows are summed, not unioned: the KPI measures injected fault
-    /// exposure, not wall-clock outage.
-    pub fn unavailability_ms(&self, class: FaultClass) -> u64 {
-        self.events
-            .iter()
-            .filter(|e| e.kind.class() == class)
-            .map(|e| e.duration_ms)
-            .sum()
-    }
-
     /// True if `[from_ms, to_ms]` overlaps any window of `class`.
     pub fn overlaps(&self, class: FaultClass, from_ms: u64, to_ms: u64) -> bool {
         self.events.iter().any(|e| {
@@ -204,10 +205,20 @@ impl FaultPlan {
     }
 }
 
-/// Number of windows a class gets at the given intensity over `window_secs`
-/// of busy hour: roughly one per 30 simulated seconds at intensity 1.
-fn windows_per_class(intensity: f64, window_secs: u64) -> u64 {
-    ((intensity * window_secs as f64 / 30.0).round() as u64).max(if intensity > 0.0 { 1 } else { 0 })
+/// Where the windows of a plan over `window_secs` of busy hour fall:
+/// the clamped intensity; the range their starts are drawn from, after
+/// the warm-up (5 %) and before a tail (20 %) that leaves every
+/// restart's recovery and every partition's heal inside the run; and
+/// how many each class gets, about one per 30 s at intensity 1. `None`
+/// for a plan that `cfg` or an empty window leaves empty.
+fn envelope<C>(cfg: &PlanConfig<C>, window_secs: u64) -> Option<(f64, u64, u64, u64)> {
+    if cfg.is_off() || window_secs == 0 {
+        return None;
+    }
+    let intensity = cfg.intensity.clamp(0.0, 4.0);
+    let window_ms = window_secs * 1_000;
+    let count = ((intensity * window_secs as f64 / 30.0).round() as u64).max(1);
+    Some((intensity, window_ms / 20, window_ms * 8 / 10, count))
 }
 
 /// Compiles the per-shard fault schedule.
@@ -223,17 +234,10 @@ pub fn compile_plan(
     window_secs: u64,
 ) -> FaultPlan {
     let mut plan = FaultPlan::default();
-    if cfg.is_off() || window_secs == 0 {
+    let Some((intensity, lo_ms, hi_ms, count)) = envelope(cfg, window_secs) else {
         return plan;
-    }
-    let intensity = cfg.intensity.clamp(0.0, 4.0);
+    };
     let mut rng = SimRng::derive(master_seed, STREAM_FAULTS ^ shard_index as u64);
-    let window_ms = window_secs * 1_000;
-    // Windows start after warm-up (5%) and leave a tail (20%) so every
-    // restart's recovery traffic lands inside the measured run.
-    let lo_ms = window_ms / 20;
-    let hi_ms = window_ms * 8 / 10;
-    let count = windows_per_class(intensity, window_secs);
 
     for class in FaultClass::ALL {
         let enabled = cfg.class.is_none_or(|c| c == class);
@@ -335,36 +339,6 @@ impl TrunkFaultClass {
     }
 }
 
-/// Knobs for [`compile_trunk_plan`]: an intensity and a class filter.
-/// `Default` is all-off.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TrunkPlanConfig {
-    /// Scales window count, window length and impairment level. `0.0`
-    /// (or NaN) compiles to an empty plan; `1.0` is the nominal chaos
-    /// level.
-    pub intensity: f64,
-    /// The one class whose windows the plan keeps; `None` keeps every
-    /// class.
-    pub class: Option<TrunkFaultClass>,
-}
-
-impl TrunkPlanConfig {
-    /// Convenience: all four classes enabled at the given intensity.
-    pub fn all(intensity: f64) -> Self {
-        TrunkPlanConfig { intensity, class: None }
-    }
-
-    /// Convenience: a single class enabled at the given intensity.
-    pub fn only(class: TrunkFaultClass, intensity: f64) -> Self {
-        TrunkPlanConfig { intensity, class: Some(class) }
-    }
-
-    /// True if no window can ever be compiled from this config.
-    pub fn is_off(&self) -> bool {
-        self.intensity.is_nan() || self.intensity <= 0.0
-    }
-}
-
 /// One scheduled trunk impairment window on a shard pair.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TrunkWindow {
@@ -442,16 +416,6 @@ impl TrunkPlan {
             .map(|w| w.level_at(t_ms))
             .fold(0.0, f64::max)
     }
-
-    /// Total scheduled impairment time for a class, in ms (summed, not
-    /// unioned, like [`FaultPlan::unavailability_ms`]).
-    pub fn unavailability_ms(&self, class: TrunkFaultClass) -> u64 {
-        self.windows
-            .iter()
-            .filter(|w| w.class == class)
-            .map(|w| w.duration_ms)
-            .sum()
-    }
 }
 
 /// Compiles the trunk chaos schedule for the unordered shard pair
@@ -475,17 +439,13 @@ pub fn compile_trunk_plan(
     window_secs: u64,
 ) -> TrunkPlan {
     let mut plan = TrunkPlan::default();
-    if cfg.is_off() || window_secs == 0 || shard_a == shard_b {
+    let Some((intensity, lo_ms, hi_ms, count)) = envelope(cfg, window_secs) else {
+        return plan;
+    };
+    if shard_a == shard_b {
         return plan;
     }
     let (a, b) = if shard_a < shard_b { (shard_a, shard_b) } else { (shard_b, shard_a) };
-    let intensity = cfg.intensity.clamp(0.0, 4.0);
-    let window_ms = window_secs * 1_000;
-    // Same warm-up (5%) / tail (20%) envelope as the intra-shard plans,
-    // so every partition heals — and its re-routes land — in-run.
-    let lo_ms = window_ms / 20;
-    let hi_ms = window_ms * 8 / 10;
-    let count = windows_per_class(intensity, window_secs);
     let pair_salt = mix_salt(mix_salt(STREAM_TRUNK, a as u64), b as u64);
 
     for (ci, class) in TrunkFaultClass::ALL.into_iter().enumerate() {
@@ -625,8 +585,6 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(plan.unavailability_ms(FaultClass::NodeCrash), 5_000);
-        assert_eq!(plan.unavailability_ms(FaultClass::Blackhole), 0);
         assert!(plan.overlaps(FaultClass::NodeCrash, 2_500, 4_000));
         assert!(!plan.overlaps(FaultClass::NodeCrash, 4_000, 9_000));
         assert!(!plan.overlaps(FaultClass::LinkDegrade, 0, 20_000));

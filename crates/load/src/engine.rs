@@ -139,6 +139,29 @@ impl Default for LoadConfig {
 }
 
 impl LoadConfig {
+    /// The configuration of shard `index` of `parts`, the slices
+    /// [`partition`] cuts the population into.
+    pub fn shard_config(&self, index: usize, parts: &[(usize, usize)]) -> ShardConfig {
+        let (base_index, subscribers) = parts[index];
+        ShardConfig {
+            shard_index: index,
+            base_index,
+            subscribers,
+            total_shards: parts.len(),
+            master_seed: self.seed,
+            population: self.population.clone(),
+            tch_capacity: self.tch_capacity,
+            pdch_bps: self.pdch_bps,
+            gk_bandwidth: self.gk_bandwidth,
+            voice_sample_ms: self.voice_sample_ms,
+            kernel: self.kernel,
+            faults: self.faults,
+            scenario: self.scenario.clone(),
+            controls: self.controls,
+            snapshot_secs: self.snapshot_secs,
+        }
+    }
+
     /// The shard count this configuration resolves to.
     pub fn effective_shards(&self) -> usize {
         if self.shards > 0 {
@@ -319,23 +342,7 @@ fn build_shard(
     prepare: &impl Fn(&mut Shard),
 ) -> Shard {
     let (base, size) = parts[index];
-    let shard_cfg = ShardConfig {
-        shard_index: index,
-        base_index: base,
-        subscribers: size,
-        total_shards: parts.len(),
-        master_seed: cfg.seed,
-        population: cfg.population.clone(),
-        tch_capacity: cfg.tch_capacity,
-        pdch_bps: cfg.pdch_bps,
-        gk_bandwidth: cfg.gk_bandwidth,
-        voice_sample_ms: cfg.voice_sample_ms,
-        kernel: cfg.kernel,
-        faults: cfg.faults,
-        scenario: cfg.scenario.clone(),
-        controls: cfg.controls,
-        snapshot_secs: cfg.snapshot_secs,
-    };
+    let shard_cfg = cfg.shard_config(index, parts);
     let demand = compile_demand(&cfg.scenario, cfg.seed, index, cfg.population.window_secs);
     let plans: Vec<SubscriberPlan> = (0..size)
         .map(|i| subscriber_plan_demand(&cfg.population, &demand, cfg.seed, base + i))

@@ -167,41 +167,24 @@ fn mobility_excursion(
     global_index: usize,
 ) -> Option<Excursion> {
     let g = global_index as u64;
-    let window = cfg.window_secs as f64;
     let mut mobility = SimRng::derive(master_seed, STREAM_MOBILITY.wrapping_add(g));
-    let excursion = if mobility.chance(cfg.mobility_fraction) {
-        let out = mobility.uniform() * window * 0.7;
-        let stay = 5.0 + mobility.exponential(window * 0.1);
-        Some(Excursion {
-            out_ms: (out * 1000.0) as u64,
-            back_ms: ((out + stay) * 1000.0) as u64,
-            cross_shard: None,
-            drift: false,
-        })
-    } else {
-        None
+    // A trip leaves within the window's first 70 % and stays 5 s plus
+    // an exponential tenth of the window.
+    let window = cfg.window_secs as f64;
+    let trip = |rng: &mut SimRng| {
+        let out = rng.uniform() * window * 0.7;
+        let stay = 5.0 + rng.exponential(window * 0.1);
+        let (out_ms, back_ms) = ((out * 1000.0) as u64, ((out + stay) * 1000.0) as u64);
+        Excursion { out_ms, back_ms, cross_shard: None, drift: false }
     };
-    if cfg.cross_shard_fraction > 0.0 && mobility.chance(cfg.cross_shard_fraction) {
-        let draw = mobility.next_u64();
-        match excursion {
-            Some(e) => Some(Excursion {
-                cross_shard: Some(draw),
-                ..e
-            }),
-            None => {
-                let out = mobility.uniform() * window * 0.7;
-                let stay = 5.0 + mobility.exponential(window * 0.1);
-                Some(Excursion {
-                    out_ms: (out * 1000.0) as u64,
-                    back_ms: ((out + stay) * 1000.0) as u64,
-                    cross_shard: Some(draw),
-                    drift: false,
-                })
-            }
-        }
-    } else {
-        excursion
+    let excursion = mobility.chance(cfg.mobility_fraction).then(|| trip(&mut mobility));
+    if cfg.cross_shard_fraction <= 0.0 || !mobility.chance(cfg.cross_shard_fraction) {
+        return excursion;
     }
+    // The draw comes before a crossing-only trip's own draws.
+    let cross_shard = Some(mobility.next_u64());
+    let e = excursion.unwrap_or_else(|| trip(&mut mobility));
+    Some(Excursion { cross_shard, ..e })
 }
 
 /// Generates one subscriber's plan under a compiled [`DemandPlan`].

@@ -17,7 +17,7 @@ use vgprs_sim::{NodeId, SimRng};
 use vgprs_wire::{CallId, Cause, CellId, Command, Msisdn, ANSWER_DELAY};
 
 use super::voice::ms32;
-use super::{alias_for, msisdn_for, Ix, Shard};
+use super::{alias_for, msisdn_for, Ix, Shard, Trip};
 use crate::population::{CallKind, MIN_HOLD_SECS};
 
 /// Answer delay plus setup slack: voice is up by this long after a
@@ -41,9 +41,21 @@ const PROBE_DELAY_MS: u64 = 2_500;
 /// How long after its dial a call is probed.
 pub(super) const PROBE_MS: u64 = CONNECT_GRACE_MS + PROBE_DELAY_MS;
 
-// Every planned hold, and so every redial's, outlasts the probe by half
-// a second: a probe never races its call's hangup, so it alone judges.
-const _: () = assert!(PROBE_MS + 500 < (MIN_HOLD_SECS * 1000.0) as u64);
+/// The half second the driver keeps between two changes of one call: a
+/// planned hold outlasts the probe by more than this, a handoff comes
+/// more than this after the call's mute, and the handoff's own re-mute
+/// more than this before the hangup.
+pub(super) const MARGIN_MS: u64 = 500;
+
+// Every planned hold, and so every redial's, outlasts the probe by the
+// margin: a probe never races its call's hangup, so it alone judges.
+const _: () = assert!(PROBE_MS + MARGIN_MS < (MIN_HOLD_SECS * 1000.0) as u64);
+
+/// How long after its dial a call's ends are muted, having talked for
+/// `voice_sample_ms`; a call whose hold ends first is never muted.
+pub(super) const fn mute_after_ms(voice_sample_ms: u64) -> u64 {
+    CONNECT_GRACE_MS + voice_sample_ms
+}
 
 /// Redial back-off base: attempt `n` waits `REDIAL_BASE_MS << n` plus
 /// seeded jitter before trying again.
@@ -203,13 +215,8 @@ impl Shard {
             Action::Probe(call, dial) => self.probe(at_us, call, dial),
             Action::Hangup(call) => self.hangup(at_us, call),
             Action::Mute(call) => self.mute(call),
-            Action::Move {
-                local,
-                cell,
-                next_ms,
-            } => {
-                self.subs[local.get()].next_move_ms = next_ms;
-                self.relocate(local.get(), at_us, cell)
+            Action::Move { local, cell, next_ms } => {
+                self.relocate(local.get(), at_us, cell, next_ms)
             }
             Action::FaultStart(i) => self.fault_start(i),
             Action::FaultEnd(i) => self.fault_end(i),
@@ -227,13 +234,12 @@ impl Shard {
 
     /// Whether subscriber `l` can take a call now; counts the skip if not.
     fn is_free(&mut self, l: usize, at_us: u64) -> bool {
-        if self.subs[l].away {
-            self.count("load.away_skipped");
-        } else if at_us < self.subs[l].busy_until_us {
-            self.count("load.busy_skipped");
-        } else {
-            return true;
-        }
+        let skipped = match self.subs[l].trip {
+            Trip::Visiting | Trip::HandedOff { .. } => "load.away_skipped",
+            Trip::Home if at_us < self.subs[l].busy_until_us => "load.busy_skipped",
+            Trip::Home => return true,
+        };
+        self.count(skipped);
         false
     }
 
@@ -309,7 +315,7 @@ impl Shard {
             peer,
             gen: self.subs[local].gen,
         };
-        let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
+        let mute_ms = mute_after_ms(self.cfg.voice_sample_ms);
         if mute_ms < dial.hold_ms {
             self.push(at_ms + mute_ms, Action::Mute(call));
         }
@@ -373,7 +379,8 @@ impl Shard {
     /// exponential back-off and seeded jitter.
     fn probe(&mut self, at_us: u64, call: Call, dial: Dial) {
         let (local, attempt_no) = (call.local.get(), dial.attempt_no);
-        if self.subs[local].gen != call.gen || self.subs[local].away {
+        let sub = &self.subs[local];
+        if sub.gen != call.gen || sub.trip != Trip::Home {
             // Handed off, which a handset is only while talking (and
             // perhaps torn by a trunk partition since).
             return self.count(Outcome::Connected.counter());
@@ -427,10 +434,8 @@ impl Shard {
         }
         self.cmd(call.orig, Command::Hangup);
         let parties = [Some(call.local), call.peer_local];
-        let away = parties
-            .iter()
-            .flatten()
-            .any(|l| self.subs[l.get()].handed_off);
+        let crossed = |l: &Ix| matches!(self.subs[l.get()].trip, Trip::HandedOff { .. });
+        let away = parties.iter().flatten().any(crossed);
         if away || self.moved(call.orig) || self.moved(call.peer) {
             // A release never crosses the inter-MSC leg of a call
             // handed over to another MSC, here or across the border;
@@ -443,7 +448,8 @@ impl Shard {
             let sub = &mut self.subs[local.get()];
             sub.current_peer = None;
             sub.silent_since.take();
-            if std::mem::take(&mut sub.pending_return) {
+            if let Trip::HandedOff { return_due: true } = sub.trip {
+                sub.trip = Trip::HandedOff { return_due: false };
                 let back_ms = at_us / 1000 + RETURN_DELAY_MS;
                 let next_ms = std::mem::replace(&mut sub.next_move_ms, ms32(back_ms));
                 self.push(back_ms, Action::Move { local, cell, next_ms });

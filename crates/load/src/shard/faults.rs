@@ -6,7 +6,7 @@ use vgprs_faults::{FaultClass, FaultKind, LinkSel, NodeSel};
 use vgprs_sim::{LinkQuality, NodeId, SimDuration};
 use vgprs_wire::{Command, Message};
 
-use super::Shard;
+use super::{Shard, Trip};
 
 /// How long after a crashed backbone peer comes back the VMSC is told
 /// to rebuild its subscribers' contexts.
@@ -102,9 +102,9 @@ impl Shard {
     /// location update, PDP activation and RAS registration.
     fn recycle_population(&mut self) {
         for local in 0..self.subs.len() {
-            if self.subs[local].away {
+            let Trip::Home = self.subs[local].trip else {
                 continue;
-            }
+            };
             let ms = self.subs[local].ms;
             let off = SimDuration::from_millis(1 + local as u64 * 7);
             let on = off + SimDuration::from_millis(3);

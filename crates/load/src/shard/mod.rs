@@ -23,13 +23,19 @@
 //!   registration, provisioned → schedule;
 //! * `driver` — the scheduled actions: attempt, probe, hangup, mute;
 //! * `faults` — opening and closing the fault plan's windows;
-//! * `cross` — everything that crosses a shard boundary: moves, barrier
-//!   flits, the gate harvests, trunk expiry, teardown and heal;
+//! * `trip` — a subscriber's `Trip` across the border and the moves
+//!   that begin and end it;
+//! * `cross` — the border traffic: the barrier's flits in, the three
+//!   gate harvests out;
+//! * `casualties` — what a trunk that gives up on a flit tears down, and
+//!   the re-route when it heals;
 //! * `voice` — how far ahead a talking source may send a train.
 
+mod casualties;
 mod cross;
 mod driver;
 mod faults;
+mod trip;
 mod voice;
 mod world;
 
@@ -53,8 +59,10 @@ use crate::mailbox::{Envelope, Flit, RadioGate, EPOCH_MS};
 use crate::population::PopulationConfig;
 use crate::snapshot::{SnapshotFrame, SnapshotRecorder};
 
+use casualties::Tear;
 use cross::Route;
 use driver::Action;
+use trip::Trip;
 use voice::Trains;
 
 /// Everything a shard needs to build and drive its world.
@@ -154,14 +162,8 @@ struct Subscriber {
     current_peer: Option<NodeId>,
     /// Destination shard of this subscriber's cross-shard trip, if any.
     cross_target: Option<Ix>,
-    /// Currently outside the home shard (attempts are suppressed).
-    away: bool,
-    /// Away *mid-call*: radio leg lives at the destination VMSC, the
-    /// H.323 leg stays anchored here. The HLR record does not move.
-    handed_off: bool,
-    /// Return fell due while the handed-off call was still up; go home
-    /// shortly after the hangup instead.
-    pending_return: bool,
+    /// Where the subscriber is: home, or on its trip to `cross_target`.
+    trip: Trip,
     /// Bumped whenever the driver abandons the subscriber's current
     /// call (probe failure); stale `Hangup`/`Mute`/`Probe` actions from
     /// the abandoned call carry the old value and are skipped.
@@ -173,29 +175,15 @@ struct Subscriber {
     /// the first downlink voice frame relayed back from the target (the
     /// handoff interruption gap) or by the call's end.
     silent_since: Stamp,
-    /// A trunk partition toward this shard tore the subscriber's
-    /// handed-off call down, until that trunk heals ...
-    torn_by: Option<Ix>,
-    /// ... at this ms (read only while `torn_by` is set).
-    torn_ms: u64,
+    /// Set while a trunk partition that tore the subscriber's
+    /// handed-off call down has not healed.
+    torn: Option<Tear>,
 }
 
 impl Subscriber {
     /// The shard this subscriber's cross-shard trip goes to, if any.
     fn cross_target(&self) -> Option<usize> {
         self.cross_target.map(Ix::get)
-    }
-
-    /// Strands the subscriber until the trunk toward `peer` heals.
-    fn tear(&mut self, peer: usize, at_ms: u64) {
-        (self.torn_by, self.torn_ms) = (Some(Ix::new(peer)), at_ms);
-    }
-
-    /// The ms the trunk toward `peer` tore the subscriber's call down
-    /// at, if it did; the tear is cleared.
-    fn heal(&mut self, peer: usize) -> Option<u64> {
-        self.torn_by.take_if(|&mut by| by.get() == peer)?;
-        Some(self.torn_ms)
     }
 }
 
@@ -470,6 +458,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{partition, LoadConfig};
     use crate::population::{Arrival, CallKind, SubscriberPlan};
 
     /// A `subscribers`-strong shard 0 of eight with the given plans.
@@ -479,23 +468,13 @@ mod tests {
 
     /// The configuration of shard 0 of eight, `subscribers` strong.
     pub(super) fn config(subscribers: usize) -> ShardConfig {
-        ShardConfig {
-            shard_index: 0,
-            base_index: 0,
-            subscribers,
-            total_shards: 8,
-            master_seed: 42,
-            population: PopulationConfig::default(),
-            tch_capacity: 64,
-            pdch_bps: 1_600_000,
-            gk_bandwidth: 100_000_000,
-            voice_sample_ms: 1_000,
-            kernel: Kernel::default(),
-            faults: FaultPlanConfig::default(),
-            scenario: ScenarioConfig::default(),
-            controls: OverloadControls::default(),
+        let run = LoadConfig {
+            subscribers: 8 * subscribers,
+            shards: 8,
             snapshot_secs: 0,
-        }
+            ..LoadConfig::default()
+        };
+        run.shard_config(0, &partition(run.subscribers, 8))
     }
 
     /// `n` subscribers that neither call nor move.

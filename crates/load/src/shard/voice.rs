@@ -33,7 +33,7 @@ use vgprs_h323::{H323Terminal, TerminalState};
 use vgprs_media::PATH_BOUND;
 use vgprs_sim::{NodeId, SimTime};
 
-use super::driver::{Dial, CONNECT_GRACE_MS, PROBE_MS};
+use super::driver::{mute_after_ms, Dial, PROBE_MS};
 use super::Shard;
 use crate::mailbox::EPOCH_MS;
 use crate::population::{CallKind, SubscriberPlan};
@@ -136,7 +136,7 @@ impl Shard {
             .at_ms(change_ms)
             .as_micros()
             .saturating_sub(PATH_BOUND.as_micros());
-        let mute_ms = CONNECT_GRACE_MS + self.cfg.voice_sample_ms;
+        let mute_ms = mute_after_ms(self.cfg.voice_sample_ms);
         if mute_ms < dial.hold_ms {
             until = until.min(self.at_ms(at_ms + mute_ms).as_micros() + 1);
         }

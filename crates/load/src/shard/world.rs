@@ -19,7 +19,7 @@ use vgprs_wire::{CellId, Command, Ipv4Addr, Lai, Message, TransportAddr};
 
 use super::driver::{Action, Dial};
 use super::voice::{ms32, Trains};
-use super::{alias_for, imsi_for, ki_for, msisdn_for, Ix, Shard, ShardConfig, Subscriber};
+use super::{alias_for, imsi_for, ki_for, msisdn_for, Ix, Shard, ShardConfig, Subscriber, Trip};
 use crate::mailbox::{RadioGate, TrunkGate, BORDER_CELL};
 use crate::population::{Arrival, CallKind, SubscriberPlan};
 use crate::snapshot::SnapshotRecorder;
@@ -167,14 +167,11 @@ fn add_subscribers(
             call_started_us: 0,
             current_peer: None,
             cross_target: cross_target.map(Ix::new),
-            away: false,
-            handed_off: false,
-            pending_return: false,
+            trip: Trip::Home,
             gen: 0,
             next_move_ms: u32::MAX,
             silent_since: Stamp::default(),
-            torn_by: None,
-            torn_ms: 0,
+            torn: None,
         });
     }
     subs

@@ -12,6 +12,8 @@ use std::collections::BTreeMap;
 
 use vgprs_load::{run_load_with, LoadConfig, LoadReport, PopulationConfig, Registration};
 
+mod common;
+
 /// A small cousin of the benchmark's `voice_media` world: four shards,
 /// a third of the movers crossing between them, 16 calls an hour.
 fn media_cfg(voice_sample_ms: u64) -> LoadConfig {
@@ -44,28 +46,9 @@ const MAY_DIFFER: &[&str] = &[
     "sgsn.llc_context_pending",
 ];
 
-fn may_differ(name: &str) -> bool {
-    name.starts_with("sim.") || MAY_DIFFER.contains(&name)
-}
-
-/// Every counter and histogram outside the named list, rendered
-/// comparably (histograms by count, sum and buckets).
+/// Every counter and histogram outside the named list.
 fn settled(report: &LoadReport) -> BTreeMap<String, String> {
-    let counters = report
-        .stats
-        .counters()
-        .map(|(name, value)| (name.to_owned(), value.to_string()));
-    let histograms = report.stats.histograms().map(|(name, h)| {
-        let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
-        (
-            name.to_owned(),
-            format!("{} {} {buckets:?}", h.count(), h.sum()),
-        )
-    });
-    counters
-        .chain(histograms)
-        .filter(|(name, _)| !may_differ(name))
-        .collect()
+    common::outside_the_kernel(&report.stats, MAY_DIFFER)
 }
 
 fn frames_received(report: &LoadReport) -> f64 {

@@ -1,16 +1,19 @@
 //! The load engine's central promise: results are a function of the
 //! configuration and the master seed, never of the machine.
 
+use std::collections::BTreeMap;
 use std::sync::{Barrier, Once};
 use std::time::Duration;
 
 use vgprs_load::{
     compile_demand, partition, run_load, run_load_with, subscriber_plan, subscriber_plan_demand,
     CallMix, DemandPlan, FaultPlanConfig, HlrDirectory, LoadConfig, LoadReport, OverloadControls,
-    PopulationConfig, Registration, ScenarioConfig, Shard, ShardConfig, ShardReport, TrunkFabric,
+    PopulationConfig, Registration, ScenarioConfig, Shard, ShardReport, TrunkFabric,
     TrunkFaultClass, TrunkPlanConfig, EPOCH_MS,
 };
 use vgprs_sim::Kernel;
+
+mod common;
 
 /// Everything a run may be told apart by: the run fingerprint, the
 /// snapshot-stream fingerprint, the event count and the deterministic
@@ -89,23 +92,7 @@ fn every_epoch(cfg: &LoadConfig) -> LoadReport {
         .iter()
         .enumerate()
         .map(|(index, &(base, size))| {
-            let shard_cfg = ShardConfig {
-                shard_index: index,
-                base_index: base,
-                subscribers: size,
-                total_shards: parts.len(),
-                master_seed: cfg.seed,
-                population: cfg.population.clone(),
-                tch_capacity: cfg.tch_capacity,
-                pdch_bps: cfg.pdch_bps,
-                gk_bandwidth: cfg.gk_bandwidth,
-                voice_sample_ms: cfg.voice_sample_ms,
-                kernel: cfg.kernel,
-                faults: cfg.faults,
-                scenario: cfg.scenario.clone(),
-                controls: cfg.controls,
-                snapshot_secs: cfg.snapshot_secs,
-            };
+            let shard_cfg = cfg.shard_config(index, &parts);
             let window = cfg.population.window_secs;
             let demand = compile_demand(&cfg.scenario, cfg.seed, index, window);
             let plans: Vec<_> = (0..size)
@@ -179,18 +166,8 @@ fn skipping_idle_epochs_matches_the_every_epoch_loop() {
 
 /// A report outside the kernel's `sim.*` census and the event count:
 /// every other counter and histogram, and the simulated span.
-fn outside_the_kernel(report: &LoadReport) -> String {
-    let counters: Vec<(&str, u64)> = (report.stats.counters())
-        .filter(|(name, _)| !name.starts_with("sim."))
-        .collect();
-    let histograms: Vec<String> = (report.stats.histograms())
-        .filter(|(name, _)| !name.starts_with("sim."))
-        .map(|(name, h)| {
-            let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
-            format!("{name} {} {} {buckets:?}", h.count(), h.sum())
-        })
-        .collect();
-    format!("{counters:?}\n{histograms:?}\n{}", report.sim_secs)
+fn outside_the_kernel(report: &LoadReport) -> (BTreeMap<String, String>, f64) {
+    (common::outside_the_kernel(&report.stats, &[]), report.sim_secs)
 }
 
 /// Rule (iv) for the provisioned start: the pinned families built on

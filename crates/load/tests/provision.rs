@@ -8,8 +8,6 @@
 //! stream, t0 and the registered count — and then to one busy hour, and
 //! checks Figure 4 itself on the oracle at population scale.
 
-use std::collections::BTreeMap;
-
 use vgprs_core::{Vmsc, FIGURE_4};
 use vgprs_gprs::{Ggsn, IpRouter, Sgsn};
 use vgprs_gsm::{Bsc, Bts, Hlr, MobileStation, Vlr};
@@ -17,20 +15,18 @@ use vgprs_h323::{Gatekeeper, H323Terminal};
 use vgprs_load::{
     compile_demand, partition, subscriber_plan_demand, FaultPlanConfig, LoadConfig,
     OverloadControls, PopulationConfig, RadioGate, Registration, ScenarioConfig, Shard,
-    ShardConfig, ShardReport, TrunkGate, TrunkPlanConfig, SNAPSHOT_COUNTERS,
+    ShardReport, TrunkGate, TrunkPlanConfig, SNAPSHOT_COUNTERS,
 };
-use vgprs_sim::{Kernel, Network, NodeId, Stats, TraceEntry};
+use vgprs_sim::{Kernel, Network, NodeId, TraceEntry};
 use vgprs_wire::Message;
+
+mod common;
 
 /// Report fields the two starts may disagree on, besides the event
 /// count and the kernel's own `sim.*` census of the ladder's events,
 /// which a provisioned start never queues. Empty: every counter and
 /// histogram a node keeps is the ladder's.
 const EXEMPT: [&str; 0] = [];
-
-fn exempt(name: &str) -> bool {
-    name.starts_with("sim.") || EXEMPT.contains(&name)
-}
 
 /// One of the benchmark's four worlds (`benchmark/src/workloads.rs`,
 /// seed 42), or one of three small armed ones over four shards: the
@@ -100,23 +96,7 @@ fn world(name: &str) -> LoadConfig {
 fn shard0(cfg: &LoadConfig, registration: Registration) -> Shard {
     let parts = partition(cfg.subscribers, cfg.effective_shards());
     let (base, size) = parts[0];
-    let shard_cfg = ShardConfig {
-        shard_index: 0,
-        base_index: base,
-        subscribers: size,
-        total_shards: parts.len(),
-        master_seed: cfg.seed,
-        population: cfg.population.clone(),
-        tch_capacity: cfg.tch_capacity,
-        pdch_bps: cfg.pdch_bps,
-        gk_bandwidth: cfg.gk_bandwidth,
-        voice_sample_ms: cfg.voice_sample_ms,
-        kernel: cfg.kernel,
-        faults: cfg.faults,
-        scenario: cfg.scenario.clone(),
-        controls: cfg.controls,
-        snapshot_secs: cfg.snapshot_secs,
-    };
+    let shard_cfg = cfg.shard_config(0, &parts);
     let window = cfg.population.window_secs;
     let demand = compile_demand(&cfg.scenario, cfg.seed, 0, window);
     let plans: Vec<_> = (0..size)
@@ -179,29 +159,6 @@ fn run(mut shard: Shard) -> ShardReport {
     shard.finish()
 }
 
-/// Every counter and histogram outside the exempt ones, rendered
-/// comparably (histograms by count, sum, extremes and buckets).
-fn settled(stats: &Stats) -> BTreeMap<String, String> {
-    let counters = stats
-        .counters()
-        .map(|(name, value)| (name.to_owned(), value.to_string()));
-    let histograms = stats.histograms().map(|(name, h)| {
-        let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
-        let summary = format!(
-            "{} {} {:?} {:?} {buckets:?}",
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max()
-        );
-        (name.to_owned(), summary)
-    });
-    counters
-        .chain(histograms)
-        .filter(|(name, _)| !exempt(name))
-        .collect()
-}
-
 /// What a report says outside the exempt fields: registered, the end
 /// of simulated time, the settled statistics and every snapshot frame.
 fn outcome(report: &ShardReport) -> String {
@@ -212,7 +169,7 @@ fn outcome(report: &ShardReport) -> String {
             SNAPSHOT_COUNTERS
                 .iter()
                 .zip(&frame.counters)
-                .filter(|(name, _)| !exempt(name))
+                .filter(|(name, _)| !common::is_exempt(name, &EXEMPT))
                 .map(|(name, &value)| (name.as_str(), value))
                 .collect()
         })
@@ -221,7 +178,7 @@ fn outcome(report: &ShardReport) -> String {
         "registered {} until {:?}\n{:#?}\n{frames:?}",
         report.stats.counter("load.registered"),
         report.sim_end,
-        settled(&report.stats)
+        common::outside_the_kernel(&report.stats, &EXEMPT)
     )
 }
 

@@ -16,6 +16,8 @@ use vgprs_load::{
     Registration, ScenarioConfig, TrunkPlanConfig,
 };
 
+mod common;
+
 /// `cfg` on one worker, voice in trains or frame by frame.
 fn run(cfg: &LoadConfig, trains: bool) -> LoadReport {
     run_load_with(cfg, 1, Registration::Provision, |shard| {
@@ -23,26 +25,9 @@ fn run(cfg: &LoadConfig, trains: bool) -> LoadReport {
     })
 }
 
-/// Every counter and histogram outside `sim.*`, rendered comparably,
-/// and the simulated span.
-fn outside_the_kernel(report: &LoadReport) -> BTreeMap<String, String> {
-    let counters =
-        (report.stats.counters()).map(|(name, value)| (name.to_owned(), value.to_string()));
-    let histograms = report.stats.histograms().map(|(name, h)| {
-        let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
-        let shape = format!(
-            "{} {} {:?} {:?} {buckets:?}",
-            h.count(),
-            h.sum(),
-            h.min(),
-            h.max()
-        );
-        (name.to_owned(), shape)
-    });
-    (counters.chain(histograms))
-        .filter(|(name, _)| !name.starts_with("sim."))
-        .chain([("sim_secs".to_owned(), report.sim_secs.to_string())])
-        .collect()
+/// Every counter and histogram outside `sim.*`, and the simulated span.
+fn outside_the_kernel(report: &LoadReport) -> (BTreeMap<String, String>, f64) {
+    (common::outside_the_kernel(&report.stats, &[]), report.sim_secs)
 }
 
 /// Runs `cfg` both ways and holds them to one world; returns the train

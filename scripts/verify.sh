@@ -237,6 +237,18 @@ echo "==> the subscriber row exists once"
 tripwire "a side table beside the subscriber row" -rE \
     'pending_interrupt|trunk_torn|call_src|conn_globals|visitor_conns|ms_index|AnchoredLeg|Action::Redial|too_many_arguments' \
     crates/load/src
+# Where a subscriber is on its trip across the border is one `Trip`
+# (crates/load/src/shard/trip.rs): home, visiting with its HLR record
+# moved, or handed off with its return perhaps due. Three flags held the
+# same fact, and nothing said which of their eight combinations were
+# legal.
+tripwire "a trip held as flags" -rE \
+    '\b(handed_off|pending_return)\b|\.away\b|\baway: (true|false)' crates/load/src
+# A call's mute instant is worked out by one function, `mute_after_ms`
+# in crates/load/src/shard/driver.rs, which the dial, its voice promise
+# and the handoff's "settled" test call.
+tripwire "the mute worked out twice" -rE \
+    'CONNECT_GRACE_MS \+ self\.cfg\.voice_sample_ms' crates/load/src
 
 echo "==> the driver judges every dial"
 # Each dial is judged once, by its probe, from the endpoint that dialed:
