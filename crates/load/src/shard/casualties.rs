@@ -34,23 +34,20 @@ impl Shard {
         kind: ExpiredKind,
     ) {
         let now_us = self.net.now().as_micros().saturating_sub(self.t0_us);
-        let mover = global.and_then(|g| self.local_of(g));
+        let named = self.casualty_of((call, global, kind));
         match kind {
             // The far end never hears these frames; the scheduled
             // hangup (or the probe) still cleans the call up, so only
             // attribute the loss to the trunk class.
             ExpiredKind::Voice => self.count("load.trunk_frame_drops"),
             ExpiredKind::Handoff => {
-                // Who was mid-ladder? The anchor side finds the call's
-                // route (or the mover via its global index); the host
-                // side only knows the visitor's global. A dialogue we
-                // relayed for a visitor call just loses its route: the
-                // anchor shard's supervision owns the teardown.
-                let anchored = match call.and_then(|c| self.routes.remove(&c)) {
-                    Some(Route::Anchored { local, .. }) => Some(local),
-                    _ => mover,
-                };
-                if let Some(local) = anchored {
+                // A dialogue we relayed for a visitor call just loses
+                // its route: the anchor shard's supervision owns the
+                // teardown.
+                if let Some(call) = call {
+                    self.routes.remove(&call);
+                }
+                if let Some(local) = named {
                     self.teardown_torn(local, peer, now_us);
                 } else if global.is_some_and(|g| self.visitors.remove(&g).is_some()) {
                     // An expired downlink for a visitor we host: abandon
@@ -65,7 +62,7 @@ impl Shard {
                 // trunk: revert the move so exactly one shard owns the
                 // record again (re-provisioning is idempotent when the
                 // expired flit was the return-trip cancel).
-                let Some(local) = mover else {
+                let Some(local) = named else {
                     return self.count("load.trunk_signal_drops");
                 };
                 self.count("load.trunk_mobility_reverts");
@@ -73,6 +70,25 @@ impl Shard {
                 self.recamp_home(local);
             }
             ExpiredKind::Signal => self.count("load.trunk_signal_drops"),
+        }
+    }
+
+    /// The subscriber of this shard whose call or trip an abandoned flit's
+    /// [casualty](crate::mailbox::Flit::casualty) changes: mid-ladder the
+    /// call's anchored route or the mover's index (a visitor's names
+    /// nobody here), and the mover of a lost ownership move.
+    pub(super) fn casualty_of(
+        &self,
+        (call, global, kind): (Option<CallId>, Option<usize>, ExpiredKind),
+    ) -> Option<usize> {
+        let mover = global.and_then(|g| self.local_of(g));
+        match kind {
+            ExpiredKind::Handoff => match call.and_then(|c| self.routes.get(&c)) {
+                Some(&Route::Anchored { local, .. }) => Some(local),
+                _ => mover,
+            },
+            ExpiredKind::Mobility => mover,
+            ExpiredKind::Voice | ExpiredKind::Signal => None,
         }
     }
 
@@ -124,10 +140,14 @@ impl Shard {
 
 #[cfg(test)]
 mod tests {
-    use super::super::tests::{counter, idle_shard};
+    use std::collections::BTreeMap;
+
+    use super::super::tests::{call_at, counter, idle_shard, shard_with};
     use super::*;
-    use crate::mailbox::Flit;
+    use crate::mailbox::{Flit, EPOCH_MS};
+    use crate::population::SubscriberPlan;
     use vgprs_sim::{Interface, NodeId, TraceEntry};
+    use vgprs_wire::{Dtap, MapMessage};
 
     /// Two subscribers torn toward peer 5 and one toward peer 7: the
     /// heal of trunk 5 brings its two home, lowest index first.
@@ -157,5 +177,116 @@ mod tests {
         assert_eq!(counter(&shard, "load.trunk_reroutes"), 2);
         let recoveries = shard.net.stats().histogram("load.heal_recovery_ms");
         assert_eq!(recoveries.map(|h| h.count()), Some(2));
+    }
+
+    /// Subscribers `0..n` of shard 0 of eight, each dialing its terminal
+    /// at 1 s and at 20 s, for 10 s; the trunk is armed, and voice rides
+    /// trains where it may or (`trains: false`) goes frame by frame.
+    fn armed(n: usize, trains: bool) -> Shard {
+        let plan = |global_index| SubscriberPlan {
+            global_index,
+            arrivals: vec![call_at(1_000), call_at(20_000)],
+            excursion: None,
+        };
+        let mut shard = shard_with((0..n).map(plan).collect());
+        shard.set_voice_trains(trains);
+        shard.run_epoch(0, vec![(1, Flit::TrunkArmed)]);
+        shard
+    }
+
+    /// Runs epochs 1 to the one holding `to_ms`, handing epoch `at`
+    /// the flit `flit`.
+    fn run_to(shard: &mut Shard, to_ms: u64, (at, flit): (u64, Option<Flit>)) {
+        for epoch in 1..=to_ms / EPOCH_MS {
+            let inbox = flit.clone().filter(|_| epoch == at).map(|f| (1, f));
+            shard.run_epoch(epoch, Vec::from_iter(inbox));
+        }
+    }
+
+    /// What the shard counted outside the kernel's `sim.*` census: every
+    /// counter, and every histogram's count, sum, extremes and buckets.
+    fn outside_the_kernel(shard: Shard) -> BTreeMap<String, String> {
+        let stats = shard.finish().stats;
+        let counters = stats.counters().map(|(name, n)| (name, n.to_string()));
+        let histograms = stats.histograms().map(|(name, h)| {
+            let buckets: Vec<(f64, u64)> = h.nonzero_buckets().collect();
+            let (min, max) = (h.min(), h.max());
+            let shape = format!("{} {} {min:?} {max:?} {buckets:?}", h.count(), h.sum());
+            (name, shape)
+        });
+        (counters.chain(histograms))
+            .filter(|(name, _)| !name.starts_with("sim."))
+            .map(|(name, shape)| (name.to_owned(), shape))
+            .collect()
+    }
+
+    /// The uplink of subscriber `global`'s radio leg in another shard.
+    fn uplink(global: usize) -> Flit {
+        let dtap = Dtap::ReleaseComplete { call: CallId(7) };
+        Flit::UmUp { global, dtap }
+    }
+
+    /// A subscriber the shard posted a flit about — an uplink of its
+    /// radio leg, or the anchor's half of its handoff dialogue — is
+    /// exposed for the ladder's budget and an epoch: its dial at 1 s
+    /// sends every frame on its own, its dial at 20 s rides trains.
+    #[test]
+    fn a_recently_named_subscriber_dials_without_a_promise() {
+        let mut shard = armed(2, true);
+        let call = CallId(1);
+        shard.routes.insert(call, Route::Anchored { target: 1, local: 1 });
+        shard.post(1, uplink(0));
+        shard.post(1, Flit::Map(MapMessage::SendEndSignalAck { call }));
+        run_to(&mut shard, 15_000, (0, None));
+        assert!(counter(&shard, "ms.voice_frames_sent") > 0, "no voice");
+        assert_eq!(counter(&shard, "sim.voice.trains"), 0);
+        assert_eq!(counter(&shard, "sim.voice.trunk_held"), 2);
+        for epoch in 15_000 / EPOCH_MS + 1..30_000 / EPOCH_MS {
+            shard.run_epoch(epoch, Vec::new());
+        }
+        assert!(counter(&shard, "sim.voice.trains") > 0, "the later dials rode no train");
+        assert_eq!(counter(&shard, "sim.voice.trunk_held"), 2);
+    }
+
+    /// A casualty notice for an exposed subscriber's flit tears its
+    /// call down while it talks: nothing was promised, so no promise
+    /// check fires and the shard counts what the per-frame run counts.
+    /// With the exposure rule off, a train sent before the notice
+    /// carries frames the per-frame run never sends.
+    #[test]
+    fn a_casualty_mid_call_ends_it_as_the_per_frame_run_does() {
+        let expired = Flit::TrunkExpired {
+            peer: 1,
+            call: None,
+            global: Some(0),
+            kind: ExpiredKind::Handoff,
+        };
+        let outcome = |trains| {
+            let mut shard = armed(1, trains);
+            shard.post(1, uplink(0));
+            run_to(&mut shard, 35_000, (4_500 / EPOCH_MS, Some(expired.clone())));
+            assert_eq!(counter(&shard, "load.trunk_handoff_drops"), 1);
+            // Torn with no heal to come, the subscriber's dial at 20 s
+            // is held as well.
+            assert_eq!(counter(&shard, "sim.voice.trunk_held"), 2 * u64::from(trains));
+            outside_the_kernel(shard)
+        };
+        assert_eq!(outcome(true), outcome(false));
+    }
+
+    /// A torn subscriber who came home and talks is exposed until its
+    /// trunk heals: the heal's re-camp meets the call as it meets the
+    /// per-frame one.
+    #[test]
+    fn a_heal_that_reaches_a_talking_subscriber_ends_as_the_per_frame_run_does() {
+        let outcome = |trains| {
+            let mut shard = armed(1, trains);
+            shard.subs[0].torn = Some(Tear { by: Ix::new(1), at_ms: 0 });
+            run_to(&mut shard, 35_000, (4_500 / EPOCH_MS, Some(Flit::TrunkHeal { peer: 1 })));
+            assert_eq!(counter(&shard, "load.trunk_reroutes"), 1);
+            assert_eq!(counter(&shard, "sim.voice.trunk_held"), u64::from(trains));
+            outside_the_kernel(shard)
+        };
+        assert_eq!(outcome(true), outcome(false));
     }
 }

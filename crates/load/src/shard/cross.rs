@@ -71,8 +71,10 @@ impl Shard {
                 self.trunk_expired(peer, call, global, kind)
             }
             Flit::TrunkHeal { peer } => self.trunk_heal(peer),
-            // An armed trunk can hold a page back past any lead.
-            Flit::TrunkArmed => self.set_voice_trains(false),
+            // No page comes later than PAGE_LEAD_MS after a counted dial:
+            // 5 307 pages on `trunk_chaos`, seeds 1–20 (EXPERIMENTS "Voice
+            // trains under trunk chaos"); only a casualty changes a call.
+            Flit::TrunkArmed => self.arm_trunk(),
         }
     }
 

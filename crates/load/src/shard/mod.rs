@@ -178,6 +178,9 @@ struct Subscriber {
     /// Set while a trunk partition that tore the subscriber's
     /// handed-off call down has not healed.
     torn: Option<Tear>,
+    /// Until when, in ms from t0, an armed trunk can still give up on a
+    /// flit the shard posted naming the subscriber (0: none).
+    exposed_until_ms: u32,
 }
 
 impl Subscriber {
@@ -240,8 +243,7 @@ pub struct Shard {
     outbox: Vec<Envelope>,
     recorder: SnapshotRecorder,
     /// What sending voice in trains needs, while the world allows them
-    /// and neither [`Shard::set_voice_trains`] nor an armed trunk
-    /// switched them off.
+    /// and [`Shard::set_voice_trains`] did not switch them off.
     trains: Option<Trains>,
 }
 
@@ -294,6 +296,7 @@ impl Shard {
 
     /// Queues `flit` for `to_shard` at the next barrier.
     fn post(&mut self, to_shard: usize, flit: Flit) {
+        self.expose(&flit);
         self.outbox.push(Envelope { to_shard, flit });
     }
 

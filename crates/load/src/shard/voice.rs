@@ -4,8 +4,8 @@
 //! A frame's fate — dropped or delivered, and after what delay — can
 //! change only when something changes its call: a mute or a hangup, a
 //! handover, a snapshot boundary (frames are counted where they land),
-//! or its cell starting to clip voice. In a world with no fault plan, no
-//! overload control and a disarmed trunk each of those is known ahead:
+//! or its cell starting to clip voice. In a world with no fault plan and
+//! no overload control each of those is known ahead:
 //!
 //! * the driver scheduled the call's mute, probe and hangup at its dial,
 //!   and each party's next move is in its row — so each endpoint is
@@ -18,7 +18,12 @@
 //!   the end of the window's current second, or the start of a second
 //!   that could clip if that is sooner ([`Network::set_train_horizon`]).
 //!   A train never spans a second of the window, so the cadence moves
-//!   no event.
+//!   no event;
+//! * an armed trunk reaches a call here only through a casualty notice
+//!   for a flit the shard posted, or the heal of a torn subscriber; the
+//!   notice comes within the retransmission ladder's budget and an epoch
+//!   of the post, so a party named that recently, or torn, is *exposed*
+//!   and its call promised nothing.
 //!
 //! A change a frame in flight would see pulls its horizon back by
 //! [`PATH_BOUND`]; a mute stops only the sources, so frames up to its
@@ -35,8 +40,9 @@ use vgprs_sim::{NodeId, SimTime};
 
 use super::driver::{mute_after_ms, Dial, PROBE_MS};
 use super::Shard;
-use crate::mailbox::EPOCH_MS;
+use crate::mailbox::{Flit, EPOCH_MS};
 use crate::population::{CallKind, SubscriberPlan};
+use crate::trunk::retransmit_backoff;
 
 /// The longest a dial that can page takes to reach its cell as a page:
 /// an MT setup crosses the gatekeeper and the VMSC twice in a few
@@ -61,6 +67,9 @@ pub(super) struct Trains {
     /// how many paging dials there were. The horizon is a function of
     /// these alone, so an epoch that finds them unchanged keeps it.
     refreshed: Option<(u64, u64, usize)>,
+    /// Under an armed trunk, how long after a post the trunk can still
+    /// give up on the flit and tell the shard; `None` while disarmed.
+    exposure_ms: Option<u64>,
 }
 
 impl Trains {
@@ -71,8 +80,7 @@ impl Trains {
             .map(|a| ms32(a.at_ms))
             .collect();
         pages.sort_unstable();
-        let refreshed = None;
-        Trains { pages, refreshed }
+        Trains { pages, refreshed: None, exposure_ms: None }
     }
 
     /// How many paging dials fall in `[from_ms, to_ms)`.
@@ -96,10 +104,11 @@ impl Shard {
     /// Switches voice trains off (`false`): every frame is its own
     /// message — the per-frame path, kept as the oracle trains are
     /// tested against. On (`true`), as a shard is built, sources send
-    /// trains where the world allows them: not with a fault plan, an
-    /// overload control (a throttled page can wait past any lead) or an
-    /// armed trunk. Registration carries no voice, so a switch thrown
-    /// right after [`Shard::new`] governs every frame of the run.
+    /// trains where the world allows them: not with a fault plan or an
+    /// overload control (a throttled page can wait past any lead), and
+    /// under an armed trunk not for a call with an exposed party.
+    /// Registration carries no voice, so a switch thrown right after
+    /// [`Shard::new`] governs every frame of the run.
     #[doc(hidden)]
     pub fn set_voice_trains(&mut self, enabled: bool) {
         if !enabled {
@@ -108,12 +117,34 @@ impl Shard {
         }
     }
 
+    /// The trunk is armed: it may give up on a flit the shard posts.
+    pub(super) fn arm_trunk(&mut self) {
+        if let Some(trains) = &mut self.trains {
+            trains.exposure_ms = Some(retransmit_backoff().budget().as_millis() + EPOCH_MS);
+        }
+    }
+
+    /// Under an armed trunk, exposes the subscriber an abandoned `flit`
+    /// would name until the trunk can no longer give up on it.
+    pub(super) fn expose(&mut self, flit: &Flit) {
+        let Some(exposure_ms) = self.trains.as_ref().and_then(|t| t.exposure_ms) else {
+            return;
+        };
+        if let Some(local) = self.casualty_of(flit.casualty()) {
+            let now_ms = self.net.now().as_micros().saturating_sub(self.t0_us) / 1_000;
+            let until = &mut self.subs[local].exposed_until_ms;
+            *until = (*until).max(ms32(now_ms + exposure_ms));
+        }
+    }
+
     /// Promises both ends of a call dialed at `at_ms` (`local`'s, with
     /// `peer_local` its called subscriber, if one) the instant its
     /// frames must have landed by: the mute's instant (a frame sent then
     /// still rides), or [`PATH_BOUND`] before the hangup, the probe or
     /// either party's next move, whichever comes first. An endpoint
-    /// still in an earlier call keeps that call's promise.
+    /// still in an earlier call keeps that call's promise. A call with
+    /// an exposed party, which a trunk casualty may yet change, is
+    /// promised nothing, and counted.
     pub(super) fn promise_voice(
         &mut self,
         at_ms: u64,
@@ -123,6 +154,13 @@ impl Shard {
     ) {
         if self.trains.is_none() {
             return;
+        }
+        let exposed = |l: usize| {
+            let sub = &self.subs[l];
+            sub.torn.is_some() || u64::from(sub.exposed_until_ms) > at_ms
+        };
+        if [Some(local), peer_local].into_iter().flatten().any(exposed) {
+            return self.count("sim.voice.trunk_held");
         }
         let moves =
             [Some(local), peer_local].map(|l| l.map_or(u32::MAX, |l| self.subs[l].next_move_ms));

@@ -172,6 +172,7 @@ fn add_subscribers(
             next_move_ms: u32::MAX,
             silent_since: Stamp::default(),
             torn: None,
+            exposed_until_ms: 0,
         });
     }
     subs

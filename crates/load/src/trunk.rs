@@ -50,9 +50,11 @@ const SALT_REORDER: u64 = 0x03;
 const SALT_ACK: u64 = 0x04;
 
 /// The retransmission ladder every trunk channel runs: first retry after
-/// two epochs, doubling to a 1.6 s cap, six attempts — a ~4.7 s budget,
-/// so a short partition recovers by retransmission while a long one
-/// exhausts deterministically into supervised teardown.
+/// two epochs, doubling to a 1.6 s cap, six attempts. A short partition
+/// recovers by retransmission, while a long one exhausts its
+/// [`Backoff::budget`] and ends deterministically in supervised
+/// teardown: the sender hears of the casualty no later than the budget
+/// and one epoch after it posted the flit.
 pub fn retransmit_backoff() -> Backoff {
     Backoff {
         base: SimDuration::from_millis(100),
@@ -665,11 +667,7 @@ mod tests {
         let mut fabric = two_shard_fabric(vec![partition_window(0, u64::MAX / 2, 0)]);
         let mut dir = directory();
         fabric.post(0, vec![arrive(1, 3)], &mut dir);
-        let ladder = retransmit_backoff();
-        let budget_ms: u64 = (0..)
-            .map_while(|k| ladder.delay(k))
-            .map(|d| d.as_millis())
-            .sum();
+        let budget_ms = retransmit_backoff().budget().as_millis();
         let mut t = 0;
         while fabric.in_flight() > 0 && t < budget_ms + 10 * EPOCH {
             t += EPOCH;
@@ -695,6 +693,35 @@ mod tests {
         // The HLR never heard about the move — it was never delivered.
         assert_eq!(dir.owner_of(3), 0);
         assert_eq!(dir.relocations(), 0);
+    }
+
+    /// Driven as the engine drives it — each epoch the shards take their
+    /// inboxes, run, post, and the barrier seals — a full partition
+    /// tells each sender of its casualty no later than the ladder's
+    /// budget and one epoch after the earliest instant of the epoch it
+    /// posted in. The voice-train exposure rule rests on this bound.
+    #[test]
+    fn a_casualty_notice_comes_within_the_budget_and_an_epoch() {
+        let mut fabric = two_shard_fabric(vec![partition_window(0, u64::MAX / 2, 0)]);
+        let mut dir = directory();
+        let bound_ms = retransmit_backoff().budget().as_millis() + EPOCH;
+        // Subscriber `global` posts its flit in epoch 3 * global + global % 2.
+        let posts: Vec<u64> = (0..8).map(|g| 3 * g + g % 2).collect();
+        let mut told = 0;
+        for epoch in 0..posts[7] + bound_ms / EPOCH + 2 {
+            for (from, flit) in fabric.take_inbox(0) {
+                let Flit::TrunkExpired { global: Some(g), .. } = flit else {
+                    panic!("unexpected {flit:?} from {from}");
+                };
+                let posted_ms = posts[g] * EPOCH;
+                assert!(epoch * EPOCH <= posted_ms + bound_ms, "{g}: told at epoch {epoch}");
+                told += 1;
+            }
+            let due = (0..8).filter(|&g| posts[g] == epoch).map(|g| arrive(1, g));
+            fabric.post(0, due.collect(), &mut dir);
+            fabric.seal((epoch + 1) * EPOCH, &mut dir);
+        }
+        assert_eq!((told, fabric.in_flight()), (8, 0), "every casualty was told");
     }
 
     /// An ack arriving while retransmissions are outstanding cancels

@@ -79,6 +79,10 @@ invariant_families! {
     trunk_faulted_runs_are_thread_and_kernel_invariant: "trunk" => trunk_cfg;
     snapshot_stream_is_thread_and_kernel_invariant: "snapshot" => snapshot_cfg;
     voice_trains_are_thread_and_kernel_invariant: "trains" => trains_cfg;
+    armed_voice_trains_are_thread_and_kernel_invariant: "trains@trunk" => || LoadConfig {
+        trunk: TrunkPlanConfig::all(1.0),
+        ..trains_cfg()
+    };
 }
 
 /// The engine's loop before it skipped idle epochs, over the public API
@@ -581,14 +585,15 @@ fn defaults_cfg() -> LoadConfig {
 /// `families_on_the_registration_ladder_match_the_provisioned_start`
 /// holds the rest of every row to it). The `defaults` row is unarmed: the small world at the harness's
 /// defaults, which a refactor of the driver, the KPI table or the merge
-/// must leave exactly as it is. It is the one row whose voice rides
-/// trains (the armed worlds send every frame on its own), so it moved
-/// when voice began to, in the kernel's census and the event count
-/// alone; frame by frame it keeps the identity pinned before.
+/// must leave exactly as it is. Its voice and the `trunk` row's ride
+/// trains (the trunk's only for the calls no casualty can reach; the
+/// other armed worlds send every frame on its own), so each moved when
+/// its voice began to, in the kernel's census and the event count
+/// alone; frame by frame each keeps the identity pinned before.
 #[test]
 fn armed_run_identity_is_pinned() {
     let rows = [
-        ("trunk", trunk_cfg as fn() -> LoadConfig, "727416fecdf0a751 52cbbf24b40522f6 51328"),
+        ("trunk", trunk_cfg as fn() -> LoadConfig, "4ebd6f58f74152ee 52cbbf24b40522f6 18747"),
         ("faults", chaos_cfg, "2d9df63a108c1f25 ebce64574029ed89 49099"),
         ("surge", surge_cfg, "a528a72c11416bb7 d2122262e2d8c030 35218"),
         ("defaults", defaults_cfg, "ba9db7c05ddf056e 5cc032a318e3e95e 10021"),
@@ -609,14 +614,20 @@ fn armed_run_identity_is_pinned() {
             "armed {family} run drifted from the pinned identity"
         );
     }
-    let per_frame = run_load_with(&defaults_cfg(), 1, Registration::Provision, |shard| {
-        shard.set_voice_trains(false)
-    });
-    assert_eq!(
-        pinned_identity(&per_frame),
-        "3b31082dbe7220ab 5cc032a318e3e95e 38572",
-        "the defaults run, frame by frame, drifted from its pinned identity"
-    );
+    let per_frame = [
+        ("defaults", defaults_cfg as fn() -> LoadConfig, "3b31082dbe7220ab 5cc032a318e3e95e 38572"),
+        ("trunk", trunk_cfg, "727416fecdf0a751 52cbbf24b40522f6 51328"),
+    ];
+    for (family, cfg, pinned) in per_frame {
+        let report = run_load_with(&cfg(), 1, Registration::Provision, |shard| {
+            shard.set_voice_trains(false)
+        });
+        assert_eq!(
+            pinned_identity(&report),
+            pinned,
+            "the {family} run, frame by frame, drifted from its pinned identity"
+        );
+    }
 }
 
 /// Table order is a function of the hash; outputs may not be. The

@@ -6,14 +6,14 @@
 //! delay. Sent frame by frame (`Shard::set_voice_trains(false)`) the
 //! same world is the oracle: the two must agree on every counter and
 //! every histogram — count, sum, extremes and buckets — outside the
-//! kernel's `sim.*` census, on the benchmark's four shapes and on a
-//! world whose cells clip voice.
+//! kernel's `sim.*` census, on the benchmark's four shapes, on a world
+//! whose cells clip voice and on worlds under trunk chaos.
 
 use std::collections::BTreeMap;
 
 use vgprs_load::{
     run_load_with, FaultPlanConfig, LoadConfig, LoadReport, OverloadControls, PopulationConfig,
-    Registration, ScenarioConfig, TrunkPlanConfig,
+    Registration, ScenarioConfig, TrunkFaultClass, TrunkPlanConfig,
 };
 
 mod common;
@@ -105,9 +105,51 @@ fn trains_agree_with_the_per_frame_oracle_where_cells_clip() {
     assert!(stats.counter("sim.voice.trains") > 0, "no train ran");
 }
 
-/// A world with a fault plan, an overload control or an armed trunk
-/// sends every frame on its own, whatever the switch says: switched on,
-/// it is the very run it is switched off.
+/// Under trunk chaos a call rides trains unless a trunk casualty can
+/// still reach one of its parties: on the `trunk_chaos` shape, scaled
+/// down, and on every trunk cell of `harness chaos` (512 subscribers in
+/// two shards over 120 s, 60 calls an hour of 20 s, a third of the
+/// movers crossing shards; each class alone at 0.3 and at 1), where
+/// some dials are exposed and go frame by frame.
+#[test]
+fn trains_agree_with_the_per_frame_oracle_under_trunk_chaos() {
+    let scaled = LoadConfig {
+        subscribers: 1_024,
+        shards: 8,
+        population: population(4.0, 0.35),
+        trunk: TrunkPlanConfig::all(1.0),
+        ..LoadConfig::default()
+    };
+    let trains = agrees("trunk_chaos", scaled);
+    assert!(trains.stats.counter("sim.voice.train_frames") > 0, "trunk_chaos: no train");
+    let sweep = PopulationConfig {
+        window_secs: 120,
+        calls_per_sub_hour: 60.0,
+        mean_hold_secs: 20.0,
+        cross_shard_fraction: 0.35,
+        ..PopulationConfig::default()
+    };
+    for class in TrunkFaultClass::ALL {
+        for intensity in [0.3, 1.0] {
+            let cfg = LoadConfig {
+                subscribers: 512,
+                shards: 2,
+                population: sweep.clone(),
+                trunk: TrunkPlanConfig::only(class, intensity),
+                ..LoadConfig::default()
+            };
+            let shape = format!("{class:?} at {intensity}");
+            let stats = agrees(&shape, cfg).stats;
+            assert!(stats.counter("sim.voice.train_frames") > 0, "{shape}: no train");
+            let held = stats.counter("sim.voice.trunk_held");
+            assert!(held > 0, "{shape}: no dial was exposed");
+        }
+    }
+}
+
+/// A world with a fault plan or an overload control sends every frame
+/// on its own, whatever the switch says: switched on, it is the very run
+/// it is switched off.
 #[test]
 fn a_world_that_can_change_unforeseen_keeps_every_frame_on_its_own() {
     let base = || LoadConfig {
@@ -126,13 +168,6 @@ fn a_world_that_can_change_unforeseen_keeps_every_frame_on_its_own() {
             "faults",
             LoadConfig {
                 faults: FaultPlanConfig::all(1.0),
-                ..base()
-            },
-        ),
-        (
-            "trunk",
-            LoadConfig {
-                trunk: TrunkPlanConfig::all(1.0),
                 ..base()
             },
         ),

@@ -43,6 +43,15 @@ impl Backoff {
         let us = base_us.saturating_mul(scale).min(cap_us);
         Some(SimDuration::from_micros(us))
     }
+
+    /// How long after a first send the ladder runs out: the sum of the
+    /// delays of every attempt it allows.
+    pub fn budget(&self) -> SimDuration {
+        let us = (0..self.max_attempts)
+            .map_while(|attempt| self.delay(attempt))
+            .fold(0, |sum: u64, d| sum.saturating_add(d.as_micros()));
+        SimDuration::from_micros(us)
+    }
 }
 
 #[cfg(test)]
@@ -99,6 +108,14 @@ mod tests {
     fn zero_attempts_never_retries() {
         let b = Backoff { max_attempts: 0, ..schedule() };
         assert_eq!(b.delay(0), None);
+        assert_eq!(b.budget(), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn the_budget_sums_every_allowed_delay() {
+        assert_eq!(schedule().budget(), SimDuration::from_millis(1000 + 2000 + 4000));
+        let long = Backoff { max_attempts: 5, ..schedule() };
+        assert_eq!(long.budget(), SimDuration::from_millis(1000 + 2000 + 4000 + 4000 + 4000));
     }
 
     #[test]
@@ -112,5 +129,6 @@ mod tests {
         for attempt in 0..64 {
             assert!(extreme.delay(attempt).is_some());
         }
+        assert_eq!(extreme.budget(), SimDuration::from_micros(u64::MAX));
     }
 }

@@ -54,7 +54,7 @@ echo "==> determinism contract (release)"
 # cell: the dense-paging world at the benchmark's quick size, pinned, the
 # one pinned world whose pages fan out to a thousand handsets. And voice
 # trains against frame-by-frame voice, their oracle, on the benchmark's
-# four shapes and a world whose cells clip.
+# four shapes, a world whose cells clip and worlds under trunk chaos.
 cargo test --release -q -p vgprs-load --test determinism --test cut_through --test provision \
     --test dense_paging --test voice_trains
 
@@ -338,6 +338,20 @@ echo "==> one voice source"
 # names were each endpoint's own copy.
 tripwire "a voice source outside crates/media/src/voice.rs" -rE 'TIMER_VOICE|voice_seq' \
     crates/*/src crates/*/tests tests examples
+
+echo "==> voice rides trains under trunk chaos"
+# An armed trunk keeps a call frame by frame only while a trunk casualty
+# can still reach one of its parties (DESIGN §2.19); every other call
+# rides trains. A change that switched armed worlds back to one frame
+# per message would still pass the oracle tests, so a small armed world
+# must carry some.
+armed=$(./target/release/harness load --subscribers 1024 --shards 8 --cross-shard-rate 0.35 \
+    --trunk-intensity 1.0 | grep '^voice trains')
+echo "$armed"
+if [[ $armed == *": 0 carried"* ]]; then
+    echo "error: an armed trunk world sent no voice train" >&2
+    exit 1
+fi
 
 echo "==> an option has two callers"
 # A setting every caller gives one value is a constant: the VLR
