@@ -104,16 +104,19 @@ fn subcommand(name: &str) -> Option<Subcommand> {
 /// How the run's voice travelled, from the kernel's `sim.voice.*`
 /// census: the trains, the frames they carried, the frames sent one by
 /// one — every frame, in a world with no train horizon (a fault plan or
-/// an overload control) — and the dials an armed trunk kept frame by
-/// frame, because a trunk casualty could still reach a party.
+/// an overload control) — the dials an armed trunk kept frame by
+/// frame, because a trunk casualty could still reach a party, and the
+/// network seconds no train ran into, because enough dials could page
+/// a cell in them to clip its voice.
 fn voice_trains(report: &LoadReport) -> String {
     let count = |name| report.stats.counter(name);
     let (trains, carried) = (count("sim.voice.trains"), count("sim.voice.train_frames"));
     let sent = count("ms.voice_frames_sent") + count("term.rtp_sent");
     let (alone, held) = (sent - carried, count("sim.voice.trunk_held"));
+    let paging = count("sim.voice.paging_held");
     format!(
         "{trains} carried {carried} frames; {alone} frames sent one by one; \
-         {held} dials held by the trunk"
+         {held} dials held by the trunk; {paging} paging seconds held"
     )
 }
 

@@ -71,9 +71,10 @@ impl Shard {
                 self.trunk_expired(peer, call, global, kind)
             }
             Flit::TrunkHeal { peer } => self.trunk_heal(peer),
-            // No page comes later than PAGE_LEAD_MS after a counted dial:
-            // 5 307 pages on `trunk_chaos`, seeds 1–20 (EXPERIMENTS "Voice
-            // trains under trunk chaos"); only a casualty changes a call.
+            // No page comes later than PAGE_LEAD_MS (300 ms) after a
+            // counted dial: 5 307 pages on `trunk_chaos`, seeds 1–20, each
+            // 38 ms or 181–191 ms after it (EXPERIMENTS "Voice trains
+            // through paging seconds"); only a casualty changes a call.
             Flit::TrunkArmed => self.arm_trunk(),
         }
     }

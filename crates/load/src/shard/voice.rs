@@ -14,11 +14,13 @@
 //! * a snapshot boundary is a whole second of the window, whatever the
 //!   cadence, and a cell clips only after more than [`PCH_PAGES_PER_S`]
 //!   pages in one second, each page following a dial that can page by
-//!   at most [`PAGE_LEAD_MS`] — so at each epoch the network is promised
-//!   the end of the window's current second, or the start of a second
-//!   that could clip if that is sooner ([`Network::set_train_horizon`]).
-//!   A train never spans a second of the window, so the cadence moves
-//!   no event;
+//!   at most [`PAGE_LEAD_MS`] (a measured lead and a margin, not a
+//!   guess: a second is refused only when that many dials can page into
+//!   it) — so at each epoch the network is promised the end of the
+//!   window's current second, or the start of a second that could clip
+//!   if that is sooner ([`Network::set_train_horizon`]), and each
+//!   refused second is counted once as `sim.voice.paging_held`. A train
+//!   never spans a second of the window, so the cadence moves no event;
 //! * an armed trunk reaches a call here only through a casualty notice
 //!   for a flit the shard posted, or the heal of a torn subscriber; the
 //!   notice comes within the retransmission ladder's budget and an epoch
@@ -45,10 +47,21 @@ use crate::population::{CallKind, SubscriberPlan};
 use crate::trunk::retransmit_backoff;
 
 /// The longest a dial that can page takes to reach its cell as a page:
-/// an MT setup crosses the gatekeeper and the VMSC twice in a few
-/// hundred milliseconds on fault-free links. The BTS panics if a page
-/// outruns it under a train.
-const PAGE_LEAD_MS: u64 = 2_000;
+/// 200 ms, and [`PAGE_LEAD_MARGIN_MS`] above it. On fault-free links the
+/// ladder is fixed: an MT call's page reaches the BTS 38 ms after the
+/// terminal dials, a mobile-to-mobile call's 181 ms after the caller
+/// dials (its own access, authentication and ciphering come first),
+/// 191 ms when the VLR must first fetch fresh vectors from the HLR. A
+/// census of every page on the benchmark's worlds found none later
+/// (EXPERIMENTS "Voice trains through paging seconds"), and a unit test
+/// holds both ladders on the default latencies under 200 ms. The BTS
+/// panics if a page outruns the lead under a train.
+const PAGE_LEAD_MS: u64 = 200 + PAGE_LEAD_MARGIN_MS;
+
+/// How far [`PAGE_LEAD_MS`] stands above a lone dial's measured lead:
+/// room for the VLR's vector fetch (10 ms) and for a ladder or latency
+/// edit, which fails the unit test before it can panic a BTS mid-run.
+const PAGE_LEAD_MARGIN_MS: u64 = 100;
 
 /// A second: of the window, which holds every snapshot boundary, and of
 /// the network clock, a cell's paging window. A redial is scheduled at
@@ -67,6 +80,9 @@ pub(super) struct Trains {
     /// how many paging dials there were. The horizon is a function of
     /// these alone, so an epoch that finds them unchanged keeps it.
     refreshed: Option<(u64, u64, usize)>,
+    /// The network second after the last one the paging rule refused:
+    /// a later epoch that finds that second again counts it no more.
+    held_until: u64,
     /// Under an armed trunk, how long after a post the trunk can still
     /// give up on the flit and tell the shard; `None` while disarmed.
     exposure_ms: Option<u64>,
@@ -80,7 +96,12 @@ impl Trains {
             .map(|a| ms32(a.at_ms))
             .collect();
         pages.sort_unstable();
-        Trains { pages, refreshed: None, exposure_ms: None }
+        Trains {
+            pages,
+            refreshed: None,
+            held_until: 0,
+            exposure_ms: None,
+        }
     }
 
     /// How many paging dials fall in `[from_ms, to_ms)`.
@@ -208,7 +229,11 @@ impl Shard {
 
     /// Promises the network, at the start of `epoch`, the end of the
     /// window's current second or the start of a paging second that
-    /// could clip, whichever comes first, less [`PATH_BOUND`].
+    /// could clip, whichever comes first, less [`PATH_BOUND`]. Each
+    /// paging second refused is counted once, as `sim.voice.paging_held`
+    /// (a second found again by a later epoch is not counted again; a
+    /// redial joins at least two seconds ahead, so no earlier second
+    /// turns hot once a later one has been found).
     pub(super) fn refresh_train_horizon(&mut self, epoch: u64) {
         let Some(trains) = self.trains.as_mut() else {
             return;
@@ -233,6 +258,11 @@ impl Shard {
             let to = (window + SECOND_MS + 1).saturating_sub(t0_ms);
             if trains.pages_between(from, to) > PCH_PAGES_PER_S as usize {
                 until = until.min(SimTime::from_micros(window * 1_000));
+                let second = window / SECOND_MS;
+                if second >= trains.held_until {
+                    trains.held_until = second + 1;
+                    self.count("sim.voice.paging_held");
+                }
                 break;
             }
             window += SECOND_MS;
@@ -245,5 +275,54 @@ impl Shard {
     /// The network instant `ms` into the window.
     fn at_ms(&self, ms: u64) -> SimTime {
         SimTime::from_micros(self.t0_us + ms * 1_000)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vgprs_sim::{Interface, SimDuration, TraceEntry};
+
+    use super::super::tests::{call_at, shard_with};
+    use super::*;
+    use crate::population::{Arrival, SubscriberPlan};
+
+    /// The lead is measured, not remembered: on the default latencies
+    /// subscriber 0's terminal calls it at 1 s (an MT call) and
+    /// subscriber 1 calls its handset at 20 s (mobile to mobile), and
+    /// each page reaches the cell inside [`PAGE_LEAD_MS`] with
+    /// [`PAGE_LEAD_MARGIN_MS`] to spare. A ladder or latency edit that
+    /// lengthens setup fails here instead of panicking a BTS mid-run.
+    #[test]
+    fn each_dial_pages_its_cell_inside_the_lead_less_its_margin() {
+        let dials = [(1_000, CallKind::MtFromTerminal), (20_000, CallKind::MsToMs)];
+        let plans = (dials.iter().enumerate())
+            .map(|(global_index, &(at_ms, kind))| SubscriberPlan {
+                global_index,
+                arrivals: vec![Arrival { at_ms, kind, ..call_at(0) }],
+                excursion: None,
+            })
+            .collect();
+        let mut shard = shard_with(plans);
+        shard.net.set_trace_capture(true);
+        for epoch in 0..=30_000 / EPOCH_MS {
+            shard.run_epoch(epoch, Vec::new());
+        }
+        let pages: Vec<SimTime> = (shard.net.trace().entries().iter())
+            .filter_map(|e| match e {
+                TraceEntry::Message {
+                    at,
+                    iface: Interface::Abis,
+                    label,
+                    ..
+                } if label == "Abis_Paging" => Some(*at),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pages.len(), 2, "one page a dial: {pages:?}");
+        for ((at_ms, kind), page) in dials.into_iter().zip(pages) {
+            let lead = page - shard.at_ms(at_ms);
+            let bound = SimDuration::from_millis(PAGE_LEAD_MS - PAGE_LEAD_MARGIN_MS);
+            assert!(lead < bound, "{kind:?}: a page {lead:?} after its dial");
+        }
     }
 }

@@ -83,6 +83,17 @@ invariant_families! {
         trunk: TrunkPlanConfig::all(1.0),
         ..trains_cfg()
     };
+    // The full `dense_paging` world: one shard, so one lane whatever
+    // the workers, and paging seconds the lead rule holds trains out of.
+    dense_voice_trains_are_kernel_invariant: "trains@dense" => || LoadConfig {
+        subscribers: 8_192,
+        shards: 1,
+        population: PopulationConfig {
+            cross_shard_fraction: 0.1,
+            ..PopulationConfig::default()
+        },
+        ..LoadConfig::default()
+    };
 }
 
 /// The engine's loop before it skipped idle epochs, over the public API

@@ -353,6 +353,23 @@ if [[ $armed == *": 0 carried"* ]]; then
     exit 1
 fi
 
+echo "==> voice rides trains in the dense cell"
+# A paging second is refused to trains only when more dials than the
+# cell's paging budget can page into it within the measured lead
+# (DESIGN §2.19). A lead guessed long breaks no promise, but makes
+# nearly every second of the dense_paging world hot and sends its
+# frames one by one (18 740 of 18 917 with a 2 s lead); so the full
+# dense world must carry more frames in trains than it sends alone.
+dense=$(./target/release/harness load --subscribers 8192 --shards 1 --cross-shard-rate 0.1 \
+    | grep '^voice trains')
+echo "$dense"
+carried=$(sed -E 's/.* carried ([0-9]+) frames.*/\1/' <<<"$dense")
+alone=$(sed -E 's/.*; ([0-9]+) frames sent one by one.*/\1/' <<<"$dense")
+if [[ ! $carried =~ ^[0-9]+$ || ! $alone =~ ^[0-9]+$ ]] || (( alone > carried )); then
+    echo "error: the dense cell sent more frames one by one than in trains" >&2
+    exit 1
+fi
+
 echo "==> an option has two callers"
 # A setting every caller gives one value is a constant: the VLR
 # authenticates every access, a cell clips voice past 8 queued packets
